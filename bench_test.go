@@ -337,10 +337,10 @@ func BenchmarkKrylovE2E_RMATEX_Auto(b *testing.B)    { benchKrylovE2E(b, krylov.
 // --- Factorization engine (PR 4): symbolic/numeric split, parallel solves --
 //
 // The mesh is the ibmpg1t topology at 2× pitch (n = 3564): large enough that
-// the solver layer dominates and the minimum-degree level schedule clears
+// the solver layer dominates and the minimum-degree task schedule clears
 // the parallel crossover, small enough for the CI smoke run. Minimum degree
-// is the ordering of interest here — its elimination tree is bushy (wide
-// level sets) and its fill on these meshes is ~3× below RCM's, which the
+// is the ordering of interest here — its elimination tree is bushy (many
+// independent subtrees) and its fill on these meshes is ~3× below RCM's, which the
 // bucketed implementation makes affordable.
 
 func factorBenchMatrix(b *testing.B) *sparse.CSC {
@@ -529,11 +529,11 @@ func BenchmarkSolveMulti_k8_ibmpg1t2x(b *testing.B) { benchSolveMulti(b, 8, true
 // partition (the fill concentrates in the top separators). Nested
 // dissection exposes the separator tree explicitly, so this row is
 // parallelizable only under OrderND; it benchmarks the satellite claim
-// directly rather than relying on the block-diagonal 4dom shortcut. The
-// same shape carries the engine-comparison rows: under nested dissection
-// its separators amalgamate into wide panels, so auto analysis picks the
-// supernodal engine (the headline rows) while the *Scalar_mesh96nd rows
-// pin SNNever for the side-by-side.
+// directly rather than relying on the block-diagonal 4dom shortcut. Its
+// separators amalgamate into wide panels, so these are also the rows where
+// the blocked kernels carry the most work per factor entry (the ibmpg1t2x
+// rows above are the narrow-panel end: minimum degree, ~1.6 columns per
+// supernode).
 func mesh96CSC(b *testing.B) *sparse.CSC {
 	b.Helper()
 	side := 96
@@ -557,10 +557,10 @@ func mesh96CSC(b *testing.B) *sparse.CSC {
 	return tr.ToCSC()
 }
 
-func meshNDBenchAnalysis(b *testing.B, mode sparse.SupernodeMode) (*sparse.Symbolic, *sparse.LDLT, *sparse.CSC, []float64) {
+func meshNDBenchAnalysis(b *testing.B) (*sparse.Symbolic, *sparse.LDLT, *sparse.CSC, []float64) {
 	b.Helper()
 	a := mesh96CSC(b)
-	sym, err := sparse.AnalyzeLDLTParams(a, sparse.OrderND, sparse.SupernodeParams{Mode: mode})
+	sym, err := sparse.AnalyzeLDLT(a, sparse.OrderND)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -578,32 +578,18 @@ func meshNDBenchAnalysis(b *testing.B, mode sparse.SupernodeMode) (*sparse.Symbo
 
 func meshNDBenchFactor(b *testing.B) (*sparse.LDLT, []float64) {
 	b.Helper()
-	_, f, _, rhs := meshNDBenchAnalysis(b, sparse.SNAuto)
+	_, f, _, rhs := meshNDBenchAnalysis(b)
 	return f, rhs
 }
 
-func benchRefactorMesh(b *testing.B, mode sparse.SupernodeMode) {
-	sym, f, a, _ := meshNDBenchAnalysis(b, mode)
+func BenchmarkRefactor_mesh96nd(b *testing.B) {
+	sym, f, a, _ := meshNDBenchAnalysis(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := sym.RefactorInto(f, a); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRefactor_mesh96nd(b *testing.B)       { benchRefactorMesh(b, sparse.SNAuto) }
-func BenchmarkRefactorScalar_mesh96nd(b *testing.B) { benchRefactorMesh(b, sparse.SNNever) }
-
-func BenchmarkSolveSeqScalar_mesh96nd(b *testing.B) {
-	_, f, _, rhs := meshNDBenchAnalysis(b, sparse.SNNever)
-	x := make([]float64, f.N())
-	work := make([]float64, f.N())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.SolveWith(x, rhs, work)
 	}
 }
 

@@ -247,7 +247,6 @@ type Job struct {
 	notify   chan struct{} // closed and replaced on every append/state change
 	state    JobState
 	samples  []Sample
-	flushed  int            // samples[:flushed] are journaled (covered by a checkpoint)
 	vseq     map[string]int // last VSeq assigned per variant (sweep jobs)
 	err      error
 	stats    *transient.Stats
@@ -256,6 +255,11 @@ type Job struct {
 	cancel   context.CancelFunc
 	started  time.Time
 	finished time.Time
+
+	// flushMu serialises flush + checkpoint (journalVariantCheckpoint) and
+	// guards flushed: samples[:flushed] are in the journal.
+	flushMu sync.Mutex
+	flushed int
 }
 
 func newJob(id string, spec JobSpec, built *builtJob) *Job {
@@ -314,27 +318,22 @@ func (j *Job) journalCheckpoint(cp transient.Checkpoint) error {
 // sweep lane's checkpoint flushes every not-yet-durable sample first (all
 // variants' — a superset of the per-variant invariant, so the splice
 // guarantee holds for each variant independently). Lanes checkpoint
-// concurrently; overlapping flush batches are benign because replay
-// folds them with overwrite-at-From semantics.
+// concurrently, so flush + checkpoint run under flushMu: each batch then
+// starts exactly where the previous one ended, and replay only ever
+// appends.
 func (j *Job) journalVariantCheckpoint(variant string, cp transient.Checkpoint) error {
+	j.flushMu.Lock()
+	defer j.flushMu.Unlock()
 	j.mu.Lock()
-	from := j.flushed
-	batch := j.samples[from:len(j.samples):len(j.samples)]
+	batch := j.samples[j.flushed:len(j.samples):len(j.samples)]
 	j.mu.Unlock()
 	if len(batch) > 0 {
-		if err := j.jn.appendSamples(j.ID, from, batch); err != nil {
+		if err := j.jn.appendSamples(j.ID, j.flushed, batch); err != nil {
 			return err
 		}
+		j.flushed += len(batch)
 	}
-	if err := j.jn.appendCheckpoint(j.ID, variant, cp); err != nil {
-		return err
-	}
-	j.mu.Lock()
-	if from+len(batch) > j.flushed {
-		j.flushed = from + len(batch)
-	}
-	j.mu.Unlock()
-	return nil
+	return j.jn.appendCheckpoint(j.ID, variant, cp)
 }
 
 // setSweepStats records a finished sweep's batching report (called by the

@@ -163,10 +163,14 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 			if r == nil {
 				continue
 			}
-			// From guards against a replayed-then-recrashed journal holding
-			// overlapping batches: later batches overwrite, never duplicate.
-			if rec.From <= len(r.samples) {
-				r.samples = append(r.samples[:rec.From], rec.Samples...)
+			// Batches are contiguous (each starts where the previous one
+			// ended), so replay only appends. Journals from binaries that
+			// let sweep lanes flush concurrently hold overlapping batches
+			// cut from the same buffer: the covered part is skipped, never
+			// truncated — a checkpoint journaled after the longer batch
+			// counts on every sample of it.
+			if skip := len(r.samples) - rec.From; skip >= 0 && skip < len(rec.Samples) {
+				r.samples = append(r.samples, rec.Samples[skip:]...)
 			}
 		case "checkpoint":
 			r := byID[rec.ID]

@@ -93,13 +93,11 @@ type FactorInfo struct {
 }
 
 // symKey identifies one symbolic analysis: a sparsity pattern under an
-// ordering and a set of supernode parameters (normalized, so zero values
-// and their explicit defaults alias). FactorKind is not part of the key —
-// only LDLT has a symbolic phase.
+// ordering. FactorKind is not part of the key — only LDLT has a symbolic
+// phase.
 type symKey struct {
-	patFP  uint64
-	order  Ordering
-	params SupernodeParams
+	patFP uint64
+	order Ordering
 }
 
 // symEntry is one cached (or in-flight) symbolic analysis.
@@ -237,7 +235,7 @@ func (c *Cache) factorSymbolic(m *CSC, kind FactorKind, order Ordering) (Factori
 // symbolic returns the cached pattern analysis for m under order, computing
 // it on first use with the same singleflight discipline as factorizations.
 func (c *Cache) symbolic(m *CSC, order Ordering) (*Symbolic, bool, error) {
-	key := symKey{patFP: PatternFingerprint(m), order: order, params: DefaultSupernodeParams().norm()}
+	key := symKey{patFP: PatternFingerprint(m), order: order}
 	c.mu.Lock()
 	if el, ok := c.symEntries[key]; ok {
 		e := el.Value.(*symEntry)

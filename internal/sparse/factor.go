@@ -15,7 +15,7 @@ type Factorization interface {
 }
 
 // ParSolver is implemented by factorizations whose triangular solves can be
-// level-scheduled across a goroutine pool. The implementation falls back to
+// scheduled across a goroutine pool. The implementation falls back to
 // the sequential solve below its profitability crossover, so callers may
 // pass every solve through it unconditionally.
 type ParSolver interface {

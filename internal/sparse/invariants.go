@@ -155,8 +155,7 @@ func checkTaskSchedule(parent []int32, taskPtr []int, taskNodes, tailNodes []int
 
 // CheckSymbolic validates the invariants of a symbolic analysis: the
 // permutation and its inverse, the elimination-tree parent-above-child
-// property, and the parallel-solve task schedules (scalar and, when the
-// supernodal engine is active, supernodal).
+// property, and the parallel-solve task schedule over the supernodes.
 func CheckSymbolic(s *Symbolic) error {
 	if err := CheckPerm(s.perm, s.n); err != nil {
 		return err
@@ -171,25 +170,18 @@ func CheckSymbolic(s *Symbolic) error {
 			return fmt.Errorf("sparse: CheckSymbolic: etree parent[%d] = %d not above child", k, p)
 		}
 	}
-	if err := checkTaskSchedule(s.parent, s.taskPtr, s.taskRows, s.tailRows); err != nil {
-		return err
-	}
-	if sn := s.sn; sn != nil {
-		if err := checkTaskSchedule(sn.parent, sn.taskPtr, sn.taskSN, sn.tailSN); err != nil {
-			return err
-		}
-	}
-	return nil
+	sn := s.sn
+	return checkTaskSchedule(sn.parent, sn.taskPtr, sn.taskSN, sn.tailSN)
 }
 
 // CheckFactor validates the numeric invariants of a freshly refactorized
-// LDLT: every diagonal pivot finite and nonzero, and — under the supernodal
-// engine — the relaxed-amalgamation padding closure: any panel position not
-// covered by the scalar pattern of its column holds an exact zero (padded
-// below-diagonal positions are structurally zero because the fill pattern is
-// closed; above-diagonal positions are never written after the initial
-// clear). Allocation-free on success, so the matexdebug hook can run it
-// inside RefactorInto without breaking the AllocsPerRun gates.
+// LDLT: every diagonal pivot finite and nonzero, and the relaxed-amalgamation
+// padding closure: any panel position not covered by the exact fill pattern
+// of its column holds an exact zero (padded below-diagonal positions are
+// structurally zero because the fill pattern is closed; above-diagonal
+// positions are never written after the initial clear). Allocation-free on
+// success, so the matexdebug hook can run it inside RefactorInto without
+// breaking the AllocsPerRun gates.
 func CheckFactor(f *LDLT) error {
 	s := f.sym
 	for k, dk := range f.d {
@@ -198,9 +190,6 @@ func CheckFactor(f *LDLT) error {
 		}
 	}
 	sn := s.sn
-	if sn == nil {
-		return nil
-	}
 	for t := 0; t < sn.nsuper; t++ {
 		c0, c1 := int(sn.ptr[t]), int(sn.ptr[t+1])
 		rb := sn.rowPtr[t]
@@ -223,7 +212,7 @@ func CheckFactor(f *LDLT) error {
 					continue // unit diagonal slot reused for D's pivot work
 				}
 				// Strictly below: must be padding-zero unless r is in the
-				// scalar pattern of column j (binary search, rows ascending).
+				// exact pattern of column j (binary search, rows ascending).
 				a, b := lo, hi
 				found := false
 				for a < b {

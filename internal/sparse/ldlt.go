@@ -13,38 +13,29 @@ import (
 //
 // The factorization is split into a once-per-pattern symbolic analysis
 // (Symbolic, shared by every factor of the same sparsity pattern) and the
-// numeric values held here. The analysis decides between two numeric
-// engines: the supernodal one stores L as dense column panels (snValues, one
-// per supernode) and runs blocked kernels, the scalar fallback stores L
-// entry-wise (values/valuesR) and runs the up-looking elimination. A factor
-// is immutable through the solve API and safe for concurrent solves;
+// numeric values held here: L stored as dense column panels, one per
+// supernode of the analysis, driven by blocked kernels (supernodal.go). A
+// factor is immutable through the solve API and safe for concurrent solves;
 // RefactorInto mutates it and must not race with solves.
 type LDLT struct {
-	sym    *Symbolic
-	values []float64 // L values, aligned with sym.rowidx (column-major; scalar engine)
-	// valuesR mirrors values in row-major order (aligned with sym.rowind),
-	// maintained for free by the refactorization: the level-scheduled
-	// forward solve gathers rows contiguously from it instead of chasing
-	// the rowpos indirection through the column-major array.
-	valuesR []float64
-	d       []float64 // diagonal of D
-	y       []float64 // scalar refactorization scratch, length n, kept all-zero
+	sym *Symbolic
+	d   []float64 // diagonal of D
 
-	// Supernodal engine state: the concatenated dense panels and the
-	// refactorization workspaces (row → panel-local scatter map, the
-	// contiguous update accumulator, per-column update coefficients).
-	// The workspaces are touched only by RefactorInto, which holds the
-	// factor exclusively by contract.
+	// snValues holds the concatenated dense panels; smap, uptmp and coeff
+	// are the refactorization workspaces (row → panel-local scatter map,
+	// the contiguous update accumulator, per-column update coefficients),
+	// touched only by RefactorInto, which holds the factor exclusively by
+	// contract.
 	snValues []float64
 	smap     []int32
 	uptmp    []float64
 	coeff    []float64
 
-	// gbuf is the factor-owned below-block gather buffer for the supernodal
-	// solves (8·maxRows: room for the widest multi-RHS block), claimed with
-	// a CAS so the uncontended solve stays allocation-free even under the
-	// race detector, where sync.Pool deliberately drops Puts. Concurrent
-	// solves that lose the claim fall back to the shared pool.
+	// gbuf is the factor-owned below-block gather buffer for the solves
+	// (8·maxRows: room for the widest multi-RHS block), claimed with a CAS
+	// so the uncontended solve stays allocation-free even under the race
+	// detector, where sync.Pool deliberately drops Puts. Concurrent solves
+	// that lose the claim fall back to the shared pool.
 	gbuf  []float64
 	gbusy atomic.Bool
 }
@@ -77,23 +68,29 @@ func (f *LDLT) N() int { return f.sym.n }
 func (f *LDLT) Symbolic() *Symbolic { return f.sym }
 
 // L materializes the unit lower triangular factor (unit diagonal not
-// stored) as a CSC matrix. The pattern arrays are copied out of the compact
-// symbolic form, so this allocates; it exists for inspection and tests, not
-// for the solve path.
+// stored) as a CSC matrix over the exact fill pattern — panel padding is
+// skipped. It allocates; it exists for inspection and tests, not for the
+// solve path.
 func (f *LDLT) L() *CSC {
-	n := f.sym.n
-	colptr := append([]int(nil), f.sym.colptr...)
-	rowidx := make([]int, f.sym.lnz)
-	for i, r := range f.sym.rowidx {
-		rowidx[i] = int(r)
-	}
-	values := make([]float64, f.sym.lnz)
-	if sn := f.sym.sn; sn != nil {
-		for q := range values {
-			values[q] = f.snValues[sn.scalarPos[q]]
+	sym, sn := f.sym, f.sym.sn
+	n := sym.n
+	colptr := append([]int(nil), sym.colptr...)
+	rowidx := make([]int, sym.lnz)
+	values := make([]float64, sym.lnz)
+	for t := 0; t < sn.nsuper; t++ {
+		rows := sn.rows[sn.rowPtr[t]:sn.rowPtr[t+1]]
+		for j := int(sn.ptr[t]); j < int(sn.ptr[t+1]); j++ {
+			col := f.snValues[sn.valPtr[t]+(j-int(sn.ptr[t]))*len(rows):]
+			// Column j's pattern is an ascending subset of the panel rows.
+			li := 0
+			for q := sym.colptr[j]; q < sym.colptr[j+1]; q++ {
+				for rows[li] != sym.rowidx[q] {
+					li++
+				}
+				rowidx[q] = int(rows[li])
+				values[q] = col[li]
+			}
 		}
-	} else {
-		copy(values, f.values)
 	}
 	return &CSC{Rows: n, Cols: n, Colptr: colptr, Rowidx: rowidx, Values: values}
 }
@@ -107,30 +104,6 @@ func (f *LDLT) Perm() []int { return f.sym.perm }
 
 // NNZ returns the number of stored entries in L plus D.
 func (f *LDLT) NNZ() int { return f.sym.lnz + f.sym.n }
-
-// EliminationTree computes the elimination tree of a symmetric matrix from
-// its upper triangle. parent[k] == -1 marks a root.
-func EliminationTree(a *CSC) []int {
-	n := a.Cols
-	parent := make([]int, n)
-	ancestor := make([]int, n)
-	for k := 0; k < n; k++ {
-		parent[k] = -1
-		ancestor[k] = -1
-		for p := a.Colptr[k]; p < a.Colptr[k+1]; p++ {
-			i := a.Rowidx[p]
-			for i != -1 && i < k {
-				next := ancestor[i]
-				ancestor[i] = k
-				if next == -1 {
-					parent[i] = k
-				}
-				i = next
-			}
-		}
-	}
-	return parent
-}
 
 // FactorLDLT computes the LDLᵀ factorization of the symmetric matrix a with
 // the given fill-reducing ordering: a symbolic analysis of the pattern
@@ -183,38 +156,22 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	if len(work) != n {
 		panic("sparse: LDLT.SolveWith workspace length mismatch")
 	}
-	if f.sym.sn != nil {
-		f.solveSN(dst, b, work)
-		return
-	}
+	sn := f.sym.sn
 	perm := f.sym.perm
 	// work = Pᵀ·b (entry k of the permuted system is entry p[k] of the original).
 	for k := 0; k < n; k++ {
 		work[k] = b[perm[k]]
 	}
-	colptr, rowidx, values, d := f.sym.colptr, f.sym.rowidx, f.values, f.d
-	// Forward solve L·z = work (unit diagonal implied), column scatter form.
-	for j := 0; j < n; j++ {
-		xj := work[j]
-		if xj == 0 {
-			continue
-		}
-		for q := colptr[j]; q < colptr[j+1]; q++ {
-			work[rowidx[q]] -= values[q] * xj
-		}
-	}
-	// Diagonal solve.
+	g, pooled := f.getG(sn.maxRows)
+	f.fwdSN(work, g)
+	d := f.d
 	for j := 0; j < n; j++ {
 		work[j] /= d[j]
 	}
-	// Backward solve Lᵀ·x = work.
-	for j := n - 1; j >= 0; j-- {
-		s := work[j]
-		for q := colptr[j]; q < colptr[j+1]; q++ {
-			s -= values[q] * work[rowidx[q]]
-		}
-		work[j] = s
+	for t := sn.nsuper - 1; t >= 0; t-- {
+		f.bwdOneSN(t, work, g)
 	}
+	f.putG(pooled)
 	// dst = P·work.
 	for k := 0; k < n; k++ {
 		dst[perm[k]] = work[k]
@@ -231,27 +188,18 @@ const parMinLNZ = 32768
 // fan-out and a usable task partition (≥ 2 independent subtrees with the
 // separator tail below a quarter of the work — cutTasks escalates its chunk
 // bound to reach that, and leaves the schedule empty when the pattern's
-// root separators make it unreachable). The supernodal engine schedules
-// over the supernode elimination tree, the scalar engine over the nodal one.
+// root separators make it unreachable).
 func (f *LDLT) ParallelizableSolve() bool {
-	sym := f.sym
-	if sym.lnz < parMinLNZ {
-		return false
-	}
-	if sym.sn != nil {
-		return len(sym.sn.taskPtr) > 2
-	}
-	return len(sym.taskPtr) > 2
+	return f.sym.lnz >= parMinLNZ && len(f.sym.sn.taskPtr) > 2
 }
 
 // ParSolveWith is SolveWith with the triangular solves scheduled over the
-// elimination-tree task partition on up to workers goroutines: independent
-// subtrees run concurrently in gather (dot-product) form — each row is
-// finalized by reading only its descendants, so a task never touches
-// another task's rows — and the separator tail of common ancestors runs
-// sequentially after (forward) or before (backward) the fan-out. Under the
-// supernodal engine the unit of scheduling is the supernode: tasks finalize
-// whole panels, pulling descendant contributions through the update records.
+// supernode elimination-tree task partition on up to workers goroutines:
+// independent subtrees run concurrently in gather (dot-product) form — each
+// panel is finalized by reading only its descendants through the update
+// records, so a task never touches another task's rows — and the separator
+// tail of common ancestors runs sequentially after (forward) or before
+// (backward) the fan-out.
 // workers <= 1 and factors below the profitability crossover fall back to
 // the sequential path entirely; the fan-out itself runs on a persistent
 // worker pool and allocates nothing. Safe for concurrent use.
@@ -266,122 +214,62 @@ func (f *LDLT) ParSolveWith(dst, b, work []float64, workers int) {
 	if len(work) != n {
 		panic("sparse: LDLT.ParSolveWith workspace length mismatch")
 	}
-	sym := f.sym
-	perm := sym.perm
+	sn := f.sym.sn
+	perm := f.sym.perm
 	for k := 0; k < n; k++ {
 		work[k] = b[perm[k]]
 	}
-	d := f.d
-	if sn := sym.sn; sn != nil {
-		// L·z = b: subtree tasks fan out in gather form, barrier, then the
-		// separator tail (also gather form — its update records reach into
-		// the now-final task panels).
-		f.runTasksPar(phaseFwdSN, work, workers)
-		for _, t := range sn.tailSN {
-			f.fwdOneSNGather(int(t), work)
-		}
-		for j := 0; j < n; j++ {
-			work[j] /= d[j]
-		}
-		// Lᵀ·x = z: separator tail first (descending), then the task fan-out.
-		g, pooled := f.getG(sn.maxRows)
-		for i := len(sn.tailSN) - 1; i >= 0; i-- {
-			f.bwdOneSN(int(sn.tailSN[i]), work, g)
-		}
-		f.putG(pooled)
-		f.runTasksPar(phaseBwdSN, work, workers)
-	} else {
-		f.runTasksPar(phaseFwdScalar, work, workers)
-		f.fwdRowsGather(sym.tailRows, work)
-		for j := 0; j < n; j++ {
-			work[j] /= d[j]
-		}
-		f.bwdRowsGather(sym.tailRows, work)
-		f.runTasksPar(phaseBwdScalar, work, workers)
+	// L·z = b: subtree tasks fan out in gather form, barrier, then the
+	// separator tail (also gather form — its update records reach into the
+	// now-final task panels).
+	f.runTasksPar(phaseFwd, work, workers)
+	for _, t := range sn.tailSN {
+		f.fwdOneSNGather(int(t), work)
 	}
+	d := f.d
+	for j := 0; j < n; j++ {
+		work[j] /= d[j]
+	}
+	// Lᵀ·x = z: separator tail first (descending), then the task fan-out.
+	g, pooled := f.getG(sn.maxRows)
+	for i := len(sn.tailSN) - 1; i >= 0; i-- {
+		f.bwdOneSN(int(sn.tailSN[i]), work, g)
+	}
+	f.putG(pooled)
+	f.runTasksPar(phaseBwd, work, workers)
 	for k := 0; k < n; k++ {
 		dst[perm[k]] = work[k]
 	}
 }
 
-// fwdRowsGather finalizes a row range of the scalar forward solve in gather
-// form (ascending order within the range).
-//
-//matex:noalloc
-func (f *LDLT) fwdRowsGather(rows []int32, work []float64) {
-	sym := f.sym
-	valuesR, rowptr, rowind := f.valuesR, sym.rowptr, sym.rowind
-	for _, k32 := range rows {
-		k := int(k32)
-		s := work[k]
-		for p := rowptr[k]; p < rowptr[k+1]; p++ {
-			s -= valuesR[p] * work[rowind[p]]
-		}
-		work[k] = s
-	}
-}
-
-// bwdRowsGather finalizes a row range of the scalar backward solve in gather
-// form, descending order: row i of Lᵀ is column i of L.
-//
-//matex:noalloc
-func (f *LDLT) bwdRowsGather(rows []int32, work []float64) {
-	sym := f.sym
-	values, colptr, rowidx := f.values, sym.colptr, sym.rowidx
-	for t := len(rows) - 1; t >= 0; t-- {
-		i := int(rows[t])
-		s := work[i]
-		for q := colptr[i]; q < colptr[i+1]; q++ {
-			s -= values[q] * work[rowidx[q]]
-		}
-		work[i] = s
-	}
-}
-
 // Solve phases dispatched through the persistent worker pool.
 const (
-	phaseFwdScalar = iota
-	phaseBwdScalar
-	phaseFwdSN
-	phaseBwdSN
+	phaseFwd = iota
+	phaseBwd
 )
 
-// runTaskBody executes one task of the given phase: a row range (scalar) or
-// a supernode range (supernodal) of the factor's task schedule.
+// runTaskBody executes one task of the given phase: a supernode range of
+// the factor's task schedule.
 //
 //matex:noalloc
 func (f *LDLT) runTaskBody(phase uint8, t int, work []float64) {
-	switch phase {
-	case phaseFwdScalar:
-		sym := f.sym
-		f.fwdRowsGather(sym.taskRows[sym.taskPtr[t]:sym.taskPtr[t+1]], work)
-	case phaseBwdScalar:
-		sym := f.sym
-		f.bwdRowsGather(sym.taskRows[sym.taskPtr[t]:sym.taskPtr[t+1]], work)
-	case phaseFwdSN:
-		sn := f.sym.sn
-		sns := sn.taskSN[sn.taskPtr[t]:sn.taskPtr[t+1]]
+	sn := f.sym.sn
+	sns := sn.taskSN[sn.taskPtr[t]:sn.taskPtr[t+1]]
+	if phase == phaseFwd {
 		for _, s := range sns {
 			f.fwdOneSNGather(int(s), work)
 		}
-	case phaseBwdSN:
-		sn := f.sym.sn
-		sns := sn.taskSN[sn.taskPtr[t]:sn.taskPtr[t+1]]
-		gw := getWork(sn.maxRows)
-		g := (*gw)[:sn.maxRows]
-		for i := len(sns) - 1; i >= 0; i-- {
-			f.bwdOneSN(int(sns[i]), work, g)
-		}
-		solveWork.Put(gw)
+		return
 	}
+	gw := getWork(sn.maxRows)
+	g := (*gw)[:sn.maxRows]
+	for i := len(sns) - 1; i >= 0; i-- {
+		f.bwdOneSN(int(sns[i]), work, g)
+	}
+	solveWork.Put(gw)
 }
 
-func (f *LDLT) ntasks() int {
-	if sn := f.sym.sn; sn != nil {
-		return len(sn.taskPtr) - 1
-	}
-	return len(f.sym.taskPtr) - 1
-}
+func (f *LDLT) ntasks() int { return len(f.sym.sn.taskPtr) - 1 }
 
 // parJob is one phase fan-out handed to the persistent workers: helpers and
 // the submitting goroutine pull task indices from the shared cursor until
@@ -500,145 +388,14 @@ func (f *LDLT) SolveMultiWith(dst, b [][]float64, work []float64) {
 		}
 	}
 	// Process the panel in blocks of bounded width — one traversal of the
-	// factor's index/value arrays per block, fused per-entry updates, no
-	// inner-loop bounds checks. The supernodal kernel is generic over the
-	// block width and takes up to 8 right-hand sides, so a sweep's
-	// full-width panel costs a single factor traversal; the scalar path
-	// pairs a specialized 4-wide register kernel with a generic kernel for
-	// the 1-3 leftovers.
-	if f.sym.sn != nil {
-		for lo := 0; lo < k; lo += 8 {
-			hi := lo + 8
-			if hi > k {
-				hi = k
-			}
-			f.solvePanelSN(dst[lo:hi], b[lo:hi], work[:(hi-lo)*n])
-		}
-		return
-	}
-	for lo := 0; lo < k; lo += 4 {
-		hi := lo + 4
+	// factor's index/value arrays per block, fused per-entry updates. The
+	// kernel is generic over the block width and takes up to 8 right-hand
+	// sides, so a sweep's full-width panel costs a single factor traversal.
+	for lo := 0; lo < k; lo += 8 {
+		hi := lo + 8
 		if hi > k {
 			hi = k
 		}
-		if hi-lo == 4 {
-			f.solvePanel4(dst[lo:hi], b[lo:hi], work[:4*n])
-		} else {
-			f.solvePanelN(dst[lo:hi], b[lo:hi], work[:(hi-lo)*n])
-		}
-	}
-}
-
-// solvePanel4 solves exactly four right-hand sides in one factor traversal.
-//
-//matex:noalloc
-func (f *LDLT) solvePanel4(dst, b [][]float64, work []float64) {
-	n := f.sym.n
-	perm := f.sym.perm
-	b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		work[4*i] = b0[pi]
-		work[4*i+1] = b1[pi]
-		work[4*i+2] = b2[pi]
-		work[4*i+3] = b3[pi]
-	}
-	colptr, rowidx, values, d := f.sym.colptr, f.sym.rowidx, f.values, f.d
-	for j := 0; j < n; j++ {
-		x0, x1, x2, x3 := work[4*j], work[4*j+1], work[4*j+2], work[4*j+3]
-		for q := colptr[j]; q < colptr[j+1]; q++ {
-			v := values[q]
-			t := 4 * int(rowidx[q])
-			work[t] -= v * x0
-			work[t+1] -= v * x1
-			work[t+2] -= v * x2
-			work[t+3] -= v * x3
-		}
-	}
-	// True divisions, so the panel matches the sequential solve bitwise
-	// (a reciprocal multiply rounds differently, and the sweep engine
-	// promises batched lanes reproduce solo runs exactly).
-	for j := 0; j < n; j++ {
-		dj := d[j]
-		work[4*j] /= dj
-		work[4*j+1] /= dj
-		work[4*j+2] /= dj
-		work[4*j+3] /= dj
-	}
-	for j := n - 1; j >= 0; j-- {
-		x0, x1, x2, x3 := work[4*j], work[4*j+1], work[4*j+2], work[4*j+3]
-		for q := colptr[j]; q < colptr[j+1]; q++ {
-			v := values[q]
-			t := 4 * int(rowidx[q])
-			x0 -= v * work[t]
-			x1 -= v * work[t+1]
-			x2 -= v * work[t+2]
-			x3 -= v * work[t+3]
-		}
-		work[4*j] = x0
-		work[4*j+1] = x1
-		work[4*j+2] = x2
-		work[4*j+3] = x3
-	}
-	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		d0[pi] = work[4*i]
-		d1[pi] = work[4*i+1]
-		d2[pi] = work[4*i+2]
-		d3[pi] = work[4*i+3]
-	}
-}
-
-// solvePanelN is the generic interleaved kernel for 1-3 leftover
-// right-hand sides.
-//
-//matex:noalloc
-func (f *LDLT) solvePanelN(dst, b [][]float64, work []float64) {
-	n, k := f.sym.n, len(dst)
-	perm := f.sym.perm
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		row := work[i*k : i*k+k]
-		for r := 0; r < k; r++ {
-			row[r] = b[r][pi]
-		}
-	}
-	colptr, rowidx, values, d := f.sym.colptr, f.sym.rowidx, f.values, f.d
-	for j := 0; j < n; j++ {
-		xj := work[j*k : j*k+k : j*k+k]
-		for q := colptr[j]; q < colptr[j+1]; q++ {
-			v := values[q]
-			ti := int(rowidx[q]) * k
-			tr := work[ti : ti+k : ti+k]
-			for r := range tr {
-				tr[r] -= v * xj[r]
-			}
-		}
-	}
-	for j := 0; j < n; j++ {
-		dj := d[j]
-		row := work[j*k : j*k+k]
-		for r := range row {
-			row[r] /= dj
-		}
-	}
-	for j := n - 1; j >= 0; j-- {
-		xj := work[j*k : j*k+k : j*k+k]
-		for q := colptr[j]; q < colptr[j+1]; q++ {
-			v := values[q]
-			ti := int(rowidx[q]) * k
-			tr := work[ti : ti+k : ti+k]
-			for r := range xj {
-				xj[r] -= v * tr[r]
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		row := work[i*k : i*k+k]
-		for r := 0; r < k; r++ {
-			dst[r][pi] = row[r]
-		}
+		f.solvePanelSN(dst[lo:hi], b[lo:hi], work[:(hi-lo)*n])
 	}
 }

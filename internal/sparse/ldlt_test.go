@@ -122,28 +122,6 @@ func TestLDLTIndefinite(t *testing.T) {
 	}
 }
 
-func TestEliminationTreeChain(t *testing.T) {
-	// Tridiagonal matrix: etree is a chain 0 -> 1 -> 2 -> ... -> n-1.
-	n := 6
-	tr := NewTriplet(n, n)
-	for i := 0; i < n; i++ {
-		tr.Add(i, i, 2)
-		if i+1 < n {
-			tr.Add(i, i+1, -1)
-			tr.Add(i+1, i, -1)
-		}
-	}
-	parent := EliminationTree(tr.ToCSC())
-	for i := 0; i < n-1; i++ {
-		if parent[i] != i+1 {
-			t.Fatalf("parent[%d] = %d, want %d", i, parent[i], i+1)
-		}
-	}
-	if parent[n-1] != -1 {
-		t.Fatalf("root parent = %d, want -1", parent[n-1])
-	}
-}
-
 // Property: LDLT solves random SPD systems under random orderings.
 func TestQuickLDLTSolve(t *testing.T) {
 	f := func(seed int64) bool {

@@ -146,7 +146,7 @@ func TestNDParallelizesCoupledMesh(t *testing.T) {
 	}
 	if !fND.ParallelizableSolve() {
 		sym := fND.Symbolic()
-		t.Fatalf("ND schedule not parallelizable on a coupled 64x64 mesh (lnz=%d, supernodal=%v)", sym.LNZ(), sym.Supernodal())
+		t.Fatalf("ND schedule not parallelizable on a coupled 64x64 mesh (lnz=%d, supernodes=%d)", sym.LNZ(), sym.Supernodes())
 	}
 	rng := rand.New(rand.NewSource(71))
 	b := make([]float64, n)

@@ -104,7 +104,7 @@ type PanelLane struct {
 // Wrap returns a Factorization whose solves are routed through the
 // broker. The wrapper implements MultiSolver (a k-RHS call contributes k
 // rows to the round's panels) but deliberately not ParSolver: batching
-// replaces per-solve level-scheduled parallelism as the concurrency
+// replaces per-solve task parallelism as the concurrency
 // mechanism. Wrapping the same factorization twice yields distinct
 // wrappers that still batch together — panels group by the underlying
 // factorization's identity.

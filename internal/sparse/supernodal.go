@@ -17,61 +17,23 @@ import (
 // pattern up to the supernode union: padded entries are exact zeros (the
 // fill pattern is closed, so every update product into a padded position has
 // a structurally-zero factor), which keeps the supernodal factorization
-// bit-compatible with the scalar one up to summation order.
+// bit-compatible with an entry-wise one up to summation order. Patterns that
+// amalgamate poorly (minimum degree on a 2D grid averages well under two
+// columns per supernode) run through the same kernels: a width-1 panel is a
+// plain sparse column, and the solve kernels take those without the
+// below-block staging buffer.
 
-// SupernodeMode selects how the analysis decides between the supernodal and
-// scalar numeric engines.
-type SupernodeMode int
-
+// Panel shape bounds: the values the engine was tuned with on the PDN meshes
+// (EXPERIMENTS.md, PR 6) and the only ones any caller ever ran, so they are
+// constants rather than options.
 const (
-	// SNAuto (the zero value) builds the supernodal layout when the pattern
-	// amalgamates well enough to pay for the panel machinery, and keeps the
-	// scalar up-looking engine for tiny or irregular patterns.
-	SNAuto SupernodeMode = iota
-	// SNAlways forces the supernodal engine (tests and benchmarks).
-	SNAlways
-	// SNNever forces the scalar engine.
-	SNNever
-)
-
-// SupernodeParams are the supernode detection and relaxed-amalgamation
-// parameters of a symbolic analysis. They are part of the analysis identity:
-// the factorization cache keys its symbolic tier by (pattern fingerprint,
-// ordering, SupernodeParams), so analyses built under different panel
-// parameters never alias.
-type SupernodeParams struct {
-	// Mode selects the engine (SNAuto/SNAlways/SNNever).
-	Mode SupernodeMode
-	// MaxWidth caps the panel width (columns per supernode). 0 selects the
-	// default (32).
-	MaxWidth int
-	// RelaxFrac bounds relaxed amalgamation: two adjacent supernodes merge
+	// snMaxWidth caps the panel width (columns per supernode).
+	snMaxWidth = 32
+	// snRelaxFrac bounds relaxed amalgamation: two adjacent supernodes merge
 	// only while the explicit zeros padded into the merged panel stay at or
-	// below this fraction of its stored entries. 0 selects the default
-	// (0.25); negative disables relaxation (fundamental supernodes only).
-	RelaxFrac float64
-}
-
-// DefaultSupernodeParams returns the package defaults: auto engine choice,
-// 32-column panels, 25% relaxation.
-func DefaultSupernodeParams() SupernodeParams {
-	return SupernodeParams{Mode: SNAuto, MaxWidth: 32, RelaxFrac: 0.25}
-}
-
-// norm resolves zero values to the defaults so that parameter sets compare
-// canonically (cache keys, RefactorInto identity checks).
-func (p SupernodeParams) norm() SupernodeParams {
-	if p.MaxWidth <= 0 {
-		p.MaxWidth = 32
-	}
-	if p.RelaxFrac == 0 {
-		p.RelaxFrac = 0.25
-	}
-	if p.RelaxFrac < 0 {
-		p.RelaxFrac = -1
-	}
-	return p
-}
+	// below this fraction of its stored entries.
+	snRelaxFrac = 0.25
+)
 
 // snLayout is the supernodal view of a Symbolic analysis: the column
 // partition, per-supernode row lists and panel offsets, the input scatter
@@ -109,42 +71,33 @@ type snLayout struct {
 	updOff []int32
 	updEnd []int32
 
-	// scalarPos maps each position of the scalar column pattern
-	// (Symbolic.colptr/rowidx plus the diagonal-free convention) to its
-	// panel offset, for materializing L out of the panels.
-	scalarPos []int
-
-	// Supernode elimination tree and the coarsened parallel task schedule
-	// over it (same cut discipline as the scalar schedule, panel-entry
-	// weighted).
-	parent            []int32
-	taskPtr           []int
-	taskSN            []int32
-	tailSN            []int32
-	parWork, tailWork int
+	// Supernode elimination tree and the coarsened execution schedule for
+	// the parallel solves over it (cutTasks): the tree is cut into
+	// independent subtrees of bounded work (tasks) plus the separator tail
+	// of their common ancestors. A supernode's forward dependencies are
+	// etree descendants and its backward dependencies ancestors, so tasks
+	// never depend on each other — the forward solve runs tasks
+	// concurrently, one barrier, then the tail; the backward solve runs the
+	// tail first, one barrier, then the tasks.
+	parent  []int32
+	taskPtr []int
+	taskSN  []int32
+	tailSN  []int32
 }
 
 // bytes estimates the resident size of the layout for cache accounting.
 func (sn *snLayout) bytes() int64 {
-	if sn == nil {
-		return 0
-	}
-	return int64(len(sn.rows)+len(sn.aSrc)+len(sn.aOff)+len(sn.updSrc))*4 +
-		int64(len(sn.scalarPos)+len(sn.rowPtr)+len(sn.valPtr))*8
+	return int64(len(sn.rows)+len(sn.colSn)+len(sn.aSrc)+len(sn.aOff)+3*len(sn.updSrc))*4 +
+		int64(sn.nsuper)*48
 }
 
 // buildSupernodes detects fundamental supernodes on the freshly computed
-// column pattern, applies relaxed amalgamation under params, and — when the
-// engine decision lands supernodal — emits the full panel layout, scatter
-// and update maps, and the supernode task schedule.
-func (s *Symbolic) buildSupernodes(params SupernodeParams) {
-	p := params.norm()
+// column pattern, applies relaxed amalgamation, and emits the panel layout,
+// scatter and update maps, and the supernode task schedule. up is the
+// permuted upper triangle the pattern was computed from.
+func (s *Symbolic) buildSupernodes(up upperTri) {
 	n := s.n
-	if p.Mode == SNNever || n == 0 {
-		return
-	}
-	maxW := p.MaxWidth
-	relax := p.RelaxFrac
+	const maxW, relax = snMaxWidth, snRelaxFrac
 
 	height := func(j int) int { return s.colptr[j+1] - s.colptr[j] }
 
@@ -200,7 +153,7 @@ func (s *Symbolic) buildSupernodes(params SupernodeParams) {
 		for _, f := range snB[1:] {
 			w := f.c1 - g.c0
 			merged := false
-			if w <= maxW && relax >= 0 && s.parent[g.c1-1] == int32(f.c0) {
+			if w <= maxW && s.parent[g.c1-1] == int32(f.c0) {
 				// Bm = (curB ≥ f.c1) ∪ pattern(f.c1-1), both ascending.
 				tmpB = tmpB[:0]
 				i := 0
@@ -249,16 +202,6 @@ func (s *Symbolic) buildSupernodes(params SupernodeParams) {
 	}
 	nsuper := len(outPtr) - 1
 
-	// Engine decision: the panel machinery needs amalgamation to pay for
-	// itself — measured, the blocked kernels beat the scalar up-looking
-	// engine once panels average two columns or more, and lose below that
-	// (narrow panels stream the same flops with extra bookkeeping). Tiny
-	// systems and patterns that stay essentially scalar keep the
-	// up-looking engine.
-	if p.Mode == SNAuto && (n < 32 || 2*nsuper > n) {
-		return
-	}
-
 	sn := &snLayout{
 		nsuper: nsuper,
 		ptr:    outPtr,
@@ -289,12 +232,10 @@ func (s *Symbolic) buildSupernodes(params SupernodeParams) {
 	// it lands in column i's supernode. Bucket the entries by target
 	// supernode, then resolve panel offsets supernode-major through a
 	// row → local-index map.
-	nnzU := len(s.aSrc)
+	nnzU := len(up.src)
 	cnt := make([]int, nsuper+1)
-	for k := 0; k < n; k++ {
-		for q := s.aColptr[k]; q < s.aColptr[k+1]; q++ {
-			cnt[sn.colSn[s.aRow[q]]+1]++
-		}
+	for _, i := range up.row {
+		cnt[sn.colSn[i]+1]++
 	}
 	for t := 0; t < nsuper; t++ {
 		cnt[t+1] += cnt[t]
@@ -306,17 +247,16 @@ func (s *Symbolic) buildSupernodes(params SupernodeParams) {
 	next := make([]int, nsuper)
 	copy(next, sn.aPtr[:nsuper])
 	for k := 0; k < n; k++ {
-		for q := s.aColptr[k]; q < s.aColptr[k+1]; q++ {
-			i := s.aRow[q]
+		for q := up.colptr[k]; q < up.colptr[k+1]; q++ {
+			i := up.row[q]
 			t := sn.colSn[i]
 			pos := next[t]
 			next[t]++
-			sn.aSrc[pos] = s.aSrc[q]
+			sn.aSrc[pos] = up.src[q]
 			sn.aOff[pos] = int32(k) // row, resolved to an offset below
 			tmpCol[pos] = i
 		}
 	}
-	sn.scalarPos = make([]int, s.lnz)
 	smap := make([]int32, n)
 	for t := 0; t < nsuper; t++ {
 		c0 := int(sn.ptr[t])
@@ -327,12 +267,6 @@ func (s *Symbolic) buildSupernodes(params SupernodeParams) {
 		}
 		for q := sn.aPtr[t]; q < sn.aPtr[t+1]; q++ {
 			sn.aOff[q] = int32((int(tmpCol[q])-c0)*ns + int(smap[sn.aOff[q]]))
-		}
-		for j := c0; j < int(sn.ptr[t+1]); j++ {
-			cb := sn.valPtr[t] + (j-c0)*ns
-			for q := s.colptr[j]; q < s.colptr[j+1]; q++ {
-				sn.scalarPos[q] = cb + int(smap[s.rowidx[q]])
-			}
 		}
 	}
 
@@ -394,29 +328,14 @@ func (s *Symbolic) buildSupernodes(params SupernodeParams) {
 		}
 		cost[t] = int64((sn.rowPtr[t+1] - sn.rowPtr[t]) * int(sn.ptr[t+1]-sn.ptr[t]))
 	}
-	var parW, tailW int64
-	sn.taskPtr, sn.taskSN, sn.tailSN, parW, tailW = cutTasks(sn.parent, cost)
-	sn.parWork, sn.tailWork = int(parW), int(tailW)
+	sn.taskPtr, sn.taskSN, sn.tailSN = cutTasks(sn.parent, cost)
 
 	s.sn = sn
 }
 
-// Supernodes returns the number of supernodes in the analysis (n when the
-// scalar engine is active: every column its own supernode).
-func (s *Symbolic) Supernodes() int {
-	if s.sn == nil {
-		return s.n
-	}
-	return s.sn.nsuper
-}
-
-// Supernodal reports whether the blocked panel engine serves this analysis's
-// numeric factorization and solves.
-func (s *Symbolic) Supernodal() bool { return s.sn != nil }
-
-// SupernodeParams returns the (normalized) panel parameters the analysis was
-// built under.
-func (s *Symbolic) SupernodeParams() SupernodeParams { return s.params }
+// Supernodes returns the number of supernodes (column panels) in the
+// analysis.
+func (s *Symbolic) Supernodes() int { return s.sn.nsuper }
 
 // refactorSN is the supernodal numeric factorization: scatter the input
 // into zeroed panels, then left-looking over supernodes — apply every
@@ -551,6 +470,19 @@ func (f *LDLT) fwdSN(work, g []float64) {
 		ns := sn.rowPtr[t+1] - rb
 		base := sn.valPtr[t]
 		nb := ns - w
+		if w == 1 {
+			// A singleton panel is a plain sparse column: no diagonal block
+			// and nothing to accumulate, so the staging buffer is skipped.
+			// The conversion keeps the product rounded on its own, as the
+			// store to g does below, so both arms agree bitwise even where
+			// the compiler fuses multiply-adds.
+			x0 := work[c0]
+			col := sp[base+1 : base+ns]
+			for i, r := range sn.rows[rb+1 : rb+ns] {
+				work[r] -= float64(col[i] * x0)
+			}
+			continue
+		}
 		// Unit-lower solve of the w×w diagonal block first, so the
 		// below-block accumulate can run over final x values with its
 		// panel columns streamed in pairs against the hot g buffer.
@@ -613,6 +545,16 @@ func (f *LDLT) bwdOneSN(t int, work, g []float64) {
 	ns := sn.rowPtr[t+1] - rb
 	base := sn.valPtr[t]
 	nb := ns - w
+	if w == 1 {
+		// Singleton panel: one sparse dot straight off the solution vector.
+		col := sp[base+1 : base+ns]
+		acc := 0.0
+		for i, r := range sn.rows[rb+1 : rb+ns] {
+			acc += col[i] * work[r]
+		}
+		work[c0] -= acc
+		return
+	}
 	if nb > 0 {
 		br := sn.rows[rb+w : rb+ns]
 		for i, r := range br {
@@ -713,31 +655,6 @@ func (f *LDLT) fwdOneSNGather(t int, work []float64) {
 	}
 }
 
-// solveSN is the sequential supernodal solve pipeline behind SolveWith.
-//
-//matex:noalloc
-func (f *LDLT) solveSN(dst, b, work []float64) {
-	n := f.sym.n
-	sn := f.sym.sn
-	perm := f.sym.perm
-	for k := 0; k < n; k++ {
-		work[k] = b[perm[k]]
-	}
-	g, pooled := f.getG(sn.maxRows)
-	f.fwdSN(work, g)
-	d := f.d
-	for j := 0; j < n; j++ {
-		work[j] /= d[j]
-	}
-	for t := sn.nsuper - 1; t >= 0; t-- {
-		f.bwdOneSN(t, work, g)
-	}
-	f.putG(pooled)
-	for k := 0; k < n; k++ {
-		dst[perm[k]] = work[k]
-	}
-}
-
 // solvePanelSN solves a panel of k (<= 8) interleaved right-hand sides
 // through the supernodal factor in one traversal: work holds the solutions
 // row-major (work[i*k+r]), g buffers k·maxRows below-block values. Every
@@ -771,6 +688,19 @@ func (f *LDLT) solvePanelSN(dst, b [][]float64, work []float64) {
 		ns := sn.rowPtr[t+1] - rb
 		base := sn.valPtr[t]
 		nb := ns - w
+		if w == 1 {
+			// Singleton panel, as in fwdSN: straight scatter, no staging.
+			x0 := work[c0*k : c0*k+k : c0*k+k]
+			col := sp[base+1 : base+ns]
+			for i, rr := range sn.rows[rb+1 : rb+ns] {
+				v := col[i]
+				tw := work[int(rr)*k : int(rr)*k+k : int(rr)*k+k]
+				for r := range tw {
+					tw[r] -= float64(v * x0[r])
+				}
+			}
+			continue
+		}
 		// Unit-lower solve of the w×w diagonal block.
 		for kk := 0; kk < w; kk++ {
 			xk := work[(c0+kk)*k : (c0+kk)*k+k : (c0+kk)*k+k]
@@ -854,6 +784,26 @@ func (f *LDLT) solvePanelSN(dst, b [][]float64, work []float64) {
 		ns := sn.rowPtr[t+1] - rb
 		base := sn.valPtr[t]
 		nb := ns - w
+		if w == 1 {
+			// Singleton panel, as in bwdOneSN: dots read the rows in place.
+			col := sp[base+1 : base+ns]
+			a := acc0[:k]
+			for r := range a {
+				a[r] = 0
+			}
+			for i, rr := range sn.rows[rb+1 : rb+ns] {
+				v := col[i]
+				sr := work[int(rr)*k : int(rr)*k+k : int(rr)*k+k]
+				for r := range a {
+					a[r] += v * sr[r]
+				}
+			}
+			xk := work[c0*k : c0*k+k : c0*k+k]
+			for r := range a {
+				xk[r] -= a[r]
+			}
+			continue
+		}
 		if nb > 0 {
 			br := sn.rows[rb+w : rb+ns]
 			gb := g[:nb*k]

@@ -1,30 +1,27 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
+
+	"github.com/matex-sim/matex/internal/dense"
 )
 
-// snScalarPair analyzes one pattern under both numeric engines.
-func snScalarPair(t *testing.T, a *CSC, order Ordering) (snSym, scSym *Symbolic) {
+// The reference for every LDLᵀ test is internal/dense's partial-pivoting LU
+// on the densified matrix: it shares no code (no ordering, no elimination
+// tree, no panels) with the engine under test.
+
+// denseSolve returns A⁻¹b through the dense oracle.
+func denseSolve(t testing.TB, a *CSC, b []float64) []float64 {
 	t.Helper()
-	snSym, err := AnalyzeLDLTParams(a, order, SupernodeParams{Mode: SNAlways})
+	lu, err := dense.FactorLU(dense.FromRows(a.Dense()))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("dense oracle: %v", err)
 	}
-	if !snSym.Supernodal() {
-		t.Fatalf("SNAlways analysis is not supernodal (order %v)", order)
-	}
-	scSym, err = AnalyzeLDLTParams(a, order, SupernodeParams{Mode: SNNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scSym.Supernodal() {
-		t.Fatalf("SNNever analysis is supernodal (order %v)", order)
-	}
-	return snSym, scSym
+	return lu.Solve(b)
 }
 
 func maxRelDiff(a, b []float64) float64 {
@@ -41,72 +38,137 @@ func maxRelDiff(a, b []float64) float64 {
 	return worst
 }
 
-// The supernodal engine must reproduce the scalar engine to roundoff on the
-// γ-sweep harness (every shift of one pattern, every ordering): same D, same
-// L values at every scalar pattern position, same solves.
-func TestSupernodalMatchesScalarAcrossShifts(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	c, g := shiftFamily(rng, 14)
-	base := Add(1, c, 1e-10, g)
-	n := base.Rows
-	for _, order := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree, OrderND} {
-		snSym, scSym := snScalarPair(t, base, order)
-		var fSN, fSC *LDLT
-		for shift := 0; shift < 10; shift++ {
-			gamma := math.Exp(rng.Float64()*6 - 3)
-			a := Add(1, c, gamma, g)
-			var err error
-			if fSN == nil {
-				if fSN, err = snSym.Refactor(a); err != nil {
-					t.Fatal(err)
-				}
-				if fSC, err = scSym.Refactor(a); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if err = snSym.RefactorInto(fSN, a); err != nil {
-					t.Fatal(err)
-				}
-				if err = scSym.RefactorInto(fSC, a); err != nil {
-					t.Fatal(err)
-				}
+// checkFactorization verifies P·A·Pᵀ = L·D·Lᵀ entry by entry from the
+// materialized factors, plus the structural and padding invariants that the
+// matexdebug hooks assert (run here so release builds check them too).
+func checkFactorization(t *testing.T, a *CSC, f *LDLT) {
+	t.Helper()
+	if err := CheckSymbolic(f.Symbolic()); err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckFactor(f); err != nil {
+		t.Fatal(err)
+	}
+	n := a.Rows
+	l := f.L()
+	if err := CheckCSC(l); err != nil {
+		t.Fatalf("L(): %v", err)
+	}
+	if l.NNZ() != f.Symbolic().LNZ() {
+		t.Fatalf("L() has %d entries, analysis says %d", l.NNZ(), f.Symbolic().LNZ())
+	}
+	ld := l.Dense()
+	d, perm, ad := f.D(), f.Perm(), a.Dense()
+	for i := 0; i < n; i++ {
+		ld[i][i] = 1
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := 0.0
+			for k := 0; k <= j; k++ {
+				sum += ld[i][k] * d[k] * ld[j][k]
 			}
-			if d := maxRelDiff(fSN.D(), fSC.D()); d > 1e-14 {
-				t.Fatalf("order %v shift %d: D diverges by %g", order, shift, d)
-			}
-			if d := maxRelDiff(fSN.L().Values, fSC.L().Values); d > 1e-14 {
-				t.Fatalf("order %v shift %d: L diverges by %g", order, shift, d)
-			}
-			b := make([]float64, n)
-			for i := range b {
-				b[i] = rng.NormFloat64()
-			}
-			x1 := make([]float64, n)
-			x2 := make([]float64, n)
-			fSN.Solve(x1, b)
-			fSC.Solve(x2, b)
-			if d := maxRelDiff(x1, x2); d > 1e-12 {
-				t.Fatalf("order %v shift %d: solves diverge by %g", order, shift, d)
-			}
-			if r := residual(a, x1, b); r > 1e-9 {
-				t.Fatalf("order %v shift %d: supernodal residual %g", order, shift, r)
+			if want := ad[perm[i]][perm[j]]; math.Abs(sum-want) > 1e-11*(1+math.Abs(want)) {
+				t.Fatalf("(L·D·Lᵀ)[%d,%d] = %g, P·A·Pᵀ has %g", i, j, sum, want)
 			}
 		}
 	}
 }
 
-// Small and irregular patterns exercise panel-width edge cases: every n from
-// 1 up, random patterns, forced supernodal engine.
-func TestSupernodalSmallSystems(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for n := 1; n <= 40; n++ {
-		a := randomSPD(rng, n)
-		snSym, scSym := snScalarPair(t, a, OrderRCM)
-		fSN, err := snSym.Refactor(a)
+// checkSolves drives every solve entry point of one factor against the
+// dense oracle: SolveWith within 1e-10, ParSolveWith against SolveWith to
+// roundoff (the gather form associates the same sums differently), and
+// SolveMulti bitwise equal to SolveWith for every panel width through the
+// 8-wide block boundary.
+func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
+	t.Helper()
+	n := a.Rows
+	const kmax = 9
+	bs := make([][]float64, kmax)
+	want := make([][]float64, kmax)
+	work := make([]float64, n)
+	for r := range bs {
+		bs[r] = make([]float64, n)
+		for i := range bs[r] {
+			bs[r][i] = rng.NormFloat64()
+		}
+		want[r] = make([]float64, n)
+		f.SolveWith(want[r], bs[r], work)
+	}
+	if d := maxRelDiff(want[0], denseSolve(t, a, bs[0])); d > 1e-10 {
+		t.Fatalf("SolveWith diverges from the dense oracle by %g", d)
+	}
+	got := make([]float64, n)
+	f.ParSolveWith(got, bs[0], work, 4)
+	if d := maxRelDiff(got, want[0]); d > 1e-13 {
+		t.Fatalf("ParSolveWith diverges from SolveWith by %g", d)
+	}
+	for k := 1; k <= kmax; k++ {
+		dst := make([][]float64, k)
+		for r := range dst {
+			dst[r] = make([]float64, n)
+		}
+		f.SolveMulti(dst, bs[:k])
+		for r := 0; r < k; r++ {
+			for i := range dst[r] {
+				if dst[r][i] != want[r][i] {
+					t.Fatalf("SolveMulti k=%d rhs %d entry %d: %v, sequential %v", k, r, i, dst[r][i], want[r][i])
+				}
+			}
+		}
+	}
+}
+
+// The engine must reproduce the dense oracle on the γ-sweep harness: every
+// shift of one pattern through one analysis and one reused factor, under
+// every ordering.
+func TestLDLTMatchesDenseAcrossShifts(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	c, g := shiftFamily(rng, 14)
+	base := Add(1, c, 1e-10, g)
+	for _, order := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree, OrderND} {
+		sym, err := AnalyzeLDLT(base, order)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fSC, err := scSym.Refactor(a)
+		var f *LDLT
+		for shift := 0; shift < 10; shift++ {
+			a := Add(1, c, math.Exp(rng.Float64()*6-3), g)
+			if f == nil {
+				f, err = sym.Refactor(a)
+			} else {
+				err = sym.RefactorInto(f, a)
+			}
+			if err != nil {
+				t.Fatalf("order %v shift %d: %v", order, shift, err)
+			}
+			if shift%5 == 0 {
+				checkFactorization(t, a, f)
+				checkSolves(t, a, f, rng)
+			}
+			b := make([]float64, a.Rows)
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			x := make([]float64, a.Rows)
+			f.Solve(x, b)
+			if d := maxRelDiff(x, denseSolve(t, a, b)); d > 1e-10 {
+				t.Fatalf("order %v shift %d: diverges from the dense oracle by %g", order, shift, d)
+			}
+			if r := residual(a, x, b); r > 1e-9 {
+				t.Fatalf("order %v shift %d: residual %g", order, shift, r)
+			}
+		}
+	}
+}
+
+// Small and irregular patterns exercise panel edge cases: every n from 1 up,
+// random patterns.
+func TestLDLTSmallSystems(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for n := 1; n <= 40; n++ {
+		a := randomSPD(rng, n)
+		f, err := FactorLDLT(a, OrderRCM)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,204 +176,219 @@ func TestSupernodalSmallSystems(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x1 := make([]float64, n)
-		x2 := make([]float64, n)
-		fSN.Solve(x1, b)
-		fSC.Solve(x2, b)
-		if d := maxRelDiff(x1, x2); d > 1e-12 {
-			t.Fatalf("n=%d: engines diverge by %g", n, d)
+		x := make([]float64, n)
+		f.Solve(x, b)
+		if d := maxRelDiff(x, denseSolve(t, a, b)); d > 1e-10 {
+			t.Fatalf("n=%d: diverges from the dense oracle by %g", n, d)
 		}
 	}
 }
 
-// Narrow panel widths stress the amalgamation bound and the in-panel
-// factorization at every width from 1 (pure scalar layout) to wide.
-func TestSupernodalWidthSweep(t *testing.T) {
+// denseSPD is a fully coupled k×k block: one elimination chain, so its
+// natural supernodes are exactly min(k, 32)-wide panels.
+func denseSPD(k int) *CSC {
+	tr := NewTriplet(k, k)
+	for i := 0; i < k; i++ {
+		tr.Add(i, i, float64(k)+1)
+		for j := 0; j < i; j++ {
+			v := -1 / float64(1+(i+2*j)%5)
+			tr.Add(i, j, v)
+			tr.Add(j, i, v)
+		}
+	}
+	return tr.ToCSC()
+}
+
+func diagSPD(n int) *CSC {
+	tr := NewTriplet(n, n)
+	for i := 0; i < n; i++ {
+		tr.Add(i, i, float64(i+2))
+	}
+	return tr.ToCSC()
+}
+
+func pathSPD(n int) *CSC {
+	tr := NewTriplet(n, n)
+	for i := 0; i < n; i++ {
+		tr.Add(i, i, 2.5)
+		if i+1 < n {
+			tr.Add(i, i+1, -1)
+			tr.Add(i+1, i, -1)
+		}
+	}
+	return tr.ToCSC()
+}
+
+// arrowSPD couples every node to the last one only: eliminated in natural
+// order it has no fill and every column but the last pair is a singleton
+// supernode with one below-block row.
+func arrowSPD(n int) *CSC {
+	tr := NewTriplet(n, n)
+	for i := 0; i < n-1; i++ {
+		tr.Add(i, i, 3)
+		tr.Add(i, n-1, -1)
+		tr.Add(n-1, i, -1)
+	}
+	tr.Add(n-1, n-1, float64(n))
+	return tr.ToCSC()
+}
+
+func panelWidths(sym *Symbolic) []int {
+	w := make([]int, sym.Supernodes())
+	for s := range w {
+		w[s] = int(sym.sn.ptr[s+1] - sym.sn.ptr[s])
+	}
+	return w
+}
+
+// Everything runs on panels, so the degenerate panel shapes — tiny systems,
+// patterns that do not amalgamate at all, and a block wider than the panel
+// cap — go through every entry point against the dense oracle. The natural
+// ordering pins the column order, hence the supernode widths the case names.
+func TestPanelShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
-	a := meshSPD(12, 12)
-	n := a.Rows
+	allOnes := func(n int) []int {
+		w := make([]int, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	cases := []struct {
+		name   string
+		a      *CSC
+		widths []int // nil: not pinned
+	}{
+		{"n1", randomSPD(rng, 1), []int{1}},
+		{"n2", randomSPD(rng, 2), nil},
+		{"n3", randomSPD(rng, 3), nil},
+		{"diagonal", diagSPD(17), allOnes(17)},
+		{"path", pathSPD(33), nil},
+		{"arrow", arrowSPD(21), append(allOnes(19), 2)},
+		{"dense40", denseSPD(40), []int{32, 8}},
+		// One dense block per width class: 1, 2, 3, odd, even, odd above the
+		// pair-blocking stride, and the 32-column cap with a remainder.
+		{"widths", blockDiagCSC(denseSPD(1), denseSPD(2), denseSPD(3), denseSPD(5), denseSPD(8), denseSPD(17), denseSPD(33)),
+			[]int{1, 2, 3, 5, 8, 17, 32, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sym, err := AnalyzeLDLT(tc.a, OrderNatural)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := panelWidths(sym); tc.widths != nil && !slices.Equal(got, tc.widths) {
+				t.Fatalf("supernode widths %v, want %v", got, tc.widths)
+			}
+			f, err := sym.Refactor(tc.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkFactorization(t, tc.a, f)
+			checkSolves(t, tc.a, f, rng)
+			// A second numeric pass into the same factor must land on the
+			// same answers (workspaces left clean).
+			if err := sym.RefactorInto(f, tc.a); err != nil {
+				t.Fatal(err)
+			}
+			checkSolves(t, tc.a, f, rng)
+		})
+	}
+}
+
+// The same width classes past the parallel crossover: tiled copies fork the
+// supernode forest, so ParSolveWith takes the goroutine fan-out and the
+// gather-form kernels see every panel width. Each tile is solved by the
+// dense oracle on its own block.
+func TestPanelShapesParallel(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	tile := blockDiagCSC(arrowSPD(21), denseSPD(2), denseSPD(3), denseSPD(5), denseSPD(17), denseSPD(40), pathSPD(9))
+	const copies = 160
+	tiles := make([]*CSC, copies)
+	for i := range tiles {
+		tiles[i] = tile
+	}
+	a := blockDiagCSC(tiles...)
+	f, err := FactorLDLT(a, OrderNatural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.ParallelizableSolve() {
+		t.Fatalf("tiled system below the parallel crossover (lnz=%d)", f.Symbolic().LNZ())
+	}
+	n, m := a.Rows, tile.Rows
 	b := make([]float64, n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	ref := make([]float64, n)
-	sc, err := AnalyzeLDLTParams(a, OrderMinDegree, SupernodeParams{Mode: SNNever})
-	if err != nil {
-		t.Fatal(err)
+	got := make([]float64, n)
+	f.ParSolveWith(got, b, make([]float64, n), 4)
+	for c := 0; c < copies; c += 53 {
+		if d := maxRelDiff(got[c*m:(c+1)*m], denseSolve(t, tile, b[c*m:(c+1)*m])); d > 1e-10 {
+			t.Fatalf("tile %d: parallel solve diverges from the dense oracle by %g", c, d)
+		}
 	}
-	fsc, err := sc.Refactor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsc.Solve(ref, b)
-	for _, w := range []int{1, 2, 3, 5, 8, 17, 64} {
-		sym, err := AnalyzeLDLTParams(a, OrderMinDegree, SupernodeParams{Mode: SNAlways, MaxWidth: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := sym.Refactor(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, n)
-		f.Solve(x, b)
-		if d := maxRelDiff(x, ref); d > 1e-12 {
-			t.Fatalf("width %d: diverges by %g", w, d)
-		}
+	if r := residual(a, got, b); r > 1e-10 {
+		t.Fatalf("parallel solve residual %g", r)
 	}
 }
 
-// The auto heuristic must pick the supernodal engine on the paper's
-// dominant topology (2D power-grid meshes) and report its decision.
-func TestSupernodalAutoEngagesOnMesh(t *testing.T) {
-	// Nested dissection on a coupled mesh produces wide separator
-	// supernodes — the shape the auto heuristic must hand to the panel
-	// engine.
-	a := meshSPD(48, 48)
-	sym, err := AnalyzeLDLT(a, OrderND)
+// Nested dissection on a coupled mesh produces wide separator supernodes;
+// the amalgamation must find them.
+func TestSupernodesAmalgamateOnNDMesh(t *testing.T) {
+	sym, err := AnalyzeLDLT(meshSPD(48, 48), OrderND)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !sym.Supernodal() {
-		t.Fatalf("auto heuristic kept the scalar engine on an ND-ordered 48x48 mesh (%d supernodes over %d columns)", sym.Supernodes(), sym.N())
 	}
 	if 2*sym.Supernodes() > sym.N() {
 		t.Fatalf("weak amalgamation: %d supernodes for %d columns", sym.Supernodes(), sym.N())
 	}
-	if got := sym.SupernodeParams(); got != DefaultSupernodeParams().norm() {
-		t.Fatalf("params not normalized defaults: %+v", got)
-	}
-	// A tiny system stays scalar under auto even though SNAlways would
-	// build panels for it.
-	small, err := AnalyzeLDLT(meshSPD(4, 4), OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if small.Supernodal() {
-		t.Fatal("auto heuristic built panels for a 16-node system")
-	}
 }
 
-// Singular inputs must fail identically under both engines.
-func TestSupernodalSingular(t *testing.T) {
+// A singular input must fail with ErrSingular mid-way through a multi-panel
+// factorization, and the factor must refill cleanly afterwards.
+func TestPanelSingular(t *testing.T) {
 	n := 40
-	tr := NewTriplet(n, n)
-	for i := 0; i < n-1; i++ {
-		tr.Add(i, i+1, -1)
-		tr.Add(i+1, i, -1)
-		tr.Add(i, i, 1)
-		tr.Add(i+1, i+1, 1)
-	}
-	a := tr.ToCSC()
-	sym, err := AnalyzeLDLTParams(a, OrderNatural, SupernodeParams{Mode: SNAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sym.Refactor(a); err == nil {
-		t.Fatal("supernodal engine factored a singular Laplacian")
-	}
-}
-
-// The parallel and multi-RHS supernodal solves must agree with the
-// sequential path under concurrent hammering: 16 goroutines mixing
-// ParSolveWith, SolveWith and SolveMulti against one shared factor.
-func TestSupernodalParSolveRace(t *testing.T) {
-	a := multiDomainSPD(40, 4)
-	n := a.Rows
-	sym, err := AnalyzeLDLTParams(a, OrderMinDegree, SupernodeParams{Mode: SNAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sym.Refactor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.ParallelizableSolve() {
-		t.Fatalf("4-domain mesh not parallelizable under supernodal schedule (lnz=%d tasks=%d)", sym.LNZ(), len(sym.sn.taskPtr)-1)
-	}
-	rng := rand.New(rand.NewSource(63))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	f.Solve(want, b)
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			x := make([]float64, n)
-			work := make([]float64, n)
-			for it := 0; it < 25; it++ {
-				switch (g + it) % 3 {
-				case 0:
-					f.ParSolveWith(x, b, work, 4)
-				case 1:
-					f.SolveWith(x, b, work)
-				default:
-					dst := [][]float64{x}
-					src := [][]float64{b}
-					f.SolveMulti(dst, src)
-				}
-				if d := maxRelDiff(x, want); d > 1e-12 {
-					errs <- "concurrent solve diverged"
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-}
-
-// Supernodal multi-RHS panels of every width must match independent solves.
-func TestSupernodalSolveMultiWidths(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	a := meshSPD(13, 11)
-	n := a.Rows
-	sym, err := AnalyzeLDLTParams(a, OrderRCM, SupernodeParams{Mode: SNAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := sym.Refactor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 3, 4, 5, 8, 9} {
-		b := make([][]float64, k)
-		dst := make([][]float64, k)
-		want := make([][]float64, k)
-		for r := 0; r < k; r++ {
-			b[r] = make([]float64, n)
-			for i := range b[r] {
-				b[r][i] = rng.NormFloat64()
-			}
-			dst[r] = make([]float64, n)
-			want[r] = make([]float64, n)
-			f.Solve(want[r], b[r])
+	lap := func(leak float64) *CSC {
+		tr := NewTriplet(n, n)
+		for i := 0; i < n-1; i++ {
+			tr.Add(i, i+1, -1)
+			tr.Add(i+1, i, -1)
+			tr.Add(i, i, 1)
+			tr.Add(i+1, i+1, 1)
 		}
-		f.SolveMulti(dst, b)
-		for r := 0; r < k; r++ {
-			if d := maxRelDiff(dst[r], want[r]); d > 1e-12 {
-				t.Fatalf("k=%d rhs %d: panel solve diverges by %g", k, r, d)
-			}
-		}
+		tr.Add(0, 0, leak)
+		return tr.ToCSC()
 	}
+	good, bad := lap(0.5), lap(0)
+	sym, err := AnalyzeLDLT(good, OrderNatural)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sym.Refactor(bad); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular Laplacian: got %v, want ErrSingular", err)
+	}
+	f, err := sym.Refactor(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sym.RefactorInto(f, bad); !errors.Is(err, ErrSingular) {
+		t.Fatalf("singular refill: got %v, want ErrSingular", err)
+	}
+	if err := sym.RefactorInto(f, good); err != nil {
+		t.Fatal(err)
+	}
+	checkFactorization(t, good, f)
+	checkSolves(t, good, f, rand.New(rand.NewSource(66)))
 }
 
-// The supernodal refactorization and solves must stay allocation-free, the
-// PR 4 guarantee carried over to the blocked engine — including the
-// parallel fan-out, whose 405 B/op goroutine spawning this PR removed.
+// The refactorization and every solve flavour must stay allocation-free past
+// the parallel crossover — including the fan-out, which runs on a persistent
+// worker pool.
 func TestSupernodalZeroAllocs(t *testing.T) {
 	a := multiDomainSPD(40, 4)
 	n := a.Rows
-	sym, err := AnalyzeLDLTParams(a, OrderMinDegree, SupernodeParams{Mode: SNAlways})
+	sym, err := AnalyzeLDLT(a, OrderMinDegree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +397,7 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !f.ParallelizableSolve() {
-		t.Fatal("expected parallelizable supernodal factor")
+		t.Fatal("expected parallelizable factor")
 	}
 	b := make([]float64, n)
 	x := make([]float64, n)
@@ -333,12 +410,12 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("supernodal RefactorInto allocates %v/op", allocs)
+		t.Errorf("RefactorInto allocates %v/op", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		f.SolveWith(x, b, work)
 	}); allocs != 0 {
-		t.Errorf("supernodal SolveWith allocates %v/op", allocs)
+		t.Errorf("SolveWith allocates %v/op", allocs)
 	}
 	if !raceEnabled {
 		// The fan-out's job and task-buffer pools intentionally leak under
@@ -346,7 +423,7 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() {
 			f.ParSolveWith(x, b, work, 4)
 		}); allocs != 0 {
-			t.Errorf("supernodal ParSolveWith allocates %v/op", allocs)
+			t.Errorf("ParSolveWith allocates %v/op", allocs)
 		}
 	}
 	mw := make([]float64, 4*n)
@@ -355,6 +432,6 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, func() {
 		f.SolveMultiWith(dst, src, mw)
 	}); allocs != 0 {
-		t.Errorf("supernodal SolveMultiWith allocates %v/op", allocs)
+		t.Errorf("SolveMultiWith allocates %v/op", allocs)
 	}
 }

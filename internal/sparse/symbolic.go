@@ -1,18 +1,13 @@
 package sparse
 
-import (
-	"fmt"
-	"math"
-	"sync"
-)
+import "fmt"
 
 // Symbolic is the once-per-pattern analysis of a symmetric matrix for LDLᵀ
 // factorization: the fill-reducing ordering, the elimination tree, the exact
 // static nonzero pattern of L (per-column counts and row indices, Gilbert/
-// Ng/Peierls style), a scatter map from the input matrix into the permuted
-// upper triangle, and the elimination-tree task partition that drives the
-// parallel triangular solves (with the underlying level sets available for
-// diagnostics).
+// Ng/Peierls style), and the supernodal panel layout built on top of it —
+// column partition, input scatter map, descendant-update records and the
+// task partition that drives the parallel triangular solves.
 //
 // An analysis depends only on the sparsity pattern (and ordering), never on
 // values: every scalar shift C + γG of one base pattern shares a single
@@ -29,63 +24,14 @@ type Symbolic struct {
 	parent []int32
 
 	// Static CSC pattern of L: column j holds rows colptr[j]:colptr[j+1] of
-	// rowidx, strictly below the (implied unit) diagonal, ascending.
+	// rowidx, strictly below the (implied unit) diagonal, ascending. The
+	// panels store a padded superset of it; the exact pattern is what L()
+	// materializes and what CheckFactor verifies the padding against.
 	colptr []int
 	rowidx []int32
 
-	// Row patterns of L, the up-looking factorization's working view: row k
-	// touches columns rowind[rowptr[k]:rowptr[k+1]] in elimination (reach)
-	// order — descendants before ancestors — and the value L(k, rowind[t])
-	// lives at position rowpos[t] of the factor's value array. The gather
-	// (dot-product) forward solve reads the same arrays.
-	rowptr []int
-	rowind []int32
-	rowpos []int32
-
-	// Scatter map from the analyzed matrix into the permuted upper triangle:
-	// permuted column k draws the value at aSrc[p] of the input's value
-	// array onto permuted row aRow[p] <= k, for p in aColptr[k]:aColptr[k+1].
-	aColptr []int
-	aSrc    []int32
-	aRow    []int32
-
-	// Level schedules, built lazily (levelSchedules): the exact dependency
-	// depths of the triangular solves, concatenated in ptr/rows form.
-	// Forward (L·z = b) levels come from the row patterns, backward
-	// (Lᵀ·x = z) levels from the column patterns; within one level the
-	// gather-form row updates are independent. The executing schedule is
-	// the coarsened task partition below — the level sets exist for
-	// diagnostics and for verifying that partition, so they are not
-	// computed (or retained) unless asked for.
-	levOnce sync.Once
-	fwdPtr  []int
-	fwdRows []int32
-	bwdPtr  []int
-	bwdRows []int32
-	// maxLevelWidth is the widest level across both schedules.
-	maxLevelWidth int
-
-	// Coarsened execution schedule for the parallel solves: the etree is cut
-	// into independent subtrees of bounded work (tasks) plus the separator
-	// tail of their common ancestors. Row k's forward dependencies are etree
-	// descendants and its backward dependencies ancestors, so tasks never
-	// depend on each other — the forward solve runs tasks concurrently, one
-	// barrier, then the tail; the backward solve runs the tail first, one
-	// barrier, then the tasks. This trades the level sets' abundant but
-	// fine-grained parallelism (one sync per level) for two syncs per solve.
-	taskPtr  []int
-	taskRows []int32
-	tailRows []int32
-	// parWork/tailWork split lnz between task rows and tail rows; the solver
-	// goes parallel only when the task share dominates.
-	parWork, tailWork int
-
-	// Supernodal layout (supernodal.go): non-nil when the blocked panel
-	// engine serves this pattern, nil when the scalar up-looking engine
-	// does. params records the detection/amalgamation parameters either way
-	// (they are part of the analysis identity for cache keying).
-	sn     *snLayout
-	params SupernodeParams
+	// sn is the panel layout every numeric kernel runs on (supernodal.go).
+	sn *snLayout
 
 	patFP uint64 // PatternFingerprint of the analyzed matrix
 }
@@ -99,17 +45,9 @@ func (s *Symbolic) LNZ() int { return s.lnz }
 // Perm returns the fill-reducing permutation (not a copy; do not modify).
 func (s *Symbolic) Perm() []int { return s.perm }
 
-// Levels returns the number of forward-solve levels — the critical-path
-// length of the triangular solves; n means a chain (no parallelism), 1 a
-// diagonal matrix.
-func (s *Symbolic) Levels() int {
-	s.levelSchedules()
-	return len(s.fwdPtr) - 1
-}
-
 // Bytes estimates the resident size of the analysis, for cache accounting.
 func (s *Symbolic) Bytes() int64 {
-	return int64(s.n)*40 + int64(s.lnz)*16 + int64(len(s.aSrc))*8 + s.sn.bytes()
+	return int64(s.n)*28 + int64(s.lnz)*4 + s.sn.bytes()
 }
 
 // PatternFingerprint hashes the sparsity pattern of a — dimensions, column
@@ -133,26 +71,20 @@ func PatternFingerprint(a *CSC) uint64 {
 
 // AnalyzeLDLT performs the symbolic analysis of the symmetric matrix a under
 // the given ordering: ordering, elimination tree, exact column counts and
-// static pattern of L, supernode detection with relaxed amalgamation (under
-// the default SupernodeParams), the input scatter map, and the parallel-solve
-// task schedule. Only the pattern of a is read. The result serves any matrix
-// with the same pattern through Refactor.
+// static pattern of L, supernode detection with relaxed amalgamation, the
+// input scatter map, and the parallel-solve task schedule. Only the pattern
+// of a is read. The result serves any matrix with the same pattern through
+// Refactor.
 func AnalyzeLDLT(a *CSC, order Ordering) (*Symbolic, error) {
-	return AnalyzeLDLTParams(a, order, DefaultSupernodeParams())
-}
-
-// AnalyzeLDLTParams is AnalyzeLDLT with explicit supernode detection and
-// amalgamation parameters (engine forcing, panel width, relaxation bound).
-func AnalyzeLDLTParams(a *CSC, order Ordering, params SupernodeParams) (*Symbolic, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: AnalyzeLDLT needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Cols
-	s := &Symbolic{n: n, patFP: PatternFingerprint(a), params: params.norm()}
+	s := &Symbolic{n: n, patFP: PatternFingerprint(a)}
 	s.perm = Order(a, order)
 	s.pinv = InversePerm(s.perm)
-	s.buildScatterMap(a)
-	s.buildEtree()
+	up := s.upperScatter(a)
+	s.parent = up.etree()
 
 	// Compose the ordering with a postorder of its elimination tree. Any
 	// topological relabeling of the etree is fill-equivalent (same lnz, an
@@ -168,10 +100,9 @@ func AnalyzeLDLTParams(a *CSC, order Ordering, params SupernodeParams) (*Symboli
 		}
 		s.perm = newPerm
 		s.pinv = InversePerm(s.perm)
-		s.buildScatterMap(a)
-		s.buildEtree()
+		up = s.upperScatter(a)
+		s.parent = up.etree()
 	}
-	next := make([]int, n)
 
 	// Exact per-column counts: one reach pass counting, one filling. Each
 	// pass costs O(lnz) total — the reach of row k lists exactly the columns
@@ -182,56 +113,51 @@ func AnalyzeLDLTParams(a *CSC, order Ordering, params SupernodeParams) (*Symboli
 		mark[i] = -1
 	}
 	colcount := make([]int, n+1)
-	rowcount := make([]int, n+1)
 	for k := 0; k < n; k++ {
-		top := s.reach(k, mark, xi)
-		rowcount[k+1] = n - top
-		for t := top; t < n; t++ {
+		for t := s.reach(up, k, mark, xi); t < n; t++ {
 			colcount[xi[t]+1]++
 		}
 	}
 	for i := 0; i < n; i++ {
 		colcount[i+1] += colcount[i]
-		rowcount[i+1] += rowcount[i]
 	}
 	s.colptr = colcount
-	s.rowptr = rowcount
 	s.lnz = colcount[n]
 	s.rowidx = make([]int32, s.lnz)
-	s.rowind = make([]int32, s.lnz)
-	s.rowpos = make([]int32, s.lnz)
 	for i := range mark {
 		mark[i] = -1
 	}
+	next := make([]int, n)
+	copy(next, s.colptr[:n])
 	for k := 0; k < n; k++ {
-		next[k] = s.colptr[k]
-	}
-	for k := 0; k < n; k++ {
-		top := s.reach(k, mark, xi)
-		base := s.rowptr[k]
-		for t := top; t < n; t++ {
+		for t := s.reach(up, k, mark, xi); t < n; t++ {
 			i := xi[t]
-			q := next[i]
+			s.rowidx[next[i]] = int32(k)
 			next[i]++
-			s.rowidx[q] = int32(k)
-			s.rowind[base] = i
-			s.rowpos[base] = int32(q)
-			base++
 		}
 	}
 
-	s.buildTasks()
-	s.buildSupernodes(s.params)
+	s.buildSupernodes(up)
 	debugCheckSymbolic(s)
 	return s, nil
 }
 
-// buildScatterMap computes the scatter map: the upper triangle (incl.
-// diagonal) of the permuted matrix, column by column, without materializing
-// the permuted matrix. Entry p of original column j = perm-column pinv[j]
-// lands on permuted row pinv[i]; symmetric input means scanning whole
-// original columns finds every upper-triangle entry exactly once.
-func (s *Symbolic) buildScatterMap(a *CSC) {
+// upperTri is the upper triangle (incl. diagonal) of the permuted matrix in
+// scatter-map form: permuted column k draws the value at src[p] of the
+// input's value array onto permuted row row[p] <= k, for p in
+// colptr[k]:colptr[k+1]. It is analysis scratch — the retained layout keeps
+// its own supernode-major copy (snLayout.aSrc/aOff).
+type upperTri struct {
+	colptr   []int
+	src, row []int32
+}
+
+// upperScatter computes the scatter map column by column, without
+// materializing the permuted matrix. Entry p of original column j =
+// perm-column pinv[j] lands on permuted row pinv[i]; symmetric input means
+// scanning whole original columns finds every upper-triangle entry exactly
+// once.
+func (s *Symbolic) upperScatter(a *CSC) upperTri {
 	n := s.n
 	cnt := make([]int, n+1)
 	for j := 0; j < n; j++ {
@@ -245,14 +171,10 @@ func (s *Symbolic) buildScatterMap(a *CSC) {
 	for k := 0; k < n; k++ {
 		cnt[k+1] += cnt[k]
 	}
-	s.aColptr = cnt
 	nnzU := cnt[n]
-	s.aSrc = make([]int32, nnzU)
-	s.aRow = make([]int32, nnzU)
+	up := upperTri{colptr: cnt, src: make([]int32, nnzU), row: make([]int32, nnzU)}
 	next := make([]int, n)
-	for k := 0; k < n; k++ {
-		next[k] = s.aColptr[k]
-	}
+	copy(next, cnt[:n])
 	for j := 0; j < n; j++ {
 		k := s.pinv[j]
 		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
@@ -260,24 +182,25 @@ func (s *Symbolic) buildScatterMap(a *CSC) {
 			if i <= k {
 				q := next[k]
 				next[k]++
-				s.aSrc[q] = int32(p)
-				s.aRow[q] = int32(i)
+				up.src[q] = int32(p)
+				up.row[q] = int32(i)
 			}
 		}
 	}
+	return up
 }
 
-// buildEtree computes the elimination tree over the permuted upper triangle
-// (path compression via virtual ancestors).
-func (s *Symbolic) buildEtree() {
-	n := s.n
+// etree computes the elimination tree over the permuted upper triangle
+// (path compression via virtual ancestors); -1 marks a root.
+func (up upperTri) etree() []int32 {
+	n := len(up.colptr) - 1
 	parent := make([]int32, n)
 	ancestor := make([]int32, n)
 	for k := 0; k < n; k++ {
 		parent[k] = -1
 		ancestor[k] = -1
-		for p := s.aColptr[k]; p < s.aColptr[k+1]; p++ {
-			i := s.aRow[p]
+		for p := up.colptr[k]; p < up.colptr[k+1]; p++ {
+			i := up.row[p]
 			for i != -1 && int(i) < k {
 				nxt := ancestor[i]
 				ancestor[i] = int32(k)
@@ -288,7 +211,7 @@ func (s *Symbolic) buildEtree() {
 			}
 		}
 	}
-	s.parent = parent
+	return parent
 }
 
 // postorder computes a depth-first postorder of the forest (children before
@@ -343,31 +266,12 @@ func postorder(parent []int32) []int32 {
 	return post
 }
 
-// levelSchedules builds the forward/backward level sets on first use (they
-// are diagnostic — see the field comment — and skipped during analysis).
-func (s *Symbolic) levelSchedules() {
-	s.levOnce.Do(s.buildLevels)
-}
-
-// buildTasks cuts the elimination tree into the scalar task/tail execution
-// schedule, row-width weighted.
-func (s *Symbolic) buildTasks() {
-	cost := make([]int64, s.n)
-	for k := 0; k < s.n; k++ {
-		cost[k] = int64(s.rowptr[k+1] - s.rowptr[k])
-	}
-	var parW, tailW int64
-	s.taskPtr, s.taskRows, s.tailRows, parW, tailW = cutTasks(s.parent, cost)
-	s.parWork, s.tailWork = int(parW), int(tailW)
-}
-
 // cutTasks cuts a forest (parent[k] > k or -1) into the task/tail execution
 // schedule driving the parallel solves: a node roots a task when its subtree
 // work fits the chunk bound but its parent's does not; nodes above every cut
 // form the sequential separator tail. Children precede parents in index
 // order, so subtree sums and top-down task assignment are both single
-// passes. Shared by the scalar (per-row, row-width cost) and supernodal
-// (per-supernode, panel-entry cost) schedules.
+// passes. The nodes are supernodes, weighted by panel entries.
 //
 // Chunk bound selection: small chunks balance load, large chunks pull the
 // cut toward the root and shrink the sequential tail. The bound escalates
@@ -376,7 +280,7 @@ func (s *Symbolic) buildTasks() {
 // strongly coupled mesh whose root separators hold most of the work) has no
 // exploitable solve parallelism, and the empty schedule makes
 // ParallelizableSolve report false.
-func cutTasks(parent []int32, cost []int64) (taskPtr []int, taskNodes, tailNodes []int32, parWork, tailWork int64) {
+func cutTasks(parent []int32, cost []int64) (taskPtr []int, taskNodes, tailNodes []int32) {
 	n := len(parent)
 	work := make([]int64, n)
 	total := int64(0)
@@ -410,7 +314,7 @@ func cutTasks(parent []int32, cost []int64) (taskPtr []int, taskNodes, tailNodes
 		}
 	}
 	if chunkMax < 0 {
-		return []int{0}, nil, nil, 0, total
+		return []int{0}, nil, nil
 	}
 	// taskOf[k] = index of k's task root, or -1 for the tail. Parents have
 	// larger indices, so descending k sees the parent's assignment first.
@@ -433,9 +337,6 @@ func cutTasks(parent []int32, cost []int64) (taskPtr []int, taskNodes, tailNodes
 	for k := 0; k < n; k++ {
 		if t := taskOf[k]; t != -1 {
 			taskPtr[t+1]++
-			parWork += cost[k]
-		} else {
-			tailWork += cost[k]
 		}
 	}
 	for t := 0; t < len(roots); t++ {
@@ -453,20 +354,20 @@ func cutTasks(parent []int32, cost []int64) (taskPtr []int, taskNodes, tailNodes
 			tailNodes = append(tailNodes, int32(k))
 		}
 	}
-	return taskPtr, taskNodes, tailNodes, parWork, tailWork
+	return taskPtr, taskNodes, tailNodes
 }
 
 // reach computes the nonzero pattern of row k of L — the nodes reachable
 // from the permuted column k's upper entries by walking up the elimination
 // tree — into xi[top:n] in topological order, returning top. mark must be a
 // (-1)-initialized workspace stamped by k.
-func (s *Symbolic) reach(k int, mark, xi []int32) int {
+func (s *Symbolic) reach(up upperTri, k int, mark, xi []int32) int {
 	n := s.n
 	top := n
 	mark[k] = int32(k)
 	var stackArr [64]int32
-	for p := s.aColptr[k]; p < s.aColptr[k+1]; p++ {
-		i := s.aRow[p]
+	for p := up.colptr[k]; p < up.colptr[k+1]; p++ {
+		i := up.row[p]
 		if int(i) >= k {
 			continue
 		}
@@ -485,98 +386,20 @@ func (s *Symbolic) reach(k int, mark, xi []int32) int {
 	return top
 }
 
-// buildLevels computes the forward and backward solve level schedules. The
-// forward gather solve finalizes row k after every column in its row pattern
-// (all of which are etree descendants); the backward solve finalizes row i
-// after every row in its column pattern (etree ancestors). Rows sharing a
-// level have disjoint dependencies and run concurrently without write
-// conflicts — each row is a gather into its own entry.
-func (s *Symbolic) buildLevels() {
-	n := s.n
-	lev := make([]int32, n)
-	maxLev := int32(-1)
-	for k := 0; k < n; k++ {
-		l := int32(0)
-		for t := s.rowptr[k]; t < s.rowptr[k+1]; t++ {
-			if pl := lev[s.rowind[t]] + 1; pl > l {
-				l = pl
-			}
-		}
-		lev[k] = l
-		if l > maxLev {
-			maxLev = l
-		}
-	}
-	s.fwdPtr, s.fwdRows = bucketLevels(lev, int(maxLev)+1)
-
-	for i := range lev {
-		lev[i] = 0
-	}
-	maxLev = -1
-	for i := n - 1; i >= 0; i-- {
-		l := int32(0)
-		for q := s.colptr[i]; q < s.colptr[i+1]; q++ {
-			if pl := lev[s.rowidx[q]] + 1; pl > l {
-				l = pl
-			}
-		}
-		lev[i] = l
-		if l > maxLev {
-			maxLev = l
-		}
-	}
-	s.bwdPtr, s.bwdRows = bucketLevels(lev, int(maxLev)+1)
-
-	for l := 0; l+1 < len(s.fwdPtr); l++ {
-		if w := s.fwdPtr[l+1] - s.fwdPtr[l]; w > s.maxLevelWidth {
-			s.maxLevelWidth = w
-		}
-	}
-	for l := 0; l+1 < len(s.bwdPtr); l++ {
-		if w := s.bwdPtr[l+1] - s.bwdPtr[l]; w > s.maxLevelWidth {
-			s.maxLevelWidth = w
-		}
-	}
-}
-
-// bucketLevels groups rows by level into a concatenated ptr/rows pair; rows
-// stay ascending within each level.
-func bucketLevels(lev []int32, nlev int) ([]int, []int32) {
-	if nlev < 1 {
-		nlev = 1
-	}
-	ptr := make([]int, nlev+1)
-	for _, l := range lev {
-		ptr[l+1]++
-	}
-	for l := 0; l < nlev; l++ {
-		ptr[l+1] += ptr[l]
-	}
-	rows := make([]int32, len(lev))
-	next := append([]int(nil), ptr[:nlev]...)
-	for i, l := range lev {
-		rows[next[l]] = int32(i)
-		next[l]++
-	}
-	return ptr, rows
-}
-
 // Refactor numerically factorizes a — any matrix with the analyzed pattern —
 // into a fresh LDLT. The factor's value arrays and workspaces are the only
 // allocations; repeated refactorization into an existing factor
 // (RefactorInto) allocates nothing.
 func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
-	f := &LDLT{sym: s, d: make([]float64, s.n)}
-	if s.sn != nil {
-		f.snValues = make([]float64, s.sn.nzTotal)
-		f.smap = make([]int32, s.n)
-		f.uptmp = make([]float64, s.sn.maxRows)
-		f.coeff = make([]float64, s.sn.maxW)
-		f.gbuf = make([]float64, 8*s.sn.maxRows)
-	} else {
-		f.values = make([]float64, s.lnz)
-		f.valuesR = make([]float64, s.lnz)
-		f.y = make([]float64, s.n)
+	sn := s.sn
+	f := &LDLT{
+		sym:      s,
+		d:        make([]float64, s.n),
+		snValues: make([]float64, sn.nzTotal),
+		smap:     make([]int32, s.n),
+		uptmp:    make([]float64, sn.maxRows),
+		coeff:    make([]float64, sn.maxW),
+		gbuf:     make([]float64, 8*sn.maxRows),
 	}
 	if err := s.RefactorInto(f, a); err != nil {
 		return nil, err
@@ -585,11 +408,9 @@ func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
 }
 
 // RefactorInto refills an existing factor (previously produced by Refactor
-// against this same analysis) with the values of a. It performs the
-// supernodal left-looking panel factorization when the analysis carries a
-// supernodal layout, the scalar up-looking elimination over the static
-// pattern otherwise: no appends, no reach recomputation, no heap allocation
-// either way. It returns ErrSingular on a zero pivot, leaving the factor
+// against this same analysis) with the values of a through the left-looking
+// panel factorization: no appends, no reach recomputation, no heap
+// allocation. It returns ErrSingular on a zero pivot, leaving the factor
 // contents unspecified. Must not race with solves on the same factor.
 //
 //matex:noalloc
@@ -602,60 +423,9 @@ func (s *Symbolic) RefactorInto(f *LDLT, a *CSC) error {
 	if a.Rows != s.n || a.Cols != s.n {
 		return fmt.Errorf("sparse: RefactorInto dimension mismatch: analysis %d, matrix %dx%d", s.n, a.Rows, a.Cols) //matex:alloc-ok(caller-misuse error path)
 	}
-	if s.sn != nil {
-		if err := s.refactorSN(f, a); err != nil {
-			return err
-		}
-		debugCheckFactor(f)
-		return nil
-	}
-	values, valuesR, d, y := f.values, f.valuesR, f.d, f.y
-	av := a.Values
-	for k := 0; k < s.n; k++ {
-		// Scatter the permuted upper column k and grab the diagonal.
-		dk := 0.0
-		for p := s.aColptr[k]; p < s.aColptr[k+1]; p++ {
-			i := s.aRow[p]
-			v := av[s.aSrc[p]]
-			if int(i) == k {
-				dk += v // duplicates cannot occur post-merge, but += is free
-			} else {
-				y[i] += v
-			}
-		}
-		// Up-looking elimination along the precomputed row pattern
-		// (topological order). Entries of column i filled so far are exactly
-		// colptr[i] .. rowpos[t] — rows < k by construction.
-		for t := s.rowptr[k]; t < s.rowptr[k+1]; t++ {
-			i := s.rowind[t]
-			yi := y[i]
-			y[i] = 0
-			lki := yi / d[i]
-			end := int(s.rowpos[t])
-			for q := s.colptr[i]; q < end; q++ {
-				y[s.rowidx[q]] -= values[q] * yi
-			}
-			dk -= lki * yi
-			values[end] = lki
-			valuesR[t] = lki // row-major mirror for the gather forward solve
-		}
-		if dk == 0 || math.IsNaN(dk) {
-			// Clear the scatter residue before returning so a retry (or a
-			// later refactorization) starts from a clean workspace.
-			for i := range y {
-				y[i] = 0
-			}
-			return fmt.Errorf("%w: zero pivot at column %d in LDLT", ErrSingular, k) //matex:alloc-ok(singular-matrix error path; factorization is abandoned)
-		}
-		d[k] = dk
+	if err := s.refactorSN(f, a); err != nil {
+		return err
 	}
 	debugCheckFactor(f)
 	return nil
 }
-
-// Tasks returns the number of independent subtree tasks in the parallel
-// execution schedule.
-func (s *Symbolic) Tasks() int { return len(s.taskPtr) - 1 }
-
-// TailWork returns the separator-tail share of lnz (diagnostics).
-func (s *Symbolic) TailWork() (tail, total int) { return s.tailWork, s.tailWork + s.parWork }

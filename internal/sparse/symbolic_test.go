@@ -173,76 +173,6 @@ func TestRefactorSingularLeavesCleanWorkspace(t *testing.T) {
 	}
 }
 
-// TestLevelScheduleProperty checks the structural contract of the level
-// schedules: the forward schedule places every elimination-tree child on a
-// strictly lower level than its parent (parent-after-child), the backward
-// schedule the reverse, and both partition 0..n-1 exactly.
-func TestLevelScheduleProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 20; trial++ {
-		n := 5 + rng.Intn(60)
-		a := randomSPD(rng, n)
-		order := []Ordering{OrderNatural, OrderRCM, OrderMinDegree}[trial%3]
-		sym, err := AnalyzeLDLT(a, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sym.levelSchedules()
-		fwdLevel := levelOf(sym.fwdPtr, sym.fwdRows, n, t)
-		bwdLevel := levelOf(sym.bwdPtr, sym.bwdRows, n, t)
-		for c := 0; c < n; c++ {
-			p := sym.parent[c]
-			if p == -1 {
-				continue
-			}
-			if fwdLevel[p] <= fwdLevel[c] {
-				t.Fatalf("trial %d: forward level of parent %d (%d) not after child %d (%d)", trial, p, fwdLevel[p], c, fwdLevel[c])
-			}
-			if bwdLevel[c] <= bwdLevel[p] {
-				t.Fatalf("trial %d: backward level of child %d (%d) not after parent %d (%d)", trial, c, bwdLevel[c], p, bwdLevel[p])
-			}
-		}
-		// Dependency form: every row pattern entry (L(k,i) ≠ 0) must be on
-		// an earlier forward level than k, and a later backward level.
-		for k := 0; k < n; k++ {
-			for tt := sym.rowptr[k]; tt < sym.rowptr[k+1]; tt++ {
-				i := sym.rowind[tt]
-				if fwdLevel[i] >= fwdLevel[k] {
-					t.Fatalf("trial %d: forward dependency %d->%d broken", trial, i, k)
-				}
-				if bwdLevel[i] <= bwdLevel[k] {
-					t.Fatalf("trial %d: backward dependency %d->%d broken", trial, k, i)
-				}
-			}
-		}
-	}
-}
-
-// levelOf inverts a ptr/rows schedule into per-row levels, checking the
-// partition property.
-func levelOf(ptr []int, rows []int32, n int, t *testing.T) []int {
-	t.Helper()
-	lev := make([]int, n)
-	for i := range lev {
-		lev[i] = -1
-	}
-	for l := 0; l+1 < len(ptr); l++ {
-		for p := ptr[l]; p < ptr[l+1]; p++ {
-			r := rows[p]
-			if lev[r] != -1 {
-				t.Fatalf("row %d scheduled twice", r)
-			}
-			lev[r] = l
-		}
-	}
-	for i, l := range lev {
-		if l == -1 {
-			t.Fatalf("row %d never scheduled", i)
-		}
-	}
-	return lev
-}
-
 func TestParSolveMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := multiDomainSPD(30, 4) // 4 independent domains: the partition forks
@@ -445,27 +375,6 @@ func TestRefactorSolveZeroAllocs(t *testing.T) {
 		f.SolveMultiWith(panelX, panelB, panelWork)
 	}); allocs != 0 {
 		t.Fatalf("steady-state refactor+solve allocated %.1f/run, want 0", allocs)
-	}
-
-	// The scalar engine's parallel solve shares the contract (the supernodal
-	// engine has its own guard in supernodal_test.go).
-	scSym, err := AnalyzeLDLTParams(a, OrderRCM, SupernodeParams{Mode: SNNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scF, err := scSym.Refactor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scF.ParSolveWith(x, b, work, 4) // warm the worker pool outside the guard
-	if !raceEnabled {
-		// The job pool intentionally leaks under the race detector
-		// (sync.Pool drops Puts there).
-		if allocs := testing.AllocsPerRun(50, func() {
-			scF.ParSolveWith(x, b, work, 4)
-		}); allocs != 0 {
-			t.Errorf("scalar ParSolveWith allocates %v/op", allocs)
-		}
 	}
 }
 

@@ -48,10 +48,12 @@ func simulateMatexFP(sys *circuit.System, method Method, opts Options) (*Result,
 		// No extra factorization: the operator reuses LU(G) from DC analysis.
 		op = krylov.NewInvertedOp(factG, sys.C, sys.G, count)
 	case RMATEX:
+		tFac := time.Now()
 		fs, err := acquireFactorSum(1, sys.C, opts.Gamma, sys.G, opts, &res.Stats)
 		if err != nil {
 			return nil, fmt.Errorf("transient: factorizing (C+γG): %w", err)
 		}
+		res.Stats.FactorTime += time.Since(tFac)
 		op = krylov.NewRationalOp(fs, sys.C, sys.G, opts.Gamma, count)
 		op.ClearSegment() // Eq. 5 handles inputs; the operator stays input-free
 	default:

@@ -304,6 +304,11 @@ func TestMexpRegularizesSingularC(t *testing.T) {
 	if resR.Stats.Regularized {
 		t.Error("R-MATEX regularized; it should be regularization-free")
 	}
+	// Node b has no capacitor, so this run takes the Eq. 5 driver
+	// (simulateMatexFP), which must account its (C+γG) factorization too.
+	if resR.Stats.FactorTime <= 0 {
+		t.Errorf("R-MATEX on singular C reports FactorTime %v, want > 0", resR.Stats.FactorTime)
+	}
 }
 
 func TestResultHelpers(t *testing.T) {

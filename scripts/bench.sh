@@ -4,19 +4,20 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR10.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR12.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR10.json is regenerated manually with the default
+# the committed BENCH_PR12.json is regenerated manually with the default
 # settings when the solver layer changes. The default pattern covers the
 # Krylov spot pipeline (PR 3), the factorization engine rows (PR 4-6),
 # and the scenario-sweep rows (PR 10):
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
-# BenchmarkRefactorScalar/SolveSeqScalar pin the scalar engine against the
-# supernodal default, BenchmarkSolveSeq_k* vs BenchmarkSolveMulti_k* the
-# blocked panel solves, BenchmarkSolveSeq/Par_4dom the task-parallel solve
+# the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
+# *_mesh96nd rows (nested dissection, wide separator panels) the two ends
+# of the panel-width range, BenchmarkSolveSeq_k* vs BenchmarkSolveMulti_k*
+# the blocked panel solves, BenchmarkSolveSeq/Par_4dom the task-parallel solve
 # on separate domains, BenchmarkSolveSeq/Par_mesh96nd the coupled mesh
 # that only nested dissection can parallelize, and BenchmarkSweepSolo vs
 # BenchmarkSweep_k{4,8} the scenario-sweep amortization (benchcmp gates
@@ -24,7 +25,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR10.json}"
+out="${1:-BENCH_PR12.json}"
 benchtime="${BENCHTIME:-100x}"
 pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep)}"
 
