@@ -193,6 +193,47 @@ func BenchmarkTable3_MATEXDistCached_ibmpg1t(b *testing.B) {
 	}
 }
 
+// --- D-MATEX cut for the nodes present vs one task per group (PR 14) --------
+//
+// Both rows keep two tasks in flight over a warm factorization cache; they
+// differ only in the node count the pool reports, hence in the plan: one
+// task per bump-feature group (the paper's cluster, queued two at a time)
+// against the same groups merged into two tasks. benchcmp gates the fresh
+// 2Nodes row at ≤ 0.80x the fresh PerGroup row.
+
+// benchDist runs D-MATEX on a pool of the given node count (0: one node per
+// bump-feature group).
+func benchDist(b *testing.B, nodes int) {
+	sys := benchSystem(b, "ibmpg1t", 1)
+	if nodes == 0 {
+		nodes = len(dist.Partition(sys, 10e-9))
+	}
+	cache := sparse.NewCache(0)
+	cfg := dist.Config{
+		Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-6, Gamma: 1e-10,
+		Cache: cache, Pool: dist.NewLocalPool(sys, nodes, cache), Workers: 2,
+	}
+	if _, _, err := dist.Run(sys, cfg); err != nil { // warm the cache
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, rep, err := dist.Run(sys, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.ReportMetric(float64(rep.Tasks), "tasks")
+			b.ReportMetric(float64(len(res.Stats.KrylovDims)), "spots")
+			b.ReportMetric(float64(res.Stats.SolvePairs), "solve_pairs")
+		}
+	}
+}
+
+func BenchmarkDist_PerGroup_ibmpg1t(b *testing.B) { benchDist(b, 0) }
+func BenchmarkDist_2Nodes_ibmpg1t(b *testing.B)   { benchDist(b, 2) }
+
 // --- Symmetric Lanczos fast path vs Arnoldi (PR 3) -------------------------
 //
 // The stock ibmpg decks are quasi-static at their own time scale (node time

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -212,13 +213,33 @@ func main() {
 
 	if *stats {
 		if rep != nil {
-			fmt.Fprintf(os.Stderr, "groups=%d retried=%d max_node_time=%v max_node_transient=%v\n",
-				rep.Groups, rep.Retried, rep.MaxNodeTime, rep.MaxNodeTrTime)
+			fmt.Fprintf(os.Stderr, "tasks=%d groups=%d retried=%d max_node_time=%v max_node_transient=%v\n",
+				rep.Tasks, rep.Groups, rep.Retried, rep.MaxNodeTime, rep.MaxNodeTrTime)
+			// One line per dispatched task. No key repeats one of the summary
+			// lines': readers of -stats collect key=value tokens across lines.
+			for i, t := range rep.PerTask {
+				st := &rep.TaskStats[i]
+				fmt.Fprintf(os.Stderr, "task=%d members=%s lts=%d wait=%v elapsed=%v retries=%d spots=%d pairs=%d",
+					i, joinInts(t.Groups), t.Spots, t.Wait, t.Elapsed, t.Retried, len(st.KrylovDims), st.SolvePairs)
+				if t.Worker != "" {
+					fmt.Fprintf(os.Stderr, " worker=%s", t.Worker)
+				}
+				fmt.Fprintln(os.Stderr)
+			}
 		}
 		s := &res.Stats
 		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d expm_evals=%d steps=%d m_a=%.1f m_p=%d lanczos_spots=%d/%d dc=%v factor=%v transient=%v\n",
 			s.Factorizations, s.Refactors, s.SymbolicHits, s.CacheHits, s.CacheMisses, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.Steps, s.MA(), s.MP(), s.LanczosSpots, len(s.KrylovDims), s.DCTime, s.FactorTime, s.TransientTime)
 	}
+}
+
+// joinInts renders ids as "0,3,5".
+func joinInts(ids []int) string {
+	parts := make([]string, len(ids))
+	for i, id := range ids {
+		parts[i] = strconv.Itoa(id)
+	}
+	return strings.Join(parts, ",")
 }
 
 // loadVariants reads a sweep variant file: either a bare JSON array of

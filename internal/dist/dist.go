@@ -11,11 +11,13 @@ import (
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
-// Task is one superposition subtask: the indices of the system inputs that
-// form one bump-feature group, simulated together on one node.
+// Task is one superposition subtask: the indices of the system inputs
+// simulated together on one node — one bump-feature group as Partition
+// returns it, or several of them merged by the planner (plan.go).
 type Task struct {
 	// GroupID numbers the group (the paper's "Group #"), in first-appearance
-	// order over the system inputs.
+	// order over the system inputs; a merged task carries the lowest GroupID
+	// among its members.
 	GroupID int
 	// InputIdx are indices into the system's Inputs slice.
 	InputIdx []int
@@ -67,15 +69,22 @@ type Config struct {
 	MaxDim int
 	// Probes lists unknown indices recorded at every GTS point.
 	Probes []int
-	// Workers bounds in-flight subtasks. Zero picks GOMAXPROCS; the Table 3
-	// harness sets 1 so each node's runtime is measured contention-free.
+	// Workers bounds in-flight subtasks and, for the default in-process
+	// pool, is the node count the decomposition is cut for (zero:
+	// GOMAXPROCS). With a Pool set, zero bounds in-flight subtasks by the
+	// pool's node count and the cut follows the pool alone; the Table 3
+	// harness sets 1 over a one-node-per-group pool so each node's runtime
+	// is measured contention-free.
 	Workers int
 	// FactorKind and Ordering select the sparse direct solver configuration,
 	// applied identically on every node.
 	FactorKind sparse.FactorKind
 	Ordering   sparse.Ordering
 	// Pool overrides where subtasks run. Nil uses an in-process goroutine
-	// pool; NewRPCPool dispatches to matexd workers over TCP.
+	// pool of Workers nodes; NewRPCPool dispatches to matexd workers over
+	// TCP; NewLocalPool is the in-process pool with an explicit node count.
+	// The pool's node count decides how many tasks the bump-feature groups
+	// are merged into.
 	Pool Pool
 	// Cache, when non-nil, is the content-addressed factorization cache
 	// shared by the scheduler's DC solve and every in-process subtask.
@@ -92,10 +101,10 @@ type Config struct {
 	// SolveWorkers > 1 runs every node's triangular solves through the
 	// factorization's level-scheduled parallel path with that many
 	// goroutines (it travels with the subtask request; matexd workers may
-	// substitute their own -solve-par default when it is 0). Note the
-	// in-process pool already parallelizes across subtasks — per-solve
-	// parallelism mainly pays on remote workers with idle cores or when
-	// Groups < cores.
+	// substitute their own -solve-par default when it is 0). The plan
+	// gives every node one task, so a node with more than one core has
+	// idle cores unless this is set; the in-process pool on the other hand
+	// already occupies one core per task.
 	SolveWorkers int
 	// Ctx, when non-nil, cancels the run: the scheduler stops dispatching
 	// subtasks once it fires, in-process subtasks abort at their next
@@ -136,9 +145,14 @@ func (c Config) withDefaults() Config {
 // Report carries the scheduling metrics of one distributed run, matching the
 // columns the paper reports in Table 3.
 type Report struct {
-	// Groups is the number of bump-feature groups = computing nodes used.
+	// Groups is the number of bump-feature groups Partition found.
 	Groups int
-	// DCTime is the one-shot DC operating point solve, paid before fan-out.
+	// Tasks is the number of tasks dispatched: the groups merged into
+	// min(Groups, pool nodes) tasks.
+	Tasks int
+	// DCTime is the one-shot DC operating point solve; it runs on the
+	// scheduler while the tasks are out, so it adds to the wall time only
+	// where it outlasts them.
 	DCTime time.Duration
 	// MaxNodeTime is the slowest node's wall time over all its phases — the
 	// distributed makespan (the paper's t_total is DCTime + MaxNodeTime).
@@ -148,9 +162,29 @@ type Report struct {
 	MaxNodeTrTime time.Duration
 	// Retried counts subtask dispatches repeated after a worker failure.
 	Retried int
-	// TaskStats holds each subtask's solver work counters, indexed by
-	// GroupID (the paper's per-node km comes from these).
+	// PerTask describes each dispatched task, in plan order.
+	PerTask []TaskReport
+	// TaskStats holds each task's solver work counters, indexed like
+	// PerTask (the paper's per-node km comes from these).
 	TaskStats []transient.Stats
+}
+
+// TaskReport is the plan and the scheduling record of one dispatched task.
+type TaskReport struct {
+	// Groups are the GroupIDs of the bump-feature groups merged into it.
+	Groups []int
+	// Spots is |∪ LTS| of those groups inside (0, Tstop], the cost the
+	// planner charged the task (the paper's k); zero for the fixed-step
+	// methods, which are not charged by spot.
+	Spots int
+	// Wait is how long the task queued for an in-flight slot.
+	Wait time.Duration
+	// Elapsed is the node's wall time for the task, all phases.
+	Elapsed time.Duration
+	// Retried counts its re-dispatches after worker failures.
+	Retried int
+	// Worker is the address of the matexd that solved it; empty in-process.
+	Worker string
 }
 
 // subtaskRequest builds the solver configuration shared by every subtask:

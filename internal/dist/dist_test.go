@@ -4,6 +4,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -126,8 +127,8 @@ func TestDistSuperposition(t *testing.T) {
 	if rep.Groups < 2 {
 		t.Fatalf("degenerate decomposition: %d groups", rep.Groups)
 	}
-	if len(rep.TaskStats) != rep.Groups {
-		t.Fatalf("TaskStats has %d entries for %d groups", len(rep.TaskStats), rep.Groups)
+	if len(rep.TaskStats) != rep.Tasks || len(rep.PerTask) != rep.Tasks {
+		t.Fatalf("TaskStats has %d entries, PerTask %d, for %d tasks", len(rep.TaskStats), len(rep.PerTask), rep.Tasks)
 	}
 	if d := maxDeviation(t, got, ref, len(probes)); d > 1e-6 {
 		t.Errorf("superposition deviates %.3g V from the plain run (budget 1e-6)", d)
@@ -181,12 +182,13 @@ func startWorker(t *testing.T) (addr string, stop func()) {
 }
 
 // TestDistRPCLoopback runs the same decomposition over two loopback TCP
-// workers and demands bit-identical results to the in-process pool: both
-// paths perform the identical computation in the identical order.
+// workers and over a two-node in-process pool and demands bit-identical
+// results: same node count ⇒ same plan ⇒ the identical computation in the
+// identical order on both paths.
 func TestDistRPCLoopback(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}
+	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
 
 	local, repL, err := Run(sys, cfg)
 	if err != nil {
@@ -208,8 +210,16 @@ func TestDistRPCLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if repR.Groups != repL.Groups {
-		t.Fatalf("group count differs: %d vs %d", repR.Groups, repL.Groups)
+	if repR.Groups != repL.Groups || repR.Tasks != 2 || repL.Tasks != 2 {
+		t.Fatalf("plans differ: %d groups in %d tasks vs %d in %d", repR.Groups, repR.Tasks, repL.Groups, repL.Tasks)
+	}
+	for i := range repR.PerTask {
+		if !reflect.DeepEqual(repR.PerTask[i].Groups, repL.PerTask[i].Groups) {
+			t.Fatalf("task %d holds groups %v over TCP, %v in-process", i, repR.PerTask[i].Groups, repL.PerTask[i].Groups)
+		}
+		if repR.PerTask[i].Worker == "" || repL.PerTask[i].Worker != "" {
+			t.Errorf("task %d worker: %q over TCP, %q in-process", i, repR.PerTask[i].Worker, repL.PerTask[i].Worker)
+		}
 	}
 	if repR.Retried != 0 {
 		t.Errorf("unexpected retries on healthy workers: %d", repR.Retried)
@@ -286,7 +296,8 @@ func (p *killableProxy) Kill() {
 func TestDistWorkerFailureRetry(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}
+	// Two nodes in-process: the plan the two-worker pool gets.
+	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
 
 	local, _, err := Run(sys, cfg)
 	if err != nil {

@@ -1,9 +1,9 @@
 // Package dist implements the distributed MATEX framework of the paper
 // (Fig. 4): the transient simulation of a power distribution network is
 // decomposed by the "bump features" of its input current sources (Fig. 3),
-// each source group is simulated as an independent zero-state subtask on a
-// computing node, and the group responses are superposed with the DC
-// operating point to recover the full solution.
+// the source groups are simulated as independent zero-state subtasks on the
+// computing nodes, and the responses are superposed with the DC operating
+// point to recover the full solution.
 //
 // The decomposition is exact for the linear MNA system C·x' = -G·x + B·u(t):
 // with x_DC the DC operating point (G·x_DC = B·u(0)),
@@ -17,14 +17,29 @@
 // transition spot (GTS) grid by substitution-free subspace reuse, and the
 // scheduler sums them.
 //
-// Run (run.go) drives the whole flow: Partition extracts bump features and
-// builds Tasks (dist.go), the scheduler places them on a Pool, and
-// superposition folds the responses. Two Pool implementations ship: the
-// in-process goroutine pool (pool.go, the default) and the net/rpc client
-// pool over matexd workers (rpc.go, server.go; see NewRPCPool, Serve and
-// cmd/matexd). Workers share the factorization cache of their process, so
-// co-located subtasks against one grid factor once.
+// A node pays one Krylov subspace — m substitution pairs — per transition
+// spot of the sources it holds (the paper's Eqs. 11–12), so one machine per
+// group makes every node cheap. With fewer machines than groups, one task
+// per group would make each machine re-pay the spots its groups share, so
+// the planner (plan.go) merges the groups into exactly min(groups, nodes)
+// tasks: groups ordered by first transition, cut into contiguous runs that
+// minimise the largest per-task |∪ LTS|. The node count is the pool's
+// (Pool.Nodes): live workers over RPC, Config.Workers or GOMAXPROCS
+// in-process. With nodes ≥ groups the plan is Partition's output. Equal
+// node counts give equal plans and bit-identical results; different node
+// counts agree to solver tolerance.
 //
-// Report carries per-node wall times and work counters, feeding the
-// speedup tables in EXPERIMENTS.md.
+// Run (run.go) drives the whole flow: Partition extracts bump features
+// (dist.go), the planner cuts Tasks for the pool's nodes, the scheduler
+// places them on the Pool while it solves the DC point itself, and
+// superposition folds the responses. Two Pool implementations ship: the
+// in-process goroutine pool (pool.go; the default, or NewLocalPool with an
+// explicit node count) and the net/rpc client pool over matexd workers
+// (rpc.go, server.go; see NewRPCPool, Serve and cmd/matexd). A task whose
+// worker dies is re-dispatched whole to a survivor. Workers share the
+// factorization cache of their process, so co-located subtasks against one
+// grid factor once.
+//
+// Report carries the plan, per-node wall times and work counters, feeding
+// the speedup tables in EXPERIMENTS.md.
 package dist

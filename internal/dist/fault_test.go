@@ -58,34 +58,58 @@ func TestFaultDialFailAtConstruction(t *testing.T) {
 	}
 }
 
-// TestFaultRPCSeverRetriesAndMatches severs one connection mid-RPC (TCP
-// reset with the reply in flight): the pool must revive the worker, retry
-// the subtask, count the retry, and still produce the no-fault waveform.
+// retriedTask returns the row of the one task the fault hit, which must be
+// a merged one: the fault tests run two-node plans over several groups.
+func retriedTask(t *testing.T, rep *Report) TaskReport {
+	t.Helper()
+	if rep.Tasks != 2 || rep.Groups <= 2 {
+		t.Fatalf("%d groups in %d tasks: not a merged two-node plan", rep.Groups, rep.Tasks)
+	}
+	var hit []TaskReport
+	for _, task := range rep.PerTask {
+		if task.Retried > 0 {
+			hit = append(hit, task)
+		}
+	}
+	if len(hit) != 1 || len(hit[0].Groups) < 2 || rep.Retried != hit[0].Retried {
+		t.Fatalf("retried=%d over rows %+v, want one merged task carrying them", rep.Retried, rep.PerTask)
+	}
+	return hit[0]
+}
+
+// TestFaultRPCSeverRetriesAndMatches severs one of two workers' connection
+// mid-RPC (TCP reset with the reply in flight) while it holds a merged
+// task: the pool must revive the worker, re-dispatch the task whole, count
+// the retry, and still produce the no-fault waveform.
 func TestFaultRPCSeverRetriesAndMatches(t *testing.T) {
 	leak := guardGoroutines(t)
-	sys := testSystem(t, 0.2)
+	// Full scale: the sever lands right after the request is written, and a
+	// task must still be running then or its reply beats the cut.
+	sys := testSystem(t, 1)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}
+	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
 
 	local, _, err := Run(sys, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	addr, stop := startWorker(t)
-	defer stop()
+	addr1, stop1 := startWorker(t)
+	addr2, stop2 := startWorker(t)
+	defer func() { // after pool.Close below: both serve loops must be gone before the leak check
+		stop1()
+		stop2()
+		leak()
+	}()
 	reg := faultinject.New(2)
 	reg.Arm(faultinject.RPCSever, faultinject.Plan{After: 1, Times: 1}) // second dispatch loses its connection
-	pool, err := NewRPCPoolContext(context.Background(), sys, []string{addr}, PoolOptions{
+	pool, err := NewRPCPoolContext(context.Background(), sys, []string{addr1, addr2}, PoolOptions{
 		Fault: reg, BackoffBase: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		pool.Close()
-		leak()
-	}()
+	defer pool.Close()
 
 	cfg.Pool = pool
 	remote, rep, err := Run(sys, cfg)
@@ -95,9 +119,7 @@ func TestFaultRPCSeverRetriesAndMatches(t *testing.T) {
 	if reg.Fired(faultinject.RPCSever) != 1 {
 		t.Fatalf("sever fired %d times, want 1", reg.Fired(faultinject.RPCSever))
 	}
-	if rep.Retried == 0 {
-		t.Error("severed RPC did not surface in Report.Retried")
-	}
+	retriedTask(t, rep)
 	if d := maxDeviation(t, remote, local, len(probes)); d > 1e-12 {
 		t.Errorf("post-sever waveform deviates %.3g V (budget 1e-12)", d)
 	}
@@ -120,16 +142,16 @@ func startCrashableWorker(t *testing.T, reg *faultinject.Registry) (addr string,
 	return l.Addr().String(), served, func() { cancel(); l.Close() }
 }
 
-// TestFaultWorkerCrashFailsOver crashes one of two workers after it
-// completes a subtask — the serving loop severs every connection without
-// draining, exactly kill -9 from the scheduler's side. The run must fail
-// over to the survivor, count the retries, match the no-fault waveform to
+// TestFaultWorkerCrashFailsOver crashes one of two workers as it completes
+// its merged task — the serving loop severs every connection without
+// draining, exactly kill -9 from the scheduler's side. The task must land
+// whole on the survivor, count the retries, match the no-fault waveform to
 // 1e-12, and the crashed worker's serve loop must report the injected death.
 func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	leak := guardGoroutines(t)
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}
+	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
 
 	local, _, err := Run(sys, cfg)
 	if err != nil {
@@ -159,8 +181,8 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run did not survive the worker crash: %v", err)
 	}
-	if rep.Retried == 0 {
-		t.Error("crash-interrupted subtasks did not surface in Report.Retried")
+	if got := retriedTask(t, rep).Worker; got != survivor {
+		t.Errorf("crash-interrupted task finished on %q, want the survivor %s", got, survivor)
 	}
 	if d := maxDeviation(t, remote, local, len(probes)); d > 1e-12 {
 		t.Errorf("failover waveform deviates %.3g V (budget 1e-12)", d)
@@ -184,7 +206,8 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	leak := guardGoroutines(t)
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}
+	// One node in-process: the plan the one-worker pool gets.
+	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 1}
 
 	local, _, err := Run(sys, cfg)
 	if err != nil {

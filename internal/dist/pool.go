@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -42,6 +43,11 @@ type TaskResult struct {
 	Elapsed time.Duration
 	// Retried counts re-dispatches after worker failures before success.
 	Retried int
+	// Worker is the address of the worker that solved it (RPC pools).
+	Worker string
+	// Wait is how long the task queued for an in-flight slot; the scheduler
+	// fills it in, pools leave it zero.
+	Wait time.Duration
 }
 
 // Pool runs subtasks somewhere: in-process goroutines (the default) or
@@ -51,6 +57,11 @@ type TaskResult struct {
 // waiting for the reply (the remote worker finishes on its own).
 type Pool interface {
 	Solve(ctx context.Context, task Task, req Request) (*TaskResult, error)
+	// Nodes reports how many subtasks the pool can run at once: the live
+	// workers of an RPC pool, the node count of an in-process pool. Run
+	// cuts the decomposition into that many tasks and, unless
+	// Config.Workers says otherwise, keeps that many in flight.
+	Nodes() int
 	// Close releases pool resources (network connections). The in-process
 	// pool has none.
 	Close() error
@@ -67,14 +78,29 @@ type Pool interface {
 // ones, so a long distributed run stops allocating per spot.
 type localPool struct {
 	sub        *circuit.System
+	nodes      int
 	cache      *sparse.Cache
 	workspaces *krylov.WorkspacePool
 }
 
-// newLocalPool wraps sys for zero-state subtasks sharing cache.
-func newLocalPool(sys *circuit.System, cache *sparse.Cache) *localPool {
-	return &localPool{sub: zeroStateSystem(sys), cache: cache, workspaces: krylov.NewWorkspacePool()}
+// NewLocalPool returns the in-process pool over sys, standing in for nodes
+// computing nodes (zero or less: GOMAXPROCS) whose subtasks share cache
+// (nil: a cache of the pool's own). It is what Run builds when Config.Pool
+// is nil. Handing Run a local pool of len(Partition(sys, tstop)) nodes
+// with Config.Workers = 1 reproduces, on one box, the paper's reading of
+// one machine per bump-feature group, each timed contention-free.
+func NewLocalPool(sys *circuit.System, nodes int, cache *sparse.Cache) Pool {
+	if nodes <= 0 {
+		nodes = runtime.GOMAXPROCS(0)
+	}
+	if cache == nil {
+		cache = sparse.NewCache(0)
+	}
+	return &localPool{sub: zeroStateSystem(sys), nodes: nodes, cache: cache, workspaces: krylov.NewWorkspacePool()}
 }
+
+// Nodes implements Pool.
+func (p *localPool) Nodes() int { return p.nodes }
 
 // Solve implements Pool.
 func (p *localPool) Solve(ctx context.Context, task Task, req Request) (*TaskResult, error) {
@@ -105,6 +131,7 @@ func (d *dispatcher) run(ctx context.Context, tasks []Task, req Request) ([]*Tas
 	d.results = make([]*TaskResult, len(tasks))
 	sem := make(chan struct{}, d.workers)
 	var wg sync.WaitGroup
+	queued := time.Now()
 	for i, task := range tasks {
 		// Stop dispatching once the run is canceled; in-flight subtasks see
 		// the same context and abort on their own.
@@ -121,6 +148,7 @@ func (d *dispatcher) run(ctx context.Context, tasks []Task, req Request) ([]*Tas
 		go func(i int, task Task) {
 			defer wg.Done()
 			defer func() { <-sem }()
+			wait := time.Since(queued)
 			tr, err := d.pool.Solve(ctx, task, req)
 			d.mu.Lock()
 			defer d.mu.Unlock()
@@ -130,6 +158,7 @@ func (d *dispatcher) run(ctx context.Context, tasks []Task, req Request) ([]*Tas
 				}
 				return
 			}
+			tr.Wait = wait
 			d.results[i] = tr
 		}(i, task)
 	}

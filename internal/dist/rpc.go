@@ -83,11 +83,12 @@ type rpcWorker struct {
 }
 
 // rpcPool dispatches subtasks to matexd workers over TCP. Subtasks are
-// spread round-robin; a worker whose transport fails mid-task is redialed
-// with capped exponential backoff and otherwise buried, and the task is
-// re-dispatched to the next live worker (counted in TaskResult.Retried,
-// surfaced via Report.Retried). An optional background prober re-admits
-// buried workers once they answer dials again.
+// spread round-robin — Run plans one task per live worker, so each worker
+// gets one. A worker whose transport fails mid-task is redialed with capped
+// exponential backoff and otherwise buried, and the task is re-dispatched
+// whole to the next live worker (counted in TaskResult.Retried, surfaced
+// via Report.Retried). An optional background prober re-admits buried
+// workers once they answer dials again.
 type rpcPool struct {
 	id   uint64
 	blob []byte
@@ -237,7 +238,7 @@ func (p *rpcPool) Solve(ctx context.Context, task Task, req Request) (*TaskResul
 			err = done.Error
 		}
 		if err == nil {
-			return &TaskResult{Result: reply.Result, Elapsed: time.Since(start), Retried: retried}, nil
+			return &TaskResult{Result: reply.Result, Elapsed: time.Since(start), Retried: retried, Worker: w.addr}, nil
 		}
 		if isDrainingError(err) {
 			// The worker is shutting down but its connection is healthy
@@ -272,6 +273,21 @@ func (p *rpcPool) retire(w *rpcWorker) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	w.dead = true
+}
+
+// Nodes implements Pool: the workers currently in the rotation. A worker
+// that died since its last dispatch still counts until a task fails on it;
+// that task then moves whole to a survivor.
+func (p *rpcPool) Nodes() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	live := 0
+	for _, w := range p.workers {
+		if !w.dead {
+			live++
+		}
+	}
+	return live
 }
 
 // size returns the worker count (live or dead) — the retry attempt basis.

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/pdn"
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -93,9 +95,23 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table3: TR on %s: %w", name, err)
 		}
+		// The paper's cluster: one machine per bump-feature group, whatever
+		// this box has. DC and every node share one cache, as under Run's
+		// own pool.
+		nodes := len(dist.Partition(sys, cfg.Tstop))
+		cache := sparse.NewCache(0)
+		// Run solves the DC point beside the fan-out. Factor G ahead of it,
+		// alone on the box, so the first node is not timed against that
+		// factorization; the paper's t_total pays DC and the node in turn.
+		tDC := time.Now()
+		if _, _, err := cache.Factor(sys.G, sparse.FactorAuto, sparse.OrderDefault); err != nil {
+			return nil, fmt.Errorf("table3: DC factorization on %s: %w", name, err)
+		}
+		dcFactor := time.Since(tDC)
 		mxRes, rep, err := dist.Run(sys, dist.Config{
 			Method: transient.RMATEX, Tstop: cfg.Tstop,
 			Tol: cfg.Tol, Gamma: cfg.Gamma, Probes: probes, Workers: cfg.Workers,
+			Cache: cache, Pool: dist.NewLocalPool(sys, nodes, cache),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table3: MATEX on %s: %w", name, err)
@@ -107,7 +123,7 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 			TTTotal: (trRes.Stats.DCTime + trRes.Stats.FactorTime + trRes.Stats.TransientTime).Seconds(),
 			Groups:  rep.Groups,
 			TRMatex: rep.MaxNodeTrTime.Seconds(),
-			TRTotal: (rep.DCTime + rep.MaxNodeTime).Seconds(),
+			TRTotal: (dcFactor + rep.DCTime + rep.MaxNodeTime).Seconds(),
 			GTS:     gtsCount(sys, cfg.Tstop),
 		}
 		row.MaxErr, row.AvgErr = compareAt(mxRes, trRes, len(probes))

@@ -451,8 +451,11 @@ type Status struct {
 	// sharing, panel width histogram — present once the job is done.
 	Variants int          `json:"variants,omitempty"`
 	Sweep    *sweep.Stats `json:"sweep,omitempty"`
-	// Groups/Retried surface the dist report for distributed jobs.
+	// Groups/Tasks/Retried surface the dist report for distributed jobs:
+	// bump-feature groups found, tasks they were merged into for the
+	// nodes present, re-dispatches after worker failures.
 	Groups  int `json:"groups,omitempty"`
+	Tasks   int `json:"tasks,omitempty"`
 	Retried int `json:"retried,omitempty"`
 }
 
@@ -481,6 +484,7 @@ func (j *Job) Status() Status {
 	}
 	if j.report != nil {
 		st.Groups = j.report.Groups
+		st.Tasks = j.report.Tasks
 		st.Retried = j.report.Retried
 	}
 	return st

@@ -528,6 +528,21 @@ func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 		if len(got.times) == 0 {
 			t.Fatalf("round %d: no samples streamed", round)
 		}
+		// The status carries the plan: the deck's groups, cut for the one
+		// worker configured.
+		sresp, err := http.Get(base + "/v1/jobs/" + got.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st serve.Status
+		err = json.NewDecoder(sresp.Body).Decode(&st)
+		sresp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Groups < 2 || st.Tasks != 1 {
+			t.Fatalf("round %d: status reports %d groups in %d tasks, want several groups in 1 task", round, st.Groups, st.Tasks)
+		}
 	}
 }
 

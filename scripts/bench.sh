@@ -4,15 +4,15 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR12.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR14.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR12.json is regenerated manually with the default
+# the committed BENCH_PR14.json is regenerated manually with the default
 # settings when the solver layer changes. The default pattern covers the
 # Krylov spot pipeline (PR 3), the factorization engine rows (PR 4-6),
-# and the scenario-sweep rows (PR 10):
+# the scenario-sweep rows (PR 10) and the D-MATEX plan rows (PR 14):
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
 # the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
 # *_mesh96nd rows (nested dissection, wide separator panels) the two ends
@@ -21,13 +21,16 @@
 # on separate domains, BenchmarkSolveSeq/Par_mesh96nd the coupled mesh
 # that only nested dissection can parallelize, and BenchmarkSweepSolo vs
 # BenchmarkSweep_k{4,8} the scenario-sweep amortization (benchcmp gates
-# Sweep_k8 ≤ 5x SweepSolo within the fresh run).
+# Sweep_k8 ≤ 5x SweepSolo within the fresh run), and
+# BenchmarkDist_PerGroup vs BenchmarkDist_2Nodes the distributed plan (one
+# task per bump group against the groups merged for two nodes; benchcmp
+# gates 2Nodes ≤ 0.80x PerGroup within the fresh run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR12.json}"
+out="${1:-BENCH_PR14.json}"
 benchtime="${BENCHTIME:-100x}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

@@ -58,6 +58,7 @@ func main() {
 	maxRatio := flag.Float64("max-ratio", 2.5, "fail when new/base ns/op exceeds this on any gated row")
 	parMaxRatio := flag.Float64("par-max-ratio", 1.15, "fail when a fresh SolvePar_* row is slower than its SolveSeq_* twin past this factor (small headroom for CI jitter; a broken task schedule blows well past it)")
 	sweepMaxRatio := flag.Float64("sweep-max-ratio", 5.0, "fail when the fresh BenchmarkSweep_k8 row costs more than this many fresh BenchmarkSweepSolo walls (8 variants for under 5 solo runs; lost sharing or batching blows past it)")
+	distMaxRatio := flag.Float64("dist-max-ratio", 0.80, "fail when the fresh BenchmarkDist_2Nodes_ibmpg1t row costs more than this fraction of the fresh BenchmarkDist_PerGroup_ibmpg1t row (the planner merges bump groups for the nodes present; a plan that stops merging, or merges groups far apart in time, lands near 1)")
 	flag.Parse()
 
 	sel, err := regexp.Compile(*rowsPat)
@@ -191,7 +192,27 @@ func main() {
 		}
 	}
 
+	// Plan gate: D-MATEX cut for two nodes must beat one task per bump
+	// group at the same in-flight bound — again fresh against fresh.
+	distFailed := false
+	if per, ok := fresh["BenchmarkDist_PerGroup_ibmpg1t"]; ok {
+		two := fresh["BenchmarkDist_2Nodes_ibmpg1t"]
+		ratio := two / per
+		status := ":white_check_mark:"
+		if distFailed = two == 0 || ratio > *distMaxRatio; distFailed {
+			status = ":x:"
+		}
+		fmt.Printf("\n### D-MATEX plan (fresh run, gate: Dist_2Nodes ≤ %.2fx Dist_PerGroup)\n\n", *distMaxRatio)
+		fmt.Printf("| per-group ns/op | 2-node ns/op | ratio | status |\n")
+		fmt.Printf("|---:|---:|---:|:-:|\n")
+		fmt.Printf("| %.0f | %.0f | %.2fx | %s |\n", per, two, ratio, status)
+	}
+
 	fmt.Println()
+	if distFailed {
+		fmt.Printf("**FAIL**: D-MATEX on two nodes costs more than %.2fx the one-task-per-group run.\n", *distMaxRatio)
+		os.Exit(1)
+	}
 	if sweepFailed > 0 {
 		fmt.Printf("**FAIL**: Sweep_k8 costs more than %.2fx a solo run.\n", *sweepMaxRatio)
 		os.Exit(1)

@@ -79,8 +79,10 @@ MATEXD_PID=""
 echo "matexd drained and exited 0"
 
 say "matexd chaos: kill -9 one of two workers mid-run"
-# A bigger deck with a slow fixed-step method so the distributed run lasts
-# long enough (~1s) for the kill to land while subtasks are in flight.
+# A bigger deck with a slow fixed-step method. The run is cut for its two
+# workers (two tasks of 100k steps, not one per bump group) and matexd logs
+# nothing per request, so timing is the only handle: the step is sized so
+# that each task outlasts the sleep before the kill several times over.
 "$workdir/pgbench" -case ibmpg1t -scale 0.5 > "$workdir/deck05.sp"
 "$workdir/matexd" -listen 127.0.0.1:19191 > "$workdir/w1.log" 2>&1 &
 W1_PID=$!
@@ -89,8 +91,10 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 # Fault-free reference over the same superposition grid: a single-worker
-# distributed run (the GTS grid is set by the decomposition, not the pool).
-"$workdir/matex" -method tr -step 1e-12 \
+# distributed run (the GTS grid is set by the decomposition, not the pool —
+# only the task cut follows the pool: one task here, two below, and a
+# fixed-step superposition is exact to rounding however it is cut).
+"$workdir/matex" -method tr -step 1e-13 \
     -workers 127.0.0.1:19191 "$workdir/deck05.sp" > "$workdir/chaos_ref.tsv"
 retried=0
 for attempt in 1 2 3; do
@@ -100,7 +104,7 @@ for attempt in 1 2 3; do
         grep -q "listening" "$workdir/w2.log" && break
         sleep 0.1
     done
-    "$workdir/matex" -stats -method tr -step 1e-12 \
+    "$workdir/matex" -stats -method tr -step 1e-13 \
         -workers 127.0.0.1:19191,127.0.0.1:19192 \
         "$workdir/deck05.sp" > "$workdir/chaos.tsv" 2> "$workdir/chaos.err" &
     CHAOS_PID=$!
@@ -116,7 +120,8 @@ for attempt in 1 2 3; do
     echo "attempt $attempt: run finished before the kill landed (retried=${retried:-?}), retrying"
     retried=0
 done
-[[ "$retried" -gt 0 ]] || { echo "worker kill never interrupted a subtask after 3 attempts"; exit 1; }
+[[ "$retried" -gt 0 ]] || { echo "worker kill never interrupted a task after 3 attempts"; exit 1; }
+grep -q '^tasks=2 ' "$workdir/chaos.err" || { echo "chaos run was not cut for its two workers"; cat "$workdir/chaos.err"; exit 1; }
 python3 - "$workdir/chaos_ref.tsv" "$workdir/chaos.tsv" <<'EOF'
 import sys
 ref = [l.split("\t") for l in open(sys.argv[1]) if l.strip()]
