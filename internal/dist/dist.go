@@ -76,10 +76,9 @@ type Config struct {
 	// harness sets 1 over a one-node-per-group pool so each node's runtime
 	// is measured contention-free.
 	Workers int
-	// FactorKind and Ordering select the sparse direct solver configuration,
+	// Ordering selects the sparse direct solver's fill-reducing ordering,
 	// applied identically on every node.
-	FactorKind sparse.FactorKind
-	Ordering   sparse.Ordering
+	Ordering sparse.Ordering
 	// Pool overrides where subtasks run. Nil uses an in-process goroutine
 	// pool of Workers nodes; NewRPCPool dispatches to matexd workers over
 	// TCP; NewLocalPool is the in-process pool with an explicit node count.
@@ -199,7 +198,6 @@ func subtaskRequest(cfg Config, gts []float64) Request {
 		MaxDim:       cfg.MaxDim,
 		Probes:       append([]int(nil), cfg.Probes...),
 		EvalTimes:    gts,
-		FactorKind:   cfg.FactorKind,
 		Ordering:     cfg.Ordering,
 		Krylov:       cfg.Krylov,
 		SolveWorkers: cfg.SolveWorkers,
@@ -247,7 +245,6 @@ func subtaskOptions(ctx context.Context, sub *circuit.System, task Task, req Req
 		Tol:          req.Tol,
 		Gamma:        req.Gamma,
 		MaxDim:       req.MaxDim,
-		FactorKind:   req.FactorKind,
 		Ordering:     req.Ordering,
 		ActiveInputs: active,
 		InitialState: make([]float64, sub.N),

@@ -42,4 +42,10 @@
 //
 // Report carries the plan, per-node wall times and work counters, feeding
 // the speedup tables in EXPERIMENTS.md.
+//
+// Wire compatibility: Request and transient.Result travel as gob, which
+// matches fields by name, ignores those the receiver lacks and zeroes those
+// the sender lacks. The FactorKind request field (never set to anything but
+// FactorAuto) and the unused Result.Full were dropped on that footing; old
+// and new matex/matexd interoperate.
 package dist

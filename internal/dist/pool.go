@@ -24,9 +24,8 @@ type Request struct {
 	MaxDim                  int
 	Probes                  []int
 	// EvalTimes is the shared GTS output grid every node emits snapshots on.
-	EvalTimes  []float64
-	FactorKind sparse.FactorKind
-	Ordering   sparse.Ordering
+	EvalTimes []float64
+	Ordering  sparse.Ordering
 	// Krylov is the subspace process every node runs (auto / arnoldi /
 	// lanczos; see krylov.Method).
 	Krylov krylov.Method

@@ -146,7 +146,8 @@ func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
 		if sub.Stats.TransientTime > rep.MaxNodeTrTime {
 			rep.MaxNodeTrTime = sub.Stats.TransientTime
 		}
-		aggregate(&res.Stats, &sub.Stats)
+		res.Stats.Add(&sub.Stats)
+		res.Stats.FactorTime += sub.Stats.FactorTime
 	}
 	res.Stats.TransientTime = rep.MaxNodeTrTime
 	return res, rep, nil
@@ -155,7 +156,7 @@ func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
 // solveDC factorizes G through the shared cache and solves the DC operating
 // point over all inputs.
 func solveDC(sys *circuit.System, cfg Config, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
-	fg, info, err := cache.FactorEx(sys.G, cfg.FactorKind, cfg.Ordering)
+	fg, info, err := cache.FactorEx(sys.G, sparse.FactorAuto, cfg.Ordering)
 	if err != nil {
 		return nil, info, fmt.Errorf("dist: DC factorization failed: %w", err)
 	}
@@ -198,22 +199,4 @@ func addProbes(times []float64, rows [][]float64, sub *transient.Result, nProbes
 			rows[i][k] += sub.InterpProbe(t, k)
 		}
 	}
-}
-
-// aggregate folds one node's work counters into the run totals.
-func aggregate(dst, src *transient.Stats) {
-	dst.Factorizations += src.Factorizations
-	dst.SolvePairs += src.SolvePairs
-	dst.SpMVs += src.SpMVs
-	dst.ExpmEvals += src.ExpmEvals
-	dst.KrylovDims = append(dst.KrylovDims, src.KrylovDims...)
-	dst.Steps += src.Steps
-	dst.Rejected += src.Rejected
-	dst.Regularized = dst.Regularized || src.Regularized
-	dst.CacheHits += src.CacheHits
-	dst.CacheMisses += src.CacheMisses
-	dst.LanczosSpots += src.LanczosSpots
-	dst.SymbolicHits += src.SymbolicHits
-	dst.Refactors += src.Refactors
-	dst.FactorTime += src.FactorTime
 }

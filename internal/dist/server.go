@@ -339,7 +339,6 @@ func (w *WorkerServer) Solve(args *SolveArgs, reply *SolveReply) error {
 		<-w.severed
 		return fmt.Errorf("dist: %w", faultinject.ErrInjected)
 	}
-	res.Full = nil // never ships; superposition only needs probes and Final
 	reply.Result = res
 	return nil
 }

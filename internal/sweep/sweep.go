@@ -22,14 +22,6 @@ type Options struct {
 	// Method is the integrator every variant runs (mixed-method sweeps
 	// are not supported; submit separate sweeps).
 	Method transient.Method
-	// DisableBatch turns off the cross-variant solve broker: lanes still
-	// share the cache but solve solo. Benchmarks use it to isolate the
-	// panel win.
-	DisableBatch bool
-	// DisableShare turns off collinear-variant sharing: every variant
-	// integrates on its own lane even when it is an exact scalar multiple
-	// of another.
-	DisableShare bool
 	// OnVariantSample, when non-nil, streams output samples. Directly
 	// integrated variants stream live as their lanes advance —
 	// concurrently, so the hook must be safe to call from multiple
@@ -150,7 +142,7 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 	if base.Cache == nil {
 		base.Cache = sparse.NewCache(0)
 	}
-	noShare := opts.DisableShare || len(opts.ResumeVariants) > 0
+	noShare := len(opts.ResumeVariants) > 0
 	groups := planGroups(cvs, opts.Method, noShare, opts.SkipVariants)
 	lanes, err := planLanes(sys, cvs, groups)
 	if err != nil {
@@ -171,7 +163,7 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 	}
 
 	var broker *sparse.PanelBroker
-	if !opts.DisableBatch && len(lanes) > 1 {
+	if len(lanes) > 1 {
 		broker = sparse.NewPanelBroker()
 	}
 	parent := base.Ctx
@@ -248,7 +240,11 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 	}
 
 	for i := range lanes {
-		foldStats(&res.Stats.Sim, &lanes[i].res.Stats)
+		sim, s := &res.Stats.Sim, &lanes[i].res.Stats
+		sim.Add(s)
+		sim.DCTime += s.DCTime
+		sim.FactorTime += s.FactorTime
+		sim.TransientTime += s.TransientTime
 	}
 	if broker != nil {
 		res.Stats.Panel = broker.Stats()
@@ -494,25 +490,4 @@ func combineRows(a, b [][]float64, c float64) [][]float64 {
 		out[i] = combineRow(a[i], b[i], c)
 	}
 	return out
-}
-
-// foldStats accumulates one lane's transient counters into the sweep
-// total.
-func foldStats(dst *transient.Stats, s *transient.Stats) {
-	dst.Factorizations += s.Factorizations
-	dst.SolvePairs += s.SolvePairs
-	dst.SpMVs += s.SpMVs
-	dst.ExpmEvals += s.ExpmEvals
-	dst.KrylovDims = append(dst.KrylovDims, s.KrylovDims...)
-	dst.Steps += s.Steps
-	dst.Rejected += s.Rejected
-	dst.Regularized = dst.Regularized || s.Regularized
-	dst.CacheHits += s.CacheHits
-	dst.CacheMisses += s.CacheMisses
-	dst.LanczosSpots += s.LanczosSpots
-	dst.SymbolicHits += s.SymbolicHits
-	dst.Refactors += s.Refactors
-	dst.DCTime += s.DCTime
-	dst.FactorTime += s.FactorTime
-	dst.TransientTime += s.TransientTime
 }

@@ -202,15 +202,6 @@ func TestSweepCollinearSharing(t *testing.T) {
 			t.Errorf("variant %q deviates from solo by %g > 1e-6", va.Name, d)
 		}
 	}
-	// Sharing off: every variant gets its own lane again.
-	optsNoShare := Options{Base: baseOpts(sys), Method: transient.RMATEX, DisableShare: true}
-	res2, err := Run(sys, variants, optsNoShare)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Stats.Lanes != len(variants) {
-		t.Errorf("DisableShare lanes = %d, want %d", res2.Stats.Lanes, len(variants))
-	}
 }
 
 // TestSweepCheckpointResume interrupts a sweep via a failing checkpoint

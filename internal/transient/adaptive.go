@@ -39,15 +39,18 @@ func quantizeStep(h, href float64) float64 {
 // sizes are quantized to a geometric √2 grid so that recurring sizes share
 // one factorization cache entry (Options.Cache).
 func simulateAdaptiveTR(sys *circuit.System, opts Options) (*Result, error) {
+	// The LTE target defaults from the caller's raw Tol: withDefaults would
+	// fill in the MATEX budget 1e-6, too strict here and then no longer
+	// distinguishable from an explicit request for it.
+	relTol := opts.Tol
+	if relTol <= 0 {
+		relTol = 1e-4
+	}
+	const absTol = 1e-9
 	opts = opts.withDefaults()
 	if opts.Tstop <= 0 {
 		return nil, fmt.Errorf("transient: adaptive TR needs positive Tstop")
 	}
-	relTol := opts.Tol
-	if relTol == 1e-6 { // MATEX default is too strict as an LTE target
-		relTol = 1e-4
-	}
-	const absTol = 1e-9
 
 	res := &Result{}
 	x, _, err := initialState(sys, opts, &res.Stats)

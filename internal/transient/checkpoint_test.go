@@ -120,6 +120,15 @@ func TestResumeMatchesOneShotAdaptiveAndMatex(t *testing.T) {
 			Tstop: 10e-9, Tol: 1e-7, Probes: probes, CheckpointEvery: 4,
 		})
 	}
+	// Singular C: R-MATEX resumes under the Eq. 5 treatment over the
+	// rational operator.
+	c, err := newOracleCase(1, oracleSingC, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResumeMatches(t, c.sys, RMATEX, Options{
+		Tstop: oracleTstop, Probes: []int{0, 1, c.sys.N - 1}, EvalTimes: c.evals, CheckpointEvery: 4,
+	})
 }
 
 func TestResumeMatchesOneShotMexp(t *testing.T) {

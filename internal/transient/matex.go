@@ -9,28 +9,43 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/krylov"
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
 // SimulateMatex runs the MATEX circuit solver (paper Alg. 2) in standard
-// (MEXP), inverted (I-MATEX) or rational (R-MATEX) mode.
+// (MEXP), inverted (I-MATEX) or rational (R-MATEX) mode: generate one Krylov
+// subspace at a transition spot, evaluate every snapshot of the
+// slope-constant segment from it by rescaling h — a small expm plus one n×m
+// multiply, no substitutions, the source of the paper's km-vs-N substitution
+// reduction — and move to the next spot. A mode is the operator its
+// subspaces are built from: factor(C), the DC factor of G, factor(C+γG). How
+// a segment's inputs b(t) = B·u(t) with slope s enter the step is picked per
+// segment from what the run observes, as one of three treatments — a Krylov
+// start vector plus an affine correction to every snapshot:
 //
-// Over a slope-constant input segment starting at a local transition spot t,
-// the exact piecewise-linear-input solution is
-//
-//	x(t+h) = e^{hA}x(t) + h·φ₁(hA)·b(t) + h²·φ₂(hA)·ḃ,
-//
-// evaluated as the leading block of e^{h·Ã}[x(t); 0; 1] on the standard
-// (n+2) augmented matrix (see krylov.Op). One Krylov subspace generated at
-// the transition spot therefore evaluates every snapshot inside the segment
-// by rescaling h — a small expm plus one n×m multiply, no substitutions —
-// which is the source of the paper's km-vs-N substitution reduction.
-//
-// (The paper states the step as e^{hA}(x+F(t,h)) - P(t,h), Eq. 5, which is
-// algebraically identical but forms A⁻¹b and A⁻²ḃ explicitly; on stiff
-// systems those intermediates are orders of magnitude larger than the
-// solution and cancel catastrophically, so this implementation uses the
-// φ-function form throughout.)
+//   - Augmented, the default: the exact piecewise-linear-input solution
+//     x(t+h) = e^{hA}x(t) + h·φ₁(hA)·b(t) + h²·φ₂(hA)·ḃ is the leading block
+//     of e^{h·Ã}[x(t); 0; 1] on the (n+2) augmented matrix (see krylov.Op);
+//     no correction.
+//   - Constant shift, on slope-free segments of symmetric systems unless
+//     Arnoldi is pinned: with x_ss = G⁻¹b the exact step is
+//     e^{hA}(x - x_ss) + x_ss, a homogeneous subspace from [x-x_ss; 0; 0]
+//     over an inert auxiliary chain — the configuration the symmetric
+//     Lanczos fast path accepts. PDN inputs are flat outside their bump
+//     ramps, so this covers most spots of a distributed zero-state subtask
+//     and the quiet stretches of a single run.
+//   - Eq. 5, the paper's literal x(t+h) = e^{hA}(x(t)+F) - P(h) over an
+//     input-free operator, with w0 = G⁻¹b(t), w1 = G⁻¹s, r2 = G⁻¹(C·w1),
+//     F = -w0 + r2 and P(h) = -(w0 + h·w1) + r2: always for I-MATEX (A⁻¹ has
+//     no augmented form, Ã being singular) and for R-MATEX when C has empty
+//     rows. It is the only correct treatment with algebraic nodes — the
+//     exponential acts on the deviation x+F, whose algebraic content
+//     vanishes, while the quasi-static P terms carry the algebraic values
+//     exactly. Its intermediates scale with A⁻²ḃ, orders of magnitude above
+//     the solution on stiff systems, and cancel catastrophically; that is
+//     why nonsingular-C runs augment (the constant shift is the benign
+//     slope-free case: no A⁻²ḃ term).
 func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Tstop <= 0 {
@@ -38,15 +53,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	}
 	if sys.C.NNZ() == 0 {
 		return nil, fmt.Errorf("transient: system has no dynamic elements (C is empty); the response is quasi-static — use DC analysis or a fixed-step method")
-	}
-	if method == IMATEX {
-		return simulateMatexFP(sys, method, opts)
-	}
-	if method == RMATEX && hasEmptyCRows(sys) {
-		// Singular C (algebraic nodes): the augmented φ-form would carry
-		// algebraic state values into the exponential; the Eq. 5 path keeps
-		// them in the quasi-static P terms where they belong.
-		return simulateMatexFP(sys, method, opts)
 	}
 	res := &Result{}
 	x, factG, err := initialState(sys, opts, &res.Stats)
@@ -59,6 +65,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	count := &krylov.Counters{}
 	tFac := time.Now()
 	var op *krylov.Op
+	useEq5 := false
 	switch method {
 	case MEXP:
 		fc, err := factorC(sys, opts, &res.Stats)
@@ -83,13 +90,16 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			}
 		}
 	case IMATEX:
-		return nil, errInvertedHandledSeparately
+		// No extra factorization: the operator reuses LU(G) from DC analysis.
+		op = krylov.NewInvertedOp(factG, sys.C, sys.G, count)
+		useEq5 = true
 	case RMATEX:
 		fs, err := acquireFactorSum(1, sys.C, opts.Gamma, sys.G, opts, &res.Stats)
 		if err != nil {
 			return nil, fmt.Errorf("transient: factorizing (C+γG): %w", err)
 		}
 		op = krylov.NewRationalOp(fs, sys.C, sys.G, opts.Gamma, count)
+		useEq5 = hasEmptyCRows(sys)
 	default:
 		return nil, fmt.Errorf("transient: SimulateMatex got %v", method)
 	}
@@ -117,8 +127,17 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	slope := make([]float64, n)
 	w0 := make([]float64, n)
 	work := make([]float64, n)
-	vaug := make([]float64, n+2)
-	xaug := make([]float64, n+2)
+	var w1, r2 []float64 // Eq. 5 only
+	var mdst, msrc [2][]float64
+	if useEq5 {
+		w1 = make([]float64, n)
+		r2 = make([]float64, n)
+		mdst, msrc = [2][]float64{w0, w1}, [2][]float64{bu0, slope}
+	}
+	// Krylov start vector and snapshot, in the operator's space: length n
+	// for the inverted operator, n+2 (the auxiliary chain) for the others.
+	v := make([]float64, op.N())
+	xs := make([]float64, op.N())
 	hChecks := make([]float64, 0, 2)
 	kopts := krylov.Options{MaxDim: opts.MaxDim, Tol: opts.Tol, Method: opts.Krylov, Workspace: ws}
 
@@ -129,7 +148,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	if cp := opts.resumeFrom; cp != nil {
 		// Resume at the checkpointed segment boundary: gi points at the last
 		// grid point the interrupted run emitted, and the restored buScale
-		// keeps the flatness tests (and hence the Lanczos-shift decisions)
+		// keeps the flatness tests (and hence the treatment decisions)
 		// identical to the uninterrupted run's.
 		tBase = cp.T
 		buScale = cp.BuScale
@@ -180,17 +199,30 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		// costs the exactness of the shifted path for nothing.
 		slopeZero := maxDiff <= 1e-14*buScale
 		buZero := maxBu0 <= 1e-14*buScale
-		// On slope-free segments of a symmetric system, shift out the
-		// constant input instead of augmenting: with x_ss = G⁻¹·B·u the
-		// exact step is x(t+h) = e^{hA}(x - x_ss) + x_ss, a homogeneous
-		// subspace over an inert auxiliary chain — which is exactly the
-		// configuration the symmetric Lanczos fast path accepts. PDN inputs
-		// are flat outside their bump ramps, so this covers most spots of a
-		// distributed zero-state subtask and the quiet stretches of a
-		// single run. The benign special case of the Eq. 5 form: without a
-		// slope there is no A⁻²ḃ term, so no catastrophic cancellation.
-		useShift := slopeZero && opts.Krylov != krylov.MethodArnoldi && op.SymmetricMatrices()
-		if useShift {
+
+		// The segment's input treatment: form the Krylov start vector here;
+		// evalAt below applies the matching correction.
+		shifted := false
+		switch {
+		case useEq5:
+			// w0 and w1 are independent right-hand sides: one blocked panel
+			// solve traverses the factor once for both when available; r2
+			// depends on w1 and follows separately.
+			if ms, ok := factG.(sparse.MultiSolver); ok {
+				ms.SolveMulti(mdst[:], msrc[:])
+			} else {
+				solveWith(factG, w0, bu0, work, opts)
+				solveWith(factG, w1, slope, work, opts)
+			}
+			sys.C.MulVec(r2, w1)
+			solveWith(factG, r2, r2, work, opts)
+			res.Stats.SolvePairs += 3
+			res.Stats.SpMVs++
+			for i := 0; i < n; i++ {
+				v[i] = x[i] - w0[i] + r2[i] // x(t) + F
+			}
+		case slopeZero && opts.Krylov != krylov.MethodArnoldi && op.SymmetricMatrices():
+			shifted = true
 			if buZero {
 				for i := range w0 {
 					w0[i] = 0
@@ -201,15 +233,15 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			}
 			op.ClearSegment()
 			for i := 0; i < n; i++ {
-				vaug[i] = x[i] - w0[i]
+				v[i] = x[i] - w0[i]
 			}
-			vaug[n] = 0
-			vaug[n+1] = 0
-		} else {
+			v[n] = 0
+			v[n+1] = 0
+		default:
 			op.SetSegment(bu0, slope)
-			copy(vaug[:n], x)
-			vaug[n] = 0
-			vaug[n+1] = 1
+			copy(v[:n], x)
+			v[n] = 0
+			v[n+1] = 1
 		}
 
 		// The subspace must be accurate at the segment end and at the first
@@ -218,7 +250,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		if gi+1 < len(grid) && grid[gi+1] < segEnd-waveform.SpotEps {
 			hChecks = append(hChecks, grid[gi+1]-t)
 		}
-		sub, err := krylov.Generate(op, vaug, hChecks, kopts)
+		sub, err := krylov.Generate(op, v, hChecks, kopts)
 		if errors.Is(err, krylov.ErrNoConvergence) {
 			// Split the segment: step only to the next grid point (or half
 			// the segment) and regenerate there. Counted as a rejection.
@@ -229,25 +261,31 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			}
 			var err2 error
 			hChecks = append(hChecks[:0], half-t)
-			sub, err2 = krylov.Generate(op, vaug, hChecks, kopts)
+			sub, err2 = krylov.Generate(op, v, hChecks, kopts)
 			if err2 != nil && (!errors.Is(err2, krylov.ErrNoConvergence) || sub == nil) {
 				return nil, fmt.Errorf("transient: %v at t=%g even after split: %w", method, t, err2)
 			}
 			// A non-converged full-depth subspace is used best-effort: the
-			// achievable accuracy at this stiffness is what gets measured.
+			// achievable accuracy at this stiffness (for Eq. 5, bounded by
+			// its A⁻² input terms) is what gets measured.
 			segEnd = half
 		} else if err != nil {
 			return nil, fmt.Errorf("transient: %v subspace at t=%g: %w", method, t, err)
 		}
 
-		// evalAt writes x(t+h) into xaug[:n] by subspace reuse.
+		// evalAt writes x(t+h) into xs[:n] by subspace reuse.
 		evalAt := func(h float64) error {
-			if err := sub.EvalExp(h, xaug); err != nil {
+			if err := sub.EvalExp(h, xs); err != nil {
 				return fmt.Errorf("transient: %v at t=%g: %w", method, t+h, err)
 			}
-			if useShift && !buZero {
+			switch {
+			case useEq5:
 				for i := 0; i < n; i++ {
-					xaug[i] += w0[i]
+					xs[i] += w0[i] + h*w1[i] - r2[i] // subtract P(h)
+				}
+			case shifted && !buZero:
+				for i := 0; i < n; i++ {
+					xs[i] += w0[i]
 				}
 			}
 			return nil
@@ -265,7 +303,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			lastEval = tp
 			res.Stats.Steps++
 			if waveform.ContainsSpot(outs, tp) {
-				res.record(tp, xaug[:n], &opts)
+				res.record(tp, xs[:n], &opts)
 			}
 		}
 		if lastEval < segEnd-waveform.SpotEps {
@@ -274,7 +312,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			}
 			res.Stats.Steps++
 		}
-		copy(x, xaug[:n])
+		copy(x, xs[:n])
 		tBase = segEnd
 		err = cpr.maybe(&res.Stats, func() Checkpoint {
 			return Checkpoint{Method: method.Name(), T: tBase, X: append([]float64(nil), x...), BuScale: buScale}

@@ -92,9 +92,6 @@ type Options struct {
 	Step float64
 	// Probes lists unknown indices recorded at every output time.
 	Probes []int
-	// KeepFull additionally records the full state at every output time
-	// (needed by the distributed superposition).
-	KeepFull bool
 	// EvalTimes are the output times for the MATEX solvers; nil defaults to
 	// the system's global transition spots. Fixed-step methods output at
 	// every step regardless.
@@ -114,9 +111,8 @@ type Options struct {
 	// are generally run without it (reuse across whole segments is their
 	// feature).
 	MaxStep float64
-	// FactorKind and Ordering select the sparse direct solver configuration.
-	FactorKind sparse.FactorKind
-	Ordering   sparse.Ordering
+	// Ordering selects the sparse direct solver's fill-reducing ordering.
+	Ordering sparse.Ordering
 	// ActiveInputs masks the system inputs (nil = all active); the
 	// distributed scheduler uses it to give each subtask one source group.
 	ActiveInputs []bool
@@ -276,6 +272,26 @@ func (s *Stats) MP() int {
 	return p
 }
 
+// Add folds another run's work counters into s — a D-MATEX node's into the
+// run totals, a sweep lane's into the sweep's. The three durations are left
+// to the caller: nodes run side by side, so whether they sum or the slowest
+// counts is the caller's policy.
+func (s *Stats) Add(o *Stats) {
+	s.Factorizations += o.Factorizations
+	s.SolvePairs += o.SolvePairs
+	s.SpMVs += o.SpMVs
+	s.ExpmEvals += o.ExpmEvals
+	s.KrylovDims = append(s.KrylovDims, o.KrylovDims...)
+	s.Steps += o.Steps
+	s.Rejected += o.Rejected
+	s.Regularized = s.Regularized || o.Regularized
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.LanczosSpots += o.LanczosSpots
+	s.SymbolicHits += o.SymbolicHits
+	s.Refactors += o.Refactors
+}
+
 // addCounters folds Krylov counters into the stats.
 func (s *Stats) addCounters(c *krylov.Counters) {
 	s.SolvePairs += c.SolvePairs
@@ -289,7 +305,6 @@ func (s *Stats) addCounters(c *krylov.Counters) {
 type Result struct {
 	Times  []float64
 	Probes [][]float64 // len(Times) rows of len(Options.Probes)
-	Full   [][]float64 // full states when Options.KeepFull
 	Final  []float64
 	Stats  Stats
 }
@@ -304,9 +319,6 @@ func (r *Result) record(t float64, x []float64, opts *Options) {
 			row[i] = x[p]
 		}
 		r.Probes = append(r.Probes, row)
-	}
-	if opts.KeepFull {
-		r.Full = append(r.Full, append([]float64(nil), x...))
 	}
 	if opts.OnSample != nil {
 		opts.OnSample(t, row)
@@ -371,14 +383,14 @@ func Simulate(sys *circuit.System, method Method, opts Options) (*Result, error)
 // one is configured and updating the work counters either way.
 func acquireFactor(a *sparse.CSC, opts Options, stats *Stats) (sparse.Factorization, error) {
 	if opts.Cache != nil {
-		f, info, err := opts.Cache.FactorEx(a, opts.FactorKind, opts.Ordering)
+		f, info, err := opts.Cache.FactorEx(a, sparse.FactorAuto, opts.Ordering)
 		if err != nil {
 			return nil, err
 		}
 		stats.AddFactorInfo(info)
 		return wrapPanel(f, opts), nil
 	}
-	f, err := sparse.Factor(a, opts.FactorKind, opts.Ordering)
+	f, err := sparse.Factor(a, sparse.FactorAuto, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}
@@ -403,14 +415,14 @@ func wrapPanel(f sparse.Factorization, opts Options) sparse.Factorization {
 // scalar shifts of one pattern onto a single analysis.
 func acquireFactorSum(alpha float64, a *sparse.CSC, beta float64, b *sparse.CSC, opts Options, stats *Stats) (sparse.Factorization, error) {
 	if opts.Cache != nil {
-		f, info, err := opts.Cache.FactorSumEx(alpha, a, beta, b, opts.FactorKind, opts.Ordering)
+		f, info, err := opts.Cache.FactorSumEx(alpha, a, beta, b, sparse.FactorAuto, opts.Ordering)
 		if err != nil {
 			return nil, err
 		}
 		stats.AddFactorInfo(info)
 		return wrapPanel(f, opts), nil
 	}
-	f, err := sparse.Factor(sparse.Add(alpha, a, beta, b), opts.FactorKind, opts.Ordering)
+	f, err := sparse.Factor(sparse.Add(alpha, a, beta, b), sparse.FactorAuto, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}

@@ -168,6 +168,32 @@ func TestAdaptiveTRRefactorizes(t *testing.T) {
 	}
 }
 
+// TestAdaptiveTRHonoursExplicitTolerance pins the LTE default to the
+// caller's raw Tol: an explicit 1e-6 — the value withDefaults fills in for
+// the MATEX methods — used to be taken for "unset" and loosened to 1e-4.
+func TestAdaptiveTRHonoursExplicitTolerance(t *testing.T) {
+	sys := pdnSystem(t, 0.2)
+	run := func(tol float64) *Result {
+		res, err := Simulate(sys, TRAdaptive, Options{Tstop: 10e-9, Tol: tol, Probes: []int{0, sys.NumNodes / 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	unset, loose, tight := run(0), run(1e-4), run(1e-6)
+	if tight.Stats.Steps <= loose.Stats.Steps {
+		t.Errorf("Tol 1e-6 took %d steps, Tol 1e-4 took %d: the tighter target was not honoured", tight.Stats.Steps, loose.Stats.Steps)
+	}
+	if len(unset.Times) != len(loose.Times) {
+		t.Fatalf("unset Tol took %d samples, Tol 1e-4 took %d", len(unset.Times), len(loose.Times))
+	}
+	for i := range unset.Times {
+		if unset.Times[i] != loose.Times[i] || unset.Probes[i][0] != loose.Probes[i][0] || unset.Probes[i][1] != loose.Probes[i][1] {
+			t.Fatalf("unset Tol and Tol 1e-4 diverge at sample %d", i)
+		}
+	}
+}
+
 func TestCrossMethodConsistencyOnPDN(t *testing.T) {
 	spec, err := pdn.IBMCase("ibmpg1t", 0.2)
 	if err != nil {
@@ -304,8 +330,8 @@ func TestMexpRegularizesSingularC(t *testing.T) {
 	if resR.Stats.Regularized {
 		t.Error("R-MATEX regularized; it should be regularization-free")
 	}
-	// Node b has no capacitor, so this run takes the Eq. 5 driver
-	// (simulateMatexFP), which must account its (C+γG) factorization too.
+	// Node b has no capacitor, so this run takes the Eq. 5 treatment; its
+	// (C+γG) factorization must be accounted like any other run's.
 	if resR.Stats.FactorTime <= 0 {
 		t.Errorf("R-MATEX on singular C reports FactorTime %v, want > 0", resR.Stats.FactorTime)
 	}
@@ -314,15 +340,12 @@ func TestMexpRegularizesSingularC(t *testing.T) {
 func TestResultHelpers(t *testing.T) {
 	r := &Result{}
 	x := []float64{1, 2, 3}
-	ropts := &Options{Probes: []int{0, 2}, KeepFull: true}
+	ropts := &Options{Probes: []int{0, 2}}
 	r.record(0, x, ropts)
 	x[0] = 5
 	r.record(1, x, ropts)
 	if r.Probes[0][0] != 1 || r.Probes[1][0] != 5 || r.Probes[0][1] != 3 {
 		t.Fatal("record wrong")
-	}
-	if r.Full[0][0] != 1 {
-		t.Fatal("Full must be a deep copy")
 	}
 	s := r.ProbeSeries(0)
 	if s[0] != 1 || s[1] != 5 {

@@ -40,8 +40,6 @@ import (
 
 // Sparse solver configuration and the factorization cache.
 type (
-	// FactorKind selects the sparse factorization algorithm.
-	FactorKind = sparse.FactorKind
 	// Ordering selects the fill-reducing ordering strategy.
 	Ordering = sparse.Ordering
 	// FactorCache is a concurrency-safe, content-addressed factorization
@@ -54,13 +52,6 @@ type (
 )
 
 const (
-	// FactorAuto tries LDLᵀ on symmetric matrices, falling back to LU.
-	FactorAuto = sparse.FactorAuto
-	// FactorGPLU always uses Gilbert-Peierls LU with partial pivoting.
-	FactorGPLU = sparse.FactorGPLU
-	// FactorLDLt always uses LDLᵀ.
-	FactorLDLt = sparse.FactorLDLt
-
 	// OrderDefault (the zero value) resolves to OrderRCM.
 	OrderDefault = sparse.OrderDefault
 	// OrderNatural keeps the input order.
@@ -208,8 +199,7 @@ type (
 	// SweepVariant.Overrides ("dc", "pulse" or "pwl").
 	SweepOverride = sweep.Override
 	// SweepOptions configures a sweep run: the shared base Options, the
-	// integrator, streaming/checkpoint hooks, and switches for the
-	// batching machinery.
+	// integrator, and the per-variant streaming/checkpoint/resume hooks.
 	SweepOptions = sweep.Options
 	// SweepResult is a completed sweep: one SweepVariantResult per
 	// requested variant plus the batching statistics.

@@ -167,7 +167,7 @@ func TestFacadeFactorCache(t *testing.T) {
 	cache := NewFactorCache(64 << 20)
 	opts := Options{
 		Tstop: 10e-9, Tol: 1e-7, Probes: []int{0},
-		FactorKind: FactorAuto, Ordering: OrderRCM, Cache: cache,
+		Ordering: OrderRCM, Cache: cache,
 	}
 	if _, err := Simulate(sys, RMATEX, opts); err != nil {
 		t.Fatal(err)

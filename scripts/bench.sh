@@ -4,15 +4,18 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR14.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR15.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR14.json is regenerated manually with the default
+# the committed BENCH_PR15.json is regenerated manually with the default
 # settings when the solver layer changes. The default pattern covers the
 # Krylov spot pipeline (PR 3), the factorization engine rows (PR 4-6),
-# the scenario-sweep rows (PR 10) and the D-MATEX plan rows (PR 14):
+# the scenario-sweep rows (PR 10), the D-MATEX plan rows (PR 14) and one
+# end-to-end row per MATEX input treatment (PR 15: Table2_IMATEX_ibmpg1t is
+# the Eq. 5 treatment, Table2_RMATEX_ibmpg1t the augmented and
+# constant-shift treatments of the one driver):
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
 # the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
 # *_mesh96nd rows (nested dissection, wide separator panels) the two ends
@@ -28,9 +31,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR14.json}"
+out="${1:-BENCH_PR15.json}"
 benchtime="${BENCHTIME:-100x}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

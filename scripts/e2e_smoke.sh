@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # e2e_smoke.sh — end-to-end smoke of the three binaries working together:
 #
-#   1. pgbench | matex            one-shot CLI over a generated deck
+#   1. pgbench | matex            one-shot CLI over a generated deck, then
+#                                 -method imatex against -method rmatex:
+#                                 the driver's input treatments must agree
+#                                 to 1e-6 V
 #   2. matexd TCP loopback        distributed run over a real worker,
 #                                 then a SIGTERM graceful-drain check
 #   3. matexd chaos               kill -9 one of two workers mid-run; the
@@ -49,6 +52,26 @@ say "matex -stream matches buffered output"
 "$workdir/matex" -stream "$workdir/deck.sp" > "$workdir/streamed.tsv"
 cmp "$workdir/oneshot.tsv" "$workdir/streamed.tsv"
 echo "streamed TSV identical to buffered"
+
+say "I-MATEX and R-MATEX cross-check"
+# Two faces of the one MATEX driver on the same deck: I-MATEX is the Eq. 5
+# input treatment over the DC factors of G, R-MATEX the augmented and
+# constant-shift treatments over factor(C+γG). Different operators and
+# disjoint input arithmetic must land on the same waveform.
+"$workdir/matex" -method imatex "$workdir/deck.sp" > "$workdir/imatex.tsv"
+"$workdir/matex" -method rmatex "$workdir/deck.sp" > "$workdir/rmatex.tsv"
+python3 - "$workdir/imatex.tsv" "$workdir/rmatex.tsv" <<'EOF'
+import sys
+a = [l.split("\t") for l in open(sys.argv[1]) if l.strip()]
+b = [l.split("\t") for l in open(sys.argv[2]) if l.strip()]
+assert len(a) == len(b) > 2, "row count %d vs %d" % (len(a), len(b))
+worst = 0.0
+for r, g in zip(a[1:], b[1:]):
+    assert r[0] == g[0], "time column diverged: %s vs %s" % (r[0], g[0])
+    worst = max(worst, max(abs(float(x) - float(y)) for x, y in zip(r[1:], g[1:])))
+assert worst <= 1e-6, "I-MATEX and R-MATEX deviate %g V" % worst
+print("I-MATEX matches R-MATEX (max deviation %g V)" % worst)
+EOF
 
 say "matexd TCP loopback"
 "$workdir/matexd" -listen 127.0.0.1:19090 > "$workdir/matexd.log" 2>&1 &
