@@ -49,7 +49,7 @@ func main() {
 	gamma := flag.Float64("gamma", 1e-10, "rational shift γ for rmatex")
 	distributed := flag.Bool("distributed", false, "decompose sources by bump feature and superpose")
 	workers := flag.String("workers", "", "comma-separated matexd TCP addresses (implies -distributed)")
-	order := flag.String("order", "default", "fill-reducing ordering: default (=rcm), natural, rcm, mindeg, nd")
+	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible), arnoldi, lanczos")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
 	solvePar := flag.Int("solve-par", 0, "goroutines for level-scheduled parallel triangular solves (0/1 = sequential; effective only when the factor's level schedule is wide enough)")

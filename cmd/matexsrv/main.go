@@ -54,7 +54,7 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job capacity; a full queue answers 429")
 	cacheMB := flag.Int("cache-mb", 512, "shared factorization cache budget in MiB (<=0 selects the default)")
 	distWorkers := flag.String("dist-workers", "", "comma-separated matexd TCP addresses for distributed jobs (empty = in-process pool)")
-	order := flag.String("order", "default", "default fill-reducing ordering for jobs that do not set their own: default (=rcm), natural, rcm, mindeg, nd")
+	order := flag.String("order", "default", "default fill-reducing ordering for jobs that do not set their own: default (=nd), natural, mindeg, nd")
 	grace := flag.Duration("grace", 30*time.Second, "drain budget after SIGINT/SIGTERM before running jobs are canceled")
 	stateDir := flag.String("state-dir", "", "durable-job journal directory; jobs survive a crash and resume from their last checkpoint (empty = in-memory only)")
 	cpEvery := flag.Int("checkpoint-every", 0, "journaled-checkpoint cadence in accepted integrator steps (0 = default 128; needs -state-dir)")

@@ -133,10 +133,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxDim <= 0 {
 		c.MaxDim = 256
 	}
-	// Resolve the ordering once, here: previously the scheduler's own DC
-	// factorization ran with the raw zero value (natural ordering) while
-	// every subtask resolved it to RCM — inconsistent fill and, with a
-	// shared cache, needlessly distinct cache keys.
+	// Resolve the ordering once, here, so the scheduler's own DC
+	// factorization and every subtask share one fill and, with a shared
+	// cache, one cache key.
 	c.Ordering = c.Ordering.Resolve()
 	return c
 }

@@ -58,7 +58,7 @@ func TestGridDCNearVDD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderRCM)
+	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestGridWithPackageRL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderRCM)
+	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestIBMCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, _, err := sys.DC(sparse.FactorAuto, sparse.OrderRCM); err != nil {
+		if _, _, err := sys.DC(sparse.FactorAuto, sparse.OrderDefault); err != nil {
 			t.Fatalf("%s: DC failed: %v", name, err)
 		}
 	}

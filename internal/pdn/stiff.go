@@ -115,11 +115,11 @@ func SpectralEdges(sys *circuit.System, iters int) (fast, slow float64, err erro
 	if iters <= 0 {
 		iters = 200
 	}
-	fc, err := sparse.Factor(sys.C, sparse.FactorAuto, sparse.OrderRCM)
+	fc, err := sparse.Factor(sys.C, sparse.FactorAuto, sparse.OrderDefault)
 	if err != nil {
 		return 0, 0, fmt.Errorf("pdn: spectral edges need nonsingular C: %w", err)
 	}
-	fg, err := sparse.Factor(sys.G, sparse.FactorAuto, sparse.OrderRCM)
+	fg, err := sparse.Factor(sys.G, sparse.FactorAuto, sparse.OrderDefault)
 	if err != nil {
 		return 0, 0, fmt.Errorf("pdn: spectral edges need nonsingular G: %w", err)
 	}

@@ -45,7 +45,7 @@ type JobSpec struct {
 	MaxDim int     `json:"max_dim,omitempty"`
 	// Krylov: "auto", "arnoldi", "lanczos" (empty = auto).
 	Krylov string `json:"krylov,omitempty"`
-	// Ordering: "default", "natural", "rcm", "mindeg", "nd" (empty =
+	// Ordering: "default", "natural", "mindeg", "nd" (empty =
 	// default, resolved against the server's -order setting).
 	Ordering string `json:"ordering,omitempty"`
 	// SolveWorkers > 1 enables level-scheduled parallel triangular solves.

@@ -32,7 +32,7 @@ type Config struct {
 	DistAddrs []string
 	// Ordering is the fill-reducing ordering applied to jobs whose spec
 	// leaves the ordering unset (matexsrv -order). The zero value keeps
-	// the repository default resolution (rcm).
+	// the repository default resolution (sparse.Ordering.Resolve: nd).
 	Ordering sparse.Ordering
 	// MaxRetainedJobs bounds how many finished jobs (and their retained
 	// sample waveforms) stay queryable/replayable after completion; once

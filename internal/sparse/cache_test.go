@@ -40,7 +40,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestCacheHitReturnsSameFactorization(t *testing.T) {
 	c := NewCache(0)
 	a := cacheTestMatrix(20, 4)
-	f1, hit1, err := c.Factor(a, FactorAuto, OrderRCM)
+	f1, hit1, err := c.Factor(a, FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCacheHitReturnsSameFactorization(t *testing.T) {
 		t.Error("first acquisition reported as hit")
 	}
 	// A content-equal but distinct matrix object must hit.
-	f2, hit2, err := c.Factor(cacheTestMatrix(20, 4), FactorAuto, OrderRCM)
+	f2, hit2, err := c.Factor(cacheTestMatrix(20, 4), FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,18 +58,19 @@ func TestCacheHitReturnsSameFactorization(t *testing.T) {
 	if f1 != f2 {
 		t.Error("hit returned a different factorization object")
 	}
-	// OrderDefault resolves to RCM: same cache entry.
-	if _, hit3, _ := c.Factor(a, FactorAuto, OrderDefault); !hit3 {
-		t.Error("OrderDefault and OrderRCM produced distinct cache entries")
+	// The key holds the resolved ordering: naming the default's resolution
+	// explicitly is the same entry, whatever that resolution is.
+	if f3, hit3, _ := c.Factor(a, FactorAuto, OrderDefault.Resolve()); !hit3 || f3 != f1 {
+		t.Error("OrderDefault and OrderDefault.Resolve() produced distinct cache entries")
 	}
 	// A different kind, ordering or content misses.
-	if _, hit, _ := c.Factor(a, FactorGPLU, OrderRCM); hit {
+	if _, hit, _ := c.Factor(a, FactorGPLU, OrderDefault); hit {
 		t.Error("different FactorKind hit the LDLT entry")
 	}
 	if _, hit, _ := c.Factor(a, FactorAuto, OrderNatural); hit {
 		t.Error("different ordering hit")
 	}
-	if _, hit, _ := c.Factor(cacheTestMatrix(20, 5), FactorAuto, OrderRCM); hit {
+	if _, hit, _ := c.Factor(cacheTestMatrix(20, 5), FactorAuto, OrderDefault); hit {
 		t.Error("different content hit")
 	}
 	st := c.Stats()
@@ -83,7 +84,7 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 	a := cacheTestMatrix(15, 4)
 	b := cacheTestMatrix(15, 6)
 	alpha, beta := 2.5, 0.75
-	f, hit, err := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderRCM)
+	f, hit, err := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,10 +108,10 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 		}
 	}
 	// Same scalars hit; different scalars miss (the shift is in the key).
-	if _, hit, _ := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderRCM); !hit {
+	if _, hit, _ := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault); !hit {
 		t.Error("identical FactorSum missed")
 	}
-	if _, hit, _ := c.FactorSum(alpha, a, beta*1.000001, b, FactorAuto, OrderRCM); hit {
+	if _, hit, _ := c.FactorSum(alpha, a, beta*1.000001, b, FactorAuto, OrderDefault); hit {
 		t.Error("different beta hit")
 	}
 }
@@ -119,7 +120,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Budget sized to hold only a couple of 30-node tridiagonal factors.
 	c := NewCache(4 << 10)
 	for d := 0; d < 12; d++ {
-		if _, _, err := c.Factor(cacheTestMatrix(30, 4+float64(d)), FactorAuto, OrderRCM); err != nil {
+		if _, _, err := c.Factor(cacheTestMatrix(30, 4+float64(d)), FactorAuto, OrderDefault); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -134,7 +135,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("all %d entries retained despite budget", st.Entries)
 	}
 	// The most recently used entry must have survived.
-	if _, hit, _ := c.Factor(cacheTestMatrix(30, 15), FactorAuto, OrderRCM); !hit {
+	if _, hit, _ := c.Factor(cacheTestMatrix(30, 15), FactorAuto, OrderDefault); !hit {
 		t.Error("most recent entry was evicted")
 	}
 }
@@ -149,7 +150,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			f, _, err := c.Factor(a, FactorAuto, OrderRCM)
+			f, _, err := c.Factor(a, FactorAuto, OrderDefault)
 			if err != nil {
 				t.Error(err)
 				return
@@ -187,7 +188,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 
 func TestCacheReset(t *testing.T) {
 	c := NewCache(0)
-	if _, _, err := c.Factor(cacheTestMatrix(10, 4), FactorAuto, OrderRCM); err != nil {
+	if _, _, err := c.Factor(cacheTestMatrix(10, 4), FactorAuto, OrderDefault); err != nil {
 		t.Fatal(err)
 	}
 	c.Reset()
@@ -195,7 +196,7 @@ func TestCacheReset(t *testing.T) {
 	if st.Entries != 0 || st.Bytes != 0 || st.Misses != 0 {
 		t.Errorf("Reset left state behind: %+v", st)
 	}
-	if _, hit, _ := c.Factor(cacheTestMatrix(10, 4), FactorAuto, OrderRCM); hit {
+	if _, hit, _ := c.Factor(cacheTestMatrix(10, 4), FactorAuto, OrderDefault); hit {
 		t.Error("hit after Reset")
 	}
 }
@@ -214,12 +215,12 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				d := 4 + float64(r.Intn(6))
 				if r.Intn(2) == 0 {
-					if _, _, err := c.Factor(cacheTestMatrix(25, d), FactorAuto, OrderRCM); err != nil {
+					if _, _, err := c.Factor(cacheTestMatrix(25, d), FactorAuto, OrderDefault); err != nil {
 						t.Error(err)
 					}
 				} else {
 					a := cacheTestMatrix(25, d)
-					if _, _, err := c.FactorSum(1, a, 0.5, a, FactorAuto, OrderRCM); err != nil {
+					if _, _, err := c.FactorSum(1, a, 0.5, a, FactorAuto, OrderDefault); err != nil {
 						t.Error(err)
 					}
 				}

@@ -1,7 +1,7 @@
 // Package sparse implements the sparse linear algebra substrate used by the
 // MATEX transient simulator: compressed sparse column (CSC) matrices, a
-// triplet builder, fill-reducing orderings (reverse Cuthill-McKee, bucketed
-// minimum degree and nested dissection), a left-looking sparse LU
+// triplet builder, fill-reducing orderings (nested dissection, the default, and
+// bucketed minimum degree, its leaf orderer), a left-looking sparse LU
 // factorization with partial pivoting (Gilbert-Peierls) for unsymmetric
 // stamps, and an LDL^T factorization for symmetric systems split into a
 // once-per-pattern symbolic analysis (Symbolic) and an allocation-free

@@ -9,7 +9,7 @@ import (
 
 func TestLDLTSolveSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	for _, order := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
+	for _, order := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
 		for _, n := range []int{1, 2, 10, 50} {
 			a := randomSPD(rng, n)
 			f, err := FactorLDLT(a, order)
@@ -32,11 +32,11 @@ func TestLDLTSolveSPD(t *testing.T) {
 func TestLDLTMatchesLU(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	a := randomSPD(rng, 30)
-	fl, err := FactorLDLT(a, OrderRCM)
+	fl, err := FactorLDLT(a, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fu, err := FactorLU(a, OrderRCM, 1.0)
+	fu, err := FactorLU(a, OrderDefault, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestQuickLDLTSolve(t *testing.T) {
 func TestFactorAutoPicksLDLTForSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randomSPD(rng, 20)
-	f, err := Factor(a, FactorAuto, OrderRCM)
+	f, err := Factor(a, FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFactorAutoPicksLDLTForSPD(t *testing.T) {
 		t.Errorf("FactorAuto chose %T for SPD matrix, want *LDLT", f)
 	}
 	b := randomSparse(rng, 20, 0.2)
-	f2, err := Factor(b, FactorAuto, OrderRCM)
+	f2, err := Factor(b, FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func BenchmarkLDLTFactorGrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FactorLDLT(a, OrderRCM); err != nil {
+		if _, err := FactorLDLT(a, OrderDefault); err != nil {
 			b.Fatal(err)
 		}
 	}

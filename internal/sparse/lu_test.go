@@ -42,7 +42,7 @@ func TestLUSolveSmallKnown(t *testing.T) {
 
 func TestLUSolveRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	for _, order := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
+	for _, order := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
 		for _, n := range []int{1, 2, 5, 20, 80} {
 			a := randomSparse(rng, n, 0.15)
 			f, err := FactorLU(a, order, 1.0)
@@ -67,7 +67,7 @@ func TestLUFactorsMultiply(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 15
 	a := randomSparse(rng, n, 0.3)
-	f, err := FactorLU(a, OrderRCM, 1.0)
+	f, err := FactorLU(a, OrderDefault, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func BenchmarkLUFactorGrid(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FactorLU(a, OrderRCM, 1.0); err != nil {
+		if _, err := FactorLU(a, OrderDefault, 1.0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -233,7 +233,7 @@ func BenchmarkLUFactorGrid(b *testing.B) {
 
 func BenchmarkLUSolveGrid(b *testing.B) {
 	a := gridLaplacian(40, 40)
-	f, err := FactorLU(a, OrderRCM, 1.0)
+	f, err := FactorLU(a, OrderDefault, 1.0)
 	if err != nil {
 		b.Fatal(err)
 	}

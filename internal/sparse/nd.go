@@ -8,7 +8,8 @@ package sparse
 // the separator tree is exactly the shape the parallel triangular solves
 // want: the two halves share no factor rows below the separator, so the
 // elimination-tree task cut finds balanced independent subtrees even on one
-// strongly coupled mesh, where RCM's chain-like etree has none.
+// strongly coupled mesh, where a bandwidth ordering's chain-like etree has
+// none.
 
 // ndLeafSize is the subgraph size below which recursion stops and minimum
 // degree orders the leaf directly.

@@ -2,12 +2,11 @@ package sparse
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
-// ParseOrdering resolves an ordering name ("default", "natural", "rcm",
-// "mindeg", "nd"; case-insensitive) — the spelling shared by the matex CLI
+// ParseOrdering resolves an ordering name ("default", "natural", "mindeg",
+// "nd"; case-insensitive) — the spelling shared by the matex CLI
 // flags and the serve job API. The empty string selects OrderDefault.
 func ParseOrdering(name string) (Ordering, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
@@ -15,8 +14,6 @@ func ParseOrdering(name string) (Ordering, error) {
 		return OrderDefault, nil
 	case "natural":
 		return OrderNatural, nil
-	case "rcm":
-		return OrderRCM, nil
 	case "mindeg", "mindegree", "min-degree":
 		return OrderMinDegree, nil
 	case "nd", "nested", "nested-dissection", "nesteddissection":
@@ -29,16 +26,17 @@ func ParseOrdering(name string) (Ordering, error) {
 type Ordering int
 
 const (
-	// OrderDefault is the zero value: "no preference", resolved to OrderRCM
+	// OrderDefault is the zero value: "no preference", resolved to OrderND
 	// wherever an ordering is actually applied (see Resolve). Keeping the
 	// default distinct from OrderNatural lets callers genuinely request
 	// natural ordering.
 	OrderDefault Ordering = iota
 	// OrderNatural keeps the input order.
 	OrderNatural
-	// OrderRCM applies reverse Cuthill-McKee to the pattern of A+Aᵀ,
-	// a bandwidth-reducing ordering well suited to grid circuits.
-	OrderRCM
+	// Value 2 was reverse Cuthill-McKee, deleted because it won on no
+	// committed pattern (EXPERIMENTS.md "Ordering table"). The slot stays
+	// reserved: Ordering integers are wire-significant in the dist protocol.
+	orderRetiredRCM
 	// OrderMinDegree applies a greedy minimum-degree ordering to the
 	// pattern of A+Aᵀ using an elimination graph.
 	OrderMinDegree
@@ -47,19 +45,24 @@ const (
 	// the leaves, separators ordered last. Its balanced separator tree both
 	// bounds fill on 2D meshes and gives the parallel triangular solves
 	// independent subtrees to fan out over — including on coupled meshes
-	// whose RCM/MinDegree elimination trees have no usable task cut.
+	// whose MinDegree elimination tree has no usable task cut.
 	// (Appended after the earlier values: Ordering integers are
 	// wire-significant in the dist protocol.)
 	OrderND
 )
 
-// Resolve maps OrderDefault to the repository-wide default resolution
-// (OrderRCM) and returns any explicit choice unchanged. Cache keys and
-// factorizations use the resolved value so OrderDefault and OrderRCM are
-// interchangeable.
+// Resolve maps OrderDefault to the repository-wide default resolution and
+// returns any explicit choice unchanged. The default is OrderND, picked by
+// measurement (EXPERIMENTS.md "Ordering table"): on every committed pattern
+// its factor is within 1.1–1.3× of MinDegree's — the smallest — at a fifth
+// to a tenth of the ordering time, which is what a cold one-shot run pays.
+// Cache keys and factorizations use the resolved value so OrderDefault and
+// OrderND are interchangeable. The retired value resolves like the default,
+// so a peer built before the deletion gets a fill-reducing ordering rather
+// than, silently, the natural one.
 func (o Ordering) Resolve() Ordering {
-	if o == OrderDefault {
-		return OrderRCM
+	if o == OrderDefault || o == orderRetiredRCM {
+		return OrderND
 	}
 	return o
 }
@@ -70,8 +73,6 @@ func (o Ordering) String() string {
 		return "default"
 	case OrderNatural:
 		return "natural"
-	case OrderRCM:
-		return "rcm"
 	case OrderMinDegree:
 		return "mindeg"
 	case OrderND:
@@ -82,11 +83,9 @@ func (o Ordering) String() string {
 
 // Order computes a permutation p for matrix a under the chosen strategy.
 // Column/row k of the permuted matrix is p[k] of the original. OrderDefault
-// resolves to OrderRCM.
+// resolves to OrderND.
 func Order(a *CSC, o Ordering) []int {
 	switch o.Resolve() {
-	case OrderRCM:
-		return RCM(a)
 	case OrderMinDegree:
 		return MinDegree(a)
 	case OrderND:
@@ -98,74 +97,6 @@ func Order(a *CSC, o Ordering) []int {
 		}
 		return p
 	}
-}
-
-// RCM returns the reverse Cuthill-McKee ordering of the pattern of a+aᵀ.
-// Component roots are the minimum-degree unvisited nodes, found by walking
-// one globally degree-sorted seed list (O(n log n) once) instead of
-// rescanning all nodes per component; the BFS reuses a single neighbor
-// scratch buffer across pops.
-func RCM(a *CSC) []int {
-	n := a.Cols
-	adj := symPattern(a)
-	deg := make([]int, n)
-	for i := range adj {
-		deg[i] = len(adj[i])
-	}
-	// Seeds sorted by (degree, index): the first unvisited seed is always
-	// the minimum-degree unvisited node, matching the classical root choice.
-	seeds := make([]int, n)
-	for i := range seeds {
-		seeds[i] = i
-	}
-	sort.Slice(seeds, func(x, y int) bool {
-		if deg[seeds[x]] != deg[seeds[y]] {
-			return deg[seeds[x]] < deg[seeds[y]]
-		}
-		return seeds[x] < seeds[y]
-	})
-	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	queue := make([]int, 0, n)
-	nbrs := make([]int, 0, 16)
-
-	for si := 0; si < n; si++ {
-		root := seeds[si]
-		if visited[root] {
-			continue
-		}
-		visited[root] = true
-		queue = append(queue[:0], root)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			order = append(order, v)
-			nbrs = nbrs[:0]
-			for _, w := range adj[v] {
-				if !visited[w] {
-					visited[w] = true
-					nbrs = append(nbrs, w)
-				}
-			}
-			// Insertion sort by degree: neighbor lists are short and almost
-			// sorted on meshes, and this avoids sort.Slice's closure
-			// allocation in the hot loop.
-			for i := 1; i < len(nbrs); i++ {
-				w := nbrs[i]
-				j := i - 1
-				for j >= 0 && deg[nbrs[j]] > deg[w] {
-					nbrs[j+1] = nbrs[j]
-					j--
-				}
-				nbrs[j+1] = w
-			}
-			queue = append(queue, nbrs...)
-		}
-	}
-	// Reverse for RCM.
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
 }
 
 // degreeLists is a bucket structure over node degrees: doubly linked lists
@@ -302,22 +233,4 @@ func minDegreeAdj(adj [][]int) []int {
 		adj[v] = nil
 	}
 	return order
-}
-
-// Bandwidth returns the half bandwidth max|i-j| over stored entries, a
-// quality metric for RCM in tests.
-func Bandwidth(a *CSC) int {
-	bw := 0
-	for j := 0; j < a.Cols; j++ {
-		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
-			d := a.Rowidx[p] - j
-			if d < 0 {
-				d = -d
-			}
-			if d > bw {
-				bw = d
-			}
-		}
-	}
-	return bw
 }

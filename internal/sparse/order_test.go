@@ -10,31 +10,12 @@ func TestOrdersArePermutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for _, n := range []int{1, 2, 7, 40} {
 		a := randomSparse(rng, n, 0.2)
-		for _, o := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree, OrderND} {
+		for _, o := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
 			p := Order(a, o)
 			if !IsPerm(p) {
 				t.Fatalf("order %v on n=%d is not a permutation: %v", o, n, p)
 			}
 		}
-	}
-}
-
-func TestRCMReducesBandwidth(t *testing.T) {
-	// Build a grid Laplacian, scramble it with a random symmetric
-	// permutation, then check RCM recovers a small bandwidth.
-	a := gridLaplacian(15, 15)
-	n := a.Rows
-	rng := rand.New(rand.NewSource(31))
-	scramble := rng.Perm(n)
-	scrambled := PermuteSym(a, scramble)
-	before := Bandwidth(scrambled)
-	p := RCM(scrambled)
-	after := Bandwidth(PermuteSym(scrambled, p))
-	if after >= before {
-		t.Fatalf("RCM bandwidth %d did not improve on scrambled %d", after, before)
-	}
-	if after > 40 {
-		t.Errorf("RCM bandwidth %d unexpectedly large for 15x15 grid", after)
 	}
 }
 
@@ -67,8 +48,22 @@ func TestMinDegreeReducesFill(t *testing.T) {
 }
 
 func TestOrderingStrings(t *testing.T) {
-	if OrderNatural.String() != "natural" || OrderRCM.String() != "rcm" || OrderMinDegree.String() != "mindeg" || OrderND.String() != "nd" {
+	if OrderNatural.String() != "natural" || OrderMinDegree.String() != "mindeg" || OrderND.String() != "nd" {
 		t.Error("Ordering.String values changed")
+	}
+	// Wire-significant in dist: the integers never move, and the slot RCM
+	// held stays retired — no name, no spelling, resolved like the default.
+	if OrderDefault != 0 || OrderNatural != 1 || OrderMinDegree != 3 || OrderND != 4 {
+		t.Error("Ordering integer values changed")
+	}
+	if _, err := ParseOrdering("rcm"); err == nil {
+		t.Error(`ParseOrdering accepted the retired "rcm"`)
+	}
+	if Ordering(2).Resolve() != OrderDefault.Resolve() || Ordering(2).String() != "unknown" {
+		t.Error("retired ordering value 2 does not resolve like the default")
+	}
+	if OrderNatural.Resolve() != OrderNatural {
+		t.Error("natural ordering did not stay natural")
 	}
 	if o, err := ParseOrdering("nd"); err != nil || o != OrderND {
 		t.Errorf("ParseOrdering(nd) = %v, %v", o, err)

@@ -68,7 +68,7 @@ func TestRefactorMatchesFreshAcrossShifts(t *testing.T) {
 
 	// One analysis for the whole γ family.
 	base := Add(1, c, 1e-10, g)
-	for _, order := range []Ordering{OrderNatural, OrderRCM, OrderMinDegree} {
+	for _, order := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
 		sym, err := AnalyzeLDLT(base, order)
 		if err != nil {
 			t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRefactorMatchesFreshAcrossShifts(t *testing.T) {
 func TestRefactorIntoReusesFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	a := randomSPD(rng, 40)
-	sym, err := AnalyzeLDLT(a, OrderRCM)
+	sym, err := AnalyzeLDLT(a, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestRefactorIntoReusesFactor(t *testing.T) {
 		t.Fatalf("refactored-in-place residual %g", r)
 	}
 	// A factor from a different analysis is rejected.
-	sym2, _ := AnalyzeLDLT(a, OrderRCM)
+	sym2, _ := AnalyzeLDLT(a, OrderDefault)
 	if err := sym2.RefactorInto(f, a2); err == nil {
 		t.Fatal("RefactorInto accepted a factor from a different analysis")
 	}
@@ -177,7 +177,7 @@ func TestParSolveMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := multiDomainSPD(30, 4) // 4 independent domains: the partition forks
 	n := a.Rows
-	for _, order := range []Ordering{OrderRCM, OrderMinDegree} {
+	for _, order := range []Ordering{OrderMinDegree, OrderND} {
 		f, err := FactorLDLT(a, order)
 		if err != nil {
 			t.Fatal(err)
@@ -259,7 +259,7 @@ func TestSolveMultiMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	a := randomSPD(rng, 64)
 	n := a.Rows
-	f, err := FactorLDLT(a, OrderRCM)
+	f, err := FactorLDLT(a, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestRefactorSolveZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := meshSPD(16, 16)
 	n := a.Rows
-	sym, err := AnalyzeLDLT(a, OrderRCM)
+	sym, err := AnalyzeLDLT(a, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestCacheSymbolicTierSharedAcrossShifts(t *testing.T) {
 	gamma := 1e-10
 	var lastInfo FactorInfo
 	for s := 0; s < 8; s++ {
-		f, info, err := cache.FactorSumEx(1, c, gamma, g, FactorAuto, OrderRCM)
+		f, info, err := cache.FactorSumEx(1, c, gamma, g, FactorAuto, OrderDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -413,7 +413,7 @@ func TestCacheSymbolicTierSharedAcrossShifts(t *testing.T) {
 		t.Fatalf("symbolic entries = %d, want 1", st.SymbolicEntries)
 	}
 	// Content-identical re-acquisition is a plain factor hit.
-	if _, info, _ := cache.FactorSumEx(1, c, 1e-10, g, FactorAuto, OrderRCM); !info.Hit {
+	if _, info, _ := cache.FactorSumEx(1, c, 1e-10, g, FactorAuto, OrderDefault); !info.Hit {
 		t.Fatalf("repeat acquisition missed: %+v", info)
 	}
 }

@@ -83,12 +83,19 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 	bu1 := make([]float64, n)
 	rhs := make([]float64, n)
 	work := make([]float64, n)
+	// bu0At is the time bu0 holds B·u for (TR only; NaN = none yet).
+	bu0At := math.NaN()
 
 	// step advances x from t0 to t1 = t0 + hs with the given operators.
 	step := func(t0, t1, hs float64, lhs sparse.Factorization, rhsMat *sparse.CSC) {
 		switch method {
 		case TRFixed:
-			sys.EvalB(t0, bu0, opts.ActiveInputs)
+			// Step k's t1 is step k+1's t0 bit for bit (float64(k+1)·h), so
+			// the previous step's end-point B·u is this step's start-point
+			// one; only a t0 that differs in any bit is evaluated afresh.
+			if t0 != bu0At {
+				sys.EvalB(t0, bu0, opts.ActiveInputs)
+			}
 			sys.EvalB(t1, bu1, opts.ActiveInputs)
 			rhsMat.MulVec(rhs, x)
 			res.Stats.SpMVs++
@@ -97,6 +104,7 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 			}
 			solveWith(lhs, x, rhs, work, opts)
 			res.Stats.SolvePairs++
+			bu0, bu1, bu0At = bu1, bu0, t1
 		case BEFixed:
 			sys.EvalB(t1, bu1, opts.ActiveInputs)
 			rhsMat.MulVec(rhs, x)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/matex-sim/matex/internal/sparse"
+	"github.com/matex-sim/matex/internal/waveform"
 )
 
 // TestFixedStepLandsExactlyOnTstop is the regression test for the endpoint
@@ -64,6 +65,39 @@ func TestFixedStepDivisibleWindowUnchanged(t *testing.T) {
 	}
 }
 
+// countingWave counts Value calls on the waveform it wraps.
+type countingWave struct {
+	waveform.Waveform
+	calls *int
+}
+
+func (w countingWave) Value(t float64) float64 {
+	*w.calls++
+	return w.Waveform.Value(t)
+}
+
+// TestTREvaluatesInputOncePerTimePoint: step k's end point is step k+1's
+// start point bit for bit, so TR evaluates B·u once per time point — steps+1
+// times in all — across whole steps, the Tstop-snapped last step and the
+// shortened remainder step alike.
+func TestTREvaluatesInputOncePerTimePoint(t *testing.T) {
+	for _, tc := range []struct{ tstop, h float64 }{{5e-9, 1e-11}, {10e-9, 3e-9}} {
+		sys, idx := rcStep(t, 1000, 1e-12, 1e-3)
+		calls := 0
+		for k := range sys.Inputs {
+			sys.Inputs[k].Wave = countingWave{sys.Inputs[k].Wave, &calls}
+		}
+		zero := make([]float64, sys.N) // no DC solve, so no evaluation outside the steps
+		res, err := Simulate(sys, TRFixed, Options{Tstop: tc.tstop, Step: tc.h, Probes: []int{idx}, InitialState: zero})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (res.Stats.Steps + 1) * len(sys.Inputs); calls != want {
+			t.Errorf("Tstop=%g h=%g: %d input evaluations over %d steps, want %d", tc.tstop, tc.h, calls, res.Stats.Steps, want)
+		}
+	}
+}
+
 // TestFixedStepShortWindow covers Tstop < Step: the whole window is one
 // shortened step.
 func TestFixedStepShortWindow(t *testing.T) {
@@ -115,15 +149,16 @@ func TestProbeHelpersWithoutProbes(t *testing.T) {
 }
 
 // TestNaturalOrderingSelectable: OrderNatural must survive withDefaults —
-// the old code silently rewrote it to RCM, making natural ordering
-// unselectable.
+// the old code silently rewrote it to the default's resolution, making
+// natural ordering unselectable — and only the zero value is resolved, at
+// the one place sparse resolves it.
 func TestNaturalOrderingSelectable(t *testing.T) {
 	o := Options{Ordering: sparse.OrderNatural}.withDefaults()
 	if o.Ordering != sparse.OrderNatural {
 		t.Errorf("OrderNatural rewritten to %v", o.Ordering)
 	}
 	d := Options{}.withDefaults()
-	if d.Ordering != sparse.OrderRCM {
-		t.Errorf("zero-value ordering resolves to %v, want OrderRCM", d.Ordering)
+	if d.Ordering == sparse.OrderDefault || d.Ordering != sparse.OrderDefault.Resolve() {
+		t.Errorf("zero-value ordering resolves to %v, want %v", d.Ordering, sparse.OrderDefault.Resolve())
 	}
 }

@@ -52,14 +52,16 @@ type (
 )
 
 const (
-	// OrderDefault (the zero value) resolves to OrderRCM.
+	// OrderDefault (the zero value) resolves to OrderND, the ordering the
+	// measured fill and one-shot wall pick (EXPERIMENTS.md "Ordering table").
 	OrderDefault = sparse.OrderDefault
 	// OrderNatural keeps the input order.
 	OrderNatural = sparse.OrderNatural
-	// OrderRCM applies reverse Cuthill-McKee.
-	OrderRCM = sparse.OrderRCM
-	// OrderMinDegree applies a greedy minimum-degree ordering.
+	// OrderMinDegree applies a greedy minimum-degree ordering: the smallest
+	// factors, at 5–10× nested dissection's ordering time.
 	OrderMinDegree = sparse.OrderMinDegree
+	// OrderND applies nested dissection with minimum-degree leaves.
+	OrderND = sparse.OrderND
 )
 
 // NewFactorCache returns a factorization cache bounded to roughly maxBytes

@@ -167,7 +167,7 @@ func TestFacadeFactorCache(t *testing.T) {
 	cache := NewFactorCache(64 << 20)
 	opts := Options{
 		Tstop: 10e-9, Tol: 1e-7, Probes: []int{0},
-		Ordering: OrderRCM, Cache: cache,
+		Ordering: OrderDefault.Resolve(), Cache: cache,
 	}
 	if _, err := Simulate(sys, RMATEX, opts); err != nil {
 		t.Fatal(err)
@@ -181,7 +181,9 @@ func TestFacadeFactorCache(t *testing.T) {
 			res.Stats.Factorizations, res.Stats.CacheHits)
 	}
 	// The distributed scheduler shares the same cache: its DC solve and
-	// subtasks hit the entries the plain runs created (same G, same C+γG).
+	// subtasks hit the entries the plain runs created (same G, same C+γG) —
+	// and, leaving Ordering unset where the plain runs named the default's
+	// resolution, shows both spell one cache key.
 	dres, _, err := SimulateDistributed(sys, DistConfig{
 		Tstop: 10e-9, Tol: 1e-7, Probes: []int{0}, Cache: cache,
 	})
@@ -194,5 +196,23 @@ func TestFacadeFactorCache(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Entries == 0 || st.Hits == 0 {
 		t.Errorf("cache stats empty: %+v", st)
+	}
+	// Every exported ordering is selectable through the facade: each
+	// explicit choice other than the default's resolution factors under its
+	// own cache key, and the waveform does not depend on the choice.
+	for _, o := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
+		opts.Ordering = o
+		got, err := Simulate(sys, RMATEX, opts)
+		if err != nil {
+			t.Fatalf("ordering %v: %v", o, err)
+		}
+		if fresh := got.Stats.Factorizations > 0; fresh == (o == OrderDefault.Resolve()) {
+			t.Errorf("ordering %v: %d factorizations on the default's warm cache", o, got.Stats.Factorizations)
+		}
+		for i := range got.Probes {
+			if d := math.Abs(got.Probes[i][0] - res.Probes[i][0]); d > 1e-9 {
+				t.Fatalf("ordering %v: sample %d deviates %g from the default ordering's", o, i, d)
+			}
+		}
 	}
 }

@@ -4,18 +4,20 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR15.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR16.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR15.json is regenerated manually with the default
+# the committed BENCH_PR16.json is regenerated manually with the default
 # settings when the solver layer changes. The default pattern covers the
 # Krylov spot pipeline (PR 3), the factorization engine rows (PR 4-6),
 # the scenario-sweep rows (PR 10), the D-MATEX plan rows (PR 14) and one
 # end-to-end row per MATEX input treatment (PR 15: Table2_IMATEX_ibmpg1t is
 # the Eq. 5 treatment, Table2_RMATEX_ibmpg1t the augmented and
-# constant-shift treatments of the one driver):
+# constant-shift treatments of the one driver) and one end-to-end row per
+# selectable fill-reducing ordering (PR 16: Ablation_Ordering_ND is the
+# default's resolution, Ablation_Ordering_MinDeg the alternative):
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
 # the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
 # *_mesh96nd rows (nested dissection, wide separator panels) the two ends
@@ -31,9 +33,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR15.json}"
+out="${1:-BENCH_PR16.json}"
 benchtime="${BENCHTIME:-100x}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
