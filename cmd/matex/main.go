@@ -20,7 +20,8 @@
 // as the serving API's POST /sweep) through one batched computation: one
 // factorization-cache lineage, cross-variant multi-RHS solve panels, and
 // collinear-variant sharing. The TSV output gains a leading "variant"
-// column; -stats adds the sweep's lane and panel report.
+// column; -stats adds the sweep's lane and panel report above the solver
+// line, whose counters are folded across the lanes.
 package main
 
 import (
@@ -122,20 +123,37 @@ func main() {
 		fmt.Fprintf(os.Stderr, "matex: %s is a supply rail, skipping probe\n", name)
 	}
 
-	// -stream prints the TSV header up front and each row as the
-	// integrator records it — the CLI face of the serving layer's
-	// incremental waveform streaming. The buffered re-print at the end is
-	// skipped; everything else (stats, exit codes) is unchanged.
+	sweeping := *sweepFile != ""
+	if sweeping && (*distributed || *workers != "") {
+		fatal(fmt.Errorf("-sweep and -distributed are mutually exclusive (a sweep batches within one process)"))
+	}
+	if *stream && (*distributed || *workers != "") {
+		fatal(fmt.Errorf("-stream applies to single-process runs only (the distributed superposition exists only after all groups land)"))
+	}
+	var variants []sweep.Variant
+	if sweeping {
+		if variants, err = loadVariants(*sweepFile); err != nil {
+			fatal(err)
+		}
+	}
+
+	// One TSV table: a sweep's has a leading variant column. row may be
+	// nil/empty when every probe was skipped (all supply rails): the table
+	// then has no voltage columns.
 	writeHeader := func() {
+		if sweeping {
+			fmt.Printf("variant\t")
+		}
 		fmt.Printf("time")
 		for _, name := range kept {
 			fmt.Printf("\tv(%s)", name)
 		}
 		fmt.Println()
 	}
-	// row may be nil/empty when every probe was skipped (all supply
-	// rails): the table then has a time column only, as before.
-	writeRow := func(t float64, row []float64) {
+	writeRow := func(variant string, t float64, row []float64) {
+		if sweeping {
+			fmt.Printf("%s\t", variant)
+		}
 		fmt.Printf("%.6e", t)
 		for k := range kept {
 			if k < len(row) {
@@ -145,53 +163,50 @@ func main() {
 		fmt.Println()
 	}
 
-	if *sweepFile != "" {
-		if *distributed || *workers != "" {
-			fatal(fmt.Errorf("-sweep and -distributed are mutually exclusive (a sweep batches within one process)"))
-		}
-		variants, err := loadVariants(*sweepFile)
-		if err != nil {
-			fatal(err)
-		}
-		runSweep(sys, variants, m, transient.Options{
-			Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
-			Ordering: ord, Cache: cache, Krylov: km, SolveWorkers: *solvePar,
-		}, kept, *stream, *stats)
-		return
+	// -stream prints the TSV header up front and each row as the integrator
+	// records it — the CLI face of the serving layer's incremental waveform
+	// streaming — instead of the buffered table at the end; everything else
+	// (stats, exit codes) is unchanged. A sweep's rows then interleave across
+	// variants as their lanes advance (each variant's stay in time order),
+	// where the buffered table groups them per variant.
+	if *stream {
+		writeHeader()
 	}
-
-	var res *transient.Result
-	var rep *dist.Report
-	if *distributed || *workers != "" {
+	opts := transient.Options{
+		Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
+		Ordering: ord, Cache: cache, Krylov: km, SolveWorkers: *solvePar,
+	}
+	var (
+		res  *transient.Result
+		rep  *dist.Report
+		sres *sweep.Result
+	)
+	switch {
+	case sweeping:
+		sopts := sweep.Options{Base: opts, Method: m}
 		if *stream {
-			fatal(fmt.Errorf("-stream applies to single-process runs only (the distributed superposition exists only after all groups land)"))
+			// Lanes emit concurrently; the TSV writer is single-threaded.
+			var mu sync.Mutex
+			sopts.OnVariantSample = func(v int, t float64, row []float64) {
+				mu.Lock()
+				writeRow(variants[v].Label(v), t, row)
+				mu.Unlock()
+			}
 		}
-		// The fixed-step methods need a step here just like the plain path
-		// below; without this guard dist.Config would read the zero-value
-		// TRFixed-without-Step as "unset" and silently run R-MATEX.
-		if (m == transient.TRFixed || m == transient.BEFixed || m == transient.FEFixed) && *step <= 0 {
-			fatal(fmt.Errorf("fixed-step method %q needs -step or a .tran step in the deck", *method))
+		if sres, err = sweep.Run(sys, variants, sopts); err == nil {
+			res = &transient.Result{Stats: sres.Stats.Sim}
 		}
-		cfg := dist.Config{
-			Method: m, Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
-			Ordering: ord, Cache: cache, Krylov: km, SolveWorkers: *solvePar,
-		}
+	case *distributed || *workers != "":
+		cfg := dist.Config{Base: opts}
 		if *workers != "" {
-			pool, err := dist.NewRPCPool(sys, strings.Split(*workers, ","))
-			if err != nil {
+			if cfg.Pool, err = dist.NewRPCPool(sys, strings.Split(*workers, ",")); err != nil {
 				fatal(err)
 			}
-			cfg.Pool = pool
 		}
-		res, rep, err = dist.Run(sys, cfg)
-	} else {
-		opts := transient.Options{
-			Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
-			Ordering: ord, Cache: cache, Krylov: km, SolveWorkers: *solvePar,
-		}
+		res, rep, err = dist.Run(sys, m, cfg)
+	default:
 		if *stream {
-			writeHeader()
-			opts.OnSample = writeRow
+			opts.OnSample = func(t float64, row []float64) { writeRow("", t, row) }
 		}
 		res, err = transient.Simulate(sys, m, opts)
 	}
@@ -199,24 +214,25 @@ func main() {
 		fatal(err)
 	}
 
-	// TSV output (already emitted live under -stream).
 	if !*stream {
 		writeHeader()
-		for i, t := range res.Times {
-			var row []float64
-			if i < len(res.Probes) {
-				row = res.Probes[i]
+		if sres == nil {
+			res.EachSample(func(t float64, row []float64) { writeRow("", t, row) })
+		} else {
+			for _, vr := range sres.Variants {
+				table := transient.Result{Times: vr.Times, Probes: vr.Probes}
+				table.EachSample(func(t float64, row []float64) { writeRow(vr.Name, t, row) })
 			}
-			writeRow(t, row)
 		}
 	}
 
 	if *stats {
+		// Readers of -stats collect key=value tokens across lines, so no key
+		// repeats between the lines below.
 		if rep != nil {
 			fmt.Fprintf(os.Stderr, "tasks=%d groups=%d retried=%d max_node_time=%v max_node_transient=%v\n",
 				rep.Tasks, rep.Groups, rep.Retried, rep.MaxNodeTime, rep.MaxNodeTrTime)
-			// One line per dispatched task. No key repeats one of the summary
-			// lines': readers of -stats collect key=value tokens across lines.
+			// One line per dispatched task.
 			for i, t := range rep.PerTask {
 				st := &rep.TaskStats[i]
 				fmt.Fprintf(os.Stderr, "task=%d members=%s lts=%d wait=%v elapsed=%v retries=%d spots=%d pairs=%d",
@@ -226,6 +242,11 @@ func main() {
 				}
 				fmt.Fprintln(os.Stderr)
 			}
+		}
+		if sres != nil {
+			st := &sres.Stats
+			fmt.Fprintf(os.Stderr, "variants=%d lanes=%d shared=%d panel_rounds=%d panel_batched=%d mean_panel_width=%.2f\n",
+				st.Variants, st.Lanes, st.SharedVariants, st.Panel.Rounds, st.Panel.Batched, st.Panel.MeanWidth())
 		}
 		s := &res.Stats
 		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d expm_evals=%d steps=%d m_a=%.1f m_p=%d lanczos_spots=%d/%d dc=%v factor=%v transient=%v\n",
@@ -261,71 +282,6 @@ func loadVariants(path string) ([]sweep.Variant, error) {
 		return nil, fmt.Errorf("parsing %s: want a JSON array of variants or {\"variants\": [...]}: %w", path, err)
 	}
 	return obj.Variants, nil
-}
-
-// runSweep executes the batched sweep and writes one TSV table with a
-// leading variant column. Under -stream rows interleave across variants
-// as their lanes advance (each variant's rows stay in time order);
-// buffered output groups rows per variant.
-func runSweep(sys *circuit.System, variants []sweep.Variant, m transient.Method, base transient.Options, kept []string, stream, stats bool) {
-	writeHeader := func() {
-		fmt.Printf("variant\ttime")
-		for _, name := range kept {
-			fmt.Printf("\tv(%s)", name)
-		}
-		fmt.Println()
-	}
-	writeRow := func(name string, t float64, row []float64) {
-		fmt.Printf("%s\t%.6e", name, t)
-		for k := range kept {
-			if k < len(row) {
-				fmt.Printf("\t%.9e", row[k])
-			}
-		}
-		fmt.Println()
-	}
-	names := make([]string, len(variants))
-	for i, v := range variants {
-		if names[i] = v.Name; names[i] == "" {
-			names[i] = fmt.Sprintf("v%d", i)
-		}
-	}
-	opts := sweep.Options{Base: base, Method: m}
-	if stream {
-		writeHeader()
-		// Lanes emit concurrently; the TSV writer is single-threaded.
-		var mu sync.Mutex
-		opts.OnVariantSample = func(v int, t float64, row []float64) {
-			mu.Lock()
-			writeRow(names[v], t, row)
-			mu.Unlock()
-		}
-	}
-	res, err := sweep.Run(sys, variants, opts)
-	if err != nil {
-		fatal(err)
-	}
-	if !stream {
-		writeHeader()
-		for v := range res.Variants {
-			vr := &res.Variants[v]
-			for i, t := range vr.Times {
-				var row []float64
-				if i < len(vr.Probes) {
-					row = vr.Probes[i]
-				}
-				writeRow(vr.Name, t, row)
-			}
-		}
-	}
-	if stats {
-		st := &res.Stats
-		s := &st.Sim
-		fmt.Fprintf(os.Stderr, "variants=%d lanes=%d shared=%d panel_rounds=%d panel_batched=%d mean_panel_width=%.2f\n",
-			st.Variants, st.Lanes, st.SharedVariants, st.Panel.Rounds, st.Panel.Batched, st.Panel.MeanWidth())
-		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d steps=%d\n",
-			s.Factorizations, s.Refactors, s.SymbolicHits, s.CacheHits, s.CacheMisses, s.SolvePairs, s.SpMVs, s.Steps)
-	}
 }
 
 func fatal(err error) {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -45,9 +46,9 @@ func main() {
 
 	// The paper's reading: a pool that stands in for one machine per group,
 	// their tasks run one at a time so each is timed contention-free.
-	perGroup, rep, err := matex.SimulateDistributed(sys, matex.DistConfig{
-		Method: matex.RMATEX, Tstop: 10e-9, Tol: 1e-7, Probes: probes,
-		Pool: dist.NewLocalPool(sys, len(tasks), nil), Workers: 1,
+	base := matex.Options{Tstop: 10e-9, Tol: 1e-7, Probes: probes}
+	perGroup, rep, err := matex.SimulateDistributed(sys, matex.RMATEX, matex.DistConfig{
+		Base: base, Pool: dist.NewLocalPool(sys, len(tasks), nil), Workers: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -56,9 +57,7 @@ func main() {
 		rep.Groups, rep.Tasks, rep.MaxNodeTime.Round(1e5), rep.MaxNodeTrTime.Round(1e5))
 
 	// Two nodes: the same groups, merged into two tasks of balanced |∪ LTS|.
-	local, rep, err := matex.SimulateDistributed(sys, matex.DistConfig{
-		Method: matex.RMATEX, Tstop: 10e-9, Tol: 1e-7, Probes: probes, Workers: 2,
-	})
+	local, rep, err := matex.SimulateDistributed(sys, matex.RMATEX, matex.DistConfig{Base: base, Workers: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,23 +69,22 @@ func main() {
 
 	// Two TCP workers on loopback (stand-ins for cluster machines; in a real
 	// deployment run `matexd -listen :9090` per machine).
+	ctx, stopWorkers := context.WithCancel(context.Background())
+	defer stopWorkers()
 	var addrs []string
 	for i := 0; i < 2; i++ {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer l.Close()
-		go dist.Serve(l, matex.NewWorkerServer())
+		go dist.ServeContext(ctx, l, matex.NewWorkerServer())
 		addrs = append(addrs, l.Addr().String())
 	}
 	pool, err := matex.NewRPCPool(sys, addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	remote, rep2, err := matex.SimulateDistributed(sys, matex.DistConfig{
-		Method: matex.RMATEX, Tstop: 10e-9, Tol: 1e-7, Probes: probes, Pool: pool,
-	})
+	remote, rep2, err := matex.SimulateDistributed(sys, matex.RMATEX, matex.DistConfig{Base: base, Pool: pool})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,23 +52,23 @@ func Partition(sys *circuit.System, tstop float64) []Task {
 
 // Config configures a distributed MATEX run.
 type Config struct {
-	// Method is the per-node integrator. The zero value defaults to R-MATEX,
-	// the paper's choice: a fixed-step method needs Step set, so TRFixed
-	// (Method's zero value) without a Step is read as "unset".
-	Method transient.Method
-	// Tstop is the simulation window in seconds.
-	Tstop float64
-	// Step is the fixed step, for the fixed-step baseline methods only; the
-	// MATEX methods pick their steps from the transition spots.
-	Step float64
-	// Tol is the Krylov error budget ε (default 1e-6).
-	Tol float64
-	// Gamma is the rational shift γ for R-MATEX (default 1e-10).
-	Gamma float64
-	// MaxDim caps the Krylov dimension (default 256).
-	MaxDim int
-	// Probes lists unknown indices recorded at every GTS point.
-	Probes []int
+	// Base is the solver configuration every node runs under, with the
+	// defaults transient.Options documents. Tstop, Step, Probes (recorded at
+	// every GTS point), Tol, Gamma, MaxDim, Ordering, Krylov and
+	// SolveWorkers travel with the subtask request. Cache is shared by the
+	// scheduler's DC solve and the in-process subtasks (nil: a run-local
+	// one) and never crosses the wire — matexd workers keep their own — so
+	// reusing one across Run calls makes later runs refactorization-free.
+	// Ctx cancels the run: nothing further is dispatched, in-process
+	// subtasks abort at their next step boundary, RPC dispatches return
+	// without waiting for their reply. OnSample, OnCheckpoint and
+	// ActiveInputs are engine-owned and must be nil; every node emits on
+	// the GTS grid from zero state whatever EvalTimes and InitialState say.
+	// The plan gives every node one task, so a node with more than one core
+	// idles the rest unless SolveWorkers > 1 (matexd may substitute its own
+	// -solve-par default for 0); the in-process pool already occupies one
+	// core per task.
+	Base transient.Options
 	// Workers bounds in-flight subtasks and, for the default in-process
 	// pool, is the node count the decomposition is cut for (zero:
 	// GOMAXPROCS). With a Pool set, zero bounds in-flight subtasks by the
@@ -76,68 +76,12 @@ type Config struct {
 	// harness sets 1 over a one-node-per-group pool so each node's runtime
 	// is measured contention-free.
 	Workers int
-	// Ordering selects the sparse direct solver's fill-reducing ordering,
-	// applied identically on every node.
-	Ordering sparse.Ordering
 	// Pool overrides where subtasks run. Nil uses an in-process goroutine
 	// pool of Workers nodes; NewRPCPool dispatches to matexd workers over
 	// TCP; NewLocalPool is the in-process pool with an explicit node count.
 	// The pool's node count decides how many tasks the bump-feature groups
 	// are merged into.
 	Pool Pool
-	// Cache, when non-nil, is the content-addressed factorization cache
-	// shared by the scheduler's DC solve and every in-process subtask.
-	// Reusing one Cache across repeated Run calls eliminates all
-	// refactorization on later runs. Nil uses a run-local cache (subtasks
-	// still share factorizations within the run). The cache never travels
-	// over RPC: matexd workers keep their own per-process cache.
-	Cache *sparse.Cache
-	// Krylov selects the subspace process on every node (auto routes each
-	// spot to the symmetric Lanczos fast path when it qualifies). It
-	// travels with the subtask request, so matexd workers follow the
-	// scheduler's choice.
-	Krylov krylov.Method
-	// SolveWorkers > 1 runs every node's triangular solves through the
-	// factorization's level-scheduled parallel path with that many
-	// goroutines (it travels with the subtask request; matexd workers may
-	// substitute their own -solve-par default when it is 0). The plan
-	// gives every node one task, so a node with more than one core has
-	// idle cores unless this is set; the in-process pool on the other hand
-	// already occupies one core per task.
-	SolveWorkers int
-	// Ctx, when non-nil, cancels the run: the scheduler stops dispatching
-	// subtasks once it fires, in-process subtasks abort at their next
-	// step/segment boundary (transient.Options.Ctx), and RPC dispatches
-	// return without waiting for their in-flight reply. The serving layer
-	// uses it for per-job cancellation and deadlines. The context itself
-	// never travels over the wire.
-	Ctx context.Context
-}
-
-// withDefaults resolves zero-valued configuration fields.
-//
-//matex:ctx-root(embedding API default when the caller supplies no context)
-func (c Config) withDefaults() Config {
-	if c.Method == transient.TRFixed && c.Step <= 0 {
-		c.Method = transient.RMATEX
-	}
-	if c.Ctx == nil {
-		c.Ctx = context.Background()
-	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-6
-	}
-	if c.Gamma <= 0 {
-		c.Gamma = 1e-10
-	}
-	if c.MaxDim <= 0 {
-		c.MaxDim = 256
-	}
-	// Resolve the ordering once, here, so the scheduler's own DC
-	// factorization and every subtask share one fill and, with a shared
-	// cache, one cache key.
-	c.Ordering = c.Ordering.Resolve()
-	return c
 }
 
 // Report carries the scheduling metrics of one distributed run, matching the
@@ -186,20 +130,20 @@ type TaskReport struct {
 }
 
 // subtaskRequest builds the solver configuration shared by every subtask:
-// zero state, the group's inputs only, outputs on the shared GTS grid.
-func subtaskRequest(cfg Config, gts []float64) Request {
+// the wire-safe part of base, outputs on the shared GTS grid.
+func subtaskRequest(method transient.Method, base *transient.Options, gts []float64) Request {
 	return Request{
-		Method:       cfg.Method,
-		Tstop:        cfg.Tstop,
-		Step:         cfg.Step,
-		Tol:          cfg.Tol,
-		Gamma:        cfg.Gamma,
-		MaxDim:       cfg.MaxDim,
-		Probes:       append([]int(nil), cfg.Probes...),
+		Method:       method,
+		Tstop:        base.Tstop,
+		Step:         base.Step,
+		Tol:          base.Tol,
+		Gamma:        base.Gamma,
+		MaxDim:       base.MaxDim,
+		Probes:       append([]int(nil), base.Probes...),
 		EvalTimes:    gts,
-		Ordering:     cfg.Ordering,
-		Krylov:       cfg.Krylov,
-		SolveWorkers: cfg.SolveWorkers,
+		Ordering:     base.Ordering,
+		Krylov:       base.Krylov,
+		SolveWorkers: base.SolveWorkers,
 	}
 }
 
@@ -208,20 +152,15 @@ func subtaskRequest(cfg Config, gts []float64) Request {
 // zero initial state. The matrices are shared, not copied, so in-process
 // factorizations remain valid for the view.
 func zeroStateSystem(sys *circuit.System) *circuit.System {
-	inputs := make([]circuit.Input, len(sys.Inputs))
-	copy(inputs, sys.Inputs)
+	inputs := append([]circuit.Input(nil), sys.Inputs...)
 	for i := range inputs {
 		if !inputs[i].Supply {
 			inputs[i].Wave = waveform.ZeroBased{W: inputs[i].Wave}
 		}
 	}
-	return &circuit.System{
-		N:        sys.N,
-		NumNodes: sys.NumNodes,
-		C:        sys.C,
-		G:        sys.G,
-		Inputs:   inputs,
-	}
+	sub := *sys
+	sub.Inputs = inputs
+	return &sub
 }
 
 // subtaskOptions assembles the transient.Options for one task against the

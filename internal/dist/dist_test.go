@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"io"
 	"math"
 	"net"
@@ -118,9 +119,7 @@ func TestDistSuperposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := Run(sys, Config{
-		Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10, Probes: probes,
-	})
+	got, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,9 +158,7 @@ func TestDistSuperpositionIMATEX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(sys, Config{
-		Method: transient.IMATEX, Tstop: 10e-9, Tol: 1e-8, Probes: probes,
-	})
+	got, _, err := Run(sys, transient.IMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +174,7 @@ func startWorker(t *testing.T) (addr string, stop func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go Serve(l, NewWorkerServer())
+	go ServeContext(context.Background(), l, NewWorkerServer())
 	return l.Addr().String(), func() { l.Close() }
 }
 
@@ -188,9 +185,9 @@ func startWorker(t *testing.T) (addr string, stop func()) {
 func TestDistRPCLoopback(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, repL, err := Run(sys, cfg)
+	local, repL, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +203,7 @@ func TestDistRPCLoopback(t *testing.T) {
 	defer pool.Close()
 
 	cfg.Pool = pool
-	remote, repR, err := Run(sys, cfg)
+	remote, repR, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +294,9 @@ func TestDistWorkerFailureRetry(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
 	// Two nodes in-process: the plan the two-worker pool gets.
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, _, err := Run(sys, cfg)
+	local, _, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +318,7 @@ func TestDistWorkerFailureRetry(t *testing.T) {
 	proxy.Kill()
 
 	cfg.Pool = pool
-	remote, rep, err := Run(sys, cfg)
+	remote, rep, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +360,7 @@ func TestDistNoTransientSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := Run(sys, Config{Method: transient.RMATEX, Tstop: 1e-9, Probes: []int{0}})
+	res, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 1e-9, Probes: []int{0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +379,7 @@ func TestDistNoTransientSources(t *testing.T) {
 }
 
 // TestDistFixedStepInterpolatedOntoGTS covers the misaligned-grid path of
-// addProbes: fixed-step subtasks emit their own step grid (including the
+// superpose.Combine: fixed-step subtasks emit their own step grid (including the
 // shortened final step landing exactly on Tstop), which Run linearly
 // interpolates onto the GTS output grid. The distributed result must match
 // an undistributed fixed-step reference interpolated the same way — and the
@@ -399,9 +396,7 @@ func TestDistFixedStepInterpolatedOntoGTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := Run(sys, Config{
-		Method: transient.TRFixed, Tstop: tstop, Step: step, Probes: probes,
-	})
+	got, rep, err := Run(sys, transient.TRFixed, Config{Base: transient.Options{Tstop: tstop, Step: step, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +430,30 @@ func TestDistFixedStepInterpolatedOntoGTS(t *testing.T) {
 	}
 }
 
+// TestDistAdaptiveTRUnsetTolIsTheLTEDefault pins a behaviour change of the
+// Config{Base} shape: Config no longer fills Tol with the MATEX budget, so an
+// unset tolerance reaches the node as zero and adaptive TR applies its own
+// LTE default, 1e-4, as an undistributed run does. (Config.withDefaults made
+// it an explicit 1e-6: three times the steps for the same command line.)
+func TestDistAdaptiveTRUnsetTolIsTheLTEDefault(t *testing.T) {
+	sys := testSystem(t, 0.2)
+	probes := testProbes(sys)
+	run := func(tol float64) *transient.Result {
+		res, _, err := Run(sys, transient.TRAdaptive, Config{Base: transient.Options{Tstop: 10e-9, Tol: tol, Probes: probes}, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	unset, loose, tight := run(0), run(1e-4), run(1e-6)
+	if unset.Stats.Steps != loose.Stats.Steps || !reflect.DeepEqual(unset.Probes, loose.Probes) {
+		t.Errorf("unset Tol took %d steps, an explicit 1e-4 %d: not the LTE default", unset.Stats.Steps, loose.Stats.Steps)
+	}
+	if tight.Stats.Steps <= unset.Stats.Steps {
+		t.Errorf("explicit 1e-6 took %d steps, unset %d: the explicit tolerance was not honoured", tight.Stats.Steps, unset.Stats.Steps)
+	}
+}
+
 // TestDistRepeatedRunZeroFactorizations is the distributed acceptance test
 // for the factorization cache: against the same WorkerServer, with the
 // scheduler reusing one Config.Cache, the second Run must perform zero new
@@ -452,18 +471,15 @@ func TestDistRepeatedRunZeroFactorizations(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cfg := Config{
-		Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10,
-		Probes: probes, Pool: pool, Cache: sparse.NewCache(0),
-	}
-	first, _, err := Run(sys, cfg)
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Cache: sparse.NewCache(0)}, Pool: pool}
+	first, _, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats.Factorizations == 0 {
 		t.Fatal("first run reports no factorizations at all")
 	}
-	second, _, err := Run(sys, cfg)
+	second, _, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,10 +499,7 @@ func TestDistRepeatedRunZeroFactorizations(t *testing.T) {
 // in-process Run factorizes G and (C+γG) exactly once across all subtasks.
 func TestDistLocalPoolSharesFactorizations(t *testing.T) {
 	sys := testSystem(t, 0.2)
-	res, rep, err := Run(sys, Config{
-		Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10,
-		Probes: testProbes(sys),
-	})
+	res, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: testProbes(sys)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,20 +523,14 @@ func TestDistLocalPoolSharesFactorizations(t *testing.T) {
 func TestDistKrylovLanczos(t *testing.T) {
 	sys := testSystem(t, 0.25)
 	probes := testProbes(sys)
-	ref, _, err := Run(sys, Config{
-		Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-9, Probes: probes,
-		Krylov: krylov.MethodArnoldi,
-	})
+	ref, _, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodArnoldi}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Stats.LanczosSpots != 0 {
 		t.Fatalf("arnoldi-pinned run aggregated %d Lanczos spots", ref.Stats.LanczosSpots)
 	}
-	res, _, err := Run(sys, Config{
-		Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-9, Probes: probes,
-		Krylov: krylov.MethodLanczos,
-	})
+	res, _, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodLanczos}})
 	if err != nil {
 		t.Fatal(err)
 	}

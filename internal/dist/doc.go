@@ -30,13 +30,16 @@
 // counts agree to solver tolerance.
 //
 // Run (run.go) drives the whole flow: Partition extracts bump features
-// (dist.go), the planner cuts Tasks for the pool's nodes, the scheduler
-// places them on the Pool while it solves the DC point itself, and
-// superposition folds the responses. Two Pool implementations ship: the
-// in-process goroutine pool (pool.go; the default, or NewLocalPool with an
-// explicit node count) and the net/rpc client pool over matexd workers
-// (rpc.go, server.go; see NewRPCPool, Serve and cmd/matexd). A task whose
-// worker dies is re-dispatched whole to a survivor. Workers share the
+// (dist.go), the planner cuts Tasks for the pool's nodes, and the lane
+// fan-out and the combiner this package shares with internal/sweep
+// (internal/superpose) place them on the Pool — while Run solves the DC
+// point itself — and fold the responses, x_DC + Σ 1·x_task. The method is
+// an argument and the solver options are one transient.Options
+// (Config.Base), as for transient.Simulate. Two Pool implementations ship:
+// the in-process goroutine pool (pool.go; the default, or NewLocalPool with
+// an explicit node count) and the net/rpc client pool over matexd workers
+// (rpc.go, server.go; see NewRPCPool, ServeContext and cmd/matexd). A task
+// whose worker dies is re-dispatched whole to a survivor. Workers share the
 // factorization cache of their process, so co-located subtasks against one
 // grid factor once.
 //
@@ -45,7 +48,6 @@
 //
 // Wire compatibility: Request and transient.Result travel as gob, which
 // matches fields by name, ignores those the receiver lacks and zeroes those
-// the sender lacks. The FactorKind request field (never set to anything but
-// FactorAuto) and the unused Result.Full were dropped on that footing; old
-// and new matex/matexd interoperate.
+// the sender lacks; a zero Tol, Gamma or MaxDim is filled in by the
+// receiving node's transient defaults.
 package dist

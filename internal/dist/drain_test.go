@@ -85,8 +85,8 @@ func TestServeContextGracefulDrain(t *testing.T) {
 	}
 	defer pool.Close()
 
-	cfg := Config{Method: transient.RMATEX, Tstop: 5e-9, Probes: probes, Pool: pool}
-	if _, _, err := Run(sys, cfg); err != nil {
+	cfg := Config{Base: transient.Options{Tstop: 5e-9, Probes: probes}, Pool: pool}
+	if _, _, err := Run(sys, transient.RMATEX, cfg); err != nil {
 		t.Fatalf("run before drain: %v", err)
 	}
 
@@ -102,7 +102,7 @@ func TestServeContextGracefulDrain(t *testing.T) {
 
 	// The worker is gone: a fresh dispatch must fail (connection severed
 	// and listener closed, so the redial buries the worker).
-	if _, _, err := Run(sys, cfg); err == nil {
+	if _, _, err := Run(sys, transient.RMATEX, cfg); err == nil {
 		t.Fatal("run against a drained worker succeeded")
 	}
 }
@@ -134,7 +134,7 @@ func TestRunCtxCancel(t *testing.T) {
 	sys := testSystem(t, 0.15)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Run(sys, Config{Method: transient.RMATEX, Tstop: 5e-9, Ctx: ctx})
+	_, _, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 5e-9, Ctx: ctx}})
 	if err == nil {
 		t.Fatal("canceled run returned nil error")
 	}

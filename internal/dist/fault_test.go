@@ -87,9 +87,9 @@ func TestFaultRPCSeverRetriesAndMatches(t *testing.T) {
 	// task must still be running then or its reply beats the cut.
 	sys := testSystem(t, 1)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, _, err := Run(sys, cfg)
+	local, _, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFaultRPCSeverRetriesAndMatches(t *testing.T) {
 	defer pool.Close()
 
 	cfg.Pool = pool
-	remote, rep, err := Run(sys, cfg)
+	remote, rep, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatalf("run with a severed RPC failed outright: %v", err)
 	}
@@ -151,9 +151,9 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	leak := guardGoroutines(t)
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 2}
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, _, err := Run(sys, cfg)
+	local, _, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	}()
 
 	cfg.Pool = pool
-	remote, rep, err := Run(sys, cfg)
+	remote, rep, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatalf("run did not survive the worker crash: %v", err)
 	}
@@ -207,9 +207,9 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
 	// One node in-process: the plan the one-worker pool gets.
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Workers: 1}
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 1}
 
-	local, _, err := Run(sys, cfg)
+	local, _, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	// The first run races the prober: it either fails cleanly (worker still
 	// buried) or succeeds (prober re-admitted it mid-run). Both are
 	// acceptable; hanging or corrupting is not.
-	if res, _, err := Run(sys, cfg); err == nil {
+	if res, _, err := Run(sys, transient.RMATEX, cfg); err == nil {
 		if d := maxDeviation(t, res, local, len(probes)); d > 1e-12 {
 			t.Fatalf("first run deviates %.3g V", d)
 		}
@@ -245,7 +245,7 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	// worker is back in rotation: runs succeed with zero retries.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		res, rep, err := Run(sys, cfg)
+		res, rep, err := Run(sys, transient.RMATEX, cfg)
 		if err == nil {
 			if rep.Retried != 0 {
 				t.Fatalf("post-revival run still retried %d times", rep.Retried)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -272,9 +273,7 @@ func TestDistPlansAgreeWithOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, nodes := range []int{1, 2, 3, groups, groups + 5} {
-				got, rep, err := Run(s.sys, Config{
-					Method: m.m, Tstop: tstop, Step: m.step, Tol: 1e-8, Probes: s.probes, Workers: nodes,
-				})
+				got, rep, err := Run(s.sys, m.m, Config{Base: transient.Options{Tstop: tstop, Step: m.step, Tol: 1e-8, Probes: s.probes}, Workers: nodes})
 				if err != nil {
 					t.Fatalf("%s %v on %d nodes: %v", s.name, m.m, nodes, err)
 				}
@@ -301,18 +300,18 @@ func TestDistPlansAgreeWithOneShot(t *testing.T) {
 // at most a tenth more than not distributing at all.
 func TestDistPlanSavesSolvePairs(t *testing.T) {
 	sys := testSystem(t, 0.25)
-	cfg := Config{Method: transient.RMATEX, Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10}
+	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10}}
 	oneShot, err := transient.Simulate(sys, transient.RMATEX, transient.Options{Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 2
-	two, repTwo, err := Run(sys, cfg)
+	two, repTwo, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 64
-	perGroup, repPer, err := Run(sys, cfg)
+	perGroup, repPer, err := Run(sys, transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +375,7 @@ func TestDistInFlightFollowsPool(t *testing.T) {
 	for _, c := range []struct{ procs, nodes int }{{1, 4}, {8, 2}} {
 		prev := runtime.GOMAXPROCS(c.procs)
 		pool := &gatePool{nodes: c.nodes, want: c.nodes, full: make(chan struct{})}
-		_, rep, err := Run(sys, Config{Method: transient.RMATEX, Tstop: 10e-9, Pool: pool})
+		_, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9}, Pool: pool})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -384,5 +383,39 @@ func TestDistInFlightFollowsPool(t *testing.T) {
 		if rep.Tasks != c.nodes || pool.peak != c.nodes {
 			t.Errorf("GOMAXPROCS %d, %d nodes: %d tasks, peak %d in flight", c.procs, c.nodes, rep.Tasks, pool.peak)
 		}
+	}
+}
+
+// TestDistRejectsEngineOwnedBase: the hooks and the input mask are set per
+// subtask; a caller's would fire per task with a partial response.
+func TestDistRejectsEngineOwnedBase(t *testing.T) {
+	sys := testSystem(t, 0.15)
+	for name, base := range map[string]transient.Options{
+		"OnSample":     {Tstop: 1e-9, OnSample: func(float64, []float64) {}},
+		"OnCheckpoint": {Tstop: 1e-9, OnCheckpoint: func(transient.Checkpoint) error { return nil }},
+		"ActiveInputs": {Tstop: 1e-9, ActiveInputs: make([]bool, len(sys.Inputs))},
+	} {
+		if _, _, err := Run(sys, transient.RMATEX, Config{Base: base}); err == nil {
+			t.Errorf("engine-owned Base.%s accepted", name)
+		}
+	}
+	// A fixed-step method without a step is refused up front — before the
+	// pool is asked for anything, and on a deck whose plan has no task that
+	// could refuse it — not run as a silent R-MATEX.
+	pool := &gatePool{nodes: 2, want: 2, full: make(chan struct{})}
+	_, _, err := Run(sys, transient.TRFixed, Config{Base: transient.Options{Tstop: 1e-9}, Pool: pool})
+	if err == nil || !strings.Contains(err.Error(), "needs positive Step") || pool.peak != 0 {
+		t.Errorf("TRFixed without Step: err %v after %d pool calls", err, pool.peak)
+	}
+	quiet := *sys
+	quiet.Inputs = append([]circuit.Input(nil), sys.Inputs...)
+	for i := range quiet.Inputs {
+		quiet.Inputs[i].Supply = true // nothing left to distribute
+	}
+	if len(Partition(&quiet, 1e-9)) != 0 {
+		t.Fatal("the quiet deck still has groups")
+	}
+	if _, _, err := Run(&quiet, transient.BEFixed, Config{Base: transient.Options{Tstop: 1e-9}}); err == nil {
+		t.Error("BEFixed without Step returned the DC answer of a deck with no tasks")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -114,56 +113,3 @@ func (p *localPool) Solve(ctx context.Context, task Task, req Request) (*TaskRes
 
 // Close implements Pool.
 func (p *localPool) Close() error { return nil }
-
-// dispatcher fans tasks out over a pool with bounded concurrency and
-// collects results in task order.
-type dispatcher struct {
-	pool    Pool
-	workers int
-
-	mu       sync.Mutex
-	results  []*TaskResult
-	firstErr error
-}
-
-func (d *dispatcher) run(ctx context.Context, tasks []Task, req Request) ([]*TaskResult, error) {
-	d.results = make([]*TaskResult, len(tasks))
-	sem := make(chan struct{}, d.workers)
-	var wg sync.WaitGroup
-	queued := time.Now()
-	for i, task := range tasks {
-		// Stop dispatching once the run is canceled; in-flight subtasks see
-		// the same context and abort on their own.
-		if err := ctx.Err(); err != nil {
-			d.mu.Lock()
-			if d.firstErr == nil {
-				d.firstErr = fmt.Errorf("dist: run canceled: %w", err)
-			}
-			d.mu.Unlock()
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, task Task) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			wait := time.Since(queued)
-			tr, err := d.pool.Solve(ctx, task, req)
-			d.mu.Lock()
-			defer d.mu.Unlock()
-			if err != nil {
-				if d.firstErr == nil {
-					d.firstErr = err
-				}
-				return
-			}
-			tr.Wait = wait
-			d.results[i] = tr
-		}(i, task)
-	}
-	wg.Wait()
-	if d.firstErr != nil {
-		return nil, d.firstErr
-	}
-	return d.results, nil
-}

@@ -8,14 +8,16 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/sparse"
+	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
 // Run executes the paper's Fig. 4 flow for the nodes the pool has: partition
 // the time-varying sources into bump-feature groups, merge the groups into
-// one task per node (plan.go), fan the tasks out as zero-state subtasks,
-// solve the DC operating point on the scheduler meanwhile, and superpose
-// the task responses with the DC baseline on the shared GTS time grid.
+// one task per node (plan.go), fan the tasks out as zero-state subtasks
+// running method, solve the DC operating point on the scheduler meanwhile,
+// and superpose the task responses with the DC baseline on the shared GTS
+// time grid (internal/superpose, every coefficient 1).
 //
 // The returned Result carries the superposed probe waveforms (and final
 // state); its Stats aggregate the work of all nodes, with TransientTime set
@@ -23,24 +25,40 @@ import (
 // reading. The Report carries the plan and the per-node scheduling metrics
 // of Table 3.
 //
-//matex:ctx-exempt(the context arrives in Config.Ctx; the one receive joins Run's own DC goroutine, which never blocks)
-func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
-	cfg = cfg.withDefaults()
+//matex:ctx-root(embedding API default when Config.Base.Ctx is nil)
+//matex:ctx-exempt(the context arrives in Config.Base.Ctx; the one receive joins Run's own DC goroutine, which never blocks)
+func Run(sys *circuit.System, method transient.Method, cfg Config) (*transient.Result, *Report, error) {
+	base := cfg.Base
 	if sys == nil {
 		return nil, nil, fmt.Errorf("dist: nil system")
 	}
-	if cfg.Tstop <= 0 {
+	if base.Tstop <= 0 {
 		return nil, nil, fmt.Errorf("dist: needs positive Tstop")
 	}
+	// What every lane's integrator would refuse is refused here, once, before
+	// anything is dispatched — and also on a deck with no time-varying
+	// source, whose plan has no lane to refuse it.
+	if method.FixedStep() && base.Step <= 0 {
+		return nil, nil, fmt.Errorf("dist: fixed-step method %v needs positive Step", method)
+	}
+	if err := superpose.CheckBase(&base); err != nil {
+		return nil, nil, fmt.Errorf("dist: %w", err)
+	}
+	// Resolve the ordering once, here, so the scheduler's own DC
+	// factorization and every subtask share one fill and, with a shared
+	// cache, one cache key.
+	base.Ordering = base.Ordering.Resolve()
+	if base.Ctx == nil {
+		base.Ctx = context.Background()
+	}
 
-	res := &transient.Result{}
 	rep := &Report{}
 
 	// The factorization cache every in-process phase goes through: the DC
 	// solve and all local subtasks share it, so G is factorized at most
-	// once per distinct content, and a caller-provided cfg.Cache makes
-	// repeated Run calls refactorization-free.
-	cache := cfg.Cache
+	// once per distinct content, and a caller-provided cache makes repeated
+	// Run calls refactorization-free.
+	cache := base.Cache
 	if cache == nil {
 		cache = sparse.NewCache(0)
 	}
@@ -52,30 +70,29 @@ func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
 	// Decomposition, cut for the nodes present, and the shared output grid.
 	// Only the MATEX methods pay per transition spot; the others are
 	// planned without spots (see planTasks).
-	groups := Partition(sys, cfg.Tstop)
+	groups := Partition(sys, base.Tstop)
 	var spots [][]float64
-	switch cfg.Method {
+	switch method {
 	case transient.MEXP, transient.IMATEX, transient.RMATEX:
-		spots = groupSpots(sys, groups, cfg.Tstop)
+		spots = groupSpots(sys, groups, base.Tstop)
 	}
 	nodes := pool.Nodes()
 	tasks, perTask := planTasks(groups, spots, nodes)
 	rep.Groups, rep.Tasks, rep.PerTask = len(groups), len(tasks), perTask
-	gts := sys.GTS(cfg.Tstop)
-	req := subtaskRequest(cfg, gts)
+	gts := sys.GTS(base.Tstop)
+	req := subtaskRequest(method, &base, gts)
 
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = nodes
 	}
-	workers = max(1, min(workers, len(tasks)))
 
 	// DC operating point, G·x_DC = B·u(0) over all inputs, beside the
 	// fan-out: zero-state subtasks do not need x_DC, it only enters at
 	// superposition. The cached factorization of G is shared with the
 	// in-process subtasks (I-MATEX as its Krylov operator). A DC failure
 	// cancels the tasks still out.
-	ctx, cancel := context.WithCancel(cfg.Ctx)
+	ctx, cancel := context.WithCancel(base.Ctx)
 	defer cancel()
 	var (
 		xdc    []float64
@@ -86,18 +103,27 @@ func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
 	go func() {
 		defer close(dcDone)
 		tDC := time.Now()
-		xdc, dcInfo, dcErr = solveDC(sys, cfg, cache)
+		xdc, dcInfo, dcErr = solveDC(sys, base.Ordering, cache)
 		rep.DCTime = time.Since(tDC)
 		if dcErr != nil {
 			cancel()
 		}
 	}()
-	var results []*TaskResult
-	var err error
-	if len(tasks) > 0 {
-		d := &dispatcher{pool: pool, workers: workers}
-		results, err = d.run(ctx, tasks, req)
-	}
+	queued := time.Now()
+	results, err := superpose.FanOut(ctx, len(tasks), workers, func(ctx context.Context, i int) (*TaskResult, error) {
+		// A canceled run dispatches nothing further; subtasks in flight see
+		// the same context and abort on their own.
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("dist: run canceled: %w", err)
+		}
+		wait := time.Since(queued)
+		tr, err := pool.Solve(ctx, tasks[i], req)
+		if err != nil {
+			return nil, err
+		}
+		tr.Wait = wait
+		return tr, nil
+	})
 	<-dcDone
 	if dcErr != nil {
 		return nil, nil, dcErr
@@ -105,49 +131,33 @@ func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	res.Stats.AddFactorInfo(dcInfo)
-	res.Stats.SolvePairs++
-	res.Stats.DCTime = rep.DCTime
 
 	// Superposition: x(t_i) = x_DC + Σ_task x_task(t_i) on the GTS grid,
 	// summed in plan order so the result is deterministic regardless of
 	// completion order.
-	res.Times = append([]float64(nil), gts...)
-	if len(cfg.Probes) > 0 {
-		res.Probes = make([][]float64, len(gts))
-		for i := range res.Probes {
-			row := make([]float64, len(cfg.Probes))
-			for k, p := range cfg.Probes {
-				row[k] = xdc[p]
-			}
-			res.Probes[i] = row
-		}
+	terms := make([]superpose.Term, len(results))
+	for i, tr := range results {
+		terms[i] = superpose.Term{Lane: tr.Result, Coef: 1}
 	}
-	res.Final = append([]float64(nil), xdc...)
+	res, err := superpose.Combine(gts, xdc, base.Probes, terms)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: %w", err)
+	}
+	res.Stats.AddFactorInfo(dcInfo)
+	res.Stats.SolvePairs++
+	res.Stats.DCTime = rep.DCTime
 
 	rep.TaskStats = make([]transient.Stats, len(tasks))
 	for i, tr := range results {
-		sub := tr.Result
-		if len(cfg.Probes) > 0 {
-			addProbes(res.Times, res.Probes, sub, len(cfg.Probes))
-		}
-		for j := range res.Final {
-			if j < len(sub.Final) {
-				res.Final[j] += sub.Final[j]
-			}
-		}
+		st := &tr.Result.Stats
 		row := &rep.PerTask[i]
 		row.Wait, row.Elapsed, row.Retried, row.Worker = tr.Wait, tr.Elapsed, tr.Retried, tr.Worker
-		rep.TaskStats[i] = sub.Stats
+		rep.TaskStats[i] = *st
 		rep.Retried += tr.Retried
-		if tr.Elapsed > rep.MaxNodeTime {
-			rep.MaxNodeTime = tr.Elapsed
-		}
-		if sub.Stats.TransientTime > rep.MaxNodeTrTime {
-			rep.MaxNodeTrTime = sub.Stats.TransientTime
-		}
-		res.Stats.Add(&sub.Stats)
-		res.Stats.FactorTime += sub.Stats.FactorTime
+		rep.MaxNodeTime = max(rep.MaxNodeTime, tr.Elapsed)
+		rep.MaxNodeTrTime = max(rep.MaxNodeTrTime, st.TransientTime)
+		res.Stats.Add(st)
+		res.Stats.FactorTime += st.FactorTime
 	}
 	res.Stats.TransientTime = rep.MaxNodeTrTime
 	return res, rep, nil
@@ -155,8 +165,8 @@ func Run(sys *circuit.System, cfg Config) (*transient.Result, *Report, error) {
 
 // solveDC factorizes G through the shared cache and solves the DC operating
 // point over all inputs.
-func solveDC(sys *circuit.System, cfg Config, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
-	fg, info, err := cache.FactorEx(sys.G, sparse.FactorAuto, cfg.Ordering)
+func solveDC(sys *circuit.System, ordering sparse.Ordering, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
+	fg, info, err := cache.FactorEx(sys.G, sparse.FactorAuto, ordering)
 	if err != nil {
 		return nil, info, fmt.Errorf("dist: DC factorization failed: %w", err)
 	}
@@ -170,33 +180,4 @@ func solveDC(sys *circuit.System, cfg Config, cache *sparse.Cache) ([]float64, s
 		}
 	}
 	return xdc, info, nil
-}
-
-// addProbes accumulates a subtask's probe trace onto the superposed rows.
-// Subtask output times normally coincide with the GTS grid (the MATEX
-// solvers emit exactly the requested EvalTimes); fixed-step subtasks emit
-// their own step grid instead and are linearly interpolated onto the GTS.
-func addProbes(times []float64, rows [][]float64, sub *transient.Result, nProbes int) {
-	aligned := len(sub.Times) == len(times)
-	if aligned {
-		for i := range times {
-			if math.Abs(sub.Times[i]-times[i]) > 1e-15+1e-9*math.Abs(times[i]) {
-				aligned = false
-				break
-			}
-		}
-	}
-	if aligned {
-		for i := range rows {
-			for k := 0; k < nProbes; k++ {
-				rows[i][k] += sub.Probes[i][k]
-			}
-		}
-		return
-	}
-	for i, t := range times {
-		for k := 0; k < nProbes; k++ {
-			rows[i][k] += sub.InterpProbe(t, k)
-		}
-	}
 }

@@ -222,15 +222,15 @@ func (g *drainGroup) drain(grace time.Duration) bool {
 var errDraining = errors.New("dist: worker is draining (shutting down)")
 
 // SetSolveWorkers sets the worker-local default per-solve goroutine budget
-// for requests that do not specify one. Call before Serve.
+// for requests that do not specify one. Call before ServeContext.
 func (w *WorkerServer) SetSolveWorkers(n int) { w.solveWorkers = n }
 
 // SetOrdering sets the worker-local default fill-reducing ordering applied
 // when a request arrives with OrderDefault (matexd -order). Call before
-// Serve.
+// ServeContext.
 func (w *WorkerServer) SetOrdering(o sparse.Ordering) { w.ordering = o }
 
-// NewWorkerServer returns an empty worker service for use with Serve, with
+// NewWorkerServer returns an empty worker service for ServeContext, with
 // a default-budget factorization cache.
 func NewWorkerServer() *WorkerServer {
 	return NewWorkerServerWithCache(sparse.NewCache(0))
@@ -253,7 +253,7 @@ func NewWorkerServerWithCache(cache *sparse.Cache) *WorkerServer {
 }
 
 // SetFaults installs the fault-injection registry consulted at the worker's
-// crash point (faultinject.WorkerCrash). Call before Serve; nil (the
+// crash point (faultinject.WorkerCrash). Call before ServeContext; nil (the
 // default) injects nothing.
 func (w *WorkerServer) SetFaults(r *faultinject.Registry) { w.faults = r }
 
@@ -347,24 +347,17 @@ func (w *WorkerServer) Solve(args *SolveArgs, reply *SolveReply) error {
 // in-flight RPCs before severing their connections anyway.
 const DefaultDrainGrace = 30 * time.Second
 
-// Serve accepts connections on l and serves the worker service until the
-// listener fails (e.g. is closed). Each connection is served concurrently;
-// net/rpc additionally runs each call in its own goroutine.
-//
-//matex:ctx-root(legacy non-draining wrapper; cancellation-aware callers use ServeContext)
-func Serve(l net.Listener, ws *WorkerServer) error {
-	return ServeContext(context.Background(), l, ws)
-}
-
-// ServeContext is Serve with a graceful drain: when ctx fires, the listener
-// is closed (no new connections), new RPCs on existing connections are
-// answered with a draining error, in-flight RPCs get up to grace to finish,
-// and only then are the connections severed. An omitted grace selects
-// DefaultDrainGrace; an explicit zero (or negative) grace severs
-// immediately ("matexd -grace 0"). It returns nil after a drain triggered
-// by ctx, and the listener's error when accepting fails on its own — the
-// same contract as Serve. cmd/matexd and the matexsrv test harness both
-// shut down through this path.
+// ServeContext accepts connections on l and serves the worker service until
+// the listener fails or ctx fires. Each connection is served concurrently;
+// net/rpc additionally runs each call in its own goroutine. When ctx fires
+// the worker drains: the listener is closed (no new connections), new RPCs
+// on existing connections are answered with a draining error, in-flight
+// RPCs get up to grace to finish, and only then are the connections
+// severed. An omitted grace selects DefaultDrainGrace; an explicit zero (or
+// negative) grace severs immediately ("matexd -grace 0"). It returns nil
+// after a drain triggered by ctx, and the listener's error when accepting
+// fails on its own. cmd/matexd and the test harnesses both shut down
+// through this path.
 func ServeContext(ctx context.Context, l net.Listener, ws *WorkerServer, grace ...time.Duration) error {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(rpcService, ws); err != nil {

@@ -170,8 +170,6 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 	bestWorst := math.Inf(1)
 	bestM := 0
 	reorthLeft := 0 // full-sweep iterations pending from the ω guard
-	happy := false
-	hsub := 0.0
 	// confirmPending requires a passing estimate to hold on the next check
 	// too before the subspace is accepted. A near-breakdown (tiny β_j)
 	// stalls the recurrence for one dimension: the residual estimate (∝ β)
@@ -213,14 +211,21 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 		bj := math.Sqrt(math.Max(0, dot(w, bww)))
 		beta[j] = bj
 		m := j + 1
-		hsub = bj
-		if bj <= breakdownTol*(1+wScale) || m == n {
-			// Happy breakdown: invariant subspace (or the full space),
-			// result exact.
-			happy = true
-			if m == n {
-				hsub = 0
+		// A happy breakdown or the full space. As in Arnoldi, exact only in
+		// exact arithmetic — this dimension is accepted on a passing
+		// estimate like any other, with the β it really has, or on the
+		// explicit residual check; a declared breakdown that neither vouches
+		// for carries on to v_{m+1} (β was only small in absolute terms).
+		// nuNext is ‖v_{m+1}‖₂, which converts the residual along v_{m+1}
+		// from its unit B-norm to Euclidean units.
+		exhausted := m == n || bj == 0
+		last := exhausted || bj <= breakdownTol*(1+wScale)
+		nuNext := 1.0
+		if exhausted {
+			if bj > 0 {
+				nuNext = norm2(w) / bj
 			}
+			nu[j+1] = nuNext
 		} else {
 			vnext := vec(&ws.basis, j+1, n)
 			bnext := vec(&ws.bbasis, j+1, n)
@@ -228,11 +233,13 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 				vnext[i] = w[i] / bj
 				bnext[i] = bww[i] / bj
 			}
-			nu[j+1] = norm2(vnext)
+			nuNext = norm2(vnext)
+			nu[j+1] = nuNext
 			if !opts.Reorthogonalize && reorthLeft == 0 {
-				if updateOmega(omega, omegaNew, alpha, beta, j) > reorthThreshold {
-					// Orthogonality drifting: clean the next two vectors with
-					// full sweeps and restart the estimate.
+				if updateOmega(omega, omegaNew, alpha, beta, j) > reorthThreshold || last {
+					// Orthogonality drifting, or about to divide by a tiny β:
+					// clean the next two vectors with full sweeps and restart
+					// the estimate.
 					reorthLeft = 2
 					resetOmega(omega, j+1)
 					resetOmega(omegaNew, j+1)
@@ -242,14 +249,14 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 			}
 		}
 
-		if opts.ForceDim && !happy && m < opts.MaxDim {
+		if opts.ForceDim && !last && m < opts.MaxDim {
 			continue
 		}
-		if !(happy || m == opts.MaxDim || confirmPending || sched.due(m)) {
+		if !(last || m == opts.MaxDim || confirmPending || sched.due(m)) {
 			continue
 		}
 		if err := ws.eig(alpha, beta, m); err != nil {
-			if happy || m == opts.MaxDim {
+			if last || m == opts.MaxDim {
 				return nil, fmt.Errorf("krylov: %v Lanczos projection eigendecomposition failed at dimension %d: %w", op.Mode, m, err) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
 			}
 			continue
@@ -265,18 +272,11 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 			ws.mu[k] = op.convertMu(ws.eigD[k], lamScale)
 		}
 		worst := 0.0
-		ok := m >= 2 || m == opts.MaxDim
+		ok := m >= 2 || m == opts.MaxDim || last
 		if ok {
 			ws.estU = growF(ws.estU, m)
-			// The residual lives along v_{m+1}: convert its unit B-norm to
-			// Euclidean units (1 on a happy breakdown, where the residual
-			// vanishes anyway).
-			nuNext := 1.0
-			if !happy {
-				nuNext = nu[m]
-			}
 			for k, h := range hCheck {
-				est := nuNext * spectralEstimate(&ws.eigQ, ws.mu[:m], hsub, beta0, h, ws.estU)
+				est := nuNext * spectralEstimate(&ws.eigQ, ws.mu[:m], bj, beta0, h, ws.estU)
 				if math.IsNaN(est) {
 					ok = false
 					break
@@ -295,7 +295,7 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 					if d *= beta0; d > est {
 						est = d
 					}
-				} else if !happy {
+				} else if !last {
 					est = math.Inf(1) // need two checks before trusting
 				}
 				copy(ws.prevU[k][:m], ws.estU[:m])
@@ -315,22 +315,44 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 			}
 		}
 		sched.record(m, worst, ok, opts)
-		estNu := 1.0
-		if !happy {
-			estNu = nu[m]
-		}
-		if happy || (opts.ForceDim && m == opts.MaxDim) {
-			finishTri(sub, ws, m, hsub, estNu)
+		if opts.ForceDim && (last || m == opts.MaxDim) {
+			finishTri(sub, ws, m, bj, nuNext)
 			return sub, nil
 		}
-		if ok && worst <= opts.Tol {
-			if confirmPending || m == opts.MaxDim {
-				finishTri(sub, ws, m, hsub, estNu)
+		accept := ok && worst <= opts.Tol
+		if last && ok && !accept {
+			// As in Arnoldi: the guard measures the previous check, not an
+			// exhausted space; ask the operator itself.
+			accept = true
+			ws.defHy = growF(ws.defHy, m)
+			for k, h := range hCheck {
+				for i := range ws.defHy {
+					ws.defHy[i] = 0
+				}
+				for c, mu := range ws.mu[:m] { // H_m·y = Q·diag(μ·e^{hμ})·Qᵀe₁
+					if e := expMu(h, mu); e != 0 {
+						for i := range ws.defHy {
+							ws.defHy[i] += ws.eigQ.At(i, c) * mu * e * ws.eigQ.At(0, c)
+						}
+					}
+				}
+				if d := odeDefect(op, ws, beta0, h, ws.prevU[k][:m]); !(d <= opts.Tol) {
+					accept = false
+					break
+				}
+			}
+		}
+		if accept {
+			if confirmPending || m == opts.MaxDim || last {
+				finishTri(sub, ws, m, bj, nuNext)
 				return sub, nil
 			}
 			confirmPending = true
 		} else {
 			confirmPending = false
+		}
+		if exhausted {
+			break // nothing vouches for the projection and there is no next vector
 		}
 	}
 	// Best effort at the dimension with the smallest estimate, mirroring

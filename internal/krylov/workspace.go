@@ -41,6 +41,9 @@ type Workspace struct {
 
 	estU []float64 // estimate vector u = e^{hH}e₁
 
+	defX, defXd, defOut []float64 // odeDefect: x, x' and the operator's answer
+	defHy               []float64 // odeDefect: H_m·y
+
 	// sub is the returned subspace (reused); the small dense scratch for
 	// the augmented-expm checks and the spectral evaluation lives on it
 	// (scrAug/scrHm/scrU/evalC/evalY), retained across resetSub.

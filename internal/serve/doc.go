@@ -16,7 +16,8 @@
 // POST /v1/jobs (http.go) validates the JobSpec and builds the circuit up
 // front (job.go), so malformed decks fail with a 400 before queueing. The
 // job then waits in a bounded queue until a worker goroutine (serve.go)
-// picks it up, stamps options onto transient.Simulate or dist.Run, and
+// picks it up, builds the one transient.Options every kind of job runs
+// under, hands it to transient.Simulate, sweep.Run or dist.Run, and
 // forwards every probe sample into the job's grow-only sample log. Stream
 // readers (GET /v1/jobs/{id}/stream) replay that log from any offset and
 // then follow live appends, so late subscribers and reconnects see the
@@ -33,10 +34,10 @@
 // # Durability
 //
 // With Config.StateDir set, accepted specs and periodic checkpoints are
-// journaled (journal.go) in an append-only NDJSON file per job; on restart
-// the server replays the journal, trims samples past the last checkpoint
-// (per variant for sweeps), and resumes unfinished jobs from their
-// checkpoints. Crash-safety is tested by snapshotting the journal bytes
+// journaled (journal.go) in one append-only NDJSON file; on restart the
+// server replays the journal, trims samples past the last checkpoint of
+// their variant (a plain job is the variant ""), and resumes unfinished
+// jobs from their checkpoints. Distributed jobs do not checkpoint. Crash-safety is tested by snapshotting the journal bytes
 // mid-run and restarting a second server on the copy.
 //
 // See cmd/matexsrv for the daemon and README.md ("Serving") for the API.

@@ -212,30 +212,21 @@ func (s *Server) statsReply() StatsReply {
 // handleSweep submits a sweep job: a JobSpec whose variants list is
 // required here (POST /v1/jobs accepts sweep specs too; this endpoint
 // just refuses to silently run a plain job when the caller meant N).
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	spec, ok := decodeSpec(w, r)
-	if !ok {
-		return
-	}
-	if len(spec.Variants) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep submission needs a non-empty variants list"))
-		return
-	}
-	job, err := s.Submit(spec)
-	if err != nil {
-		s.writeSubmitError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, job.Status())
-}
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) { s.submit(w, r, true) }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsReply())
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) { s.submit(w, r, false) }
+
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, sweep bool) {
 	spec, ok := decodeSpec(w, r)
 	if !ok {
+		return
+	}
+	if sweep && len(spec.Variants) == 0 {
+		writeError(w, http.StatusBadRequest, errors.New("sweep submission needs a non-empty variants list"))
 		return
 	}
 	job, err := s.Submit(spec)

@@ -149,7 +149,7 @@ func (spec *JobSpec) build() (*builtJob, error) {
 	if b.tstop <= 0 {
 		return nil, errors.New("no simulation window: set tstop or add a .tran card")
 	}
-	if (b.method == transient.TRFixed || b.method == transient.BEFixed || b.method == transient.FEFixed) && b.step <= 0 {
+	if b.method.FixedStep() && b.step <= 0 {
 		return nil, fmt.Errorf("fixed-step method %q needs step or a .tran step in the deck", spec.Method)
 	}
 	if len(spec.Variants) > 0 {
@@ -235,13 +235,12 @@ type Job struct {
 	submitted time.Time
 
 	// jn is the server's durable journal (nil on in-memory servers) and
-	// resume the checkpoint a journal-restored job re-enters the integrator
-	// from (nil = run from the start); vresume is its sweep-job analogue,
-	// the per-variant-name checkpoints of a restored sweep. All are set
-	// before the job is published and never change.
-	jn      *journal
-	resume  *transient.Checkpoint
-	vresume map[string]*transient.Checkpoint
+	// resume the checkpoints a journal-restored job re-enters its
+	// integrations from, by variant name — "" is a plain job's single
+	// integration; no entry = run from the start. Both are set before the
+	// job is published and never change.
+	jn     *journal
+	resume map[string]*transient.Checkpoint
 
 	mu       sync.Mutex
 	notify   chan struct{} // closed and replaced on every append/state change
@@ -256,8 +255,8 @@ type Job struct {
 	started  time.Time
 	finished time.Time
 
-	// flushMu serialises flush + checkpoint (journalVariantCheckpoint) and
-	// guards flushed: samples[:flushed] are in the journal.
+	// flushMu serialises flush + checkpoint (journalCheckpoint) and guards
+	// flushed: samples[:flushed] are in the journal.
 	flushMu sync.Mutex
 	flushed int
 }
@@ -270,6 +269,7 @@ func newJob(id string, spec JobSpec, built *builtJob) *Job {
 		submitted: time.Now(),
 		notify:    make(chan struct{}),
 		state:     JobQueued,
+		vseq:      make(map[string]int),
 	}
 }
 
@@ -279,49 +279,37 @@ func (j *Job) broadcast() {
 	j.notify = make(chan struct{})
 }
 
-// appendSample records one streamed chunk (the transient.Options.OnSample
-// hook; also used to replay a distributed run's superposed waveform).
-func (j *Job) appendSample(t float64, v []float64) {
+// appendSample records one streamed chunk: the OnSample hook of a plain
+// job (variant ""), the replay of a distributed run's superposed waveform,
+// and the sweep's OnVariantSample hook — called concurrently from its
+// lanes — which stamps the variant name and the next per-variant sequence
+// number.
+func (j *Job) appendSample(variant string, t float64, v []float64) {
 	j.mu.Lock()
-	j.samples = append(j.samples, Sample{T: t, V: append([]float64(nil), v...)})
-	j.broadcast()
-	j.mu.Unlock()
-}
-
-// appendVariantSample records one sweep sample, stamping the variant name
-// and the next per-variant sequence number (the sweep.OnVariantSample
-// hook — called concurrently from the sweep's lanes).
-func (j *Job) appendVariantSample(name string, t float64, v []float64) {
-	j.mu.Lock()
-	if j.vseq == nil {
-		j.vseq = make(map[string]int)
+	smp := Sample{T: t, V: append([]float64(nil), v...), Variant: variant}
+	if variant != "" {
+		j.vseq[variant]++
+		smp.VSeq = j.vseq[variant]
 	}
-	j.vseq[name]++
-	j.samples = append(j.samples, Sample{T: t, V: append([]float64(nil), v...), Variant: name, VSeq: j.vseq[name]})
+	j.samples = append(j.samples, smp)
 	j.broadcast()
 	j.mu.Unlock()
 }
 
-// journalCheckpoint is the transient.Options.OnCheckpoint hook of a
-// journal-backed job: flush the not-yet-durable samples first, then the
-// fsynced checkpoint record — the order that guarantees every sample at or
-// before a durable checkpoint's time is itself durable, which is what lets
-// a resumed run (re-emitting samples after cp.T) splice onto the restored
-// buffer with no gaps and no duplicates. A failed append aborts the run:
-// the integrator surfaces the error and the job fails rather than keep
+// journalCheckpoint is the OnCheckpoint hook of a journal-backed job, for
+// its one integration (variant "") or one sweep lane: flush the
+// not-yet-durable samples first, then the fsynced checkpoint record — the
+// order that guarantees every sample at or before a durable checkpoint's
+// time is itself durable, which is what lets a resumed run (re-emitting
+// samples after cp.T) splice onto the restored buffer with no gaps and no
+// duplicates. A sweep lane flushes all variants' samples — a superset of
+// the per-variant invariant, so the splice guarantee holds for each variant
+// independently. Lanes checkpoint concurrently, so flush + checkpoint run
+// under flushMu: each batch then starts exactly where the previous one
+// ended, and replay only ever appends. A failed append aborts the run: the
+// integrator surfaces the error and the job fails rather than keep
 // computing results the journal cannot make durable.
-func (j *Job) journalCheckpoint(cp transient.Checkpoint) error {
-	return j.journalVariantCheckpoint("", cp)
-}
-
-// journalVariantCheckpoint is journalCheckpoint with a variant tag: a
-// sweep lane's checkpoint flushes every not-yet-durable sample first (all
-// variants' — a superset of the per-variant invariant, so the splice
-// guarantee holds for each variant independently). Lanes checkpoint
-// concurrently, so flush + checkpoint run under flushMu: each batch then
-// starts exactly where the previous one ended, and replay only ever
-// appends.
-func (j *Job) journalVariantCheckpoint(variant string, cp transient.Checkpoint) error {
+func (j *Job) journalCheckpoint(variant string, cp transient.Checkpoint) error {
 	j.flushMu.Lock()
 	defer j.flushMu.Unlock()
 	j.mu.Lock()
@@ -334,14 +322,6 @@ func (j *Job) journalVariantCheckpoint(variant string, cp transient.Checkpoint) 
 		j.flushed += len(batch)
 	}
 	return j.jn.appendCheckpoint(j.ID, variant, cp)
-}
-
-// setSweepStats records a finished sweep's batching report (called by the
-// worker just before finish publishes the terminal state).
-func (j *Job) setSweepStats(st *sweep.Stats) {
-	j.mu.Lock()
-	j.sweep = st
-	j.mu.Unlock()
 }
 
 // markRunning transitions queued → running; it reports false when the job
@@ -359,23 +339,28 @@ func (j *Job) markRunning(cancel context.CancelFunc) bool {
 	return true
 }
 
-// finish records the outcome. A run aborted by its context reports
-// canceled; everything else is done or failed.
-func (j *Job) finish(res *transient.Result, rep *dist.Report, err error) {
+// outcome is the terminal state a run's error stands for: a run aborted by
+// its context reports canceled; everything else is done or failed.
+func outcome(err error) JobState {
+	switch {
+	case err == nil:
+		return JobDone
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return JobCanceled
+	}
+	return JobFailed
+}
+
+// finish records the outcome, with the scheduling report of a distributed
+// run and the batching report of a sweep.
+func (j *Job) finish(res *transient.Result, rep *dist.Report, sst *sweep.Stats, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
-	j.report = rep
-	switch {
-	case err == nil:
-		j.state = JobDone
+	j.report, j.sweep = rep, sst
+	j.state, j.err = outcome(err), err
+	if err == nil {
 		j.stats = &res.Stats
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = JobCanceled
-		j.err = err
-	default:
-		j.state = JobFailed
-		j.err = err
 	}
 	j.cancel = nil
 	j.releaseInputsLocked()

@@ -85,9 +85,10 @@ type restoredJob struct {
 	seq     uint64
 	spec    JobSpec
 	samples []Sample
-	cp      *transient.Checkpoint
-	vcps    map[string]*transient.Checkpoint // sweep jobs: per-variant-name
-	done    bool                             // terminal record seen: prune, do not restore
+	// cps are the last checkpoints by variant name; "" is a plain job's
+	// single integration, as in the record's Variant field.
+	cps  map[string]*transient.Checkpoint
+	done bool // terminal record seen: prune, do not restore
 }
 
 // openJournal replays and compacts the journal under dir, then reopens it
@@ -177,14 +178,10 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 			if r == nil || rec.Cp == nil {
 				continue
 			}
-			if rec.Variant != "" {
-				if r.vcps == nil {
-					r.vcps = make(map[string]*transient.Checkpoint)
-				}
-				r.vcps[rec.Variant] = rec.Cp
-			} else {
-				r.cp = rec.Cp
+			if r.cps == nil {
+				r.cps = make(map[string]*transient.Checkpoint)
 			}
+			r.cps[rec.Variant] = rec.Cp
 		case "done":
 			if r := byID[rec.ID]; r != nil {
 				r.done = true
@@ -197,28 +194,19 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 
 	// Trim samples past the checkpoint: the resumed run re-emits them. The
 	// flush-before-checkpoint order means this is normally a no-op, but a
-	// journal from a crashed *replay* could hold a stale tail.
+	// journal from a crashed *replay* could hold a stale tail. A sweep's
+	// samples interleave variants, so the trim is per variant: keep a sample
+	// only when its variant has a checkpoint at or after it. An integration
+	// without a checkpoint (a plain job that never reached one, every shared
+	// variant) re-runs from scratch and re-emits everything.
 	for _, r := range order {
-		if len(r.spec.Variants) > 0 {
-			// Sweep job: samples interleave variants, so trim per variant —
-			// keep a sample only when its variant has a checkpoint at or
-			// after it. Variants without a checkpoint (including every
-			// shared variant) re-run from scratch and re-emit everything.
-			kept := r.samples[:0]
-			for _, smp := range r.samples {
-				if cp := r.vcps[smp.Variant]; cp != nil && smp.T <= cp.T {
-					kept = append(kept, smp)
-				}
+		kept := r.samples[:0]
+		for _, smp := range r.samples {
+			if cp := r.cps[smp.Variant]; cp != nil && smp.T <= cp.T {
+				kept = append(kept, smp)
 			}
-			r.samples = kept
-			continue
 		}
-		if r.cp == nil {
-			r.samples = nil // no restart point: the job re-runs from scratch
-			continue
-		}
-		n := sort.Search(len(r.samples), func(i int) bool { return r.samples[i].T > r.cp.T })
-		r.samples = r.samples[:n]
+		r.samples = kept
 	}
 	return order, maxSeq, nil
 }
@@ -252,21 +240,14 @@ func compactJournal(path string, live []*restoredJob) error {
 				return failCompact(f, tmp, err)
 			}
 		}
-		if r.cp != nil {
-			if err := writeRec(journalRecord{Rec: "checkpoint", ID: r.id, Cp: r.cp}); err != nil {
-				return failCompact(f, tmp, err)
-			}
+		names := make([]string, 0, len(r.cps))
+		for n := range r.cps {
+			names = append(names, n)
 		}
-		if len(r.vcps) > 0 {
-			names := make([]string, 0, len(r.vcps))
-			for n := range r.vcps {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				if err := writeRec(journalRecord{Rec: "checkpoint", ID: r.id, Variant: n, Cp: r.vcps[n]}); err != nil {
-					return failCompact(f, tmp, err)
-				}
+		sort.Strings(names)
+		for _, n := range names {
+			if err := writeRec(journalRecord{Rec: "checkpoint", ID: r.id, Variant: n, Cp: r.cps[n]}); err != nil {
+				return failCompact(f, tmp, err)
 			}
 		}
 	}

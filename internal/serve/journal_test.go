@@ -361,3 +361,57 @@ func TestCheckpointWriteFaultFailsJob(t *testing.T) {
 		t.Fatalf("failed job resurrected on restart (%d resumed)", stats.Resumed)
 	}
 }
+
+// TestRestoredUnbuildableSpecIsCountedAndLaidToRest: a journaled spec that
+// no longer builds under this binary (here an ordering the parser has
+// dropped) is restored as a failed job — visible to the client, counted so
+// the /stats invariant accepted = completed + failed + canceled + queued +
+// in-flight holds, and journaled done, so the next start compacts it away
+// instead of resurrecting and re-failing it for ever.
+func TestRestoredUnbuildableSpecIsCountedAndLaidToRest(t *testing.T) {
+	dir := t.TempDir()
+	rec, err := json.Marshal(map[string]any{
+		"rec": "spec", "id": "job-7", "seq": 7,
+		"spec": serve.JobSpec{Case: "ibmpg1t", Scale: 0.25, Ordering: "rcm"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), append(rec, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	st := getStats(t, base)
+	if st.Accepted != 1 || st.Failed != 1 || st.Resumed != 0 ||
+		st.Accepted != st.Completed+st.Failed+st.Canceled+uint64(st.QueueDepth+st.InFlight) {
+		t.Fatalf("first start: accepted %d = completed %d + failed %d + canceled %d + queued %d + in flight %d, resumed %d; want 1 accepted, 1 failed, 0 resumed",
+			st.Accepted, st.Completed, st.Failed, st.Canceled, st.QueueDepth, st.InFlight, st.Resumed)
+	}
+	resp, err := http.Get(base + "/v1/jobs/job-7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var job serve.Status
+	if err := jsonDecode(resp, &job); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if job.State != serve.JobFailed || !strings.Contains(job.Error, "rcm") {
+		t.Fatalf("restored job is %s (%q), want failed naming the ordering", job.State, job.Error)
+	}
+	if err := shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base2, shutdown2 := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	defer shutdown2(context.Background())
+	if st := getStats(t, base2); st.Accepted != 0 || st.Failed != 0 || st.Resumed != 0 {
+		t.Fatalf("second start restored the dead spec again: accepted %d, failed %d, resumed %d", st.Accepted, st.Failed, st.Resumed)
+	}
+	// The job counter still resumes past every journaled ID.
+	got := streamNDJSON(t, base2+"/v1/simulate", serve.JobSpec{Case: "ibmpg1t", Scale: 0.25})
+	if got.state != serve.JobDone || got.id != "job-8" {
+		t.Fatalf("next job is %s, %s; want job-8 done", got.id, got.state)
+	}
+}

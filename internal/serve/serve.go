@@ -212,16 +212,20 @@ func New(cfg Config) (*Server, error) {
 	// Re-enqueue interrupted jobs before the workers start: they keep their
 	// IDs, their journal-restored sample buffers (every sample at or before
 	// the checkpoint), and resume mid-waveform via transient.Resume. A spec
-	// that no longer builds (it validated once, so only environment drift
-	// can break it) surfaces as a failed job rather than a lost one.
+	// that no longer builds (it validated once, so only a changed binary
+	// can break it) surfaces as a failed job rather than a lost one — counted
+	// and journaled done like any other failure, so /stats stays balanced
+	// and the next restart does not resurrect it.
 	for _, r := range restored {
-		job, err := s.restoreJob(r)
-		if err != nil {
-			continue
-		}
+		job := s.restoreJob(r)
 		s.jobs[job.ID] = job
 		s.order = append(s.order, job.ID)
 		s.accepted++
+		if job.err != nil {
+			s.failed++
+			jn.appendDone(job.ID, JobFailed, job.err.Error()) //matex:err-ok(a lost done record only costs re-failing the same spec after the next restart)
+			continue
+		}
 		s.resumed++
 		s.queue <- job
 	}
@@ -234,18 +238,16 @@ func New(cfg Config) (*Server, error) {
 
 // restoreJob rebuilds one journal-replayed job: re-parse and re-stamp the
 // spec (the journal stores the spec, not the stamped matrices), reattach
-// the restored samples, and carry the resume checkpoint. A failed rebuild
-// is recorded as a failed job so the client sees the outcome.
-func (s *Server) restoreJob(r *restoredJob) (*Job, error) {
+// the restored samples, and carry the resume checkpoints. A failed rebuild
+// comes back as a failed job so the client sees the outcome.
+func (s *Server) restoreJob(r *restoredJob) *Job {
 	built, err := r.spec.build()
 	if err != nil {
 		job := newJob(r.id, r.spec, &builtJob{})
 		job.state = JobFailed
 		job.err = fmt.Errorf("serve: restoring job from journal: %w", err)
 		job.finished = time.Now()
-		s.jobs[r.id] = job
-		s.order = append(s.order, r.id)
-		return nil, err
+		return job
 	}
 	if built.order == sparse.OrderDefault {
 		built.order = s.cfg.Ordering
@@ -254,22 +256,15 @@ func (s *Server) restoreJob(r *restoredJob) (*Job, error) {
 	job.jn = s.journal
 	job.samples = r.samples
 	job.flushed = len(r.samples)
-	job.resume = r.cp
-	job.vresume = r.vcps
+	job.resume = r.cps
 	// A restored sweep continues each variant's VSeq past its retained
 	// samples, so the spliced stream stays gap- and duplicate-free.
 	for _, smp := range r.samples {
-		if smp.Variant == "" {
-			continue
-		}
-		if job.vseq == nil {
-			job.vseq = make(map[string]int)
-		}
-		if smp.VSeq > job.vseq[smp.Variant] {
-			job.vseq[smp.Variant] = smp.VSeq
+		if smp.Variant != "" {
+			job.vseq[smp.Variant] = max(job.vseq[smp.Variant], smp.VSeq)
 		}
 	}
-	return job, nil
+	return job
 }
 
 // CacheStats exposes the shared factorization cache counters.
@@ -282,7 +277,7 @@ func (s *Server) CacheStats() sparse.CacheStats { return s.cache.Stats() }
 //matex:ctx-exempt(the queue send cannot block: capacity is checked under s.mu and Submit is the only sender)
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// Reject cheap-to-detect overload before paying for the parse + stamp:
-	// a saturated or draining server answers without building the system.
+	// a full or draining server answers without building the system.
 	// The definitive check re-runs under the lock after the build.
 	s.mu.Lock()
 	if s.closing {
@@ -422,50 +417,8 @@ func (s *Server) runJob(job *Job) {
 	s.inFlight++
 	s.mu.Unlock()
 
-	b := job.built
 	runStart := time.Now()
-	var (
-		res  *transient.Result
-		rep  *dist.Report
-		sres *sweep.Result
-		err  error
-	)
-	if len(job.Spec.Variants) > 0 {
-		sres, err = s.runSweep(ctx, job)
-		if err == nil {
-			// The folded lane counters stand in as the job's transient
-			// stats; the sweep-specific report rides on the job separately.
-			res = &transient.Result{Stats: sres.Stats.Sim}
-			job.setSweepStats(&sres.Stats)
-		}
-	} else if job.Spec.Distributed {
-		res, rep, err = s.runDistributed(ctx, job.built, job.Spec, job.appendSample)
-	} else {
-		opts := transient.Options{
-			Tstop:        b.tstop,
-			Step:         b.step,
-			Probes:       b.probes,
-			Tol:          job.Spec.Tol,
-			Gamma:        job.Spec.Gamma,
-			MaxDim:       job.Spec.MaxDim,
-			Ordering:     b.order,
-			Krylov:       b.krylov,
-			SolveWorkers: job.Spec.SolveWorkers,
-			Cache:        s.cache,
-			Workspaces:   s.workspaces,
-			Ctx:          ctx,
-			OnSample:     job.appendSample,
-		}
-		if s.journal != nil {
-			opts.OnCheckpoint = job.journalCheckpoint
-			opts.CheckpointEvery = s.cfg.CheckpointEvery
-		}
-		if job.resume != nil {
-			res, err = transient.Resume(b.sys, b.method, opts, *job.resume)
-		} else {
-			res, err = transient.Simulate(b.sys, b.method, opts)
-		}
-	}
+	res, rep, sst, err := s.simulate(ctx, job)
 	// Fold the outcome into the server counters BEFORE finish() makes the
 	// terminal state visible: a client that watches the stream's done tail
 	// and immediately reads /stats must find its job already counted.
@@ -475,20 +428,20 @@ func (s *Server) runJob(job *Job) {
 	s.inFlight--
 	s.runs++
 	s.runNanos += int64(time.Since(runStart))
-	switch {
-	case err == nil:
+	switch outcome(err) {
+	case JobDone:
 		s.completed++
 		s.agg.add(&res.Stats)
-		if sres != nil {
-			s.agg.addSweep(&sres.Stats)
+		if sst != nil {
+			s.agg.addSweep(sst)
 		}
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case JobCanceled:
 		s.canceled++
 	default:
 		s.failed++
 	}
 	s.mu.Unlock()
-	job.finish(res, rep, err)
+	job.finish(res, rep, sst, err)
 	if s.journal != nil {
 		// The terminal record prunes the job from the next restart's replay.
 		// At-least-once: finish() already published the outcome, so a crash
@@ -503,106 +456,99 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Unlock()
 }
 
-// runSweep executes a sweep job through internal/sweep on the server's
-// shared cache and workspaces: per-variant samples stream into the job as
-// lanes advance, per-variant checkpoints journal on durable servers, and
-// a journal-restored job resumes its directly-integrated variants from
-// their checkpoints (shared variants re-run — resume disables sharing).
-func (s *Server) runSweep(ctx context.Context, job *Job) (*sweep.Result, error) {
-	b := job.built
-	sopts := sweep.Options{
-		Base: transient.Options{
-			Tstop:        b.tstop,
-			Step:         b.step,
-			Probes:       b.probes,
-			Tol:          job.Spec.Tol,
-			Gamma:        job.Spec.Gamma,
-			MaxDim:       job.Spec.MaxDim,
-			Ordering:     b.order,
-			Krylov:       b.krylov,
-			SolveWorkers: job.Spec.SolveWorkers,
-			Cache:        s.cache,
-			Workspaces:   s.workspaces,
-			Ctx:          ctx,
-		},
-		Method: b.method,
-		OnVariantSample: func(v int, t float64, probes []float64) {
-			job.appendVariantSample(variantName(job.Spec.Variants, v), t, probes)
-		},
-	}
-	if s.journal != nil {
-		sopts.Base.CheckpointEvery = s.cfg.CheckpointEvery
-		sopts.OnVariantCheckpoint = func(v int, cp transient.Checkpoint) error {
-			return job.journalVariantCheckpoint(variantName(job.Spec.Variants, v), cp)
-		}
-	}
-	if len(job.vresume) > 0 {
-		rv := make(map[int]transient.Checkpoint, len(job.vresume))
-		for i := range job.Spec.Variants {
-			if cp := job.vresume[variantName(job.Spec.Variants, i)]; cp != nil {
-				rv[i] = *cp
-			}
-		}
-		sopts.ResumeVariants = rv
-	}
-	return sweep.Run(b.sys, job.Spec.Variants, sopts)
-}
-
-// variantName resolves the journal/stream name of variant i, applying the
-// same "v<index>" default as the sweep engine.
-func variantName(vs []sweep.Variant, i int) string {
-	if i < len(vs) && vs[i].Name != "" {
-		return vs[i].Name
-	}
-	return fmt.Sprintf("v%d", i)
-}
-
-// runDistributed fans the job out through the dist scheduler and replays
-// the superposed waveform as stream samples. The superposition only exists
-// once every subtask has landed, so distributed jobs stream at completion
-// rather than per-step; the shared cache still carries across jobs.
-func (s *Server) runDistributed(ctx context.Context, b *builtJob, spec JobSpec, emit func(float64, []float64)) (*transient.Result, *dist.Report, error) {
-	cfg := dist.Config{
-		Method:       b.method,
+// simulate runs the job under one option bundle over the server's shared
+// cache and workspaces: a plain integration, a sweep (its batching report is
+// the third result; the folded lane counters stand in as the transient
+// stats) or a D-MATEX run (its scheduling report is the second). Samples
+// stream into the job as the integration or the sweep's lanes advance; a
+// distributed superposition only exists once every subtask has landed, so
+// it streams at completion. On durable servers plain jobs and sweep lanes
+// journal their checkpoints and a restored job re-enters each integration
+// at its last one (shared sweep variants re-run: resume disables sharing);
+// distributed jobs do not checkpoint, their subtasks run remotely.
+func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *dist.Report, *sweep.Stats, error) {
+	b, spec := job.built, &job.Spec
+	opts := transient.Options{
 		Tstop:        b.tstop,
 		Step:         b.step,
+		Probes:       b.probes,
 		Tol:          spec.Tol,
 		Gamma:        spec.Gamma,
 		MaxDim:       spec.MaxDim,
-		Probes:       b.probes,
 		Ordering:     b.order,
 		Krylov:       b.krylov,
 		SolveWorkers: spec.SolveWorkers,
 		Cache:        s.cache,
+		Workspaces:   s.workspaces,
 		Ctx:          ctx,
 	}
-	var poolKey string
-	if len(s.cfg.DistAddrs) > 0 {
-		pool, key, err := s.distPool(b.sys, spec)
+	durable := s.journal != nil && !spec.Distributed
+	if durable {
+		opts.CheckpointEvery = s.cfg.CheckpointEvery
+	}
+	switch {
+	case len(spec.Variants) > 0:
+		name := func(v int) string { return spec.Variants[v].Label(v) }
+		sopts := sweep.Options{
+			Base:   opts,
+			Method: b.method,
+			OnVariantSample: func(v int, t float64, probes []float64) {
+				job.appendSample(name(v), t, probes)
+			},
+			ResumeVariants: make(map[int]transient.Checkpoint, len(job.resume)),
+		}
+		if durable {
+			sopts.OnVariantCheckpoint = func(v int, cp transient.Checkpoint) error {
+				return job.journalCheckpoint(name(v), cp)
+			}
+		}
+		for v := range spec.Variants {
+			if cp := job.resume[name(v)]; cp != nil {
+				sopts.ResumeVariants[v] = *cp
+			}
+		}
+		sres, err := sweep.Run(b.sys, spec.Variants, sopts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
+			return nil, nil, nil, err
 		}
-		cfg.Pool = pool
-		poolKey = key
-	}
-	res, rep, err := dist.Run(b.sys, cfg)
-	if err != nil {
-		if poolKey != "" {
-			// A failed run may mean buried workers: drop the cached pool
-			// so the next job redials a fresh set instead of inheriting
-			// the corpses.
-			s.dropPool(poolKey)
+		return &transient.Result{Stats: sres.Stats.Sim}, nil, &sres.Stats, nil
+
+	case spec.Distributed:
+		cfg := dist.Config{Base: opts}
+		var poolKey string
+		if len(s.cfg.DistAddrs) > 0 {
+			pool, key, err := s.distPool(b.sys, *spec)
+			if err != nil {
+				return nil, nil, nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
+			}
+			cfg.Pool, poolKey = pool, key
 		}
-		return nil, nil, err
-	}
-	for i, t := range res.Times {
-		var row []float64
-		if i < len(res.Probes) {
-			row = res.Probes[i]
+		res, rep, err := dist.Run(b.sys, b.method, cfg)
+		if err != nil {
+			if poolKey != "" {
+				// A failed run may mean buried workers: drop the cached pool
+				// so the next job redials a fresh set instead of inheriting
+				// the corpses.
+				s.dropPool(poolKey)
+			}
+			return nil, nil, nil, err
 		}
-		emit(t, row)
+		res.EachSample(func(t float64, row []float64) { job.appendSample("", t, row) })
+		return res, rep, nil, nil
 	}
-	return res, rep, nil
+
+	opts.OnSample = func(t float64, probes []float64) { job.appendSample("", t, probes) }
+	if durable {
+		opts.OnCheckpoint = func(cp transient.Checkpoint) error { return job.journalCheckpoint("", cp) }
+	}
+	var res *transient.Result
+	var err error
+	if cp := job.resume[""]; cp != nil {
+		res, err = transient.Resume(b.sys, b.method, opts, *cp)
+	} else {
+		res, err = transient.Simulate(b.sys, b.method, opts)
+	}
+	return res, nil, nil, err
 }
 
 // maxDistPools bounds how many deck-distinct matexd pools the server keeps

@@ -504,8 +504,9 @@ func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	go dist.Serve(l, dist.NewWorkerServer())
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	go dist.ServeContext(wctx, l, dist.NewWorkerServer())
 
 	_, base, shutdown := testServer(t, serve.Config{
 		Workers: 2, QueueDepth: 8, DistAddrs: []string{l.Addr().String()},

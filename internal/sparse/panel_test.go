@@ -38,9 +38,15 @@ func TestPanelBrokerMatchesSolo(t *testing.T) {
 	}
 	outs := make([]laneOut, lanes)
 	br := NewPanelBroker()
+	// Join every lane before any starts, as sweep.Run does: a lane started
+	// while later ones are still unjoined runs width-1 rounds against a
+	// barrier that does not know about them yet.
+	joined := make([]*PanelLane, lanes)
+	for l := range joined {
+		joined[l] = br.Join()
+	}
 	var wg sync.WaitGroup
-	for l := 0; l < lanes; l++ {
-		ln := br.Join()
+	for l, ln := range joined {
 		wg.Add(1)
 		go func(l int, ln *PanelLane) {
 			defer wg.Done()

@@ -1,0 +1,212 @@
+package superpose
+
+import (
+	"context"
+	"errors"
+	"math"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/matex-sim/matex/internal/transient"
+)
+
+// lane builds a two-probe result on times whose probe k at sample i is
+// f(k, t_i) and whose final state is final.
+func lane(times []float64, f func(k int, t float64) float64, final ...float64) *transient.Result {
+	r := &transient.Result{Times: times, Final: final}
+	for _, t := range times {
+		r.Probes = append(r.Probes, []float64{f(0, t), f(1, t)})
+	}
+	return r
+}
+
+func TestCombine(t *testing.T) {
+	grid := []float64{0, 1, 2, 3}
+	fine := []float64{0, 0.5, 1, 1.5, 2, 2.5, 3} // a fixed-step lane's own grid
+	lin := func(k int, t float64) float64 { return float64(k+1) * t }
+	sq := func(k int, t float64) float64 { return float64(k+1) + t*t }
+	base := []float64{10, 20, 30}
+	probes := []int{2, 0} // row column k records unknown probes[k]
+	negZero := math.Copysign(0, -1)
+
+	for _, c := range []struct {
+		name   string
+		grid   []float64
+		base   []float64
+		probes []int
+		terms  []Term
+		// want(i, k) is row i column k on wantT; final the expected state.
+		wantT []float64
+		want  func(i, k int) float64
+		final []float64
+		alias bool // rows and state are the single lane's own
+		err   bool
+	}{
+		{
+			name: "offset, coefficients 1 (D-MATEX)", grid: grid, base: base, probes: probes,
+			terms: []Term{{lane(grid, lin, 1, 2, 3), 1}, {lane(grid, sq, 4, 5, 6), 1}},
+			wantT: grid,
+			want:  func(i, k int) float64 { return base[probes[k]] + lin(k, grid[i]) + sq(k, grid[i]) },
+			final: []float64{15, 27, 39},
+		},
+		{
+			name: "offset, no lanes (a deck without transient sources)", grid: grid, base: base, probes: probes,
+			wantT: grid,
+			want:  func(i, k int) float64 { return base[probes[k]] },
+			final: base,
+		},
+		{
+			name: "no offset, sup + c·load (split sweep group)", probes: probes,
+			terms: []Term{{lane(grid, lin, 1, 2), 1}, {lane(grid, sq, 4, 5), 0.25}},
+			wantT: grid,
+			want:  func(i, k int) float64 { return lin(k, grid[i]) + 0.25*sq(k, grid[i]) },
+			final: []float64{2, 3.25},
+		},
+		{
+			name: "no offset, one lane times c (scaled sweep variant)", probes: probes,
+			terms: []Term{{lane(grid, sq, 4, negZero), -3}},
+			wantT: grid,
+			want:  func(i, k int) float64 { return -3 * sq(k, grid[i]) },
+			final: []float64{-12, 0}, // -3·(-0) = +0, bit for bit what c·x gives
+		},
+		{
+			name: "no offset, one lane times 1 aliases", probes: probes,
+			terms: []Term{{lane(grid, sq, 4, 5), 1}},
+			wantT: grid, want: func(i, k int) float64 { return sq(k, grid[i]) },
+			final: []float64{4, 5}, alias: true,
+		},
+		{
+			name: "fixed-step lane interpolated onto the grid", grid: grid, base: base, probes: probes,
+			terms: []Term{{lane(grid, sq, 4, 5, 6), 1}, {lane(fine, lin, 1, 2, 3), 2}},
+			wantT: grid,
+			want:  func(i, k int) float64 { return base[probes[k]] + sq(k, grid[i]) + 2*lin(k, grid[i]) },
+			final: []float64{16, 29, 42},
+		},
+		{
+			name: "no probes: state only", grid: grid, base: base,
+			terms: []Term{{&transient.Result{Final: []float64{1, 2, 3}}, 1}},
+			wantT: grid, final: []float64{11, 22, 33},
+		},
+		{
+			name: "lanes disagree on their shared grid", probes: probes,
+			terms: []Term{{lane(grid, lin), 1}, {lane(fine, lin), 1}},
+			err:   true,
+		},
+		{name: "no grid and no lanes", err: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := Combine(c.grid, c.base, c.probes, c.terms)
+			if c.err {
+				if err == nil {
+					t.Fatal("no error")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Times) != len(c.wantT) {
+				t.Fatalf("%d samples, want %d", len(got.Times), len(c.wantT))
+			}
+			if len(c.probes) == 0 && got.Probes != nil {
+				t.Fatalf("probe rows %v without probes", got.Probes)
+			}
+			for i, row := range got.Probes {
+				for k, v := range row {
+					if want := c.want(i, k); v != want {
+						t.Errorf("row %d column %d: %g, want %g", i, k, v, want)
+					}
+				}
+			}
+			if len(got.Final) != len(c.final) {
+				t.Fatalf("final state %v, want %v", got.Final, c.final)
+			}
+			for j, v := range got.Final {
+				if v != c.final[j] || math.Signbit(v) != math.Signbit(c.final[j]) {
+					t.Errorf("final[%d] = %g, want %g", j, v, c.final[j])
+				}
+			}
+			aliased := false
+			if len(c.terms) == 1 && len(got.Probes) > 0 {
+				l := c.terms[0].Lane
+				aliased = &got.Probes[0][0] == &l.Probes[0][0] && &got.Final[0] == &l.Final[0]
+			}
+			if aliased != c.alias {
+				t.Errorf("aliases its lane: %v, want %v", aliased, c.alias)
+			}
+		})
+	}
+}
+
+func TestFanOut(t *testing.T) {
+	// Results come back in lane order and the bound holds.
+	const n, limit = 40, 3
+	var inFlight, peak atomic.Int32
+	got, err := FanOut(context.Background(), n, limit, func(ctx context.Context, i int) (int, error) {
+		now := inFlight.Add(1)
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		defer inFlight.Add(-1)
+		return i * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("lane %d returned %d", i, v)
+		}
+	}
+	if p := peak.Load(); p > limit {
+		t.Fatalf("%d lanes in flight under a bound of %d", p, limit)
+	}
+
+	// The first error is the one returned, it cancels the context the other
+	// lanes see, and every lane is still started: a lane that never ran
+	// could not leave the barrier its peers park at.
+	boom := errors.New("boom")
+	var started sync.Map
+	release := make(chan struct{})
+	_, err = FanOut(context.Background(), n, n, func(ctx context.Context, i int) (int, error) {
+		started.Store(i, true)
+		if i == 7 {
+			defer close(release)
+			return 0, boom
+		}
+		<-release // lane 7 has failed by now
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})
+	if err != boom {
+		t.Fatalf("returned %v, want the first error", err)
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := started.Load(i); !ok {
+			t.Fatalf("lane %d never started", i)
+		}
+	}
+
+	// A parent context canceled up front reaches every lane.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = FanOut(ctx, 4, 2, func(ctx context.Context, i int) (int, error) { return 0, ctx.Err() })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("returned %v, want context.Canceled", err)
+	}
+}
+
+func TestCheckBase(t *testing.T) {
+	if err := CheckBase(&transient.Options{Tstop: 1, Probes: []int{0}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, o := range map[string]transient.Options{
+		"OnSample":     {OnSample: func(float64, []float64) {}},
+		"OnCheckpoint": {OnCheckpoint: func(transient.Checkpoint) error { return nil }},
+		"ActiveInputs": {ActiveInputs: []bool{true}},
+	} {
+		if CheckBase(&o) == nil {
+			t.Errorf("engine-owned Base.%s accepted", name)
+		}
+	}
+}

@@ -28,6 +28,9 @@
 //     tridiagonal eigendecompositions outright. Exact-duplicate variants
 //     are plain copies.
 //
-// Run is the entry point; the serve package exposes it as the POST /sweep
-// job type and cmd/matex as the -sweep flag.
+// Run is the entry point: compile the variants, plan groups and lanes, run
+// the lanes through the fan-out and fold them with the combiner this
+// package shares with internal/dist (internal/superpose) — {sup: 1,
+// load: c} or {direct: c} per variant. The serve package exposes it as the
+// POST /sweep job type and cmd/matex as the -sweep flag.
 package sweep

@@ -3,10 +3,11 @@ package sweep
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math"
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/sparse"
+	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -41,10 +42,6 @@ type Options struct {
 	// contract stays per-variant; variants without an entry restart from
 	// DC.
 	ResumeVariants map[int]transient.Checkpoint `json:"-"`
-	// SkipVariants marks variants already completed (restored from a
-	// journal): they are neither integrated nor emitted, and their slot
-	// in Result.Variants is a zero VariantResult with only the name set.
-	SkipVariants map[int]bool `json:"-"`
 }
 
 // VariantResult is one variant's waveform.
@@ -60,8 +57,6 @@ type VariantResult struct {
 	// Shared marks results served by linearity (scaled or recombined from
 	// a representative lane) rather than a dedicated integration.
 	Shared bool `json:"shared,omitempty"`
-	// Skipped marks variants excluded via Options.SkipVariants.
-	Skipped bool `json:"skipped,omitempty"`
 }
 
 // Stats aggregates the work of a sweep.
@@ -104,7 +99,6 @@ type lane struct {
 	sys     *circuit.System
 	active  []bool // input mask; nil = all
 	variant int    // >= 0: this lane is exactly that variant's waveform
-	res     *transient.Result
 }
 
 // member ties a variant to its group representative: v's load response
@@ -131,8 +125,8 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 	if len(variants) == 0 {
 		return nil, fmt.Errorf("sweep: no variants")
 	}
-	if opts.Base.OnSample != nil || opts.Base.OnCheckpoint != nil || opts.Base.ActiveInputs != nil {
-		return nil, fmt.Errorf("sweep: Base.OnSample/OnCheckpoint/ActiveInputs are engine-owned; use the sweep hooks")
+	if err := superpose.CheckBase(&opts.Base); err != nil {
+		return nil, fmt.Errorf("sweep: %w; use the sweep hooks", err)
 	}
 	cvs, err := compile(sys, variants)
 	if err != nil {
@@ -143,104 +137,74 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		base.Cache = sparse.NewCache(0)
 	}
 	noShare := len(opts.ResumeVariants) > 0
-	groups := planGroups(cvs, opts.Method, noShare, opts.SkipVariants)
-	lanes, err := planLanes(sys, cvs, groups)
-	if err != nil {
-		return nil, err
-	}
+	groups := planGroups(cvs, opts.Method, noShare)
+	lanes := planLanes(sys, cvs, groups)
 
 	res := &Result{Variants: make([]VariantResult, len(variants))}
 	for v := range cvs {
 		res.Variants[v].Name = cvs[v].name
-		if opts.SkipVariants[v] {
-			res.Variants[v].Skipped = true
-		}
 	}
 	res.Stats.Variants = len(variants)
 	res.Stats.Lanes = len(lanes)
-	if len(lanes) == 0 {
-		return res, nil // everything skipped
-	}
 
+	// Join every lane before any of them starts, so the first barrier
+	// round already waits for the full fleet. All lanes run at once: one
+	// held back would stall the barrier the others park at.
 	var broker *sparse.PanelBroker
+	joined := make([]*sparse.PanelLane, len(lanes))
 	if len(lanes) > 1 {
 		broker = sparse.NewPanelBroker()
-	}
-	parent := base.Ctx
-	if parent == nil {
-		parent = context.Background()
-	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	// Join every lane before any goroutine starts, so the first barrier
-	// round already waits for the full fleet.
-	joined := make([]*sparse.PanelLane, len(lanes))
-	if broker != nil {
 		for i := range lanes {
 			joined[i] = broker.Join()
 		}
 	}
-	for i := range lanes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ln := lanes[i]
-			lopts := base
-			lopts.Ctx = ctx
-			lopts.ActiveInputs = ln.active
-			if joined[i] != nil {
-				defer joined[i].Leave()
-				lopts.Panel = joined[i]
-			}
-			var r *transient.Result
-			var err error
-			if v := ln.variant; v >= 0 {
-				if opts.OnVariantSample != nil {
-					lopts.OnSample = func(t float64, probes []float64) {
-						opts.OnVariantSample(v, t, probes)
-					}
-				}
-				if opts.OnVariantCheckpoint != nil {
-					lopts.OnCheckpoint = func(cp transient.Checkpoint) error {
-						return opts.OnVariantCheckpoint(v, cp)
-					}
-				}
-				if cp, ok := opts.ResumeVariants[v]; ok {
-					r, err = transient.Resume(ln.sys, opts.Method, lopts, cp)
-				} else {
-					r, err = transient.Simulate(ln.sys, opts.Method, lopts)
-				}
-			} else {
-				r, err = transient.Simulate(ln.sys, opts.Method, lopts)
-			}
-			if err != nil {
-				fail(fmt.Errorf("sweep: lane %d: %w", i, err))
-				return
-			}
-			lanes[i].res = r
-		}(i)
+	ctx := base.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	results, err := superpose.FanOut(ctx, len(lanes), len(lanes), func(ctx context.Context, i int) (*transient.Result, error) {
+		ln := lanes[i]
+		lopts := base
+		lopts.Ctx = ctx
+		lopts.ActiveInputs = ln.active
+		if joined[i] != nil {
+			defer joined[i].Leave()
+			lopts.Panel = joined[i]
+		}
+		var resume *transient.Checkpoint
+		if v := ln.variant; v >= 0 {
+			if opts.OnVariantSample != nil {
+				lopts.OnSample = func(t float64, probes []float64) {
+					opts.OnVariantSample(v, t, probes)
+				}
+			}
+			if opts.OnVariantCheckpoint != nil {
+				lopts.OnCheckpoint = func(cp transient.Checkpoint) error {
+					return opts.OnVariantCheckpoint(v, cp)
+				}
+			}
+			if cp, ok := opts.ResumeVariants[v]; ok {
+				resume = &cp
+			}
+		}
+		var r *transient.Result
+		var err error
+		if resume != nil {
+			r, err = transient.Resume(ln.sys, opts.Method, lopts, *resume)
+		} else {
+			r, err = transient.Simulate(ln.sys, opts.Method, lopts)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sweep: lane %d: %w", i, err)
+		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	for i := range lanes {
-		sim, s := &res.Stats.Sim, &lanes[i].res.Stats
+	for _, r := range results {
+		sim, s := &res.Stats.Sim, &r.Stats
 		sim.Add(s)
 		sim.DCTime += s.DCTime
 		sim.FactorTime += s.FactorTime
@@ -249,20 +213,44 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 	if broker != nil {
 		res.Stats.Panel = broker.Stats()
 	}
-	if err := assemble(res, cvs, groups, lanes, &opts); err != nil {
-		return nil, err
+
+	// Every variant is a combination of its group's lanes: the
+	// representative of a directly integrated group is that lane times 1
+	// (and streamed live as the lane advanced); every other variant is
+	// derived — c·direct, or x_sup + c·x_load for a split group — and
+	// streams in bulk here.
+	for _, g := range groups {
+		for _, m := range g.members {
+			var terms []superpose.Term
+			if g.direct >= 0 {
+				terms = []superpose.Term{{Lane: results[g.direct], Coef: m.c}}
+			} else {
+				terms = []superpose.Term{{Lane: results[g.sup], Coef: 1}, {Lane: results[g.load], Coef: m.c}}
+			}
+			r, err := superpose.Combine(nil, nil, base.Probes, terms)
+			if err != nil {
+				return nil, fmt.Errorf("sweep: internal: %w", err)
+			}
+			vr := &res.Variants[m.v]
+			vr.Times, vr.Probes, vr.Final = r.Times, r.Probes, r.Final
+			if g.direct >= 0 && m.v == g.rep {
+				continue
+			}
+			vr.Shared = true
+			res.Stats.SharedVariants++
+			if opts.OnVariantSample != nil {
+				r.EachSample(func(t float64, row []float64) { opts.OnVariantSample(m.v, t, row) })
+			}
+		}
 	}
 	return res, nil
 }
 
 // planGroups partitions the variants into collinear groups. With sharing
 // off (or on resume) every variant is its own singleton group.
-func planGroups(cvs []compiled, method transient.Method, noShare bool, skip map[int]bool) []group {
+func planGroups(cvs []compiled, method transient.Method, noShare bool) []group {
 	var groups []group
 	for v := range cvs {
-		if skip[v] {
-			continue
-		}
 		if !noShare {
 			placed := false
 			for gi := range groups {
@@ -286,11 +274,7 @@ func planGroups(cvs []compiled, method transient.Method, noShare bool, skip map[
 		g := &groups[gi]
 		best, bestAbs := g.rep, 0.0
 		for _, m := range g.members {
-			abs := m.c
-			if abs < 0 {
-				abs = -abs
-			}
-			if abs > bestAbs {
+			if abs := math.Abs(m.c); abs > bestAbs {
 				best, bestAbs = m.v, abs
 			}
 		}
@@ -336,7 +320,7 @@ func sameScales(ms []member) bool {
 }
 
 // planLanes resolves groups into concrete integrations.
-func planLanes(sys *circuit.System, cvs []compiled, groups []group) ([]lane, error) {
+func planLanes(sys *circuit.System, cvs []compiled, groups []group) []lane {
 	hasSupply := false
 	for _, in := range sys.Inputs {
 		if in.Supply {
@@ -360,15 +344,10 @@ func planLanes(sys *circuit.System, cvs []compiled, groups []group) ([]lane, err
 		g := &groups[gi]
 		g.direct, g.sup, g.load = -1, -1, -1
 		repSys := cvs[g.rep].system(sys)
-		if sameScales(g.members) {
-			// Copies of one exact waveform: integrate the representative
-			// once, duplicate for the rest.
-			g.direct = add(lane{sys: repSys, variant: g.rep})
-			continue
-		}
-		if !hasSupply {
-			// Pure load deck: the whole response scales, one lane serves
-			// every member.
+		if sameScales(g.members) || !hasSupply {
+			// Copies of one exact waveform, or a pure load deck whose whole
+			// response scales: the representative's lane serves every
+			// member, times 1 or times c.
 			g.direct = add(lane{sys: repSys, variant: g.rep})
 			continue
 		}
@@ -390,104 +369,5 @@ func planLanes(sys *circuit.System, cvs []compiled, groups []group) ([]lane, err
 		}
 		g.load = add(lane{sys: repSys, active: loadMask, variant: -1})
 	}
-	return lanes, nil
-}
-
-// assemble fills derived variants from their group's lanes and emits
-// their samples through the streaming hook.
-func assemble(res *Result, cvs []compiled, groups []group, lanes []lane, opts *Options) error {
-	emit := func(v int, vr *VariantResult) {
-		if opts.OnVariantSample == nil {
-			return
-		}
-		for i, t := range vr.Times {
-			var row []float64
-			if i < len(vr.Probes) {
-				row = vr.Probes[i]
-			}
-			opts.OnVariantSample(v, t, row)
-		}
-	}
-	for _, g := range groups {
-		if g.direct >= 0 {
-			rep := lanes[g.direct].res
-			for _, m := range g.members {
-				vr := &res.Variants[m.v]
-				if m.v == g.rep {
-					vr.Times, vr.Probes, vr.Final = rep.Times, rep.Probes, rep.Final
-					continue // streamed live by its lane
-				}
-				vr.Shared = true
-				vr.Times = rep.Times
-				if m.c == 1 {
-					vr.Probes, vr.Final = rep.Probes, rep.Final
-				} else {
-					vr.Probes = scaleRows(rep.Probes, m.c)
-					vr.Final = scaleRow(rep.Final, m.c)
-				}
-				emit(m.v, vr)
-			}
-			continue
-		}
-		sup, load := lanes[g.sup].res, lanes[g.load].res
-		if len(sup.Times) != len(load.Times) {
-			return fmt.Errorf("sweep: internal: component grids diverged (%d vs %d samples)", len(sup.Times), len(load.Times))
-		}
-		for _, m := range g.members {
-			vr := &res.Variants[m.v]
-			vr.Shared = true
-			vr.Times = sup.Times
-			vr.Probes = combineRows(sup.Probes, load.Probes, m.c)
-			vr.Final = combineRow(sup.Final, load.Final, m.c)
-			emit(m.v, vr)
-		}
-	}
-	for _, g := range groups {
-		for _, m := range g.members {
-			if m.v != g.rep {
-				res.Stats.SharedVariants++
-			} else if g.direct < 0 {
-				res.Stats.SharedVariants++ // split representative is derived too
-			}
-		}
-	}
-	return nil
-}
-
-func scaleRow(row []float64, c float64) []float64 {
-	if row == nil {
-		return nil
-	}
-	out := make([]float64, len(row))
-	for i, x := range row {
-		out[i] = c * x
-	}
-	return out
-}
-
-func scaleRows(rows [][]float64, c float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for i := range rows {
-		out[i] = scaleRow(rows[i], c)
-	}
-	return out
-}
-
-func combineRow(a, b []float64, c float64) []float64 {
-	if a == nil && b == nil {
-		return nil
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + c*b[i]
-	}
-	return out
-}
-
-func combineRows(a, b [][]float64, c float64) [][]float64 {
-	out := make([][]float64, len(a))
-	for i := range a {
-		out[i] = combineRow(a[i], b[i], c)
-	}
-	return out
+	return lanes
 }

@@ -59,6 +59,15 @@ type Override struct {
 	Vals []float64 `json:"vals,omitempty"`
 }
 
+// Label is the name of variant i of a sweep in results, streams and
+// journals: its own, or "v<index>".
+func (v Variant) Label(i int) string {
+	if v.Name != "" {
+		return v.Name
+	}
+	return "v" + strconv.Itoa(i)
+}
+
 // wave materializes the override's waveform.
 func (o Override) wave() (waveform.Waveform, error) {
 	switch strings.ToLower(o.Type) {
@@ -129,10 +138,7 @@ func compile(sys *circuit.System, variants []Variant) ([]compiled, error) {
 	out := make([]compiled, len(variants))
 	for v := range variants {
 		va := &variants[v]
-		name := va.Name
-		if name == "" {
-			name = "v" + strconv.Itoa(v)
-		}
+		name := va.Label(v)
 		if seen[name] {
 			return nil, fmt.Errorf("sweep: duplicate variant name %q", name)
 		}

@@ -324,14 +324,6 @@ func (c *oracleCase) run(method Method, kry krylov.Method) (*Result, error) {
 	return Simulate(c.sys, method, opts)
 }
 
-// saturated reports a run outside what the Krylov error estimate vouches
-// for: some spot's subspace grew past three quarters of the system, which on
-// systems this small means the estimate stalled above the budget and the
-// dimension ran away towards n, where the augmented treatment's projection
-// is numerical noise (EXPERIMENTS.md, "Oracle finding"). PDN decks sit at
-// m ≪ n and never get there.
-func (c *oracleCase) saturated(st *Stats) bool { return 4*st.MP() > 3*c.sys.N }
-
 // maxDeviation returns the largest deviation of a run from the dense
 // reference; a short or non-finite waveform is an error.
 func (c *oracleCase) maxDeviation(res *Result, ref [][]float64) (float64, error) {
@@ -411,9 +403,6 @@ func (c *oracleCase) check(t *testing.T, ref [][]float64, m Method, kry krylov.M
 		t.Fatal(err)
 	}
 	st := &res.Stats
-	if c.saturated(st) {
-		t.Fatalf("m_p = %d on %d unknowns: this seed left the regime the test is stated for", st.MP(), c.sys.N)
-	}
 	// Stated tolerances in volts (amperes for the inductor current) on
 	// responses of order 0.1: ten budgets for I-/R-MATEX, whose ~20 spots
 	// each spend at most one; 1e-4 for MEXP, which walks 4,000 clamped
@@ -459,11 +448,58 @@ func (c *oracleCase) check(t *testing.T, ref [][]float64, m Method, kry krylov.M
 	}
 }
 
+// TestExhaustedBasisIsNotTrusted pins the systems on which one spot's
+// posterior estimate stalls above the budget and the augmented subspace
+// runs to the full dimension (or to a rounding-level breakdown just below
+// it). Generate used to accept that projection as exact and the waveform
+// came out 3 mV to 0.27 V wrong; it now has to pass an explicit residual
+// check, fails it, and the driver's split-retry lands within a few budgets
+// of the dense reference.
+func TestExhaustedBasisIsNotTrusted(t *testing.T) {
+	for _, cs := range []struct {
+		kind oracleKind
+		seed int64
+	}{{oracleSymRC, 37}, {oracleSymRC, 150}, {oracleSymRC, 198}, {oracleUnsymRL, 160}, {oracleUnsymRL, 284}} {
+		c, err := newOracleCase(cs.seed, cs.kind, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := c.reference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kry := range []krylov.Method{krylov.MethodAuto, krylov.MethodArnoldi} {
+			res, err := c.run(RMATEX, kry)
+			if err != nil {
+				t.Fatalf("%v seed %d %v: %v", cs.kind, cs.seed, kry, err)
+			}
+			dev, err := c.maxDeviation(res, ref)
+			if err != nil {
+				t.Fatalf("%v seed %d %v: %v", cs.kind, cs.seed, kry, err)
+			}
+			if dev > 10*oracleTol {
+				t.Errorf("%v seed %d %v: max deviation from the dense reference %g > %g (m_p %d of %d, %d rejected)",
+					cs.kind, cs.seed, kry, dev, 10*oracleTol, res.Stats.MP(), c.sys.N+2, res.Stats.Rejected)
+			}
+		}
+	}
+}
+
 // FuzzMatexVsDense lets the fuzzer pick the system, the mode and the Krylov
 // process. The run must end in an error or in a finite waveform on the
-// requested grid within a bounded number of steps — never a panic — and,
-// unless it saturated its system or regularized C, within a loose bound of
-// the dense reference.
+// requested grid within a bounded number of steps — never a panic — and
+// within a loose bound of the dense reference: I-MATEX and R-MATEX on every
+// draw, MEXP on every draw but the two kinds it was never vouched for on.
+// Both are read off the run's Stats. On a singular C it answers for the
+// regularized C+δI. And when one of its standard subspaces grew past three
+// quarters of the system the posterior estimate no longer says anything
+// about the answer: the unscaled augmented operator (C⁻¹-scaled input
+// columns of 1e19 against ‖A‖ ≈ 1e13) lets it pass while the waveform is off
+// by anything up to overflow — 51 of the 52 wrong MEXP answers in 477 runs
+// over seeds 1–78 sit there, against 229 draws that stay checked (the 52nd,
+// symRC seed 63 under Arnoldi at m_p = 27 of 36, is 0.12 off with nothing
+// rejected, here and before PR 17). That is an open solver bug, not a
+// property of the test: EXPERIMENTS.md "Oracle finding", ROADMAP item 0.
 func FuzzMatexVsDense(f *testing.F) {
 	f.Add(int64(7), uint8(oracleSymRC), uint8(2), false)  // R-MATEX: augmented + shift
 	f.Add(int64(8), uint8(oracleSingC), uint8(2), true)   // R-MATEX: Eq. 5 over the rational operator
@@ -500,7 +536,7 @@ func FuzzMatexVsDense(f *testing.F) {
 		if res.Stats.Steps > 2*(segs+len(c.evals)) {
 			t.Fatalf("%d steps for %d segments and %d outputs", res.Stats.Steps, segs, len(c.evals))
 		}
-		if c.saturated(&res.Stats) || res.Stats.Regularized {
+		if m == MEXP && (res.Stats.Regularized || 4*res.Stats.MP() > 3*c.sys.N) {
 			return
 		}
 		if tol := 1e-3; dev > tol {

@@ -84,6 +84,10 @@ func (m Method) String() string {
 	return "unknown"
 }
 
+// FixedStep reports whether m integrates on Options.Step (TR, BE, FE) and
+// therefore refuses to run without one.
+func (m Method) FixedStep() bool { return m == TRFixed || m == BEFixed || m == FEFixed }
+
 // Options configures a transient run.
 type Options struct {
 	// Tstop is the end of the simulation window (start is 0).
@@ -322,6 +326,18 @@ func (r *Result) record(t float64, x []float64, opts *Options) {
 	}
 	if opts.OnSample != nil {
 		opts.OnSample(t, row)
+	}
+}
+
+// EachSample replays the recorded samples through f in time order, the way
+// OnSample delivered them live: the row is nil when no probes were recorded.
+func (r *Result) EachSample(f func(t float64, probes []float64)) {
+	for i, t := range r.Times {
+		var row []float64
+		if i < len(r.Probes) {
+			row = r.Probes[i]
+		}
+		f(t, row)
 	}
 }
 

@@ -174,20 +174,20 @@ type (
 	// Task is one superposition subtask.
 	Task = dist.Task
 	// WorkerServer is the net/rpc worker service hosted by cmd/matexd
-	// (accept connections with dist.Serve).
+	// (accept connections with dist.ServeContext).
 	WorkerServer = dist.WorkerServer
 )
 
-// SimulateDistributed partitions the sources, fans subtasks out to workers
-// and superposes the results (the paper's Fig. 4 flow).
-func SimulateDistributed(sys *System, cfg DistConfig) (*Result, *DistReport, error) {
-	return dist.Run(sys, cfg)
+// SimulateDistributed partitions the sources, fans subtasks running method
+// out to workers and superposes the results (the paper's Fig. 4 flow).
+func SimulateDistributed(sys *System, method Method, cfg DistConfig) (*Result, *DistReport, error) {
+	return dist.Run(sys, method, cfg)
 }
 
 // NewRPCPool connects to matexd workers over TCP.
 func NewRPCPool(sys *System, addrs []string) (dist.Pool, error) { return dist.NewRPCPool(sys, addrs) }
 
-// NewWorkerServer returns a worker service for use with dist.Serve.
+// NewWorkerServer returns a worker service for use with dist.ServeContext.
 func NewWorkerServer() *WorkerServer { return dist.NewWorkerServer() }
 
 // Scenario sweeps: N variants of one deck as a single batched run.

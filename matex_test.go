@@ -54,7 +54,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		}
 	}
 
-	dres, rep, err := SimulateDistributed(sys, DistConfig{Tstop: 10e-9, Tol: 1e-7, Probes: probes})
+	dres, rep, err := SimulateDistributed(sys, RMATEX, DistConfig{Base: Options{Tstop: 10e-9, Tol: 1e-7, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +184,8 @@ func TestFacadeFactorCache(t *testing.T) {
 	// subtasks hit the entries the plain runs created (same G, same C+γG) —
 	// and, leaving Ordering unset where the plain runs named the default's
 	// resolution, shows both spell one cache key.
-	dres, _, err := SimulateDistributed(sys, DistConfig{
-		Tstop: 10e-9, Tol: 1e-7, Probes: []int{0}, Cache: cache,
+	dres, _, err := SimulateDistributed(sys, RMATEX, DistConfig{
+		Base: Options{Tstop: 10e-9, Tol: 1e-7, Probes: []int{0}, Cache: cache},
 	})
 	if err != nil {
 		t.Fatal(err)

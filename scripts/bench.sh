@@ -4,13 +4,19 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR16.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR17.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
+#   BENCH_RUNS=8 scripts/bench.sh        # 8 passes over the suite, each row
+#                                        # kept from its fastest pass
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR16.json is regenerated manually with the default
-# settings when the solver layer changes. The default pattern covers the
+# the committed BENCH_PR17.json is regenerated manually with BENCH_RUNS=8
+# when the solver layer changes: a shared host slows down in windows of
+# seconds, which one pass bakes into whichever rows it was running (PR 17's
+# first baseline had untouched sparse rows at 2x their PR 16 values), and a
+# slow baseline loosens the regression gate; the fastest of several
+# separate passes is the quiet-host number. The default pattern covers the
 # Krylov spot pipeline (PR 3), the factorization engine rows (PR 4-6),
 # the scenario-sweep rows (PR 10), the D-MATEX plan rows (PR 14) and one
 # end-to-end row per MATEX input treatment (PR 15: Table2_IMATEX_ibmpg1t is
@@ -26,27 +32,34 @@
 # on separate domains, BenchmarkSolveSeq/Par_mesh96nd the coupled mesh
 # that only nested dissection can parallelize, and BenchmarkSweepSolo vs
 # BenchmarkSweep_k{4,8} the scenario-sweep amortization (benchcmp gates
-# Sweep_k8 ≤ 5x SweepSolo within the fresh run), and
+# the lanes, factorizations and mean panel width they report against the
+# baseline's, and prints the Sweep_k8 / SweepSolo wall ratio ungated), and
 # BenchmarkDist_PerGroup vs BenchmarkDist_2Nodes the distributed plan (one
 # task per bump group against the groups merged for two nodes; benchcmp
 # gates 2Nodes ≤ 0.80x PerGroup within the fresh run).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR16.json}"
+out="${1:-BENCH_PR17.json}"
 benchtime="${BENCHTIME:-100x}"
+runs="${BENCH_RUNS:-1}"
 pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
-go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee "$tmp"
+for ((i = 0; i < runs; i++)); do
+    go test -run '^$' -bench "$pattern" -benchtime "$benchtime" -benchmem . | tee -a "$tmp"
+done
 
-awk -v benchtime="$benchtime" '
+awk -v benchtime="$benchtime" -v runs="$runs" '
 BEGIN { n = 0 }
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix
+    if (name in best && $3 + 0 >= best[name]) next   # ns/op is the first metric
+    if (!(name in best)) order[n++] = name
+    best[name] = $3 + 0
     iters = $2
     metrics = ""
     for (i = 3; i + 1 <= NF; i += 2) {
@@ -55,16 +68,16 @@ BEGIN { n = 0 }
         if (metrics != "") metrics = metrics ", "
         metrics = metrics "\"" unit "\": " val
     }
-    line = "    {\"name\": \"" name "\", \"iters\": " iters ", " metrics "}"
-    lines[n++] = line
+    lines[name] = "    {\"name\": \"" name "\", \"iters\": " iters ", " metrics "}"
     next
 }
 END {
     print "{"
     print "  \"benchtime\": \"" benchtime "\","
+    print "  \"runs\": " runs ","
     print "  \"benchmarks\": ["
     for (i = 0; i < n; i++) {
-        printf "%s%s\n", lines[i], (i + 1 < n ? "," : "")
+        printf "%s%s\n", lines[order[i]], (i + 1 < n ? "," : "")
     }
     print "  ]"
     print "}"
