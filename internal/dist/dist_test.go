@@ -19,10 +19,19 @@ import (
 
 // testSystem builds an ibmpg1t-scale grid, like the root benchmarks.
 func testSystem(t *testing.T, scale float64) *circuit.System {
+	return testSystemCNode(t, scale, 0)
+}
+
+// testSystemCNode sets every node capacitor to cnode farads (0: the stock
+// 10 fF). At 0.5 pF R-MATEX moves its ramps to the deviation treatment.
+func testSystemCNode(t *testing.T, scale, cnode float64) *circuit.System {
 	t.Helper()
 	spec, err := pdn.IBMCase("ibmpg1t", scale)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cnode > 0 {
+		spec.CNode = cnode
 	}
 	ckt, err := spec.Build()
 	if err != nil {
@@ -147,8 +156,37 @@ func TestDistSuperposition(t *testing.T) {
 	}
 }
 
+// TestDistSuperpositionWhereRampsSwitchTreatment repeats the claim on the
+// deck whose mesh time constants reach the segment scale: the plain run and
+// every zero-state task choose their ramps' treatment from their own counts,
+// tasks at different spots than the plain run, and must still superpose to
+// it. The default tolerance, a two-node plan and a task per group.
+func TestDistSuperpositionWhereRampsSwitchTreatment(t *testing.T) {
+	sys := testSystemCNode(t, 1, 0.5e-12)
+	opts := transient.Options{Tstop: 10e-9, Probes: testProbes(sys)}
+	ref, err := transient.Simulate(sys, transient.RMATEX, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := &ref.Stats; 2*st.LanczosSpots <= len(st.KrylovDims) || st.DeviationSpots == len(st.KrylovDims) {
+		t.Fatalf("plain run: %d of %d spots on deviation, %d on Lanczos: not a deck that switches", st.DeviationSpots, len(st.KrylovDims), st.LanczosSpots)
+	}
+	for _, workers := range []int{2, 64} {
+		got, rep, err := Run(sys, transient.RMATEX, Config{Base: opts, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Stats.DeviationSpots == 0 || got.Stats.InputPairs == 0 {
+			t.Errorf("workers=%d: tasks report %d deviation spots, %d input pairs", workers, got.Stats.DeviationSpots, got.Stats.InputPairs)
+		}
+		if d := maxDeviation(t, got, ref, len(opts.Probes)); d > 1e-6 {
+			t.Errorf("workers=%d (%d tasks): superposition deviates %.3g V from the plain run (budget 1e-6)", workers, rep.Tasks, d)
+		}
+	}
+}
+
 // TestDistSuperpositionIMATEX covers the second spectral-transform path
-// (shared G factorization, Eq. 5 formulation).
+// (shared G factorization, deviation treatment throughout).
 func TestDistSuperpositionIMATEX(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)

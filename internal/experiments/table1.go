@@ -92,8 +92,8 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 			// their subspaces across whole segments.
 			// Pin the paper's Arnoldi process: Table 1 compares the subspace
 			// dimensions the three spectral formulations need, and the
-			// symmetric Lanczos fast path (with its shifted-segment
-			// reformulation) would change what is being measured. The fast
+			// symmetric Lanczos fast path (with the deviation
+			// treatment that feeds it) would change what is being measured. The fast
 			// path has its own benchmarks (scripts/bench.sh).
 			o := transient.Options{
 				Tstop: cfg.Tstop, Probes: probes, EvalTimes: evals,

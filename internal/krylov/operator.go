@@ -82,9 +82,9 @@ func (c *Counters) Merge(other *Counters) {
 //
 //	x(t+h) = e^{hA}x(t) + h·φ₁(hA)·b(t) + h²·φ₂(hA)·ḃ
 //
-// (the numerically sound equivalent of the paper's Eq. 5 — the A⁻¹/A⁻²
-// input terms there cancel catastrophically on stiff systems) is obtained as
-// the first n components of e^{h·Ã}·[x; 0; 1] for the (n+2) matrix
+// (the φ-function form of the paper's Eq. 5, free of its A⁻¹/A⁻² input
+// solves) is obtained as the first n components of e^{h·Ã}·[x; 0; 1] for the
+// (n+2) matrix
 //
 //	Ã = [ A  b₁  b₀ ]     b₀ = C⁻¹·B·u(t),  b₁ = C⁻¹·ḃ·C = C⁻¹·s,
 //	    [ 0   0   1 ]     s = d(B·u)/dt on the segment
@@ -101,8 +101,9 @@ func (c *Counters) Merge(other *Counters) {
 //
 // The Inverted mode (I-MATEX) keeps the paper's literal operator
 // A⁻¹ = -G⁻¹C on the plain n-dimensional system (Ã is singular, so it has
-// no augmented form); the transient solver pairs it with the paper's Eq. 5
-// input terms instead.
+// no augmented form); the transient solver pairs it with the deviation
+// treatment (the paper's Eq. 5 terms) instead, which also runs the augmented
+// modes over cleared input columns (ClearSegment) whenever that is cheaper.
 type Op struct {
 	Mode  Mode
 	Gamma float64 // shift for Rational
@@ -221,7 +222,7 @@ func (op *Op) SetSegment(bu, s []float64) {
 		copy(op.bcol0, bu)
 		copy(op.bcol1, s)
 	case Inverted:
-		// Inverted mode handles inputs through the paper's Eq. 5 terms at
+		// Inverted mode handles inputs through the deviation treatment at
 		// the solver level; the operator itself is input-free.
 	}
 }

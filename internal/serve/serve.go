@@ -96,6 +96,8 @@ type totals struct {
 	Steps          int `json:"steps"`
 	KrylovSpots    int `json:"krylov_spots"`
 	LanczosSpots   int `json:"lanczos_spots"`
+	InputPairs     int `json:"input_pairs"`
+	DeviationSpots int `json:"deviation_spots"`
 	// Sweeps counts completed sweep jobs and SweepVariants the variants
 	// they served; PanelWidths histograms the cross-variant solve panel
 	// widths (key = simultaneous right-hand sides in one batched solve),
@@ -130,6 +132,8 @@ func (t *totals) add(s *transient.Stats) {
 	t.Steps += s.Steps
 	t.KrylovSpots += len(s.KrylovDims)
 	t.LanczosSpots += s.LanczosSpots
+	t.InputPairs += s.InputPairs
+	t.DeviationSpots += s.DeviationSpots
 }
 
 // Server is the simulation job service. Create with New, expose via

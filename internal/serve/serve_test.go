@@ -28,11 +28,18 @@ import (
 
 // testDeck renders a small ibmpg1t-style deck to SPICE text — the same
 // flow as `pgbench -case ibmpg1t -scale 0.25`.
-func testDeck(t *testing.T) string {
+func testDeck(t *testing.T) string { return testDeckCNode(t, 0.25, 0) }
+
+// testDeckCNode is the ibmpg1t deck at the given scale with every node
+// capacitor set to cnode farads (0: the stock 10 fF).
+func testDeckCNode(t *testing.T, scale, cnode float64) string {
 	t.Helper()
-	spec, err := pdn.IBMCase("ibmpg1t", 0.25)
+	spec, err := pdn.IBMCase("ibmpg1t", scale)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cnode > 0 {
+		spec.CNode = cnode
 	}
 	ckt, err := spec.Build()
 	if err != nil {

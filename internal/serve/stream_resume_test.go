@@ -5,12 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
+	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/serve"
+	"github.com/matex-sim/matex/internal/transient"
 )
 
 // sseSample is one parsed SSE sample event: the event ID from its `id:`
@@ -203,5 +207,97 @@ func TestNDJSONFromSeqCursor(t *testing.T) {
 	}
 	if seen != n-cursor {
 		t.Fatalf("cursor stream yielded %d samples, want %d", seen, n-cursor)
+	}
+}
+
+// TestCrashRestartAcrossTheTreatmentSwitch kills the service at chosen
+// points of an R-MATEX job whose ramps move from the augmented to the
+// deviation treatment mid-run (ibmpg1t at 0.5 pF per node, a checkpoint per
+// segment): the journal cut after a checkpoint record is exactly what a
+// kill -9 at that instant leaves behind. A restart from the last checkpoint
+// before the move and from one after it must stream the uninterrupted run's
+// samples bit for bit; a journal whose checkpoint predates the choice fields
+// must still decode and finish within the solver's budget.
+func TestCrashRestartAcrossTheTreatmentSwitch(t *testing.T) {
+	deckText := testDeckCNode(t, 1, 0.5e-12)
+	dirA := t.TempDir()
+	_, baseA, shutdownA := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dirA, CheckpointEvery: 1})
+	spec := serve.JobSpec{Netlist: deckText, Method: "rmatex"}
+	ref := streamNDJSON(t, baseA+"/v1/simulate", spec)
+	if ref.state != serve.JobDone {
+		t.Fatalf("reference job ended %s (%s)", ref.state, ref.tailErr)
+	}
+	if err := shutdownA(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(journalPath(dirA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	var cpLines []int // journal lines holding a checkpoint record
+	sw := -1          // index into cpLines of the first checkpoint after the move
+	for i, line := range lines {
+		var rec struct {
+			Rec string                `json:"rec"`
+			Cp  *transient.Checkpoint `json:"cp"`
+		}
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Rec != "checkpoint" {
+			continue
+		}
+		if sw < 0 && rec.Cp.DevPairs > 0 && rec.Cp.DevPairs < rec.Cp.AugPairs {
+			sw = len(cpLines)
+		}
+		cpLines = append(cpLines, i)
+	}
+	if sw < 1 || sw+8 >= len(cpLines) {
+		t.Fatalf("the choice moved at checkpoint %d of %d: not a deck that switches", sw, len(cpLines))
+	}
+
+	restart := func(journal string) *streamedJob {
+		dirB := t.TempDir()
+		if err := os.WriteFile(journalPath(dirB), []byte(journal), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, baseB, shutdownB := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dirB, CheckpointEvery: 1})
+		defer shutdownB(context.Background())
+		if stats := getStats(t, baseB); stats.Resumed != 1 {
+			t.Fatalf("restarted server resumed %d jobs, want 1", stats.Resumed)
+		}
+		got := streamNDJSON(t, baseB+"/v1/jobs/"+ref.id+"/stream")
+		if got.state != serve.JobDone {
+			t.Fatalf("resumed job ended %s (%s)", got.state, got.tailErr)
+		}
+		return got
+	}
+	for _, k := range []int{sw - 1, sw + 8} {
+		got := restart(strings.Join(lines[:cpLines[k]+1], ""))
+		if !reflect.DeepEqual(got.times, ref.times) || !reflect.DeepEqual(got.rows, ref.rows) {
+			t.Errorf("restart after checkpoint %d: stream is not bit-identical to the uninterrupted job's", k)
+		}
+	}
+
+	// The same crash as an older build would have journaled it.
+	var rec map[string]any
+	if err := json.Unmarshal([]byte(lines[cpLines[sw+8]]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	cp := rec["cp"].(map[string]any)
+	delete(cp, "aug_pairs")
+	delete(cp, "dev_pairs")
+	old, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := restart(strings.Join(lines[:cpLines[sw+8]], "") + string(old) + "\n")
+	if !reflect.DeepEqual(got.times, ref.times) {
+		t.Fatalf("restart from a journal without choice fields: %d samples, want %d", len(got.times), len(ref.times))
+	}
+	for i := range ref.rows {
+		for k := range ref.rows[i] {
+			if d := math.Abs(got.rows[i][k] - ref.rows[i][k]); d > 1e-6 {
+				t.Fatalf("restart from a journal without choice fields: %g V off at t=%g", d, ref.times[i])
+			}
+		}
 	}
 }

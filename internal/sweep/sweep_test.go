@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,10 +12,20 @@ import (
 )
 
 func ibmSystem(t *testing.T, scale float64) *circuit.System {
+	return ibmSystemCNode(t, scale, 0)
+}
+
+// ibmSystemCNode is ibmpg1t with every node capacitor at cnode farads (0:
+// the stock 10 fF). At 0.5 pF R-MATEX moves its ramps from the augmented to
+// the deviation treatment a few spots into the run.
+func ibmSystemCNode(t *testing.T, scale, cnode float64) *circuit.System {
 	t.Helper()
 	spec, err := pdn.IBMCase("ibmpg1t", scale)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cnode > 0 {
+		spec.CNode = cnode
 	}
 	ckt, err := spec.Build()
 	if err != nil {
@@ -262,6 +273,71 @@ func TestSweepCheckpointResume(t *testing.T) {
 				if d := math.Abs(fr.Probes[off+i][k] - rr.Probes[i][k]); d > 1e-8 {
 					t.Fatalf("variant %d tail deviates by %g", v, d)
 				}
+			}
+		}
+	}
+}
+
+// TestSweepOnADeckThatSwitchesTreatment runs the corner sweep where every
+// lane's ramps move from the augmented to the deviation treatment mid-run,
+// each lane on its own observations: the lanes still reproduce their solo
+// runs bit for bit through the shared panels, and a lane interrupted at any
+// checkpoint — before or after its move — resumes to the same bits.
+func TestSweepOnADeckThatSwitchesTreatment(t *testing.T) {
+	sys := ibmSystemCNode(t, 1, 0.5e-12)
+	variants := cornerVariants()[:3]
+	base := baseOpts(sys)
+	base.Tol = 0
+	base.CheckpointEvery = 1
+	cps := map[int][]transient.Checkpoint{}
+	var mu sync.Mutex
+	full, err := Run(sys, variants, Options{Base: base, Method: transient.RMATEX,
+		OnVariantCheckpoint: func(v int, cp transient.Checkpoint) error {
+			mu.Lock()
+			defer mu.Unlock()
+			cps[v] = append(cps[v], cp)
+			return nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Stats.Panel.Batched == 0 {
+		t.Errorf("no solves batched into panels: %+v", full.Stats.Panel)
+	}
+	for v, va := range variants {
+		solo := soloRun(t, sys, va, transient.RMATEX, base)
+		if st := &solo.Stats; 2*st.LanczosSpots <= len(st.KrylovDims) || st.DeviationSpots == len(st.KrylovDims) {
+			t.Fatalf("variant %q: %d of %d spots on deviation, %d on Lanczos: not a deck that switches",
+				va.Name, st.DeviationSpots, len(st.KrylovDims), st.LanczosSpots)
+		}
+		if d := maxProbeDiff(t, solo, full.Variants[v]); d != 0 {
+			t.Errorf("variant %q deviates from solo by %g, want bit-identical", va.Name, d)
+		}
+	}
+	// Resume every lane together from its k-th checkpoint, for a k before
+	// the move, one at it and one well after.
+	sw := 0
+	for sw < len(cps[0]) && !(cps[0][sw].DevPairs > 0 && cps[0][sw].DevPairs < cps[0][sw].AugPairs) {
+		sw++
+	}
+	if sw == 0 || sw+8 >= len(cps[0]) {
+		t.Fatalf("lane 0 moved at checkpoint %d of %d", sw, len(cps[0]))
+	}
+	for _, k := range []int{sw - 1, sw, sw + 8} {
+		from := map[int]transient.Checkpoint{}
+		for v := range variants {
+			from[v] = cps[v][k]
+		}
+		resumed, err := Run(sys, variants, Options{Base: base, Method: transient.RMATEX, ResumeVariants: from})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range variants {
+			fr, rr := full.Variants[v], resumed.Variants[v]
+			off := len(fr.Times) - len(rr.Times)
+			if off <= 0 || !reflect.DeepEqual(fr.Times[off:], rr.Times) || !reflect.DeepEqual(fr.Probes[off:], rr.Probes) {
+				t.Errorf("variant %d resumed from checkpoint %d (t=%g): tail of %d samples not bit-identical to the uninterrupted lane",
+					v, k, from[v].T, len(rr.Times))
 			}
 		}
 	}

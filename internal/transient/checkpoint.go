@@ -29,9 +29,14 @@ type Checkpoint struct {
 	HPrev float64   `json:"h_prev,omitempty"`
 	XPrev []float64 `json:"x_prev,omitempty"`
 	// BuScale is the MATEX running input-magnitude scale the segment
-	// flatness tests divide by; restoring it keeps the resumed run's
-	// Lanczos-shift decisions identical to the uninterrupted run's.
-	BuScale float64 `json:"bu_scale,omitempty"`
+	// flatness tests divide by; AugPairs and DevPairs are what a ramp cost
+	// under each input treatment the last time it ran (0: not yet, which is
+	// also how a journal written before the field existed reads). Restoring
+	// them keeps the resumed run's treatment choices identical to the
+	// uninterrupted run's.
+	BuScale  float64 `json:"bu_scale,omitempty"`
+	AugPairs int     `json:"aug_pairs,omitempty"`
+	DevPairs int     `json:"dev_pairs,omitempty"`
 }
 
 // Name returns the canonical wire spelling of the method — the one

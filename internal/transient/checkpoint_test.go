@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -93,10 +95,20 @@ func TestResumeMatchesOneShotFixed(t *testing.T) {
 }
 
 func pdnSystem(t *testing.T, scale float64) *circuit.System {
+	return pdnSystemCNode(t, scale, 0)
+}
+
+// pdnSystemCNode is ibmpg1t with every node capacitor set to cnode farads
+// (0 keeps the stock 10 fF). At 0.5 pF the mesh time constants reach the
+// segment scale and R-MATEX moves its ramps to the deviation treatment.
+func pdnSystemCNode(t *testing.T, scale, cnode float64) *circuit.System {
 	t.Helper()
 	spec, err := pdn.IBMCase("ibmpg1t", scale)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cnode > 0 {
+		spec.CNode = cnode
 	}
 	ckt, err := spec.Build()
 	if err != nil {
@@ -120,7 +132,7 @@ func TestResumeMatchesOneShotAdaptiveAndMatex(t *testing.T) {
 			Tstop: 10e-9, Tol: 1e-7, Probes: probes, CheckpointEvery: 4,
 		})
 	}
-	// Singular C: R-MATEX resumes under the Eq. 5 treatment over the
+	// Singular C: R-MATEX resumes under the deviation treatment over the
 	// rational operator.
 	c, err := newOracleCase(1, oracleSingC, true)
 	if err != nil {
@@ -129,6 +141,69 @@ func TestResumeMatchesOneShotAdaptiveAndMatex(t *testing.T) {
 	assertResumeMatches(t, c.sys, RMATEX, Options{
 		Tstop: oracleTstop, Probes: []int{0, 1, c.sys.N - 1}, EvalTimes: c.evals, CheckpointEvery: 4,
 	})
+}
+
+// TestResumeIsBitIdenticalAcrossTheTreatmentSwitch checkpoints every segment
+// of a run whose ramps start augmented and move to deviation, and resumes
+// from each of them, before and after the move: the choice state rides in
+// the checkpoint and q is solved afresh, so every remaining sample and the
+// final state repeat bit for bit.
+// A checkpoint without the choice fields (a journal written before they
+// existed) still resumes, starting over on augmented.
+func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
+	sys := pdnSystemCNode(t, 1, 0.5e-12)
+	opts := Options{Tstop: 10e-9, Probes: []int{0, sys.NumNodes / 2, sys.NumNodes - 1}, CheckpointEvery: 1}
+	var cps []Checkpoint
+	full := opts
+	full.OnCheckpoint = func(cp Checkpoint) error {
+		cps = append(cps, cp)
+		return nil
+	}
+	oneShot, err := Simulate(sys, RMATEX, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen := func(cp Checkpoint) bool { return cp.DevPairs > 0 && cp.DevPairs < cp.AugPairs }
+	sw := 0
+	for sw < len(cps) && !chosen(cps[sw]) {
+		sw++
+	}
+	if sw == 0 || sw >= len(cps)-1 {
+		t.Fatalf("the choice moved at checkpoint %d of %d: not a deck that switches", sw, len(cps))
+	}
+	tail := func(cp Checkpoint) ([]float64, [][]float64) {
+		i0 := sort.SearchFloat64s(oneShot.Times, cp.T+1e-18)
+		return oneShot.Times[i0:], oneShot.Probes[i0:]
+	}
+	for k := range cps[:len(cps)-1] { // the last one is the finished run
+		cp := roundTrip(t, cps[k])
+		res, err := Resume(sys, RMATEX, opts, cp)
+		if err != nil {
+			t.Fatalf("resume from checkpoint %d: %v", k, err)
+		}
+		times, probes := tail(cp)
+		if !reflect.DeepEqual(res.Times, times) || !reflect.DeepEqual(res.Probes, probes) || !reflect.DeepEqual(res.Final, oneShot.Final) {
+			t.Errorf("resume from checkpoint %d (t=%g, aug %d dev %d): not bit-identical to the uninterrupted run", k, cp.T, cp.AugPairs, cp.DevPairs)
+		}
+	}
+
+	old := cps[sw+1]
+	old.AugPairs, old.DevPairs = 0, 0
+	res, err := Resume(sys, RMATEX, opts, roundTrip(t, old))
+	if err != nil {
+		t.Fatalf("resume without choice fields: %v", err)
+	}
+	times, probes := tail(old)
+	if !reflect.DeepEqual(res.Times, times) {
+		t.Fatalf("resume without choice fields: %d samples, want %d", len(res.Times), len(times))
+	}
+	for i := range probes {
+		for k := range probes[i] {
+			if d := math.Abs(res.Probes[i][k] - probes[i][k]); d > 1e-6 {
+				t.Fatalf("resume without choice fields: %g V off at t=%g", d, times[i])
+			}
+		}
+	}
 }
 
 func TestResumeMatchesOneShotMexp(t *testing.T) {

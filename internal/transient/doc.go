@@ -11,8 +11,9 @@
 //     subspaces, adaptive steps between input transition spots, and
 //     substitution-free snapshot evaluation by Krylov subspace reuse. One
 //     driver, SimulateMatex, serves all three: a mode picks the operator,
-//     and a segment's inputs enter by the augmented, constant-shift or Eq. 5
-//     treatment, chosen from method, matrices and segment, never an option.
+//     and a segment's inputs enter by the augmented or the deviation
+//     (Eq. 5) treatment, chosen from method, matrices and the pairs each
+//     cost the last time it ran, never an option.
 //
 // Simulate is the single entry point; Method picks the integrator and
 // Options carries the grid (Tstop, Step, Tol), probe selection, the shared

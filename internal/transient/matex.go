@@ -9,7 +9,6 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/krylov"
-	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
@@ -20,32 +19,41 @@ import (
 // multiply, no substitutions, the source of the paper's km-vs-N substitution
 // reduction — and move to the next spot. A mode is the operator its
 // subspaces are built from: factor(C), the DC factor of G, factor(C+γG). How
-// a segment's inputs b(t) = B·u(t) with slope s enter the step is picked per
-// segment from what the run observes, as one of three treatments — a Krylov
-// start vector plus an affine correction to every snapshot:
+// a segment's inputs b(t) = B·u(t) enter the step is one of two treatments —
+// a Krylov start vector plus an affine correction to every snapshot:
 //
-//   - Augmented, the default: the exact piecewise-linear-input solution
+//   - Augmented: the exact piecewise-linear-input solution
 //     x(t+h) = e^{hA}x(t) + h·φ₁(hA)·b(t) + h²·φ₂(hA)·ḃ is the leading block
 //     of e^{h·Ã}[x(t); 0; 1] on the (n+2) augmented matrix (see krylov.Op);
-//     no correction.
-//   - Constant shift, on slope-free segments of symmetric systems unless
-//     Arnoldi is pinned: with x_ss = G⁻¹b the exact step is
-//     e^{hA}(x - x_ss) + x_ss, a homogeneous subspace from [x-x_ss; 0; 0]
-//     over an inert auxiliary chain — the configuration the symmetric
-//     Lanczos fast path accepts. PDN inputs are flat outside their bump
-//     ramps, so this covers most spots of a distributed zero-state subtask
-//     and the quiet stretches of a single run.
-//   - Eq. 5, the paper's literal x(t+h) = e^{hA}(x(t)+F) - P(h) over an
-//     input-free operator, with w0 = G⁻¹b(t), w1 = G⁻¹s, r2 = G⁻¹(C·w1),
-//     F = -w0 + r2 and P(h) = -(w0 + h·w1) + r2: always for I-MATEX (A⁻¹ has
-//     no augmented form, Ã being singular) and for R-MATEX when C has empty
-//     rows. It is the only correct treatment with algebraic nodes — the
-//     exponential acts on the deviation x+F, whose algebraic content
-//     vanishes, while the quasi-static P terms carry the algebraic values
-//     exactly. Its intermediates scale with A⁻²ḃ, orders of magnitude above
-//     the solution on stiff systems, and cancel catastrophically; that is
-//     why nonsingular-C runs augment (the constant shift is the benign
-//     slope-free case: no A⁻²ḃ term).
+//     no correction, no input solves. Ã is unsymmetric (Arnoldi) and the
+//     start vector is the state itself, β ≈ ‖x‖.
+//   - Deviation, the paper's Eq. 5, x(t+h) = e^{hA}(x(t)+F) − P(h): with the
+//     quasi-static q(t) = G⁻¹b(t), w1 = (q(t+h) − q(t))/h and
+//     r2 = G⁻¹·C·w1, the start vector is [x − q + r2; 0; 0] over the
+//     input-free operator — symmetric when C and G are, hence Lanczos, and
+//     β is the millivolt deviation — and q + h·w1 − r2 is added to every
+//     snapshot. q is carried from spot to spot (a DC start is q(0)),
+//     so a ramp pays two G-solves, q(t+h) and r2, and a flat segment none;
+//     q is kept only while it is bit for bit what a solve at the base time
+//     would return, which is what lets a resumed run re-solve it. It is the
+//     only correct treatment with algebraic nodes (the exponential acts on
+//     the deviation, whose algebraic content vanishes; the quasi-static
+//     terms carry the algebraic values exactly).
+//
+// I-MATEX (A⁻¹ has no augmented form, Ã being singular) and R-MATEX on a C
+// with empty rows always take deviation. Unsymmetric systems and runs with
+// Arnoldi pinned always augment. Otherwise flat segments take deviation and
+// each ramp takes whichever treatment cost fewer substitution pairs the last
+// time it ran — augmented: its Krylov dimension; deviation: dimension + the
+// two input solves, also when the observation came from a flat segment, and
+// never from a zero start vector's dimension-1 dummy — starting on
+// augmented. Where both reach the convergence protocol's floor (m = 4 on a
+// quasi-static PDN) the input solves are a pure loss and the run never
+// leaves augmented; where the mesh time constants reach the segment scale
+// deviation halves the dimension. Dense-output runs gain nothing either
+// way: the small-h check, not β, sets their m. The A⁻²ḃ scale of r2 did not
+// cost accuracy on 800 dense-oracle runs (EXPERIMENTS.md "Ramp segments on
+// the deviation").
 func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Tstop <= 0 {
@@ -65,7 +73,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	count := &krylov.Counters{}
 	tFac := time.Now()
 	var op *krylov.Op
-	useEq5 := false
+	devOnly := false // no augmented form to choose
 	switch method {
 	case MEXP:
 		fc, err := factorC(sys, opts, &res.Stats)
@@ -92,19 +100,22 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	case IMATEX:
 		// No extra factorization: the operator reuses LU(G) from DC analysis.
 		op = krylov.NewInvertedOp(factG, sys.C, sys.G, count)
-		useEq5 = true
+		devOnly = true
 	case RMATEX:
 		fs, err := acquireFactorSum(1, sys.C, opts.Gamma, sys.G, opts, &res.Stats)
 		if err != nil {
 			return nil, fmt.Errorf("transient: factorizing (C+γG): %w", err)
 		}
 		op = krylov.NewRationalOp(fs, sys.C, sys.G, opts.Gamma, count)
-		useEq5 = hasEmptyCRows(sys)
+		devOnly = hasEmptyCRows(sys)
 	default:
 		return nil, fmt.Errorf("transient: SimulateMatex got %v", method)
 	}
 	op.SetSolveWorkers(opts.SolveWorkers)
 	res.Stats.FactorTime += time.Since(tFac)
+	// Where both treatments exist, deviation is worth having only for its
+	// Lanczos path: symmetric matrices, Arnoldi not pinned.
+	choose := !devOnly && opts.Krylov != krylov.MethodArnoldi && op.SymmetricMatrices()
 
 	// Time grid: the active inputs' transition spots (where subspaces must
 	// be regenerated) merged with the requested output times.
@@ -115,6 +126,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	tTr := time.Now()
 	defer func() {
 		res.Stats.TransientTime = time.Since(tTr)
+		res.Stats.SolvePairs += res.Stats.InputPairs
 		res.Stats.addCounters(count)
 	}()
 
@@ -122,17 +134,14 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	ws := wsPool.Get()
 	defer wsPool.Put(ws)
 
-	bu0 := make([]float64, n)
-	bu1 := make([]float64, n)
-	slope := make([]float64, n)
-	w0 := make([]float64, n)
-	work := make([]float64, n)
-	var w1, r2 []float64 // Eq. 5 only
-	var mdst, msrc [2][]float64
-	if useEq5 {
-		w1 = make([]float64, n)
-		r2 = make([]float64, n)
-		mdst, msrc = [2][]float64{w0, w1}, [2][]float64{bu0, slope}
+	vec := func() []float64 { return make([]float64, n) }
+	bu0, bu1, slope, work := vec(), vec(), vec(), vec()
+	// Deviation state: q is q(tBase) whenever qOK says so, q1 the segment-end
+	// value, w1 their slope and r2 = G⁻¹·C·w1. A DC start is x(0) = q(0).
+	q, q1, w1, r2 := vec(), vec(), vec(), vec()
+	qOK := opts.InitialState == nil && opts.resumeFrom == nil
+	if qOK {
+		copy(q, x)
 	}
 	// Krylov start vector and snapshot, in the operator's space: length n
 	// for the inverted operator, n+2 (the auxiliary chain) for the others.
@@ -144,20 +153,33 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	gi := 0        // index of the last emitted output grid point
 	tBase := 0.0   // time of the current base state x
 	buScale := 0.0 // largest |B·u| endpoint magnitude seen so far
+	tiny := 0.0    // 1e-14·buScale: what counts as rounding residue in B·u
+	// Substitution pairs a ramp cost under each treatment the last time it
+	// ran (0: not yet) — all the state the per-segment choice has.
+	augPairs, devPairs := 0, 0
 	cpr := newCheckpointer(&opts)
 	if cp := opts.resumeFrom; cp != nil {
 		// Resume at the checkpointed segment boundary: gi points at the last
 		// grid point the interrupted run emitted, and the restored buScale
-		// keeps the flatness tests (and hence the treatment decisions)
-		// identical to the uninterrupted run's.
-		tBase = cp.T
-		buScale = cp.BuScale
+		// and pair counts keep the flatness tests and the treatment choices
+		// identical to the uninterrupted run's (q is solved afresh).
+		tBase, buScale, augPairs, devPairs = cp.T, cp.BuScale, cp.AugPairs, cp.DevPairs
 		gi = sort.SearchFloat64s(grid, cp.T+waveform.SpotEps) - 1
 		if gi < 0 {
 			gi = 0
 		}
 	} else if waveform.ContainsSpot(outs, 0) {
 		res.record(0, x, &opts)
+	}
+	// quasiStatic writes G⁻¹·bu into dst. An input within rounding of zero on
+	// the run's scale is zero: no solve (a D-MATEX task outside its bumps).
+	quasiStatic := func(dst, bu []float64, maxBu float64) {
+		if maxBu <= tiny {
+			clear(dst)
+			return
+		}
+		solveWith(factG, dst, bu, work, opts)
+		res.Stats.InputPairs++
 	}
 	for tBase < opts.Tstop-waveform.SpotEps {
 		if err := opts.cancelled(); err != nil {
@@ -176,68 +198,50 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		sys.EvalB(t, bu0, opts.ActiveInputs)
 		sys.EvalB(segEnd, bu1, opts.ActiveInputs)
 		hSeg := segEnd - t
-		var maxDiff, maxBu0 float64
+		var maxDiff, maxBu0, maxBu1 float64
 		for i := range slope {
 			slope[i] = (bu1[i] - bu0[i]) / hSeg
-			if d := math.Abs(bu1[i] - bu0[i]); d > maxDiff {
-				maxDiff = d
-			}
-			if a := math.Abs(bu0[i]); a > maxBu0 {
-				maxBu0 = a
-			}
-			if a := math.Abs(bu1[i]); a > buScale {
-				buScale = a
-			}
+			maxDiff = math.Max(maxDiff, math.Abs(bu1[i]-bu0[i]))
+			maxBu0 = math.Max(maxBu0, math.Abs(bu0[i]))
+			maxBu1 = math.Max(maxBu1, math.Abs(bu1[i]))
 		}
-		if maxBu0 > buScale {
-			buScale = maxBu0
-		}
+		buScale = math.Max(buScale, math.Max(maxBu0, maxBu1))
+		tiny = 1e-14 * buScale
 		// Flatness is judged against the largest input magnitude seen so
 		// far, not exact zero: waveform corner times carry last-bit
 		// rounding, so a segment boundary can land a sliver inside a ramp
 		// and leave ~1e-16-relative residue in bu. Treating that as slope
-		// costs the exactness of the shifted path for nothing.
-		slopeZero := maxDiff <= 1e-14*buScale
-		buZero := maxBu0 <= 1e-14*buScale
+		// costs two input solves for nothing.
+		flat := maxDiff <= tiny
 
 		// The segment's input treatment: form the Krylov start vector here;
 		// evalAt below applies the matching correction.
-		shifted := false
-		switch {
-		case useEq5:
-			// w0 and w1 are independent right-hand sides: one blocked panel
-			// solve traverses the factor once for both when available; r2
-			// depends on w1 and follows separately.
-			if ms, ok := factG.(sparse.MultiSolver); ok {
-				ms.SolveMulti(mdst[:], msrc[:])
-			} else {
-				solveWith(factG, w0, bu0, work, opts)
-				solveWith(factG, w1, slope, work, opts)
-			}
-			sys.C.MulVec(r2, w1)
-			solveWith(factG, r2, r2, work, opts)
-			res.Stats.SolvePairs += 3
-			res.Stats.SpMVs++
-			for i := 0; i < n; i++ {
-				v[i] = x[i] - w0[i] + r2[i] // x(t) + F
-			}
-		case slopeZero && opts.Krylov != krylov.MethodArnoldi && op.SymmetricMatrices():
-			shifted = true
-			if buZero {
-				for i := range w0 {
-					w0[i] = 0
+		deviation := devOnly || choose && (flat || devPairs > 0 && devPairs < augPairs)
+		if deviation && (!qOK || maxBu0 <= tiny) {
+			quasiStatic(q, bu0, maxBu0)
+		}
+		pairs0 := count.SolvePairs + res.Stats.InputPairs
+		if deviation {
+			res.Stats.DeviationSpots++
+			if !flat {
+				quasiStatic(q1, bu1, maxBu1)
+				for i := range w1 {
+					w1[i] = (q1[i] - q[i]) / hSeg
 				}
-			} else {
-				solveWith(factG, w0, bu0, work, opts)
-				res.Stats.SolvePairs++
+				sys.C.MulVec(r2, w1)
+				solveWith(factG, r2, r2, work, opts)
+				res.Stats.InputPairs++
+				res.Stats.SpMVs++
+			}
+			for i := range q {
+				v[i] = x[i] - q[i]
+				if !flat {
+					v[i] += r2[i]
+				}
 			}
 			op.ClearSegment()
-			for i := 0; i < n; i++ {
-				v[i] = x[i] - w0[i]
-			}
-			v[n] = 0
-			v[n+1] = 0
-		default:
+			clear(v[n:])
+		} else {
 			op.SetSegment(bu0, slope)
 			copy(v[:n], x)
 			v[n] = 0
@@ -251,7 +255,8 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			hChecks = append(hChecks, grid[gi+1]-t)
 		}
 		sub, err := krylov.Generate(op, v, hChecks, kopts)
-		if errors.Is(err, krylov.ErrNoConvergence) {
+		split := errors.Is(err, krylov.ErrNoConvergence)
+		if split {
 			// Split the segment: step only to the next grid point (or half
 			// the segment) and regenerate there. Counted as a rejection.
 			res.Stats.Rejected++
@@ -266,11 +271,21 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 				return nil, fmt.Errorf("transient: %v at t=%g even after split: %w", method, t, err2)
 			}
 			// A non-converged full-depth subspace is used best-effort: the
-			// achievable accuracy at this stiffness (for Eq. 5, bounded by
-			// its A⁻² input terms) is what gets measured.
+			// achievable accuracy at this stiffness is what gets measured.
 			segEnd = half
 		} else if err != nil {
 			return nil, fmt.Errorf("transient: %v subspace at t=%g: %w", method, t, err)
+		}
+		// What this spot cost, for the next ramp's choice. A deviation spot
+		// is booked at a ramp's price (r2 and q1) even when it was flat, and
+		// not at all when its start vector was zero (a dimension-1 dummy).
+		if cost := count.SolvePairs + res.Stats.InputPairs - pairs0; !deviation {
+			augPairs = cost
+		} else if sub.Beta() != 0 {
+			devPairs = cost
+			if flat {
+				devPairs += 2
+			}
 		}
 
 		// evalAt writes x(t+h) into xs[:n] by subspace reuse.
@@ -279,13 +294,13 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 				return fmt.Errorf("transient: %v at t=%g: %w", method, t+h, err)
 			}
 			switch {
-			case useEq5:
-				for i := 0; i < n; i++ {
-					xs[i] += w0[i] + h*w1[i] - r2[i] // subtract P(h)
+			case deviation && flat:
+				for i := range q {
+					xs[i] += q[i]
 				}
-			case shifted && !buZero:
-				for i := 0; i < n; i++ {
-					xs[i] += w0[i]
+			case deviation:
+				for i := range q {
+					xs[i] += q[i] + h*w1[i] - r2[i]
 				}
 			}
 			return nil
@@ -314,8 +329,13 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		}
 		copy(x, xs[:n])
 		tBase = segEnd
+		// q(segEnd) is known when it is bit for bit what a solve there would
+		// give: q1 after an unsplit ramp, q itself when B·u did not move.
+		if qOK = deviation && !split && (!flat || maxDiff == 0); qOK && !flat {
+			q, q1 = q1, q
+		}
 		err = cpr.maybe(&res.Stats, func() Checkpoint {
-			return Checkpoint{Method: method.Name(), T: tBase, X: append([]float64(nil), x...), BuScale: buScale}
+			return Checkpoint{Method: method.Name(), T: tBase, X: append([]float64(nil), x...), BuScale: buScale, AugPairs: augPairs, DevPairs: devPairs}
 		})
 		if err != nil {
 			return nil, err

@@ -246,11 +246,17 @@ type Stats struct {
 	// factorizations that went through the cheap numeric refactorization
 	// path at all (including the one that built the analysis). Refactors -
 	// SymbolicHits is therefore the number of symbolic analyses paid for.
-	SymbolicHits  int
-	Refactors     int
-	DCTime        time.Duration
-	FactorTime    time.Duration
-	TransientTime time.Duration
+	SymbolicHits int
+	Refactors    int
+	// InputPairs counts the substitution pairs (already in SolvePairs) the
+	// MATEX driver itself spent on input terms, q = G⁻¹·B·u and r2 = G⁻¹·C·w1;
+	// DeviationSpots counts the spots that took the deviation treatment (see
+	// SimulateMatex).
+	InputPairs     int
+	DeviationSpots int
+	DCTime         time.Duration
+	FactorTime     time.Duration
+	TransientTime  time.Duration
 }
 
 // MA returns the average generated Krylov dimension (paper's m_a).
@@ -294,6 +300,8 @@ func (s *Stats) Add(o *Stats) {
 	s.LanczosSpots += o.LanczosSpots
 	s.SymbolicHits += o.SymbolicHits
 	s.Refactors += o.Refactors
+	s.InputPairs += o.InputPairs
+	s.DeviationSpots += o.DeviationSpots
 }
 
 // addCounters folds Krylov counters into the stats.
@@ -514,8 +522,11 @@ func initialState(sys *circuit.System, opts Options, stats *Stats) ([]float64, s
 	}
 	b := make([]float64, sys.N)
 	sys.EvalB(0, b, opts.ActiveInputs)
+	// Through solveWith, like every later G-solve: the MATEX driver keeps
+	// this x_DC as q(0) = G⁻¹·B·u(0), and a resumed run that solves q afresh
+	// must get the same bits.
 	x := make([]float64, sys.N)
-	fg.Solve(x, b)
+	solveWith(fg, x, b, make([]float64, sys.N), opts)
 	stats.SolvePairs++
 	return x, fg, nil
 }

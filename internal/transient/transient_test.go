@@ -330,7 +330,7 @@ func TestMexpRegularizesSingularC(t *testing.T) {
 	if resR.Stats.Regularized {
 		t.Error("R-MATEX regularized; it should be regularization-free")
 	}
-	// Node b has no capacitor, so this run takes the Eq. 5 treatment; its
+	// Node b has no capacitor, so this run takes the deviation treatment; its
 	// (C+γG) factorization must be accounted like any other run's.
 	if resR.Stats.FactorTime <= 0 {
 		t.Errorf("R-MATEX on singular C reports FactorTime %v, want > 0", resR.Stats.FactorTime)

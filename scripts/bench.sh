@@ -4,14 +4,14 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR17.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR18.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_RUNS=8 scripts/bench.sh        # 8 passes over the suite, each row
 #                                        # kept from its fastest pass
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR17.json is regenerated manually with BENCH_RUNS=8
+# the committed BENCH_PR18.json is regenerated manually with BENCH_RUNS=8
 # when the solver layer changes: a shared host slows down in windows of
 # seconds, which one pass bakes into whichever rows it was running (PR 17's
 # first baseline had untouched sparse rows at 2x their PR 16 values), and a
@@ -19,9 +19,12 @@
 # separate passes is the quiet-host number. The default pattern covers the
 # Krylov spot pipeline (PR 3), the factorization engine rows (PR 4-6),
 # the scenario-sweep rows (PR 10), the D-MATEX plan rows (PR 14) and one
-# end-to-end row per MATEX input treatment (PR 15: Table2_IMATEX_ibmpg1t is
-# the Eq. 5 treatment, Table2_RMATEX_ibmpg1t the augmented and
-# constant-shift treatments of the one driver) and one end-to-end row per
+# end-to-end row per way the one MATEX driver treats inputs (PR 18:
+# Table2_IMATEX_ibmpg1t is deviation throughout, Table2_RMATEX_ibmpg1t the
+# floor-dimension deck whose ramps stay augmented, Table2_RMATEX_ibmpg1t_dyn
+# the 0.5 pF deck whose ramps move to deviation; each reports solve_pairs
+# and lanczos_spots, and benchcmp holds the pairs to the baseline's) and one
+# end-to-end row per
 # selectable fill-reducing ordering (PR 16: Ablation_Ordering_ND is the
 # default's resolution, Ablation_Ordering_MinDeg the alternative):
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
@@ -40,7 +43,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR17.json}"
+out="${1:-BENCH_PR18.json}"
 benchtime="${BENCHTIME:-100x}"
 runs="${BENCH_RUNS:-1}"
 pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_)}"

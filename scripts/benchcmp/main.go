@@ -92,6 +92,12 @@ var gates = []gate{
 	{row: "BenchmarkSweep_k4", metric: "lanes", lo: 1, hi: 1, why: "4 non-collinear corners share nothing"},
 	{row: "BenchmarkSweep_k4", metric: "mean_panel_width", lo: 0.9, why: "the lanes' solves batch into panels"},
 	{row: "BenchmarkSweep_k8", metric: "ns/op", over: "BenchmarkSweepSolo", why: "context: 8 variants in solo walls"},
+	// The MATEX driver's input treatments, counted: substitution pairs do
+	// not depend on the runner, and a lost deviation path (or a ramp that
+	// leaves augmented on the floor-dimension deck) shows as more of them.
+	{row: "BenchmarkTable2_RMATEX_ibmpg1t", metric: "solve_pairs", hi: 1, why: "floor-dimension deck: every ramp stays augmented, q(0) comes from the DC solve"},
+	{row: "BenchmarkTable2_IMATEX_ibmpg1t", metric: "solve_pairs", hi: 1, why: "deviation throughout: two input solves per ramp, none per flat segment"},
+	{row: "BenchmarkTable2_RMATEX_ibmpg1t_dyn", metric: "solve_pairs", hi: 1, why: "0.5 pF deck: ramps move to deviation and the Lanczos path"},
 	// Printed, not gated, until ParSolve earns a row or is deleted (ROADMAP
 	// 6b): on a 2-vCPU runner it is slower than the sequential solve.
 	{row: "BenchmarkSolvePar_4dom", metric: "ns/op", over: "BenchmarkSolveSeq_4dom", why: "context: task-parallel solve on separate domains"},

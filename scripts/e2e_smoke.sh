@@ -54,10 +54,11 @@ cmp "$workdir/oneshot.tsv" "$workdir/streamed.tsv"
 echo "streamed TSV identical to buffered"
 
 say "I-MATEX and R-MATEX cross-check"
-# Two faces of the one MATEX driver on the same deck: I-MATEX is the Eq. 5
-# input treatment over the DC factors of G, R-MATEX the augmented and
-# constant-shift treatments over factor(C+γG). Different operators and
-# disjoint input arithmetic must land on the same waveform.
+# Two faces of the one MATEX driver on the same deck: I-MATEX is the
+# deviation (Eq. 5) input treatment over the DC factors of G, R-MATEX the
+# augmented treatment on ramps (and deviation on flat segments) over
+# factor(C+γG). Different operators and input arithmetic must land on the
+# same waveform.
 "$workdir/matex" -method imatex "$workdir/deck.sp" > "$workdir/imatex.tsv"
 "$workdir/matex" -method rmatex "$workdir/deck.sp" > "$workdir/rmatex.tsv"
 python3 - "$workdir/imatex.tsv" "$workdir/rmatex.tsv" <<'EOF'
