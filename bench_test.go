@@ -1,17 +1,24 @@
 package matex
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/experiments"
 	"github.com/matex-sim/matex/internal/krylov"
+	"github.com/matex-sim/matex/internal/netlist"
 	"github.com/matex-sim/matex/internal/pdn"
+	"github.com/matex-sim/matex/internal/serve"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
@@ -855,3 +862,77 @@ func BenchmarkSweep_k8(b *testing.B) {
 	sys := benchSystem(b, "ibmpg1t", 0.25)
 	benchSweep(b, sweepCornerFamilies(sys, 4))
 }
+
+// benchServeSubmit times serve.Server.Submit on a durable server for the
+// ibmpg3t deck as the serve_stream workload posts it (inline, ~310 KiB,
+// n = 3,564), and counts what a submission costs besides time: decks parsed
+// and stamped (parses/op, from the deck store's misses) and bytes appended
+// to the journal (journal_B/op, the job's terminal record included). warm
+// resubmits one deck the server has already seen; cold submits a deck it has
+// not (a trailing comment makes each text new). The jobs only exist to be
+// submitted — a one-step window, settled outside the timer, keeps the single
+// worker ahead of the queue. benchcmp gates the warm row on the two counts,
+// not on its wall: 0 parses, at most 2 KiB of journal.
+func benchServeSubmit(b *testing.B, warm bool) {
+	gspec, err := pdn.IBMCase("ibmpg3t", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ckt, err := gspec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := netlist.Write(&buf, &netlist.Deck{Circuit: ckt, TranStep: 10e-12, TranStop: gspec.Tstop}); err != nil {
+		b.Fatal(err)
+	}
+	text := buf.String()
+
+	dir := b.TempDir()
+	srv, err := serve.New(serve.Config{Workers: 1, StateDir: dir})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	submit := func(i int, timed bool) {
+		spec := serve.JobSpec{Netlist: text, Tstop: 10e-12}
+		if !warm {
+			spec.Netlist += fmt.Sprintf("* deck %d\n", i)
+		}
+		if timed {
+			b.StartTimer()
+		}
+		job, err := srv.Submit(spec)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for !job.State().Terminal() {
+			time.Sleep(50 * time.Microsecond)
+		}
+		if st := job.Status(); st.State != serve.JobDone {
+			b.Fatalf("%s ended %s (%s)", st.ID, st.State, st.Error)
+		}
+	}
+	journalBytes := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "journal.jsonl"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return fi.Size()
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	submit(0, false) // the server's first job: the deck's first sight on the warm row
+	size, parses := journalBytes(), srv.DeckStats().Misses
+	for i := 1; i <= b.N; i++ {
+		submit(i, true)
+	}
+	b.ReportMetric(float64(srv.DeckStats().Misses-parses)/float64(b.N), "parses/op")
+	b.ReportMetric(float64(journalBytes()-size)/float64(b.N), "journal_B/op")
+}
+
+func BenchmarkServeSubmit_warm(b *testing.B) { benchServeSubmit(b, true) }
+func BenchmarkServeSubmit_cold(b *testing.B) { benchServeSubmit(b, false) }

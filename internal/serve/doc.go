@@ -5,20 +5,24 @@
 // SSE) as the integrators advance — the serving layer the paper's
 // "distributed framework" framing asks for on top of the compute stack.
 //
-// Every job on one process shares the content-addressed factorization
-// cache and the Krylov workspace arenas, so concurrent and repeated jobs
-// against the same grid skip straight to the transient phase the way
-// repeated dist.Run calls do. Distributed jobs additionally fan out
-// through internal/dist (in-process pool or matexd workers over TCP).
+// Every job on one process shares the content-addressed deck store
+// (deckstore.go: one parse + stamp per deck, keyed by the SHA-256 of its
+// text, bounded and LRU), the content-addressed factorization cache and the
+// Krylov workspace arenas, so concurrent and repeated jobs against the same
+// grid skip straight to the transient phase the way repeated dist.Run calls
+// do. Distributed jobs additionally fan out through internal/dist
+// (in-process pool or matexd workers over TCP).
 //
 // # Lifecycle of a job
 //
-// POST /v1/jobs (http.go) validates the JobSpec and builds the circuit up
-// front (job.go), so malformed decks fail with a 400 before queueing. The
-// job then waits in a bounded queue until a worker goroutine (serve.go)
-// picks it up, builds the one transient.Options every kind of job runs
-// under, hands it to transient.Simulate, sweep.Run or dist.Run, and
-// forwards every probe sample into the job's grow-only sample log. Stream
+// POST /v1/jobs (http.go) resolves the JobSpec's deck through the store and
+// validates the rest of the spec against it up front (job.go), so malformed
+// decks fail with a 400 before queueing; the job holds the shared, read-only
+// stamped system, not the netlist text. The job then waits in a bounded
+// queue until a worker goroutine (serve.go) picks it up, builds the one
+// transient.Options every kind of job runs under, hands it to
+// transient.Simulate, sweep.Run or dist.Run, and forwards every probe
+// sample into the job's grow-only sample log. Stream
 // readers (GET /v1/jobs/{id}/stream) replay that log from any offset and
 // then follow live appends, so late subscribers and reconnects see the
 // identical sequence.
@@ -33,12 +37,17 @@
 //
 // # Durability
 //
-// With Config.StateDir set, accepted specs and periodic checkpoints are
-// journaled (journal.go) in one append-only NDJSON file; on restart the
-// server replays the journal, trims samples past the last checkpoint of
-// their variant (a plain job is the variant ""), and resumes unfinished
-// jobs from their checkpoints. Distributed jobs do not checkpoint. Crash-safety is tested by snapshotting the journal bytes
-// mid-run and restarting a second server on the copy.
+// With Config.StateDir set, deck bodies (once per content hash), accepted
+// specs (which reference their deck by hash) and periodic checkpoints are
+// journaled (journal.go) in one append-only NDJSON file; a spec is durable
+// only after its deck is. On restart the server replays the journal,
+// resolves the references (a spec whose deck is missing becomes a failed
+// job; journals with the netlist inline in the spec still replay), trims
+// samples past the last checkpoint of their variant (a plain job is the
+// variant ""), and resumes unfinished jobs from their checkpoints through
+// the same store. Distributed jobs do not checkpoint. Crash-safety is
+// tested by snapshotting the journal bytes mid-run and restarting a second
+// server on the copy.
 //
 // See cmd/matexsrv for the daemon and README.md ("Serving") for the API.
 package serve

@@ -13,15 +13,11 @@ import (
 	"github.com/matex-sim/matex/internal/sparse"
 )
 
-// maxBodyBytes bounds a submission body; the big IBM decks are tens of
-// megabytes, so the limit is generous without being unbounded.
-const maxBodyBytes = 256 << 20
-
 // Handler returns the service's HTTP API:
 //
 //	GET    /healthz              liveness
 //	GET    /readyz               readiness; 503 once draining begins
-//	GET    /stats                queue, cache and solver-work counters
+//	GET    /stats                queue, cache, deck-store and solver-work counters
 //	POST   /v1/jobs              submit a JobSpec, returns the job Status
 //	GET    /v1/jobs              list job statuses
 //	GET    /v1/jobs/{id}         one job's Status
@@ -178,6 +174,9 @@ type StatsReply struct {
 	// Cache is the shared factorization cache's own view (includes the
 	// symbolic pattern tier).
 	Cache sparse.CacheStats `json:"cache"`
+	// DeckStore is the deck store's view: one miss per deck parsed and
+	// stamped, one hit per job that found its deck already there.
+	DeckStore DeckStoreStats `json:"deck_store"`
 }
 
 func (s *Server) statsReply() StatsReply {
@@ -206,6 +205,7 @@ func (s *Server) statsReply() StatsReply {
 	}
 	s.mu.Unlock()
 	rep.Cache = s.cache.Stats()
+	rep.DeckStore = s.decks.snapshot()
 	return rep
 }
 

@@ -8,10 +8,8 @@ import (
 	"sync"
 	"time"
 
-	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/krylov"
-	"github.com/matex-sim/matex/internal/netlist"
 	"github.com/matex-sim/matex/internal/pdn"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/sweep"
@@ -73,9 +71,10 @@ type JobSpec struct {
 // cannot monopolize the worker pool's memory.
 const MaxSweepVariants = 64
 
-// builtJob is a validated, stamped job ready to run.
+// builtJob is a validated job ready to run: the shared deck plus everything
+// the spec's options resolve to on it.
 type builtJob struct {
-	sys    *circuit.System
+	deck   *deck
 	method transient.Method
 	krylov krylov.Method
 	order  sparse.Ordering
@@ -85,14 +84,12 @@ type builtJob struct {
 	step   float64
 }
 
-// build validates the spec and stamps the MNA system. All submission-time
-// errors (bad deck, unknown method, missing window) surface here so the
-// HTTP layer can answer 400 before the job is queued.
-func (spec *JobSpec) build() (*builtJob, error) {
-	if (spec.Netlist == "") == (spec.Case == "") {
-		return nil, errors.New("exactly one of netlist and case must be set")
-	}
-	b := &builtJob{tstop: spec.Tstop, step: spec.Step}
+// build validates the spec against its deck (already parsed and stamped,
+// from the server's deck store). All submission-time errors (unknown method,
+// missing window, bad variants) surface here or in the deck lookup before
+// it, so the HTTP layer can answer 400 before the job is queued.
+func (spec *JobSpec) build(d *deck) (*builtJob, error) {
+	b := &builtJob{deck: d, tstop: spec.Tstop, step: spec.Step}
 
 	var err error
 	if b.method, err = transient.ParseMethod(spec.Method); err != nil {
@@ -105,44 +102,22 @@ func (spec *JobSpec) build() (*builtJob, error) {
 		return nil, err
 	}
 
-	var probeNames []string
-	if spec.Netlist != "" {
-		deck, err := netlist.Parse(strings.NewReader(spec.Netlist))
-		if err != nil {
-			return nil, err
-		}
-		if b.sys, err = deck.Build(); err != nil {
-			return nil, err
-		}
-		if b.tstop == 0 {
-			b.tstop = deck.TranStop
-		}
-		if b.step == 0 {
-			b.step = deck.TranStep
-		}
-		probeNames = deck.Prints
-	} else {
-		gspec, err := pdn.IBMCase(spec.Case, scaleOrOne(spec.Scale))
-		if err != nil {
-			return nil, err
-		}
-		ckt, err := gspec.Build()
-		if err != nil {
-			return nil, err
-		}
-		if b.sys, err = circuit.Stamp(ckt, circuit.StampOptions{CollapseSupplies: true}); err != nil {
-			return nil, err
-		}
-		if b.tstop == 0 {
-			b.tstop = gspec.Tstop
-		}
+	if b.tstop == 0 {
+		b.tstop = d.tstop
+	}
+	if b.step == 0 {
+		b.step = d.step
+	}
+	probeNames := d.prints
+	if spec.Case != "" {
 		np := spec.NumProbes
 		if np <= 0 {
 			np = 4
 		}
+		probeNames = make([]string, 0, np) // never append into the shared deck's slice
 		for i := 0; i < np; i++ {
-			x := (i + 1) * gspec.NX / (np + 1)
-			y := (i + 1) * gspec.NY / (np + 1)
+			x := (i + 1) * d.nx / (np + 1)
+			y := (i + 1) * d.ny / (np + 1)
 			probeNames = append(probeNames, pdn.NodeName(x, y))
 		}
 	}
@@ -159,7 +134,7 @@ func (spec *JobSpec) build() (*builtJob, error) {
 		if len(spec.Variants) > MaxSweepVariants {
 			return nil, fmt.Errorf("sweep has %d variants; the limit is %d", len(spec.Variants), MaxSweepVariants)
 		}
-		if err := sweep.Validate(b.sys, spec.Variants); err != nil {
+		if err := sweep.Validate(d.sys, spec.Variants); err != nil {
 			return nil, err
 		}
 	}
@@ -169,11 +144,11 @@ func (spec *JobSpec) build() (*builtJob, error) {
 	// shared resolver (supply rails are silently dropped here; the CLI
 	// warns on stderr instead).
 	if len(probeNames) == 0 {
-		if names := b.sys.NodeNames(); len(names) > 0 {
+		if names := d.sys.NodeNames(); len(names) > 0 {
 			probeNames = names[:1]
 		}
 	}
-	if b.probes, b.names, _, err = b.sys.ResolveProbes(probeNames); err != nil {
+	if b.probes, b.names, _, err = d.sys.ResolveProbes(probeNames); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -228,7 +203,8 @@ type Sample struct {
 type Job struct {
 	// ID is the server-assigned job identifier.
 	ID string
-	// Spec is the submitted request.
+	// Spec is the submitted request, minus the inline netlist: the job holds
+	// the deck the text parsed to, not QueueDepth copies of the text.
 	Spec JobSpec
 
 	built     *builtJob
@@ -367,15 +343,14 @@ func (j *Job) finish(res *transient.Result, rep *dist.Report, sst *sweep.Stats, 
 	j.broadcast()
 }
 
-// releaseInputsLocked drops the stamped MNA system and the inline deck
-// text once the job can no longer run: retained finished jobs then hold
-// only their samples, probe names and stats, so the MaxRetainedJobs
-// window costs waveform memory, not stamped-system memory (a large IBM
-// deck is tens of MB of text plus a comparable sparse system). Callers
-// hold j.mu.
+// releaseInputsLocked drops the job's hold on its deck once it can no
+// longer run: retained finished jobs then hold only their samples, probe
+// names and stats, so the MaxRetainedJobs window costs waveform memory and
+// never keeps a deck the store has evicted alive. (The inline text went at
+// submit: a job holds its deck, not a copy of the netlist.) Callers hold
+// j.mu.
 func (j *Job) releaseInputsLocked() {
-	j.built.sys = nil
-	j.Spec.Netlist = ""
+	j.built.deck = nil
 }
 
 // Cancel stops the job: a queued job is canceled in place (workers skip

@@ -2,14 +2,13 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"github.com/matex-sim/matex/internal/faultinject"
@@ -19,7 +18,12 @@ import (
 // The durable job journal: an append-only JSONL file under Config.StateDir
 // that records enough to survive a kill -9 of the whole process —
 //
-//	spec        one per job, at submit, before the job is queued
+//	deck        an inline netlist's text under its content hash, once per
+//	            hash and journal generation (the file as it stands since the
+//	            last start's compaction), fsynced BEFORE the first spec that
+//	            references it: a durable spec always finds its deck
+//	spec        one per job, at submit, before the job is queued; it carries
+//	            the deck's hash, not the text
 //	samples     batches of streamed waveform samples, flushed BEFORE each
 //	            checkpoint record so that every sample at or before a
 //	            durable checkpoint's time is itself durable
@@ -36,9 +40,13 @@ import (
 // plus the resumed tail reproduce the uninterrupted waveform with no gaps
 // and no duplicates.
 //
+// Journals written before decks were records of their own carry the text
+// inline in each spec; replay hashes it and treats it as that spec's deck
+// record, and the compaction that follows rewrites the file by reference.
+//
 // ErrJournal marks every append failure so the HTTP layer can answer 500
 // (server's disk, not the client's spec). The faultinject points
-// JournalAppend (spec/samples/done appends: "disk full") and
+// JournalAppend (deck/spec/samples/done appends: "disk full") and
 // CheckpointWrite (checkpoint appends: "torn checkpoint write") fire here.
 
 // journalName is the journal file name under Config.StateDir.
@@ -47,15 +55,26 @@ const journalName = "journal.jsonl"
 // ErrJournal marks a failed journal append; the HTTP layer maps it to 500.
 var ErrJournal = errors.New("serve: journal append failed")
 
+// maxRecordBytes bounds one journal line on replay. JSON escapes a byte into
+// at most six, so no deck the admission bound lets through makes a longer
+// record than this.
+const maxRecordBytes = 6*maxBodyBytes + 4096
+
 // journalRecord is the one-line JSON envelope of every journal entry.
 type journalRecord struct {
-	Rec string `json:"rec"` // "spec" | "samples" | "checkpoint" | "done"
-	ID  string `json:"id"`
+	Rec string `json:"rec"` // "deck" | "spec" | "samples" | "checkpoint" | "done"
+	ID  string `json:"id,omitempty"`
+	// Hash is the hex SHA-256 of an inline deck's text: what a deck record
+	// stores its Netlist under and what a spec record references (empty on
+	// the spec of a pgbench-case job, which needs no body).
+	Hash    string `json:"hash,omitempty"`
+	Netlist string `json:"netlist,omitempty"`
 	// Seq is the server job counter at submit (spec records only); the
 	// restarted server resumes its counter past the largest replayed Seq.
 	Seq uint64 `json:"seq,omitempty"`
-	// Spec is the submitted job (spec records only).
-	Spec *JobSpec `json:"spec,omitempty"`
+	// Spec is the submitted JobSpec (spec records only), marshaled by the
+	// submitter ahead of the critical section that assigns ID and Seq.
+	Spec json.RawMessage `json:"spec,omitempty"`
 	// From/Samples are a sample batch and the 0-based index of its first
 	// sample in the job's buffer (samples records only).
 	From    int      `json:"from,omitempty"`
@@ -77,14 +96,21 @@ type journal struct {
 	f      *os.File
 	path   string
 	faults *faultinject.Registry
+	// decks are the hashes whose deck record this generation of the file
+	// holds, durably: specs may reference them without writing the body.
+	decks map[string]bool
 }
 
 // restoredJob is one interrupted job reconstructed from the journal.
 type restoredJob struct {
-	id      string
-	seq     uint64
-	spec    JobSpec
-	samples []Sample
+	id   string
+	seq  uint64
+	spec JobSpec // without the netlist, whatever the record's format
+	// hash is the deck reference of an inline-netlist job and netlist the
+	// body replay resolved it to — empty when the journal does not hold it.
+	// Jobs on one deck share one string. A pgbench-case job has neither.
+	hash, netlist string
+	samples       []Sample
 	// cps are the last checkpoints by variant name; "" is a plain job's
 	// single integration, as in the record's Variant field.
 	cps  map[string]*transient.Checkpoint
@@ -109,21 +135,25 @@ func openJournal(dir string, faults *faultinject.Registry) (*journal, []*restore
 			live = append(live, r)
 		}
 	}
-	if err := compactJournal(path, live); err != nil {
+	decks, err := compactJournal(path, live)
+	if err != nil {
 		return nil, nil, 0, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	j := &journal{f: f, path: path, faults: faults}
+	j := &journal{f: f, path: path, faults: faults, decks: decks}
 	return j, live, maxSeq, nil
 }
 
 // replayJournal reads every record, folding them into per-job restore
-// state. A torn trailing line (the crash interrupted an append) is
-// ignored; a torn line anywhere else ends the replay at the last good
-// record, since everything after it is unordered.
+// state and resolving each spec's deck reference. A torn trailing line (the
+// crash interrupted an append) is ignored; a torn or unreadable line
+// anywhere else ends the replay at the last good record, since everything
+// after it is unordered. Only a file that cannot be opened is an error: a
+// journal that cannot be read to its end must not keep the server from
+// starting.
 func replayJournal(path string) ([]*restoredJob, uint64, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -135,25 +165,40 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 	defer f.Close() //matex:err-ok(read-only handle)
 
 	byID := make(map[string]*restoredJob)
+	decks := make(map[string]string) // content hash → text
 	var order []*restoredJob
 	var maxSeq uint64
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // sample batches can be large
+	sc.Buffer(make([]byte, 0, 1<<20), maxRecordBytes)
+	// A scan error (an over-long line, a failing disk) ends the loop like a
+	// torn write does: what was read so far stands.
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		if err := json.Unmarshal(line, &rec); err != nil {
 			break // torn write: everything from here on is suspect
 		}
 		switch rec.Rec {
+		case "deck":
+			// Filed under the hash of what was read, not the hash the record
+			// claims: a body that is not its hash's is then simply not found
+			// by the specs that reference it, and never stands in for it.
+			if rec.Netlist != "" {
+				decks[netlistKey(rec.Netlist)] = rec.Netlist
+			}
 		case "spec":
-			if rec.Spec == nil || rec.ID == "" {
+			r := &restoredJob{id: rec.ID, seq: rec.Seq, hash: rec.Hash}
+			if rec.ID == "" || json.Unmarshal(rec.Spec, &r.spec) != nil {
 				continue
 			}
-			r := &restoredJob{id: rec.ID, seq: rec.Seq, spec: *rec.Spec}
+			if r.spec.Netlist != "" { // older format: the body rides in the spec
+				r.hash = netlistKey(r.spec.Netlist)
+				decks[r.hash] = r.spec.Netlist
+				r.spec.Netlist = ""
+			}
 			byID[rec.ID] = r
 			order = append(order, r)
 			if rec.Seq > maxSeq {
@@ -188,8 +233,8 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil && !errors.Is(err, io.EOF) {
-		return nil, 0, fmt.Errorf("serve: replaying journal: %w", err)
+	for _, r := range order {
+		r.netlist = decks[r.hash]
 	}
 
 	// Trim samples past the checkpoint: the resumed run re-emits them. The
@@ -212,13 +257,16 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 }
 
 // compactJournal rewrites the journal to hold only the live (interrupted)
-// jobs — spec, restored samples, last checkpoint — atomically via a temp
-// file rename, pruning every completed entry and its waveform.
-func compactJournal(path string, live []*restoredJob) error {
+// jobs — each deck one of them references, once, ahead of the first spec
+// that does; then per job its spec, restored samples and last checkpoints —
+// atomically via a temp file rename, pruning every completed entry, its
+// waveform and every deck no live job is on. It returns the hashes of the
+// decks the new file holds.
+func compactJournal(path string, live []*restoredJob) (map[string]bool, error) {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
 	w := bufio.NewWriter(f)
 	writeRec := func(rec journalRecord) error {
@@ -230,14 +278,24 @@ func compactJournal(path string, live []*restoredJob) error {
 		_, err = w.Write(b)
 		return err
 	}
+	decks := make(map[string]bool)
 	for _, r := range live {
-		spec := r.spec
-		if err := writeRec(journalRecord{Rec: "spec", ID: r.id, Seq: r.seq, Spec: &spec}); err != nil {
-			return failCompact(f, tmp, err)
+		if r.netlist != "" && !decks[r.hash] {
+			if err := writeRec(journalRecord{Rec: "deck", Hash: r.hash, Netlist: r.netlist}); err != nil {
+				return nil, failCompact(f, tmp, err)
+			}
+			decks[r.hash] = true
+		}
+		spec, err := json.Marshal(&r.spec)
+		if err != nil {
+			return nil, failCompact(f, tmp, err)
+		}
+		if err := writeRec(journalRecord{Rec: "spec", ID: r.id, Seq: r.seq, Hash: r.hash, Spec: spec}); err != nil {
+			return nil, failCompact(f, tmp, err)
 		}
 		if len(r.samples) > 0 {
 			if err := writeRec(journalRecord{Rec: "samples", ID: r.id, Samples: r.samples}); err != nil {
-				return failCompact(f, tmp, err)
+				return nil, failCompact(f, tmp, err)
 			}
 		}
 		names := make([]string, 0, len(r.cps))
@@ -247,23 +305,23 @@ func compactJournal(path string, live []*restoredJob) error {
 		sort.Strings(names)
 		for _, n := range names {
 			if err := writeRec(journalRecord{Rec: "checkpoint", ID: r.id, Variant: n, Cp: r.cps[n]}); err != nil {
-				return failCompact(f, tmp, err)
+				return nil, failCompact(f, tmp, err)
 			}
 		}
 	}
 	if err := w.Flush(); err != nil {
-		return failCompact(f, tmp, err)
+		return nil, failCompact(f, tmp, err)
 	}
 	if err := f.Sync(); err != nil {
-		return failCompact(f, tmp, err)
+		return nil, failCompact(f, tmp, err)
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("serve: compacting journal: %w", err)
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
-	return nil
+	return decks, nil
 }
 
 // failCompact abandons a half-written compaction temp file.
@@ -273,21 +331,24 @@ func failCompact(f *os.File, tmp string, err error) error {
 	return fmt.Errorf("serve: compacting journal: %w", err)
 }
 
-// append marshals and writes one record; sync additionally fsyncs (used
-// for checkpoints and terminal records — the entries a restart pivots on).
-// point is the faultinject site consulted before touching the disk.
-func (j *journal) append(rec journalRecord, sync bool, point faultinject.Point) error {
+// encode consults the faultinject site point and marshals one record into
+// its journal line.
+func (j *journal) encode(rec journalRecord, point faultinject.Point) ([]byte, error) {
 	if err := j.faults.Check(point); err != nil {
-		return fmt.Errorf("%w: %w", ErrJournal, err)
+		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
-		return fmt.Errorf("%w: %w", ErrJournal, err)
+		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
-	b = append(b, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(b); err != nil {
+	return append(b, '\n'), nil
+}
+
+// writeLocked writes one encoded line; sync additionally fsyncs (used for
+// decks, specs, checkpoints and terminal records — the entries a restart
+// pivots on). Callers hold j.mu.
+func (j *journal) writeLocked(line []byte, sync bool) error {
+	if _, err := j.f.Write(line); err != nil {
 		return fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 	if sync {
@@ -298,8 +359,40 @@ func (j *journal) append(rec journalRecord, sync bool, point faultinject.Point) 
 	return nil
 }
 
-func (j *journal) appendSpec(id string, seq uint64, spec JobSpec) error {
-	return j.append(journalRecord{Rec: "spec", ID: id, Seq: seq, Spec: &spec}, true, faultinject.JournalAppend)
+// append encodes and writes one record.
+func (j *journal) append(rec journalRecord, sync bool, point faultinject.Point) error {
+	line, err := j.encode(rec, point)
+	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.writeLocked(line, sync)
+}
+
+// appendDeck makes a deck body durable under its hash, unless this
+// generation of the journal already holds it. It returns only once the
+// record is on disk, whoever wrote it: concurrent first sights of one deck
+// serialize here and leave one record.
+func (j *journal) appendDeck(hash, netlist string) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.decks[hash] {
+		return nil
+	}
+	line, err := j.encode(journalRecord{Rec: "deck", Hash: hash, Netlist: netlist}, faultinject.JournalAppend)
+	if err != nil {
+		return err
+	}
+	if err := j.writeLocked(line, true); err != nil {
+		return err
+	}
+	j.decks[hash] = true
+	return nil
+}
+
+func (j *journal) appendSpec(id string, seq uint64, hash string, spec json.RawMessage) error {
+	return j.append(journalRecord{Rec: "spec", ID: id, Seq: seq, Hash: hash, Spec: spec}, true, faultinject.JournalAppend)
 }
 
 func (j *journal) appendSamples(id string, from int, batch []Sample) error {

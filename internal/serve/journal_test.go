@@ -2,20 +2,27 @@ package serve_test
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/serve"
+	"github.com/matex-sim/matex/internal/sweep"
+	"github.com/matex-sim/matex/internal/transient"
 )
 
 // jsonDecode decodes a JSON response body and closes it.
@@ -413,5 +420,387 @@ func TestRestoredUnbuildableSpecIsCountedAndLaidToRest(t *testing.T) {
 	got := streamNDJSON(t, base2+"/v1/simulate", serve.JobSpec{Case: "ibmpg1t", Scale: 0.25})
 	if got.state != serve.JobDone || got.id != "job-8" {
 		t.Fatalf("next job is %s, %s; want job-8 done", got.id, got.state)
+	}
+}
+
+// journalRecs decodes a journal's complete lines, one map per record.
+func journalRecs(t *testing.T, journal []byte) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(string(journal)), "\n") {
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("journal line does not decode: %v in %.80q", err, line)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// countRecs counts a journal's records of one kind.
+func countRecs(journal []byte, kind string) int {
+	return strings.Count(string(journal), `"rec":"`+kind+`"`)
+}
+
+// writeJournal writes records (maps, or verbatim lines as []byte) as the
+// journal of a fresh state dir and returns the dir.
+func writeJournal(t *testing.T, recs ...any) string {
+	t.Helper()
+	dir := t.TempDir()
+	var data []byte
+	for _, rec := range recs {
+		line, ok := rec.([]byte)
+		if !ok {
+			var err error
+			if line, err = json.Marshal(rec); err != nil {
+				t.Fatal(err)
+			}
+			line = append(line, '\n')
+		}
+		data = append(data, line...)
+	}
+	if err := os.WriteFile(journalPath(dir), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// deckHash is the journal's name for an inline deck.
+func deckHash(netlist string) string {
+	sum := sha256.Sum256([]byte(netlist))
+	return hex.EncodeToString(sum[:])
+}
+
+// deckRec and specRec are the two records a submission leaves.
+func deckRec(netlist string) map[string]any {
+	return map[string]any{"rec": "deck", "hash": deckHash(netlist), "netlist": netlist}
+}
+
+func specRec(seq int, hash string, spec serve.JobSpec) map[string]any {
+	return map[string]any{"rec": "spec", "id": "job-" + strconv.Itoa(seq), "seq": seq, "hash": hash, "spec": spec}
+}
+
+// TestCrashRestartTwoJobsOnOneDeck: N jobs on one deck leave one deck record
+// and N netlist-free specs; a restart on the journal a kill -9 would have
+// left parses the deck once for both and each stream finishes bit for bit as
+// the uninterrupted job's.
+func TestCrashRestartTwoJobsOnOneDeck(t *testing.T) {
+	leak := guardGoroutines(t)
+	deckText := testDeck(t)
+	dirA, dirB := t.TempDir(), t.TempDir()
+	cfg := serve.Config{Workers: 2, QueueDepth: 4, CheckpointEvery: 100}
+
+	cfg.StateDir = dirA
+	_, baseA, shutdownA := testServer(t, cfg)
+	spec := serve.JobSpec{Netlist: deckText, Method: "tr", Step: 2e-12} // 5000 steps
+	var ids [2]string
+	for i := range ids {
+		resp := postJSON(t, baseA+"/v1/jobs", spec)
+		var st serve.Status
+		if err := jsonDecode(resp, &st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, %v", i, resp.StatusCode, err)
+		}
+		ids[i] = st.ID
+	}
+	snapshot := waitForJournal(t, journalPath(dirA), `"rec":"checkpoint"`)
+	if decks, specs := countRecs(snapshot, "deck"), countRecs(snapshot, "spec"); decks != 1 || specs != 2 {
+		t.Fatalf("journal holds %d deck and %d spec records for two jobs on one deck, want 1 and 2", decks, specs)
+	}
+	if n := strings.Count(string(snapshot), "Iload1 "); n != 1 {
+		t.Fatalf("the deck text is in the journal %d times, want once", n)
+	}
+	if err := os.WriteFile(journalPath(dirB), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var refs [2]*streamedJob
+	for i, id := range ids {
+		if refs[i] = streamNDJSON(t, baseA+"/v1/jobs/"+id+"/stream"); refs[i].state != serve.JobDone {
+			t.Fatalf("reference job %s ended %s (%s)", id, refs[i].state, refs[i].tailErr)
+		}
+	}
+	if err := shutdownA(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.StateDir = dirB
+	_, baseB, shutdownB := testServer(t, cfg)
+	defer func() {
+		if err := shutdownB(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		leak()
+	}()
+	stats := getStats(t, baseB)
+	if stats.Resumed != 2 || stats.DeckStore.Misses != 1 || stats.DeckStore.Hits != 1 {
+		t.Fatalf("restart resumed %d jobs with deck store %+v, want 2 jobs on 1 parse", stats.Resumed, stats.DeckStore)
+	}
+	for i, id := range ids {
+		got := streamNDJSON(t, baseB+"/v1/jobs/"+id+"/stream")
+		if got.state != serve.JobDone {
+			t.Fatalf("resumed job %s ended %s (%s)", id, got.state, got.tailErr)
+		}
+		if !reflect.DeepEqual(got.times, refs[i].times) || !reflect.DeepEqual(got.rows, refs[i].rows) {
+			t.Errorf("resumed job %s is not bit-identical to the uninterrupted one", id)
+		}
+	}
+	compacted, err := os.ReadFile(journalPath(dirB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decks := countRecs(compacted, "deck"); decks != 1 {
+		t.Fatalf("the compacted journal holds %d deck records, want 1", decks)
+	}
+}
+
+// TestTornDeckOrSpecRecordStartsClean: a crash inside the deck record,
+// between the deck record and its spec, or inside the spec leaves no job —
+// the submission was never acknowledged. The server starts empty, compacts
+// the fragment away, and journals the deck afresh for the next job on it.
+func TestTornDeckOrSpecRecordStartsClean(t *testing.T) {
+	deckText := testDeck(t)
+	deckLine, err := json.Marshal(deckRec(deckText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specLine, err := json.Marshal(specRec(1, deckHash(deckText), serve.JobSpec{Method: "tr"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := string(deckLine) + "\n"
+	for name, journal := range map[string]string{
+		"inside the deck record":      string(deckLine[:len(deckLine)/2]),
+		"deck record without newline": string(deckLine),
+		"between deck and spec":       whole,
+		"inside the spec record":      whole + string(specLine[:len(specLine)/2]),
+	} {
+		dir := writeJournal(t, []byte(journal))
+		_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+		if st := getStats(t, base); st.Accepted != 0 || st.Resumed != 0 || st.Failed != 0 || st.DeckStore.Misses != 0 {
+			t.Errorf("cut %s: accepted %d, resumed %d, failed %d, %d decks parsed; want a clean start",
+				name, st.Accepted, st.Resumed, st.Failed, st.DeckStore.Misses)
+		}
+		if b, err := os.ReadFile(journalPath(dir)); err != nil || len(b) != 0 {
+			t.Errorf("cut %s: %d bytes left after compaction (err %v), want none", name, len(b), err)
+		}
+		got := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText})
+		if got.state != serve.JobDone || got.id != "job-1" {
+			t.Errorf("cut %s: next job is %s, %s; want job-1 done", name, got.id, got.state)
+		}
+		if b, err := os.ReadFile(journalPath(dir)); err != nil || countRecs(b, "deck") != 1 {
+			t.Errorf("cut %s: the new generation holds %d deck records (err %v), want 1", name, countRecs(b, "deck"), err)
+		}
+		if err := shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSpecWithoutItsDeckFails: a spec whose referenced deck the journal does
+// not hold — never written, or a body that is not the one its record names —
+// comes back as a failed job with the typed error, beside a healthy job that
+// resumes; /stats stays balanced and the next restart does not resurrect it.
+func TestSpecWithoutItsDeckFails(t *testing.T) {
+	deckText := testDeck(t)
+	other := strings.Replace(deckText, " 0 1.8\n", " 0 1.9\n", 1)
+	impostor := deckRec(other)
+	impostor["hash"] = deckHash(deckText)
+	for name, recs := range map[string][]any{
+		"no deck record":                {specRec(3, deckHash(deckText), serve.JobSpec{}), specRec(4, "", serve.JobSpec{Case: "ibmpg1t", Scale: 0.25})},
+		"a body that is not the hash's": {impostor, specRec(3, deckHash(deckText), serve.JobSpec{}), specRec(4, "", serve.JobSpec{Case: "ibmpg1t", Scale: 0.25})},
+	} {
+		dir := writeJournal(t, recs...)
+		_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+		if got := streamNDJSON(t, base+"/v1/jobs/job-4/stream"); got.state != serve.JobDone {
+			t.Fatalf("%s: the healthy job ended %s (%s)", name, got.state, got.tailErr)
+		}
+		st := getStats(t, base)
+		if st.Accepted != 2 || st.Failed != 1 || st.Resumed != 1 || st.Completed != 1 ||
+			st.Accepted != st.Completed+st.Failed+st.Canceled+uint64(st.QueueDepth+st.InFlight) {
+			t.Fatalf("%s: accepted %d = completed %d + failed %d + canceled %d + queued %d + in flight %d, resumed %d; want 2 = 1 + 1, 1 resumed",
+				name, st.Accepted, st.Completed, st.Failed, st.Canceled, st.QueueDepth, st.InFlight, st.Resumed)
+		}
+		dead := streamNDJSON(t, base+"/v1/jobs/job-3/stream")
+		if dead.state != serve.JobFailed || !strings.Contains(dead.tailErr, serve.ErrDeckMissing.Error()) || len(dead.times) != 0 {
+			t.Fatalf("%s: the job without a deck is %s (%q) with %d samples, want failed with ErrDeckMissing and none",
+				name, dead.state, dead.tailErr, len(dead.times))
+		}
+		if err := shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+
+		_, base2, shutdown2 := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+		if st := getStats(t, base2); st.Accepted != 0 || st.Failed != 0 || st.Resumed != 0 {
+			t.Fatalf("%s: second start restored the dead spec again: accepted %d, failed %d, resumed %d", name, st.Accepted, st.Failed, st.Resumed)
+		}
+		// The true deck under that hash is unaffected by what the journal held.
+		got := streamNDJSON(t, base2+"/v1/simulate", serve.JobSpec{Netlist: deckText})
+		want := oneShot(t, deckText, transient.RMATEX)
+		if got.state != serve.JobDone || got.id != "job-5" || !reflect.DeepEqual(got.rows, want.Probes) {
+			t.Fatalf("%s: next job is %s, %s; want job-5 done with the deck's one-shot waveform", name, got.id, got.state)
+		}
+		if err := shutdown2(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestInlineNetlistJournalReplays: a journal as the previous format wrote it
+// — the netlist inline in every spec record, no deck records — still
+// restores: a job without a checkpoint runs from the start, one with a
+// checkpoint resumes from it, both to the bytes of an uninterrupted run, and
+// the compaction at startup leaves the file by reference.
+func TestInlineNetlistJournalReplays(t *testing.T) {
+	deckText := testDeck(t)
+	dirA := t.TempDir()
+	cfg := serve.Config{Workers: 1, QueueDepth: 4, CheckpointEvery: 100}
+
+	cfg.StateDir = dirA
+	_, baseA, shutdownA := testServer(t, cfg)
+	spec := serve.JobSpec{Netlist: deckText, Method: "tr", Step: 2e-12}
+	resp := postJSON(t, baseA+"/v1/jobs", spec)
+	var st serve.Status
+	if err := jsonDecode(resp, &st); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := waitForJournal(t, journalPath(dirA), `"rec":"checkpoint"`)
+	ref := streamNDJSON(t, baseA+"/v1/jobs/"+st.ID+"/stream")
+	if ref.state != serve.JobDone {
+		t.Fatalf("reference job ended %s (%s)", ref.state, ref.tailErr)
+	}
+	if err := shutdownA(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the snapshot the way the older binary journaled the same run:
+	// drop the deck record, put its text back into the spec.
+	var old []any
+	for i, line := range bytes.SplitAfter(snapshot, []byte("\n")) {
+		var rec map[string]any
+		if json.Unmarshal(line, &rec) != nil { // the torn tail of the snapshot, verbatim
+			old = append(old, line)
+			continue
+		}
+		switch rec["rec"] {
+		case "deck":
+			if i != 0 || rec["netlist"] != deckText {
+				t.Fatalf("record %d is a deck record of %d bytes; want the submitted deck, first", i, len(rec["netlist"].(string)))
+			}
+		case "spec":
+			if rec["hash"] != deckHash(deckText) || rec["spec"].(map[string]any)["netlist"] != nil {
+				t.Fatalf("spec record carries hash %v and netlist %v; want the deck's hash and no text", rec["hash"], rec["spec"].(map[string]any)["netlist"])
+			}
+			delete(rec, "hash")
+			rec["spec"].(map[string]any)["netlist"] = deckText
+			old = append(old, rec)
+		default:
+			old = append(old, line)
+		}
+	}
+	for name, recs := range map[string][]any{"with a checkpoint": old, "without a checkpoint": old[:1]} {
+		cfg.StateDir = writeJournal(t, recs...)
+		_, baseB, shutdownB := testServer(t, cfg)
+		if stats := getStats(t, baseB); stats.Resumed != 1 {
+			t.Fatalf("%s: restart resumed %d jobs, want 1", name, stats.Resumed)
+		}
+		got := streamNDJSON(t, baseB+"/v1/jobs/"+st.ID+"/stream")
+		if got.state != serve.JobDone {
+			t.Fatalf("%s: restored job ended %s (%s)", name, got.state, got.tailErr)
+		}
+		if !reflect.DeepEqual(got.times, ref.times) || !reflect.DeepEqual(got.rows, ref.rows) {
+			t.Errorf("%s: restored stream is not bit-identical to the uninterrupted job's", name)
+		}
+		compacted, err := os.ReadFile(journalPath(cfg.StateDir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs := journalRecs(t, compacted); recs[0]["rec"] != "deck" || recs[0]["hash"] != deckHash(deckText) ||
+			recs[1]["rec"] != "spec" || recs[1]["hash"] != deckHash(deckText) || strings.Count(string(compacted), "Iload1 ") != 1 {
+			t.Errorf("%s: compaction did not rewrite the journal by reference: starts %v, %v", name, recs[0]["rec"], recs[1]["rec"])
+		}
+		if err := shutdownB(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSweepAndDistributedJobsRestoreThroughAReference: the two other kinds
+// of job come back from a by-reference journal like a plain one — the sweep
+// resuming its checkpointed lanes, the distributed job (which does not
+// checkpoint) from the start — each to the uninterrupted run's bytes.
+func TestSweepAndDistributedJobsRestoreThroughAReference(t *testing.T) {
+	deckText := testDeck(t)
+	for name, tc := range map[string]struct {
+		spec   serve.JobSpec
+		marker string
+	}{
+		"sweep": {serve.JobSpec{Netlist: deckText, Method: "tr", Step: 2e-12, Variants: []sweep.Variant{
+			{Name: "a"},
+			{Name: "b", SourceScales: map[string]float64{"Iload1": 1.3}},
+		}}, `"rec":"checkpoint"`},
+		"distributed": {serve.JobSpec{Netlist: deckText, Method: "tr", Step: 2e-12, Distributed: true}, `"rec":"spec"`},
+	} {
+		dirA, dirB := t.TempDir(), t.TempDir()
+		cfg := serve.Config{Workers: 2, QueueDepth: 4, CheckpointEvery: 100}
+		cfg.StateDir = dirA
+		_, baseA, shutdownA := testServer(t, cfg)
+		resp := postJSON(t, baseA+"/v1/jobs", tc.spec)
+		var st serve.Status
+		if err := jsonDecode(resp, &st); err != nil || resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit status %d, %v", name, resp.StatusCode, err)
+		}
+		snapshot := waitForJournal(t, journalPath(dirA), tc.marker)
+		if countRecs(snapshot, "deck") != 1 || strings.Count(string(snapshot), "Iload1 ") != 1 {
+			t.Fatalf("%s: journal holds %d deck records", name, countRecs(snapshot, "deck"))
+		}
+		if err := os.WriteFile(journalPath(dirB), snapshot, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ref := readAnyStream(t, baseA+"/v1/jobs/"+st.ID+"/stream", tc.spec)
+		if err := shutdownA(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+
+		cfg.StateDir = dirB
+		_, baseB, shutdownB := testServer(t, cfg)
+		if stats := getStats(t, baseB); stats.Resumed != 1 || stats.DeckStore.Misses != 1 {
+			t.Fatalf("%s: restart resumed %d jobs on %d parses, want 1 on 1", name, stats.Resumed, stats.DeckStore.Misses)
+		}
+		if got := readAnyStream(t, baseB+"/v1/jobs/"+st.ID+"/stream", tc.spec); !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: restored job is not bit-identical to the uninterrupted one", name)
+		}
+		if err := shutdownB(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestJournalRecordOver64MiBRestartsAndResumes: the journal reader takes any
+// record the admission bound lets Submit write. A deck of 65 MiB — over the
+// 64 MiB line cap replay once had, which turned one accepted job into a
+// server that refused to start — is journaled, restored and run.
+func TestJournalRecordOver64MiBRestartsAndResumes(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("moves a 65 MiB deck through the journal")
+	}
+	deckText := testDeck(t)
+	title, rest, _ := strings.Cut(deckText, "\n")
+	pad := "* " + strings.Repeat("x", 1021) + "\n"
+	big := title + "\n" + strings.Repeat(pad, 65<<10) + rest
+	if len(big) <= 64<<20 || len(big) > serve.MaxBodyBytes {
+		t.Fatalf("padded deck is %d bytes", len(big))
+	}
+	want := oneShot(t, deckText, transient.RMATEX)
+
+	// As a crash right after the submission was acknowledged left it.
+	dir := writeJournal(t, deckRec(big), specRec(1, deckHash(big), serve.JobSpec{}))
+	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	defer shutdown(context.Background())
+	if st := getStats(t, base); st.Resumed != 1 || st.Failed != 0 || st.DeckStore.Bytes != int64(len(big)) {
+		t.Fatalf("restart resumed %d jobs, failed %d, deck store holds %d bytes; want the one job on its %d-byte deck",
+			st.Resumed, st.Failed, st.DeckStore.Bytes, len(big))
+	}
+	got := streamNDJSON(t, base+"/v1/jobs/job-1/stream")
+	if got.state != serve.JobDone || !reflect.DeepEqual(got.rows, want.Probes) {
+		t.Fatalf("restored job ended %s (%s); want done with the unpadded deck's waveform", got.state, got.tailErr)
 	}
 }

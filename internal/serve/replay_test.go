@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/sweep"
@@ -48,8 +50,11 @@ func TestReplayRestoresGapFreePrefix(t *testing.T) {
 			variant  string
 			cpT      float64
 		}
-		spec := JobSpec{Variants: []sweep.Variant{{Name: "a"}, {Name: "b"}, {Name: "c"}}}
-		recs := []journalRecord{{Rec: "spec", ID: "job-1", Seq: 1, Spec: &spec}}
+		spec, err := json.Marshal(JobSpec{Variants: []sweep.Variant{{Name: "a"}, {Name: "b"}, {Name: "c"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := []journalRecord{{Rec: "spec", ID: "job-1", Seq: 1, Spec: spec}}
 		var inflight []lane
 		flushed := 0
 		maxInflight := 1 + rng.Intn(3) // 1 = the serialised writer
@@ -124,5 +129,95 @@ func TestReplayRestoresGapFreePrefix(t *testing.T) {
 					seed, i, got[i].Variant, got[i].VSeq, want[i].Variant, want[i].VSeq)
 			}
 		}
+	}
+}
+
+// TestCompactionKeepsLiveDecksOnce: the compacted journal holds the deck of
+// every live job exactly once, ahead of the first spec that references it —
+// whether the old file had it as a deck record (even twice) or inline in a
+// spec — and no deck that only finished jobs were on; a second replay of the
+// compacted file restores the same jobs on the same texts.
+func TestCompactionKeepsLiveDecksOnce(t *testing.T) {
+	deckA, deckB, deckC := "* deck a\nR1 a 0 1\n", "* deck b\nR1 b 0 1\n", "* deck c\nR1 c 0 1\n"
+	mustSpec := func(spec JobSpec) json.RawMessage {
+		b, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	recs := []journalRecord{
+		{Rec: "deck", Hash: netlistKey(deckA), Netlist: deckA},
+		{Rec: "deck", Hash: netlistKey(deckB), Netlist: deckB},
+		{Rec: "spec", ID: "job-1", Seq: 1, Hash: netlistKey(deckA), Spec: mustSpec(JobSpec{Method: "tr"})},
+		{Rec: "spec", ID: "job-2", Seq: 2, Hash: netlistKey(deckB), Spec: mustSpec(JobSpec{Method: "tr"})},
+		{Rec: "deck", Hash: netlistKey(deckB), Netlist: deckB},
+		{Rec: "spec", ID: "job-3", Seq: 3, Hash: netlistKey(deckB), Spec: mustSpec(JobSpec{Method: "be"})},
+		{Rec: "spec", ID: "job-4", Seq: 4, Spec: mustSpec(JobSpec{Netlist: deckC})},
+		{Rec: "spec", ID: "job-5", Seq: 5, Spec: mustSpec(JobSpec{Case: "ibmpg1t"})},
+		{Rec: "done", ID: "job-1", State: JobDone},
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, journalName)
+	var data []byte
+	for _, rec := range recs {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = append(append(data, b...), '\n')
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jn, live, maxSeq, err := openJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(live) != 4 || maxSeq != 5 {
+		t.Fatalf("%d live jobs, counter at %d; want jobs 2-5 and 5", len(live), maxSeq)
+	}
+	if len(jn.decks) != 2 || !jn.decks[netlistKey(deckB)] || !jn.decks[netlistKey(deckC)] {
+		t.Fatalf("the new generation counts %v as journaled, want decks b and c", jn.decks)
+	}
+
+	compacted, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shape []string
+	for _, line := range bytes.Split(bytes.TrimSpace(compacted), []byte("\n")) {
+		var rec journalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		var spec JobSpec
+		if rec.Rec == "spec" {
+			if err := json.Unmarshal(rec.Spec, &spec); err != nil || spec.Netlist != "" {
+				t.Fatalf("spec of %s carries a netlist (err %v)", rec.ID, err)
+			}
+		}
+		shape = append(shape, rec.Rec+" "+rec.ID+rec.Netlist)
+	}
+	want := []string{"deck " + deckB, "spec job-2", "spec job-3", "deck " + deckC, "spec job-4", "spec job-5"}
+	if !reflect.DeepEqual(shape, want) {
+		t.Fatalf("compacted journal is %q, want %q", shape, want)
+	}
+
+	again, _, err := replayJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range again {
+		if r.id != live[i].id || r.hash != live[i].hash || r.netlist != live[i].netlist || !reflect.DeepEqual(r.spec, live[i].spec) {
+			t.Fatalf("replaying the compacted journal restores %s on %q, the first replay %s on %q", r.id, r.netlist, live[i].id, live[i].netlist)
+		}
+	}
+	if texts := []string{again[0].netlist, again[1].netlist, again[2].netlist, again[3].netlist}; !reflect.DeepEqual(texts, []string{deckB, deckB, deckC, ""}) {
+		t.Fatalf("restored decks %q", texts)
 	}
 }

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
-	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/krylov"
@@ -40,13 +40,15 @@ type Config struct {
 	// jobs are never evicted. 0 = 256.
 	MaxRetainedJobs int
 	// StateDir, when non-empty, makes jobs durable: an append-only journal
-	// under it records specs at submit, integrator checkpoints (plus the
-	// sample batches they cover) as jobs run, and terminal results. On
-	// startup the server replays the journal, re-enqueues interrupted jobs
-	// from their last checkpoint (transient.Resume over the shared
-	// factorization cache — recovery pays no re-analysis), and prunes
-	// completed entries. Empty keeps jobs in-memory only (pre-journal
-	// behavior).
+	// under it records each distinct deck body once, under its content
+	// hash, and at submit a spec that references it; then integrator
+	// checkpoints (plus the sample batches they cover) as jobs run, and
+	// terminal results. On startup the server replays the journal,
+	// re-enqueues interrupted jobs from their last checkpoint
+	// (transient.Resume over the shared factorization cache and the deck
+	// store — recovery pays no re-analysis, and one parse per deck however
+	// many jobs were on it), and prunes completed entries. Empty keeps jobs
+	// in-memory only (pre-journal behavior).
 	StateDir string
 	// CheckpointEvery is the journaled-checkpoint cadence in accepted
 	// integrator steps (0 = the transient default, 128). Smaller values
@@ -141,6 +143,7 @@ func (t *totals) add(s *transient.Stats) {
 type Server struct {
 	cfg        Config
 	cache      *sparse.Cache
+	decks      *deckStore
 	workspaces *krylov.WorkspacePool
 	queue      chan *Job
 	baseCtx    context.Context
@@ -148,7 +151,8 @@ type Server struct {
 	wg         sync.WaitGroup
 	start      time.Time
 
-	// poolMu guards the cached matexd worker pools for distributed jobs.
+	// poolMu guards the cached matexd worker pools for distributed jobs,
+	// keyed like the deck store (deck.key).
 	poolMu    sync.Mutex
 	pools     map[string]dist.Pool
 	poolOrder []string // pool insertion order, for eviction
@@ -203,6 +207,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		cache:      sparse.NewCache(cfg.CacheBytes),
+		decks:      newDeckStore(maxBodyBytes),
 		workspaces: krylov.NewWorkspacePool(),
 		queue:      make(chan *Job, cfg.QueueDepth+len(restored)),
 		baseCtx:    ctx,
@@ -216,10 +221,10 @@ func New(cfg Config) (*Server, error) {
 	// Re-enqueue interrupted jobs before the workers start: they keep their
 	// IDs, their journal-restored sample buffers (every sample at or before
 	// the checkpoint), and resume mid-waveform via transient.Resume. A spec
-	// that no longer builds (it validated once, so only a changed binary
-	// can break it) surfaces as a failed job rather than a lost one — counted
-	// and journaled done like any other failure, so /stats stays balanced
-	// and the next restart does not resurrect it.
+	// that cannot be rebuilt — its deck body is missing from the journal, or
+	// a changed binary no longer accepts it — surfaces as a failed job rather
+	// than a lost one: counted and journaled done like any other failure, so
+	// /stats stays balanced and the next restart does not resurrect it.
 	for _, r := range restored {
 		job := s.restoreJob(r)
 		s.jobs[job.ID] = job
@@ -240,21 +245,48 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// restoreJob rebuilds one journal-replayed job: re-parse and re-stamp the
-// spec (the journal stores the spec, not the stamped matrices), reattach
+// prepare resolves a spec to a runnable job description — the one path
+// from spec to stamped system, for a submission and for a journal-restored
+// job alike. key and text are the content hash and body of an inline deck
+// (the spec itself no longer carries the text); both empty means a pgbench
+// case. The deck comes from the store, so only the first job on it parses
+// and stamps; what depends on the job's options is resolved per job.
+func (s *Server) prepare(spec *JobSpec, key, text string) (*builtJob, error) {
+	build := func() (*deck, error) { return parseDeck(key, text) }
+	if text == "" {
+		key = caseKey(spec.Case, spec.Scale)
+		build = func() (*deck, error) { return generateDeck(key, spec.Case, spec.Scale) }
+	}
+	d, err := s.decks.get(key, build)
+	if err != nil {
+		return nil, err
+	}
+	built, err := spec.build(d)
+	if err != nil {
+		return nil, err
+	}
+	if built.order == sparse.OrderDefault {
+		built.order = s.cfg.Ordering
+	}
+	return built, nil
+}
+
+// restoreJob rebuilds one journal-replayed job: resolve its deck reference
+// through the store (N interrupted jobs on one deck parse it once), reattach
 // the restored samples, and carry the resume checkpoints. A failed rebuild
 // comes back as a failed job so the client sees the outcome.
 func (s *Server) restoreJob(r *restoredJob) *Job {
-	built, err := r.spec.build()
+	var built *builtJob
+	err := ErrDeckMissing
+	if r.hash == "" || r.netlist != "" {
+		built, err = s.prepare(&r.spec, r.hash, r.netlist)
+	}
 	if err != nil {
 		job := newJob(r.id, r.spec, &builtJob{})
 		job.state = JobFailed
 		job.err = fmt.Errorf("serve: restoring job from journal: %w", err)
 		job.finished = time.Now()
 		return job
-	}
-	if built.order == sparse.OrderDefault {
-		built.order = s.cfg.Ordering
 	}
 	job := newJob(r.id, r.spec, built)
 	job.jn = s.journal
@@ -274,15 +306,27 @@ func (s *Server) restoreJob(r *restoredJob) *Job {
 // CacheStats exposes the shared factorization cache counters.
 func (s *Server) CacheStats() sparse.CacheStats { return s.cache.Stats() }
 
-// Submit validates, stamps and enqueues a job. The returned job is already
-// visible to Job/stream lookups. Errors: spec problems (client's fault),
-// ErrQueueFull, ErrShuttingDown, ErrJournal (durable servers only).
+// DeckStats exposes the deck store counters.
+func (s *Server) DeckStats() DeckStoreStats { return s.decks.snapshot() }
+
+// Submit validates and enqueues a job; the first job on a deck also parses
+// and stamps it, every later one takes it from the deck store. The returned
+// job is already visible to Job/stream lookups. Errors: spec problems
+// (client's fault), ErrQueueFull, ErrShuttingDown, ErrJournal (durable
+// servers only).
 //
 //matex:ctx-exempt(the queue send cannot block: capacity is checked under s.mu and Submit is the only sender)
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	// Reject cheap-to-detect overload before paying for the parse + stamp:
-	// a full or draining server answers without building the system.
-	// The definitive check re-runs under the lock after the build.
+	if (spec.Netlist == "") == (spec.Case == "") {
+		return nil, errors.New("exactly one of netlist and case must be set")
+	}
+	if len(spec.Netlist) > maxBodyBytes {
+		return nil, fmt.Errorf("netlist is %d bytes; the limit is %d", len(spec.Netlist), maxBodyBytes)
+	}
+	// Reject cheap-to-detect overload before paying for the hash (and, on a
+	// deck's first sight, the parse + stamp and the journal's deck record):
+	// a full or draining server answers without touching the deck. The
+	// definitive check re-runs under the lock.
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -294,12 +338,32 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.mu.Unlock()
 
-	built, err := spec.build()
+	// From here on the job is its deck plus a netlist-free spec: the text is
+	// dropped, so a full queue pins no copies of it.
+	var key string
+	text := spec.Netlist
+	if text != "" {
+		key = netlistKey(text)
+		spec.Netlist = ""
+	}
+	built, err := s.prepare(&spec, key, text)
 	if err != nil {
 		return nil, err
 	}
-	if built.order == sparse.OrderDefault {
-		built.order = s.cfg.Ordering
+	// Everything sized by the deck or the spec happens before s.mu: the deck
+	// body goes to the journal once per hash (and is durable before any spec
+	// that references it), the spec is marshaled here, and only the small
+	// spec line's write + fsync are left for the critical section.
+	var specJSON json.RawMessage
+	if s.journal != nil {
+		if text != "" {
+			if err := s.journal.appendDeck(key, text); err != nil {
+				return nil, err
+			}
+		}
+		if specJSON, err = json.Marshal(&spec); err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrJournal, err)
+		}
 	}
 
 	s.mu.Lock()
@@ -319,12 +383,11 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	job := newJob(fmt.Sprintf("job-%d", s.seq), spec, built)
 	job.jn = s.journal
 	// Journal the spec before the job becomes visible: an accepted job is a
-	// durable job. The fsync happens under s.mu so journal order matches ID
-	// order; submissions are not a hot path. A failed append rejects the
-	// submission (ErrJournal → 500) rather than accepting work a crash
-	// would silently lose.
+	// durable job. The write + fsync happen under s.mu so journal order
+	// matches ID order. A failed append rejects the submission (ErrJournal →
+	// 500) rather than accepting work a crash would silently lose.
 	if s.journal != nil {
-		if err := s.journal.appendSpec(job.ID, s.seq, spec); err != nil {
+		if err := s.journal.appendSpec(job.ID, s.seq, key, specJSON); err != nil {
 			s.seq--
 			s.mu.Unlock()
 			return nil, err
@@ -472,6 +535,7 @@ func (s *Server) runJob(job *Job) {
 // distributed jobs do not checkpoint, their subtasks run remotely.
 func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *dist.Report, *sweep.Stats, error) {
 	b, spec := job.built, &job.Spec
+	d := b.deck
 	opts := transient.Options{
 		Tstop:        b.tstop,
 		Step:         b.step,
@@ -511,7 +575,7 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 				sopts.ResumeVariants[v] = *cp
 			}
 		}
-		sres, err := sweep.Run(b.sys, spec.Variants, sopts)
+		sres, err := sweep.Run(d.sys, spec.Variants, sopts)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -519,21 +583,20 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 
 	case spec.Distributed:
 		cfg := dist.Config{Base: opts}
-		var poolKey string
 		if len(s.cfg.DistAddrs) > 0 {
-			pool, key, err := s.distPool(b.sys, *spec)
+			pool, err := s.distPool(d)
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
 			}
-			cfg.Pool, poolKey = pool, key
+			cfg.Pool = pool
 		}
-		res, rep, err := dist.Run(b.sys, b.method, cfg)
+		res, rep, err := dist.Run(d.sys, b.method, cfg)
 		if err != nil {
-			if poolKey != "" {
+			if cfg.Pool != nil {
 				// A failed run may mean buried workers: drop the cached pool
 				// so the next job redials a fresh set instead of inheriting
 				// the corpses.
-				s.dropPool(poolKey)
+				s.dropPool(d.key)
 			}
 			return nil, nil, nil, err
 		}
@@ -548,9 +611,9 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 	var res *transient.Result
 	var err error
 	if cp := job.resume[""]; cp != nil {
-		res, err = transient.Resume(b.sys, b.method, opts, *cp)
+		res, err = transient.Resume(d.sys, b.method, opts, *cp)
 	} else {
-		res, err = transient.Simulate(b.sys, b.method, opts)
+		res, err = transient.Simulate(d.sys, b.method, opts)
 	}
 	return res, nil, nil, err
 }
@@ -559,33 +622,33 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 // connected at once.
 const maxDistPools = 8
 
-// distPool returns a connected matexd pool for the job's circuit, reusing
-// an existing pool when the same deck was fanned out before: registration
-// is content-addressed on the workers, so reuse skips the per-job dial,
-// probe and blob upload entirely — the distributed analogue of the shared
-// factorization cache. Pools are keyed by deck identity (case+scale or a
-// netlist-text hash) and evicted oldest-first past maxDistPools.
-func (s *Server) distPool(sys *circuit.System, spec JobSpec) (dist.Pool, string, error) {
-	key := deckKey(spec)
+// distPool returns a connected matexd pool for the job's deck, reusing an
+// existing pool when the same deck was fanned out before: registration is
+// content-addressed on the workers, so reuse skips the per-job dial, probe
+// and blob upload entirely — the distributed analogue of the shared
+// factorization cache. Pools are keyed by the deck store's key and evicted
+// oldest-first past maxDistPools.
+func (s *Server) distPool(d *deck) (dist.Pool, error) {
+	key := d.key
 	s.poolMu.Lock()
 	if p, ok := s.pools[key]; ok {
 		s.poolMu.Unlock()
-		return p, key, nil
+		return p, nil
 	}
 	s.poolMu.Unlock()
 
 	// Dial outside the lock (it can take seconds); a concurrent duplicate
 	// dial for the same deck is tolerated — last one in wins, the loser
 	// is closed.
-	pool, err := dist.NewRPCPool(sys, s.cfg.DistAddrs)
+	pool, err := dist.NewRPCPool(d.sys, s.cfg.DistAddrs)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
 	if prev, ok := s.pools[key]; ok {
 		closePool(pool)
-		return prev, key, nil
+		return prev, nil
 	}
 	if len(s.pools) >= maxDistPools {
 		oldest := s.poolOrder[0]
@@ -597,7 +660,7 @@ func (s *Server) distPool(sys *circuit.System, spec JobSpec) (dist.Pool, string,
 	}
 	s.pools[key] = pool
 	s.poolOrder = append(s.poolOrder, key)
-	return pool, key, nil
+	return pool, nil
 }
 
 // dropPool closes and forgets a cached pool (after a failed run).
@@ -632,21 +695,6 @@ func (s *Server) closePools() {
 		delete(s.pools, key)
 	}
 	s.poolOrder = nil
-}
-
-// deckKey is the deck-identity cache key for worker pools.
-func deckKey(spec JobSpec) string {
-	if spec.Case != "" {
-		return fmt.Sprintf("case:%s@%g", spec.Case, scaleOrOne(spec.Scale))
-	}
-	// FNV-1a over the inline netlist text.
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for i := 0; i < len(spec.Netlist); i++ {
-		h ^= uint64(spec.Netlist[i])
-		h *= prime
-	}
-	return fmt.Sprintf("netlist:%016x", h)
 }
 
 // BeginDrain stops the intake: submissions fail with ErrShuttingDown, the

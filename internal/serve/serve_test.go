@@ -271,6 +271,11 @@ func TestE2EConcurrentStreamingJobs(t *testing.T) {
 	if stats.Completed != jobs {
 		t.Errorf("stats report %d completed jobs, want %d", stats.Completed, jobs)
 	}
+	// And the deck itself: eight concurrent first sights are one parse + stamp
+	// (the other seven waited for it), one resident entry charged its text.
+	if want := (serve.DeckStoreStats{Entries: 1, Bytes: int64(len(deckText)), Hits: jobs - 1, Misses: 1}); stats.DeckStore != want {
+		t.Errorf("deck store %+v after %d jobs on one unseen deck, want %+v", stats.DeckStore, jobs, want)
+	}
 
 	// Clean drain: Shutdown returns nil and later submissions are refused.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

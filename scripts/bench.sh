@@ -4,14 +4,14 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR18.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_PR20.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_RUNS=8 scripts/bench.sh        # 8 passes over the suite, each row
 #                                        # kept from its fastest pass
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR18.json is regenerated manually with BENCH_RUNS=8
+# the committed BENCH_PR20.json is regenerated manually with BENCH_RUNS=8
 # when the solver layer changes: a shared host slows down in windows of
 # seconds, which one pass bakes into whichever rows it was running (PR 17's
 # first baseline had untouched sparse rows at 2x their PR 16 values), and a
@@ -39,14 +39,18 @@
 # baseline's, and prints the Sweep_k8 / SweepSolo wall ratio ungated), and
 # BenchmarkDist_PerGroup vs BenchmarkDist_2Nodes the distributed plan (one
 # task per bump group against the groups merged for two nodes; benchcmp
-# gates 2Nodes ≤ 0.80x PerGroup within the fresh run).
+# gates 2Nodes ≤ 0.80x PerGroup within the fresh run), and
+# BenchmarkServeSubmit_warm / _cold the matexsrv submission path on a durable
+# server (PR 20: the ibmpg3t deck inline; each reports parses/op and
+# journal_B/op, and benchcmp holds the warm row to 0 parses and ≤ 2 KiB of
+# journal — counted, not timed: its wall is the runner's fsync).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR18.json}"
+out="${1:-BENCH_PR20.json}"
 benchtime="${BENCHTIME:-100x}"
 runs="${BENCH_RUNS:-1}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

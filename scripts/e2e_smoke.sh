@@ -12,10 +12,12 @@
 #                                 still match the local waveform
 #   4. matexsrv submit-and-stream curl submit, NDJSON stream, /stats and
 #                                 /healthz checks, SIGTERM drain, exit 0
-#   5. matexsrv crash-restart     kill -9 mid-job with -state-dir set; a
-#                                 restart must resume from the journaled
-#                                 checkpoint and finish with the same
-#                                 waveform as an uninterrupted run
+#   5. matexsrv crash-restart     kill -9 with two jobs on one deck mid-run
+#                                 and -state-dir set: the journal holds the
+#                                 deck once; a restart must resume both (the
+#                                 first from its journaled checkpoint) and
+#                                 finish with the same waveform as an
+#                                 uninterrupted run
 #
 # CI runs this on every PR; it is also runnable locally (only needs curl).
 set -euo pipefail
@@ -277,11 +279,18 @@ EOF
 curl -sf -X POST --data-binary @"$workdir/slowjob.json" \
     "http://127.0.0.1:18081/v1/jobs" > "$workdir/submit.json"
 job_id=$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["id"])' "$workdir/submit.json")
+# The same deck again: the second job references the first one's deck record.
+curl -sf -X POST --data-binary @"$workdir/slowjob.json" \
+    "http://127.0.0.1:18081/v1/jobs" > /dev/null
 for i in $(seq 1 100); do
     grep -q '"rec":"checkpoint"' "$workdir/state/journal.jsonl" 2>/dev/null && break
     sleep 0.1
 done
 grep -q '"rec":"checkpoint"' "$workdir/state/journal.jsonl" || { echo "no checkpoint journaled in 10s"; cat "$workdir/srv2a.log"; exit 1; }
+decks=$(grep -c '"rec":"deck"' "$workdir/state/journal.jsonl" || true)
+specs=$(grep -c '"rec":"spec"' "$workdir/state/journal.jsonl" || true)
+[[ "$decks" -eq 1 && "$specs" -eq 2 ]] || { echo "journal holds $decks deck and $specs spec records for two jobs on one deck, want 1 and 2"; exit 1; }
+echo "two jobs on one deck journaled it once"
 kill -9 "$MATEXSRV2_PID"
 wait "$MATEXSRV2_PID" 2>/dev/null || true
 echo "killed matexsrv mid-job (pid $MATEXSRV2_PID)"
@@ -297,8 +306,10 @@ curl -sf "http://127.0.0.1:18081/stats" > "$workdir/stats2.json"
 python3 - "$workdir/stats2.json" <<'EOF'
 import json, sys
 s = json.load(open(sys.argv[1]))
-assert s["jobs_resumed"] == 1, "jobs_resumed=%r after restart, want 1" % (s.get("jobs_resumed"),)
-print("restart resumed 1 interrupted job")
+assert s["jobs_resumed"] == 2, "jobs_resumed=%r after restart, want 2" % (s.get("jobs_resumed"),)
+ds = s["deck_store"]
+assert ds["misses"] == 1 and ds["hits"] == 1 and ds["entries"] == 1, "deck_store=%r after restoring two jobs on one deck, want one parse" % (ds,)
+print("restart resumed 2 interrupted jobs on one parse of their deck")
 EOF
 # Stream the resumed job to completion, then run the identical spec fresh on
 # the same server and demand the two waveforms agree to 1e-12.
