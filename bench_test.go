@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 	"time"
 
@@ -271,7 +270,7 @@ func BenchmarkDist_2Nodes_ibmpg1t(b *testing.B)   { benchDist(b, 2) }
 // constants ~10 fs against 100 ps segments), which collapses every subspace
 // to m ≈ 1-4 and measures nothing. Raising the node capacitance to 0.5 pF
 // puts the mesh dynamics at the segment scale, giving the realistic m ≈ 15
-// subspaces the fast-path comparison is about. Regenerate BENCH_PR3.json
+// subspaces the fast-path comparison is about. Regenerate BENCH_BASELINE.json
 // with scripts/bench.sh after touching any of this.
 
 func krylovBenchSystem(b *testing.B) *circuit.System {
@@ -531,12 +530,9 @@ func domainBenchFactor(b *testing.B) (*sparse.LDLT, []float64) {
 	return f, rhs
 }
 
-// BenchmarkSolveSeq_4dom / BenchmarkSolvePar_4dom: the level-scheduled
-// parallel solve on a four-domain system (block-diagonal ibmpg1t×4), where
-// the elimination forest forks into independent per-domain tasks. On one
-// strongly coupled mesh the root separators hold over half the fill, no
-// usable task partition exists and ParSolveWith correctly stays sequential
-// — which is why the parallel rows benchmark the multi-domain shape.
+// BenchmarkSolveSeq_4dom: one substitution pair on a four-domain system
+// (block-diagonal ibmpg1t×4), the multi-domain PDN shape whose elimination
+// forest forks into independent per-domain subtrees.
 func BenchmarkSolveSeq_4dom(b *testing.B) {
 	f, rhs := domainBenchFactor(b)
 	x := make([]float64, f.N())
@@ -545,22 +541,6 @@ func BenchmarkSolveSeq_4dom(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.SolveWith(x, rhs, work)
-	}
-}
-
-func BenchmarkSolvePar_4dom(b *testing.B) {
-	f, rhs := domainBenchFactor(b)
-	if !f.ParallelizableSolve() {
-		b.Fatal("bench factor below the parallel crossover")
-	}
-	x := make([]float64, f.N())
-	work := make([]float64, f.N())
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportMetric(float64(workers), "workers")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ParSolveWith(x, rhs, work, workers)
 	}
 }
 
@@ -673,22 +653,6 @@ func BenchmarkSolveSeq_mesh96nd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.SolveWith(x, rhs, work)
-	}
-}
-
-func BenchmarkSolvePar_mesh96nd(b *testing.B) {
-	f, rhs := meshNDBenchFactor(b)
-	if !f.ParallelizableSolve() {
-		b.Fatal("coupled mesh not parallelizable under nested dissection")
-	}
-	x := make([]float64, f.N())
-	work := make([]float64, f.N())
-	workers := runtime.GOMAXPROCS(0)
-	b.ReportMetric(float64(workers), "workers")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ParSolveWith(x, rhs, work, workers)
 	}
 }
 

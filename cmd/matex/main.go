@@ -53,7 +53,6 @@ func main() {
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible), arnoldi, lanczos")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
-	solvePar := flag.Int("solve-par", 0, "goroutines for level-scheduled parallel triangular solves (0/1 = sequential; effective only when the factor's level schedule is wide enough)")
 	stream := flag.Bool("stream", false, "emit each TSV row as the integrator produces it (unbuffered waveform streaming; non-distributed runs only)")
 	stats := flag.Bool("stats", false, "print solver work statistics to stderr")
 	sweepFile := flag.String("sweep", "", "JSON variant file: run every scenario variant of the deck as one batched sweep")
@@ -174,7 +173,7 @@ func main() {
 	}
 	opts := transient.Options{
 		Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
-		Ordering: ord, Cache: cache, Krylov: km, SolveWorkers: *solvePar,
+		Ordering: ord, Cache: cache, Krylov: km,
 	}
 	var (
 		res  *transient.Result

@@ -29,7 +29,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":9090", "TCP address to listen on")
 	cacheMB := flag.Int("cache-mb", 0, "factorization cache budget in MiB; <=0 selects the 512 MiB default (the worker cache is always on — it replaces per-subtask refactorization)")
-	solvePar := flag.Int("solve-par", 0, "default goroutines for level-scheduled parallel triangular solves when a request does not set its own (0/1 = sequential)")
 	order := flag.String("order", "default", "default fill-reducing ordering for requests that do not set their own: default (=nd), natural, mindeg, nd")
 	grace := flag.Duration("grace", dist.DefaultDrainGrace, "drain budget for in-flight RPCs after SIGINT/SIGTERM")
 	flag.Parse()
@@ -44,7 +43,6 @@ func main() {
 		log.Fatalf("matexd: %v", err)
 	}
 	ws := dist.NewWorkerServerWithCache(sparse.NewCache(int64(*cacheMB) << 20))
-	ws.SetSolveWorkers(*solvePar)
 	ws.SetOrdering(ord)
 
 	// The same signal-driven shutdown path as cmd/matexsrv: first signal

@@ -54,20 +54,19 @@ func Partition(sys *circuit.System, tstop float64) []Task {
 type Config struct {
 	// Base is the solver configuration every node runs under, with the
 	// defaults transient.Options documents. Tstop, Step, Probes (recorded at
-	// every GTS point), Tol, Gamma, MaxDim, Ordering, Krylov and
-	// SolveWorkers travel with the subtask request. Cache is shared by the
-	// scheduler's DC solve and the in-process subtasks (nil: a run-local
-	// one) and never crosses the wire — matexd workers keep their own — so
-	// reusing one across Run calls makes later runs refactorization-free.
+	// every GTS point), Tol, Gamma, MaxDim, Ordering and Krylov travel with
+	// the subtask request. Cache is shared by the scheduler's DC solve and
+	// the in-process subtasks (nil: a run-local one) and never crosses the
+	// wire — matexd workers keep their own — so reusing one across Run
+	// calls makes later runs refactorization-free.
 	// Ctx cancels the run: nothing further is dispatched, in-process
 	// subtasks abort at their next step boundary, RPC dispatches return
 	// without waiting for their reply. OnSample, OnCheckpoint and
 	// ActiveInputs are engine-owned and must be nil; every node emits on
 	// the GTS grid from zero state whatever EvalTimes and InitialState say.
-	// The plan gives every node one task, so a node with more than one core
-	// idles the rest unless SolveWorkers > 1 (matexd may substitute its own
-	// -solve-par default for 0); the in-process pool already occupies one
-	// core per task.
+	// The plan gives every node one task and a task runs on one core, so
+	// run one matexd per core (the plan is cut for the nodes present); the
+	// in-process pool already occupies one core per task.
 	Base transient.Options
 	// Workers bounds in-flight subtasks and, for the default in-process
 	// pool, is the node count the decomposition is cut for (zero:
@@ -133,17 +132,16 @@ type TaskReport struct {
 // the wire-safe part of base, outputs on the shared GTS grid.
 func subtaskRequest(method transient.Method, base *transient.Options, gts []float64) Request {
 	return Request{
-		Method:       method,
-		Tstop:        base.Tstop,
-		Step:         base.Step,
-		Tol:          base.Tol,
-		Gamma:        base.Gamma,
-		MaxDim:       base.MaxDim,
-		Probes:       append([]int(nil), base.Probes...),
-		EvalTimes:    gts,
-		Ordering:     base.Ordering,
-		Krylov:       base.Krylov,
-		SolveWorkers: base.SolveWorkers,
+		Method:    method,
+		Tstop:     base.Tstop,
+		Step:      base.Step,
+		Tol:       base.Tol,
+		Gamma:     base.Gamma,
+		MaxDim:    base.MaxDim,
+		Probes:    append([]int(nil), base.Probes...),
+		EvalTimes: gts,
+		Ordering:  base.Ordering,
+		Krylov:    base.Krylov,
 	}
 }
 
@@ -189,7 +187,6 @@ func subtaskOptions(ctx context.Context, sub *circuit.System, task Task, req Req
 		Cache:        cache,
 		Krylov:       req.Krylov,
 		Workspaces:   workspaces,
-		SolveWorkers: req.SolveWorkers,
 		Ctx:          ctx,
 	}
 }

@@ -1,7 +1,9 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"io"
 	"math"
 	"net"
@@ -585,5 +587,44 @@ func TestDistKrylovLanczos(t *testing.T) {
 	}
 	if d := maxDeviation(t, res, ref, len(probes)); d > 1e-8*scale {
 		t.Errorf("lanczos vs arnoldi distributed waveforms differ by %g (scale %g)", d, scale)
+	}
+}
+
+// TestOldCoordinatorRequestDecodes pins doc.go's wire-compatibility
+// paragraph: a Request as an older coordinator encodes it, with the
+// FactorKind and SolveWorkers fields this one no longer has, decodes with
+// every surviving field intact and the dead ones dropped.
+func TestOldCoordinatorRequestDecodes(t *testing.T) {
+	type oldRequest struct {
+		Method                  transient.Method
+		Tstop, Step, Tol, Gamma float64
+		MaxDim                  int
+		Probes                  []int
+		EvalTimes               []float64
+		Ordering                sparse.Ordering
+		Krylov                  krylov.Method
+		FactorKind              int
+		SolveWorkers            int
+	}
+	old := oldRequest{
+		Method: transient.RMATEX, Tstop: 1e-9, Tol: 1e-6, Gamma: 1e-10, MaxDim: 40,
+		Probes: []int{3, 5}, EvalTimes: []float64{0, 5e-10, 1e-9},
+		Ordering: sparse.OrderND, Krylov: krylov.MethodLanczos,
+		FactorKind: 2, SolveWorkers: 4,
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var got Request
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatalf("decoding an older coordinator's request: %v", err)
+	}
+	want := Request{
+		Method: old.Method, Tstop: old.Tstop, Tol: old.Tol, Gamma: old.Gamma, MaxDim: old.MaxDim,
+		Probes: old.Probes, EvalTimes: old.EvalTimes, Ordering: old.Ordering, Krylov: old.Krylov,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
 	}
 }

@@ -49,5 +49,7 @@
 // Wire compatibility: Request and transient.Result travel as gob, which
 // matches fields by name, ignores those the receiver lacks and zeroes those
 // the sender lacks; a zero Tol, Gamma or MaxDim is filled in by the
-// receiving node's transient defaults.
+// receiving node's transient defaults. Fields older coordinators still send
+// and this Request no longer has — FactorKind, SolveWorkers — are dropped on
+// decode: the worker factorizes as FactorAuto and solves sequentially.
 package dist

@@ -28,9 +28,6 @@ type Request struct {
 	// Krylov is the subspace process every node runs (auto / arnoldi /
 	// lanczos; see krylov.Method).
 	Krylov krylov.Method
-	// SolveWorkers is the per-solve goroutine budget on every node (0/1 =
-	// sequential; workers may substitute a local default for 0).
-	SolveWorkers int
 }
 
 // TaskResult is one solved subtask.

@@ -117,9 +117,6 @@ type WorkerServer struct {
 	// subtask and every scheduler run against this process — the
 	// subspace-generation analogue of the factorization cache above.
 	workspaces *krylov.WorkspacePool
-	// solveWorkers is the worker-local per-solve goroutine default applied
-	// when a request leaves SolveWorkers unset (matexd -solve-par).
-	solveWorkers int
 	// ordering is the worker-local default ordering applied when a request
 	// arrives with OrderDefault (matexd -order).
 	ordering sparse.Ordering
@@ -221,10 +218,6 @@ func (g *drainGroup) drain(grace time.Duration) bool {
 // the subtask to another worker instead of failing the run.
 var errDraining = errors.New("dist: worker is draining (shutting down)")
 
-// SetSolveWorkers sets the worker-local default per-solve goroutine budget
-// for requests that do not specify one. Call before ServeContext.
-func (w *WorkerServer) SetSolveWorkers(n int) { w.solveWorkers = n }
-
 // SetOrdering sets the worker-local default fill-reducing ordering applied
 // when a request arrives with OrderDefault (matexd -order). Call before
 // ServeContext.
@@ -319,9 +312,6 @@ func (w *WorkerServer) Solve(args *SolveArgs, reply *SolveReply) error {
 		return fmt.Errorf("dist: unknown system %x (register it first)", args.SystemID)
 	}
 	req := args.Req
-	if req.SolveWorkers == 0 {
-		req.SolveWorkers = w.solveWorkers
-	}
 	if req.Ordering == sparse.OrderDefault {
 		req.Ordering = w.ordering
 	}

@@ -121,32 +121,17 @@ type Op struct {
 	// three-term fast path. symOff is the caller override (SetSymmetric):
 	// e.g. MEXP disables the fast path after regularizing a singular C,
 	// since the factorized matrix then differs from the stamped one.
-	sym     bool
-	symOff  bool
-	segZero bool // both input columns are identically zero
-	// solveWorkers > 1 routes every substitution pair through the
-	// factorization's level-scheduled parallel solve when it offers one
-	// (sparse.ParSolver); the factorization itself falls back to the
-	// sequential path below its profitability crossover.
-	solveWorkers int
-	mdst, msrc   [2][]float64 // scratch headers for 2-RHS panel solves
+	sym        bool
+	symOff     bool
+	segZero    bool         // both input columns are identically zero
+	mdst, msrc [2][]float64 // scratch headers for 2-RHS panel solves
 }
 
-// SetSolveWorkers sets the goroutine budget for the operator's triangular
-// solves. w <= 1 keeps every solve sequential.
-func (op *Op) SetSolveWorkers(w int) { op.solveWorkers = w }
-
-// solve runs one substitution pair dst = fact⁻¹·b through the parallel
-// solver when enabled and available.
+// solve runs one substitution pair dst = fact⁻¹·b on the operator's
+// workspace.
 //
 //matex:noalloc
 func (op *Op) solve(dst, b []float64) {
-	if op.solveWorkers > 1 {
-		if ps, ok := op.fact.(sparse.ParSolver); ok {
-			ps.ParSolveWith(dst, b, op.work, op.solveWorkers)
-			return
-		}
-	}
 	op.fact.SolveWith(dst, b, op.work)
 }
 

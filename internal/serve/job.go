@@ -46,8 +46,6 @@ type JobSpec struct {
 	// Ordering: "default", "natural", "mindeg", "nd" (empty =
 	// default, resolved against the server's -order setting).
 	Ordering string `json:"ordering,omitempty"`
-	// SolveWorkers > 1 enables level-scheduled parallel triangular solves.
-	SolveWorkers int `json:"solve_workers,omitempty"`
 	// Distributed runs the job through the dist scheduler (bump-feature
 	// decomposition): over the server's matexd workers when configured,
 	// else over the in-process pool. Distributed jobs stream their

@@ -645,10 +645,11 @@ func TestSpecWithoutItsDeckFails(t *testing.T) {
 }
 
 // TestInlineNetlistJournalReplays: a journal as the previous format wrote it
-// — the netlist inline in every spec record, no deck records — still
-// restores: a job without a checkpoint runs from the start, one with a
-// checkpoint resumes from it, both to the bytes of an uninterrupted run, and
-// the compaction at startup leaves the file by reference.
+// — the netlist inline in every spec record, no deck records, and the
+// since-deleted "solve_workers" knob set — still restores: a job without a
+// checkpoint runs from the start, one with a checkpoint resumes from it,
+// both to the bytes of an uninterrupted run, and the compaction at startup
+// leaves the file by reference and without the dead field.
 func TestInlineNetlistJournalReplays(t *testing.T) {
 	deckText := testDeck(t)
 	dirA := t.TempDir()
@@ -672,7 +673,8 @@ func TestInlineNetlistJournalReplays(t *testing.T) {
 	}
 
 	// Rewrite the snapshot the way the older binary journaled the same run:
-	// drop the deck record, put its text back into the spec.
+	// drop the deck record, put its text back into the spec, and set the
+	// spec field that binary still had.
 	var old []any
 	for i, line := range bytes.SplitAfter(snapshot, []byte("\n")) {
 		var rec map[string]any
@@ -691,6 +693,7 @@ func TestInlineNetlistJournalReplays(t *testing.T) {
 			}
 			delete(rec, "hash")
 			rec["spec"].(map[string]any)["netlist"] = deckText
+			rec["spec"].(map[string]any)["solve_workers"] = 4
 			old = append(old, rec)
 		default:
 			old = append(old, line)
@@ -714,8 +717,9 @@ func TestInlineNetlistJournalReplays(t *testing.T) {
 			t.Fatal(err)
 		}
 		if recs := journalRecs(t, compacted); recs[0]["rec"] != "deck" || recs[0]["hash"] != deckHash(deckText) ||
-			recs[1]["rec"] != "spec" || recs[1]["hash"] != deckHash(deckText) || strings.Count(string(compacted), "Iload1 ") != 1 {
-			t.Errorf("%s: compaction did not rewrite the journal by reference: starts %v, %v", name, recs[0]["rec"], recs[1]["rec"])
+			recs[1]["rec"] != "spec" || recs[1]["hash"] != deckHash(deckText) || strings.Count(string(compacted), "Iload1 ") != 1 ||
+			strings.Contains(string(compacted), "solve_workers") {
+			t.Errorf("%s: compaction did not rewrite the journal by reference and without solve_workers: starts %v, %v", name, recs[0]["rec"], recs[1]["rec"])
 		}
 		if err := shutdownB(context.Background()); err != nil {
 			t.Fatal(err)

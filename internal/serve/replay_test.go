@@ -154,7 +154,9 @@ func TestCompactionKeepsLiveDecksOnce(t *testing.T) {
 		{Rec: "deck", Hash: netlistKey(deckB), Netlist: deckB},
 		{Rec: "spec", ID: "job-3", Seq: 3, Hash: netlistKey(deckB), Spec: mustSpec(JobSpec{Method: "be"})},
 		{Rec: "spec", ID: "job-4", Seq: 4, Spec: mustSpec(JobSpec{Netlist: deckC})},
-		{Rec: "spec", ID: "job-5", Seq: 5, Spec: mustSpec(JobSpec{Case: "ibmpg1t"})},
+		// As a PR ≤ 20 server journaled it: a spec field this JobSpec no
+		// longer has must not cost the job its replay.
+		{Rec: "spec", ID: "job-5", Seq: 5, Spec: json.RawMessage(`{"case":"ibmpg1t","solve_workers":4}`)},
 		{Rec: "done", ID: "job-1", State: JobDone},
 	}
 	dir := t.TempDir()

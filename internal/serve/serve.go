@@ -537,18 +537,17 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 	b, spec := job.built, &job.Spec
 	d := b.deck
 	opts := transient.Options{
-		Tstop:        b.tstop,
-		Step:         b.step,
-		Probes:       b.probes,
-		Tol:          spec.Tol,
-		Gamma:        spec.Gamma,
-		MaxDim:       spec.MaxDim,
-		Ordering:     b.order,
-		Krylov:       b.krylov,
-		SolveWorkers: spec.SolveWorkers,
-		Cache:        s.cache,
-		Workspaces:   s.workspaces,
-		Ctx:          ctx,
+		Tstop:      b.tstop,
+		Step:       b.step,
+		Probes:     b.probes,
+		Tol:        spec.Tol,
+		Gamma:      spec.Gamma,
+		MaxDim:     spec.MaxDim,
+		Ordering:   b.order,
+		Krylov:     b.krylov,
+		Cache:      s.cache,
+		Workspaces: s.workspaces,
+		Ctx:        ctx,
 	}
 	durable := s.journal != nil && !spec.Distributed
 	if durable {

@@ -580,15 +580,19 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}
 	}
-	// Unknown fields are rejected too (typo protection).
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"case":"ibmpg1t","tsotp":1e-9}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
+	// Unknown fields are rejected too, by name: typo protection, and the
+	// answer a client still sending the deleted "solve_workers" knob gets.
+	for path, field := range map[string]string{"/v1/jobs": "tsotp", "/v1/simulate": "solve_workers"} {
+		resp, err := http.Post(base+path, "application/json",
+			strings.NewReader(`{"case":"ibmpg1t","`+field+`":4}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
+			t.Errorf("unknown field %q: status %d %q, want 400 naming the field", field, resp.StatusCode, msg)
+		}
 	}
 }
 

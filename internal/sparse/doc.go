@@ -14,7 +14,6 @@
 // per sparsity pattern, one cheap numeric refactorization per matrix (all
 // scalar shifts C + γG of a pattern share the analysis through the Cache's
 // symbolic tier), then pairs of forward and backward substitutions for
-// every Krylov vector or trapezoidal step — sequential, task-parallel over
-// the supernode elimination tree (ParSolveWith), or blocked multi-RHS
-// (SolveMulti).
+// every Krylov vector or trapezoidal step — one right-hand side at a time
+// (SolveWith) or blocked multi-RHS (SolveMulti).
 package sparse

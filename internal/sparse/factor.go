@@ -14,15 +14,6 @@ type Factorization interface {
 	NNZ() int
 }
 
-// ParSolver is implemented by factorizations whose triangular solves can be
-// scheduled across a goroutine pool. The implementation falls back to
-// the sequential solve below its profitability crossover, so callers may
-// pass every solve through it unconditionally.
-type ParSolver interface {
-	// ParSolveWith is SolveWith using up to workers goroutines.
-	ParSolveWith(dst, b, work []float64, workers int)
-}
-
 // MultiSolver is implemented by factorizations that can solve a panel of
 // right-hand sides in one factor traversal, amortizing the factor's memory
 // traffic over the panel.

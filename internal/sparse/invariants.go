@@ -70,92 +70,9 @@ func CheckPerm(p []int, n int) error {
 	return nil
 }
 
-// checkTaskSchedule validates a cutTasks execution schedule against its
-// forest: every node appears exactly once across the tasks and the tail,
-// nodes within one task are scheduled children-before-parents (a node whose
-// parent shares its task must precede it), and no task node has a tail
-// ancestor scheduled before the barrier would allow (the tail must be
-// ascending, which in a parent>child forest implies children-first).
-func checkTaskSchedule(parent []int32, taskPtr []int, taskNodes, tailNodes []int32) error {
-	n := len(parent)
-	if len(taskPtr) == 0 {
-		return fmt.Errorf("sparse: checkTaskSchedule: empty taskPtr")
-	}
-	if len(taskNodes)+len(tailNodes) == 0 && n > 0 {
-		// Empty schedule: the pattern had no exploitable parallelism. The
-		// tail is then implicit (sequential solve); nothing to check.
-		return nil
-	}
-	if len(taskNodes) != taskPtr[len(taskPtr)-1] {
-		return fmt.Errorf("sparse: checkTaskSchedule: len(taskNodes) = %d, want taskPtr end %d",
-			len(taskNodes), taskPtr[len(taskPtr)-1])
-	}
-	if len(taskNodes)+len(tailNodes) != n {
-		return fmt.Errorf("sparse: checkTaskSchedule: schedule covers %d nodes, forest has %d",
-			len(taskNodes)+len(tailNodes), n)
-	}
-	// taskOf[k]: owning task, or -1 for tail; pos[k]: position within it.
-	taskOf := make([]int32, n)
-	pos := make([]int32, n)
-	for i := range taskOf {
-		taskOf[i] = -2
-	}
-	for t := 0; t+1 < len(taskPtr); t++ {
-		for q := taskPtr[t]; q < taskPtr[t+1]; q++ {
-			k := taskNodes[q]
-			if k < 0 || int(k) >= n {
-				return fmt.Errorf("sparse: checkTaskSchedule: task node %d out of range", k)
-			}
-			if taskOf[k] != -2 {
-				return fmt.Errorf("sparse: checkTaskSchedule: node %d scheduled twice", k)
-			}
-			taskOf[k] = int32(t)
-			pos[k] = int32(q)
-		}
-	}
-	prev := int32(-1)
-	for _, k := range tailNodes {
-		if k < 0 || int(k) >= n {
-			return fmt.Errorf("sparse: checkTaskSchedule: tail node %d out of range", k)
-		}
-		if taskOf[k] != -2 {
-			return fmt.Errorf("sparse: checkTaskSchedule: node %d scheduled twice", k)
-		}
-		if k <= prev {
-			return fmt.Errorf("sparse: checkTaskSchedule: tail not ascending at node %d", k)
-		}
-		prev = k
-		taskOf[k] = -1
-	}
-	for k := 0; k < n; k++ {
-		p := parent[k]
-		if p == -1 {
-			continue
-		}
-		if int(p) <= k {
-			return fmt.Errorf("sparse: checkTaskSchedule: parent[%d] = %d not above child", k, p)
-		}
-		// A task node's parent is either later in the same task or in the
-		// tail (never in a different task: tasks are independent subtrees).
-		if t := taskOf[k]; t >= 0 {
-			switch pt := taskOf[p]; {
-			case pt == -1:
-				// parent in tail: runs after the forward barrier, fine.
-			case pt == t:
-				if pos[p] <= pos[k] {
-					return fmt.Errorf("sparse: checkTaskSchedule: node %d scheduled before child %d in task %d", p, k, t)
-				}
-			default:
-				return fmt.Errorf("sparse: checkTaskSchedule: child %d in task %d but parent %d in task %d", k, t, p, pt)
-			}
-		}
-	}
-	return nil
-}
-
 // CheckSymbolic validates the invariants of a symbolic analysis: the
-// permutation and its inverse, the elimination-tree parent-above-child
-// property, and the parallel-solve task schedule over the supernodes.
+// permutation and its inverse, and the elimination-tree parent-above-child
+// property.
 func CheckSymbolic(s *Symbolic) error {
 	if err := CheckPerm(s.perm, s.n); err != nil {
 		return err
@@ -170,8 +87,7 @@ func CheckSymbolic(s *Symbolic) error {
 			return fmt.Errorf("sparse: CheckSymbolic: etree parent[%d] = %d not above child", k, p)
 		}
 	}
-	sn := s.sn
-	return checkTaskSchedule(sn.parent, sn.taskPtr, sn.taskSN, sn.tailSN)
+	return nil
 }
 
 // CheckFactor validates the numeric invariants of a freshly refactorized

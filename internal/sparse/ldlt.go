@@ -1,7 +1,6 @@
 package sparse
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -176,178 +175,6 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	for k := 0; k < n; k++ {
 		dst[perm[k]] = work[k]
 	}
-}
-
-// parMinLNZ is the factor-fill crossover below which the goroutine fan-out
-// costs more than the arithmetic it parallelizes, so ParSolveWith degrades
-// to the sequential path.
-const parMinLNZ = 32768
-
-// ParallelizableSolve reports whether the task schedule makes a parallel
-// solve worth attempting for this factor: enough fill to amortize the
-// fan-out and a usable task partition (≥ 2 independent subtrees with the
-// separator tail below a quarter of the work — cutTasks escalates its chunk
-// bound to reach that, and leaves the schedule empty when the pattern's
-// root separators make it unreachable).
-func (f *LDLT) ParallelizableSolve() bool {
-	return f.sym.lnz >= parMinLNZ && len(f.sym.sn.taskPtr) > 2
-}
-
-// ParSolveWith is SolveWith with the triangular solves scheduled over the
-// supernode elimination-tree task partition on up to workers goroutines:
-// independent subtrees run concurrently in gather (dot-product) form — each
-// panel is finalized by reading only its descendants through the update
-// records, so a task never touches another task's rows — and the separator
-// tail of common ancestors runs sequentially after (forward) or before
-// (backward) the fan-out.
-// workers <= 1 and factors below the profitability crossover fall back to
-// the sequential path entirely; the fan-out itself runs on a persistent
-// worker pool and allocates nothing. Safe for concurrent use.
-//
-//matex:noalloc
-func (f *LDLT) ParSolveWith(dst, b, work []float64, workers int) {
-	n := f.sym.n
-	if workers <= 1 || !f.ParallelizableSolve() {
-		f.SolveWith(dst, b, work)
-		return
-	}
-	if len(work) != n {
-		panic("sparse: LDLT.ParSolveWith workspace length mismatch")
-	}
-	sn := f.sym.sn
-	perm := f.sym.perm
-	for k := 0; k < n; k++ {
-		work[k] = b[perm[k]]
-	}
-	// L·z = b: subtree tasks fan out in gather form, barrier, then the
-	// separator tail (also gather form — its update records reach into the
-	// now-final task panels).
-	f.runTasksPar(phaseFwd, work, workers)
-	for _, t := range sn.tailSN {
-		f.fwdOneSNGather(int(t), work)
-	}
-	d := f.d
-	for j := 0; j < n; j++ {
-		work[j] /= d[j]
-	}
-	// Lᵀ·x = z: separator tail first (descending), then the task fan-out.
-	g, pooled := f.getG(sn.maxRows)
-	for i := len(sn.tailSN) - 1; i >= 0; i-- {
-		f.bwdOneSN(int(sn.tailSN[i]), work, g)
-	}
-	f.putG(pooled)
-	f.runTasksPar(phaseBwd, work, workers)
-	for k := 0; k < n; k++ {
-		dst[perm[k]] = work[k]
-	}
-}
-
-// Solve phases dispatched through the persistent worker pool.
-const (
-	phaseFwd = iota
-	phaseBwd
-)
-
-// runTaskBody executes one task of the given phase: a supernode range of
-// the factor's task schedule.
-//
-//matex:noalloc
-func (f *LDLT) runTaskBody(phase uint8, t int, work []float64) {
-	sn := f.sym.sn
-	sns := sn.taskSN[sn.taskPtr[t]:sn.taskPtr[t+1]]
-	if phase == phaseFwd {
-		for _, s := range sns {
-			f.fwdOneSNGather(int(s), work)
-		}
-		return
-	}
-	gw := getWork(sn.maxRows)
-	g := (*gw)[:sn.maxRows]
-	for i := len(sns) - 1; i >= 0; i-- {
-		f.bwdOneSN(int(sns[i]), work, g)
-	}
-	solveWork.Put(gw)
-}
-
-func (f *LDLT) ntasks() int { return len(f.sym.sn.taskPtr) - 1 }
-
-// parJob is one phase fan-out handed to the persistent workers: helpers and
-// the submitting goroutine pull task indices from the shared cursor until
-// the schedule is drained. Pooled so steady-state parallel solves allocate
-// nothing.
-type parJob struct {
-	f      *LDLT
-	work   []float64
-	phase  uint8
-	cursor atomic.Int64
-	wg     sync.WaitGroup
-}
-
-//matex:noalloc
-func (j *parJob) run() {
-	n := j.f.ntasks()
-	for {
-		t := int(j.cursor.Add(1)) - 1
-		if t >= n {
-			return
-		}
-		j.f.runTaskBody(j.phase, t, j.work)
-	}
-}
-
-var (
-	parJobPool  = sync.Pool{New: func() any { return new(parJob) }}
-	parWorkOnce sync.Once
-	parWorkCh   chan *parJob
-)
-
-// startParWorkers launches the persistent solver worker pool. Workers idle
-// on a channel between jobs; each queued reference to a job is one helper's
-// participation in its fan-out.
-func startParWorkers() {
-	nw := runtime.GOMAXPROCS(0)
-	if nw < 4 {
-		nw = 4
-	}
-	parWorkCh = make(chan *parJob, nw)
-	for i := 0; i < nw; i++ {
-		go func() {
-			for j := range parWorkCh {
-				j.run()
-				j.wg.Done()
-			}
-		}()
-	}
-}
-
-// runTasksPar drains one phase's task schedule on up to workers goroutines
-// (the caller plus workers-1 pool helpers), blocking until every task is
-// done. With a single worker it degrades to a plain sequential loop.
-//
-//matex:noalloc
-func (f *LDLT) runTasksPar(phase uint8, work []float64, workers int) {
-	n := f.ntasks()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for t := 0; t < n; t++ {
-			f.runTaskBody(phase, t, work)
-		}
-		return
-	}
-	parWorkOnce.Do(startParWorkers)
-	j := parJobPool.Get().(*parJob)
-	j.f, j.work, j.phase = f, work, phase
-	j.cursor.Store(0)
-	j.wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
-		parWorkCh <- j
-	}
-	j.run()
-	j.wg.Wait()
-	j.f, j.work = nil, nil
-	parJobPool.Put(j)
 }
 
 // SolveMulti solves A·X = B for k right-hand sides in one traversal of the

@@ -9,9 +9,12 @@ import (
 
 func TestLDLTSolveSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
+	// The 64×64 coupled mesh is the largest factor any sparse test solves.
+	mesh := meshSPD(64, 64)
 	for _, order := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
-		for _, n := range []int{1, 2, 10, 50} {
-			a := randomSPD(rng, n)
+		inputs := []*CSC{randomSPD(rng, 1), randomSPD(rng, 2), randomSPD(rng, 10), randomSPD(rng, 50), mesh}
+		for _, a := range inputs {
+			n := a.Rows
 			f, err := FactorLDLT(a, order)
 			if err != nil {
 				t.Fatalf("n=%d order=%v: %v", n, order, err)

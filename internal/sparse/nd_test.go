@@ -124,36 +124,3 @@ func TestNDFillOnMesh(t *testing.T) {
 	}
 	t.Logf("30x30 mesh lnz: natural=%d mindeg=%d nd=%d", nat, md, nd)
 }
-
-// The acceptance property of the ND schedule: on one strongly coupled 2D
-// mesh the ND separator tree yields independent subtrees and
-// ParallelizableSolve turns true, with parallel and sequential solves
-// agreeing.
-func TestNDParallelizesCoupledMesh(t *testing.T) {
-	a := meshSPD(64, 64)
-	n := a.Rows
-	fND, err := FactorLDLT(a, OrderND)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fND.ParallelizableSolve() {
-		sym := fND.Symbolic()
-		t.Fatalf("ND schedule not parallelizable on a coupled 64x64 mesh (lnz=%d, supernodes=%d)", sym.LNZ(), sym.Supernodes())
-	}
-	rng := rand.New(rand.NewSource(71))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	got := make([]float64, n)
-	work := make([]float64, n)
-	fND.Solve(want, b)
-	fND.ParSolveWith(got, b, work, 4)
-	if d := maxRelDiff(got, want); d > 1e-12 {
-		t.Fatalf("ND parallel solve diverges from sequential by %g", d)
-	}
-	if r := residual(a, got, b); r > 1e-8 {
-		t.Fatalf("ND parallel solve residual %g", r)
-	}
-}

@@ -103,11 +103,9 @@ type PanelLane struct {
 
 // Wrap returns a Factorization whose solves are routed through the
 // broker. The wrapper implements MultiSolver (a k-RHS call contributes k
-// rows to the round's panels) but deliberately not ParSolver: batching
-// replaces per-solve task parallelism as the concurrency
-// mechanism. Wrapping the same factorization twice yields distinct
-// wrappers that still batch together — panels group by the underlying
-// factorization's identity.
+// rows to the round's panels). Wrapping the same factorization twice
+// yields distinct wrappers that still batch together — panels group by the
+// underlying factorization's identity.
 func (ln *PanelLane) Wrap(f Factorization) Factorization {
 	if inner, ok := f.(*panelFact); ok {
 		f = inner.fact

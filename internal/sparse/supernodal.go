@@ -37,9 +37,8 @@ const (
 
 // snLayout is the supernodal view of a Symbolic analysis: the column
 // partition, per-supernode row lists and panel offsets, the input scatter
-// map, the descendant-update lists driving the left-looking factorization
-// and the gather-form parallel forward solve, and the supernode-granular
-// parallel task schedule. Immutable after construction.
+// map, and the descendant-update lists driving the left-looking
+// factorization. Immutable after construction.
 type snLayout struct {
 	nsuper int
 	ptr    []int32 // supernode s spans permuted columns ptr[s]..ptr[s+1]
@@ -70,31 +69,18 @@ type snLayout struct {
 	updSrc []int32
 	updOff []int32
 	updEnd []int32
-
-	// Supernode elimination tree and the coarsened execution schedule for
-	// the parallel solves over it (cutTasks): the tree is cut into
-	// independent subtrees of bounded work (tasks) plus the separator tail
-	// of their common ancestors. A supernode's forward dependencies are
-	// etree descendants and its backward dependencies ancestors, so tasks
-	// never depend on each other — the forward solve runs tasks
-	// concurrently, one barrier, then the tail; the backward solve runs the
-	// tail first, one barrier, then the tasks.
-	parent  []int32
-	taskPtr []int
-	taskSN  []int32
-	tailSN  []int32
 }
 
 // bytes estimates the resident size of the layout for cache accounting.
 func (sn *snLayout) bytes() int64 {
 	return int64(len(sn.rows)+len(sn.colSn)+len(sn.aSrc)+len(sn.aOff)+3*len(sn.updSrc))*4 +
-		int64(sn.nsuper)*48
+		int64(sn.nsuper)*40
 }
 
 // buildSupernodes detects fundamental supernodes on the freshly computed
-// column pattern, applies relaxed amalgamation, and emits the panel layout,
-// scatter and update maps, and the supernode task schedule. up is the
-// permuted upper triangle the pattern was computed from.
+// column pattern, applies relaxed amalgamation, and emits the panel layout
+// and the scatter and update maps. up is the permuted upper triangle the
+// pattern was computed from.
 func (s *Symbolic) buildSupernodes(up upperTri) {
 	n := s.n
 	const maxW, relax = snMaxWidth, snRelaxFrac
@@ -314,21 +300,6 @@ func (s *Symbolic) buildSupernodes(up upperTri) {
 			i = j
 		}
 	}
-
-	// Supernode elimination tree (parent of the last column owns the
-	// parent supernode) and the panel-weighted parallel task schedule.
-	sn.parent = make([]int32, nsuper)
-	cost := make([]int64, nsuper)
-	for t := 0; t < nsuper; t++ {
-		c1 := int(sn.ptr[t+1])
-		if pc := s.parent[c1-1]; pc == -1 {
-			sn.parent[t] = -1
-		} else {
-			sn.parent[t] = sn.colSn[pc]
-		}
-		cost[t] = int64((sn.rowPtr[t+1] - sn.rowPtr[t]) * int(sn.ptr[t+1]-sn.ptr[t]))
-	}
-	sn.taskPtr, sn.taskSN, sn.tailSN = cutTasks(sn.parent, cost)
 
 	s.sn = sn
 }
@@ -595,63 +566,6 @@ func (f *LDLT) bwdOneSN(t int, work, g []float64) {
 			acc += col[i] * work[c0+i]
 		}
 		work[c0+k] -= acc
-	}
-}
-
-// fwdOneSNGather finalizes one supernode of the forward solve in pure
-// gather form — reading descendants' panels through the update records and
-// writing only its own rows — which is what lets independent subtree tasks
-// run concurrently without write conflicts.
-//
-//matex:noalloc
-func (f *LDLT) fwdOneSNGather(t int, work []float64) {
-	sn := f.sym.sn
-	sp := f.snValues
-	for u := sn.updPtr[t]; u < sn.updPtr[t+1]; u++ {
-		d := int(sn.updSrc[u])
-		off1, off2 := int(sn.updOff[u]), int(sn.updEnd[u])
-		dbase := sn.valPtr[d]
-		drb := sn.rowPtr[d]
-		nsd := sn.rowPtr[d+1] - drb
-		wd := int(sn.ptr[d+1] - sn.ptr[d])
-		c0d := int(sn.ptr[d])
-		dbelow := sn.rows[drb+wd : drb+nsd]
-		// Adjacent below rows share the descendant's x loads (and sit on
-		// the same panel cache lines), so take them in pairs.
-		tt := off1
-		for ; tt+1 < off2; tt += 2 {
-			row := dbase + wd + tt
-			acc0, acc1 := 0.0, 0.0
-			for k := 0; k < wd; k++ {
-				xk := work[c0d+k]
-				acc0 += sp[row+k*nsd] * xk
-				acc1 += sp[row+1+k*nsd] * xk
-			}
-			work[dbelow[tt]] -= acc0
-			work[dbelow[tt+1]] -= acc1
-		}
-		if tt < off2 {
-			row := dbase + wd + tt
-			acc := 0.0
-			for k := 0; k < wd; k++ {
-				acc += sp[row+k*nsd] * work[c0d+k]
-			}
-			work[dbelow[tt]] -= acc
-		}
-	}
-	c0 := int(sn.ptr[t])
-	w := int(sn.ptr[t+1]) - c0
-	ns := sn.rowPtr[t+1] - sn.rowPtr[t]
-	base := sn.valPtr[t]
-	for k := 0; k < w; k++ {
-		xk := work[c0+k]
-		if xk == 0 {
-			continue
-		}
-		col := sp[base+k*ns:]
-		for i := k + 1; i < w; i++ {
-			work[c0+i] -= col[i] * xk
-		}
 	}
 }
 

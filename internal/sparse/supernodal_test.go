@@ -76,10 +76,8 @@ func checkFactorization(t *testing.T, a *CSC, f *LDLT) {
 }
 
 // checkSolves drives every solve entry point of one factor against the
-// dense oracle: SolveWith within 1e-10, ParSolveWith against SolveWith to
-// roundoff (the gather form associates the same sums differently), and
-// SolveMulti bitwise equal to SolveWith for every panel width through the
-// 8-wide block boundary.
+// dense oracle: SolveWith within 1e-10, and SolveMulti bitwise equal to
+// SolveWith for every panel width through the 8-wide block boundary.
 func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 	t.Helper()
 	n := a.Rows
@@ -97,11 +95,6 @@ func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 	}
 	if d := maxRelDiff(want[0], denseSolve(t, a, bs[0])); d > 1e-10 {
 		t.Fatalf("SolveWith diverges from the dense oracle by %g", d)
-	}
-	got := make([]float64, n)
-	f.ParSolveWith(got, bs[0], work, 4)
-	if d := maxRelDiff(got, want[0]); d > 1e-13 {
-		t.Fatalf("ParSolveWith diverges from SolveWith by %g", d)
 	}
 	for k := 1; k <= kmax; k++ {
 		dst := make([][]float64, k)
@@ -296,43 +289,6 @@ func TestPanelShapes(t *testing.T) {
 	}
 }
 
-// The same width classes past the parallel crossover: tiled copies fork the
-// supernode forest, so ParSolveWith takes the goroutine fan-out and the
-// gather-form kernels see every panel width. Each tile is solved by the
-// dense oracle on its own block.
-func TestPanelShapesParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(65))
-	tile := blockDiagCSC(arrowSPD(21), denseSPD(2), denseSPD(3), denseSPD(5), denseSPD(17), denseSPD(40), pathSPD(9))
-	const copies = 160
-	tiles := make([]*CSC, copies)
-	for i := range tiles {
-		tiles[i] = tile
-	}
-	a := blockDiagCSC(tiles...)
-	f, err := FactorLDLT(a, OrderNatural)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.ParallelizableSolve() {
-		t.Fatalf("tiled system below the parallel crossover (lnz=%d)", f.Symbolic().LNZ())
-	}
-	n, m := a.Rows, tile.Rows
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	got := make([]float64, n)
-	f.ParSolveWith(got, b, make([]float64, n), 4)
-	for c := 0; c < copies; c += 53 {
-		if d := maxRelDiff(got[c*m:(c+1)*m], denseSolve(t, tile, b[c*m:(c+1)*m])); d > 1e-10 {
-			t.Fatalf("tile %d: parallel solve diverges from the dense oracle by %g", c, d)
-		}
-	}
-	if r := residual(a, got, b); r > 1e-10 {
-		t.Fatalf("parallel solve residual %g", r)
-	}
-}
-
 // Nested dissection on a coupled mesh produces wide separator supernodes;
 // the amalgamation must find them.
 func TestSupernodesAmalgamateOnNDMesh(t *testing.T) {
@@ -382,9 +338,8 @@ func TestPanelSingular(t *testing.T) {
 	checkSolves(t, good, f, rand.New(rand.NewSource(66)))
 }
 
-// The refactorization and every solve flavour must stay allocation-free past
-// the parallel crossover — including the fan-out, which runs on a persistent
-// worker pool.
+// The refactorization and every solve flavour must stay allocation-free on
+// a multi-panel factor.
 func TestSupernodalZeroAllocs(t *testing.T) {
 	a := multiDomainSPD(40, 4)
 	n := a.Rows
@@ -395,9 +350,6 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 	f, err := sym.Refactor(a)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !f.ParallelizableSolve() {
-		t.Fatal("expected parallelizable factor")
 	}
 	b := make([]float64, n)
 	x := make([]float64, n)
@@ -416,15 +368,6 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 		f.SolveWith(x, b, work)
 	}); allocs != 0 {
 		t.Errorf("SolveWith allocates %v/op", allocs)
-	}
-	if !raceEnabled {
-		// The fan-out's job and task-buffer pools intentionally leak under
-		// the race detector (sync.Pool drops Puts there).
-		if allocs := testing.AllocsPerRun(50, func() {
-			f.ParSolveWith(x, b, work, 4)
-		}); allocs != 0 {
-			t.Errorf("ParSolveWith allocates %v/op", allocs)
-		}
 	}
 	mw := make([]float64, 4*n)
 	dst := [][]float64{x, x, x, x}

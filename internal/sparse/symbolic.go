@@ -6,8 +6,7 @@ import "fmt"
 // factorization: the fill-reducing ordering, the elimination tree, the exact
 // static nonzero pattern of L (per-column counts and row indices, Gilbert/
 // Ng/Peierls style), and the supernodal panel layout built on top of it —
-// column partition, input scatter map, descendant-update records and the
-// task partition that drives the parallel triangular solves.
+// column partition, input scatter map and descendant-update records.
 //
 // An analysis depends only on the sparsity pattern (and ordering), never on
 // values: every scalar shift C + γG of one base pattern shares a single
@@ -71,10 +70,9 @@ func PatternFingerprint(a *CSC) uint64 {
 
 // AnalyzeLDLT performs the symbolic analysis of the symmetric matrix a under
 // the given ordering: ordering, elimination tree, exact column counts and
-// static pattern of L, supernode detection with relaxed amalgamation, the
-// input scatter map, and the parallel-solve task schedule. Only the pattern
-// of a is read. The result serves any matrix with the same pattern through
-// Refactor.
+// static pattern of L, supernode detection with relaxed amalgamation, and
+// the input scatter map. Only the pattern of a is read. The result serves
+// any matrix with the same pattern through Refactor.
 func AnalyzeLDLT(a *CSC, order Ordering) (*Symbolic, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: AnalyzeLDLT needs a square matrix, got %dx%d", a.Rows, a.Cols)
@@ -264,97 +262,6 @@ func postorder(parent []int32) []int32 {
 		return nil
 	}
 	return post
-}
-
-// cutTasks cuts a forest (parent[k] > k or -1) into the task/tail execution
-// schedule driving the parallel solves: a node roots a task when its subtree
-// work fits the chunk bound but its parent's does not; nodes above every cut
-// form the sequential separator tail. Children precede parents in index
-// order, so subtree sums and top-down task assignment are both single
-// passes. The nodes are supernodes, weighted by panel entries.
-//
-// Chunk bound selection: small chunks balance load, large chunks pull the
-// cut toward the root and shrink the sequential tail. The bound escalates
-// until the tail is below a quarter of the work with at least two
-// independent tasks; a pattern where no bound achieves that (e.g. one
-// strongly coupled mesh whose root separators hold most of the work) has no
-// exploitable solve parallelism, and the empty schedule makes
-// ParallelizableSolve report false.
-func cutTasks(parent []int32, cost []int64) (taskPtr []int, taskNodes, tailNodes []int32) {
-	n := len(parent)
-	work := make([]int64, n)
-	total := int64(0)
-	for k := 0; k < n; k++ {
-		work[k] = cost[k] + 1
-		total += cost[k]
-	}
-	for k := 0; k < n; k++ {
-		if p := parent[k]; p != -1 {
-			work[p] += work[k]
-		}
-	}
-	chunkMax := int64(-1)
-	for _, div := range []int64{32, 16, 8, 4, 2, 1} {
-		c := total/div + 1
-		if c < 4096 {
-			continue
-		}
-		var tail int64
-		tasks := 0
-		for k := 0; k < n; k++ {
-			if work[k] > c {
-				tail += cost[k]
-			} else if p := parent[k]; p == -1 || work[p] > c {
-				tasks++
-			}
-		}
-		if tasks >= 2 && tail*4 <= total {
-			chunkMax = c
-			break
-		}
-	}
-	if chunkMax < 0 {
-		return []int{0}, nil, nil
-	}
-	// taskOf[k] = index of k's task root, or -1 for the tail. Parents have
-	// larger indices, so descending k sees the parent's assignment first.
-	taskOf := make([]int32, n)
-	var roots []int32
-	for k := n - 1; k >= 0; k-- {
-		p := parent[k]
-		if p != -1 && taskOf[p] != -1 {
-			taskOf[k] = taskOf[p] // inside an ancestor's task subtree
-			continue
-		}
-		if work[k] <= chunkMax {
-			taskOf[k] = int32(len(roots))
-			roots = append(roots, int32(k))
-		} else {
-			taskOf[k] = -1
-		}
-	}
-	taskPtr = make([]int, len(roots)+1)
-	for k := 0; k < n; k++ {
-		if t := taskOf[k]; t != -1 {
-			taskPtr[t+1]++
-		}
-	}
-	for t := 0; t < len(roots); t++ {
-		taskPtr[t+1] += taskPtr[t]
-	}
-	taskNodes = make([]int32, taskPtr[len(roots)])
-	tailNodes = make([]int32, 0, n-len(taskNodes))
-	next := make([]int, len(roots))
-	copy(next, taskPtr[:len(roots)])
-	for k := 0; k < n; k++ {
-		if t := taskOf[k]; t != -1 {
-			taskNodes[next[t]] = int32(k)
-			next[t]++
-		} else {
-			tailNodes = append(tailNodes, int32(k))
-		}
-	}
-	return taskPtr, taskNodes, tailNodes
 }
 
 // reach computes the nonzero pattern of row k of L — the nodes reachable

@@ -22,8 +22,7 @@ func meshSPD(nx, ny int) *CSC {
 }
 
 // multiDomainSPD tiles copies of an nx×nx mesh down the block diagonal —
-// the multi-domain PDN shape whose elimination forest actually forks, so
-// ParallelizableSolve holds and ParSolveWith takes the goroutine fan-out.
+// the multi-domain PDN shape whose elimination forest actually forks.
 func multiDomainSPD(nx, domains int) *CSC {
 	a := meshSPD(nx, nx)
 	n := a.Rows
@@ -173,88 +172,6 @@ func TestRefactorSingularLeavesCleanWorkspace(t *testing.T) {
 	}
 }
 
-func TestParSolveMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	a := multiDomainSPD(30, 4) // 4 independent domains: the partition forks
-	n := a.Rows
-	for _, order := range []Ordering{OrderMinDegree, OrderND} {
-		f, err := FactorLDLT(a, order)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if order == OrderMinDegree && !f.ParallelizableSolve() {
-			t.Fatal("multi-domain factor unexpectedly below the parallel crossover")
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want := make([]float64, n)
-		f.Solve(want, b)
-		got := make([]float64, n)
-		work := make([]float64, n)
-		for _, workers := range []int{1, 2, 4, 16} {
-			f.ParSolveWith(got, b, work, workers)
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-13*(1+math.Abs(want[i])) {
-					t.Fatalf("order=%v workers=%d: mismatch at %d", order, workers, i)
-				}
-			}
-		}
-	}
-}
-
-// forceParallel returns a factor guaranteed past the parallel crossover: a
-// block-diagonal matrix of many independent 8-chains has thousands of
-// independent subtree tasks and no separator tail.
-func forceParallel(tb testing.TB, blocks int) (*LDLT, *CSC) {
-	tb.Helper()
-	const chain = 8
-	n := chain * blocks
-	tr := NewTriplet(n, n)
-	for b := 0; b < blocks; b++ {
-		for c := 0; c < chain; c++ {
-			i := chain*b + c
-			tr.Add(i, i, 4)
-			if c+1 < chain {
-				tr.Add(i, i+1, -1)
-				tr.Add(i+1, i, -1)
-			}
-		}
-	}
-	a := tr.ToCSC()
-	f, err := FactorLDLT(a, OrderNatural)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if !f.ParallelizableSolve() {
-		tb.Fatal("block matrix unexpectedly below the parallel crossover")
-	}
-	return f, a
-}
-
-func TestParSolveWideLevels(t *testing.T) {
-	f, a := forceParallel(t, 8192)
-	n := a.Rows
-	rng := rand.New(rand.NewSource(44))
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	f.SolveWith(want, b, make([]float64, n))
-	got := make([]float64, n)
-	f.ParSolveWith(got, b, make([]float64, n), 8)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-14*(1+math.Abs(want[i])) {
-			t.Fatalf("parallel wide-level solve mismatch at %d", i)
-		}
-	}
-	if r := residual(a, got, b); r > 1e-12 {
-		t.Fatalf("parallel solve residual %g", r)
-	}
-}
-
 func TestSolveMultiMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	a := randomSPD(rng, 64)
@@ -287,20 +204,16 @@ func TestSolveMultiMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParSolveRace hammers one shared factor with concurrent parallel and
-// panel solves plus sequential solves — run under -race this proves the
-// solve API is re-entrant.
-func TestParSolveRace(t *testing.T) {
+// TestSolveRace hammers one shared factor with concurrent sequential and
+// panel solves — run under -race this proves the solve API is re-entrant
+// (the factor-owned gather buffer is claimed by one solve, the rest fall
+// back to the pool).
+func TestSolveRace(t *testing.T) {
 	a := multiDomainSPD(30, 4)
 	n := a.Rows
 	f, err := FactorLDLT(a, OrderMinDegree)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !f.ParallelizableSolve() {
-		// The hammer must cover the goroutine fan-out, not the sequential
-		// fallback.
-		t.Fatal("race factor unexpectedly below the parallel crossover")
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -320,12 +233,9 @@ func TestParSolveRace(t *testing.T) {
 				panelX[r] = make([]float64, n)
 			}
 			for it := 0; it < 25; it++ {
-				switch it % 3 {
-				case 0:
-					f.ParSolveWith(x, b, work, 4)
-				case 1:
+				if it%2 == 0 {
 					f.SolveWith(x, b, work)
-				case 2:
+				} else {
 					f.SolveMulti(panelX, panelB)
 					copy(x, panelX[3])
 				}

@@ -139,7 +139,7 @@ func simulateAdaptiveTR(sys *circuit.System, opts Options) (*Result, error) {
 		for i := range rhs {
 			rhs[i] += 0.5 * (bu0[i] + bu1[i])
 		}
-		solveWith(lhs, xNew, rhs, work, opts)
+		lhs.SolveWith(xNew, rhs, work)
 		res.Stats.SolvePairs++
 
 		// LTE estimate: compare against the explicit linear predictor

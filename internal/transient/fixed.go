@@ -102,7 +102,7 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 			for i := range rhs {
 				rhs[i] += 0.5 * (bu0[i] + bu1[i])
 			}
-			solveWith(lhs, x, rhs, work, opts)
+			lhs.SolveWith(x, rhs, work)
 			res.Stats.SolvePairs++
 			bu0, bu1, bu0At = bu1, bu0, t1
 		case BEFixed:
@@ -112,7 +112,7 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 			for i := range rhs {
 				rhs[i] += bu1[i]
 			}
-			solveWith(lhs, x, rhs, work, opts)
+			lhs.SolveWith(x, rhs, work)
 			res.Stats.SolvePairs++
 		case FEFixed:
 			// x' = C⁻¹(-Gx + Bu): one SpMV plus one substitution pair.
@@ -122,7 +122,7 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 			for i := range rhs {
 				rhs[i] = bu0[i] - rhs[i]
 			}
-			solveWith(lhs, rhs, rhs, work, opts)
+			lhs.SolveWith(rhs, rhs, work)
 			res.Stats.SolvePairs++
 			for i := range x {
 				x[i] += hs * rhs[i]

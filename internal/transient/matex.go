@@ -111,7 +111,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	default:
 		return nil, fmt.Errorf("transient: SimulateMatex got %v", method)
 	}
-	op.SetSolveWorkers(opts.SolveWorkers)
 	res.Stats.FactorTime += time.Since(tFac)
 	// Where both treatments exist, deviation is worth having only for its
 	// Lanczos path: symmetric matrices, Arnoldi not pinned.
@@ -178,7 +177,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			clear(dst)
 			return
 		}
-		solveWith(factG, dst, bu, work, opts)
+		factG.SolveWith(dst, bu, work)
 		res.Stats.InputPairs++
 	}
 	for tBase < opts.Tstop-waveform.SpotEps {
@@ -229,7 +228,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 					w1[i] = (q1[i] - q[i]) / hSeg
 				}
 				sys.C.MulVec(r2, w1)
-				solveWith(factG, r2, r2, work, opts)
+				factG.SolveWith(r2, r2, work)
 				res.Stats.InputPairs++
 				res.Stats.SpMVs++
 			}

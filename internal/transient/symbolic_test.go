@@ -1,7 +1,6 @@
 package transient
 
 import (
-	"math"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/sparse"
@@ -38,33 +37,4 @@ func TestAdaptiveTRSymbolicSharing(t *testing.T) {
 	}
 	t.Logf("factorizations=%d refactors=%d symbolic_hits=%d analyses=%d",
 		s.Factorizations, s.Refactors, s.SymbolicHits, cs.SymbolicMisses)
-}
-
-// TestSolveWorkersWaveformUnchanged: routing every substitution pair
-// through the level-scheduled parallel solver must not change the solution
-// (it falls back to the sequential path below the crossover, and above it
-// the task schedule computes the same triangular sweeps).
-func TestSolveWorkersWaveformUnchanged(t *testing.T) {
-	sys := ibmSystem(t, 0.2)
-	probes := []int{0, sys.NumNodes / 2}
-	for _, method := range []Method{RMATEX, IMATEX, TRAdaptive} {
-		base, err := Simulate(sys, method, Options{Tstop: 10e-9, Tol: 1e-5, Probes: probes})
-		if err != nil {
-			t.Fatalf("%v sequential: %v", method, err)
-		}
-		par, err := Simulate(sys, method, Options{Tstop: 10e-9, Tol: 1e-5, Probes: probes, SolveWorkers: 4})
-		if err != nil {
-			t.Fatalf("%v parallel: %v", method, err)
-		}
-		if len(par.Times) != len(base.Times) {
-			t.Fatalf("%v: grids differ: %d vs %d", method, len(par.Times), len(base.Times))
-		}
-		for i := range base.Times {
-			for k := range probes {
-				if d := math.Abs(par.Probes[i][k] - base.Probes[i][k]); d > 1e-9 {
-					t.Fatalf("%v: waveform deviates %g at t=%g probe %d", method, d, base.Times[i], k)
-				}
-			}
-		}
-	}
 }

@@ -142,12 +142,6 @@ type Options struct {
 	// matexd workers share one pool per process the way they share the
 	// factorization cache. Nil uses the package-wide default pool.
 	Workspaces *krylov.WorkspacePool `json:"-"`
-	// SolveWorkers, when > 1, runs every triangular solve through the
-	// factorization's level-scheduled parallel path (sparse.ParSolver) with
-	// that many goroutines. The solver falls back to the sequential path on
-	// factorizations without level schedules and below the profitability
-	// crossover, so any value is safe; 0 and 1 keep solves sequential.
-	SolveWorkers int
 	// OnSample, when non-nil, is called synchronously after every recorded
 	// output sample with the sample time and the probe row — the streaming
 	// hook the serving layer and `matex -stream` emit waveform chunks from
@@ -471,18 +465,6 @@ func (s *Stats) AddFactorInfo(info sparse.FactorInfo) {
 	}
 }
 
-// solveWith runs one substitution pair through the parallel solver when
-// Options.SolveWorkers asks for one and the factorization offers it.
-func solveWith(f sparse.Factorization, dst, b, work []float64, opts Options) {
-	if opts.SolveWorkers > 1 {
-		if ps, ok := f.(sparse.ParSolver); ok {
-			ps.ParSolveWith(dst, b, work, opts.SolveWorkers)
-			return
-		}
-	}
-	f.SolveWith(dst, b, work)
-}
-
 // initialState resolves x(0): the caller-provided state or the DC operating
 // point. It returns the state, the factorization of G (reused by the MATEX
 // input terms), and updates stats.
@@ -522,11 +504,11 @@ func initialState(sys *circuit.System, opts Options, stats *Stats) ([]float64, s
 	}
 	b := make([]float64, sys.N)
 	sys.EvalB(0, b, opts.ActiveInputs)
-	// Through solveWith, like every later G-solve: the MATEX driver keeps
+	// The same SolveWith every later G-solve takes: the MATEX driver keeps
 	// this x_DC as q(0) = G⁻¹·B·u(0), and a resumed run that solves q afresh
 	// must get the same bits.
 	x := make([]float64, sys.N)
-	solveWith(fg, x, b, make([]float64, sys.N), opts)
+	fg.SolveWith(x, b, make([]float64, sys.N))
 	stats.SolvePairs++
 	return x, fg, nil
 }

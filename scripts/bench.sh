@@ -4,14 +4,14 @@
 # B/op, allocs/op, custom metrics).
 #
 # Usage:
-#   scripts/bench.sh [out.json]          # default out: BENCH_PR20.json
+#   scripts/bench.sh [out.json]          # default out: BENCH_BASELINE.json
 #   BENCHTIME=200x scripts/bench.sh      # longer runs for stable numbers
 #   BENCH_RUNS=8 scripts/bench.sh        # 8 passes over the suite, each row
 #                                        # kept from its fastest pass
 #   BENCH_PATTERN='^Benchmark' scripts/bench.sh all.json   # whole suite
 #
 # CI runs this with a short BENCHTIME and uploads the JSON as an artifact;
-# the committed BENCH_PR20.json is regenerated manually with BENCH_RUNS=8
+# the committed BENCH_BASELINE.json is regenerated manually with BENCH_RUNS=8
 # when the solver layer changes: a shared host slows down in windows of
 # seconds, which one pass bakes into whichever rows it was running (PR 17's
 # first baseline had untouched sparse rows at 2x their PR 16 values), and a
@@ -31,9 +31,8 @@
 # the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
 # *_mesh96nd rows (nested dissection, wide separator panels) the two ends
 # of the panel-width range, BenchmarkSolveSeq_k* vs BenchmarkSolveMulti_k*
-# the blocked panel solves, BenchmarkSolveSeq/Par_4dom the task-parallel solve
-# on separate domains, BenchmarkSolveSeq/Par_mesh96nd the coupled mesh
-# that only nested dissection can parallelize, and BenchmarkSweepSolo vs
+# the blocked panel solves, BenchmarkSolveSeq_4dom the substitution pair on
+# separate domains, and BenchmarkSweepSolo vs
 # BenchmarkSweep_k{4,8} the scenario-sweep amortization (benchcmp gates
 # the lanes, factorizations and mean panel width they report against the
 # baseline's, and prints the Sweep_k8 / SweepSolo wall ratio ungated), and
@@ -47,10 +46,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR20.json}"
+out="${1:-BENCH_BASELINE.json}"
 benchtime="${BENCHTIME:-100x}"
 runs="${BENCH_RUNS:-1}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolvePar|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	go run ./scripts/benchcmp -base BENCH_PR6.json -new bench-ci.json \
+//	go run ./scripts/benchcmp -base BENCH_BASELINE.json -new bench-ci.json \
 //	    -rows '^Benchmark(Factor_|Refactor|Solve)' -max-ratio 2.5
 //
 // It prints a Markdown comparison table (pipe it into
@@ -108,16 +108,12 @@ var gates = []gate{
 	{row: "BenchmarkServeSubmit_warm", metric: "parses/op", abs: true, why: "a deck the server has seen is neither parsed nor stamped again"},
 	{row: "BenchmarkServeSubmit_warm", metric: "journal_B/op", abs: true, hi: 2048, why: "a spec record references its deck by hash; the body is journaled once"},
 	{row: "BenchmarkServeSubmit_cold", metric: "parses/op", abs: true, lo: 1, hi: 1, why: "an unseen deck is parsed exactly once"},
-	// Printed, not gated, until ParSolve earns a row or is deleted (ROADMAP
-	// 6b): on a 2-vCPU runner it is slower than the sequential solve.
-	{row: "BenchmarkSolvePar_4dom", metric: "ns/op", over: "BenchmarkSolveSeq_4dom", why: "context: task-parallel solve on separate domains"},
-	{row: "BenchmarkSolvePar_mesh96nd", metric: "ns/op", over: "BenchmarkSolveSeq_mesh96nd", why: "context: task-parallel solve on the coupled mesh"},
 }
 
 func main() {
-	basePath := flag.String("base", "BENCH_PR6.json", "committed baseline JSON")
+	basePath := flag.String("base", "BENCH_BASELINE.json", "committed baseline JSON")
 	newPath := flag.String("new", "bench-ci.json", "freshly measured JSON")
-	rowsPat := flag.String("rows", "^Benchmark(Factor_|Refactor|SolvePar|SolveSeq|SolveMulti)", "regexp selecting the gated rows")
+	rowsPat := flag.String("rows", "^Benchmark(Factor_|Refactor|SolveSeq|SolveMulti)", "regexp selecting the gated rows")
 	maxRatio := flag.Float64("max-ratio", 2.5, "fail when new/base ns/op exceeds this on any gated row")
 	flag.Parse()
 
