@@ -837,20 +837,27 @@ func BenchmarkSweep_k8(b *testing.B) {
 // submitted — a one-step window, settled outside the timer, keeps the single
 // worker ahead of the queue. benchcmp gates the warm row on the two counts,
 // not on its wall: 0 parses, at most 2 KiB of journal.
-func benchServeSubmit(b *testing.B, warm bool) {
-	gspec, err := pdn.IBMCase("ibmpg3t", 1)
+// benchDeckText renders an IBM case as the deck text cmd/pgbench and bench/e2e
+// write (no .print cards).
+func benchDeckText(b *testing.B, name string, scale float64) []byte {
+	b.Helper()
+	spec, err := pdn.IBMCase(name, scale)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ckt, err := gspec.Build()
+	ckt, err := spec.Build()
 	if err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := netlist.Write(&buf, &netlist.Deck{Circuit: ckt, TranStep: 10e-12, TranStop: gspec.Tstop}); err != nil {
+	if err := netlist.Write(&buf, &netlist.Deck{Circuit: ckt, TranStep: 10e-12, TranStop: spec.Tstop}); err != nil {
 		b.Fatal(err)
 	}
-	text := buf.String()
+	return buf.Bytes()
+}
+
+func benchServeSubmit(b *testing.B, warm bool) {
+	text := string(benchDeckText(b, "ibmpg3t", 1))
 
 	dir := b.TempDir()
 	srv, err := serve.New(serve.Config{Workers: 1, StateDir: dir})
@@ -900,3 +907,36 @@ func benchServeSubmit(b *testing.B, warm bool) {
 
 func BenchmarkServeSubmit_warm(b *testing.B) { benchServeSubmit(b, true) }
 func BenchmarkServeSubmit_cold(b *testing.B) { benchServeSubmit(b, false) }
+
+// --- Front end: the grid_static deck (ibmpg6t × 1.5, 1.6 MB, 18 k nodes) ---
+
+// BenchmarkParse_ibmpg6t15 is netlist.Parse alone; benchcmp holds its
+// allocs/op (a count, not a timing) under an absolute bound.
+func BenchmarkParse_ibmpg6t15(b *testing.B) {
+	text := benchDeckText(b, "ibmpg6t", 1.5)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := netlist.Parse(bytes.NewReader(text)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStamp_ibmpg6t15 is circuit.Stamp alone on the parsed deck.
+func BenchmarkStamp_ibmpg6t15(b *testing.B) {
+	text := benchDeckText(b, "ibmpg6t", 1.5)
+	deck, err := netlist.Parse(bytes.NewReader(text))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := circuit.Stamp(deck.Circuit, circuit.StampOptions{CollapseSupplies: true}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

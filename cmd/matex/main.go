@@ -15,6 +15,12 @@
 // Probed nodes come from the deck's ".print tran v(...)" cards; without any,
 // the first node of the deck is probed.
 //
+// A single-process run writes each row as it is integrated (t = 0 as soon as
+// the DC operating point exists); -distributed/-workers and -sweep write the
+// table at the end (-stream: a sweep's rows live, interleaved across variants).
+// Check the exit status: a run that fails after rows have left exits 1, error
+// on stderr, table ending on a complete row — a partial table is a failed run.
+//
 // -sweep FILE runs every scenario variant in FILE (a JSON array of sweep
 // variant objects, or an object with a "variants" key — the same schema
 // as the serving API's POST /sweep) through one batched computation: one
@@ -53,7 +59,7 @@ func main() {
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible), arnoldi, lanczos")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
-	stream := flag.Bool("stream", false, "emit each TSV row as the integrator produces it (unbuffered waveform streaming; non-distributed runs only)")
+	stream := flag.Bool("stream", false, "with -sweep: emit each TSV row as its lane produces it (a plain single-process run always does)")
 	stats := flag.Bool("stats", false, "print solver work statistics to stderr")
 	sweepFile := flag.String("sweep", "", "JSON variant file: run every scenario variant of the deck as one batched sweep")
 	flag.Parse()
@@ -136,61 +142,58 @@ func main() {
 		}
 	}
 
-	// One TSV table: a sweep's has a leading variant column. row may be
-	// nil/empty when every probe was skipped (all supply rails): the table
-	// then has no voltage columns.
-	writeHeader := func() {
-		if sweeping {
-			fmt.Printf("variant\t")
-		}
-		fmt.Printf("time")
-		for _, name := range kept {
-			fmt.Printf("\tv(%s)", name)
-		}
-		fmt.Println()
+	// One TSV table through one buffer; a sweep's has a leading variant column.
+	// The header waits there for the first row, so a run that fails before it
+	// has a sample prints nothing. A row is nil/empty when every probe was
+	// skipped (all supply rails): the table has no voltage columns.
+	tsv := []byte("time")
+	if sweeping {
+		tsv = []byte("variant\ttime")
 	}
+	for _, name := range kept {
+		tsv = fmt.Appendf(tsv, "\tv(%s)", name)
+	}
+	tsv = append(tsv, '\n')
 	writeRow := func(variant string, t float64, row []float64) {
 		if sweeping {
-			fmt.Printf("%s\t", variant)
+			tsv = fmt.Appendf(tsv, "%s\t", variant)
 		}
-		fmt.Printf("%.6e", t)
+		tsv = fmt.Appendf(tsv, "%.6e", t)
 		for k := range kept {
 			if k < len(row) {
-				fmt.Printf("\t%.9e", row[k])
+				tsv = fmt.Appendf(tsv, "\t%.9e", row[k])
 			}
 		}
-		fmt.Println()
+		tsv = append(tsv, '\n')
+	}
+	flush := func() {
+		if _, err := os.Stdout.Write(tsv); err != nil {
+			fatal(err)
+		}
+		tsv = tsv[:0]
+	}
+	// A live row is flushed whole as the integrator records it: what a failed
+	// run leaves on stdout ends on a complete row. Sweep lanes emit concurrently.
+	var mu sync.Mutex
+	liveRow := func(variant string, t float64, row []float64) {
+		mu.Lock()
+		defer mu.Unlock()
+		writeRow(variant, t, row)
+		flush()
 	}
 
-	// -stream prints the TSV header up front and each row as the integrator
-	// records it — the CLI face of the serving layer's incremental waveform
-	// streaming — instead of the buffered table at the end; everything else
-	// (stats, exit codes) is unchanged. A sweep's rows then interleave across
-	// variants as their lanes advance (each variant's stay in time order),
-	// where the buffered table groups them per variant.
-	if *stream {
-		writeHeader()
-	}
 	opts := transient.Options{
 		Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
 		Ordering: ord, Cache: cache, Krylov: km,
 	}
-	var (
-		res  *transient.Result
-		rep  *dist.Report
-		sres *sweep.Result
-	)
+	var res *transient.Result
+	var rep *dist.Report
+	var sres *sweep.Result
 	switch {
 	case sweeping:
 		sopts := sweep.Options{Base: opts, Method: m}
 		if *stream {
-			// Lanes emit concurrently; the TSV writer is single-threaded.
-			var mu sync.Mutex
-			sopts.OnVariantSample = func(v int, t float64, row []float64) {
-				mu.Lock()
-				writeRow(variants[v].Label(v), t, row)
-				mu.Unlock()
-			}
+			sopts.OnVariantSample = func(v int, t float64, row []float64) { liveRow(variants[v].Label(v), t, row) }
 		}
 		if sres, err = sweep.Run(sys, variants, sopts); err == nil {
 			res = &transient.Result{Stats: sres.Stats.Sim}
@@ -204,26 +207,23 @@ func main() {
 		}
 		res, rep, err = dist.Run(sys, m, cfg)
 	default:
-		if *stream {
-			opts.OnSample = func(t float64, row []float64) { writeRow("", t, row) }
-		}
+		opts.OnSample = func(t float64, row []float64) { liveRow("", t, row) }
 		res, err = transient.Simulate(sys, m, opts)
 	}
 	if err != nil {
 		fatal(err)
 	}
 
-	if !*stream {
-		writeHeader()
-		if sres == nil {
-			res.EachSample(func(t float64, row []float64) { writeRow("", t, row) })
-		} else {
-			for _, vr := range sres.Variants {
-				table := transient.Result{Times: vr.Times, Probes: vr.Probes}
-				table.EachSample(func(t float64, row []float64) { writeRow(vr.Name, t, row) })
-			}
+	// The tables that exist only now: the superposition, a sweep's by variant.
+	if rep != nil {
+		res.EachSample(func(t float64, row []float64) { writeRow("", t, row) })
+	} else if sres != nil && !*stream {
+		for _, vr := range sres.Variants {
+			table := transient.Result{Times: vr.Times, Probes: vr.Probes}
+			table.EachSample(func(t float64, row []float64) { writeRow(vr.Name, t, row) })
 		}
 	}
+	flush()
 
 	if *stats {
 		// Readers of -stats collect key=value tokens across lines, so no key

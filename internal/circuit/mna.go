@@ -94,7 +94,10 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 		s.nodeIndex[name] = idx
 		return idx
 	}
-	forEachNode(c, func(name string) { intern(name) })
+	// Every terminal is looked up here, once: refs holds what intern said, in
+	// forEachNode order, and the stamping loops below walk it in step.
+	refs := make([]int, 0, 2*c.NumElements())
+	forEachNode(c, func(name string) { refs = append(refs, intern(name)) })
 	s.NumNodes = len(s.nodeIndex)
 
 	// Extra unknowns: inductor currents, then uncollapsed V-source currents.
@@ -115,18 +118,26 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 	}
 	s.N = n
 
+	// Sized from the element counts (an upper bound: a grounded or pinned
+	// terminal stamps less).
+	gStamps := 4 * (len(c.Resistors) + len(c.Inductors) + len(c.VSources))
+	if opts.Gmin > 0 {
+		gStamps += s.NumNodes
+	}
 	gT := sparse.NewTriplet(n, n)
+	gT.Grow(gStamps)
 	cT := sparse.NewTriplet(n, n)
+	cT.Grow(4*len(c.Capacitors) + len(c.Inductors))
 
-	// nodeOf resolves a node name to (index, fixed voltage, kind).
+	// nodeOf resolves the next terminal, which is name's, to (index, fixed
+	// voltage, kind).
 	nodeOf := func(name string) (idx int, fixed float64, isFixed bool) {
-		if isGround(name) {
-			return -1, 0, false
+		ref := refs[0]
+		refs = refs[1:]
+		if ref == -2 {
+			return -1, s.fixedValue[name], true
 		}
-		if v, ok := s.fixedValue[name]; ok {
-			return -1, v, true
-		}
-		return s.nodeIndex[name], 0, false
+		return ref, 0, false // ground is -1
 	}
 
 	// Resistors.
@@ -194,11 +205,11 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 	// Voltage sources (uncollapsed).
 	for k, v := range c.VSources {
 		iv := vsrcIdx[k]
+		ai, av, afix := nodeOf(v.Pos)
+		bi, bv, bfix := nodeOf(v.Neg)
 		if iv < 0 {
 			continue
 		}
-		ai, av, afix := nodeOf(v.Pos)
-		bi, bv, bfix := nodeOf(v.Neg)
 		if ai >= 0 {
 			gT.Add(ai, iv, 1)
 			gT.Add(iv, ai, 1)
@@ -240,6 +251,9 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 		s.Inputs = append(s.Inputs, Input{Rows: rows, Coefs: coefs, Wave: src.Wave, Supply: isDC(src.Wave), Name: src.Name})
 	}
 
+	if len(refs) != 0 {
+		panic("circuit: Stamp resolved a terminal it did not stamp")
+	}
 	s.G = gT.ToCSC()
 	s.C = cT.ToCSC()
 	return s, nil

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -39,6 +40,14 @@ func (t *Triplet) Add(i, j int, v float64) {
 	t.v = append(t.v, v)
 }
 
+// Grow makes room for n more entries, so a caller that can count its stamps
+// up front (or bound them from above) appends without reallocation.
+func (t *Triplet) Grow(n int) {
+	t.ri = slices.Grow(t.ri, n)
+	t.ci = slices.Grow(t.ci, n)
+	t.v = slices.Grow(t.v, n)
+}
+
 // ToCSC compresses the triplet into CSC form, summing duplicates.
 func (t *Triplet) ToCSC() *CSC {
 	// Count entries per column.
@@ -70,9 +79,10 @@ func (t *Triplet) ToCSC() *CSC {
 
 // sortColumns sorts row indices within each column, carrying values along.
 func (m *CSC) sortColumns() {
+	seg := new(colSegment) // one sort.Interface value for every column
 	for j := 0; j < m.Cols; j++ {
 		lo, hi := m.Colptr[j], m.Colptr[j+1]
-		seg := colSegment{ri: m.Rowidx[lo:hi], v: m.Values[lo:hi]}
+		seg.ri, seg.v = m.Rowidx[lo:hi], m.Values[lo:hi]
 		sort.Sort(seg)
 	}
 }
@@ -82,9 +92,9 @@ type colSegment struct {
 	v  []float64
 }
 
-func (s colSegment) Len() int           { return len(s.ri) }
-func (s colSegment) Less(i, j int) bool { return s.ri[i] < s.ri[j] }
-func (s colSegment) Swap(i, j int) {
+func (s *colSegment) Len() int           { return len(s.ri) }
+func (s *colSegment) Less(i, j int) bool { return s.ri[i] < s.ri[j] }
+func (s *colSegment) Swap(i, j int) {
 	s.ri[i], s.ri[j] = s.ri[j], s.ri[i]
 	s.v[i], s.v[j] = s.v[j], s.v[i]
 }

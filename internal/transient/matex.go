@@ -68,6 +68,13 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		return nil, err
 	}
 	n := sys.N
+	// The t = 0 sample needs nothing but the DC operating point: it leaves
+	// before the operator factorization, the largest fixed cost in front of
+	// the first row. A resumed run's t = 0 row left in its first life.
+	outs := evalGrid(sys, opts)
+	if opts.resumeFrom == nil && waveform.ContainsSpot(outs, 0) {
+		res.record(0, x, &opts)
+	}
 
 	// Operator factorization (X1 of Alg. 1).
 	count := &krylov.Counters{}
@@ -119,7 +126,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	// Time grid: the active inputs' transition spots (where subspaces must
 	// be regenerated) merged with the requested output times.
 	lts := gtsForMask(sys, opts)
-	outs := evalGrid(sys, opts)
 	grid := waveform.MergeSpots(append(append([]float64(nil), lts...), outs...), opts.Tstop, waveform.SpotEps, true)
 
 	tTr := time.Now()
@@ -167,8 +173,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		if gi < 0 {
 			gi = 0
 		}
-	} else if waveform.ContainsSpot(outs, 0) {
-		res.record(0, x, &opts)
 	}
 	// quasiStatic writes G⁻¹·bu into dst. An input within rounding of zero on
 	// the run's scale is zero: no solve (a D-MATEX task outside its bumps).
@@ -199,10 +203,11 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		hSeg := segEnd - t
 		var maxDiff, maxBu0, maxBu1 float64
 		for i := range slope {
-			slope[i] = (bu1[i] - bu0[i]) / hSeg
-			maxDiff = math.Max(maxDiff, math.Abs(bu1[i]-bu0[i]))
-			maxBu0 = math.Max(maxBu0, math.Abs(bu0[i]))
-			maxBu1 = math.Max(maxBu1, math.Abs(bu1[i]))
+			d := bu1[i] - bu0[i]
+			slope[i] = d / hSeg
+			maxDiff = maxAbs(maxDiff, d)
+			maxBu0 = maxAbs(maxBu0, bu0[i])
+			maxBu1 = maxAbs(maxBu1, bu1[i])
 		}
 		buScale = math.Max(buScale, math.Max(maxBu0, maxBu1))
 		tiny = 1e-14 * buScale
@@ -342,6 +347,17 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	}
 	res.Final = append([]float64(nil), x...)
 	return res, nil
+}
+
+// maxAbs is math.Max(m, math.Abs(v)) for a running maximum m (≥ 0 or NaN)
+// without the two calls per unknown: the same bits for every finite or
+// infinite v, and a NaN on either side stays a NaN (math.Max would let a +Inf
+// on the other side win; neither is an input the run survives).
+func maxAbs(m, v float64) float64 {
+	if v = math.Abs(v); v > m || v != v {
+		return v
+	}
+	return m
 }
 
 // hasEmptyCRows reports whether some unknown has no capacitive/inductive

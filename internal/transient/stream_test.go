@@ -28,40 +28,44 @@ func streamTestSystem(t *testing.T) *circuit.System {
 	return sys
 }
 
-// TestOnSampleStreamsEveryRecordedSample: the hook sees exactly the samples
-// that end up in the Result, in order, for both a MATEX and a fixed-step run.
+// TestOnSampleStreamsEveryRecordedSample: for every method, the rows the hook
+// delivers live are the rows Result.EachSample replays, bit for bit and in
+// order — what lets cmd/matex write a run's table as it integrates.
 func TestOnSampleStreamsEveryRecordedSample(t *testing.T) {
 	sys := streamTestSystem(t)
-	for _, tc := range []struct {
-		name   string
-		method Method
-		opts   Options
-	}{
-		{"rmatex", RMATEX, Options{Tstop: 2e-9, Probes: []int{0, 3}}},
-		{"tr", TRFixed, Options{Tstop: 2e-9, Step: 0.25e-9, Probes: []int{0, 3}}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			var times []float64
-			var rows [][]float64
-			opts := tc.opts
+	type sample struct {
+		t   float64
+		row []float64
+	}
+	for _, name := range []string{"mexp", "imatex", "rmatex", "tr", "be", "fe", "tradpt"} {
+		method, err := ParseMethod(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			var live, replayed []sample
+			opts := Options{Tstop: 2e-9, Step: 0.25e-9, Probes: []int{0, 3}}
 			opts.OnSample = func(tt float64, v []float64) {
-				times = append(times, tt)
-				rows = append(rows, append([]float64(nil), v...))
+				live = append(live, sample{tt, append([]float64(nil), v...)})
 			}
-			res, err := Simulate(sys, tc.method, opts)
+			res, err := Simulate(sys, method, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(times) != len(res.Times) {
-				t.Fatalf("streamed %d samples, result has %d", len(times), len(res.Times))
+			res.EachSample(func(tt float64, v []float64) { replayed = append(replayed, sample{tt, v}) })
+			if len(live) != len(replayed) || len(live) < 2 {
+				t.Fatalf("streamed %d samples, result has %d", len(live), len(replayed))
 			}
-			for i := range times {
-				if times[i] != res.Times[i] {
-					t.Fatalf("sample %d: streamed t=%g, result t=%g", i, times[i], res.Times[i])
+			for i := range live {
+				if math.Float64bits(live[i].t) != math.Float64bits(replayed[i].t) {
+					t.Fatalf("sample %d: streamed t=%g, result t=%g", i, live[i].t, replayed[i].t)
 				}
-				for k := range rows[i] {
-					if rows[i][k] != res.Probes[i][k] {
-						t.Fatalf("sample %d probe %d: streamed %g, result %g", i, k, rows[i][k], res.Probes[i][k])
+				if len(live[i].row) != len(opts.Probes) || len(replayed[i].row) != len(opts.Probes) {
+					t.Fatalf("sample %d: streamed %d probes, result %d", i, len(live[i].row), len(replayed[i].row))
+				}
+				for k := range live[i].row {
+					if math.Float64bits(live[i].row[k]) != math.Float64bits(replayed[i].row[k]) {
+						t.Fatalf("sample %d probe %d: streamed %g, result %g", i, k, live[i].row[k], replayed[i].row[k])
 					}
 				}
 			}

@@ -42,14 +42,17 @@
 # BenchmarkServeSubmit_warm / _cold the matexsrv submission path on a durable
 # server (PR 20: the ibmpg3t deck inline; each reports parses/op and
 # journal_B/op, and benchcmp holds the warm row to 0 parses and ≤ 2 KiB of
-# journal — counted, not timed: its wall is the runner's fsync).
+# journal — counted, not timed: its wall is the runner's fsync), and
+# BenchmarkParse_ibmpg6t15 / BenchmarkStamp_ibmpg6t15 the front end on the
+# grid_static deck (PR 22: MB/s and allocs/op; benchcmp holds the parser's
+# allocs/op under 20 k, a count).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_BASELINE.json}"
 benchtime="${BENCHTIME:-100x}"
 runs="${BENCH_RUNS:-1}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_|Parse_|Stamp_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

@@ -108,6 +108,10 @@ var gates = []gate{
 	{row: "BenchmarkServeSubmit_warm", metric: "parses/op", abs: true, why: "a deck the server has seen is neither parsed nor stamped again"},
 	{row: "BenchmarkServeSubmit_warm", metric: "journal_B/op", abs: true, hi: 2048, why: "a spec record references its deck by hash; the body is journaled once"},
 	{row: "BenchmarkServeSubmit_cold", metric: "parses/op", abs: true, lo: 1, hi: 1, why: "an unseen deck is parsed exactly once"},
+	// The parser's allocations on the 56 k-card grid_static deck, counted: it
+	// makes ~6 k (name blocks, element chunks, the ~1.5 k source cards); a
+	// string per card is ~62 k, a copied and Fields-split line per card 230 k.
+	{row: "BenchmarkParse_ibmpg6t15", metric: "allocs/op", abs: true, hi: 20000, why: "one pass, tokenized in place: cards are not copied, names come from blocks"},
 }
 
 func main() {

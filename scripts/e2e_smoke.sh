@@ -1,10 +1,14 @@
 #!/usr/bin/env bash
 # e2e_smoke.sh — end-to-end smoke of the three binaries working together:
 #
-#   1. pgbench | matex            one-shot CLI over a generated deck, then
-#                                 -method imatex against -method rmatex:
-#                                 the driver's input treatments must agree
-#                                 to 1e-6 V
+#   1. pgbench | matex            one-shot CLI over a generated deck; its
+#                                 t = 0 row read from a pipe while the run
+#                                 is still integrating, the same bytes to a
+#                                 pipe, a file and under -stream; a failed
+#                                 run exits 1 on whole rows, a closed pipe
+#                                 ends it quietly; then -method imatex
+#                                 against -method rmatex: the driver's input
+#                                 treatments must agree to 1e-6 V
 #   2. matexd TCP loopback        distributed run over a real worker,
 #                                 then a SIGTERM graceful-drain check
 #   3. matexd chaos               kill -9 one of two workers mid-run; the
@@ -26,6 +30,7 @@ cd "$(dirname "$0")/.."
 workdir="$(mktemp -d)"
 cleanup() {
     # Kill anything we left running, ignore failures.
+    [[ -n "${LIVE_PID:-}" ]] && kill "$LIVE_PID" 2>/dev/null || true
     [[ -n "${MATEXD_PID:-}" ]] && kill "$MATEXD_PID" 2>/dev/null || true
     [[ -n "${W1_PID:-}" ]] && kill "$W1_PID" 2>/dev/null || true
     [[ -n "${W2_PID:-}" ]] && kill -9 "$W2_PID" 2>/dev/null || true
@@ -50,10 +55,51 @@ lines=$(wc -l < "$workdir/oneshot.tsv")
 [[ "$lines" -gt 2 ]] || { echo "matex produced only $lines lines"; exit 1; }
 head -3 "$workdir/oneshot.tsv"
 
-say "matex -stream matches buffered output"
-"$workdir/matex" -stream "$workdir/deck.sp" > "$workdir/streamed.tsv"
-cmp "$workdir/oneshot.tsv" "$workdir/streamed.tsv"
-echo "streamed TSV identical to buffered"
+say "matex writes rows while it integrates"
+# A plain run's header and t = 0 row leave once the DC operating point
+# exists: they are read from a pipe while the process is still integrating.
+"$workdir/pgbench" -case ibmpg6t > "$workdir/big.sp"
+mkfifo "$workdir/rows"
+"$workdir/matex" "$workdir/big.sp" > "$workdir/rows" &
+LIVE_PID=$!
+exec 3< "$workdir/rows"
+IFS= read -r header <&3
+IFS= read -r first <&3
+kill -0 "$LIVE_PID" 2>/dev/null || { echo "matex had exited before its t = 0 row was read"; exit 1; }
+[[ "$header" == time* && "$first" == 0.000000e+00* ]] || { echo "unexpected first rows: $header / $first"; exit 1; }
+{ printf '%s\n%s\n' "$header" "$first"; cat <&3; } > "$workdir/live.tsv"
+exec 3<&-
+wait "$LIVE_PID"
+LIVE_PID=""
+# Same bytes whichever way they left: to a pipe, to a file, under -stream
+# (still accepted; it only changes a sweep), and on the first step's deck.
+"$workdir/matex" "$workdir/big.sp" > "$workdir/big.tsv"
+"$workdir/matex" -stream "$workdir/big.sp" > "$workdir/big-stream.tsv"
+cmp "$workdir/live.tsv" "$workdir/big.tsv"
+cmp "$workdir/live.tsv" "$workdir/big-stream.tsv"
+"$workdir/matex" -stream "$workdir/deck.sp" | cmp "$workdir/oneshot.tsv" -
+echo "t = 0 row read while matex was running; finished tables identical"
+
+say "matex failure contract: exit status, whole rows, closed pipe"
+# γ = 1e-30 stops R-MATEX a few rows in: exit 1, the error on stderr, and
+# what did reach stdout ends on a complete row.
+"$workdir/pgbench" -case ibmpg1t > "$workdir/full.sp"
+rc=0
+"$workdir/matex" -gamma 1e-30 "$workdir/full.sp" > "$workdir/partial.tsv" 2> "$workdir/partial.err" || rc=$?
+[[ "$rc" -eq 1 ]] || { echo "failed run exited $rc, want 1"; exit 1; }
+grep -q '^matex: ' "$workdir/partial.err" || { echo "failed run left no error on stderr"; exit 1; }
+awk -F'\t' 'NR == 1 { n = NF } NF != n { bad = 1 } END { exit !(NR >= 2 && !bad) }' "$workdir/partial.tsv" \
+    || { echo "partial table has a torn row"; cat "$workdir/partial.tsv"; exit 1; }
+[[ "$(tail -c 1 "$workdir/partial.tsv" | od -An -c | tr -d ' ')" == '\n' ]] || { echo "partial table does not end on a newline"; exit 1; }
+# A reader that leaves early ends the run quietly (SIGPIPE), not with a Go
+# stack trace.
+set +o pipefail
+"$workdir/matex" "$workdir/big.sp" 2> "$workdir/pipe.err" | head -2 > /dev/null
+prc=${PIPESTATUS[0]}
+set -o pipefail
+[[ "$prc" -eq 141 ]] || { echo "matex | head -2 exited $prc, want 141 (SIGPIPE)"; exit 1; }
+[[ ! -s "$workdir/pipe.err" ]] || { echo "matex | head -2 wrote to stderr:"; cat "$workdir/pipe.err"; exit 1; }
+echo "failed run: exit 1, whole rows; closed pipe: quiet exit"
 
 say "I-MATEX and R-MATEX cross-check"
 # Two faces of the one MATEX driver on the same deck: I-MATEX is the
