@@ -190,7 +190,7 @@ func BenchmarkTable3_MATEXDist_ibmpg1t(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, rep, err := dist.Run(sys, transient.RMATEX, dist.Config{
+		_, rep, err := dist.Run(dist.NewSystem(sys), transient.RMATEX, dist.Config{
 			Base: transient.Options{Tstop: 10e-9, Tol: 1e-6, Gamma: 1e-10},
 		})
 		if err != nil {
@@ -211,7 +211,7 @@ func BenchmarkTable3_MATEXDistCached_ibmpg1t(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, _, err := dist.Run(sys, transient.RMATEX, dist.Config{
+		res, _, err := dist.Run(dist.NewSystem(sys), transient.RMATEX, dist.Config{
 			Base: transient.Options{Tstop: 10e-9, Tol: 1e-6, Gamma: 1e-10, Cache: cache},
 		})
 		if err != nil {
@@ -241,15 +241,16 @@ func benchDist(b *testing.B, nodes int) {
 	cache := sparse.NewCache(0)
 	cfg := dist.Config{
 		Base: transient.Options{Tstop: 10e-9, Tol: 1e-6, Gamma: 1e-10, Cache: cache},
-		Pool: dist.NewLocalPool(sys, nodes, cache), Workers: 2,
+		Pool: dist.NewLocalPool(nodes, cache), Workers: 2,
 	}
-	if _, _, err := dist.Run(sys, transient.RMATEX, cfg); err != nil { // warm the cache
+	dsys := dist.NewSystem(sys)
+	if _, _, err := dist.Run(dsys, transient.RMATEX, cfg); err != nil { // warm the cache
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, rep, err := dist.Run(sys, transient.RMATEX, cfg)
+		res, rep, err := dist.Run(dsys, transient.RMATEX, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

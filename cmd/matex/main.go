@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -201,11 +202,12 @@ func main() {
 	case *distributed || *workers != "":
 		cfg := dist.Config{Base: opts}
 		if *workers != "" {
-			if cfg.Pool, err = dist.NewRPCPool(sys, strings.Split(*workers, ",")); err != nil {
+			if cfg.Pool, err = dist.NewRPCPool(context.Background(), strings.Split(*workers, ",")); err != nil {
 				fatal(err)
 			}
+			defer cfg.Pool.Close() //matex:err-ok(process exit; a failed close of a worker connection has no recovery)
 		}
-		res, rep, err = dist.Run(sys, m, cfg)
+		res, rep, err = dist.Run(dist.NewSystem(sys), m, cfg)
 	default:
 		opts.OnSample = func(t float64, row []float64) { liveRow("", t, row) }
 		res, err = transient.Simulate(sys, m, opts)

@@ -1,8 +1,11 @@
 // Command matexd is a MATEX worker daemon: it listens on TCP for subtasks
 // from a scheduler (cmd/matex -workers, dist.NewRPCPool, or a matexsrv
-// instance with -dist-workers), holds the circuits it has been sent, and
-// runs each subtask with the requested circuit solver. Workers share
-// nothing and only write results back — the paper's Fig. 4 node.
+// instance with -dist-workers) and runs each with the requested circuit
+// solver. It holds the circuits it has been sent, least recently used ones
+// dropped past 1 GiB of encoded circuit; a task on a circuit it does not
+// hold — it is new, was restarted, or dropped it — is answered "unknown
+// system", and the scheduler sends the circuit and the task again. Workers
+// share nothing and only write results back — the paper's Fig. 4 node.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight RPCs
 // finish and answer over their still-open connections (bounded by -grace),
@@ -42,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("matexd: %v", err)
 	}
-	ws := dist.NewWorkerServerWithCache(sparse.NewCache(int64(*cacheMB) << 20))
+	ws := dist.NewWorkerServer(sparse.NewCache(int64(*cacheMB) << 20))
 	ws.SetOrdering(ord)
 
 	// The same signal-driven shutdown path as cmd/matexsrv: first signal

@@ -48,7 +48,7 @@ func main() {
 	// their tasks run one at a time so each is timed contention-free.
 	base := matex.Options{Tstop: 10e-9, Tol: 1e-7, Probes: probes}
 	perGroup, rep, err := matex.SimulateDistributed(sys, matex.RMATEX, matex.DistConfig{
-		Base: base, Pool: dist.NewLocalPool(sys, len(tasks), nil), Workers: 1,
+		Base: base, Pool: dist.NewLocalPool(len(tasks), nil), Workers: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -77,13 +77,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		go dist.ServeContext(ctx, l, matex.NewWorkerServer())
+		go dist.ServeContext(ctx, l, matex.NewWorkerServer(nil))
 		addrs = append(addrs, l.Addr().String())
 	}
-	pool, err := matex.NewRPCPool(sys, addrs)
+	pool, err := matex.NewRPCPool(ctx, addrs)
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer pool.Close()
 	remote, rep2, err := matex.SimulateDistributed(sys, matex.RMATEX, matex.DistConfig{Base: base, Pool: pool})
 	if err != nil {
 		log.Fatal(err)

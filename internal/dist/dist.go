@@ -1,7 +1,12 @@
 package dist
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/gob"
+	"fmt"
+	"sync"
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -79,7 +84,8 @@ type Config struct {
 	// pool of Workers nodes; NewRPCPool dispatches to matexd workers over
 	// TCP; NewLocalPool is the in-process pool with an explicit node count.
 	// The pool's node count decides how many tasks the bump-feature groups
-	// are merged into.
+	// are merged into. A pool holds no circuit and may be shared by runs on
+	// different Systems, concurrently.
 	Pool Pool
 }
 
@@ -145,11 +151,35 @@ func subtaskRequest(method transient.Method, base *transient.Options, gts []floa
 	}
 }
 
-// zeroStateSystem returns a view of sys whose time-varying inputs are
-// zero-based (u_g(t) - u_g(0)): the waveform each subtask integrates from a
-// zero initial state. The matrices are shared, not copied, so in-process
-// factorizations remain valid for the view.
-func zeroStateSystem(sys *circuit.System) *circuit.System {
+// Key names a circuit on the wire: the SHA-256 of its encoded zero-state
+// view. Workers hold circuits by it and check it against the bytes they
+// receive; a collision would be a silently wrong waveform, hence a
+// cryptographic hash.
+type Key [sha256.Size]byte
+
+// System is one circuit as the distributed engine handles it: the stamped
+// system (partition, DC point, GTS), the zero-state view every subtask
+// integrates, and the view's wire form with its Key — encoded at most once,
+// and only when an RPC pool first needs them. Pools do not hold circuits;
+// the System travels with each task. Build one per circuit and share it
+// across runs: it is read-only and safe for concurrent use.
+type System struct {
+	sys, sub *circuit.System
+
+	wireOnce sync.Once
+	blob     []byte
+	key      Key
+	wireErr  error
+}
+
+// NewSystem wraps sys for Run. The zero-state view has every time-varying
+// input zero-based (u_g(t) - u_g(0)): the waveform a subtask integrates from
+// a zero initial state. The matrices are shared with sys, not copied, so
+// in-process factorizations remain valid for the view.
+func NewSystem(sys *circuit.System) *System {
+	if sys == nil {
+		return &System{}
+	}
 	inputs := append([]circuit.Input(nil), sys.Inputs...)
 	for i := range inputs {
 		if !inputs[i].Supply {
@@ -158,7 +188,33 @@ func zeroStateSystem(sys *circuit.System) *circuit.System {
 	}
 	sub := *sys
 	sub.Inputs = inputs
-	return &sub
+	return &System{sys: sys, sub: &sub}
+}
+
+// wireSystem is the serialized form of the zero-state view: exactly what a
+// worker needs to run transient.Simulate — matrices and inputs, no node
+// names.
+type wireSystem struct {
+	N, NumNodes int
+	C, G        *sparse.CSC
+	Inputs      []circuit.Input
+}
+
+// wire returns the gob-encoded zero-state view and its key.
+func (s *System) wire() ([]byte, Key, error) {
+	s.wireOnce.Do(func() {
+		var buf bytes.Buffer
+		sub := s.sub
+		err := gob.NewEncoder(&buf).Encode(wireSystem{
+			N: sub.N, NumNodes: sub.NumNodes, C: sub.C, G: sub.G, Inputs: sub.Inputs,
+		})
+		if err != nil {
+			s.wireErr = fmt.Errorf("dist: encoding system: %w", err)
+			return
+		}
+		s.blob, s.key = buf.Bytes(), sha256.Sum256(buf.Bytes())
+	})
+	return s.blob, s.key, s.wireErr
 }
 
 // subtaskOptions assembles the transient.Options for one task against the

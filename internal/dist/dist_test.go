@@ -130,7 +130,7 @@ func TestDistSuperposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10, Probes: probes}})
+	got, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Gamma: 1e-10, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDistSuperpositionWhereRampsSwitchTreatment(t *testing.T) {
 		t.Fatalf("plain run: %d of %d spots on deviation, %d on Lanczos: not a deck that switches", st.DeviationSpots, len(st.KrylovDims), st.LanczosSpots)
 	}
 	for _, workers := range []int{2, 64} {
-		got, rep, err := Run(sys, transient.RMATEX, Config{Base: opts, Workers: workers})
+		got, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: opts, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestDistSuperpositionIMATEX(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Run(sys, transient.IMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Probes: probes}})
+	got, _, err := Run(NewSystem(sys), transient.IMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-8, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func startWorker(t *testing.T) (addr string, stop func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go ServeContext(context.Background(), l, NewWorkerServer())
+	go ServeContext(context.Background(), l, NewWorkerServer(nil))
 	return l.Addr().String(), func() { l.Close() }
 }
 
@@ -227,7 +227,7 @@ func TestDistRPCLoopback(t *testing.T) {
 	probes := testProbes(sys)
 	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, repL, err := Run(sys, transient.RMATEX, cfg)
+	local, repL, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +236,14 @@ func TestDistRPCLoopback(t *testing.T) {
 	defer stop1()
 	addr2, stop2 := startWorker(t)
 	defer stop2()
-	pool, err := NewRPCPool(sys, []string{addr1, addr2})
+	pool, err := NewRPCPool(context.Background(), []string{addr1, addr2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	cfg.Pool = pool
-	remote, repR, err := Run(sys, transient.RMATEX, cfg)
+	remote, repR, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestDistWorkerFailureRetry(t *testing.T) {
 	// Two nodes in-process: the plan the two-worker pool gets.
 	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, _, err := Run(sys, transient.RMATEX, cfg)
+	local, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestDistWorkerFailureRetry(t *testing.T) {
 	defer stopVictim()
 	proxy := newKillableProxy(t, addrVictim)
 
-	pool, err := NewRPCPool(sys, []string{proxy.addr(), addrReal})
+	pool, err := NewRPCPool(context.Background(), []string{proxy.addr(), addrReal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestDistWorkerFailureRetry(t *testing.T) {
 	proxy.Kill()
 
 	cfg.Pool = pool
-	remote, rep, err := Run(sys, transient.RMATEX, cfg)
+	remote, rep, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,14 +373,13 @@ func TestDistWorkerFailureRetry(t *testing.T) {
 // TestDistRPCPoolRejectsDeadAddress: construction fails fast when a worker
 // is unreachable, instead of deferring the surprise to Solve.
 func TestDistRPCPoolRejectsDeadAddress(t *testing.T) {
-	sys := testSystem(t, 0.1)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := l.Addr().String()
 	l.Close()
-	if _, err := NewRPCPool(sys, []string{dead}); err == nil {
+	if _, err := NewRPCPool(context.Background(), []string{dead}); err == nil {
 		t.Fatal("NewRPCPool succeeded against a closed listener")
 	}
 }
@@ -400,7 +399,7 @@ func TestDistNoTransientSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 1e-9, Probes: []int{0}}})
+	res, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 1e-9, Probes: []int{0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +435,7 @@ func TestDistFixedStepInterpolatedOntoGTS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, rep, err := Run(sys, transient.TRFixed, Config{Base: transient.Options{Tstop: tstop, Step: step, Probes: probes}})
+	got, rep, err := Run(NewSystem(sys), transient.TRFixed, Config{Base: transient.Options{Tstop: tstop, Step: step, Probes: probes}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -479,7 +478,7 @@ func TestDistAdaptiveTRUnsetTolIsTheLTEDefault(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	probes := testProbes(sys)
 	run := func(tol float64) *transient.Result {
-		res, _, err := Run(sys, transient.TRAdaptive, Config{Base: transient.Options{Tstop: 10e-9, Tol: tol, Probes: probes}, Workers: 2})
+		res, _, err := Run(NewSystem(sys), transient.TRAdaptive, Config{Base: transient.Options{Tstop: 10e-9, Tol: tol, Probes: probes}, Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,21 +504,21 @@ func TestDistRepeatedRunZeroFactorizations(t *testing.T) {
 
 	addr, stop := startWorker(t)
 	defer stop()
-	pool, err := NewRPCPool(sys, []string{addr})
+	pool, err := NewRPCPool(context.Background(), []string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Cache: sparse.NewCache(0)}, Pool: pool}
-	first, _, err := Run(sys, transient.RMATEX, cfg)
+	first, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Stats.Factorizations == 0 {
 		t.Fatal("first run reports no factorizations at all")
 	}
-	second, _, err := Run(sys, transient.RMATEX, cfg)
+	second, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +538,7 @@ func TestDistRepeatedRunZeroFactorizations(t *testing.T) {
 // in-process Run factorizes G and (C+γG) exactly once across all subtasks.
 func TestDistLocalPoolSharesFactorizations(t *testing.T) {
 	sys := testSystem(t, 0.2)
-	res, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: testProbes(sys)}})
+	res, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: testProbes(sys)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -563,14 +562,14 @@ func TestDistLocalPoolSharesFactorizations(t *testing.T) {
 func TestDistKrylovLanczos(t *testing.T) {
 	sys := testSystem(t, 0.25)
 	probes := testProbes(sys)
-	ref, _, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodArnoldi}})
+	ref, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodArnoldi}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ref.Stats.LanczosSpots != 0 {
 		t.Fatalf("arnoldi-pinned run aggregated %d Lanczos spots", ref.Stats.LanczosSpots)
 	}
-	res, _, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodLanczos}})
+	res, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodLanczos}})
 	if err != nil {
 		t.Fatal(err)
 	}

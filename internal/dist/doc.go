@@ -35,21 +35,33 @@
 // (internal/superpose) place them on the Pool — while Run solves the DC
 // point itself — and fold the responses, x_DC + Σ 1·x_task. The method is
 // an argument and the solver options are one transient.Options
-// (Config.Base), as for transient.Simulate. Two Pool implementations ship:
-// the in-process goroutine pool (pool.go; the default, or NewLocalPool with
-// an explicit node count) and the net/rpc client pool over matexd workers
-// (rpc.go, server.go; see NewRPCPool, ServeContext and cmd/matexd). A task
-// whose worker dies is re-dispatched whole to a survivor. Workers share the
-// factorization cache of their process, so co-located subtasks against one
-// grid factor once.
+// (Config.Base), as for transient.Simulate. The circuit is an argument too:
+// Run and Pool.Solve take a System (the stamped system, its zero-state view
+// and, lazily, its wire form), so a pool is nodes and nothing else and one
+// pool serves any number of circuits. Two Pool implementations ship: the
+// in-process goroutine pool (pool.go; the default, or NewLocalPool with an
+// explicit node count) and the net/rpc client pool over matexd workers
+// (rpc.go, server.go; see NewRPCPool, ServeContext and cmd/matexd), one
+// connection per worker for the pool's lifetime. A task whose worker dies is
+// re-dispatched whole to a survivor; a buried worker is re-admitted by the
+// pool's prober once it answers dials again. Workers share the factorization
+// cache of their process, so co-located subtasks against one grid factor
+// once.
 //
 // Report carries the plan, per-node wall times and work counters, feeding
 // the speedup tables in EXPERIMENTS.md.
 //
-// Wire compatibility: Request and transient.Result travel as gob, which
-// matches fields by name, ignores those the receiver lacks and zeroes those
-// the sender lacks; a zero Tol, Gamma or MaxDim is filled in by the
-// receiving node's transient defaults. Fields older coordinators still send
-// and this Request no longer has — FactorKind, SolveWorkers — are dropped on
-// decode: the worker factorizes as FactorAuto and solves sequentially.
+// Wire: generation 3 (service "MatexWorker3"; a peer of another generation
+// gets a loud "can't find service" on its first call). A circuit is named by
+// its Key, the SHA-256 of the gob-encoded zero-state view, which the worker
+// checks against the bytes it receives. A dial is a connect; a worker learns
+// a circuit in exactly one way: it answers a Solve for a Key it does not hold
+// with "unknown system", the pool Registers the blob on it and sends the
+// task again (not a retry). A new worker, a restarted one and one whose
+// byte-bounded circuit LRU evicted the Key are that same case. Request and
+// transient.Result travel as gob, which matches fields by name, ignores
+// those the receiver lacks and zeroes those the sender lacks; a zero Tol,
+// Gamma or MaxDim is filled in by the receiving node's transient defaults.
+// Request fields an older sender would still carry — FactorKind,
+// SolveWorkers — are dropped on decode.
 package dist

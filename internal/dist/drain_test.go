@@ -76,17 +76,17 @@ func TestServeContextGracefulDrain(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
-	ws := NewWorkerServer()
+	ws := NewWorkerServer(nil)
 	go func() { served <- ServeContext(ctx, l, ws, 5*time.Second) }()
 
-	pool, err := NewRPCPool(sys, []string{l.Addr().String()})
+	pool, err := NewRPCPool(context.Background(), []string{l.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	cfg := Config{Base: transient.Options{Tstop: 5e-9, Probes: probes}, Pool: pool}
-	if _, _, err := Run(sys, transient.RMATEX, cfg); err != nil {
+	if _, _, err := Run(NewSystem(sys), transient.RMATEX, cfg); err != nil {
 		t.Fatalf("run before drain: %v", err)
 	}
 
@@ -102,7 +102,7 @@ func TestServeContextGracefulDrain(t *testing.T) {
 
 	// The worker is gone: a fresh dispatch must fail (connection severed
 	// and listener closed, so the redial buries the worker).
-	if _, _, err := Run(sys, transient.RMATEX, cfg); err == nil {
+	if _, _, err := Run(NewSystem(sys), transient.RMATEX, cfg); err == nil {
 		t.Fatal("run against a drained worker succeeded")
 	}
 }
@@ -110,15 +110,15 @@ func TestServeContextGracefulDrain(t *testing.T) {
 // TestWorkerRejectsWhileDraining: once draining, the RPC surface answers
 // with the draining sentinel rather than hanging or solving.
 func TestWorkerRejectsWhileDraining(t *testing.T) {
-	ws := NewWorkerServer()
+	ws := NewWorkerServer(nil)
 	ws.calls.drain(time.Millisecond)
 	var reply RegisterReply
-	err := ws.Register(&RegisterArgs{ID: 1}, &reply)
+	err := ws.Register(&RegisterArgs{Key: Key{1}}, &reply)
 	if err == nil || !isDrainingError(err) {
 		t.Fatalf("Register on draining worker: got %v, want draining error", err)
 	}
 	var sreply SolveReply
-	err = ws.Solve(&SolveArgs{SystemID: 1}, &sreply)
+	err = ws.Solve(&SolveArgs{System: Key{1}}, &sreply)
 	if err == nil || !isDrainingError(err) {
 		t.Fatalf("Solve on draining worker: got %v, want draining error", err)
 	}
@@ -134,7 +134,7 @@ func TestRunCtxCancel(t *testing.T) {
 	sys := testSystem(t, 0.15)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 5e-9, Ctx: ctx}})
+	_, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 5e-9, Ctx: ctx}})
 	if err == nil {
 		t.Fatal("canceled run returned nil error")
 	}

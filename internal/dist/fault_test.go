@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,7 +21,8 @@ import (
 
 // guardGoroutines snapshots the goroutine count and returns a check that
 // fails if it has not come back to (near) the baseline — no chaos test may
-// leak a dispatcher, prober or handler goroutine.
+// leak a dispatcher, prober or handler goroutine. Call it after the test's
+// pool is closed.
 func guardGoroutines(t *testing.T) func() {
 	t.Helper()
 	base := runtime.NumGoroutine()
@@ -34,6 +36,12 @@ func guardGoroutines(t *testing.T) func() {
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
+		// The count allows two strays; the pool's own goroutines (the prober
+		// every pool now runs) get none: Close has joined them.
+		buf := make([]byte, 1<<20)
+		if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "dist.(*rpcPool)") {
+			t.Fatalf("a pool goroutine survived Close:\n%s", stacks)
+		}
 	}
 }
 
@@ -43,13 +51,14 @@ func guardGoroutines(t *testing.T) func() {
 func TestFaultDialFailAtConstruction(t *testing.T) {
 	leak := guardGoroutines(t)
 	defer leak()
-	sys := testSystem(t, 0.1)
 	addr, stop := startWorker(t)
 	defer stop()
 
 	reg := faultinject.New(1)
 	reg.Arm(faultinject.DialFail, faultinject.Plan{})
-	_, err := NewRPCPoolContext(context.Background(), sys, []string{addr}, PoolOptions{Fault: reg})
+	tune := defaultTuning
+	tune.fault = reg
+	_, err := newRPCPool(context.Background(), []string{addr}, tune)
 	if err == nil || !faultinject.IsInjected(err) {
 		t.Fatalf("construction against a dial fault returned %v, want an injected error", err)
 	}
@@ -89,7 +98,7 @@ func TestFaultRPCSeverRetriesAndMatches(t *testing.T) {
 	probes := testProbes(sys)
 	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, _, err := Run(sys, transient.RMATEX, cfg)
+	local, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +112,16 @@ func TestFaultRPCSeverRetriesAndMatches(t *testing.T) {
 	}()
 	reg := faultinject.New(2)
 	reg.Arm(faultinject.RPCSever, faultinject.Plan{After: 1, Times: 1}) // second dispatch loses its connection
-	pool, err := NewRPCPoolContext(context.Background(), sys, []string{addr1, addr2}, PoolOptions{
-		Fault: reg, BackoffBase: time.Millisecond,
-	})
+	tune := defaultTuning
+	tune.fault, tune.backoffBase = reg, time.Millisecond
+	pool, err := newRPCPool(context.Background(), []string{addr1, addr2}, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer pool.Close()
 
 	cfg.Pool = pool
-	remote, rep, err := Run(sys, transient.RMATEX, cfg)
+	remote, rep, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatalf("run with a severed RPC failed outright: %v", err)
 	}
@@ -134,7 +143,7 @@ func startCrashableWorker(t *testing.T, reg *faultinject.Registry) (addr string,
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws := NewWorkerServer()
+	ws := NewWorkerServer(nil)
 	ws.SetFaults(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	served = make(chan error, 1)
@@ -153,7 +162,7 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	probes := testProbes(sys)
 	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
 
-	local, _, err := Run(sys, transient.RMATEX, cfg)
+	local, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +174,9 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	survivor, stopSurvivor := startWorker(t)
 	defer stopSurvivor()
 
-	pool, err := NewRPCPoolContext(context.Background(), sys, []string{crashAddr, survivor}, PoolOptions{
-		BackoffBase: time.Millisecond, RedialAttempts: 1,
-	})
+	tune := defaultTuning
+	tune.backoffBase, tune.redialAttempts = time.Millisecond, 1
+	pool, err := newRPCPool(context.Background(), []string{crashAddr, survivor}, tune)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +186,7 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	}()
 
 	cfg.Pool = pool
-	remote, rep, err := Run(sys, transient.RMATEX, cfg)
+	remote, rep, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatalf("run did not survive the worker crash: %v", err)
 	}
@@ -209,7 +218,7 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	// One node in-process: the plan the one-worker pool gets.
 	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 1}
 
-	local, _, err := Run(sys, transient.RMATEX, cfg)
+	local, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +228,9 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	reg := faultinject.New(4)
 	reg.Arm(faultinject.RPCSever, faultinject.Plan{Times: 1})           // first dispatch loses its connection...
 	reg.Arm(faultinject.DialFail, faultinject.Plan{After: 1, Times: 1}) // ...and the revival dial fails: buried
-	pool, err := NewRPCPoolContext(context.Background(), sys, []string{addr}, PoolOptions{
-		Fault: reg, BackoffBase: time.Millisecond, RedialAttempts: 1,
-		HealthInterval: 20 * time.Millisecond,
+	pool, err := newRPCPool(context.Background(), []string{addr}, rpcTuning{
+		fault: reg, backoffBase: time.Millisecond, redialAttempts: 1,
+		probeInterval: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +244,7 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	// The first run races the prober: it either fails cleanly (worker still
 	// buried) or succeeds (prober re-admitted it mid-run). Both are
 	// acceptable; hanging or corrupting is not.
-	if res, _, err := Run(sys, transient.RMATEX, cfg); err == nil {
+	if res, _, err := Run(NewSystem(sys), transient.RMATEX, cfg); err == nil {
 		if d := maxDeviation(t, res, local, len(probes)); d > 1e-12 {
 			t.Fatalf("first run deviates %.3g V", d)
 		}
@@ -245,7 +254,7 @@ func TestFaultBuriedWorkerRevivedByHealthProbe(t *testing.T) {
 	// worker is back in rotation: runs succeed with zero retries.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		res, rep, err := Run(sys, transient.RMATEX, cfg)
+		res, rep, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 		if err == nil {
 			if rep.Retried != 0 {
 				t.Fatalf("post-revival run still retried %d times", rep.Retried)

@@ -273,7 +273,7 @@ func TestDistPlansAgreeWithOneShot(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, nodes := range []int{1, 2, 3, groups, groups + 5} {
-				got, rep, err := Run(s.sys, m.m, Config{Base: transient.Options{Tstop: tstop, Step: m.step, Tol: 1e-8, Probes: s.probes}, Workers: nodes})
+				got, rep, err := Run(NewSystem(s.sys), m.m, Config{Base: transient.Options{Tstop: tstop, Step: m.step, Tol: 1e-8, Probes: s.probes}, Workers: nodes})
 				if err != nil {
 					t.Fatalf("%s %v on %d nodes: %v", s.name, m.m, nodes, err)
 				}
@@ -306,12 +306,12 @@ func TestDistPlanSavesSolvePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Workers = 2
-	two, repTwo, err := Run(sys, transient.RMATEX, cfg)
+	two, repTwo, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Workers = 64
-	perGroup, repPer, err := Run(sys, transient.RMATEX, cfg)
+	perGroup, repPer, err := Run(NewSystem(sys), transient.RMATEX, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ type gatePool struct {
 func (p *gatePool) Nodes() int   { return p.nodes }
 func (p *gatePool) Close() error { return nil }
 
-func (p *gatePool) Solve(ctx context.Context, task Task, req Request) (*TaskResult, error) {
+func (p *gatePool) Solve(ctx context.Context, _ *System, task Task, req Request) (*TaskResult, error) {
 	p.mu.Lock()
 	p.inFlight++
 	p.peak = max(p.peak, p.inFlight)
@@ -375,7 +375,7 @@ func TestDistInFlightFollowsPool(t *testing.T) {
 	for _, c := range []struct{ procs, nodes int }{{1, 4}, {8, 2}} {
 		prev := runtime.GOMAXPROCS(c.procs)
 		pool := &gatePool{nodes: c.nodes, want: c.nodes, full: make(chan struct{})}
-		_, rep, err := Run(sys, transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9}, Pool: pool})
+		_, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9}, Pool: pool})
 		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
@@ -395,7 +395,7 @@ func TestDistRejectsEngineOwnedBase(t *testing.T) {
 		"OnCheckpoint": {Tstop: 1e-9, OnCheckpoint: func(transient.Checkpoint) error { return nil }},
 		"ActiveInputs": {Tstop: 1e-9, ActiveInputs: make([]bool, len(sys.Inputs))},
 	} {
-		if _, _, err := Run(sys, transient.RMATEX, Config{Base: base}); err == nil {
+		if _, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: base}); err == nil {
 			t.Errorf("engine-owned Base.%s accepted", name)
 		}
 	}
@@ -403,7 +403,7 @@ func TestDistRejectsEngineOwnedBase(t *testing.T) {
 	// pool is asked for anything, and on a deck whose plan has no task that
 	// could refuse it — not run as a silent R-MATEX.
 	pool := &gatePool{nodes: 2, want: 2, full: make(chan struct{})}
-	_, _, err := Run(sys, transient.TRFixed, Config{Base: transient.Options{Tstop: 1e-9}, Pool: pool})
+	_, _, err := Run(NewSystem(sys), transient.TRFixed, Config{Base: transient.Options{Tstop: 1e-9}, Pool: pool})
 	if err == nil || !strings.Contains(err.Error(), "needs positive Step") || pool.peak != 0 {
 		t.Errorf("TRFixed without Step: err %v after %d pool calls", err, pool.peak)
 	}
@@ -415,7 +415,7 @@ func TestDistRejectsEngineOwnedBase(t *testing.T) {
 	if len(Partition(&quiet, 1e-9)) != 0 {
 		t.Fatal("the quiet deck still has groups")
 	}
-	if _, _, err := Run(&quiet, transient.BEFixed, Config{Base: transient.Options{Tstop: 1e-9}}); err == nil {
+	if _, _, err := Run(NewSystem(&quiet), transient.BEFixed, Config{Base: transient.Options{Tstop: 1e-9}}); err == nil {
 		t.Error("BEFixed without Step returned the DC answer of a deck with no tasks")
 	}
 }

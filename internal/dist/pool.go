@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
@@ -46,12 +45,14 @@ type TaskResult struct {
 }
 
 // Pool runs subtasks somewhere: in-process goroutines (the default) or
-// matexd workers over TCP (NewRPCPool). Solve must be safe for concurrent
-// use; the scheduler issues up to Config.Workers calls at once. ctx cancels
-// the subtask: in-process pools abort the integration, the RPC pool stops
-// waiting for the reply (the remote worker finishes on its own).
+// matexd workers over TCP (NewRPCPool). A pool is nodes, not a circuit: the
+// System arrives with each task, so one pool serves any number of circuits.
+// Solve must be safe for concurrent use; the scheduler issues up to
+// Config.Workers calls at once. ctx cancels the subtask: in-process pools
+// abort the integration, the RPC pool stops waiting for the reply (the
+// remote worker finishes on its own).
 type Pool interface {
-	Solve(ctx context.Context, task Task, req Request) (*TaskResult, error)
+	Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error)
 	// Nodes reports how many subtasks the pool can run at once: the live
 	// workers of an RPC pool, the node count of an in-process pool. Run
 	// cuts the decomposition into that many tasks and, unless
@@ -62,9 +63,9 @@ type Pool interface {
 	Close() error
 }
 
-// localPool solves subtasks in-process. All subtasks share the zero-based
-// system view, one factorization cache and one Krylov workspace pool, since
-// every node operates on the same matrices — the in-process analogue of the
+// localPool solves subtasks in-process. All subtasks share one
+// factorization cache and one Krylov workspace pool, since every node of a
+// run operates on the same matrices — the in-process analogue of the
 // paper's cluster handing each machine the same netlist. The cache's
 // singleflight lookup means concurrent subtasks needing the same operator
 // (G, or C + γG for R-MATEX) wait for one factorization instead of
@@ -72,36 +73,35 @@ type Pool interface {
 // exclusive arena and lets later subtasks reuse the buffers of finished
 // ones, so a long distributed run stops allocating per spot.
 type localPool struct {
-	sub        *circuit.System
 	nodes      int
 	cache      *sparse.Cache
 	workspaces *krylov.WorkspacePool
 }
 
-// NewLocalPool returns the in-process pool over sys, standing in for nodes
-// computing nodes (zero or less: GOMAXPROCS) whose subtasks share cache
-// (nil: a cache of the pool's own). It is what Run builds when Config.Pool
-// is nil. Handing Run a local pool of len(Partition(sys, tstop)) nodes
-// with Config.Workers = 1 reproduces, on one box, the paper's reading of
-// one machine per bump-feature group, each timed contention-free.
-func NewLocalPool(sys *circuit.System, nodes int, cache *sparse.Cache) Pool {
+// NewLocalPool returns the in-process pool standing in for nodes computing
+// nodes (zero or less: GOMAXPROCS) whose subtasks share cache (nil: a cache
+// of the pool's own). It is what Run builds when Config.Pool is nil. Handing
+// Run a local pool of len(Partition(sys, tstop)) nodes with Config.Workers =
+// 1 reproduces, on one box, the paper's reading of one machine per
+// bump-feature group, each timed contention-free.
+func NewLocalPool(nodes int, cache *sparse.Cache) Pool {
 	if nodes <= 0 {
 		nodes = runtime.GOMAXPROCS(0)
 	}
 	if cache == nil {
 		cache = sparse.NewCache(0)
 	}
-	return &localPool{sub: zeroStateSystem(sys), nodes: nodes, cache: cache, workspaces: krylov.NewWorkspacePool()}
+	return &localPool{nodes: nodes, cache: cache, workspaces: krylov.NewWorkspacePool()}
 }
 
 // Nodes implements Pool.
 func (p *localPool) Nodes() int { return p.nodes }
 
 // Solve implements Pool.
-func (p *localPool) Solve(ctx context.Context, task Task, req Request) (*TaskResult, error) {
+func (p *localPool) Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
 	start := time.Now()
-	opts := subtaskOptions(ctx, p.sub, task, req, p.cache, p.workspaces)
-	res, err := transient.Simulate(p.sub, req.Method, opts)
+	opts := subtaskOptions(ctx, sys.sub, task, req, p.cache, p.workspaces)
+	res, err := transient.Simulate(sys.sub, req.Method, opts)
 	if err != nil {
 		return nil, fmt.Errorf("dist: group %d: %w", task.GroupID, err)
 	}

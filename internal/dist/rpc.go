@@ -12,63 +12,38 @@ import (
 	"sync"
 	"time"
 
-	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/faultinject"
 )
 
-// PoolOptions configures the RPC pool's transport resilience. The zero
-// value reproduces sane defaults: 10s dials, three redial attempts spread
-// over ~50ms..2s exponential backoff with jitter, no per-attempt solve
-// deadline, no background health probing.
-type PoolOptions struct {
-	// DialTimeout bounds every dial — construction, mid-run revival, health
-	// probes. Zero defaults to 10s.
-	DialTimeout time.Duration
-	// AttemptTimeout, when positive, bounds a single Solve dispatch on one
-	// worker: past it the worker's connection is severed and the subtask is
-	// re-dispatched elsewhere, so one stuck worker cannot stall a whole
-	// superposition. Zero disables the bound (subtask runtimes vary by
-	// orders of magnitude with system size; callers opt in with a budget
-	// they derive from their own deadline).
-	AttemptTimeout time.Duration
-	// BackoffBase/BackoffMax shape the capped exponential redial backoff:
-	// attempt i sleeps min(BackoffBase·2^i, BackoffMax), scaled by ±25%
-	// jitter. Defaults 50ms / 2s.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// RedialAttempts is how many backed-off redials a failed worker gets
-	// before it is buried (the health prober may still re-admit it later).
-	// Zero defaults to 3.
-	RedialAttempts int
-	// HealthInterval, when positive, runs a background prober that redials
-	// buried workers every interval and re-admits them on success — a
-	// restarted matexd rejoins the rotation without waiting for a task to
-	// fail onto it. Zero disables probing.
-	HealthInterval time.Duration
-	// Seed seeds the jitter PRNG; the zero value uses a fixed seed, keeping
-	// retry timing reproducible by default.
-	Seed int64
-	// Fault is the fault-injection registry consulted at the pool's dial and
-	// dispatch points (faultinject.DialFail, faultinject.RPCSever). Nil — the
-	// production value — injects nothing.
-	Fault *faultinject.Registry
+// The transport's fixed behaviour: every dial is bounded by dialTimeout, and
+// a worker whose connection failed is redialed under capped exponential
+// backoff with ±25% jitter from a fixed seed, so retry timing is
+// reproducible. Nothing bounds a solve attempt: subtask runtimes vary by
+// orders of magnitude with system size, and a stuck (not dead) worker is
+// only ever left by canceling the run.
+const (
+	dialTimeout = 10 * time.Second
+	backoffMax  = 2 * time.Second
+	jitterSeed  = 0x6d617465
+)
+
+// rpcTuning is the part of the transport the in-package fault tests turn;
+// every binary runs defaultTuning.
+type rpcTuning struct {
+	// backoffBase is the first redial sleep; attempt i sleeps
+	// min(backoffBase·2^i, backoffMax), jittered.
+	backoffBase time.Duration
+	// redialAttempts is how many backed-off redials a failed worker gets
+	// before it is buried (the prober re-admits it later).
+	redialAttempts int
+	// probeInterval is how often the background prober redials buried workers.
+	probeInterval time.Duration
+	// fault is the fault-injection registry consulted at the pool's dial and
+	// dispatch points (faultinject.DialFail, faultinject.RPCSever).
+	fault *faultinject.Registry
 }
 
-func (o PoolOptions) withDefaults() PoolOptions {
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = 50 * time.Millisecond
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = 2 * time.Second
-	}
-	if o.RedialAttempts <= 0 {
-		o.RedialAttempts = 3
-	}
-	return o
-}
+var defaultTuning = rpcTuning{backoffBase: 50 * time.Millisecond, redialAttempts: 3, probeInterval: 2 * time.Second}
 
 // rpcWorker is one matexd connection with its liveness state.
 type rpcWorker struct {
@@ -80,67 +55,54 @@ type rpcWorker struct {
 	// after the first finds the client already swapped (or the worker
 	// buried) and walks away without dialing.
 	revMu sync.Mutex
+	// teachMu serializes registrations on this worker; taught/taughtAt
+	// remember the last one, so that of several tasks of one system racing
+	// onto a worker that lacks it, one ships the blob and the rest, sent
+	// before it landed, just go again.
+	teachMu  sync.Mutex
+	taught   Key
+	taughtAt time.Time
 }
 
-// rpcPool dispatches subtasks to matexd workers over TCP. Subtasks are
-// spread round-robin — Run plans one task per live worker, so each worker
-// gets one. A worker whose transport fails mid-task is redialed with capped
-// exponential backoff and otherwise buried, and the task is re-dispatched
-// whole to the next live worker (counted in TaskResult.Retried, surfaced
-// via Report.Retried). An optional background prober re-admits buried
-// workers once they answer dials again.
+// rpcPool dispatches subtasks to matexd workers over TCP. It is its
+// connections and nothing else: a worker learns a circuit when it answers a
+// task with "unknown system" (teach). Subtasks are spread round-robin — Run
+// plans one task per live worker, so each worker gets one. A worker whose
+// transport fails mid-task is redialed with capped exponential backoff and
+// otherwise buried, and the task is re-dispatched whole to the next live
+// worker (counted in TaskResult.Retried, surfaced via Report.Retried). A
+// background prober re-admits buried workers once they answer dials again.
 type rpcPool struct {
-	id   uint64
-	blob []byte
-	opts PoolOptions
+	tune rpcTuning
 
-	// baseCtx scopes the pool's background work (health probing, revival
-	// dial cancellation) to the context the pool was created under.
-	baseCtx context.Context
+	// ctx scopes the pool's background work (health probing, revival
+	// backoff): it ends when the context the pool was created under fires or
+	// the pool closes.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	healthWG sync.WaitGroup
 
-	mu      sync.Mutex
-	workers []*rpcWorker
+	workers []*rpcWorker // fixed at construction
+	mu      sync.Mutex   // guards every worker's client and dead, next, rng
 	next    int
 	rng     *rand.Rand
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	healthWG sync.WaitGroup
 }
 
-// NewRPCPool connects to matexd workers and registers the system's
-// zero-based subtask circuit with each of them, with default PoolOptions.
-// Every address must be reachable at construction time; failures during
-// Solve are retried on the remaining workers instead.
-//
-//matex:ctx-root(legacy constructor for callers without a context; NewRPCPoolContext is the primary entry)
-func NewRPCPool(sys *circuit.System, addrs []string) (Pool, error) {
-	return NewRPCPoolContext(context.Background(), sys, addrs, PoolOptions{})
+// NewRPCPool connects to matexd workers. Every address must be reachable at
+// construction time; failures during Solve are retried on the remaining
+// workers instead. ctx bounds the construction dials and scopes the pool's
+// background prober, which stops when ctx fires or the pool closes — Close
+// the pool when done with it.
+func NewRPCPool(ctx context.Context, addrs []string) (Pool, error) {
+	return newRPCPool(ctx, addrs, defaultTuning)
 }
 
-// NewRPCPoolContext is NewRPCPool under a context and explicit transport
-// options: ctx bounds the construction dials and scopes the pool's
-// background health prober, which stops when ctx fires or the pool closes.
-func NewRPCPoolContext(ctx context.Context, sys *circuit.System, addrs []string, opts PoolOptions) (Pool, error) {
+func newRPCPool(ctx context.Context, addrs []string, tune rpcTuning) (Pool, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("dist: NewRPCPool needs at least one worker address")
 	}
-	if ctx == nil {
-		return nil, fmt.Errorf("dist: NewRPCPoolContext needs a context (use context.Background() explicitly)")
-	}
-	blob, err := encodeSystem(sys)
-	if err != nil {
-		return nil, err
-	}
-	opts = opts.withDefaults()
-	p := &rpcPool{
-		id:      fingerprint(blob),
-		blob:    blob,
-		opts:    opts,
-		baseCtx: ctx,
-		rng:     rand.New(rand.NewSource(opts.Seed ^ 0x6d617465)), // fixed default seed
-		stop:    make(chan struct{}),
-	}
+	p := &rpcPool{tune: tune, rng: rand.New(rand.NewSource(jitterSeed))}
+	p.ctx, p.cancel = context.WithCancel(ctx)
 	for _, addr := range addrs {
 		client, err := p.dial(ctx, addr)
 		if err != nil {
@@ -149,96 +111,108 @@ func NewRPCPoolContext(ctx context.Context, sys *circuit.System, addrs []string,
 		}
 		p.workers = append(p.workers, &rpcWorker{addr: addr, client: client})
 	}
-	if opts.HealthInterval > 0 {
-		p.healthWG.Add(1)
-		go p.healthLoop()
-	}
+	p.healthWG.Add(1)
+	go p.healthLoop()
 	return p, nil
 }
 
-// dial connects to one worker under the pool's dial timeout and ensures it
-// holds the system: it probes by ID first and ships the blob only if the
-// worker lacks it. The context cancels the TCP dial immediately (a canceled
-// job no longer blocks in a dial for the full timeout).
+// dial connects to one worker under dialTimeout. The context cancels the TCP
+// dial immediately (a canceled job does not block in a dial for the full
+// timeout).
 func (p *rpcPool) dial(ctx context.Context, addr string) (*rpc.Client, error) {
-	if err := p.opts.Fault.Check(faultinject.DialFail); err != nil {
+	if err := p.tune.fault.Check(faultinject.DialFail); err != nil {
 		return nil, err
 	}
-	dctx, cancel := context.WithTimeout(ctx, p.opts.DialTimeout)
+	dctx, cancel := context.WithTimeout(ctx, dialTimeout)
 	defer cancel()
 	var d net.Dialer
 	conn, err := d.DialContext(dctx, "tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	client := rpc.NewClient(conn)
-	var reply RegisterReply
-	if err := client.Call(rpcService+".Register", &RegisterArgs{ID: p.id}, &reply); err != nil {
-		client.Close()
-		return nil, fmt.Errorf("probing system registration: %w", err)
-	}
-	if !reply.Known {
-		if err := client.Call(rpcService+".Register", &RegisterArgs{ID: p.id, Blob: p.blob}, &reply); err != nil {
-			client.Close()
-			return nil, fmt.Errorf("registering system: %w", err)
-		}
-	}
-	return client, nil
+	return rpc.NewClient(conn), nil
 }
 
-// errAttemptTimeout marks a dispatch that outlived PoolOptions.AttemptTimeout;
-// classified as a transport failure so the subtask moves to another worker.
-var errAttemptTimeout = errors.New("dist: solve attempt deadline exceeded")
+// roundTrip sends one call over client and waits for its reply or for ctx.
+func (p *rpcPool) roundTrip(ctx context.Context, client *rpc.Client, method string, args, reply any) error {
+	call := client.Go(rpcService+"."+method, args, reply, make(chan *rpc.Call, 1))
+	if method == "Solve" && p.tune.fault.Hit(faultinject.RPCSever) {
+		// Injected mid-RPC connection drop: the request is on the wire
+		// (the worker may well complete it) but the reply path is gone —
+		// exactly what a TCP reset mid-call looks like from here.
+		client.Close()
+	}
+	select {
+	case <-ctx.Done():
+		// The reply (if any) is abandoned; the worker finishes the
+		// subtask on its own and keeps its cache warm for the next run.
+		return ctx.Err()
+	case done := <-call.Done:
+		return done.Error
+	}
+}
+
+// teach registers a system on a worker that answered a task sent at sent
+// with "unknown system" — unless a registration of the same system landed
+// there after the task left, in which case the task only has to go again.
+// (Two never-seen systems racing onto one worker can still ship one of them
+// twice; Register is idempotent.)
+func (p *rpcPool) teach(ctx context.Context, w *rpcWorker, client *rpc.Client, reg *RegisterArgs, sent time.Time) error {
+	w.teachMu.Lock()
+	defer w.teachMu.Unlock()
+	if w.taught == reg.Key && w.taughtAt.After(sent) {
+		return nil
+	}
+	if err := p.roundTrip(ctx, client, "Register", reg, &RegisterReply{}); err != nil {
+		return err
+	}
+	w.taught, w.taughtAt = reg.Key, time.Now()
+	return nil
+}
 
 // Solve implements Pool.
-func (p *rpcPool) Solve(ctx context.Context, task Task, req Request) (*TaskResult, error) {
-	args := &SolveArgs{SystemID: p.id, Task: task, Req: req}
-	retried := 0
+func (p *rpcPool) Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
+	blob, key, err := sys.wire()
+	if err != nil {
+		return nil, err
+	}
+	args := &SolveArgs{System: key, Task: task, Req: req}
+	retried, probed := 0, false
 	var lastErr error
 	// Every worker gets at most two chances for this task: its original
 	// dispatch and one more after a successful mid-task revival (a restarted
 	// matexd), so a flapping worker cannot trap the task in a retry loop.
-	for attempt := 0; attempt < 2*p.size(); attempt++ {
+	for attempt := 0; attempt < 2*len(p.workers); attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("dist: group %d canceled: %w", task.GroupID, err)
 		}
 		w, client := p.pick()
+		if w == nil && !probed {
+			// Every worker is buried: one probe round now, rather than fail
+			// a task the prober's next tick would have had a worker for.
+			probed = true
+			p.probeBuried(ctx)
+			w, client = p.pick()
+		}
 		if w == nil {
 			break
 		}
 		start := time.Now()
 		var reply SolveReply
-		call := client.Go(rpcService+".Solve", args, &reply, make(chan *rpc.Call, 1))
-		if p.opts.Fault.Hit(faultinject.RPCSever) {
-			// Injected mid-RPC connection drop: the request is on the wire
-			// (the worker may well complete it) but the reply path is gone —
-			// exactly what a TCP reset mid-call looks like from here.
-			client.Close()
-		}
-		var deadline <-chan time.Time
-		if p.opts.AttemptTimeout > 0 {
-			timer := time.NewTimer(p.opts.AttemptTimeout)
-			defer timer.Stop()
-			deadline = timer.C
-		}
-		var err error
-		select {
-		case <-ctx.Done():
-			// The reply (if any) is abandoned; the worker finishes the
-			// subtask on its own and keeps its cache warm for the next run.
-			return nil, fmt.Errorf("dist: group %d canceled: %w", task.GroupID, ctx.Err())
-		case <-deadline:
-			// Stuck worker: sever its connection so the in-flight call
-			// unblocks with ErrShutdown, then treat it like any transport
-			// failure — revival dials it fresh, the task moves on.
-			client.Close()
-			<-call.Done
-			err = errAttemptTimeout
-		case done := <-call.Done:
-			err = done.Error
+		err := p.roundTrip(ctx, client, "Solve", args, &reply)
+		if isUnknownSystem(err) {
+			// The one way a worker learns a circuit — new, restarted or
+			// having evicted it. Not a retry: nothing failed.
+			if err = p.teach(ctx, w, client, &RegisterArgs{Key: key, Blob: blob}, start); err == nil {
+				start = time.Now()
+				err = p.roundTrip(ctx, client, "Solve", args, &reply)
+			}
 		}
 		if err == nil {
 			return &TaskResult{Result: reply.Result, Elapsed: time.Since(start), Retried: retried, Worker: w.addr}, nil
+		}
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("dist: group %d canceled: %w", task.GroupID, ctx.Err())
 		}
 		if isDrainingError(err) {
 			// The worker is shutting down but its connection is healthy
@@ -250,7 +224,7 @@ func (p *rpcPool) Solve(ctx context.Context, task Task, req Request) (*TaskResul
 			retried++
 			continue
 		}
-		if !isTransportError(err) && !errors.Is(err, errAttemptTimeout) {
+		if !isTransportError(err) {
 			// The worker answered: a genuine solver failure, identical on
 			// every node — re-dispatching cannot help.
 			return nil, err
@@ -290,13 +264,6 @@ func (p *rpcPool) Nodes() int {
 	return live
 }
 
-// size returns the worker count (live or dead) — the retry attempt basis.
-func (p *rpcPool) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.workers)
-}
-
 // pick returns the next live worker round-robin with a snapshot of its
 // client (connections are swapped under the lock on revival), or nil when
 // none is left.
@@ -315,9 +282,9 @@ func (p *rpcPool) pick() (*rpcWorker, *rpc.Client) {
 
 // backoff returns the jittered capped-exponential sleep for redial attempt i.
 func (p *rpcPool) backoff(i int) time.Duration {
-	d := p.opts.BackoffBase << uint(i)
-	if d > p.opts.BackoffMax || d <= 0 {
-		d = p.opts.BackoffMax
+	d := p.tune.backoffBase << uint(i)
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	p.mu.Lock()
 	jitter := 0.75 + 0.5*p.rng.Float64() // ±25%
@@ -326,13 +293,13 @@ func (p *rpcPool) backoff(i int) time.Duration {
 }
 
 // reviveOrBury handles a worker whose transport failed: up to
-// PoolOptions.RedialAttempts redials under capped exponential backoff with
-// jitter (a restarted matexd re-registers and lives on), else bury it —
-// the health prober, when enabled, keeps probing buried workers. failed is
-// the connection the caller observed failing; if another goroutine already
+// redialAttempts redials under capped exponential backoff with jitter (a
+// restarted matexd lives on, and is re-taught by its next task), else bury
+// it — the health prober keeps probing buried workers. failed is the
+// connection the caller observed failing; if another goroutine already
 // revived or buried the worker, it is left alone. The sleeps hold no pool
 // lock, so other workers dispatch undisturbed, and they abort as soon as
-// ctx or the pool's base context fires.
+// ctx fires or the pool closes.
 func (p *rpcPool) reviveOrBury(ctx context.Context, w *rpcWorker, failed *rpc.Client) {
 	w.revMu.Lock()
 	defer w.revMu.Unlock()
@@ -343,26 +310,20 @@ func (p *rpcPool) reviveOrBury(ctx context.Context, w *rpcWorker, failed *rpc.Cl
 		return
 	}
 	failed.Close()
-	for i := 0; i < p.opts.RedialAttempts; i++ {
+redial:
+	for i := 0; i < p.tune.redialAttempts; i++ {
 		if i > 0 {
 			select {
 			case <-ctx.Done():
-				p.bury(w, failed)
-				return
-			case <-p.baseCtx.Done():
-				p.bury(w, failed)
-				return
-			case <-p.stop:
-				p.bury(w, failed)
-				return
+				break redial
+			case <-p.ctx.Done():
+				break redial
 			case <-time.After(p.backoff(i - 1)):
 			}
 		}
-		client, err := p.dial(ctx, w.addr)
-		if err == nil {
+		if client, err := p.dial(ctx, w.addr); err == nil {
 			p.mu.Lock()
-			w.client = client
-			w.dead = false
+			w.client, w.dead = client, false
 			p.mu.Unlock()
 			return
 		}
@@ -379,53 +340,37 @@ func (p *rpcPool) bury(w *rpcWorker, failed *rpc.Client) {
 	}
 }
 
-// healthLoop is the background prober: every HealthInterval it redials the
+// healthLoop is the background prober: every probeInterval it redials the
 // buried workers once each and re-admits the ones that answer. It exits when
-// the pool closes or its base context fires.
+// the pool closes or the context it was created under fires.
 func (p *rpcPool) healthLoop() {
 	defer p.healthWG.Done()
-	tick := time.NewTicker(p.opts.HealthInterval)
+	tick := time.NewTicker(p.tune.probeInterval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-p.stop:
-			return
-		case <-p.baseCtx.Done():
+		case <-p.ctx.Done():
 			return
 		case <-tick.C:
-			p.probeBuried()
+			p.probeBuried(p.ctx)
 		}
 	}
 }
 
 // probeBuried attempts one dial per buried worker and revives on success.
-func (p *rpcPool) probeBuried() {
-	p.mu.Lock()
-	var buried []*rpcWorker
+func (p *rpcPool) probeBuried(ctx context.Context) {
 	for _, w := range p.workers {
-		if w.dead {
-			buried = append(buried, w)
-		}
-	}
-	p.mu.Unlock()
-	for _, w := range buried {
 		w.revMu.Lock()
 		p.mu.Lock()
-		dead := w.dead
+		dead := w.dead // read under revMu: no Solve goroutine is reviving it
 		p.mu.Unlock()
-		if !dead { // a Solve goroutine revived it meanwhile
-			w.revMu.Unlock()
-			continue
-		}
-		client, err := p.dial(p.baseCtx, w.addr)
-		if err == nil {
-			p.mu.Lock()
-			if old := w.client; old != nil && old != client {
-				old.Close()
+		if dead {
+			if client, err := p.dial(ctx, w.addr); err == nil {
+				p.mu.Lock()
+				w.client.Close() // a retired worker's connection was still open
+				w.client, w.dead = client, false
+				p.mu.Unlock()
 			}
-			w.client = client
-			w.dead = false
-			p.mu.Unlock()
 		}
 		w.revMu.Unlock()
 	}
@@ -436,22 +381,25 @@ func (p *rpcPool) probeBuried() {
 // latter's connection — the second Close reports ErrShutdown, which is not
 // an error here).
 //
-//matex:ctx-exempt(joins the pool's own background prober, bounded by the ticker interval)
+//matex:ctx-exempt(joins the pool's own background prober, which the cancel just above stops mid-dial)
 func (p *rpcPool) Close() error {
-	p.stopOnce.Do(func() { close(p.stop) })
+	p.cancel()
 	p.healthWG.Wait()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var first error
 	for _, w := range p.workers {
-		if w.client == nil {
-			continue
-		}
 		if err := w.client.Close(); err != nil && !errors.Is(err, rpc.ErrShutdown) && first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// isUnknownSystem matches a worker's answer for a circuit it does not hold
+// (errUnknownSystem, in its rpc.ServerError form).
+func isUnknownSystem(err error) bool {
+	return err != nil && strings.Contains(err.Error(), errUnknownSystem.Error())
 }
 
 // isDrainingError matches the answer of a gracefully-stopping worker (see

@@ -27,11 +27,12 @@ import (
 //
 //matex:ctx-root(embedding API default when Config.Base.Ctx is nil)
 //matex:ctx-exempt(the context arrives in Config.Base.Ctx; the one receive joins Run's own DC goroutine, which never blocks)
-func Run(sys *circuit.System, method transient.Method, cfg Config) (*transient.Result, *Report, error) {
+func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, *Report, error) {
 	base := cfg.Base
-	if sys == nil {
+	if dsys == nil || dsys.sys == nil {
 		return nil, nil, fmt.Errorf("dist: nil system")
 	}
+	sys := dsys.sys
 	if base.Tstop <= 0 {
 		return nil, nil, fmt.Errorf("dist: needs positive Tstop")
 	}
@@ -64,7 +65,7 @@ func Run(sys *circuit.System, method transient.Method, cfg Config) (*transient.R
 	}
 	pool := cfg.Pool
 	if pool == nil {
-		pool = NewLocalPool(sys, cfg.Workers, cache)
+		pool = NewLocalPool(cfg.Workers, cache)
 	}
 
 	// Decomposition, cut for the nodes present, and the shared output grid.
@@ -117,7 +118,7 @@ func Run(sys *circuit.System, method transient.Method, cfg Config) (*transient.R
 			return nil, fmt.Errorf("dist: run canceled: %w", err)
 		}
 		wait := time.Since(queued)
-		tr, err := pool.Solve(ctx, tasks[i], req)
+		tr, err := pool.Solve(ctx, dsys, tasks[i], req)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,9 @@ package dist
 
 import (
 	"bytes"
+	"container/list"
 	"context"
+	"crypto/sha256"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -19,13 +21,13 @@ import (
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
-// rpcService is the name the worker service registers under. The "2"
-// marks the wire generation: sparse.Ordering values were renumbered when
-// OrderDefault became the zero value, so a scheduler from this generation
-// talking to an older matexd (or vice versa) would silently factorize
-// under a different ordering. A distinct service name makes the mismatch a
-// loud "can't find service" dial-time error instead.
-const rpcService = "MatexWorker2"
+// rpcService is the name the worker service registers under; the digit is
+// the wire generation (3: circuits named by Key, taught on "unknown system").
+// A scheduler and a matexd of different generations would misread each other
+// silently — generation 2 numbered sparse.Ordering differently, generation 3
+// keys circuits differently — so the service name differs and the mismatch is
+// a loud "can't find service MatexWorkerN" on the first call.
+const rpcService = "MatexWorker3"
 
 func init() {
 	// Concrete waveform types crossing the wire inside circuit.Input.Wave.
@@ -37,60 +39,24 @@ func init() {
 	gob.Register(waveform.ZeroBased{})
 }
 
-// wireSystem is the serialized form of the subtask system: exactly what a
-// worker needs to run transient.Simulate — matrices and inputs, no node
-// names. The inputs arrive already zero-based (see zeroStateSystem).
-type wireSystem struct {
-	N, NumNodes int
-	C, G        *sparse.CSC
-	Inputs      []circuit.Input
-}
-
-// encodeSystem gob-encodes the zero-based view of sys. The byte content
-// also serves as the system's identity (see fingerprint).
-func encodeSystem(sys *circuit.System) ([]byte, error) {
-	sub := zeroStateSystem(sys)
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(wireSystem{
-		N: sub.N, NumNodes: sub.NumNodes, C: sub.C, G: sub.G, Inputs: sub.Inputs,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dist: encoding system: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// fingerprint hashes an encoded system (FNV-1a) into a registration ID, so
-// re-registering the same circuit is idempotent across reconnects.
-func fingerprint(blob []byte) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	for _, b := range blob {
-		h ^= uint64(b)
-		h *= prime
-	}
-	return h
-}
-
-// RegisterArgs ships a circuit to a worker ahead of its subtasks.
+// RegisterArgs teaches a worker a circuit. The pool sends it to a worker
+// that answered a Solve with errUnknownSystem — a new worker, a restarted
+// one and one that evicted the circuit are the same case.
 type RegisterArgs struct {
-	// ID is the fingerprint of Blob; subtasks refer to the system by it.
-	ID uint64
-	// Blob is the gob-encoded system (empty when probing with Known).
+	// Key is the SHA-256 of Blob; subtasks refer to the system by it.
+	Key Key
+	// Blob is the gob-encoded system (System.wire).
 	Blob []byte
 }
 
 // RegisterReply acknowledges a registration.
-type RegisterReply struct {
-	// Known reports whether the worker now holds the system.
-	Known bool
-}
+type RegisterReply struct{}
 
 // SolveArgs is one subtask dispatch.
 type SolveArgs struct {
-	SystemID uint64
-	Task     Task
-	Req      Request
+	System Key
+	Task   Task
+	Req    Request
 }
 
 // SolveReply carries the subtask's zero-state response.
@@ -98,21 +64,41 @@ type SolveReply struct {
 	Result *transient.Result
 }
 
+// errUnknownSystem is what Solve answers for a Key the worker does not hold;
+// the pool recognizes it (isUnknownSystem), registers the circuit on that
+// worker and sends the task again.
+var errUnknownSystem = errors.New("dist: unknown system")
+
+// maxSystemBytes bounds the circuits a worker holds, counted in bytes of
+// registered blob. An evicted circuit costs its next task one registration.
+const maxSystemBytes = 1 << 30
+
 // workerSystem is a registered circuit. Its factorizations live in the
 // server-wide cache, keyed by matrix content, so a worker factorizes G and
 // (C + γG) once and reuses them across every subtask and every repeated
 // scheduler run against the same circuit, like the paper's cluster nodes.
 type workerSystem struct {
-	sys *circuit.System
+	key  Key
+	size int64 // len of the blob it was decoded from
+	sys  *circuit.System
 }
 
 // WorkerServer is the net/rpc service run by a matexd worker: it holds the
 // circuits it has been sent and solves the subtasks dispatched against
 // them. Zero value is not usable; call NewWorkerServer.
 type WorkerServer struct {
-	mu      sync.Mutex
-	systems map[uint64]*workerSystem
-	cache   *sparse.Cache
+	// mu guards the held circuits: a byte-bounded LRU, most recently used
+	// first. A circuit evicted under a running subtask stays alive for it.
+	mu           sync.Mutex
+	systems      map[Key]*list.Element // of *workerSystem
+	lru          *list.List
+	systemBytes  int64
+	systemBudget int64 // maxSystemBytes; the tests shrink it
+	// afterDecode, when set by a test, runs in Register between decoding a
+	// blob and taking mu to insert it.
+	afterDecode func()
+
+	cache *sparse.Cache
 	// workspaces is the worker's Krylov arena pool, shared across every
 	// subtask and every scheduler run against this process — the
 	// subspace-generation analogue of the factorization cache above.
@@ -223,25 +209,21 @@ var errDraining = errors.New("dist: worker is draining (shutting down)")
 // ServeContext.
 func (w *WorkerServer) SetOrdering(o sparse.Ordering) { w.ordering = o }
 
-// NewWorkerServer returns an empty worker service for ServeContext, with
-// a default-budget factorization cache.
-func NewWorkerServer() *WorkerServer {
-	return NewWorkerServerWithCache(sparse.NewCache(0))
-}
-
-// NewWorkerServerWithCache returns an empty worker service using the given
-// factorization cache (nil allocates a default one). cmd/matexd uses this
-// to honor its -cache-mb budget flag.
-func NewWorkerServerWithCache(cache *sparse.Cache) *WorkerServer {
+// NewWorkerServer returns an empty worker service for ServeContext using
+// the given factorization cache (nil: one with the default budget; cmd/matexd
+// passes its -cache-mb budget).
+func NewWorkerServer(cache *sparse.Cache) *WorkerServer {
 	if cache == nil {
 		cache = sparse.NewCache(0)
 	}
 	return &WorkerServer{
-		systems:    make(map[uint64]*workerSystem),
-		cache:      cache,
-		workspaces: krylov.NewWorkspacePool(),
-		crashCh:    make(chan struct{}),
-		severed:    make(chan struct{}),
+		systems:      make(map[Key]*list.Element),
+		lru:          list.New(),
+		systemBudget: maxSystemBytes,
+		cache:        cache,
+		workspaces:   krylov.NewWorkspacePool(),
+		crashCh:      make(chan struct{}),
+		severed:      make(chan struct{}),
 	}
 }
 
@@ -263,37 +245,58 @@ func (w *WorkerServer) crashed() bool {
 // CacheStats reports the worker's factorization cache counters.
 func (w *WorkerServer) CacheStats() sparse.CacheStats { return w.cache.Stats() }
 
-// Register stores a circuit on the worker. With an empty Blob it only
-// probes: Known reports whether the ID is already held (so a reconnecting
-// scheduler can skip re-sending a large circuit).
-func (w *WorkerServer) Register(args *RegisterArgs, reply *RegisterReply) error {
+// held returns the circuit registered under key, marking it most recently
+// used; nil if the worker does not hold it.
+func (w *WorkerServer) held(key Key) *workerSystem {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e, ok := w.systems[key]
+	if !ok {
+		return nil
+	}
+	w.lru.MoveToFront(e)
+	return e.Value.(*workerSystem)
+}
+
+// Register stores a circuit on the worker, refusing a blob that does not
+// hash to its key. The blob is verified and decoded outside the lock, so
+// subtasks on other circuits are not held up by a large one arriving;
+// registering a key the worker already holds changes nothing. Least recently
+// used circuits are dropped once the held blobs pass the byte budget (the
+// newest always stays).
+func (w *WorkerServer) Register(args *RegisterArgs, _ *RegisterReply) error {
 	if !w.calls.enter() {
 		return errDraining
 	}
 	defer w.calls.exit()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.systems[args.ID]; ok {
-		reply.Known = true
+	if w.held(args.Key) != nil {
 		return nil
 	}
-	if len(args.Blob) == 0 {
-		reply.Known = false
-		return nil
-	}
-	if got := fingerprint(args.Blob); got != args.ID {
-		return fmt.Errorf("dist: system blob fingerprint %x does not match ID %x", got, args.ID)
+	if got := Key(sha256.Sum256(args.Blob)); got != args.Key {
+		return fmt.Errorf("dist: system blob hashes to %x, not to its key %x", got[:8], args.Key[:8])
 	}
 	var ws wireSystem
 	if err := gob.NewDecoder(bytes.NewReader(args.Blob)).Decode(&ws); err != nil {
 		return fmt.Errorf("dist: decoding system: %w", err)
 	}
-	w.systems[args.ID] = &workerSystem{
-		sys: &circuit.System{
-			N: ws.N, NumNodes: ws.NumNodes, C: ws.C, G: ws.G, Inputs: ws.Inputs,
-		},
+	if w.afterDecode != nil {
+		w.afterDecode()
 	}
-	reply.Known = true
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if _, ok := w.systems[args.Key]; ok {
+		return nil // a concurrent first registration won
+	}
+	w.systems[args.Key] = w.lru.PushFront(&workerSystem{
+		key: args.Key, size: int64(len(args.Blob)),
+		sys: &circuit.System{N: ws.N, NumNodes: ws.NumNodes, C: ws.C, G: ws.G, Inputs: ws.Inputs},
+	})
+	w.systemBytes += int64(len(args.Blob))
+	for w.systemBytes > w.systemBudget && w.lru.Len() > 1 {
+		old := w.lru.Remove(w.lru.Back()).(*workerSystem)
+		w.systemBytes -= old.size
+		delete(w.systems, old.key)
+	}
 	return nil
 }
 
@@ -305,11 +308,9 @@ func (w *WorkerServer) Solve(args *SolveArgs, reply *SolveReply) error {
 		return errDraining
 	}
 	defer w.calls.exit()
-	w.mu.Lock()
-	ws, ok := w.systems[args.SystemID]
-	w.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("dist: unknown system %x (register it first)", args.SystemID)
+	ws := w.held(args.System)
+	if ws == nil {
+		return fmt.Errorf("%w %x", errUnknownSystem, args.System[:8])
 	}
 	req := args.Req
 	if req.Ordering == sparse.OrderDefault {

@@ -108,9 +108,9 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 			return nil, fmt.Errorf("table3: DC factorization on %s: %w", name, err)
 		}
 		dcFactor := time.Since(tDC)
-		mxRes, rep, err := dist.Run(sys, transient.RMATEX, dist.Config{
+		mxRes, rep, err := dist.Run(dist.NewSystem(sys), transient.RMATEX, dist.Config{
 			Base:    transient.Options{Tstop: cfg.Tstop, Tol: cfg.Tol, Gamma: cfg.Gamma, Probes: probes, Cache: cache},
-			Workers: cfg.Workers, Pool: dist.NewLocalPool(sys, nodes, cache),
+			Workers: cfg.Workers, Pool: dist.NewLocalPool(nodes, cache),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("table3: MATEX on %s: %w", name, err)

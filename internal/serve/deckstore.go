@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"github.com/matex-sim/matex/internal/circuit"
+	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/netlist"
 	"github.com/matex-sim/matex/internal/pdn"
 )
@@ -42,9 +43,10 @@ type deck struct {
 	size int64
 
 	sys         *circuit.System
-	tstop, step float64  // the .tran card (a case has no step)
-	prints      []string // the .print cards (inline decks)
-	nx, ny      int      // grid edges, for a case's per-job probe spread
+	dsys        *dist.System // sys as a distributed job hands it to its pool
+	tstop, step float64      // the .tran card (a case has no step)
+	prints      []string     // the .print cards (inline decks)
+	nx, ny      int          // grid edges, for a case's per-job probe spread
 }
 
 // netlistKey is the content hash of an inline deck.
@@ -74,7 +76,7 @@ func parseDeck(key, text string) (*deck, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &deck{key: key, size: int64(len(text)), sys: sys,
+	return &deck{key: key, size: int64(len(text)), sys: sys, dsys: dist.NewSystem(sys),
 		tstop: nd.TranStop, step: nd.TranStep, prints: nd.Prints}, nil
 }
 
@@ -94,7 +96,7 @@ func generateDeck(key, name string, scale float64) (*deck, error) {
 	}
 	// No source text to count: charge the stored entries (index + value).
 	size := int64(sys.C.NNZ()+sys.G.NNZ()) * 16
-	return &deck{key: key, size: size, sys: sys, tstop: gspec.Tstop, nx: gspec.NX, ny: gspec.NY}, nil
+	return &deck{key: key, size: size, sys: sys, dsys: dist.NewSystem(sys), tstop: gspec.Tstop, nx: gspec.NX, ny: gspec.NY}, nil
 }
 
 // DeckStoreStats is the deck store's own view, the deck_store object of

@@ -11,7 +11,9 @@
 // Krylov workspace arenas, so concurrent and repeated jobs against the same
 // grid skip straight to the transient phase the way repeated dist.Run calls
 // do. Distributed jobs additionally fan out through internal/dist
-// (in-process pool or matexd workers over TCP).
+// (in-process pool, or matexd workers over TCP: one pool — one connection
+// per worker — for the server's lifetime, the deck's circuit handed to it
+// with each task).
 //
 // # Lifecycle of a job
 //

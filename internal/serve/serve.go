@@ -27,8 +27,8 @@ type Config struct {
 	// CacheBytes is the shared factorization cache budget (0 = the
 	// sparse.NewCache default).
 	CacheBytes int64
-	// DistAddrs lists matexd workers distributed jobs fan out to; empty
-	// runs them on the in-process pool.
+	// DistAddrs lists matexd workers distributed jobs fan out to (dialed
+	// once, by the first such job); empty runs them on the in-process pool.
 	DistAddrs []string
 	// Ordering is the fill-reducing ordering applied to jobs whose spec
 	// leaves the ordering unset (matexsrv -order). The zero value keeps
@@ -151,11 +151,10 @@ type Server struct {
 	wg         sync.WaitGroup
 	start      time.Time
 
-	// poolMu guards the cached matexd worker pools for distributed jobs,
-	// keyed like the deck store (deck.key).
-	poolMu    sync.Mutex
-	pools     map[string]dist.Pool
-	poolOrder []string // pool insertion order, for eviction
+	// pool is the one connection set to Config.DistAddrs, dialed by the first
+	// distributed job and kept until Shutdown; circuits travel with the tasks.
+	poolMu sync.Mutex
+	pool   dist.Pool
 
 	// journal is the durable job log (nil without Config.StateDir).
 	journal *journal
@@ -214,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		stop:       cancel,
 		start:      time.Now(),
 		jobs:       make(map[string]*Job),
-		pools:      make(map[string]dist.Pool),
 		journal:    jn,
 		seq:        maxSeq,
 	}
@@ -583,20 +581,14 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 	case spec.Distributed:
 		cfg := dist.Config{Base: opts}
 		if len(s.cfg.DistAddrs) > 0 {
-			pool, err := s.distPool(d)
+			pool, err := s.workerPool()
 			if err != nil {
 				return nil, nil, nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
 			}
 			cfg.Pool = pool
 		}
-		res, rep, err := dist.Run(d.sys, b.method, cfg)
+		res, rep, err := dist.Run(d.dsys, b.method, cfg)
 		if err != nil {
-			if cfg.Pool != nil {
-				// A failed run may mean buried workers: drop the cached pool
-				// so the next job redials a fresh set instead of inheriting
-				// the corpses.
-				s.dropPool(d.key)
-			}
 			return nil, nil, nil, err
 		}
 		res.EachSample(func(t float64, row []float64) { job.appendSample("", t, row) })
@@ -617,83 +609,20 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 	return res, nil, nil, err
 }
 
-// maxDistPools bounds how many deck-distinct matexd pools the server keeps
-// connected at once.
-const maxDistPools = 8
-
-// distPool returns a connected matexd pool for the job's deck, reusing an
-// existing pool when the same deck was fanned out before: registration is
-// content-addressed on the workers, so reuse skips the per-job dial, probe
-// and blob upload entirely — the distributed analogue of the shared
-// factorization cache. Pools are keyed by the deck store's key and evicted
-// oldest-first past maxDistPools.
-func (s *Server) distPool(d *deck) (dist.Pool, error) {
-	key := d.key
-	s.poolMu.Lock()
-	if p, ok := s.pools[key]; ok {
-		s.poolMu.Unlock()
-		return p, nil
-	}
-	s.poolMu.Unlock()
-
-	// Dial outside the lock (it can take seconds); a concurrent duplicate
-	// dial for the same deck is tolerated — last one in wins, the loser
-	// is closed.
-	pool, err := dist.NewRPCPool(d.sys, s.cfg.DistAddrs)
-	if err != nil {
-		return nil, err
-	}
+// workerPool returns the server's matexd pool, dialing it on first use. A
+// failed dial fails the calling job and is retried by the next one. The lock
+// is held across the dial: every other distributed job needs the same pool.
+func (s *Server) workerPool() (dist.Pool, error) {
 	s.poolMu.Lock()
 	defer s.poolMu.Unlock()
-	if prev, ok := s.pools[key]; ok {
-		closePool(pool)
-		return prev, nil
-	}
-	if len(s.pools) >= maxDistPools {
-		oldest := s.poolOrder[0]
-		s.poolOrder = s.poolOrder[1:]
-		if p, ok := s.pools[oldest]; ok {
-			closePool(p)
-			delete(s.pools, oldest)
+	if s.pool == nil {
+		pool, err := dist.NewRPCPool(s.baseCtx, s.cfg.DistAddrs)
+		if err != nil {
+			return nil, err
 		}
+		s.pool = pool
 	}
-	s.pools[key] = pool
-	s.poolOrder = append(s.poolOrder, key)
-	return pool, nil
-}
-
-// dropPool closes and forgets a cached pool (after a failed run).
-func (s *Server) dropPool(key string) {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if p, ok := s.pools[key]; ok {
-		closePool(p)
-		delete(s.pools, key)
-		for i, k := range s.poolOrder {
-			if k == key {
-				s.poolOrder = append(s.poolOrder[:i], s.poolOrder[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
-// closePool releases a worker pool on an eviction, duplicate-dial, or
-// shutdown path. Nothing can retry a failed close there, so the error is
-// deliberately discarded in this one place.
-func closePool(p dist.Pool) {
-	p.Close() //matex:err-ok(eviction/shutdown path; a failed close has no recovery)
-}
-
-// closePools releases every cached worker pool (shutdown).
-func (s *Server) closePools() {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	for key, p := range s.pools {
-		closePool(p)
-		delete(s.pools, key)
-	}
-	s.poolOrder = nil
+	return s.pool, nil
 }
 
 // BeginDrain stops the intake: submissions fail with ErrShuttingDown, the
@@ -737,7 +666,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		<-done
 		err = ctx.Err()
 	}
-	s.closePools()
+	if s.pool != nil { // the workers are gone: nothing dials concurrently
+		s.pool.Close() //matex:err-ok(shutdown path; a failed close has no recovery)
+	}
 	if s.journal != nil {
 		// Workers are gone, so nothing appends concurrently. Jobs the ctx
 		// cancellation unwound were journaled done (canceled) by their

@@ -11,9 +11,11 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -58,10 +60,9 @@ func testDeckCNode(t *testing.T, scale, cnode float64) string {
 	return buf.String()
 }
 
-// oneShot runs the deck exactly the way cmd/matex does (parse, stamp,
-// probes from .print cards, simulate) — the reference the streamed
-// waveforms must match.
-func oneShot(t *testing.T, deckText string, method transient.Method) *transient.Result {
+// stampDeck parses and stamps the deck the way cmd/matex does, resolving
+// the probes from its .print cards.
+func stampDeck(t *testing.T, deckText string) (*netlist.Deck, *circuit.System, []int) {
 	t.Helper()
 	deck, err := netlist.Parse(strings.NewReader(deckText))
 	if err != nil {
@@ -82,6 +83,15 @@ func oneShot(t *testing.T, deckText string, method transient.Method) *transient.
 		}
 		probes = append(probes, idx)
 	}
+	return deck, sys, probes
+}
+
+// oneShot runs the deck exactly the way cmd/matex does (parse, stamp,
+// probes from .print cards, simulate) — the reference the streamed
+// waveforms must match.
+func oneShot(t *testing.T, deckText string, method transient.Method) *transient.Result {
+	t.Helper()
+	deck, sys, probes := stampDeck(t, deckText)
 	res, err := transient.Simulate(sys, method, transient.Options{
 		Tstop: deck.TranStop, Step: deck.TranStep, Probes: probes,
 	})
@@ -507,9 +517,9 @@ func TestDistributedJobStreamsSuperposition(t *testing.T) {
 }
 
 // TestDistributedJobsOverRPCWorkers: with DistAddrs configured, distributed
-// jobs fan out to a real matexd-style TCP worker; repeated jobs against
-// the same deck reuse the server's cached worker pool (the worker holds
-// the circuit content-addressed, so only the first job ships the blob).
+// jobs fan out to a real matexd-style TCP worker; repeated jobs go over
+// the server's one worker pool (the worker holds the circuit by its key, so
+// only the first job's task ships the blob).
 func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 	deckText := testDeck(t)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -518,7 +528,7 @@ func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 	}
 	wctx, stopWorker := context.WithCancel(context.Background())
 	defer stopWorker()
-	go dist.ServeContext(wctx, l, dist.NewWorkerServer())
+	go dist.ServeContext(wctx, l, dist.NewWorkerServer(nil))
 
 	_, base, shutdown := testServer(t, serve.Config{
 		Workers: 2, QueueDepth: 8, DistAddrs: []string{l.Addr().String()},
@@ -556,6 +566,68 @@ func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 		if st.Groups < 2 || st.Tasks != 1 {
 			t.Fatalf("round %d: status reports %d groups in %d tasks, want several groups in 1 task", round, st.Groups, st.Tasks)
 		}
+	}
+}
+
+// countingListener counts the connections it accepted.
+type countingListener struct {
+	net.Listener
+	accepted atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted.Add(1)
+	}
+	return conn, err
+}
+
+// TestOnePoolManyDecks: the server's worker pool is its connections, not a
+// deck's. Distributed jobs on ten distinct decks — more than the per-deck
+// pool cache this replaced ever kept — go over the one connection the first
+// of them dialed, and each streams the bits of `matex -distributed` on a
+// one-node plan.
+func TestOnePoolManyDecks(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := &countingListener{Listener: l}
+	wctx, stopWorker := context.WithCancel(context.Background())
+	defer stopWorker()
+	go dist.ServeContext(wctx, cl, dist.NewWorkerServer(nil))
+
+	_, base, shutdown := testServer(t, serve.Config{
+		Workers: 2, QueueDepth: 16, DistAddrs: []string{l.Addr().String()},
+	})
+	defer shutdown(context.Background())
+
+	const decks = 10
+	for i := 0; i < decks; i++ {
+		deckText := testDeckCNode(t, 0.25, float64(i+1)*1e-14)
+		deck, sys, probes := stampDeck(t, deckText)
+		want, _, err := dist.Run(dist.NewSystem(sys), transient.RMATEX, dist.Config{
+			Base:    transient.Options{Tstop: deck.TranStop, Step: deck.TranStep, Probes: probes},
+			Workers: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := postJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Distributed: true})
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<24)
+		got := readStream(t, sc)
+		resp.Body.Close()
+		if got.state != serve.JobDone {
+			t.Fatalf("deck %d: distributed job ended %q: %s", i, got.state, got.tailErr)
+		}
+		if !reflect.DeepEqual(got.times, want.Times) || !reflect.DeepEqual(got.rows, want.Probes) {
+			t.Fatalf("deck %d: streamed waveform differs from the in-process distributed run", i)
+		}
+	}
+	if n := cl.accepted.Load(); n != 1 {
+		t.Fatalf("the worker accepted %d connections for %d decks, want 1", n, decks)
 	}
 }
 

@@ -24,6 +24,7 @@
 package matex
 
 import (
+	"context"
 	"io"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -181,14 +182,20 @@ type (
 // SimulateDistributed partitions the sources, fans subtasks running method
 // out to workers and superposes the results (the paper's Fig. 4 flow).
 func SimulateDistributed(sys *System, method Method, cfg DistConfig) (*Result, *DistReport, error) {
-	return dist.Run(sys, method, cfg)
+	return dist.Run(dist.NewSystem(sys), method, cfg)
 }
 
-// NewRPCPool connects to matexd workers over TCP.
-func NewRPCPool(sys *System, addrs []string) (dist.Pool, error) { return dist.NewRPCPool(sys, addrs) }
+// NewRPCPool connects to matexd workers over TCP. The pool is its
+// connections — it serves any number of systems, each taught to a worker by
+// the first task that needs it there — and runs a background prober under
+// ctx: Close it when done.
+func NewRPCPool(ctx context.Context, addrs []string) (dist.Pool, error) {
+	return dist.NewRPCPool(ctx, addrs)
+}
 
-// NewWorkerServer returns a worker service for use with dist.ServeContext.
-func NewWorkerServer() *WorkerServer { return dist.NewWorkerServer() }
+// NewWorkerServer returns a worker service for use with dist.ServeContext,
+// factorizing through cache (nil: one with the default budget).
+func NewWorkerServer(cache *FactorCache) *WorkerServer { return dist.NewWorkerServer(cache) }
 
 // Scenario sweeps: N variants of one deck as a single batched run.
 type (

@@ -14,6 +14,13 @@
 #   3. matexd chaos               kill -9 one of two workers mid-run; the
 #                                 pool must fail over, report retries, and
 #                                 still match the local waveform
+#   3b. matexsrv over matexd     one pool for the service's lifetime: jobs
+#                                 on two decks over one worker, kill -9 the
+#                                 worker (a job fails), restart it on the
+#                                 same port, both decks run again — the
+#                                 restarted worker re-taught by its next
+#                                 task, matexsrv never restarted, the bytes
+#                                 those of `matex -distributed`
 #   4. matexsrv submit-and-stream curl submit, NDJSON stream, /stats and
 #                                 /healthz checks, SIGTERM drain, exit 0
 #   5. matexsrv crash-restart     kill -9 with two jobs on one deck mid-run
@@ -34,6 +41,8 @@ cleanup() {
     [[ -n "${MATEXD_PID:-}" ]] && kill "$MATEXD_PID" 2>/dev/null || true
     [[ -n "${W1_PID:-}" ]] && kill "$W1_PID" 2>/dev/null || true
     [[ -n "${W2_PID:-}" ]] && kill -9 "$W2_PID" 2>/dev/null || true
+    [[ -n "${W3_PID:-}" ]] && kill -9 "$W3_PID" 2>/dev/null || true
+    [[ -n "${MATEXSRV3_PID:-}" ]] && kill "$MATEXSRV3_PID" 2>/dev/null || true
     [[ -n "${MATEXSRV_PID:-}" ]] && kill "$MATEXSRV_PID" 2>/dev/null || true
     [[ -n "${MATEXSRV2_PID:-}" ]] && kill -9 "$MATEXSRV2_PID" 2>/dev/null || true
     rm -rf "$workdir"
@@ -210,6 +219,77 @@ kill "$W1_PID" 2>/dev/null || true
 wait "$W1_PID" 2>/dev/null || true
 W1_PID=""
 echo "chaos run survived kill -9 with retried=$retried"
+
+say "matexsrv over matexd: one pool, a worker killed and restarted under it"
+# matexsrv keeps one connection per worker for its lifetime and the circuit
+# travels with the task: a restarted matexd holds nothing and is taught again
+# by the first task that reaches it. One worker, so every job is a one-task
+# plan — the plan of `GOMAXPROCS=1 matex -distributed`, whose TSV the streamed
+# samples must reproduce byte for byte.
+start_w3() {
+    "$workdir/matexd" -listen 127.0.0.1:19193 > "$workdir/w3.log" 2>&1 &
+    W3_PID=$!
+    for i in $(seq 1 50); do
+        grep -q "listening" "$workdir/w3.log" && break
+        sleep 0.1
+    done
+    grep -q "listening" "$workdir/w3.log" || { echo "matexd never came up"; cat "$workdir/w3.log"; exit 1; }
+}
+# dist_job DECK OUT: run DECK as a distributed job, leave its NDJSON in OUT,
+# print the job's final state.
+dist_job() {
+    python3 -c 'import json, sys; print(json.dumps({"netlist": open(sys.argv[1]).read(), "distributed": True}))' \
+        "$1" > "$workdir/distjob.json"
+    curl -sf -X POST --data-binary @"$workdir/distjob.json" \
+        "http://127.0.0.1:18082/v1/simulate" > "$2"
+    tail -1 "$2" | python3 -c 'import json, sys; print(json.loads(sys.stdin.read())["state"])'
+}
+# same_bytes NDJSON TSV: the stream's samples, printed the way matex prints
+# rows, are the TSV's rows.
+same_bytes() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+rows = []
+for line in open(sys.argv[1]):
+    c = json.loads(line)
+    if c.get("seq", 0) > 0 and not c.get("done"):
+        rows.append("\t".join(["%.6e" % c["t"]] + ["%.9e" % v for v in c["v"]]))
+tsv = [l.rstrip("\n") for l in open(sys.argv[2])][1:]
+assert len(rows) > 2 and rows == tsv, "service job and matex -distributed differ (%d vs %d rows)" % (len(rows), len(tsv))
+EOF
+}
+GOMAXPROCS=1 "$workdir/matex" -distributed "$workdir/deck.sp" > "$workdir/distA.tsv"
+GOMAXPROCS=1 "$workdir/matex" -distributed "$workdir/deck05.sp" > "$workdir/distB.tsv"
+start_w3
+"$workdir/matexsrv" -listen 127.0.0.1:18082 -dist-workers 127.0.0.1:19193 > "$workdir/srv3.log" 2>&1 &
+MATEXSRV3_PID=$!
+for i in $(seq 1 50); do
+    curl -sf "http://127.0.0.1:18082/healthz" > /dev/null 2>&1 && break
+    sleep 0.1
+done
+state=$(dist_job "$workdir/deck.sp" "$workdir/distA1.ndjson")
+[[ "$state" == done ]] || { echo "job on deck A ended $state"; cat "$workdir/srv3.log"; exit 1; }
+same_bytes "$workdir/distA1.ndjson" "$workdir/distA.tsv"
+kill -9 "$W3_PID"
+wait "$W3_PID" 2>/dev/null || true
+W3_PID=""
+state=$(dist_job "$workdir/deck05.sp" "$workdir/distB0.ndjson")
+[[ "$state" == failed ]] || { echo "job on deck B with the only worker dead ended $state, want failed"; exit 1; }
+start_w3
+state=$(dist_job "$workdir/deck05.sp" "$workdir/distB1.ndjson")
+[[ "$state" == done ]] || { echo "job on deck B after the worker came back ended $state"; tail -1 "$workdir/distB1.ndjson"; exit 1; }
+same_bytes "$workdir/distB1.ndjson" "$workdir/distB.tsv"
+state=$(dist_job "$workdir/deck.sp" "$workdir/distA2.ndjson")
+[[ "$state" == done ]] || { echo "job on deck A after the worker came back ended $state"; tail -1 "$workdir/distA2.ndjson"; exit 1; }
+same_bytes "$workdir/distA2.ndjson" "$workdir/distA.tsv"
+kill -0 "$MATEXSRV3_PID" 2>/dev/null || { echo "matexsrv did not survive its worker's restart"; exit 1; }
+kill "$MATEXSRV3_PID" 2>/dev/null || true
+wait "$MATEXSRV3_PID" 2>/dev/null || true
+MATEXSRV3_PID=""
+kill "$W3_PID" 2>/dev/null || true
+wait "$W3_PID" 2>/dev/null || true
+W3_PID=""
+echo "killed worker: job failed; restarted worker: both decks done on the same matexsrv, bytes of matex -distributed"
 
 say "matexsrv submit-and-stream"
 "$workdir/matexsrv" -listen 127.0.0.1:18080 > "$workdir/matexsrv.log" 2>&1 &
