@@ -15,11 +15,13 @@
 // Probed nodes come from the deck's ".print tran v(...)" cards; without any,
 // the first node of the deck is probed.
 //
-// A single-process run writes each row as it is integrated (t = 0 as soon as
-// the DC operating point exists); -distributed/-workers and -sweep write the
-// table at the end (-stream: a sweep's rows live, interleaved across variants).
-// Check the exit status: a run that fails after rows have left exits 1, error
-// on stderr, table ending on a complete row — a partial table is a failed run.
+// Every run writes each row as it leaves the engine, t = 0 as soon as the DC
+// operating point exists: a single-process run as it integrates, a
+// -distributed/-workers run as the slowest task passes each grid point (a
+// remote task's rows when it lands), a -sweep run each variant's rows as its
+// lanes pass them, interleaved across variants. Check the exit status: a run
+// that fails after rows have left exits 1, error on stderr, table ending on
+// a complete row — a partial table is a failed run.
 //
 // -sweep FILE runs every scenario variant in FILE (a JSON array of sweep
 // variant objects, or an object with a "variants" key — the same schema
@@ -60,7 +62,6 @@ func main() {
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible), arnoldi, lanczos")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
-	stream := flag.Bool("stream", false, "with -sweep: emit each TSV row as its lane produces it (a plain single-process run always does)")
 	stats := flag.Bool("stats", false, "print solver work statistics to stderr")
 	sweepFile := flag.String("sweep", "", "JSON variant file: run every scenario variant of the deck as one batched sweep")
 	flag.Parse()
@@ -133,9 +134,6 @@ func main() {
 	if sweeping && (*distributed || *workers != "") {
 		fatal(fmt.Errorf("-sweep and -distributed are mutually exclusive (a sweep batches within one process)"))
 	}
-	if *stream && (*distributed || *workers != "") {
-		fatal(fmt.Errorf("-stream applies to single-process runs only (the distributed superposition exists only after all groups land)"))
-	}
 	var variants []sweep.Variant
 	if sweeping {
 		if variants, err = loadVariants(*sweepFile); err != nil {
@@ -143,9 +141,11 @@ func main() {
 		}
 	}
 
-	// One TSV table through one buffer; a sweep's has a leading variant column.
-	// The header waits there for the first row, so a run that fails before it
-	// has a sample prints nothing. A row is nil/empty when every probe was
+	// One TSV table through one buffer; a sweep's has a leading variant column
+	// and interleaves its variants' rows. The header waits there for the first
+	// row, so a run that fails before it has a sample prints nothing. Each row
+	// is flushed whole as the engine delivers it: what a failed run leaves on
+	// stdout ends on a complete row. A row is nil/empty when every probe was
 	// skipped (all supply rails): the table has no voltage columns.
 	tsv := []byte("time")
 	if sweeping {
@@ -155,7 +155,16 @@ func main() {
 		tsv = fmt.Appendf(tsv, "\tv(%s)", name)
 	}
 	tsv = append(tsv, '\n')
+	flush := func() {
+		if _, err := os.Stdout.Write(tsv); err != nil {
+			fatal(err)
+		}
+		tsv = tsv[:0]
+	}
+	var mu sync.Mutex // sweep variants stream concurrently
 	writeRow := func(variant string, t float64, row []float64) {
+		mu.Lock()
+		defer mu.Unlock()
 		if sweeping {
 			tsv = fmt.Appendf(tsv, "%s\t", variant)
 		}
@@ -166,20 +175,6 @@ func main() {
 			}
 		}
 		tsv = append(tsv, '\n')
-	}
-	flush := func() {
-		if _, err := os.Stdout.Write(tsv); err != nil {
-			fatal(err)
-		}
-		tsv = tsv[:0]
-	}
-	// A live row is flushed whole as the integrator records it: what a failed
-	// run leaves on stdout ends on a complete row. Sweep lanes emit concurrently.
-	var mu sync.Mutex
-	liveRow := func(variant string, t float64, row []float64) {
-		mu.Lock()
-		defer mu.Unlock()
-		writeRow(variant, t, row)
 		flush()
 	}
 
@@ -193,13 +188,12 @@ func main() {
 	switch {
 	case sweeping:
 		sopts := sweep.Options{Base: opts, Method: m}
-		if *stream {
-			sopts.OnVariantSample = func(v int, t float64, row []float64) { liveRow(variants[v].Label(v), t, row) }
-		}
+		sopts.OnVariantSample = func(v int, t float64, row []float64) { writeRow(variants[v].Label(v), t, row) }
 		if sres, err = sweep.Run(sys, variants, sopts); err == nil {
 			res = &transient.Result{Stats: sres.Stats.Sim}
 		}
 	case *distributed || *workers != "":
+		opts.OnSample = func(t float64, row []float64) { writeRow("", t, row) }
 		cfg := dist.Config{Base: opts}
 		if *workers != "" {
 			if cfg.Pool, err = dist.NewRPCPool(context.Background(), strings.Split(*workers, ",")); err != nil {
@@ -209,23 +203,13 @@ func main() {
 		}
 		res, rep, err = dist.Run(dist.NewSystem(sys), m, cfg)
 	default:
-		opts.OnSample = func(t float64, row []float64) { liveRow("", t, row) }
+		opts.OnSample = func(t float64, row []float64) { writeRow("", t, row) }
 		res, err = transient.Simulate(sys, m, opts)
 	}
 	if err != nil {
 		fatal(err)
 	}
-
-	// The tables that exist only now: the superposition, a sweep's by variant.
-	if rep != nil {
-		res.EachSample(func(t float64, row []float64) { writeRow("", t, row) })
-	} else if sres != nil && !*stream {
-		for _, vr := range sres.Variants {
-			table := transient.Result{Times: vr.Times, Probes: vr.Probes}
-			table.EachSample(func(t float64, row []float64) { writeRow(vr.Name, t, row) })
-		}
-	}
-	flush()
+	flush() // the header of a table no row reached
 
 	if *stats {
 		// Readers of -stats collect key=value tokens across lines, so no key

@@ -66,9 +66,15 @@ type Config struct {
 	// calls makes later runs refactorization-free.
 	// Ctx cancels the run: nothing further is dispatched, in-process
 	// subtasks abort at their next step boundary, RPC dispatches return
-	// without waiting for their reply. OnSample, OnCheckpoint and
-	// ActiveInputs are engine-owned and must be nil; every node emits on
-	// the GTS grid from zero state whatever EvalTimes and InitialState say.
+	// without waiting for their reply. OnSample receives the superposed rows
+	// under transient.Simulate's contract — one at a time, in time order,
+	// the row aliasing the returned Result's — as they leave: t = 0 (x_DC)
+	// once the DC solve is done, every later GTS point once the slowest task
+	// has passed it (in-process tasks stream, remote ones land whole). A run
+	// that fails after rows have left returns the error all the same.
+	// OnCheckpoint and ActiveInputs are engine-owned and must be nil; every
+	// node emits on the GTS grid from zero state whatever EvalTimes and
+	// InitialState say.
 	// The plan gives every node one task and a task runs on one core, so
 	// run one matexd per core (the plan is cut for the nodes present); the
 	// in-process pool already occupies one core per task.
@@ -244,5 +250,6 @@ func subtaskOptions(ctx context.Context, sub *circuit.System, task Task, req Req
 		Krylov:       req.Krylov,
 		Workspaces:   workspaces,
 		Ctx:          ctx,
+		OnSample:     req.OnSample,
 	}
 }

@@ -418,7 +418,7 @@ func TestDistNoTransientSources(t *testing.T) {
 }
 
 // TestDistFixedStepInterpolatedOntoGTS covers the misaligned-grid path of
-// superpose.Combine: fixed-step subtasks emit their own step grid (including the
+// the superposition: fixed-step subtasks emit their own step grid (including the
 // shortened final step landing exactly on Tstop), which Run linearly
 // interpolates onto the GTS output grid. The distributed result must match
 // an undistributed fixed-step reference interpolated the same way — and the

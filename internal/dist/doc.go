@@ -31,11 +31,14 @@
 //
 // Run (run.go) drives the whole flow: Partition extracts bump features
 // (dist.go), the planner cuts Tasks for the pool's nodes, and the lane
-// fan-out and the combiner this package shares with internal/sweep
+// fan-out and the streaming fold this package shares with internal/sweep
 // (internal/superpose) place them on the Pool — while Run solves the DC
-// point itself — and fold the responses, x_DC + Σ 1·x_task. The method is
-// an argument and the solver options are one transient.Options
-// (Config.Base), as for transient.Simulate. The circuit is an argument too:
+// point itself — and fold the responses, x_DC + Σ 1·x_task, row by row as
+// the tasks pass each GTS point: row 0 is x_DC, in-process tasks stream
+// their samples into the fold (Request.OnSample), remote ones land whole.
+// The method is an argument and the solver options are one
+// transient.Options (Config.Base), as for transient.Simulate, whose OnSample
+// receives the superposed rows. The circuit is an argument too:
 // Run and Pool.Solve take a System (the stamped system, its zero-state view
 // and, lazily, its wire form), so a pool is nodes and nothing else and one
 // pool serves any number of circuits. Two Pool implementations ship: the

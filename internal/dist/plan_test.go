@@ -386,12 +386,12 @@ func TestDistInFlightFollowsPool(t *testing.T) {
 	}
 }
 
-// TestDistRejectsEngineOwnedBase: the hooks and the input mask are set per
-// subtask; a caller's would fire per task with a partial response.
+// TestDistRejectsEngineOwnedBase: the checkpoint hook and the input mask are
+// set per subtask; a caller's would fire per task with a partial response.
+// (Base.OnSample is the superposition's hook: see stream_test.go.)
 func TestDistRejectsEngineOwnedBase(t *testing.T) {
 	sys := testSystem(t, 0.15)
 	for name, base := range map[string]transient.Options{
-		"OnSample":     {Tstop: 1e-9, OnSample: func(float64, []float64) {}},
 		"OnCheckpoint": {Tstop: 1e-9, OnCheckpoint: func(transient.Checkpoint) error { return nil }},
 		"ActiveInputs": {Tstop: 1e-9, ActiveInputs: make([]bool, len(sys.Inputs))},
 	} {

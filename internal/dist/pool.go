@@ -27,6 +27,11 @@ type Request struct {
 	// Krylov is the subspace process every node runs (auto / arnoldi /
 	// lanczos; see krylov.Method).
 	Krylov krylov.Method
+	// OnSample, set per task by Run, receives the subtask's samples as it
+	// records them (transient.Options.OnSample): in-process subtasks stream
+	// into the scheduler's superposition. gob skips func fields, so a remote
+	// subtask's samples arrive with its reply instead.
+	OnSample func(t float64, probes []float64)
 }
 
 // TaskResult is one solved subtask.

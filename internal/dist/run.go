@@ -17,7 +17,8 @@ import (
 // one task per node (plan.go), fan the tasks out as zero-state subtasks
 // running method, solve the DC operating point on the scheduler meanwhile,
 // and superpose the task responses with the DC baseline on the shared GTS
-// time grid (internal/superpose, every coefficient 1).
+// time grid (a superpose.Fold, every coefficient 1), delivering each row
+// through Config.Base.OnSample as it leaves.
 //
 // The returned Result carries the superposed probe waveforms (and final
 // state); its Stats aggregate the work of all nodes, with TransientTime set
@@ -42,6 +43,9 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	if method.FixedStep() && base.Step <= 0 {
 		return nil, nil, fmt.Errorf("dist: fixed-step method %v needs positive Step", method)
 	}
+	// The caller's OnSample is the superposition's; each lane gets its own.
+	emit := base.OnSample
+	base.OnSample = nil
 	if err := superpose.CheckBase(&base); err != nil {
 		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
@@ -69,13 +73,16 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	}
 
 	// Decomposition, cut for the nodes present, and the shared output grid.
-	// Only the MATEX methods pay per transition spot; the others are
-	// planned without spots (see planTasks).
+	// Only the MATEX methods pay per transition spot and record exactly the
+	// grid; the others are planned without spots (see planTasks) and
+	// interpolated onto it.
 	groups := Partition(sys, base.Tstop)
 	var spots [][]float64
+	onGrid := false
 	switch method {
 	case transient.MEXP, transient.IMATEX, transient.RMATEX:
 		spots = groupSpots(sys, groups, base.Tstop)
+		onGrid = true
 	}
 	nodes := pool.Nodes()
 	tasks, perTask := planTasks(groups, spots, nodes)
@@ -88,6 +95,15 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 		workers = nodes
 	}
 
+	// Superposition: x(t_i) = x_DC + Σ_task x_task(t_i) on the GTS grid,
+	// summed in plan order so the rows do not depend on completion order.
+	// Every task is zero-state, so row 0 is x_DC and leaves with it.
+	addends := make([]superpose.Addend, len(tasks))
+	for i := range addends {
+		addends[i] = superpose.Addend{Coef: 1, Interp: !onGrid, ZeroState: true}
+	}
+	fold := superpose.NewFold(superpose.Plan{Grid: gts, Probes: base.Probes, Addends: addends, Offset: true}, emit)
+
 	// DC operating point, G·x_DC = B·u(0) over all inputs, beside the
 	// fan-out: zero-state subtasks do not need x_DC, it only enters at
 	// superposition. The cached factorization of G is shared with the
@@ -96,7 +112,6 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	ctx, cancel := context.WithCancel(base.Ctx)
 	defer cancel()
 	var (
-		xdc    []float64
 		dcInfo sparse.FactorInfo
 		dcErr  error
 	)
@@ -104,11 +119,14 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	go func() {
 		defer close(dcDone)
 		tDC := time.Now()
+		var xdc []float64
 		xdc, dcInfo, dcErr = solveDC(sys, base.Ordering, cache)
 		rep.DCTime = time.Since(tDC)
 		if dcErr != nil {
 			cancel()
+			return
 		}
+		fold.SetBase(xdc)
 	}()
 	queued := time.Now()
 	results, err := superpose.FanOut(ctx, len(tasks), workers, func(ctx context.Context, i int) (*TaskResult, error) {
@@ -118,9 +136,14 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 			return nil, fmt.Errorf("dist: run canceled: %w", err)
 		}
 		wait := time.Since(queued)
-		tr, err := pool.Solve(ctx, dsys, tasks[i], req)
+		lane := req
+		lane.OnSample = func(t float64, row []float64) { fold.Sample(i, t, row) }
+		tr, err := pool.Solve(ctx, dsys, tasks[i], lane)
 		if err != nil {
 			return nil, err
+		}
+		if err := fold.Land(i, tr.Result); err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
 		}
 		tr.Wait = wait
 		return tr, nil
@@ -132,15 +155,7 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Superposition: x(t_i) = x_DC + Σ_task x_task(t_i) on the GTS grid,
-	// summed in plan order so the result is deterministic regardless of
-	// completion order.
-	terms := make([]superpose.Term, len(results))
-	for i, tr := range results {
-		terms[i] = superpose.Term{Lane: tr.Result, Coef: 1}
-	}
-	res, err := superpose.Combine(gts, xdc, base.Probes, terms)
+	res, err := fold.Result()
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: %w", err)
 	}

@@ -24,7 +24,9 @@
 // queue until a worker goroutine (serve.go) picks it up, builds the one
 // transient.Options every kind of job runs under, hands it to
 // transient.Simulate, sweep.Run or dist.Run, and forwards every probe
-// sample into the job's grow-only sample log. Stream
+// sample into the job's grow-only sample log as the engine delivers it — a
+// distributed job's t = 0 row as soon as the scheduler's DC solve is done,
+// a sweep's shared variants as their lanes pass each sample. Stream
 // readers (GET /v1/jobs/{id}/stream) replay that log from any offset and
 // then follow live appends, so late subscribers and reconnects see the
 // identical sequence.

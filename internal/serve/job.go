@@ -48,8 +48,9 @@ type JobSpec struct {
 	Ordering string `json:"ordering,omitempty"`
 	// Distributed runs the job through the dist scheduler (bump-feature
 	// decomposition): over the server's matexd workers when configured,
-	// else over the in-process pool. Distributed jobs stream their
-	// superposed waveform once the subtasks land rather than per-step.
+	// else over the in-process pool. A distributed job streams its
+	// superposed waveform as it leaves the scheduler: t = 0 once the DC
+	// solve is done, later samples as the subtasks pass them.
 	Distributed bool `json:"distributed,omitempty"`
 	// TimeoutSec, when positive, is the per-job deadline; an expired job
 	// is reported canceled.
@@ -253,11 +254,10 @@ func (j *Job) broadcast() {
 	j.notify = make(chan struct{})
 }
 
-// appendSample records one streamed chunk: the OnSample hook of a plain
-// job (variant ""), the replay of a distributed run's superposed waveform,
-// and the sweep's OnVariantSample hook — called concurrently from its
-// lanes — which stamps the variant name and the next per-variant sequence
-// number.
+// appendSample records one streamed chunk: the OnSample hook of a plain or
+// distributed job (variant ""), and the sweep's OnVariantSample hook —
+// called concurrently from its lanes — which stamps the variant name and
+// the next per-variant sequence number.
 func (j *Job) appendSample(variant string, t float64, v []float64) {
 	j.mu.Lock()
 	smp := Sample{T: t, V: append([]float64(nil), v...), Variant: variant}

@@ -525,12 +525,14 @@ func (s *Server) runJob(job *Job) {
 // cache and workspaces: a plain integration, a sweep (its batching report is
 // the third result; the folded lane counters stand in as the transient
 // stats) or a D-MATEX run (its scheduling report is the second). Samples
-// stream into the job as the integration or the sweep's lanes advance; a
-// distributed superposition only exists once every subtask has landed, so
-// it streams at completion. On durable servers plain jobs and sweep lanes
-// journal their checkpoints and a restored job re-enters each integration
-// at its last one (shared sweep variants re-run: resume disables sharing);
-// distributed jobs do not checkpoint, their subtasks run remotely.
+// stream into the job as they leave the engine, under the one OnSample
+// contract: as the integration advances, as a sweep variant's lanes pass
+// each sample, as a distributed superposition's tasks pass each grid point
+// (t = 0 once the DC solve is done). On durable servers plain jobs and sweep
+// lanes journal their checkpoints and a restored job re-enters each
+// integration at its last one (shared sweep variants re-run: resume
+// disables sharing); distributed jobs do not checkpoint, their subtasks run
+// remotely.
 func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *dist.Report, *sweep.Stats, error) {
 	b, spec := job.built, &job.Spec
 	d := b.deck
@@ -579,6 +581,7 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 		return &transient.Result{Stats: sres.Stats.Sim}, nil, &sres.Stats, nil
 
 	case spec.Distributed:
+		opts.OnSample = func(t float64, probes []float64) { job.appendSample("", t, probes) }
 		cfg := dist.Config{Base: opts}
 		if len(s.cfg.DistAddrs) > 0 {
 			pool, err := s.workerPool()
@@ -588,11 +591,7 @@ func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *di
 			cfg.Pool = pool
 		}
 		res, rep, err := dist.Run(d.dsys, b.method, cfg)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		res.EachSample(func(t float64, row []float64) { job.appendSample("", t, row) })
-		return res, rep, nil, nil
+		return res, rep, nil, err
 	}
 
 	opts.OnSample = func(t float64, probes []float64) { job.appendSample("", t, probes) }

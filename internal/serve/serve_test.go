@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/rpc"
 	"os"
 	"reflect"
 	"strconv"
@@ -567,6 +568,91 @@ func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 			t.Fatalf("round %d: status reports %d groups in %d tasks, want several groups in 1 task", round, st.Groups, st.Tasks)
 		}
 	}
+}
+
+// failingWorker stands in for a matexd that answers its task with a solver
+// error, once the test closes release.
+type failingWorker struct{ release chan struct{} }
+
+func (w *failingWorker) Solve(_ *dist.SolveArgs, _ *dist.SolveReply) error {
+	<-w.release
+	return errors.New("injected solver failure")
+}
+
+// TestDistributedJobFailsAfterItsFirstRow: a distributed job's t = 0 row
+// leaves once the scheduler's DC solve is done, while its one task is still
+// out; when the task then fails, the job ends failed with that row streamed
+// and its sequence numbers gapless.
+func TestDistributedJobFailsAfterItsFirstRow(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	worker := &failingWorker{release: make(chan struct{})}
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("MatexWorker3", worker); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go srv.ServeConn(conn)
+		}
+	}()
+
+	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 2, DistAddrs: []string{l.Addr().String()}})
+	defer shutdown(context.Background())
+	resp := postJSON(t, base+"/v1/jobs", serve.JobSpec{Netlist: testDeck(t), Distributed: true})
+	var st serve.Status
+	if err := jsonDecode(resp, &st); err != nil {
+		t.Fatal(err)
+	}
+	stream, err := http.Get(base + "/v1/jobs/" + st.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stream.Body.Close()
+	sc := bufio.NewScanner(stream.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var seqs []int
+	var times []float64
+	for sc.Scan() {
+		var chunk struct {
+			Seq   int     `json:"seq"`
+			T     float64 `json:"t"`
+			Done  bool    `json:"done"`
+			State string  `json:"state"`
+			Error string  `json:"error"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &chunk); err != nil {
+			t.Fatalf("stream chunk: %v in %q", err, sc.Bytes())
+		}
+		switch {
+		case chunk.Done:
+			if chunk.State != string(serve.JobFailed) || !strings.Contains(chunk.Error, "injected solver failure") {
+				t.Fatalf("job ended %q: %s", chunk.State, chunk.Error)
+			}
+			if len(seqs) == 0 || times[0] != 0 {
+				t.Fatalf("failed job streamed %d rows from t=%v", len(seqs), times)
+			}
+			for i, s := range seqs {
+				if s != i+1 {
+					t.Fatalf("seq %d at position %d: not gapless", s, i)
+				}
+			}
+			return
+		case chunk.Seq > 0:
+			if len(seqs) == 0 {
+				close(worker.release) // the first row is out; now fail the task
+			}
+			seqs, times = append(seqs, chunk.Seq), append(times, chunk.T)
+		}
+	}
+	t.Fatalf("stream ended without a done chunk (err=%v)", sc.Err())
 }
 
 // countingListener counts the connections it accepted.

@@ -192,6 +192,42 @@ func TestSweepJobEndToEnd(t *testing.T) {
 	}
 }
 
+// TestSweepSharedVariantsStreamGapless: variants served by linearity stream
+// as their lanes pass each sample, interleaved with the directly integrated
+// one, and every variant's vseq still runs 1, 2, 3, … (readSweepStream)
+// over the whole waveform.
+func TestSweepSharedVariantsStreamGapless(t *testing.T) {
+	_, base, shutdown := testServer(t, serve.Config{Workers: 2, QueueDepth: 4})
+	defer shutdown(context.Background())
+	spec := serve.JobSpec{
+		Case: "ibmpg1t", Scale: 0.2,
+		Variants: []sweep.Variant{
+			{Name: "typ"},
+			{Name: "half", Scale: 0.5},
+			{Name: "double", Scale: 2},
+			{Name: "hot", SourceScales: map[string]float64{"Iload1": 1.4}},
+		},
+	}
+	resp := postJSON(t, base+"/v1/sweep", spec)
+	var st serve.Status
+	if err := jsonDecode(resp, &st); err != nil {
+		t.Fatal(err)
+	}
+	got := readSweepStream(t, base+"/v1/jobs/"+st.ID+"/stream")
+	if got.state != serve.JobDone {
+		t.Fatalf("sweep ended %s (%s)", got.state, got.tailErr)
+	}
+	if got.stats == nil || got.stats.SharedVariants != 3 {
+		t.Fatalf("sweep report %+v: want three shared variants", got.stats)
+	}
+	n := len(got.times["hot"])
+	for _, v := range spec.Variants {
+		if len(got.times[v.Name]) != n || n == 0 {
+			t.Fatalf("variant %q streamed %d samples, the direct one %d", v.Name, len(got.times[v.Name]), n)
+		}
+	}
+}
+
 // TestSweepCrashRestartResume is the sweep analogue of the kill -9 test:
 // a journal-backed server is interrupted mid-sweep (byte-for-byte journal
 // snapshot), a second server restores the job, resumes each checkpointed

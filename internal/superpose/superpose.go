@@ -5,6 +5,10 @@
 // (x_m = x_sup + c_m·x_load) are the same object: lanes over one deck plus
 // base + Σ coef·lane. What the lanes are — LTS-balanced source-group tasks,
 // variant representatives — is the planners' business and stays there.
+//
+// The combination is a Fold: rows leave in time order the moment every lane
+// has passed their grid point, whether a lane streams its samples as it
+// integrates or lands whole.
 package superpose
 
 import (
@@ -66,92 +70,361 @@ func FanOut[T any](ctx context.Context, n, limit int, run func(ctx context.Conte
 	return out, nil
 }
 
-// Term is one lane's share of a combination.
-type Term struct {
-	Lane *transient.Result
+// Addend declares one lane of a Fold before the lane has run.
+type Addend struct {
+	// Coef scales the lane's rows and final state.
 	Coef float64
+	// Interp marks a lane that records on its own times — a fixed-step or
+	// adaptive-TR integration — and is linearly interpolated onto the grid
+	// (transient.Result.InterpProbe). Any other lane records exactly the
+	// grid points, to rounding, and enters sample by sample.
+	Interp bool
+	// ZeroState marks a lane integrated from the zero state, such as a
+	// D-MATEX task: on a Plan with a Grid it has passed grid[0] before it
+	// starts and contributes an exact +0 there, which its landed result must
+	// bear out bit for bit.
+	ZeroState bool
 }
 
-// Combine evaluates base + Σ coef·lane over the probe rows and the final
-// state, summing in term order so the result does not depend on which lane
-// finished first. probes are the unknowns every row records; base (nil:
-// none) is a constant state offset — D-MATEX's x_DC — entering row column k
-// as base[probes[k]].
+// Plan is the combination base + Σ Addends[j].Coef·lane_j a Fold evaluates.
+type Plan struct {
+	// Grid is the output time grid; nil means the lanes' own shared grid,
+	// sample by sample (every lane then records the same times).
+	Grid []float64
+	// Probes are the unknowns every row records; base enters row column k
+	// as base[Probes[k]].
+	Probes []int
+	// Addends are the lanes, in the order every row sums them.
+	Addends []Addend
+	// Offset says the combination has a constant state offset — D-MATEX's
+	// x_DC — supplied once through SetBase. No row leaves before it has.
+	Offset bool
+}
+
+// ShortLaneError is a landed lane that never passed grid point At: its
+// samples, or its probe rows, stop before it. No row at or past At leaves.
+type ShortLaneError struct {
+	Lane int     // the addend's index
+	At   float64 // the first grid time the lane does not reach
+}
+
+func (e *ShortLaneError) Error() string {
+	return fmt.Sprintf("superpose: lane %d stops short of the grid at t=%g", e.Lane, e.At)
+}
+
+// Fold is the streaming form of a Plan. Lanes deliver concurrently, live
+// through Sample or whole through Land; row i leaves through the emit hook
+// the moment every lane has passed grid[i] (and the base has arrived), in
+// time order and one at a time. Each row is summed in addend order — the
+// base first, then += c·x; without a base the first addend is set, c·x, so
+// a lane's -0 survives — so its bits do not depend on which lane delivered
+// first. The first error sticks: no row leaves after it.
 //
-// A non-nil grid is the output time grid: a lane whose own times coincide
-// with it is added sample by sample (the MATEX methods emit exactly the
-// requested EvalTimes), any other lane — a fixed-step one on its step grid
-// — is linearly interpolated onto it. A nil grid means the lanes' own
-// shared grid; lanes that disagree on it are an error, since nothing says
-// which one the caller wanted.
-//
-// The result aliases grid and, when it is exactly one lane times 1, that
-// lane's rows and state; treat lane results as read-only afterwards.
-func Combine(grid, base []float64, probes []int, terms []Term) (*transient.Result, error) {
-	shared := grid == nil
-	if shared {
-		if len(terms) == 0 {
+// The rows handed to emit, and Result's, alias fold memory (and, when the
+// plan is exactly one lane times 1 on its own grid, that lane's rows, which
+// pass through uncopied); treat them and the delivered lanes as read-only.
+type Fold struct {
+	grid   []float64
+	probes []int
+	offset bool
+	alias  bool // no grid, no base, one lane times 1: its rows are the answer
+	emit   func(t float64, row []float64)
+
+	mu       sync.Mutex
+	lanes    []track
+	base     []float64
+	rows     [][]float64
+	ready    int  // rows folded
+	sent     int  // rows emitted
+	emitting bool // a delivery is calling emit, with mu released
+	err      error
+	sample   []float64 // one interpolated lane sample
+	zeros    []float64 // a zero-state lane's grid[0] contribution
+}
+
+// track is one addend's samples as delivered so far.
+type track struct {
+	Addend
+	times  []float64
+	rows   [][]float64
+	final  []float64
+	passed int // grid points this lane can no longer change
+	landed bool
+}
+
+// NewFold starts folding p. emit (nil: none) receives every row as it
+// leaves, on one of the delivering goroutines, inside its Sample, Land or
+// SetBase call.
+func NewFold(p Plan, emit func(t float64, row []float64)) *Fold {
+	f := &Fold{
+		grid: p.Grid, probes: p.Probes, offset: p.Offset, emit: emit,
+		alias:  p.Grid == nil && !p.Offset && len(p.Addends) == 1 && p.Addends[0].Coef == 1,
+		lanes:  make([]track, len(p.Addends)),
+		sample: make([]float64, len(p.Probes)),
+		zeros:  make([]float64, len(p.Probes)),
+	}
+	for j, a := range p.Addends {
+		a.ZeroState = a.ZeroState && len(f.grid) > 0
+		f.lanes[j].Addend = a
+		if a.ZeroState {
+			f.lanes[j].passed = 1
+		}
+	}
+	return f
+}
+
+// SetBase supplies the plan's offset; rows the lanes have already passed
+// leave now.
+func (f *Fold) SetBase(base []float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.base = base
+	f.drain()
+}
+
+// Sample delivers lane j's next recorded sample, as its OnSample hook sees
+// it. row is kept, not copied: it must be the lane's own recorded row,
+// which transient.Result never reuses.
+func (f *Fold) Sample(j int, t float64, row []float64) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return
+	}
+	l := &f.lanes[j]
+	l.times = append(l.times, t)
+	l.rows = append(l.rows, row)
+	f.err = f.advance(j, len(l.times)-1)
+	f.drain()
+}
+
+// Land delivers lane j's whole result — the rest of a live lane, or all of
+// one that streamed nothing — and returns the fold's error so far: a short
+// lane (*ShortLaneError), a zero-state lane that did not start at zero, or
+// samples off the grid.
+func (f *Fold) Land(j int, r *transient.Result) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return f.err
+	}
+	l := &f.lanes[j]
+	from := len(l.times)
+	l.times, l.rows, l.final, l.landed = r.Times, r.Probes, r.Final, true
+	f.err = f.advance(j, from)
+	f.drain()
+	return f.err
+}
+
+// Result returns the combination once every lane has landed (and the base
+// has arrived) and every delivery call has returned: the rows that left,
+// the grid, and the final state base + Σ c·final. Its Stats are zero.
+func (f *Fold) Result() (*transient.Result, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err != nil {
+		return nil, f.err
+	}
+	if f.offset && f.base == nil {
+		return nil, errors.New("superpose: the base never arrived")
+	}
+	for j := range f.lanes {
+		if !f.lanes[j].landed {
+			return nil, fmt.Errorf("superpose: lane %d has not landed", j)
+		}
+	}
+	times := f.grid
+	if times == nil {
+		if len(f.lanes) == 0 {
 			return nil, errors.New("superpose: no grid and no lanes to take one from")
 		}
-		grid = terms[0].Lane.Times
-		for _, t := range terms[1:] {
-			if len(t.Lane.Times) != len(grid) {
-				return nil, fmt.Errorf("superpose: lane grids diverged (%d vs %d samples)", len(grid), len(t.Lane.Times))
-			}
-		}
-		if base == nil && len(terms) == 1 && terms[0].Coef == 1 {
-			l := terms[0].Lane
-			return &transient.Result{Times: l.Times, Probes: l.Probes, Final: l.Final}, nil
-		}
-	}
-
-	res := &transient.Result{Times: grid}
-	if len(probes) > 0 {
-		res.Probes = make([][]float64, len(grid))
-		for i := range res.Probes {
-			res.Probes[i] = make([]float64, len(probes))
-			if base != nil {
-				for k, p := range probes {
-					res.Probes[i][k] = base[p]
-				}
+		times = f.lanes[0].times
+		for _, l := range f.lanes[1:] {
+			if len(l.times) != len(times) {
+				return nil, fmt.Errorf("superpose: lane grids diverged (%d vs %d samples)", len(times), len(l.times))
 			}
 		}
 	}
-	if base != nil {
-		res.Final = append([]float64(nil), base...)
+	if f.alias {
+		l := &f.lanes[0]
+		return &transient.Result{Times: l.times, Probes: l.rows, Final: l.final}, nil
 	}
-	row := make([]float64, len(probes)) // one interpolated sample
-	for ti, term := range terms {
-		lane, c := term.Lane, term.Coef
-		// The row operation is chosen once per term. Without a base the first
-		// term initialises instead of adding to zero, which would turn a
-		// lane's -0 into +0.
+	res := &transient.Result{Times: times, Probes: f.rows}
+	if f.base != nil {
+		res.Final = append([]float64(nil), f.base...)
+	}
+	for j := range f.lanes {
+		l := &f.lanes[j]
 		acc := addScaled
-		if base == nil && ti == 0 {
+		if f.base == nil && j == 0 {
 			acc = setScaled
-			res.Final = make([]float64, len(lane.Final))
+			res.Final = make([]float64, len(l.final))
 		}
-		switch {
-		case len(probes) == 0: // final state only
-		case shared || aligned(lane.Times, grid):
-			if len(lane.Probes) < len(grid) {
-				return nil, fmt.Errorf("superpose: lane %d recorded %d probe rows for %d samples", ti, len(lane.Probes), len(grid))
-			}
-			for i, dst := range res.Probes {
-				acc(dst, lane.Probes[i], c)
-			}
-		default:
-			for i, dst := range res.Probes {
-				for k := range row {
-					row[k] = lane.InterpProbe(grid[i], k)
-				}
-				acc(dst, row, c)
-			}
-		}
-		n := min(len(res.Final), len(lane.Final))
-		acc(res.Final[:n], lane.Final[:n], c)
+		n := min(len(res.Final), len(l.final))
+		acc(res.Final[:n], l.final[:n], l.Coef)
 	}
 	return res, nil
+}
+
+// advance checks lane j's samples from index from on and moves its cursor.
+// Called with f.mu held.
+func (f *Fold) advance(j, from int) error {
+	l := &f.lanes[j]
+	probed := len(f.probes) > 0
+	// A landed lane's samples past its last probe row do not count: the lane
+	// is short of them, and of the grid points they would have reached.
+	var rowless error
+	if l.landed && probed {
+		if len(l.rows) < len(l.times) {
+			rowless = &ShortLaneError{Lane: j, At: l.times[len(l.rows)]}
+			l.times = l.times[:len(l.rows)]
+		}
+		for i := from; i < len(l.times); i++ {
+			if len(l.rows[i]) < len(f.probes) {
+				return fmt.Errorf("superpose: lane %d row %d has %d columns for %d probes", j, i, len(l.rows[i]), len(f.probes))
+			}
+		}
+	}
+	n := len(l.times)
+	switch {
+	case f.grid == nil:
+		l.passed = n
+		return rowless
+	case l.landed && !probed:
+		// The rows carry no lane values: a landed lane has nothing left to give.
+		l.passed = len(f.grid)
+		return nil
+	case !l.Interp:
+		for i := from; i < n; i++ {
+			if i >= len(f.grid) || !near(l.times[i], f.grid[i]) {
+				return fmt.Errorf("superpose: lane %d sample %d at t=%g is off the %d-point grid", j, i, l.times[i], len(f.grid))
+			}
+		}
+		l.passed = max(l.passed, n)
+	case n > 0:
+		// Interpolation at grid[i] is final once a later sample exists; a
+		// landed lane's last sample also settles the points it lands on.
+		last := l.times[n-1]
+		for l.passed < len(f.grid) && (f.grid[l.passed] < last || l.landed && (f.grid[l.passed] <= last || near(last, f.grid[l.passed]))) {
+			l.passed++
+		}
+	}
+	if !l.landed {
+		return nil
+	}
+	reach := l.passed // how far the lane's own samples go
+	if !l.Interp || n == 0 {
+		reach = n
+	}
+	if reach < len(f.grid) {
+		return &ShortLaneError{Lane: j, At: f.grid[reach]}
+	}
+	if rowless != nil {
+		return rowless
+	}
+	if l.ZeroState {
+		for k, v := range f.laneAt(l, 0)[:len(f.probes)] {
+			if math.Float64bits(v) != 0 {
+				return fmt.Errorf("superpose: zero-state lane %d starts at %g, not +0, in column %d", j, v, k)
+			}
+		}
+	}
+	return nil
+}
+
+// drain folds every row all lanes have passed and, unless another delivery
+// is already emitting, emits the folded rows in order, with f.mu released
+// around each emit call. Called with f.mu held.
+func (f *Fold) drain() {
+	if f.err != nil || f.offset && f.base == nil {
+		return
+	}
+	f.fold()
+	if f.emit == nil {
+		f.sent = f.ready
+	}
+	if f.emitting {
+		return // that delivery emits these rows too before it returns
+	}
+	f.emitting = true
+	for f.err == nil && f.sent < f.ready {
+		t, row := f.row(f.sent)
+		f.mu.Unlock()
+		f.emit(t, row)
+		f.mu.Lock()
+		f.sent++
+	}
+	f.emitting = false
+}
+
+// row returns folded row i with its time, nil when no probes are recorded.
+// Called with f.mu held.
+func (f *Fold) row(i int) (float64, []float64) {
+	var t float64
+	if f.grid != nil {
+		t = f.grid[i]
+	} else {
+		t = f.lanes[0].times[i]
+	}
+	switch {
+	case len(f.probes) == 0:
+		return t, nil
+	case f.alias:
+		return t, f.lanes[0].rows[i]
+	}
+	return t, f.rows[i]
+}
+
+// fold sums the rows every lane has passed since the last call. Called with
+// f.mu held.
+func (f *Fold) fold() {
+	end := len(f.grid)
+	if f.grid == nil {
+		end = 0
+		if len(f.lanes) > 0 {
+			end = len(f.lanes[0].times)
+		}
+	}
+	for j := range f.lanes {
+		end = min(end, f.lanes[j].passed)
+	}
+	if f.alias || len(f.probes) == 0 {
+		f.ready = max(f.ready, end)
+		return
+	}
+	for ; f.ready < end; f.ready++ {
+		row := make([]float64, len(f.probes))
+		if f.base != nil {
+			for k, p := range f.probes {
+				row[k] = f.base[p]
+			}
+		}
+		for j := range f.lanes {
+			l := &f.lanes[j]
+			acc := addScaled
+			if f.base == nil && j == 0 {
+				acc = setScaled
+			}
+			acc(row, f.laneAt(l, f.ready), l.Coef)
+		}
+		f.rows = append(f.rows, row)
+	}
+}
+
+// laneAt is lane l's probe row at grid point i: its sample i, the exact +0
+// of a zero-state lane at grid[0], or its samples interpolated there.
+func (f *Fold) laneAt(l *track, i int) []float64 {
+	switch {
+	case l.ZeroState && i == 0 && !l.landed:
+		return f.zeros
+	case !l.Interp:
+		return l.rows[i]
+	}
+	view := transient.Result{Times: l.times, Probes: l.rows}
+	for k := range f.sample {
+		f.sample[k] = view.InterpProbe(f.grid[i], k)
+	}
+	return f.sample
 }
 
 // addScaled is dst += c·src and setScaled dst = c·src, over len(dst) entries.
@@ -167,15 +440,5 @@ func setScaled(dst, src []float64, c float64) {
 	}
 }
 
-// aligned reports whether a lane's output times are the grid, to rounding.
-func aligned(times, grid []float64) bool {
-	if len(times) != len(grid) {
-		return false
-	}
-	for i, t := range grid {
-		if math.Abs(times[i]-t) > 1e-15+1e-9*math.Abs(t) {
-			return false
-		}
-	}
-	return true
-}
+// near is the rounding slack between a lane's recorded time and a grid time.
+func near(t, g float64) bool { return math.Abs(t-g) <= 1e-15+1e-9*math.Abs(g) }

@@ -11,6 +11,46 @@ import (
 	"github.com/matex-sim/matex/internal/transient"
 )
 
+// Term is one landed lane's share of a combine.
+type Term struct {
+	Lane *transient.Result
+	Coef float64
+}
+
+// combine is the batch use of a Fold: every lane landed whole, the way a
+// caller holding finished results would sum them. A lane whose own times
+// coincide with a non-nil grid enters sample by sample, any other is
+// interpolated onto it; a nil grid means the lanes' own shared grid.
+func combine(grid, base []float64, probes []int, terms []Term) (*transient.Result, error) {
+	addends := make([]Addend, len(terms))
+	for j, t := range terms {
+		addends[j] = Addend{Coef: t.Coef, Interp: grid != nil && !aligned(t.Lane.Times, grid)}
+	}
+	f := NewFold(Plan{Grid: grid, Probes: probes, Addends: addends, Offset: base != nil}, nil)
+	if base != nil {
+		f.SetBase(base)
+	}
+	for j, t := range terms {
+		if err := f.Land(j, t.Lane); err != nil {
+			return nil, err
+		}
+	}
+	return f.Result()
+}
+
+// aligned reports whether a lane's output times are the grid, to rounding.
+func aligned(times, grid []float64) bool {
+	if len(times) != len(grid) {
+		return false
+	}
+	for i, t := range grid {
+		if !near(times[i], t) {
+			return false
+		}
+	}
+	return true
+}
+
 // lane builds a two-probe result on times whose probe k at sample i is
 // f(k, t_i) and whose final state is final.
 func lane(times []float64, f func(k int, t float64) float64, final ...float64) *transient.Result {
@@ -96,7 +136,7 @@ func TestCombine(t *testing.T) {
 		{name: "no grid and no lanes", err: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := Combine(c.grid, c.base, c.probes, c.terms)
+			got, err := combine(c.grid, c.base, c.probes, c.terms)
 			if c.err {
 				if err == nil {
 					t.Fatal("no error")

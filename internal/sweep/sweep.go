@@ -23,12 +23,13 @@ type Options struct {
 	// Method is the integrator every variant runs (mixed-method sweeps
 	// are not supported; submit separate sweeps).
 	Method transient.Method
-	// OnVariantSample, when non-nil, streams output samples. Directly
-	// integrated variants stream live as their lanes advance —
-	// concurrently, so the hook must be safe to call from multiple
-	// goroutines — and derived (shared) variants stream in bulk when the
-	// sweep assembles them. The probes row aliases engine memory; copy to
-	// retain. Within one variant, samples always arrive in time order.
+	// OnVariantSample, when non-nil, streams output samples as the lanes
+	// advance: a directly integrated variant's as its lane records them, a
+	// derived (shared) variant's as soon as every lane it is combined from
+	// has recorded that sample. Variants stream concurrently, so the hook
+	// must be safe to call from multiple goroutines; within one variant,
+	// samples arrive one at a time and in time order. The probes row
+	// aliases engine memory; copy to retain.
 	OnVariantSample func(variant int, t float64, probes []float64) `json:"-"`
 	// OnVariantCheckpoint, when non-nil, receives restartable snapshots
 	// for directly integrated variants every Base.CheckpointEvery
@@ -147,6 +148,29 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 	res.Stats.Variants = len(variants)
 	res.Stats.Lanes = len(lanes)
 
+	// Every variant is a fold over its group's lanes: the representative of
+	// a directly integrated group is that lane times 1 (its rows pass
+	// through), every other variant is derived — c·direct, or x_sup +
+	// c·x_load for a split group. Each streams as its lanes pass a sample.
+	folds := make([]*superpose.Fold, len(variants))
+	feeds := make([][]feed, len(lanes))
+	for _, g := range groups {
+		for _, m := range g.members {
+			ids, addends := []int{g.direct}, []superpose.Addend{{Coef: m.c}}
+			if g.direct < 0 {
+				ids, addends = []int{g.sup, g.load}, []superpose.Addend{{Coef: 1}, {Coef: m.c}}
+			}
+			var emit func(t float64, row []float64)
+			if opts.OnVariantSample != nil {
+				emit = func(t float64, row []float64) { opts.OnVariantSample(m.v, t, row) }
+			}
+			folds[m.v] = superpose.NewFold(superpose.Plan{Probes: base.Probes, Addends: addends}, emit)
+			for j, li := range ids {
+				feeds[li] = append(feeds[li], feed{folds[m.v], j})
+			}
+		}
+	}
+
 	// Join every lane before any of them starts, so the first barrier
 	// round already waits for the full fleet. All lanes run at once: one
 	// held back would stall the barrier the others park at.
@@ -171,13 +195,13 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 			defer joined[i].Leave()
 			lopts.Panel = joined[i]
 		}
+		lopts.OnSample = func(t float64, row []float64) {
+			for _, fd := range feeds[i] {
+				fd.fold.Sample(fd.addend, t, row)
+			}
+		}
 		var resume *transient.Checkpoint
 		if v := ln.variant; v >= 0 {
-			if opts.OnVariantSample != nil {
-				lopts.OnSample = func(t float64, probes []float64) {
-					opts.OnVariantSample(v, t, probes)
-				}
-			}
 			if opts.OnVariantCheckpoint != nil {
 				lopts.OnCheckpoint = func(cp transient.Checkpoint) error {
 					return opts.OnVariantCheckpoint(v, cp)
@@ -197,6 +221,11 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		if err != nil {
 			return nil, fmt.Errorf("sweep: lane %d: %w", i, err)
 		}
+		for _, fd := range feeds[i] {
+			if err := fd.fold.Land(fd.addend, r); err != nil {
+				return nil, fmt.Errorf("sweep: internal: %w", err)
+			}
+		}
 		return r, nil
 	})
 	if err != nil {
@@ -214,36 +243,27 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		res.Stats.Panel = broker.Stats()
 	}
 
-	// Every variant is a combination of its group's lanes: the
-	// representative of a directly integrated group is that lane times 1
-	// (and streamed live as the lane advanced); every other variant is
-	// derived — c·direct, or x_sup + c·x_load for a split group — and
-	// streams in bulk here.
 	for _, g := range groups {
 		for _, m := range g.members {
-			var terms []superpose.Term
-			if g.direct >= 0 {
-				terms = []superpose.Term{{Lane: results[g.direct], Coef: m.c}}
-			} else {
-				terms = []superpose.Term{{Lane: results[g.sup], Coef: 1}, {Lane: results[g.load], Coef: m.c}}
-			}
-			r, err := superpose.Combine(nil, nil, base.Probes, terms)
+			r, err := folds[m.v].Result()
 			if err != nil {
 				return nil, fmt.Errorf("sweep: internal: %w", err)
 			}
 			vr := &res.Variants[m.v]
 			vr.Times, vr.Probes, vr.Final = r.Times, r.Probes, r.Final
-			if g.direct >= 0 && m.v == g.rep {
-				continue
-			}
-			vr.Shared = true
-			res.Stats.SharedVariants++
-			if opts.OnVariantSample != nil {
-				r.EachSample(func(t float64, row []float64) { opts.OnVariantSample(m.v, t, row) })
+			if g.direct < 0 || m.v != g.rep {
+				vr.Shared = true
+				res.Stats.SharedVariants++
 			}
 		}
 	}
 	return res, nil
+}
+
+// feed is one lane's place in a variant's fold.
+type feed struct {
+	fold   *superpose.Fold
+	addend int
 }
 
 // planGroups partitions the variants into collinear groups. With sharing

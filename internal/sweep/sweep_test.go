@@ -215,6 +215,55 @@ func TestSweepCollinearSharing(t *testing.T) {
 	}
 }
 
+// TestSweepStreamsEveryVariant: for a split collinear group (three variants
+// derived as x_sup + c·x_load) beside a directly integrated variant,
+// OnVariantSample delivers each variant's rows one at a time, in time order,
+// and they are the rows Run returns, bit for bit.
+func TestSweepStreamsEveryVariant(t *testing.T) {
+	sys := ibmSystem(t, 0.2)
+	variants := []Variant{
+		{Name: "typ"},
+		{Name: "half", Scale: 0.5},
+		{Name: "double", Scale: 2.0},
+		{Name: "hot", SourceScales: map[string]float64{"Iload1": 1.4}},
+	}
+	type stream struct {
+		busy  bool
+		times []float64
+		rows  [][]float64
+	}
+	var mu sync.Mutex
+	got := make([]stream, len(variants))
+	opts := Options{Base: baseOpts(sys), Method: transient.RMATEX}
+	opts.OnVariantSample = func(v int, tt float64, row []float64) {
+		mu.Lock()
+		s := &got[v]
+		if s.busy {
+			t.Errorf("variant %d: two rows at once", v)
+		}
+		s.busy = true
+		mu.Unlock()
+		defer func() { mu.Lock(); s.busy = false; mu.Unlock() }()
+		if n := len(s.times); n > 0 && tt <= s.times[n-1] {
+			t.Errorf("variant %d: row at t=%g after t=%g", v, tt, s.times[n-1])
+		}
+		s.times = append(s.times, tt)
+		s.rows = append(s.rows, append([]float64(nil), row...))
+	}
+	res, err := Run(sys, variants, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SharedVariants != 3 || res.Stats.Lanes != 3 {
+		t.Fatalf("%d lanes, %d shared variants: not a split group beside a direct lane", res.Stats.Lanes, res.Stats.SharedVariants)
+	}
+	for v, vr := range res.Variants {
+		if !reflect.DeepEqual(got[v].times, vr.Times) || !reflect.DeepEqual(got[v].rows, vr.Probes) {
+			t.Errorf("variant %q streamed %d rows that are not its %d result rows", vr.Name, len(got[v].times), len(vr.Times))
+		}
+	}
+}
+
 // TestSweepCheckpointResume interrupts a sweep via a failing checkpoint
 // hook, then resumes the interrupted variants from their snapshots and
 // checks the stitched waveform matches an uninterrupted run.

@@ -144,8 +144,9 @@ type Options struct {
 	Workspaces *krylov.WorkspacePool `json:"-"`
 	// OnSample, when non-nil, is called synchronously after every recorded
 	// output sample with the sample time and the probe row — the streaming
-	// hook the serving layer and `matex -stream` emit waveform chunks from
-	// as the integrator advances, instead of waiting for the whole Result.
+	// hook the serving layer and `matex` write waveform rows from as the
+	// integrator advances, instead of waiting for the whole Result; the
+	// D-MATEX scheduler and sweep lanes also feed their superposition with it.
 	// The row aliases the slice just appended to Result.Probes (nil when no
 	// probes are configured); the callback must copy it if it retains it,
 	// and its cost lands on the simulation critical path.

@@ -181,6 +181,9 @@ type (
 
 // SimulateDistributed partitions the sources, fans subtasks running method
 // out to workers and superposes the results (the paper's Fig. 4 flow).
+// cfg.Base.OnSample, like Options.OnSample for Simulate, receives each
+// superposed row as it leaves: t = 0 once the DC point is solved, later rows
+// as the subtasks pass them.
 func SimulateDistributed(sys *System, method Method, cfg DistConfig) (*Result, *DistReport, error) {
 	return dist.Run(dist.NewSystem(sys), method, cfg)
 }

@@ -4,14 +4,19 @@
 #   1. pgbench | matex            one-shot CLI over a generated deck; its
 #                                 t = 0 row read from a pipe while the run
 #                                 is still integrating, the same bytes to a
-#                                 pipe, a file and under -stream; a failed
+#                                 pipe and a file; a -sweep's interleaved
+#                                 rows, grouped by variant, are the
+#                                 one-variant sweeps' tables; a failed
 #                                 run exits 1 on whole rows, a closed pipe
 #                                 ends it quietly; then -method imatex
 #                                 against -method rmatex: the driver's input
 #                                 treatments must agree to 1e-6 V
 #   2. matexd TCP loopback        distributed run over a real worker,
 #                                 then a SIGTERM graceful-drain check
-#   3. matexd chaos               kill -9 one of two workers mid-run; the
+#   3. matexd chaos               a distributed run's t = 0 row read from a
+#                                 pipe while its worker integrates, its
+#                                 table that of the same run to a file;
+#                                 kill -9 one of two workers mid-run; the
 #                                 pool must fail over, report retries, and
 #                                 still match the local waveform
 #   3b. matexsrv over matexd     one pool for the service's lifetime: jobs
@@ -80,26 +85,43 @@ kill -0 "$LIVE_PID" 2>/dev/null || { echo "matex had exited before its t = 0 row
 exec 3<&-
 wait "$LIVE_PID"
 LIVE_PID=""
-# Same bytes whichever way they left: to a pipe, to a file, under -stream
-# (still accepted; it only changes a sweep), and on the first step's deck.
+# Same bytes whichever way they left: to a pipe and to a file.
 "$workdir/matex" "$workdir/big.sp" > "$workdir/big.tsv"
-"$workdir/matex" -stream "$workdir/big.sp" > "$workdir/big-stream.tsv"
 cmp "$workdir/live.tsv" "$workdir/big.tsv"
-cmp "$workdir/live.tsv" "$workdir/big-stream.tsv"
-"$workdir/matex" -stream "$workdir/deck.sp" | cmp "$workdir/oneshot.tsv" -
+"$workdir/matex" "$workdir/deck.sp" | cmp "$workdir/oneshot.tsv" -
 echo "t = 0 row read while matex was running; finished tables identical"
 
+say "matex -sweep rows, grouped by variant, are the per-variant tables"
+# The variants stream concurrently, so their rows interleave; each
+# variant's rows, in order, are what a sweep of that variant alone prints.
+echo '[{"name":"typ"},{"name":"hot","source_scales":{"Iload1":1.4}},{"name":"cool","source_scales":{"Iload2":0.7}}]' > "$workdir/corners.json"
+"$workdir/matex" -sweep "$workdir/corners.json" "$workdir/deck.sp" > "$workdir/sweep.tsv"
+for v in typ hot cool; do
+    python3 -c 'import json, sys; print(json.dumps([v for v in json.load(open(sys.argv[1])) if v["name"] == sys.argv[2]]))' \
+        "$workdir/corners.json" "$v" > "$workdir/one.json"
+    "$workdir/matex" -sweep "$workdir/one.json" "$workdir/deck.sp" > "$workdir/one.tsv"
+    [[ "$(head -1 "$workdir/one.tsv")" == "$(head -1 "$workdir/sweep.tsv")" ]] || { echo "sweep headers differ"; exit 1; }
+    awk -F'\t' -v v="$v" 'NR > 1 && $1 == v' "$workdir/sweep.tsv" | cmp - <(tail -n +2 "$workdir/one.tsv") \
+        || { echo "variant $v: sweep rows are not its own table"; exit 1; }
+done
+echo "sweep rows grouped by variant match the one-variant tables"
+
 say "matex failure contract: exit status, whole rows, closed pipe"
-# γ = 1e-30 stops R-MATEX a few rows in: exit 1, the error on stderr, and
-# what did reach stdout ends on a complete row.
+# γ = 1e-30 stops R-MATEX a few rows in — a plain run, and every task of a
+# distributed one, whose row 0 (x_DC) has left by then: exit 1, the error on
+# stderr, and what did reach stdout ends on a complete row.
 "$workdir/pgbench" -case ibmpg1t > "$workdir/full.sp"
-rc=0
-"$workdir/matex" -gamma 1e-30 "$workdir/full.sp" > "$workdir/partial.tsv" 2> "$workdir/partial.err" || rc=$?
-[[ "$rc" -eq 1 ]] || { echo "failed run exited $rc, want 1"; exit 1; }
-grep -q '^matex: ' "$workdir/partial.err" || { echo "failed run left no error on stderr"; exit 1; }
-awk -F'\t' 'NR == 1 { n = NF } NF != n { bad = 1 } END { exit !(NR >= 2 && !bad) }' "$workdir/partial.tsv" \
-    || { echo "partial table has a torn row"; cat "$workdir/partial.tsv"; exit 1; }
-[[ "$(tail -c 1 "$workdir/partial.tsv" | od -An -c | tr -d ' ')" == '\n' ]] || { echo "partial table does not end on a newline"; exit 1; }
+for mode in "" -distributed; do
+    rc=0
+    # shellcheck disable=SC2086 # an empty $mode is no argument
+    GOMAXPROCS=2 "$workdir/matex" $mode -gamma 1e-30 "$workdir/full.sp" > "$workdir/partial.tsv" 2> "$workdir/partial.err" || rc=$?
+    mode=${mode:-plain}
+    [[ "$rc" -eq 1 ]] || { echo "$mode: failed run exited $rc, want 1"; exit 1; }
+    grep -q '^matex: ' "$workdir/partial.err" || { echo "$mode: failed run left no error on stderr"; exit 1; }
+    awk -F'\t' 'NR == 1 { n = NF } NF != n { bad = 1 } END { exit !(NR >= 2 && !bad) }' "$workdir/partial.tsv" \
+        || { echo "$mode: partial table has a torn row or no row"; cat "$workdir/partial.tsv"; exit 1; }
+    [[ "$(tail -c 1 "$workdir/partial.tsv" | od -An -c | tr -d ' ')" == '\n' ]] || { echo "$mode: partial table does not end on a newline"; exit 1; }
+done
 # A reader that leaves early ends the run quietly (SIGPIPE), not with a Go
 # stack trace.
 set +o pipefail
@@ -177,6 +199,24 @@ done
 # fixed-step superposition is exact to rounding however it is cut).
 "$workdir/matex" -method tr -step 1e-13 \
     -workers 127.0.0.1:19191 "$workdir/deck05.sp" > "$workdir/chaos_ref.tsv"
+# The same run to a pipe: its t = 0 row is x_DC, which leaves once the
+# scheduler's DC solve is done — read while the worker is still integrating
+# — and the finished table is the one the file got.
+mkfifo "$workdir/drows"
+"$workdir/matex" -method tr -step 1e-13 \
+    -workers 127.0.0.1:19191 "$workdir/deck05.sp" > "$workdir/drows" &
+LIVE_PID=$!
+exec 3< "$workdir/drows"
+IFS= read -r header <&3
+IFS= read -r first <&3
+kill -0 "$LIVE_PID" 2>/dev/null || { echo "matex -workers had exited before its t = 0 row was read"; exit 1; }
+[[ "$header" == time* && "$first" == 0.000000e+00* ]] || { echo "unexpected first rows: $header / $first"; exit 1; }
+{ printf '%s\n%s\n' "$header" "$first"; cat <&3; } > "$workdir/dlive.tsv"
+exec 3<&-
+wait "$LIVE_PID"
+LIVE_PID=""
+cmp "$workdir/dlive.tsv" "$workdir/chaos_ref.tsv"
+echo "distributed t = 0 row read while the worker integrated; finished tables identical"
 retried=0
 for attempt in 1 2 3; do
     "$workdir/matexd" -listen 127.0.0.1:19192 > "$workdir/w2.log" 2>&1 &
