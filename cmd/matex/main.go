@@ -52,9 +52,9 @@ import (
 )
 
 func main() {
-	method := flag.String("method", "rmatex", "integrator: tr, be, fe, tradpt, mexp, imatex, rmatex")
+	method := flag.String("method", "rmatex", "integrator: tr, tradpt, mexp, imatex, rmatex")
 	tstop := flag.Float64("tstop", 0, "simulation window in seconds (default: the deck's .tran stop)")
-	step := flag.Float64("step", 0, "fixed step for tr/be/fe in seconds (default: the deck's .tran step)")
+	step := flag.Float64("step", 0, "fixed step for tr, initial step for tradpt, in seconds (default: the deck's .tran step)")
 	tol := flag.Float64("tol", 0, "Krylov error budget (MATEX) or LTE target (tradpt); 0 = the method's default, 1e-6 for MATEX, 1e-4 for tradpt")
 	gamma := flag.Float64("gamma", 1e-10, "rational shift γ for rmatex")
 	distributed := flag.Bool("distributed", false, "decompose sources by bump feature and superpose")

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -589,22 +591,24 @@ func TestDistKrylovLanczos(t *testing.T) {
 	}
 }
 
+// oldRequest is a Request as an older coordinator encodes it, with the
+// FactorKind and SolveWorkers fields this one no longer has.
+type oldRequest struct {
+	Method                  transient.Method
+	Tstop, Step, Tol, Gamma float64
+	MaxDim                  int
+	Probes                  []int
+	EvalTimes               []float64
+	Ordering                sparse.Ordering
+	Krylov                  krylov.Method
+	FactorKind              int
+	SolveWorkers            int
+}
+
 // TestOldCoordinatorRequestDecodes pins doc.go's wire-compatibility
-// paragraph: a Request as an older coordinator encodes it, with the
-// FactorKind and SolveWorkers fields this one no longer has, decodes with
-// every surviving field intact and the dead ones dropped.
+// paragraph: an older coordinator's Request decodes with every surviving
+// field intact and the dead ones dropped.
 func TestOldCoordinatorRequestDecodes(t *testing.T) {
-	type oldRequest struct {
-		Method                  transient.Method
-		Tstop, Step, Tol, Gamma float64
-		MaxDim                  int
-		Probes                  []int
-		EvalTimes               []float64
-		Ordering                sparse.Ordering
-		Krylov                  krylov.Method
-		FactorKind              int
-		SolveWorkers            int
-	}
 	old := oldRequest{
 		Method: transient.RMATEX, Tstop: 1e-9, Tol: 1e-6, Gamma: 1e-10, MaxDim: 40,
 		Probes: []int{3, 5}, EvalTimes: []float64{0, 5e-10, 1e-9},
@@ -625,5 +629,42 @@ func TestOldCoordinatorRequestDecodes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+}
+
+// TestOldCoordinatorDeletedMethodFails: a Request from a coordinator that
+// still had backward or forward Euler (Method 1 or 2) decodes and reaches
+// the worker, which answers "unknown method" — a solver answer over a
+// healthy connection, not a transport failure, so the worker is neither
+// buried nor handed the task again, and no other integrator runs it.
+func TestOldCoordinatorDeletedMethodFails(t *testing.T) {
+	sys := testSystem(t, 0.2)
+	tasks := Partition(sys, 10e-9)
+	if len(tasks) == 0 {
+		t.Fatal("no groups to send")
+	}
+	addr, stop := startWorker(t)
+	defer stop()
+	pool, err := NewRPCPool(context.Background(), []string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	for _, m := range []transient.Method{1, 2} {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(oldRequest{Method: m, Tstop: 10e-9, Step: 1e-11, FactorKind: 2, SolveWorkers: 4}); err != nil {
+			t.Fatal(err)
+		}
+		var req Request
+		if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
+			t.Fatalf("method %d: decoding an older coordinator's request: %v", m, err)
+		}
+		_, err := pool.Solve(context.Background(), NewSystem(sys), tasks[0], req)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", m)) || isTransportError(err) {
+			t.Errorf("method %d: got %v, want the worker's unknown-method answer", m, err)
+		}
+		if n := pool.Nodes(); n != 1 {
+			t.Errorf("method %d: %d live workers after the refusal, want 1", m, n)
+		}
 	}
 }

@@ -415,7 +415,7 @@ func TestDistRejectsEngineOwnedBase(t *testing.T) {
 	if len(Partition(&quiet, 1e-9)) != 0 {
 		t.Fatal("the quiet deck still has groups")
 	}
-	if _, _, err := Run(NewSystem(&quiet), transient.BEFixed, Config{Base: transient.Options{Tstop: 1e-9}}); err == nil {
-		t.Error("BEFixed without Step returned the DC answer of a deck with no tasks")
+	if _, _, err := Run(NewSystem(&quiet), transient.TRFixed, Config{Base: transient.Options{Tstop: 1e-9}}); err == nil {
+		t.Error("TRFixed without Step returned the DC answer of a deck with no tasks")
 	}
 }

@@ -18,7 +18,6 @@ func TestTable1ShapeHolds(t *testing.T) {
 		Specs: []pdn.StiffMeshSpec{
 			{NX: 6, NY: 6, RSeg: 1, CBase: 1e-12, Spread: 1e6, Drive: drive},
 		},
-		RefStep: 0.5e-12, // coarser reference keeps the test quick
 	}
 	rows, err := RunTable1(cfg)
 	if err != nil {
@@ -39,9 +38,11 @@ func TestTable1ShapeHolds(t *testing.T) {
 	if rmatex.MP > 30 {
 		t.Errorf("R-MATEX peak dim %d unexpectedly large", rmatex.MP)
 	}
-	// All methods stay accurate on this mildly stiff case.
+	// All methods stay accurate on this mildly stiff case, held to the exact
+	// reference at a bound a backward-Euler reference (0.72 % off at 0.5 ps)
+	// could never pass.
 	for _, r := range rows {
-		if r.ErrPct > 2 {
+		if r.ErrPct > 0.01 {
 			t.Errorf("%s error %.3f%% too large", r.Method, r.ErrPct)
 		}
 	}

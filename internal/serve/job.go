@@ -31,8 +31,9 @@ type JobSpec struct {
 	Scale     float64 `json:"scale,omitempty"`
 	NumProbes int     `json:"num_probes,omitempty"`
 
-	// Method selects the integrator ("tr", "be", "fe", "tradpt", "mexp",
-	// "imatex", "rmatex"; empty = rmatex).
+	// Method selects the integrator ("tr", "tradpt", "mexp", "imatex",
+	// "rmatex"; empty = rmatex). Any other name is refused at submit; a
+	// journaled spec that names one restores as a failed job.
 	Method string `json:"method,omitempty"`
 	// Tstop/Step in seconds; 0 defers to the deck's .tran card.
 	Tstop float64 `json:"tstop,omitempty"`

@@ -644,6 +644,48 @@ func TestSpecWithoutItsDeckFails(t *testing.T) {
 	}
 }
 
+// TestDeletedMethodSpecFails: a spec and a checkpoint journaled by a binary
+// that still had backward Euler restore through the unbuildable-spec path as
+// a failed job that names the method — counted in /stats, its done record
+// journaled so the next restart does not resurrect it — beside a healthy job
+// that resumes. It is never run as another integrator.
+func TestDeletedMethodSpecFails(t *testing.T) {
+	deckText := testDeck(t)
+	_, sys, _ := stampDeck(t, deckText)
+	cp := transient.Checkpoint{Method: "be", T: 1e-9, X: make([]float64, sys.N)}
+	dir := writeJournal(t,
+		deckRec(deckText),
+		specRec(1, deckHash(deckText), serve.JobSpec{Method: "be"}),
+		map[string]any{"rec": "checkpoint", "id": "job-1", "cp": cp},
+		specRec(2, "", serve.JobSpec{Case: "ibmpg1t", Scale: 0.25}),
+	)
+	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	if got := streamNDJSON(t, base+"/v1/jobs/job-2/stream"); got.state != serve.JobDone {
+		t.Fatalf("the healthy job ended %s (%s)", got.state, got.tailErr)
+	}
+	if st := getStats(t, base); st.Accepted != 2 || st.Failed != 1 || st.Resumed != 1 || st.Completed != 1 {
+		t.Fatalf("accepted %d, failed %d, resumed %d, completed %d; want 2, 1, 1, 1", st.Accepted, st.Failed, st.Resumed, st.Completed)
+	}
+	dead := streamNDJSON(t, base+"/v1/jobs/job-1/stream")
+	if dead.state != serve.JobFailed || !strings.Contains(dead.tailErr, `unknown method "be"`) || len(dead.times) != 0 {
+		t.Fatalf("the backward-Euler job is %s (%q) with %d samples, want failed on the unknown method and none",
+			dead.state, dead.tailErr, len(dead.times))
+	}
+	b, err := os.ReadFile(journalPath(dir))
+	if err != nil || !strings.Contains(string(b), `{"rec":"done","id":"job-1","state":"failed"`) {
+		t.Fatalf("no failed done record for job-1 in the journal (err %v)", err)
+	}
+	if err := shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	_, base2, shutdown2 := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	defer shutdown2(context.Background())
+	if st := getStats(t, base2); st.Accepted != 0 || st.Failed != 0 || st.Resumed != 0 {
+		t.Fatalf("second start restored the dead spec again: accepted %d, failed %d, resumed %d", st.Accepted, st.Failed, st.Resumed)
+	}
+}
+
 // TestInlineNetlistJournalReplays: a journal as the previous format wrote it
 // — the netlist inline in every spec record, no deck records, and the
 // since-deleted "solve_workers" knob set — still restores: a job without a

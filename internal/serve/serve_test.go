@@ -304,8 +304,28 @@ func TestE2EConcurrentStreamingJobs(t *testing.T) {
 // after completion — late subscribers see the full waveform.
 func TestJobQueueAndStatusEndpoints(t *testing.T) {
 	deckText := testDeck(t)
-	_, base, shutdown := testServer(t, serve.Config{Workers: 2, QueueDepth: 8})
+	s, base, shutdown := testServer(t, serve.Config{Workers: 2, QueueDepth: 8})
 	defer shutdown(context.Background())
+
+	// Occupy both workers with slow jobs, so the submit reply cannot race a
+	// free worker to done: it must say queued.
+	var slow []*serve.Job
+	for i := 0; i < 2; i++ {
+		j, err := s.Submit(serve.JobSpec{Netlist: deckText, Method: "tr", Step: 1e-14})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow = append(slow, j)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for _, j := range slow {
+		for j.State() == serve.JobQueued {
+			if time.Now().After(deadline) {
+				t.Fatal("slow job never started")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	resp := postJSON(t, base+"/v1/jobs", serve.JobSpec{Netlist: deckText, Method: "imatex"})
 	if resp.StatusCode != http.StatusAccepted {
@@ -316,11 +336,14 @@ func TestJobQueueAndStatusEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.ID == "" || (st.State != serve.JobQueued && st.State != serve.JobRunning) {
+	if st.ID == "" || st.State != serve.JobQueued {
 		t.Fatalf("unexpected submit status %+v", st)
 	}
+	for _, j := range slow {
+		j.Cancel()
+	}
 
-	deadline := time.Now().Add(60 * time.Second)
+	deadline = time.Now().Add(60 * time.Second)
 	for {
 		r, err := http.Get(base + "/v1/jobs/" + st.ID)
 		if err != nil {
@@ -717,7 +740,8 @@ func TestOnePoolManyDecks(t *testing.T) {
 	}
 }
 
-// TestSubmitValidation: bad specs are rejected with 400 at submit time.
+// TestSubmitValidation: bad specs are rejected with 400 at submit time, and
+// a method that no longer exists is refused by name, never run as another.
 func TestSubmitValidation(t *testing.T) {
 	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 2})
 	defer shutdown(context.Background())
@@ -725,6 +749,7 @@ func TestSubmitValidation(t *testing.T) {
 		"no deck":        {},
 		"both decks":     {Netlist: "* x\n.end\n", Case: "ibmpg1t"},
 		"bad method":     {Case: "ibmpg1t", Method: "simplex"},
+		"deleted method": {Case: "ibmpg1t", Method: "fe"},
 		"bad case":       {Case: "ibmpg9t"},
 		"bad netlist":    {Netlist: "Rbroken 1\n"},
 		"missing window": {Netlist: "* t\nR1 a 0 1\nC1 a 0 1p\nI1 a 0 1m\n.end\n"},
@@ -733,9 +758,14 @@ func TestSubmitValidation(t *testing.T) {
 		"bad ordering":   {Case: "ibmpg1t", Ordering: "amd2000"},
 	} {
 		resp := postJSON(t, base+"/v1/jobs", spec)
+		var reply struct{ Error string }
+		err := json.NewDecoder(resp.Body).Decode(&reply)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
+		}
+		if spec.Method != "" && (err != nil || !strings.Contains(reply.Error, strconv.Quote(spec.Method))) {
+			t.Errorf("%s: error %q (%v) does not name the method %q", name, reply.Error, err, spec.Method)
 		}
 	}
 	// Unknown fields are rejected too, by name: typo protection, and the

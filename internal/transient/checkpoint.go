@@ -45,10 +45,6 @@ func (m Method) Name() string {
 	switch m {
 	case TRFixed:
 		return "tr"
-	case BEFixed:
-		return "be"
-	case FEFixed:
-		return "fe"
 	case TRAdaptive:
 		return "tradpt"
 	case MEXP:

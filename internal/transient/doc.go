@@ -1,9 +1,9 @@
 // Package transient implements the time-domain integrators compared in the
 // MATEX paper, over the MNA systems assembled by package circuit:
 //
-//   - forward Euler, backward Euler and trapezoidal (TR) with a fixed step
-//     and a single up-front factorization (the 2012 TAU power-grid contest
-//     framework the paper benchmarks against),
+//   - trapezoidal (TR) with a fixed step and a single up-front
+//     factorization (the 2012 TAU power-grid contest framework the paper
+//     benchmarks against),
 //   - TR with adaptive local-truncation-error stepping, which must
 //     re-factorize whenever the step changes,
 //   - the MATEX circuit solver (paper Alg. 2): matrix-exponential stepping

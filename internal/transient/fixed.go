@@ -1,7 +1,6 @@
 package transient
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -10,16 +9,15 @@ import (
 	"github.com/matex-sim/matex/internal/sparse"
 )
 
-// simulateFixed runs TR, BE or FE with a fixed step and a single
+// simulateFixed runs trapezoidal integration with a fixed step and a single
 // factorization (the TAU-contest framework the paper compares against).
 //
 // When Tstop is not an integer multiple of Step, a shortened final step
 // lands exactly on Tstop, so Result.Final is the state at Tstop and the
 // distributed superposition of fixed-step subtasks stays time-consistent
-// with the MATEX grid. The shortened step needs its own stepping matrix for
-// TR/BE (one extra factorization, served from Options.Cache when present);
-// FE's factorization of C is step-independent.
-func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, error) {
+// with the MATEX grid. The shortened step needs its own stepping matrix (one
+// extra factorization, served from Options.Cache when present).
+func simulateFixed(sys *circuit.System, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Step <= 0 || opts.Tstop <= 0 {
 		return nil, fmt.Errorf("transient: fixed-step method needs positive Step and Tstop")
@@ -44,31 +42,14 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 		rem = 0
 	}
 
-	// stepOperators builds the implicit-step LHS factorization and the RHS
-	// matrix for step size hs (TR/BE). FE factorizes C once, h-free.
+	// stepOperators builds the step's LHS factorization (C/hs + G/2) and
+	// RHS matrix (C/hs - G/2) for step size hs.
 	stepOperators := func(hs float64) (sparse.Factorization, *sparse.CSC, error) {
-		switch method {
-		case TRFixed:
-			a, err := acquireFactorSum(1/hs, sys.C, 0.5, sys.G, opts, &res.Stats)
-			if err != nil {
-				return nil, nil, fmt.Errorf("transient: TR factorization: %w", err)
-			}
-			return a, sparse.Add(1/hs, sys.C, -0.5, sys.G), nil
-		case BEFixed:
-			a, err := acquireFactorSum(1/hs, sys.C, 1, sys.G, opts, &res.Stats)
-			if err != nil {
-				return nil, nil, fmt.Errorf("transient: BE factorization: %w", err)
-			}
-			return a, sys.C.Clone().Scale(1 / hs), nil
-		case FEFixed:
-			fc, err := factorC(sys, opts, &res.Stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			return fc, nil, nil
-		default:
-			return nil, nil, fmt.Errorf("transient: simulateFixed got %v", method)
+		a, err := acquireFactorSum(1/hs, sys.C, 0.5, sys.G, opts, &res.Stats)
+		if err != nil {
+			return nil, nil, fmt.Errorf("transient: TR factorization: %w", err)
 		}
+		return a, sparse.Add(1/hs, sys.C, -0.5, sys.G), nil
 	}
 
 	tFac := time.Now()
@@ -83,51 +64,26 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 	bu1 := make([]float64, n)
 	rhs := make([]float64, n)
 	work := make([]float64, n)
-	// bu0At is the time bu0 holds B·u for (TR only; NaN = none yet).
+	// bu0At is the time bu0 holds B·u for (NaN = none yet).
 	bu0At := math.NaN()
 
-	// step advances x from t0 to t1 = t0 + hs with the given operators.
-	step := func(t0, t1, hs float64, lhs sparse.Factorization, rhsMat *sparse.CSC) {
-		switch method {
-		case TRFixed:
-			// Step k's t1 is step k+1's t0 bit for bit (float64(k+1)·h), so
-			// the previous step's end-point B·u is this step's start-point
-			// one; only a t0 that differs in any bit is evaluated afresh.
-			if t0 != bu0At {
-				sys.EvalB(t0, bu0, opts.ActiveInputs)
-			}
-			sys.EvalB(t1, bu1, opts.ActiveInputs)
-			rhsMat.MulVec(rhs, x)
-			res.Stats.SpMVs++
-			for i := range rhs {
-				rhs[i] += 0.5 * (bu0[i] + bu1[i])
-			}
-			lhs.SolveWith(x, rhs, work)
-			res.Stats.SolvePairs++
-			bu0, bu1, bu0At = bu1, bu0, t1
-		case BEFixed:
-			sys.EvalB(t1, bu1, opts.ActiveInputs)
-			rhsMat.MulVec(rhs, x)
-			res.Stats.SpMVs++
-			for i := range rhs {
-				rhs[i] += bu1[i]
-			}
-			lhs.SolveWith(x, rhs, work)
-			res.Stats.SolvePairs++
-		case FEFixed:
-			// x' = C⁻¹(-Gx + Bu): one SpMV plus one substitution pair.
+	// step advances x from t0 to t1 with the given operators.
+	step := func(t0, t1 float64, lhs sparse.Factorization, rhsMat *sparse.CSC) {
+		// Step k's t1 is step k+1's t0 bit for bit (float64(k+1)·h), so the
+		// previous step's end-point B·u is this step's start-point one; only
+		// a t0 that differs in any bit is evaluated afresh.
+		if t0 != bu0At {
 			sys.EvalB(t0, bu0, opts.ActiveInputs)
-			sys.G.MulVec(rhs, x)
-			res.Stats.SpMVs++
-			for i := range rhs {
-				rhs[i] = bu0[i] - rhs[i]
-			}
-			lhs.SolveWith(rhs, rhs, work)
-			res.Stats.SolvePairs++
-			for i := range x {
-				x[i] += hs * rhs[i]
-			}
 		}
+		sys.EvalB(t1, bu1, opts.ActiveInputs)
+		rhsMat.MulVec(rhs, x)
+		res.Stats.SpMVs++
+		for i := range rhs {
+			rhs[i] += 0.5 * (bu0[i] + bu1[i])
+		}
+		lhs.SolveWith(x, rhs, work)
+		res.Stats.SolvePairs++
+		bu0, bu1, bu0At = bu1, bu0, t1
 		res.Stats.Steps++
 		res.record(t1, x, &opts)
 	}
@@ -155,49 +111,24 @@ func simulateFixed(sys *circuit.System, method Method, opts Options) (*Result, e
 		if k == nFull-1 && rem == 0 {
 			t1 = opts.Tstop // land exactly on the window end
 		}
-		step(t0, t1, h, lhs, rhsMat)
+		step(t0, t1, lhs, rhsMat)
 		err := cpr.maybe(&res.Stats, func() Checkpoint {
-			return Checkpoint{Method: method.Name(), T: t1, X: append([]float64(nil), x...)}
+			return Checkpoint{Method: TRFixed.Name(), T: t1, X: append([]float64(nil), x...)}
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
 	if rem > 0 {
-		lhsRem, rhsRem := lhs, rhsMat
-		if method != FEFixed {
-			tFac := time.Now()
-			lhsRem, rhsRem, err = stepOperators(rem)
-			if err != nil {
-				return nil, err
-			}
-			res.Stats.FactorTime += time.Since(tFac)
+		tFac := time.Now()
+		lhsRem, rhsRem, err := stepOperators(rem)
+		if err != nil {
+			return nil, err
 		}
-		step(float64(nFull)*h, opts.Tstop, rem, lhsRem, rhsRem)
+		res.Stats.FactorTime += time.Since(tFac)
+		step(float64(nFull)*h, opts.Tstop, lhsRem, rhsRem)
 	}
 	res.Stats.TransientTime = time.Since(tTr)
 	res.Final = append([]float64(nil), x...)
 	return res, nil
-}
-
-// factorC factorizes C, regularizing a singular C with a small diagonal
-// shift (the concession MEXP needs; paper Sec. 3.3.3).
-func factorC(sys *circuit.System, opts Options, stats *Stats) (sparse.Factorization, error) {
-	fc, err := acquireFactor(sys.C, opts, stats)
-	if err == nil {
-		return fc, nil
-	}
-	if !errors.Is(err, sparse.ErrSingular) {
-		return nil, fmt.Errorf("transient: factorizing C: %w", err)
-	}
-	delta := 1e-9 * sys.C.OneNorm()
-	if delta == 0 {
-		delta = 1e-18
-	}
-	fc, err = acquireFactorSum(1, sys.C, delta, sparse.Identity(sys.N), opts, stats)
-	if err != nil {
-		return nil, fmt.Errorf("transient: regularized C still singular: %w", err)
-	}
-	stats.Regularized = true
-	return fc, nil
 }

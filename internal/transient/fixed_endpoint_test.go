@@ -18,30 +18,28 @@ func TestFixedStepLandsExactlyOnTstop(t *testing.T) {
 	sys, idx := rcStep(t, r, c, amp)
 	tstop, h := 10e-9, 3e-9
 	zero := make([]float64, sys.N)
-	for _, m := range []Method{TRFixed, BEFixed, FEFixed} {
-		res, err := Simulate(sys, m, Options{Tstop: tstop, Step: h, Probes: []int{idx}, InitialState: zero})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if got := res.Times[len(res.Times)-1]; got != tstop {
-			t.Errorf("%v: final time = %.17g, want exactly %.17g", m, got, tstop)
-		}
-		// 0, 3, 6, 9 ns plus the shortened 1ns step to 10ns.
-		if len(res.Times) != 5 {
-			t.Errorf("%v: %d output times %v, want 5", m, len(res.Times), res.Times)
-		}
-		// Final must be the state at Tstop, not at 9ns: at 10 tau the RC
-		// step response has converged to -I·R within ~5e-5 relative, while
-		// the value at 9ns differs from 10ns by ~1e-4 absolute. The loose
-		// budget covers TR/BE discretization error at h = 3 tau.
-		want := analyticRC(tstop, r, c, amp)
-		got := res.Final[idx]
-		if math.Abs(got-want) > 0.15*math.Abs(want) {
-			t.Errorf("%v: Final = %g, want ≈ %g (state at Tstop)", m, got, want)
-		}
-		if res.Probes[len(res.Probes)-1][0] != got {
-			t.Errorf("%v: last probe sample disagrees with Final", m)
-		}
+	res, err := Simulate(sys, TRFixed, Options{Tstop: tstop, Step: h, Probes: []int{idx}, InitialState: zero})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Times[len(res.Times)-1]; got != tstop {
+		t.Errorf("final time = %.17g, want exactly %.17g", got, tstop)
+	}
+	// 0, 3, 6, 9 ns plus the shortened 1ns step to 10ns.
+	if len(res.Times) != 5 {
+		t.Errorf("%d output times %v, want 5", len(res.Times), res.Times)
+	}
+	// Final must be the state at Tstop, not at 9ns: at 10 tau the RC step
+	// response has converged to -I·R within ~5e-5 relative, while the value
+	// at 9ns differs from 10ns by ~1e-4 absolute. The loose budget covers
+	// TR's discretization error at h = 3 tau.
+	want := analyticRC(tstop, r, c, amp)
+	got := res.Final[idx]
+	if math.Abs(got-want) > 0.15*math.Abs(want) {
+		t.Errorf("Final = %g, want ≈ %g (state at Tstop)", got, want)
+	}
+	if res.Probes[len(res.Probes)-1][0] != got {
+		t.Error("last probe sample disagrees with Final")
 	}
 }
 
@@ -102,7 +100,7 @@ func TestTREvaluatesInputOncePerTimePoint(t *testing.T) {
 // shortened step.
 func TestFixedStepShortWindow(t *testing.T) {
 	sys, idx := rcStep(t, 1000, 1e-12, 1e-3)
-	res, err := Simulate(sys, BEFixed, Options{Tstop: 0.4e-9, Step: 1e-9, Probes: []int{idx}})
+	res, err := Simulate(sys, TRFixed, Options{Tstop: 0.4e-9, Step: 1e-9, Probes: []int{idx}})
 	if err != nil {
 		t.Fatal(err)
 	}

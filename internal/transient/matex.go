@@ -9,6 +9,7 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/krylov"
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
@@ -347,6 +348,28 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	}
 	res.Final = append([]float64(nil), x...)
 	return res, nil
+}
+
+// factorC factorizes C, regularizing a singular C with a small diagonal
+// shift (the concession MEXP needs; paper Sec. 3.3.3).
+func factorC(sys *circuit.System, opts Options, stats *Stats) (sparse.Factorization, error) {
+	fc, err := acquireFactor(sys.C, opts, stats)
+	if err == nil {
+		return fc, nil
+	}
+	if !errors.Is(err, sparse.ErrSingular) {
+		return nil, fmt.Errorf("transient: factorizing C: %w", err)
+	}
+	delta := 1e-9 * sys.C.OneNorm()
+	if delta == 0 {
+		delta = 1e-18
+	}
+	fc, err = acquireFactorSum(1, sys.C, delta, sparse.Identity(sys.N), opts, stats)
+	if err != nil {
+		return nil, fmt.Errorf("transient: regularized C still singular: %w", err)
+	}
+	stats.Regularized = true
+	return fc, nil
 }
 
 // maxAbs is math.Max(m, math.Abs(v)) for a running maximum m (≥ 0 or NaN)

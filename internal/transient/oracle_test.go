@@ -10,14 +10,13 @@ import (
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dense"
 	"github.com/matex-sim/matex/internal/krylov"
-	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
 // The oracle below shares no code with the MATEX driver, package krylov or
-// the sparse factorizations: it reads the stamped C and G as raw CSC arrays,
-// evaluates B·u(t) from the waveforms, and propagates with dense LU and
-// dense.Expm alone.
+// the sparse factorizations: it reads the stamped C and G as dense matrices,
+// evaluates B·u(t) from the waveforms, and propagates with
+// dense.PWLResponse (dense LU and Expm) alone.
 
 type oracleKind int
 
@@ -182,133 +181,10 @@ func (c *oracleCase) segments() (total, flat int) {
 	return total, flat
 }
 
-func denseOf(m *sparse.CSC) *dense.Matrix {
-	d := dense.New(m.Rows, m.Cols)
-	for j := 0; j < m.Cols; j++ {
-		for p := m.Colptr[j]; p < m.Colptr[j+1]; p++ {
-			d.Set(m.Rowidx[p], j, d.At(m.Rowidx[p], j)+m.Values[p])
-		}
-	}
-	return d
-}
-
-func pick(m *dense.Matrix, rows, cols []int) *dense.Matrix {
-	out := dense.New(len(rows), len(cols))
-	for i, r := range rows {
-		for j, c := range cols {
-			out.Set(i, j, m.At(r, c))
-		}
-	}
-	return out
-}
-
-func pickVec(v []float64, idx []int) []float64 {
-	out := make([]float64, len(idx))
-	for i, k := range idx {
-		out[i] = v[k]
-	}
-	return out
-}
-
-// reference returns the full state at every eval time. Algebraic unknowns
-// (no entry in their row or column of C) are eliminated by a dense Schur
-// complement on G; the remaining ODE x' = A·x + b(t), b piecewise linear, is
-// stepped exactly across every corner-to-corner or corner-to-output interval
-// as the leading block of exp([hA h²ḃ hb; 0 0 1; 0 0 0])·[x; 0; 1].
+// reference returns the full state at every eval time: the exact
+// piecewise-linear response of the stamped C and G, read as dense matrices.
 func (c *oracleCase) reference() ([][]float64, error) {
-	cd, gd := denseOf(c.sys.C), denseOf(c.sys.G)
-	var dyn, alg []int
-	for i := 0; i < c.sys.N; i++ {
-		empty := true
-		for j := 0; j < c.sys.N; j++ {
-			empty = empty && cd.At(i, j) == 0 && cd.At(j, i) == 0
-		}
-		if empty {
-			alg = append(alg, i)
-		} else {
-			dyn = append(dyn, i)
-		}
-	}
-	gdd, gda, gad := pick(gd, dyn, dyn), pick(gd, dyn, alg), pick(gd, alg, dyn)
-	var gaaLU *dense.LU
-	if len(alg) > 0 {
-		var err error
-		if gaaLU, err = dense.FactorLU(pick(gd, alg, alg)); err != nil {
-			return nil, fmt.Errorf("oracle: G_aa: %w", err)
-		}
-		gdd = dense.Add(1, gdd, -1, dense.Mul(gda, gaaLU.SolveMatrix(gad)))
-	}
-	cddLU, err := dense.FactorLU(pick(cd, dyn, dyn))
-	if err != nil {
-		return nil, fmt.Errorf("oracle: C_dd: %w", err)
-	}
-	a := cddLU.SolveMatrix(gdd).Scale(-1)
-	// rhs(t) = C_dd⁻¹·(b_d - G_da·G_aa⁻¹·b_a)
-	rhs := func(t float64) []float64 {
-		b := c.bAt(t)
-		bd := pickVec(b, dyn)
-		if len(alg) > 0 {
-			corr := gda.MulVec(gaaLU.Solve(pickVec(b, alg)))
-			for i := range bd {
-				bd[i] -= corr[i]
-			}
-		}
-		return cddLU.Solve(bd)
-	}
-	full := func(t float64, xd []float64) []float64 {
-		x := make([]float64, c.sys.N)
-		for i, k := range dyn {
-			x[k] = xd[i]
-		}
-		if len(alg) > 0 {
-			ba := pickVec(c.bAt(t), alg)
-			gx := gad.MulVec(xd)
-			for i := range ba {
-				ba[i] -= gx[i]
-			}
-			xa := gaaLU.Solve(ba)
-			for i, k := range alg {
-				x[k] = xa[i]
-			}
-		}
-		return x
-	}
-
-	x0, err := dense.Solve(gd, c.bAt(0))
-	if err != nil {
-		return nil, fmt.Errorf("oracle: DC: %w", err)
-	}
-	xd := pickVec(x0, dyn)
-	nd := len(dyn)
-	stops := append(append([]float64(nil), c.corners...), c.evals...)
-	sort.Float64s(stops)
-	out := [][]float64{full(0, xd)}
-	t := 0.0
-	for _, tn := range stops {
-		h := tn - t
-		if h > 1e-18 {
-			r0, r1 := rhs(t), rhs(tn)
-			m := dense.New(nd+2, nd+2)
-			for i := 0; i < nd; i++ {
-				for j := 0; j < nd; j++ {
-					m.Set(i, j, h*a.At(i, j))
-				}
-				m.Set(i, nd, h*(r1[i]-r0[i]))
-				m.Set(i, nd+1, h*r0[i])
-			}
-			m.Set(nd, nd+1, 1)
-			e, err := dense.Expm(m)
-			if err != nil {
-				return nil, fmt.Errorf("oracle: expm at t=%g: %w", t, err)
-			}
-			xd = e.MulVec(append(append([]float64(nil), xd...), 0, 1))[:nd]
-			t = tn
-		}
-		if i := sort.SearchFloat64s(c.evals, tn); i < len(c.evals) && c.evals[i] == tn && len(out) == i {
-			out = append(out, full(tn, xd))
-		}
-	}
-	return out, nil
+	return dense.PWLResponse(dense.FromRows(c.sys.C.Dense()), dense.FromRows(c.sys.G.Dense()), c.bAt, c.corners, c.evals)
 }
 
 // run simulates the case with every unknown probed.

@@ -29,21 +29,21 @@ func streamTestSystem(t *testing.T) *circuit.System {
 }
 
 // TestOnSampleStreamsEveryRecordedSample: for every method, the rows the hook
-// delivers live are the rows Result.EachSample replays, bit for bit and in
-// order — what lets cmd/matex write a run's table as it integrates.
+// delivers live are the rows the Result records, bit for bit and in order —
+// what lets cmd/matex write a run's table as it integrates.
 func TestOnSampleStreamsEveryRecordedSample(t *testing.T) {
 	sys := streamTestSystem(t)
 	type sample struct {
 		t   float64
 		row []float64
 	}
-	for _, name := range []string{"mexp", "imatex", "rmatex", "tr", "be", "fe", "tradpt"} {
+	for _, name := range []string{"mexp", "imatex", "rmatex", "tr", "tradpt"} {
 		method, err := ParseMethod(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Run(name, func(t *testing.T) {
-			var live, replayed []sample
+			var live []sample
 			opts := Options{Tstop: 2e-9, Step: 0.25e-9, Probes: []int{0, 3}}
 			opts.OnSample = func(tt float64, v []float64) {
 				live = append(live, sample{tt, append([]float64(nil), v...)})
@@ -52,20 +52,19 @@ func TestOnSampleStreamsEveryRecordedSample(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res.EachSample(func(tt float64, v []float64) { replayed = append(replayed, sample{tt, v}) })
-			if len(live) != len(replayed) || len(live) < 2 {
-				t.Fatalf("streamed %d samples, result has %d", len(live), len(replayed))
+			if len(live) != len(res.Times) || len(live) != len(res.Probes) || len(live) < 2 {
+				t.Fatalf("streamed %d samples, result has %d times and %d rows", len(live), len(res.Times), len(res.Probes))
 			}
 			for i := range live {
-				if math.Float64bits(live[i].t) != math.Float64bits(replayed[i].t) {
-					t.Fatalf("sample %d: streamed t=%g, result t=%g", i, live[i].t, replayed[i].t)
+				if math.Float64bits(live[i].t) != math.Float64bits(res.Times[i]) {
+					t.Fatalf("sample %d: streamed t=%g, result t=%g", i, live[i].t, res.Times[i])
 				}
-				if len(live[i].row) != len(opts.Probes) || len(replayed[i].row) != len(opts.Probes) {
-					t.Fatalf("sample %d: streamed %d probes, result %d", i, len(live[i].row), len(replayed[i].row))
+				if len(live[i].row) != len(opts.Probes) || len(res.Probes[i]) != len(opts.Probes) {
+					t.Fatalf("sample %d: streamed %d probes, result %d", i, len(live[i].row), len(res.Probes[i]))
 				}
 				for k := range live[i].row {
-					if math.Float64bits(live[i].row[k]) != math.Float64bits(replayed[i].row[k]) {
-						t.Fatalf("sample %d probe %d: streamed %g, result %g", i, k, live[i].row[k], replayed[i].row[k])
+					if math.Float64bits(live[i].row[k]) != math.Float64bits(res.Probes[i][k]) {
+						t.Fatalf("sample %d probe %d: streamed %g, result %g", i, k, live[i].row[k], res.Probes[i][k])
 					}
 				}
 			}

@@ -20,12 +20,13 @@ type Method int
 const (
 	// TRFixed is trapezoidal with fixed step, one factorization.
 	TRFixed Method = iota
-	// BEFixed is backward Euler with fixed step, one factorization.
-	BEFixed
-	// FEFixed is forward Euler (explicit); it factorizes C once. Unstable
-	// for steps above the fastest time constant — included as the paper's
-	// stiffness motivation.
-	FEFixed
+	// Values 1 and 2 were backward and forward Euler, deleted once Table 1
+	// was measured against the exact piecewise-linear response
+	// (EXPERIMENTS.md "Table 1 on the exact reference"). The slots stay
+	// reserved with no name: Method integers are wire-significant in the
+	// dist protocol, and Simulate answers them as unknown.
+	_
+	_
 	// TRAdaptive is trapezoidal with LTE-controlled steps; every step-size
 	// change re-factorizes (C/h + G/2).
 	TRAdaptive
@@ -40,18 +41,14 @@ const (
 	RMATEX
 )
 
-// ParseMethod resolves a method name ("tr", "be", "fe", "tradpt", "mexp",
-// "imatex", "rmatex"; case-insensitive) — the spelling shared by the matex
-// CLI flags and the serve job API. The empty string selects R-MATEX, the
+// ParseMethod resolves a method name ("tr", "tradpt", "mexp", "imatex",
+// "rmatex"; case-insensitive) — the spelling shared by the matex CLI flags
+// and the serve job API. The empty string selects R-MATEX, the
 // paper's choice.
 func ParseMethod(name string) (Method, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "tr":
 		return TRFixed, nil
-	case "be":
-		return BEFixed, nil
-	case "fe":
-		return FEFixed, nil
 	case "tradpt":
 		return TRAdaptive, nil
 	case "mexp":
@@ -68,10 +65,6 @@ func (m Method) String() string {
 	switch m {
 	case TRFixed:
 		return "TR"
-	case BEFixed:
-		return "BE"
-	case FEFixed:
-		return "FE"
 	case TRAdaptive:
 		return "TR(adpt)"
 	case MEXP:
@@ -84,15 +77,15 @@ func (m Method) String() string {
 	return "unknown"
 }
 
-// FixedStep reports whether m integrates on Options.Step (TR, BE, FE) and
-// therefore refuses to run without one.
-func (m Method) FixedStep() bool { return m == TRFixed || m == BEFixed || m == FEFixed }
+// FixedStep reports whether m integrates on Options.Step (TR) and therefore
+// refuses to run without one.
+func (m Method) FixedStep() bool { return m == TRFixed }
 
 // Options configures a transient run.
 type Options struct {
 	// Tstop is the end of the simulation window (start is 0).
 	Tstop float64
-	// Step is the fixed step (TR/BE/FE) or the initial step (TRAdaptive).
+	// Step is the fixed step (TRFixed) or the initial step (TRAdaptive).
 	Step float64
 	// Probes lists unknown indices recorded at every output time.
 	Probes []int
@@ -332,18 +325,6 @@ func (r *Result) record(t float64, x []float64, opts *Options) {
 	}
 }
 
-// EachSample replays the recorded samples through f in time order, the way
-// OnSample delivered them live: the row is nil when no probes were recorded.
-func (r *Result) EachSample(f func(t float64, probes []float64)) {
-	for i, t := range r.Times {
-		var row []float64
-		if i < len(r.Probes) {
-			row = r.Probes[i]
-		}
-		f(t, row)
-	}
-}
-
 // ProbeSeries extracts the trace of probe column k. A result recorded
 // without probes (or an out-of-range column) yields an empty series rather
 // than a panic.
@@ -387,8 +368,8 @@ func (r *Result) InterpProbe(t float64, k int) float64 {
 // Simulate dispatches to the selected integrator.
 func Simulate(sys *circuit.System, method Method, opts Options) (*Result, error) {
 	switch method {
-	case TRFixed, BEFixed, FEFixed:
-		return simulateFixed(sys, method, opts)
+	case TRFixed:
+		return simulateFixed(sys, opts)
 	case TRAdaptive:
 		return simulateAdaptiveTR(sys, opts)
 	case MEXP, IMATEX, RMATEX:

@@ -6,8 +6,8 @@
 // The simulator integrates the MNA system C·x' = -G·x + B·u(t) with matrix
 // exponential kernels evaluated in Krylov subspaces. Three subspace families
 // are provided — standard (MEXP), inverted (I-MATEX) and rational/
-// shift-and-invert (R-MATEX) — next to classic fixed-step and adaptive
-// trapezoidal/backward-Euler baselines. The distributed front end partitions
+// shift-and-invert (R-MATEX) — next to the fixed-step and adaptive
+// trapezoidal baselines. The distributed front end partitions
 // the input current sources by their pulse "bump" features, simulates each
 // group as an independent zero-state subtask (in-process or over TCP), and
 // superposes the results.
@@ -145,10 +145,6 @@ const (
 	// TRFixed is trapezoidal with fixed step and one factorization (the
 	// TAU-contest framework the paper benchmarks against).
 	TRFixed = transient.TRFixed
-	// BEFixed is backward Euler with fixed step.
-	BEFixed = transient.BEFixed
-	// FEFixed is explicit forward Euler.
-	FEFixed = transient.FEFixed
 	// TRAdaptive is trapezoidal with LTE step control (re-factorizes on
 	// every step change).
 	TRAdaptive = transient.TRAdaptive

@@ -32,7 +32,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// standard subspace on the IBM grids (h·‖A‖ ~ 1e5 there; Table 2
 	// compares only TR(adpt), I-MATEX and R-MATEX). It is covered on its
 	// own domain in TestFacadeBuilders and the Table 1 harness.
-	for _, m := range []Method{BEFixed, TRAdaptive, IMATEX, RMATEX} {
+	for _, m := range []Method{TRFixed, TRAdaptive, IMATEX, RMATEX} {
 		opts := Options{Tstop: 10e-9, Step: 10e-12, Probes: probes, Tol: 1e-7}
 		if m == TRAdaptive {
 			opts.Tol = 1e-4
