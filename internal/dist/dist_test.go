@@ -497,8 +497,8 @@ func TestDistAdaptiveTRUnsetTolIsTheLTEDefault(t *testing.T) {
 
 // TestDistRepeatedRunZeroFactorizations is the distributed acceptance test
 // for the factorization cache: against the same WorkerServer, with the
-// scheduler reusing one Config.Cache, the second Run must perform zero new
-// factorizations anywhere — the workers serve every operator from their
+// scheduler reusing one Config.Base.Cache, the second Run must perform zero
+// new factorizations anywhere — the workers serve every operator from their
 // per-process cache and the scheduler's DC factorization hits too.
 func TestDistRepeatedRunZeroFactorizations(t *testing.T) {
 	sys := testSystem(t, 0.2)

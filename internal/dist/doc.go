@@ -60,8 +60,10 @@
 // checks against the bytes it receives. A dial is a connect; a worker learns
 // a circuit in exactly one way: it answers a Solve for a Key it does not hold
 // with "unknown system", the pool Registers the blob on it and sends the
-// task again (not a retry). A new worker, a restarted one and one whose
-// byte-bounded circuit LRU evicted the Key are that same case. Request and
+// task again (not a retry). A new worker, a restarted one and one that
+// evicted the Key are that same case: a worker holds its circuits in a
+// memo.Store bounded to 1 GiB of blob (least recently used out first, one
+// decode per Key however many registrations race). Request and
 // transient.Result travel as gob, which matches fields by name, ignores
 // those the receiver lacks and zeroes those the sender lacks; a zero Tol,
 // Gamma or MaxDim is filled in by the receiving node's transient defaults.

@@ -182,7 +182,7 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 // solveDC factorizes G through the shared cache and solves the DC operating
 // point over all inputs.
 func solveDC(sys *circuit.System, ordering sparse.Ordering, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
-	fg, info, err := cache.FactorEx(sys.G, sparse.FactorAuto, ordering)
+	fg, info, err := cache.Factor(sys.G, sparse.FactorAuto, ordering)
 	if err != nil {
 		return nil, info, fmt.Errorf("dist: DC factorization failed: %w", err)
 	}

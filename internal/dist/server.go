@@ -2,7 +2,6 @@ package dist
 
 import (
 	"bytes"
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/gob"
@@ -16,6 +15,7 @@ import (
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/krylov"
+	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 	"github.com/matex-sim/matex/internal/waveform"
@@ -73,29 +73,20 @@ var errUnknownSystem = errors.New("dist: unknown system")
 // registered blob. An evicted circuit costs its next task one registration.
 const maxSystemBytes = 1 << 30
 
-// workerSystem is a registered circuit. Its factorizations live in the
-// server-wide cache, keyed by matrix content, so a worker factorizes G and
-// (C + γG) once and reuses them across every subtask and every repeated
-// scheduler run against the same circuit, like the paper's cluster nodes.
-type workerSystem struct {
-	key  Key
-	size int64 // len of the blob it was decoded from
-	sys  *circuit.System
-}
-
 // WorkerServer is the net/rpc service run by a matexd worker: it holds the
 // circuits it has been sent and solves the subtasks dispatched against
 // them. Zero value is not usable; call NewWorkerServer.
 type WorkerServer struct {
-	// mu guards the held circuits: a byte-bounded LRU, most recently used
-	// first. A circuit evicted under a running subtask stays alive for it.
-	mu           sync.Mutex
-	systems      map[Key]*list.Element // of *workerSystem
-	lru          *list.List
-	systemBytes  int64
-	systemBudget int64 // maxSystemBytes; the tests shrink it
-	// afterDecode, when set by a test, runs in Register between decoding a
-	// blob and taking mu to insert it.
+	// systems holds the registered circuits under their verified Key, a
+	// maxSystemBytes LRU of decoded blobs charged their blob's length. A
+	// circuit evicted under a running subtask stays alive for it. Its
+	// factorizations live in the server-wide cache, keyed by matrix content,
+	// so a worker factorizes G and (C + γG) once and reuses them across every
+	// subtask and every repeated scheduler run against the same circuit, like
+	// the paper's cluster nodes.
+	systems *memo.Store[Key, *circuit.System]
+	// afterDecode, when set by a test, runs in Register's build right after
+	// decoding a blob.
 	afterDecode func()
 
 	cache *sparse.Cache
@@ -217,13 +208,11 @@ func NewWorkerServer(cache *sparse.Cache) *WorkerServer {
 		cache = sparse.NewCache(0)
 	}
 	return &WorkerServer{
-		systems:      make(map[Key]*list.Element),
-		lru:          list.New(),
-		systemBudget: maxSystemBytes,
-		cache:        cache,
-		workspaces:   krylov.NewWorkspacePool(),
-		crashCh:      make(chan struct{}),
-		severed:      make(chan struct{}),
+		systems:    memo.New[Key, *circuit.System](memo.NewBudget(maxSystemBytes)),
+		cache:      cache,
+		workspaces: krylov.NewWorkspacePool(),
+		crashCh:    make(chan struct{}),
+		severed:    make(chan struct{}),
 	}
 }
 
@@ -245,59 +234,31 @@ func (w *WorkerServer) crashed() bool {
 // CacheStats reports the worker's factorization cache counters.
 func (w *WorkerServer) CacheStats() sparse.CacheStats { return w.cache.Stats() }
 
-// held returns the circuit registered under key, marking it most recently
-// used; nil if the worker does not hold it.
-func (w *WorkerServer) held(key Key) *workerSystem {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	e, ok := w.systems[key]
-	if !ok {
-		return nil
-	}
-	w.lru.MoveToFront(e)
-	return e.Value.(*workerSystem)
-}
-
 // Register stores a circuit on the worker, refusing a blob that does not
-// hash to its key. The blob is verified and decoded outside the lock, so
-// subtasks on other circuits are not held up by a large one arriving;
-// registering a key the worker already holds changes nothing. Least recently
-// used circuits are dropped once the held blobs pass the byte budget (the
-// newest always stays).
+// hash to its key. The blob is verified and decoded outside the store's
+// lock, so subtasks on other circuits are not held up by a large one
+// arriving; concurrent registrations of one key decode it once, and
+// registering a key the worker already holds changes nothing.
 func (w *WorkerServer) Register(args *RegisterArgs, _ *RegisterReply) error {
 	if !w.calls.enter() {
 		return errDraining
 	}
 	defer w.calls.exit()
-	if w.held(args.Key) != nil {
-		return nil
-	}
 	if got := Key(sha256.Sum256(args.Blob)); got != args.Key {
 		return fmt.Errorf("dist: system blob hashes to %x, not to its key %x", got[:8], args.Key[:8])
 	}
-	var ws wireSystem
-	if err := gob.NewDecoder(bytes.NewReader(args.Blob)).Decode(&ws); err != nil {
-		return fmt.Errorf("dist: decoding system: %w", err)
-	}
-	if w.afterDecode != nil {
-		w.afterDecode()
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, ok := w.systems[args.Key]; ok {
-		return nil // a concurrent first registration won
-	}
-	w.systems[args.Key] = w.lru.PushFront(&workerSystem{
-		key: args.Key, size: int64(len(args.Blob)),
-		sys: &circuit.System{N: ws.N, NumNodes: ws.NumNodes, C: ws.C, G: ws.G, Inputs: ws.Inputs},
+	_, _, err := w.systems.Get(args.Key, func() (*circuit.System, int64, error) {
+		var ws wireSystem
+		if err := gob.NewDecoder(bytes.NewReader(args.Blob)).Decode(&ws); err != nil {
+			return nil, 0, fmt.Errorf("dist: decoding system: %w", err)
+		}
+		if w.afterDecode != nil {
+			w.afterDecode()
+		}
+		sys := &circuit.System{N: ws.N, NumNodes: ws.NumNodes, C: ws.C, G: ws.G, Inputs: ws.Inputs}
+		return sys, int64(len(args.Blob)), nil
 	})
-	w.systemBytes += int64(len(args.Blob))
-	for w.systemBytes > w.systemBudget && w.lru.Len() > 1 {
-		old := w.lru.Remove(w.lru.Back()).(*workerSystem)
-		w.systemBytes -= old.size
-		delete(w.systems, old.key)
-	}
-	return nil
+	return err
 }
 
 // Solve runs one zero-state subtask against a registered circuit.
@@ -308,16 +269,16 @@ func (w *WorkerServer) Solve(args *SolveArgs, reply *SolveReply) error {
 		return errDraining
 	}
 	defer w.calls.exit()
-	ws := w.held(args.System)
-	if ws == nil {
+	sys, ok := w.systems.Peek(args.System)
+	if !ok {
 		return fmt.Errorf("%w %x", errUnknownSystem, args.System[:8])
 	}
 	req := args.Req
 	if req.Ordering == sparse.OrderDefault {
 		req.Ordering = w.ordering
 	}
-	opts := subtaskOptions(nil, ws.sys, args.Task, req, w.cache, w.workspaces)
-	res, err := transient.Simulate(ws.sys, req.Method, opts)
+	opts := subtaskOptions(nil, sys, args.Task, req, w.cache, w.workspaces)
+	res, err := transient.Simulate(sys, req.Method, opts)
 	if err != nil {
 		return fmt.Errorf("dist: group %d: %w", args.Task.GroupID, err)
 	}

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/rpc"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
+	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -218,7 +220,7 @@ func TestWorkerCircuitBudget(t *testing.T) {
 	}
 	addr, cw, _ := startCountingWorker(t, "127.0.0.1:0")
 	budget := 2*int64(len(blob)) + 64 // two of them, not three
-	cw.ws.systemBudget = budget
+	cw.ws.systems = memo.New[Key, *circuit.System](memo.NewBudget(budget))
 	pool, err := NewRPCPool(context.Background(), []string{addr})
 	if err != nil {
 		t.Fatal(err)
@@ -240,17 +242,14 @@ func TestWorkerCircuitBudget(t *testing.T) {
 		if i == 0 {
 			first = res
 		}
-		cw.ws.mu.Lock()
-		held, n := cw.ws.systemBytes, cw.ws.lru.Len()
-		cw.ws.mu.Unlock()
-		if held > budget || n > 2 {
-			t.Fatalf("after %d systems the worker holds %d circuits, %d bytes; budget %d", i+1, n, held, budget)
+		if st := cw.ws.systems.Stats(); st.Bytes > budget || st.Entries > 2 {
+			t.Fatalf("after %d systems the worker holds %d circuits, %d bytes; budget %d", i+1, st.Entries, st.Bytes, budget)
 		}
 	}
 	if n := cw.registers.Load(); n != int64(len(systems)) {
 		t.Fatalf("%d blobs shipped for %d distinct systems", n, len(systems))
 	}
-	if cw.ws.held(handles[0].key) != nil {
+	if _, ok := cw.ws.systems.Peek(handles[0].key); ok {
 		t.Fatal("the first system was never evicted")
 	}
 	res, rep, err := Run(handles[0], transient.RMATEX, cfg)
@@ -284,20 +283,20 @@ func TestRegisterRefusesMismatchedBlob(t *testing.T) {
 	if err := ws.Register(&RegisterArgs{Key: key, Blob: flipped}, &RegisterReply{}); err == nil {
 		t.Fatal("a corrupted blob was accepted under the intact one's key")
 	}
-	if ws.held(key) != nil || ws.held(wrong) != nil || ws.systemBytes != 0 {
+	if st := ws.systems.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatal("a refused registration left something behind")
 	}
 	if err := ws.Register(&RegisterArgs{Key: key, Blob: blob}, &RegisterReply{}); err != nil {
 		t.Fatal(err)
 	}
-	if ws.held(key) == nil {
+	if _, ok := ws.systems.Peek(key); !ok {
 		t.Fatal("the matching blob was not stored")
 	}
 }
 
 // TestRegisterDoesNotBlockSolve: a large circuit being decoded holds up no
-// subtask on another one, and two first registrations of one key that both
-// got through decoding keep one entry.
+// subtask on another one, and a second first registration of one key waits
+// for that decode instead of repeating it, keeping one entry.
 func TestRegisterDoesNotBlockSolve(t *testing.T) {
 	systems := distinctSystems(t, 2)
 	a, b := NewSystem(systems[0]), NewSystem(systems[1])
@@ -319,7 +318,9 @@ func TestRegisterDoesNotBlockSolve(t *testing.T) {
 		go func() { registered <- ws.Register(&RegisterArgs{Key: keyB, Blob: blobB}, &RegisterReply{}) }()
 	}
 	<-decoded
-	<-decoded // both registrations of B are past decoding and not yet inserted
+	for ws.systems.Stats().Hits == 0 {
+		runtime.Gosched() // until the second registration of B waits on the first's decode
+	}
 
 	base := transient.Options{Tstop: 2e-9, Tol: 1e-7, Gamma: 1e-10, Probes: []int{0}}
 	req := subtaskRequest(transient.RMATEX, &base, systems[0].GTS(base.Tstop))
@@ -343,8 +344,50 @@ func TestRegisterDoesNotBlockSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n, want := ws.lru.Len(), 2; n != want || ws.systemBytes != int64(len(blobA)+len(blobB)) {
-		t.Fatalf("worker holds %d circuits, %d bytes after A and two registrations of B", n, ws.systemBytes)
+	if n := len(decoded); n != 0 {
+		t.Fatalf("B was decoded %d more times", n)
+	}
+	if st, want := ws.systems.Stats(), int64(len(blobA)+len(blobB)); st.Entries != 2 || st.Bytes != want {
+		t.Fatalf("worker holds %d circuits, %d bytes after A and two registrations of B", st.Entries, st.Bytes)
+	}
+}
+
+// TestRegisterSingleFlight: eight registrations of one new blob at once
+// decode it once; the other seven wait for that decode and all succeed.
+func TestRegisterSingleFlight(t *testing.T) {
+	blob, key, err := NewSystem(testSystem(t, 0.1)).wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := NewWorkerServer(nil)
+	var decodes atomic.Int64
+	release := make(chan struct{})
+	ws.afterDecode = func() {
+		decodes.Add(1)
+		<-release
+	}
+	const n = 8
+	registered := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() { registered <- ws.Register(&RegisterArgs{Key: key, Blob: blob}, &RegisterReply{}) }()
+	}
+	for inflight := 0; inflight < n; {
+		runtime.Gosched() // until every registration is inside Register
+		ws.calls.mu.Lock()
+		inflight = ws.calls.inflight
+		ws.calls.mu.Unlock()
+	}
+	close(release)
+	for i := 0; i < n; i++ {
+		if err := <-registered; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := decodes.Load(); got != 1 {
+		t.Fatalf("%d concurrent registrations of one blob decoded it %d times, want 1", n, got)
+	}
+	if st := ws.systems.Stats(); st.Entries != 1 || st.Bytes != int64(len(blob)) {
+		t.Fatalf("worker holds %d circuits, %d bytes; want the one blob", st.Entries, st.Bytes)
 	}
 }
 

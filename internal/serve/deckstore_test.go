@@ -7,7 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"github.com/matex-sim/matex/internal/memo"
 )
+
+// newDeckStore is the server's kind of deck store, bounded to capacity bytes.
+func newDeckStore(capacity int64) *memo.Store[string, *deck] {
+	return memo.New[string, *deck](memo.NewBudget(capacity))
+}
 
 // TestDeckStoreSingleFlight: concurrent first sights of one key run the
 // build once; everyone gets the same deck, the waiters count as hits.
@@ -22,10 +29,10 @@ func TestDeckStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := st.get("k", func() (*deck, error) {
+			d, _, err := st.Get("k", func() (*deck, int64, error) {
 				builds.Add(1)
 				<-release // hold the build open until every caller has arrived
-				return &deck{key: "k", size: 10}, nil
+				return &deck{}, 10, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -33,7 +40,7 @@ func TestDeckStoreSingleFlight(t *testing.T) {
 			got[i] = d
 		}(i)
 	}
-	for st.snapshot().Hits < n-1 {
+	for st.Stats().Hits < n-1 {
 		runtime.Gosched() // the waiters are counted before they block on the build
 	}
 	close(release)
@@ -46,7 +53,7 @@ func TestDeckStoreSingleFlight(t *testing.T) {
 			t.Fatalf("caller %d got a different deck", i)
 		}
 	}
-	if s := st.snapshot(); s.Misses != 1 || s.Hits != n-1 || s.Entries != 1 || s.Bytes != 10 {
+	if s := st.Stats(); s.Misses != 1 || s.Hits != n-1 || s.Entries != 1 || s.Bytes != 10 {
 		t.Fatalf("stats %+v, want 1 miss, %d hits, 1 entry of 10 bytes", s, n-1)
 	}
 }
@@ -59,52 +66,52 @@ func TestDeckStoreSingleFlight(t *testing.T) {
 func TestDeckStoreByteBoundLRU(t *testing.T) {
 	const capacity, size = 1000, 100
 	st := newDeckStore(capacity)
-	mk := func(key string, size int64) func() (*deck, error) {
-		return func() (*deck, error) { return &deck{key: key, size: size}, nil }
+	mk := func(key string, size int64) func() (*deck, int64, error) {
+		return func() (*deck, int64, error) { return &deck{prints: []string{key}}, size, nil }
 	}
-	first, err := st.get("d0", mk("d0", size))
+	first, _, err := st.Get("d0", mk("d0", size))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 3*capacity/size; i++ {
 		key := fmt.Sprintf("d%d", i)
-		if _, err := st.get(key, mk(key, size)); err != nil {
+		if _, _, err := st.Get(key, mk(key, size)); err != nil {
 			t.Fatal(err)
 		}
 		// Keep d1 hot: it must outlive everything colder.
-		if _, err := st.get("d1", mk("d1", size)); err != nil {
+		if _, _, err := st.Get("d1", mk("d1", size)); err != nil {
 			t.Fatal(err)
 		}
-		if s := st.snapshot(); s.Bytes > capacity || s.Bytes != int64(s.Entries)*size {
+		if s := st.Stats(); s.Bytes > capacity || s.Bytes != int64(s.Entries)*size {
 			t.Fatalf("after %d decks: %d bytes in %d entries, capacity %d", i+1, s.Bytes, s.Entries, capacity)
 		}
 	}
-	s := st.snapshot()
+	s := st.Stats()
 	if s.Entries != capacity/size || s.Evictions != uint64(3*capacity/size-capacity/size) {
 		t.Fatalf("stats %+v, want %d entries and %d evictions", s, capacity/size, 3*capacity/size-capacity/size)
 	}
-	if first.key != "d0" || first.size != size {
+	if len(first.prints) != 1 || first.prints[0] != "d0" {
 		t.Fatalf("the evicted deck a caller still holds changed: %+v", first)
 	}
 	misses := s.Misses
-	if _, err := st.get("d1", mk("d1", size)); err != nil || st.snapshot().Misses != misses {
+	if _, _, err := st.Get("d1", mk("d1", size)); err != nil || st.Stats().Misses != misses {
 		t.Fatalf("the most recently used deck was evicted (err %v)", err)
 	}
-	if _, err := st.get("d0", mk("d0", size)); err != nil || st.snapshot().Misses != misses+1 {
+	if _, _, err := st.Get("d0", mk("d0", size)); err != nil || st.Stats().Misses != misses+1 {
 		t.Fatalf("the least recently used deck was still resident (err %v)", err)
 	}
 
 	// Larger than the store: resident alone while it is the newest.
-	if _, err := st.get("huge", mk("huge", 5*capacity)); err != nil {
+	if _, _, err := st.Get("huge", mk("huge", 5*capacity)); err != nil {
 		t.Fatal(err)
 	}
-	if s := st.snapshot(); s.Entries != 1 || s.Bytes != 5*capacity {
+	if s := st.Stats(); s.Entries != 1 || s.Bytes != 5*capacity {
 		t.Fatalf("oversized deck: %+v, want it resident alone", s)
 	}
-	if _, err := st.get("d2", mk("d2", size)); err != nil {
+	if _, _, err := st.Get("d2", mk("d2", size)); err != nil {
 		t.Fatal(err)
 	}
-	if s := st.snapshot(); s.Entries != 1 || s.Bytes != size {
+	if s := st.Stats(); s.Entries != 1 || s.Bytes != size {
 		t.Fatalf("after the next deck: %+v, want the oversized one gone", s)
 	}
 }
@@ -114,17 +121,17 @@ func TestDeckStoreByteBoundLRU(t *testing.T) {
 func TestDeckStoreFailedBuildIsNotKept(t *testing.T) {
 	st := newDeckStore(1000)
 	bad := errors.New("bad deck")
-	if _, err := st.get("k", func() (*deck, error) { return nil, bad }); !errors.Is(err, bad) {
+	if _, _, err := st.Get("k", func() (*deck, int64, error) { return nil, 0, bad }); !errors.Is(err, bad) {
 		t.Fatalf("got %v, want the build error", err)
 	}
-	if s := st.snapshot(); s.Entries != 0 || s.Bytes != 0 {
+	if s := st.Stats(); s.Entries != 0 || s.Bytes != 0 {
 		t.Fatalf("failed build left %+v behind", s)
 	}
-	d, err := st.get("k", func() (*deck, error) { return &deck{key: "k", size: 1}, nil })
+	d, _, err := st.Get("k", func() (*deck, int64, error) { return &deck{}, 1, nil })
 	if err != nil || d == nil {
 		t.Fatalf("rebuild after a failure: %v", err)
 	}
-	if s := st.snapshot(); s.Misses != 2 || s.Entries != 1 {
+	if s := st.Stats(); s.Misses != 2 || s.Entries != 1 {
 		t.Fatalf("stats %+v, want 2 misses and 1 entry", s)
 	}
 }
@@ -138,7 +145,7 @@ func TestDeckStorePanickingBuildReleasesWaiters(t *testing.T) {
 	waiter := make(chan error, 1)
 	go func() {
 		<-building
-		_, err := st.get("k", func() (*deck, error) { return &deck{key: "k"}, nil })
+		_, _, err := st.Get("k", func() (*deck, int64, error) { return &deck{}, 0, nil })
 		waiter <- err
 	}()
 	func() {
@@ -147,9 +154,9 @@ func TestDeckStorePanickingBuildReleasesWaiters(t *testing.T) {
 				t.Error("the build's panic did not reach its caller")
 			}
 		}()
-		st.get("k", func() (*deck, error) {
+		st.Get("k", func() (*deck, int64, error) {
 			close(building)
-			for st.snapshot().Hits == 0 {
+			for st.Stats().Hits == 0 {
 				runtime.Gosched() // until the waiter is counted, i.e. committed to this build
 			}
 			panic("malformed deck trips a parser bug")
@@ -158,7 +165,7 @@ func TestDeckStorePanickingBuildReleasesWaiters(t *testing.T) {
 	if err := <-waiter; err == nil {
 		t.Fatal("a caller waiting on a panicked build got a deck")
 	}
-	if d, err := st.get("k", func() (*deck, error) { return &deck{key: "k", size: 1}, nil }); err != nil || d == nil {
+	if d, _, err := st.Get("k", func() (*deck, int64, error) { return &deck{}, 1, nil }); err != nil || d == nil {
 		t.Fatalf("the key stayed poisoned: %v", err)
 	}
 }

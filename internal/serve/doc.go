@@ -5,12 +5,12 @@
 // SSE) as the integrators advance — the serving layer the paper's
 // "distributed framework" framing asks for on top of the compute stack.
 //
-// Every job on one process shares the content-addressed deck store
-// (deckstore.go: one parse + stamp per deck, keyed by the SHA-256 of its
-// text, bounded and LRU), the content-addressed factorization cache and the
-// Krylov workspace arenas, so concurrent and repeated jobs against the same
-// grid skip straight to the transient phase the way repeated dist.Run calls
-// do. Distributed jobs additionally fan out through internal/dist
+// Every job on one process shares the content-addressed deck store (a
+// memo.Store of decks, deck.go: one parse + stamp per deck, keyed by the
+// SHA-256 of its text, bounded and LRU), the content-addressed factorization
+// cache and the Krylov workspace arenas, so concurrent and repeated jobs
+// against the same grid skip straight to the transient phase the way
+// repeated dist.Run calls do. Distributed jobs additionally fan out through internal/dist
 // (in-process pool, or matexd workers over TCP: one pool — one connection
 // per worker — for the server's lifetime, the deck's circuit handed to it
 // with each task).

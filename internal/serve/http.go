@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/sparse"
 )
 
@@ -176,7 +177,7 @@ type StatsReply struct {
 	Cache sparse.CacheStats `json:"cache"`
 	// DeckStore is the deck store's view: one miss per deck parsed and
 	// stamped, one hit per job that found its deck already there.
-	DeckStore DeckStoreStats `json:"deck_store"`
+	DeckStore memo.Stats `json:"deck_store"`
 }
 
 func (s *Server) statsReply() StatsReply {
@@ -205,7 +206,7 @@ func (s *Server) statsReply() StatsReply {
 	}
 	s.mu.Unlock()
 	rep.Cache = s.cache.Stats()
-	rep.DeckStore = s.decks.snapshot()
+	rep.DeckStore = s.decks.Stats()
 	return rep
 }
 

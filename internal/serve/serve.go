@@ -12,6 +12,7 @@ import (
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/krylov"
+	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
@@ -143,7 +144,7 @@ func (t *totals) add(s *transient.Stats) {
 type Server struct {
 	cfg        Config
 	cache      *sparse.Cache
-	decks      *deckStore
+	decks      *memo.Store[string, *deck]
 	workspaces *krylov.WorkspacePool
 	queue      chan *Job
 	baseCtx    context.Context
@@ -206,7 +207,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		cache:      sparse.NewCache(cfg.CacheBytes),
-		decks:      newDeckStore(maxBodyBytes),
+		decks:      memo.New[string, *deck](memo.NewBudget(maxBodyBytes)),
 		workspaces: krylov.NewWorkspacePool(),
 		queue:      make(chan *Job, cfg.QueueDepth+len(restored)),
 		baseCtx:    ctx,
@@ -250,12 +251,12 @@ func New(cfg Config) (*Server, error) {
 // case. The deck comes from the store, so only the first job on it parses
 // and stamps; what depends on the job's options is resolved per job.
 func (s *Server) prepare(spec *JobSpec, key, text string) (*builtJob, error) {
-	build := func() (*deck, error) { return parseDeck(key, text) }
+	build := func() (*deck, int64, error) { return parseDeck(text) }
 	if text == "" {
 		key = caseKey(spec.Case, spec.Scale)
-		build = func() (*deck, error) { return generateDeck(key, spec.Case, spec.Scale) }
+		build = func() (*deck, int64, error) { return generateDeck(spec.Case, spec.Scale) }
 	}
-	d, err := s.decks.get(key, build)
+	d, _, err := s.decks.Get(key, build)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +306,7 @@ func (s *Server) restoreJob(r *restoredJob) *Job {
 func (s *Server) CacheStats() sparse.CacheStats { return s.cache.Stats() }
 
 // DeckStats exposes the deck store counters.
-func (s *Server) DeckStats() DeckStoreStats { return s.decks.snapshot() }
+func (s *Server) DeckStats() memo.Stats { return s.decks.Stats() }
 
 // Submit validates and enqueues a job; the first job on a deck also parses
 // and stamps it, every later one takes it from the deck store. The returned

@@ -23,6 +23,7 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
+	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/netlist"
 	"github.com/matex-sim/matex/internal/pdn"
 	"github.com/matex-sim/matex/internal/serve"
@@ -284,7 +285,7 @@ func TestE2EConcurrentStreamingJobs(t *testing.T) {
 	}
 	// And the deck itself: eight concurrent first sights are one parse + stamp
 	// (the other seven waited for it), one resident entry charged its text.
-	if want := (serve.DeckStoreStats{Entries: 1, Bytes: int64(len(deckText)), Hits: jobs - 1, Misses: 1}); stats.DeckStore != want {
+	if want := (memo.Stats{Entries: 1, Bytes: int64(len(deckText)), Hits: jobs - 1, Misses: 1}); stats.DeckStore != want {
 		t.Errorf("deck store %+v after %d jobs on one unseen deck, want %+v", stats.DeckStore, jobs, want)
 	}
 

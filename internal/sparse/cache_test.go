@@ -40,19 +40,19 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestCacheHitReturnsSameFactorization(t *testing.T) {
 	c := NewCache(0)
 	a := cacheTestMatrix(20, 4)
-	f1, hit1, err := c.Factor(a, FactorAuto, OrderDefault)
+	f1, info1, err := c.Factor(a, FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit1 {
+	if info1.Hit {
 		t.Error("first acquisition reported as hit")
 	}
 	// A content-equal but distinct matrix object must hit.
-	f2, hit2, err := c.Factor(cacheTestMatrix(20, 4), FactorAuto, OrderDefault)
+	f2, info2, err := c.Factor(cacheTestMatrix(20, 4), FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit2 {
+	if !info2.Hit {
 		t.Error("content-equal matrix missed")
 	}
 	if f1 != f2 {
@@ -60,17 +60,17 @@ func TestCacheHitReturnsSameFactorization(t *testing.T) {
 	}
 	// The key holds the resolved ordering: naming the default's resolution
 	// explicitly is the same entry, whatever that resolution is.
-	if f3, hit3, _ := c.Factor(a, FactorAuto, OrderDefault.Resolve()); !hit3 || f3 != f1 {
+	if f3, info3, _ := c.Factor(a, FactorAuto, OrderDefault.Resolve()); !info3.Hit || f3 != f1 {
 		t.Error("OrderDefault and OrderDefault.Resolve() produced distinct cache entries")
 	}
 	// A different kind, ordering or content misses.
-	if _, hit, _ := c.Factor(a, FactorGPLU, OrderDefault); hit {
+	if _, info, _ := c.Factor(a, FactorGPLU, OrderDefault); info.Hit {
 		t.Error("different FactorKind hit the LDLT entry")
 	}
-	if _, hit, _ := c.Factor(a, FactorAuto, OrderNatural); hit {
+	if _, info, _ := c.Factor(a, FactorAuto, OrderNatural); info.Hit {
 		t.Error("different ordering hit")
 	}
-	if _, hit, _ := c.Factor(cacheTestMatrix(20, 5), FactorAuto, OrderDefault); hit {
+	if _, info, _ := c.Factor(cacheTestMatrix(20, 5), FactorAuto, OrderDefault); info.Hit {
 		t.Error("different content hit")
 	}
 	st := c.Stats()
@@ -84,11 +84,11 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 	a := cacheTestMatrix(15, 4)
 	b := cacheTestMatrix(15, 6)
 	alpha, beta := 2.5, 0.75
-	f, hit, err := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault)
+	f, info, err := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
+	if info.Hit {
 		t.Error("first FactorSum reported as hit")
 	}
 	// Solve (alpha·a + beta·b) x = rhs and verify the residual directly.
@@ -108,10 +108,10 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 		}
 	}
 	// Same scalars hit; different scalars miss (the shift is in the key).
-	if _, hit, _ := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault); !hit {
+	if _, info, _ := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault); !info.Hit {
 		t.Error("identical FactorSum missed")
 	}
-	if _, hit, _ := c.FactorSum(alpha, a, beta*1.000001, b, FactorAuto, OrderDefault); hit {
+	if _, info, _ := c.FactorSum(alpha, a, beta*1.000001, b, FactorAuto, OrderDefault); info.Hit {
 		t.Error("different beta hit")
 	}
 }
@@ -135,7 +135,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("all %d entries retained despite budget", st.Entries)
 	}
 	// The most recently used entry must have survived.
-	if _, hit, _ := c.Factor(cacheTestMatrix(30, 15), FactorAuto, OrderDefault); !hit {
+	if _, info, _ := c.Factor(cacheTestMatrix(30, 15), FactorAuto, OrderDefault); !info.Hit {
 		t.Error("most recent entry was evicted")
 	}
 }
@@ -183,21 +183,6 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	st := c.Stats()
 	if st.Entries != 0 {
 		t.Errorf("failed factorization left %d cache entries", st.Entries)
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	c := NewCache(0)
-	if _, _, err := c.Factor(cacheTestMatrix(10, 4), FactorAuto, OrderDefault); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	st := c.Stats()
-	if st.Entries != 0 || st.Bytes != 0 || st.Misses != 0 {
-		t.Errorf("Reset left state behind: %+v", st)
-	}
-	if _, hit, _ := c.Factor(cacheTestMatrix(10, 4), FactorAuto, OrderDefault); hit {
-		t.Error("hit after Reset")
 	}
 }
 

@@ -295,7 +295,7 @@ func TestCacheSymbolicTierSharedAcrossShifts(t *testing.T) {
 	gamma := 1e-10
 	var lastInfo FactorInfo
 	for s := 0; s < 8; s++ {
-		f, info, err := cache.FactorSumEx(1, c, gamma, g, FactorAuto, OrderDefault)
+		f, info, err := cache.FactorSum(1, c, gamma, g, FactorAuto, OrderDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestCacheSymbolicTierSharedAcrossShifts(t *testing.T) {
 		t.Fatalf("symbolic entries = %d, want 1", st.SymbolicEntries)
 	}
 	// Content-identical re-acquisition is a plain factor hit.
-	if _, info, _ := cache.FactorSumEx(1, c, 1e-10, g, FactorAuto, OrderDefault); !info.Hit {
+	if _, info, _ := cache.FactorSum(1, c, 1e-10, g, FactorAuto, OrderDefault); !info.Hit {
 		t.Fatalf("repeat acquisition missed: %+v", info)
 	}
 }
@@ -336,7 +336,7 @@ func TestCacheSymbolicFallbackToLU(t *testing.T) {
 	tr.Add(1, 0, 1)
 	a := tr.ToCSC()
 	cache := NewCache(0)
-	f, info, err := cache.FactorEx(a, FactorAuto, OrderNatural)
+	f, info, err := cache.Factor(a, FactorAuto, OrderNatural)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -383,7 +383,7 @@ func Simulate(sys *circuit.System, method Method, opts Options) (*Result, error)
 // one is configured and updating the work counters either way.
 func acquireFactor(a *sparse.CSC, opts Options, stats *Stats) (sparse.Factorization, error) {
 	if opts.Cache != nil {
-		f, info, err := opts.Cache.FactorEx(a, sparse.FactorAuto, opts.Ordering)
+		f, info, err := opts.Cache.Factor(a, sparse.FactorAuto, opts.Ordering)
 		if err != nil {
 			return nil, err
 		}
@@ -415,7 +415,7 @@ func wrapPanel(f sparse.Factorization, opts Options) sparse.Factorization {
 // scalar shifts of one pattern onto a single analysis.
 func acquireFactorSum(alpha float64, a *sparse.CSC, beta float64, b *sparse.CSC, opts Options, stats *Stats) (sparse.Factorization, error) {
 	if opts.Cache != nil {
-		f, info, err := opts.Cache.FactorSumEx(alpha, a, beta, b, sparse.FactorAuto, opts.Ordering)
+		f, info, err := opts.Cache.FactorSum(alpha, a, beta, b, sparse.FactorAuto, opts.Ordering)
 		if err != nil {
 			return nil, err
 		}

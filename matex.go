@@ -44,9 +44,10 @@ type (
 	// Ordering selects the fill-reducing ordering strategy.
 	Ordering = sparse.Ordering
 	// FactorCache is a concurrency-safe, content-addressed factorization
-	// cache with an LRU byte budget. Share one instance via Options.Cache /
-	// DistConfig.Cache to eliminate redundant factorizations across
-	// solvers, adaptive steps, and repeated or distributed runs.
+	// cache with an LRU byte budget. Share one instance via Options.Cache
+	// (DistConfig.Base.Cache for distributed runs) to eliminate redundant
+	// factorizations across solvers, adaptive steps, and repeated or
+	// distributed runs.
 	FactorCache = sparse.Cache
 	// FactorCacheStats is a snapshot of cache effectiveness counters.
 	FactorCacheStats = sparse.CacheStats
@@ -124,7 +125,7 @@ type (
 	// Krylov dimensions, phase timings).
 	Stats = transient.Stats
 	// KrylovMethod selects the subspace process for the MATEX methods
-	// (Options.Krylov / DistConfig.Krylov).
+	// (Options.Krylov; DistConfig.Base.Krylov for distributed runs).
 	KrylovMethod = krylov.Method
 )
 
