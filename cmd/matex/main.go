@@ -30,6 +30,11 @@
 // collinear-variant sharing. The TSV output gains a leading "variant"
 // column; -stats adds the sweep's lane and panel report above the solver
 // line, whose counters are folded across the lanes.
+//
+// The flags fill a job.Spec, the value a matexsrv submission decodes to, and
+// internal/job resolves and runs it: the CLI and the service default, refuse
+// (a -sweep that is also -distributed, a fixed-step method with no step) and
+// run a spec the same way.
 package main
 
 import (
@@ -42,13 +47,10 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
-	"github.com/matex-sim/matex/internal/krylov"
-	"github.com/matex-sim/matex/internal/netlist"
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/sweep"
-	"github.com/matex-sim/matex/internal/transient"
 )
 
 func main() {
@@ -71,17 +73,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	m, err := transient.ParseMethod(*method)
-	if err != nil {
-		fatal(err)
-	}
-	ord, err := sparse.ParseOrdering(*order)
-	if err != nil {
-		fatal(err)
-	}
-	km, err := krylov.ParseMethod(strings.ToLower(*krylovFlag))
-	if err != nil {
-		fatal(err)
+	spec := job.Spec{
+		Method: *method, Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma,
+		Krylov: *krylovFlag, Ordering: *order, Distributed: *distributed || *workers != "",
 	}
 	var cache *sparse.Cache
 	if *cacheMB > 0 {
@@ -92,53 +86,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	deck, err := netlist.Parse(f)
+	deck, err := job.ParseDeck(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		fatal(err)
 	}
-	sys, err := circuit.Stamp(deck.Circuit, circuit.StampOptions{CollapseSupplies: true})
-	if err != nil {
-		fatal(err)
-	}
-
-	if *tstop == 0 {
-		*tstop = deck.TranStop
-	}
-	if *tstop <= 0 {
-		fatal(fmt.Errorf("no simulation window: pass -tstop or add a .tran card"))
-	}
-	if *step == 0 {
-		*step = deck.TranStep
-	}
-
-	// Probes from .print cards, else the first node.
-	probeNames := deck.Prints
-	if len(probeNames) == 0 {
-		names := sys.NodeNames()
-		if len(names) > 0 {
-			probeNames = names[:1]
-		}
-	}
-	probes, kept, skipped, err := sys.ResolveProbes(probeNames)
-	if err != nil {
-		fatal(err)
-	}
-	for _, name := range skipped {
-		fmt.Fprintf(os.Stderr, "matex: %s is a supply rail, skipping probe\n", name)
-	}
-
-	sweeping := *sweepFile != ""
-	if sweeping && (*distributed || *workers != "") {
-		fatal(fmt.Errorf("-sweep and -distributed are mutually exclusive (a sweep batches within one process)"))
-	}
-	var variants []sweep.Variant
-	if sweeping {
-		if variants, err = loadVariants(*sweepFile); err != nil {
+	if *sweepFile != "" {
+		if spec.Variants, err = loadVariants(*sweepFile); err != nil {
 			fatal(err)
 		}
+	}
+	task, err := spec.Resolve(deck)
+	if err != nil {
+		fatal(err)
+	}
+	for _, name := range task.Skipped {
+		fmt.Fprintf(os.Stderr, "matex: %s is a supply rail, skipping probe\n", name)
 	}
 
 	// One TSV table through one buffer; a sweep's has a leading variant column
@@ -147,11 +112,12 @@ func main() {
 	// is flushed whole as the engine delivers it: what a failed run leaves on
 	// stdout ends on a complete row. A row is nil/empty when every probe was
 	// skipped (all supply rails): the table has no voltage columns.
+	sweeping := len(spec.Variants) > 0
 	tsv := []byte("time")
 	if sweeping {
 		tsv = []byte("variant\ttime")
 	}
-	for _, name := range kept {
+	for _, name := range task.Names {
 		tsv = fmt.Appendf(tsv, "\tv(%s)", name)
 	}
 	tsv = append(tsv, '\n')
@@ -162,14 +128,15 @@ func main() {
 		tsv = tsv[:0]
 	}
 	var mu sync.Mutex // sweep variants stream concurrently
-	writeRow := func(variant string, t float64, row []float64) {
+	hooks := job.Hooks{Cache: cache}
+	hooks.OnSample = func(variant string, t float64, row []float64) {
 		mu.Lock()
 		defer mu.Unlock()
 		if sweeping {
 			tsv = fmt.Appendf(tsv, "%s\t", variant)
 		}
 		tsv = fmt.Appendf(tsv, "%.6e", t)
-		for k := range kept {
+		for k := range task.Names {
 			if k < len(row) {
 				tsv = fmt.Appendf(tsv, "\t%.9e", row[k])
 			}
@@ -177,44 +144,26 @@ func main() {
 		tsv = append(tsv, '\n')
 		flush()
 	}
-
-	opts := transient.Options{
-		Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma, Probes: probes,
-		Ordering: ord, Cache: cache, Krylov: km,
-	}
-	var res *transient.Result
-	var rep *dist.Report
-	var sres *sweep.Result
-	switch {
-	case sweeping:
-		sopts := sweep.Options{Base: opts, Method: m}
-		sopts.OnVariantSample = func(v int, t float64, row []float64) { writeRow(variants[v].Label(v), t, row) }
-		if sres, err = sweep.Run(sys, variants, sopts); err == nil {
-			res = &transient.Result{Stats: sres.Stats.Sim}
+	var pool dist.Pool
+	if *workers != "" {
+		hooks.Pool = func() (_ dist.Pool, err error) {
+			pool, err = dist.NewRPCPool(context.Background(), strings.Split(*workers, ","))
+			return pool, err
 		}
-	case *distributed || *workers != "":
-		opts.OnSample = func(t float64, row []float64) { writeRow("", t, row) }
-		cfg := dist.Config{Base: opts}
-		if *workers != "" {
-			if cfg.Pool, err = dist.NewRPCPool(context.Background(), strings.Split(*workers, ",")); err != nil {
-				fatal(err)
-			}
-			defer cfg.Pool.Close() //matex:err-ok(process exit; a failed close of a worker connection has no recovery)
-		}
-		res, rep, err = dist.Run(dist.NewSystem(sys), m, cfg)
-	default:
-		opts.OnSample = func(t float64, row []float64) { writeRow("", t, row) }
-		res, err = transient.Simulate(sys, m, opts)
 	}
+	out, err := task.Run(context.Background(), hooks)
 	if err != nil {
 		fatal(err)
+	}
+	if pool != nil {
+		pool.Close() //matex:err-ok(process exit; a failed close of a worker connection has no recovery)
 	}
 	flush() // the header of a table no row reached
 
 	if *stats {
 		// Readers of -stats collect key=value tokens across lines, so no key
 		// repeats between the lines below.
-		if rep != nil {
+		if rep := out.Dist; rep != nil {
 			fmt.Fprintf(os.Stderr, "tasks=%d groups=%d retried=%d max_node_time=%v max_node_transient=%v\n",
 				rep.Tasks, rep.Groups, rep.Retried, rep.MaxNodeTime, rep.MaxNodeTrTime)
 			// One line per dispatched task.
@@ -228,12 +177,11 @@ func main() {
 				fmt.Fprintln(os.Stderr)
 			}
 		}
-		if sres != nil {
-			st := &sres.Stats
+		if st := out.Sweep; st != nil {
 			fmt.Fprintf(os.Stderr, "variants=%d lanes=%d shared=%d panel_rounds=%d panel_batched=%d mean_panel_width=%.2f\n",
 				st.Variants, st.Lanes, st.SharedVariants, st.Panel.Rounds, st.Panel.Batched, st.Panel.MeanWidth())
 		}
-		s := &res.Stats
+		s := &out.Stats
 		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d expm_evals=%d steps=%d m_a=%.1f m_p=%d lanczos_spots=%d/%d dc=%v factor=%v transient=%v input_pairs=%d deviation_spots=%d\n",
 			s.Factorizations, s.Refactors, s.SymbolicHits, s.CacheHits, s.CacheMisses, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.Steps, s.MA(), s.MP(), s.LanczosSpots, len(s.KrylovDims), s.DCTime, s.FactorTime, s.TransientTime, s.InputPairs, s.DeviationSpots)
 	}
@@ -257,16 +205,19 @@ func loadVariants(path string) ([]sweep.Variant, error) {
 		return nil, err
 	}
 	var list []sweep.Variant
-	if err := json.Unmarshal(b, &list); err == nil {
-		return list, nil
+	if err := json.Unmarshal(b, &list); err != nil {
+		var obj struct {
+			Variants []sweep.Variant `json:"variants"`
+		}
+		if err := json.Unmarshal(b, &obj); err != nil {
+			return nil, fmt.Errorf("parsing %s: want a JSON array of variants or {\"variants\": [...]}: %w", path, err)
+		}
+		list = obj.Variants
 	}
-	var obj struct {
-		Variants []sweep.Variant `json:"variants"`
+	if len(list) == 0 {
+		return nil, fmt.Errorf("%s: sweep: no variants", path)
 	}
-	if err := json.Unmarshal(b, &obj); err != nil {
-		return nil, fmt.Errorf("parsing %s: want a JSON array of variants or {\"variants\": [...]}: %w", path, err)
-	}
-	return obj.Variants, nil
+	return list, nil
 }
 
 func fatal(err error) {

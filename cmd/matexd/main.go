@@ -5,7 +5,10 @@
 // dropped past 1 GiB of encoded circuit; a task on a circuit it does not
 // hold — it is new, was restarted, or dropped it — is answered "unknown
 // system", and the scheduler sends the circuit and the task again. Workers
-// share nothing and only write results back — the paper's Fig. 4 node.
+// share nothing and only write results back — the paper's Fig. 4 node. A
+// task carries everything it is solved with, its fill-reducing ordering
+// included (resolved by the scheduler, so its DC solve and every task share
+// one fill): a worker has no solver defaults of its own.
 //
 // SIGINT/SIGTERM drain gracefully: the listener closes, in-flight RPCs
 // finish and answer over their still-open connections (bounded by -grace),
@@ -32,7 +35,6 @@ import (
 func main() {
 	listen := flag.String("listen", ":9090", "TCP address to listen on")
 	cacheMB := flag.Int("cache-mb", 0, "factorization cache budget in MiB; <=0 selects the 512 MiB default (the worker cache is always on — it replaces per-subtask refactorization)")
-	order := flag.String("order", "default", "default fill-reducing ordering for requests that do not set their own: default (=nd), natural, mindeg, nd")
 	grace := flag.Duration("grace", dist.DefaultDrainGrace, "drain budget for in-flight RPCs after SIGINT/SIGTERM")
 	flag.Parse()
 
@@ -41,12 +43,7 @@ func main() {
 		log.Fatalf("matexd: %v", err)
 	}
 	fmt.Printf("matexd: listening on %s\n", l.Addr())
-	ord, err := sparse.ParseOrdering(*order)
-	if err != nil {
-		log.Fatalf("matexd: %v", err)
-	}
 	ws := dist.NewWorkerServer(sparse.NewCache(int64(*cacheMB) << 20))
-	ws.SetOrdering(ord)
 
 	// The same signal-driven shutdown path as cmd/matexsrv: first signal
 	// starts the drain, a second one kills the process the default way.

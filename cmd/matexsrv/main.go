@@ -16,6 +16,11 @@
 // per-variant sequence number. POST /sweep (or /v1/sweep) is the
 // dedicated endpoint; /v1/jobs accepts sweep specs too.
 //
+// A spec is resolved and run by internal/job, the code behind the matex CLI:
+// the same defaults, the same refusals. Solver options — the fill-reducing
+// ordering among them — come from each job's spec alone; the daemon's flags
+// size the service, never the solve.
+//
 // Usage:
 //
 //	matexsrv -listen :8080
@@ -45,7 +50,6 @@ import (
 	"time"
 
 	"github.com/matex-sim/matex/internal/serve"
-	"github.com/matex-sim/matex/internal/sparse"
 )
 
 func main() {
@@ -54,21 +58,15 @@ func main() {
 	queue := flag.Int("queue", 64, "queued-job capacity; a full queue answers 429")
 	cacheMB := flag.Int("cache-mb", 512, "shared factorization cache budget in MiB (<=0 selects the default)")
 	distWorkers := flag.String("dist-workers", "", "comma-separated matexd TCP addresses for distributed jobs (empty = in-process pool)")
-	order := flag.String("order", "default", "default fill-reducing ordering for jobs that do not set their own: default (=nd), natural, mindeg, nd")
 	grace := flag.Duration("grace", 30*time.Second, "drain budget after SIGINT/SIGTERM before running jobs are canceled")
 	stateDir := flag.String("state-dir", "", "durable-job journal directory; jobs survive a crash and resume from their last checkpoint (empty = in-memory only)")
 	cpEvery := flag.Int("checkpoint-every", 0, "journaled-checkpoint cadence in accepted integrator steps (0 = default 128; needs -state-dir)")
 	flag.Parse()
 
-	ord, err := sparse.ParseOrdering(*order)
-	if err != nil {
-		log.Fatalf("matexsrv: %v", err)
-	}
 	cfg := serve.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		CacheBytes:      int64(*cacheMB) << 20,
-		Ordering:        ord,
 		StateDir:        *stateDir,
 		CheckpointEvery: *cpEvery,
 	}

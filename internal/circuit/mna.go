@@ -367,9 +367,8 @@ func (s *System) NodeIndex(name string) (idx int, fixed float64, isFixed bool, e
 // ResolveProbes maps probe node names onto unknown indices, dropping
 // nodes collapsed onto supply rails (they carry no waveform). It returns
 // the indices, the names actually kept (aligned with the indices), and
-// the names skipped — the shared front half of cmd/matex's probe setup
-// and the serve job builder, so the two stay consistent. An unknown name
-// is an error.
+// the names skipped — the probe half of internal/job's Resolve, which the
+// CLI and the service share. An unknown name is an error.
 func (s *System) ResolveProbes(names []string) (idx []int, kept, skipped []string, err error) {
 	for _, name := range names {
 		i, _, fixed, err := s.NodeIndex(name)

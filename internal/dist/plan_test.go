@@ -176,14 +176,20 @@ func TestPlanQuick(t *testing.T) {
 		}
 		waves := make([]waveform.Waveform, 1+rng.Intn(40))
 		for i := range waves {
-			waves[i] = waveform.Scaled{W: shapes[rng.Intn(len(shapes))], Gain: 0.5 + rng.Float64()}
+			p := *shapes[rng.Intn(len(shapes))]
+			p.V2 *= 0.5 + rng.Float64()
+			waves[i] = &p
 		}
 		members := waveform.Group(waves, tstop)
 		groups := make([]Task, len(members))
 		spots := make([][]float64, len(members))
 		for g, m := range members {
 			groups[g] = Task{GroupID: g, InputIdx: m}
-			spots[g] = waveform.GroupLTS(waves, m, tstop)[1:]
+			var all []float64
+			for _, i := range m {
+				all = waves[i].Transitions(all, tstop)
+			}
+			spots[g] = waveform.MergeSpots(all, tstop, waveform.SpotEps, true)[1:]
 		}
 		checkPlan(t, groups, spots, int(nodes%16))
 		checkPlan(t, groups, nil, int(nodes%16))

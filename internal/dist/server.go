@@ -34,8 +34,6 @@ func init() {
 	gob.Register(waveform.DC(0))
 	gob.Register(&waveform.Pulse{})
 	gob.Register(&waveform.PWL{})
-	gob.Register(waveform.Scaled{})
-	gob.Register(waveform.Shifted{})
 	gob.Register(waveform.ZeroBased{})
 }
 
@@ -94,9 +92,6 @@ type WorkerServer struct {
 	// subtask and every scheduler run against this process — the
 	// subspace-generation analogue of the factorization cache above.
 	workspaces *krylov.WorkspacePool
-	// ordering is the worker-local default ordering applied when a request
-	// arrives with OrderDefault (matexd -order).
-	ordering sparse.Ordering
 	// calls tracks in-flight RPC handlers so a draining worker (SIGTERM on
 	// matexd, ServeContext cancellation) finishes what it started before
 	// its connections are severed.
@@ -195,11 +190,6 @@ func (g *drainGroup) drain(grace time.Duration) bool {
 // the subtask to another worker instead of failing the run.
 var errDraining = errors.New("dist: worker is draining (shutting down)")
 
-// SetOrdering sets the worker-local default fill-reducing ordering applied
-// when a request arrives with OrderDefault (matexd -order). Call before
-// ServeContext.
-func (w *WorkerServer) SetOrdering(o sparse.Ordering) { w.ordering = o }
-
 // NewWorkerServer returns an empty worker service for ServeContext using
 // the given factorization cache (nil: one with the default budget; cmd/matexd
 // passes its -cache-mb budget).
@@ -273,12 +263,8 @@ func (w *WorkerServer) Solve(args *SolveArgs, reply *SolveReply) error {
 	if !ok {
 		return fmt.Errorf("%w %x", errUnknownSystem, args.System[:8])
 	}
-	req := args.Req
-	if req.Ordering == sparse.OrderDefault {
-		req.Ordering = w.ordering
-	}
-	opts := subtaskOptions(nil, sys, args.Task, req, w.cache, w.workspaces)
-	res, err := transient.Simulate(sys, req.Method, opts)
+	opts := subtaskOptions(nil, sys, args.Task, args.Req, w.cache, w.workspaces)
+	res, err := transient.Simulate(sys, args.Req.Method, opts)
 	if err != nil {
 		return fmt.Errorf("dist: group %d: %w", args.Task.GroupID, err)
 	}

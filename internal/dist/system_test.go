@@ -14,6 +14,7 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/memo"
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -291,6 +292,42 @@ func TestRegisterRefusesMismatchedBlob(t *testing.T) {
 	}
 	if _, ok := ws.systems.Peek(key); !ok {
 		t.Fatal("the matching blob was not stored")
+	}
+}
+
+// TestWorkerHasNoOrderingOfItsOwn: a request that leaves the ordering at
+// OrderDefault is solved on the fill the scheduler resolves it to (nd), bit
+// for bit — a worker has no ordering default that could differ from the
+// scheduler's DC solve.
+func TestWorkerHasNoOrderingOfItsOwn(t *testing.T) {
+	sys := testSystem(t, 0.5) // large enough that nd and the other orderings round differently
+	blob, key, err := NewSystem(sys).wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: testProbes(sys)}
+	tasks, _ := planTasks(Partition(sys, base.Tstop), nil, 1) // every group in one task
+	task := tasks[0]
+	solve := func(o sparse.Ordering) SolveReply {
+		ws := NewWorkerServer(nil) // its own cache: each ordering factorizes afresh
+		if err := ws.Register(&RegisterArgs{Key: key, Blob: blob}, &RegisterReply{}); err != nil {
+			t.Fatal(err)
+		}
+		req := subtaskRequest(transient.RMATEX, &base, sys.GTS(base.Tstop))
+		req.Ordering = o
+		var reply SolveReply
+		if err := ws.Solve(&SolveArgs{System: key, Task: task, Req: req}, &reply); err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	def, nd := solve(sparse.OrderDefault), solve(sparse.OrderND)
+	if !reflect.DeepEqual(def.Result.Times, nd.Result.Times) || !reflect.DeepEqual(def.Result.Probes, nd.Result.Probes) ||
+		!reflect.DeepEqual(def.Result.Final, nd.Result.Final) {
+		t.Fatal("an OrderDefault request answered differently from the same request on nd")
+	}
+	if len(def.Result.Times) < 2 {
+		t.Fatalf("the subtask recorded %d samples", len(def.Result.Times))
 	}
 }
 

@@ -1,0 +1,58 @@
+package job
+
+import (
+	"io"
+
+	"github.com/matex-sim/matex/internal/circuit"
+	"github.com/matex-sim/matex/internal/dist"
+	"github.com/matex-sim/matex/internal/netlist"
+	"github.com/matex-sim/matex/internal/pdn"
+)
+
+// Deck is one input deck as every job on it sees it: the stamped MNA system
+// and what Resolve reads off the deck's cards. It is immutable once built —
+// jobs, sweep lanes and D-MATEX tasks only read the system — so one value
+// serves every job on the same content, concurrently.
+type Deck struct {
+	sys         *circuit.System
+	dsys        *dist.System // sys as a distributed job hands it to its pool
+	tstop, step float64      // the .tran card (a case has no step)
+	prints      []string     // the .print cards (netlists)
+	nx, ny      int          // grid edges, for a case's per-job probe spread
+}
+
+// System is the deck's stamped system, shared read-only by every job on it.
+func (d *Deck) System() *circuit.System { return d.sys }
+
+// ParseDeck parses a SPICE-subset netlist and stamps it.
+func ParseDeck(r io.Reader) (*Deck, error) {
+	nd, err := netlist.Parse(r)
+	if err != nil {
+		return nil, err
+	}
+	sys, err := nd.Build()
+	if err != nil {
+		return nil, err
+	}
+	return &Deck{sys: sys, dsys: dist.NewSystem(sys),
+		tstop: nd.TranStop, step: nd.TranStep, prints: nd.Prints}, nil
+}
+
+// GenerateDeck builds and stamps a pgbench case. With no source text to
+// count, it is charged its stored matrix entries (index + value).
+func GenerateDeck(name string, scale float64) (*Deck, int64, error) {
+	gspec, err := pdn.IBMCase(name, scale)
+	if err != nil {
+		return nil, 0, err
+	}
+	ckt, err := gspec.Build()
+	if err != nil {
+		return nil, 0, err
+	}
+	sys, err := circuit.Stamp(ckt, circuit.StampOptions{CollapseSupplies: true})
+	if err != nil {
+		return nil, 0, err
+	}
+	size := int64(sys.C.NNZ()+sys.G.NNZ()) * 16
+	return &Deck{sys: sys, dsys: dist.NewSystem(sys), tstop: gspec.Tstop, nx: gspec.NX, ny: gspec.NY}, size, nil
+}

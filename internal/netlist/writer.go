@@ -76,16 +76,6 @@ func formatWave(w waveform.Waveform) string {
 		return fmt.Sprintf("SIN(%s %s %s %s %s)", fnum(s.VO), fnum(s.VA), fnum(s.Freq), fnum(s.Delay), fnum(s.Theta))
 	case *waveform.Exp:
 		return fmt.Sprintf("EXP(%s %s %s %s %s %s)", fnum(s.V1), fnum(s.V2), fnum(s.TD1), fnum(s.Tau1), fnum(s.TD2), fnum(s.Tau2))
-	case waveform.Scaled:
-		// Scaled/Shifted wrappers have no SPICE spelling; emit the effective
-		// waveform when it is a scaled pulse, else fall back to DC at 0.
-		if p, ok := s.W.(*waveform.Pulse); ok {
-			return formatWave(&waveform.Pulse{
-				V1: s.Gain * p.V1, V2: s.Gain * p.V2,
-				Delay: p.Delay, Rise: p.Rise, Width: p.Width, Fall: p.Fall, Period: p.Period,
-			})
-		}
-		return fnum(s.Value(0))
 	default:
 		return fnum(w.Value(0))
 	}

@@ -8,12 +8,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/memo"
 )
 
 // newDeckStore is the server's kind of deck store, bounded to capacity bytes.
-func newDeckStore(capacity int64) *memo.Store[string, *deck] {
-	return memo.New[string, *deck](memo.NewBudget(capacity))
+func newDeckStore(capacity int64) *memo.Store[string, *job.Deck] {
+	return memo.New[string, *job.Deck](memo.NewBudget(capacity))
 }
 
 // TestDeckStoreSingleFlight: concurrent first sights of one key run the
@@ -23,16 +24,16 @@ func TestDeckStoreSingleFlight(t *testing.T) {
 	var builds atomic.Int32
 	release := make(chan struct{})
 	const n = 8
-	got := make([]*deck, n)
+	got := make([]*job.Deck, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, _, err := st.Get("k", func() (*deck, int64, error) {
+			d, _, err := st.Get("k", func() (*job.Deck, int64, error) {
 				builds.Add(1)
 				<-release // hold the build open until every caller has arrived
-				return &deck{}, 10, nil
+				return &job.Deck{}, 10, nil
 			})
 			if err != nil {
 				t.Error(err)
@@ -66,8 +67,8 @@ func TestDeckStoreSingleFlight(t *testing.T) {
 func TestDeckStoreByteBoundLRU(t *testing.T) {
 	const capacity, size = 1000, 100
 	st := newDeckStore(capacity)
-	mk := func(key string, size int64) func() (*deck, int64, error) {
-		return func() (*deck, int64, error) { return &deck{prints: []string{key}}, size, nil }
+	mk := func(key string, size int64) func() (*job.Deck, int64, error) {
+		return func() (*job.Deck, int64, error) { return &job.Deck{}, size, nil }
 	}
 	first, _, err := st.Get("d0", mk("d0", size))
 	if err != nil {
@@ -90,15 +91,16 @@ func TestDeckStoreByteBoundLRU(t *testing.T) {
 	if s.Entries != capacity/size || s.Evictions != uint64(3*capacity/size-capacity/size) {
 		t.Fatalf("stats %+v, want %d entries and %d evictions", s, capacity/size, 3*capacity/size-capacity/size)
 	}
-	if len(first.prints) != 1 || first.prints[0] != "d0" {
-		t.Fatalf("the evicted deck a caller still holds changed: %+v", first)
-	}
 	misses := s.Misses
 	if _, _, err := st.Get("d1", mk("d1", size)); err != nil || st.Stats().Misses != misses {
 		t.Fatalf("the most recently used deck was evicted (err %v)", err)
 	}
-	if _, _, err := st.Get("d0", mk("d0", size)); err != nil || st.Stats().Misses != misses+1 {
+	again, _, err := st.Get("d0", mk("d0", size))
+	if err != nil || st.Stats().Misses != misses+1 {
 		t.Fatalf("the least recently used deck was still resident (err %v)", err)
+	}
+	if again == first {
+		t.Fatal("the evicted deck a caller still holds was handed out again")
 	}
 
 	// Larger than the store: resident alone while it is the newest.
@@ -121,13 +123,13 @@ func TestDeckStoreByteBoundLRU(t *testing.T) {
 func TestDeckStoreFailedBuildIsNotKept(t *testing.T) {
 	st := newDeckStore(1000)
 	bad := errors.New("bad deck")
-	if _, _, err := st.Get("k", func() (*deck, int64, error) { return nil, 0, bad }); !errors.Is(err, bad) {
+	if _, _, err := st.Get("k", func() (*job.Deck, int64, error) { return nil, 0, bad }); !errors.Is(err, bad) {
 		t.Fatalf("got %v, want the build error", err)
 	}
 	if s := st.Stats(); s.Entries != 0 || s.Bytes != 0 {
 		t.Fatalf("failed build left %+v behind", s)
 	}
-	d, _, err := st.Get("k", func() (*deck, int64, error) { return &deck{}, 1, nil })
+	d, _, err := st.Get("k", func() (*job.Deck, int64, error) { return &job.Deck{}, 1, nil })
 	if err != nil || d == nil {
 		t.Fatalf("rebuild after a failure: %v", err)
 	}
@@ -145,7 +147,7 @@ func TestDeckStorePanickingBuildReleasesWaiters(t *testing.T) {
 	waiter := make(chan error, 1)
 	go func() {
 		<-building
-		_, _, err := st.Get("k", func() (*deck, int64, error) { return &deck{}, 0, nil })
+		_, _, err := st.Get("k", func() (*job.Deck, int64, error) { return &job.Deck{}, 0, nil })
 		waiter <- err
 	}()
 	func() {
@@ -154,7 +156,7 @@ func TestDeckStorePanickingBuildReleasesWaiters(t *testing.T) {
 				t.Error("the build's panic did not reach its caller")
 			}
 		}()
-		st.Get("k", func() (*deck, int64, error) {
+		st.Get("k", func() (*job.Deck, int64, error) {
 			close(building)
 			for st.Stats().Hits == 0 {
 				runtime.Gosched() // until the waiter is counted, i.e. committed to this build
@@ -165,7 +167,7 @@ func TestDeckStorePanickingBuildReleasesWaiters(t *testing.T) {
 	if err := <-waiter; err == nil {
 		t.Fatal("a caller waiting on a panicked build got a deck")
 	}
-	if d, _, err := st.Get("k", func() (*deck, int64, error) { return &deck{}, 1, nil }); err != nil || d == nil {
+	if d, _, err := st.Get("k", func() (*job.Deck, int64, error) { return &job.Deck{}, 1, nil }); err != nil || d == nil {
 		t.Fatalf("the key stayed poisoned: %v", err)
 	}
 }

@@ -6,7 +6,7 @@
 // "distributed framework" framing asks for on top of the compute stack.
 //
 // Every job on one process shares the content-addressed deck store (a
-// memo.Store of decks, deck.go: one parse + stamp per deck, keyed by the
+// memo.Store of job.Decks, deck.go: one parse + stamp per deck, keyed by the
 // SHA-256 of its text, bounded and LRU), the content-addressed factorization
 // cache and the Krylov workspace arenas, so concurrent and repeated jobs
 // against the same grid skip straight to the transient phase the way
@@ -17,23 +17,25 @@
 //
 // # Lifecycle of a job
 //
-// POST /v1/jobs (http.go) resolves the JobSpec's deck through the store and
-// validates the rest of the spec against it up front (job.go), so malformed
-// decks fail with a 400 before queueing; the job holds the shared, read-only
-// stamped system, not the netlist text. The job then waits in a bounded
-// queue until a worker goroutine (serve.go) picks it up, builds the one
-// transient.Options every kind of job runs under, hands it to
-// transient.Simulate, sweep.Run or dist.Run, and forwards every probe
-// sample into the job's grow-only sample log as the engine delivers it — a
-// distributed job's t = 0 row as soon as the scheduler's DC solve is done,
-// a sweep's shared variants as their lanes pass each sample. Stream
+// POST /v1/jobs (http.go) checks the JobSpec's admission bounds
+// (job.Spec.Check), resolves its deck through the store and resolves the
+// rest of the spec against it up front (job.Spec.Resolve, the code the
+// matex CLI runs too), so malformed decks and specs fail with a 400 before
+// queueing; the job holds its job.Task — the shared, read-only stamped
+// system and the spec resolved on it — not the netlist text. The job then
+// waits in a bounded queue until a worker goroutine (serve.go) picks it up
+// and runs the task with the job's hooks (job.Task.Run), which forward every
+// probe sample into the job's grow-only sample log as the engine delivers
+// it — a distributed job's t = 0 row as soon as the scheduler's DC solve is
+// done, a sweep's shared variants as their lanes pass each sample. Stream
 // readers (GET /v1/jobs/{id}/stream) replay that log from any offset and
 // then follow live appends, so late subscribers and reconnects see the
-// identical sequence.
+// identical sequence. A job's ordering, like every other solver option,
+// comes from its spec alone: the server has no defaults of its own to apply.
 //
 // # Sweep jobs
 //
-// A JobSpec with a non-empty Variants list is a scenario sweep: the worker
+// A JobSpec with a non-empty Variants list is a scenario sweep: its task
 // hands the deck to internal/sweep, which integrates all variants in one
 // batched run over the shared cache. Samples are tagged with the variant
 // name and a per-variant sequence number, so one stream multiplexes N

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"github.com/matex-sim/matex/internal/circuit"
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/memo"
 )
 
@@ -11,7 +12,7 @@ import (
 // netlist, nil when the deck is not resident.
 func (s *Server) DeckSystem(netlist string) *circuit.System {
 	if d, ok := s.decks.Peek(netlistKey(netlist)); ok {
-		return d.sys
+		return d.System()
 	}
 	return nil
 }
@@ -19,7 +20,7 @@ func (s *Server) DeckSystem(netlist string) *circuit.System {
 // SetDeckCapacity replaces the deck store with an empty one bounded to n
 // bytes (production: maxBodyBytes). Call it before the first submission.
 func (s *Server) SetDeckCapacity(n int64) {
-	s.decks = memo.New[string, *deck](memo.NewBudget(n))
+	s.decks = memo.New[string, *job.Deck](memo.NewBudget(n))
 }
 
 // MaxBodyBytes is the admission bound on a deck.

@@ -3,163 +3,17 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/matex-sim/matex/internal/dist"
-	"github.com/matex-sim/matex/internal/krylov"
-	"github.com/matex-sim/matex/internal/pdn"
-	"github.com/matex-sim/matex/internal/sparse"
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
-// JobSpec is the JSON body of a job submission: the input deck (inline
-// SPICE text or a named pgbench case) plus the solver configuration, all
-// optional except the deck. The field spellings match the matex CLI flags.
-type JobSpec struct {
-	// Netlist is an inline SPICE-subset deck (the IBM power grid format).
-	// Exactly one of Netlist and Case must be set.
-	Netlist string `json:"netlist,omitempty"`
-	// Case names a synthetic pgbench benchmark ("ibmpg1t" … "ibmpg6t");
-	// Scale multiplies the grid edge (0 = 1.0) and NumProbes spreads that
-	// many probes across the grid diagonal (0 = 4), exactly like
-	// `pgbench -case X -scale S -probes P | matex`.
-	Case      string  `json:"case,omitempty"`
-	Scale     float64 `json:"scale,omitempty"`
-	NumProbes int     `json:"num_probes,omitempty"`
-
-	// Method selects the integrator ("tr", "tradpt", "mexp", "imatex",
-	// "rmatex"; empty = rmatex). Any other name is refused at submit; a
-	// journaled spec that names one restores as a failed job.
-	Method string `json:"method,omitempty"`
-	// Tstop/Step in seconds; 0 defers to the deck's .tran card.
-	Tstop float64 `json:"tstop,omitempty"`
-	Step  float64 `json:"step,omitempty"`
-	// Tol, Gamma, MaxDim as in transient.Options (0 = defaults).
-	Tol    float64 `json:"tol,omitempty"`
-	Gamma  float64 `json:"gamma,omitempty"`
-	MaxDim int     `json:"max_dim,omitempty"`
-	// Krylov: "auto", "arnoldi", "lanczos" (empty = auto).
-	Krylov string `json:"krylov,omitempty"`
-	// Ordering: "default", "natural", "mindeg", "nd" (empty =
-	// default, resolved against the server's -order setting).
-	Ordering string `json:"ordering,omitempty"`
-	// Distributed runs the job through the dist scheduler (bump-feature
-	// decomposition): over the server's matexd workers when configured,
-	// else over the in-process pool. A distributed job streams its
-	// superposed waveform as it leaves the scheduler: t = 0 once the DC
-	// solve is done, later samples as the subtasks pass them.
-	Distributed bool `json:"distributed,omitempty"`
-	// TimeoutSec, when positive, is the per-job deadline; an expired job
-	// is reported canceled.
-	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// Variants, when non-empty, makes this a sweep job: every variant of
-	// the deck runs through internal/sweep as one batched computation
-	// (shared factorization-cache lineage, cross-variant solve panels,
-	// collinear-variant sharing) and the stream interleaves all variants'
-	// samples, each tagged with its variant name and per-variant sequence
-	// number. Sweep jobs cannot be distributed, and are capped at
-	// MaxSweepVariants variants.
-	Variants []sweep.Variant `json:"variants,omitempty"`
-}
-
-// MaxSweepVariants bounds the variant count of one sweep job: enough for
-// corner grids and modest Monte-Carlo batches, small enough that one job
-// cannot monopolize the worker pool's memory.
-const MaxSweepVariants = 64
-
-// builtJob is a validated job ready to run: the shared deck plus everything
-// the spec's options resolve to on it.
-type builtJob struct {
-	deck   *deck
-	method transient.Method
-	krylov krylov.Method
-	order  sparse.Ordering
-	probes []int
-	names  []string
-	tstop  float64
-	step   float64
-}
-
-// build validates the spec against its deck (already parsed and stamped,
-// from the server's deck store). All submission-time errors (unknown method,
-// missing window, bad variants) surface here or in the deck lookup before
-// it, so the HTTP layer can answer 400 before the job is queued.
-func (spec *JobSpec) build(d *deck) (*builtJob, error) {
-	b := &builtJob{deck: d, tstop: spec.Tstop, step: spec.Step}
-
-	var err error
-	if b.method, err = transient.ParseMethod(spec.Method); err != nil {
-		return nil, err
-	}
-	if b.krylov, err = krylov.ParseMethod(strings.ToLower(strings.TrimSpace(spec.Krylov))); err != nil {
-		return nil, err
-	}
-	if b.order, err = sparse.ParseOrdering(spec.Ordering); err != nil {
-		return nil, err
-	}
-
-	if b.tstop == 0 {
-		b.tstop = d.tstop
-	}
-	if b.step == 0 {
-		b.step = d.step
-	}
-	probeNames := d.prints
-	if spec.Case != "" {
-		np := spec.NumProbes
-		if np <= 0 {
-			np = 4
-		}
-		probeNames = make([]string, 0, np) // never append into the shared deck's slice
-		for i := 0; i < np; i++ {
-			x := (i + 1) * d.nx / (np + 1)
-			y := (i + 1) * d.ny / (np + 1)
-			probeNames = append(probeNames, pdn.NodeName(x, y))
-		}
-	}
-	if b.tstop <= 0 {
-		return nil, errors.New("no simulation window: set tstop or add a .tran card")
-	}
-	if b.method.FixedStep() && b.step <= 0 {
-		return nil, fmt.Errorf("fixed-step method %q needs step or a .tran step in the deck", spec.Method)
-	}
-	if len(spec.Variants) > 0 {
-		if spec.Distributed {
-			return nil, errors.New("a sweep job cannot also be distributed")
-		}
-		if len(spec.Variants) > MaxSweepVariants {
-			return nil, fmt.Errorf("sweep has %d variants; the limit is %d", len(spec.Variants), MaxSweepVariants)
-		}
-		if err := sweep.Validate(d.sys, spec.Variants); err != nil {
-			return nil, err
-		}
-	}
-
-	// Probes: the deck's .print cards (or the diagonal spread), else the
-	// first free node — the same fallback as cmd/matex, through the same
-	// shared resolver (supply rails are silently dropped here; the CLI
-	// warns on stderr instead).
-	if len(probeNames) == 0 {
-		if names := d.sys.NodeNames(); len(names) > 0 {
-			probeNames = names[:1]
-		}
-	}
-	if b.probes, b.names, _, err = d.sys.ResolveProbes(probeNames); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-func scaleOrOne(s float64) float64 {
-	if s <= 0 {
-		return 1
-	}
-	return s
-}
+// JobSpec is the JSON body of a job submission; see job.Spec.
+type JobSpec = job.Spec
 
 // JobState is the lifecycle phase of a job.
 type JobState string
@@ -207,7 +61,10 @@ type Job struct {
 	// the deck the text parsed to, not QueueDepth copies of the text.
 	Spec JobSpec
 
-	built     *builtJob
+	// task is the resolved job, dropped once it can no longer run; probes
+	// are its probe names, which the job's status keeps.
+	task      *job.Task
+	probes    []string
 	submitted time.Time
 
 	// jn is the server's durable journal (nil on in-memory servers) and
@@ -237,16 +94,20 @@ type Job struct {
 	flushed int
 }
 
-func newJob(id string, spec JobSpec, built *builtJob) *Job {
-	return &Job{
+func newJob(id string, spec JobSpec, task *job.Task) *Job {
+	j := &Job{
 		ID:        id,
 		Spec:      spec,
-		built:     built,
+		task:      task,
 		submitted: time.Now(),
 		notify:    make(chan struct{}),
 		state:     JobQueued,
 		vseq:      make(map[string]int),
 	}
+	if task != nil {
+		j.probes = task.Names
+	}
+	return j
 }
 
 // broadcast wakes every waiting subscriber. Callers hold j.mu.
@@ -255,10 +116,10 @@ func (j *Job) broadcast() {
 	j.notify = make(chan struct{})
 }
 
-// appendSample records one streamed chunk: the OnSample hook of a plain or
-// distributed job (variant ""), and the sweep's OnVariantSample hook —
-// called concurrently from its lanes — which stamps the variant name and
-// the next per-variant sequence number.
+// appendSample is the job's OnSample hook: it records one streamed chunk of
+// a plain or distributed job (variant "") or of a sweep variant — sweep
+// lanes call it concurrently — stamping a sweep sample with the next
+// per-variant sequence number.
 func (j *Job) appendSample(variant string, t float64, v []float64) {
 	j.mu.Lock()
 	smp := Sample{T: t, V: append([]float64(nil), v...), Variant: variant}
@@ -328,14 +189,13 @@ func outcome(err error) JobState {
 
 // finish records the outcome, with the scheduling report of a distributed
 // run and the batching report of a sweep.
-func (j *Job) finish(res *transient.Result, rep *dist.Report, sst *sweep.Stats, err error) {
+func (j *Job) finish(out *job.Outcome, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.finished = time.Now()
-	j.report, j.sweep = rep, sst
 	j.state, j.err = outcome(err), err
 	if err == nil {
-		j.stats = &res.Stats
+		j.stats, j.report, j.sweep = &out.Stats, out.Dist, out.Sweep
 	}
 	j.cancel = nil
 	j.releaseInputsLocked()
@@ -349,7 +209,7 @@ func (j *Job) finish(res *transient.Result, rep *dist.Report, sst *sweep.Stats, 
 // submit: a job holds its deck, not a copy of the netlist.) Callers hold
 // j.mu.
 func (j *Job) releaseInputsLocked() {
-	j.built.deck = nil
+	j.task = nil
 }
 
 // Cancel stops the job: a queued job is canceled in place (workers skip
@@ -425,7 +285,7 @@ func (j *Job) Status() Status {
 	st := Status{
 		ID:       j.ID,
 		State:    j.state,
-		Probes:   j.built.names,
+		Probes:   j.probes,
 		Samples:  len(j.samples),
 		Queued:   j.submitted.UnixNano(),
 		Stats:    j.stats,

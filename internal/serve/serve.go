@@ -6,11 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/faultinject"
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/sparse"
@@ -31,10 +33,6 @@ type Config struct {
 	// DistAddrs lists matexd workers distributed jobs fan out to (dialed
 	// once, by the first such job); empty runs them on the in-process pool.
 	DistAddrs []string
-	// Ordering is the fill-reducing ordering applied to jobs whose spec
-	// leaves the ordering unset (matexsrv -order). The zero value keeps
-	// the repository default resolution (sparse.Ordering.Resolve: nd).
-	Ordering sparse.Ordering
 	// MaxRetainedJobs bounds how many finished jobs (and their retained
 	// sample waveforms) stay queryable/replayable after completion; once
 	// exceeded, the oldest terminal jobs are evicted. Queued and running
@@ -144,7 +142,7 @@ func (t *totals) add(s *transient.Stats) {
 type Server struct {
 	cfg        Config
 	cache      *sparse.Cache
-	decks      *memo.Store[string, *deck]
+	decks      *memo.Store[string, *job.Deck]
 	workspaces *krylov.WorkspacePool
 	queue      chan *Job
 	baseCtx    context.Context
@@ -207,7 +205,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		cache:      sparse.NewCache(cfg.CacheBytes),
-		decks:      memo.New[string, *deck](memo.NewBudget(maxBodyBytes)),
+		decks:      memo.New[string, *job.Deck](memo.NewBudget(maxBodyBytes)),
 		workspaces: krylov.NewWorkspacePool(),
 		queue:      make(chan *Job, cfg.QueueDepth+len(restored)),
 		baseCtx:    ctx,
@@ -244,30 +242,26 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// prepare resolves a spec to a runnable job description — the one path
-// from spec to stamped system, for a submission and for a journal-restored
-// job alike. key and text are the content hash and body of an inline deck
-// (the spec itself no longer carries the text); both empty means a pgbench
-// case. The deck comes from the store, so only the first job on it parses
-// and stamps; what depends on the job's options is resolved per job.
-func (s *Server) prepare(spec *JobSpec, key, text string) (*builtJob, error) {
-	build := func() (*deck, int64, error) { return parseDeck(text) }
+// prepare resolves a spec to its task, for a submission and for a
+// journal-restored job alike. key and text are the content hash and body of
+// an inline deck (the spec itself no longer carries the text); both empty
+// means a pgbench case. The deck comes from the store, so only the first job
+// on it parses and stamps; what depends on the job's options is resolved per
+// job.
+func (s *Server) prepare(spec *JobSpec, key, text string) (*job.Task, error) {
+	build := func() (*job.Deck, int64, error) {
+		d, err := job.ParseDeck(strings.NewReader(text))
+		return d, int64(len(text)), err
+	}
 	if text == "" {
 		key = caseKey(spec.Case, spec.Scale)
-		build = func() (*deck, int64, error) { return generateDeck(spec.Case, spec.Scale) }
+		build = func() (*job.Deck, int64, error) { return job.GenerateDeck(spec.Case, spec.Scale) }
 	}
 	d, _, err := s.decks.Get(key, build)
 	if err != nil {
 		return nil, err
 	}
-	built, err := spec.build(d)
-	if err != nil {
-		return nil, err
-	}
-	if built.order == sparse.OrderDefault {
-		built.order = s.cfg.Ordering
-	}
-	return built, nil
+	return spec.Resolve(d)
 }
 
 // restoreJob rebuilds one journal-replayed job: resolve its deck reference
@@ -275,31 +269,30 @@ func (s *Server) prepare(spec *JobSpec, key, text string) (*builtJob, error) {
 // the restored samples, and carry the resume checkpoints. A failed rebuild
 // comes back as a failed job so the client sees the outcome.
 func (s *Server) restoreJob(r *restoredJob) *Job {
-	var built *builtJob
+	var task *job.Task
 	err := ErrDeckMissing
 	if r.hash == "" || r.netlist != "" {
-		built, err = s.prepare(&r.spec, r.hash, r.netlist)
+		task, err = s.prepare(&r.spec, r.hash, r.netlist)
 	}
+	j := newJob(r.id, r.spec, task)
 	if err != nil {
-		job := newJob(r.id, r.spec, &builtJob{})
-		job.state = JobFailed
-		job.err = fmt.Errorf("serve: restoring job from journal: %w", err)
-		job.finished = time.Now()
-		return job
+		j.state = JobFailed
+		j.err = fmt.Errorf("serve: restoring job from journal: %w", err)
+		j.finished = time.Now()
+		return j
 	}
-	job := newJob(r.id, r.spec, built)
-	job.jn = s.journal
-	job.samples = r.samples
-	job.flushed = len(r.samples)
-	job.resume = r.cps
+	j.jn = s.journal
+	j.samples = r.samples
+	j.flushed = len(r.samples)
+	j.resume = r.cps
 	// A restored sweep continues each variant's VSeq past its retained
 	// samples, so the spliced stream stays gap- and duplicate-free.
 	for _, smp := range r.samples {
 		if smp.Variant != "" {
-			job.vseq[smp.Variant] = max(job.vseq[smp.Variant], smp.VSeq)
+			j.vseq[smp.Variant] = max(j.vseq[smp.Variant], smp.VSeq)
 		}
 	}
-	return job
+	return j
 }
 
 // CacheStats exposes the shared factorization cache counters.
@@ -316,11 +309,8 @@ func (s *Server) DeckStats() memo.Stats { return s.decks.Stats() }
 //
 //matex:ctx-exempt(the queue send cannot block: capacity is checked under s.mu and Submit is the only sender)
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	if (spec.Netlist == "") == (spec.Case == "") {
-		return nil, errors.New("exactly one of netlist and case must be set")
-	}
-	if len(spec.Netlist) > maxBodyBytes {
-		return nil, fmt.Errorf("netlist is %d bytes; the limit is %d", len(spec.Netlist), maxBodyBytes)
+	if err := spec.Check(maxBodyBytes); err != nil {
+		return nil, err
 	}
 	// Reject cheap-to-detect overload before paying for the hash (and, on a
 	// deck's first sight, the parse + stamp and the journal's deck record):
@@ -345,7 +335,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		key = netlistKey(text)
 		spec.Netlist = ""
 	}
-	built, err := s.prepare(&spec, key, text)
+	task, err := s.prepare(&spec, key, text)
 	if err != nil {
 		return nil, err
 	}
@@ -379,7 +369,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		return nil, ErrQueueFull
 	}
 	s.seq++
-	job := newJob(fmt.Sprintf("job-%d", s.seq), spec, built)
+	job := newJob(fmt.Sprintf("job-%d", s.seq), spec, task)
 	job.jn = s.journal
 	// Journal the spec before the job becomes visible: an accepted job is a
 	// durable job. The write + fsync happen under s.mu so journal order
@@ -484,7 +474,7 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Unlock()
 
 	runStart := time.Now()
-	res, rep, sst, err := s.simulate(ctx, job)
+	out, err := s.simulate(ctx, job)
 	// Fold the outcome into the server counters BEFORE finish() makes the
 	// terminal state visible: a client that watches the stream's done tail
 	// and immediately reads /stats must find its job already counted.
@@ -497,9 +487,9 @@ func (s *Server) runJob(job *Job) {
 	switch outcome(err) {
 	case JobDone:
 		s.completed++
-		s.agg.add(&res.Stats)
-		if sst != nil {
-			s.agg.addSweep(sst)
+		s.agg.add(&out.Stats)
+		if out.Sweep != nil {
+			s.agg.addSweep(out.Sweep)
 		}
 	case JobCanceled:
 		s.canceled++
@@ -507,7 +497,7 @@ func (s *Server) runJob(job *Job) {
 		s.failed++
 	}
 	s.mu.Unlock()
-	job.finish(res, rep, sst, err)
+	job.finish(out, err)
 	if s.journal != nil {
 		// The terminal record prunes the job from the next restart's replay.
 		// At-least-once: finish() already published the outcome, so a crash
@@ -522,91 +512,19 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Unlock()
 }
 
-// simulate runs the job under one option bundle over the server's shared
-// cache and workspaces: a plain integration, a sweep (its batching report is
-// the third result; the folded lane counters stand in as the transient
-// stats) or a D-MATEX run (its scheduling report is the second). Samples
-// stream into the job as they leave the engine, under the one OnSample
-// contract: as the integration advances, as a sweep variant's lanes pass
-// each sample, as a distributed superposition's tasks pass each grid point
-// (t = 0 once the DC solve is done). On durable servers plain jobs and sweep
-// lanes journal their checkpoints and a restored job re-enters each
-// integration at its last one (shared sweep variants re-run: resume
-// disables sharing); distributed jobs do not checkpoint, their subtasks run
-// remotely.
-func (s *Server) simulate(ctx context.Context, job *Job) (*transient.Result, *dist.Report, *sweep.Stats, error) {
-	b, spec := job.built, &job.Spec
-	d := b.deck
-	opts := transient.Options{
-		Tstop:      b.tstop,
-		Step:       b.step,
-		Probes:     b.probes,
-		Tol:        spec.Tol,
-		Gamma:      spec.Gamma,
-		MaxDim:     spec.MaxDim,
-		Ordering:   b.order,
-		Krylov:     b.krylov,
-		Cache:      s.cache,
-		Workspaces: s.workspaces,
-		Ctx:        ctx,
+// simulate runs the job's task over the server's shared cache, workspaces
+// and matexd pool, its samples streaming into the job as they leave the
+// engine. On durable servers plain jobs and sweep lanes journal their
+// checkpoints, and a restored job re-enters each integration at its last one.
+func (s *Server) simulate(ctx context.Context, j *Job) (*job.Outcome, error) {
+	h := job.Hooks{Cache: s.cache, Workspaces: s.workspaces, OnSample: j.appendSample, Resume: j.resume}
+	if len(s.cfg.DistAddrs) > 0 {
+		h.Pool = s.workerPool
 	}
-	durable := s.journal != nil && !spec.Distributed
-	if durable {
-		opts.CheckpointEvery = s.cfg.CheckpointEvery
+	if j.jn != nil {
+		h.OnCheckpoint, h.CheckpointEvery = j.journalCheckpoint, s.cfg.CheckpointEvery
 	}
-	switch {
-	case len(spec.Variants) > 0:
-		name := func(v int) string { return spec.Variants[v].Label(v) }
-		sopts := sweep.Options{
-			Base:   opts,
-			Method: b.method,
-			OnVariantSample: func(v int, t float64, probes []float64) {
-				job.appendSample(name(v), t, probes)
-			},
-			ResumeVariants: make(map[int]transient.Checkpoint, len(job.resume)),
-		}
-		if durable {
-			sopts.OnVariantCheckpoint = func(v int, cp transient.Checkpoint) error {
-				return job.journalCheckpoint(name(v), cp)
-			}
-		}
-		for v := range spec.Variants {
-			if cp := job.resume[name(v)]; cp != nil {
-				sopts.ResumeVariants[v] = *cp
-			}
-		}
-		sres, err := sweep.Run(d.sys, spec.Variants, sopts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return &transient.Result{Stats: sres.Stats.Sim}, nil, &sres.Stats, nil
-
-	case spec.Distributed:
-		opts.OnSample = func(t float64, probes []float64) { job.appendSample("", t, probes) }
-		cfg := dist.Config{Base: opts}
-		if len(s.cfg.DistAddrs) > 0 {
-			pool, err := s.workerPool()
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
-			}
-			cfg.Pool = pool
-		}
-		res, rep, err := dist.Run(d.dsys, b.method, cfg)
-		return res, rep, nil, err
-	}
-
-	opts.OnSample = func(t float64, probes []float64) { job.appendSample("", t, probes) }
-	if durable {
-		opts.OnCheckpoint = func(cp transient.Checkpoint) error { return job.journalCheckpoint("", cp) }
-	}
-	var res *transient.Result
-	var err error
-	if cp := job.resume[""]; cp != nil {
-		res, err = transient.Resume(d.sys, b.method, opts, *cp)
-	} else {
-		res, err = transient.Simulate(d.sys, b.method, opts)
-	}
-	return res, nil, nil, err
+	return j.task.Run(ctx, h)
 }
 
 // workerPool returns the server's matexd pool, dialing it on first use. A
@@ -618,7 +536,7 @@ func (s *Server) workerPool() (dist.Pool, error) {
 	if s.pool == nil {
 		pool, err := dist.NewRPCPool(s.baseCtx, s.cfg.DistAddrs)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
 		}
 		s.pool = pool
 	}

@@ -757,6 +757,10 @@ func TestSubmitValidation(t *testing.T) {
 		"fixed no step":  {Case: "ibmpg1t", Method: "tr"},
 		"bad krylov":     {Case: "ibmpg1t", Krylov: "chebyshev"},
 		"bad ordering":   {Case: "ibmpg1t", Ordering: "amd2000"},
+		// Refused before anything is generated: 8.1e9 grid nodes, and a
+		// 200 M-entry probe list on a 900-node grid.
+		"case too big":    {Case: "ibmpg6t", Scale: 1000},
+		"too many probes": {Case: "ibmpg1t", NumProbes: 200000000},
 	} {
 		resp := postJSON(t, base+"/v1/jobs", spec)
 		var reply struct{ Error string }
@@ -768,6 +772,10 @@ func TestSubmitValidation(t *testing.T) {
 		if spec.Method != "" && (err != nil || !strings.Contains(reply.Error, strconv.Quote(spec.Method))) {
 			t.Errorf("%s: error %q (%v) does not name the method %q", name, reply.Error, err, spec.Method)
 		}
+	}
+	// The case bound still admits the paper's 1.6 M-node grids.
+	if err := (&serve.JobSpec{Case: "ibmpg6t", Scale: 14.06}).Check(serve.MaxBodyBytes); err != nil {
+		t.Errorf("a 1.6 M-node case: %v", err)
 	}
 	// Unknown fields are rejected too, by name: typo protection, and the
 	// answer a client still sending the deleted "solve_workers" knob gets.

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/serve"
 	"github.com/matex-sim/matex/internal/sweep"
 )
@@ -373,7 +374,7 @@ func TestSweepSpecValidation(t *testing.T) {
 		}},
 		{"duplicate names", func(s *serve.JobSpec) { s.Variants[1].Name = "typ" }},
 		{"too many variants", func(s *serve.JobSpec) {
-			s.Variants = make([]sweep.Variant, serve.MaxSweepVariants+1)
+			s.Variants = make([]sweep.Variant, job.MaxSweepVariants+1)
 		}},
 	}
 	for _, tc := range cases {

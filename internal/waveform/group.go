@@ -1,9 +1,6 @@
 package waveform
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BumpFeature identifies the shape of a pulse "bump" (paper Fig. 3): sources
 // whose bumps share (t_delay, t_rise, t_fall, t_width, t_period) transition
@@ -20,14 +17,6 @@ func FeatureOf(w Waveform) (BumpFeature, bool) {
 	switch s := w.(type) {
 	case *Pulse:
 		return BumpFeature{Delay: s.Delay, Rise: s.Rise, Width: s.Width, Fall: s.Fall, Period: s.Period}, true
-	case Scaled:
-		return FeatureOf(s.W)
-	case Shifted:
-		f, ok := FeatureOf(s.W)
-		if ok {
-			f.Delay += s.Offset
-		}
-		return f, ok
 	default:
 		return BumpFeature{}, false
 	}
@@ -66,60 +55,4 @@ func Group(ws []Waveform, tstop float64) [][]int {
 		groups[g] = append(groups[g], i)
 	}
 	return groups
-}
-
-// GroupLTS returns the union of the LTS of the group members.
-func GroupLTS(ws []Waveform, members []int, tstop float64) []float64 {
-	var all []float64
-	for _, i := range members {
-		all = ws[i].Transitions(all, tstop)
-	}
-	return MergeSpots(all, tstop, SpotEps, true)
-}
-
-// SplitPeriodic decomposes a periodic pulse into its individual bumps, each a
-// single-shot pulse, so the "more aggressive" decomposition of the paper's
-// Sec. 3.1 can group same-shape bumps from different sources. Bumps beyond
-// tstop are discarded.
-func SplitPeriodic(p *Pulse, tstop float64) []*Pulse {
-	if p.Period <= 0 {
-		return []*Pulse{p}
-	}
-	var bumps []*Pulse
-	for start := p.Delay; start <= tstop; start += p.Period {
-		bumps = append(bumps, &Pulse{
-			V1: p.V1, V2: p.V2,
-			Delay: start, Rise: p.Rise, Width: p.Width, Fall: p.Fall,
-		})
-	}
-	return bumps
-}
-
-// SortedFeatures lists the distinct bump features among the waveforms in a
-// stable order, for reporting (the paper's "Group #").
-func SortedFeatures(ws []Waveform) []BumpFeature {
-	seen := make(map[BumpFeature]bool)
-	var feats []BumpFeature
-	for _, w := range ws {
-		if f, ok := FeatureOf(w); ok && !seen[f] {
-			seen[f] = true
-			feats = append(feats, f)
-		}
-	}
-	sort.Slice(feats, func(i, j int) bool {
-		a, b := feats[i], feats[j]
-		switch {
-		case a.Delay != b.Delay:
-			return a.Delay < b.Delay
-		case a.Rise != b.Rise:
-			return a.Rise < b.Rise
-		case a.Width != b.Width:
-			return a.Width < b.Width
-		case a.Fall != b.Fall:
-			return a.Fall < b.Fall
-		default:
-			return a.Period < b.Period
-		}
-	})
-	return feats
 }

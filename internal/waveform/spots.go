@@ -51,24 +51,6 @@ func GTS(ws []Waveform, tstop float64) []float64 {
 	return MergeSpots(all, tstop, SpotEps, true)
 }
 
-// Snapshot returns GTS \ LTS for one source: the time points where the
-// subtask for this source must emit a solution (for superposition) but can
-// reuse its latest Krylov subspace instead of generating a new one.
-func Snapshot(gts, lts []float64) []float64 {
-	out := make([]float64, 0, len(gts))
-	i := 0
-	for _, t := range gts {
-		for i < len(lts) && lts[i] < t-SpotEps {
-			i++
-		}
-		if i < len(lts) && math.Abs(lts[i]-t) <= SpotEps {
-			continue
-		}
-		out = append(out, t)
-	}
-	return out
-}
-
 // ContainsSpot reports whether t is one of the spots (within SpotEps),
 // assuming spots is sorted.
 func ContainsSpot(spots []float64, t float64) bool {

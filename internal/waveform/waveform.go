@@ -160,20 +160,6 @@ func (p *Pulse) Transitions(dst []float64, tstop float64) []float64 {
 	}
 }
 
-// Scaled wraps a waveform with a multiplicative gain.
-type Scaled struct {
-	W    Waveform
-	Gain float64
-}
-
-// Value implements Waveform.
-func (s Scaled) Value(t float64) float64 { return s.Gain * s.W.Value(t) }
-
-// Transitions implements Waveform.
-func (s Scaled) Transitions(dst []float64, tstop float64) []float64 {
-	return s.W.Transitions(dst, tstop)
-}
-
 // ZeroBased subtracts a waveform's value at t=0, producing the zero-state
 // transient part used by the MATEX superposition: the DC subtask carries
 // u(0), each source-group subtask carries u(t)-u(0).
@@ -187,25 +173,4 @@ func (z ZeroBased) Value(t float64) float64 { return z.W.Value(t) - z.W.Value(0)
 // Transitions implements Waveform.
 func (z ZeroBased) Transitions(dst []float64, tstop float64) []float64 {
 	return z.W.Transitions(dst, tstop)
-}
-
-// Shifted delays a waveform by Offset seconds.
-type Shifted struct {
-	W      Waveform
-	Offset float64
-}
-
-// Value implements Waveform.
-func (s Shifted) Value(t float64) float64 { return s.W.Value(t - s.Offset) }
-
-// Transitions implements Waveform.
-func (s Shifted) Transitions(dst []float64, tstop float64) []float64 {
-	inner := s.W.Transitions(nil, tstop-s.Offset)
-	for _, t := range inner {
-		shifted := t + s.Offset
-		if shifted >= 0 && shifted <= tstop {
-			dst = append(dst, shifted)
-		}
-	}
-	return dst
 }

@@ -121,15 +121,6 @@ func TestGTSUnion(t *testing.T) {
 	}
 }
 
-func TestSnapshot(t *testing.T) {
-	gts := []float64{0, 1, 2, 3, 4, 5, 10}
-	lts := []float64{0, 1, 2, 3, 4, 10}
-	snap := Snapshot(gts, lts)
-	if len(snap) != 1 || snap[0] != 5 {
-		t.Fatalf("Snapshot = %v, want [5]", snap)
-	}
-}
-
 func TestContainsSpot(t *testing.T) {
 	spots := []float64{0, 1e-9, 2e-9}
 	if !ContainsSpot(spots, 1e-9) {
@@ -163,35 +154,14 @@ func TestNextSpot(t *testing.T) {
 	}
 }
 
-func TestScaledShifted(t *testing.T) {
-	p := &Pulse{V1: 0, V2: 1, Delay: 1, Rise: 1, Width: 1, Fall: 1}
-	s := Scaled{W: p, Gain: 3}
-	if s.Value(2) != 3 {
-		t.Errorf("Scaled.Value = %v", s.Value(2))
-	}
-	sh := Shifted{W: p, Offset: 5}
-	if sh.Value(7) != p.Value(2) {
-		t.Errorf("Shifted.Value = %v", sh.Value(7))
-	}
-	tr := sh.Transitions(nil, 20)
-	if tr[0] != 6 {
-		t.Errorf("Shifted first transition = %v, want 6", tr[0])
-	}
-}
-
 func TestFeatureOf(t *testing.T) {
 	p := &Pulse{Delay: 1, Rise: 2, Width: 3, Fall: 4, Period: 10}
 	f, ok := FeatureOf(p)
 	if !ok || f != (BumpFeature{1, 2, 3, 4, 10}) {
 		t.Fatalf("FeatureOf = %+v, ok=%v", f, ok)
 	}
-	f2, ok := FeatureOf(Scaled{W: p, Gain: 2})
-	if !ok || f2 != f {
-		t.Fatal("Scaled should preserve feature")
-	}
-	f3, ok := FeatureOf(Shifted{W: p, Offset: 5})
-	if !ok || f3.Delay != 6 {
-		t.Fatalf("Shifted feature delay = %v", f3.Delay)
+	if f2, _ := FeatureOf(&Pulse{V2: 5, Delay: 1, Rise: 2, Width: 3, Fall: 4, Period: 10}); f2 != f {
+		t.Fatal("the amplitude is not part of the feature")
 	}
 	if _, ok := FeatureOf(DC(1)); ok {
 		t.Error("DC should have no bump feature")
@@ -199,8 +169,8 @@ func TestFeatureOf(t *testing.T) {
 }
 
 func TestGroup(t *testing.T) {
-	mk := func(delay float64, gain float64) Waveform {
-		return Scaled{W: &Pulse{V2: 1, Delay: delay, Rise: 1e-10, Width: 1e-10, Fall: 1e-10}, Gain: gain}
+	mk := func(delay float64, amp float64) Waveform {
+		return &Pulse{V2: amp, Delay: delay, Rise: 1e-10, Width: 1e-10, Fall: 1e-10}
 	}
 	ws := []Waveform{
 		mk(1e-9, 1), mk(2e-9, 5), mk(1e-9, 2), mk(3e-9, 1), mk(2e-9, 0.5),
@@ -209,7 +179,7 @@ func TestGroup(t *testing.T) {
 	if len(groups) != 3 {
 		t.Fatalf("groups = %v, want 3 groups", groups)
 	}
-	// Same-delay sources grouped together regardless of gain.
+	// Same-delay sources grouped together regardless of amplitude.
 	if len(groups[0]) != 2 || groups[0][0] != 0 || groups[0][1] != 2 {
 		t.Fatalf("group 0 = %v", groups[0])
 	}
@@ -225,42 +195,6 @@ func TestGroupPWLBySignature(t *testing.T) {
 	groups := Group([]Waveform{w1, w2, w3}, 10)
 	if len(groups) != 2 {
 		t.Fatalf("groups = %v, want 2", groups)
-	}
-}
-
-func TestSplitPeriodic(t *testing.T) {
-	p := &Pulse{V2: 1, Delay: 1, Rise: 1, Width: 1, Fall: 1, Period: 5}
-	bumps := SplitPeriodic(p, 12)
-	if len(bumps) != 3 {
-		t.Fatalf("bumps = %d, want 3 (delays 1, 6, 11)", len(bumps))
-	}
-	for i, b := range bumps {
-		if b.Period != 0 {
-			t.Error("split bumps must be single-shot")
-		}
-		if want := 1 + 5*float64(i); b.Delay != want {
-			t.Errorf("bump %d delay = %v, want %v", i, b.Delay, want)
-		}
-	}
-	single := &Pulse{V2: 1, Delay: 1}
-	if got := SplitPeriodic(single, 10); len(got) != 1 || got[0] != single {
-		t.Error("non-periodic pulse should return itself")
-	}
-}
-
-func TestSortedFeatures(t *testing.T) {
-	ws := []Waveform{
-		&Pulse{Delay: 2, Rise: 1, Width: 1, Fall: 1},
-		&Pulse{Delay: 1, Rise: 1, Width: 1, Fall: 1},
-		&Pulse{Delay: 2, Rise: 1, Width: 1, Fall: 1}, // dup
-		DC(5),
-	}
-	feats := SortedFeatures(ws)
-	if len(feats) != 2 {
-		t.Fatalf("features = %v", feats)
-	}
-	if feats[0].Delay != 1 || feats[1].Delay != 2 {
-		t.Fatalf("features not sorted: %v", feats)
 	}
 }
 
@@ -284,7 +218,9 @@ func TestQuickGroupLTSCoverGTS(t *testing.T) {
 		groups := Group(ws, tstop)
 		var all []float64
 		for _, g := range groups {
-			all = append(all, GroupLTS(ws, g, tstop)...)
+			for _, i := range g {
+				all = append(all, LTS(ws[i], tstop)...)
+			}
 		}
 		merged := MergeSpots(all, tstop, SpotEps, true)
 		if len(merged) != len(gts) {

@@ -8,9 +8,11 @@
 #                                 rows, grouped by variant, are the
 #                                 one-variant sweeps' tables; a failed
 #                                 run exits 1 on whole rows, a closed pipe
-#                                 ends it quietly; then -method imatex
-#                                 against -method rmatex: the driver's input
-#                                 treatments must agree to 1e-6 V
+#                                 ends it quietly, a distributed sweep is
+#                                 refused before its first row; then
+#                                 -method imatex against -method rmatex: the
+#                                 two MATEX input treatments must agree to
+#                                 1e-6 V
 #   2. matexd TCP loopback        distributed run over a real worker,
 #                                 then a SIGTERM graceful-drain check
 #   3. matexd chaos               a distributed run's t = 0 row read from a
@@ -131,6 +133,18 @@ set -o pipefail
 [[ "$prc" -eq 141 ]] || { echo "matex | head -2 exited $prc, want 141 (SIGPIPE)"; exit 1; }
 [[ ! -s "$workdir/pipe.err" ]] || { echo "matex | head -2 wrote to stderr:"; cat "$workdir/pipe.err"; exit 1; }
 echo "failed run: exit 1, whole rows; closed pipe: quiet exit"
+
+say "matex refuses a distributed sweep before its first row"
+# The spec is resolved by the same code as a matexsrv submission, which
+# refuses a sweep that is also distributed: nothing runs, nothing reaches
+# stdout, one line says why.
+rc=0
+"$workdir/matex" -sweep "$workdir/corners.json" -distributed "$workdir/deck.sp" > "$workdir/refused.tsv" 2> "$workdir/refused.err" || rc=$?
+[[ "$rc" -eq 1 ]] || { echo "-sweep -distributed exited $rc, want 1"; exit 1; }
+[[ ! -s "$workdir/refused.tsv" ]] || { echo "-sweep -distributed wrote to stdout:"; cat "$workdir/refused.tsv"; exit 1; }
+[[ "$(wc -l < "$workdir/refused.err")" -eq 1 ]] && grep -q '^matex: ' "$workdir/refused.err" \
+    || { echo "-sweep -distributed stderr is not one matex: line:"; cat "$workdir/refused.err"; exit 1; }
+cat "$workdir/refused.err"
 
 say "I-MATEX and R-MATEX cross-check"
 # Two faces of the one MATEX driver on the same deck: I-MATEX is the
