@@ -352,17 +352,19 @@ func benchKrylovSpot(b *testing.B, mode transient.Method, method krylov.Method, 
 	}
 }
 
+// The _Lanczos rows run the default (auto), which takes the Lanczos fast
+// path on this symmetric mesh.
 func BenchmarkKrylovSpot_RMATEX_Arnoldi(b *testing.B) {
 	benchKrylovSpot(b, transient.RMATEX, krylov.MethodArnoldi, 16)
 }
 func BenchmarkKrylovSpot_RMATEX_Lanczos(b *testing.B) {
-	benchKrylovSpot(b, transient.RMATEX, krylov.MethodLanczos, 16)
+	benchKrylovSpot(b, transient.RMATEX, krylov.MethodAuto, 16)
 }
 func BenchmarkKrylovSpot_IMATEX_Arnoldi(b *testing.B) {
 	benchKrylovSpot(b, transient.IMATEX, krylov.MethodArnoldi, 16)
 }
 func BenchmarkKrylovSpot_IMATEX_Lanczos(b *testing.B) {
-	benchKrylovSpot(b, transient.IMATEX, krylov.MethodLanczos, 16)
+	benchKrylovSpot(b, transient.IMATEX, krylov.MethodAuto, 16)
 }
 
 // Generation only (no snapshot reuse): isolates the three-term recurrence
@@ -374,7 +376,7 @@ func BenchmarkKrylovGenerate_RMATEX_Arnoldi(b *testing.B) {
 	benchKrylovSpot(b, transient.RMATEX, krylov.MethodArnoldi, 0)
 }
 func BenchmarkKrylovGenerate_RMATEX_Lanczos(b *testing.B) {
-	benchKrylovSpot(b, transient.RMATEX, krylov.MethodLanczos, 0)
+	benchKrylovSpot(b, transient.RMATEX, krylov.MethodAuto, 0)
 }
 
 // End-to-end: the full R-MATEX transient on the same mesh, Arnoldi-pinned vs
@@ -722,7 +724,7 @@ func BenchmarkAblation_Ordering_MinDeg(b *testing.B) { benchOrdering(b, sparse.O
 
 // sweepCorners builds k pairwise non-collinear corner variants of the
 // deck (each scales a different load source by a different factor), so
-// the sweep measures panel batching rather than linearity sharing.
+// every variant is its own lane and no linearity sharing applies.
 func sweepCorners(sys *circuit.System, k int) []sweep.Variant {
 	var loads []string
 	for _, in := range sys.Inputs {
@@ -746,7 +748,7 @@ func sweepCorners(sys *circuit.System, k int) []sweep.Variant {
 // values are dyadic, so each pattern's two corners are bitwise-collinear:
 // every family plans as one sup+load superposition split and the shared
 // supplies-only lane dedupes across all families — 2·nfam variants cost
-// nfam load lanes plus one supply lane, batched into one panel fleet.
+// nfam load lanes plus one supply lane, all integrating at once.
 func sweepCornerFamilies(sys *circuit.System, nfam int) []sweep.Variant {
 	var loads []string
 	for _, in := range sys.Inputs {
@@ -806,14 +808,14 @@ func benchSweep(b *testing.B, variants []sweep.Variant) {
 		if i == 0 {
 			b.ReportMetric(float64(res.Stats.Lanes), "lanes")
 			b.ReportMetric(float64(res.Stats.Sim.Factorizations), "factorizations")
-			b.ReportMetric(res.Stats.Panel.MeanWidth(), "mean_panel_width")
 		}
 	}
 }
 
 // BenchmarkSweep_k4 runs 4 pairwise non-collinear per-source corners: no
-// linearity sharing is possible, so the row isolates what panel batching
-// alone buys over 4 solo walls.
+// linearity sharing is possible, so the row is 4 solo integrations run in
+// parallel over one warm factorization cache — its wall over SweepSolo's
+// follows the runner's core count.
 func BenchmarkSweep_k4(b *testing.B) {
 	sys := benchSystem(b, "ibmpg1t", 0.25)
 	benchSweep(b, sweepCorners(sys, 4))
@@ -821,8 +823,8 @@ func BenchmarkSweep_k4(b *testing.B) {
 
 // BenchmarkSweep_k8 runs the EXPERIMENTS.md 8-corner set (4 collinear
 // hot-spot families x 2 intensities): collinearity sharing plans 5 lanes
-// for 8 variants and batching couples them; benchcmp gates the lanes,
-// factorizations and mean panel width reported here against the baseline's.
+// for 8 variants, run in parallel over one cache; benchcmp gates the lanes
+// and factorizations reported here against the baseline's.
 func BenchmarkSweep_k8(b *testing.B) {
 	sys := benchSystem(b, "ibmpg1t", 0.25)
 	benchSweep(b, sweepCornerFamilies(sys, 4))

@@ -10,7 +10,7 @@
 //	matex -method tr -step 10p grid.sp            # fixed-step trapezoidal
 //	matex -method rmatex -distributed grid.sp     # bump-group decomposition
 //	matex -method rmatex -workers host1:9090,host2:9090 grid.sp
-//	matex -sweep corners.json grid.sp             # N variants, one batched run
+//	matex -sweep corners.json grid.sp             # N variants, one run
 //
 // Probed nodes come from the deck's ".print tran v(...)" cards; without any,
 // the first node of the deck is probed.
@@ -25,11 +25,11 @@
 //
 // -sweep FILE runs every scenario variant in FILE (a JSON array of sweep
 // variant objects, or an object with a "variants" key — the same schema
-// as the serving API's POST /sweep) through one batched computation: one
-// factorization-cache lineage, cross-variant multi-RHS solve panels, and
+// as the serving API's POST /sweep) as one computation: one
+// factorization-cache lineage, every lane integrating in parallel, and
 // collinear-variant sharing. The TSV output gains a leading "variant"
-// column; -stats adds the sweep's lane and panel report above the solver
-// line, whose counters are folded across the lanes.
+// column; -stats adds the sweep's lane report above the solver line, whose
+// counters are folded across the lanes.
 //
 // The flags fill a job.Spec, the value a matexsrv submission decodes to, and
 // internal/job resolves and runs it: the CLI and the service default, refuse
@@ -62,10 +62,10 @@ func main() {
 	distributed := flag.Bool("distributed", false, "decompose sources by bump feature and superpose")
 	workers := flag.String("workers", "", "comma-separated matexd TCP addresses (implies -distributed)")
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
-	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible), arnoldi, lanczos")
+	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible; lanczos is a synonym), arnoldi")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
 	stats := flag.Bool("stats", false, "print solver work statistics to stderr")
-	sweepFile := flag.String("sweep", "", "JSON variant file: run every scenario variant of the deck as one batched sweep")
+	sweepFile := flag.String("sweep", "", "JSON variant file: run every scenario variant of the deck as one sweep")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
@@ -178,8 +178,10 @@ func main() {
 			}
 		}
 		if st := out.Sweep; st != nil {
-			fmt.Fprintf(os.Stderr, "variants=%d lanes=%d shared=%d panel_rounds=%d panel_batched=%d mean_panel_width=%.2f\n",
-				st.Variants, st.Lanes, st.SharedVariants, st.Panel.Rounds, st.Panel.Batched, st.Panel.MeanWidth())
+			// Every solve is one right-hand side per factor traversal; the two
+			// panel keys stay, constant, for readers that still parse them.
+			fmt.Fprintf(os.Stderr, "variants=%d lanes=%d shared=%d panel_batched=0 mean_panel_width=1.00\n",
+				st.Variants, st.Lanes, st.SharedVariants)
 		}
 		s := &out.Stats
 		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d expm_evals=%d steps=%d m_a=%.1f m_p=%d lanczos_spots=%d/%d dc=%v factor=%v transient=%v input_pairs=%d deviation_spots=%d\n",

@@ -10,8 +10,8 @@
 // checkpoint instead of step zero.
 //
 // A job spec with a "variants" list is a scenario sweep: all variants of
-// the deck run as one batched computation (shared factorization lineage,
-// cross-variant solve panels, collinear-variant sharing) and the job's
+// the deck run as one computation (shared factorization lineage, parallel
+// lanes, collinear-variant sharing) and the job's
 // stream interleaves every variant's samples, tagged by variant name and
 // per-variant sequence number. POST /sweep (or /v1/sweep) is the
 // dedicated endpoint; /v1/jobs accepts sweep specs too.

@@ -571,7 +571,7 @@ func TestDistKrylovLanczos(t *testing.T) {
 	if ref.Stats.LanczosSpots != 0 {
 		t.Fatalf("arnoldi-pinned run aggregated %d Lanczos spots", ref.Stats.LanczosSpots)
 	}
-	res, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodLanczos}})
+	res, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-9, Probes: probes, Krylov: krylov.MethodAuto}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +612,7 @@ func TestOldCoordinatorRequestDecodes(t *testing.T) {
 	old := oldRequest{
 		Method: transient.RMATEX, Tstop: 1e-9, Tol: 1e-6, Gamma: 1e-10, MaxDim: 40,
 		Probes: []int{3, 5}, EvalTimes: []float64{0, 5e-10, 1e-9},
-		Ordering: sparse.OrderND, Krylov: krylov.MethodLanczos,
+		Ordering: sparse.OrderND, Krylov: krylov.Method(2), // the retired "lanczos" value
 		FactorKind: 2, SolveWorkers: 4,
 	}
 	var buf bytes.Buffer

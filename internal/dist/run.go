@@ -130,11 +130,6 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	}()
 	queued := time.Now()
 	results, err := superpose.FanOut(ctx, len(tasks), workers, func(ctx context.Context, i int) (*TaskResult, error) {
-		// A canceled run dispatches nothing further; subtasks in flight see
-		// the same context and abort on their own.
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("dist: run canceled: %w", err)
-		}
 		wait := time.Since(queued)
 		lane := req
 		lane.OnSample = func(t float64, row []float64) { fold.Sample(i, t, row) }

@@ -60,7 +60,7 @@ type Spec struct {
 	Tol    float64 `json:"tol,omitempty"`
 	Gamma  float64 `json:"gamma,omitempty"`
 	MaxDim int     `json:"max_dim,omitempty"`
-	// Krylov: "auto", "arnoldi", "lanczos" (empty = auto).
+	// Krylov: "auto" (also spelled "lanczos"; empty = auto), "arnoldi".
 	Krylov string `json:"krylov,omitempty"`
 	// Ordering: "default", "natural", "mindeg", "nd" (empty =
 	// default, which resolves to nd).
@@ -75,9 +75,9 @@ type Spec struct {
 	// is reported canceled.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 	// Variants, when non-empty, makes this a sweep job: every variant of
-	// the deck runs through internal/sweep as one batched computation
-	// (shared factorization-cache lineage, cross-variant solve panels,
-	// collinear-variant sharing) and the stream interleaves all variants'
+	// the deck runs through internal/sweep as one computation (shared
+	// factorization-cache lineage, parallel lanes, collinear-variant
+	// sharing) and the stream interleaves all variants'
 	// samples, each tagged with its variant name and per-variant sequence
 	// number. Sweep jobs cannot be distributed, and are capped at
 	// MaxSweepVariants variants.
@@ -242,7 +242,7 @@ type Outcome struct {
 	// Stats are the solver counters; a sweep's are folded across its lanes.
 	Stats transient.Stats
 	// Dist is a distributed run's scheduling report, Sweep a sweep's
-	// batching report; nil otherwise.
+	// sharing report; nil otherwise.
 	Dist  *dist.Report
 	Sweep *sweep.Stats
 }

@@ -94,6 +94,19 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// TestParseMethod: "lanczos" stays a spelling of auto for the flags, specs
+// and journals that name it.
+func TestParseMethod(t *testing.T) {
+	for s, want := range map[string]Method{"": MethodAuto, "auto": MethodAuto, "lanczos": MethodAuto, "arnoldi": MethodArnoldi} {
+		if m, err := ParseMethod(s); err != nil || m != want {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, m, err, want)
+		}
+	}
+	if _, err := ParseMethod("gmres"); err == nil {
+		t.Error("unknown method accepted")
+	}
+}
+
 func TestAllModesMatchDenseExpm(t *testing.T) {
 	n := 12
 	cm, gm := rcSystem(n, 1e3, 1)

@@ -20,10 +20,9 @@ const (
 	// process — the pre-fast-path behavior, kept selectable as the
 	// reference baseline.
 	MethodArnoldi
-	// MethodLanczos prefers the Lanczos fast path like MethodAuto; the
-	// distinct value exists so flags and wire requests can state the
-	// preference explicitly.
-	MethodLanczos
+	// Value 2 was MethodLanczos, which behaved exactly like MethodAuto. The
+	// slot stays reserved: Method integers are wire-significant in the dist
+	// protocol, and Generate serves any value but MethodArnoldi as auto.
 )
 
 func (m Method) String() string {
@@ -32,21 +31,18 @@ func (m Method) String() string {
 		return "auto"
 	case MethodArnoldi:
 		return "arnoldi"
-	case MethodLanczos:
-		return "lanczos"
 	}
 	return "unknown"
 }
 
-// ParseMethod parses a -krylov flag value.
+// ParseMethod parses a -krylov flag value; "lanczos" is a spelling of auto,
+// kept for flags, specs and journals that name it.
 func ParseMethod(s string) (Method, error) {
 	switch s {
-	case "", "auto":
+	case "", "auto", "lanczos":
 		return MethodAuto, nil
 	case "arnoldi":
 		return MethodArnoldi, nil
-	case "lanczos":
-		return MethodLanczos, nil
 	}
 	return MethodAuto, fmt.Errorf("krylov: unknown method %q (want auto, arnoldi or lanczos)", s)
 }
@@ -60,11 +56,11 @@ func Generate(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, e
 	if opts.Method != MethodArnoldi && op.SymmetricFor(v) {
 		sub, err := Lanczos(op, v, hCheck, opts)
 		if err != nil && !errors.Is(err, ErrNoConvergence) {
-			// The fast path is best-effort in both auto and lanczos modes:
-			// an eigensolver hiccup on a degenerate projection must not
-			// fail the run when Arnoldi can still serve. (ErrNoConvergence
-			// is not a hiccup — it carries the best-effort subspace the
-			// solvers' step-splitting logic reacts to.)
+			// The fast path is best-effort: an eigensolver hiccup on a
+			// degenerate projection must not fail the run when Arnoldi can
+			// still serve. (ErrNoConvergence is not a hiccup — it carries
+			// the best-effort subspace the solvers' step-splitting logic
+			// reacts to.)
 			return Arnoldi(op, v, hCheck, opts)
 		}
 		return sub, err

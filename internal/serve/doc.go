@@ -36,8 +36,8 @@
 // # Sweep jobs
 //
 // A JobSpec with a non-empty Variants list is a scenario sweep: its task
-// hands the deck to internal/sweep, which integrates all variants in one
-// batched run over the shared cache. Samples are tagged with the variant
+// hands the deck to internal/sweep, which integrates all variants as
+// parallel lanes over the shared cache. Samples are tagged with the variant
 // name and a per-variant sequence number, so one stream multiplexes N
 // waveforms; POST /v1/sweep is sugar for that spec shape.
 //

@@ -195,15 +195,6 @@ func (s *Server) statsReply() StatsReply {
 		Resumed:    s.resumed,
 		Totals:     s.agg,
 	}
-	// The histogram map must not alias s.agg's: the reply is marshaled
-	// after the lock drops, racing later addSweep merges otherwise.
-	if len(s.agg.PanelWidths) > 0 {
-		pw := make(map[int]int, len(s.agg.PanelWidths))
-		for wdt, n := range s.agg.PanelWidths {
-			pw[wdt] = n
-		}
-		rep.Totals.PanelWidths = pw
-	}
 	s.mu.Unlock()
 	rep.Cache = s.cache.Stats()
 	rep.DeckStore = s.decks.Stats()
@@ -309,7 +300,7 @@ type streamTail struct {
 	Samples int      `json:"samples"`
 	Error   string   `json:"error,omitempty"`
 	Stats   any      `json:"stats,omitempty"`
-	// Sweep carries the batching report on sweep-job streams.
+	// Sweep carries the sharing report on sweep-job streams.
 	Sweep any `json:"sweep,omitempty"`
 }
 
@@ -411,7 +402,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 		}
 	}
 	final := job.Status()
-	tail := streamTail{Done: true, State: final.State, Samples: i, Error: final.Error}
+	tail := streamTail{Done: true, State: final.State, Samples: final.Samples, Error: final.Error}
 	if final.Stats != nil {
 		tail.Stats = final.Stats
 	}

@@ -188,7 +188,7 @@ func outcome(err error) JobState {
 }
 
 // finish records the outcome, with the scheduling report of a distributed
-// run and the batching report of a sweep.
+// run and the sharing report of a sweep.
 func (j *Job) finish(out *job.Outcome, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -266,8 +266,8 @@ type Status struct {
 	// sweep jobs: the counters folded across every lane).
 	Stats *transient.Stats `json:"stats,omitempty"`
 	// Variants is the variant count of a sweep job (0 for plain jobs);
-	// Sweep is its batching report — lanes run, variants served by
-	// sharing, panel width histogram — present once the job is done.
+	// Sweep is its sharing report — lanes run, variants served by
+	// sharing — present once the job is done.
 	Variants int          `json:"variants,omitempty"`
 	Sweep    *sweep.Stats `json:"sweep,omitempty"`
 	// Groups/Tasks/Retried surface the dist report for distributed jobs:

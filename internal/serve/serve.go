@@ -100,25 +100,16 @@ type totals struct {
 	InputPairs     int `json:"input_pairs"`
 	DeviationSpots int `json:"deviation_spots"`
 	// Sweeps counts completed sweep jobs and SweepVariants the variants
-	// they served; PanelWidths histograms the cross-variant solve panel
-	// widths (key = simultaneous right-hand sides in one batched solve),
-	// folded across all completed sweeps.
-	Sweeps        int         `json:"sweeps"`
-	SweepVariants int         `json:"sweep_variants"`
-	PanelWidths   map[int]int `json:"panel_width_histogram,omitempty"`
+	// they served.
+	Sweeps        int `json:"sweeps"`
+	SweepVariants int `json:"sweep_variants"`
 }
 
-// addSweep folds one completed sweep's batching report into the cross-job
-// totals (the transient counters go through add, like any job).
+// addSweep folds one completed sweep into the cross-job totals (the
+// transient counters go through add, like any job).
 func (t *totals) addSweep(st *sweep.Stats) {
 	t.Sweeps++
 	t.SweepVariants += st.Variants
-	if len(st.Panel.Widths) > 0 && t.PanelWidths == nil {
-		t.PanelWidths = make(map[int]int)
-	}
-	for w, n := range st.Panel.Widths {
-		t.PanelWidths[w] += n
-	}
 }
 
 func (t *totals) add(s *transient.Stats) {

@@ -27,6 +27,7 @@ import (
 	"github.com/matex-sim/matex/internal/netlist"
 	"github.com/matex-sim/matex/internal/pdn"
 	"github.com/matex-sim/matex/internal/serve"
+	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -489,6 +490,43 @@ func TestCancelRunningJob(t *testing.T) {
 	}
 	if st.State != serve.JobCanceled {
 		t.Fatalf("job ended %q, want canceled", st.State)
+	}
+}
+
+// TestCancelRunningLaneJobs: a distributed job and a sweep canceled while
+// their lanes run report canceled — the lanes in flight unwind on the
+// context, and the lanes not yet started never start.
+func TestCancelRunningLaneJobs(t *testing.T) {
+	deckText := testDeck(t)
+	s, _, shutdown := testServer(t, serve.Config{Workers: 2, QueueDepth: 4})
+	defer shutdown(context.Background())
+
+	slow := serve.JobSpec{Netlist: deckText, Method: "tr", Step: 1e-14}
+	distributed, swept := slow, slow
+	distributed.Distributed = true
+	swept.Variants = []sweep.Variant{{Name: "a"}, {Name: "b", Scale: 1.5}, {Name: "c", SourceScales: map[string]float64{"Iload1": 2}}}
+	for name, spec := range map[string]serve.JobSpec{"distributed": distributed, "sweep": swept} {
+		job, err := s.Submit(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for job.State() == serve.JobQueued {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s job never started", name)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		job.Cancel()
+		for !job.State().Terminal() {
+			if time.Now().After(deadline) {
+				t.Fatalf("canceled %s job stuck in %q", name, job.State())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		if st := job.Status(); st.State != serve.JobCanceled {
+			t.Fatalf("%s job ended %q (%s), want canceled", name, st.State, st.Error)
+		}
 	}
 }
 

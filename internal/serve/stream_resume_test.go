@@ -153,7 +153,8 @@ func TestSSEReconnectResumesAtLastEventID(t *testing.T) {
 
 // TestNDJSONFromSeqCursor: ?from_seq=N skips the first N samples and the
 // remainder carries contiguous sequence numbers from N+1 — the polling
-// client's resume cursor.
+// client's resume cursor. The tail reports the job's own sample count, also
+// for a cursor past the end.
 func TestNDJSONFromSeqCursor(t *testing.T) {
 	deckText := testDeck(t)
 	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4})
@@ -167,46 +168,52 @@ func TestNDJSONFromSeqCursor(t *testing.T) {
 	if n < 4 {
 		t.Fatalf("only %d samples", n)
 	}
-	cursor := n / 2
 
-	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/stream?from_seq=%d", base, full.id, cursor))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	seen, wantSeq := 0, cursor+1
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
+	for _, cursor := range []int{n / 2, n + 1000} {
+		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/stream?from_seq=%d", base, full.id, cursor))
+		if err != nil {
+			t.Fatal(err)
 		}
-		var chunk struct {
-			Done *bool   `json:"done"`
-			Seq  int     `json:"seq"`
-			T    float64 `json:"t"`
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<24)
+		seen, wantSeq, tailSamples := 0, cursor+1, -1
+		for sc.Scan() {
+			line := strings.TrimSpace(sc.Text())
+			if line == "" {
+				continue
+			}
+			var chunk struct {
+				Done    *bool   `json:"done"`
+				Samples int     `json:"samples"`
+				Seq     int     `json:"seq"`
+				T       float64 `json:"t"`
+			}
+			if err := json.Unmarshal([]byte(line), &chunk); err != nil {
+				t.Fatalf("bad NDJSON line %q: %v", line, err)
+			}
+			if chunk.Done != nil {
+				tailSamples = chunk.Samples
+				break
+			}
+			if chunk.Seq == 0 { // header
+				continue
+			}
+			if chunk.Seq != wantSeq {
+				t.Fatalf("cursor %d: stream seq %d, want %d", cursor, chunk.Seq, wantSeq)
+			}
+			if chunk.T != full.times[chunk.Seq-1] {
+				t.Fatalf("cursor %d: stream t=%g at seq %d, full stream %g", cursor, chunk.T, chunk.Seq, full.times[chunk.Seq-1])
+			}
+			wantSeq++
+			seen++
 		}
-		if err := json.Unmarshal([]byte(line), &chunk); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", line, err)
+		resp.Body.Close()
+		if want := max(0, n-cursor); seen != want {
+			t.Fatalf("cursor %d: stream yielded %d samples, want %d", cursor, seen, want)
 		}
-		if chunk.Done != nil {
-			break
+		if tailSamples != n {
+			t.Fatalf("cursor %d: tail reports %d samples, the job has %d", cursor, tailSamples, n)
 		}
-		if chunk.Seq == 0 { // header
-			continue
-		}
-		if chunk.Seq != wantSeq {
-			t.Fatalf("cursor stream seq %d, want %d", chunk.Seq, wantSeq)
-		}
-		if chunk.T != full.times[chunk.Seq-1] {
-			t.Fatalf("cursor stream t=%g at seq %d, full stream %g", chunk.T, chunk.Seq, full.times[chunk.Seq-1])
-		}
-		wantSeq++
-		seen++
-	}
-	if seen != n-cursor {
-		t.Fatalf("cursor stream yielded %d samples, want %d", seen, n-cursor)
 	}
 }
 

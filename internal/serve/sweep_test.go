@@ -18,7 +18,7 @@ import (
 
 // sweepSpec is the canonical test sweep: four pairwise non-collinear
 // corner variants of a small ibmpg1t grid, so every variant integrates on
-// its own lane and the solve panels actually batch.
+// its own lane.
 func sweepSpec() serve.JobSpec {
 	return serve.JobSpec{
 		Case:  "ibmpg1t",
@@ -111,8 +111,8 @@ func readSweepStream(t *testing.T, url string) *sweepStream {
 
 // TestSweepJobEndToEnd submits a sweep over POST /sweep, follows its
 // interleaved stream, and checks: the demultiplexed "typ" variant matches
-// a plain job of the same deck exactly, the tail carries the sweep report
-// with batched panels, and /stats folds the sweep counters.
+// a plain job of the same deck exactly, the tail carries the sweep report,
+// and /stats folds the sweep counters.
 func TestSweepJobEndToEnd(t *testing.T) {
 	_, base, shutdown := testServer(t, serve.Config{Workers: 4, QueueDepth: 8})
 	defer shutdown(context.Background())
@@ -145,9 +145,6 @@ func TestSweepJobEndToEnd(t *testing.T) {
 	if got.stats.Variants != len(spec.Variants) || got.stats.Lanes != len(spec.Variants) {
 		t.Fatalf("sweep report %d variants / %d lanes, want %d/%d", got.stats.Variants, got.stats.Lanes, len(spec.Variants), len(spec.Variants))
 	}
-	if got.stats.Panel.Batched == 0 {
-		t.Fatalf("sweep never batched solves into panels: %+v", got.stats.Panel)
-	}
 
 	// The unscaled variant must reproduce a plain job of the same deck
 	// exactly: sweep lanes are bitwise identical to solo runs.
@@ -178,18 +175,6 @@ func TestSweepJobEndToEnd(t *testing.T) {
 	}
 	if stats.Totals.SweepVariants != len(spec.Variants) {
 		t.Fatalf("/stats sweep_variants = %d, want %d", stats.Totals.SweepVariants, len(spec.Variants))
-	}
-	if len(stats.Totals.PanelWidths) == 0 {
-		t.Fatal("/stats panel_width_histogram is empty after a batched sweep")
-	}
-	wide := 0
-	for w, n := range stats.Totals.PanelWidths {
-		if w >= 2 {
-			wide += n
-		}
-	}
-	if wide == 0 {
-		t.Fatalf("histogram holds no multi-RHS panels: %v", stats.Totals.PanelWidths)
 	}
 }
 
@@ -311,7 +296,7 @@ func TestSweepCrashRestartResume(t *testing.T) {
 
 // TestSweepAndJobsConcurrentHammer runs sweep jobs and plain jobs through
 // one server at once: every job shares the same factorization cache and
-// workspace pool while the sweeps batch panels internally. Primarily a
+// workspace pool while the sweeps run their lanes in parallel. Primarily a
 // race-detector target (tier-1 runs the suite under -race); it also
 // checks everything completes and the cache was actually shared.
 func TestSweepAndJobsConcurrentHammer(t *testing.T) {

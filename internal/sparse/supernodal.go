@@ -574,8 +574,7 @@ func (f *LDLT) bwdOneSN(t int, work, g []float64) {
 // row-major (work[i*k+r]), g buffers k·maxRows below-block values. Every
 // per-RHS operation runs in exactly the order the sequential
 // fwdSN/diagonal/bwdOneSN path uses, so a panel solve is bitwise identical
-// to k sequential solves — the sweep engine's batched lanes rely on that
-// to reproduce solo runs exactly.
+// to k sequential solves.
 //
 //matex:noalloc
 func (f *LDLT) solvePanelSN(dst, b [][]float64, work []float64) {

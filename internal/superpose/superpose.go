@@ -33,9 +33,9 @@ func CheckBase(base *transient.Options) error {
 // FanOut calls run once for every lane in [0, n) with at most limit calls in
 // flight (limit < 1 is 1) and returns the results in lane order. The first
 // error cancels the context the other lanes see and is the error returned.
-// Every lane is started even after a cancellation — run must honour ctx
-// itself — because a lane joined to a sparse.PanelBroker barrier has to
-// reach its Leave or the lanes already parked there never wake.
+// Once the context is done no further lane starts — lanes in flight must
+// honour ctx themselves — and, absent a lane error, the context's error is
+// returned for the lanes that never ran.
 func FanOut[T any](ctx context.Context, n, limit int, run func(ctx context.Context, lane int) (T, error)) ([]T, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -45,9 +45,17 @@ func FanOut[T any](ctx context.Context, n, limit int, run func(ctx context.Conte
 		wg       sync.WaitGroup
 		once     sync.Once
 		firstErr error
+		started  int
 	)
-	for i := 0; i < n; i++ {
-		sem <- struct{}{}
+	for ; started < n; started++ {
+		select {
+		case sem <- struct{}{}:
+		case <-ctx.Done():
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		i := started
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -66,6 +74,9 @@ func FanOut[T any](ctx context.Context, n, limit int, run func(ctx context.Conte
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
+	}
+	if started < n {
+		return nil, ctx.Err()
 	}
 	return out, nil
 }

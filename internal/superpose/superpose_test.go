@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -202,37 +201,52 @@ func TestFanOut(t *testing.T) {
 		t.Fatalf("%d lanes in flight under a bound of %d", p, limit)
 	}
 
-	// The first error is the one returned, it cancels the context the other
-	// lanes see, and every lane is still started: a lane that never ran
-	// could not leave the barrier its peers park at.
+	// The first error is the one returned, and it cancels the context the
+	// lanes in flight see.
 	boom := errors.New("boom")
-	var started sync.Map
 	release := make(chan struct{})
-	_, err = FanOut(context.Background(), n, n, func(ctx context.Context, i int) (int, error) {
-		started.Store(i, true)
-		if i == 7 {
+	_, err = FanOut(context.Background(), 8, 8, func(ctx context.Context, i int) (int, error) {
+		if i == 0 {
 			defer close(release)
 			return 0, boom
 		}
-		<-release // lane 7 has failed by now
+		<-release // lane 0 has failed by now
 		<-ctx.Done()
 		return 0, ctx.Err()
 	})
 	if err != boom {
 		t.Fatalf("returned %v, want the first error", err)
 	}
-	for i := 0; i < n; i++ {
-		if _, ok := started.Load(i); !ok {
-			t.Fatalf("lane %d never started", i)
+
+	// After the first error no further lane starts.
+	var calls atomic.Int32
+	_, err = FanOut(context.Background(), 5, 1, func(ctx context.Context, i int) (int, error) {
+		calls.Add(1)
+		if i == 0 {
+			return 0, boom
 		}
+		return i, nil
+	})
+	if err != boom {
+		t.Fatalf("returned %v, want the first error", err)
+	}
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("run called %d times after lane 0 failed under limit 1, want 1", c)
 	}
 
-	// A parent context canceled up front reaches every lane.
+	// A parent context canceled up front starts no lane and is the error.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = FanOut(ctx, 4, 2, func(ctx context.Context, i int) (int, error) { return 0, ctx.Err() })
+	calls.Store(0)
+	_, err = FanOut(ctx, 4, 2, func(ctx context.Context, i int) (int, error) {
+		calls.Add(1)
+		return i, nil
+	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("returned %v, want context.Canceled", err)
+	}
+	if c := calls.Load(); c != 0 {
+		t.Fatalf("run called %d times under a canceled context, want 0", c)
 	}
 }
 

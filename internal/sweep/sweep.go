@@ -71,9 +71,6 @@ type Stats struct {
 	// shared cache, Sim.Factorizations counts factorizations computed
 	// once for the whole sweep.
 	Sim transient.Stats `json:"sim"`
-	// Panel reports the cross-variant solve batching (zero when the
-	// broker was disabled or the sweep ran a single lane).
-	Panel sparse.PanelStats `json:"panel"`
 }
 
 // Result is a completed sweep: one VariantResult per requested variant,
@@ -119,7 +116,7 @@ type group struct {
 	load   int // loads-only representative lane (-1 unless split)
 }
 
-// Run executes variants of sys as one batched sweep. See the package
+// Run executes variants of sys as one sweep. See the package
 // comment for the sharing model. The returned error is the first lane
 // failure; on error the remaining lanes are canceled via the run context.
 func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error) {
@@ -171,17 +168,9 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		}
 	}
 
-	// Join every lane before any of them starts, so the first barrier
-	// round already waits for the full fleet. All lanes run at once: one
-	// held back would stall the barrier the others park at.
-	var broker *sparse.PanelBroker
-	joined := make([]*sparse.PanelLane, len(lanes))
-	if len(lanes) > 1 {
-		broker = sparse.NewPanelBroker()
-		for i := range lanes {
-			joined[i] = broker.Join()
-		}
-	}
+	// All lanes run at once: a derived variant's rows leave only when every
+	// lane it is combined from has passed them, so a lane held back would
+	// hold back the rows of every variant that depends on it.
 	ctx := base.Ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -191,10 +180,6 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		lopts := base
 		lopts.Ctx = ctx
 		lopts.ActiveInputs = ln.active
-		if joined[i] != nil {
-			defer joined[i].Leave()
-			lopts.Panel = joined[i]
-		}
 		lopts.OnSample = func(t float64, row []float64) {
 			for _, fd := range feeds[i] {
 				fd.fold.Sample(fd.addend, t, row)
@@ -238,9 +223,6 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		sim.DCTime += s.DCTime
 		sim.FactorTime += s.FactorTime
 		sim.TransientTime += s.TransientTime
-	}
-	if broker != nil {
-		res.Stats.Panel = broker.Stats()
 	}
 
 	for _, g := range groups {

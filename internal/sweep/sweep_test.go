@@ -39,9 +39,8 @@ func ibmSystemCNode(t *testing.T, scale, cnode float64) *circuit.System {
 }
 
 func baseOpts(sys *circuit.System) transient.Options {
-	// The panel solve kernels run per-RHS arithmetic in exactly the
-	// sequential solves' operation order, so sweep lanes reproduce solo
-	// runs bitwise at any tolerance.
+	// A directly integrated lane is a solo run over a shared cache, so
+	// sweep lanes reproduce solo runs bitwise at any tolerance.
 	return transient.Options{
 		Tstop:  10e-9,
 		Tol:    1e-8,
@@ -84,7 +83,7 @@ func maxProbeDiff(t *testing.T, a *transient.Result, b VariantResult) float64 {
 }
 
 // cornerVariants builds non-collinear per-source corner patterns, so every
-// variant integrates on its own lane and the panels stay wide.
+// variant integrates on its own lane.
 func cornerVariants() []Variant {
 	return []Variant{
 		{Name: "typ"},
@@ -97,8 +96,8 @@ func cornerVariants() []Variant {
 
 // TestSweepMatchesSolo_Aligned is the tentpole equivalence test: N
 // non-collinear variants with identical transition spots, run as one
-// batched sweep, must reproduce N solo runs to 1e-10 while actually
-// batching panels and sharing the factorization lineage.
+// sweep of parallel lanes, must reproduce N solo runs to 1e-10 while
+// sharing the factorization lineage.
 func TestSweepMatchesSolo_Aligned(t *testing.T) {
 	sys := ibmSystem(t, 0.2)
 	variants := cornerVariants()
@@ -132,18 +131,11 @@ func TestSweepMatchesSolo_Aligned(t *testing.T) {
 	if res.Stats.Sim.CacheHits == 0 {
 		t.Error("sweep lanes recorded no factorization-cache hits")
 	}
-	if res.Stats.Panel.Batched == 0 {
-		t.Errorf("no solves batched into panels: %+v", res.Stats.Panel)
-	}
-	if mw := res.Stats.Panel.MeanWidth(); mw < 2 {
-		t.Errorf("mean panel width %.2f < 2 on aligned grids", mw)
-	}
 }
 
 // TestSweepMatchesSolo_Misaligned repeats the equivalence check with
 // per-user stimulus overrides that shift two variants' transition spots
-// off the others' grids: lanes fall back to solo spots where needed, but
-// results must still match solo runs and batching must still occur.
+// off the others' grids: results must still match solo runs.
 func TestSweepMatchesSolo_Misaligned(t *testing.T) {
 	sys := ibmSystem(t, 0.2)
 	variants := []Variant{
@@ -166,9 +158,6 @@ func TestSweepMatchesSolo_Misaligned(t *testing.T) {
 		if d := maxProbeDiff(t, solo, res.Variants[v]); d > 1e-10 {
 			t.Errorf("variant %q deviates from solo by %g > 1e-10", va.Name, d)
 		}
-	}
-	if res.Stats.Panel.Batched == 0 {
-		t.Errorf("misaligned sweep never batched: %+v", res.Stats.Panel)
 	}
 }
 
@@ -330,7 +319,7 @@ func TestSweepCheckpointResume(t *testing.T) {
 // TestSweepOnADeckThatSwitchesTreatment runs the corner sweep where every
 // lane's ramps move from the augmented to the deviation treatment mid-run,
 // each lane on its own observations: the lanes still reproduce their solo
-// runs bit for bit through the shared panels, and a lane interrupted at any
+// runs bit for bit over the shared cache, and a lane interrupted at any
 // checkpoint — before or after its move — resumes to the same bits.
 func TestSweepOnADeckThatSwitchesTreatment(t *testing.T) {
 	sys := ibmSystemCNode(t, 1, 0.5e-12)
@@ -349,9 +338,6 @@ func TestSweepOnADeckThatSwitchesTreatment(t *testing.T) {
 		}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if full.Stats.Panel.Batched == 0 {
-		t.Errorf("no solves batched into panels: %+v", full.Stats.Panel)
 	}
 	for v, va := range variants {
 		solo := soloRun(t, sys, va, transient.RMATEX, base)

@@ -17,9 +17,9 @@
 //
 // Simulate is the single entry point; Method picks the integrator and
 // Options carries the grid (Tstop, Step, Tol), probe selection, the shared
-// factorization cache, streaming and checkpoint hooks, and the optional
-// sparse.PanelLane that lets a sweep batch this run's triangular solves
-// with its sibling variants' (see internal/sweep).
+// factorization cache and the streaming and checkpoint hooks. A sweep lane
+// or a D-MATEX task is one such run; concurrent runs share nothing but the
+// cache (see internal/sweep and internal/dist).
 //
 // Runs are resumable: Options.OnCheckpoint emits a Checkpoint (full state
 // vector plus integrator position) every CheckpointEvery accepted steps,

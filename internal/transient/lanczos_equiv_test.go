@@ -88,9 +88,9 @@ func TestLanczosWaveformEquivalence(t *testing.T) {
 			if ref.Stats.LanczosSpots != 0 {
 				t.Fatalf("%s seed %d: arnoldi run reported %d Lanczos spots", tc.name, seed, ref.Stats.LanczosSpots)
 			}
-			got, err := Simulate(sys, tc.method, optsWith(opts, krylov.MethodLanczos))
+			got, err := Simulate(sys, tc.method, optsWith(opts, krylov.MethodAuto))
 			if err != nil {
-				t.Fatalf("%s seed %d lanczos: %v", tc.name, seed, err)
+				t.Fatalf("%s seed %d auto: %v", tc.name, seed, err)
 			}
 			if tc.wantSpots && got.Stats.LanczosSpots == 0 {
 				t.Errorf("%s seed %d: fast-path run generated no Lanczos subspaces", tc.name, seed)

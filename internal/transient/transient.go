@@ -127,8 +127,7 @@ type Options struct {
 	// Krylov selects the subspace process for the MATEX methods: the zero
 	// value (auto) takes the symmetric Lanczos fast path whenever the
 	// stamped matrices are symmetric and the spot qualifies, "arnoldi"
-	// pins the full Gram-Schmidt reference, "lanczos" states the fast-path
-	// preference explicitly. See krylov.Method.
+	// pins the full Gram-Schmidt reference. See krylov.Method.
 	Krylov krylov.Method
 	// Workspaces, when non-nil, is the arena pool Krylov subspace
 	// generation draws its buffers from; the distributed scheduler and
@@ -157,14 +156,6 @@ type Options struct {
 	// that cannot record progress can choose to stop instead of running
 	// uncheckpointed.
 	OnCheckpoint func(cp Checkpoint) error `json:"-"`
-	// Panel, when non-nil, is this run's lane on a sparse.PanelBroker:
-	// every factorization the run acquires is wrapped so its triangular
-	// solves park at the broker's barrier and execute as multi-RHS panels
-	// together with the other lanes' solves. The sweep engine sets it to
-	// batch N scenario variants' Krylov builds into shared SolveMulti
-	// panels; solo runs leave it nil. The lane's lifecycle (Join/Leave)
-	// belongs to the caller, not the integrator.
-	Panel *sparse.PanelLane `json:"-"`
 	// CheckpointEvery is the OnCheckpoint cadence in accepted steps;
 	// 0 defaults to 128 when the hook is set. Smaller values shrink the
 	// recovery window at the cost of more snapshot I/O.
@@ -388,25 +379,14 @@ func acquireFactor(a *sparse.CSC, opts Options, stats *Stats) (sparse.Factorizat
 			return nil, err
 		}
 		stats.AddFactorInfo(info)
-		return wrapPanel(f, opts), nil
+		return f, nil
 	}
 	f, err := sparse.Factor(a, sparse.FactorAuto, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}
 	stats.Factorizations++
-	return wrapPanel(f, opts), nil
-}
-
-// wrapPanel routes a freshly acquired factorization through the run's
-// sweep panel lane, when one is configured. acquireFactor/acquireFactorSum
-// are the only factorization entry points, so wrapping here covers every
-// solve an integrator issues.
-func wrapPanel(f sparse.Factorization, opts Options) sparse.Factorization {
-	if opts.Panel == nil {
-		return f
-	}
-	return opts.Panel.Wrap(f)
+	return f, nil
 }
 
 // acquireFactorSum obtains a factorization of alpha·a + beta·b, consulting
@@ -420,14 +400,14 @@ func acquireFactorSum(alpha float64, a *sparse.CSC, beta float64, b *sparse.CSC,
 			return nil, err
 		}
 		stats.AddFactorInfo(info)
-		return wrapPanel(f, opts), nil
+		return f, nil
 	}
 	f, err := sparse.Factor(sparse.Add(alpha, a, beta, b), sparse.FactorAuto, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}
 	stats.Factorizations++
-	return wrapPanel(f, opts), nil
+	return f, nil
 }
 
 // AddFactorInfo folds one cache acquisition into the work counters; the

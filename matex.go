@@ -137,8 +137,6 @@ const (
 	KrylovAuto = krylov.MethodAuto
 	// KrylovArnoldi pins the full modified Gram-Schmidt reference process.
 	KrylovArnoldi = krylov.MethodArnoldi
-	// KrylovLanczos states the fast-path preference explicitly.
-	KrylovLanczos = krylov.MethodLanczos
 )
 
 // Integrators.
@@ -197,7 +195,7 @@ func NewRPCPool(ctx context.Context, addrs []string) (dist.Pool, error) {
 // factorizing through cache (nil: one with the default budget).
 func NewWorkerServer(cache *FactorCache) *WorkerServer { return dist.NewWorkerServer(cache) }
 
-// Scenario sweeps: N variants of one deck as a single batched run.
+// Scenario sweeps: N variants of one deck as a single run.
 type (
 	// SweepVariant describes one scenario of a base deck: load-source
 	// rescaling (uniform, per-source, or deterministic Monte-Carlo) and/or
@@ -211,26 +209,22 @@ type (
 	// integrator, and the per-variant streaming/checkpoint/resume hooks.
 	SweepOptions = sweep.Options
 	// SweepResult is a completed sweep: one SweepVariantResult per
-	// requested variant plus the batching statistics.
+	// requested variant plus the sharing statistics.
 	SweepResult = sweep.Result
 	// SweepVariantResult is one variant's waveform, exactly as a solo
 	// transient run of that variant would record it.
 	SweepVariantResult = sweep.VariantResult
 	// SweepStats reports a sweep's sharing: lanes actually integrated,
-	// variants served by linearity, folded solver counters, and the solve
-	// panel histogram.
+	// variants served by linearity, and folded solver counters.
 	SweepStats = sweep.Stats
-	// PanelStats is the multi-RHS solve panel report of a sweep (rounds,
-	// batched solves, width histogram).
-	PanelStats = sparse.PanelStats
 )
 
-// SimulateSweep runs every variant of the deck as one batched sweep: all
-// variants share a single symbolic analysis and factorization-cache
-// lineage, concurrent lanes batch their Krylov triangular solves into
-// multi-RHS panels, and variants whose load vectors are exact scalar
-// multiples of another's are served by linearity instead of integration.
-// Results are bitwise identical to simulating each variant alone.
+// SimulateSweep runs every variant of the deck as one sweep: all variants
+// share a single symbolic analysis and factorization-cache lineage, the
+// lanes integrate in parallel, and variants whose load vectors are exact
+// scalar multiples of another's are served by linearity instead of
+// integration. Results are bitwise identical to simulating each variant
+// alone.
 func SimulateSweep(sys *System, variants []SweepVariant, opts SweepOptions) (*SweepResult, error) {
 	return sweep.Run(sys, variants, opts)
 }

@@ -33,9 +33,9 @@
 # of the panel-width range, BenchmarkSolveSeq_k* vs BenchmarkSolveMulti_k*
 # the blocked panel solves, BenchmarkSolveSeq_4dom the substitution pair on
 # separate domains, and BenchmarkSweepSolo vs
-# BenchmarkSweep_k{4,8} the scenario-sweep amortization (benchcmp gates
-# the lanes, factorizations and mean panel width they report against the
-# baseline's, and prints the Sweep_k8 / SweepSolo wall ratio ungated), and
+# BenchmarkSweep_k{4,8} the scenario sweep: parallel lanes over one cache
+# lineage (benchcmp gates the lanes and factorizations they report against
+# the baseline's, and prints the Sweep_k8 / SweepSolo wall ratio ungated), and
 # BenchmarkDist_PerGroup vs BenchmarkDist_2Nodes the distributed plan (one
 # task per bump group against the groups merged for two nodes; benchcmp
 # gates 2Nodes ≤ 0.80x PerGroup within the fresh run), and
