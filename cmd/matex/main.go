@@ -9,7 +9,7 @@
 //	matex -method rmatex -tstop 10n grid.sp
 //	matex -method tr -step 10p grid.sp            # fixed-step trapezoidal
 //	matex -method rmatex -distributed grid.sp     # bump-group decomposition
-//	matex -method rmatex -workers host1:9090,host2:9090 grid.sp
+//	matex -method rmatex -workers host1:9090,host2:9090 grid.sp  # matexd workers
 //	matex -sweep corners.json grid.sp             # N variants, one run
 //
 // Probed nodes come from the deck's ".print tran v(...)" cards; without any,
@@ -21,7 +21,13 @@
 // remote task's rows when it lands), a -sweep run each variant's rows as its
 // lanes pass them, interleaved across variants. Check the exit status: a run
 // that fails after rows have left exits 1, error on stderr, table ending on
-// a complete row — a partial table is a failed run.
+// a complete row — a partial table is a failed run. SIGINT/SIGTERM cancel
+// the run, and a -workers run's tasks on their workers with it.
+//
+// -workers names job servers (matexd or matexsrv, host:port): each task is
+// posted to one as a job, the run's spec narrowed to the task's sources with
+// the deck inline, and its rows are read back from the job's stream. A task
+// whose worker dies, drains or is full moves whole to the next worker.
 //
 // -sweep FILE runs every scenario variant in FILE (a JSON array of sweep
 // variant objects, or an object with a "variants" key — the same schema
@@ -42,12 +48,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"os/signal"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 
-	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/sweep"
@@ -60,7 +68,7 @@ func main() {
 	tol := flag.Float64("tol", 0, "Krylov error budget (MATEX) or LTE target (tradpt); 0 = the method's default, 1e-6 for MATEX, 1e-4 for tradpt")
 	gamma := flag.Float64("gamma", 1e-10, "rational shift γ for rmatex")
 	distributed := flag.Bool("distributed", false, "decompose sources by bump feature and superpose")
-	workers := flag.String("workers", "", "comma-separated matexd TCP addresses (implies -distributed)")
+	workers := flag.String("workers", "", "comma-separated host:port of the job servers (matexd or matexsrv) the tasks are posted to (implies -distributed)")
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible; lanczos is a synonym), arnoldi")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
@@ -82,14 +90,11 @@ func main() {
 		cache = sparse.NewCache(int64(*cacheMB) << 20)
 	}
 
-	f, err := os.Open(flag.Arg(0))
+	text, err := readDeck(flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
-	deck, err := job.ParseDeck(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
+	deck, err := job.ParseDeck(text, *workers != "")
 	if err != nil {
 		fatal(err)
 	}
@@ -144,19 +149,14 @@ func main() {
 		tsv = append(tsv, '\n')
 		flush()
 	}
-	var pool dist.Pool
 	if *workers != "" {
-		hooks.Pool = func() (_ dist.Pool, err error) {
-			pool, err = dist.NewRPCPool(context.Background(), strings.Split(*workers, ","))
-			return pool, err
-		}
+		hooks.Workers = strings.Split(*workers, ",")
 	}
-	out, err := task.Run(context.Background(), hooks)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	out, err := task.Run(ctx, hooks)
 	if err != nil {
 		fatal(err)
-	}
-	if pool != nil {
-		pool.Close() //matex:err-ok(process exit; a failed close of a worker connection has no recovery)
 	}
 	flush() // the header of a table no row reached
 
@@ -187,6 +187,24 @@ func main() {
 		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d expm_evals=%d steps=%d m_a=%.1f m_p=%d lanczos_spots=%d/%d dc=%v factor=%v transient=%v input_pairs=%d deviation_spots=%d\n",
 			s.Factorizations, s.Refactors, s.SymbolicHits, s.CacheHits, s.CacheMisses, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.Steps, s.MA(), s.MP(), s.LanczosSpots, len(s.KrylovDims), s.DCTime, s.FactorTime, s.TransientTime, s.InputPairs, s.DeviationSpots)
 	}
+}
+
+// readDeck reads the deck file into one string: the text the deck is parsed
+// from and a -workers run posts to its workers.
+func readDeck(path string) (string, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", err
+	}
+	var text strings.Builder
+	if st, err := f.Stat(); err == nil {
+		text.Grow(int(st.Size()))
+	}
+	_, err = io.Copy(&text, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return text.String(), err
 }
 
 // joinInts renders ids as "0,3,5".

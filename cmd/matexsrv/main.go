@@ -21,12 +21,18 @@
 // ordering among them — come from each job's spec alone; the daemon's flags
 // size the service, never the solve.
 //
+// A distributed job ("distributed": true) runs in-process, or with
+// -dist-workers over other job servers (matexsrv, or the same program built
+// as cmd/matexd): each task is posted to one as a job of its own, a spec
+// whose "inputs" name the task's sources, and its rows are read back from
+// that job's stream. Canceling the job cancels its tasks' jobs.
+//
 // Usage:
 //
 //	matexsrv -listen :8080
 //	matexsrv -listen :8080 -workers 8 -queue 128 -cache-mb 512
 //	matexsrv -listen :8080 -state-dir /var/lib/matex -checkpoint-every 128
-//	matexsrv -dist-workers host1:9090,host2:9090   # matexd fan-out
+//	matexsrv -dist-workers host1:9090,host2:9090   # D-MATEX over two workers
 //
 // Submit and stream:
 //
@@ -37,81 +43,6 @@
 //	curl -s localhost:8080/stats
 package main
 
-import (
-	"context"
-	"errors"
-	"flag"
-	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"os"
-	"strings"
-	"time"
+import "github.com/matex-sim/matex/internal/serve"
 
-	"github.com/matex-sim/matex/internal/serve"
-)
-
-func main() {
-	listen := flag.String("listen", ":8080", "HTTP address to listen on")
-	workers := flag.Int("workers", 0, "concurrently running jobs (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "queued-job capacity; a full queue answers 429")
-	cacheMB := flag.Int("cache-mb", 512, "shared factorization cache budget in MiB (<=0 selects the default)")
-	distWorkers := flag.String("dist-workers", "", "comma-separated matexd TCP addresses for distributed jobs (empty = in-process pool)")
-	grace := flag.Duration("grace", 30*time.Second, "drain budget after SIGINT/SIGTERM before running jobs are canceled")
-	stateDir := flag.String("state-dir", "", "durable-job journal directory; jobs survive a crash and resume from their last checkpoint (empty = in-memory only)")
-	cpEvery := flag.Int("checkpoint-every", 0, "journaled-checkpoint cadence in accepted integrator steps (0 = default 128; needs -state-dir)")
-	flag.Parse()
-
-	cfg := serve.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		CacheBytes:      int64(*cacheMB) << 20,
-		StateDir:        *stateDir,
-		CheckpointEvery: *cpEvery,
-	}
-	if *distWorkers != "" {
-		cfg.DistAddrs = strings.Split(*distWorkers, ",")
-	}
-	s, err := serve.New(cfg)
-	if err != nil {
-		log.Fatalf("matexsrv: %v", err)
-	}
-
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("matexsrv: %v", err)
-	}
-	fmt.Printf("matexsrv: listening on %s\n", l.Addr())
-
-	httpSrv := &http.Server{Handler: s.Handler()}
-	ctx, stop := serve.SignalContext(context.Background())
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		fmt.Fprintln(os.Stderr, "matexsrv: draining (signal received)")
-		// Flip /readyz to 503 and stop the intake first, so a load balancer
-		// health-checking this instance sees it unready for the whole drain
-		// window while in-flight streams and jobs finish.
-		s.BeginDrain()
-		// Stop accepting requests; in-flight streams get the grace budget
-		// to finish alongside the job-queue drain below.
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "matexsrv: http shutdown: %v\n", err)
-		}
-	}()
-
-	err = httpSrv.Serve(l)
-	if err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatalf("matexsrv: %v", err)
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	if err := s.Shutdown(drainCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "matexsrv: exiting with canceled jobs: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println("matexsrv: drained, exiting")
-}
+func main() { serve.Main("matexsrv") }

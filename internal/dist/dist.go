@@ -1,17 +1,10 @@
 package dist
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/gob"
-	"fmt"
-	"sync"
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
-	"github.com/matex-sim/matex/internal/krylov"
-	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 	"github.com/matex-sim/matex/internal/waveform"
 )
@@ -58,15 +51,14 @@ func Partition(sys *circuit.System, tstop float64) []Task {
 // Config configures a distributed MATEX run.
 type Config struct {
 	// Base is the solver configuration every node runs under, with the
-	// defaults transient.Options documents. Tstop, Step, Probes (recorded at
-	// every GTS point), Tol, Gamma, MaxDim, Ordering and Krylov travel with
-	// the subtask request. Cache is shared by the scheduler's DC solve and
-	// the in-process subtasks (nil: a run-local one) and never crosses the
-	// wire — matexd workers keep their own — so reusing one across Run
-	// calls makes later runs refactorization-free.
+	// defaults transient.Options documents; its Probes are recorded at every
+	// GTS point. Cache is shared by the scheduler's DC solve and the
+	// in-process subtasks (nil: a run-local one) — remote workers keep their
+	// own — so reusing one across Run calls makes later runs
+	// refactorization-free.
 	// Ctx cancels the run: nothing further is dispatched, in-process
-	// subtasks abort at their next step boundary, RPC dispatches return
-	// without waiting for their reply. OnSample receives the superposed rows
+	// subtasks abort at their next step boundary, remote ones are canceled on
+	// their workers. OnSample receives the superposed rows
 	// under transient.Simulate's contract — one at a time, in time order,
 	// the row aliasing the returned Result's — as they leave: t = 0 (x_DC)
 	// once the DC solve is done, every later GTS point once the slowest task
@@ -76,7 +68,7 @@ type Config struct {
 	// node emits on the GTS grid from zero state whatever EvalTimes and
 	// InitialState say.
 	// The plan gives every node one task and a task runs on one core, so
-	// run one matexd per core (the plan is cut for the nodes present); the
+	// name one worker per core (the plan is cut for the nodes present); the
 	// in-process pool already occupies one core per task.
 	Base transient.Options
 	// Workers bounds in-flight subtasks and, for the default in-process
@@ -87,8 +79,8 @@ type Config struct {
 	// is measured contention-free.
 	Workers int
 	// Pool overrides where subtasks run. Nil uses an in-process goroutine
-	// pool of Workers nodes; NewRPCPool dispatches to matexd workers over
-	// TCP; NewLocalPool is the in-process pool with an explicit node count.
+	// pool of Workers nodes; NewLocalPool is the in-process pool with an
+	// explicit node count; internal/job posts tasks to job servers.
 	// The pool's node count decides how many tasks the bump-feature groups
 	// are merged into. A pool holds no circuit and may be shared by runs on
 	// different Systems, concurrently.
@@ -136,46 +128,17 @@ type TaskReport struct {
 	Elapsed time.Duration
 	// Retried counts its re-dispatches after worker failures.
 	Retried int
-	// Worker is the address of the matexd that solved it; empty in-process.
+	// Worker is the address of the worker that solved it; empty in-process.
 	Worker string
 }
 
-// subtaskRequest builds the solver configuration shared by every subtask:
-// the wire-safe part of base, outputs on the shared GTS grid.
-func subtaskRequest(method transient.Method, base *transient.Options, gts []float64) Request {
-	return Request{
-		Method:    method,
-		Tstop:     base.Tstop,
-		Step:      base.Step,
-		Tol:       base.Tol,
-		Gamma:     base.Gamma,
-		MaxDim:    base.MaxDim,
-		Probes:    append([]int(nil), base.Probes...),
-		EvalTimes: gts,
-		Ordering:  base.Ordering,
-		Krylov:    base.Krylov,
-	}
-}
-
-// Key names a circuit on the wire: the SHA-256 of its encoded zero-state
-// view. Workers hold circuits by it and check it against the bytes they
-// receive; a collision would be a silently wrong waveform, hence a
-// cryptographic hash.
-type Key [sha256.Size]byte
-
 // System is one circuit as the distributed engine handles it: the stamped
-// system (partition, DC point, GTS), the zero-state view every subtask
-// integrates, and the view's wire form with its Key — encoded at most once,
-// and only when an RPC pool first needs them. Pools do not hold circuits;
-// the System travels with each task. Build one per circuit and share it
-// across runs: it is read-only and safe for concurrent use.
+// system (partition, DC point, GTS) and the zero-state view every task
+// integrates. Pools do not hold circuits; the System travels with each task.
+// Build one per circuit and share it across runs: it is read-only and safe
+// for concurrent use.
 type System struct {
 	sys, sub *circuit.System
-
-	wireOnce sync.Once
-	blob     []byte
-	key      Key
-	wireErr  error
 }
 
 // NewSystem wraps sys for Run. The zero-state view has every time-varying
@@ -197,59 +160,27 @@ func NewSystem(sys *circuit.System) *System {
 	return &System{sys: sys, sub: &sub}
 }
 
-// wireSystem is the serialized form of the zero-state view: exactly what a
-// worker needs to run transient.Simulate — matrices and inputs, no node
-// names.
-type wireSystem struct {
-	N, NumNodes int
-	C, G        *sparse.CSC
-	Inputs      []circuit.Input
+// NewRequest is the Request every task of a run of method on dsys under
+// base is solved with: base with its ordering resolved, so the scheduler's
+// DC solve and every task share one fill, and its samples on the GTS grid
+// of the whole system.
+func NewRequest(dsys *System, method transient.Method, base transient.Options) Request {
+	base.Ordering = base.Ordering.Resolve()
+	base.EvalTimes = dsys.sys.GTS(base.Tstop)
+	return Request{Method: method, Options: base}
 }
 
-// wire returns the gob-encoded zero-state view and its key.
-func (s *System) wire() ([]byte, Key, error) {
-	s.wireOnce.Do(func() {
-		var buf bytes.Buffer
-		sub := s.sub
-		err := gob.NewEncoder(&buf).Encode(wireSystem{
-			N: sub.N, NumNodes: sub.NumNodes, C: sub.C, G: sub.G, Inputs: sub.Inputs,
-		})
-		if err != nil {
-			s.wireErr = fmt.Errorf("dist: encoding system: %w", err)
-			return
-		}
-		s.blob, s.key = buf.Bytes(), sha256.Sum256(buf.Bytes())
-	})
-	return s.blob, s.key, s.wireErr
-}
-
-// subtaskOptions assembles the transient.Options for one task against the
-// zero-based system view. cache and workspaces are the node's shared
-// resources: on the scheduler they are shared by every in-process subtask,
-// on a matexd worker they are the worker's own (neither travels over RPC,
-// like the paper's cluster machines) — so repeated subtasks reuse both the
-// factorizations and the Krylov arenas of their predecessors. ctx (nil ok)
-// cancels the subtask mid-integration; it is per-process too.
-func subtaskOptions(ctx context.Context, sub *circuit.System, task Task, req Request, cache *sparse.Cache, workspaces *krylov.WorkspacePool) transient.Options {
-	active := make([]bool, len(sub.Inputs))
-	for _, k := range task.InputIdx {
-		active[k] = true
+// SolveTask integrates one task the way every node does: the zero-state
+// response of dsys to the inputs it names (indices into the system's
+// Inputs), under req, until ctx is done. The in-process pool runs it per
+// task, and so does a job server handed a task spec (job.Spec.Inputs).
+func SolveTask(ctx context.Context, dsys *System, inputs []int, req Request) (*transient.Result, error) {
+	opts := req.Options
+	opts.ActiveInputs = make([]bool, len(dsys.sub.Inputs))
+	for _, k := range inputs {
+		opts.ActiveInputs[k] = true
 	}
-	return transient.Options{
-		Tstop:        req.Tstop,
-		Step:         req.Step,
-		Probes:       req.Probes,
-		EvalTimes:    req.EvalTimes,
-		Tol:          req.Tol,
-		Gamma:        req.Gamma,
-		MaxDim:       req.MaxDim,
-		Ordering:     req.Ordering,
-		ActiveInputs: active,
-		InitialState: make([]float64, sub.N),
-		Cache:        cache,
-		Krylov:       req.Krylov,
-		Workspaces:   workspaces,
-		Ctx:          ctx,
-		OnSample:     req.OnSample,
-	}
+	opts.InitialState = make([]float64, dsys.sub.N)
+	opts.Ctx = ctx
+	return transient.Simulate(dsys.sub, req.Method, opts)
 }

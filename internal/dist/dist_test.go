@@ -1,16 +1,8 @@
 package dist
 
 import (
-	"bytes"
-	"context"
-	"encoding/gob"
-	"fmt"
-	"io"
 	"math"
-	"net"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -209,183 +201,6 @@ func TestDistSuperpositionIMATEX(t *testing.T) {
 	}
 }
 
-// startWorker serves a WorkerServer on a loopback listener.
-func startWorker(t *testing.T) (addr string, stop func()) {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go ServeContext(context.Background(), l, NewWorkerServer(nil))
-	return l.Addr().String(), func() { l.Close() }
-}
-
-// TestDistRPCLoopback runs the same decomposition over two loopback TCP
-// workers and over a two-node in-process pool and demands bit-identical
-// results: same node count ⇒ same plan ⇒ the identical computation in the
-// identical order on both paths.
-func TestDistRPCLoopback(t *testing.T) {
-	sys := testSystem(t, 0.2)
-	probes := testProbes(sys)
-	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
-
-	local, repL, err := Run(NewSystem(sys), transient.RMATEX, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addr1, stop1 := startWorker(t)
-	defer stop1()
-	addr2, stop2 := startWorker(t)
-	defer stop2()
-	pool, err := NewRPCPool(context.Background(), []string{addr1, addr2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	cfg.Pool = pool
-	remote, repR, err := Run(NewSystem(sys), transient.RMATEX, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repR.Groups != repL.Groups || repR.Tasks != 2 || repL.Tasks != 2 {
-		t.Fatalf("plans differ: %d groups in %d tasks vs %d in %d", repR.Groups, repR.Tasks, repL.Groups, repL.Tasks)
-	}
-	for i := range repR.PerTask {
-		if !reflect.DeepEqual(repR.PerTask[i].Groups, repL.PerTask[i].Groups) {
-			t.Fatalf("task %d holds groups %v over TCP, %v in-process", i, repR.PerTask[i].Groups, repL.PerTask[i].Groups)
-		}
-		if repR.PerTask[i].Worker == "" || repL.PerTask[i].Worker != "" {
-			t.Errorf("task %d worker: %q over TCP, %q in-process", i, repR.PerTask[i].Worker, repL.PerTask[i].Worker)
-		}
-	}
-	if repR.Retried != 0 {
-		t.Errorf("unexpected retries on healthy workers: %d", repR.Retried)
-	}
-	if d := maxDeviation(t, remote, local, len(probes)); d != 0 {
-		t.Errorf("TCP round-trip deviates %.3g V from in-process (want bit-identical)", d)
-	}
-}
-
-// killableProxy forwards TCP bytes to a target until Kill is called, then
-// severs every connection — a worker machine dying mid-task.
-type killableProxy struct {
-	l      net.Listener
-	target string
-
-	mu     sync.Mutex
-	killed bool
-	conns  []net.Conn
-}
-
-func newKillableProxy(t *testing.T, target string) *killableProxy {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &killableProxy{l: l, target: target}
-	go p.acceptLoop()
-	return p
-}
-
-func (p *killableProxy) addr() string { return p.l.Addr().String() }
-
-func (p *killableProxy) acceptLoop() {
-	for {
-		conn, err := p.l.Accept()
-		if err != nil {
-			return
-		}
-		p.mu.Lock()
-		if p.killed {
-			p.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		up, err := net.Dial("tcp", p.target)
-		if err != nil {
-			p.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		p.conns = append(p.conns, conn, up)
-		p.mu.Unlock()
-		go func() { io.Copy(up, conn); up.Close() }()
-		go func() { io.Copy(conn, up); conn.Close() }()
-	}
-}
-
-// Kill severs all live connections and refuses new ones.
-func (p *killableProxy) Kill() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.killed = true
-	for _, c := range p.conns {
-		c.Close()
-	}
-	p.conns = nil
-	p.l.Close()
-}
-
-// TestDistWorkerFailureRetry kills one of two workers after registration;
-// every subtask it had been assigned must be re-dispatched to the survivor,
-// surface in Report.Retried, and the result must still match in-process.
-func TestDistWorkerFailureRetry(t *testing.T) {
-	sys := testSystem(t, 0.2)
-	probes := testProbes(sys)
-	// Two nodes in-process: the plan the two-worker pool gets.
-	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes}, Workers: 2}
-
-	local, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addrReal, stopReal := startWorker(t)
-	defer stopReal()
-	addrVictim, stopVictim := startWorker(t)
-	defer stopVictim()
-	proxy := newKillableProxy(t, addrVictim)
-
-	pool, err := NewRPCPool(context.Background(), []string{proxy.addr(), addrReal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	// The victim dies after registration, before (and so also "during") its
-	// first subtask: every dispatch routed to it must fail over.
-	proxy.Kill()
-
-	cfg.Pool = pool
-	remote, rep, err := Run(NewSystem(sys), transient.RMATEX, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Retried == 0 {
-		t.Errorf("worker death did not surface in Report.Retried")
-	}
-	if d := maxDeviation(t, remote, local, len(probes)); d != 0 {
-		t.Errorf("failover run deviates %.3g V from in-process", d)
-	}
-}
-
-// TestDistRPCPoolRejectsDeadAddress: construction fails fast when a worker
-// is unreachable, instead of deferring the surprise to Solve.
-func TestDistRPCPoolRejectsDeadAddress(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := l.Addr().String()
-	l.Close()
-	if _, err := NewRPCPool(context.Background(), []string{dead}); err == nil {
-		t.Fatal("NewRPCPool succeeded against a closed listener")
-	}
-}
-
 // TestDistNoTransientSources: a purely static system decomposes into zero
 // groups and returns the DC baseline on the [0, tstop] grid.
 func TestDistNoTransientSources(t *testing.T) {
@@ -495,47 +310,6 @@ func TestDistAdaptiveTRUnsetTolIsTheLTEDefault(t *testing.T) {
 	}
 }
 
-// TestDistRepeatedRunZeroFactorizations is the distributed acceptance test
-// for the factorization cache: against the same WorkerServer, with the
-// scheduler reusing one Config.Base.Cache, the second Run must perform zero
-// new factorizations anywhere — the workers serve every operator from their
-// per-process cache and the scheduler's DC factorization hits too.
-func TestDistRepeatedRunZeroFactorizations(t *testing.T) {
-	sys := testSystem(t, 0.2)
-	probes := testProbes(sys)
-
-	addr, stop := startWorker(t)
-	defer stop()
-	pool, err := NewRPCPool(context.Background(), []string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-
-	cfg := Config{Base: transient.Options{Tstop: 10e-9, Tol: 1e-7, Gamma: 1e-10, Probes: probes, Cache: sparse.NewCache(0)}, Pool: pool}
-	first, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Stats.Factorizations == 0 {
-		t.Fatal("first run reports no factorizations at all")
-	}
-	second, _, err := Run(NewSystem(sys), transient.RMATEX, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second.Stats.Factorizations != 0 {
-		t.Errorf("second run against the same worker factorized %d times, want 0",
-			second.Stats.Factorizations)
-	}
-	if second.Stats.CacheHits == 0 {
-		t.Error("second run recorded no cache hits")
-	}
-	if d := maxDeviation(t, second, first, len(probes)); d != 0 {
-		t.Errorf("cached repeat deviates %.3g V (want bit-identical)", d)
-	}
-}
-
 // TestDistLocalPoolSharesFactorizations: even without a caller cache, one
 // in-process Run factorizes G and (C+γG) exactly once across all subtasks.
 func TestDistLocalPoolSharesFactorizations(t *testing.T) {
@@ -588,83 +362,5 @@ func TestDistKrylovLanczos(t *testing.T) {
 	}
 	if d := maxDeviation(t, res, ref, len(probes)); d > 1e-8*scale {
 		t.Errorf("lanczos vs arnoldi distributed waveforms differ by %g (scale %g)", d, scale)
-	}
-}
-
-// oldRequest is a Request as an older coordinator encodes it, with the
-// FactorKind and SolveWorkers fields this one no longer has.
-type oldRequest struct {
-	Method                  transient.Method
-	Tstop, Step, Tol, Gamma float64
-	MaxDim                  int
-	Probes                  []int
-	EvalTimes               []float64
-	Ordering                sparse.Ordering
-	Krylov                  krylov.Method
-	FactorKind              int
-	SolveWorkers            int
-}
-
-// TestOldCoordinatorRequestDecodes pins doc.go's wire-compatibility
-// paragraph: an older coordinator's Request decodes with every surviving
-// field intact and the dead ones dropped.
-func TestOldCoordinatorRequestDecodes(t *testing.T) {
-	old := oldRequest{
-		Method: transient.RMATEX, Tstop: 1e-9, Tol: 1e-6, Gamma: 1e-10, MaxDim: 40,
-		Probes: []int{3, 5}, EvalTimes: []float64{0, 5e-10, 1e-9},
-		Ordering: sparse.OrderND, Krylov: krylov.Method(2), // the retired "lanczos" value
-		FactorKind: 2, SolveWorkers: 4,
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
-		t.Fatal(err)
-	}
-	var got Request
-	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
-		t.Fatalf("decoding an older coordinator's request: %v", err)
-	}
-	want := Request{
-		Method: old.Method, Tstop: old.Tstop, Tol: old.Tol, Gamma: old.Gamma, MaxDim: old.MaxDim,
-		Probes: old.Probes, EvalTimes: old.EvalTimes, Ordering: old.Ordering, Krylov: old.Krylov,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("decoded %+v, want %+v", got, want)
-	}
-}
-
-// TestOldCoordinatorDeletedMethodFails: a Request from a coordinator that
-// still had backward or forward Euler (Method 1 or 2) decodes and reaches
-// the worker, which answers "unknown method" — a solver answer over a
-// healthy connection, not a transport failure, so the worker is neither
-// buried nor handed the task again, and no other integrator runs it.
-func TestOldCoordinatorDeletedMethodFails(t *testing.T) {
-	sys := testSystem(t, 0.2)
-	tasks := Partition(sys, 10e-9)
-	if len(tasks) == 0 {
-		t.Fatal("no groups to send")
-	}
-	addr, stop := startWorker(t)
-	defer stop()
-	pool, err := NewRPCPool(context.Background(), []string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	for _, m := range []transient.Method{1, 2} {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(oldRequest{Method: m, Tstop: 10e-9, Step: 1e-11, FactorKind: 2, SolveWorkers: 4}); err != nil {
-			t.Fatal(err)
-		}
-		var req Request
-		if err := gob.NewDecoder(&buf).Decode(&req); err != nil {
-			t.Fatalf("method %d: decoding an older coordinator's request: %v", m, err)
-		}
-		_, err := pool.Solve(context.Background(), NewSystem(sys), tasks[0], req)
-		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown method %d", m)) || isTransportError(err) {
-			t.Errorf("method %d: got %v, want the worker's unknown-method answer", m, err)
-		}
-		if n := pool.Nodes(); n != 1 {
-			t.Errorf("method %d: %d live workers after the refusal, want 1", m, n)
-		}
 	}
 }

@@ -348,8 +348,7 @@ type gatePool struct {
 	full     chan struct{}
 }
 
-func (p *gatePool) Nodes() int   { return p.nodes }
-func (p *gatePool) Close() error { return nil }
+func (p *gatePool) Nodes() int { return p.nodes }
 
 func (p *gatePool) Solve(ctx context.Context, _ *System, task Task, req Request) (*TaskResult, error) {
 	p.mu.Lock()

@@ -11,27 +11,13 @@ import (
 	"github.com/matex-sim/matex/internal/transient"
 )
 
-// Request is the solver configuration shared by every subtask of one
-// distributed run. It is wire-friendly: everything a remote worker needs to
-// reproduce the scheduler's transient.Options except the shared
-// factorizations and Krylov arenas, which never travel (workers keep their
-// own).
+// Request is what every task of one run is solved under: the method and
+// the run's solver options (NewRequest). Run sets Options.OnSample per task,
+// so in-process tasks stream into the superposition; SolveTask adds the
+// task's input mask, zero initial state and context.
 type Request struct {
-	Method                  transient.Method
-	Tstop, Step, Tol, Gamma float64
-	MaxDim                  int
-	Probes                  []int
-	// EvalTimes is the shared GTS output grid every node emits snapshots on.
-	EvalTimes []float64
-	Ordering  sparse.Ordering
-	// Krylov is the subspace process every node runs (auto / arnoldi /
-	// lanczos; see krylov.Method).
-	Krylov krylov.Method
-	// OnSample, set per task by Run, receives the subtask's samples as it
-	// records them (transient.Options.OnSample): in-process subtasks stream
-	// into the scheduler's superposition. gob skips func fields, so a remote
-	// subtask's samples arrive with its reply instead.
-	OnSample func(t float64, probes []float64)
+	Method  transient.Method
+	Options transient.Options
 }
 
 // TaskResult is one solved subtask.
@@ -42,30 +28,27 @@ type TaskResult struct {
 	Elapsed time.Duration
 	// Retried counts re-dispatches after worker failures before success.
 	Retried int
-	// Worker is the address of the worker that solved it (RPC pools).
+	// Worker is the address of the worker that solved it (remote pools).
 	Worker string
 	// Wait is how long the task queued for an in-flight slot; the scheduler
 	// fills it in, pools leave it zero.
 	Wait time.Duration
 }
 
-// Pool runs subtasks somewhere: in-process goroutines (the default) or
-// matexd workers over TCP (NewRPCPool). A pool is nodes, not a circuit: the
-// System arrives with each task, so one pool serves any number of circuits.
-// Solve must be safe for concurrent use; the scheduler issues up to
-// Config.Workers calls at once. ctx cancels the subtask: in-process pools
-// abort the integration, the RPC pool stops waiting for the reply (the
-// remote worker finishes on its own).
+// Pool runs subtasks somewhere: in-process goroutines (the default) or job
+// servers (internal/job posts each task to a worker's /v1/simulate). A
+// pool's Result may lack the final state (a remote task streams probe rows
+// only); Run's Result then has none either. Solve must be safe for
+// concurrent use; the scheduler issues up to Config.Workers calls at once.
+// ctx cancels the subtask: in-process pools abort the integration, a remote
+// pool cancels the task's job on its worker.
 type Pool interface {
 	Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error)
-	// Nodes reports how many subtasks the pool can run at once: the live
-	// workers of an RPC pool, the node count of an in-process pool. Run
-	// cuts the decomposition into that many tasks and, unless
-	// Config.Workers says otherwise, keeps that many in flight.
+	// Nodes reports how many subtasks the pool can run at once: the workers
+	// of a remote pool, the node count of an in-process pool. Run cuts the
+	// decomposition into that many tasks and, unless Config.Workers says
+	// otherwise, keeps that many in flight.
 	Nodes() int
-	// Close releases pool resources (network connections). The in-process
-	// pool has none.
-	Close() error
 }
 
 // localPool solves subtasks in-process. All subtasks share one
@@ -105,13 +88,10 @@ func (p *localPool) Nodes() int { return p.nodes }
 // Solve implements Pool.
 func (p *localPool) Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
 	start := time.Now()
-	opts := subtaskOptions(ctx, sys.sub, task, req, p.cache, p.workspaces)
-	res, err := transient.Simulate(sys.sub, req.Method, opts)
+	req.Options.Cache, req.Options.Workspaces = p.cache, p.workspaces
+	res, err := SolveTask(ctx, sys, task.InputIdx, req)
 	if err != nil {
 		return nil, fmt.Errorf("dist: group %d: %w", task.GroupID, err)
 	}
 	return &TaskResult{Result: res, Elapsed: time.Since(start)}, nil
 }
-
-// Close implements Pool.
-func (p *localPool) Close() error { return nil }

@@ -49,13 +49,14 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	if err := superpose.CheckBase(&base); err != nil {
 		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
-	// Resolve the ordering once, here, so the scheduler's own DC
-	// factorization and every subtask share one fill and, with a shared
-	// cache, one cache key.
-	base.Ordering = base.Ordering.Resolve()
 	if base.Ctx == nil {
 		base.Ctx = context.Background()
 	}
+	// The ordering is resolved once, here, so the scheduler's own DC
+	// factorization and every subtask share one fill and, with a shared
+	// cache, one cache key.
+	req := NewRequest(dsys, method, base)
+	gts := req.Options.EvalTimes
 
 	rep := &Report{}
 
@@ -87,8 +88,6 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	nodes := pool.Nodes()
 	tasks, perTask := planTasks(groups, spots, nodes)
 	rep.Groups, rep.Tasks, rep.PerTask = len(groups), len(tasks), perTask
-	gts := sys.GTS(base.Tstop)
-	req := subtaskRequest(method, &base, gts)
 
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -120,7 +119,7 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 		defer close(dcDone)
 		tDC := time.Now()
 		var xdc []float64
-		xdc, dcInfo, dcErr = solveDC(sys, base.Ordering, cache)
+		xdc, dcInfo, dcErr = solveDC(sys, req.Options.Ordering, cache)
 		rep.DCTime = time.Since(tDC)
 		if dcErr != nil {
 			cancel()
@@ -132,7 +131,7 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	results, err := superpose.FanOut(ctx, len(tasks), workers, func(ctx context.Context, i int) (*TaskResult, error) {
 		wait := time.Since(queued)
 		lane := req
-		lane.OnSample = func(t float64, row []float64) { fold.Sample(i, t, row) }
+		lane.Options.OnSample = func(t float64, row []float64) { fold.Sample(i, t, row) }
 		tr, err := pool.Solve(ctx, dsys, tasks[i], lane)
 		if err != nil {
 			return nil, err
@@ -169,6 +168,9 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 		rep.MaxNodeTrTime = max(rep.MaxNodeTrTime, st.TransientTime)
 		res.Stats.Add(st)
 		res.Stats.FactorTime += st.FactorTime
+		if tr.Result.Final == nil {
+			res.Final = nil // a remote task's final state stayed on its worker
+		}
 	}
 	res.Stats.TransientTime = rep.MaxNodeTrTime
 	return res, rep, nil

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -20,8 +19,7 @@ type funcPool struct {
 	solve func(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error)
 }
 
-func (p funcPool) Nodes() int   { return p.nodes }
-func (p funcPool) Close() error { return nil }
+func (p funcPool) Nodes() int { return p.nodes }
 func (p funcPool) Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
 	return p.solve(ctx, sys, task, req)
 }
@@ -76,60 +74,6 @@ func (l *rowLog) matches(res *transient.Result) bool {
 	return true
 }
 
-// TestRunStreamsTheSuperposition: Base.OnSample delivers the superposed rows
-// — one at a time, in time order, row 0 being x_DC — and they are the rows
-// of the returned Result, bit for bit, whether the tasks stream in-process
-// (MATEX lanes on the grid, fixed-step lanes interpolated onto it) or land
-// whole over TCP.
-func TestRunStreamsTheSuperposition(t *testing.T) {
-	sys := testSystem(t, 0.2)
-	probes := testProbes(sys)
-	xdc, _, err := solveDC(sys, sparse.OrderDefault.Resolve(), sparse.NewCache(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr1, stop1 := startWorker(t)
-	defer stop1()
-	addr2, stop2 := startWorker(t)
-	defer stop2()
-	rpc, err := NewRPCPool(context.Background(), []string{addr1, addr2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rpc.Close()
-
-	for _, c := range []struct {
-		name   string
-		method transient.Method
-		pool   Pool
-	}{
-		{"rmatex in-process", transient.RMATEX, nil},
-		{"tr in-process", transient.TRFixed, nil},
-		{"tradpt in-process", transient.TRAdaptive, nil},
-		{"rmatex over tcp", transient.RMATEX, rpc},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			log := newRowLog(t)
-			base := transient.Options{Tstop: 10e-9, Step: 0.7e-9, Tol: 1e-7, Probes: probes, OnSample: log.hook}
-			res, rep, err := Run(NewSystem(sys), c.method, Config{Base: base, Workers: 2, Pool: c.pool})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Tasks < 2 {
-				t.Fatalf("%d tasks", rep.Tasks)
-			}
-			if !log.matches(res) {
-				t.Fatalf("streamed %d rows that are not the result's %d", len(log.times), len(res.Times))
-			}
-			for k, p := range probes {
-				if log.rows[0][k] != xdc[p] {
-					t.Fatalf("row 0 column %d is %g, x_DC %g", k, log.rows[0][k], xdc[p])
-				}
-			}
-		})
-	}
-}
-
 // TestRowZeroLeavesBeforeAnyTaskLands: every task is held until the test has
 // seen row 0, so row 0 — x_DC — can only have come from the DC solve.
 func TestRowZeroLeavesBeforeAnyTaskLands(t *testing.T) {
@@ -165,12 +109,12 @@ func TestRowZeroLeavesBeforeAnyTaskLands(t *testing.T) {
 	}
 }
 
-// remoteLike runs a task in-process but, like an RPC worker, streams nothing
+// remoteLike runs a task in-process but, like a remote worker, streams nothing
 // and hands back the whole result for edit to tamper with.
 func remoteLike(edit func(task int, r *transient.Result)) Pool {
 	local := NewLocalPool(2, nil)
 	return funcPool{nodes: 2, solve: func(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
-		req.OnSample = nil
+		req.Options.OnSample = nil
 		tr, err := local.Solve(ctx, sys, task, req)
 		if err == nil {
 			edit(task.GroupID, tr.Result)
@@ -261,5 +205,20 @@ func TestTaskFailureAfterRowZero(t *testing.T) {
 	}
 	if len(log.times) == 0 || log.times[0] != 0 {
 		t.Fatalf("rows before the failure start at %v", log.times)
+	}
+}
+
+// TestRunCtxCancel: a canceled config context aborts the distributed run
+// with the context error.
+func TestRunCtxCancel(t *testing.T) {
+	sys := testSystem(t, 0.15)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 5e-9, Ctx: ctx}})
+	if err == nil {
+		t.Fatal("canceled run returned nil error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v does not wrap context.Canceled", err)
 	}
 }

@@ -1,9 +1,10 @@
 // Package faultinject is the deterministic fault-injection harness behind
-// the chaos test suites: a registry of named injection points threaded
-// through the distributed transport (internal/dist) and the durable job
-// journal (internal/serve), with no build tags — a nil *Registry compiles
-// to a two-instruction no-op on every hot path, so production binaries pay
-// nothing and tests arm exactly the faults they assert on.
+// the durable job journal's chaos tests (internal/serve): a registry of
+// named injection points, with no build tags — a nil *Registry compiles to
+// a two-instruction no-op on every hot path, so production binaries pay
+// nothing and tests arm exactly the faults they assert on. (Worker failures
+// need no injection point: the distributed chaos tests kill, drain and cut
+// off real loopback job servers.)
 //
 // Faults are deterministic: a Plan either fires on an exact check count
 // (After/Times) or probabilistically from a seeded PRNG, so a chaos run
@@ -24,16 +25,6 @@ import (
 type Point string
 
 const (
-	// DialFail fails a worker dial (pool construction, revival, health
-	// probe) as if the host were unreachable.
-	DialFail Point = "dial-fail"
-	// RPCSever severs a worker connection mid-RPC from the client side, as
-	// if the TCP session dropped while a reply was in flight.
-	RPCSever Point = "rpc-sever"
-	// WorkerCrash crashes a matexd worker process after N completed tasks:
-	// the serving loop severs every connection without draining, exactly
-	// what kill -9 looks like from the scheduler's side.
-	WorkerCrash Point = "worker-crash"
 	// CheckpointWrite fails a durable checkpoint append (torn disk write).
 	CheckpointWrite Point = "checkpoint-write"
 	// JournalAppend fails a job-journal append (disk full).
@@ -42,7 +33,7 @@ const (
 
 // Points lists every registered injection point. The chaos suite iterates
 // it to prove each point has at least one test injecting it.
-var Points = []Point{DialFail, RPCSever, WorkerCrash, CheckpointWrite, JournalAppend}
+var Points = []Point{CheckpointWrite, JournalAppend}
 
 // ErrInjected is the sentinel every injected fault matches via errors.Is,
 // regardless of which Point produced it.
@@ -142,11 +133,6 @@ func (r *Registry) Check(p Point) error {
 	ru.fired++
 	return &Error{Point: p, Hit: ru.fired}
 }
-
-// Hit reports whether the point fires at this check — Check for call sites
-// that model the fault themselves (severing a connection) rather than
-// returning an error. Safe on a nil registry (always false).
-func (r *Registry) Hit(p Point) bool { return r.Check(p) != nil }
 
 // Fired returns how many times the point has fired. Safe on nil (0).
 func (r *Registry) Fired(p Point) int {

@@ -12,9 +12,6 @@ func TestNilRegistryIsInert(t *testing.T) {
 		if err := r.Check(p); err != nil {
 			t.Fatalf("nil registry fired %s: %v", p, err)
 		}
-		if r.Hit(p) {
-			t.Fatalf("nil registry Hit(%s) = true", p)
-		}
 		if r.Fired(p) != 0 || r.Checks(p) != 0 {
 			t.Fatalf("nil registry has counters for %s", p)
 		}
@@ -24,21 +21,21 @@ func TestNilRegistryIsInert(t *testing.T) {
 func TestUnarmedPointNeverFires(t *testing.T) {
 	r := New(1)
 	for i := 0; i < 100; i++ {
-		if err := r.Check(DialFail); err != nil {
+		if err := r.Check(CheckpointWrite); err != nil {
 			t.Fatalf("unarmed point fired: %v", err)
 		}
 	}
-	if r.Checks(DialFail) != 0 {
-		t.Fatalf("unarmed point counted checks: %d", r.Checks(DialFail))
+	if r.Checks(CheckpointWrite) != 0 {
+		t.Fatalf("unarmed point counted checks: %d", r.Checks(CheckpointWrite))
 	}
 }
 
 func TestAfterTimesWindow(t *testing.T) {
 	r := New(1)
-	r.Arm(RPCSever, Plan{After: 2, Times: 3})
+	r.Arm(JournalAppend, Plan{After: 2, Times: 3})
 	var fired []int
 	for i := 1; i <= 10; i++ {
-		if r.Check(RPCSever) != nil {
+		if r.Check(JournalAppend) != nil {
 			fired = append(fired, i)
 		}
 	}
@@ -51,10 +48,10 @@ func TestAfterTimesWindow(t *testing.T) {
 			t.Fatalf("fired at %v, want %v", fired, want)
 		}
 	}
-	if got := r.Fired(RPCSever); got != 3 {
+	if got := r.Fired(JournalAppend); got != 3 {
 		t.Fatalf("Fired = %d, want 3", got)
 	}
-	if got := r.Checks(RPCSever); got != 10 {
+	if got := r.Checks(JournalAppend); got != 10 {
 		t.Fatalf("Checks = %d, want 10", got)
 	}
 }
@@ -84,10 +81,10 @@ func TestTypedError(t *testing.T) {
 func TestProbDeterministicForSeed(t *testing.T) {
 	run := func(seed int64) []bool {
 		r := New(seed)
-		r.Arm(WorkerCrash, Plan{Prob: 0.5})
+		r.Arm(CheckpointWrite, Plan{Prob: 0.5})
 		out := make([]bool, 64)
 		for i := range out {
-			out[i] = r.Hit(WorkerCrash)
+			out[i] = r.Check(CheckpointWrite) != nil
 		}
 		return out
 	}
@@ -140,20 +137,20 @@ func TestDisarmAndRearmResetsCounters(t *testing.T) {
 
 func TestConcurrentChecksRace(t *testing.T) {
 	r := New(7)
-	r.Arm(DialFail, Plan{Prob: 0.3})
+	r.Arm(CheckpointWrite, Plan{Prob: 0.3})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				r.Check(DialFail)
-				r.Fired(DialFail)
+				r.Check(CheckpointWrite)
+				r.Fired(CheckpointWrite)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := r.Checks(DialFail); got != 8*200 {
+	if got := r.Checks(CheckpointWrite); got != 8*200 {
 		t.Fatalf("Checks = %d, want %d", got, 8*200)
 	}
 }

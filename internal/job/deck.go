@@ -1,7 +1,7 @@
 package job
 
 import (
-	"io"
+	"strings"
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
@@ -16,6 +16,7 @@ import (
 type Deck struct {
 	sys         *circuit.System
 	dsys        *dist.System // sys as a distributed job hands it to its pool
+	text        string       // the netlist a remote task carries, when kept (ParseDeck)
 	tstop, step float64      // the .tran card (a case has no step)
 	prints      []string     // the .print cards (netlists)
 	nx, ny      int          // grid edges, for a case's per-job probe spread
@@ -24,9 +25,12 @@ type Deck struct {
 // System is the deck's stamped system, shared read-only by every job on it.
 func (d *Deck) System() *circuit.System { return d.sys }
 
-// ParseDeck parses a SPICE-subset netlist and stamps it.
-func ParseDeck(r io.Reader) (*Deck, error) {
-	nd, err := netlist.Parse(r)
+// ParseDeck parses a SPICE-subset netlist and stamps it. With keepText the
+// deck holds on to the text, which a distributed run posts to its workers
+// with every task (Hooks.Workers); without it such tasks name no deck, and
+// the workers refuse them.
+func ParseDeck(text string, keepText bool) (*Deck, error) {
+	nd, err := netlist.Parse(strings.NewReader(text))
 	if err != nil {
 		return nil, err
 	}
@@ -34,8 +38,11 @@ func ParseDeck(r io.Reader) (*Deck, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Deck{sys: sys, dsys: dist.NewSystem(sys),
-		tstop: nd.TranStop, step: nd.TranStep, prints: nd.Prints}, nil
+	d := &Deck{sys: sys, dsys: dist.NewSystem(sys), tstop: nd.TranStop, step: nd.TranStep, prints: nd.Prints}
+	if keepText {
+		d.text = text
+	}
+	return d, nil
 }
 
 // GenerateDeck builds and stamps a pgbench case. With no source text to

@@ -12,8 +12,10 @@
 //     probes, the sweep — and every refusal a spec meets on a deck happens
 //     there, once, for both front ends;
 //   - Run hands the task to transient.Simulate (or transient.Resume),
-//     sweep.Run or dist.Run under one transient.Options and delivers every
-//     row through one hook.
+//     sweep.Run, dist.Run or, for one D-MATEX task, dist.SolveTask under one
+//     transient.Options and delivers every row through one hook. A
+//     distributed run with workers posts each of its tasks to a job server
+//     as a spec of its own (remote.go).
 //
 // The package imports the engine packages only, never internal/serve: the
 // CLI links it without the service.
@@ -66,11 +68,17 @@ type Spec struct {
 	// default, which resolves to nd).
 	Ordering string `json:"ordering,omitempty"`
 	// Distributed runs the job through the dist scheduler (bump-feature
-	// decomposition): over the server's matexd workers when configured,
+	// decomposition): over the server's worker job servers when configured,
 	// else over the in-process pool. A distributed job streams its
 	// superposed waveform as it leaves the scheduler: t = 0 once the DC
 	// solve is done, later samples as the subtasks pass them.
 	Distributed bool `json:"distributed,omitempty"`
+	// Inputs, when set, makes the job one D-MATEX task: the zero-state
+	// response to the stamped system's inputs at these indices (time-varying
+	// sources, each once), recorded on the deck's transition-spot grid by the
+	// MATEX methods — what a distributed run posts to a worker per task. A
+	// task is never checkpointed, and is neither a sweep nor distributed.
+	Inputs []int `json:"inputs,omitempty"`
 	// TimeoutSec, when positive, is the per-job deadline; an expired job
 	// is reported canceled.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
@@ -125,6 +133,14 @@ func (s *Spec) Check(limit int64) error {
 	return nil
 }
 
+// The refusals of a task spec's Inputs (Resolve); each error wraps one.
+var (
+	ErrInputRange    = errors.New("input index out of range")
+	ErrInputRepeated = errors.New("input index repeated")
+	ErrInputSupply   = errors.New("input is a supply")
+	ErrInputsAlone   = errors.New("a task job cannot also be a sweep or distributed")
+)
+
 // Task is a resolved job — the paper's one simulation task, before MATEX
 // splits it into subtasks: the shared deck plus everything the spec's
 // options resolve to on it.
@@ -147,7 +163,8 @@ type Task struct {
 // Resolve validates the spec against its deck and resolves it into a Task.
 // Every refusal a spec can meet on a deck surfaces here — unknown method,
 // Krylov process or ordering, no window, a fixed-step method without a
-// step, a distributed sweep, bad variants, unknown probes — before anything
+// step, a distributed sweep, bad task inputs, bad variants, unknown
+// probes — before anything
 // runs, so the service answers 400 before queueing and the CLI exits before
 // its first row.
 func (s *Spec) Resolve(d *Deck) (*Task, error) {
@@ -189,6 +206,11 @@ func (s *Spec) Resolve(d *Deck) (*Task, error) {
 	if t.method.FixedStep() && t.step <= 0 {
 		return nil, fmt.Errorf("fixed-step method %q needs step or a .tran step in the deck", s.Method)
 	}
+	if len(s.Inputs) > 0 {
+		if err := checkInputs(d, s); err != nil {
+			return nil, err
+		}
+	}
 	if len(s.Variants) > 0 {
 		if s.Distributed {
 			return nil, errors.New("a sweep job cannot also be distributed")
@@ -211,14 +233,36 @@ func (s *Spec) Resolve(d *Deck) (*Task, error) {
 	return t, nil
 }
 
+// checkInputs refuses a task spec's inputs that are not time-varying
+// sources of the deck, each named once, or that come with variants or
+// distributed.
+func checkInputs(d *Deck, s *Spec) error {
+	if s.Distributed || len(s.Variants) > 0 {
+		return ErrInputsAlone
+	}
+	seen := make([]bool, len(d.sys.Inputs))
+	for _, k := range s.Inputs {
+		switch {
+		case k < 0 || k >= len(seen):
+			return fmt.Errorf("%w: %d (the deck has %d inputs)", ErrInputRange, k, len(seen))
+		case seen[k]:
+			return fmt.Errorf("%w: %d", ErrInputRepeated, k)
+		case d.sys.Inputs[k].Supply:
+			return fmt.Errorf("%w: %d (%s)", ErrInputSupply, k, d.sys.Inputs[k].Name)
+		}
+		seen[k] = true
+	}
+	return nil
+}
+
 // Hooks are what a caller lends a run.
 type Hooks struct {
 	// Cache and Workspaces are shared with other runs (nil: the run's own).
 	Cache      *sparse.Cache
 	Workspaces *krylov.WorkspacePool
-	// Pool returns the workers a distributed run fans out over; it is called
-	// by distributed runs only. Nil runs them on the in-process pool.
-	Pool func() (dist.Pool, error)
+	// Workers are the job servers (host:port) a distributed run posts its
+	// tasks to; empty runs them on the in-process pool.
+	Workers []string
 	// OnSample, which must be set, receives every row as it leaves the
 	// engine: as a plain run integrates, as a distributed run's tasks pass
 	// each grid point (t = 0 once the DC solve is done), as a sweep
@@ -227,8 +271,8 @@ type Hooks struct {
 	OnSample func(variant string, t float64, row []float64)
 	// OnCheckpoint, when set, receives a plain run's and every sweep
 	// variant's restartable snapshots, every CheckpointEvery accepted steps
-	// (0 = the transient default). Distributed runs do not checkpoint: their
-	// subtasks run remotely.
+	// (0 = the transient default). Distributed runs and tasks do not
+	// checkpoint.
 	OnCheckpoint    func(variant string, cp transient.Checkpoint) error
 	CheckpointEvery int
 	// Resume re-enters integrations at their checkpoints, by variant label
@@ -248,8 +292,9 @@ type Outcome struct {
 }
 
 // Run executes the task under one transient.Options: a sweep through
-// sweep.Run, a distributed job through dist.Run, any other as one
-// integration, resumed when h.Resume holds its checkpoint.
+// sweep.Run, a distributed job through dist.Run, a D-MATEX task through
+// dist.SolveTask, any other as one integration, resumed when h.Resume holds
+// its checkpoint.
 func (t *Task) Run(ctx context.Context, h Hooks) (*Outcome, error) {
 	d, spec := t.deck, &t.spec
 	opts := transient.Options{
@@ -294,18 +339,22 @@ func (t *Task) Run(ctx context.Context, h Hooks) (*Outcome, error) {
 	case spec.Distributed:
 		opts.OnSample = func(t float64, row []float64) { h.OnSample("", t, row) }
 		cfg := dist.Config{Base: opts}
-		if h.Pool != nil {
-			pool, err := h.Pool()
-			if err != nil {
-				return nil, err
-			}
-			cfg.Pool = pool
+		if len(h.Workers) > 0 {
+			cfg.Pool = t.remotePool(h.Workers)
 		}
 		res, rep, err := dist.Run(d.dsys, t.method, cfg)
 		if err != nil {
 			return nil, err
 		}
 		return &Outcome{Stats: res.Stats, Dist: rep}, nil
+
+	case len(spec.Inputs) > 0:
+		opts.OnSample = func(t float64, row []float64) { h.OnSample("", t, row) }
+		res, err := dist.SolveTask(ctx, d.dsys, spec.Inputs, dist.NewRequest(d.dsys, t.method, opts))
+		if err != nil {
+			return nil, err
+		}
+		return &Outcome{Stats: res.Stats}, nil
 	}
 
 	opts.OnSample = func(t float64, row []float64) { h.OnSample("", t, row) }

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -31,13 +32,13 @@ func open(spec Spec, file string) (*Task, error) {
 	var err error
 	switch {
 	case file != "":
-		d, err = ParseDeck(strings.NewReader(file))
+		d, err = ParseDeck(file, false)
 	case spec.Check(limit) != nil:
 		return nil, spec.Check(limit)
 	case spec.Case != "":
 		d, _, err = GenerateDeck(spec.Case, spec.Scale)
 	default:
-		d, err = ParseDeck(strings.NewReader(spec.Netlist))
+		d, err = ParseDeck(spec.Netlist, false)
 	}
 	if err != nil {
 		return nil, err
@@ -48,7 +49,9 @@ func open(spec Spec, file string) (*Task, error) {
 // TestOneRefusalTable: every spec the service refuses at submit, and the
 // refusals the CLI shares with it, refused with the same error through
 // either front end; the same specs with the offending part removed are
-// accepted, so the table refuses for the reason it names.
+// accepted, so the table refuses for the reason it names. A task spec's
+// inputs (input 0 is a supply rail on both decks, the smoke deck's input 1
+// and the case's inputs from 30 on are loads) are refused with typed errors.
 func TestOneRefusalTable(t *testing.T) {
 	variants := []sweep.Variant{{Name: "typ"}, {Name: "hot", Scale: 1.5}}
 	noStep := strings.Replace(smokeDeck, ".tran 10p 10n", ".tran 0 10n", 1)
@@ -57,30 +60,41 @@ func TestOneRefusalTable(t *testing.T) {
 		spec Spec
 		file string
 		want string
+		is   error
 	}{
-		{"no deck", Spec{}, "", "exactly one of netlist and case"},
-		{"both decks", Spec{Netlist: "* x\n.end\n", Case: "ibmpg1t"}, "", "exactly one of netlist and case"},
-		{"bad method", Spec{Case: "ibmpg1t", Method: "simplex"}, "", `unknown method "simplex"`},
-		{"deleted method", Spec{Case: "ibmpg1t", Method: "fe"}, "", `unknown method "fe"`},
-		{"bad case", Spec{Case: "ibmpg9t"}, "", `unknown IBM case "ibmpg9t"`},
-		{"bad netlist", Spec{Netlist: "Rbroken 1\n"}, "", "netlist"},
-		{"missing window", Spec{Netlist: "* t\nR1 a 0 1\nC1 a 0 1p\nI1 a 0 1m\n.end\n"}, "", "no simulation window"},
-		{"fixed no step", Spec{Case: "ibmpg1t", Method: "tr"}, "", "needs step"},
-		{"bad krylov", Spec{Case: "ibmpg1t", Krylov: "chebyshev"}, "", `unknown method "chebyshev"`},
-		{"bad ordering", Spec{Case: "ibmpg1t", Ordering: "amd2000"}, "", `unknown ordering "amd2000"`},
-		{"case too big", Spec{Case: "ibmpg6t", Scale: 1000}, "", "grid nodes; the limit is"},
-		{"too many probes", Spec{Case: "ibmpg1t", NumProbes: 200000000}, "", "probes on a grid of 900 nodes"},
-		{"too many variants", Spec{Case: "ibmpg1t", Variants: make([]sweep.Variant, MaxSweepVariants+1)}, "", "variants; the limit is"},
-		{"sweep × distributed", Spec{Case: "ibmpg1t", Distributed: true, Variants: variants}, "", "cannot also be distributed"},
-		{"sweep × distributed, CLI", Spec{Distributed: true, Variants: variants}, smokeDeck, "cannot also be distributed"},
-		{"fixed no step, CLI", Spec{Method: "tr"}, noStep, "needs step"},
-		{"fixed no step, distributed CLI", Spec{Method: "tr", Distributed: true}, noStep, "needs step"},
-		{"bad method, CLI", Spec{Method: "be"}, smokeDeck, `unknown method "be"`},
-		{"unknown probe", Spec{}, strings.Replace(smokeDeck, "v(b)", "v(nowhere)", 1), "nowhere"},
+		{"no deck", Spec{}, "", "exactly one of netlist and case", nil},
+		{"both decks", Spec{Netlist: "* x\n.end\n", Case: "ibmpg1t"}, "", "exactly one of netlist and case", nil},
+		{"bad method", Spec{Case: "ibmpg1t", Method: "simplex"}, "", `unknown method "simplex"`, nil},
+		{"deleted method", Spec{Case: "ibmpg1t", Method: "fe"}, "", `unknown method "fe"`, nil},
+		{"bad case", Spec{Case: "ibmpg9t"}, "", `unknown IBM case "ibmpg9t"`, nil},
+		{"bad netlist", Spec{Netlist: "Rbroken 1\n"}, "", "netlist", nil},
+		{"missing window", Spec{Netlist: "* t\nR1 a 0 1\nC1 a 0 1p\nI1 a 0 1m\n.end\n"}, "", "no simulation window", nil},
+		{"fixed no step", Spec{Case: "ibmpg1t", Method: "tr"}, "", "needs step", nil},
+		{"bad krylov", Spec{Case: "ibmpg1t", Krylov: "chebyshev"}, "", `unknown method "chebyshev"`, nil},
+		{"bad ordering", Spec{Case: "ibmpg1t", Ordering: "amd2000"}, "", `unknown ordering "amd2000"`, nil},
+		{"case too big", Spec{Case: "ibmpg6t", Scale: 1000}, "", "grid nodes; the limit is", nil},
+		{"too many probes", Spec{Case: "ibmpg1t", NumProbes: 200000000}, "", "probes on a grid of 900 nodes", nil},
+		{"too many variants", Spec{Case: "ibmpg1t", Variants: make([]sweep.Variant, MaxSweepVariants+1)}, "", "variants; the limit is", nil},
+		{"sweep × distributed", Spec{Case: "ibmpg1t", Distributed: true, Variants: variants}, "", "cannot also be distributed", nil},
+		{"sweep × distributed, CLI", Spec{Distributed: true, Variants: variants}, smokeDeck, "cannot also be distributed", nil},
+		{"fixed no step, CLI", Spec{Method: "tr"}, noStep, "needs step", nil},
+		{"fixed no step, distributed CLI", Spec{Method: "tr", Distributed: true}, noStep, "needs step", nil},
+		{"bad method, CLI", Spec{Method: "be"}, smokeDeck, `unknown method "be"`, nil},
+		{"unknown probe", Spec{}, strings.Replace(smokeDeck, "v(b)", "v(nowhere)", 1), "nowhere", nil},
+		{"input out of range", Spec{Case: "ibmpg1t", Inputs: []int{30, 130}}, "", "130 (the deck has 130 inputs)", ErrInputRange},
+		{"negative input", Spec{Case: "ibmpg1t", Inputs: []int{-1}}, "", "-1", ErrInputRange},
+		{"input out of range, CLI", Spec{Inputs: []int{2}}, smokeDeck, "2 (the deck has 2 inputs)", ErrInputRange},
+		{"input repeated", Spec{Case: "ibmpg1t", Inputs: []int{30, 31, 30}}, "", "repeated: 30", ErrInputRepeated},
+		{"input repeated, CLI", Spec{Inputs: []int{1, 1}}, smokeDeck, "repeated: 1", ErrInputRepeated},
+		{"supply input", Spec{Case: "ibmpg1t", Inputs: []int{30, 0}}, "", "supply: 0", ErrInputSupply},
+		{"supply input, CLI", Spec{Inputs: []int{0}}, smokeDeck, "supply: 0 (R1.rail)", ErrInputSupply},
+		{"inputs × distributed", Spec{Case: "ibmpg1t", Inputs: []int{30}, Distributed: true}, "", "cannot also be", ErrInputsAlone},
+		{"inputs × sweep", Spec{Case: "ibmpg1t", Inputs: []int{30}, Variants: variants}, "", "cannot also be", ErrInputsAlone},
+		{"inputs × distributed, CLI", Spec{Inputs: []int{1}, Distributed: true}, smokeDeck, "cannot also be", ErrInputsAlone},
 	} {
 		_, err := open(tc.spec, tc.file)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || tc.is != nil && !errors.Is(err, tc.is) {
+			t.Errorf("%s: got %v, want an error containing %q (is %v)", tc.name, err, tc.want, tc.is)
 		}
 	}
 
@@ -96,6 +110,8 @@ func TestOneRefusalTable(t *testing.T) {
 		{"fixed step, CLI", Spec{Method: "tr", Distributed: true}, smokeDeck},
 		{"fixed step on a flag, CLI", Spec{Method: "tr", Step: 1e-11}, noStep},
 		{"sweep, CLI", Spec{Variants: variants}, smokeDeck},
+		{"task", Spec{Case: "ibmpg1t", Inputs: []int{31, 30, 129}}, ""},
+		{"task, CLI", Spec{Inputs: []int{1}}, smokeDeck},
 	} {
 		if _, err := open(tc.spec, tc.file); err != nil {
 			t.Errorf("%s: refused: %v", tc.name, err)

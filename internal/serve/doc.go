@@ -10,10 +10,11 @@
 // SHA-256 of its text, bounded and LRU), the content-addressed factorization
 // cache and the Krylov workspace arenas, so concurrent and repeated jobs
 // against the same grid skip straight to the transient phase the way
-// repeated dist.Run calls do. Distributed jobs additionally fan out through internal/dist
-// (in-process pool, or matexd workers over TCP: one pool — one connection
-// per worker — for the server's lifetime, the deck's circuit handed to it
-// with each task).
+// repeated dist.Run calls do. Distributed jobs additionally fan out through
+// internal/dist: over the in-process pool, or with Config.DistAddrs over other
+// job servers, each task posted to one as a job of its own (a spec with
+// "inputs", its deck inline), which that worker's deck store parses once.
+// A worker is this same server: cmd/matexd and cmd/matexsrv both run Main.
 //
 // # Lifecycle of a job
 //
@@ -51,7 +52,7 @@
 // job; journals with the netlist inline in the spec still replay), trims
 // samples past the last checkpoint of their variant (a plain job is the
 // variant ""), and resumes unfinished jobs from their checkpoints through
-// the same store. Distributed jobs do not checkpoint. Crash-safety is
+// the same store. Distributed jobs and tasks do not checkpoint. Crash-safety is
 // tested by snapshotting the journal bytes mid-run and restarting a second
 // server on the copy.
 //

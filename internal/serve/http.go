@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
@@ -118,11 +120,20 @@ func (s *Server) retryAfter() int {
 	return secs
 }
 
+// decodeSpec reads a submission: the body whole, into one buffer sized by
+// its declared length — a deck is most of a body, and a streaming decoder
+// would copy it through buffers doubling to twice its size — then the spec,
+// every field of which must be one a spec has.
 func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	body, err := readBody(w, r)
+	if err == nil {
+		err = json.Unmarshal(body, &spec)
+	}
+	if err == nil {
+		err = knownFields(body)
+	}
+	if err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -132,6 +143,71 @@ func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
 		return spec, false
 	}
 	return spec, true
+}
+
+// readBody reads a request body of at most maxBodyBytes. A declared length
+// sizes the buffer up to the MiB or so a deck body takes, so such a body is
+// read into one allocation, and a client cannot make the server allocate
+// much that it does not send.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxBodyBytes {
+		return nil, &http.MaxBytesError{Limit: maxBodyBytes}
+	}
+	var body bytes.Buffer
+	body.Grow(int(min(max(r.ContentLength, 0), 1<<20)) + bytes.MinRead)
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return body.Bytes(), err
+}
+
+// specFields are the JSON names of a spec's fields, lower-cased: encoding/json
+// matches a body's names to them in any case.
+var specFields = func() map[string]bool {
+	t := reflect.TypeOf(JobSpec{})
+	names := make(map[string]bool, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		names[strings.ToLower(name)] = true
+	}
+	return names
+}()
+
+// knownFields refuses a body that names a field a spec does not have, in
+// json.Decoder.DisallowUnknownFields' words. The body is a JSON value
+// json.Unmarshal has read into a spec, so an object; its member names are
+// the strings that open it or follow a comma at its own depth, found without
+// a second pass of the JSON scanner over the deck inside it.
+func knownFields(body []byte) error {
+	depth, name := 0, false
+	for i := 0; i < len(body); i++ {
+		switch body[i] {
+		case '{', '[':
+			depth++
+			name = depth == 1
+		case '}', ']':
+			depth--
+		case ',':
+			name = depth == 1
+		case '"':
+			j := i + 1
+			for ; body[j] != '"'; j++ {
+				if body[j] == '\\' {
+					j++
+				}
+			}
+			if name {
+				var field string
+				if err := json.Unmarshal(body[i:j+1], &field); err != nil {
+					return err
+				}
+				if !specFields[strings.ToLower(field)] {
+					return fmt.Errorf("json: unknown field %q", field)
+				}
+				name = false
+			}
+			i = j
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

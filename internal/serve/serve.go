@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
-	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/krylov"
@@ -30,8 +28,9 @@ type Config struct {
 	// CacheBytes is the shared factorization cache budget (0 = the
 	// sparse.NewCache default).
 	CacheBytes int64
-	// DistAddrs lists matexd workers distributed jobs fan out to (dialed
-	// once, by the first such job); empty runs them on the in-process pool.
+	// DistAddrs lists the job servers (host:port) distributed jobs post their
+	// tasks to, each task a job of its own there; empty runs them on the
+	// in-process pool.
 	DistAddrs []string
 	// MaxRetainedJobs bounds how many finished jobs (and their retained
 	// sample waveforms) stay queryable/replayable after completion; once
@@ -52,9 +51,8 @@ type Config struct {
 	// CheckpointEvery is the journaled-checkpoint cadence in accepted
 	// integrator steps (0 = the transient default, 128). Smaller values
 	// shrink the recovery window after a crash at the cost of more journal
-	// I/O; it only applies when StateDir is set. Distributed jobs do not
-	// checkpoint (their subtasks run remotely) — interrupted ones restart
-	// from scratch.
+	// I/O; it only applies when StateDir is set. Distributed jobs and tasks
+	// do not checkpoint — interrupted ones restart from scratch.
 	CheckpointEvery int
 	// Fault is the fault-injection registry consulted at the journal's
 	// append points (faultinject.JournalAppend, faultinject.CheckpointWrite).
@@ -140,11 +138,6 @@ type Server struct {
 	stop       context.CancelFunc
 	wg         sync.WaitGroup
 	start      time.Time
-
-	// pool is the one connection set to Config.DistAddrs, dialed by the first
-	// distributed job and kept until Shutdown; circuits travel with the tasks.
-	poolMu sync.Mutex
-	pool   dist.Pool
 
 	// journal is the durable job log (nil without Config.StateDir).
 	journal *journal
@@ -238,10 +231,11 @@ func New(cfg Config) (*Server, error) {
 // an inline deck (the spec itself no longer carries the text); both empty
 // means a pgbench case. The deck comes from the store, so only the first job
 // on it parses and stamps; what depends on the job's options is resolved per
-// job.
+// job. A server with workers keeps each deck's text, which its distributed
+// jobs post with their tasks.
 func (s *Server) prepare(spec *JobSpec, key, text string) (*job.Task, error) {
 	build := func() (*job.Deck, int64, error) {
-		d, err := job.ParseDeck(strings.NewReader(text))
+		d, err := job.ParseDeck(text, len(s.cfg.DistAddrs) > 0)
 		return d, int64(len(text)), err
 	}
 	if text == "" {
@@ -504,34 +498,15 @@ func (s *Server) runJob(job *Job) {
 }
 
 // simulate runs the job's task over the server's shared cache, workspaces
-// and matexd pool, its samples streaming into the job as they leave the
-// engine. On durable servers plain jobs and sweep lanes journal their
-// checkpoints, and a restored job re-enters each integration at its last one.
+// and workers, its samples streaming into the job as they leave the engine.
+// On durable servers plain jobs and sweep lanes journal their checkpoints,
+// and a restored job re-enters each integration at its last one.
 func (s *Server) simulate(ctx context.Context, j *Job) (*job.Outcome, error) {
-	h := job.Hooks{Cache: s.cache, Workspaces: s.workspaces, OnSample: j.appendSample, Resume: j.resume}
-	if len(s.cfg.DistAddrs) > 0 {
-		h.Pool = s.workerPool
-	}
+	h := job.Hooks{Cache: s.cache, Workspaces: s.workspaces, Workers: s.cfg.DistAddrs, OnSample: j.appendSample, Resume: j.resume}
 	if j.jn != nil {
 		h.OnCheckpoint, h.CheckpointEvery = j.journalCheckpoint, s.cfg.CheckpointEvery
 	}
 	return j.task.Run(ctx, h)
-}
-
-// workerPool returns the server's matexd pool, dialing it on first use. A
-// failed dial fails the calling job and is retried by the next one. The lock
-// is held across the dial: every other distributed job needs the same pool.
-func (s *Server) workerPool() (dist.Pool, error) {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.pool == nil {
-		pool, err := dist.NewRPCPool(s.baseCtx, s.cfg.DistAddrs)
-		if err != nil {
-			return nil, fmt.Errorf("serve: connecting matexd workers: %w", err)
-		}
-		s.pool = pool
-	}
-	return s.pool, nil
 }
 
 // BeginDrain stops the intake: submissions fail with ErrShuttingDown, the
@@ -574,9 +549,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.stop() // cancel in-flight jobs; they abort at the next boundary
 		<-done
 		err = ctx.Err()
-	}
-	if s.pool != nil { // the workers are gone: nothing dials concurrently
-		s.pool.Close() //matex:err-ok(shutdown path; a failed close has no recovery)
 	}
 	if s.journal != nil {
 		// Workers are gone, so nothing appends concurrently. Jobs the ctx

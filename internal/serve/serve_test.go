@@ -10,13 +10,11 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/rpc"
 	"os"
 	"reflect"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -579,111 +577,70 @@ func TestDistributedJobStreamsSuperposition(t *testing.T) {
 	}
 }
 
-// TestDistributedJobsOverRPCWorkers: with DistAddrs configured, distributed
-// jobs fan out to a real matexd-style TCP worker; repeated jobs go over
-// the server's one worker pool (the worker holds the circuit by its key, so
-// only the first job's task ships the blob).
+// workerAddr is a test server's host:port, as DistAddrs and -workers name it.
+func workerAddr(base string) string { return strings.TrimPrefix(base, "http://") }
+
+// TestDistributedJobsOverRPCWorkers: with DistAddrs configured, a
+// distributed job posts its task to the worker job server as a job of its
+// own; the first job's task is the worker's first sight of the deck (one
+// parse), the second's finds it in the worker's deck store, and each job's
+// status carries the plan cut for the one worker.
 func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 	deckText := testDeck(t)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wctx, stopWorker := context.WithCancel(context.Background())
-	defer stopWorker()
-	go dist.ServeContext(wctx, l, dist.NewWorkerServer(nil))
-
+	_, worker, stopWorker := testServer(t, serve.Config{Workers: 2, QueueDepth: 8})
+	defer stopWorker(context.Background())
 	_, base, shutdown := testServer(t, serve.Config{
-		Workers: 2, QueueDepth: 8, DistAddrs: []string{l.Addr().String()},
+		Workers: 2, QueueDepth: 8, DistAddrs: []string{workerAddr(worker)},
 	})
 	defer shutdown(context.Background())
 
 	for round := 0; round < 2; round++ {
-		body, _ := json.Marshal(serve.JobSpec{Netlist: deckText, Distributed: true})
-		resp, err := http.Post(base+"/v1/simulate", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		got := readStream(t, sc)
-		resp.Body.Close()
+		got := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Distributed: true})
 		if got.state != serve.JobDone {
-			t.Fatalf("round %d: distributed RPC job ended %q: %s", round, got.state, got.tailErr)
+			t.Fatalf("round %d: distributed job ended %q: %s", round, got.state, got.tailErr)
 		}
 		if len(got.times) == 0 {
 			t.Fatalf("round %d: no samples streamed", round)
 		}
-		// The status carries the plan: the deck's groups, cut for the one
-		// worker configured.
-		sresp, err := http.Get(base + "/v1/jobs/" + got.id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var st serve.Status
-		err = json.NewDecoder(sresp.Body).Decode(&st)
-		sresp.Body.Close()
+		resp, err := http.Get(base + "/v1/jobs/" + got.id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Groups < 2 || st.Tasks != 1 {
-			t.Fatalf("round %d: status reports %d groups in %d tasks, want several groups in 1 task", round, st.Groups, st.Tasks)
+		if err := jsonDecode(resp, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Groups < 2 || st.Tasks != 1 || st.Retried != 0 {
+			t.Fatalf("round %d: status reports %d groups in %d tasks, %d retried; want several groups in 1 task", round, st.Groups, st.Tasks, st.Retried)
+		}
+		ws := getStats(t, worker)
+		if ws.Completed != uint64(round+1) || ws.DeckStore.Misses != 1 || ws.DeckStore.Hits != uint64(round) {
+			t.Fatalf("round %d: the worker completed %d tasks on %+v, want %d on one parse", round, ws.Completed, ws.DeckStore, round+1)
 		}
 	}
-}
-
-// failingWorker stands in for a matexd that answers its task with a solver
-// error, once the test closes release.
-type failingWorker struct{ release chan struct{} }
-
-func (w *failingWorker) Solve(_ *dist.SolveArgs, _ *dist.SolveReply) error {
-	<-w.release
-	return errors.New("injected solver failure")
 }
 
 // TestDistributedJobFailsAfterItsFirstRow: a distributed job's t = 0 row
-// leaves once the scheduler's DC solve is done, while its one task is still
-// out; when the task then fails, the job ends failed with that row streamed
-// and its sequence numbers gapless.
+// leaves once the scheduler's DC solve is done, whatever its one task is
+// doing; when the task then fails on its worker (γ = 1e-30 stops R-MATEX
+// a few steps in), the job ends failed with the solver's error, that row
+// streamed and its sequence numbers gapless — and the worker's answer is
+// not retried.
 func TestDistributedJobFailsAfterItsFirstRow(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	worker := &failingWorker{release: make(chan struct{})}
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("MatexWorker3", worker); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-
-	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 2, DistAddrs: []string{l.Addr().String()}})
+	_, worker, stopWorker := testServer(t, serve.Config{Workers: 1, QueueDepth: 2})
+	defer stopWorker(context.Background())
+	_, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 2, DistAddrs: []string{workerAddr(worker)}})
 	defer shutdown(context.Background())
-	resp := postJSON(t, base+"/v1/jobs", serve.JobSpec{Netlist: testDeck(t), Distributed: true})
-	var st serve.Status
-	if err := jsonDecode(resp, &st); err != nil {
-		t.Fatal(err)
-	}
-	stream, err := http.Get(base + "/v1/jobs/" + st.ID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
-	sc := bufio.NewScanner(stream.Body)
+	resp := postJSON(t, base+"/v1/simulate", serve.JobSpec{Case: "ibmpg1t", Gamma: 1e-30, Distributed: true})
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var id string
 	var seqs []int
 	var times []float64
 	for sc.Scan() {
 		var chunk struct {
+			ID    string  `json:"id"`
 			Seq   int     `json:"seq"`
 			T     float64 `json:"t"`
 			Done  bool    `json:"done"`
@@ -694,8 +651,10 @@ func TestDistributedJobFailsAfterItsFirstRow(t *testing.T) {
 			t.Fatalf("stream chunk: %v in %q", err, sc.Bytes())
 		}
 		switch {
+		case chunk.ID != "":
+			id = chunk.ID
 		case chunk.Done:
-			if chunk.State != string(serve.JobFailed) || !strings.Contains(chunk.Error, "injected solver failure") {
+			if chunk.State != string(serve.JobFailed) || !strings.Contains(chunk.Error, "transient: R-MATEX") {
 				t.Fatalf("job ended %q: %s", chunk.State, chunk.Error)
 			}
 			if len(seqs) == 0 || times[0] != 0 {
@@ -706,48 +665,35 @@ func TestDistributedJobFailsAfterItsFirstRow(t *testing.T) {
 					t.Fatalf("seq %d at position %d: not gapless", s, i)
 				}
 			}
+			var st serve.Status
+			sresp, err := http.Get(base + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := jsonDecode(sresp, &st); err != nil {
+				t.Fatal(err)
+			}
+			if ws := getStats(t, worker); ws.Failed != 1 || ws.Accepted != 1 {
+				t.Fatalf("the worker accepted %d tasks and failed %d: a solver error was sent again", ws.Accepted, ws.Failed)
+			}
 			return
 		case chunk.Seq > 0:
-			if len(seqs) == 0 {
-				close(worker.release) // the first row is out; now fail the task
-			}
 			seqs, times = append(seqs, chunk.Seq), append(times, chunk.T)
 		}
 	}
 	t.Fatalf("stream ended without a done chunk (err=%v)", sc.Err())
 }
 
-// countingListener counts the connections it accepted.
-type countingListener struct {
-	net.Listener
-	accepted atomic.Int64
-}
-
-func (l *countingListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err == nil {
-		l.accepted.Add(1)
-	}
-	return conn, err
-}
-
-// TestOnePoolManyDecks: the server's worker pool is its connections, not a
-// deck's. Distributed jobs on ten distinct decks — more than the per-deck
-// pool cache this replaced ever kept — go over the one connection the first
-// of them dialed, and each streams the bits of `matex -distributed` on a
-// one-node plan.
+// TestOnePoolManyDecks: the server keeps no pool per deck, nor a pool at
+// all: distributed jobs on ten distinct decks each post their task to the
+// one configured worker, which learns each deck from its task (one parse
+// each), and each streams the bits of `matex -distributed` on a one-node
+// plan.
 func TestOnePoolManyDecks(t *testing.T) {
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := &countingListener{Listener: l}
-	wctx, stopWorker := context.WithCancel(context.Background())
-	defer stopWorker()
-	go dist.ServeContext(wctx, cl, dist.NewWorkerServer(nil))
-
+	_, worker, stopWorker := testServer(t, serve.Config{Workers: 2, QueueDepth: 16})
+	defer stopWorker(context.Background())
 	_, base, shutdown := testServer(t, serve.Config{
-		Workers: 2, QueueDepth: 16, DistAddrs: []string{l.Addr().String()},
+		Workers: 2, QueueDepth: 16, DistAddrs: []string{workerAddr(worker)},
 	})
 	defer shutdown(context.Background())
 
@@ -762,11 +708,7 @@ func TestOnePoolManyDecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := postJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Distributed: true})
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<24)
-		got := readStream(t, sc)
-		resp.Body.Close()
+		got := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Distributed: true})
 		if got.state != serve.JobDone {
 			t.Fatalf("deck %d: distributed job ended %q: %s", i, got.state, got.tailErr)
 		}
@@ -774,8 +716,59 @@ func TestOnePoolManyDecks(t *testing.T) {
 			t.Fatalf("deck %d: streamed waveform differs from the in-process distributed run", i)
 		}
 	}
-	if n := cl.accepted.Load(); n != 1 {
-		t.Fatalf("the worker accepted %d connections for %d decks, want 1", n, decks)
+	if ds := getStats(t, worker).DeckStore; ds.Misses != decks || ds.Hits != 0 {
+		t.Fatalf("the worker's deck store %+v after %d tasks on %d decks, want one parse per deck", ds, decks, decks)
+	}
+}
+
+// TestCancelReachesTheWorkers: canceling a distributed job cancels its
+// task's job on the worker, which then holds no slot for it — a one-slot
+// worker starts its next job at once.
+func TestCancelReachesTheWorkers(t *testing.T) {
+	deckText := testDeck(t)
+	_, worker, stopWorker := testServer(t, serve.Config{Workers: 1, QueueDepth: 4})
+	defer stopWorker(context.Background())
+	s, _, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, DistAddrs: []string{workerAddr(worker)}})
+	defer shutdown(context.Background())
+
+	// A task that would integrate for minutes: fixed-step TR, tiny step.
+	job, err := s.Submit(serve.JobSpec{Netlist: deckText, Method: "tr", Step: 1e-14, Distributed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for getStats(t, worker).InFlight != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the task never started on the worker")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	job.Cancel()
+	for {
+		ws := getStats(t, worker)
+		if ws.Canceled == 1 && ws.InFlight == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the worker still runs the canceled job's task: %d canceled, %d in flight", ws.Canceled, ws.InFlight)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := job.Status(); st.State != serve.JobCanceled {
+		t.Fatalf("the distributed job ended %q (%s), want canceled", st.State, st.Error)
+	}
+
+	next := streamNDJSON(t, worker+"/v1/simulate", serve.JobSpec{Netlist: deckText})
+	var st serve.Status
+	resp, err := http.Get(worker + "/v1/jobs/" + next.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jsonDecode(resp, &st); err != nil {
+		t.Fatal(err)
+	}
+	if wait := time.Duration(st.Started - st.Queued); next.state != serve.JobDone || wait > 2*time.Second {
+		t.Fatalf("the worker's next job ended %q after queueing %v", next.state, wait)
 	}
 }
 
@@ -799,6 +792,12 @@ func TestSubmitValidation(t *testing.T) {
 		// 200 M-entry probe list on a 900-node grid.
 		"case too big":    {Case: "ibmpg6t", Scale: 1000},
 		"too many probes": {Case: "ibmpg1t", NumProbes: 200000000},
+		// Hostile task specs: inputs out of range, repeated, on a supply
+		// rail, or on a distributed job.
+		"input out of range": {Case: "ibmpg1t", Inputs: []int{30, 1 << 40}},
+		"input repeated":     {Case: "ibmpg1t", Inputs: []int{30, 30}},
+		"supply input":       {Case: "ibmpg1t", Inputs: []int{0}},
+		"distributed task":   {Case: "ibmpg1t", Inputs: []int{30}, Distributed: true},
 	} {
 		resp := postJSON(t, base+"/v1/jobs", spec)
 		var reply struct{ Error string }
@@ -827,6 +826,26 @@ func TestSubmitValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), field) {
 			t.Errorf("unknown field %q: status %d %q, want 400 naming the field", field, resp.StatusCode, msg)
+		}
+	}
+	// Only the spec's own members are names: a variant's members, and braces,
+	// commas and quotes inside a string, are not; a name matches in any case.
+	for body, unknown := range map[string]string{
+		`{"CASE":"ibmpg1t","variants":[{"name":"a","scale":1.5}],"method":"tr \",\"x\":{"}`: "",
+		`{"case":"ibmpg1t","variants":[{"name":"a"}],"nmae":1}`:                             "nmae",
+		`{"case":"ibmpg1t","variants":[{"name":"a"}],"x\"y":1}`:                             `x"y`,
+	} {
+		var reply struct{ Error string }
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jsonDecode(resp, &reply); err != nil {
+			t.Fatal(err)
+		}
+		named := strings.Contains(reply.Error, "unknown field")
+		if unknown == "" && named || unknown != "" && (resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, strconv.Quote(unknown))) {
+			t.Errorf("%s: status %d %q, want the unknown field %q named", body, resp.StatusCode, reply.Error, unknown)
 		}
 	}
 }

@@ -9,8 +9,10 @@
 // shift-and-invert (R-MATEX) — next to the fixed-step and adaptive
 // trapezoidal baselines. The distributed front end partitions
 // the input current sources by their pulse "bump" features, simulates each
-// group as an independent zero-state subtask (in-process or over TCP), and
-// superposes the results.
+// group as an independent zero-state subtask, and superposes the results:
+// in-process here, or over worker job servers through the job service
+// (cmd/matex -workers, JobServerConfig.DistAddrs), where each subtask is a
+// job on a worker that is handed the deck.
 //
 // Quick start:
 //
@@ -24,7 +26,6 @@
 package matex
 
 import (
-	"context"
 	"io"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -169,31 +170,19 @@ type (
 	DistReport = dist.Report
 	// Task is one superposition subtask.
 	Task = dist.Task
-	// WorkerServer is the net/rpc worker service hosted by cmd/matexd
-	// (accept connections with dist.ServeContext).
-	WorkerServer = dist.WorkerServer
 )
 
 // SimulateDistributed partitions the sources, fans subtasks running method
-// out to workers and superposes the results (the paper's Fig. 4 flow).
+// out to in-process workers and superposes the results (the paper's Fig. 4
+// flow). A System built in code has no deck text for a remote worker to
+// parse, so it distributes in-process; a deck distributes over worker job
+// servers as a JobServer job (JobServerConfig.DistAddrs).
 // cfg.Base.OnSample, like Options.OnSample for Simulate, receives each
 // superposed row as it leaves: t = 0 once the DC point is solved, later rows
 // as the subtasks pass them.
 func SimulateDistributed(sys *System, method Method, cfg DistConfig) (*Result, *DistReport, error) {
 	return dist.Run(dist.NewSystem(sys), method, cfg)
 }
-
-// NewRPCPool connects to matexd workers over TCP. The pool is its
-// connections — it serves any number of systems, each taught to a worker by
-// the first task that needs it there — and runs a background prober under
-// ctx: Close it when done.
-func NewRPCPool(ctx context.Context, addrs []string) (dist.Pool, error) {
-	return dist.NewRPCPool(ctx, addrs)
-}
-
-// NewWorkerServer returns a worker service for use with dist.ServeContext,
-// factorizing through cache (nil: one with the default budget).
-func NewWorkerServer(cache *FactorCache) *WorkerServer { return dist.NewWorkerServer(cache) }
 
 // Scenario sweeps: N variants of one deck as a single run.
 type (
@@ -242,7 +231,8 @@ type (
 	// waveform streaming. Expose JobServer.Handler() over HTTP and stop it
 	// with Shutdown.
 	JobServer = serve.Server
-	// JobServerConfig configures a JobServer.
+	// JobServerConfig configures a JobServer; DistAddrs names the worker job
+	// servers its distributed jobs post their tasks to.
 	JobServerConfig = serve.Config
 	// JobSpec is one job submission (the POST /v1/jobs body).
 	JobSpec = serve.JobSpec

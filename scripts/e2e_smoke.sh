@@ -13,21 +13,26 @@
 #                                 -method imatex against -method rmatex: the
 #                                 two MATEX input treatments must agree to
 #                                 1e-6 V
-#   2. matexd TCP loopback        distributed run over a real worker,
-#                                 then a SIGTERM graceful-drain check
+#   2. matexd loopback            distributed run over a real worker — a
+#                                 matexsrv under a second name, so its
+#                                 /readyz answers and its /stats counts one
+#                                 completed job per task it ran — then a
+#                                 SIGTERM graceful-drain check
 #   3. matexd chaos               a distributed run's t = 0 row read from a
 #                                 pipe while its worker integrates, its
 #                                 table that of the same run to a file;
 #                                 kill -9 one of two workers mid-run; the
-#                                 pool must fail over, report retries, and
-#                                 still match the local waveform
-#   3b. matexsrv over matexd     one pool for the service's lifetime: jobs
-#                                 on two decks over one worker, kill -9 the
+#                                 task must move whole to the survivor,
+#                                 report retries, and still match the local
+#                                 waveform
+#   3b. matexsrv over matexd     the service holds no worker state: jobs on
+#                                 two decks over one worker, kill -9 the
 #                                 worker (a job fails), restart it on the
-#                                 same port, both decks run again — the
-#                                 restarted worker re-taught by its next
-#                                 task, matexsrv never restarted, the bytes
-#                                 those of `matex -distributed`
+#                                 same port, both decks run again — each
+#                                 task brings its deck, so the restarted
+#                                 worker parses it from its next task,
+#                                 matexsrv never restarted, the bytes those
+#                                 of `matex -distributed`
 #   4. matexsrv submit-and-stream curl submit, NDJSON stream, /stats and
 #                                 /healthz checks, SIGTERM drain, exit 0
 #   5. matexsrv crash-restart     kill -9 with two jobs on one deck mid-run
@@ -167,7 +172,7 @@ assert worst <= 1e-6, "I-MATEX and R-MATEX deviate %g V" % worst
 print("I-MATEX matches R-MATEX (max deviation %g V)" % worst)
 EOF
 
-say "matexd TCP loopback"
+say "matexd loopback"
 "$workdir/matexd" -listen 127.0.0.1:19090 > "$workdir/matexd.log" 2>&1 &
 MATEXD_PID=$!
 for i in $(seq 1 50); do
@@ -175,9 +180,22 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 grep -q "listening" "$workdir/matexd.log" || { echo "matexd never came up"; cat "$workdir/matexd.log"; exit 1; }
-"$workdir/matex" -workers 127.0.0.1:19090 "$workdir/deck.sp" > "$workdir/dist.tsv"
+"$workdir/matex" -stats -workers 127.0.0.1:19090 "$workdir/deck.sp" > "$workdir/dist.tsv" 2> "$workdir/dist.err"
 dlines=$(wc -l < "$workdir/dist.tsv")
 [[ "$dlines" -gt 2 ]] || { echo "distributed run produced only $dlines lines"; exit 1; }
+# The worker is a job server: ready while it serves, and one completed job
+# per task it was sent.
+curl -sf "http://127.0.0.1:19090/readyz" | grep -q '"ready":true' || { echo "matexd /readyz is not ready"; exit 1; }
+tasks=$(grep -o '^tasks=[0-9]*' "$workdir/dist.err" | cut -d= -f2)
+curl -sf "http://127.0.0.1:19090/stats" > "$workdir/wstats.json"
+python3 - "$workdir/wstats.json" "$tasks" <<'EOF'
+import json, sys
+s = json.load(open(sys.argv[1]))
+tasks = int(sys.argv[2])
+assert tasks >= 1 and s["jobs_completed"] == tasks and s["jobs_failed"] == 0, \
+    "worker /stats jobs_completed=%r jobs_failed=%r for a run of %d tasks" % (s["jobs_completed"], s["jobs_failed"], tasks)
+print("worker ready; /stats counts the run's %d task(s) as completed jobs" % tasks)
+EOF
 
 say "matexd SIGTERM graceful drain"
 kill -TERM "$MATEXD_PID"
@@ -197,9 +215,10 @@ echo "matexd drained and exited 0"
 
 say "matexd chaos: kill -9 one of two workers mid-run"
 # A bigger deck with a slow fixed-step method. The run is cut for its two
-# workers (two tasks of 100k steps, not one per bump group) and matexd logs
-# nothing per request, so timing is the only handle: the step is sized so
-# that each task outlasts the sleep before the kill several times over.
+# workers (two tasks of 100k steps, not one per bump group) and a worker logs
+# nothing per task, so timing is the only handle: the step is sized so that
+# each task outlasts the sleep before the kill several times over. The
+# killed worker's task is posted again, whole, to the survivor.
 "$workdir/pgbench" -case ibmpg1t -scale 0.5 > "$workdir/deck05.sp"
 "$workdir/matexd" -listen 127.0.0.1:19191 > "$workdir/w1.log" 2>&1 &
 W1_PID=$!
@@ -274,12 +293,12 @@ wait "$W1_PID" 2>/dev/null || true
 W1_PID=""
 echo "chaos run survived kill -9 with retried=$retried"
 
-say "matexsrv over matexd: one pool, a worker killed and restarted under it"
-# matexsrv keeps one connection per worker for its lifetime and the circuit
-# travels with the task: a restarted matexd holds nothing and is taught again
-# by the first task that reaches it. One worker, so every job is a one-task
-# plan — the plan of `GOMAXPROCS=1 matex -distributed`, whose TSV the streamed
-# samples must reproduce byte for byte.
+say "matexsrv over matexd: a worker killed and restarted under the service"
+# matexsrv keeps no state about its workers between jobs: each task is posted
+# to the worker as a job of its own, its deck inline, so a restarted matexd
+# holds nothing and parses the deck from the first task that reaches it. One
+# worker, so every job is a one-task plan — the plan of `GOMAXPROCS=1 matex
+# -distributed`, whose TSV the streamed samples must reproduce byte for byte.
 start_w3() {
     "$workdir/matexd" -listen 127.0.0.1:19193 > "$workdir/w3.log" 2>&1 &
     W3_PID=$!
