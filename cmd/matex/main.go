@@ -17,17 +17,21 @@
 //
 // Every run writes each row as it leaves the engine, t = 0 as soon as the DC
 // operating point exists: a single-process run as it integrates, a
-// -distributed/-workers run as the slowest task passes each grid point (a
-// remote task's rows when it lands), a -sweep run each variant's rows as its
-// lanes pass them, interleaved across variants. Check the exit status: a run
+// -distributed/-workers run as the slowest task passes each grid point (the
+// DC point is solved by the first task's node, so t = 0 leaves with that
+// task's first row), a -sweep run each variant's rows as its lanes pass
+// them, interleaved across variants. Check the exit status: a run
 // that fails after rows have left exits 1, error on stderr, table ending on
 // a complete row — a partial table is a failed run. SIGINT/SIGTERM cancel
 // the run, and a -workers run's tasks on their workers with it.
 //
 // -workers names job servers (matexd or matexsrv, host:port): each task is
-// posted to one as a job, the run's spec narrowed to the task's sources with
-// the deck inline, and its rows are read back from the job's stream. A task
-// whose worker dies, drains or is full moves whole to the next worker.
+// posted to one as a job, the run's spec narrowed to the task's sources and
+// naming the deck by the SHA-256 of its text, and its rows are read back
+// from the job's stream as they arrive. A worker that does not hold the deck
+// is sent it once per run; the coordinator itself factorizes nothing. A task
+// whose worker dies, drains or is full moves to the next worker, which
+// streams it again from the start.
 //
 // -sweep FILE runs every scenario variant in FILE (a JSON array of sweep
 // variant objects, or an object with a "variants" key — the same schema
@@ -68,7 +72,7 @@ func main() {
 	tol := flag.Float64("tol", 0, "Krylov error budget (MATEX) or LTE target (tradpt); 0 = the method's default, 1e-6 for MATEX, 1e-4 for tradpt")
 	gamma := flag.Float64("gamma", 1e-10, "rational shift γ for rmatex")
 	distributed := flag.Bool("distributed", false, "decompose sources by bump feature and superpose")
-	workers := flag.String("workers", "", "comma-separated host:port of the job servers (matexd or matexsrv) the tasks are posted to (implies -distributed)")
+	workers := flag.String("workers", "", "comma-separated host:port of the job servers (matexd or matexsrv) the tasks are posted to, each naming the deck by hash; a worker without it is sent the deck once (implies -distributed)")
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible; lanczos is a synonym), arnoldi")
 	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
@@ -190,7 +194,7 @@ func main() {
 }
 
 // readDeck reads the deck file into one string: the text the deck is parsed
-// from and a -workers run posts to its workers.
+// from and a -workers run hashes and sends a worker that does not hold it.
 func readDeck(path string) (string, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -24,8 +24,11 @@
 // A distributed job ("distributed": true) runs in-process, or with
 // -dist-workers over other job servers (matexsrv, or the same program built
 // as cmd/matexd): each task is posted to one as a job of its own, a spec
-// whose "inputs" name the task's sources, and its rows are read back from
-// that job's stream. Canceling the job cancels its tasks' jobs.
+// whose "inputs" name the task's sources and whose "deck" names the deck by
+// hash (a worker that does not hold it is sent the text once, PUT
+// /v1/decks/{hash}), and its rows are read back from that job's stream.
+// Canceling the job cancels its tasks' jobs. A client posting many jobs on
+// one deck can do the same: PUT it once, then name it by "deck".
 //
 // Usage:
 //

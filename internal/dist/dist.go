@@ -2,9 +2,13 @@ package dist
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
+	"github.com/matex-sim/matex/internal/sparse"
+	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 	"github.com/matex-sim/matex/internal/waveform"
 )
@@ -19,13 +23,17 @@ type Task struct {
 	GroupID int
 	// InputIdx are indices into the system's Inputs slice.
 	InputIdx []int
+	// DC marks the task that also carries the DC operating point: its node
+	// solves G·x_DC = B·u(0) over all inputs and answers x_DC plus its
+	// zero-state response (SolveTask). Run marks task 0.
+	DC bool
 }
 
 // Partition groups the system's time-varying inputs by transition-spot
 // overlap: sources whose waveforms share a bump feature (identical delay,
 // rise, width, fall, period — paper Fig. 3) or an identical transition
 // signature land in the same group. Supply inputs (DC rails and static
-// loads) carry no transient and stay with the DC baseline.
+// loads) carry no transient and enter through the DC point alone.
 func Partition(sys *circuit.System, tstop float64) []Task {
 	var cand []int
 	var waves []waveform.Waveform
@@ -52,18 +60,19 @@ func Partition(sys *circuit.System, tstop float64) []Task {
 type Config struct {
 	// Base is the solver configuration every node runs under, with the
 	// defaults transient.Options documents; its Probes are recorded at every
-	// GTS point. Cache is shared by the scheduler's DC solve and the
-	// in-process subtasks (nil: a run-local one) — remote workers keep their
-	// own — so reusing one across Run calls makes later runs
+	// GTS point. Cache is shared by the in-process subtasks, the DC point's
+	// task among them (nil: a run-local one) — remote workers keep their own
+	// — so reusing one across Run calls makes later runs
 	// refactorization-free.
 	// Ctx cancels the run: nothing further is dispatched, in-process
 	// subtasks abort at their next step boundary, remote ones are canceled on
 	// their workers. OnSample receives the superposed rows
 	// under transient.Simulate's contract — one at a time, in time order,
 	// the row aliasing the returned Result's — as they leave: t = 0 (x_DC)
-	// once the DC solve is done, every later GTS point once the slowest task
-	// has passed it (in-process tasks stream, remote ones land whole). A run
-	// that fails after rows have left returns the error all the same.
+	// once task 0's node has solved the DC point, every later GTS point once
+	// the slowest task has passed it (in-process and remote tasks alike
+	// stream their rows). A run that fails after rows have left returns the
+	// error all the same.
 	// OnCheckpoint and ActiveInputs are engine-owned and must be nil; every
 	// node emits on the GTS grid from zero state whatever EvalTimes and
 	// InitialState say.
@@ -95,12 +104,12 @@ type Report struct {
 	// Tasks is the number of tasks dispatched: the groups merged into
 	// min(Groups, pool nodes) tasks.
 	Tasks int
-	// DCTime is the one-shot DC operating point solve; it runs on the
-	// scheduler while the tasks are out, so it adds to the wall time only
-	// where it outlasts them.
+	// DCTime is the one-shot DC operating point solve, on task 0's node
+	// ahead of that task's integration (TaskStats[0].DCTime).
 	DCTime time.Duration
 	// MaxNodeTime is the slowest node's wall time over all its phases — the
-	// distributed makespan (the paper's t_total is DCTime + MaxNodeTime).
+	// distributed makespan (the paper's t_total is DCTime + MaxNodeTime; task
+	// 0's phases include the DC solve).
 	MaxNodeTime time.Duration
 	// MaxNodeTrTime is the slowest node's transient phase alone (the paper's
 	// t_R-MATEX).
@@ -161,9 +170,9 @@ func NewSystem(sys *circuit.System) *System {
 }
 
 // NewRequest is the Request every task of a run of method on dsys under
-// base is solved with: base with its ordering resolved, so the scheduler's
-// DC solve and every task share one fill, and its samples on the GTS grid
-// of the whole system.
+// base is solved with: base with its ordering resolved, so the DC solve and
+// every task share one fill, and its samples on the GTS grid of the whole
+// system.
 func NewRequest(dsys *System, method transient.Method, base transient.Options) Request {
 	base.Ordering = base.Ordering.Resolve()
 	base.EvalTimes = dsys.sys.GTS(base.Tstop)
@@ -171,16 +180,115 @@ func NewRequest(dsys *System, method transient.Method, base transient.Options) R
 }
 
 // SolveTask integrates one task the way every node does: the zero-state
-// response of dsys to the inputs it names (indices into the system's
-// Inputs), under req, until ctx is done. The in-process pool runs it per
-// task, and so does a job server handed a task spec (job.Spec.Inputs).
-func SolveTask(ctx context.Context, dsys *System, inputs []int, req Request) (*transient.Result, error) {
+// response of dsys to the inputs the task names (indices into the system's
+// Inputs), under req as NewRequest builds it, until ctx is done, delivered
+// on req's grid — a fixed-step integration is interpolated onto it here, on
+// the node. A DC task (Task.DC) first solves G·x_DC = B·u(0) from the
+// factorization of G its integration then takes from the cache, and its rows
+// and final state are x_DC + the response, summed as Run's fold sums every
+// later task onto them, so the superposition's bits do not depend on where
+// x_DC was solved; the DC solve pair, factorization and time are in the
+// result's Stats. The in-process pool runs it per task, and so does a job
+// server handed a task spec (job.Spec.Inputs).
+func SolveTask(ctx context.Context, dsys *System, task Task, req Request) (*transient.Result, error) {
 	opts := req.Options
 	opts.ActiveInputs = make([]bool, len(dsys.sub.Inputs))
-	for _, k := range inputs {
+	for _, k := range task.InputIdx {
 		opts.ActiveInputs[k] = true
 	}
 	opts.InitialState = make([]float64, dsys.sub.N)
 	opts.Ctx = ctx
-	return transient.Simulate(dsys.sub, req.Method, opts)
+
+	// The task's own fold: x_DC as a constant lane (a DC task), then the
+	// integration, on the grid or interpolated onto it.
+	grid := opts.EvalTimes
+	var addends []superpose.Addend
+	var dc *transient.Result
+	var dcStats transient.Stats
+	if task.DC {
+		if opts.Cache == nil {
+			opts.Cache = sparse.NewCache(0) // G is factorized once for the DC point and the integration
+		}
+		t0 := time.Now()
+		xdc, info, err := solveDC(dsys.sys, opts.Ordering, opts.Cache)
+		if err != nil {
+			return nil, err
+		}
+		dcStats.AddFactorInfo(info)
+		dcStats.SolvePairs++
+		dcStats.DCTime = time.Since(t0)
+		dc = constantLane(grid, xdc, opts.Probes)
+		addends = append(addends, superpose.Addend{Coef: 1})
+	}
+	addends = append(addends, superpose.Addend{Coef: 1, Interp: !onGrid(req.Method), ZeroState: true})
+	fold := superpose.NewFold(superpose.Plan{Grid: grid, Probes: opts.Probes, Addends: addends}, opts.OnSample)
+	if dc != nil {
+		if err := fold.Land(0, dc); err != nil {
+			return nil, err
+		}
+	}
+	lane := len(addends) - 1
+	opts.OnSample = func(t float64, row []float64) { fold.Sample(lane, t, row) }
+	r, err := transient.Simulate(dsys.sub, req.Method, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := fold.Land(lane, r); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	res, err := fold.Result()
+	if err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
+	res.Stats = r.Stats
+	res.Stats.Add(&dcStats)
+	res.Stats.DCTime += dcStats.DCTime
+	return res, nil
+}
+
+// onGrid reports whether method records exactly the GTS points it is asked
+// for: the MATEX methods do, the fixed-step and adaptive TR record their own
+// steps.
+func onGrid(method transient.Method) bool {
+	switch method {
+	case transient.MEXP, transient.IMATEX, transient.RMATEX:
+		return true
+	}
+	return false
+}
+
+// solveDC factorizes G through the cache and solves the DC operating point
+// over all inputs.
+func solveDC(sys *circuit.System, ordering sparse.Ordering, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
+	fg, info, err := cache.Factor(sys.G, sparse.FactorAuto, ordering)
+	if err != nil {
+		return nil, info, fmt.Errorf("dist: DC factorization failed: %w", err)
+	}
+	b := make([]float64, sys.N)
+	sys.EvalB(0, b, nil)
+	xdc := make([]float64, sys.N)
+	fg.Solve(xdc, b)
+	for _, v := range xdc {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, info, fmt.Errorf("dist: DC solution is not finite")
+		}
+	}
+	return xdc, info, nil
+}
+
+// constantLane is x on every grid point: rows of its probe entries (one row,
+// shared) and x itself as the final state.
+func constantLane(grid, x []float64, probes []int) *transient.Result {
+	l := &transient.Result{Times: grid, Final: x}
+	if len(probes) > 0 {
+		row := make([]float64, len(probes))
+		for k, p := range probes {
+			row[k] = x[p]
+		}
+		l.Probes = make([][]float64, len(grid))
+		for i := range l.Probes {
+			l.Probes[i] = row
+		}
+	}
+	return l
 }

@@ -13,8 +13,9 @@ import (
 
 // Request is what every task of one run is solved under: the method and
 // the run's solver options (NewRequest). Run sets Options.OnSample per task,
-// so in-process tasks stream into the superposition; SolveTask adds the
-// task's input mask, zero initial state and context.
+// so every task's rows stream into the superposition as they leave the
+// task; SolveTask adds the task's input mask, zero initial state and
+// context.
 type Request struct {
 	Method  transient.Method
 	Options transient.Options
@@ -36,12 +37,15 @@ type TaskResult struct {
 }
 
 // Pool runs subtasks somewhere: in-process goroutines (the default) or job
-// servers (internal/job posts each task to a worker's /v1/simulate). A
-// pool's Result may lack the final state (a remote task streams probe rows
-// only); Run's Result then has none either. Solve must be safe for
-// concurrent use; the scheduler issues up to Config.Workers calls at once.
-// ctx cancels the subtask: in-process pools abort the integration, a remote
-// pool cancels the task's job on its worker.
+// servers (internal/job posts each task to a worker's /v1/simulate). Solve
+// answers what SolveTask answers for the task — a DC task's rows included
+// x_DC — delivering each row through req.Options.OnSample, once and in
+// order, as it arrives, and returns them all in its Result. A pool's Result
+// may lack the final state (a remote task streams probe rows only); Run's
+// Result then has none either. Solve must be safe for concurrent use; the
+// scheduler issues up to Config.Workers calls at once. ctx cancels the
+// subtask: in-process pools abort the integration, a remote pool cancels the
+// task's job on its worker.
 type Pool interface {
 	Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error)
 	// Nodes reports how many subtasks the pool can run at once: the workers
@@ -56,7 +60,8 @@ type Pool interface {
 // run operates on the same matrices — the in-process analogue of the
 // paper's cluster handing each machine the same netlist. The cache's
 // singleflight lookup means concurrent subtasks needing the same operator
-// (G, or C + γG for R-MATEX) wait for one factorization instead of
+// (G — the DC task's and every task's — or C + γG for R-MATEX) wait for one
+// factorization instead of
 // duplicating it; the workspace pool hands each concurrent subtask an
 // exclusive arena and lets later subtasks reuse the buffers of finished
 // ones, so a long distributed run stops allocating per spot.
@@ -89,7 +94,7 @@ func (p *localPool) Nodes() int { return p.nodes }
 func (p *localPool) Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
 	start := time.Now()
 	req.Options.Cache, req.Options.Workspaces = p.cache, p.workspaces
-	res, err := SolveTask(ctx, sys, task.InputIdx, req)
+	res, err := SolveTask(ctx, sys, task, req)
 	if err != nil {
 		return nil, fmt.Errorf("dist: group %d: %w", task.GroupID, err)
 	}

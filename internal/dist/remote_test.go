@@ -608,10 +608,13 @@ func TestFaultWorkerCrashFailsOver(t *testing.T) {
 	leak()
 }
 
-// TestUnknownSystemRegistersOnce: a worker learns a deck from the first task
-// that brings it (one parse), a warm run parses nothing, and a restarted
-// worker, holding nothing, learns it again from its next task — with no
-// retry, since a run keeps no connection to find severed.
+// TestUnknownSystemRegistersOnce: a worker learns a deck from the one PUT a
+// run sends it when its first task, naming the deck by hash, is answered
+// 404 (one parse); a warm run sends no text and parses nothing; and a
+// restarted worker, holding nothing, learns it again the same way — with no
+// retry, since a run keeps no connection to find severed. The deck store's
+// references are the PUT and one hash lookup per task: N references read 1
+// miss, N−1 hits.
 func TestUnknownSystemRegistersOnce(t *testing.T) {
 	d := gridDeck(t, 0.2)
 	spec := job.Spec{Tol: 1e-7}
@@ -622,8 +625,10 @@ func TestUnknownSystemRegistersOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ds := w.stats(t).DeckStore; ds.Misses != 1 || ds.Hits != uint64(run-1) || out.Dist.Retried != 0 || !sameRows(got, local) {
-			t.Fatalf("run %d: deck store %+v, %d retries", run, ds, out.Dist.Retried)
+		refs := uint64(1 + run) // the PUT, then one task per run
+		st := w.stats(t)
+		if ds := st.DeckStore; ds.Misses != 1 || ds.Hits != refs-1 || st.DeckPuts != 1 || st.InlineDecks != 0 || out.Dist.Retried != 0 || !sameRows(got, local) {
+			t.Fatalf("run %d: deck store %+v, %d PUTs, %d inline, %d retries", run, ds, st.DeckPuts, st.InlineDecks, out.Dist.Retried)
 		}
 	}
 	w.kill()
@@ -632,14 +637,15 @@ func TestUnknownSystemRegistersOnce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run after the worker restarted: %v", err)
 	}
-	if ds := back.stats(t).DeckStore; ds.Misses != 1 || out.Dist.Retried != 0 || !sameRows(got, local) {
-		t.Fatalf("restarted worker: deck store %+v, %d retries", ds, out.Dist.Retried)
+	if st := back.stats(t); st.DeckStore.Misses != 1 || st.DeckStore.Hits != 1 || st.DeckPuts != 1 || out.Dist.Retried != 0 || !sameRows(got, local) {
+		t.Fatalf("restarted worker: deck store %+v, %d PUTs, %d retries", st.DeckStore, st.DeckPuts, out.Dist.Retried)
 	}
 }
 
 // TestRegisterSingleFlight: eight tasks of one new deck at once onto one
-// fresh worker (a run cut for eight nodes, all of them that worker) parse it
-// once; the other seven wait for that parse, and all land.
+// fresh worker (a run cut for eight nodes, all of them that worker) are all
+// answered 404, and the run sends the worker one PUT, which the other seven
+// wait for: one parse, then eight hash lookups, and all land.
 func TestRegisterSingleFlight(t *testing.T) {
 	d := gridDeck(t, 0.5) // twelve groups
 	spec := job.Spec{Tol: 1e-7}
@@ -656,8 +662,8 @@ func TestRegisterSingleFlight(t *testing.T) {
 	if out.Dist.Tasks != 8 || out.Dist.Retried != 0 || !sameRows(got, local) {
 		t.Fatalf("%d tasks, %d retries, rows equal to in-process: %v", out.Dist.Tasks, out.Dist.Retried, sameRows(got, local))
 	}
-	if ds := w.stats(t).DeckStore; ds.Misses != 1 || ds.Hits != 7 || ds.Entries != 1 {
-		t.Fatalf("eight concurrent first tasks of one deck: deck store %+v, want one parse", ds)
+	if st := w.stats(t); st.DeckStore.Misses != 1 || st.DeckStore.Hits != 8 || st.DeckStore.Entries != 1 || st.DeckPuts != 1 {
+		t.Fatalf("eight concurrent first tasks of one deck: deck store %+v, %d PUTs, want one PUT and one parse", st.DeckStore, st.DeckPuts)
 	}
 }
 

@@ -3,10 +3,8 @@ package dist
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
-	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
@@ -15,10 +13,11 @@ import (
 // Run executes the paper's Fig. 4 flow for the nodes the pool has: partition
 // the time-varying sources into bump-feature groups, merge the groups into
 // one task per node (plan.go), fan the tasks out as zero-state subtasks
-// running method, solve the DC operating point on the scheduler meanwhile,
-// and superpose the task responses with the DC baseline on the shared GTS
+// running method — the first of them also solving the DC operating point on
+// its node (Task.DC) — and superpose the task responses on the shared GTS
 // time grid (a superpose.Fold, every coefficient 1), delivering each row
-// through Config.Base.OnSample as it leaves.
+// through Config.Base.OnSample as it leaves. The scheduler itself factorizes
+// nothing.
 //
 // The returned Result carries the superposed probe waveforms (and final
 // state); its Stats aggregate the work of all nodes, with TransientTime set
@@ -27,7 +26,6 @@ import (
 // of Table 3.
 //
 //matex:ctx-root(embedding API default when Config.Base.Ctx is nil)
-//matex:ctx-exempt(the context arrives in Config.Base.Ctx; the one receive joins Run's own DC goroutine, which never blocks)
 func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, *Report, error) {
 	base := cfg.Base
 	if dsys == nil || dsys.sys == nil {
@@ -38,8 +36,7 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 		return nil, nil, fmt.Errorf("dist: needs positive Tstop")
 	}
 	// What every lane's integrator would refuse is refused here, once, before
-	// anything is dispatched — and also on a deck with no time-varying
-	// source, whose plan has no lane to refuse it.
+	// anything is dispatched.
 	if method.FixedStep() && base.Step <= 0 {
 		return nil, nil, fmt.Errorf("dist: fixed-step method %v needs positive Step", method)
 	}
@@ -52,18 +49,16 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	if base.Ctx == nil {
 		base.Ctx = context.Background()
 	}
-	// The ordering is resolved once, here, so the scheduler's own DC
-	// factorization and every subtask share one fill and, with a shared
-	// cache, one cache key.
+	// The ordering is resolved once, here, so every task — the DC point's
+	// among them — shares one fill and, with a shared cache, one cache key.
 	req := NewRequest(dsys, method, base)
 	gts := req.Options.EvalTimes
 
 	rep := &Report{}
 
-	// The factorization cache every in-process phase goes through: the DC
-	// solve and all local subtasks share it, so G is factorized at most
-	// once per distinct content, and a caller-provided cache makes repeated
-	// Run calls refactorization-free.
+	// The factorization cache every in-process task goes through, so G is
+	// factorized at most once per distinct content, and a caller-provided
+	// cache makes repeated Run calls refactorization-free.
 	cache := base.Cache
 	if cache == nil {
 		cache = sparse.NewCache(0)
@@ -74,19 +69,21 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	}
 
 	// Decomposition, cut for the nodes present, and the shared output grid.
-	// Only the MATEX methods pay per transition spot and record exactly the
-	// grid; the others are planned without spots (see planTasks) and
-	// interpolated onto it.
+	// Only the MATEX methods pay per transition spot; the others are planned
+	// without spots (see planTasks).
 	groups := Partition(sys, base.Tstop)
 	var spots [][]float64
-	onGrid := false
-	switch method {
-	case transient.MEXP, transient.IMATEX, transient.RMATEX:
+	if onGrid(method) {
 		spots = groupSpots(sys, groups, base.Tstop)
-		onGrid = true
 	}
 	nodes := pool.Nodes()
 	tasks, perTask := planTasks(groups, spots, nodes)
+	if len(tasks) == 0 {
+		// A deck with no time-varying source has no task to carry the DC
+		// point: one task of no inputs does, in-process.
+		tasks, perTask, pool = []Task{{}}, []TaskReport{{}}, NewLocalPool(1, cache)
+	}
+	tasks[0].DC = true
 	rep.Groups, rep.Tasks, rep.PerTask = len(groups), len(tasks), perTask
 
 	workers := cfg.Workers
@@ -94,41 +91,18 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 		workers = nodes
 	}
 
-	// Superposition: x(t_i) = x_DC + Σ_task x_task(t_i) on the GTS grid,
-	// summed in plan order so the rows do not depend on completion order.
-	// Every task is zero-state, so row 0 is x_DC and leaves with it.
+	// Superposition: x(t_i) = (x_DC + x_0(t_i)) + Σ_task>0 x_task(t_i) on the
+	// GTS grid, summed in plan order so the rows do not depend on completion
+	// order. Every task delivers on the grid; every task but the first is
+	// zero-state, so row 0 leaves with task 0's first row, x_DC.
 	addends := make([]superpose.Addend, len(tasks))
 	for i := range addends {
-		addends[i] = superpose.Addend{Coef: 1, Interp: !onGrid, ZeroState: true}
+		addends[i] = superpose.Addend{Coef: 1, ZeroState: i > 0}
 	}
-	fold := superpose.NewFold(superpose.Plan{Grid: gts, Probes: base.Probes, Addends: addends, Offset: true}, emit)
+	fold := superpose.NewFold(superpose.Plan{Grid: gts, Probes: base.Probes, Addends: addends}, emit)
 
-	// DC operating point, G·x_DC = B·u(0) over all inputs, beside the
-	// fan-out: zero-state subtasks do not need x_DC, it only enters at
-	// superposition. The cached factorization of G is shared with the
-	// in-process subtasks (I-MATEX as its Krylov operator). A DC failure
-	// cancels the tasks still out.
-	ctx, cancel := context.WithCancel(base.Ctx)
-	defer cancel()
-	var (
-		dcInfo sparse.FactorInfo
-		dcErr  error
-	)
-	dcDone := make(chan struct{})
-	go func() {
-		defer close(dcDone)
-		tDC := time.Now()
-		var xdc []float64
-		xdc, dcInfo, dcErr = solveDC(sys, req.Options.Ordering, cache)
-		rep.DCTime = time.Since(tDC)
-		if dcErr != nil {
-			cancel()
-			return
-		}
-		fold.SetBase(xdc)
-	}()
 	queued := time.Now()
-	results, err := superpose.FanOut(ctx, len(tasks), workers, func(ctx context.Context, i int) (*TaskResult, error) {
+	results, err := superpose.FanOut(base.Ctx, len(tasks), workers, func(ctx context.Context, i int) (*TaskResult, error) {
 		wait := time.Since(queued)
 		lane := req
 		lane.Options.OnSample = func(t float64, row []float64) { fold.Sample(i, t, row) }
@@ -142,10 +116,6 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 		tr.Wait = wait
 		return tr, nil
 	})
-	<-dcDone
-	if dcErr != nil {
-		return nil, nil, dcErr
-	}
 	if err != nil {
 		return nil, nil, err
 	}
@@ -153,9 +123,6 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("dist: %w", err)
 	}
-	res.Stats.AddFactorInfo(dcInfo)
-	res.Stats.SolvePairs++
-	res.Stats.DCTime = rep.DCTime
 
 	rep.TaskStats = make([]transient.Stats, len(tasks))
 	for i, tr := range results {
@@ -172,25 +139,8 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 			res.Final = nil // a remote task's final state stayed on its worker
 		}
 	}
+	rep.DCTime = rep.TaskStats[0].DCTime
+	res.Stats.DCTime = rep.DCTime
 	res.Stats.TransientTime = rep.MaxNodeTrTime
 	return res, rep, nil
-}
-
-// solveDC factorizes G through the shared cache and solves the DC operating
-// point over all inputs.
-func solveDC(sys *circuit.System, ordering sparse.Ordering, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
-	fg, info, err := cache.Factor(sys.G, sparse.FactorAuto, ordering)
-	if err != nil {
-		return nil, info, fmt.Errorf("dist: DC factorization failed: %w", err)
-	}
-	b := make([]float64, sys.N)
-	sys.EvalB(0, b, nil)
-	xdc := make([]float64, sys.N)
-	fg.Solve(xdc, b)
-	for _, v := range xdc {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, info, fmt.Errorf("dist: DC solution is not finite")
-		}
-	}
-	return xdc, info, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -74,30 +75,36 @@ func (l *rowLog) matches(res *transient.Result) bool {
 	return true
 }
 
-// TestRowZeroLeavesBeforeAnyTaskLands: every task is held until the test has
-// seen row 0, so row 0 — x_DC — can only have come from the DC solve.
+// TestRowZeroLeavesBeforeAnyTaskLands: every task streams its rows but is
+// held from landing until the test has seen row 0, so row 0 — x_DC — left
+// with task 0's first streamed row, not with a task's end; and it is the DC
+// point the scheduler used to solve itself.
 func TestRowZeroLeavesBeforeAnyTaskLands(t *testing.T) {
 	sys := testSystem(t, 0.2)
 	local := NewLocalPool(2, nil)
 	log := newRowLog(t)
 	var landed atomic.Int32
 	pool := funcPool{nodes: 2, solve: func(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
+		tr, err := local.Solve(ctx, sys, task, req)
 		select {
 		case <-log.arrived:
 		case <-time.After(10 * time.Second):
 			return nil, errors.New("row 0 never left while the tasks were held")
 		}
 		defer landed.Add(1)
-		return local.Solve(ctx, sys, task, req)
+		return tr, err
 	}}
 	var landedAtRowZero int32 = -1
+	var rowZero []float64
 	hook := func(tt float64, row []float64) {
 		if tt == 0 {
 			landedAtRowZero = landed.Load()
+			rowZero = append([]float64(nil), row...)
 		}
 		log.hook(tt, row)
 	}
-	res, _, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Probes: testProbes(sys), OnSample: hook}, Pool: pool})
+	probes := testProbes(sys)
+	res, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: transient.Options{Tstop: 10e-9, Probes: probes, OnSample: hook}, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +113,18 @@ func TestRowZeroLeavesBeforeAnyTaskLands(t *testing.T) {
 	}
 	if !log.matches(res) {
 		t.Fatal("streamed rows are not the result's")
+	}
+	xdc, _, err := solveDC(sys, sparse.OrderDefault.Resolve(), sparse.NewCache(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, p := range probes {
+		if rowZero[k] != xdc[p] {
+			t.Fatalf("row 0 column %d is %g, x_DC %g", k, rowZero[k], xdc[p])
+		}
+	}
+	if st := rep.TaskStats; st[0].DCTime == 0 || rep.DCTime != st[0].DCTime || res.Stats.DCTime != rep.DCTime {
+		t.Errorf("DC time: task 0 %v, report %v, run %v; want task 0's everywhere", st[0].DCTime, rep.DCTime, res.Stats.DCTime)
 	}
 }
 

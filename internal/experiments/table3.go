@@ -100,9 +100,11 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 		// own pool.
 		nodes := len(dist.Partition(sys, cfg.Tstop))
 		cache := sparse.NewCache(0)
-		// Run solves the DC point beside the fan-out. Factor G ahead of it,
-		// alone on the box, so the first node is not timed against that
-		// factorization; the paper's t_total pays DC and the node in turn.
+		// Task 0's node solves the DC point ahead of its integration. Factor G
+		// before the run, alone on the box, so no node is timed against that
+		// factorization; the paper's t_total pays DC and the node in turn
+		// (where task 0 is the slowest node, its one DC solve pair is in
+		// MaxNodeTime too).
 		tDC := time.Now()
 		if _, _, err := cache.Factor(sys.G, sparse.FactorAuto, sparse.OrderDefault); err != nil {
 			return nil, fmt.Errorf("table3: DC factorization on %s: %w", name, err)

@@ -4,8 +4,8 @@
 // that MATEX splits into subtasks; this package builds that task:
 //
 //   - Check refuses, before any deck is read, what a service admits by
-//     bound (a deck named twice or not at all, an oversized netlist or
-//     pgbench case, too many sweep variants);
+//     bound (a deck named twice or not at all, a deck hash that is not one,
+//     an oversized netlist or pgbench case, too many sweep variants);
 //   - ParseDeck and GenerateDeck parse or generate a deck and stamp it;
 //   - Resolve validates the spec against the deck — method, Krylov process
 //     and ordering names, the window and step the .tran card defaults, the
@@ -15,7 +15,7 @@
 //     sweep.Run, dist.Run or, for one D-MATEX task, dist.SolveTask under one
 //     transient.Options and delivers every row through one hook. A
 //     distributed run with workers posts each of its tasks to a job server
-//     as a spec of its own (remote.go).
+//     as a spec of its own that names its deck by hash (remote.go).
 //
 // The package imports the engine packages only, never internal/serve: the
 // CLI links it without the service.
@@ -36,13 +36,19 @@ import (
 )
 
 // Spec is the JSON body of a job submission: the input deck (inline
-// SPICE text or a named pgbench case) plus the solver configuration, all
-// optional except the deck. The field spellings match the matex CLI flags,
-// which fill the same struct (the CLI names its deck by file instead).
+// SPICE text, a named pgbench case or the hash of a deck the server holds)
+// plus the solver configuration, all optional except the deck. The field
+// spellings match the matex CLI flags, which fill the same struct (the CLI
+// names its deck by file instead).
 type Spec struct {
 	// Netlist is an inline SPICE-subset deck (the IBM power grid format).
-	// Exactly one of Netlist and Case must be set.
+	// Exactly one of Netlist, Case and Deck must be set.
 	Netlist string `json:"netlist,omitempty"`
+	// Deck names a netlist by the hex SHA-256 of its text (DeckHash): one
+	// the server already holds, from an earlier inline job or a PUT
+	// /v1/decks/{hash}. A server that does not hold it refuses the spec
+	// rather than guess.
+	Deck string `json:"deck,omitempty"`
 	// Case names a synthetic pgbench benchmark ("ibmpg1t" … "ibmpg6t");
 	// Scale multiplies the grid edge (0 = 1.0) and NumProbes spreads that
 	// many probes across the grid diagonal (0 = 4), exactly like
@@ -75,10 +81,16 @@ type Spec struct {
 	Distributed bool `json:"distributed,omitempty"`
 	// Inputs, when set, makes the job one D-MATEX task: the zero-state
 	// response to the stamped system's inputs at these indices (time-varying
-	// sources, each once), recorded on the deck's transition-spot grid by the
-	// MATEX methods — what a distributed run posts to a worker per task. A
-	// task is never checkpointed, and is neither a sweep nor distributed.
+	// sources, each once), delivered on the deck's transition-spot grid (a
+	// fixed-step integration is interpolated onto it) — what a distributed
+	// run posts to a worker per task. A task is never checkpointed, and is
+	// neither a sweep nor distributed.
 	Inputs []int `json:"inputs,omitempty"`
+	// DC, on a task spec only, adds the DC operating point over all inputs
+	// to the task's rows and final state: the task answers x_DC + its
+	// zero-state response, which is how a distributed run's first task
+	// carries the DC point.
+	DC bool `json:"dc,omitempty"`
 	// TimeoutSec, when positive, is the per-job deadline; an expired job
 	// is reported canceled.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
@@ -98,14 +110,26 @@ type Spec struct {
 const MaxSweepVariants = 64
 
 // Check refuses, before any deck is parsed or generated, a spec a service
-// cannot admit: one that names no deck or two, a netlist longer than limit
-// bytes, a pgbench case whose stamped matrices could be charged more than
-// limit bytes or that spreads more probes than its grid has nodes, and a
-// sweep of more than MaxSweepVariants variants. The CLI names its deck by
-// file and has no such bounds, so it does not call Check.
+// cannot admit: one that names no deck or two (ErrDeckChoice), a deck hash
+// that is not one (ErrDeckHash), a netlist longer than limit bytes, a
+// pgbench case whose stamped matrices could be charged more than limit bytes
+// or that spreads more probes than its grid has nodes, and a sweep of more
+// than MaxSweepVariants variants. The CLI names its deck by file and has no
+// such bounds, so it does not call Check.
 func (s *Spec) Check(limit int64) error {
-	if (s.Netlist == "") == (s.Case == "") {
-		return errors.New("exactly one of netlist and case must be set")
+	named := 0
+	for _, d := range []string{s.Netlist, s.Case, s.Deck} {
+		if d != "" {
+			named++
+		}
+	}
+	if named != 1 {
+		return ErrDeckChoice
+	}
+	if s.Deck != "" {
+		if err := CheckDeckHash(s.Deck); err != nil {
+			return err
+		}
 	}
 	if int64(len(s.Netlist)) > limit {
 		return fmt.Errorf("netlist is %d bytes; the limit is %d", len(s.Netlist), limit)
@@ -133,12 +157,16 @@ func (s *Spec) Check(limit int64) error {
 	return nil
 }
 
-// The refusals of a task spec's Inputs (Resolve); each error wraps one.
+// The refusals of a spec's deck (Check) and of a task spec's Inputs and DC
+// (Resolve); each error is or wraps one.
 var (
-	ErrInputRange    = errors.New("input index out of range")
-	ErrInputRepeated = errors.New("input index repeated")
-	ErrInputSupply   = errors.New("input is a supply")
-	ErrInputsAlone   = errors.New("a task job cannot also be a sweep or distributed")
+	ErrDeckChoice      = errors.New("exactly one of netlist, case and deck must be set")
+	ErrDeckHash        = errors.New("a deck hash is 64 lowercase hex digits")
+	ErrInputRange      = errors.New("input index out of range")
+	ErrInputRepeated   = errors.New("input index repeated")
+	ErrInputSupply     = errors.New("input is a supply")
+	ErrInputsAlone     = errors.New("a task job cannot also be a sweep or distributed")
+	ErrDCWithoutInputs = errors.New("dc is only valid on a task spec, with inputs")
 )
 
 // Task is a resolved job — the paper's one simulation task, before MATEX
@@ -206,6 +234,9 @@ func (s *Spec) Resolve(d *Deck) (*Task, error) {
 	if t.method.FixedStep() && t.step <= 0 {
 		return nil, fmt.Errorf("fixed-step method %q needs step or a .tran step in the deck", s.Method)
 	}
+	if s.DC && len(s.Inputs) == 0 {
+		return nil, ErrDCWithoutInputs
+	}
 	if len(s.Inputs) > 0 {
 		if err := checkInputs(d, s); err != nil {
 			return nil, err
@@ -265,7 +296,7 @@ type Hooks struct {
 	Workers []string
 	// OnSample, which must be set, receives every row as it leaves the
 	// engine: as a plain run integrates, as a distributed run's tasks pass
-	// each grid point (t = 0 once the DC solve is done), as a sweep
+	// each grid point (t = 0 once task 0 has the DC point), as a sweep
 	// variant's lanes pass each sample. variant is the sweep variant's
 	// label, "" otherwise; a sweep's lanes call it concurrently.
 	OnSample func(variant string, t float64, row []float64)
@@ -350,7 +381,7 @@ func (t *Task) Run(ctx context.Context, h Hooks) (*Outcome, error) {
 
 	case len(spec.Inputs) > 0:
 		opts.OnSample = func(t float64, row []float64) { h.OnSample("", t, row) }
-		res, err := dist.SolveTask(ctx, d.dsys, spec.Inputs, dist.NewRequest(d.dsys, t.method, opts))
+		res, err := dist.SolveTask(ctx, d.dsys, dist.Task{InputIdx: spec.Inputs, DC: spec.DC}, dist.NewRequest(d.dsys, t.method, opts))
 		if err != nil {
 			return nil, err
 		}

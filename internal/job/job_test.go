@@ -49,9 +49,12 @@ func open(spec Spec, file string) (*Task, error) {
 // TestOneRefusalTable: every spec the service refuses at submit, and the
 // refusals the CLI shares with it, refused with the same error through
 // either front end; the same specs with the offending part removed are
-// accepted, so the table refuses for the reason it names. A task spec's
-// inputs (input 0 is a supply rail on both decks, the smoke deck's input 1
-// and the case's inputs from 30 on are loads) are refused with typed errors.
+// accepted, so the table refuses for the reason it names. A deck named
+// twice or by a malformed hash, a task spec's inputs (input 0 is a supply
+// rail on both decks, the smoke deck's input 1 and the case's inputs from
+// 30 on are loads) and "dc" off a task spec are refused with typed errors.
+// What only a server can refuse — a hash it does not hold, a PUT deck —
+// is in the serve HTTP tests (TestDeckAPIRefusals).
 func TestOneRefusalTable(t *testing.T) {
 	variants := []sweep.Variant{{Name: "typ"}, {Name: "hot", Scale: 1.5}}
 	noStep := strings.Replace(smokeDeck, ".tran 10p 10n", ".tran 0 10n", 1)
@@ -62,8 +65,14 @@ func TestOneRefusalTable(t *testing.T) {
 		want string
 		is   error
 	}{
-		{"no deck", Spec{}, "", "exactly one of netlist and case", nil},
-		{"both decks", Spec{Netlist: "* x\n.end\n", Case: "ibmpg1t"}, "", "exactly one of netlist and case", nil},
+		{"no deck", Spec{}, "", "exactly one of netlist, case and deck", ErrDeckChoice},
+		{"both decks", Spec{Netlist: "* x\n.end\n", Case: "ibmpg1t"}, "", "exactly one of netlist, case and deck", ErrDeckChoice},
+		{"deck and netlist", Spec{Deck: DeckHash(smokeDeck), Netlist: smokeDeck}, "", "exactly one of netlist, case and deck", ErrDeckChoice},
+		{"deck and case", Spec{Deck: DeckHash(smokeDeck), Case: "ibmpg1t"}, "", "exactly one of netlist, case and deck", ErrDeckChoice},
+		{"short deck hash", Spec{Deck: "abc123"}, "", "not 6 characters", ErrDeckHash},
+		{"deck hash not lowercase hex", Spec{Deck: strings.ToUpper(DeckHash(smokeDeck))}, "", "64 lowercase hex digits", ErrDeckHash},
+		{"dc without inputs", Spec{Case: "ibmpg1t", DC: true}, "", "dc is only valid", ErrDCWithoutInputs},
+		{"dc without inputs, CLI", Spec{DC: true}, smokeDeck, "dc is only valid", ErrDCWithoutInputs},
 		{"bad method", Spec{Case: "ibmpg1t", Method: "simplex"}, "", `unknown method "simplex"`, nil},
 		{"deleted method", Spec{Case: "ibmpg1t", Method: "fe"}, "", `unknown method "fe"`, nil},
 		{"bad case", Spec{Case: "ibmpg9t"}, "", `unknown IBM case "ibmpg9t"`, nil},
@@ -112,6 +121,8 @@ func TestOneRefusalTable(t *testing.T) {
 		{"sweep, CLI", Spec{Variants: variants}, smokeDeck},
 		{"task", Spec{Case: "ibmpg1t", Inputs: []int{31, 30, 129}}, ""},
 		{"task, CLI", Spec{Inputs: []int{1}}, smokeDeck},
+		{"task carrying the DC point", Spec{Case: "ibmpg1t", Inputs: []int{30}, DC: true}, ""},
+		{"task carrying the DC point, CLI", Spec{Inputs: []int{1}, DC: true}, smokeDeck},
 	} {
 		if _, err := open(tc.spec, tc.file); err != nil {
 			t.Errorf("%s: refused: %v", tc.name, err)

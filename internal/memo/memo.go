@@ -1,7 +1,8 @@
 // Package memo is the one bounded, content-keyed store the simulator keeps
 // reusable work in: the factorization cache's numeric and symbolic tiers
 // (internal/sparse), the job service's parsed and stamped decks
-// (internal/serve) and a worker's registered circuits (internal/dist).
+// (internal/serve) and a remote D-MATEX run's one deck upload per worker
+// (internal/job).
 //
 // A Store builds each key's value once, however many callers ask for it at
 // the same time, and keeps completed values in least-recently-used order
@@ -148,6 +149,28 @@ func (s *Store[K, V]) Peek(key K) (V, bool) {
 	}
 	var zero V
 	return zero, false
+}
+
+// Lookup returns the value under key without building it: a completed
+// entry, or the outcome of a build in flight, which it waits for (a failed
+// build is not found). A key the store holds or is building counts as a
+// hit; any other counts nothing.
+func (s *Store[K, V]) Lookup(key K) (V, bool) {
+	s.budget.mu.Lock()
+	e, ok := s.entries[key]
+	if ok {
+		s.stats.Hits++
+		if e.elem != nil {
+			s.lru.MoveToFront(e.elem)
+		}
+	}
+	s.budget.mu.Unlock()
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	<-e.ready
+	return e.val, e.err == nil
 }
 
 // Stats returns the store's counters.

@@ -314,3 +314,48 @@ func TestSharedBudget(t *testing.T) {
 		t.Fatalf("small store %+v, want it untouched by the other store's eviction", s)
 	}
 }
+
+// TestLookupNeverBuilds: Lookup finds a completed entry (a hit), waits for a
+// build in flight and takes its value (a hit), and on a key the store does
+// not hold — or whose build failed — answers not found, counting nothing and
+// leaving the key buildable.
+func TestLookupNeverBuilds(t *testing.T) {
+	st := New[string, string](NewBudget(1 << 20))
+	if _, ok := st.Lookup("k"); ok {
+		t.Fatal("found a key never built")
+	}
+	if s := st.Stats(); s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("a lookup of nothing counted %+v", s)
+	}
+	release := make(chan struct{})
+	built := make(chan struct{})
+	go func() {
+		st.Get("k", func() (string, int64, error) {
+			close(built)
+			<-release
+			return "v", 1, nil
+		})
+	}()
+	<-built
+	got := make(chan string)
+	go func() {
+		v, _ := st.Lookup("k")
+		got <- v
+	}()
+	close(release)
+	if v := <-got; v != "v" {
+		t.Fatalf("a lookup during the build got %q", v)
+	}
+	if v, ok := st.Lookup("k"); !ok || v != "v" {
+		t.Fatalf("lookup of a built key: %q, %v", v, ok)
+	}
+	if s := st.Stats(); s.Hits != 2 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want the two lookups as hits over one build", s)
+	}
+	if _, _, err := st.Get("bad", func() (string, int64, error) { return "", 0, errors.New("no") }); err == nil {
+		t.Fatal("a failing build succeeded")
+	}
+	if _, ok := st.Lookup("bad"); ok {
+		t.Fatal("found a key whose build failed")
+	}
+}

@@ -13,8 +13,22 @@
 // repeated dist.Run calls do. Distributed jobs additionally fan out through
 // internal/dist: over the in-process pool, or with Config.DistAddrs over other
 // job servers, each task posted to one as a job of its own (a spec with
-// "inputs", its deck inline), which that worker's deck store parses once.
-// A worker is this same server: cmd/matexd and cmd/matexsrv both run Main.
+// "inputs" that names its deck by hash), whose deck store holds the deck from
+// the one PUT /v1/decks/{hash} the coordinator sends it on a 404. A worker
+// is this same server: cmd/matexd and cmd/matexsrv both run Main.
+//
+// # Decks by hash
+//
+// A spec names its deck inline ("netlist"), as a pgbench case ("case"), or
+// by the SHA-256 of its text ("deck", job.DeckHash): one this server holds
+// from an earlier inline job or a PUT /v1/decks/{hash}, which checks the
+// text against the hash, parses and stamps it (single flight), journals it
+// on a durable server and answers 201, or 200 when the deck is already
+// held. A hash the server does not hold — on a durable server, one its
+// journal does not hold, so that every accepted job restores — is a 404
+// (ErrUnknownDeck), never a guess. GET /v1/decks/{hash} says whether a deck
+// is held. A hash-only job is a deck-store hit like any job after the first
+// on its deck.
 //
 // # Lifecycle of a job
 //
@@ -27,8 +41,8 @@
 // waits in a bounded queue until a worker goroutine (serve.go) picks it up
 // and runs the task with the job's hooks (job.Task.Run), which forward every
 // probe sample into the job's grow-only sample log as the engine delivers
-// it — a distributed job's t = 0 row as soon as the scheduler's DC solve is
-// done, a sweep's shared variants as their lanes pass each sample. Stream
+// it — a distributed job's t = 0 row as soon as its first task has the DC
+// point, a sweep's shared variants as their lanes pass each sample. Stream
 // readers (GET /v1/jobs/{id}/stream) replay that log from any offset and
 // then follow live appends, so late subscribers and reconnects see the
 // identical sequence. A job's ordering, like every other solver option,
@@ -44,7 +58,8 @@
 //
 // # Durability
 //
-// With Config.StateDir set, deck bodies (once per content hash), accepted
+// With Config.StateDir set, deck bodies (once per content hash, whether they
+// came inline or by PUT), accepted
 // specs (which reference their deck by hash) and periodic checkpoints are
 // journaled (journal.go) in one append-only NDJSON file; a spec is durable
 // only after its deck is. On restart the server replays the journal,

@@ -11,7 +11,7 @@ import (
 // DeckSystem returns the stamped system the store holds for an inline
 // netlist, nil when the deck is not resident.
 func (s *Server) DeckSystem(netlist string) *circuit.System {
-	if d, ok := s.decks.Peek(netlistKey(netlist)); ok {
+	if d, ok := s.decks.Peek(job.DeckHash(netlist)); ok {
 		return d.System()
 	}
 	return nil

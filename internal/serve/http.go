@@ -12,6 +12,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/sparse"
 )
@@ -29,6 +30,15 @@ import (
 //	POST   /v1/simulate          submit and stream in one request
 //	POST   /v1/sweep             submit a sweep (a JobSpec with variants);
 //	                             /sweep is an alias
+//	PUT    /v1/decks/{hash}      store a netlist (the body) under its SHA-256
+//	GET    /v1/decks/{hash}      whether a deck is held: {hash, unknowns,
+//	                             inputs}, or 404
+//
+// A spec names its deck inline ("netlist"), as a pgbench case ("case") or by
+// hash ("deck"): a deck the server holds from an earlier inline job or a PUT,
+// which a client posting many jobs on one deck sends once. A hash the server
+// does not hold is a 404 (ErrUnknownDeck), never a guess; a D-MATEX
+// coordinator answers it with one PUT and posts again.
 //
 // A sweep job's stream interleaves every variant's samples; each sample
 // chunk carries the variant name and a per-variant sequence number
@@ -54,6 +64,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/simulate", s.handleSimulate)
 	mux.HandleFunc("POST /v1/sweep", s.handleSweep)
 	mux.HandleFunc("POST /sweep", s.handleSweep)
+	mux.HandleFunc("PUT /v1/decks/{hash}", s.handlePutDeck)
+	mux.HandleFunc("GET /v1/decks/{hash}", s.handleGetDeck)
 	return mux
 }
 
@@ -79,6 +91,8 @@ func submitCode(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
+	case errors.Is(err, ErrUnknownDeck):
+		return http.StatusNotFound
 	case errors.Is(err, ErrJournal):
 		return http.StatusInternalServerError // server's disk, not the client's spec
 	default:
@@ -134,15 +148,20 @@ func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
 		err = knownFields(body)
 	}
 	if err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, code, fmt.Errorf("decoding job spec: %w", err))
+		writeError(w, bodyCode(err), fmt.Errorf("decoding job spec: %w", err))
 		return spec, false
 	}
 	return spec, true
+}
+
+// bodyCode maps a request-body failure to its status: 413 past
+// maxBodyBytes, 400 otherwise.
+func bodyCode(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // readBody reads a request body of at most maxBodyBytes. A declared length
@@ -252,24 +271,31 @@ type StatsReply struct {
 	// symbolic pattern tier).
 	Cache sparse.CacheStats `json:"cache"`
 	// DeckStore is the deck store's view: one miss per deck parsed and
-	// stamped, one hit per job that found its deck already there.
-	DeckStore memo.Stats `json:"deck_store"`
+	// stamped, one hit per job (or repeated PUT) that found its deck already
+	// there. DeckPuts counts the PUT /v1/decks/{hash} answered 2xx, and
+	// InlineDecks the accepted submissions that carried their netlist
+	// inline rather than by hash.
+	DeckStore   memo.Stats `json:"deck_store"`
+	DeckPuts    uint64     `json:"deck_puts"`
+	InlineDecks uint64     `json:"inline_decks"`
 }
 
 func (s *Server) statsReply() StatsReply {
 	s.mu.Lock()
 	rep := StatsReply{
-		UptimeSec:  time.Since(s.start).Seconds(),
-		Workers:    s.cfg.Workers,
-		QueueDepth: len(s.queue),
-		QueueCap:   cap(s.queue),
-		InFlight:   s.inFlight,
-		Accepted:   s.accepted,
-		Completed:  s.completed,
-		Failed:     s.failed,
-		Canceled:   s.canceled,
-		Resumed:    s.resumed,
-		Totals:     s.agg,
+		UptimeSec:   time.Since(s.start).Seconds(),
+		Workers:     s.cfg.Workers,
+		QueueDepth:  len(s.queue),
+		QueueCap:    cap(s.queue),
+		InFlight:    s.inFlight,
+		Accepted:    s.accepted,
+		Completed:   s.completed,
+		Failed:      s.failed,
+		Canceled:    s.canceled,
+		Resumed:     s.resumed,
+		Totals:      s.agg,
+		DeckPuts:    s.deckPuts,
+		InlineDecks: s.inline,
 	}
 	s.mu.Unlock()
 	rep.Cache = s.cache.Stats()
@@ -343,6 +369,72 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if job, ok := s.job(w, r); ok {
 		s.streamJob(w, r, job)
 	}
+}
+
+// DeckReply is a held deck, as PUT and GET /v1/decks/{hash} answer: its
+// hash and the size of its stamped system.
+type DeckReply struct {
+	Hash     string `json:"hash"`
+	Unknowns int    `json:"unknowns"`
+	Inputs   int    `json:"inputs"`
+}
+
+func deckReply(hash string, d *job.Deck) DeckReply {
+	sys := d.System()
+	return DeckReply{Hash: hash, Unknowns: sys.N, Inputs: len(sys.Inputs)}
+}
+
+// handlePutDeck stores a netlist under its content hash, for jobs that then
+// name it by hash: the body is the text, at most maxBodyBytes (413), which
+// must hash to {hash} (ErrDeckMismatch, 400) and parse (400 naming the
+// line). The first PUT of a deck parses and stamps it into the deck store
+// and, on a durable server, journals it before answering 201; a deck the
+// server already holds answers 200, parsed and journaled no second time.
+func (s *Server) handlePutDeck(w http.ResponseWriter, r *http.Request) {
+	hash := r.PathValue("hash")
+	if err := job.CheckDeckHash(hash); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	body, err := readBody(w, r)
+	if err != nil {
+		writeError(w, bodyCode(err), fmt.Errorf("reading deck: %w", err))
+		return
+	}
+	text := string(body)
+	if got := job.DeckHash(text); got != hash {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: the body hashes to %s", ErrDeckMismatch, got))
+		return
+	}
+	d, hit, err := s.learnDeck(hash, text)
+	if err != nil {
+		writeError(w, submitCode(err), err)
+		return
+	}
+	s.mu.Lock()
+	s.deckPuts++
+	s.mu.Unlock()
+	code := http.StatusCreated
+	if hit {
+		code = http.StatusOK
+	}
+	writeJSON(w, code, deckReply(hash, d))
+}
+
+// handleGetDeck answers whether the server holds a deck, without counting a
+// deck-store hit.
+func (s *Server) handleGetDeck(w http.ResponseWriter, r *http.Request) {
+	hash := r.PathValue("hash")
+	if err := job.CheckDeckHash(hash); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	d, err := s.heldDeck(hash, s.decks.Peek)
+	if err != nil {
+		writeError(w, http.StatusNotFound, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, deckReply(hash, d))
 }
 
 // handleSimulate is submit-and-stream in one request: the response starts

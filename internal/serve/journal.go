@@ -12,16 +12,18 @@ import (
 	"sync"
 
 	"github.com/matex-sim/matex/internal/faultinject"
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
 // The durable job journal: an append-only JSONL file under Config.StateDir
 // that records enough to survive a kill -9 of the whole process —
 //
-//	deck        an inline netlist's text under its content hash, once per
-//	            hash and journal generation (the file as it stands since the
-//	            last start's compaction), fsynced BEFORE the first spec that
-//	            references it: a durable spec always finds its deck
+//	deck        a netlist's text — an inline job's, or a PUT /v1/decks/{hash}
+//	            — under its content hash, once per hash and journal
+//	            generation (the file as it stands since the last start's
+//	            compaction), fsynced BEFORE the first spec that references
+//	            it: a durable spec always finds its deck
 //	spec        one per job, at submit, before the job is queued; it carries
 //	            the deck's hash, not the text
 //	samples     batches of streamed waveform samples, flushed BEFORE each
@@ -187,7 +189,7 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 			// claims: a body that is not its hash's is then simply not found
 			// by the specs that reference it, and never stands in for it.
 			if rec.Netlist != "" {
-				decks[netlistKey(rec.Netlist)] = rec.Netlist
+				decks[job.DeckHash(rec.Netlist)] = rec.Netlist
 			}
 		case "spec":
 			r := &restoredJob{id: rec.ID, seq: rec.Seq, hash: rec.Hash}
@@ -195,7 +197,7 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 				continue
 			}
 			if r.spec.Netlist != "" { // older format: the body rides in the spec
-				r.hash = netlistKey(r.spec.Netlist)
+				r.hash = job.DeckHash(r.spec.Netlist)
 				decks[r.hash] = r.spec.Netlist
 				r.spec.Netlist = ""
 			}
@@ -368,6 +370,14 @@ func (j *journal) append(rec journalRecord, sync bool, point faultinject.Point) 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.writeLocked(line, sync)
+}
+
+// holds reports whether this generation of the journal holds the deck
+// record of hash: whether a job that references it would restore.
+func (j *journal) holds(hash string) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.decks[hash]
 }
 
 // appendDeck makes a deck body durable under its hash, unless this

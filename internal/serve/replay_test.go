@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -147,12 +148,12 @@ func TestCompactionKeepsLiveDecksOnce(t *testing.T) {
 		return b
 	}
 	recs := []journalRecord{
-		{Rec: "deck", Hash: netlistKey(deckA), Netlist: deckA},
-		{Rec: "deck", Hash: netlistKey(deckB), Netlist: deckB},
-		{Rec: "spec", ID: "job-1", Seq: 1, Hash: netlistKey(deckA), Spec: mustSpec(JobSpec{Method: "tr"})},
-		{Rec: "spec", ID: "job-2", Seq: 2, Hash: netlistKey(deckB), Spec: mustSpec(JobSpec{Method: "tr"})},
-		{Rec: "deck", Hash: netlistKey(deckB), Netlist: deckB},
-		{Rec: "spec", ID: "job-3", Seq: 3, Hash: netlistKey(deckB), Spec: mustSpec(JobSpec{Method: "be"})},
+		{Rec: "deck", Hash: job.DeckHash(deckA), Netlist: deckA},
+		{Rec: "deck", Hash: job.DeckHash(deckB), Netlist: deckB},
+		{Rec: "spec", ID: "job-1", Seq: 1, Hash: job.DeckHash(deckA), Spec: mustSpec(JobSpec{Method: "tr"})},
+		{Rec: "spec", ID: "job-2", Seq: 2, Hash: job.DeckHash(deckB), Spec: mustSpec(JobSpec{Method: "tr"})},
+		{Rec: "deck", Hash: job.DeckHash(deckB), Netlist: deckB},
+		{Rec: "spec", ID: "job-3", Seq: 3, Hash: job.DeckHash(deckB), Spec: mustSpec(JobSpec{Method: "be"})},
 		{Rec: "spec", ID: "job-4", Seq: 4, Spec: mustSpec(JobSpec{Netlist: deckC})},
 		// As a PR ≤ 20 server journaled it: a spec field this JobSpec no
 		// longer has must not cost the job its replay.
@@ -183,7 +184,7 @@ func TestCompactionKeepsLiveDecksOnce(t *testing.T) {
 	if len(live) != 4 || maxSeq != 5 {
 		t.Fatalf("%d live jobs, counter at %d; want jobs 2-5 and 5", len(live), maxSeq)
 	}
-	if len(jn.decks) != 2 || !jn.decks[netlistKey(deckB)] || !jn.decks[netlistKey(deckC)] {
+	if len(jn.decks) != 2 || !jn.decks[job.DeckHash(deckB)] || !jn.decks[job.DeckHash(deckC)] {
 		t.Fatalf("the new generation counts %v as journaled, want decks b and c", jn.decks)
 	}
 

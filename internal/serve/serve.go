@@ -153,6 +153,8 @@ type Server struct {
 	failed    uint64
 	canceled  uint64
 	resumed   uint64 // jobs re-enqueued from the journal at startup
+	deckPuts  uint64 // PUT /v1/decks/{hash} answered 2xx
+	inline    uint64 // accepted submissions that carried their netlist inline
 	agg       totals
 	// runs/runNanos accumulate the wall time of every job a worker actually
 	// ran (terminal, including failed/canceled runs) — the mean-latency
@@ -227,26 +229,62 @@ func New(cfg Config) (*Server, error) {
 }
 
 // prepare resolves a spec to its task, for a submission and for a
-// journal-restored job alike. key and text are the content hash and body of
-// an inline deck (the spec itself no longer carries the text); both empty
-// means a pgbench case. The deck comes from the store, so only the first job
-// on it parses and stamps; what depends on the job's options is resolved per
-// job. A server with workers keeps each deck's text, which its distributed
-// jobs post with their tasks.
+// journal-restored job alike. key and text name the deck (the spec itself no
+// longer does): an inline deck's content hash and body, a hash-only spec's
+// hash alone — a deck the server must already hold — or, both empty, a
+// pgbench case. The deck comes from the store, so only the first job on it
+// parses and stamps; what depends on the job's options is resolved per job.
 func (s *Server) prepare(spec *JobSpec, key, text string) (*job.Task, error) {
-	build := func() (*job.Deck, int64, error) {
-		d, err := job.ParseDeck(text, len(s.cfg.DistAddrs) > 0)
-		return d, int64(len(text)), err
+	var d *job.Deck
+	var err error
+	switch {
+	case text != "":
+		d, _, err = s.learnDeck(key, text)
+	case key != "":
+		d, err = s.heldDeck(key, s.decks.Lookup)
+	default:
+		d, _, err = s.decks.Get(caseKey(spec.Case, spec.Scale), func() (*job.Deck, int64, error) {
+			return job.GenerateDeck(spec.Case, spec.Scale)
+		})
 	}
-	if text == "" {
-		key = caseKey(spec.Case, spec.Scale)
-		build = func() (*job.Deck, int64, error) { return job.GenerateDeck(spec.Case, spec.Scale) }
-	}
-	d, _, err := s.decks.Get(key, build)
 	if err != nil {
 		return nil, err
 	}
 	return spec.Resolve(d)
+}
+
+// learnDeck is the deck of an inline netlist or a PUT under its content hash
+// key: parsed and stamped on the store's first sight of it (single flight),
+// and on a durable server journaled — once per hash and journal generation —
+// before any job or client is told it is there. hit reports that the store
+// already held it. A server with workers keeps each deck's text, which its
+// distributed jobs send a worker that does not hold the deck.
+func (s *Server) learnDeck(key, text string) (d *job.Deck, hit bool, err error) {
+	d, hit, err = s.decks.Get(key, func() (*job.Deck, int64, error) {
+		d, err := job.ParseDeck(text, len(s.cfg.DistAddrs) > 0)
+		return d, int64(len(text)), err
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	if s.journal != nil {
+		if err := s.journal.appendDeck(key, text); err != nil {
+			return nil, false, err
+		}
+	}
+	return d, hit, nil
+}
+
+// heldDeck is the deck under hash key as find (the store's Lookup, which
+// counts a hit, or Peek) has it, provided a durable server's journal holds
+// it too, so a job on it would restore; anything else is ErrUnknownDeck.
+func (s *Server) heldDeck(key string, find func(string) (*job.Deck, bool)) (*job.Deck, error) {
+	if s.journal == nil || s.journal.holds(key) {
+		if d, ok := find(key); ok {
+			return d, nil
+		}
+	}
+	return nil, fmt.Errorf("%w %s", ErrUnknownDeck, key)
 }
 
 // restoreJob rebuilds one journal-replayed job: resolve its deck reference
@@ -287,10 +325,10 @@ func (s *Server) CacheStats() sparse.CacheStats { return s.cache.Stats() }
 func (s *Server) DeckStats() memo.Stats { return s.decks.Stats() }
 
 // Submit validates and enqueues a job; the first job on a deck also parses
-// and stamps it, every later one takes it from the deck store. The returned
-// job is already visible to Job/stream lookups. Errors: spec problems
-// (client's fault), ErrQueueFull, ErrShuttingDown, ErrJournal (durable
-// servers only).
+// and stamps it, every later one — and every job naming its deck by hash —
+// takes it from the deck store. The returned job is already visible to
+// Job/stream lookups. Errors: spec problems (client's fault), ErrUnknownDeck,
+// ErrQueueFull, ErrShuttingDown, ErrJournal (durable servers only).
 //
 //matex:ctx-exempt(the queue send cannot block: capacity is checked under s.mu and Submit is the only sender)
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
@@ -312,29 +350,24 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.mu.Unlock()
 
-	// From here on the job is its deck plus a netlist-free spec: the text is
-	// dropped, so a full queue pins no copies of it.
-	var key string
-	text := spec.Netlist
+	// From here on the job is its deck plus a spec that names it by key
+	// alone, as a hash-only spec does: the text is dropped, so a full queue
+	// pins no copies of it.
+	key, text := spec.Deck, spec.Netlist
 	if text != "" {
-		key = netlistKey(text)
-		spec.Netlist = ""
+		key = job.DeckHash(text)
 	}
-	task, err := s.prepare(&spec, key, text)
-	if err != nil {
-		return nil, err
-	}
+	spec.Netlist, spec.Deck = "", ""
 	// Everything sized by the deck or the spec happens before s.mu: the deck
 	// body goes to the journal once per hash (and is durable before any spec
 	// that references it), the spec is marshaled here, and only the small
 	// spec line's write + fsync are left for the critical section.
+	task, err := s.prepare(&spec, key, text)
+	if err != nil {
+		return nil, err
+	}
 	var specJSON json.RawMessage
 	if s.journal != nil {
-		if text != "" {
-			if err := s.journal.appendDeck(key, text); err != nil {
-				return nil, err
-			}
-		}
 		if specJSON, err = json.Marshal(&spec); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrJournal, err)
 		}
@@ -371,6 +404,9 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.jobs[job.ID] = job
 	s.order = append(s.order, job.ID)
 	s.accepted++
+	if text != "" {
+		s.inline++
+	}
 	s.mu.Unlock()
 	return job, nil
 }

@@ -582,9 +582,11 @@ func workerAddr(base string) string { return strings.TrimPrefix(base, "http://")
 
 // TestDistributedJobsOverRPCWorkers: with DistAddrs configured, a
 // distributed job posts its task to the worker job server as a job of its
-// own; the first job's task is the worker's first sight of the deck (one
-// parse), the second's finds it in the worker's deck store, and each job's
-// status carries the plan cut for the one worker.
+// own that names its deck by hash; the first job's task is answered 404 and
+// teaches the worker the deck with one PUT (one parse), every task finds it
+// in the worker's deck store by hash — N references, the PUT and the tasks,
+// read 1 miss and N−1 hits — and each job's status carries the plan cut for
+// the one worker.
 func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 	deckText := testDeck(t)
 	_, worker, stopWorker := testServer(t, serve.Config{Workers: 2, QueueDepth: 8})
@@ -614,8 +616,9 @@ func TestDistributedJobsOverRPCWorkers(t *testing.T) {
 			t.Fatalf("round %d: status reports %d groups in %d tasks, %d retried; want several groups in 1 task", round, st.Groups, st.Tasks, st.Retried)
 		}
 		ws := getStats(t, worker)
-		if ws.Completed != uint64(round+1) || ws.DeckStore.Misses != 1 || ws.DeckStore.Hits != uint64(round) {
-			t.Fatalf("round %d: the worker completed %d tasks on %+v, want %d on one parse", round, ws.Completed, ws.DeckStore, round+1)
+		refs := uint64(round + 2) // the PUT and one task per round
+		if ws.Completed != uint64(round+1) || ws.DeckStore.Misses != 1 || ws.DeckStore.Hits != refs-1 || ws.DeckPuts != 1 || ws.InlineDecks != 0 {
+			t.Fatalf("round %d: the worker completed %d tasks on %+v with %d PUTs and %d inline decks, want %d on one PUT", round, ws.Completed, ws.DeckStore, ws.DeckPuts, ws.InlineDecks, round+1)
 		}
 	}
 }
@@ -686,9 +689,9 @@ func TestDistributedJobFailsAfterItsFirstRow(t *testing.T) {
 
 // TestOnePoolManyDecks: the server keeps no pool per deck, nor a pool at
 // all: distributed jobs on ten distinct decks each post their task to the
-// one configured worker, which learns each deck from its task (one parse
-// each), and each streams the bits of `matex -distributed` on a one-node
-// plan.
+// one configured worker, which learns each deck from one PUT (one parse
+// each) and finds it by hash for its task, and each streams the bits of
+// `matex -distributed` on a one-node plan.
 func TestOnePoolManyDecks(t *testing.T) {
 	_, worker, stopWorker := testServer(t, serve.Config{Workers: 2, QueueDepth: 16})
 	defer stopWorker(context.Background())
@@ -716,8 +719,8 @@ func TestOnePoolManyDecks(t *testing.T) {
 			t.Fatalf("deck %d: streamed waveform differs from the in-process distributed run", i)
 		}
 	}
-	if ds := getStats(t, worker).DeckStore; ds.Misses != decks || ds.Hits != 0 {
-		t.Fatalf("the worker's deck store %+v after %d tasks on %d decks, want one parse per deck", ds, decks, decks)
+	if ws := getStats(t, worker); ws.DeckStore.Misses != decks || ws.DeckStore.Hits != decks || ws.DeckPuts != decks {
+		t.Fatalf("the worker's deck store %+v with %d PUTs after %d tasks on %d decks, want one PUT and one parse per deck", ws.DeckStore, ws.DeckPuts, decks, decks)
 	}
 }
 

@@ -238,14 +238,13 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// feed delivers c's lanes to f from one goroutine each, in a random
+// feed delivers lanes to f from one goroutine each, in a random
 // interleaving: a lane streams a random prefix of its samples (all, some or
-// none) through Sample before it lands; the base arrives at a random moment
-// from a goroutine of its own. It returns the first Land error.
-func feed(rng *rand.Rand, f *Fold, c foldCase) error {
+// none) through Sample before it lands. It returns the first Land error.
+func feed(rng *rand.Rand, f *Fold, lanes []Term) error {
 	var wg sync.WaitGroup
-	errs := make([]error, len(c.terms))
-	for j, term := range c.terms {
+	errs := make([]error, len(lanes))
+	for j, term := range lanes {
 		live := rng.Intn(len(term.Lane.Times) + 1)
 		seed := rng.Int63()
 		wg.Add(1)
@@ -265,14 +264,6 @@ func feed(rng *rand.Rand, f *Fold, c foldCase) error {
 			errs[j] = f.Land(j, term.Lane)
 		}()
 	}
-	if c.base != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			runtime.Gosched()
-			f.SetBase(c.base)
-		}()
-	}
 	wg.Wait()
 	return errors.Join(errs...)
 }
@@ -280,7 +271,8 @@ func feed(rng *rand.Rand, f *Fold, c foldCase) error {
 // TestFoldMatchesCombineBitwise: over random plans and random concurrent
 // delivery orders, the rows a fold emits and the result it returns are the
 // pre-fold Combine's, bit for bit (signed zeros included), emitted one at a
-// time and in time order.
+// time and in time order. A base the oracle adds first is, to the fold, the
+// constant first lane D-MATEX's x_DC is (withBase).
 func TestFoldMatchesCombineBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	aliased := 0
@@ -290,13 +282,14 @@ func TestFoldMatchesCombineBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: oracle: %v", n, err)
 		}
-		addends := make([]Addend, len(c.terms))
-		for j, term := range c.terms {
+		lanes := withBase(c.grid, c.base, c.probes, c.terms)
+		addends := make([]Addend, len(lanes))
+		for j, term := range lanes {
 			addends[j] = Addend{Coef: term.Coef, Interp: c.grid != nil && !aligned(term.Lane.Times, c.grid)}
 		}
 		out := &emitted{t: t}
-		f := NewFold(Plan{Grid: c.grid, Probes: c.probes, Addends: addends, Offset: c.base != nil}, out.hook)
-		if err := feed(rng, f, c); err != nil {
+		f := NewFold(Plan{Grid: c.grid, Probes: c.probes, Addends: addends}, out.hook)
+		if err := feed(rng, f, lanes); err != nil {
 			t.Fatalf("case %d: %v", n, err)
 		}
 		got, err := f.Result()
@@ -331,9 +324,10 @@ func TestFoldMatchesCombineBitwise(t *testing.T) {
 }
 
 // TestFoldZeroStateRowZeroLeavesWithTheBase: lanes declared zero-state have
-// passed grid[0] before they start, so row 0 leaves the moment the base
-// arrives, before any lane delivers; the rows are still the batch sum's.
-// A lane whose landed row 0 is not +0 fails the fold.
+// passed grid[0] before they start, so row 0 leaves the moment the one lane
+// that is not — the base, as D-MATEX's first task carries x_DC — delivers
+// it, before any zero-state lane delivers; the rows are still the batch
+// sum's. A lane whose landed row 0 is not +0 fails the fold.
 func TestFoldZeroStateRowZeroLeavesWithTheBase(t *testing.T) {
 	grid := []float64{0, 1, 2, 3}
 	fine := []float64{0, 0.7, 1.4, 2.1, 2.8, 3.5}
@@ -350,18 +344,19 @@ func TestFoldZeroStateRowZeroLeavesWithTheBase(t *testing.T) {
 		}
 		return r
 	}
-	lanes := []Term{{mk(grid, 1), 1}, {mk(fine, 2), 1}}
-	want, err := oracleCombine(grid, base, probes, lanes)
+	terms := []Term{{mk(grid, 1), 1}, {mk(fine, 2), 1}}
+	want, err := oracleCombine(grid, base, probes, terms)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lanes := withBase(grid, base, probes, terms)
 	out := &emitted{t: t}
-	f := NewFold(Plan{Grid: grid, Probes: probes, Offset: true, Addends: []Addend{
-		{Coef: 1, ZeroState: true}, {Coef: 1, Interp: true, ZeroState: true},
+	f := NewFold(Plan{Grid: grid, Probes: probes, Addends: []Addend{
+		{Coef: 1}, {Coef: 1, ZeroState: true}, {Coef: 1, Interp: true, ZeroState: true},
 	}}, out.hook)
-	f.SetBase(base)
+	f.Sample(0, 0, lanes[0].Lane.Probes[0])
 	if len(out.rows) != 1 || !sameBits(out.rows[0], want.Probes[0]) {
-		t.Fatalf("after the base alone: rows %v, want row 0 %v", out.rows, want.Probes[0])
+		t.Fatalf("after the base's row 0 alone: rows %v, want row 0 %v", out.rows, want.Probes[0])
 	}
 	for j, l := range lanes {
 		if err := f.Land(j, l.Lane); err != nil {
@@ -381,9 +376,11 @@ func TestFoldZeroStateRowZeroLeavesWithTheBase(t *testing.T) {
 	for _, bad := range []float64{1e-9, math.Copysign(0, -1)} {
 		l := mk(fine, 2)
 		l.Probes[0][2] = bad
-		f := NewFold(Plan{Grid: grid, Probes: probes, Offset: true, Addends: []Addend{{Coef: 1, Interp: true, ZeroState: true}}}, nil)
-		f.SetBase(base)
-		if err := f.Land(0, l); err == nil {
+		f := NewFold(Plan{Grid: grid, Probes: probes, Addends: []Addend{{Coef: 1}, {Coef: 1, Interp: true, ZeroState: true}}}, nil)
+		if err := f.Land(0, withBase(grid, base, probes, nil)[0].Lane); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Land(1, l); err == nil {
 			t.Errorf("a zero-state lane starting at %g landed", bad)
 		}
 		if _, err := f.Result(); err == nil {

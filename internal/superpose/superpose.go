@@ -2,9 +2,11 @@
 // share: how the lane simulations of a linear superposition plan are fanned
 // out and combined. The MNA system is linear in its inputs, so D-MATEX
 // (x = x_DC + Σ_task x_task, paper Fig. 4) and the sweep's collinear sharing
-// (x_m = x_sup + c_m·x_load) are the same object: lanes over one deck plus
-// base + Σ coef·lane. What the lanes are — LTS-balanced source-group tasks,
-// variant representatives — is the planners' business and stays there.
+// (x_m = x_sup + c_m·x_load) are the same object: Σ coef·lane over lanes of
+// one deck. What the lanes are — LTS-balanced source-group tasks, variant
+// representatives — is the planners' business and stays there; so is a
+// constant term such as x_DC, which D-MATEX's first task adds to its own
+// rows (internal/dist).
 //
 // The combination is a Fold: rows leave in time order the moment every lane
 // has passed their grid point, whether a lane streams its samples as it
@@ -97,19 +99,15 @@ type Addend struct {
 	ZeroState bool
 }
 
-// Plan is the combination base + Σ Addends[j].Coef·lane_j a Fold evaluates.
+// Plan is the combination Σ Addends[j].Coef·lane_j a Fold evaluates.
 type Plan struct {
 	// Grid is the output time grid; nil means the lanes' own shared grid,
 	// sample by sample (every lane then records the same times).
 	Grid []float64
-	// Probes are the unknowns every row records; base enters row column k
-	// as base[Probes[k]].
+	// Probes are the unknowns every row records.
 	Probes []int
 	// Addends are the lanes, in the order every row sums them.
 	Addends []Addend
-	// Offset says the combination has a constant state offset — D-MATEX's
-	// x_DC — supplied once through SetBase. No row leaves before it has.
-	Offset bool
 }
 
 // ShortLaneError is a landed lane that never passed grid point At: its
@@ -125,11 +123,11 @@ func (e *ShortLaneError) Error() string {
 
 // Fold is the streaming form of a Plan. Lanes deliver concurrently, live
 // through Sample or whole through Land; row i leaves through the emit hook
-// the moment every lane has passed grid[i] (and the base has arrived), in
-// time order and one at a time. Each row is summed in addend order — the
-// base first, then += c·x; without a base the first addend is set, c·x, so
-// a lane's -0 survives — so its bits do not depend on which lane delivered
-// first. The first error sticks: no row leaves after it.
+// the moment every lane has passed grid[i], in time order and one at a
+// time. Each row is summed in addend order — the first addend is set, c·x,
+// so a lane's -0 survives, and every later one added, += c·x — so its bits
+// do not depend on which lane delivered first. The first error sticks: no
+// row leaves after it.
 //
 // The rows handed to emit, and Result's, alias fold memory (and, when the
 // plan is exactly one lane times 1 on its own grid, that lane's rows, which
@@ -137,13 +135,11 @@ func (e *ShortLaneError) Error() string {
 type Fold struct {
 	grid   []float64
 	probes []int
-	offset bool
-	alias  bool // no grid, no base, one lane times 1: its rows are the answer
+	alias  bool // no grid, one lane times 1: its rows are the answer
 	emit   func(t float64, row []float64)
 
 	mu       sync.Mutex
 	lanes    []track
-	base     []float64
 	rows     [][]float64
 	ready    int  // rows folded
 	sent     int  // rows emitted
@@ -164,12 +160,12 @@ type track struct {
 }
 
 // NewFold starts folding p. emit (nil: none) receives every row as it
-// leaves, on one of the delivering goroutines, inside its Sample, Land or
-// SetBase call.
+// leaves, on one of the delivering goroutines, inside its Sample or Land
+// call.
 func NewFold(p Plan, emit func(t float64, row []float64)) *Fold {
 	f := &Fold{
-		grid: p.Grid, probes: p.Probes, offset: p.Offset, emit: emit,
-		alias:  p.Grid == nil && !p.Offset && len(p.Addends) == 1 && p.Addends[0].Coef == 1,
+		grid: p.Grid, probes: p.Probes, emit: emit,
+		alias:  p.Grid == nil && len(p.Addends) == 1 && p.Addends[0].Coef == 1,
 		lanes:  make([]track, len(p.Addends)),
 		sample: make([]float64, len(p.Probes)),
 		zeros:  make([]float64, len(p.Probes)),
@@ -182,15 +178,6 @@ func NewFold(p Plan, emit func(t float64, row []float64)) *Fold {
 		}
 	}
 	return f
-}
-
-// SetBase supplies the plan's offset; rows the lanes have already passed
-// leave now.
-func (f *Fold) SetBase(base []float64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.base = base
-	f.drain()
 }
 
 // Sample delivers lane j's next recorded sample, as its OnSample hook sees
@@ -227,17 +214,14 @@ func (f *Fold) Land(j int, r *transient.Result) error {
 	return f.err
 }
 
-// Result returns the combination once every lane has landed (and the base
-// has arrived) and every delivery call has returned: the rows that left,
-// the grid, and the final state base + Σ c·final. Its Stats are zero.
+// Result returns the combination once every lane has landed and every
+// delivery call has returned: the rows that left, the grid, and the final
+// state Σ c·final. Its Stats are zero.
 func (f *Fold) Result() (*transient.Result, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err != nil {
 		return nil, f.err
-	}
-	if f.offset && f.base == nil {
-		return nil, errors.New("superpose: the base never arrived")
 	}
 	for j := range f.lanes {
 		if !f.lanes[j].landed {
@@ -261,13 +245,10 @@ func (f *Fold) Result() (*transient.Result, error) {
 		return &transient.Result{Times: l.times, Probes: l.rows, Final: l.final}, nil
 	}
 	res := &transient.Result{Times: times, Probes: f.rows}
-	if f.base != nil {
-		res.Final = append([]float64(nil), f.base...)
-	}
 	for j := range f.lanes {
 		l := &f.lanes[j]
 		acc := addScaled
-		if f.base == nil && j == 0 {
+		if j == 0 {
 			acc = setScaled
 			res.Final = make([]float64, len(l.final))
 		}
@@ -347,7 +328,7 @@ func (f *Fold) advance(j, from int) error {
 // is already emitting, emits the folded rows in order, with f.mu released
 // around each emit call. Called with f.mu held.
 func (f *Fold) drain() {
-	if f.err != nil || f.offset && f.base == nil {
+	if f.err != nil {
 		return
 	}
 	f.fold()
@@ -405,15 +386,10 @@ func (f *Fold) fold() {
 	}
 	for ; f.ready < end; f.ready++ {
 		row := make([]float64, len(f.probes))
-		if f.base != nil {
-			for k, p := range f.probes {
-				row[k] = f.base[p]
-			}
-		}
 		for j := range f.lanes {
 			l := &f.lanes[j]
 			acc := addScaled
-			if f.base == nil && j == 0 {
+			if j == 0 {
 				acc = setScaled
 			}
 			acc(row, f.laneAt(l, f.ready), l.Coef)

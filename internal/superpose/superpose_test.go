@@ -19,22 +19,41 @@ type Term struct {
 // combine is the batch use of a Fold: every lane landed whole, the way a
 // caller holding finished results would sum them. A lane whose own times
 // coincide with a non-nil grid enters sample by sample, any other is
-// interpolated onto it; a nil grid means the lanes' own shared grid.
+// interpolated onto it; a nil grid means the lanes' own shared grid. A
+// non-nil base enters as D-MATEX's x_DC does, as the first lane
+// (withBase).
 func combine(grid, base []float64, probes []int, terms []Term) (*transient.Result, error) {
+	terms = withBase(grid, base, probes, terms)
 	addends := make([]Addend, len(terms))
 	for j, t := range terms {
 		addends[j] = Addend{Coef: t.Coef, Interp: grid != nil && !aligned(t.Lane.Times, grid)}
 	}
-	f := NewFold(Plan{Grid: grid, Probes: probes, Addends: addends, Offset: base != nil}, nil)
-	if base != nil {
-		f.SetBase(base)
-	}
+	f := NewFold(Plan{Grid: grid, Probes: probes, Addends: addends}, nil)
 	for j, t := range terms {
 		if err := f.Land(j, t.Lane); err != nil {
 			return nil, err
 		}
 	}
 	return f.Result()
+}
+
+// withBase prepends to terms the constant lane base (nil: none) on grid:
+// every row base's probe entries, the final state base itself, times 1.
+func withBase(grid, base []float64, probes []int, terms []Term) []Term {
+	if base == nil {
+		return terms
+	}
+	l := &transient.Result{Times: grid, Final: base}
+	if len(probes) > 0 {
+		row := make([]float64, len(probes))
+		for k, p := range probes {
+			row[k] = base[p]
+		}
+		for range grid {
+			l.Probes = append(l.Probes, row)
+		}
+	}
+	return append([]Term{{Lane: l, Coef: 1}}, terms...)
 }
 
 // aligned reports whether a lane's output times are the grid, to rounding.

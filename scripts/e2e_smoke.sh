@@ -29,12 +29,17 @@
 #                                 two decks over one worker, kill -9 the
 #                                 worker (a job fails), restart it on the
 #                                 same port, both decks run again — each
-#                                 task brings its deck, so the restarted
-#                                 worker parses it from its next task,
-#                                 matexsrv never restarted, the bytes those
-#                                 of `matex -distributed`
+#                                 task names its deck by hash, so the
+#                                 restarted worker answers 404 and is sent
+#                                 each deck once (one PUT per deck, no
+#                                 inline text), matexsrv never restarted,
+#                                 the bytes those of `matex -distributed`
 #   4. matexsrv submit-and-stream curl submit, NDJSON stream, /stats and
-#                                 /healthz checks, SIGTERM drain, exit 0
+#                                 /healthz checks; a deck PUT by hash, a
+#                                 job naming it streaming the inline job's
+#                                 rows, an unknown hash 404, a PUT whose
+#                                 text is not its hash's 400; SIGTERM
+#                                 drain, exit 0
 #   5. matexsrv crash-restart     kill -9 with two jobs on one deck mid-run
 #                                 and -state-dir set: the journal holds the
 #                                 deck once; a restart must resume both (the
@@ -218,7 +223,8 @@ say "matexd chaos: kill -9 one of two workers mid-run"
 # workers (two tasks of 100k steps, not one per bump group) and a worker logs
 # nothing per task, so timing is the only handle: the step is sized so that
 # each task outlasts the sleep before the kill several times over. The
-# killed worker's task is posted again, whole, to the survivor.
+# killed worker's task is posted again to the survivor, which streams it
+# from its start; the rows already folded are compared, not repeated.
 "$workdir/pgbench" -case ibmpg1t -scale 0.5 > "$workdir/deck05.sp"
 "$workdir/matexd" -listen 127.0.0.1:19191 > "$workdir/w1.log" 2>&1 &
 W1_PID=$!
@@ -232,9 +238,9 @@ done
 # fixed-step superposition is exact to rounding however it is cut).
 "$workdir/matex" -method tr -step 1e-13 \
     -workers 127.0.0.1:19191 "$workdir/deck05.sp" > "$workdir/chaos_ref.tsv"
-# The same run to a pipe: its t = 0 row is x_DC, which leaves once the
-# scheduler's DC solve is done — read while the worker is still integrating
-# — and the finished table is the one the file got.
+# The same run to a pipe: its t = 0 row is x_DC, which leaves once the first
+# task's worker has solved the DC point — read while the worker is still
+# integrating — and the finished table is the one the file got.
 mkfifo "$workdir/drows"
 "$workdir/matex" -method tr -step 1e-13 \
     -workers 127.0.0.1:19191 "$workdir/deck05.sp" > "$workdir/drows" &
@@ -295,10 +301,11 @@ echo "chaos run survived kill -9 with retried=$retried"
 
 say "matexsrv over matexd: a worker killed and restarted under the service"
 # matexsrv keeps no state about its workers between jobs: each task is posted
-# to the worker as a job of its own, its deck inline, so a restarted matexd
-# holds nothing and parses the deck from the first task that reaches it. One
-# worker, so every job is a one-task plan — the plan of `GOMAXPROCS=1 matex
-# -distributed`, whose TSV the streamed samples must reproduce byte for byte.
+# to the worker as a job of its own that names its deck by hash, so a
+# restarted matexd, holding nothing, answers 404 and is sent the deck once.
+# One worker, so every job is a one-task plan — the plan of `GOMAXPROCS=1
+# matex -distributed`, whose TSV the streamed samples must reproduce byte for
+# byte.
 start_w3() {
     "$workdir/matexd" -listen 127.0.0.1:19193 > "$workdir/w3.log" 2>&1 &
     W3_PID=$!
@@ -355,6 +362,18 @@ same_bytes "$workdir/distB1.ndjson" "$workdir/distB.tsv"
 state=$(dist_job "$workdir/deck.sp" "$workdir/distA2.ndjson")
 [[ "$state" == done ]] || { echo "job on deck A after the worker came back ended $state"; tail -1 "$workdir/distA2.ndjson"; exit 1; }
 same_bytes "$workdir/distA2.ndjson" "$workdir/distA.tsv"
+# The restarted worker was sent each deck once, by PUT, and no task carried
+# its text: two parses, and every task a hash lookup.
+curl -sf "http://127.0.0.1:19193/stats" > "$workdir/w3stats.json"
+python3 - "$workdir/w3stats.json" <<'EOF'
+import json, sys
+s = json.load(open(sys.argv[1]))
+ds = s["deck_store"]
+assert s["deck_puts"] == 2 and s["inline_decks"] == 0 and ds["misses"] == 2 and ds["hits"] == s["jobs_completed"] == 2, \
+    "restarted worker: deck_puts=%r inline_decks=%r deck_store=%r jobs_completed=%r, want one PUT per deck and no inline text" \
+    % (s["deck_puts"], s["inline_decks"], ds, s["jobs_completed"])
+print("restarted worker: one PUT per deck, no inline text, %d tasks by hash" % ds["hits"])
+EOF
 kill -0 "$MATEXSRV3_PID" 2>/dev/null || { echo "matexsrv did not survive its worker's restart"; exit 1; }
 kill "$MATEXSRV3_PID" 2>/dev/null || true
 wait "$MATEXSRV3_PID" 2>/dev/null || true
@@ -385,6 +404,42 @@ nlines=$(wc -l < "$workdir/stream.ndjson")
 head -2 "$workdir/stream.ndjson"
 tail -1 "$workdir/stream.ndjson" | grep -q '"done":true' || { echo "stream missing done chunk"; tail -3 "$workdir/stream.ndjson"; exit 1; }
 tail -1 "$workdir/stream.ndjson" | grep -q '"state":"done"' || { echo "job did not finish done"; tail -1 "$workdir/stream.ndjson"; exit 1; }
+
+# Decks by hash: PUT the deck under its SHA-256, GET it back, and a job that
+# names it by hash streams the inline job's rows; an unknown hash is a 404
+# and a PUT whose text is not its hash's a 400.
+hash=$(sha256sum < "$workdir/deck.sp" | cut -d' ' -f1)
+code=$(curl -s -o "$workdir/put.json" -w '%{http_code}' -X PUT --data-binary @"$workdir/deck.sp" \
+    "http://127.0.0.1:18080/v1/decks/$hash")
+[[ "$code" == 200 || "$code" == 201 ]] || { echo "PUT of the deck answered $code"; cat "$workdir/put.json"; exit 1; }
+code=$(curl -s -o "$workdir/get.json" -w '%{http_code}' "http://127.0.0.1:18080/v1/decks/$hash")
+[[ "$code" == 200 ]] && grep -q "\"hash\":\"$hash\"" "$workdir/get.json" \
+    || { echo "GET of the PUT deck answered $code"; cat "$workdir/get.json"; exit 1; }
+curl -sf -X POST -d "{\"deck\":\"$hash\"}" "http://127.0.0.1:18080/v1/simulate" > "$workdir/byhash.ndjson"
+python3 - "$workdir/stream.ndjson" "$workdir/byhash.ndjson" <<'EOF'
+import json, sys
+def rows(path):
+    out, state = [], None
+    for line in open(path):
+        c = json.loads(line)
+        if c.get("done"):
+            state = c["state"]
+        elif c.get("seq", 0) > 0:
+            out.append((c["t"], c["v"]))
+    return out, state
+inline, a = rows(sys.argv[1])
+byhash, b = rows(sys.argv[2])
+assert a == b == "done", "jobs ended %r and %r" % (a, b)
+assert len(inline) > 2 and inline == byhash, "the job by hash streamed other rows (%d vs %d)" % (len(byhash), len(inline))
+print("job by hash: the inline job's %d rows" % len(inline))
+EOF
+unknown=$(printf '* never sent\n' | sha256sum | cut -d' ' -f1)
+code=$(curl -s -o /dev/null -w '%{http_code}' "http://127.0.0.1:18080/v1/decks/$unknown")
+[[ "$code" == 404 ]] || { echo "GET of an unknown hash answered $code, want 404"; exit 1; }
+code=$(curl -s -o /dev/null -w '%{http_code}' -X PUT --data-binary @"$workdir/deck.sp" \
+    "http://127.0.0.1:18080/v1/decks/$unknown")
+[[ "$code" == 400 ]] || { echo "PUT of text that is not its hash's answered $code, want 400"; exit 1; }
+echo "deck by hash: PUT, GET 200, the inline job's rows; unknown hash 404, mismatched PUT 400"
 
 # A second identical job must hit the shared factorization cache.
 curl -sf -X POST --data-binary @"$workdir/job.json" \
