@@ -92,6 +92,7 @@ func benchTable1(b *testing.B, method transient.Method, spread float64) {
 		if i == 0 {
 			b.ReportMetric(res.Stats.MA(), "m_a")
 			b.ReportMetric(float64(res.Stats.MP()), "m_p")
+			b.ReportMetric(float64(res.Stats.SolvePairs), "solve_pairs")
 		}
 	}
 }
@@ -546,38 +547,6 @@ func BenchmarkSolveSeq_4dom(b *testing.B) {
 		f.SolveWith(x, rhs, work)
 	}
 }
-
-// benchSolveMulti compares one blocked panel solve against k sequential
-// solves of the same right-hand sides (the BenchmarkSolveSeq_k* baselines):
-// the factor is traversed once per panel, so the win is the amortized
-// memory traffic.
-func benchSolveMulti(b *testing.B, k int, blocked bool) {
-	f, rhs := solveBenchFactor(b)
-	n := f.N()
-	xs := make([][]float64, k)
-	bs := make([][]float64, k)
-	for r := 0; r < k; r++ {
-		xs[r] = make([]float64, n)
-		bs[r] = rhs
-	}
-	work := make([]float64, n*k)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if blocked {
-			f.SolveMultiWith(xs, bs, work)
-		} else {
-			for r := 0; r < k; r++ {
-				f.SolveWith(xs[r], bs[r], work[:n])
-			}
-		}
-	}
-}
-
-func BenchmarkSolveSeq_k4_ibmpg1t2x(b *testing.B)   { benchSolveMulti(b, 4, false) }
-func BenchmarkSolveMulti_k4_ibmpg1t2x(b *testing.B) { benchSolveMulti(b, 4, true) }
-func BenchmarkSolveSeq_k8_ibmpg1t2x(b *testing.B)   { benchSolveMulti(b, 8, false) }
-func BenchmarkSolveMulti_k8_ibmpg1t2x(b *testing.B) { benchSolveMulti(b, 8, true) }
 
 // BenchmarkSolveSeq/Par_mesh96nd: one strongly coupled 96×96 mesh — the
 // single-domain shape where the old level schedule found no usable task

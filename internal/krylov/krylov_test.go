@@ -435,6 +435,55 @@ func TestSetSegmentAndClear(t *testing.T) {
 			t.Fatal("ClearSegment left residue")
 		}
 	}
+
+	// Standard mode: one substitution pair per input column, on an LDLᵀ
+	// factor of a symmetric C and an LU factor of an unsymmetric one.
+	n := cm.Rows
+	ct := sparse.NewTriplet(n, n)
+	for i := 0; i < n; i++ {
+		ct.Add(i, i, 1e-12)
+		if i+1 < n {
+			ct.Add(i, i+1, 2e-13)
+			ct.Add(i+1, i, -1e-13)
+		}
+	}
+	cu := ct.ToCSC()
+	ldlt, err := sparse.FactorLDLT(cm, sparse.OrderDefault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lu, err := sparse.FactorLU(cu, sparse.OrderDefault, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		name string
+		c    *sparse.CSC
+		fact sparse.Factorization
+	}{{"LDLT", cm, ldlt}, {"LU", cu, lu}} {
+		cnt := &Counters{}
+		std := NewStandardOp(tc.fact, tc.c, gm, cnt)
+		want0, want1 := make([]float64, n), make([]float64, n)
+		for call := 1; call <= 3; call++ {
+			bu, s := make([]float64, n), make([]float64, n)
+			for i := range bu {
+				bu[i], s[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			tc.fact.SolveWith(want0, bu, make([]float64, n))
+			tc.fact.SolveWith(want1, s, make([]float64, n))
+			std.SetSegment(bu, s)
+			for i := 0; i < n; i++ {
+				if std.bcol0[i] != want0[i] || std.bcol1[i] != want1[i] {
+					t.Fatalf("%s call %d entry %d: bcol0/bcol1 = %v/%v, SolveWith %v/%v",
+						tc.name, call, i, std.bcol0[i], std.bcol1[i], want0[i], want1[i])
+				}
+			}
+			if cnt.SolvePairs != 2*call {
+				t.Fatalf("%s call %d: SolvePairs = %d, want %d", tc.name, call, cnt.SolvePairs, 2*call)
+			}
+		}
+	}
 }
 
 // Property: for random small RC systems, the rational-Krylov result at

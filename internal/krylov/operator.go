@@ -121,10 +121,9 @@ type Op struct {
 	// three-term fast path. symOff is the caller override (SetSymmetric):
 	// e.g. MEXP disables the fast path after regularizing a singular C,
 	// since the factorized matrix then differs from the stamped one.
-	sym        bool
-	symOff     bool
-	segZero    bool         // both input columns are identically zero
-	mdst, msrc [2][]float64 // scratch headers for 2-RHS panel solves
+	sym     bool
+	symOff  bool
+	segZero bool // both input columns are identically zero
 }
 
 // solve runs one substitution pair dst = fact⁻¹·b on the operator's
@@ -182,24 +181,14 @@ func (op *Op) N() int {
 
 // SetSegment installs the input terms of the current slope-constant segment:
 // bu = B·u(t) and s = d(B·u)/dt, both raw stamping-space vectors. Standard
-// mode converts them through C⁻¹ (two substitution pairs); the shifted modes
-// use them as-is.
+// mode converts them through C⁻¹, one substitution pair per column; the
+// shifted modes use them as-is.
 func (op *Op) SetSegment(bu, s []float64) {
 	op.segZero = allZero(bu) && allZero(s)
 	switch op.Mode {
 	case Standard:
-		// One blocked panel solve for both input columns when the
-		// factorization supports it: same substitution work, the factor is
-		// traversed once instead of twice.
-		if ms, ok := op.fact.(sparse.MultiSolver); ok {
-			op.mdst[0], op.mdst[1] = op.bcol0, op.bcol1
-			op.msrc[0], op.msrc[1] = bu, s
-			ms.SolveMulti(op.mdst[:], op.msrc[:])
-			op.msrc[0], op.msrc[1] = nil, nil
-		} else {
-			op.fact.SolveWith(op.bcol0, bu, op.work)
-			op.fact.SolveWith(op.bcol1, s, op.work)
-		}
+		op.solve(op.bcol0, bu)
+		op.solve(op.bcol1, s)
 		if op.Count != nil {
 			op.Count.SolvePairs += 2
 		}

@@ -23,5 +23,13 @@ func (s *Server) SetDeckCapacity(n int64) {
 	s.decks = memo.New[string, *job.Deck](memo.NewBudget(n))
 }
 
+// FailNextAppend makes the journal's next append of a record of the given
+// kind ("deck", "spec", "samples", "checkpoint", "done") fail with
+// ErrJournal, once. The server must have a StateDir.
+func (s *Server) FailNextAppend(kind string) { s.journal.failNext.Store(&kind) }
+
+// AppendFaultArmed reports whether a FailNextAppend has yet to fire.
+func (s *Server) AppendFaultArmed() bool { return s.journal.failNext.Load() != nil }
+
 // MaxBodyBytes is the admission bound on a deck.
 const MaxBodyBytes = maxBodyBytes

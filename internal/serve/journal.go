@@ -10,8 +10,8 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 
-	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -47,9 +47,8 @@ import (
 // record, and the compaction that follows rewrites the file by reference.
 //
 // ErrJournal marks every append failure so the HTTP layer can answer 500
-// (server's disk, not the client's spec). The faultinject points
-// JournalAppend (deck/spec/samples/done appends: "disk full") and
-// CheckpointWrite (checkpoint appends: "torn checkpoint write") fire here.
+// (server's disk, not the client's spec). Tests stand in for a full disk or
+// a torn checkpoint write by arming failNext for one record kind.
 
 // journalName is the journal file name under Config.StateDir.
 const journalName = "journal.jsonl"
@@ -94,10 +93,13 @@ type journalRecord struct {
 // journal is the append-side handle. Appends serialize on mu; the file is
 // opened O_APPEND so each record is one contiguous write.
 type journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	faults *faultinject.Registry
+	mu   sync.Mutex
+	f    *os.File
+	path string
+	// failNext, when set, names a record kind ("deck", "spec", "samples",
+	// "checkpoint", "done") whose next append fails with ErrJournal; it is
+	// cleared as it fires. Only tests set it.
+	failNext atomic.Pointer[string]
 	// decks are the hashes whose deck record this generation of the file
 	// holds, durably: specs may reference them without writing the body.
 	decks map[string]bool
@@ -122,7 +124,7 @@ type restoredJob struct {
 // openJournal replays and compacts the journal under dir, then reopens it
 // for appending. It returns the interrupted jobs in submit order and the
 // largest job sequence number ever journaled.
-func openJournal(dir string, faults *faultinject.Registry) (*journal, []*restoredJob, uint64, error) {
+func openJournal(dir string) (*journal, []*restoredJob, uint64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: creating state dir: %w", err)
 	}
@@ -145,7 +147,7 @@ func openJournal(dir string, faults *faultinject.Registry) (*journal, []*restore
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	j := &journal{f: f, path: path, faults: faults, decks: decks}
+	j := &journal{f: f, path: path, decks: decks}
 	return j, live, maxSeq, nil
 }
 
@@ -333,11 +335,11 @@ func failCompact(f *os.File, tmp string, err error) error {
 	return fmt.Errorf("serve: compacting journal: %w", err)
 }
 
-// encode consults the faultinject site point and marshals one record into
-// its journal line.
-func (j *journal) encode(rec journalRecord, point faultinject.Point) ([]byte, error) {
-	if err := j.faults.Check(point); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
+// encode marshals one record into its journal line, unless failNext names
+// the record's kind.
+func (j *journal) encode(rec journalRecord) ([]byte, error) {
+	if k := j.failNext.Load(); k != nil && *k == rec.Rec && j.failNext.CompareAndSwap(k, nil) {
+		return nil, fmt.Errorf("%w: injected fault on a %s record", ErrJournal, rec.Rec)
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -362,8 +364,8 @@ func (j *journal) writeLocked(line []byte, sync bool) error {
 }
 
 // append encodes and writes one record.
-func (j *journal) append(rec journalRecord, sync bool, point faultinject.Point) error {
-	line, err := j.encode(rec, point)
+func (j *journal) append(rec journalRecord, sync bool) error {
+	line, err := j.encode(rec)
 	if err != nil {
 		return err
 	}
@@ -390,7 +392,7 @@ func (j *journal) appendDeck(hash, netlist string) error {
 	if j.decks[hash] {
 		return nil
 	}
-	line, err := j.encode(journalRecord{Rec: "deck", Hash: hash, Netlist: netlist}, faultinject.JournalAppend)
+	line, err := j.encode(journalRecord{Rec: "deck", Hash: hash, Netlist: netlist})
 	if err != nil {
 		return err
 	}
@@ -402,19 +404,19 @@ func (j *journal) appendDeck(hash, netlist string) error {
 }
 
 func (j *journal) appendSpec(id string, seq uint64, hash string, spec json.RawMessage) error {
-	return j.append(journalRecord{Rec: "spec", ID: id, Seq: seq, Hash: hash, Spec: spec}, true, faultinject.JournalAppend)
+	return j.append(journalRecord{Rec: "spec", ID: id, Seq: seq, Hash: hash, Spec: spec}, true)
 }
 
 func (j *journal) appendSamples(id string, from int, batch []Sample) error {
-	return j.append(journalRecord{Rec: "samples", ID: id, From: from, Samples: batch}, false, faultinject.JournalAppend)
+	return j.append(journalRecord{Rec: "samples", ID: id, From: from, Samples: batch}, false)
 }
 
 func (j *journal) appendCheckpoint(id, variant string, cp transient.Checkpoint) error {
-	return j.append(journalRecord{Rec: "checkpoint", ID: id, Variant: variant, Cp: &cp}, true, faultinject.CheckpointWrite)
+	return j.append(journalRecord{Rec: "checkpoint", ID: id, Variant: variant, Cp: &cp}, true)
 }
 
 func (j *journal) appendDone(id string, state JobState, errMsg string) error {
-	return j.append(journalRecord{Rec: "done", ID: id, State: state, Error: errMsg}, true, faultinject.JournalAppend)
+	return j.append(journalRecord{Rec: "done", ID: id, State: state, Error: errMsg}, true)
 }
 
 // Close flushes and closes the journal file.

@@ -19,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/serve"
 	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
@@ -300,11 +299,9 @@ func TestRestartPrunesCompletedJobs(t *testing.T) {
 func TestJournalAppendFaultRejectsSubmit(t *testing.T) {
 	leak := guardGoroutines(t)
 	deckText := testDeck(t)
-	reg := faultinject.New(42)
-	reg.Arm(faultinject.JournalAppend, faultinject.Plan{Times: 1})
 
 	srv, base, shutdown := testServer(t, serve.Config{
-		Workers: 1, QueueDepth: 4, StateDir: t.TempDir(), Fault: reg,
+		Workers: 1, QueueDepth: 4, StateDir: t.TempDir(),
 	})
 	defer func() {
 		if err := shutdown(context.Background()); err != nil {
@@ -313,20 +310,24 @@ func TestJournalAppendFaultRejectsSubmit(t *testing.T) {
 		leak()
 	}()
 
+	srv.FailNextAppend("spec")
 	_, err := srv.Submit(serve.JobSpec{Netlist: deckText, Method: "rmatex", Tol: 1e-6})
-	if !errors.Is(err, serve.ErrJournal) || !faultinject.IsInjected(err) {
+	if !errors.Is(err, serve.ErrJournal) || !strings.Contains(err.Error(), "injected fault") {
 		t.Fatalf("faulted submit returned %v, want ErrJournal wrapping an injected fault", err)
 	}
-	if reg.Fired(faultinject.JournalAppend) != 1 {
-		t.Fatalf("fault fired %d times", reg.Fired(faultinject.JournalAppend))
+	if srv.AppendFaultArmed() {
+		t.Fatal("fault still armed after the faulted submit")
 	}
 
 	// HTTP mapping: arm one more and check the 500.
-	reg.Arm(faultinject.JournalAppend, faultinject.Plan{Times: 1})
+	srv.FailNextAppend("spec")
 	resp := postJSON(t, base+"/v1/jobs", serve.JobSpec{Netlist: deckText, Method: "rmatex", Tol: 1e-6})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("faulted submit answered %d, want 500", resp.StatusCode)
+	}
+	if srv.AppendFaultArmed() {
+		t.Fatal("fault still armed after the faulted post")
 	}
 
 	// The fault is spent: the service accepts and completes the next job.
@@ -344,18 +345,20 @@ func TestCheckpointWriteFaultFailsJob(t *testing.T) {
 	leak := guardGoroutines(t)
 	deckText := testDeck(t)
 	dir := t.TempDir()
-	reg := faultinject.New(7)
-	reg.Arm(faultinject.CheckpointWrite, faultinject.Plan{Times: 1})
 
-	_, base, shutdown := testServer(t, serve.Config{
-		Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 10, Fault: reg,
+	srv, base, shutdown := testServer(t, serve.Config{
+		Workers: 1, QueueDepth: 4, StateDir: dir, CheckpointEvery: 10,
 	})
+	srv.FailNextAppend("checkpoint")
 	got := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Method: "tr"})
 	if got.state != serve.JobFailed {
 		t.Fatalf("checkpoint-faulted job ended %s, want failed", got.state)
 	}
 	if !strings.Contains(got.tailErr, "injected fault") {
 		t.Fatalf("job error %q does not surface the injected fault", got.tailErr)
+	}
+	if srv.AppendFaultArmed() {
+		t.Fatal("fault still armed after the faulted checkpoint")
 	}
 	if err := shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -174,7 +174,7 @@ func TestCompactionKeepsLiveDecksOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jn, live, maxSeq, err := openJournal(dir, nil)
+	jn, live, maxSeq, err := openJournal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/matex-sim/matex/internal/faultinject"
 	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/memo"
@@ -54,10 +53,6 @@ type Config struct {
 	// I/O; it only applies when StateDir is set. Distributed jobs and tasks
 	// do not checkpoint — interrupted ones restart from scratch.
 	CheckpointEvery int
-	// Fault is the fault-injection registry consulted at the journal's
-	// append points (faultinject.JournalAppend, faultinject.CheckpointWrite).
-	// Nil — the production value — injects nothing.
-	Fault *faultinject.Registry
 }
 
 func (c Config) withDefaults() Config {
@@ -182,7 +177,7 @@ func New(cfg Config) (*Server, error) {
 	)
 	if cfg.StateDir != "" {
 		var err error
-		if jn, restored, maxSeq, err = openJournal(cfg.StateDir, cfg.Fault); err != nil {
+		if jn, restored, maxSeq, err = openJournal(cfg.StateDir); err != nil {
 			return nil, err
 		}
 	}

@@ -14,9 +14,11 @@ type Factorization interface {
 	NNZ() int
 }
 
-// MultiSolver is implemented by factorizations that can solve a panel of
-// right-hand sides in one factor traversal, amortizing the factor's memory
-// traffic over the panel.
+// MultiSolver is implemented by no factorization: every right-hand side is
+// one SolveWith. The declaration stays only because the bench/layers
+// harness type-asserts it, and with no implementor it times its sequential
+// arm; ROADMAP item 7's benchmark PR removes that assertion and deletes
+// this interface.
 type MultiSolver interface {
 	// SolveMulti solves A·X = B for the k = len(dst) right-hand sides.
 	SolveMulti(dst, b [][]float64)

@@ -31,22 +31,23 @@ type LDLT struct {
 	coeff    []float64
 
 	// gbuf is the factor-owned below-block gather buffer for the solves
-	// (8·maxRows: room for the widest multi-RHS block), claimed with a CAS
-	// so the uncontended solve stays allocation-free even under the race
-	// detector, where sync.Pool deliberately drops Puts. Concurrent solves
-	// that lose the claim fall back to the shared pool.
+	// (maxRows: one supernode's row list), claimed with a CAS so the
+	// uncontended solve stays allocation-free even under the race detector,
+	// where sync.Pool deliberately drops Puts. Concurrent solves that lose
+	// the claim fall back to the shared pool.
 	gbuf  []float64
 	gbusy atomic.Bool
 }
 
 // getG claims the factor's gather buffer, falling back to the shared pool
-// under contention. sz must not exceed len(gbuf). Release with putG.
+// under contention. Release with putG.
 //
 //matex:noalloc
-func (f *LDLT) getG(sz int) ([]float64, *[]float64) {
+func (f *LDLT) getG() ([]float64, *[]float64) {
 	if f.gbusy.CompareAndSwap(false, true) {
-		return f.gbuf[:sz], nil
+		return f.gbuf, nil
 	}
+	sz := len(f.gbuf)
 	p := getWork(sz)
 	return (*p)[:sz], p
 }
@@ -161,7 +162,7 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	for k := 0; k < n; k++ {
 		work[k] = b[perm[k]]
 	}
-	g, pooled := f.getG(sn.maxRows)
+	g, pooled := f.getG()
 	f.fwdSN(work, g)
 	d := f.d
 	for j := 0; j < n; j++ {
@@ -174,55 +175,5 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	// dst = P·work.
 	for k := 0; k < n; k++ {
 		dst[perm[k]] = work[k]
-	}
-}
-
-// SolveMulti solves A·X = B for k right-hand sides in one traversal of the
-// factor: the k solutions advance together through an interleaved panel, so
-// every factor entry is loaded once per panel instead of once per
-// right-hand side. dst and b must each hold k vectors of length n (dst[r]
-// and b[r] may alias). The workspace comes from a shared pool.
-//
-//matex:noalloc
-func (f *LDLT) SolveMulti(dst, b [][]float64) {
-	n, k := f.sym.n, len(dst)
-	if k == 0 {
-		return
-	}
-	w := getWork(n * k)
-	f.SolveMultiWith(dst, b, (*w)[:n*k])
-	solveWork.Put(w)
-}
-
-// SolveMultiWith is SolveMulti with a caller-provided workspace of length
-// n·k, allowing allocation-free repeated panel solves.
-//
-//matex:noalloc
-func (f *LDLT) SolveMultiWith(dst, b [][]float64, work []float64) {
-	n, k := f.sym.n, len(dst)
-	if len(b) != k {
-		panic("sparse: LDLT.SolveMulti needs matching panel widths")
-	}
-	if k == 0 {
-		return
-	}
-	if len(work) != n*k {
-		panic("sparse: LDLT.SolveMultiWith workspace length mismatch")
-	}
-	for r := 0; r < k; r++ {
-		if len(dst[r]) != n || len(b[r]) != n {
-			panic("sparse: LDLT.SolveMulti dimension mismatch")
-		}
-	}
-	// Process the panel in blocks of bounded width — one traversal of the
-	// factor's index/value arrays per block, fused per-entry updates. The
-	// kernel is generic over the block width and takes up to 8 right-hand
-	// sides, so a sweep's full-width panel costs a single factor traversal.
-	for lo := 0; lo < k; lo += 8 {
-		hi := lo + 8
-		if hi > k {
-			hi = k
-		}
-		f.solvePanelSN(dst[lo:hi], b[lo:hi], work[:(hi-lo)*n])
 	}
 }

@@ -568,232 +568,3 @@ func (f *LDLT) bwdOneSN(t int, work, g []float64) {
 		work[c0+k] -= acc
 	}
 }
-
-// solvePanelSN solves a panel of k (<= 8) interleaved right-hand sides
-// through the supernodal factor in one traversal: work holds the solutions
-// row-major (work[i*k+r]), g buffers k·maxRows below-block values. Every
-// per-RHS operation runs in exactly the order the sequential
-// fwdSN/diagonal/bwdOneSN path uses, so a panel solve is bitwise identical
-// to k sequential solves.
-//
-//matex:noalloc
-func (f *LDLT) solvePanelSN(dst, b [][]float64, work []float64) {
-	n, k := f.sym.n, len(dst)
-	if k > 8 {
-		panic("sparse: solvePanelSN panel wider than 8")
-	}
-	sn := f.sym.sn
-	sp := f.snValues
-	perm := f.sym.perm
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		row := work[i*k : i*k+k]
-		for r := 0; r < k; r++ {
-			row[r] = b[r][pi]
-		}
-	}
-	g, pooled := f.getG(sn.maxRows * k)
-	// Forward.
-	for t := 0; t < sn.nsuper; t++ {
-		c0 := int(sn.ptr[t])
-		w := int(sn.ptr[t+1]) - c0
-		rb := sn.rowPtr[t]
-		ns := sn.rowPtr[t+1] - rb
-		base := sn.valPtr[t]
-		nb := ns - w
-		if w == 1 {
-			// Singleton panel, as in fwdSN: straight scatter, no staging.
-			x0 := work[c0*k : c0*k+k : c0*k+k]
-			col := sp[base+1 : base+ns]
-			for i, rr := range sn.rows[rb+1 : rb+ns] {
-				v := col[i]
-				tw := work[int(rr)*k : int(rr)*k+k : int(rr)*k+k]
-				for r := range tw {
-					tw[r] -= float64(v * x0[r])
-				}
-			}
-			continue
-		}
-		// Unit-lower solve of the w×w diagonal block.
-		for kk := 0; kk < w; kk++ {
-			xk := work[(c0+kk)*k : (c0+kk)*k+k : (c0+kk)*k+k]
-			col := sp[base+kk*ns : base+kk*ns+w]
-			for i := kk + 1; i < w; i++ {
-				v := col[i]
-				tr := work[(c0+i)*k : (c0+i)*k+k : (c0+i)*k+k]
-				for r := range tr {
-					tr[r] -= v * xk[r]
-				}
-			}
-		}
-		if nb == 0 {
-			continue
-		}
-		// Below-block accumulate with columns streamed in pairs, exactly
-		// as fwdSN associates the sums.
-		var kk int
-		if w&1 == 1 {
-			x0 := work[c0*k : c0*k+k : c0*k+k]
-			col := sp[base+w : base+ns]
-			for i := 0; i < nb; i++ {
-				v := col[i]
-				tg := g[i*k : i*k+k : i*k+k]
-				for r := range tg {
-					tg[r] = v * x0[r]
-				}
-			}
-			kk = 1
-		} else {
-			x0 := work[c0*k : c0*k+k : c0*k+k]
-			x1 := work[(c0+1)*k : (c0+1)*k+k : (c0+1)*k+k]
-			col0 := sp[base+w : base+ns]
-			col1 := sp[base+ns+w : base+2*ns]
-			for i := 0; i < nb; i++ {
-				v0, v1 := col0[i], col1[i]
-				tg := g[i*k : i*k+k : i*k+k]
-				for r := range tg {
-					tg[r] = v0*x0[r] + v1*x1[r]
-				}
-			}
-			kk = 2
-		}
-		for ; kk+1 < w; kk += 2 {
-			x0 := work[(c0+kk)*k : (c0+kk)*k+k : (c0+kk)*k+k]
-			x1 := work[(c0+kk+1)*k : (c0+kk+1)*k+k : (c0+kk+1)*k+k]
-			col0 := sp[base+kk*ns+w : base+(kk+1)*ns]
-			col1 := sp[base+(kk+1)*ns+w : base+(kk+2)*ns]
-			for i := 0; i < nb; i++ {
-				v0, v1 := col0[i], col1[i]
-				tg := g[i*k : i*k+k : i*k+k]
-				for r := range tg {
-					tg[r] += v0*x0[r] + v1*x1[r]
-				}
-			}
-		}
-		br := sn.rows[rb+w : rb+ns]
-		for i, rr := range br {
-			tw := work[int(rr)*k : int(rr)*k+k : int(rr)*k+k]
-			tg := g[i*k : i*k+k]
-			for r := range tw {
-				tw[r] -= tg[r]
-			}
-		}
-	}
-	// Diagonal: true division, matching the sequential path's rounding.
-	d := f.d
-	for j := 0; j < n; j++ {
-		dj := d[j]
-		row := work[j*k : j*k+k]
-		for r := range row {
-			row[r] /= dj
-		}
-	}
-	// Backward.
-	var acc0, acc1 [8]float64
-	for t := sn.nsuper - 1; t >= 0; t-- {
-		c0 := int(sn.ptr[t])
-		w := int(sn.ptr[t+1]) - c0
-		rb := sn.rowPtr[t]
-		ns := sn.rowPtr[t+1] - rb
-		base := sn.valPtr[t]
-		nb := ns - w
-		if w == 1 {
-			// Singleton panel, as in bwdOneSN: dots read the rows in place.
-			col := sp[base+1 : base+ns]
-			a := acc0[:k]
-			for r := range a {
-				a[r] = 0
-			}
-			for i, rr := range sn.rows[rb+1 : rb+ns] {
-				v := col[i]
-				sr := work[int(rr)*k : int(rr)*k+k : int(rr)*k+k]
-				for r := range a {
-					a[r] += v * sr[r]
-				}
-			}
-			xk := work[c0*k : c0*k+k : c0*k+k]
-			for r := range a {
-				xk[r] -= a[r]
-			}
-			continue
-		}
-		if nb > 0 {
-			br := sn.rows[rb+w : rb+ns]
-			gb := g[:nb*k]
-			for i, rr := range br {
-				copy(gb[i*k:i*k+k], work[int(rr)*k:int(rr)*k+k])
-			}
-			// Below-block dots in column pairs, accumulated then applied
-			// with one subtraction per unknown, as bwdOneSN does.
-			var kk int
-			if w&1 == 1 {
-				col := sp[base+w : base+ns]
-				a := acc0[:k]
-				for r := range a {
-					a[r] = 0
-				}
-				for i := 0; i < nb; i++ {
-					v := col[i]
-					sg := gb[i*k : i*k+k : i*k+k]
-					for r := range a {
-						a[r] += v * sg[r]
-					}
-				}
-				xk := work[c0*k : c0*k+k : c0*k+k]
-				for r := range a {
-					xk[r] -= a[r]
-				}
-				kk = 1
-			}
-			for ; kk+1 < w; kk += 2 {
-				col0 := sp[base+kk*ns+w : base+(kk+1)*ns]
-				col1 := sp[base+(kk+1)*ns+w : base+(kk+2)*ns]
-				a0, a1 := acc0[:k], acc1[:k]
-				for r := 0; r < k; r++ {
-					a0[r], a1[r] = 0, 0
-				}
-				for i := 0; i < nb; i++ {
-					v0, v1 := col0[i], col1[i]
-					sg := gb[i*k : i*k+k : i*k+k]
-					for r := range sg {
-						a0[r] += v0 * sg[r]
-						a1[r] += v1 * sg[r]
-					}
-				}
-				xk0 := work[(c0+kk)*k : (c0+kk)*k+k : (c0+kk)*k+k]
-				xk1 := work[(c0+kk+1)*k : (c0+kk+1)*k+k : (c0+kk+1)*k+k]
-				for r := 0; r < k; r++ {
-					xk0[r] -= a0[r]
-					xk1[r] -= a1[r]
-				}
-			}
-		}
-		// Descending intra-block substitution, dot-then-subtract.
-		for kk := w - 1; kk >= 0; kk-- {
-			col := sp[base+kk*ns : base+kk*ns+w]
-			a := acc0[:k]
-			for r := range a {
-				a[r] = 0
-			}
-			for i := kk + 1; i < w; i++ {
-				v := col[i]
-				sr := work[(c0+i)*k : (c0+i)*k+k : (c0+i)*k+k]
-				for r := range a {
-					a[r] += v * sr[r]
-				}
-			}
-			xk := work[(c0+kk)*k : (c0+kk)*k+k : (c0+kk)*k+k]
-			for r := range a {
-				xk[r] -= a[r]
-			}
-		}
-	}
-	f.putG(pooled)
-	for i := 0; i < n; i++ {
-		pi := perm[i]
-		row := work[i*k : i*k+k]
-		for r := 0; r < k; r++ {
-			dst[r][pi] = row[r]
-		}
-	}
-}

@@ -75,39 +75,25 @@ func checkFactorization(t *testing.T, a *CSC, f *LDLT) {
 	}
 }
 
-// checkSolves drives every solve entry point of one factor against the
-// dense oracle: SolveWith within 1e-10, and SolveMulti bitwise equal to
-// SolveWith for every panel width through the 8-wide block boundary.
+// checkSolves drives both solve entry points of one factor against the
+// dense oracle: SolveWith within 1e-10, and Solve (pooled workspace, dst
+// aliasing b) bitwise equal to SolveWith.
 func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 	t.Helper()
 	n := a.Rows
-	const kmax = 9
-	bs := make([][]float64, kmax)
-	want := make([][]float64, kmax)
-	work := make([]float64, n)
-	for r := range bs {
-		bs[r] = make([]float64, n)
-		for i := range bs[r] {
-			bs[r][i] = rng.NormFloat64()
-		}
-		want[r] = make([]float64, n)
-		f.SolveWith(want[r], bs[r], work)
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = rng.NormFloat64()
 	}
-	if d := maxRelDiff(want[0], denseSolve(t, a, bs[0])); d > 1e-10 {
+	want := make([]float64, n)
+	f.SolveWith(want, b, make([]float64, n))
+	if d := maxRelDiff(want, denseSolve(t, a, b)); d > 1e-10 {
 		t.Fatalf("SolveWith diverges from the dense oracle by %g", d)
 	}
-	for k := 1; k <= kmax; k++ {
-		dst := make([][]float64, k)
-		for r := range dst {
-			dst[r] = make([]float64, n)
-		}
-		f.SolveMulti(dst, bs[:k])
-		for r := 0; r < k; r++ {
-			for i := range dst[r] {
-				if dst[r][i] != want[r][i] {
-					t.Fatalf("SolveMulti k=%d rhs %d entry %d: %v, sequential %v", k, r, i, dst[r][i], want[r][i])
-				}
-			}
+	f.Solve(b, b)
+	for i := range b {
+		if b[i] != want[i] {
+			t.Fatalf("Solve entry %d: %v, SolveWith %v", i, b[i], want[i])
 		}
 	}
 }
@@ -368,13 +354,5 @@ func TestSupernodalZeroAllocs(t *testing.T) {
 		f.SolveWith(x, b, work)
 	}); allocs != 0 {
 		t.Errorf("SolveWith allocates %v/op", allocs)
-	}
-	mw := make([]float64, 4*n)
-	dst := [][]float64{x, x, x, x}
-	src := [][]float64{b, b, b, b}
-	if allocs := testing.AllocsPerRun(50, func() {
-		f.SolveMultiWith(dst, src, mw)
-	}); allocs != 0 {
-		t.Errorf("SolveMultiWith allocates %v/op", allocs)
 	}
 }

@@ -172,42 +172,10 @@ func TestRefactorSingularLeavesCleanWorkspace(t *testing.T) {
 	}
 }
 
-func TestSolveMultiMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	a := randomSPD(rng, 64)
-	n := a.Rows
-	f, err := FactorLDLT(a, OrderDefault)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4, 7} {
-		b := make([][]float64, k)
-		want := make([][]float64, k)
-		got := make([][]float64, k)
-		for r := 0; r < k; r++ {
-			b[r] = make([]float64, n)
-			for i := range b[r] {
-				b[r][i] = rng.NormFloat64()
-			}
-			want[r] = make([]float64, n)
-			f.Solve(want[r], b[r])
-			got[r] = make([]float64, n)
-		}
-		f.SolveMulti(got, b)
-		for r := 0; r < k; r++ {
-			for i := 0; i < n; i++ {
-				if math.Abs(got[r][i]-want[r][i]) > 1e-13*(1+math.Abs(want[r][i])) {
-					t.Fatalf("k=%d rhs=%d: mismatch at %d", k, r, i)
-				}
-			}
-		}
-	}
-}
-
-// TestSolveRace hammers one shared factor with concurrent sequential and
-// panel solves — run under -race this proves the solve API is re-entrant
-// (the factor-owned gather buffer is claimed by one solve, the rest fall
-// back to the pool).
+// TestSolveRace hammers one shared factor with concurrent solves on caller
+// and pooled workspaces — run under -race this proves the solve API is
+// re-entrant (the factor-owned gather buffer is claimed by one solve, the
+// rest fall back to the pool).
 func TestSolveRace(t *testing.T) {
 	a := multiDomainSPD(30, 4)
 	n := a.Rows
@@ -227,17 +195,11 @@ func TestSolveRace(t *testing.T) {
 			}
 			x := make([]float64, n)
 			work := make([]float64, n)
-			panelB := [][]float64{b, b, b, b}
-			panelX := make([][]float64, 4)
-			for r := range panelX {
-				panelX[r] = make([]float64, n)
-			}
 			for it := 0; it < 25; it++ {
 				if it%2 == 0 {
 					f.SolveWith(x, b, work)
 				} else {
-					f.SolveMulti(panelX, panelB)
-					copy(x, panelX[3])
+					f.Solve(x, b)
 				}
 				if r := residual(a, x, b); r > 1e-10 {
 					t.Errorf("goroutine %d iter %d: residual %g", seed, it, r)
@@ -250,8 +212,8 @@ func TestSolveRace(t *testing.T) {
 }
 
 // TestRefactorSolveZeroAllocs is the steady-state allocation contract of the
-// numeric path: refactorization into an existing factor plus sequential and
-// panel solves with caller-provided workspaces allocate nothing.
+// numeric path: refactorization into an existing factor plus a solve with a
+// caller-provided workspace allocate nothing.
 func TestRefactorSolveZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := meshSPD(16, 16)
@@ -270,19 +232,11 @@ func TestRefactorSolveZeroAllocs(t *testing.T) {
 	}
 	x := make([]float64, n)
 	work := make([]float64, n)
-	const k = 4
-	panelB := [][]float64{b, b, b, b}
-	panelX := make([][]float64, k)
-	for r := range panelX {
-		panelX[r] = make([]float64, n)
-	}
-	panelWork := make([]float64, n*k)
 	if allocs := testing.AllocsPerRun(50, func() {
 		if err := sym.RefactorInto(f, a); err != nil {
 			t.Fatal(err)
 		}
 		f.SolveWith(x, b, work)
-		f.SolveMultiWith(panelX, panelB, panelWork)
 	}); allocs != 0 {
 		t.Fatalf("steady-state refactor+solve allocated %.1f/run, want 0", allocs)
 	}

@@ -30,8 +30,7 @@
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
 # the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
 # *_mesh96nd rows (nested dissection, wide separator panels) the two ends
-# of the panel-width range, BenchmarkSolveSeq_k* vs BenchmarkSolveMulti_k*
-# the blocked panel solves, BenchmarkSolveSeq_4dom the substitution pair on
+# of the panel-width range, BenchmarkSolveSeq_4dom the substitution pair on
 # separate domains, and BenchmarkSweepSolo vs
 # BenchmarkSweep_k{4,8} the scenario sweep: parallel lanes over one cache
 # lineage (benchcmp gates the lanes and factorizations they report against
@@ -52,7 +51,7 @@ cd "$(dirname "$0")/.."
 out="${1:-BENCH_BASELINE.json}"
 benchtime="${BENCHTIME:-100x}"
 runs="${BENCH_RUNS:-1}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|SolveMulti|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_|Parse_|Stamp_)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_|Parse_|Stamp_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

@@ -115,7 +115,7 @@ var gates = []gate{
 func main() {
 	basePath := flag.String("base", "BENCH_BASELINE.json", "committed baseline JSON")
 	newPath := flag.String("new", "bench-ci.json", "freshly measured JSON")
-	rowsPat := flag.String("rows", "^Benchmark(Factor_|Refactor|SolveSeq|SolveMulti)", "regexp selecting the gated rows")
+	rowsPat := flag.String("rows", "^Benchmark(Factor_|Refactor|SolveSeq)", "regexp selecting the gated rows")
 	maxRatio := flag.Float64("max-ratio", 2.5, "fail when new/base ns/op exceeds this on any gated row")
 	flag.Parse()
 
