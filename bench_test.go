@@ -409,11 +409,10 @@ func benchKrylovE2E(b *testing.B, method krylov.Method) {
 func BenchmarkKrylovE2E_RMATEX_Arnoldi(b *testing.B) { benchKrylovE2E(b, krylov.MethodArnoldi) }
 func BenchmarkKrylovE2E_RMATEX_Auto(b *testing.B)    { benchKrylovE2E(b, krylov.MethodAuto) }
 
-// --- Factorization engine (PR 4): symbolic/numeric split, parallel solves --
+// --- Factorization engine: symbolic/numeric split, substitution pair -------
 //
 // The mesh is the ibmpg1t topology at 2× pitch (n = 3564): large enough that
-// the solver layer dominates and the minimum-degree task schedule clears
-// the parallel crossover, small enough for the CI smoke run. Minimum degree
+// the solver layer dominates, small enough for the CI smoke run. Minimum degree
 // is the ordering of interest here — its elimination tree is bushy (many
 // independent subtrees) and its fill on these meshes is the smallest of the
 // orderings, which the bucketed implementation makes affordable.
@@ -503,7 +502,7 @@ func BenchmarkSolveSeq_ibmpg1t2x(b *testing.B) {
 
 // blockDiag tiles copies of a down the diagonal: the multi-domain PDN
 // shape (separate power domains share no nodes), whose elimination forest
-// is what the parallel solve's task schedule exploits.
+// has one independent subtree per domain.
 func blockDiag(b *testing.B, a *sparse.CSC, copies int) *sparse.CSC {
 	b.Helper()
 	n := a.Rows
@@ -548,16 +547,12 @@ func BenchmarkSolveSeq_4dom(b *testing.B) {
 	}
 }
 
-// BenchmarkSolveSeq/Par_mesh96nd: one strongly coupled 96×96 mesh — the
-// single-domain shape where the old level schedule found no usable task
-// partition (the fill concentrates in the top separators). Nested
-// dissection exposes the separator tree explicitly, so this row is
-// parallelizable only under OrderND; it benchmarks the satellite claim
-// directly rather than relying on the block-diagonal 4dom shortcut. Its
-// separators amalgamate into wide panels, so these are also the rows where
-// the blocked kernels carry the most work per factor entry (the ibmpg1t2x
-// rows above are the narrow-panel end: minimum degree, ~1.6 columns per
-// supernode).
+// BenchmarkRefactor_mesh96nd / BenchmarkSolveSeq_mesh96nd: one strongly
+// coupled 96×96 mesh under nested dissection, whose fill concentrates in
+// the top separators. They amalgamate into wide panels, so these are the
+// rows where the blocked kernels carry the most work per factor entry (the
+// ibmpg1t2x rows above are the narrow-panel end: minimum degree, ~1.6
+// columns per supernode).
 func mesh96CSC(b *testing.B) *sparse.CSC {
 	b.Helper()
 	side := 96
@@ -627,6 +622,54 @@ func BenchmarkSolveSeq_mesh96nd(b *testing.B) {
 		f.SolveWith(x, rhs, work)
 	}
 }
+
+// gridSolveFactor is the factor matex reuses on a bench workload's deck: the
+// deck text parsed and stamped as the CLI does, then the R-MATEX shift
+// C + γG (γ = 1e-10) factored under the default ordering; plus a seeded
+// dense right-hand side.
+func gridSolveFactor(b *testing.B, name string, scale, cnode float64) (*sparse.LDLT, []float64) {
+	b.Helper()
+	deck, err := netlist.Parse(bytes.NewReader(benchDeckTextCNode(b, name, scale, cnode)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := deck.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := sparse.FactorLDLT(sparse.Add(1, sys.C, 1e-10, sys.G), sparse.OrderDefault)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	rhs := make([]float64, f.N())
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	return f, rhs
+}
+
+func benchGridSolve(b *testing.B, name string, scale, cnode float64) {
+	f, rhs := gridSolveFactor(b, name, scale, cnode)
+	x := make([]float64, f.N())
+	work := make([]float64, f.N())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.SolveWith(x, rhs, work)
+	}
+}
+
+// BenchmarkSolveSeq_ibmpg6t15 is one substitution pair on grid_static's
+// factor (ibmpg6t × 1.5, stock capacitance): n = 18,029 and 538,654 panel
+// entries (4.3 MB of values), more than a 2 MiB L2 holds, so it streams
+// from L3.
+func BenchmarkSolveSeq_ibmpg6t15(b *testing.B) { benchGridSolve(b, "ibmpg6t", 1.5, 0) }
+
+// BenchmarkSolveSeq_ibmpg5t is one substitution pair on grid_dynamic's
+// factor (ibmpg5t, 0.5 pF per node): n = 6,336 and 165,762 panel entries
+// (1.3 MB of values), resident in a 2 MiB L2.
+func BenchmarkSolveSeq_ibmpg5t(b *testing.B) { benchGridSolve(b, "ibmpg5t", 1, 0.5e-12) }
 
 // --- Fig. 5: rational-Krylov error vs step size ----------------------------
 
@@ -812,10 +855,19 @@ func BenchmarkSweep_k8(b *testing.B) {
 // benchDeckText renders an IBM case as the deck text cmd/pgbench and bench/e2e
 // write (no .print cards).
 func benchDeckText(b *testing.B, name string, scale float64) []byte {
+	return benchDeckTextCNode(b, name, scale, 0)
+}
+
+// benchDeckTextCNode is benchDeckText with every node capacitor set to cnode
+// farads (0: the stock 10 fF).
+func benchDeckTextCNode(b *testing.B, name string, scale, cnode float64) []byte {
 	b.Helper()
 	spec, err := pdn.IBMCase(name, scale)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if cnode > 0 {
+		spec.CNode = cnode
 	}
 	ckt, err := spec.Build()
 	if err != nil {

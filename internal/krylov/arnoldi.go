@@ -588,22 +588,40 @@ func (cs *checkSchedule) record(m int, worst float64, ok bool, opts Options) {
 	cs.next = m + step
 }
 
+// norm2 is the Euclidean norm of v, summed like dot.
+//
 //matex:noalloc
 func norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
+	return math.Sqrt(dot(v, v))
 }
 
+// dot is the inner product of a and b over len(a) entries. It keeps four
+// partial sums, one per entry index mod 4, combined as (s0+s1)+(s2+s3), so
+// consecutive adds do not wait on each other; the order is a fixed function
+// of the length.
+//
 //matex:noalloc
 func dot(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 4 && len(b) >= 4 { // equal lengths; the second test drops the bounds checks
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
 	}
-	return s
+	switch len(a) {
+	case 3:
+		s2 += a[2] * b[2]
+		fallthrough
+	case 2:
+		s1 += a[1] * b[1]
+		fallthrough
+	case 1:
+		s0 += a[0] * b[0]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // axpy computes dst += alpha * x.

@@ -208,9 +208,13 @@ func (c *Cache) symbolic(m *CSC, order Ordering) (*Symbolic, bool, error) {
 
 // factorBytes estimates the resident size of a factorization from its fill:
 // 16 bytes per stored factor entry (value + index) plus permutation and
-// pointer overhead per dimension.
+// pointer overhead per dimension, and an LDLᵀ's stored reciprocal pivots.
 func factorBytes(f Factorization) int64 {
-	return int64(f.NNZ())*16 + int64(f.N())*32
+	b := int64(f.NNZ())*16 + int64(f.N())*32
+	if _, ok := f.(*LDLT); ok {
+		b += int64(f.N()) * 8
+	}
+	return b
 }
 
 // Stats returns a snapshot of the cache counters.

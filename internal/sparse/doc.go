@@ -15,5 +15,8 @@
 // scalar shifts C + γG of a pattern share the analysis through the Cache's
 // symbolic tier), then pairs of forward and backward substitutions for
 // every Krylov vector or trapezoidal step, one right-hand side per pair
-// (SolveWith).
+// (SolveWith). The pair's kernels keep independent partial sums in every
+// reduction and scale by a stored reciprocal of D; their summation order is
+// a fixed function of the factor and the right-hand side, so a solve is
+// bitwise repeatable.
 package sparse

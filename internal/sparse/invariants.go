@@ -91,11 +91,13 @@ func CheckSymbolic(s *Symbolic) error {
 }
 
 // CheckFactor validates the numeric invariants of a freshly refactorized
-// LDLT: every diagonal pivot finite and nonzero, and the relaxed-amalgamation
-// padding closure: any panel position not covered by the exact fill pattern
-// of its column holds an exact zero (padded below-diagonal positions are
-// structurally zero because the fill pattern is closed; above-diagonal
-// positions are never written after the initial clear). Allocation-free on
+// LDLT: every diagonal pivot finite and nonzero, its stored reciprocal
+// exactly 1/d[k] (so a refactorization that left it stale fails here), and
+// the relaxed-amalgamation padding closure: any panel position not covered
+// by the exact fill pattern of its column holds an exact zero (padded
+// below-diagonal positions are structurally zero because the fill pattern
+// is closed; above-diagonal positions are never written after the initial
+// clear). Allocation-free on
 // success, so the matexdebug hook can run it inside RefactorInto without
 // breaking the AllocsPerRun gates.
 func CheckFactor(f *LDLT) error {
@@ -103,6 +105,9 @@ func CheckFactor(f *LDLT) error {
 	for k, dk := range f.d {
 		if dk == 0 || math.IsNaN(dk) || math.IsInf(dk, 0) {
 			return fmt.Errorf("sparse: CheckFactor: pivot d[%d] = %v", k, dk)
+		}
+		if inv := f.dinv[k]; inv != 1/dk {
+			return fmt.Errorf("sparse: CheckFactor: dinv[%d] = %v, want 1/d[%d] = %v", k, inv, k, 1/dk)
 		}
 	}
 	sn := s.sn

@@ -19,6 +19,9 @@ import (
 type LDLT struct {
 	sym *Symbolic
 	d   []float64 // diagonal of D
+	// dinv holds 1/d[k], filled beside d by every refactorization, so
+	// the solves scale by D⁻¹ with a multiply instead of a divide.
+	dinv []float64
 
 	// snValues holds the concatenated dense panels; smap, uptmp and coeff
 	// are the refactorization workspaces (row → panel-local scatter map,
@@ -164,9 +167,8 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	}
 	g, pooled := f.getG()
 	f.fwdSN(work, g)
-	d := f.d
-	for j := 0; j < n; j++ {
-		work[j] /= d[j]
+	for j, r := range f.dinv {
+		work[j] *= r
 	}
 	for t := sn.nsuper - 1; t >= 0; t-- {
 		f.bwdOneSN(t, work, g)

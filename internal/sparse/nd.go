@@ -4,12 +4,9 @@ package sparse
 // separators, order the two halves first and the separator last, and hand
 // subgraphs below a size cutoff to minimum degree. On the 2D power-grid
 // meshes the paper's method targets, the O(√n) separators bound fill growth
-// where bandwidth orderings pay O(n) fronts — and, just as important here,
-// the separator tree is exactly the shape the parallel triangular solves
-// want: the two halves share no factor rows below the separator, so the
-// elimination-tree task cut finds balanced independent subtrees even on one
-// strongly coupled mesh, where a bandwidth ordering's chain-like etree has
-// none.
+// where bandwidth orderings pay O(n) fronts, and each separator's columns
+// share one pattern, so they amalgamate into the wide supernodal panels the
+// blocked refactorization and substitution kernels stream most efficiently.
 
 // ndLeafSize is the subgraph size below which recursion stops and minimum
 // degree orders the leaf directly.

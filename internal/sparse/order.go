@@ -42,10 +42,9 @@ const (
 	OrderMinDegree
 	// OrderND applies recursive nested dissection to the pattern of A+Aᵀ:
 	// vertex-separator bisection down to small subgraphs, minimum-degree on
-	// the leaves, separators ordered last. Its balanced separator tree both
-	// bounds fill on 2D meshes and gives the parallel triangular solves
-	// independent subtrees to fan out over — including on coupled meshes
-	// whose MinDegree elimination tree has no usable task cut.
+	// the leaves, separators ordered last. Its balanced separator tree
+	// bounds fill on 2D meshes, and its separators amalgamate into wide
+	// supernodal panels for the blocked factor and solve kernels.
 	// (Appended after the earlier values: Ordering integers are
 	// wire-significant in the dist protocol.)
 	OrderND

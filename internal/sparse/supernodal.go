@@ -328,7 +328,7 @@ func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
 			sp[base+int(sn.aOff[q])] += av[sn.aSrc[q]]
 		}
 	}
-	smap, dv, coeff, tmp := f.smap, f.d, f.coeff, f.uptmp
+	smap, dv, dinv, coeff, tmp := f.smap, f.d, f.dinv, f.coeff, f.uptmp
 	for t := 0; t < sn.nsuper; t++ {
 		c0, c1 := int(sn.ptr[t]), int(sn.ptr[t+1])
 		w := c1 - c0
@@ -403,6 +403,7 @@ func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
 			}
 			dv[c0+k] = dk
 			inv := 1 / dk
+			dinv[c0+k] = inv
 			for j := k + 1; j < w; j++ {
 				yj := sp[ck+j]
 				if yj == 0 {
@@ -425,10 +426,15 @@ func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
 }
 
 // fwdSN runs the sequential supernodal forward solve L·z = work in place:
-// per supernode, a dense unit-lower solve on the diagonal block while the
-// below-block contribution accumulates contiguously in g, then one scatter
+// per supernode, a dense unit-lower solve on the diagonal block, then the
+// below-block contribution accumulated contiguously in g and one scatter
 // through the row list — one random write per below row instead of one per
-// factor entry.
+// factor entry. Every pass carries independent partial sums, so no pass
+// waits on the latency of its own previous add: the diagonal block resolves
+// two unknowns and then sweeps the rows below them once, and the below
+// block streams four panel columns per pass against g, the w mod 4 leading
+// columns first. The summation order is a fixed function of the panel
+// shape, so a right-hand side always solves to the same bits.
 //
 //matex:noalloc
 func (f *LDLT) fwdSN(work, g []float64) {
@@ -444,9 +450,8 @@ func (f *LDLT) fwdSN(work, g []float64) {
 		if w == 1 {
 			// A singleton panel is a plain sparse column: no diagonal block
 			// and nothing to accumulate, so the staging buffer is skipped.
-			// The conversion keeps the product rounded on its own, as the
-			// store to g does below, so both arms agree bitwise even where
-			// the compiler fuses multiply-adds.
+			// The conversion keeps the product rounded on its own even
+			// where the compiler fuses multiply-adds.
 			x0 := work[c0]
 			col := sp[base+1 : base+ns]
 			for i, r := range sn.rows[rb+1 : rb+ns] {
@@ -454,45 +459,76 @@ func (f *LDLT) fwdSN(work, g []float64) {
 			}
 			continue
 		}
-		// Unit-lower solve of the w×w diagonal block first, so the
-		// below-block accumulate can run over final x values with its
-		// panel columns streamed in pairs against the hot g buffer.
-		for k := 0; k < w; k++ {
-			xk := work[c0+k]
-			if xk == 0 {
-				continue
+		// Unit-lower solve of the w×w diagonal block, two columns per
+		// pass: x1 is resolved from x0, then one sweep takes both off the
+		// block rows below them. An odd last column has no rows below it.
+		blk := work[c0:][:w]
+		for k := 0; k+1 < w; k += 2 {
+			col0 := sp[base+k*ns:][:w]
+			col1 := sp[base+(k+1)*ns:][:w]
+			x0 := blk[k]
+			x1 := blk[k+1] - col0[k+1]*x0
+			blk[k+1] = x1
+			if x0 == 0 && x1 == 0 {
+				continue // a sparse right-hand side skips the sweep
 			}
-			col := sp[base+k*ns : base+k*ns+w]
-			for i := k + 1; i < w; i++ {
-				work[c0+i] -= col[i] * xk
+			for i := k + 2; i < w; i++ {
+				blk[i] -= col0[i]*x0 + col1[i]*x1
 			}
 		}
 		if nb == 0 {
 			continue
 		}
+		g := g[:nb]
+		cb := base + w // below block of panel column 0
+		// The leading pass stores into g and takes the w mod 4 columns, or
+		// four when w is a multiple of 4; every later pass adds four.
 		var k int
-		if w&1 == 1 {
-			x0 := work[c0]
-			col := sp[base+w : base+ns]
-			for i := 0; i < nb; i++ {
-				g[i] = col[i] * x0
+		switch w & 3 {
+		case 1:
+			x0 := blk[0]
+			col0 := sp[cb:][:nb]
+			for i := range g {
+				g[i] = col0[i] * x0
 			}
 			k = 1
-		} else {
-			x0, x1 := work[c0], work[c0+1]
-			col0 := sp[base+w : base+ns]
-			col1 := sp[base+ns+w : base+2*ns]
-			for i := 0; i < nb; i++ {
+		case 2:
+			x0, x1 := blk[0], blk[1]
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			for i := range g {
 				g[i] = col0[i]*x0 + col1[i]*x1
 			}
 			k = 2
+		case 3:
+			x0, x1, x2 := blk[0], blk[1], blk[2]
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			col2 := sp[cb+2*ns:][:nb]
+			for i := range g {
+				g[i] = (col0[i]*x0 + col1[i]*x1) + col2[i]*x2
+			}
+			k = 3
+		default:
+			x0, x1, x2, x3 := blk[0], blk[1], blk[2], blk[3]
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			col2 := sp[cb+2*ns:][:nb]
+			col3 := sp[cb+3*ns:][:nb]
+			for i := range g {
+				g[i] = (col0[i]*x0 + col1[i]*x1) + (col2[i]*x2 + col3[i]*x3)
+			}
+			k = 4
 		}
-		for ; k+1 < w; k += 2 {
-			x0, x1 := work[c0+k], work[c0+k+1]
-			col0 := sp[base+k*ns+w : base+(k+1)*ns]
-			col1 := sp[base+(k+1)*ns+w : base+(k+2)*ns]
-			for i := 0; i < nb; i++ {
-				g[i] += col0[i]*x0 + col1[i]*x1
+		for ; k < w; k += 4 {
+			x0, x1, x2, x3 := blk[k], blk[k+1], blk[k+2], blk[k+3]
+			cb := cb + k*ns
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			col2 := sp[cb+2*ns:][:nb]
+			col3 := sp[cb+3*ns:][:nb]
+			for i := range g {
+				g[i] += (col0[i]*x0 + col1[i]*x1) + (col2[i]*x2 + col3[i]*x3)
 			}
 		}
 		br := sn.rows[rb+w : rb+ns]
@@ -503,8 +539,13 @@ func (f *LDLT) fwdSN(work, g []float64) {
 }
 
 // bwdOneSN finalizes one supernode of the backward solve Lᵀ·x = work: gather
-// the already-final ancestor rows once, then per column one contiguous dot
-// down the panel.
+// the already-final ancestor rows once, take every column's dot down its
+// panel against them, then substitute through the diagonal block. As in
+// fwdSN no dot is a single accumulator chain: the below-block dots run four
+// columns per pass over the gathered g (the w mod 4 leading columns first),
+// the diagonal block resolves two unknowns per pass from one fused sweep
+// over the rows below them, and a singleton panel's dot keeps two partial
+// sums.
 //
 //matex:noalloc
 func (f *LDLT) bwdOneSN(t int, work, g []float64) {
@@ -517,54 +558,102 @@ func (f *LDLT) bwdOneSN(t int, work, g []float64) {
 	base := sn.valPtr[t]
 	nb := ns - w
 	if w == 1 {
-		// Singleton panel: one sparse dot straight off the solution vector.
+		// Singleton panel: one sparse dot straight off the solution vector,
+		// even and odd entries summed apart.
 		col := sp[base+1 : base+ns]
-		acc := 0.0
-		for i, r := range sn.rows[rb+1 : rb+ns] {
-			acc += col[i] * work[r]
+		rows := sn.rows[rb+1 : rb+ns]
+		s0, s1 := 0.0, 0.0
+		i := 0
+		for ; i+1 < len(rows); i += 2 {
+			s0 += col[i] * work[rows[i]]
+			s1 += col[i+1] * work[rows[i+1]]
 		}
-		work[c0] -= acc
+		if i < len(rows) {
+			s0 += col[i] * work[rows[i]]
+		}
+		work[c0] -= s0 + s1
 		return
 	}
+	blk := work[c0:][:w]
 	if nb > 0 {
+		g = g[:nb]
+		cb := base + w // below block of panel column 0
 		br := sn.rows[rb+w : rb+ns]
 		for i, r := range br {
 			g[i] = work[r]
 		}
 		// Below-block dots first: they read only final ancestor values, so
-		// every column takes its dot independently — in pairs, sharing one
-		// pass over the gathered g.
+		// every column takes its dot independently.
 		var k int
-		if w&1 == 1 {
-			col := sp[base+w : base+ns]
-			acc := 0.0
-			for i := 0; i < nb; i++ {
-				acc += col[i] * g[i]
+		switch r := w & 3; r {
+		case 1:
+			col0 := sp[cb:][:nb]
+			s0 := 0.0
+			for i, gi := range g {
+				s0 += col0[i] * gi
 			}
-			work[c0] -= acc
+			blk[0] -= s0
 			k = 1
-		}
-		for ; k+1 < w; k += 2 {
-			col0 := sp[base+k*ns+w : base+(k+1)*ns]
-			col1 := sp[base+(k+1)*ns+w : base+(k+2)*ns]
-			acc0, acc1 := 0.0, 0.0
-			for i := 0; i < nb; i++ {
-				gi := g[i]
-				acc0 += col0[i] * gi
-				acc1 += col1[i] * gi
+		case 2:
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			s0, s1 := 0.0, 0.0
+			for i, gi := range g {
+				s0 += col0[i] * gi
+				s1 += col1[i] * gi
 			}
-			work[c0+k] -= acc0
-			work[c0+k+1] -= acc1
+			blk[0] -= s0
+			blk[1] -= s1
+			k = 2
+		case 3:
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			col2 := sp[cb+2*ns:][:nb]
+			s0, s1, s2 := 0.0, 0.0, 0.0
+			for i, gi := range g {
+				s0 += col0[i] * gi
+				s1 += col1[i] * gi
+				s2 += col2[i] * gi
+			}
+			blk[0] -= s0
+			blk[1] -= s1
+			blk[2] -= s2
+			k = 3
+		}
+		for ; k < w; k += 4 {
+			cb := cb + k*ns
+			col0 := sp[cb:][:nb]
+			col1 := sp[cb+ns:][:nb]
+			col2 := sp[cb+2*ns:][:nb]
+			col3 := sp[cb+3*ns:][:nb]
+			s0, s1, s2, s3 := 0.0, 0.0, 0.0, 0.0
+			for i, gi := range g {
+				s0 += col0[i] * gi
+				s1 += col1[i] * gi
+				s2 += col2[i] * gi
+				s3 += col3[i] * gi
+			}
+			blk[k] -= s0
+			blk[k+1] -= s1
+			blk[k+2] -= s2
+			blk[k+3] -= s3
 		}
 	}
-	// Descending intra-block substitution over the (already below-adjusted)
-	// right-hand sides.
-	for k := w - 1; k >= 0; k-- {
-		col := sp[base+k*ns : base+k*ns+w]
-		acc := 0.0
+	// Descending substitution through the diagonal block over the (already
+	// below-adjusted) right-hand sides, two columns per pass: one sweep over
+	// the final unknowns below the pair takes both dots, x1 is resolved,
+	// then x0 from it. An odd last column has no unknowns below it.
+	for k := w - 1 - w&1; k > 0; k -= 2 {
+		col0 := sp[base+(k-1)*ns:][:w]
+		col1 := sp[base+k*ns:][:w]
+		s0, s1 := 0.0, 0.0
 		for i := k + 1; i < w; i++ {
-			acc += col[i] * work[c0+i]
+			xi := blk[i]
+			s0 += col0[i] * xi
+			s1 += col1[i] * xi
 		}
-		work[c0+k] -= acc
+		x1 := blk[k] - s1
+		blk[k] = x1
+		blk[k-1] -= s0 + col0[k]*x1
 	}
 }

@@ -76,8 +76,9 @@ func checkFactorization(t *testing.T, a *CSC, f *LDLT) {
 }
 
 // checkSolves drives both solve entry points of one factor against the
-// dense oracle: SolveWith within 1e-10, and Solve (pooled workspace, dst
-// aliasing b) bitwise equal to SolveWith.
+// dense oracle: SolveWith within 1e-10, a second SolveWith (through a
+// workspace left dirty by the first) bitwise equal to the first, and Solve
+// (pooled workspace, dst aliasing b) bitwise equal to SolveWith.
 func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 	t.Helper()
 	n := a.Rows
@@ -86,9 +87,17 @@ func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 		b[i] = rng.NormFloat64()
 	}
 	want := make([]float64, n)
-	f.SolveWith(want, b, make([]float64, n))
+	work := make([]float64, n)
+	f.SolveWith(want, b, work)
 	if d := maxRelDiff(want, denseSolve(t, a, b)); d > 1e-10 {
 		t.Fatalf("SolveWith diverges from the dense oracle by %g", d)
+	}
+	again := make([]float64, n)
+	f.SolveWith(again, b, work)
+	for i := range again {
+		if math.Float64bits(again[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("second SolveWith entry %d: %v, first %v", i, again[i], want[i])
+		}
 	}
 	f.Solve(b, b)
 	for i := range b {
@@ -212,6 +221,49 @@ func arrowSPD(n int) *CSC {
 	return tr.ToCSC()
 }
 
+// coupledBlocksSPD puts one dense block per width on the diagonal, followed
+// by a dense shared block of the given size; every node of every leading
+// block also couples to the first `rows` shared nodes. Eliminated in natural
+// order, each leading block is one panel of exactly its width with `rows`
+// below-block rows, and the shared block is the root panel. Diagonally
+// dominant, hence SPD.
+func coupledBlocksSPD(widths []int, shared, rows int) *CSC {
+	n := shared
+	for _, w := range widths {
+		n += w
+	}
+	tr := NewTriplet(n, n)
+	rowSum := make([]float64, n)
+	couple := func(i, j int, v float64) {
+		tr.Add(i, j, v)
+		tr.Add(j, i, v)
+		rowSum[i] += math.Abs(v)
+		rowSum[j] += math.Abs(v)
+	}
+	s0 := n - shared
+	c0 := 0
+	for _, w := range widths {
+		for i := c0; i < c0+w; i++ {
+			for j := c0; j < i; j++ {
+				couple(i, j, -1/float64(1+(i+2*j)%5))
+			}
+			for r := 0; r < rows; r++ {
+				couple(i, s0+r, -0.5/float64(1+(i+r)%3))
+			}
+		}
+		c0 += w
+	}
+	for i := s0; i < n; i++ {
+		for j := s0; j < i; j++ {
+			couple(i, j, -1/float64(1+(i+j)%4))
+		}
+	}
+	for i := 0; i < n; i++ {
+		tr.Add(i, i, rowSum[i]+1)
+	}
+	return tr.ToCSC()
+}
+
 func panelWidths(sym *Symbolic) []int {
 	w := make([]int, sym.Supernodes())
 	for s := range w {
@@ -249,6 +301,11 @@ func TestPanelShapes(t *testing.T) {
 		// pair-blocking stride, and the 32-column cap with a remainder.
 		{"widths", blockDiagCSC(denseSPD(1), denseSPD(2), denseSPD(3), denseSPD(5), denseSPD(8), denseSPD(17), denseSPD(33)),
 			[]int{1, 2, 3, 5, 8, 17, 32, 1}},
+		// The same classes with below-block rows, each block with three rows
+		// in a shared trailing panel: the singleton's split dot (one pair
+		// and a tail), the leading passes alone (2, 3), and one panel per
+		// w mod 4 at or above the 4-column stride (4, 6, 7, 9).
+		{"coupled", coupledBlocksSPD([]int{1, 2, 3, 4, 6, 7, 9}, 10, 3), []int{1, 2, 3, 4, 6, 7, 9, 10}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -302,6 +302,7 @@ func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
 	f := &LDLT{
 		sym:      s,
 		d:        make([]float64, s.n),
+		dinv:     make([]float64, s.n),
 		snValues: make([]float64, sn.nzTotal),
 		smap:     make([]int32, s.n),
 		uptmp:    make([]float64, sn.maxRows),
