@@ -124,9 +124,13 @@ func benchTable2(b *testing.B, method transient.Method, scale, cnode float64) {
 		}
 		if i == 0 && method != transient.TRAdaptive {
 			// Counted, so scripts/benchcmp can hold them to the baseline's on
-			// any runner: a lost deviation path shows as more pairs.
+			// any runner: a lost deviation path shows as more pairs, and
+			// input solves the MATEX loop computed ahead and threw away as
+			// input_discarded.
 			b.ReportMetric(float64(res.Stats.SolvePairs), "solve_pairs")
 			b.ReportMetric(float64(res.Stats.LanczosSpots), "lanczos_spots")
+			b.ReportMetric(float64(res.Stats.InputAhead), "input_ahead")
+			b.ReportMetric(float64(res.Stats.InputDiscarded), "input_discarded")
 		}
 	}
 }

@@ -91,6 +91,8 @@ type totals struct {
 	KrylovSpots    int `json:"krylov_spots"`
 	LanczosSpots   int `json:"lanczos_spots"`
 	InputPairs     int `json:"input_pairs"`
+	InputAhead     int `json:"input_ahead"`
+	InputDiscarded int `json:"input_discarded"`
 	DeviationSpots int `json:"deviation_spots"`
 	// Sweeps counts completed sweep jobs and SweepVariants the variants
 	// they served.
@@ -118,6 +120,8 @@ func (t *totals) add(s *transient.Stats) {
 	t.KrylovSpots += len(s.KrylovDims)
 	t.LanczosSpots += s.LanczosSpots
 	t.InputPairs += s.InputPairs
+	t.InputAhead += s.InputAhead
+	t.InputDiscarded += s.InputDiscarded
 	t.DeviationSpots += s.DeviationSpots
 }
 

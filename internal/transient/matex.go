@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -55,6 +56,19 @@ import (
 // way: the small-h check, not β, sets their m. The A⁻²ḃ scale of r2 did not
 // cost accuracy on 800 dense-oracle runs (EXPERIMENTS.md "Ramp segments on
 // the deviation").
+//
+// A deviation ramp's input terms — q(t+h), w1, r2, and q(t) where it cannot
+// be carried — depend on the inputs only, never on the state, so they are
+// computed one segment ahead: just before a spot's subspace is generated, a
+// helper goroutine fills the next segment's terms into buffers of its own
+// whenever the cost rule as it stands would put the next ramp on the
+// deviation. The next segment takes them only if its start, end, treatment
+// and base q are the ones the helper assumed — a split or a choice that
+// moved back to augmented computes them again inline — so every bit, count
+// and checkpoint is the same as computing them in place; Stats.InputAhead
+// and Stats.InputDiscarded say how many pairs came from the helper and how
+// many it computed in vain. The helper is joined before the next segment
+// and on every return.
 func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Tstop <= 0 {
@@ -140,14 +154,19 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	ws := wsPool.Get()
 	defer wsPool.Put(ws)
 
-	vec := func() []float64 { return make([]float64, n) }
-	bu0, bu1, slope, work := vec(), vec(), vec(), vec()
-	// Deviation state: q is q(tBase) whenever qOK says so, q1 the segment-end
-	// value, w1 their slope and r2 = G⁻¹·C·w1. A DC start is x(0) = q(0).
-	q, q1, w1, r2 := vec(), vec(), vec(), vec()
+	// The segment's input terms. cur is the one the loop integrates with;
+	// ahead is spare while the helper fills it with the next segment's
+	// (spare is allocated on the first launch, so a run whose ramps stay
+	// augmented allocates nothing for it). No return leaves the helper
+	// running.
+	cur := newSegInputs(n)
+	var spare, ahead *segInputs
+	var helper sync.WaitGroup
+	defer helper.Wait()
+	// q is q(tBase) whenever qOK says so; a DC start is x(0) = q(0).
 	qOK := opts.InitialState == nil && opts.resumeFrom == nil
 	if qOK {
-		copy(q, x)
+		copy(cur.q, x)
 	}
 	// Krylov start vector and snapshot, in the operator's space: length n
 	// for the inverted operator, n+2 (the auxiliary chain) for the others.
@@ -159,7 +178,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	gi := 0        // index of the last emitted output grid point
 	tBase := 0.0   // time of the current base state x
 	buScale := 0.0 // largest |B·u| endpoint magnitude seen so far
-	tiny := 0.0    // 1e-14·buScale: what counts as rounding residue in B·u
 	// Substitution pairs a ramp cost under each treatment the last time it
 	// ran (0: not yet) — all the state the per-segment choice has.
 	augPairs, devPairs := 0, 0
@@ -175,82 +193,148 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			gi = 0
 		}
 	}
-	// quasiStatic writes G⁻¹·bu into dst. An input within rounding of zero on
-	// the run's scale is zero: no solve (a D-MATEX task outside its bumps).
-	quasiStatic := func(dst, bu []float64, maxBu float64) {
-		if maxBu <= tiny {
-			clear(dst)
+	// segmentEnd is the end of the slope-constant segment starting at t: the
+	// next LTS (or Tstop), capped by MaxStep.
+	segmentEnd := func(t float64) float64 {
+		end := opts.Tstop
+		if nx, ok := waveform.NextSpot(lts, t); ok {
+			end = nx
+		}
+		if opts.MaxStep > 0 && end > t+opts.MaxStep {
+			end = t + opts.MaxStep
+		}
+		return end
+	}
+	// deviates is the treatment rule: a segment takes deviation when it has
+	// no augmented form to choose, or — where both exist — when it is flat
+	// or it is a ramp and deviation cost fewer pairs the last time
+	// (rampDev).
+	deviates := func(flat, rampDev bool) bool { return devOnly || choose && (flat || rampDev) }
+	// fill computes the input terms of the segment [t, segEnd] into in — the
+	// one place they are computed, inline or one segment ahead — after a run
+	// whose largest |B·u| so far is buScale. carried says in.q already holds
+	// q(t) bit for bit.
+	fill := func(in *segInputs, t, segEnd, buScale float64, rampDev, carried bool) {
+		sys.EvalB(t, in.bu0, opts.ActiveInputs)
+		sys.EvalB(segEnd, in.bu1, opts.ActiveInputs)
+		hSeg := segEnd - t
+		var maxDiff, maxBu0, maxBu1 float64
+		for i := range in.slope {
+			d := in.bu1[i] - in.bu0[i]
+			in.slope[i] = d / hSeg
+			maxDiff = maxAbs(maxDiff, d)
+			maxBu0 = maxAbs(maxBu0, in.bu0[i])
+			maxBu1 = maxAbs(maxBu1, in.bu1[i])
+		}
+		in.t, in.segEnd, in.maxDiff, in.carried = t, segEnd, maxDiff, carried
+		in.buScale = math.Max(buScale, math.Max(maxBu0, maxBu1))
+		// Flatness is judged against the largest input magnitude seen so
+		// far, not exact zero: waveform corner times carry last-bit
+		// rounding, so a segment boundary can land a sliver inside a ramp
+		// and leave ~1e-16-relative residue in bu. Treating that as slope
+		// costs two input solves for nothing.
+		tiny := 1e-14 * in.buScale
+		in.flat = maxDiff <= tiny
+		in.deviation = deviates(in.flat, rampDev)
+		in.basePairs, in.rampPairs = 0, 0
+		if !in.deviation {
 			return
 		}
-		factG.SolveWith(dst, bu, work)
-		res.Stats.InputPairs++
+		if !carried || maxBu0 <= tiny {
+			in.basePairs = in.quasiStatic(factG, in.q, in.bu0, maxBu0 <= tiny)
+		}
+		if in.flat {
+			return
+		}
+		in.rampPairs = in.quasiStatic(factG, in.q1, in.bu1, maxBu1 <= tiny)
+		for i := range in.w1 {
+			in.w1[i] = (in.q1[i] - in.q[i]) / hSeg
+		}
+		sys.C.MulVec(in.r2, in.w1)
+		factG.SolveWith(in.r2, in.r2, in.work)
+		in.rampPairs++
 	}
 	for tBase < opts.Tstop-waveform.SpotEps {
 		if err := opts.cancelled(); err != nil {
 			return nil, err
 		}
 		t := tBase
-		// Segment end: next LTS (or Tstop).
-		segEnd := opts.Tstop
-		if nx, ok := waveform.NextSpot(lts, t); ok {
-			segEnd = nx
+		segEnd := segmentEnd(t)
+		rampDev := devPairs > 0 && devPairs < augPairs
+		// Input terms on the slope-constant segment [t, segEnd]: the
+		// helper's, when they are this segment's under this treatment and
+		// this base q, else computed here.
+		helper.Wait()
+		if nx := ahead; nx != nil && nx.t == t && nx.segEnd == segEnd && nx.carried == qOK && nx.deviation == deviates(nx.flat, rampDev) {
+			if debugEnabled {
+				debugCheckAhead(nx, func(in *segInputs) {
+					copy(in.q, cur.q)
+					fill(in, t, segEnd, buScale, rampDev, qOK)
+				})
+			}
+			cur, spare = nx, cur
+			res.Stats.InputAhead += nx.basePairs + nx.rampPairs
+		} else {
+			if nx != nil {
+				res.Stats.InputDiscarded += nx.basePairs + nx.rampPairs
+			}
+			fill(cur, t, segEnd, buScale, rampDev, qOK)
 		}
-		if opts.MaxStep > 0 && segEnd > t+opts.MaxStep {
-			segEnd = t + opts.MaxStep
-		}
-		// Input terms on the slope-constant segment [t, segEnd].
-		sys.EvalB(t, bu0, opts.ActiveInputs)
-		sys.EvalB(segEnd, bu1, opts.ActiveInputs)
+		ahead = nil
+		in := cur
 		hSeg := segEnd - t
-		var maxDiff, maxBu0, maxBu1 float64
-		for i := range slope {
-			d := bu1[i] - bu0[i]
-			slope[i] = d / hSeg
-			maxDiff = maxAbs(maxDiff, d)
-			maxBu0 = maxAbs(maxBu0, bu0[i])
-			maxBu1 = maxAbs(maxBu1, bu1[i])
-		}
-		buScale = math.Max(buScale, math.Max(maxBu0, maxBu1))
-		tiny = 1e-14 * buScale
-		// Flatness is judged against the largest input magnitude seen so
-		// far, not exact zero: waveform corner times carry last-bit
-		// rounding, so a segment boundary can land a sliver inside a ramp
-		// and leave ~1e-16-relative residue in bu. Treating that as slope
-		// costs two input solves for nothing.
-		flat := maxDiff <= tiny
+		buScale = in.buScale
+		flat, deviation := in.flat, in.deviation
 
 		// The segment's input treatment: form the Krylov start vector here;
 		// evalAt below applies the matching correction.
-		deviation := devOnly || choose && (flat || devPairs > 0 && devPairs < augPairs)
-		if deviation && (!qOK || maxBu0 <= tiny) {
-			quasiStatic(q, bu0, maxBu0)
-		}
+		res.Stats.InputPairs += in.basePairs
 		pairs0 := count.SolvePairs + res.Stats.InputPairs
 		if deviation {
 			res.Stats.DeviationSpots++
 			if !flat {
-				quasiStatic(q1, bu1, maxBu1)
-				for i := range w1 {
-					w1[i] = (q1[i] - q[i]) / hSeg
-				}
-				sys.C.MulVec(r2, w1)
-				factG.SolveWith(r2, r2, work)
-				res.Stats.InputPairs++
+				res.Stats.InputPairs += in.rampPairs
 				res.Stats.SpMVs++
 			}
-			for i := range q {
-				v[i] = x[i] - q[i]
+			for i := range in.q {
+				v[i] = x[i] - in.q[i]
 				if !flat {
-					v[i] += r2[i]
+					v[i] += in.r2[i]
 				}
 			}
 			op.ClearSegment()
 			clear(v[n:])
 		} else {
-			op.SetSegment(bu0, slope)
+			op.SetSegment(in.bu0, in.slope)
 			copy(v[:n], x)
 			v[n] = 0
 			v[n+1] = 1
+		}
+
+		// The next segment's input terms go to the helper while this spot's
+		// subspace is generated, when the cost rule as it stands puts the
+		// next ramp on the deviation — the only treatment with input solves.
+		// It assumes this segment is not split: q(segEnd) is then q1 after a
+		// ramp and q after an exactly flat segment.
+		if segEnd < opts.Tstop-waveform.SpotEps && deviates(false, rampDev) {
+			if spare == nil {
+				spare = newSegInputs(n)
+			}
+			var qEnd []float64
+			if deviation && !flat {
+				qEnd = in.q1
+			} else if deviation && in.maxDiff == 0 {
+				qEnd = in.q
+			}
+			ahead = spare
+			helper.Add(1)
+			go func(nx *segInputs, t, buScale float64) {
+				defer helper.Done()
+				if qEnd != nil {
+					copy(nx.q, qEnd)
+				}
+				fill(nx, t, segmentEnd(t), buScale, rampDev, qEnd != nil)
+			}(spare, segEnd, buScale)
 		}
 
 		// The subspace must be accurate at the segment end and at the first
@@ -300,12 +384,12 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			}
 			switch {
 			case deviation && flat:
-				for i := range q {
-					xs[i] += q[i]
+				for i := range in.q {
+					xs[i] += in.q[i]
 				}
 			case deviation:
-				for i := range q {
-					xs[i] += q[i] + h*w1[i] - r2[i]
+				for i := range in.q {
+					xs[i] += in.q[i] + h*in.w1[i] - in.r2[i]
 				}
 			}
 			return nil
@@ -336,8 +420,8 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		tBase = segEnd
 		// q(segEnd) is known when it is bit for bit what a solve there would
 		// give: q1 after an unsplit ramp, q itself when B·u did not move.
-		if qOK = deviation && !split && (!flat || maxDiff == 0); qOK && !flat {
-			q, q1 = q1, q
+		if qOK = deviation && !split && (!flat || in.maxDiff == 0); qOK && !flat {
+			in.q, in.q1 = in.q1, in.q
 		}
 		err = cpr.maybe(&res.Stats, func() Checkpoint {
 			return Checkpoint{Method: method.Name(), T: tBase, X: append([]float64(nil), x...), BuScale: buScale, AugPairs: augPairs, DevPairs: devPairs}
@@ -348,6 +432,40 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	}
 	res.Final = append([]float64(nil), x...)
 	return res, nil
+}
+
+// segInputs is one segment's input terms b(t) = B·u(t) on [t, segEnd], with
+// buffers of its own: the loop integrates from one while the helper fills
+// another for the next segment.
+type segInputs struct {
+	t, segEnd       float64
+	bu0, bu1, slope []float64 // B·u at both ends and its slope
+	maxDiff         float64   // largest |bu1 − bu0|
+	buScale         float64   // the run's largest |B·u| through this segment
+	flat, deviation bool
+	carried         bool // q came in as q(t), not solved here
+	// Deviation terms: q = q(t), q1 = q(segEnd), w1 = (q1 − q)/h and
+	// r2 = G⁻¹·C·w1; work is their solves' workspace.
+	q, q1, w1, r2, work []float64
+	// G-solves paid here: basePairs for q, rampPairs for q1 and r2.
+	basePairs, rampPairs int
+}
+
+func newSegInputs(n int) *segInputs {
+	vec := func() []float64 { return make([]float64, n) }
+	return &segInputs{bu0: vec(), bu1: vec(), slope: vec(), q: vec(), q1: vec(), w1: vec(), r2: vec(), work: vec()}
+}
+
+// quasiStatic writes G⁻¹·bu into dst and returns the substitution pairs it
+// cost. An input within rounding of zero on the run's scale is zero: no
+// solve (a D-MATEX task outside its bumps).
+func (in *segInputs) quasiStatic(factG sparse.Factorization, dst, bu []float64, zero bool) int {
+	if zero {
+		clear(dst)
+		return 0
+	}
+	factG.SolveWith(dst, bu, in.work)
+	return 1
 }
 
 // factorC factorizes C, regularizing a singular C with a small diagonal

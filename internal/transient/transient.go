@@ -233,6 +233,14 @@ type Stats struct {
 	// SimulateMatex).
 	InputPairs     int
 	DeviationSpots int
+	// InputAhead counts the input pairs (already in InputPairs) the MATEX
+	// segment loop took from its helper goroutine, which computes the next
+	// ramp's input terms while the current spot's subspace is generated;
+	// InputDiscarded counts the pairs the helper computed for a segment that
+	// then came out differently (split, or its ramp left the deviation) —
+	// extra work, in no other counter.
+	InputAhead     int
+	InputDiscarded int
 	DCTime         time.Duration
 	FactorTime     time.Duration
 	TransientTime  time.Duration
@@ -281,6 +289,8 @@ func (s *Stats) Add(o *Stats) {
 	s.Refactors += o.Refactors
 	s.InputPairs += o.InputPairs
 	s.DeviationSpots += o.DeviationSpots
+	s.InputAhead += o.InputAhead
+	s.InputDiscarded += o.InputDiscarded
 }
 
 // addCounters folds Krylov counters into the stats.

@@ -22,8 +22,10 @@
 # end-to-end row per way the one MATEX driver treats inputs (PR 18:
 # Table2_IMATEX_ibmpg1t is deviation throughout, Table2_RMATEX_ibmpg1t the
 # floor-dimension deck whose ramps stay augmented, Table2_RMATEX_ibmpg1t_dyn
-# the 0.5 pF deck whose ramps move to deviation; each reports solve_pairs
-# and lanczos_spots, and benchcmp holds the pairs to the baseline's) and one
+# the 0.5 pF deck whose ramps move to deviation; each reports solve_pairs,
+# lanczos_spots, input_ahead and input_discarded, and benchcmp holds the
+# pairs to the baseline's and input_discarded at 0 on the IMATEX and dyn
+# rows) and one
 # end-to-end row per
 # selectable fill-reducing ordering (PR 16: Ablation_Ordering_ND is the
 # default's resolution, Ablation_Ordering_MinDeg the alternative):

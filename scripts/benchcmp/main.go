@@ -99,6 +99,11 @@ var gates = []gate{
 	{row: "BenchmarkTable2_RMATEX_ibmpg1t", metric: "solve_pairs", hi: 1, why: "floor-dimension deck: every ramp stays augmented, q(0) comes from the DC solve"},
 	{row: "BenchmarkTable2_IMATEX_ibmpg1t", metric: "solve_pairs", hi: 1, why: "deviation throughout: two input solves per ramp, none per flat segment"},
 	{row: "BenchmarkTable2_RMATEX_ibmpg1t_dyn", metric: "solve_pairs", hi: 1, why: "0.5 pF deck: ramps move to deviation and the Lanczos path"},
+	// The next ramp's input solves run ahead on a helper goroutine when the
+	// cost rule predicts the deviation; on these decks the prediction holds
+	// at every launch, so a discarded pair is a prediction that went wrong.
+	{row: "BenchmarkTable2_RMATEX_ibmpg1t_dyn", metric: "input_discarded", abs: true, why: "once the ramps move to deviation they stay: every input solve computed ahead is used"},
+	{row: "BenchmarkTable2_IMATEX_ibmpg1t", metric: "input_discarded", abs: true, why: "deviation throughout and no split: every input solve computed ahead is used"},
 	// A warm submission to matexsrv, counted: the deck comes from the store
 	// and the journal gets a spec line that references it. Wall is the
 	// runner's fsync; a lost store shows as a parse, a deck journaled per job
