@@ -14,7 +14,6 @@ import (
 const (
 	dirNoalloc   = "noalloc"    // function must stay allocation-free
 	dirAllocOK   = "alloc-ok"   // waive one noalloc finding (grow paths, cold error paths)
-	dirPoolDrop  = "pool-drop"  // waive one poolhygiene finding (intentional drop)
 	dirCtxRoot   = "ctx-root"   // function may create root contexts
 	dirCtxExempt = "ctx-exempt" // exported blocking function intentionally has no ctx
 	dirErrOK     = "err-ok"     // waive one errflow finding
@@ -31,7 +30,7 @@ type directive struct {
 // reason.
 func needsReason(name string) bool {
 	switch name {
-	case dirAllocOK, dirPoolDrop, dirCtxRoot, dirCtxExempt, dirErrOK:
+	case dirAllocOK, dirCtxRoot, dirCtxExempt, dirErrOK:
 		return true
 	}
 	return false
@@ -39,7 +38,7 @@ func needsReason(name string) bool {
 
 func knownDirective(name string) bool {
 	switch name {
-	case dirNoalloc, dirAllocOK, dirPoolDrop, dirCtxRoot, dirCtxExempt, dirErrOK:
+	case dirNoalloc, dirAllocOK, dirCtxRoot, dirCtxExempt, dirErrOK:
 		return true
 	}
 	return false

@@ -1,16 +1,13 @@
 // Package check implements matexcheck, the project-invariant static
 // analyzer suite: annotation-driven analyzers built on the standard
 // library's go/ast, go/parser, and go/types packages (no external analysis
-// framework). Five analyzers ship:
+// framework). Four analyzers ship:
 //
 //   - noalloc: functions annotated //matex:noalloc must not contain
 //     allocating constructs (make/new/append, composite and function
 //     literals, interface boxing at call sites, fmt/errors calls), with
 //     //matex:alloc-ok(reason) line waivers for grow paths and cold error
 //     paths. Unannotated same-package callees are verified recursively.
-//   - poolhygiene: every pool acquire (sync.Pool.Get, WorkspacePool.Get,
-//     sparse's getWork/getG) must reach a matching release on every return
-//     path, with //matex:pool-drop(reason) waivers for intentional drops.
 //   - ctxflow: in internal/serve and internal/dist, no
 //     context.Background()/TODO() outside //matex:ctx-root functions, and
 //     exported blocking entry points must accept a context.Context or carry
@@ -51,7 +48,6 @@ func RunAll(pkgs []*Pkg) []Finding {
 		}
 		ann := collectAnnotations(pkg, report)
 		runNoalloc(pkg, ann, report)
-		runPoolHygiene(pkg, ann, report)
 		runCtxFlow(pkg, ann, report)
 		runErrFlow(pkg, ann, report)
 		runDocs(pkg, report)

@@ -93,7 +93,7 @@ func runFixture(t *testing.T, name string) {
 }
 
 func TestAnalyzerFixtures(t *testing.T) {
-	for _, name := range []string{"noalloc", "poolhygiene", "ctxflow", "errflow", "docs"} {
+	for _, name := range []string{"noalloc", "ctxflow", "errflow", "docs"} {
 		t.Run(name, func(t *testing.T) { runFixture(t, name) })
 	}
 }

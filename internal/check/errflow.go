@@ -173,6 +173,27 @@ func isErrorType(t types.Type) bool {
 	return types.Identical(t, types.Universe.Lookup("error").Type())
 }
 
+// receiverTypeName returns the bare "pkg.Type" of a method receiver, with
+// any pointer stripped, or "" for plain functions.
+func receiverTypeName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	if named.Obj().Pkg() == nil {
+		return named.Obj().Name()
+	}
+	return named.Obj().Pkg().Name() + "." + named.Obj().Name()
+}
+
 // calleeDesc names a call target for diagnostics.
 func calleeDesc(pkg *Pkg, call *ast.CallExpr) string {
 	switch fun := ast.Unparen(call.Fun).(type) {

@@ -66,6 +66,12 @@ func Waived(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// Stale carries a waiver for an analyzer the suite no longer has, which is
+// itself a finding.
+func Stale() {
+	//matex:pool-drop(no analyzer reads this) // want "unknown directive //matex:pool-drop"
+}
+
 // Unannotated may allocate freely; the analyzer must stay quiet here.
 func Unannotated(n int) []float64 {
 	out := make([]float64, n)

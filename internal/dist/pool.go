@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -56,19 +55,16 @@ type Pool interface {
 }
 
 // localPool solves subtasks in-process. All subtasks share one
-// factorization cache and one Krylov workspace pool, since every node of a
-// run operates on the same matrices — the in-process analogue of the
-// paper's cluster handing each machine the same netlist. The cache's
-// singleflight lookup means concurrent subtasks needing the same operator
-// (G — the DC task's and every task's — or C + γG for R-MATEX) wait for one
-// factorization instead of
-// duplicating it; the workspace pool hands each concurrent subtask an
-// exclusive arena and lets later subtasks reuse the buffers of finished
-// ones, so a long distributed run stops allocating per spot.
+// factorization cache, since every node of a run operates on the same
+// matrices — the in-process analogue of the paper's cluster handing each
+// machine the same netlist. The cache's singleflight lookup means
+// concurrent subtasks needing the same operator (G — the DC task's and
+// every task's — or C + γG for R-MATEX) wait for one factorization instead
+// of duplicating it. Each subtask's Krylov arena comes from the process's
+// krylov.DefaultWorkspaces, like every other run's.
 type localPool struct {
-	nodes      int
-	cache      *sparse.Cache
-	workspaces *krylov.WorkspacePool
+	nodes int
+	cache *sparse.Cache
 }
 
 // NewLocalPool returns the in-process pool standing in for nodes computing
@@ -84,7 +80,7 @@ func NewLocalPool(nodes int, cache *sparse.Cache) Pool {
 	if cache == nil {
 		cache = sparse.NewCache(0)
 	}
-	return &localPool{nodes: nodes, cache: cache, workspaces: krylov.NewWorkspacePool()}
+	return &localPool{nodes: nodes, cache: cache}
 }
 
 // Nodes implements Pool.
@@ -93,7 +89,7 @@ func (p *localPool) Nodes() int { return p.nodes }
 // Solve implements Pool.
 func (p *localPool) Solve(ctx context.Context, sys *System, task Task, req Request) (*TaskResult, error) {
 	start := time.Now()
-	req.Options.Cache, req.Options.Workspaces = p.cache, p.workspaces
+	req.Options.Cache = p.cache
 	res, err := SolveTask(ctx, sys, task, req)
 	if err != nil {
 		return nil, fmt.Errorf("dist: group %d: %w", task.GroupID, err)

@@ -288,9 +288,8 @@ func checkInputs(d *Deck, s *Spec) error {
 
 // Hooks are what a caller lends a run.
 type Hooks struct {
-	// Cache and Workspaces are shared with other runs (nil: the run's own).
-	Cache      *sparse.Cache
-	Workspaces *krylov.WorkspacePool
+	// Cache is shared with other runs (nil: the run's own).
+	Cache *sparse.Cache
 	// Workers are the job servers (host:port) a distributed run posts its
 	// tasks to; empty runs them on the in-process pool.
 	Workers []string
@@ -329,17 +328,16 @@ type Outcome struct {
 func (t *Task) Run(ctx context.Context, h Hooks) (*Outcome, error) {
 	d, spec := t.deck, &t.spec
 	opts := transient.Options{
-		Tstop:      t.tstop,
-		Step:       t.step,
-		Probes:     t.probes,
-		Tol:        spec.Tol,
-		Gamma:      spec.Gamma,
-		MaxDim:     spec.MaxDim,
-		Ordering:   t.order,
-		Krylov:     t.krylov,
-		Cache:      h.Cache,
-		Workspaces: h.Workspaces,
-		Ctx:        ctx,
+		Tstop:    t.tstop,
+		Step:     t.step,
+		Probes:   t.probes,
+		Tol:      spec.Tol,
+		Gamma:    spec.Gamma,
+		MaxDim:   spec.MaxDim,
+		Ordering: t.order,
+		Krylov:   t.krylov,
+		Cache:    h.Cache,
+		Ctx:      ctx,
 	}
 	if h.OnCheckpoint != nil && !spec.Distributed {
 		opts.CheckpointEvery = h.CheckpointEvery

@@ -14,9 +14,10 @@
 // apply-one-solve interface backed by a sparse.Factorization, so the
 // Arnoldi driver (arnoldi.go) and the symmetric Lanczos fast path
 // (lanczos.go; Method selects between them) are family-agnostic.
-// Workspace pools (workspace.go) amortize the V_m panel and Hessenberg
-// storage across steps and across concurrent runs; the hot paths are
-// annotated //matex:noalloc and enforced by matexcheck.
+// The process-wide workspace pool (workspace.go, DefaultWorkspaces)
+// amortizes the V_m panel and Hessenberg storage across steps and across
+// concurrent runs; the hot paths are annotated //matex:noalloc and
+// enforced by matexcheck.
 //
 // A Subspace survives its generating step: EvalExp re-evaluates e^{hH} on
 // the same basis for any h within the validated radius, which is what

@@ -2,6 +2,7 @@ package krylov
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/matex-sim/matex/internal/dense"
 )
@@ -50,34 +51,39 @@ type Workspace struct {
 	sub Subspace
 }
 
-// WorkspacePool hands out workspaces for concurrent solvers. It is the
-// krylov-level analogue of the sparse factorization cache threaded through
-// the stack in PR 2: the distributed scheduler and matexd workers keep one
-// pool per process, so repeated subtasks reuse each other's arenas instead
-// of re-growing them, while concurrent subtasks still get exclusive
-// workspaces (Get transfers ownership).
-type WorkspacePool struct{ p sync.Pool }
-
-// NewWorkspacePool returns an empty pool.
-func NewWorkspacePool() *WorkspacePool {
-	wp := &WorkspacePool{}
-	wp.p.New = func() any { return &Workspace{} }
-	return wp
+// WorkspacePool hands out workspaces for concurrent solvers: repeated runs
+// reuse each other's arenas instead of re-growing them, while concurrent
+// runs still get exclusive workspaces (Get transfers ownership). The zero
+// value is ready to use. It counts the workspaces handed out and not yet
+// returned (Outstanding), so a test can fail on a run that leaks one.
+type WorkspacePool struct {
+	p           sync.Pool
+	outstanding atomic.Int64
 }
 
 // Get returns a workspace for exclusive use until Put.
-func (wp *WorkspacePool) Get() *Workspace { return wp.p.Get().(*Workspace) }
+func (wp *WorkspacePool) Get() *Workspace {
+	wp.outstanding.Add(1)
+	if ws, ok := wp.p.Get().(*Workspace); ok {
+		return ws
+	}
+	return &Workspace{}
+}
 
 // Put returns a workspace to the pool.
 func (wp *WorkspacePool) Put(ws *Workspace) {
 	if ws != nil {
+		wp.outstanding.Add(-1)
 		wp.p.Put(ws)
 	}
 }
 
-// DefaultWorkspaces is the process-wide pool used when a caller does not
-// bring its own.
-var DefaultWorkspaces = NewWorkspacePool()
+// Outstanding reports how many workspaces Get has handed out that Put has
+// not yet taken back.
+func (wp *WorkspacePool) Outstanding() int64 { return wp.outstanding.Load() }
+
+// DefaultWorkspaces is the process-wide pool every MATEX run draws from.
+var DefaultWorkspaces = &WorkspacePool{}
 
 // growF returns s resized to n, reusing capacity.
 func growF(s []float64, n int) []float64 {

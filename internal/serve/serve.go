@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"github.com/matex-sim/matex/internal/job"
-	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/sweep"
@@ -128,15 +127,14 @@ func (t *totals) add(s *transient.Stats) {
 // Server is the simulation job service. Create with New, expose via
 // Handler, stop with Shutdown.
 type Server struct {
-	cfg        Config
-	cache      *sparse.Cache
-	decks      *memo.Store[string, *job.Deck]
-	workspaces *krylov.WorkspacePool
-	queue      chan *Job
-	baseCtx    context.Context
-	stop       context.CancelFunc
-	wg         sync.WaitGroup
-	start      time.Time
+	cfg     Config
+	cache   *sparse.Cache
+	decks   *memo.Store[string, *job.Deck]
+	queue   chan *Job
+	baseCtx context.Context
+	stop    context.CancelFunc
+	wg      sync.WaitGroup
+	start   time.Time
 
 	// journal is the durable job log (nil without Config.StateDir).
 	journal *journal
@@ -188,17 +186,16 @@ func New(cfg Config) (*Server, error) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		cache:      sparse.NewCache(cfg.CacheBytes),
-		decks:      memo.New[string, *job.Deck](memo.NewBudget(maxBodyBytes)),
-		workspaces: krylov.NewWorkspacePool(),
-		queue:      make(chan *Job, cfg.QueueDepth+len(restored)),
-		baseCtx:    ctx,
-		stop:       cancel,
-		start:      time.Now(),
-		jobs:       make(map[string]*Job),
-		journal:    jn,
-		seq:        maxSeq,
+		cfg:     cfg,
+		cache:   sparse.NewCache(cfg.CacheBytes),
+		decks:   memo.New[string, *job.Deck](memo.NewBudget(maxBodyBytes)),
+		queue:   make(chan *Job, cfg.QueueDepth+len(restored)),
+		baseCtx: ctx,
+		stop:    cancel,
+		start:   time.Now(),
+		jobs:    make(map[string]*Job),
+		journal: jn,
+		seq:     maxSeq,
 	}
 	// Re-enqueue interrupted jobs before the workers start: they keep their
 	// IDs, their journal-restored sample buffers (every sample at or before
@@ -532,12 +529,12 @@ func (s *Server) runJob(job *Job) {
 	s.mu.Unlock()
 }
 
-// simulate runs the job's task over the server's shared cache, workspaces
-// and workers, its samples streaming into the job as they leave the engine.
+// simulate runs the job's task over the server's shared cache and
+// workers, its samples streaming into the job as they leave the engine.
 // On durable servers plain jobs and sweep lanes journal their checkpoints,
 // and a restored job re-enters each integration at its last one.
 func (s *Server) simulate(ctx context.Context, j *Job) (*job.Outcome, error) {
-	h := job.Hooks{Cache: s.cache, Workspaces: s.workspaces, Workers: s.cfg.DistAddrs, OnSample: j.appendSample, Resume: j.resume}
+	h := job.Hooks{Cache: s.cache, Workers: s.cfg.DistAddrs, OnSample: j.appendSample, Resume: j.resume}
 	if j.jn != nil {
 		h.OnCheckpoint, h.CheckpointEvery = j.journalCheckpoint, s.cfg.CheckpointEvery
 	}

@@ -6,9 +6,11 @@ package sparse
 type Factorization interface {
 	// N returns the system dimension.
 	N() int
-	// Solve computes dst = A⁻¹ b; dst and b may alias.
+	// Solve computes dst = A⁻¹ b; dst and b may alias. It allocates its
+	// workspace, so it is for cold paths; a repeated solve calls SolveWith.
 	Solve(dst, b []float64)
-	// SolveWith is Solve with a caller-provided workspace of length N.
+	// SolveWith is Solve with a caller-provided workspace of length N,
+	// which overlaps neither dst nor b.
 	SolveWith(dst, b, work []float64)
 	// NNZ returns the number of stored factor entries (a fill metric).
 	NNZ() int

@@ -1,10 +1,5 @@
 package sparse
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // LDLT holds a sparse LDLᵀ factorization P·A·Pᵀ = L·D·Lᵀ of a symmetric
 // matrix, computed without pivoting (suitable for symmetric positive or
 // negative definite systems such as the conductance matrices of RC power
@@ -32,36 +27,6 @@ type LDLT struct {
 	smap     []int32
 	uptmp    []float64
 	coeff    []float64
-
-	// gbuf is the factor-owned below-block gather buffer for the solves
-	// (maxRows: one supernode's row list), claimed with a CAS so the
-	// uncontended solve stays allocation-free even under the race detector,
-	// where sync.Pool deliberately drops Puts. Concurrent solves that lose
-	// the claim fall back to the shared pool.
-	gbuf  []float64
-	gbusy atomic.Bool
-}
-
-// getG claims the factor's gather buffer, falling back to the shared pool
-// under contention. Release with putG.
-//
-//matex:noalloc
-func (f *LDLT) getG() ([]float64, *[]float64) {
-	if f.gbusy.CompareAndSwap(false, true) {
-		return f.gbuf, nil
-	}
-	sz := len(f.gbuf)
-	p := getWork(sz)
-	return (*p)[:sz], p
-}
-
-//matex:noalloc
-func (f *LDLT) putG(pooled *[]float64) {
-	if pooled != nil {
-		solveWork.Put(pooled)
-	} else {
-		f.gbusy.Store(false)
-	}
 }
 
 // N returns the dimension of the factored matrix.
@@ -124,34 +89,19 @@ func FactorLDLT(a *CSC, order Ordering) (*LDLT, error) {
 	return sym.Refactor(a)
 }
 
-// solveWork is the package-wide pool behind the workspace-less Solve entry
-// points: one []float64 per concurrent solve, reused across factors (the
-// slices are sized to the largest system seen and resliced per use).
-var solveWork = sync.Pool{New: func() any { s := make([]float64, 0); return &s }}
-
-//matex:noalloc
-func getWork(n int) *[]float64 {
-	w := solveWork.Get().(*[]float64)
-	if cap(*w) < n {
-		*w = make([]float64, n) //matex:alloc-ok(grow path: pool slice resized to the largest system seen)
-	}
-	return w
-}
-
-// Solve computes x = A⁻¹ b, overwriting dst. dst and b may alias. The
-// workspace comes from a shared pool; repeated solves allocate nothing.
-//
-//matex:noalloc
+// Solve computes x = A⁻¹ b, overwriting dst. dst and b may alias. It
+// allocates its n-length workspace; repeated solves call SolveWith.
 func (f *LDLT) Solve(dst, b []float64) {
 	if len(dst) != f.sym.n || len(b) != f.sym.n {
 		panic("sparse: LDLT.Solve dimension mismatch")
 	}
-	w := getWork(f.sym.n)
-	f.SolveWith(dst, b, (*w)[:f.sym.n])
-	solveWork.Put(w)
+	f.SolveWith(dst, b, make([]float64, f.sym.n))
 }
 
-// SolveWith is Solve with a caller-provided workspace of length n.
+// SolveWith is Solve with a caller-provided workspace of length n, and
+// allocates nothing. dst may alias b; work must overlap neither. The solve
+// also uses dst as scratch: b has been read into work before dst is
+// touched, and dst is written in full at the end.
 //
 //matex:noalloc
 func (f *LDLT) SolveWith(dst, b, work []float64) {
@@ -165,7 +115,9 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	for k := 0; k < n; k++ {
 		work[k] = b[perm[k]]
 	}
-	g, pooled := f.getG()
+	// dst is free until the final scatter: it holds the below-block
+	// gather (maxRows ≤ n).
+	g := dst[:sn.maxRows]
 	f.fwdSN(work, g)
 	for j, r := range f.dinv {
 		work[j] *= r
@@ -173,7 +125,6 @@ func (f *LDLT) SolveWith(dst, b, work []float64) {
 	for t := sn.nsuper - 1; t >= 0; t-- {
 		f.bwdOneSN(t, work, g)
 	}
-	f.putG(pooled)
 	// dst = P·work.
 	for k := 0; k < n; k++ {
 		dst[perm[k]] = work[k]

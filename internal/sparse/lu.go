@@ -211,15 +211,13 @@ func dfsL(j int, lp []int, li []int, top int, xi, pstack []int, pinv []int, mark
 }
 
 // Solve computes x = A⁻¹ b, overwriting dst. dst and b may alias. It panics
-// if the lengths do not match the factored dimension. The workspace comes
-// from a shared pool; repeated solves allocate nothing.
+// if the lengths do not match the factored dimension. It allocates its
+// n-length workspace; repeated solves call SolveWith.
 func (f *LU) Solve(dst, b []float64) {
 	if len(dst) != f.n || len(b) != f.n {
 		panic("sparse: LU.Solve dimension mismatch")
 	}
-	w := getWork(f.n)
-	f.SolveWith(dst, b, (*w)[:f.n])
-	solveWork.Put(w)
+	f.SolveWith(dst, b, make([]float64, f.n))
 }
 
 // SolveWith is Solve with a caller-provided workspace of length n, allowing

@@ -52,7 +52,7 @@ type snLayout struct {
 	rowPtr  []int
 	rows    []int32
 	valPtr  []int
-	maxRows int // widest row list, sizing the solve gather buffers
+	maxRows int // widest row list, sizing the solve gather scratch
 	maxW    int // widest panel
 	nzTotal int // total panel storage (== valPtr[nsuper])
 

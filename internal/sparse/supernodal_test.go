@@ -77,8 +77,10 @@ func checkFactorization(t *testing.T, a *CSC, f *LDLT) {
 
 // checkSolves drives both solve entry points of one factor against the
 // dense oracle: SolveWith within 1e-10, a second SolveWith (through a
-// workspace left dirty by the first) bitwise equal to the first, and Solve
-// (pooled workspace, dst aliasing b) bitwise equal to SolveWith.
+// workspace left dirty by the first) bitwise equal to the first, a third
+// into a dst prefilled with NaN (SolveWith's gather scratch) bitwise equal
+// too, and Solve (its own workspace, dst aliasing b) bitwise equal to
+// SolveWith.
 func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 	t.Helper()
 	n := a.Rows
@@ -97,6 +99,16 @@ func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 	for i := range again {
 		if math.Float64bits(again[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("second SolveWith entry %d: %v, first %v", i, again[i], want[i])
+		}
+	}
+	dirty := make([]float64, n)
+	for i := range dirty {
+		dirty[i] = math.NaN()
+	}
+	f.SolveWith(dirty, b, work)
+	for i := range dirty {
+		if math.Float64bits(dirty[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("SolveWith into a NaN dst, entry %d: %v, clean dst %v", i, dirty[i], want[i])
 		}
 	}
 	f.Solve(b, b)

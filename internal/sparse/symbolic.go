@@ -307,7 +307,6 @@ func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
 		smap:     make([]int32, s.n),
 		uptmp:    make([]float64, sn.maxRows),
 		coeff:    make([]float64, sn.maxW),
-		gbuf:     make([]float64, sn.maxRows),
 	}
 	if err := s.RefactorInto(f, a); err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 // Options configures a sweep run.
 type Options struct {
 	// Base is the shared solver configuration every variant runs under:
-	// Tstop, Probes, Tol, Gamma, Cache, Workspaces, and so on. Its
+	// Tstop, Probes, Tol, Gamma, Cache, Krylov, and so on. Its
 	// OnSample, OnCheckpoint and ActiveInputs fields are owned by the
 	// engine and must be left nil; use the per-variant hooks below. A nil
 	// Base.Cache is replaced by a sweep-private cache so the variants

@@ -150,9 +150,8 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		res.Stats.addCounters(count)
 	}()
 
-	wsPool := opts.workspaces()
-	ws := wsPool.Get()
-	defer wsPool.Put(ws)
+	ws := krylov.DefaultWorkspaces.Get()
+	defer krylov.DefaultWorkspaces.Put(ws)
 
 	// The segment's input terms. cur is the one the loop integrates with;
 	// ahead is spare while the helper fills it with the next segment's

@@ -129,11 +129,6 @@ type Options struct {
 	// stamped matrices are symmetric and the spot qualifies, "arnoldi"
 	// pins the full Gram-Schmidt reference. See krylov.Method.
 	Krylov krylov.Method
-	// Workspaces, when non-nil, is the arena pool Krylov subspace
-	// generation draws its buffers from; the distributed scheduler and
-	// matexd workers share one pool per process the way they share the
-	// factorization cache. Nil uses the package-wide default pool.
-	Workspaces *krylov.WorkspacePool `json:"-"`
 	// OnSample, when non-nil, is called synchronously after every recorded
 	// output sample with the sample time and the probe row — the streaming
 	// hook the serving layer and `matex` write waveform rows from as the
@@ -175,14 +170,6 @@ func (o *Options) cancelled() error {
 		return fmt.Errorf("transient: run canceled: %w", err)
 	}
 	return nil
-}
-
-// workspaces resolves the arena pool.
-func (o Options) workspaces() *krylov.WorkspacePool {
-	if o.Workspaces != nil {
-		return o.Workspaces
-	}
-	return krylov.DefaultWorkspaces
 }
 
 func (o Options) withDefaults() Options {
