@@ -1,9 +1,9 @@
 // Command matexcheck runs the project-invariant static analyzer suite over
 // the module: noalloc (//matex:noalloc hot paths stay allocation-free),
-// ctxflow (the serving tier threads contexts), errflow (no discarded errors
-// in cmd/ and the HTTP tier), and docs (the matex facade and internal/sweep
-// document every exported symbol). It exits non-zero when any finding
-// survives the //matex: waiver annotations.
+// errflow (no discarded errors in cmd/, the HTTP tier and internal/job),
+// and docs (the matex facade and internal/sweep document every exported
+// symbol). It exits non-zero when any finding survives the //matex: waiver
+// annotations.
 //
 // Usage:
 //

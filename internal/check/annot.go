@@ -12,11 +12,9 @@ import (
 // line directly above it. Every waiver carries a parenthesized reason so
 // the tree records why each finding is intentional.
 const (
-	dirNoalloc   = "noalloc"    // function must stay allocation-free
-	dirAllocOK   = "alloc-ok"   // waive one noalloc finding (grow paths, cold error paths)
-	dirCtxRoot   = "ctx-root"   // function may create root contexts
-	dirCtxExempt = "ctx-exempt" // exported blocking function intentionally has no ctx
-	dirErrOK     = "err-ok"     // waive one errflow finding
+	dirNoalloc = "noalloc"  // function must stay allocation-free
+	dirAllocOK = "alloc-ok" // waive one noalloc finding (grow paths, cold error paths)
+	dirErrOK   = "err-ok"   // waive one errflow finding
 )
 
 // directive is one parsed //matex: comment.
@@ -30,7 +28,7 @@ type directive struct {
 // reason.
 func needsReason(name string) bool {
 	switch name {
-	case dirAllocOK, dirCtxRoot, dirCtxExempt, dirErrOK:
+	case dirAllocOK, dirErrOK:
 		return true
 	}
 	return false
@@ -38,7 +36,7 @@ func needsReason(name string) bool {
 
 func knownDirective(name string) bool {
 	switch name {
-	case dirNoalloc, dirAllocOK, dirCtxRoot, dirCtxExempt, dirErrOK:
+	case dirNoalloc, dirAllocOK, dirErrOK:
 		return true
 	}
 	return false

@@ -1,24 +1,23 @@
 // Package check implements matexcheck, the project-invariant static
 // analyzer suite: annotation-driven analyzers built on the standard
 // library's go/ast, go/parser, and go/types packages (no external analysis
-// framework). Four analyzers ship:
+// framework). Three analyzers ship:
 //
 //   - noalloc: functions annotated //matex:noalloc must not contain
 //     allocating constructs (make/new/append, composite and function
 //     literals, interface boxing at call sites, fmt/errors calls), with
 //     //matex:alloc-ok(reason) line waivers for grow paths and cold error
 //     paths. Unannotated same-package callees are verified recursively.
-//   - ctxflow: in internal/serve and internal/dist, no
-//     context.Background()/TODO() outside //matex:ctx-root functions, and
-//     exported blocking entry points must accept a context.Context or carry
-//     //matex:ctx-exempt(reason).
-//   - errflow: in cmd/ and internal/serve, no discarded errors, with
-//     //matex:err-ok(reason) waivers.
+//   - errflow: in cmd/, internal/serve and internal/job, no discarded
+//     errors, with //matex:err-ok(reason) waivers.
 //   - docs: the module-root facade package and internal/sweep must document
 //     every exported symbol (per-spec comments inside type blocks; group
 //     comments suffice for const/var enums) and carry a package comment.
 //
 // Malformed or unknown //matex: directives are themselves findings.
+//
+// Context threading is not linted: the cancellation tests of internal/dist
+// and internal/serve hold every path that fans work out.
 package check
 
 import (
@@ -48,7 +47,6 @@ func RunAll(pkgs []*Pkg) []Finding {
 		}
 		ann := collectAnnotations(pkg, report)
 		runNoalloc(pkg, ann, report)
-		runCtxFlow(pkg, ann, report)
 		runErrFlow(pkg, ann, report)
 		runDocs(pkg, report)
 	}

@@ -8,12 +8,13 @@ import (
 	"strings"
 )
 
-// The errflow analyzer forbids discarded errors in the binaries (cmd/...)
-// and the HTTP serving tier (internal/serve): expression statements and
-// deferred calls whose results include an error, and assignments that bind
-// an error result to the blank identifier. Print-family fmt calls and
-// writes to in-memory buffers (strings.Builder, bytes.Buffer) are allowed,
-// matching errcheck convention. //matex:err-ok(reason) waives one line.
+// The errflow analyzer forbids discarded errors in the binaries (cmd/...),
+// the HTTP serving tier (internal/serve) and the job path with its HTTP
+// client (internal/job): expression statements and deferred calls whose
+// results include an error, and assignments that bind an error result to
+// the blank identifier. Print-family fmt calls and writes to in-memory
+// buffers (strings.Builder, bytes.Buffer) are allowed, matching errcheck
+// convention. //matex:err-ok(reason) waives one line.
 func runErrFlow(pkg *Pkg, ann *annotations, report func(pos token.Pos, analyzer, msg string)) {
 	if !errFlowScope(pkg.RelPath) {
 		return
@@ -29,7 +30,8 @@ func runErrFlow(pkg *Pkg, ann *annotations, report func(pos token.Pos, analyzer,
 }
 
 func errFlowScope(relPath string) bool {
-	return relPath == "internal/serve" || relPath == "cmd" || strings.HasPrefix(relPath, "cmd/")
+	return relPath == "internal/serve" || relPath == "internal/job" ||
+		relPath == "cmd" || strings.HasPrefix(relPath, "cmd/")
 }
 
 type errChecker struct {

@@ -24,6 +24,14 @@ func main() {
 
 	go work() // want "go call discards error result of work"
 
+	// A dropped fsync: the write may never reach the disk, and only this
+	// analyzer notices.
+	f, err := os.Create("out")
+	if err != nil {
+		os.Exit(1)
+	}
+	f.Sync() // want "call discards error result of f.Sync"
+
 	// Allowlist: console printing never carries a recoverable error.
 	fmt.Println("n =", n)
 	fmt.Fprintln(os.Stderr, "usage: tool")

@@ -24,8 +24,6 @@ import (
 // to the slowest node's transient phase — the distributed wall-clock
 // reading. The Report carries the plan and the per-node scheduling metrics
 // of Table 3.
-//
-//matex:ctx-root(embedding API default when Config.Base.Ctx is nil)
 func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, *Report, error) {
 	base := cfg.Base
 	if dsys == nil || dsys.sys == nil {

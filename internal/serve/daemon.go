@@ -30,8 +30,6 @@ func SignalContext(parent context.Context) (context.Context, context.CancelFunc)
 // the listener closes, in-flight streams and queued and running jobs get
 // -grace to finish, and the process exits 0 — or 1 when the grace ran out
 // and running jobs were canceled.
-//
-//matex:ctx-root(process lifetime: the signal context is the daemon's root, and the drain budgets start after it fired)
 func Main(prog string) {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	listen := fs.String("listen", ":8080", "HTTP address to listen on")

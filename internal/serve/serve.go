@@ -166,9 +166,6 @@ type Server struct {
 // new submission, completed entries are pruned, and the job counter resumes
 // past every journaled ID. The error return is the journal's — an
 // in-memory server (empty StateDir) cannot fail.
-//
-//matex:ctx-root(server lifecycle root; every job derives its per-job context from it)
-//matex:ctx-exempt(the restore-queue send cannot block: the queue is sized QueueDepth+len(restored) and the workers have not started)
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 
@@ -215,7 +212,7 @@ func New(cfg Config) (*Server, error) {
 			continue
 		}
 		s.resumed++
-		s.queue <- job
+		s.queue <- job // cannot block: the queue has room for every restored job
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -325,8 +322,6 @@ func (s *Server) DeckStats() memo.Stats { return s.decks.Stats() }
 // takes it from the deck store. The returned job is already visible to
 // Job/stream lookups. Errors: spec problems (client's fault), ErrUnknownDeck,
 // ErrQueueFull, ErrShuttingDown, ErrJournal (durable servers only).
-//
-//matex:ctx-exempt(the queue send cannot block: capacity is checked under s.mu and Submit is the only sender)
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	if err := spec.Check(maxBodyBytes); err != nil {
 		return nil, err

@@ -20,13 +20,6 @@ type Method int
 const (
 	// TRFixed is trapezoidal with fixed step, one factorization.
 	TRFixed Method = iota
-	// Values 1 and 2 were backward and forward Euler, deleted once Table 1
-	// was measured against the exact piecewise-linear response
-	// (EXPERIMENTS.md "Table 1 on the exact reference"). The slots stay
-	// reserved with no name: Method integers are wire-significant in the
-	// dist protocol, and Simulate answers them as unknown.
-	_
-	_
 	// TRAdaptive is trapezoidal with LTE-controlled steps; every step-size
 	// change re-factorizes (C/h + G/2).
 	TRAdaptive
