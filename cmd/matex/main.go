@@ -75,7 +75,7 @@ func main() {
 	workers := flag.String("workers", "", "comma-separated host:port of the job servers (matexd or matexsrv) the tasks are posted to, each naming the deck by hash; a worker without it is sent the deck once (implies -distributed)")
 	order := flag.String("order", "default", "fill-reducing ordering: default (=nd), natural, mindeg, nd")
 	krylovFlag := flag.String("krylov", "auto", "Krylov subspace process: auto (symmetric Lanczos fast path where eligible; lanczos is a synonym), arnoldi")
-	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (0 disables the cache)")
+	cacheMB := flag.Int("cache-mb", 256, "factorization cache budget in MiB (<=0 selects the default)")
 	stats := flag.Bool("stats", false, "print solver work statistics to stderr")
 	sweepFile := flag.String("sweep", "", "JSON variant file: run every scenario variant of the deck as one sweep")
 	flag.Parse()
@@ -89,10 +89,7 @@ func main() {
 		Method: *method, Tstop: *tstop, Step: *step, Tol: *tol, Gamma: *gamma,
 		Krylov: *krylovFlag, Ordering: *order, Distributed: *distributed || *workers != "",
 	}
-	var cache *sparse.Cache
-	if *cacheMB > 0 {
-		cache = sparse.NewCache(int64(*cacheMB) << 20)
-	}
+	cache := sparse.NewCache(int64(*cacheMB) << 20)
 
 	text, err := readDeck(flag.Arg(0))
 	if err != nil {

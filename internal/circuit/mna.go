@@ -2,7 +2,6 @@ package circuit
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/waveform"
@@ -405,25 +404,4 @@ func (s *System) Voltage(x []float64, name string) (float64, error) {
 		return fixed, nil
 	}
 	return x[idx], nil
-}
-
-// DC computes the DC operating point: G·x = B·u(0) with capacitors open and
-// inductors shorted (both already encoded in G). It returns the solution and
-// the factorization of G for reuse (e.g. by the regularization-free MATEX
-// input terms).
-func (s *System) DC(kind sparse.FactorKind, order sparse.Ordering) ([]float64, sparse.Factorization, error) {
-	f, err := sparse.Factor(s.G, kind, order)
-	if err != nil {
-		return nil, nil, fmt.Errorf("circuit: DC factorization failed: %w", err)
-	}
-	b := make([]float64, s.N)
-	s.EvalB(0, b, nil)
-	x := make([]float64, s.N)
-	f.Solve(x, b)
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, nil, fmt.Errorf("circuit: DC solution is not finite")
-		}
-	}
-	return x, f, nil
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
@@ -183,8 +182,9 @@ func NewRequest(dsys *System, method transient.Method, base transient.Options) R
 // response of dsys to the inputs the task names (indices into the system's
 // Inputs), under req as NewRequest builds it, until ctx is done, delivered
 // on req's grid — a fixed-step integration is interpolated onto it here, on
-// the node. A DC task (Task.DC) first solves G·x_DC = B·u(0) from the
-// factorization of G its integration then takes from the cache, and its rows
+// the node. A DC task (Task.DC) first solves G·x_DC = B·u(0) over every
+// input (transient.DC) from the factorization of G its integration then
+// takes from the cache, and its rows
 // and final state are x_DC + the response, summed as Run's fold sums every
 // later task onto them, so the superposition's bits do not depend on where
 // x_DC was solved; the DC solve pair, factorization and time are in the
@@ -209,14 +209,12 @@ func SolveTask(ctx context.Context, dsys *System, task Task, req Request) (*tran
 		if opts.Cache == nil {
 			opts.Cache = sparse.NewCache(0) // G is factorized once for the DC point and the integration
 		}
-		t0 := time.Now()
-		xdc, info, err := solveDC(dsys.sys, opts.Ordering, opts.Cache)
+		dcOpts := opts
+		dcOpts.ActiveInputs = nil // x_DC is the whole system's
+		xdc, _, err := transient.DC(dsys.sys, dcOpts, &dcStats)
 		if err != nil {
 			return nil, err
 		}
-		dcStats.AddFactorInfo(info)
-		dcStats.SolvePairs++
-		dcStats.DCTime = time.Since(t0)
 		dc = constantLane(grid, xdc, opts.Probes)
 		addends = append(addends, superpose.Addend{Coef: 1})
 	}
@@ -255,25 +253,6 @@ func onGrid(method transient.Method) bool {
 		return true
 	}
 	return false
-}
-
-// solveDC factorizes G through the cache and solves the DC operating point
-// over all inputs.
-func solveDC(sys *circuit.System, ordering sparse.Ordering, cache *sparse.Cache) ([]float64, sparse.FactorInfo, error) {
-	fg, info, err := cache.Factor(sys.G, sparse.FactorAuto, ordering)
-	if err != nil {
-		return nil, info, fmt.Errorf("dist: DC factorization failed: %w", err)
-	}
-	b := make([]float64, sys.N)
-	sys.EvalB(0, b, nil)
-	xdc := make([]float64, sys.N)
-	fg.Solve(xdc, b)
-	for _, v := range xdc {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, info, fmt.Errorf("dist: DC solution is not finite")
-		}
-	}
-	return xdc, info, nil
 }
 
 // constantLane is x on every grid point: rows of its probe entries (one row,

@@ -275,7 +275,7 @@ func TestDistRPCLoopback(t *testing.T) {
 // whole from job servers — and they are the rows of the run's Result.
 func TestRunStreamsTheSuperposition(t *testing.T) {
 	d := gridDeck(t, 0.2)
-	xdc, _, err := dist.SolveDC(d.sys, sparse.OrderDefault.Resolve(), sparse.NewCache(0))
+	xdc, _, err := transient.DC(d.sys, transient.Options{}, &transient.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -114,7 +113,7 @@ func TestRowZeroLeavesBeforeAnyTaskLands(t *testing.T) {
 	if !log.matches(res) {
 		t.Fatal("streamed rows are not the result's")
 	}
-	xdc, _, err := solveDC(sys, sparse.OrderDefault.Resolve(), sparse.NewCache(0))
+	xdc, _, err := transient.DC(sys, transient.Options{}, &transient.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ func RunFig5(cfg Fig5Config) ([]Fig5Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	factS, err := sparse.Factor(sparse.Add(1, cm, cfg.Gamma, gm), sparse.FactorAuto, sparse.OrderDefault)
+	factS, _, err := sparse.NewCache(0).FactorSum(1, cm, cfg.Gamma, gm, sparse.OrderDefault)
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,7 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 		// (where task 0 is the slowest node, its one DC solve pair is in
 		// MaxNodeTime too).
 		tDC := time.Now()
-		if _, _, err := cache.Factor(sys.G, sparse.FactorAuto, sparse.OrderDefault); err != nil {
+		if _, _, err := cache.Factor(sys.G, sparse.OrderDefault); err != nil {
 			return nil, fmt.Errorf("table3: DC factorization on %s: %w", name, err)
 		}
 		dcFactor := time.Since(tDC)

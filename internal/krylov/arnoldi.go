@@ -24,10 +24,6 @@ type Options struct {
 	MaxDim int
 	// Tol is the posterior error budget ε for e^{hA}v. Default 1e-7.
 	Tol float64
-	// CheckEvery controls how often the convergence check runs once an
-	// estimate trend is established (two successful estimate rounds);
-	// before that it runs every iteration. Default 5.
-	CheckEvery int
 	// Reorthogonalize enables a full reorthogonalization pass on every
 	// iteration (a second modified Gram-Schmidt sweep for Arnoldi, a full
 	// B-orthogonal sweep for Lanczos), restoring orthogonality for
@@ -59,11 +55,13 @@ func (o Options) withDefaults(n int) Options {
 	if o.Tol <= 0 {
 		o.Tol = 1e-7
 	}
-	if o.CheckEvery <= 0 {
-		o.CheckEvery = 5
-	}
 	return o
 }
+
+// checkEvery is the largest stride between convergence checks once an
+// estimate trend is established (two successful estimate rounds); before
+// that the check runs every iteration.
+const checkEvery = 5
 
 // Subspace is a generated Krylov subspace ready for matrix-exponential
 // evaluation, including everything needed to reuse it at different step
@@ -217,7 +215,7 @@ func Arnoldi(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 		}
 		// Check every iteration until an estimate trend is established, then
 		// extrapolate the geometric decay to the projected tolerance
-		// crossing, rechecking at most CheckEvery dimensions later: the
+		// crossing, rechecking at most checkEvery dimensions later: the
 		// O(m³) check is the dominant non-solve cost at small m, and a
 		// fixed stride would instead overshoot the converged dimension.
 		if !(last || m == opts.MaxDim || sched.due(m)) {
@@ -551,7 +549,7 @@ func (s *Subspace) evalSpectral(h float64, dst []float64) error {
 // difference guard needs two rounds to produce one, and the decay rate
 // needs two finite points); after that the observed geometric decay is
 // extrapolated to the dimension where the estimate should cross the
-// tolerance, re-checking at most CheckEvery dimensions later. Against the
+// tolerance, re-checking at most checkEvery dimensions later. Against the
 // old always-check-below-30 rule this drops most of the O(m³) checks while
 // barely overshooting the converged dimension.
 type checkSchedule struct {
@@ -570,7 +568,7 @@ func (cs *checkSchedule) record(m int, worst float64, ok bool, opts Options) {
 		cs.next = m + 1 // no usable estimate yet: keep watching
 		return
 	}
-	step := opts.CheckEvery
+	step := checkEvery
 	if cs.prevM == 0 {
 		step = 1 // one finite sample: need a second for the decay rate
 	} else if m > cs.prevM && cs.prevWorst > worst {

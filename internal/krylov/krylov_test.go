@@ -54,15 +54,15 @@ func denseA(cm, gm *sparse.CSC) *dense.Matrix {
 
 func buildOps(t testing.TB, cm, gm *sparse.CSC, gamma float64) (std, inv, rat *Op) {
 	t.Helper()
-	factC, err := sparse.Factor(cm, sparse.FactorAuto, sparse.OrderDefault)
+	factC, _, err := sparse.NewCache(0).Factor(cm, sparse.OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factG, err := sparse.Factor(gm, sparse.FactorAuto, sparse.OrderDefault)
+	factG, _, err := sparse.NewCache(0).Factor(gm, sparse.OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
-	factS, err := sparse.Factor(sparse.Add(1, cm, gamma, gm), sparse.FactorAuto, sparse.OrderDefault)
+	factS, _, err := sparse.NewCache(0).FactorSum(1, cm, gamma, gm, sparse.OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,6 @@ const (
 	// process — the pre-fast-path behavior, kept selectable as the
 	// reference baseline.
 	MethodArnoldi
-	// Value 2 was MethodLanczos, which behaved exactly like MethodAuto. The
-	// slot stays reserved: Method integers are wire-significant in the dist
-	// protocol, and Generate serves any value but MethodArnoldi as auto.
 )
 
 func (m Method) String() string {

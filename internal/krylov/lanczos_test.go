@@ -299,7 +299,7 @@ func TestGenerateRouting(t *testing.T) {
 func TestLanczosSteadyStateZeroAlloc(t *testing.T) {
 	n := 40
 	cm, gm := rcSystem(n, 1e5, 21)
-	factG, err := sparse.Factor(gm, sparse.FactorAuto, sparse.OrderDefault)
+	factG, _, err := sparse.NewCache(0).Factor(gm, sparse.OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/sparse"
+	"github.com/matex-sim/matex/internal/transient"
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
@@ -58,7 +59,7 @@ func TestGridDCNearVDD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderDefault)
+	x, _, err := transient.DC(sys, transient.Options{}, &transient.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestGridWithPackageRL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderDefault)
+	x, _, err := transient.DC(sys, transient.Options{}, &transient.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestLadderAnalyticDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := sys.DC(sparse.FactorAuto, sparse.OrderNatural)
+	x, _, err := transient.DC(sys, transient.Options{Ordering: sparse.OrderNatural}, &transient.Stats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestIBMCases(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, _, err := sys.DC(sparse.FactorAuto, sparse.OrderDefault); err != nil {
+		if _, _, err := transient.DC(sys, transient.Options{}, &transient.Stats{}); err != nil {
 			t.Fatalf("%s: DC failed: %v", name, err)
 		}
 	}

@@ -115,29 +115,29 @@ func SpectralEdges(sys *circuit.System, iters int) (fast, slow float64, err erro
 	if iters <= 0 {
 		iters = 200
 	}
-	fc, err := sparse.Factor(sys.C, sparse.FactorAuto, sparse.OrderDefault)
+	cache := sparse.NewCache(0)
+	fc, _, err := cache.Factor(sys.C, sparse.OrderDefault)
 	if err != nil {
 		return 0, 0, fmt.Errorf("pdn: spectral edges need nonsingular C: %w", err)
 	}
-	fg, err := sparse.Factor(sys.G, sparse.FactorAuto, sparse.OrderDefault)
+	fg, _, err := cache.Factor(sys.G, sparse.OrderDefault)
 	if err != nil {
 		return 0, 0, fmt.Errorf("pdn: spectral edges need nonsingular G: %w", err)
 	}
 	n := sys.N
+	tmp, work := make([]float64, n), make([]float64, n)
 	fast, err = powerIteration(n, iters, func(dst, v []float64) {
 		// dst = C⁻¹ G v
-		tmp := make([]float64, n)
 		sys.G.MulVec(tmp, v)
-		fc.Solve(dst, tmp)
+		fc.SolveWith(dst, tmp, work)
 	})
 	if err != nil {
 		return 0, 0, err
 	}
 	slowInv, err := powerIteration(n, iters, func(dst, v []float64) {
 		// dst = G⁻¹ C v ; its dominant eigenvalue is 1/min|λ(C⁻¹G)|
-		tmp := make([]float64, n)
 		sys.C.MulVec(tmp, v)
-		fg.Solve(dst, tmp)
+		fg.SolveWith(dst, tmp, work)
 	})
 	if err != nil {
 		return 0, 0, err

@@ -42,15 +42,14 @@ func fnvMix(h, w uint64) uint64 {
 	return h
 }
 
-// cacheKey identifies one factorization: alpha·A + beta·B under a solver
-// configuration. A single-matrix factorization is keyed as 1·A + 0·0.
+// cacheKey identifies one factorization: alpha·A + beta·B under an
+// ordering. A single-matrix factorization is keyed as 1·A + 0·0.
 // Scalars stay in the key so the summed matrix never needs to be built
 // (or hashed) to recognize a hit — the adaptive stepper's (C/h + G/2)
 // lookups cost two base-matrix hashes regardless of h.
 type cacheKey struct {
 	fpA, fpB    uint64
 	alpha, beta float64
-	kind        FactorKind
 	order       Ordering
 }
 
@@ -81,8 +80,7 @@ type FactorInfo struct {
 }
 
 // symKey identifies one symbolic analysis: a sparsity pattern under an
-// ordering. FactorKind is not part of the key — only LDLT has a symbolic
-// phase.
+// ordering.
 type symKey struct {
 	patFP uint64
 	order Ordering
@@ -90,7 +88,7 @@ type symKey struct {
 
 // Cache is a concurrency-safe, content-addressed factorization cache with an
 // LRU byte budget. It is shared across solvers, the adaptive stepper and
-// distributed workers: any two requests for the same matrix content, kind,
+// distributed workers: any two requests for the same matrix content,
 // ordering and scalar shift return the same Factorization, and concurrent
 // first requests are coalesced into a single computation. Failed
 // factorizations are not cached: a singular matrix error must stay
@@ -129,10 +127,11 @@ func NewCache(maxBytes int64) *Cache {
 
 // Factor returns a factorization of a, computing and caching it on first
 // use, and how it was served (cache hit, symbolic-tier hit,
-// refactorization).
-func (c *Cache) Factor(a *CSC, kind FactorKind, order Ordering) (Factorization, FactorInfo, error) {
+// refactorization). It is the one place a factorization is chosen: LDLᵀ
+// when a is symmetric and its pivots hold, Gilbert-Peierls LU otherwise.
+func (c *Cache) Factor(a *CSC, order Ordering) (Factorization, FactorInfo, error) {
 	order = order.Resolve()
-	key := cacheKey{fpA: Fingerprint(a), alpha: 1, kind: kind, order: order}
+	key := cacheKey{fpA: Fingerprint(a), alpha: 1, order: order}
 	return c.factor(key, func() *CSC { return a })
 }
 
@@ -145,11 +144,11 @@ func (c *Cache) Factor(a *CSC, kind FactorKind, order Ordering) (Factorization, 
 // the sum's sparsity pattern is scalar-independent, so the shift grid costs
 // one ordering + elimination analysis total, then one cheap Refactor per
 // distinct shift.
-func (c *Cache) FactorSum(alpha float64, a *CSC, beta float64, b *CSC, kind FactorKind, order Ordering) (Factorization, FactorInfo, error) {
+func (c *Cache) FactorSum(alpha float64, a *CSC, beta float64, b *CSC, order Ordering) (Factorization, FactorInfo, error) {
 	order = order.Resolve()
 	key := cacheKey{
 		fpA: Fingerprint(a), fpB: Fingerprint(b),
-		alpha: alpha, beta: beta, kind: kind, order: order,
+		alpha: alpha, beta: beta, order: order,
 	}
 	return c.factor(key, func() *CSC { return Add(alpha, a, beta, b) })
 }
@@ -159,7 +158,7 @@ func (c *Cache) FactorSum(alpha float64, a *CSC, beta float64, b *CSC, kind Fact
 func (c *Cache) factor(key cacheKey, m func() *CSC) (Factorization, FactorInfo, error) {
 	var info FactorInfo
 	f, hit, err := c.factors.Get(key, func() (Factorization, int64, error) {
-		f, built, err := c.factorSymbolic(m(), key.kind, key.order)
+		f, built, err := c.factorSymbolic(m(), key.order)
 		info = built
 		if err != nil {
 			return nil, 0, err
@@ -170,24 +169,15 @@ func (c *Cache) factor(key cacheKey, m func() *CSC) (Factorization, FactorInfo, 
 	return f, info, err
 }
 
-// factorSymbolic computes a factorization of the materialized matrix,
-// routing the symmetric LDLT path through the pattern-keyed symbolic tier.
-// FactorAuto falls back to LU exactly like sparse.Factor when the matrix is
-// unsymmetric or the LDLT pivots break down.
-func (c *Cache) factorSymbolic(m *CSC, kind FactorKind, order Ordering) (Factorization, FactorInfo, error) {
-	tryLDLT := kind == FactorLDLt || (kind == FactorAuto && m.Rows == m.Cols && m.IsSymmetric(0))
-	if tryLDLT {
-		sym, symHit, err := c.symbolic(m, order)
-		if err == nil {
-			f, ferr := sym.Refactor(m)
-			if ferr == nil {
+// factorSymbolic computes a factorization of the materialized matrix: a
+// symmetric one goes through the pattern-keyed symbolic tier to LDLᵀ, and
+// one that is unsymmetric or whose LDLᵀ pivots break down falls back to LU.
+func (c *Cache) factorSymbolic(m *CSC, order Ordering) (Factorization, FactorInfo, error) {
+	if m.Rows == m.Cols && m.IsSymmetric(0) {
+		if sym, symHit, err := c.symbolic(m, order); err == nil {
+			if f, err := sym.Refactor(m); err == nil {
 				return f, FactorInfo{SymbolicHit: symHit, Refactored: true}, nil
 			}
-			if kind == FactorLDLt {
-				return nil, FactorInfo{SymbolicHit: symHit}, ferr
-			}
-		} else if kind == FactorLDLt {
-			return nil, FactorInfo{}, err
 		}
 	}
 	f, err := FactorLU(m, order, 1.0)

@@ -40,7 +40,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 func TestCacheHitReturnsSameFactorization(t *testing.T) {
 	c := NewCache(0)
 	a := cacheTestMatrix(20, 4)
-	f1, info1, err := c.Factor(a, FactorAuto, OrderDefault)
+	f1, info1, err := c.Factor(a, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCacheHitReturnsSameFactorization(t *testing.T) {
 		t.Error("first acquisition reported as hit")
 	}
 	// A content-equal but distinct matrix object must hit.
-	f2, info2, err := c.Factor(cacheTestMatrix(20, 4), FactorAuto, OrderDefault)
+	f2, info2, err := c.Factor(cacheTestMatrix(20, 4), OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,22 +60,19 @@ func TestCacheHitReturnsSameFactorization(t *testing.T) {
 	}
 	// The key holds the resolved ordering: naming the default's resolution
 	// explicitly is the same entry, whatever that resolution is.
-	if f3, info3, _ := c.Factor(a, FactorAuto, OrderDefault.Resolve()); !info3.Hit || f3 != f1 {
+	if f3, info3, _ := c.Factor(a, OrderDefault.Resolve()); !info3.Hit || f3 != f1 {
 		t.Error("OrderDefault and OrderDefault.Resolve() produced distinct cache entries")
 	}
-	// A different kind, ordering or content misses.
-	if _, info, _ := c.Factor(a, FactorGPLU, OrderDefault); info.Hit {
-		t.Error("different FactorKind hit the LDLT entry")
-	}
-	if _, info, _ := c.Factor(a, FactorAuto, OrderNatural); info.Hit {
+	// A different ordering or content misses.
+	if _, info, _ := c.Factor(a, OrderNatural); info.Hit {
 		t.Error("different ordering hit")
 	}
-	if _, info, _ := c.Factor(cacheTestMatrix(20, 5), FactorAuto, OrderDefault); info.Hit {
+	if _, info, _ := c.Factor(cacheTestMatrix(20, 5), OrderDefault); info.Hit {
 		t.Error("different content hit")
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 4 {
-		t.Errorf("stats = %+v, want 2 hits / 4 misses", st)
+	if st.Hits != 2 || st.Misses != 3 {
+		t.Errorf("stats = %+v, want 2 hits / 3 misses", st)
 	}
 }
 
@@ -84,7 +81,7 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 	a := cacheTestMatrix(15, 4)
 	b := cacheTestMatrix(15, 6)
 	alpha, beta := 2.5, 0.75
-	f, info, err := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault)
+	f, info, err := c.FactorSum(alpha, a, beta, b, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 		rhs[i] = float64(i%3) - 1
 	}
 	x := make([]float64, n)
-	f.Solve(x, rhs)
+	solve(f, x, rhs)
 	sum := Add(alpha, a, beta, b)
 	check := make([]float64, n)
 	sum.MulVec(check, x)
@@ -108,10 +105,10 @@ func TestCacheFactorSumSolvesCorrectly(t *testing.T) {
 		}
 	}
 	// Same scalars hit; different scalars miss (the shift is in the key).
-	if _, info, _ := c.FactorSum(alpha, a, beta, b, FactorAuto, OrderDefault); !info.Hit {
+	if _, info, _ := c.FactorSum(alpha, a, beta, b, OrderDefault); !info.Hit {
 		t.Error("identical FactorSum missed")
 	}
-	if _, info, _ := c.FactorSum(alpha, a, beta*1.000001, b, FactorAuto, OrderDefault); info.Hit {
+	if _, info, _ := c.FactorSum(alpha, a, beta*1.000001, b, OrderDefault); info.Hit {
 		t.Error("different beta hit")
 	}
 }
@@ -120,7 +117,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	// Budget sized to hold only a couple of 30-node tridiagonal factors.
 	c := NewCache(4 << 10)
 	for d := 0; d < 12; d++ {
-		if _, _, err := c.Factor(cacheTestMatrix(30, 4+float64(d)), FactorAuto, OrderDefault); err != nil {
+		if _, _, err := c.Factor(cacheTestMatrix(30, 4+float64(d)), OrderDefault); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +132,7 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Errorf("all %d entries retained despite budget", st.Entries)
 	}
 	// The most recently used entry must have survived.
-	if _, info, _ := c.Factor(cacheTestMatrix(30, 15), FactorAuto, OrderDefault); !info.Hit {
+	if _, info, _ := c.Factor(cacheTestMatrix(30, 15), OrderDefault); !info.Hit {
 		t.Error("most recent entry was evicted")
 	}
 }
@@ -150,7 +147,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			f, _, err := c.Factor(a, FactorAuto, OrderDefault)
+			f, _, err := c.Factor(a, OrderDefault)
 			if err != nil {
 				t.Error(err)
 				return
@@ -177,7 +174,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	tr.Add(0, 0, 1)
 	tr.Add(1, 1, 1)
 	singular := tr.ToCSC()
-	if _, _, err := c.Factor(singular, FactorGPLU, OrderNatural); err == nil {
+	if _, _, err := c.Factor(singular, OrderNatural); err == nil {
 		t.Fatal("singular matrix factorized")
 	}
 	st := c.Stats()
@@ -200,12 +197,12 @@ func TestCacheConcurrentMixedKeys(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				d := 4 + float64(r.Intn(6))
 				if r.Intn(2) == 0 {
-					if _, _, err := c.Factor(cacheTestMatrix(25, d), FactorAuto, OrderDefault); err != nil {
+					if _, _, err := c.Factor(cacheTestMatrix(25, d), OrderDefault); err != nil {
 						t.Error(err)
 					}
 				} else {
 					a := cacheTestMatrix(25, d)
-					if _, _, err := c.FactorSum(1, a, 0.5, a, FactorAuto, OrderDefault); err != nil {
+					if _, _, err := c.FactorSum(1, a, 0.5, a, OrderDefault); err != nil {
 						t.Error(err)
 					}
 				}

@@ -29,6 +29,11 @@ func randomSparse(rng *rand.Rand, n int, density float64) *CSC {
 	return t.ToCSC()
 }
 
+// solve computes dst = A⁻¹ b on a fresh workspace.
+func solve(f Factorization, dst, b []float64) {
+	f.SolveWith(dst, b, make([]float64, f.N()))
+}
+
 // randomSPD builds a random symmetric positive definite matrix as a grid-like
 // Laplacian plus a positive diagonal.
 func randomSPD(rng *rand.Rand, n int) *CSC {

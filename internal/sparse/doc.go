@@ -13,9 +13,12 @@
 // UMFPACK plays in the original MATEX implementation: one symbolic analysis
 // per sparsity pattern, one cheap numeric refactorization per matrix (all
 // scalar shifts C + γG of a pattern share the analysis through the Cache's
-// symbolic tier), then pairs of forward and backward substitutions for
-// every Krylov vector or trapezoidal step, one right-hand side per pair
-// (SolveWith). The pair's kernels keep independent partial sums in every
+// symbolic tier). Cache.Factor and Cache.FactorSum are the one way to get a
+// factorization chosen by the matrix: LDL^T when it is symmetric and its
+// pivots hold, LU otherwise; FactorLDLT and FactorLU name an engine outright.
+// Then come pairs of forward and backward substitutions for every Krylov
+// vector or trapezoidal step, one right-hand side per pair (SolveWith),
+// with the caller's workspace. The pair's kernels keep independent partial sums in every
 // reduction and scale by a stored reciprocal of D; their summation order is
 // a fixed function of the factor and the right-hand side, so a solve is
 // bitwise repeatable.

@@ -89,19 +89,10 @@ func FactorLDLT(a *CSC, order Ordering) (*LDLT, error) {
 	return sym.Refactor(a)
 }
 
-// Solve computes x = A⁻¹ b, overwriting dst. dst and b may alias. It
-// allocates its n-length workspace; repeated solves call SolveWith.
-func (f *LDLT) Solve(dst, b []float64) {
-	if len(dst) != f.sym.n || len(b) != f.sym.n {
-		panic("sparse: LDLT.Solve dimension mismatch")
-	}
-	f.SolveWith(dst, b, make([]float64, f.sym.n))
-}
-
-// SolveWith is Solve with a caller-provided workspace of length n, and
-// allocates nothing. dst may alias b; work must overlap neither. The solve
-// also uses dst as scratch: b has been read into work before dst is
-// touched, and dst is written in full at the end.
+// SolveWith computes x = A⁻¹ b into dst with a caller-provided workspace of
+// length n, and allocates nothing. dst may alias b; work must overlap
+// neither. The solve also uses dst as scratch: b has been read into work
+// before dst is touched, and dst is written in full at the end.
 //
 //matex:noalloc
 func (f *LDLT) SolveWith(dst, b, work []float64) {

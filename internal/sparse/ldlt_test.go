@@ -24,7 +24,7 @@ func TestLDLTSolveSPD(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			x := make([]float64, n)
-			f.Solve(x, b)
+			solve(f, x, b)
 			if r := residual(a, x, b); r > 1e-9 {
 				t.Fatalf("n=%d order=%v: residual %g", n, order, r)
 			}
@@ -49,8 +49,8 @@ func TestLDLTMatchesLU(t *testing.T) {
 	}
 	x1 := make([]float64, 30)
 	x2 := make([]float64, 30)
-	fl.Solve(x1, b)
-	fu.Solve(x2, b)
+	solve(fl, x1, b)
+	solve(fu, x2, b)
 	for i := range x1 {
 		if !almostEqual(x1[i], x2[i], 1e-9) {
 			t.Fatalf("LDLT vs LU mismatch at %d: %v vs %v", i, x1[i], x2[i])
@@ -78,7 +78,7 @@ func TestLDLTGridFillReduction(t *testing.T) {
 		b[i] = float64(i % 7)
 	}
 	x := make([]float64, n)
-	fMD.Solve(x, b)
+	solve(fMD, x, b)
 	if r := residual(a, x, b); r > 1e-8 {
 		t.Fatalf("mindeg residual %g", r)
 	}
@@ -118,7 +118,7 @@ func TestLDLTIndefinite(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 2)
-	f.Solve(x, []float64{1, 0})
+	solve(f, x, []float64{1, 0})
 	// Exact solution of [2 1;1 -3] x = [1;0] is x = [3/7, 1/7].
 	if !almostEqual(x[0], 3.0/7, 1e-13) || !almostEqual(x[1], 1.0/7, 1e-13) {
 		t.Fatalf("x = %v, want [3/7 1/7]", x)
@@ -140,7 +140,7 @@ func TestQuickLDLTSolve(t *testing.T) {
 			b[i] = r.NormFloat64()
 		}
 		x := make([]float64, n)
-		ldl.Solve(x, b)
+		solve(ldl, x, b)
 		return residual(a, x, b) < 1e-8
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(22))}
@@ -149,23 +149,24 @@ func TestQuickLDLTSolve(t *testing.T) {
 	}
 }
 
-func TestFactorAutoPicksLDLTForSPD(t *testing.T) {
+func TestCacheFactorPicksLDLTForSPD(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	c := NewCache(0)
 	a := randomSPD(rng, 20)
-	f, err := Factor(a, FactorAuto, OrderDefault)
+	f, _, err := c.Factor(a, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := f.(*LDLT); !ok {
-		t.Errorf("FactorAuto chose %T for SPD matrix, want *LDLT", f)
+		t.Errorf("Cache.Factor chose %T for SPD matrix, want *LDLT", f)
 	}
 	b := randomSparse(rng, 20, 0.2)
-	f2, err := Factor(b, FactorAuto, OrderDefault)
+	f2, _, err := c.Factor(b, OrderDefault)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := f2.(*LU); !ok {
-		t.Errorf("FactorAuto chose %T for unsymmetric matrix, want *LU", f2)
+		t.Errorf("Cache.Factor chose %T for unsymmetric matrix, want *LU", f2)
 	}
 }
 

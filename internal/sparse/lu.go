@@ -210,18 +210,9 @@ func dfsL(j int, lp []int, li []int, top int, xi, pstack []int, pinv []int, mark
 	return top
 }
 
-// Solve computes x = A⁻¹ b, overwriting dst. dst and b may alias. It panics
-// if the lengths do not match the factored dimension. It allocates its
-// n-length workspace; repeated solves call SolveWith.
-func (f *LU) Solve(dst, b []float64) {
-	if len(dst) != f.n || len(b) != f.n {
-		panic("sparse: LU.Solve dimension mismatch")
-	}
-	f.SolveWith(dst, b, make([]float64, f.n))
-}
-
-// SolveWith is Solve with a caller-provided workspace of length n, allowing
-// allocation-free repeated solves.
+// SolveWith computes x = A⁻¹ b into dst with a caller-provided workspace of
+// length n, allowing allocation-free repeated solves. dst and b may alias;
+// work overlaps neither.
 func (f *LU) SolveWith(dst, b, work []float64) {
 	if len(work) != f.n {
 		panic("sparse: LU.SolveWith workspace length mismatch")

@@ -34,7 +34,7 @@ func TestLUSolveSmallKnown(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 2)
-	f.Solve(x, []float64{3, 5})
+	solve(f, x, []float64{3, 5})
 	if !almostEqual(x[0], 0.8, 1e-14) || !almostEqual(x[1], 1.4, 1e-14) {
 		t.Fatalf("x = %v, want [0.8 1.4]", x)
 	}
@@ -54,7 +54,7 @@ func TestLUSolveRandom(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			x := make([]float64, n)
-			f.Solve(x, b)
+			solve(f, x, b)
 			if r := residual(a, x, b); r > 1e-9 {
 				t.Fatalf("n=%d order=%v: residual %g", n, order, r)
 			}
@@ -140,7 +140,7 @@ func TestLUPermutedIdentity(t *testing.T) {
 		b[i] = float64(i)
 	}
 	x := make([]float64, n)
-	f.Solve(x, b)
+	solve(f, x, b)
 	if r := residual(a, x, b); r > 1e-12 {
 		t.Fatalf("residual %g", r)
 	}
@@ -162,7 +162,7 @@ func TestQuickLUSolve(t *testing.T) {
 			b[i] = r.NormFloat64()
 		}
 		x := make([]float64, n)
-		lu.Solve(x, b)
+		solve(lu, x, b)
 		return residual(a, x, b) < 1e-8
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(12))}
@@ -184,10 +184,10 @@ func TestLUSolveWithAliasing(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	want := make([]float64, n)
-	f.Solve(want, b)
+	solve(f, want, b)
 	// Aliased: dst == b.
 	got := append([]float64(nil), b...)
-	f.Solve(got, got)
+	solve(f, got, got)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("aliased solve differs at %d: %v vs %v", i, got[i], want[i])
@@ -214,7 +214,7 @@ func TestLUThresholdPivoting(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, 25)
-	f.Solve(x, b)
+	solve(f, x, b)
 	if r := residual(a, x, b); r > 1e-9 {
 		t.Fatalf("residual %g", r)
 	}

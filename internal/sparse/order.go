@@ -33,10 +33,6 @@ const (
 	OrderDefault Ordering = iota
 	// OrderNatural keeps the input order.
 	OrderNatural
-	// Value 2 was reverse Cuthill-McKee, deleted because it won on no
-	// committed pattern (EXPERIMENTS.md "Ordering table"). The slot stays
-	// reserved: Ordering integers are wire-significant in the dist protocol.
-	orderRetiredRCM
 	// OrderMinDegree applies a greedy minimum-degree ordering to the
 	// pattern of A+Aᵀ using an elimination graph.
 	OrderMinDegree
@@ -45,8 +41,6 @@ const (
 	// the leaves, separators ordered last. Its balanced separator tree
 	// bounds fill on 2D meshes, and its separators amalgamate into wide
 	// supernodal panels for the blocked factor and solve kernels.
-	// (Appended after the earlier values: Ordering integers are
-	// wire-significant in the dist protocol.)
 	OrderND
 )
 
@@ -56,11 +50,9 @@ const (
 // its factor is within 1.1–1.3× of MinDegree's — the smallest — at a fifth
 // to a tenth of the ordering time, which is what a cold one-shot run pays.
 // Cache keys and factorizations use the resolved value so OrderDefault and
-// OrderND are interchangeable. The retired value resolves like the default,
-// so a peer built before the deletion gets a fill-reducing ordering rather
-// than, silently, the natural one.
+// OrderND are interchangeable.
 func (o Ordering) Resolve() Ordering {
-	if o == OrderDefault || o == orderRetiredRCM {
+	if o == OrderDefault {
 		return OrderND
 	}
 	return o

@@ -51,16 +51,15 @@ func TestOrderingStrings(t *testing.T) {
 	if OrderNatural.String() != "natural" || OrderMinDegree.String() != "mindeg" || OrderND.String() != "nd" {
 		t.Error("Ordering.String values changed")
 	}
-	// Wire-significant in dist: the integers never move, and the slot RCM
-	// held stays retired — no name, no spelling, resolved like the default.
-	if OrderDefault != 0 || OrderNatural != 1 || OrderMinDegree != 3 || OrderND != 4 {
-		t.Error("Ordering integer values changed")
+	// Specs and task posts carry an ordering by name, so every name parses
+	// back to its value; the deleted RCM has no spelling.
+	for _, o := range []Ordering{OrderDefault, OrderNatural, OrderMinDegree, OrderND} {
+		if got, err := ParseOrdering(o.String()); err != nil || got != o {
+			t.Errorf("ParseOrdering(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
 	}
 	if _, err := ParseOrdering("rcm"); err == nil {
 		t.Error(`ParseOrdering accepted the retired "rcm"`)
-	}
-	if Ordering(2).Resolve() != OrderDefault.Resolve() || Ordering(2).String() != "unknown" {
-		t.Error("retired ordering value 2 does not resolve like the default")
 	}
 	if OrderNatural.Resolve() != OrderNatural {
 		t.Error("natural ordering did not stay natural")

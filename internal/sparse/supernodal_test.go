@@ -111,7 +111,7 @@ func checkSolves(t *testing.T, a *CSC, f *LDLT, rng *rand.Rand) {
 			t.Fatalf("SolveWith into a NaN dst, entry %d: %v, clean dst %v", i, dirty[i], want[i])
 		}
 	}
-	f.Solve(b, b)
+	solve(f, b, b)
 	for i := range b {
 		if b[i] != want[i] {
 			t.Fatalf("Solve entry %d: %v, SolveWith %v", i, b[i], want[i])
@@ -151,7 +151,7 @@ func TestLDLTMatchesDenseAcrossShifts(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			x := make([]float64, a.Rows)
-			f.Solve(x, b)
+			solve(f, x, b)
 			if d := maxRelDiff(x, denseSolve(t, a, b)); d > 1e-10 {
 				t.Fatalf("order %v shift %d: diverges from the dense oracle by %g", order, shift, d)
 			}
@@ -177,7 +177,7 @@ func TestLDLTSmallSystems(t *testing.T) {
 			b[i] = rng.NormFloat64()
 		}
 		x := make([]float64, n)
-		f.Solve(x, b)
+		solve(f, x, b)
 		if d := maxRelDiff(x, denseSolve(t, a, b)); d > 1e-10 {
 			t.Fatalf("n=%d: diverges from the dense oracle by %g", n, d)
 		}

@@ -89,8 +89,8 @@ func TestRefactorMatchesFreshAcrossShifts(t *testing.T) {
 			if err != nil {
 				t.Fatalf("order=%v shift %d: FactorLDLT: %v", order, s, err)
 			}
-			fRef.Solve(x1, b)
-			fFresh.Solve(x2, b)
+			solve(fRef, x1, b)
+			solve(fFresh, x2, b)
 			for i := range x1 {
 				if d := math.Abs(x1[i] - x2[i]); d > 1e-14*(1+math.Abs(x2[i])) {
 					t.Fatalf("order=%v shift %d: refactor/fresh mismatch at %d: %g vs %g", order, s, i, x1[i], x2[i])
@@ -128,7 +128,7 @@ func TestRefactorIntoReusesFactor(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, 40)
-	f.Solve(x, b)
+	solve(f, x, b)
 	if r := residual(a2, x, b); r > 1e-10 {
 		t.Fatalf("refactored-in-place residual %g", r)
 	}
@@ -166,7 +166,7 @@ func TestRefactorSingularLeavesCleanWorkspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, 2)
-	f.Solve(x, []float64{1, 0})
+	solve(f, x, []float64{1, 0})
 	if r := residual(good, x, []float64{1, 0}); r > 1e-12 {
 		t.Fatalf("post-failure refactor residual %g", r)
 	}
@@ -199,7 +199,7 @@ func TestSolveRace(t *testing.T) {
 				if it%2 == 0 {
 					f.SolveWith(x, b, work)
 				} else {
-					f.Solve(x, b)
+					solve(f, x, b)
 				}
 				if r := residual(a, x, b); r > 1e-10 {
 					t.Errorf("goroutine %d iter %d: residual %g", seed, it, r)
@@ -249,7 +249,7 @@ func TestCacheSymbolicTierSharedAcrossShifts(t *testing.T) {
 	gamma := 1e-10
 	var lastInfo FactorInfo
 	for s := 0; s < 8; s++ {
-		f, info, err := cache.FactorSum(1, c, gamma, g, FactorAuto, OrderDefault)
+		f, info, err := cache.FactorSum(1, c, gamma, g, OrderDefault)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,20 +277,20 @@ func TestCacheSymbolicTierSharedAcrossShifts(t *testing.T) {
 		t.Fatalf("symbolic entries = %d, want 1", st.SymbolicEntries)
 	}
 	// Content-identical re-acquisition is a plain factor hit.
-	if _, info, _ := cache.FactorSum(1, c, 1e-10, g, FactorAuto, OrderDefault); !info.Hit {
+	if _, info, _ := cache.FactorSum(1, c, 1e-10, g, OrderDefault); !info.Hit {
 		t.Fatalf("repeat acquisition missed: %+v", info)
 	}
 }
 
 func TestCacheSymbolicFallbackToLU(t *testing.T) {
-	// Symmetric but with a zero pivot that LDLT cannot pass: FactorAuto must
+	// Symmetric but with a zero pivot that LDLT cannot pass: the cache must
 	// fall back to LU and still solve.
 	tr := NewTriplet(2, 2)
 	tr.Add(0, 1, 1)
 	tr.Add(1, 0, 1)
 	a := tr.ToCSC()
 	cache := NewCache(0)
-	f, info, err := cache.Factor(a, FactorAuto, OrderNatural)
+	f, info, err := cache.Factor(a, OrderNatural)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestCacheSymbolicFallbackToLU(t *testing.T) {
 		t.Fatalf("fallback produced %T, want *LU", f)
 	}
 	x := make([]float64, 2)
-	f.Solve(x, []float64{3, 5})
+	solve(f, x, []float64{3, 5})
 	if math.Abs(x[0]-5) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
 		t.Fatalf("fallback solve = %v", x)
 	}

@@ -12,9 +12,9 @@ import (
 
 // quantizeStep snaps h down to the nearest point of the geometric grid
 // href·(√2)^k, k ≥ 0. Snapping down keeps the LTE-chosen bound honored;
-// quantizing at all makes recurring step sizes bit-identical, so with a
-// factorization cache a revisited step size is a cache hit instead of a
-// fresh factorization of (C/h + G/2).
+// quantizing at all makes recurring step sizes bit-identical, so a
+// revisited step size is a hit in the run's factorization cache instead of
+// a fresh factorization of (C/h + G/2).
 func quantizeStep(h, href float64) float64 {
 	if h <= href {
 		return href
@@ -32,8 +32,8 @@ func quantizeStep(h, href float64) float64 {
 }
 
 // simulateAdaptiveTR runs trapezoidal integration with local-truncation-error
-// step control. Unlike the fixed-step framework, every accepted step-size
-// change forces a re-factorization of (C/h + G/2) — exactly the cost the
+// step control. Unlike the fixed-step framework, every step size it has not
+// used before forces a factorization of (C/h + G/2) — exactly the cost the
 // paper's MATEX avoids. Steps are clamped to the next input transition spot
 // so slope discontinuities are never integrated across, and accepted step
 // sizes are quantized to a geometric √2 grid so that recurring sizes share

@@ -5,7 +5,7 @@
 //     factorization (the 2012 TAU power-grid contest framework the paper
 //     benchmarks against),
 //   - TR with adaptive local-truncation-error stepping, which must
-//     re-factorize whenever the step changes,
+//     factorize at every step size it has not used before,
 //   - the MATEX circuit solver (paper Alg. 2): matrix-exponential stepping
 //     with standard (MEXP), inverted (I-MATEX) or rational (R-MATEX) Krylov
 //     subspaces, adaptive steps between input transition spots, and
@@ -16,10 +16,11 @@
 //     cost the last time it ran, never an option.
 //
 // Simulate is the single entry point; Method picks the integrator and
-// Options carries the grid (Tstop, Step, Tol), probe selection, the shared
-// factorization cache and the streaming and checkpoint hooks. A sweep lane
-// or a D-MATEX task is one such run; concurrent runs share nothing but the
-// cache (see internal/sweep and internal/dist).
+// Options carries the grid (Tstop, Step, Tol), probe selection, the
+// factorization cache every factorization goes through and the streaming
+// and checkpoint hooks. DC solves the operating point every run starts
+// from. A sweep lane or a D-MATEX task is one such run; concurrent runs
+// share nothing but the cache (see internal/sweep and internal/dist).
 //
 // Runs are resumable: Options.OnCheckpoint emits a Checkpoint (full state
 // vector plus integrator position) every CheckpointEvery accepted steps,

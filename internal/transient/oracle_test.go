@@ -482,7 +482,7 @@ func TestExhaustedBasisIsNotTrusted(t *testing.T) {
 // over seeds 1–78 sit there, against 229 draws that stay checked (the 52nd,
 // symRC seed 63 under Arnoldi at m_p = 27 of 36, is 0.12 off with nothing
 // rejected, here and before PR 17). That is an open solver bug, not a
-// property of the test: EXPERIMENTS.md "Oracle finding", ROADMAP item 0.
+// property of the test: EXPERIMENTS.md "Oracle finding", ROADMAP item 14.
 func FuzzMatexVsDense(f *testing.F) {
 	f.Add(int64(7), uint8(oracleSymRC), uint8(2), false)    // R-MATEX: treatment chosen per ramp
 	f.Add(int64(8), uint8(oracleSingC), uint8(2), true)     // R-MATEX: deviation throughout, rational operator

@@ -2,6 +2,7 @@ package transient
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -20,8 +21,8 @@ type Method int
 const (
 	// TRFixed is trapezoidal with fixed step, one factorization.
 	TRFixed Method = iota
-	// TRAdaptive is trapezoidal with LTE-controlled steps; every step-size
-	// change re-factorizes (C/h + G/2).
+	// TRAdaptive is trapezoidal with LTE-controlled steps; every step size
+	// it has not used before factorizes (C/h + G/2).
 	TRAdaptive
 	// MEXP is the matrix-exponential solver with the standard Krylov
 	// subspace (factorizes C; needs regularization when C is singular).
@@ -108,14 +109,15 @@ type Options struct {
 	ActiveInputs []bool
 	// InitialState overrides the DC operating point as x(0).
 	InitialState []float64
-	// Cache, when non-nil, is a shared content-addressed factorization
-	// cache: every factorization the run needs (G, C, C/h + G/2, C + γG,
-	// ...) is looked up by matrix content × kind × ordering × scalars
-	// before being computed. Sharing one Cache across solvers, adaptive
-	// steps, repeated runs and distributed subtasks eliminates redundant
-	// factorizations; hits and misses are reported in Stats. The cache
-	// does not travel over RPC (remote workers keep their own, like the
-	// paper's cluster nodes).
+	// Cache is the content-addressed factorization cache every
+	// factorization the run needs (G, C, C/h + G/2, C + γG, ...) goes
+	// through, looked up by matrix content × ordering × scalars before being
+	// computed; nil: a cache of the run's own, so an adaptive run still
+	// factorizes each step size once. Sharing one Cache across solvers,
+	// repeated runs and distributed subtasks eliminates redundant
+	// factorizations; hits and misses are reported in Stats. The cache does
+	// not travel to remote workers (they keep their own, like the paper's
+	// cluster nodes).
 	Cache *sparse.Cache `json:"-"`
 	// Krylov selects the subspace process for the MATEX methods: the zero
 	// value (auto) takes the symmetric Lanczos fast path whenever the
@@ -177,6 +179,9 @@ func (o Options) withDefaults() Options {
 	}
 	// Only the explicit zero value is rewritten: OrderNatural stays natural.
 	o.Ordering = o.Ordering.Resolve()
+	if o.Cache == nil {
+		o.Cache = sparse.NewCache(0)
+	}
 	return o
 }
 
@@ -193,8 +198,7 @@ type Stats struct {
 	Regularized    bool // MEXP had to regularize a singular C
 	// CacheHits/CacheMisses count factorization acquisitions served from /
 	// added to Options.Cache; Factorizations counts only factorizations
-	// actually computed, so the paper's cost comparison stays honest when
-	// the cache is on.
+	// actually computed, so the paper's cost comparison stays honest.
 	CacheHits   int
 	CacheMisses int
 	// LanczosSpots counts the Krylov subspaces generated through the
@@ -360,49 +364,32 @@ func Simulate(sys *circuit.System, method Method, opts Options) (*Result, error)
 	}
 }
 
-// acquireFactor obtains a factorization of a, consulting the run cache when
-// one is configured and updating the work counters either way.
+// acquireFactor obtains a factorization of a through the run's cache and
+// books the acquisition.
 func acquireFactor(a *sparse.CSC, opts Options, stats *Stats) (sparse.Factorization, error) {
-	if opts.Cache != nil {
-		f, info, err := opts.Cache.Factor(a, sparse.FactorAuto, opts.Ordering)
-		if err != nil {
-			return nil, err
-		}
-		stats.AddFactorInfo(info)
-		return f, nil
-	}
-	f, err := sparse.Factor(a, sparse.FactorAuto, opts.Ordering)
+	f, info, err := opts.Cache.Factor(a, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}
-	stats.Factorizations++
+	stats.addFactorInfo(info)
 	return f, nil
 }
 
-// acquireFactorSum obtains a factorization of alpha·a + beta·b, consulting
-// the run cache when one is configured. On a cache hit the sum matrix is
-// never even built; on a miss the cache's symbolic tier still collapses all
-// scalar shifts of one pattern onto a single analysis.
+// acquireFactorSum obtains a factorization of alpha·a + beta·b through the
+// run's cache. On a hit the sum matrix is never even built; on a miss the
+// cache's symbolic tier still collapses all scalar shifts of one pattern onto
+// a single analysis.
 func acquireFactorSum(alpha float64, a *sparse.CSC, beta float64, b *sparse.CSC, opts Options, stats *Stats) (sparse.Factorization, error) {
-	if opts.Cache != nil {
-		f, info, err := opts.Cache.FactorSum(alpha, a, beta, b, sparse.FactorAuto, opts.Ordering)
-		if err != nil {
-			return nil, err
-		}
-		stats.AddFactorInfo(info)
-		return f, nil
-	}
-	f, err := sparse.Factor(sparse.Add(alpha, a, beta, b), sparse.FactorAuto, opts.Ordering)
+	f, info, err := opts.Cache.FactorSum(alpha, a, beta, b, opts.Ordering)
 	if err != nil {
 		return nil, err
 	}
-	stats.Factorizations++
+	stats.addFactorInfo(info)
 	return f, nil
 }
 
-// AddFactorInfo folds one cache acquisition into the work counters; the
-// distributed scheduler uses it for its own DC-solve acquisition.
-func (s *Stats) AddFactorInfo(info sparse.FactorInfo) {
+// addFactorInfo folds one cache acquisition into the work counters.
+func (s *Stats) addFactorInfo(info sparse.FactorInfo) {
 	if info.Hit {
 		s.CacheHits++
 		return
@@ -417,52 +404,73 @@ func (s *Stats) AddFactorInfo(info sparse.FactorInfo) {
 	}
 }
 
-// initialState resolves x(0): the caller-provided state or the DC operating
-// point. It returns the state, the factorization of G (reused by the MATEX
-// input terms), and updates stats.
-func initialState(sys *circuit.System, opts Options, stats *Stats) ([]float64, sparse.Factorization, error) {
+// ErrDCNotFinite reports a DC operating point with an infinite or NaN entry:
+// the inputs at t = 0 are beyond what the system's conductances can carry in
+// float64, and no integrator can start from it.
+var ErrDCNotFinite = errors.New("transient: DC solution is not finite")
+
+// DC solves the DC operating point G·x = B·u(0) over opts.ActiveInputs: G is
+// factorized through opts.Cache (a cache of the call's own when nil) under
+// opts.Ordering, and x is one SolveWith — the one every later G-solve takes,
+// so the MATEX driver's q(0) = G⁻¹·B·u(0) and a resumed run's fresh q get
+// the same bits. It returns x and the factorization of G, books the
+// factorization, the pair and the time in stats, and refuses a non-finite x
+// with ErrDCNotFinite. Every run's x(0) and every D-MATEX task's x_DC is
+// solved here.
+func DC(sys *circuit.System, opts Options, stats *Stats) ([]float64, sparse.Factorization, error) {
 	t0 := time.Now()
 	defer func() { stats.DCTime += time.Since(t0) }()
-	factG := func() (sparse.Factorization, error) {
-		fg, err := acquireFactor(sys.G, opts, stats)
-		if err != nil {
-			return nil, fmt.Errorf("transient: factorizing G: %w", err)
-		}
-		return fg, nil
-	}
-	if cp := opts.resumeFrom; cp != nil {
-		// Resuming: the checkpointed state replaces the DC solve. G is still
-		// factorized (the MATEX input terms need it); with a shared cache
-		// that is a lookup, so recovery pays no re-analysis.
-		fg, err := factG()
-		if err != nil {
-			return nil, nil, err
-		}
-		return append([]float64(nil), cp.X...), fg, nil
-	}
-	if opts.InitialState != nil {
-		if len(opts.InitialState) != sys.N {
-			return nil, nil, fmt.Errorf("transient: initial state length %d != %d", len(opts.InitialState), sys.N)
-		}
-		fg, err := factG()
-		if err != nil {
-			return nil, nil, err
-		}
-		return append([]float64(nil), opts.InitialState...), fg, nil
-	}
-	fg, err := factG()
+	opts = opts.withDefaults()
+	fg, err := factorG(sys, opts, stats)
 	if err != nil {
 		return nil, nil, err
 	}
 	b := make([]float64, sys.N)
 	sys.EvalB(0, b, opts.ActiveInputs)
-	// The same SolveWith every later G-solve takes: the MATEX driver keeps
-	// this x_DC as q(0) = G⁻¹·B·u(0), and a resumed run that solves q afresh
-	// must get the same bits.
 	x := make([]float64, sys.N)
 	fg.SolveWith(x, b, make([]float64, sys.N))
 	stats.SolvePairs++
+	for _, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, ErrDCNotFinite
+		}
+	}
 	return x, fg, nil
+}
+
+// factorG acquires the factorization of G, which the DC point and the MATEX
+// input terms solve with.
+func factorG(sys *circuit.System, opts Options, stats *Stats) (sparse.Factorization, error) {
+	fg, err := acquireFactor(sys.G, opts, stats)
+	if err != nil {
+		return nil, fmt.Errorf("transient: factorizing G: %w", err)
+	}
+	return fg, nil
+}
+
+// initialState resolves x(0): a resumed run's checkpointed state, the
+// caller-provided state, or the DC operating point. It returns the state and
+// the factorization of G (reused by the MATEX input terms), and updates
+// stats.
+func initialState(sys *circuit.System, opts Options, stats *Stats) ([]float64, sparse.Factorization, error) {
+	x0 := opts.InitialState
+	if cp := opts.resumeFrom; cp != nil {
+		// Resuming: the checkpointed state replaces the DC solve. G is still
+		// factorized (the MATEX input terms need it); with a shared cache
+		// that is a lookup, so recovery pays no re-analysis.
+		x0 = cp.X
+	} else if x0 == nil {
+		return DC(sys, opts, stats)
+	} else if len(x0) != sys.N {
+		return nil, nil, fmt.Errorf("transient: initial state length %d != %d", len(x0), sys.N)
+	}
+	t0 := time.Now()
+	fg, err := factorG(sys, opts, stats)
+	stats.DCTime += time.Since(t0)
+	if err != nil {
+		return nil, nil, err
+	}
+	return append([]float64(nil), x0...), fg, nil
 }
 
 // evalGrid builds the sorted output grid for the MATEX solvers.

@@ -1,6 +1,7 @@
 package transient
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -308,6 +309,35 @@ func TestMexpRegularizesSingularC(t *testing.T) {
 	// (C+γG) factorization must be accounted like any other run's.
 	if resR.Stats.FactorTime <= 0 {
 		t.Errorf("R-MATEX on singular C reports FactorTime %v, want > 0", resR.Stats.FactorTime)
+	}
+}
+
+// TestNonFiniteDCIsAnErrorForEveryMethod: two DC currents of MaxFloat64
+// into one RC node sum to +Inf in B·u(0), and every method refuses that DC
+// point with ErrDCNotFinite before it records a row.
+func TestNonFiniteDCIsAnErrorForEveryMethod(t *testing.T) {
+	ckt := circuit.New("overflow")
+	if err := ckt.AddR("r1", "n", "0", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckt.AddC("c1", "n", "0", 1e-12); err != nil {
+		t.Fatal(err)
+	}
+	ckt.AddI("i1", "0", "n", waveform.DC(math.MaxFloat64))
+	ckt.AddI("i2", "0", "n", waveform.DC(math.MaxFloat64))
+	sys, err := circuit.Stamp(ckt, circuit.StampOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{TRFixed, TRAdaptive, MEXP, IMATEX, RMATEX} {
+		rows := 0
+		_, err := Simulate(sys, m, Options{
+			Tstop: 1e-9, Step: 1e-11, Probes: []int{0},
+			OnSample: func(float64, []float64) { rows++ },
+		})
+		if !errors.Is(err, ErrDCNotFinite) || rows != 0 {
+			t.Errorf("%v: error %v after %d rows, want ErrDCNotFinite before any row", m, err, rows)
+		}
 	}
 }
 

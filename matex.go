@@ -145,8 +145,8 @@ const (
 	// TRFixed is trapezoidal with fixed step and one factorization (the
 	// TAU-contest framework the paper benchmarks against).
 	TRFixed = transient.TRFixed
-	// TRAdaptive is trapezoidal with LTE step control (re-factorizes on
-	// every step change).
+	// TRAdaptive is trapezoidal with LTE step control (factorizes at every
+	// step size it has not used before).
 	TRAdaptive = transient.TRAdaptive
 	// MEXP is the matrix-exponential solver on the standard Krylov subspace.
 	MEXP = transient.MEXP
