@@ -1,67 +1,11 @@
 package krylov
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"github.com/matex-sim/matex/internal/dense"
 )
-
-// breakdownTol declares a happy breakdown when the next Arnoldi vector's
-// norm falls below this fraction of the starting vector's norm.
-const breakdownTol = 1e-14
-
-// ErrNoConvergence is returned when the posterior error estimate stays above
-// tolerance at the maximum subspace dimension. Callers react by shortening
-// the time step (Alg. 2 fallback).
-var ErrNoConvergence = errors.New("krylov: posterior error above tolerance at maximum dimension")
-
-// Options controls the subspace generation process.
-type Options struct {
-	// MaxDim caps the subspace dimension (paper: small for I-/R-MATEX,
-	// hundreds for MEXP on stiff circuits). Default 256.
-	MaxDim int
-	// Tol is the posterior error budget ε for e^{hA}v. Default 1e-7.
-	Tol float64
-	// Reorthogonalize enables a full reorthogonalization pass on every
-	// iteration (a second modified Gram-Schmidt sweep for Arnoldi, a full
-	// B-orthogonal sweep for Lanczos), restoring orthogonality for
-	// ill-conditioned bases. The Lanczos path additionally runs a partial
-	// reorthogonalization guard even when this is off.
-	Reorthogonalize bool
-	// ForceDim disables the convergence test and builds exactly MaxDim
-	// dimensions (short of a happy breakdown) — for fixed-dimension studies
-	// like the paper's Fig. 5.
-	ForceDim bool
-	// Method routes Generate between the Arnoldi process and the symmetric
-	// Lanczos fast path. The zero value (MethodAuto) uses Lanczos whenever
-	// the operator qualifies.
-	Method Method
-	// Workspace, when non-nil, supplies the arena every buffer is drawn
-	// from, making steady-state generation allocation-free. The returned
-	// Subspace is owned by the workspace: generating the next subspace from
-	// the same workspace invalidates it. Nil gives the call a private arena.
-	Workspace *Workspace
-}
-
-func (o Options) withDefaults(n int) Options {
-	if o.MaxDim <= 0 {
-		o.MaxDim = 256
-	}
-	if o.MaxDim > n {
-		o.MaxDim = n
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-7
-	}
-	return o
-}
-
-// checkEvery is the largest stride between convergence checks once an
-// estimate trend is established (two successful estimate rounds); before
-// that the check runs every iteration.
-const checkEvery = 5
 
 // Subspace is a generated Krylov subspace ready for matrix-exponential
 // evaluation, including everything needed to reuse it at different step
@@ -72,7 +16,6 @@ const checkEvery = 5
 type Subspace struct {
 	op   *Op
 	v    [][]float64   // m basis vectors, each length n
-	hhat *dense.Matrix // m×m projection of the generated operator (Arnoldi)
 	hsub float64       // ĥ_{m+1,m}, the subdiagonal residual weight
 	hm   *dense.Matrix // m×m projection of A (converted; Arnoldi)
 	beta float64       // ‖v‖ of the starting vector (B-norm for Lanczos)
@@ -88,12 +31,11 @@ type Subspace struct {
 	estNu float64
 
 	// Reused scratch (lazily grown, retained across workspace resets).
-	scrHm   *dense.Matrix // scaled-projection copy for EvalExp
-	scrAug  *dense.Matrix // augmented expm input for error estimates
-	scrU    []float64     // estimate vector e^{hH}e₁
-	evalC   []float64     // spectral evaluation coefficients
-	evalY   []float64
-	hhatBuf *dense.Matrix // converged-projection store (Arnoldi finalize)
+	scrHm  *dense.Matrix // scaled-projection copy for EvalExp
+	scrAug *dense.Matrix // augmented expm input for error estimates
+	scrU   []float64     // estimate vector e^{hH}e₁
+	evalC  []float64     // spectral evaluation coefficients
+	evalY  []float64
 }
 
 // Dim returns the subspace dimension m.
@@ -104,7 +46,8 @@ func (s *Subspace) Dim() int { return s.m }
 func (s *Subspace) Beta() float64 { return s.beta }
 
 // Hm returns the m×m projection of A for Arnoldi subspaces, nil for
-// spectral (Lanczos) subspaces, which never form it.
+// spectral (Lanczos) subspaces, which never form it, and for the dummy of a
+// zero start vector.
 func (s *Subspace) Hm() *dense.Matrix { return s.hm }
 
 // Lanczos reports whether the subspace came from the symmetric fast path.
@@ -118,282 +61,112 @@ func (s *Subspace) Lanczos() bool { return s.tri }
 //
 //matex:noalloc
 func Arnoldi(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, error) {
-	n := op.N()
-	opts = opts.withDefaults(n)
-	if len(v) != n {
-		return nil, fmt.Errorf("krylov: starting vector length %d != operator dimension %d", len(v), n) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-	}
-	if len(hCheck) == 0 {
-		return nil, errors.New("krylov: no step sizes to check") //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-	}
-	ws := opts.Workspace
-	if ws == nil {
-		ws = &Workspace{} //matex:alloc-ok(fallback workspace when the caller supplies no pool)
-	}
-	sub := ws.resetSub(op)
-	beta := norm2(v)
-	sub.beta = beta
-	if beta == 0 {
-		// Zero starting vector: e^{hA}·0 = 0; a dimension-1 dummy keeps the
-		// caller's bookkeeping simple.
-		v0 := vec(&ws.basis, 0, n)
-		for i := range v0 {
-			v0[i] = 0
-		}
-		sub.m = 1
-		sub.v = ws.basis[:1]
-		sub.hhat = dense.New(1, 1)
-		sub.hm = dense.New(1, 1)
-		if op.Count != nil {
-			op.Count.Dims = append(op.Count.Dims, 1) //matex:alloc-ok(work-stats recording; amortized append)
-		}
-		return sub, nil
-	}
+	ws := opts.workspace()
+	return generate((*arnoldi)(ws), ws, op, v, hCheck, opts)
+}
 
-	hFull := matrix(&ws.hFull, opts.MaxDim+1, opts.MaxDim) // growing Hessenberg
-	ws.prepPrevU(len(hCheck), opts.MaxDim)
-	havePrev := false
-	// Best-effort fallback state: the dimension with the smallest estimate
-	// seen, used when the tolerance is unreachable.
-	bestWorst := math.Inf(1)
-	bestM := 0
-	var bestHm *dense.Matrix
-	var bestHsub float64
-	v1 := vec(&ws.basis, 0, n)
+// arnoldi is a Workspace running the Arnoldi process: modified Gram-Schmidt
+// builds the growing Hessenberg matrix hFull, whose leading block Ĥ ConvertH
+// maps back to the projection H_m of A; the estimate is errEstimateScratch's
+// augmented expm and the change a 2-norm over the orthonormal basis.
+type arnoldi Workspace
+
+//matex:noalloc
+func (a *arnoldi) start(v []float64, maxDim int) float64 {
+	beta := norm2(v)
+	if beta == 0 {
+		return 0
+	}
+	matrix(&a.hFull, maxDim+1, maxDim)
+	v1 := vec(&a.basis, 0, len(v))
 	for i := range v {
 		v1[i] = v[i] / beta
 	}
-	w := growF(ws.w, n)
-	ws.w = w
-	sched := checkSchedule{}
-
-	for j := 0; j < opts.MaxDim; j++ {
-		op.Apply(w, ws.basis[j])
-		wScale := norm2(w)
-		if math.IsNaN(wScale) || math.IsInf(wScale, 0) {
-			return nil, fmt.Errorf("krylov: %v operator produced a non-finite vector at dimension %d (system too stiff for this subspace; use I-MATEX or R-MATEX)", op.Mode, j+1) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-		}
-		// Modified Gram-Schmidt.
-		for i := 0; i <= j; i++ {
-			hij := dot(w, ws.basis[i])
-			hFull.Set(i, j, hij)
-			axpy(w, -hij, ws.basis[i])
-		}
-		if opts.Reorthogonalize {
-			for i := 0; i <= j; i++ {
-				c := dot(w, ws.basis[i])
-				hFull.Set(i, j, hFull.At(i, j)+c)
-				axpy(w, -c, ws.basis[i])
-			}
-		}
-		hnext := norm2(w)
-		hFull.Set(j+1, j, hnext)
-		m := j + 1
-		// The iteration may end here: a happy breakdown (the subspace is
-		// invariant, the projection exact) or a basis that spans the whole
-		// space (the projection is a similarity). Both statements are about
-		// exact arithmetic. A dimension that ran up to n because the
-		// posterior estimate stalled above the budget has divided by a
-		// rounding-level ĥ on the way and its projection can be noise, and
-		// the breakdown threshold is absolute for an operator of small norm
-		// (A⁻¹ on a PDN is ~1e-13), so this dimension is accepted like any
-		// other — on a passing estimate — or on an explicit residual check
-		// (odeDefect), never on its own. A declared breakdown that neither
-		// vouches for carries on to v_{m+1}: ĥ was only small in absolute
-		// terms.
-		exhausted := m == n || hnext == 0
-		last := exhausted || hnext <= breakdownTol*(1+wScale)
-		if !exhausted {
-			vnext := vec(&ws.basis, j+1, n)
-			for i := range w {
-				vnext[i] = w[i] / hnext
-			}
-		}
-
-		if opts.ForceDim && !last && m < opts.MaxDim {
-			continue
-		}
-		// Check every iteration until an estimate trend is established, then
-		// extrapolate the geometric decay to the projected tolerance
-		// crossing, rechecking at most checkEvery dimensions later: the
-		// O(m³) check is the dominant non-solve cost at small m, and a
-		// fixed stride would instead overshoot the converged dimension.
-		if !(last || m == opts.MaxDim || sched.due(m)) {
-			continue
-		}
-		hhat := hessSlice(ws, hFull, m)
-		hm, err := sub.op.ConvertH(hhat)
-		if err != nil {
-			if last || m == opts.MaxDim {
-				return nil, err
-			}
-			continue // singular leading block can resolve at higher m
-		}
-		worst := 0.0
-		ok := m >= 2 || m == opts.MaxDim || last
-		if ok {
-			for k, h := range hCheck {
-				est, u, err := sub.errEstimateScratch(hm, hnext, beta, h)
-				if err != nil || math.IsNaN(est) {
-					ok = false
-					break
-				}
-				// Guard the residual bound with the change between this and
-				// the previously checked approximation: projected residuals
-				// can miss error carried by fast modes outside the subspace
-				// (inverted/rational spaces capture slow modes first).
-				if havePrev {
-					prev := ws.prevU[k]
-					var d float64
-					for i := 0; i < m; i++ {
-						d += (u[i] - prev[i]) * (u[i] - prev[i])
-					}
-					if d = beta * math.Sqrt(d); d > est {
-						est = d
-					}
-				} else if !last {
-					est = math.Inf(1) // need two checks before trusting
-				}
-				copy(ws.prevU[k][:m], u[:m])
-				if est > worst {
-					worst = est
-				}
-			}
-			if op.Count != nil {
-				op.Count.ExpmEvals += len(hCheck)
-			}
-			if ok {
-				havePrev = true
-				if worst < bestWorst {
-					bestWorst = worst
-					bestM = m
-					bestHm = hm
-					bestHsub = hnext
-				}
-			}
-		}
-		sched.record(m, worst, ok, opts)
-		accept := ok && worst <= opts.Tol
-		if last && ok && !accept {
-			// The successive-difference guard measures the previous check,
-			// not an exhausted space; ask the operator itself.
-			accept = true
-			ws.defHy = growF(ws.defHy, m)
-			for k, h := range hCheck {
-				y := ws.prevU[k][:m]
-				for a := range ws.defHy {
-					ws.defHy[a] = 0
-					for b, yb := range y {
-						ws.defHy[a] += hm.At(a, b) * yb
-					}
-				}
-				if d := odeDefect(op, ws, beta, h, y); !(d <= opts.Tol) {
-					accept = false
-					break
-				}
-			}
-		}
-		if accept || (opts.ForceDim && (last || m == opts.MaxDim)) {
-			sub.m = m
-			sub.v = ws.basis[:m]
-			// Copy the workspace-backed slice into subspace-held scratch
-			// instead of cloning: the finalize path runs once per generated
-			// subspace (every transition spot), and the clone was the last
-			// per-spot allocation on a warmed-up run.
-			hk := matrix(&sub.hhatBuf, m, m)
-			copy(hk.Data, hhat.Data)
-			sub.hhat = hk
-			sub.hsub = hnext
-			sub.hm = hm
-			if op.Count != nil {
-				op.Count.Dims = append(op.Count.Dims, m) //matex:alloc-ok(work-stats recording; amortized append)
-			}
-			return sub, nil
-		}
-		if exhausted {
-			break // the estimate did not pass and there is no next vector
-		}
-	}
-	// Best effort: hand back the subspace at the dimension with the smallest
-	// estimate seen, along with the error, so callers can proceed with the
-	// achievable accuracy after exhausting their step-splitting options.
-	if bestM == 0 {
-		return nil, fmt.Errorf("%w (dim %d, tol %g)", ErrNoConvergence, opts.MaxDim, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-	}
-	sub.m = bestM
-	sub.v = ws.basis[:bestM]
-	sub.hhat = hFull.Slice(bestM, bestM)
-	sub.hsub = bestHsub
-	sub.hm = bestHm
-	if op.Count != nil {
-		op.Count.Dims = append(op.Count.Dims, bestM) //matex:alloc-ok(work-stats recording; amortized append)
-	}
-	return sub, fmt.Errorf("%w (best dim %d, estimate %.3g, tol %g)", ErrNoConvergence, bestM, bestWorst, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+	a.w = growF(a.w, len(v))
+	return beta
 }
 
-// odeDefect is the explicit residual check behind accepting a subspace that
-// cannot grow: how far the projection's approximation x = β·V·y,
-// y = e^{hH_m}e₁, is from solving x' = A·x, measured through one real
-// application of the operator instead of projected quantities. The caller
-// leaves H_m·y in ws.defHy, so x' = β·V·(H_m·y); with r = x' − A·x the ODE
-// residual it returns
-//
-//	Standard  h·‖A·x − x'‖                          = h·‖r‖
-//	Inverted  ‖A⁻¹·x' − x‖                          = ‖A⁻¹·r‖
-//	Rational  max(1, h/γ)·‖(I−γA)⁻¹·(x − γ·x') − x‖ = max(γ, h)·‖(I−γA)⁻¹·r‖
-//
-// in the units of the error r feeds into x(h) for a dissipative A: a slow
-// mode accumulates its residual for at most h, a fast one (rate λ) only for
-// 1/|λ|. It sees whether (V, H_m) still is a Krylov pair of A at y — a pair
-// that rounding has turned into noise misses by the size of x itself — not
-// whether y was evaluated accurately.
+//matex:noalloc
+func (a *arnoldi) step(j int) (resid, scale float64) {
+	w := a.w
+	a.sub.op.Apply(w, a.basis[j])
+	scale = norm2(w)
+	if math.IsNaN(scale) || math.IsInf(scale, 0) {
+		return 0, scale
+	}
+	// Modified Gram-Schmidt.
+	for i := 0; i <= j; i++ {
+		hij := dot(w, a.basis[i])
+		a.hFull.Set(i, j, hij)
+		axpy(w, -hij, a.basis[i])
+	}
+	resid = norm2(w)
+	a.hFull.Set(j+1, j, resid)
+	return resid, scale
+}
+
+//matex:noalloc
+func (a *arnoldi) extend(j int, _, exhausted bool) {
+	if exhausted {
+		return
+	}
+	hnext := a.hFull.At(j+1, j)
+	vnext := vec(&a.basis, j+1, len(a.w))
+	for i := range a.w {
+		vnext[i] = a.w[i] / hnext
+	}
+}
+
+// project converts the leading m×m block of the Hessenberg matrix, copied
+// into workspace scratch that is valid until the next check: ConvertH never
+// retains its argument (it clones for Standard mode and builds fresh
+// matrices for the shifted modes).
 //
 //matex:noalloc
-func odeDefect(op *Op, ws *Workspace, beta, h float64, y []float64) float64 {
-	n := op.N()
-	ws.defX, ws.defXd, ws.defOut = growF(ws.defX, n), growF(ws.defXd, n), growF(ws.defOut, n)
-	x, xd, out := ws.defX, ws.defXd, ws.defOut
-	for i := range x {
-		x[i], xd[i] = 0, 0
+func (a *arnoldi) project(m int) error {
+	a.hhat = growF(a.hhat, m*m)
+	a.hhatHdr = dense.Matrix{R: m, C: m, Data: a.hhat[:m*m]}
+	for i := 0; i < m; i++ {
+		copy(a.hhatHdr.Data[i*m:(i+1)*m], a.hFull.Data[i*a.hFull.C:i*a.hFull.C+m])
 	}
-	for a, ya := range y {
-		axpy(x, beta*ya, ws.basis[a])
-		axpy(xd, beta*ws.defHy[a], ws.basis[a])
+	hm, err := a.sub.op.ConvertH(&a.hhatHdr)
+	if err != nil {
+		return err
 	}
-	want, scale := x, 1.0
-	switch op.Mode {
-	case Standard:
-		op.Apply(out, x)
-		want, scale = xd, h
-	case Inverted:
-		op.Apply(out, xd)
-	case Rational:
-		for i := range xd {
-			xd[i] = x[i] - op.Gamma*xd[i]
-		}
-		op.Apply(out, xd)
-		scale = math.Max(1, h/op.Gamma)
-	}
-	for i := range out {
-		out[i] -= want[i]
-	}
-	return scale * norm2(out)
+	a.hm = hm
+	return nil
 }
 
-// hessSlice copies the leading m×m block of the growing Hessenberg into the
-// workspace-backed slice buffer (the per-check analogue of Matrix.Slice
-// without the allocation).
-func hessSlice(ws *Workspace, hFull *dense.Matrix, m int) *dense.Matrix {
-	ws.hhatBuf = growF(ws.hhatBuf, m*m)
-	ws.hhatHdr = dense.Matrix{R: m, C: m, Data: ws.hhatBuf[:m*m]}
-	for i := 0; i < m; i++ {
-		copy(ws.hhatHdr.Data[i*m:(i+1)*m], hFull.Data[i*hFull.C:i*hFull.C+m])
+//matex:noalloc
+func (a *arnoldi) estimate(m int, h float64) (float64, []float64, error) {
+	return a.sub.errEstimateScratch(a.hm, a.hFull.At(m, m-1), a.sub.beta, h)
+}
+
+//matex:noalloc
+func (a *arnoldi) change(u, prev []float64) float64 {
+	var d float64
+	for i := range u {
+		d += (u[i] - prev[i]) * (u[i] - prev[i])
 	}
-	// The buffer is valid until the next check; ConvertH never retains its
-	// argument (it clones for Standard mode and builds fresh matrices for
-	// the shifted modes), and the finalize path copies into subspace-held
-	// scratch before storing.
-	return &ws.hhatHdr
+	return math.Sqrt(d)
+}
+
+//matex:noalloc
+func (a *arnoldi) derivative(_ float64, y []float64) {
+	for i := range a.defHy {
+		a.defHy[i] = 0
+		for k, yk := range y {
+			a.defHy[i] += a.hm.At(i, k) * yk
+		}
+	}
+}
+
+func (a *arnoldi) confirms() bool { return false }
+
+//matex:noalloc
+func (a *arnoldi) install(m int) {
+	a.sub.hsub = a.hFull.At(m, m-1)
+	a.sub.hm = a.hm
 }
 
 // errEstimate bounds the Krylov approximation error over the whole interval
@@ -542,48 +315,6 @@ func (s *Subspace) evalSpectral(h float64, dst []float64) error {
 		axpy(dst, y[j], s.v[j])
 	}
 	return nil
-}
-
-// checkSchedule decides when the next convergence check runs. Checks run
-// every iteration until two finite estimates exist (the successive-
-// difference guard needs two rounds to produce one, and the decay rate
-// needs two finite points); after that the observed geometric decay is
-// extrapolated to the dimension where the estimate should cross the
-// tolerance, re-checking at most checkEvery dimensions later. Against the
-// old always-check-below-30 rule this drops most of the O(m³) checks while
-// barely overshooting the converged dimension.
-type checkSchedule struct {
-	next      int
-	prevM     int
-	prevWorst float64
-}
-
-// due reports whether dimension m should run a check.
-func (cs *checkSchedule) due(m int) bool { return m >= cs.next }
-
-// record notes the outcome of the check at dimension m and schedules the
-// next one.
-func (cs *checkSchedule) record(m int, worst float64, ok bool, opts Options) {
-	if !ok || math.IsInf(worst, 1) || worst <= 0 {
-		cs.next = m + 1 // no usable estimate yet: keep watching
-		return
-	}
-	step := checkEvery
-	if cs.prevM == 0 {
-		step = 1 // one finite sample: need a second for the decay rate
-	} else if m > cs.prevM && cs.prevWorst > worst {
-		r := (math.Log(cs.prevWorst) - math.Log(worst)) / float64(m-cs.prevM)
-		if r > 0 {
-			if need := math.Ceil(math.Log(worst/opts.Tol) / r); need < float64(step) {
-				if need < 1 {
-					need = 1
-				}
-				step = int(need)
-			}
-		}
-	}
-	cs.prevM, cs.prevWorst = m, worst
-	cs.next = m + step
 }
 
 // norm2 is the Euclidean norm of v, summed like dot.

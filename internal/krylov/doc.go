@@ -11,9 +11,14 @@
 // x ≈ ‖v‖·V_m·e^{hH_m}·e₁ with subspace reuse across time steps.
 //
 // The Op type (operator.go) hides the family behind a single
-// apply-one-solve interface backed by a sparse.Factorization, so the
-// Arnoldi driver (arnoldi.go) and the symmetric Lanczos fast path
-// (lanczos.go; Method selects between them) are family-agnostic.
+// apply-one-solve interface backed by a sparse.Factorization, so the two
+// Krylov processes — Arnoldi (arnoldi.go) and the symmetric Lanczos fast
+// path (lanczos.go; Method selects between them) — are family-agnostic.
+// Each keeps only its recurrence and projection; one convergence protocol
+// (protocol.go, generate) drives both: the check schedule, the
+// successive-difference guard, best-dimension tracking, the exhausted-basis
+// residual check, the ForceDim exit, the best-effort return and the
+// zero-vector dummy.
 // The process-wide workspace pool (workspace.go, DefaultWorkspaces)
 // amortizes the V_m panel and Hessenberg storage across steps and across
 // concurrent runs; the hot paths are annotated //matex:noalloc and

@@ -2,8 +2,10 @@ package krylov
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -253,7 +255,7 @@ func TestArnoldiRelationAndOrthogonality(t *testing.T) {
 	for i := range v {
 		v[i] = rng.NormFloat64()
 	}
-	sub, err := Arnoldi(inv, v, []float64{1e-12}, Options{MaxDim: 15, Tol: 1e-3, Reorthogonalize: true})
+	sub, err := Arnoldi(inv, v, []float64{1e-12}, Options{MaxDim: 15, Tol: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,12 +273,14 @@ func TestArnoldiRelationAndOrthogonality(t *testing.T) {
 			}
 		}
 	}
-	// Arnoldi relation M·V_m = V_m·Ĥ_m + ĥ_{m+1,m}·v_{m+1}·e_mᵀ.
+	// Arnoldi relation M·V_m = V_m·Ĥ_m + ĥ_{m+1,m}·v_{m+1}·e_mᵀ: what the
+	// basis leaves of M·v_j is nil but for the last column, whose remainder
+	// is ĥ_{m+1,m}.
 	w := make([]float64, inv.N())
 	for j := 0; j < m; j++ {
 		inv.Apply(w, sub.v[j])
 		for i := 0; i < m; i++ {
-			axpy(w, -sub.hhat.At(i, j), sub.v[i])
+			axpy(w, -dot(w, sub.v[i]), sub.v[i])
 		}
 		res := norm2(w)
 		if j < m-1 {
@@ -289,69 +293,207 @@ func TestArnoldiRelationAndOrthogonality(t *testing.T) {
 	}
 }
 
-func TestEigenvectorInvariantSubspace(t *testing.T) {
-	// C = I, G diagonal: a unit vector is an eigenvector of A, so the plain
-	// inverted Krylov space is invariant at dimension 1 (happy breakdown)
-	// and the answer exact.
-	n := 6
+// diagOp is the inverted operator of C = I, G = diag(1, …, n): A = -G, so
+// every unit vector is an eigenvector and e^{hA} is known exactly.
+func diagOp(t *testing.T, n int) *Op {
+	t.Helper()
 	ct := sparse.NewTriplet(n, n)
 	gt := sparse.NewTriplet(n, n)
 	for i := 0; i < n; i++ {
 		ct.Add(i, i, 1)
 		gt.Add(i, i, float64(i+1))
 	}
-	cm, gm := ct.ToCSC(), gt.ToCSC()
-	_, inv, _ := buildOps(t, cm, gm, 0.1)
-	v := make([]float64, n)
-	v[2] = 3.0 // eigenvector with A = -G, eigenvalue -3
-	sub, err := Arnoldi(inv, v, []float64{0.5}, Options{MaxDim: 8, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dim() != 1 {
-		t.Fatalf("dim = %d, want 1 (happy breakdown)", sub.Dim())
-	}
-	got := make([]float64, n)
-	if err := sub.EvalExp(0.5, got); err != nil {
-		t.Fatal(err)
-	}
-	want := 3 * math.Exp(-1.5)
-	if math.Abs(got[2]-want) > 1e-9 {
-		t.Errorf("EvalExp = %v, want %v at index 2", got[2], want)
-	}
+	_, inv, _ := buildOps(t, ct.ToCSC(), gt.ToCSC(), 0.1)
+	return inv
 }
 
-func TestZeroVector(t *testing.T) {
-	cm, gm := rcSystem(5, 10, 6)
-	_, inv, _ := buildOps(t, cm, gm, 1e-13)
-	sub, err := Arnoldi(inv, make([]float64, 5), []float64{1e-12}, Options{})
-	if err != nil {
+// ramp is the diagOp start vector 1, 2, …, n: every mode excited.
+func ramp(n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = 1 + float64(i)
+	}
+	return v
+}
+
+// exactOnDiag checks sub against e^{-hG}v on a diagOp system.
+func exactOnDiag(t *testing.T, sub *Subspace, v []float64, h float64) {
+	t.Helper()
+	got := make([]float64, len(v))
+	if err := sub.EvalExp(h, got); err != nil {
 		t.Fatal(err)
 	}
-	dst := []float64{1, 1, 1, 1, 1}
-	if err := sub.EvalExp(1e-12, dst); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range dst {
-		if v != 0 {
-			t.Fatal("expm of zero vector not zero")
+	for i := range v {
+		want := v[i] * math.Exp(-float64(i+1)*h)
+		if math.Abs(got[i]-want) > 1e-10*(1+math.Abs(want)) {
+			t.Errorf("component %d = %g, want %g (m=%d)", i, got[i], want, sub.Dim())
 		}
 	}
-	if est, _ := sub.ErrEstimate(1e-12); est != 0 {
-		t.Fatal("zero vector error estimate not zero")
-	}
 }
 
-func TestNoConvergence(t *testing.T) {
-	cm, gm := rcSystem(40, 1e12, 7)
-	std, _, _ := buildOps(t, cm, gm, 1e-13)
-	v := make([]float64, 40)
-	for i := range v {
-		v[i] = 1
-	}
-	_, err := Arnoldi(std, aug(std, v), []float64{1e-11}, Options{MaxDim: 4, Tol: 1e-14})
-	if !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("expected ErrNoConvergence, got %v", err)
+// TestProtocol runs the cases of the one convergence protocol through both
+// processes: each must end where the protocol says, whatever recurrence
+// feeds it.
+func TestProtocol(t *testing.T) {
+	procs := []struct {
+		name string
+		gen  func(*Op, []float64, []float64, Options) (*Subspace, error)
+	}{{"Arnoldi", Arnoldi}, {"Lanczos", Lanczos}}
+	for _, tc := range []struct {
+		name  string
+		setup func(t *testing.T) (*Op, []float64)
+		h     float64
+		opts  Options
+		check func(t *testing.T, op *Op, v []float64, sub *Subspace, err error)
+	}{{
+		// e^{hA}·0 = 0 from a dimension-1 dummy.
+		name: "zero_vector",
+		setup: func(t *testing.T) (*Op, []float64) {
+			cm, gm := rcSystem(5, 10, 6)
+			_, inv, _ := buildOps(t, cm, gm, 1e-13)
+			return inv, make([]float64, 5)
+		},
+		h: 1e-12,
+		check: func(t *testing.T, op *Op, _ []float64, sub *Subspace, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst := []float64{1, 1, 1, 1, 1}
+			if err := sub.EvalExp(1e-12, dst); err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range dst {
+				if v != 0 {
+					t.Fatal("expm of zero vector not zero")
+				}
+			}
+			if est, _ := sub.ErrEstimate(1e-12); est != 0 {
+				t.Fatal("zero vector error estimate not zero")
+			}
+			if d := op.Count.Dims; len(d) != 1 || d[0] != 1 {
+				t.Errorf("Dims = %v, want [1]", d)
+			}
+		},
+	}, {
+		// An eigenvector start spans an invariant space at dimension 1
+		// (happy breakdown), and the answer is exact.
+		name: "invariant_subspace",
+		setup: func(t *testing.T) (*Op, []float64) {
+			v := make([]float64, 6)
+			v[2] = 3.0 // eigenvector with A = -G, eigenvalue -3
+			return diagOp(t, 6), v
+		},
+		h:    0.5,
+		opts: Options{MaxDim: 8, Tol: 1e-12},
+		check: func(t *testing.T, _ *Op, _ []float64, sub *Subspace, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Dim() != 1 {
+				t.Fatalf("dim = %d, want 1 (happy breakdown)", sub.Dim())
+			}
+			got := make([]float64, 6)
+			if err := sub.EvalExp(0.5, got); err != nil {
+				t.Fatal(err)
+			}
+			if want := 3 * math.Exp(-1.5); math.Abs(got[2]-want) > 1e-9 {
+				t.Errorf("EvalExp = %v, want %v at index 2", got[2], want)
+			}
+			if est, err := sub.ErrEstimate(0.5); err != nil || est > 1e-12 {
+				t.Errorf("invariant subspace estimate = %g (%v), want ~0", est, err)
+			}
+		},
+	}, {
+		// The estimate cannot pass short of n dimensions, and the exhausted
+		// basis is accepted on the operator's own residual (odeDefect): one
+		// application beyond the n of the recurrence.
+		name: "full_space",
+		setup: func(t *testing.T) (*Op, []float64) {
+			return diagOp(t, 5), ramp(5)
+		},
+		h:    0.1,
+		opts: Options{MaxDim: 5, Tol: 1e-10},
+		check: func(t *testing.T, op *Op, v []float64, sub *Subspace, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Dim() != 5 {
+				t.Fatalf("dim = %d, want 5", sub.Dim())
+			}
+			exactOnDiag(t, sub, v, 0.3)
+			if op.Count.SolvePairs != 6 {
+				t.Errorf("%d substitution pairs, want 5 + 1 for the residual check", op.Count.SolvePairs)
+			}
+		},
+	}, {
+		// ForceDim builds exactly MaxDim = n dimensions and stops: no check
+		// beyond the recurrence's n substitution pairs, even on a tolerance
+		// the estimate cannot pass.
+		name: "force_dim",
+		setup: func(t *testing.T) (*Op, []float64) {
+			return diagOp(t, 5), ramp(5)
+		},
+		h:    0.1,
+		opts: Options{MaxDim: 5, Tol: 1e-30, ForceDim: true},
+		check: func(t *testing.T, op *Op, v []float64, sub *Subspace, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Dim() != 5 {
+				t.Fatalf("dim = %d, want 5", sub.Dim())
+			}
+			exactOnDiag(t, sub, v, 0.3)
+			if op.Count.SolvePairs != 5 {
+				t.Errorf("%d substitution pairs, want 5", op.Count.SolvePairs)
+			}
+		},
+	}, {
+		// An unreachable tolerance is ErrNoConvergence with the best-effort
+		// subspace: the dimension of the smallest estimate, recorded once,
+		// and usable.
+		name: "no_convergence",
+		setup: func(t *testing.T) (*Op, []float64) {
+			cm, gm := rcSystem(40, 1e12, 7)
+			std, _, _ := buildOps(t, cm, gm, 1e-13)
+			v := make([]float64, 40)
+			for i := range v {
+				v[i] = 1
+			}
+			return std, padAug(v)
+		},
+		h:    1e-11,
+		opts: Options{MaxDim: 4, Tol: 1e-14},
+		check: func(t *testing.T, op *Op, _ []float64, sub *Subspace, err error) {
+			if !errors.Is(err, ErrNoConvergence) {
+				t.Fatalf("expected ErrNoConvergence, got %v", err)
+			}
+			if sub == nil {
+				t.Fatal("no best-effort subspace")
+			}
+			if m := sub.Dim(); m < 1 || m > 4 || !strings.Contains(err.Error(), fmt.Sprintf("best dim %d,", m)) {
+				t.Errorf("best-effort dim %d against %q", m, err)
+			}
+			if d := op.Count.Dims; len(d) != 1 || d[0] != sub.Dim() {
+				t.Errorf("Dims = %v, want [%d]", d, sub.Dim())
+			}
+			got := make([]float64, op.N())
+			if err := sub.EvalExp(1e-11, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range got {
+				if math.IsNaN(x) || math.IsInf(x, 0) {
+					t.Fatalf("best-effort EvalExp[%d] = %g", i, x)
+				}
+			}
+		},
+	}} {
+		for _, p := range procs {
+			t.Run(tc.name+"/"+p.name, func(t *testing.T) {
+				op, v := tc.setup(t)
+				sub, err := p.gen(op, v, []float64{tc.h}, tc.opts)
+				tc.check(t, op, v, sub, err)
+			})
+		}
 	}
 }
 
@@ -409,14 +551,6 @@ func TestCounters(t *testing.T) {
 	c := inv.Count
 	if c.SolvePairs == 0 || c.SpMVs == 0 || len(c.Dims) != 1 {
 		t.Fatalf("counters not updated: %+v", c)
-	}
-	if c.MA() != float64(c.Dims[0]) || c.MP() != c.Dims[0] {
-		t.Fatal("MA/MP wrong for single entry")
-	}
-	other := &Counters{SolvePairs: 5, Dims: []int{99}}
-	c.Merge(other)
-	if c.MP() != 99 {
-		t.Fatal("Merge lost dims")
 	}
 }
 

@@ -87,59 +87,41 @@ const reorthThreshold = 1.4901161193847656e-08 // sqrt(machine epsilon)
 // Floating-point Lanczos loses orthogonality as eigenvalues converge; a
 // partial reorthogonalization guard (Simon's ω-recurrence) estimates the
 // drift and switches to full reorthogonalization sweeps when it crosses √ε.
-// Options.Reorthogonalize forces the full sweep on every iteration.
 //
 //matex:noalloc
 func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, error) {
-	n := op.N()
-	opts = opts.withDefaults(n)
-	if len(v) != n {
-		return nil, fmt.Errorf("krylov: starting vector length %d != operator dimension %d", len(v), n) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-	}
-	if len(hCheck) == 0 {
-		return nil, errors.New("krylov: no step sizes to check") //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-	}
 	if !op.SymmetricFor(v) {
 		return nil, fmt.Errorf("krylov: %v operator is not symmetric-eligible for Lanczos here", op.Mode) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
 	}
-	ws := opts.Workspace
-	if ws == nil {
-		ws = &Workspace{} //matex:alloc-ok(fallback workspace when the caller supplies no pool)
-	}
-	sub := ws.resetSub(op)
+	ws := opts.workspace()
+	return generate((*lanczos)(ws), ws, op, v, hCheck, opts)
+}
 
-	// Starting vector in the B-norm.
-	bw := vec(&ws.bbasis, 0, n)
-	op.applyB(bw, v)
+// lanczos is a Workspace running the Lanczos process: the three-term
+// recurrence (alpha on the diagonal, beta below it) over a B-orthonormal
+// basis with its B·v companions in bbasis, guarded by the ω-recurrence;
+// SymTriEig and convertMu give the projection as the spectrum mu with
+// eigenvectors eigQ, the estimate is spectralEstimate's and the change is
+// weighted by the basis vectors' Euclidean norms nu.
+type lanczos Workspace
+
+//matex:noalloc
+func (l *lanczos) start(v []float64, maxDim int) float64 {
+	n := len(v)
+	bw := vec(&l.bbasis, 0, n)
+	l.sub.op.applyB(bw, v)
 	beta0 := math.Sqrt(math.Max(0, dot(v, bw)))
-	sub.beta = beta0
 	if beta0 == 0 {
-		v0 := vec(&ws.basis, 0, n)
-		for i := range v0 {
-			v0[i] = 0
-		}
-		sub.m = 1
-		sub.tri = true
-		sub.v = ws.basis[:1]
-		ws.mu = growF(ws.mu, 1)
-		ws.mu[0] = 0
-		sub.mu = ws.mu[:1]
-		if op.Count != nil {
-			op.Count.Dims = append(op.Count.Dims, 1) //matex:alloc-ok(work-stats recording; amortized append)
-		}
-		return sub, nil
+		return 0
 	}
-	v0 := vec(&ws.basis, 0, n)
+	v0 := vec(&l.basis, 0, n)
 	for i := range v {
 		v0[i] = v[i] / beta0
 	}
 	for i := range bw {
 		bw[i] /= beta0
 	}
-
-	alpha := growF(ws.alpha, opts.MaxDim)
-	beta := growF(ws.beta, opts.MaxDim)
-	ws.alpha, ws.beta = alpha, beta
+	l.alpha, l.beta = growF(l.alpha, maxDim), growF(l.beta, maxDim)
 	// The basis is B-orthonormal, but the caller's tolerance is a Euclidean
 	// error budget (the same budget Arnoldi's 2-orthonormal basis serves
 	// directly). On PDN systems the two scales differ by orders of
@@ -147,246 +129,166 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 	// formed in B-units would declare convergence six orders early. nu
 	// tracks each basis vector's Euclidean norm to convert the residual
 	// estimate and the difference guard into the caller's units.
-	nu := growF(ws.nu, opts.MaxDim+1)
-	ws.nu = nu
-	nu[0] = norm2(v0)
-	omega := growF(ws.omega, opts.MaxDim+1)
-	omegaNew := growF(ws.omg1, opts.MaxDim+1)
-	ws.omega, ws.omg1 = omega, omegaNew
-	ws.prepPrevU(len(hCheck), opts.MaxDim)
-	w := growF(ws.w, n)
-	bww := growF(ws.bw, n)
-	ws.w, ws.bw = w, bww
+	l.nu = growF(l.nu, maxDim+1)
+	l.nu[0] = norm2(v0)
+	l.omega, l.omg1 = growF(l.omega, maxDim+1), growF(l.omg1, maxDim+1)
+	l.w, l.bw = growF(l.w, n), growF(l.bw, n)
+	l.reorthLeft = 0
+	return beta0
+}
 
-	sched := checkSchedule{}
-	havePrev := false
-	bestWorst := math.Inf(1)
-	bestM := 0
-	reorthLeft := 0 // full-sweep iterations pending from the ω guard
-	// confirmPending requires a passing estimate to hold on the next check
-	// too before the subspace is accepted. A near-breakdown (tiny β_j)
-	// stalls the recurrence for one dimension: the residual estimate (∝ β)
-	// and the successive-difference guard then collapse together even
-	// though the subspace is only approximately invariant — the classic
-	// Lanczos staircase. One more dimension reopens the recurrence and
-	// exposes the remaining error, so double confirmation closes the trap
-	// at the cost of a single extra iteration per spot.
-	confirmPending := false
-
-	for j := 0; j < opts.MaxDim; j++ {
-		op.ApplySym(w, bww, ws.basis[j])
-		wb0 := dot(w, bww)
-		if math.IsNaN(wb0) || math.IsInf(wb0, 0) {
-			return nil, fmt.Errorf("krylov: %v operator produced a non-finite vector at dimension %d (system too stiff for this subspace)", op.Mode, j+1) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-		}
-		wScale := math.Sqrt(math.Max(0, wb0))
-		if j > 0 {
-			axpy(w, -beta[j-1], ws.basis[j-1])
-			axpy(bww, -beta[j-1], ws.bbasis[j-1])
-		}
-		aj := dot(w, ws.bbasis[j])
-		axpy(w, -aj, ws.basis[j])
-		axpy(bww, -aj, ws.bbasis[j])
-		if opts.Reorthogonalize || reorthLeft > 0 {
-			if reorthLeft > 0 {
-				reorthLeft--
+//matex:noalloc
+func (l *lanczos) step(j int) (resid, scale float64) {
+	w, bw := l.w, l.bw
+	l.sub.op.ApplySym(w, bw, l.basis[j])
+	wb0 := dot(w, bw)
+	if math.IsNaN(wb0) || math.IsInf(wb0, 0) {
+		return 0, wb0
+	}
+	if j > 0 {
+		axpy(w, -l.beta[j-1], l.basis[j-1])
+		axpy(bw, -l.beta[j-1], l.bbasis[j-1])
+	}
+	aj := dot(w, l.bbasis[j])
+	axpy(w, -aj, l.basis[j])
+	axpy(bw, -aj, l.bbasis[j])
+	if l.reorthLeft > 0 {
+		l.reorthLeft--
+		for i := 0; i <= j; i++ {
+			c := dot(w, l.bbasis[i])
+			axpy(w, -c, l.basis[i])
+			axpy(bw, -c, l.bbasis[i])
+			if i == j {
+				aj += c
 			}
-			for i := 0; i <= j; i++ {
-				c := dot(w, ws.bbasis[i])
-				axpy(w, -c, ws.basis[i])
-				axpy(bww, -c, ws.bbasis[i])
-				if i == j {
-					aj += c
-				}
-			}
-		}
-		alpha[j] = aj
-		bj := math.Sqrt(math.Max(0, dot(w, bww)))
-		beta[j] = bj
-		m := j + 1
-		// A happy breakdown or the full space. As in Arnoldi, exact only in
-		// exact arithmetic — this dimension is accepted on a passing
-		// estimate like any other, with the β it really has, or on the
-		// explicit residual check; a declared breakdown that neither vouches
-		// for carries on to v_{m+1} (β was only small in absolute terms).
-		// nuNext is ‖v_{m+1}‖₂, which converts the residual along v_{m+1}
-		// from its unit B-norm to Euclidean units.
-		exhausted := m == n || bj == 0
-		last := exhausted || bj <= breakdownTol*(1+wScale)
-		nuNext := 1.0
-		if exhausted {
-			if bj > 0 {
-				nuNext = norm2(w) / bj
-			}
-			nu[j+1] = nuNext
-		} else {
-			vnext := vec(&ws.basis, j+1, n)
-			bnext := vec(&ws.bbasis, j+1, n)
-			for i := range w {
-				vnext[i] = w[i] / bj
-				bnext[i] = bww[i] / bj
-			}
-			nuNext = norm2(vnext)
-			nu[j+1] = nuNext
-			if !opts.Reorthogonalize && reorthLeft == 0 {
-				if updateOmega(omega, omegaNew, alpha, beta, j) > reorthThreshold || last {
-					// Orthogonality drifting, or about to divide by a tiny β:
-					// clean the next two vectors with full sweeps and restart
-					// the estimate.
-					reorthLeft = 2
-					resetOmega(omega, j+1)
-					resetOmega(omegaNew, j+1)
-				} else {
-					omega, omegaNew = omegaNew, omega
-				}
-			}
-		}
-
-		if opts.ForceDim && !last && m < opts.MaxDim {
-			continue
-		}
-		if !(last || m == opts.MaxDim || confirmPending || sched.due(m)) {
-			continue
-		}
-		if err := ws.eig(alpha, beta, m); err != nil {
-			if last || m == opts.MaxDim {
-				return nil, fmt.Errorf("krylov: %v Lanczos projection eigendecomposition failed at dimension %d: %w", op.Mode, m, err) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
-			}
-			continue
-		}
-		lamScale := 0.0
-		for _, l := range ws.eigD[:m] {
-			if a := math.Abs(l); a > lamScale {
-				lamScale = a
-			}
-		}
-		ws.mu = growF(ws.mu, m)
-		for k := 0; k < m; k++ {
-			ws.mu[k] = op.convertMu(ws.eigD[k], lamScale)
-		}
-		worst := 0.0
-		ok := m >= 2 || m == opts.MaxDim || last
-		if ok {
-			ws.estU = growF(ws.estU, m)
-			for k, h := range hCheck {
-				est := nuNext * spectralEstimate(&ws.eigQ, ws.mu[:m], bj, beta0, h, ws.estU)
-				if math.IsNaN(est) {
-					ok = false
-					break
-				}
-				// Successive-difference guard, as in Arnoldi: projected
-				// residuals can miss error carried by modes outside the
-				// subspace. The basis is not 2-orthonormal, so the Euclidean
-				// size of the change is bounded by the triangle inequality
-				// over the per-vector norms (conservative by at most √m).
-				if havePrev {
-					prev := ws.prevU[k]
-					var d float64
-					for i := 0; i < m; i++ {
-						d += math.Abs(ws.estU[i]-prev[i]) * nu[i]
-					}
-					if d *= beta0; d > est {
-						est = d
-					}
-				} else if !last {
-					est = math.Inf(1) // need two checks before trusting
-				}
-				copy(ws.prevU[k][:m], ws.estU[:m])
-				if est > worst {
-					worst = est
-				}
-			}
-			if op.Count != nil {
-				op.Count.ExpmEvals += len(hCheck)
-			}
-			if ok {
-				havePrev = true
-				if worst < bestWorst {
-					bestWorst = worst
-					bestM = m
-				}
-			}
-		}
-		sched.record(m, worst, ok, opts)
-		if opts.ForceDim && (last || m == opts.MaxDim) {
-			finishTri(sub, ws, m, bj, nuNext)
-			return sub, nil
-		}
-		accept := ok && worst <= opts.Tol
-		if last && ok && !accept {
-			// As in Arnoldi: the guard measures the previous check, not an
-			// exhausted space; ask the operator itself.
-			accept = true
-			ws.defHy = growF(ws.defHy, m)
-			for k, h := range hCheck {
-				for i := range ws.defHy {
-					ws.defHy[i] = 0
-				}
-				for c, mu := range ws.mu[:m] { // H_m·y = Q·diag(μ·e^{hμ})·Qᵀe₁
-					if e := expMu(h, mu); e != 0 {
-						for i := range ws.defHy {
-							ws.defHy[i] += ws.eigQ.At(i, c) * mu * e * ws.eigQ.At(0, c)
-						}
-					}
-				}
-				if d := odeDefect(op, ws, beta0, h, ws.prevU[k][:m]); !(d <= opts.Tol) {
-					accept = false
-					break
-				}
-			}
-		}
-		if accept {
-			if confirmPending || m == opts.MaxDim || last {
-				finishTri(sub, ws, m, bj, nuNext)
-				return sub, nil
-			}
-			confirmPending = true
-		} else {
-			confirmPending = false
-		}
-		if exhausted {
-			break // nothing vouches for the projection and there is no next vector
 		}
 	}
-	// Best effort at the dimension with the smallest estimate, mirroring
-	// Arnoldi: callers proceed with the achievable accuracy after exhausting
-	// their step-splitting options.
-	if bestM == 0 {
-		return nil, fmt.Errorf("%w (dim %d, tol %g)", ErrNoConvergence, opts.MaxDim, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+	l.alpha[j] = aj
+	l.beta[j] = math.Sqrt(math.Max(0, dot(w, bw)))
+	return l.beta[j], math.Sqrt(math.Max(0, wb0))
+}
+
+// extend also records nu[j+1] = ‖v_{j+1}‖₂, which converts the residual
+// along v_{j+1} from its unit B-norm to Euclidean units, and advances the
+// ω guard.
+//
+//matex:noalloc
+func (l *lanczos) extend(j int, last, exhausted bool) {
+	bj := l.beta[j]
+	if exhausted {
+		l.nu[j+1] = 1
+		if bj > 0 {
+			l.nu[j+1] = norm2(l.w) / bj
+		}
+		return
 	}
-	if err := ws.eig(alpha, beta, bestM); err != nil {
-		return nil, fmt.Errorf("%w (dim %d, tol %g)", ErrNoConvergence, opts.MaxDim, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+	vnext := vec(&l.basis, j+1, len(l.w))
+	bnext := vec(&l.bbasis, j+1, len(l.w))
+	for i := range l.w {
+		vnext[i] = l.w[i] / bj
+		bnext[i] = l.bw[i] / bj
+	}
+	l.nu[j+1] = norm2(vnext)
+	if l.reorthLeft == 0 {
+		if updateOmega(l.omega, l.omg1, l.alpha, l.beta, j) > reorthThreshold || last {
+			// Orthogonality drifting, or about to divide by a tiny β: clean
+			// the next two vectors with full sweeps and restart the estimate.
+			l.reorthLeft = 2
+			resetOmega(l.omega, j+1)
+			resetOmega(l.omg1, j+1)
+		} else {
+			l.omega, l.omg1 = l.omg1, l.omega
+		}
+	}
+}
+
+// project runs SymTriEig on the m×m tridiagonal, leaving its eigenvectors in
+// eigQ, and converts its eigenvalues into mu.
+//
+//matex:noalloc
+func (l *lanczos) project(m int) error {
+	l.eigD = growF(l.eigD, m)
+	l.eigE = growF(l.eigE, m)
+	copy(l.eigD, l.alpha[:m])
+	copy(l.eigE, l.beta[:m-1])
+	l.eigE[m-1] = 0
+	l.eigZ = growF(l.eigZ, m*m)
+	l.eigQ = dense.Matrix{R: m, C: m, Data: l.eigZ[:m*m]}
+	for i := range l.eigQ.Data {
+		l.eigQ.Data[i] = 0
+	}
+	for i := 0; i < m; i++ {
+		l.eigQ.Data[i*m+i] = 1
+	}
+	if err := dense.SymTriEig(l.eigD, l.eigE, &l.eigQ); err != nil {
+		return fmt.Errorf("krylov: %v Lanczos projection eigendecomposition failed at dimension %d: %w", l.sub.op.Mode, m, err) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
 	}
 	lamScale := 0.0
-	for _, l := range ws.eigD[:bestM] {
-		if a := math.Abs(l); a > lamScale {
+	for _, lam := range l.eigD[:m] {
+		if a := math.Abs(lam); a > lamScale {
 			lamScale = a
 		}
 	}
-	ws.mu = growF(ws.mu, bestM)
-	for k := 0; k < bestM; k++ {
-		ws.mu[k] = op.convertMu(ws.eigD[k], lamScale)
+	l.mu = growF(l.mu, m)
+	for k := range l.mu {
+		l.mu[k] = l.sub.op.convertMu(l.eigD[k], lamScale)
 	}
-	finishTri(sub, ws, bestM, beta[bestM-1], nu[bestM])
-	return sub, fmt.Errorf("%w (best dim %d, estimate %.3g, tol %g)", ErrNoConvergence, bestM, bestWorst, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+	return nil
 }
 
-// finishTri installs the spectral representation at dimension m. estNu is
-// the Euclidean norm of the residual direction v_{m+1}, converting later
-// ErrEstimate calls into the caller's units.
+//matex:noalloc
+func (l *lanczos) estimate(m int, h float64) (float64, []float64, error) {
+	l.estU = growF(l.estU, m)
+	return l.nu[m] * spectralEstimate(&l.eigQ, l.mu, l.beta[m-1], l.sub.beta, h, l.estU), l.estU, nil
+}
+
+// change bounds the Euclidean size of the change by the triangle inequality
+// over the per-vector norms, as the basis is not 2-orthonormal
+// (conservative by at most √m).
 //
 //matex:noalloc
-func finishTri(sub *Subspace, ws *Workspace, m int, hsub, estNu float64) {
-	sub.m = m
-	sub.tri = true
-	sub.v = ws.basis[:m]
-	sub.mu = ws.mu[:m]
-	sub.q = &ws.eigQ
-	sub.hsub = hsub
-	sub.estNu = estNu
-	if op := sub.op; op.Count != nil {
-		op.Count.Dims = append(op.Count.Dims, m) //matex:alloc-ok(work-stats recording; amortized append)
-		op.Count.Lanczos++
+func (l *lanczos) change(u, prev []float64) float64 {
+	var d float64
+	for i := range u {
+		d += math.Abs(u[i]-prev[i]) * l.nu[i]
+	}
+	return d
+}
+
+// derivative forms H_m·y = Q·diag(μ·e^{hμ})·Qᵀe₁.
+//
+//matex:noalloc
+func (l *lanczos) derivative(h float64, _ []float64) {
+	for i := range l.defHy {
+		l.defHy[i] = 0
+	}
+	for c, mu := range l.mu {
+		if e := expMu(h, mu); e != 0 {
+			for i := range l.defHy {
+				l.defHy[i] += l.eigQ.At(i, c) * mu * e * l.eigQ.At(0, c)
+			}
+		}
+	}
+}
+
+// confirms: a near-breakdown (tiny β_j) stalls the recurrence for one
+// dimension, and the residual estimate (∝ β) and the successive-difference
+// guard then collapse together though the subspace is only approximately
+// invariant — the classic Lanczos staircase. One more dimension reopens the
+// recurrence and exposes the remaining error, so a passing check is
+// confirmed by the next at the cost of a single extra iteration per spot.
+func (l *lanczos) confirms() bool { return true }
+
+// install puts the spectral representation on the subspace; estNu =
+// ‖v_{m+1}‖₂ converts later ErrEstimate calls into the caller's units.
+//
+//matex:noalloc
+func (l *lanczos) install(m int) {
+	s := &l.sub
+	s.tri, s.mu, s.q = true, l.mu[:m], &l.eigQ
+	s.hsub, s.estNu = l.beta[m-1], l.nu[m]
+	if s.op.Count != nil {
+		s.op.Count.Lanczos++
 	}
 }
 

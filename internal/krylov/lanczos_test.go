@@ -145,98 +145,6 @@ func TestLanczosBOrthogonality(t *testing.T) {
 	}
 }
 
-// TestLanczosInvariantSubspace mirrors the Arnoldi happy-breakdown test: an
-// eigenvector start must terminate at dimension 1 with the exact answer.
-func TestLanczosInvariantSubspace(t *testing.T) {
-	n := 6
-	ct := sparse.NewTriplet(n, n)
-	gt := sparse.NewTriplet(n, n)
-	for i := 0; i < n; i++ {
-		ct.Add(i, i, 1)
-		gt.Add(i, i, float64(i+1))
-	}
-	cm, gm := ct.ToCSC(), gt.ToCSC()
-	_, inv, _ := buildOps(t, cm, gm, 0.1)
-	v := make([]float64, n)
-	v[2] = 3.0 // eigenvector with A = -G, eigenvalue -3
-	sub, err := Lanczos(inv, v, []float64{0.5}, Options{MaxDim: 8, Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dim() != 1 {
-		t.Fatalf("dim = %d, want 1 (happy breakdown)", sub.Dim())
-	}
-	got := make([]float64, n)
-	if err := sub.EvalExp(0.5, got); err != nil {
-		t.Fatal(err)
-	}
-	want := 3 * math.Exp(-1.5)
-	if math.Abs(got[2]-want) > 1e-9 {
-		t.Errorf("EvalExp = %v, want %v at index 2", got[2], want)
-	}
-	if est, err := sub.ErrEstimate(0.5); err != nil || est > 1e-12 {
-		t.Errorf("invariant subspace estimate = %g (%v), want ~0", est, err)
-	}
-}
-
-// TestLanczosFullSpace drives the recurrence to m == n on a well-conditioned
-// system (C = I, distinct diagonal G, full-support start vector): the
-// projection is then a similarity and the answer exact.
-func TestLanczosFullSpace(t *testing.T) {
-	n := 5
-	ct := sparse.NewTriplet(n, n)
-	gt := sparse.NewTriplet(n, n)
-	for i := 0; i < n; i++ {
-		ct.Add(i, i, 1)
-		gt.Add(i, i, float64(i+1))
-	}
-	cm, gm := ct.ToCSC(), gt.ToCSC()
-	_, inv, _ := buildOps(t, cm, gm, 0.1)
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1 + float64(i)
-	}
-	sub, err := Lanczos(inv, v, []float64{0.1}, Options{MaxDim: n, Tol: 1e-30, ForceDim: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Dim() != n {
-		t.Fatalf("dim = %d, want %d", sub.Dim(), n)
-	}
-	h := 0.3
-	got := make([]float64, n)
-	if err := sub.EvalExp(h, got); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		want := v[i] * math.Exp(-float64(i+1)*h) // A = -G diagonal
-		if math.Abs(got[i]-want) > 1e-10*(1+math.Abs(want)) {
-			t.Errorf("full-space component %d = %g, want %g", i, got[i], want)
-		}
-	}
-}
-
-func TestLanczosZeroVector(t *testing.T) {
-	cm, gm := rcSystem(5, 10, 6)
-	_, inv, _ := buildOps(t, cm, gm, 1e-13)
-	sub, err := Lanczos(inv, make([]float64, 5), []float64{1e-12}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := []float64{1, 1, 1, 1, 1}
-	if err := sub.EvalExp(1e-12, dst); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range dst {
-		if v != 0 {
-			t.Fatal("expm of zero vector not zero")
-		}
-	}
-	if est, _ := sub.ErrEstimate(1e-12); est != 0 {
-		t.Fatal("zero vector error estimate not zero")
-	}
-}
-
 // TestGenerateRouting: auto picks Lanczos exactly when the operator and
 // start vector qualify, and MethodArnoldi pins the reference path.
 func TestGenerateRouting(t *testing.T) {
@@ -322,42 +230,5 @@ func TestLanczosSteadyStateZeroAlloc(t *testing.T) {
 	run() // warm the arena
 	if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 		t.Errorf("steady-state Lanczos generation allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-// TestLanczosReorthogonalizeAgrees: the full-sweep option must not change
-// the answer beyond roundoff on a well-behaved system.
-func TestLanczosReorthogonalizeAgrees(t *testing.T) {
-	n := 32
-	cm, gm := rcSystem(n, 1e8, 31)
-	_, inv, _ := buildOps(t, cm, gm, 1e-13)
-	v := randVec(n, 32)
-	h := 1e-11
-	a, err := Lanczos(inv, v, []float64{h}, Options{MaxDim: n, Tol: 1e-10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Lanczos(inv, v, []float64{h}, Options{MaxDim: n, Tol: 1e-10, Reorthogonalize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga := make([]float64, n)
-	gb := make([]float64, n)
-	if err := a.EvalExp(h, ga); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.EvalExp(h, gb); err != nil {
-		t.Fatal(err)
-	}
-	var scale float64 = 1
-	for i := range ga {
-		if v := math.Abs(gb[i]); v > scale {
-			scale = v
-		}
-	}
-	for i := range ga {
-		if math.Abs(ga[i]-gb[i]) > 1e-7*scale {
-			t.Errorf("guarded vs full reorthogonalization differ at %d: %g vs %g", i, ga[i], gb[i])
-		}
 	}
 }

@@ -45,38 +45,6 @@ type Counters struct {
 	Dims       []int
 }
 
-// MA returns the average generated subspace dimension.
-func (c *Counters) MA() float64 {
-	if len(c.Dims) == 0 {
-		return 0
-	}
-	s := 0
-	for _, d := range c.Dims {
-		s += d
-	}
-	return float64(s) / float64(len(c.Dims))
-}
-
-// MP returns the peak generated subspace dimension.
-func (c *Counters) MP() int {
-	p := 0
-	for _, d := range c.Dims {
-		if d > p {
-			p = d
-		}
-	}
-	return p
-}
-
-// Merge adds other's counts into c.
-func (c *Counters) Merge(other *Counters) {
-	c.SolvePairs += other.SolvePairs
-	c.SpMVs += other.SpMVs
-	c.ExpmEvals += other.ExpmEvals
-	c.Lanczos += other.Lanczos
-	c.Dims = append(c.Dims, other.Dims...)
-}
-
 // Op is the Arnoldi operator for one of the three modes over the *augmented*
 // MNA system. With piecewise-linear inputs, the step
 //
@@ -116,13 +84,12 @@ type Op struct {
 	bcol0, bcol1 []float64
 	Count        *Counters
 	// sym records whether the stamped C and G are numerically symmetric
-	// (detected at construction), which makes the generated operator
-	// self-adjoint in a known inner product and unlocks the Lanczos
-	// three-term fast path. symOff is the caller override (SetSymmetric):
-	// e.g. MEXP disables the fast path after regularizing a singular C,
-	// since the factorized matrix then differs from the stamped one.
+	// (detected at construction, overridden by SetSymmetric: e.g. MEXP
+	// disables the fast path after regularizing a singular C, since the
+	// factorized matrix then differs from the stamped one), which makes the
+	// generated operator self-adjoint in a known inner product and unlocks
+	// the Lanczos three-term fast path.
 	sym     bool
-	symOff  bool
 	segZero bool // both input columns are identically zero
 }
 
@@ -224,24 +191,21 @@ func allZero(v []float64) bool {
 // regularizes a singular C, where the factorized matrix no longer matches
 // the stamped one), SetSymmetric(true) forces it on for callers that know
 // their matrices are self-adjoint despite failing the numerical test.
-func (op *Op) SetSymmetric(sym bool) {
-	op.sym = sym
-	op.symOff = !sym
-}
+func (op *Op) SetSymmetric(sym bool) { op.sym = sym }
 
 // SymmetricMatrices reports whether the stamped C and G are numerically
 // symmetric (and the caller has not overridden detection) — the
 // segment-independent part of the fast-path precondition. Solvers use it to
 // decide whether reformulating a segment (e.g. shifting out a constant
 // input) would make its spots Lanczos-eligible.
-func (op *Op) SymmetricMatrices() bool { return op.sym && !op.symOff }
+func (op *Op) SymmetricMatrices() bool { return op.sym }
 
 // Symmetric reports whether the generated operator is self-adjoint in the
 // operator's B-inner product (see ApplySym) — the structural precondition of
 // the Lanczos fast path. For the augmented modes this requires the input
 // columns to be zero; SymmetricFor additionally checks the start vector.
 func (op *Op) Symmetric() bool {
-	if !op.sym || op.symOff {
+	if !op.sym {
 		return false
 	}
 	if op.Mode == Inverted {

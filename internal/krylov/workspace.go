@@ -8,8 +8,9 @@ import (
 )
 
 // Workspace is a reusable arena for subspace generation: basis vectors,
-// B-products, tridiagonal coefficients, eigendecomposition buffers and the
-// small dense scratch the convergence checks need. A solver acquires one
+// B-products, tridiagonal coefficients, eigendecomposition buffers, the
+// small dense scratch the convergence checks need, and the state of the
+// process (arnoldi, lanczos) running on it. A solver acquires one
 // workspace per run (WorkspacePool.Get), passes it through Options.Workspace
 // for every transition spot, and releases it at the end; steady-state
 // subspace generation then performs zero heap allocations — every make that
@@ -29,10 +30,12 @@ type Workspace struct {
 	alpha, beta []float64 // Lanczos three-term coefficients
 	nu          []float64 // Euclidean norms of the B-orthonormal basis vectors
 	omega, omg1 []float64 // ω-recurrence rows (orthogonality loss estimate)
+	reorthLeft  int       // full-sweep iterations pending from the ω guard
 
 	hFull   *dense.Matrix // Arnoldi growing Hessenberg
-	hhatBuf []float64     // m×m Hessenberg slice backing
-	hhatHdr dense.Matrix  // header over hhatBuf handed to the checks
+	hhat    []float64     // m×m leading block of hFull, Ĥ
+	hhatHdr dense.Matrix  // header over hhat handed to ConvertH
+	hm      *dense.Matrix // ConvertH(Ĥ) at the last projected dimension
 	prevU   [][]float64   // last checked e^{hH}e₁ per step size
 
 	eigD, eigE []float64 // tridiagonal diagonal / subdiagonal copies
@@ -137,7 +140,6 @@ func (ws *Workspace) resetSub(op *Op) *Subspace {
 	s := &ws.sub
 	s.op = op
 	s.v = nil
-	s.hhat = nil
 	s.hm = nil
 	s.hsub = 0
 	s.beta = 0
@@ -146,28 +148,4 @@ func (ws *Workspace) resetSub(op *Op) *Subspace {
 	s.mu = nil
 	s.q = nil
 	return s
-}
-
-// eig prepares the eigendecomposition buffers for an m×m tridiagonal with
-// diagonal alpha[:m] and subdiagonal beta[:m-1], runs SymTriEig, and leaves
-// the eigenvalues in ws.eigD and the eigenvectors in ws.eigQ.
-func (ws *Workspace) eig(alpha, beta []float64, m int) error {
-	ws.eigD = growF(ws.eigD, m)
-	ws.eigE = growF(ws.eigE, m)
-	copy(ws.eigD, alpha[:m])
-	for i := 0; i+1 < m; i++ {
-		ws.eigE[i] = beta[i]
-	}
-	if m > 0 {
-		ws.eigE[m-1] = 0
-	}
-	ws.eigZ = growF(ws.eigZ, m*m)
-	ws.eigQ = dense.Matrix{R: m, C: m, Data: ws.eigZ[:m*m]}
-	for i := range ws.eigQ.Data {
-		ws.eigQ.Data[i] = 0
-	}
-	for i := 0; i < m; i++ {
-		ws.eigQ.Data[i*m+i] = 1
-	}
-	return dense.SymTriEig(ws.eigD, ws.eigE, &ws.eigQ)
 }
