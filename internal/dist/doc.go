@@ -29,11 +29,11 @@
 // node counts give equal plans and bit-identical results; different node
 // counts agree to solver tolerance.
 //
-// Run (run.go) drives the whole flow: Partition extracts bump features
+// Run (run.go) is a planner plus a runner: Partition extracts bump features
 // (dist.go), the planner cuts Tasks for the pool's nodes, and the lane
-// fan-out and the streaming fold this package shares with internal/sweep
-// (internal/superpose) place them on the Pool and fold the responses,
-// (x_DC + x_0) + Σ 1·x_task, row by row as the tasks pass each GTS point.
+// executor this package shares with internal/sweep (superpose.Run) runs
+// each task through Pool.Solve and folds the responses, (x_DC + x_0) +
+// Σ 1·x_task, row by row as the tasks pass each GTS point.
 // The scheduler solves nothing itself: task 0 carries the DC point
 // (Task.DC) — its node solves G·x_DC = B·u(0) from the factorization of G
 // its own integration uses and answers x_DC + x_0, summed in the order the

@@ -30,9 +30,6 @@ type TaskResult struct {
 	Retried int
 	// Worker is the address of the worker that solved it (remote pools).
 	Worker string
-	// Wait is how long the task queued for an in-flight slot; the scheduler
-	// fills it in, pools leave it zero.
-	Wait time.Duration
 }
 
 // Pool runs subtasks somewhere: in-process goroutines (the default) or job

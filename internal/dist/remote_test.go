@@ -806,3 +806,38 @@ func (p *killableProxy) Kill() {
 	p.conns = nil
 	p.l.Close()
 }
+
+// TestRunStatsAreTheTasksFolded: a distributed run's Stats are its tasks'
+// own (Report.TaskStats) folded by the one rule — counters summed in task
+// order, FactorTime summed, DCTime task 0's (the others are zero-state),
+// TransientTime the slowest task's — in process and over two loopback job
+// servers alike.
+func TestRunStatsAreTheTasksFolded(t *testing.T) {
+	d := gridDeck(t, 0.2)
+	spec := job.Spec{Tol: 1e-7}
+	local, repL := d.local(t, spec, 2)
+	w1, w2 := startWorker(t, "127.0.0.1:0", serve.Config{}), startWorker(t, "127.0.0.1:0", serve.Config{})
+	_, out, err := d.remote(context.Background(), spec, []string{w1.addr, w2.addr}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		got  transient.Stats
+		rep  *dist.Report
+	}{{"in process", local.Stats, repL}, {"over job servers", out.Stats, out.Dist}} {
+		var want transient.Stats
+		for _, s := range c.rep.TaskStats {
+			want.Add(&s)
+			want.FactorTime += s.FactorTime
+			want.TransientTime = max(want.TransientTime, s.TransientTime)
+		}
+		want.DCTime = c.rep.TaskStats[0].DCTime
+		if len(c.rep.TaskStats) != 2 || want.SolvePairs == 0 || !reflect.DeepEqual(c.got, want) {
+			t.Errorf("%s: run stats %+v, tasks folded %+v", c.name, c.got, want)
+		}
+		if c.rep.DCTime != want.DCTime || c.rep.MaxNodeTrTime != want.TransientTime {
+			t.Errorf("%s: report DC %v, max transient %v; want %v, %v", c.name, c.rep.DCTime, c.rep.MaxNodeTrTime, want.DCTime, want.TransientTime)
+		}
+	}
+}

@@ -13,7 +13,8 @@
 //     there, once, for both front ends;
 //   - Run hands the task to transient.Simulate (or transient.Resume),
 //     sweep.Run, dist.Run or, for one D-MATEX task, dist.SolveTask under one
-//     transient.Options and delivers every row through one hook. A
+//     transient.Options and delivers every row through one hook; sweep.Run
+//     and dist.Run plan, and one lane executor (superpose.Run) runs both. A
 //     distributed run with workers posts each of its tasks to a job server
 //     as a spec of its own that names its deck by hash (remote.go).
 //
@@ -313,7 +314,7 @@ type Hooks struct {
 
 // Outcome is what a finished run reports.
 type Outcome struct {
-	// Stats are the solver counters; a sweep's are folded across its lanes.
+	// Stats are the solver counters, folded across lanes by superpose.Run.
 	Stats transient.Stats
 	// Dist is a distributed run's scheduling report, Sweep a sweep's
 	// sharing report; nil otherwise.

@@ -1,12 +1,13 @@
-// Package superpose holds the one decision internal/dist and internal/sweep
-// share: how the lane simulations of a linear superposition plan are fanned
-// out and combined. The MNA system is linear in its inputs, so D-MATEX
-// (x = x_DC + Σ_task x_task, paper Fig. 4) and the sweep's collinear sharing
-// (x_m = x_sup + c_m·x_load) are the same object: Σ coef·lane over lanes of
-// one deck. What the lanes are — LTS-balanced source-group tasks, variant
-// representatives — is the planners' business and stays there; so is a
-// constant term such as x_DC, which D-MATEX's first task adds to its own
-// rows (internal/dist).
+// Package superpose runs a linear superposition plan: it is the one lane
+// executor of internal/dist and internal/sweep, which only plan. The MNA
+// system is linear in its inputs, so D-MATEX (x = x_DC + Σ_task x_task,
+// paper Fig. 4) and the sweep's collinear sharing (x_m = x_sup + c_m·x_load)
+// are the same object: Σ coef·lane over lanes of one deck. What the lanes
+// are — LTS-balanced source-group tasks, variant representatives — and how
+// one runs is the planners' business; so is a constant term such as x_DC,
+// which D-MATEX's first task adds to its own rows (internal/dist). Run does
+// the rest: it refuses a bad option bundle, fans the lanes out, folds them
+// into their outputs and folds their Stats.
 //
 // The combination is a Fold: rows leave in time order the moment every lane
 // has passed their grid point, whether a lane streams its samples as it
@@ -20,29 +21,127 @@ import (
 	"math"
 	"sync"
 
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
-// CheckBase rejects a shared option bundle that sets a field the engine
+// Output is one answer of a Run: the Plan it folds, the lane feeding each
+// addend (Lanes[j] feeds Plan.Addends[j]; a lane may feed several outputs)
+// and the hook its rows leave through (nil: none).
+type Output struct {
+	Plan  Plan
+	Lanes []int
+	Emit  func(t float64, row []float64)
+}
+
+// Run executes lanes [0, lanes) under base and method and folds them into
+// outs. Before any lane starts it refuses a non-positive Tstop, a fixed-step
+// method without a positive Step and an engine-owned field (checkBase), and
+// defaults base.Cache (one cache every lane shares) and base.Ctx. run
+// integrates a lane, at most limit at once, under base with the lane's Ctx
+// (canceled on the first error, which is Run's and after which no row
+// leaves) and an OnSample feeding every output the lane feeds; the result it
+// returns lands there.
+//
+// Run returns each output's Fold.Result, each lane's result and their Stats
+// folded by the one rule for lanes run side by side: counters through
+// Stats.Add in lane order, FactorTime summed, DCTime summed over the lanes
+// that solve a DC point (no output declares them ZeroState), TransientTime
+// the slowest lane's — the fan-out's wall reading, Table 3's t_R-MATEX.
+func Run(base transient.Options, method transient.Method, lanes, limit int, outs []Output,
+	run func(lane int, opts transient.Options) (*transient.Result, error)) (outputs, results []*transient.Result, st transient.Stats, err error) {
+	switch {
+	case base.Tstop <= 0:
+		return nil, nil, st, errors.New("superpose: needs positive Tstop")
+	case method.FixedStep() && base.Step <= 0:
+		return nil, nil, st, fmt.Errorf("superpose: fixed-step method %v needs positive Step", method)
+	}
+	if err := checkBase(&base); err != nil {
+		return nil, nil, st, err
+	}
+	if base.Cache == nil {
+		base.Cache = sparse.NewCache(0)
+	}
+	if base.Ctx == nil {
+		base.Ctx = context.Background()
+	}
+
+	type feed struct {
+		fold   *Fold
+		addend int
+	}
+	folds := make([]*Fold, len(outs))
+	feeds := make([][]feed, lanes)
+	zeroState := make([]bool, lanes)
+	for o, out := range outs {
+		folds[o] = NewFold(out.Plan, out.Emit)
+		for j, l := range out.Lanes {
+			feeds[l] = append(feeds[l], feed{folds[o], j})
+			zeroState[l] = zeroState[l] || out.Plan.Addends[j].ZeroState
+		}
+	}
+	results, err = fanOut(base.Ctx, lanes, limit, func(ctx context.Context, i int) (*transient.Result, error) {
+		opts := base
+		opts.Ctx = ctx
+		opts.OnSample = func(t float64, row []float64) {
+			for _, fd := range feeds[i] {
+				fd.fold.Sample(fd.addend, t, row)
+			}
+		}
+		r, err := run(i, opts)
+		for _, fd := range feeds[i] {
+			if err == nil {
+				err = fd.fold.Land(fd.addend, r)
+			}
+		}
+		if err != nil {
+			for _, f := range folds {
+				f.fail(err) // the lanes still in flight emit no further row
+			}
+			return nil, err
+		}
+		return r, nil
+	})
+	if err != nil {
+		return nil, nil, st, err
+	}
+	outputs = make([]*transient.Result, len(outs))
+	for o, f := range folds {
+		if outputs[o], err = f.Result(); err != nil {
+			return nil, nil, st, err
+		}
+	}
+	for i, r := range results {
+		st.Add(&r.Stats)
+		st.FactorTime += r.Stats.FactorTime
+		if !zeroState[i] {
+			st.DCTime += r.Stats.DCTime
+		}
+		st.TransientTime = max(st.TransientTime, r.Stats.TransientTime)
+	}
+	return outputs, results, st, nil
+}
+
+// checkBase rejects a shared option bundle that sets a field the engine
 // assigns per lane: a hook there would fire per lane on a partial response.
-func CheckBase(base *transient.Options) error {
+func checkBase(base *transient.Options) error {
 	if base.OnSample != nil || base.OnCheckpoint != nil || base.ActiveInputs != nil {
-		return errors.New("Base.OnSample/OnCheckpoint/ActiveInputs are engine-owned, set per lane")
+		return errors.New("superpose: Base.OnSample/OnCheckpoint/ActiveInputs are engine-owned, set per lane")
 	}
 	return nil
 }
 
-// FanOut calls run once for every lane in [0, n) with at most limit calls in
+// fanOut calls run once for every lane in [0, n) with at most limit calls in
 // flight (limit < 1 is 1) and returns the results in lane order. The first
 // error cancels the context the other lanes see and is the error returned.
 // Once the context is done no further lane starts — lanes in flight must
 // honour ctx themselves — and, absent a lane error, the context's error is
 // returned for the lanes that never ran.
-func FanOut[T any](ctx context.Context, n, limit int, run func(ctx context.Context, lane int) (T, error)) ([]T, error) {
+func fanOut(ctx context.Context, n, limit int, run func(ctx context.Context, lane int) (*transient.Result, error)) ([]*transient.Result, error) {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
-		out      = make([]T, n)
+		out      = make([]*transient.Result, n)
 		sem      = make(chan struct{}, max(1, limit))
 		wg       sync.WaitGroup
 		once     sync.Once
@@ -256,6 +355,15 @@ func (f *Fold) Result() (*transient.Result, error) {
 		acc(res.Final[:n], l.final[:n], l.Coef)
 	}
 	return res, nil
+}
+
+// fail makes err the fold's error unless it already has one.
+func (f *Fold) fail(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		f.err = err
+	}
 }
 
 // advance checks lane j's samples from index from on and moves its cursor.

@@ -201,19 +201,19 @@ func TestFanOut(t *testing.T) {
 	// Results come back in lane order and the bound holds.
 	const n, limit = 40, 3
 	var inFlight, peak atomic.Int32
-	got, err := FanOut(context.Background(), n, limit, func(ctx context.Context, i int) (int, error) {
+	got, err := fanOut(context.Background(), n, limit, func(ctx context.Context, i int) (*transient.Result, error) {
 		now := inFlight.Add(1)
 		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 		}
 		defer inFlight.Add(-1)
-		return i * i, nil
+		return numbered(i * i), nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("lane %d returned %d", i, v)
+	for i, r := range got {
+		if v := r.Times[0]; v != float64(i*i) {
+			t.Fatalf("lane %d returned %g", i, v)
 		}
 	}
 	if p := peak.Load(); p > limit {
@@ -224,14 +224,14 @@ func TestFanOut(t *testing.T) {
 	// lanes in flight see.
 	boom := errors.New("boom")
 	release := make(chan struct{})
-	_, err = FanOut(context.Background(), 8, 8, func(ctx context.Context, i int) (int, error) {
+	_, err = fanOut(context.Background(), 8, 8, func(ctx context.Context, i int) (*transient.Result, error) {
 		if i == 0 {
 			defer close(release)
-			return 0, boom
+			return nil, boom
 		}
 		<-release // lane 0 has failed by now
 		<-ctx.Done()
-		return 0, ctx.Err()
+		return nil, ctx.Err()
 	})
 	if err != boom {
 		t.Fatalf("returned %v, want the first error", err)
@@ -239,12 +239,12 @@ func TestFanOut(t *testing.T) {
 
 	// After the first error no further lane starts.
 	var calls atomic.Int32
-	_, err = FanOut(context.Background(), 5, 1, func(ctx context.Context, i int) (int, error) {
+	_, err = fanOut(context.Background(), 5, 1, func(ctx context.Context, i int) (*transient.Result, error) {
 		calls.Add(1)
 		if i == 0 {
-			return 0, boom
+			return nil, boom
 		}
-		return i, nil
+		return numbered(i), nil
 	})
 	if err != boom {
 		t.Fatalf("returned %v, want the first error", err)
@@ -257,9 +257,9 @@ func TestFanOut(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls.Store(0)
-	_, err = FanOut(ctx, 4, 2, func(ctx context.Context, i int) (int, error) {
+	_, err = fanOut(ctx, 4, 2, func(ctx context.Context, i int) (*transient.Result, error) {
 		calls.Add(1)
-		return i, nil
+		return numbered(i), nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("returned %v, want context.Canceled", err)
@@ -269,8 +269,11 @@ func TestFanOut(t *testing.T) {
 	}
 }
 
+// numbered is a lane result that carries n as its one time.
+func numbered(n int) *transient.Result { return &transient.Result{Times: []float64{float64(n)}} }
+
 func TestCheckBase(t *testing.T) {
-	if err := CheckBase(&transient.Options{Tstop: 1, Probes: []int{0}}); err != nil {
+	if err := checkBase(&transient.Options{Tstop: 1, Probes: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
 	for name, o := range map[string]transient.Options{
@@ -278,7 +281,7 @@ func TestCheckBase(t *testing.T) {
 		"OnCheckpoint": {OnCheckpoint: func(transient.Checkpoint) error { return nil }},
 		"ActiveInputs": {ActiveInputs: []bool{true}},
 	} {
-		if CheckBase(&o) == nil {
+		if checkBase(&o) == nil {
 			t.Errorf("engine-owned Base.%s accepted", name)
 		}
 	}

@@ -22,9 +22,10 @@
 //     tridiagonal eigendecompositions outright. Exact-duplicate variants
 //     are plain copies.
 //
-// Run is the entry point: compile the variants, plan groups and lanes, run
-// the lanes through the fan-out and fold them with the combiner this
-// package shares with internal/dist (internal/superpose) — {sup: 1,
-// load: c} or {direct: c} per variant. The serve package exposes it as the
-// POST /sweep job type and cmd/matex as the -sweep flag.
+// Run is a planner plus a runner: it compiles the variants, plans groups
+// and lanes and makes each variant one output, {sup: 1, load: c} or
+// {direct: c} over the lanes; the lane executor it shares with
+// internal/dist (superpose.Run) runs each lane as a transient.Simulate (or
+// Resume) and folds the outputs. The serve package exposes it as the POST
+// /sweep job type and cmd/matex as the -sweep flag.
 package sweep

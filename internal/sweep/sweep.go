@@ -1,12 +1,10 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"github.com/matex-sim/matex/internal/circuit"
-	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/superpose"
 	"github.com/matex-sim/matex/internal/transient"
 )
@@ -67,9 +65,9 @@ type Stats struct {
 	Variants       int `json:"variants"`
 	Lanes          int `json:"lanes"`
 	SharedVariants int `json:"shared_variants"`
-	// Sim folds the transient work counters across all lanes; with a
-	// shared cache, Sim.Factorizations counts factorizations computed
-	// once for the whole sweep.
+	// Sim folds the lanes' solver work by superpose.Run's rule, so its
+	// TransientTime is the slowest lane's; with a shared cache,
+	// Sim.Factorizations counts factorizations computed once for the sweep.
 	Sim transient.Stats `json:"sim"`
 }
 
@@ -85,9 +83,6 @@ type Result struct {
 // unknown scale or override targets, malformed waveforms), so a serving
 // layer can reject a bad sweep at submit time instead of at run time.
 func Validate(sys *circuit.System, variants []Variant) error {
-	if len(variants) == 0 {
-		return fmt.Errorf("sweep: no variants")
-	}
 	_, err := compile(sys, variants)
 	return err
 }
@@ -116,100 +111,56 @@ type group struct {
 	load   int // loads-only representative lane (-1 unless split)
 }
 
-// Run executes variants of sys as one sweep. See the package
-// comment for the sharing model. The returned error is the first lane
-// failure; on error the remaining lanes are canceled via the run context.
+// Run executes variants of sys as one sweep. See the package comment for
+// the sharing model. The returned error is the first lane failure; on error
+// the remaining lanes are canceled via the run context.
 func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error) {
-	if len(variants) == 0 {
-		return nil, fmt.Errorf("sweep: no variants")
-	}
-	if err := superpose.CheckBase(&opts.Base); err != nil {
-		return nil, fmt.Errorf("sweep: %w; use the sweep hooks", err)
-	}
 	cvs, err := compile(sys, variants)
 	if err != nil {
 		return nil, err
-	}
-	base := opts.Base
-	if base.Cache == nil {
-		base.Cache = sparse.NewCache(0)
 	}
 	noShare := len(opts.ResumeVariants) > 0
 	groups := planGroups(cvs, opts.Method, noShare)
 	lanes := planLanes(sys, cvs, groups)
 
-	res := &Result{Variants: make([]VariantResult, len(variants))}
-	for v := range cvs {
-		res.Variants[v].Name = cvs[v].name
-	}
-	res.Stats.Variants = len(variants)
-	res.Stats.Lanes = len(lanes)
-
-	// Every variant is a fold over its group's lanes: the representative of
-	// a directly integrated group is that lane times 1 (its rows pass
+	// Every variant is an output over its group's lanes: the representative
+	// of a directly integrated group is that lane times 1 (its rows pass
 	// through), every other variant is derived — c·direct, or x_sup +
 	// c·x_load for a split group. Each streams as its lanes pass a sample.
-	folds := make([]*superpose.Fold, len(variants))
-	feeds := make([][]feed, len(lanes))
+	outs := make([]superpose.Output, len(variants))
 	for _, g := range groups {
 		for _, m := range g.members {
-			ids, addends := []int{g.direct}, []superpose.Addend{{Coef: m.c}}
+			out := &outs[m.v]
+			out.Plan.Probes = opts.Base.Probes
+			out.Lanes, out.Plan.Addends = []int{g.direct}, []superpose.Addend{{Coef: m.c}}
 			if g.direct < 0 {
-				ids, addends = []int{g.sup, g.load}, []superpose.Addend{{Coef: 1}, {Coef: m.c}}
+				out.Lanes, out.Plan.Addends = []int{g.sup, g.load}, []superpose.Addend{{Coef: 1}, {Coef: m.c}}
 			}
-			var emit func(t float64, row []float64)
 			if opts.OnVariantSample != nil {
-				emit = func(t float64, row []float64) { opts.OnVariantSample(m.v, t, row) }
-			}
-			folds[m.v] = superpose.NewFold(superpose.Plan{Probes: base.Probes, Addends: addends}, emit)
-			for j, li := range ids {
-				feeds[li] = append(feeds[li], feed{folds[m.v], j})
+				out.Emit = func(t float64, row []float64) { opts.OnVariantSample(m.v, t, row) }
 			}
 		}
 	}
 
 	// All lanes run at once: a derived variant's rows leave only when every
 	// lane it is combined from has passed them, so a lane held back would
-	// hold back the rows of every variant that depends on it.
-	ctx := base.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	results, err := superpose.FanOut(ctx, len(lanes), len(lanes), func(ctx context.Context, i int) (*transient.Result, error) {
+	// hold back the rows of every variant that depends on it. A resumed
+	// sweep shares nothing, so every lane is a variant's.
+	results, _, sim, err := superpose.Run(opts.Base, opts.Method, len(lanes), len(lanes), outs, func(i int, lopts transient.Options) (*transient.Result, error) {
 		ln := lanes[i]
-		lopts := base
-		lopts.Ctx = ctx
 		lopts.ActiveInputs = ln.active
-		lopts.OnSample = func(t float64, row []float64) {
-			for _, fd := range feeds[i] {
-				fd.fold.Sample(fd.addend, t, row)
-			}
-		}
-		var resume *transient.Checkpoint
-		if v := ln.variant; v >= 0 {
-			if opts.OnVariantCheckpoint != nil {
-				lopts.OnCheckpoint = func(cp transient.Checkpoint) error {
-					return opts.OnVariantCheckpoint(v, cp)
-				}
-			}
-			if cp, ok := opts.ResumeVariants[v]; ok {
-				resume = &cp
-			}
+		if opts.OnVariantCheckpoint != nil && ln.variant >= 0 {
+			lopts.OnCheckpoint = func(cp transient.Checkpoint) error { return opts.OnVariantCheckpoint(ln.variant, cp) }
 		}
 		var r *transient.Result
 		var err error
-		if resume != nil {
-			r, err = transient.Resume(ln.sys, opts.Method, lopts, *resume)
+		if cp, ok := opts.ResumeVariants[ln.variant]; ok {
+			r, err = transient.Resume(ln.sys, opts.Method, lopts, cp)
 		} else {
 			r, err = transient.Simulate(ln.sys, opts.Method, lopts)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("sweep: lane %d: %w", i, err)
-		}
-		for _, fd := range feeds[i] {
-			if err := fd.fold.Land(fd.addend, r); err != nil {
-				return nil, fmt.Errorf("sweep: internal: %w", err)
-			}
 		}
 		return r, nil
 	})
@@ -217,22 +168,12 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		return nil, err
 	}
 
-	for _, r := range results {
-		sim, s := &res.Stats.Sim, &r.Stats
-		sim.Add(s)
-		sim.DCTime += s.DCTime
-		sim.FactorTime += s.FactorTime
-		sim.TransientTime += s.TransientTime
-	}
-
+	res := &Result{Variants: make([]VariantResult, len(variants))}
+	res.Stats = Stats{Variants: len(variants), Lanes: len(lanes), Sim: sim}
 	for _, g := range groups {
 		for _, m := range g.members {
-			r, err := folds[m.v].Result()
-			if err != nil {
-				return nil, fmt.Errorf("sweep: internal: %w", err)
-			}
-			vr := &res.Variants[m.v]
-			vr.Times, vr.Probes, vr.Final = r.Times, r.Probes, r.Final
+			r, vr := results[m.v], &res.Variants[m.v]
+			vr.Name, vr.Times, vr.Probes, vr.Final = cvs[m.v].name, r.Times, r.Probes, r.Final
 			if g.direct < 0 || m.v != g.rep {
 				vr.Shared = true
 				res.Stats.SharedVariants++
@@ -240,12 +181,6 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		}
 	}
 	return res, nil
-}
-
-// feed is one lane's place in a variant's fold.
-type feed struct {
-	fold   *superpose.Fold
-	addend int
 }
 
 // planGroups partitions the variants into collinear groups. With sharing
@@ -274,24 +209,16 @@ func planGroups(cvs []compiled, method transient.Method, noShare bool) []group {
 	// Krylov error bound of the representative covers the whole group.
 	for gi := range groups {
 		g := &groups[gi]
-		best, bestAbs := g.rep, 0.0
-		for _, m := range g.members {
-			if abs := math.Abs(m.c); abs > bestAbs {
-				best, bestAbs = m.v, abs
+		best := g.members[0]
+		for _, m := range g.members[1:] {
+			if math.Abs(m.c) > math.Abs(best.c) {
+				best = m
 			}
 		}
-		if best != g.rep {
-			var cBest float64
-			for _, m := range g.members {
-				if m.v == best {
-					cBest = m.c
-				}
-			}
-			for i := range g.members {
-				g.members[i].c /= cBest
-			}
-			g.rep = best
+		for i := range g.members {
+			g.members[i].c /= best.c
 		}
+		g.rep = best.v
 	}
 	// TRAdaptive picks its step grid from the solution, so the two
 	// component integrations of a split group would land on different

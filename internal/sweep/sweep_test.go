@@ -3,11 +3,13 @@ package sweep
 import (
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/pdn"
+	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -253,6 +255,49 @@ func TestSweepStreamsEveryVariant(t *testing.T) {
 	}
 }
 
+// TestSweepStatsAreTheLanesFolded: a sweep's Sim counters are the sum of
+// its lanes' counters as each lane's integration reports them run solo,
+// under one cache, one after another. The sweep is a split collinear group beside a directly
+// integrated variant, so the shared supplies lane feeds three variants.
+// (The durations' rule is superpose.TestRunStatsRule's.)
+func TestSweepStatsAreTheLanesFolded(t *testing.T) {
+	sys := ibmSystem(t, 0.2)
+	variants := []Variant{
+		{Name: "typ"},
+		{Name: "half", Scale: 0.5},
+		{Name: "double", Scale: 2.0},
+		{Name: "hot", SourceScales: map[string]float64{"Iload1": 1.4}},
+	}
+	res, err := Run(sys, variants, Options{Base: baseOpts(sys), Method: transient.RMATEX})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cvs, err := compile(sys, variants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := planLanes(sys, cvs, planGroups(cvs, transient.RMATEX, false))
+	if len(lanes) != 3 || res.Stats.Lanes != 3 {
+		t.Fatalf("%d lanes planned, %d run; want 3", len(lanes), res.Stats.Lanes)
+	}
+	var want transient.Stats
+	opts := baseOpts(sys)
+	opts.Cache = sparse.NewCache(0)
+	for _, ln := range lanes {
+		opts.ActiveInputs = ln.active
+		r, err := transient.Simulate(ln.sys, transient.RMATEX, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(&r.Stats)
+	}
+	got := res.Stats.Sim
+	got.DCTime, got.FactorTime, got.TransientTime = 0, 0, 0
+	if want.SolvePairs == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep counters %+v, solo lanes summed %+v", got, want)
+	}
+}
+
 // TestSweepCheckpointResume interrupts a sweep via a failing checkpoint
 // hook, then resumes the interrupted variants from their snapshots and
 // checks the stitched waveform matches an uninterrupted run.
@@ -407,5 +452,24 @@ func TestSweepValidation(t *testing.T) {
 	bad.OnSample = func(float64, []float64) {}
 	if _, err := Run(sys, []Variant{{}}, Options{Base: bad, Method: transient.RMATEX}); err == nil {
 		t.Error("engine-owned Base.OnSample accepted")
+	}
+	// A window or a step no lane could run under is refused once, before
+	// any lane starts — not as the first of the lanes' own failures
+	// ("sweep: lane i: …").
+	noWindow := base
+	noWindow.Tstop = 0
+	for _, c := range []struct {
+		name   string
+		base   transient.Options
+		method transient.Method
+		want   string
+	}{
+		{"Tstop 0", noWindow, transient.RMATEX, "needs positive Tstop"},
+		{"TRFixed without Step", base, transient.TRFixed, "needs positive Step"},
+	} {
+		_, err := Run(sys, []Variant{{}, {Scale: 2}}, Options{Base: c.base, Method: c.method})
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "lane") {
+			t.Errorf("%s: %v, want %q before any lane", c.name, err, c.want)
+		}
 	}
 }

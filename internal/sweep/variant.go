@@ -120,6 +120,9 @@ type compiled struct {
 
 // compile resolves variants against sys, validating names and waveforms.
 func compile(sys *circuit.System, variants []Variant) ([]compiled, error) {
+	if len(variants) == 0 {
+		return nil, fmt.Errorf("sweep: no variants")
+	}
 	byName := map[string][]int{} // source key -> input indices (a name may stamp several inputs)
 	supply := make([]bool, len(sys.Inputs))
 	loads := 0

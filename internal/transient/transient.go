@@ -254,9 +254,10 @@ func (s *Stats) MP() int {
 }
 
 // Add folds another run's work counters into s — a D-MATEX node's into the
-// run totals, a sweep lane's into the sweep's. The three durations are left
-// to the caller: nodes run side by side, so whether they sum or the slowest
-// counts is the caller's policy.
+// run totals, a sweep lane's into the sweep's. It leaves the three
+// durations alone: lanes that run side by side have theirs folded in one
+// place, superpose.Run (FactorTime summed, DCTime over the lanes that solve
+// a DC point, TransientTime the slowest lane's).
 func (s *Stats) Add(o *Stats) {
 	s.Factorizations += o.Factorizations
 	s.SolvePairs += o.SolvePairs
