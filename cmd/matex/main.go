@@ -166,7 +166,7 @@ func main() {
 		// repeats between the lines below.
 		if rep := out.Dist; rep != nil {
 			fmt.Fprintf(os.Stderr, "tasks=%d groups=%d retried=%d max_node_time=%v max_node_transient=%v\n",
-				rep.Tasks, rep.Groups, rep.Retried, rep.MaxNodeTime, rep.MaxNodeTrTime)
+				rep.Tasks, rep.Groups, rep.Retried, rep.MaxNodeTime, out.Stats.TransientTime)
 			// One line per dispatched task.
 			for i, t := range rep.PerTask {
 				st := &rep.TaskStats[i]

@@ -1,9 +1,9 @@
 // Command matexcheck runs the project-invariant static analyzer suite over
-// the module: noalloc (//matex:noalloc hot paths stay allocation-free),
-// errflow (no discarded errors in cmd/, the HTTP tier and internal/job),
-// and docs (the matex facade and internal/sweep document every exported
-// symbol). It exits non-zero when any finding survives the //matex: waiver
-// annotations.
+// the module: errflow (no discarded errors in cmd/, the HTTP tier and
+// internal/job) and docs (the matex facade and internal/sweep document every
+// exported symbol). It exits non-zero when any finding survives the
+// //matex:err-ok waivers, or when a //matex: directive is malformed or
+// unknown.
 //
 // Usage:
 //

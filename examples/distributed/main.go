@@ -79,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("one node per group: %d groups in %d tasks, slowest node %v (transient %v)\n",
-		rep.Groups, rep.Tasks, rep.MaxNodeTime.Round(1e5), rep.MaxNodeTrTime.Round(1e5))
+		rep.Groups, rep.Tasks, rep.MaxNodeTime.Round(1e5), perGroup.Stats.TransientTime.Round(1e5))
 
 	// Two nodes: the same groups, merged into two tasks of balanced |∪ LTS|.
 	local, rep, err := matex.SimulateDistributed(sys, matex.RMATEX, matex.DistConfig{Base: base, Workers: 2})
@@ -87,7 +87,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("two nodes in-process: %d groups in %d tasks, slowest node %v (transient %v)\n",
-		rep.Groups, rep.Tasks, rep.MaxNodeTime.Round(1e5), rep.MaxNodeTrTime.Round(1e5))
+		rep.Groups, rep.Tasks, rep.MaxNodeTime.Round(1e5), local.Stats.TransientTime.Round(1e5))
 	for i, t := range rep.PerTask {
 		fmt.Printf("  task %d: groups %v, %d transition spots\n", i, t.Groups, t.Spots)
 	}

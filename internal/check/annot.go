@@ -1,21 +1,15 @@
 package check
 
 import (
-	"go/ast"
 	"go/token"
 	"strings"
 )
 
-// The //matex: directive vocabulary. Function-level directives live in the
-// function's doc comment (or on the line directly above an undocumented
-// function); line-level waivers sit on the flagged line itself or on the
-// line directly above it. Every waiver carries a parenthesized reason so
-// the tree records why each finding is intentional.
-const (
-	dirNoalloc = "noalloc"  // function must stay allocation-free
-	dirAllocOK = "alloc-ok" // waive one noalloc finding (grow paths, cold error paths)
-	dirErrOK   = "err-ok"   // waive one errflow finding
-)
+// The //matex: directive vocabulary: one line-level waiver, which sits on
+// the flagged line itself or on the line directly above it and carries a
+// parenthesized reason so the tree records why each finding is
+// intentional.
+const dirErrOK = "err-ok" // waive one errflow finding
 
 // directive is one parsed //matex: comment.
 type directive struct {
@@ -24,35 +18,13 @@ type directive struct {
 	Pos    token.Pos
 }
 
-// needsReason reports whether the directive form requires a parenthesized
-// reason.
-func needsReason(name string) bool {
-	switch name {
-	case dirAllocOK, dirErrOK:
-		return true
-	}
-	return false
-}
-
-func knownDirective(name string) bool {
-	switch name {
-	case dirNoalloc, dirAllocOK, dirErrOK:
-		return true
-	}
-	return false
-}
-
-// annotations holds the parsed directives of one package, indexed for the
-// two lookup styles the analyzers need.
+// annotations holds the parsed directives of one package by line.
 type annotations struct {
 	fset *token.FileSet
 	// byLine maps a file/line pair to the directives covering that line: a
 	// directive covers its own line (trailing comment) and the next line
 	// (comment-above form).
 	byLine map[lineKey][]directive
-	// funcDirs maps a function declaration to the directives of its doc
-	// comment group.
-	funcDirs map[*ast.FuncDecl][]directive
 }
 
 type lineKey struct {
@@ -80,11 +52,11 @@ func parseDirective(text string, pos token.Pos, malformed func(pos token.Pos, ms
 		}
 		reason = strings.TrimSpace(rest[i+1 : j])
 	}
-	if !knownDirective(name) {
+	if name != dirErrOK {
 		malformed(pos, "unknown directive //matex:"+name)
 		return directive{}, false
 	}
-	if needsReason(name) && reason == "" {
+	if reason == "" {
 		malformed(pos, "//matex:"+name+" requires a (reason)")
 		return directive{}, false
 	}
@@ -96,9 +68,8 @@ func parseDirective(text string, pos token.Pos, malformed func(pos token.Pos, ms
 // instead of silently waiving nothing.
 func collectAnnotations(pkg *Pkg, report func(pos token.Pos, analyzer, msg string)) *annotations {
 	a := &annotations{
-		fset:     pkg.Fset,
-		byLine:   map[lineKey][]directive{},
-		funcDirs: map[*ast.FuncDecl][]directive{},
+		fset:   pkg.Fset,
+		byLine: map[lineKey][]directive{},
 	}
 	malformed := func(pos token.Pos, msg string) { report(pos, "annot", msg) }
 	for _, f := range pkg.Files {
@@ -114,30 +85,8 @@ func collectAnnotations(pkg *Pkg, report func(pos token.Pos, analyzer, msg strin
 				a.byLine[lineKey{fileName, line + 1}] = append(a.byLine[lineKey{fileName, line + 1}], d)
 			}
 		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if d, ok := parseDirective(c.Text, c.Pos(), func(token.Pos, string) {}); ok {
-					a.funcDirs[fd] = append(a.funcDirs[fd], d)
-				}
-			}
-		}
 	}
 	return a
-}
-
-// funcHas reports whether the function carries the named directive, either
-// in its doc comment or on its opening line.
-func (a *annotations) funcHas(fd *ast.FuncDecl, name string) bool {
-	for _, d := range a.funcDirs[fd] {
-		if d.Name == name {
-			return true
-		}
-	}
-	return a.lineHas(fd.Pos(), name)
 }
 
 // lineHas reports whether the source line of pos is covered by the named

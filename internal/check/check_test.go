@@ -1,6 +1,7 @@
 package check
 
 import (
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -93,8 +94,24 @@ func runFixture(t *testing.T, name string) {
 }
 
 func TestAnalyzerFixtures(t *testing.T) {
-	for _, name := range []string{"noalloc", "errflow", "docs"} {
+	for _, name := range []string{"errflow", "docs"} {
 		t.Run(name, func(t *testing.T) { runFixture(t, name) })
+	}
+}
+
+// TestRetiredDirectivesAreUnknown: the directives of the deleted
+// analyzers — the allocation contract's function marker and line waiver,
+// the pool and context waivers — are gone with them, so one left in the
+// tree is a finding rather than a comment nothing reads.
+func TestRetiredDirectivesAreUnknown(t *testing.T) {
+	for _, d := range []string{"noalloc", "alloc-ok(grow path)", "pool-drop(x)", "ctx-root", "ctx-exempt"} {
+		var msg string
+		if _, ok := parseDirective("//matex:"+d, token.NoPos, func(_ token.Pos, m string) { msg = m }); ok || !strings.Contains(msg, "unknown directive") {
+			t.Errorf("directive %q: parsed %v, finding %q; want an unknown-directive finding", d, ok, msg)
+		}
+	}
+	if _, ok := parseDirective("//matex:err-ok(kept)", token.NoPos, func(token.Pos, string) {}); !ok {
+		t.Error("err-ok with a reason no longer parses")
 	}
 }
 

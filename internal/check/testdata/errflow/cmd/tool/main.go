@@ -56,3 +56,9 @@ func handler() func() {
 		work() // want "call discards error result of work"
 	}
 }
+
+// stale carries a waiver for an analyzer the suite no longer has, which is
+// itself a finding.
+func stale() {
+	//matex:pool-drop(no analyzer reads this) // want "unknown directive //matex:pool-drop"
+}

@@ -28,8 +28,28 @@ func New(r, c int) *Matrix {
 }
 
 // Eye returns the n-by-n identity.
-func Eye(n int) *Matrix {
-	m := New(n, n)
+func Eye(n int) *Matrix { return new(Matrix).setEye(n) }
+
+// Reset reshapes m to r-by-c over its own storage, zeroed, and returns it.
+// The storage grows only when it is too short, so a matrix reset to sizes
+// it has held before allocates nothing.
+func (m *Matrix) Reset(r, c int) *Matrix {
+	if r < 0 || c < 0 {
+		panic("dense: negative dimension")
+	}
+	if cap(m.Data) < r*c {
+		m.Data = make([]float64, r*c)
+	} else {
+		m.Data = m.Data[:r*c]
+		clear(m.Data)
+	}
+	m.R, m.C = r, c
+	return m
+}
+
+// setEye makes m the n-by-n identity over its own storage.
+func (m *Matrix) setEye(n int) *Matrix {
+	m.Reset(n, n)
 	for i := 0; i < n; i++ {
 		m.Data[i*n+i] = 1
 	}
@@ -60,8 +80,13 @@ func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.C+j] }
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.C+j] = v }
 
 // Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{R: m.R, C: m.C, Data: append([]float64(nil), m.Data...)}
+func (m *Matrix) Clone() *Matrix { return new(Matrix).CopyFrom(m) }
+
+// CopyFrom makes m a copy of a over m's own storage (Reset's growth rule)
+// and returns m.
+func (m *Matrix) CopyFrom(a *Matrix) *Matrix {
+	copy(m.Reset(a.R, a.C).Data, a.Data)
+	return m
 }
 
 // Slice returns the top-left r-by-c submatrix as a copy.
@@ -77,11 +102,15 @@ func (m *Matrix) Slice(r, c int) *Matrix {
 }
 
 // Mul returns a*b.
-func Mul(a, b *Matrix) *Matrix {
+func Mul(a, b *Matrix) *Matrix { return MulInto(new(Matrix), a, b) }
+
+// MulInto writes a*b into dst (Reset's growth rule) and returns dst, which
+// must share no storage with a or b.
+func MulInto(dst, a, b *Matrix) *Matrix {
 	if a.C != b.R {
 		panic(fmt.Sprintf("dense: Mul dimension mismatch %dx%d * %dx%d", a.R, a.C, b.R, b.C))
 	}
-	out := New(a.R, b.C)
+	out := dst.Reset(a.R, b.C)
 	for i := 0; i < a.R; i++ {
 		arow := a.Data[i*a.C : (i+1)*a.C]
 		orow := out.Data[i*b.C : (i+1)*b.C]
@@ -117,14 +146,22 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 
 // Add returns alpha*a + beta*b.
 func Add(alpha float64, a *Matrix, beta float64, b *Matrix) *Matrix {
+	return addInto(new(Matrix), alpha, a, beta, b)
+}
+
+// addInto writes alpha*a + beta*b into dst and returns it. dst may be a or
+// b itself; any other dst is reshaped by Reset's growth rule.
+func addInto(dst *Matrix, alpha float64, a *Matrix, beta float64, b *Matrix) *Matrix {
 	if a.R != b.R || a.C != b.C {
 		panic("dense: Add dimension mismatch")
 	}
-	out := New(a.R, a.C)
-	for i := range out.Data {
-		out.Data[i] = alpha*a.Data[i] + beta*b.Data[i]
+	if dst != a && dst != b {
+		dst.Reset(a.R, a.C)
 	}
-	return out
+	for i := range dst.Data {
+		dst.Data[i] = alpha*a.Data[i] + beta*b.Data[i]
+	}
+	return dst
 }
 
 // Scale multiplies every element by s in place and returns m.

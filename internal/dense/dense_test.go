@@ -100,10 +100,12 @@ func TestInverse(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		a.Set(i, i, a.At(i, i)+10)
 	}
-	inv, err := Inverse(a)
+	f, err := FactorLU(a)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inv := new(Matrix)
+	f.InverseInto(inv)
 	if !Equalish(Mul(a, inv), Eye(8), 1e-10) {
 		t.Fatal("A·A⁻¹ != I")
 	}
@@ -126,6 +128,35 @@ func TestDet(t *testing.T) {
 	}
 	if math.Abs(f2.Det()+1) > 1e-14 {
 		t.Errorf("Det = %v, want -1", f2.Det())
+	}
+}
+
+// ExpmInto on one scratch, at sizes that shrink and grow again and at norms
+// that reach every Padé degree and the squaring, gives Expm's bits.
+func TestExpmIntoReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var w ExpmScratch
+	dst := new(Matrix)
+	for _, n := range []int{8, 3, 8, 1, 5} {
+		for _, norm := range []float64{1e-3, 0.2, 0.9, 2, 5, 40} {
+			a := randMatrix(rng, n)
+			a.Scale(norm / a.OneNorm())
+			want, err := Expm(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ExpmInto(dst, a, &w); err != nil {
+				t.Fatal(err)
+			}
+			if dst.R != n || dst.C != n {
+				t.Fatalf("n=%d: ExpmInto gave %dx%d", n, dst.R, dst.C)
+			}
+			for i, v := range want.Data {
+				if math.Float64bits(dst.Data[i]) != math.Float64bits(v) {
+					t.Fatalf("n=%d ‖A‖₁=%g: entry %d is %v, Expm gives %v", n, norm, i, dst.Data[i], v)
+				}
+			}
+		}
 	}
 }
 

@@ -28,22 +28,43 @@ var padeTheta = map[int]float64{
 // same algorithm family as MATLAB's expm used by the paper for the small
 // Hessenberg matrices H_m. A must be square.
 func Expm(a *Matrix) (*Matrix, error) {
+	out := new(Matrix)
+	if err := ExpmInto(out, a, new(ExpmScratch)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ExpmScratch is the working storage of ExpmInto: the even powers of A, the
+// Padé sums, the denominator's LU and the squaring buffer. The zero value
+// is ready; each buffer grows to the largest matrix it has held, so an
+// exponential no larger than an earlier one allocates nothing.
+type ExpmScratch struct {
+	pow       [5]Matrix // I, A², A⁴, A⁶, A⁸
+	s1, s2, t Matrix    // Padé sums and products
+	u, scaled Matrix    // U; the scaled A, then the squaring buffer
+	lu        LU
+}
+
+// ExpmInto writes e^A into dst (Reset's growth rule), as Expm does, using w
+// for every intermediate. dst must share no storage with a.
+func ExpmInto(dst, a *Matrix, w *ExpmScratch) error {
 	if a.R != a.C {
 		panic("dense: Expm needs a square matrix")
 	}
 	n := a.R
 	if n == 0 {
-		return New(0, 0), nil
+		dst.Reset(0, 0)
+		return nil
 	}
 	if n == 1 {
-		out := New(1, 1)
-		out.Data[0] = math.Exp(a.Data[0])
-		return out, nil
+		dst.Reset(1, 1).Data[0] = math.Exp(a.Data[0])
+		return nil
 	}
 	norm := a.OneNorm()
 	for _, m := range []int{3, 5, 7, 9} {
 		if norm <= padeTheta[m] {
-			return padeExp(a, m)
+			return padeExp(dst, a, m, w)
 		}
 	}
 	// Degree 13 with scaling and squaring.
@@ -51,65 +72,66 @@ func Expm(a *Matrix) (*Matrix, error) {
 	if norm > padeTheta[13] {
 		s = int(math.Ceil(math.Log2(norm / padeTheta[13])))
 	}
-	scaled := a.Clone().Scale(math.Ldexp(1, -s))
-	r, err := padeExp(scaled, 13)
-	if err != nil {
-		return nil, err
+	scaled := w.scaled.CopyFrom(a).Scale(math.Ldexp(1, -s))
+	if err := padeExp(dst, scaled, 13, w); err != nil {
+		return err
 	}
 	for i := 0; i < s; i++ {
-		r = Mul(r, r)
+		dst.CopyFrom(MulInto(&w.scaled, dst, dst))
 	}
-	return r, nil
+	return nil
 }
 
-// padeExp evaluates the degree-m diagonal Padé approximant r_m(A).
-func padeExp(a *Matrix, m int) (*Matrix, error) {
+// padeExp writes the degree-m diagonal Padé approximant r_m(A) into dst.
+// It uses every buffer of w except scaled, which may hold a.
+func padeExp(dst, a *Matrix, m int, w *ExpmScratch) error {
 	b := padeCoeffs[m]
 	n := a.R
-	id := Eye(n)
-	a2 := Mul(a, a)
+	id := w.pow[0].setEye(n)
+	a2 := MulInto(&w.pow[1], a, a)
 	var u, v *Matrix
 	switch m {
 	case 3, 5, 7, 9:
-		// powers[k] = A^{2k}.
-		powers := []*Matrix{id, a2}
-		for 2*(len(powers)-1) < m-1 {
-			powers = append(powers, Mul(powers[len(powers)-1], a2))
+		// pow[k] = A^{2k}.
+		for k := 2; 2*(k-1) < m-1; k++ {
+			MulInto(&w.pow[k], &w.pow[k-1], a2)
 		}
-		usum := New(n, n)
-		vsum := New(n, n)
+		usum := w.s1.Reset(n, n)
+		vsum := w.s2.Reset(n, n)
 		for k := 0; 2*k+1 <= m; k++ {
-			usum = Add(1, usum, b[2*k+1], powers[k])
+			addInto(usum, 1, usum, b[2*k+1], &w.pow[k])
 		}
 		for k := 0; 2*k <= m; k++ {
-			vsum = Add(1, vsum, b[2*k], powers[k])
+			addInto(vsum, 1, vsum, b[2*k], &w.pow[k])
 		}
-		u = Mul(a, usum)
+		u = MulInto(&w.u, a, usum)
 		v = vsum
 	case 13:
-		a4 := Mul(a2, a2)
-		a6 := Mul(a4, a2)
-		w1 := Add(b[13], a6, b[11], a4)
-		w1 = Add(1, w1, b[9], a2)
-		w2 := Add(b[7], a6, b[5], a4)
-		w2 = Add(1, w2, b[3], a2)
-		w2 = Add(1, w2, b[1], id)
-		u = Mul(a, Add(1, Mul(a6, w1), 1, w2))
-		z1 := Add(b[12], a6, b[10], a4)
-		z1 = Add(1, z1, b[8], a2)
-		z2 := Add(b[6], a6, b[4], a4)
-		z2 = Add(1, z2, b[2], a2)
-		z2 = Add(1, z2, b[0], id)
-		v = Add(1, Mul(a6, z1), 1, z2)
+		a4 := MulInto(&w.pow[2], a2, a2)
+		a6 := MulInto(&w.pow[3], a4, a2)
+		w1 := addInto(&w.s1, b[13], a6, b[11], a4)
+		addInto(w1, 1, w1, b[9], a2)
+		w2 := addInto(&w.s2, b[7], a6, b[5], a4)
+		addInto(w2, 1, w2, b[3], a2)
+		addInto(w2, 1, w2, b[1], id)
+		t := MulInto(&w.t, a6, w1)
+		u = MulInto(&w.u, a, addInto(t, 1, t, 1, w2))
+		z1 := addInto(w1, b[12], a6, b[10], a4)
+		addInto(z1, 1, z1, b[8], a2)
+		z2 := addInto(w2, b[6], a6, b[4], a4)
+		addInto(z2, 1, z2, b[2], a2)
+		addInto(z2, 1, z2, b[0], id)
+		t = MulInto(&w.t, a6, z1)
+		v = addInto(t, 1, t, 1, z2)
 	default:
 		panic("dense: unsupported Padé degree")
 	}
-	// r = (V-U)⁻¹ (V+U).
-	f, err := FactorLU(Add(1, v, -1, u))
-	if err != nil {
-		return nil, err
+	// r = (V-U)⁻¹ (V+U); s1 is free once U and V are formed.
+	if err := w.lu.Factor(addInto(&w.s1, 1, v, -1, u)); err != nil {
+		return err
 	}
-	return f.SolveMatrix(Add(1, v, 1, u)), nil
+	w.lu.solveMatrixInto(dst, addInto(v, 1, v, 1, u))
+	return nil
 }
 
 // ExpmVec returns e^{tA}·v without forming e^{tA} when A is larger than the

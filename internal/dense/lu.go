@@ -9,21 +9,37 @@ import (
 var ErrSingular = errors.New("dense: matrix is singular")
 
 // LU is a dense LU factorization with partial pivoting, P·A = L·U stored
-// packed in a single matrix.
+// packed in a single matrix. The zero value is an empty factorization that
+// Factor fills; its storage is reused by every later Factor.
 type LU struct {
-	lu   *Matrix
+	lu   Matrix
 	piv  []int
 	sign int
+	col  []float64 // one column of solveMatrixInto/InverseInto
 }
 
 // FactorLU factors the square matrix a (a is not modified).
 func FactorLU(a *Matrix) (*LU, error) {
+	f := new(LU)
+	if err := f.Factor(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Factor factors the square matrix a into f's own storage (a is not
+// modified), growing it only when a is larger than any matrix f has held.
+func (f *LU) Factor(a *Matrix) error {
 	if a.R != a.C {
-		return nil, errors.New("dense: FactorLU needs a square matrix")
+		return errors.New("dense: FactorLU needs a square matrix")
 	}
 	n := a.R
-	lu := a.Clone()
-	piv := make([]int, n)
+	lu := f.lu.CopyFrom(a)
+	if cap(f.piv) < n {
+		f.piv = make([]int, n)
+	}
+	f.piv = f.piv[:n]
+	piv := f.piv
 	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot.
@@ -36,7 +52,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 		if max == 0 {
-			return nil, ErrSingular
+			return ErrSingular
 		}
 		piv[k] = p
 		if p != k {
@@ -57,16 +73,24 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	f.sign = sign
+	return nil
 }
 
 // Solve computes x = A⁻¹ b, returning a new slice.
 func (f *LU) Solve(b []float64) []float64 {
+	x := make([]float64, len(b))
+	f.solveInto(x, b)
+	return x
+}
+
+// solveInto computes x = A⁻¹ b into x, which may be b itself.
+func (f *LU) solveInto(x, b []float64) {
 	n := f.lu.R
-	if len(b) != n {
+	if len(b) != n || len(x) != n {
 		panic("dense: LU.Solve dimension mismatch")
 	}
-	x := append([]float64(nil), b...)
+	copy(x, b)
 	for k := 0; k < n; k++ {
 		if p := f.piv[k]; p != k {
 			x[k], x[p] = x[p], x[k]
@@ -90,27 +114,58 @@ func (f *LU) Solve(b []float64) []float64 {
 		}
 		x[i] = s / row[i]
 	}
-	return x
 }
 
 // SolveMatrix computes A⁻¹ B column by column.
 func (f *LU) SolveMatrix(b *Matrix) *Matrix {
+	out := new(Matrix)
+	f.solveMatrixInto(out, b)
+	return out
+}
+
+// solveMatrixInto writes A⁻¹ B into dst (Reset's growth rule), column by
+// column. dst must share no storage with b.
+func (f *LU) solveMatrixInto(dst, b *Matrix) {
 	n := f.lu.R
 	if b.R != n {
 		panic("dense: SolveMatrix dimension mismatch")
 	}
-	out := New(n, b.C)
-	col := make([]float64, n)
+	col := f.column()
+	dst.Reset(n, b.C)
 	for j := 0; j < b.C; j++ {
-		for i := 0; i < n; i++ {
+		for i := range col {
 			col[i] = b.At(i, j)
 		}
-		x := f.Solve(col)
-		for i := 0; i < n; i++ {
-			out.Set(i, j, x[i])
+		f.solveInto(col, col)
+		for i, v := range col {
+			dst.Set(i, j, v)
 		}
 	}
-	return out
+}
+
+// InverseInto writes A⁻¹ into dst (Reset's growth rule): the columns of
+// the identity, solved.
+func (f *LU) InverseInto(dst *Matrix) {
+	n := f.lu.R
+	col := f.column()
+	dst.Reset(n, n)
+	for j := 0; j < n; j++ {
+		clear(col)
+		col[j] = 1
+		f.solveInto(col, col)
+		for i, v := range col {
+			dst.Set(i, j, v)
+		}
+	}
+}
+
+// column returns f's column buffer at length n.
+func (f *LU) column() []float64 {
+	n := f.lu.R
+	if cap(f.col) < n {
+		f.col = make([]float64, n)
+	}
+	return f.col[:n]
 }
 
 // Det returns the determinant of the factored matrix.
@@ -130,13 +185,4 @@ func Solve(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b), nil
-}
-
-// Inverse returns A⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveMatrix(Eye(a.R)), nil
 }

@@ -103,16 +103,12 @@ type Report struct {
 	// Tasks is the number of tasks dispatched: the groups merged into
 	// min(Groups, pool nodes) tasks.
 	Tasks int
-	// DCTime is the one-shot DC operating point solve, on task 0's node
-	// ahead of that task's integration (TaskStats[0].DCTime).
-	DCTime time.Duration
 	// MaxNodeTime is the slowest node's wall time over all its phases — the
-	// distributed makespan (the paper's t_total is DCTime + MaxNodeTime; task
-	// 0's phases include the DC solve).
+	// distributed makespan (the paper's t_total is the run's Stats.DCTime +
+	// MaxNodeTime; task 0's phases include the DC solve). The slowest node's
+	// transient phase alone, the paper's t_R-MATEX, is the run's
+	// Stats.TransientTime.
 	MaxNodeTime time.Duration
-	// MaxNodeTrTime is the slowest node's transient phase alone (the paper's
-	// t_R-MATEX).
-	MaxNodeTrTime time.Duration
 	// Retried counts subtask dispatches repeated after a worker failure.
 	Retried int
 	// PerTask describes each dispatched task, in plan order.

@@ -98,6 +98,5 @@ func Run(dsys *System, method transient.Method, cfg Config) (*transient.Result, 
 			res.Final = nil // a remote task's final state stayed on its worker
 		}
 	}
-	rep.DCTime, rep.MaxNodeTrTime = st.DCTime, st.TransientTime
 	return res, rep, nil
 }

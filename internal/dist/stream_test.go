@@ -122,8 +122,8 @@ func TestRowZeroLeavesBeforeAnyTaskLands(t *testing.T) {
 			t.Fatalf("row 0 column %d is %g, x_DC %g", k, rowZero[k], xdc[p])
 		}
 	}
-	if st := rep.TaskStats; st[0].DCTime == 0 || rep.DCTime != st[0].DCTime || res.Stats.DCTime != rep.DCTime {
-		t.Errorf("DC time: task 0 %v, report %v, run %v; want task 0's everywhere", st[0].DCTime, rep.DCTime, res.Stats.DCTime)
+	if st := rep.TaskStats; st[0].DCTime == 0 || res.Stats.DCTime != st[0].DCTime {
+		t.Errorf("DC time: task 0 %v, run %v; want task 0's", st[0].DCTime, res.Stats.DCTime)
 	}
 }
 

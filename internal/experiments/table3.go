@@ -123,8 +123,8 @@ func RunTable3(cfg Table3Config) ([]Table3Row, error) {
 			T1000:   trRes.Stats.TransientTime.Seconds(),
 			TTTotal: (trRes.Stats.DCTime + trRes.Stats.FactorTime + trRes.Stats.TransientTime).Seconds(),
 			Groups:  rep.Groups,
-			TRMatex: rep.MaxNodeTrTime.Seconds(),
-			TRTotal: (dcFactor + rep.DCTime + rep.MaxNodeTime).Seconds(),
+			TRMatex: mxRes.Stats.TransientTime.Seconds(),
+			TRTotal: (dcFactor + mxRes.Stats.DCTime + rep.MaxNodeTime).Seconds(),
 			GTS:     gtsCount(sys, cfg.Tstop),
 		}
 		row.MaxErr, row.AvgErr = compareAt(mxRes, trRes, len(probes))

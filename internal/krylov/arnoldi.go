@@ -30,11 +30,15 @@ type Subspace struct {
 	q     *dense.Matrix
 	estNu float64
 
-	// Reused scratch (lazily grown, retained across workspace resets).
-	scrHm  *dense.Matrix // scaled-projection copy for EvalExp
-	scrAug *dense.Matrix // augmented expm input for error estimates
-	scrU   []float64     // estimate vector e^{hH}e₁
-	evalC  []float64     // spectral evaluation coefficients
+	// Reused scratch, grown to the largest dimension seen and retained
+	// across workspace resets: after a spot at least as large, estimates
+	// and evaluations allocate nothing.
+	scrHm  dense.Matrix      // scaled-projection copy for EvalExp
+	scrAug dense.Matrix      // augmented expm input for error estimates
+	scrE   dense.Matrix      // the exponential of either
+	expm   dense.ExpmScratch // its intermediates
+	scrU   []float64         // estimate vector e^{hH}e₁
+	evalC  []float64         // spectral evaluation coefficients
 	evalY  []float64
 }
 
@@ -58,26 +62,23 @@ func (s *Subspace) Lanczos() bool { return s.tri }
 // below opts.Tol (paper Alg. 1). hCheck lists the step sizes the subspace
 // must be accurate for; the estimate is evaluated at each and the maximum
 // must pass.
-//
-//matex:noalloc
 func Arnoldi(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, error) {
 	ws := opts.workspace()
 	return generate((*arnoldi)(ws), ws, op, v, hCheck, opts)
 }
 
 // arnoldi is a Workspace running the Arnoldi process: modified Gram-Schmidt
-// builds the growing Hessenberg matrix hFull, whose leading block Ĥ ConvertH
+// builds the growing Hessenberg matrix hFull, whose leading block Ĥ convertH
 // maps back to the projection H_m of A; the estimate is errEstimateScratch's
 // augmented expm and the change a 2-norm over the orthonormal basis.
 type arnoldi Workspace
 
-//matex:noalloc
 func (a *arnoldi) start(v []float64, maxDim int) float64 {
 	beta := norm2(v)
 	if beta == 0 {
 		return 0
 	}
-	matrix(&a.hFull, maxDim+1, maxDim)
+	a.hFull.Reset(maxDim+1, maxDim)
 	v1 := vec(&a.basis, 0, len(v))
 	for i := range v {
 		v1[i] = v[i] / beta
@@ -86,7 +87,6 @@ func (a *arnoldi) start(v []float64, maxDim int) float64 {
 	return beta
 }
 
-//matex:noalloc
 func (a *arnoldi) step(j int) (resid, scale float64) {
 	w := a.w
 	a.sub.op.Apply(w, a.basis[j])
@@ -105,7 +105,6 @@ func (a *arnoldi) step(j int) (resid, scale float64) {
 	return resid, scale
 }
 
-//matex:noalloc
 func (a *arnoldi) extend(j int, _, exhausted bool) {
 	if exhausted {
 		return
@@ -117,32 +116,20 @@ func (a *arnoldi) extend(j int, _, exhausted bool) {
 	}
 }
 
-// project converts the leading m×m block of the Hessenberg matrix, copied
-// into workspace scratch that is valid until the next check: ConvertH never
-// retains its argument (it clones for Standard mode and builds fresh
-// matrices for the shifted modes).
-//
-//matex:noalloc
+// project converts the leading m×m block Ĥ of the Hessenberg matrix into
+// hm, valid until the next check.
 func (a *arnoldi) project(m int) error {
-	a.hhat = growF(a.hhat, m*m)
-	a.hhatHdr = dense.Matrix{R: m, C: m, Data: a.hhat[:m*m]}
+	a.hhat.Reset(m, m)
 	for i := 0; i < m; i++ {
-		copy(a.hhatHdr.Data[i*m:(i+1)*m], a.hFull.Data[i*a.hFull.C:i*a.hFull.C+m])
+		copy(a.hhat.Data[i*m:(i+1)*m], a.hFull.Data[i*a.hFull.C:i*a.hFull.C+m])
 	}
-	hm, err := a.sub.op.ConvertH(&a.hhatHdr)
-	if err != nil {
-		return err
-	}
-	a.hm = hm
-	return nil
+	return a.sub.op.convertH(&a.hm, &a.hhat, &a.inv)
 }
 
-//matex:noalloc
 func (a *arnoldi) estimate(m int, h float64) (float64, []float64, error) {
-	return a.sub.errEstimateScratch(a.hm, a.hFull.At(m, m-1), a.sub.beta, h)
+	return a.sub.errEstimateScratch(&a.hm, a.hFull.At(m, m-1), a.sub.beta, h)
 }
 
-//matex:noalloc
 func (a *arnoldi) change(u, prev []float64) float64 {
 	var d float64
 	for i := range u {
@@ -151,7 +138,6 @@ func (a *arnoldi) change(u, prev []float64) float64 {
 	return math.Sqrt(d)
 }
 
-//matex:noalloc
 func (a *arnoldi) derivative(_ float64, y []float64) {
 	for i := range a.defHy {
 		a.defHy[i] = 0
@@ -163,10 +149,9 @@ func (a *arnoldi) derivative(_ float64, y []float64) {
 
 func (a *arnoldi) confirms() bool { return false }
 
-//matex:noalloc
 func (a *arnoldi) install(m int) {
 	a.sub.hsub = a.hFull.At(m, m-1)
-	a.sub.hm = a.hm
+	a.sub.hm = &a.hm
 }
 
 // errEstimate bounds the Krylov approximation error over the whole interval
@@ -197,15 +182,15 @@ func (a *arnoldi) install(m int) {
 // u is valid until the next call.
 func (s *Subspace) errEstimateScratch(hm *dense.Matrix, hsub, beta, h float64) (float64, []float64, error) {
 	m := hm.R
-	aug := matrix(&s.scrAug, m+1, m+1)
+	aug := s.scrAug.Reset(m+1, m+1)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			aug.Set(i, j, h*hm.At(i, j))
 		}
 	}
 	aug.Set(0, m, h)
-	e, err := dense.Expm(aug)
-	if err != nil {
+	e := &s.scrE
+	if err := dense.ExpmInto(e, aug, &s.expm); err != nil {
 		return 0, nil, err
 	}
 	s.scrU = growF(s.scrU, m)
@@ -254,11 +239,8 @@ func (s *Subspace) EvalExp(h float64, dst []float64) error {
 	if s.tri {
 		return s.evalSpectral(h, dst)
 	}
-	scaled := matrix(&s.scrHm, s.hm.R, s.hm.C)
-	copy(scaled.Data, s.hm.Data)
-	scaled.Scale(h)
-	e, err := dense.Expm(scaled)
-	if err != nil {
+	e := &s.scrE
+	if err := dense.ExpmInto(e, s.scrHm.CopyFrom(s.hm).Scale(h), &s.expm); err != nil {
 		return err
 	}
 	if s.op.Count != nil {
@@ -318,8 +300,6 @@ func (s *Subspace) evalSpectral(h float64, dst []float64) error {
 }
 
 // norm2 is the Euclidean norm of v, summed like dot.
-//
-//matex:noalloc
 func norm2(v []float64) float64 {
 	return math.Sqrt(dot(v, v))
 }
@@ -328,8 +308,6 @@ func norm2(v []float64) float64 {
 // partial sums, one per entry index mod 4, combined as (s0+s1)+(s2+s3), so
 // consecutive adds do not wait on each other; the order is a fixed function
 // of the length.
-//
-//matex:noalloc
 func dot(a, b []float64) float64 {
 	b = b[:len(a)]
 	var s0, s1, s2, s3 float64
@@ -354,8 +332,6 @@ func dot(a, b []float64) float64 {
 }
 
 // axpy computes dst += alpha * x.
-//
-//matex:noalloc
 func axpy(dst []float64, alpha float64, x []float64) {
 	for i := range dst {
 		dst[i] += alpha * x[i]

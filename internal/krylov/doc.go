@@ -20,9 +20,10 @@
 // residual check, the ForceDim exit, the best-effort return and the
 // zero-vector dummy.
 // The process-wide workspace pool (workspace.go, DefaultWorkspaces)
-// amortizes the V_m panel and Hessenberg storage across steps and across
-// concurrent runs; the hot paths are annotated //matex:noalloc and
-// enforced by matexcheck.
+// amortizes the V_m panel, the Hessenberg storage and the small dense
+// scratch (expm, LU, inverse) across steps and across concurrent runs; a
+// warm spot allocates nothing on either process, which
+// internal/transient's TestWarmKernelsAllocateNothing holds at run time.
 //
 // A Subspace survives its generating step: EvalExp re-evaluates e^{hH} on
 // the same basis for any h within the validated radius, which is what

@@ -497,6 +497,66 @@ func TestProtocol(t *testing.T) {
 	}
 }
 
+// TestWorkspaceReuseAcrossDimensions: the dense scratch on a workspace is
+// grown to the largest dimension it has seen and reused at smaller ones. On
+// one workspace, R-MATEX Arnoldi subspaces of dimension 8, then 3, then 8
+// give the projection, the estimates and the evaluations of a fresh
+// workspace bit for bit.
+func TestWorkspaceReuseAcrossDimensions(t *testing.T) {
+	n := 20
+	cm, gm := rcSystem(n, 1e3, 11)
+	_, _, rat := buildOps(t, cm, gm, 1e-13)
+	v := aug(rat, randVec(n, 12))
+	steps := []float64{2.5e-14, 1e-13, 4e-13}
+	ws := &Workspace{}
+	for _, m := range []int{8, 3, 8} {
+		gen := func(ws *Workspace) (hm []float64, evals [][]float64) {
+			sub, err := Arnoldi(rat, v, steps[1:2], Options{MaxDim: m, ForceDim: true, Workspace: ws})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sub.Dim() != m {
+				t.Fatalf("ForceDim %d gave dimension %d", m, sub.Dim())
+			}
+			hm = append(hm, sub.Hm().Data...)
+			for _, h := range steps {
+				est, err := sub.ErrEstimate(h)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dst := make([]float64, rat.N())
+				if err := sub.EvalExp(h, dst); err != nil {
+					t.Fatal(err)
+				}
+				evals = append(evals, append(dst, est))
+			}
+			return hm, evals
+		}
+		hm, evals := gen(ws)
+		wantHm, wantEvals := gen(nil)
+		if !sameBits(hm, wantHm) {
+			t.Errorf("m=%d: the reused workspace's projection differs from a fresh one's", m)
+		}
+		for k := range evals {
+			if !sameBits(evals[k], wantEvals[k]) {
+				t.Errorf("m=%d h=%g: the reused workspace's evaluation or estimate differs from a fresh one's", m, steps[k])
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestFig5ErrorDecreasesWithH(t *testing.T) {
 	// The paper's Fig. 5 property: for the rational subspace, the actual
 	// error against dense expm decreases as the step h increases.

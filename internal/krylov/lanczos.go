@@ -87,11 +87,9 @@ const reorthThreshold = 1.4901161193847656e-08 // sqrt(machine epsilon)
 // Floating-point Lanczos loses orthogonality as eigenvalues converge; a
 // partial reorthogonalization guard (Simon's ω-recurrence) estimates the
 // drift and switches to full reorthogonalization sweeps when it crosses √ε.
-//
-//matex:noalloc
 func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, error) {
 	if !op.SymmetricFor(v) {
-		return nil, fmt.Errorf("krylov: %v operator is not symmetric-eligible for Lanczos here", op.Mode) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+		return nil, fmt.Errorf("krylov: %v operator is not symmetric-eligible for Lanczos here", op.Mode)
 	}
 	ws := opts.workspace()
 	return generate((*lanczos)(ws), ws, op, v, hCheck, opts)
@@ -105,7 +103,6 @@ func Lanczos(op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, er
 // weighted by the basis vectors' Euclidean norms nu.
 type lanczos Workspace
 
-//matex:noalloc
 func (l *lanczos) start(v []float64, maxDim int) float64 {
 	n := len(v)
 	bw := vec(&l.bbasis, 0, n)
@@ -137,7 +134,6 @@ func (l *lanczos) start(v []float64, maxDim int) float64 {
 	return beta0
 }
 
-//matex:noalloc
 func (l *lanczos) step(j int) (resid, scale float64) {
 	w, bw := l.w, l.bw
 	l.sub.op.ApplySym(w, bw, l.basis[j])
@@ -171,8 +167,6 @@ func (l *lanczos) step(j int) (resid, scale float64) {
 // extend also records nu[j+1] = ‖v_{j+1}‖₂, which converts the residual
 // along v_{j+1} from its unit B-norm to Euclidean units, and advances the
 // ω guard.
-//
-//matex:noalloc
 func (l *lanczos) extend(j int, last, exhausted bool) {
 	bj := l.beta[j]
 	if exhausted {
@@ -204,24 +198,18 @@ func (l *lanczos) extend(j int, last, exhausted bool) {
 
 // project runs SymTriEig on the m×m tridiagonal, leaving its eigenvectors in
 // eigQ, and converts its eigenvalues into mu.
-//
-//matex:noalloc
 func (l *lanczos) project(m int) error {
 	l.eigD = growF(l.eigD, m)
 	l.eigE = growF(l.eigE, m)
 	copy(l.eigD, l.alpha[:m])
 	copy(l.eigE, l.beta[:m-1])
 	l.eigE[m-1] = 0
-	l.eigZ = growF(l.eigZ, m*m)
-	l.eigQ = dense.Matrix{R: m, C: m, Data: l.eigZ[:m*m]}
-	for i := range l.eigQ.Data {
-		l.eigQ.Data[i] = 0
-	}
+	l.eigQ.Reset(m, m)
 	for i := 0; i < m; i++ {
 		l.eigQ.Data[i*m+i] = 1
 	}
 	if err := dense.SymTriEig(l.eigD, l.eigE, &l.eigQ); err != nil {
-		return fmt.Errorf("krylov: %v Lanczos projection eigendecomposition failed at dimension %d: %w", l.sub.op.Mode, m, err) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+		return fmt.Errorf("krylov: %v Lanczos projection eigendecomposition failed at dimension %d: %w", l.sub.op.Mode, m, err)
 	}
 	lamScale := 0.0
 	for _, lam := range l.eigD[:m] {
@@ -236,7 +224,6 @@ func (l *lanczos) project(m int) error {
 	return nil
 }
 
-//matex:noalloc
 func (l *lanczos) estimate(m int, h float64) (float64, []float64, error) {
 	l.estU = growF(l.estU, m)
 	return l.nu[m] * spectralEstimate(&l.eigQ, l.mu, l.beta[m-1], l.sub.beta, h, l.estU), l.estU, nil
@@ -245,8 +232,6 @@ func (l *lanczos) estimate(m int, h float64) (float64, []float64, error) {
 // change bounds the Euclidean size of the change by the triangle inequality
 // over the per-vector norms, as the basis is not 2-orthonormal
 // (conservative by at most √m).
-//
-//matex:noalloc
 func (l *lanczos) change(u, prev []float64) float64 {
 	var d float64
 	for i := range u {
@@ -256,8 +241,6 @@ func (l *lanczos) change(u, prev []float64) float64 {
 }
 
 // derivative forms H_m·y = Q·diag(μ·e^{hμ})·Qᵀe₁.
-//
-//matex:noalloc
 func (l *lanczos) derivative(h float64, _ []float64) {
 	for i := range l.defHy {
 		l.defHy[i] = 0
@@ -281,8 +264,6 @@ func (l *lanczos) confirms() bool { return true }
 
 // install puts the spectral representation on the subspace; estNu =
 // ‖v_{m+1}‖₂ converts later ErrEstimate calls into the caller's units.
-//
-//matex:noalloc
 func (l *lanczos) install(m int) {
 	s := &l.sub
 	s.tri, s.mu, s.q = true, l.mu[:m], &l.eigQ
@@ -297,8 +278,6 @@ func (l *lanczos) install(m int) {
 // for the just-formed v_{j+1} into omegaNew and returns its largest
 // magnitude against v_0..v_{j-1}. Indices follow alpha[i] = T[i,i],
 // beta[i] = T[i+1,i].
-//
-//matex:noalloc
 func updateOmega(omega, omegaNew, alpha, beta []float64, j int) float64 {
 	if j == 0 {
 		omega[0] = machEpsK
@@ -326,8 +305,6 @@ func updateOmega(omega, omegaNew, alpha, beta []float64, j int) float64 {
 }
 
 // omegaAt reads ω_{j,i} with the convention ω_{j,j} = 1.
-//
-//matex:noalloc
 func omegaAt(omega []float64, i, j int) float64 {
 	if i == j {
 		return 1
@@ -335,7 +312,6 @@ func omegaAt(omega []float64, i, j int) float64 {
 	return omega[i]
 }
 
-//matex:noalloc
 func resetOmega(omega []float64, upto int) {
 	for i := 0; i <= upto && i < len(omega); i++ {
 		omega[i] = machEpsK

@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -95,8 +96,6 @@ type Op struct {
 
 // solve runs one substitution pair dst = fact⁻¹·b on the operator's
 // workspace.
-//
-//matex:noalloc
 func (op *Op) solve(dst, b []float64) {
 	op.fact.SolveWith(dst, b, op.work)
 }
@@ -241,8 +240,6 @@ func (op *Op) SymmetricFor(v []float64) bool {
 // recurrence needs no extra SpMV per iteration. Only valid when
 // op.SymmetricFor(v); for augmented modes the auxiliary entries of v must be
 // zero and stay zero in w and bw.
-//
-//matex:noalloc
 func (op *Op) ApplySym(w, bw, v []float64) {
 	n := op.n
 	switch op.Mode {
@@ -276,8 +273,6 @@ func (op *Op) ApplySym(w, bw, v []float64) {
 
 // applyB computes dst = B·v for the operator's inner-product matrix — needed
 // once per subspace, for the starting vector. Auxiliary entries stay zero.
-//
-//matex:noalloc
 func (op *Op) applyB(dst, v []float64) {
 	n := op.n
 	switch op.Mode {
@@ -298,7 +293,7 @@ func (op *Op) applyB(dst, v []float64) {
 
 // convertMu maps an eigenvalue λ of the generated operator's tridiagonal
 // projection to the corresponding eigenvalue of A (the spectral form of
-// ConvertH, Sec. 3.3). λ values in the clamped regime — at or beyond the
+// convertH, Sec. 3.3). λ values in the clamped regime — at or beyond the
 // algebraic limit of the spectral transform, within rounding of it — map to
 // -Inf: an instantaneous mode that the exponential annihilates for any
 // h > 0, which is the correct physical limit (the dense path reaches the
@@ -325,8 +320,6 @@ func (op *Op) convertMu(lam, lamScale float64) float64 {
 }
 
 // Apply computes dst = M·v (dst and v must not alias; length op.N()).
-//
-//matex:noalloc
 func (op *Op) Apply(dst, v []float64) {
 	n := op.n
 	switch op.Mode {
@@ -370,62 +363,58 @@ func (op *Op) Apply(dst, v []float64) {
 	}
 }
 
-// ConvertH maps the Hessenberg projection Ĥ of the generated operator back
-// to H_m, the projection of Ã itself, per Sec. 3.3:
+// convertH writes into dst the projection H_m of Ã itself, mapped back
+// from the projection Ĥ of the generated operator per Sec. 3.3:
 //
 //	standard:  H = Ĥ
 //	inverted:  H = Ĥ⁻¹
 //	rational:  H = (I - H̃⁻¹) / γ
-func (op *Op) ConvertH(hhat *dense.Matrix) (*dense.Matrix, error) {
+//
+// The inverse is invertChecked's, into dst over sc's storage.
+func (op *Op) convertH(dst, hhat *dense.Matrix, sc *invScratch) error {
 	switch op.Mode {
 	case Standard:
-		return hhat.Clone(), nil
+		dst.CopyFrom(hhat)
 	case Inverted:
-		inv, err := invertChecked(hhat)
-		if err != nil {
-			return nil, fmt.Errorf("krylov: inverted-mode Ĥ not invertible: %w", err) //matex:alloc-ok(conversion-failure error path)
+		if err := invertChecked(dst, hhat, sc); err != nil {
+			return fmt.Errorf("krylov: inverted-mode Ĥ not invertible: %w", err)
 		}
-		return inv, nil
 	case Rational:
-		inv, err := invertChecked(hhat)
-		if err != nil {
-			return nil, fmt.Errorf("krylov: rational-mode H̃ not invertible: %w", err) //matex:alloc-ok(conversion-failure error path)
+		if err := invertChecked(dst, hhat, sc); err != nil {
+			return fmt.Errorf("krylov: rational-mode H̃ not invertible: %w", err)
 		}
-		m := hhat.R
-		out := dense.Add(1, dense.Eye(m), -1, inv)
-		return out.Scale(1 / op.Gamma), nil
-	}
-	return nil, fmt.Errorf("krylov: unknown mode %d", op.Mode) //matex:alloc-ok(caller-misuse error path)
-}
-
-// invertChecked inverts the small projection matrix, verifying the product
-// against the identity. Near-zero eigenvalues of H̃ correspond to
-// instantaneous (algebraic) modes — circuits whose C has empty rows — and
-// make the plain inverse numerical garbage; a tiny diagonal shift maps them
-// to very fast decaying modes instead, which is the correct physical limit
-// (e^{hA} annihilates them for any h > 0).
-func invertChecked(h *dense.Matrix) (*dense.Matrix, error) {
-	m := h.R
-	try := func(shift, tol float64) (*dense.Matrix, bool) { //matex:alloc-ok(once per converged subspace, not per iteration)
-		src := h
-		if shift > 0 {
-			src = h.Clone()
-			for i := 0; i < m; i++ {
-				src.Set(i, i, src.At(i, i)+shift)
+		m, s := hhat.R, 1/op.Gamma
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				eye := 0.0
+				if i == j {
+					eye = 1
+				}
+				dst.Set(i, j, (eye-dst.At(i, j))*s)
 			}
 		}
-		inv, err := dense.Inverse(src)
-		if err != nil {
-			return nil, false
-		}
-		// Residual check: ‖src·inv - I‖∞ small means the inverse is usable.
-		if dense.Add(1, dense.Mul(src, inv), -1, dense.Eye(m)).InfNorm() > tol {
-			return nil, false
-		}
-		return inv, true
+	default:
+		return fmt.Errorf("krylov: unknown mode %d", op.Mode)
 	}
-	if inv, ok := try(0, 1e-6); ok { //matex:alloc-ok(once per converged subspace, not per iteration)
-		return inv, nil
+	return nil
+}
+
+// invScratch is invertChecked's storage: the shifted copy of Ĥ, its LU and
+// the product held against the identity.
+type invScratch struct {
+	src, prod dense.Matrix
+	lu        dense.LU
+}
+
+// invertChecked writes the inverse of the small projection matrix h into
+// dst, verifying the product against the identity. Near-zero eigenvalues of
+// H̃ correspond to instantaneous (algebraic) modes — circuits whose C has
+// empty rows — and make the plain inverse numerical garbage; a tiny diagonal
+// shift maps them to very fast decaying modes instead, which is the correct
+// physical limit (e^{hA} annihilates them for any h > 0).
+func invertChecked(dst, h *dense.Matrix, sc *invScratch) error {
+	if tryInverse(dst, h, 0, 1e-6, sc) {
+		return nil
 	}
 	scale := h.InfNorm()
 	if scale == 0 {
@@ -435,12 +424,33 @@ func invertChecked(h *dense.Matrix) (*dense.Matrix, error) {
 	// shifted (algebraic) directions, which the exponential annihilates; the
 	// slow directions we care about are perturbed only at the shift level.
 	// The ladder prefers the most accurate acceptable combination.
-	for _, tol := range []float64{1e-6, 1e-4, 1e-2} { //matex:alloc-ok(singularity-recovery ladder; rare path)
-		for _, rel := range []float64{1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9} { //matex:alloc-ok(singularity-recovery ladder; rare path)
-			if inv, ok := try(rel*scale, tol); ok { //matex:alloc-ok(singularity-recovery ladder; rare path)
-				return inv, nil
+	for _, tol := range [...]float64{1e-6, 1e-4, 1e-2} {
+		for _, rel := range [...]float64{1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9} {
+			if tryInverse(dst, h, rel*scale, tol, sc) {
+				return nil
 			}
 		}
 	}
-	return nil, fmt.Errorf("dense: projection numerically singular even after shifting") //matex:alloc-ok(terminal error path)
+	return errors.New("dense: projection numerically singular even after shifting")
+}
+
+// tryInverse writes the inverse of h + shift·I into dst and reports whether
+// ‖(h + shift·I)·dst - I‖∞ is within tol.
+func tryInverse(dst, h *dense.Matrix, shift, tol float64, sc *invScratch) bool {
+	src := h
+	if shift > 0 {
+		src = sc.src.CopyFrom(h)
+		for i := 0; i < src.R; i++ {
+			src.Set(i, i, src.At(i, i)+shift)
+		}
+	}
+	if sc.lu.Factor(src) != nil {
+		return false
+	}
+	sc.lu.InverseInto(dst)
+	prod := dense.MulInto(&sc.prod, src, dst)
+	for i := 0; i < prod.R; i++ {
+		prod.Set(i, i, prod.At(i, i)-1)
+	}
+	return prod.InfNorm() <= tol
 }

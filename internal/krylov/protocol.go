@@ -53,7 +53,7 @@ func (o Options) withDefaults(n int) Options {
 // workspace returns the caller's arena, or a private one.
 func (o Options) workspace() *Workspace {
 	if o.Workspace == nil {
-		return &Workspace{} //matex:alloc-ok(fallback workspace when the caller supplies no pool)
+		return &Workspace{}
 	}
 	return o.Workspace
 }
@@ -100,16 +100,14 @@ type process interface {
 // generate grows a Krylov subspace for e^{hA}·v through p until the
 // posterior error estimate at every step in hCheck is below opts.Tol (paper
 // Alg. 1, with the estimates of Eqs. 7, 8, 10).
-//
-//matex:noalloc
 func generate(p process, ws *Workspace, op *Op, v []float64, hCheck []float64, opts Options) (*Subspace, error) {
 	n := op.N()
 	opts = opts.withDefaults(n)
 	if len(v) != n {
-		return nil, fmt.Errorf("krylov: starting vector length %d != operator dimension %d", len(v), n) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+		return nil, fmt.Errorf("krylov: starting vector length %d != operator dimension %d", len(v), n)
 	}
 	if len(hCheck) == 0 {
-		return nil, errors.New("krylov: no step sizes to check") //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+		return nil, errors.New("krylov: no step sizes to check")
 	}
 	sub := ws.resetSub(op)
 	beta := p.start(v, opts.MaxDim)
@@ -123,7 +121,7 @@ func generate(p process, ws *Workspace, op *Op, v []float64, hCheck []float64, o
 		}
 		sub.m, sub.v = 1, ws.basis[:1]
 		if op.Count != nil {
-			op.Count.Dims = append(op.Count.Dims, 1) //matex:alloc-ok(work-stats recording; amortized append)
+			op.Count.Dims = append(op.Count.Dims, 1)
 		}
 		return sub, nil
 	}
@@ -141,7 +139,7 @@ func generate(p process, ws *Workspace, op *Op, v []float64, hCheck []float64, o
 	for j := 0; j < opts.MaxDim; j++ {
 		resid, scale := p.step(j)
 		if math.IsNaN(scale) || math.IsInf(scale, 0) {
-			return nil, fmt.Errorf("krylov: %v operator produced a non-finite vector at dimension %d (system too stiff for this subspace; use I-MATEX or R-MATEX)", op.Mode, j+1) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+			return nil, fmt.Errorf("krylov: %v operator produced a non-finite vector at dimension %d (system too stiff for this subspace; use I-MATEX or R-MATEX)", op.Mode, j+1)
 		}
 		m := j + 1
 		// The iteration may end here: a happy breakdown (the subspace is
@@ -245,20 +243,18 @@ func generate(p process, ws *Workspace, op *Op, v []float64, hCheck []float64, o
 	// estimate seen, along with the error, so callers can proceed with the
 	// achievable accuracy after exhausting their step-splitting options.
 	if bestM == 0 || p.project(bestM) != nil {
-		return nil, fmt.Errorf("%w (dim %d, tol %g)", ErrNoConvergence, opts.MaxDim, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+		return nil, fmt.Errorf("%w (dim %d, tol %g)", ErrNoConvergence, opts.MaxDim, opts.Tol)
 	}
-	return finish(p, ws, bestM), fmt.Errorf("%w (best dim %d, estimate %.3g, tol %g)", ErrNoConvergence, bestM, bestWorst, opts.Tol) //matex:alloc-ok(error path; subspace generation is abandoned or degraded)
+	return finish(p, ws, bestM), fmt.Errorf("%w (best dim %d, estimate %.3g, tol %g)", ErrNoConvergence, bestM, bestWorst, opts.Tol)
 }
 
 // finish hands back the workspace's subspace at dimension m, projected.
-//
-//matex:noalloc
 func finish(p process, ws *Workspace, m int) *Subspace {
 	sub := &ws.sub
 	sub.m, sub.v = m, ws.basis[:m]
 	p.install(m)
 	if op := sub.op; op.Count != nil {
-		op.Count.Dims = append(op.Count.Dims, m) //matex:alloc-ok(work-stats recording; amortized append)
+		op.Count.Dims = append(op.Count.Dims, m)
 	}
 	return sub
 }
@@ -279,8 +275,6 @@ func finish(p process, ws *Workspace, m int) *Subspace {
 // 1/|λ|. It sees whether (V, H_m) still is a Krylov pair of A at y — a pair
 // that rounding has turned into noise misses by the size of x itself — not
 // whether y was evaluated accurately.
-//
-//matex:noalloc
 func odeDefect(op *Op, ws *Workspace, beta, h float64, y []float64) float64 {
 	n := op.N()
 	ws.defX, ws.defXd, ws.defOut = growF(ws.defX, n), growF(ws.defXd, n), growF(ws.defOut, n)

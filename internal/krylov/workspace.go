@@ -32,16 +32,15 @@ type Workspace struct {
 	omega, omg1 []float64 // ω-recurrence rows (orthogonality loss estimate)
 	reorthLeft  int       // full-sweep iterations pending from the ω guard
 
-	hFull   *dense.Matrix // Arnoldi growing Hessenberg
-	hhat    []float64     // m×m leading block of hFull, Ĥ
-	hhatHdr dense.Matrix  // header over hhat handed to ConvertH
-	hm      *dense.Matrix // ConvertH(Ĥ) at the last projected dimension
-	prevU   [][]float64   // last checked e^{hH}e₁ per step size
+	hFull dense.Matrix // Arnoldi growing Hessenberg
+	hhat  dense.Matrix // m×m leading block of hFull, Ĥ
+	hm    dense.Matrix // convertH(Ĥ) at the last projected dimension
+	inv   invScratch   // convertH's inverse of Ĥ
+	prevU [][]float64  // last checked e^{hH}e₁ per step size
 
-	eigD, eigE []float64 // tridiagonal diagonal / subdiagonal copies
-	eigZ       []float64 // m×m eigenvector backing
-	eigQ       dense.Matrix
-	mu         []float64 // converted eigenvalues f(λ_k)
+	eigD, eigE []float64    // tridiagonal diagonal / subdiagonal copies
+	eigQ       dense.Matrix // eigenvectors of the tridiagonal projection
+	mu         []float64    // converted eigenvalues f(λ_k)
 
 	estU []float64 // estimate vector u = e^{hH}e₁
 
@@ -49,8 +48,8 @@ type Workspace struct {
 	defHy               []float64 // odeDefect: H_m·y
 
 	// sub is the returned subspace (reused); the small dense scratch for
-	// the augmented-expm checks and the spectral evaluation lives on it
-	// (scrAug/scrHm/scrU/evalC/evalY), retained across resetSub.
+	// the augmented-expm checks and the evaluations lives on it, retained
+	// across resetSub.
 	sub Subspace
 }
 
@@ -91,7 +90,7 @@ var DefaultWorkspaces = &WorkspacePool{}
 // growF returns s resized to n, reusing capacity.
 func growF(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n) //matex:alloc-ok(grow path: workspace slice resized once per larger problem)
+		return make([]float64, n)
 	}
 	return s[:n]
 }
@@ -100,31 +99,17 @@ func growF(s []float64, n int) []float64 {
 // list and the vector as needed. Contents are unspecified.
 func vec(list *[][]float64, i, n int) []float64 {
 	for len(*list) <= i {
-		*list = append(*list, nil) //matex:alloc-ok(grow path: basis list extended once per larger subspace)
+		*list = append(*list, nil)
 	}
 	(*list)[i] = growF((*list)[i], n)
 	return (*list)[i]
-}
-
-// matrix resizes m (allocating on first use) to r×c, zeroed.
-func matrix(m **dense.Matrix, r, c int) *dense.Matrix {
-	if *m == nil || cap((*m).Data) < r*c {
-		*m = dense.New(r, c)
-	} else {
-		(*m).R, (*m).C = r, c
-		(*m).Data = (*m).Data[:r*c]
-		for i := range (*m).Data {
-			(*m).Data[i] = 0
-		}
-	}
-	return *m
 }
 
 // prepPrevU readies the per-step-size estimate history for k step sizes of
 // dimension up to maxDim, clearing previous contents.
 func (ws *Workspace) prepPrevU(k, maxDim int) {
 	for len(ws.prevU) < k {
-		ws.prevU = append(ws.prevU, nil) //matex:alloc-ok(grow path: estimate history sized once per step-size count)
+		ws.prevU = append(ws.prevU, nil)
 	}
 	for i := 0; i < k; i++ {
 		ws.prevU[i] = growF(ws.prevU[i], maxDim)

@@ -93,8 +93,6 @@ func FactorLDLT(a *CSC, order Ordering) (*LDLT, error) {
 // length n, and allocates nothing. dst may alias b; work must overlap
 // neither. The solve also uses dst as scratch: b has been read into work
 // before dst is touched, and dst is written in full at the end.
-//
-//matex:noalloc
 func (f *LDLT) SolveWith(dst, b, work []float64) {
 	n := f.sym.n
 	if len(work) != n {

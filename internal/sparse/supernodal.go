@@ -313,8 +313,6 @@ func (s *Symbolic) Supernodes() int { return s.sn.nsuper }
 // descendant's rank-w_d update with dense column kernels, then factor the
 // panel in place (right-looking rank-1 sweeps inside the diagonal block,
 // one contiguous scaled column at a time).
-//
-//matex:noalloc
 func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
 	sn := s.sn
 	sp := f.snValues
@@ -399,7 +397,7 @@ func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
 			ck := base + k*ns
 			dk := sp[ck+k]
 			if dk == 0 || math.IsNaN(dk) {
-				return fmt.Errorf("%w: zero pivot at column %d in LDLT", ErrSingular, c0+k) //matex:alloc-ok(singular-matrix error path; factorization is abandoned)
+				return fmt.Errorf("%w: zero pivot at column %d in LDLT", ErrSingular, c0+k)
 			}
 			dv[c0+k] = dk
 			inv := 1 / dk
@@ -435,8 +433,6 @@ func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
 // block streams four panel columns per pass against g, the w mod 4 leading
 // columns first. The summation order is a fixed function of the panel
 // shape, so a right-hand side always solves to the same bits.
-//
-//matex:noalloc
 func (f *LDLT) fwdSN(work, g []float64) {
 	sn := f.sym.sn
 	sp := f.snValues
@@ -546,8 +542,6 @@ func (f *LDLT) fwdSN(work, g []float64) {
 // the diagonal block resolves two unknowns per pass from one fused sweep
 // over the rows below them, and a singleton panel's dot keeps two partial
 // sums.
-//
-//matex:noalloc
 func (f *LDLT) bwdOneSN(t int, work, g []float64) {
 	sn := f.sym.sn
 	sp := f.snValues

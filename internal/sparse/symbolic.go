@@ -319,16 +319,14 @@ func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
 // panel factorization: no appends, no reach recomputation, no heap
 // allocation. It returns ErrSingular on a zero pivot, leaving the factor
 // contents unspecified. Must not race with solves on the same factor.
-//
-//matex:noalloc
 func (s *Symbolic) RefactorInto(f *LDLT, a *CSC) error {
 	if f.sym != s {
-		return fmt.Errorf("sparse: RefactorInto factor belongs to a different analysis") //matex:alloc-ok(caller-misuse error path)
+		return fmt.Errorf("sparse: RefactorInto factor belongs to a different analysis")
 	}
 	// Dimension check only; the pattern itself is trusted to match (callers
 	// key Symbolic lookups by PatternFingerprint).
 	if a.Rows != s.n || a.Cols != s.n {
-		return fmt.Errorf("sparse: RefactorInto dimension mismatch: analysis %d, matrix %dx%d", s.n, a.Rows, a.Cols) //matex:alloc-ok(caller-misuse error path)
+		return fmt.Errorf("sparse: RefactorInto dimension mismatch: analysis %d, matrix %dx%d", s.n, a.Rows, a.Cols)
 	}
 	if err := s.refactorSN(f, a); err != nil {
 		return err

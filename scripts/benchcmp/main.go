@@ -111,6 +111,16 @@ var gates = []gate{
 	{row: "BenchmarkServeSubmit_warm", metric: "parses/op", abs: true, why: "a deck the server has seen is neither parsed nor stamped again"},
 	{row: "BenchmarkServeSubmit_warm", metric: "journal_B/op", abs: true, hi: 2048, why: "a spec record references its deck by hash; the body is journaled once"},
 	{row: "BenchmarkServeSubmit_cold", metric: "parses/op", abs: true, lo: 1, hi: 1, why: "an unseen deck is parsed exactly once"},
+	// A warm Krylov spot, counted: generation and snapshots run on the
+	// workspace's dense scratch (expm, LU, the projection's inverse) and
+	// allocate nothing on either process. Each row warms its workspace with
+	// one spot outside the count.
+	{row: "BenchmarkKrylovSpot_RMATEX_Arnoldi", metric: "allocs/op", abs: true, why: "a warm Arnoldi spot allocates nothing"},
+	{row: "BenchmarkKrylovSpot_RMATEX_Lanczos", metric: "allocs/op", abs: true, why: "a warm Lanczos spot allocates nothing"},
+	{row: "BenchmarkKrylovSpot_IMATEX_Arnoldi", metric: "allocs/op", abs: true, why: "a warm Arnoldi spot allocates nothing"},
+	{row: "BenchmarkKrylovSpot_IMATEX_Lanczos", metric: "allocs/op", abs: true, why: "a warm Lanczos spot allocates nothing"},
+	{row: "BenchmarkKrylovGenerate_RMATEX_Arnoldi", metric: "allocs/op", abs: true, why: "a warm Arnoldi generation allocates nothing"},
+	{row: "BenchmarkKrylovGenerate_RMATEX_Lanczos", metric: "allocs/op", abs: true, why: "a warm Lanczos generation allocates nothing"},
 	// The parser's allocations on the 56 k-card grid_static deck, counted: it
 	// makes ~6 k (name blocks, element chunks, the ~1.5 k source cards); a
 	// string per card is ~62 k, a copied and Fields-split line per card 230 k.
