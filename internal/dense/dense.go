@@ -27,9 +27,6 @@ func New(r, c int) *Matrix {
 	return &Matrix{R: r, C: c, Data: make([]float64, r*c)}
 }
 
-// Eye returns the n-by-n identity.
-func Eye(n int) *Matrix { return new(Matrix).setEye(n) }
-
 // Reset reshapes m to r-by-c over its own storage, zeroed, and returns it.
 // The storage grows only when it is too short, so a matrix reset to sizes
 // it has held before allocates nothing.

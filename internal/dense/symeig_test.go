@@ -6,10 +6,13 @@ import (
 	"sort"
 )
 
-// SymEig computes the eigenvalues (ascending) and eigenvectors of a symmetric
-// matrix with the cyclic Jacobi method. The columns of the returned matrix
-// are the eigenvectors. a must be symmetric; only its lower triangle is
-// trusted.
+// Eye returns the n-by-n identity.
+func Eye(n int) *Matrix { return new(Matrix).setEye(n) }
+
+// SymEig, the reference SymTriEig is checked against, computes the
+// eigenvalues (ascending) and eigenvectors of a symmetric matrix with the
+// cyclic Jacobi method. The columns of the returned matrix are the
+// eigenvectors. a must be symmetric; only its lower triangle is trusted.
 func SymEig(a *Matrix, tol float64, maxSweeps int) ([]float64, *Matrix, error) {
 	if a.R != a.C {
 		return nil, nil, errors.New("dense: SymEig needs a square matrix")

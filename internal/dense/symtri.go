@@ -13,7 +13,8 @@ var ErrEigNoConvergence = errors.New("dense: symmetric tridiagonal QL iteration 
 // implicit-shift QL method (EISPACK tql2). It exists for the Lanczos fast
 // path, where the Krylov projection is tridiagonal and the whole
 // convergence-check/evaluation pipeline must run without heap allocations:
-// unlike SymEig it takes every buffer from the caller and allocates nothing.
+// unlike the Jacobi reference its tests check it against (SymEig), it takes
+// every buffer from the caller and allocates nothing.
 //
 //   - d holds the diagonal on entry and the eigenvalues on return
 //     (unsorted — callers treat the spectrum as a set).

@@ -78,7 +78,13 @@ func (a *arnoldi) start(v []float64, maxDim int) float64 {
 	if beta == 0 {
 		return 0
 	}
-	a.hFull.Reset(maxDim+1, maxDim)
+	// step(j) writes column j's entries on and above the subdiagonal, and
+	// project and estimate read only entries a step of this spot wrote or
+	// ones below the subdiagonal, which nothing writes: so the zeros are
+	// laid once per shape, not once per spot.
+	if a.hFull.R != maxDim+1 || a.hFull.C != maxDim {
+		a.hFull.Reset(maxDim+1, maxDim)
+	}
 	v1 := vec(&a.basis, 0, len(v))
 	for i := range v {
 		v1[i] = v[i] / beta

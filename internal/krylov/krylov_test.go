@@ -498,25 +498,39 @@ func TestProtocol(t *testing.T) {
 }
 
 // TestWorkspaceReuseAcrossDimensions: the dense scratch on a workspace is
-// grown to the largest dimension it has seen and reused at smaller ones. On
-// one workspace, R-MATEX Arnoldi subspaces of dimension 8, then 3, then 8
-// give the projection, the estimates and the evaluations of a fresh
-// workspace bit for bit.
+// grown to the largest dimension it has seen and reused at smaller ones,
+// and the Hessenberg matrix is zeroed only when MaxDim changes its shape.
+// On one workspace, R-MATEX Arnoldi subspaces of dimension 8, then 3, then 8
+// (three shapes), then under one MaxDim of 12 a loose, a tight and again a
+// loose tolerance (one shape, the second loose spot on the tight one's
+// leftover columns) give the projection, the estimates and the evaluations
+// of a fresh workspace bit for bit.
 func TestWorkspaceReuseAcrossDimensions(t *testing.T) {
 	n := 20
 	cm, gm := rcSystem(n, 1e3, 11)
 	_, _, rat := buildOps(t, cm, gm, 1e-13)
 	v := aug(rat, randVec(n, 12))
 	steps := []float64{2.5e-14, 1e-13, 4e-13}
+	runs := []Options{
+		{MaxDim: 8, ForceDim: true},
+		{MaxDim: 3, ForceDim: true},
+		{MaxDim: 8, ForceDim: true},
+		{MaxDim: 12, Tol: 0.3},
+		{MaxDim: 12, Tol: 0.03},
+		{MaxDim: 12, Tol: 0.3},
+	}
 	ws := &Workspace{}
-	for _, m := range []int{8, 3, 8} {
-		gen := func(ws *Workspace) (hm []float64, evals [][]float64) {
-			sub, err := Arnoldi(rat, v, steps[1:2], Options{MaxDim: m, ForceDim: true, Workspace: ws})
+	var dims []int
+	for _, opts := range runs {
+		gen := func(ws *Workspace) (m int, hm []float64, evals [][]float64) {
+			opts := opts
+			opts.Workspace = ws
+			sub, err := Arnoldi(rat, v, steps[1:2], opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if sub.Dim() != m {
-				t.Fatalf("ForceDim %d gave dimension %d", m, sub.Dim())
+			if opts.ForceDim && sub.Dim() != opts.MaxDim {
+				t.Fatalf("ForceDim %d gave dimension %d", opts.MaxDim, sub.Dim())
 			}
 			hm = append(hm, sub.Hm().Data...)
 			for _, h := range steps {
@@ -530,18 +544,22 @@ func TestWorkspaceReuseAcrossDimensions(t *testing.T) {
 				}
 				evals = append(evals, append(dst, est))
 			}
-			return hm, evals
+			return sub.Dim(), hm, evals
 		}
-		hm, evals := gen(ws)
-		wantHm, wantEvals := gen(nil)
+		m, hm, evals := gen(ws)
+		_, wantHm, wantEvals := gen(nil)
+		dims = append(dims, m)
 		if !sameBits(hm, wantHm) {
-			t.Errorf("m=%d: the reused workspace's projection differs from a fresh one's", m)
+			t.Errorf("%+v: the reused workspace's projection differs from a fresh one's", opts)
 		}
 		for k := range evals {
 			if !sameBits(evals[k], wantEvals[k]) {
-				t.Errorf("m=%d h=%g: the reused workspace's evaluation or estimate differs from a fresh one's", m, steps[k])
+				t.Errorf("%+v h=%g: the reused workspace's evaluation or estimate differs from a fresh one's", opts, steps[k])
 			}
 		}
+	}
+	if loose, tight := dims[3], dims[4]; loose >= tight || dims[5] != loose {
+		t.Errorf("dimensions %v: the loose spots must stop below the tight one", dims)
 	}
 }
 

@@ -32,12 +32,15 @@
 //
 // # Lifecycle of a job
 //
-// POST /v1/jobs (http.go) checks the JobSpec's admission bounds
-// (job.Spec.Check), resolves its deck through the store and resolves the
-// rest of the spec against it up front (job.Spec.Resolve, the code the
-// matex CLI runs too), so malformed decks and specs fail with a 400 before
-// queueing; the job holds its job.Task — the shared, read-only stamped
-// system and the spec resolved on it — not the netlist text. The job then
+// POST /v1/jobs (http.go) decodes the body — the inline deck's string in
+// one pass, the rest through encoding/json, and the whole body through
+// encoding/json whenever the one pass could read anything differently —
+// checks the JobSpec's admission bounds (job.Spec.Check), resolves its deck
+// through the store and resolves the rest of the spec against it up front
+// (job.Spec.Resolve, the code the matex CLI runs too), so malformed decks
+// and specs fail with a 400 before queueing; the job holds its job.Task —
+// the shared, read-only stamped system and the spec resolved on it — not
+// the netlist text. The job then
 // waits in a bounded queue until a worker goroutine (serve.go) picks it up
 // and runs the task with the job's hooks (job.Task.Run), which forward every
 // probe sample into the job's grow-only sample log as the engine delivers
@@ -45,8 +48,19 @@
 // point, a sweep's shared variants as their lanes pass each sample. Stream
 // readers (GET /v1/jobs/{id}/stream) replay that log from any offset and
 // then follow live appends, so late subscribers and reconnects see the
-// identical sequence. A job's ordering, like every other solver option,
-// comes from its spec alone: the server has no defaults of its own to apply.
+// identical sequence. Every change to a job — a sample, running, the
+// outcome, a cancel — reaches them through one publish step (Job.publish):
+// it wakes the waiting writers, releases the job's lock and yields the
+// processor. The integrator that appends a sample never blocks between
+// samples, and the writer it woke waits in its processor's next-to-run
+// slot, so without the yield a row left only when the runtime preempted the
+// integrator, 10 ms on; with it the writer sends the row at once and the
+// integrator resumes when the writer parks again. A sweep's or distributed
+// job's rows come from the superposition fold's emit, which runs with the
+// fold's mutex released, so the yield holds up no other lane.
+//
+// A job's ordering, like every other solver option, comes from its spec
+// alone: the server has no defaults of its own to apply.
 //
 // # Sweep jobs
 //

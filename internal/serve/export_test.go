@@ -33,3 +33,6 @@ func (s *Server) AppendFaultArmed() bool { return s.journal.failNext.Load() != n
 
 // MaxBodyBytes is the admission bound on a deck.
 const MaxBodyBytes = maxBodyBytes
+
+// IBMDeck renders an IBM stand-in case to deck text (spec_test.go).
+var IBMDeck = ibmDeck

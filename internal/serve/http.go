@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/memo"
@@ -137,21 +138,48 @@ func (s *Server) retryAfter() int {
 // decodeSpec reads a submission: the body whole, into one buffer sized by
 // its declared length — a deck is most of a body, and a streaming decoder
 // would copy it through buffers doubling to twice its size — then the spec,
-// every field of which must be one a spec has.
+// every field of which must be one a spec has (parseSpec).
 func decodeSpec(w http.ResponseWriter, r *http.Request) (JobSpec, bool) {
 	var spec JobSpec
 	body, err := readBody(w, r)
 	if err == nil {
-		err = json.Unmarshal(body, &spec)
-	}
-	if err == nil {
-		err = knownFields(body)
+		spec, err = parseSpec(body)
 	}
 	if err != nil {
 		writeError(w, bodyCode(err), fmt.Errorf("decoding job spec: %w", err))
 		return spec, false
 	}
 	return spec, true
+}
+
+// parseSpec decodes a spec body as json.Unmarshal followed by knownFields
+// would, and in the common case without running the JSON scanner over the
+// inline deck: the top-level "netlist" string is unquoted in one pass
+// (unquoteNetlist) and json.Unmarshal reads the rest of the body, with that
+// value blanked. Whatever that path might read differently from the whole
+// body's decode — an escape other than the eight simple ones, a byte
+// encoding/json would refuse or replace, a second member whose name could
+// also be "netlist", a value that is not a string, any error — goes to the
+// whole-body decode, so every accepted spec, every refusal and its text are
+// that decode's.
+func parseSpec(body []byte) (JobSpec, error) {
+	var spec JobSpec
+	if from, to, ok := netlistValue(body); ok {
+		if text, ok := unquoteNetlist(body[from:to]); ok {
+			rest := make([]byte, 0, len(body)-(to-from))
+			rest = append(append(rest, body[:from]...), body[to:]...)
+			if json.Unmarshal(rest, &spec) == nil && knownFields(rest) == nil {
+				spec.Netlist = text
+				return spec, nil
+			}
+			spec = JobSpec{}
+		}
+	}
+	err := json.Unmarshal(body, &spec)
+	if err == nil {
+		err = knownFields(body)
+	}
+	return spec, err
 }
 
 // bodyCode maps a request-body failure to its status: 413 past
@@ -192,41 +220,151 @@ var specFields = func() map[string]bool {
 
 // knownFields refuses a body that names a field a spec does not have, in
 // json.Decoder.DisallowUnknownFields' words. The body is a JSON value
-// json.Unmarshal has read into a spec, so an object; its member names are
-// the strings that open it or follow a comma at its own depth, found without
-// a second pass of the JSON scanner over the deck inside it.
+// json.Unmarshal has read into a spec, so an object.
 func knownFields(body []byte) error {
-	depth, name := 0, false
+	return memberNames(body, func(open, close int) error {
+		var field string
+		if err := json.Unmarshal(body[open:close+1], &field); err != nil {
+			return err
+		}
+		if !specFields[strings.ToLower(field)] {
+			return fmt.Errorf("json: unknown field %q", field)
+		}
+		return nil
+	})
+}
+
+// errUnusual stops a walk over a body the one-pass decode leaves to
+// encoding/json.
+var errUnusual = errors.New("serve: not a plain spec body")
+
+// memberNames calls name with the offsets of the quotes around each member
+// name of the body's top-level object: the strings that open it or follow a
+// comma at its own depth, found without a pass of the JSON scanner over the
+// values, the deck among them. It returns name's first error, and
+// errUnusual if the body ends inside a string.
+func memberNames(body []byte, name func(open, close int) error) error {
+	depth, isName := 0, false
 	for i := 0; i < len(body); i++ {
 		switch body[i] {
 		case '{', '[':
 			depth++
-			name = depth == 1
+			isName = depth == 1
 		case '}', ']':
 			depth--
 		case ',':
-			name = depth == 1
+			isName = depth == 1
 		case '"':
-			j := i + 1
-			for ; body[j] != '"'; j++ {
-				if body[j] == '\\' {
-					j++
-				}
+			j := stringEnd(body, i)
+			if j < 0 {
+				return errUnusual
 			}
-			if name {
-				var field string
-				if err := json.Unmarshal(body[i:j+1], &field); err != nil {
+			if isName {
+				if err := name(i, j); err != nil {
 					return err
 				}
-				if !specFields[strings.ToLower(field)] {
-					return fmt.Errorf("json: unknown field %q", field)
-				}
-				name = false
+				isName = false
 			}
 			i = j
 		}
 	}
 	return nil
+}
+
+// stringEnd returns the offset of the quote that closes the JSON string
+// opening at body[open], or -1 if the body ends first: the first quote after
+// it that an even run of backslashes precedes.
+func stringEnd(body []byte, open int) int {
+	for j := open + 1; ; j++ {
+		k := bytes.IndexByte(body[j:], '"')
+		if k < 0 {
+			return -1
+		}
+		j += k
+		b := j - 1
+		for body[b] == '\\' {
+			b--
+		}
+		if (j-1-b)%2 == 0 {
+			return j
+		}
+	}
+}
+
+// netlistValue returns the offsets of the characters of the body's
+// top-level "netlist" string, between its quotes. ok is false unless exactly
+// one member name could be "netlist" to encoding/json — which matches names
+// in any case, Unicode folding included — that name is written exactly so,
+// no member name holds an escape, and the value is a string.
+func netlistValue(body []byte) (from, to int, ok bool) {
+	from = -1
+	err := memberNames(body, func(open, close int) error {
+		name := body[open+1 : close]
+		switch {
+		case bytes.IndexByte(name, '\\') >= 0:
+			return errUnusual
+		case !bytes.EqualFold(name, []byte("netlist")):
+			return nil
+		case from >= 0 || string(name) != "netlist":
+			return errUnusual
+		}
+		k := skipSpace(body, close+1)
+		if k == len(body) || body[k] != ':' {
+			return errUnusual
+		}
+		k = skipSpace(body, k+1)
+		if k == len(body) || body[k] != '"' {
+			return errUnusual
+		}
+		if to = stringEnd(body, k); to < 0 {
+			return errUnusual
+		}
+		from = k + 1
+		return nil
+	})
+	return from, to, err == nil && from >= 0
+}
+
+// skipSpace returns the offset of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(body []byte, i int) int {
+	for i < len(body) && (body[i] == ' ' || body[i] == '\t' || body[i] == '\n' || body[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// unescape maps the character after a backslash to what it stands for, for
+// the eight escapes that stand for one byte; 0 for the rest.
+var unescape = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// unquoteNetlist decodes the characters of a JSON string — a deck's: lines
+// of printable text, each ending in \n — copying the runs between escapes.
+// ok is false on what encoding/json would refuse or read otherwise: a
+// control character, a \u or unknown escape, invalid UTF-8.
+func unquoteNetlist(s []byte) (string, bool) {
+	for _, c := range s {
+		if c < 0x20 {
+			return "", false
+		}
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for {
+		k := bytes.IndexByte(s, '\\')
+		if k < 0 {
+			b.Write(s)
+			break
+		}
+		if k+1 == len(s) || unescape[s[k+1]] == 0 {
+			return "", false
+		}
+		b.Write(s[:k])
+		b.WriteByte(unescape[s[k+1]])
+		s = s[k+2:]
+	}
+	text := b.String()
+	return text, utf8.ValidString(text)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 
@@ -76,7 +77,7 @@ type Job struct {
 	resume map[string]*transient.Checkpoint
 
 	mu       sync.Mutex
-	notify   chan struct{} // closed and replaced on every append/state change
+	notify   chan struct{} // closed and replaced by publish on every append/state change
 	state    JobState
 	samples  []Sample
 	vseq     map[string]int // last VSeq assigned per variant (sweep jobs)
@@ -110,10 +111,21 @@ func newJob(id string, spec JobSpec, task *job.Task) *Job {
 	return j
 }
 
-// broadcast wakes every waiting subscriber. Callers hold j.mu.
-func (j *Job) broadcast() {
+// publish is the one way a change to the job reaches its subscribers: it
+// wakes every waiting stream writer, releases j.mu, which the caller holds,
+// and yields the processor. A woken writer waits in this processor's
+// next-to-run slot, and the producer — an integrator that never blocks
+// between samples — would otherwise keep the processor until the runtime
+// preempts it, 10 ms later; with the yield the writer sends the change
+// now, and the producer resumes once the writer has parked again. The
+// yield runs with no lock held: neither j.mu nor, for the rows of a sweep
+// or distributed job, the superposition fold's, which releases its mutex
+// around every emit.
+func (j *Job) publish() {
 	close(j.notify)
 	j.notify = make(chan struct{})
+	j.mu.Unlock()
+	runtime.Gosched()
 }
 
 // appendSample is the job's OnSample hook: it records one streamed chunk of
@@ -128,8 +140,7 @@ func (j *Job) appendSample(variant string, t float64, v []float64) {
 		smp.VSeq = j.vseq[variant]
 	}
 	j.samples = append(j.samples, smp)
-	j.broadcast()
-	j.mu.Unlock()
+	j.publish()
 }
 
 // journalCheckpoint is the OnCheckpoint hook of a journal-backed job, for
@@ -164,14 +175,14 @@ func (j *Job) journalCheckpoint(variant string, cp transient.Checkpoint) error {
 // was canceled while waiting in the queue.
 func (j *Job) markRunning(cancel context.CancelFunc) bool {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	if j.state != JobQueued {
+		j.mu.Unlock()
 		return false
 	}
 	j.state = JobRunning
 	j.cancel = cancel
 	j.started = time.Now()
-	j.broadcast()
+	j.publish()
 	return true
 }
 
@@ -191,7 +202,6 @@ func outcome(err error) JobState {
 // run and the sharing report of a sweep.
 func (j *Job) finish(out *job.Outcome, err error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.finished = time.Now()
 	j.state, j.err = outcome(err), err
 	if err == nil {
@@ -199,7 +209,7 @@ func (j *Job) finish(out *job.Outcome, err error) {
 	}
 	j.cancel = nil
 	j.releaseInputsLocked()
-	j.broadcast()
+	j.publish()
 }
 
 // releaseInputsLocked drops the job's hold on its deck once it can no
@@ -217,19 +227,20 @@ func (j *Job) releaseInputsLocked() {
 // the integrator unwinds. Terminal jobs are left alone.
 func (j *Job) Cancel() {
 	j.mu.Lock()
-	defer j.mu.Unlock()
 	switch j.state {
 	case JobQueued:
 		j.state = JobCanceled
 		j.err = context.Canceled
 		j.finished = time.Now()
 		j.releaseInputsLocked()
-		j.broadcast()
+		j.publish()
+		return
 	case JobRunning:
 		if j.cancel != nil {
 			j.cancel() // finish() runs on the worker goroutine
 		}
 	}
+	j.mu.Unlock()
 }
 
 // snapshotFrom returns the samples from index i on, the current state, and

@@ -23,7 +23,6 @@ import (
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/memo"
 	"github.com/matex-sim/matex/internal/netlist"
-	"github.com/matex-sim/matex/internal/pdn"
 	"github.com/matex-sim/matex/internal/serve"
 	"github.com/matex-sim/matex/internal/sweep"
 	"github.com/matex-sim/matex/internal/transient"
@@ -37,28 +36,7 @@ func testDeck(t *testing.T) string { return testDeckCNode(t, 0.25, 0) }
 // capacitor set to cnode farads (0: the stock 10 fF).
 func testDeckCNode(t *testing.T, scale, cnode float64) string {
 	t.Helper()
-	spec, err := pdn.IBMCase("ibmpg1t", scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cnode > 0 {
-		spec.CNode = cnode
-	}
-	ckt, err := spec.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deck := &netlist.Deck{Circuit: ckt, TranStep: 10e-12, TranStop: spec.Tstop}
-	for i := 0; i < 4; i++ {
-		x := (i + 1) * spec.NX / 5
-		y := (i + 1) * spec.NY / 5
-		deck.Prints = append(deck.Prints, pdn.NodeName(x, y))
-	}
-	var buf bytes.Buffer
-	if err := netlist.Write(&buf, deck); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
+	return serve.IBMDeck(t, "ibmpg1t", scale, cnode)
 }
 
 // stampDeck parses and stamps the deck the way cmd/matex does, resolving

@@ -206,6 +206,51 @@ func TestIsSymmetric(t *testing.T) {
 	}
 }
 
+// TestIsSymmetricUnionRule: |a_ij − a_ji| ≤ tol over the union of both
+// patterns, an absent entry reading 0, whatever the two patterns' column
+// counts — a stored zero whose mirror is absent is symmetric both when the
+// counts differ and when they happen to match (the cyclic case, which a
+// row-by-row comparison of the patterns read as unsymmetric).
+func TestIsSymmetricUnionRule(t *testing.T) {
+	// csc builds a 3×3 matrix from its columns' (row, value) entries, which
+	// are stored as given, zeros included.
+	csc := func(cols ...[][2]float64) *CSC {
+		m := &CSC{Rows: 3, Cols: len(cols), Colptr: []int{0}}
+		for _, col := range cols {
+			for _, e := range col {
+				m.Rowidx = append(m.Rowidx, int(e[0]))
+				m.Values = append(m.Values, e[1])
+			}
+			m.Colptr = append(m.Colptr, len(m.Rowidx))
+		}
+		return m
+	}
+	cases := []struct {
+		name string
+		m    *CSC
+		tol  float64
+		want bool
+	}{
+		{"symmetric", csc([][2]float64{{0, 2}, {1, -1}}, [][2]float64{{0, -1}, {1, 2}}, [][2]float64{{2, 1}}), 0, true},
+		{"values differ", csc([][2]float64{{0, 2}, {1, -1}}, [][2]float64{{0, -1.5}, {1, 2}}, [][2]float64{{2, 1}}), 0.4, false},
+		{"values differ within tol", csc([][2]float64{{0, 2}, {1, -1}}, [][2]float64{{0, -1.5}, {1, 2}}, [][2]float64{{2, 1}}), 0.5, true},
+		{"stored zero, mirror absent", csc([][2]float64{{0, 1}, {1, 0}}, [][2]float64{{1, 1}}, [][2]float64{{2, 1}}), 0, true},
+		{"cyclic stored zeros, equal counts", csc([][2]float64{{0, 1}, {1, 0}}, [][2]float64{{1, 1}, {2, 0}}, [][2]float64{{0, 0}, {2, 1}}), 0, true},
+		{"cyclic entries, equal counts", csc([][2]float64{{0, 1}, {1, 1e-9}}, [][2]float64{{1, 1}, {2, 0}}, [][2]float64{{0, 0}, {2, 1}}), 0, false},
+		{"entry, mirror absent", csc([][2]float64{{0, 1}, {2, 3}}, [][2]float64{{1, 1}}, [][2]float64{{2, 1}}), 2.5, false},
+		{"entry within tol, mirror absent", csc([][2]float64{{0, 1}, {2, 3}}, [][2]float64{{1, 1}}, [][2]float64{{2, 1}}), 3, true},
+		{"not square", csc([][2]float64{{0, 1}}, [][2]float64{{1, 1}}), 0, false},
+	}
+	for _, c := range cases {
+		if got := c.m.IsSymmetric(c.tol); got != c.want {
+			t.Errorf("%s: IsSymmetric(%g) = %v, want %v", c.name, c.tol, got, c.want)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { c.m.IsSymmetric(c.tol) }); allocs != 0 {
+			t.Errorf("%s: IsSymmetric allocates %v objects", c.name, allocs)
+		}
+	}
+}
+
 func TestNorms(t *testing.T) {
 	tr := NewTriplet(2, 2)
 	tr.Add(0, 0, 1)

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -459,5 +460,31 @@ func TestFoldRejectsOffGridSamples(t *testing.T) {
 	f.Sample(0, 1.5, []float64{1})
 	if err := f.Land(0, &transient.Result{Times: []float64{0, 1.5, 2}, Probes: [][]float64{{0}, {1}, {2}}}); err == nil {
 		t.Fatal("an off-grid sample was accepted")
+	}
+}
+
+// TestFoldEmitsWithItsLockFree: emit runs with the fold's mutex released, so
+// an emit hook that blocks or yields — a job server's publish does — holds
+// up no other lane's delivery: a lane that delivers meanwhile folds its
+// sample and returns, and the emitting call sends the row it completes.
+func TestFoldEmitsWithItsLockFree(t *testing.T) {
+	grid := []float64{0, 1, 2}
+	var f *Fold
+	var sent []float64
+	f = NewFold(Plan{Grid: grid, Probes: []int{0}, Addends: []Addend{{Coef: 1}, {Coef: 1}}}, func(tt float64, row []float64) {
+		if !f.mu.TryLock() {
+			t.Fatalf("emit at t=%g runs with the fold's mutex held", tt)
+		}
+		f.mu.Unlock()
+		sent = append(sent, tt)
+		if tt == 0 {
+			f.Sample(1, 1, []float64{1}) // the other lane passes t=1 mid-emit
+		}
+	})
+	f.Sample(1, 0, []float64{0})
+	f.Sample(0, 0, []float64{0}) // row 0 leaves; lane 1 delivers t=1 inside its emit
+	f.Sample(0, 1, []float64{1}) // row 1 leaves
+	if !slices.Equal(sent, []float64{0, 1}) {
+		t.Fatalf("rows left at %v, want [0 1]", sent)
 	}
 }
