@@ -14,6 +14,7 @@ import (
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
 	"github.com/matex-sim/matex/internal/experiments"
+	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/netlist"
 	"github.com/matex-sim/matex/internal/pdn"
@@ -975,3 +976,25 @@ func BenchmarkStamp_ibmpg6t15(b *testing.B) {
 		}
 	}
 }
+
+// benchParseDeck is the whole front end as the CLI and a -workers run see it:
+// job.ParseDeck parses the text, stamps it and hashes it (keepText). It runs
+// in a warm loop; a cold process pays its first page faults on top.
+func benchParseDeck(b *testing.B, name string, scale float64) {
+	text := string(benchDeckText(b, name, scale))
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := job.ParseDeck(text, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkParseDeck_ibmpg3t is the front end on one of serve_stream's decks
+// (0.4 MB); benchcmp holds its allocs/op under an absolute bound.
+func BenchmarkParseDeck_ibmpg3t(b *testing.B) { benchParseDeck(b, "ibmpg3t", 1) }
+
+// BenchmarkParseDeck_ibmpg6t15 is the front end on the grid_static deck.
+func BenchmarkParseDeck_ibmpg6t15(b *testing.B) { benchParseDeck(b, "ibmpg6t", 1.5) }

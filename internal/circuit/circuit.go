@@ -112,6 +112,9 @@ func (c *Circuit) NumElements() int {
 	return len(c.Resistors) + len(c.Capacitors) + len(c.Inductors) + len(c.VSources) + len(c.ISources)
 }
 
+// groundNames are the names isGround accepts.
+var groundNames = [...]string{Ground, "gnd", "GND"}
+
 // isGround reports whether a node name denotes the ground node.
 func isGround(name string) bool {
 	return name == Ground || name == "gnd" || name == "GND"

@@ -1,7 +1,10 @@
 package circuit
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/matex-sim/matex/internal/sparse"
@@ -285,5 +288,59 @@ func TestTimeVaryingVSourceKeepsMNARow(t *testing.T) {
 	v, _ := sys.Voltage(x, "n")
 	if math.Abs(v) > 1e-12 {
 		t.Errorf("V(n) at t=0 = %v, want 0 (pulse not started)", v)
+	}
+}
+
+// The free nodes are numbered in first-use order over every terminal,
+// resistors first: a random circuit with every element kind, names reused
+// across kinds, pinned rails and ground, checked against a direct
+// first-use scan.
+func TestInternNumbersInFirstUseOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, elements := range []int{7, 2049, 12293} {
+		c := New("intern")
+		node := func() string {
+			switch k := rng.Intn(40); {
+			case k == 0:
+				return "0"
+			case k == 1:
+				return "vdd"
+			default:
+				return fmt.Sprintf("n%d", rng.Intn(elements))
+			}
+		}
+		c.AddV("vdd", "vdd", "0", waveform.DC(1))
+		for e := 0; e < elements; e++ {
+			a, b := node(), node()
+			var err error
+			switch e % 5 {
+			case 0, 1:
+				err = c.AddR(fmt.Sprint("r", e), a, b, 1+rng.Float64())
+			case 2:
+				err = c.AddC(fmt.Sprint("c", e), a, b, 1e-12)
+			case 3:
+				err = c.AddL(fmt.Sprint("l", e), a, b, 1e-9)
+			default:
+				c.AddI(fmt.Sprint("i", e), a, b, waveform.DC(1e-3))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys, err := Stamp(c, StampOptions{CollapseSupplies: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		seen := map[string]bool{"0": true, "vdd": true}
+		forEachNode(c, func(name string) {
+			if !seen[name] {
+				seen[name] = true
+				want = append(want, name)
+			}
+		})
+		if got := sys.NodeNames(); !slices.Equal(got, want) {
+			t.Fatalf("%d elements: nodes numbered %v…, want %v…", elements, got[:min(8, len(got))], want[:min(8, len(want))])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/matex-sim/matex/internal/sparse"
 	"github.com/matex-sim/matex/internal/waveform"
@@ -27,12 +28,24 @@ type System struct {
 	C, G     *sparse.CSC
 	Inputs   []Input
 
-	// nodeIndex maps node names to unknown indices; collapsed supply nodes
-	// map into fixedValue instead.
-	nodeIndex  map[string]int
-	fixedValue map[string]float64
-	title      string
+	// nodes maps every node name the circuit uses, and the ground names, to
+	// a nodeRef; pinned holds the voltages of the nodes collapsed onto
+	// supply rails.
+	nodes  map[string]nodeRef
+	pinned []float64
+	title  string
 }
+
+// nodeRef is what a node name stands for in the stamped system: a free
+// node's unknown index (≥ 0), ground, or a node pinned to a supply rail,
+// whose voltage is System.pinned[pinnedIndex].
+type nodeRef int32
+
+const groundRef nodeRef = -1
+
+// pinnedRef is the ref of the k-th pinned node; pinnedIndex inverts it.
+func pinnedRef(k int) nodeRef      { return nodeRef(-2 - k) }
+func (r nodeRef) pinnedIndex() int { return int(-2 - r) }
 
 // StampOptions controls MNA assembly.
 type StampOptions struct {
@@ -45,12 +58,15 @@ type StampOptions struct {
 	Gmin float64
 }
 
-// Stamp assembles the MNA system from the circuit.
+// Stamp assembles the MNA system from the circuit. Every terminal is
+// resolved with one map lookup, whose entry already says ground, pinned
+// rail or free unknown; then G (with the inputs) and C are filled and
+// compressed side by side, on two goroutines.
 func Stamp(c *Circuit, opts StampOptions) (*System, error) {
-	s := &System{
-		nodeIndex:  make(map[string]int),
-		fixedValue: make(map[string]float64),
-		title:      c.Title,
+	// A grid has about one node per three elements.
+	s := &System{nodes: make(map[string]nodeRef, c.NumElements()/3), title: c.Title}
+	for _, g := range groundNames {
+		s.nodes[g] = groundRef
 	}
 
 	// Pass 1: identify collapsed supply nodes.
@@ -61,43 +77,37 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 			if !ok {
 				continue
 			}
+			var name string
+			var volts float64
 			switch {
 			case isGround(v.Neg) && !isGround(v.Pos):
-				if prev, dup := s.fixedValue[v.Pos]; dup && prev != float64(dc) {
-					return nil, fmt.Errorf("circuit: node %s pinned to conflicting voltages %g and %g", v.Pos, prev, float64(dc))
-				}
-				s.fixedValue[v.Pos] = float64(dc)
-				collapsedSrc[i] = true
+				name, volts = v.Pos, float64(dc)
 			case isGround(v.Pos) && !isGround(v.Neg):
-				if prev, dup := s.fixedValue[v.Neg]; dup && prev != -float64(dc) {
-					return nil, fmt.Errorf("circuit: node %s pinned to conflicting voltages %g and %g", v.Neg, prev, -float64(dc))
-				}
-				s.fixedValue[v.Neg] = -float64(dc)
-				collapsedSrc[i] = true
+				name, volts = v.Neg, -float64(dc)
+			default:
+				continue
 			}
+			if ref, dup := s.nodes[name]; dup {
+				if prev := s.pinned[ref.pinnedIndex()]; prev != volts {
+					return nil, fmt.Errorf("circuit: node %s pinned to conflicting voltages %g and %g", name, prev, volts)
+				}
+			} else {
+				s.nodes[name] = pinnedRef(len(s.pinned))
+				s.pinned = append(s.pinned, volts)
+			}
+			collapsedSrc[i] = true
 		}
 	}
 
-	// Pass 2: number the free nodes in first-use order.
-	intern := func(name string) int {
-		if isGround(name) {
-			return -1
-		}
-		if _, fixed := s.fixedValue[name]; fixed {
-			return -2
-		}
-		if idx, ok := s.nodeIndex[name]; ok {
-			return idx
-		}
-		idx := len(s.nodeIndex)
-		s.nodeIndex[name] = idx
-		return idx
-	}
-	// Every terminal is looked up here, once: refs holds what intern said, in
-	// forEachNode order, and the stamping loops below walk it in step.
-	refs := make([]int, 0, 2*c.NumElements())
-	forEachNode(c, func(name string) { refs = append(refs, intern(name)) })
-	s.NumNodes = len(s.nodeIndex)
+	// Pass 2: number the free nodes in first-use order. refs holds every
+	// terminal's ref in forEachNode order; the stamping loops below index it
+	// from the offset of their element kind.
+	refs, free := s.intern(c)
+	s.NumNodes = int(free)
+	rRefs, refs := refs[:2*len(c.Resistors)], refs[2*len(c.Resistors):]
+	cRefs, refs := refs[:2*len(c.Capacitors)], refs[2*len(c.Capacitors):]
+	lRefs, refs := refs[:2*len(c.Inductors)], refs[2*len(c.Inductors):]
+	vRefs, iRefs := refs[:2*len(c.VSources)], refs[2*len(c.VSources):]
 
 	// Extra unknowns: inductor currents, then uncollapsed V-source currents.
 	n := s.NumNodes
@@ -117,84 +127,55 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 	}
 	s.N = n
 
-	// Sized from the element counts (an upper bound: a grounded or pinned
-	// terminal stamps less).
-	gStamps := 4 * (len(c.Resistors) + len(c.Inductors) + len(c.VSources))
-	if opts.Gmin > 0 {
-		gStamps += s.NumNodes
-	}
-	gT := sparse.NewTriplet(n, n)
-	gT.Grow(gStamps)
-	cT := sparse.NewTriplet(n, n)
-	cT.Grow(4*len(c.Capacitors) + len(c.Inductors))
-
-	// nodeOf resolves the next terminal, which is name's, to (index, fixed
-	// voltage, kind).
-	nodeOf := func(name string) (idx int, fixed float64, isFixed bool) {
-		ref := refs[0]
-		refs = refs[1:]
-		if ref == -2 {
-			return -1, s.fixedValue[name], true
+	// C: capacitors, then the inductors' branch terms. A capacitor to a
+	// fixed DC rail behaves like a capacitor to ground for the dynamics (the
+	// rail voltage is constant).
+	cDone := make(chan *sparse.CSC, 1)
+	go func() {
+		cT := newStamper(n, branchStamps(cRefs, 2, 0))
+		for k, cap := range c.Capacitors {
+			cT.branch(int(cRefs[2*k]), int(cRefs[2*k+1]), cap.C)
 		}
-		return ref, 0, false // ground is -1
-	}
+		// Inductors: branch current unknown iL with L·diL/dt = vA - vB.
+		for k, l := range c.Inductors {
+			cT.diag(indIdx[k], l.L)
+		}
+		cDone <- cT.toCSC()
+	}()
+
+	// G and the inputs.
+	gT := newStamper(n, branchStamps(rRefs, 2, 0)+branchStamps(lRefs, 4, 2)+branchStamps(vRefs, 4, 2))
 
 	// Resistors.
-	for _, r := range c.Resistors {
-		g := 1 / r.R
-		ai, av, afix := nodeOf(r.A)
-		bi, bv, bfix := nodeOf(r.B)
-		stampConductance(gT, s, ai, bi, g, afix, av, bfix, bv, r.Name)
+	for k, r := range c.Resistors {
+		stampConductance(gT, s, rRefs[2*k], rRefs[2*k+1], 1/r.R, r.Name)
 	}
 	// Gmin leak.
 	if opts.Gmin > 0 {
 		for i := 0; i < s.NumNodes; i++ {
-			gT.Add(i, i, opts.Gmin)
+			gT.diag(i, opts.Gmin)
 		}
 	}
 
-	// Capacitors: a capacitor to a fixed DC rail behaves like a capacitor to
-	// ground for the dynamics (the rail voltage is constant).
-	for _, cap := range c.Capacitors {
-		ai, _, afix := nodeOf(cap.A)
-		bi, _, bfix := nodeOf(cap.B)
-		switch {
-		case ai >= 0 && bi >= 0:
-			cT.Add(ai, ai, cap.C)
-			cT.Add(bi, bi, cap.C)
-			cT.Add(ai, bi, -cap.C)
-			cT.Add(bi, ai, -cap.C)
-		case ai >= 0:
-			cT.Add(ai, ai, cap.C)
-			_ = bfix
-		case bi >= 0:
-			cT.Add(bi, bi, cap.C)
-			_ = afix
-		}
-	}
-
-	// Inductors: branch current unknown iL with L·diL/dt = vA - vB.
+	// Inductors: KCL, current iL leaves node A and enters node B.
 	for k, l := range c.Inductors {
 		iL := indIdx[k]
-		ai, av, afix := nodeOf(l.A)
-		bi, bv, bfix := nodeOf(l.B)
-		cT.Add(iL, iL, l.L)
-		// KCL: current iL leaves node A, enters node B.
-		if ai >= 0 {
-			gT.Add(ai, iL, 1)
-			gT.Add(iL, ai, -1)
+		a, b := lRefs[2*k], lRefs[2*k+1]
+		if a >= 0 {
+			gT.t.Add(int(a), iL, 1)
+			gT.t.Add(iL, int(a), -1)
 		}
-		if bi >= 0 {
-			gT.Add(bi, iL, -1)
-			gT.Add(iL, bi, 1)
+		if b >= 0 {
+			gT.t.Add(int(b), iL, -1)
+			gT.t.Add(iL, int(b), 1)
 		}
 		// Fixed rails contribute constant voltage to the branch equation.
-		if afix && av != 0 {
+		if av := s.railVolts(a); av != 0 {
 			s.Inputs = append(s.Inputs, Input{
 				Rows: []int{iL}, Coefs: []float64{av}, Wave: waveform.DC(1), Supply: true, Name: l.Name + ".railA",
 			})
 		}
-		if bfix && bv != 0 {
+		if bv := s.railVolts(b); bv != 0 {
 			s.Inputs = append(s.Inputs, Input{
 				Rows: []int{iL}, Coefs: []float64{-bv}, Wave: waveform.DC(1), Supply: true, Name: l.Name + ".railB",
 			})
@@ -204,83 +185,176 @@ func Stamp(c *Circuit, opts StampOptions) (*System, error) {
 	// Voltage sources (uncollapsed).
 	for k, v := range c.VSources {
 		iv := vsrcIdx[k]
-		ai, av, afix := nodeOf(v.Pos)
-		bi, bv, bfix := nodeOf(v.Neg)
 		if iv < 0 {
 			continue
 		}
-		if ai >= 0 {
-			gT.Add(ai, iv, 1)
-			gT.Add(iv, ai, 1)
+		a, b := vRefs[2*k], vRefs[2*k+1]
+		if a >= 0 {
+			gT.t.Add(int(a), iv, 1)
+			gT.t.Add(iv, int(a), 1)
 		}
-		if bi >= 0 {
-			gT.Add(bi, iv, -1)
-			gT.Add(iv, bi, -1)
+		if b >= 0 {
+			gT.t.Add(int(b), iv, -1)
+			gT.t.Add(iv, int(b), -1)
 		}
-		rows := []int{iv}
-		coefs := []float64{1}
-		s.Inputs = append(s.Inputs, Input{Rows: rows, Coefs: coefs, Wave: v.Wave, Supply: isDC(v.Wave), Name: v.Name})
+		s.Inputs = append(s.Inputs, Input{Rows: []int{iv}, Coefs: []float64{1}, Wave: v.Wave, Supply: isDC(v.Wave), Name: v.Name})
 		// Fixed rails shift the branch equation constant.
-		if afix && av != 0 {
+		if av := s.railVolts(a); av != 0 {
 			s.Inputs = append(s.Inputs, Input{Rows: []int{iv}, Coefs: []float64{-av}, Wave: waveform.DC(1), Supply: true, Name: v.Name + ".railP"})
 		}
-		if bfix && bv != 0 {
+		if bv := s.railVolts(b); bv != 0 {
 			s.Inputs = append(s.Inputs, Input{Rows: []int{iv}, Coefs: []float64{bv}, Wave: waveform.DC(1), Supply: true, Name: v.Name + ".railN"})
 		}
 	}
 
 	// Current sources: positive current flows Pos -> Neg through the source,
-	// i.e. it is drawn out of Pos and injected into Neg.
-	for _, src := range c.ISources {
-		ai, _, _ := nodeOf(src.Pos)
-		bi, _, _ := nodeOf(src.Neg)
-		var rows []int
-		var coefs []float64
-		if ai >= 0 {
-			rows = append(rows, ai)
-			coefs = append(coefs, -1)
+	// i.e. it is drawn out of Pos and injected into Neg. Their rows and
+	// coefficients are cut from one array each.
+	s.Inputs = slices.Grow(s.Inputs, len(c.ISources))
+	rowBuf, coefBuf := make([]int, 0, 2*len(c.ISources)), make([]float64, 0, 2*len(c.ISources))
+	for k, src := range c.ISources {
+		a, b := iRefs[2*k], iRefs[2*k+1]
+		from := len(rowBuf)
+		if a >= 0 {
+			rowBuf, coefBuf = append(rowBuf, int(a)), append(coefBuf, -1)
 		}
-		if bi >= 0 {
-			rows = append(rows, bi)
-			coefs = append(coefs, 1)
+		if b >= 0 {
+			rowBuf, coefBuf = append(rowBuf, int(b)), append(coefBuf, 1)
 		}
-		if len(rows) == 0 {
+		to := len(rowBuf)
+		if to == from {
 			continue // both terminals grounded/fixed: no effect on unknowns
 		}
-		s.Inputs = append(s.Inputs, Input{Rows: rows, Coefs: coefs, Wave: src.Wave, Supply: isDC(src.Wave), Name: src.Name})
+		s.Inputs = append(s.Inputs, Input{Rows: rowBuf[from:to:to], Coefs: coefBuf[from:to:to], Wave: src.Wave, Supply: isDC(src.Wave), Name: src.Name})
 	}
 
-	if len(refs) != 0 {
-		panic("circuit: Stamp resolved a terminal it did not stamp")
-	}
-	s.G = gT.ToCSC()
-	s.C = cT.ToCSC()
+	s.G = gT.toCSC()
+	s.C = <-cDone
 	return s, nil
 }
 
-// stampConductance stamps a conductance g between nodes ai and bi (index -1
-// means ground or fixed). Connections to fixed rails become DC inputs.
-func stampConductance(gT *sparse.Triplet, s *System, ai, bi int, g float64, afix bool, av float64, bfix bool, bv float64, name string) {
-	switch {
-	case ai >= 0 && bi >= 0:
-		gT.Add(ai, ai, g)
-		gT.Add(bi, bi, g)
-		gT.Add(ai, bi, -g)
-		gT.Add(bi, ai, -g)
-	case ai >= 0:
-		gT.Add(ai, ai, g)
-		if bfix && bv != 0 {
-			s.Inputs = append(s.Inputs, Input{Rows: []int{ai}, Coefs: []float64{g * bv}, Wave: waveform.DC(1), Supply: true, Name: name + ".rail"})
+// branchStamps counts the off-diagonal entries the two-terminal elements
+// with the given refs stamp: both if both terminals are free, one if only
+// one is.
+func branchStamps(refs []nodeRef, both, one int) int {
+	n := 0
+	for k := 0; k+1 < len(refs); k += 2 {
+		switch a, b := refs[k] >= 0, refs[k+1] >= 0; {
+		case a && b:
+			n += both
+		case a || b:
+			n += one
 		}
-	case bi >= 0:
-		gT.Add(bi, bi, g)
-		if afix && av != 0 {
-			s.Inputs = append(s.Inputs, Input{Rows: []int{bi}, Coefs: []float64{g * av}, Wave: waveform.DC(1), Supply: true, Name: name + ".rail"})
+	}
+	return n
+}
+
+// stamper fills one MNA matrix. Off-diagonal stamps go to the triplet as
+// they come; diagonal stamps are summed in a dense vector, in stamp order,
+// and reach the triplet once per position at the end. A grid node's
+// diagonal takes one stamp per branch at the node, so this halves the
+// triplet, and the sums are the ones the triplet would have formed: its
+// duplicates are added in stamp order too, and starting from 0 changes no
+// bit, since a diagonal stamp is an element value checked positive (or
+// NaN) or its negation, never −0.
+type stamper struct {
+	t   *sparse.Triplet
+	d   []float64
+	hit []bool // d[i] has taken a stamp
+}
+
+// newStamper returns a stamper for an n×n matrix expecting offDiag
+// off-diagonal stamps.
+func newStamper(n, offDiag int) *stamper {
+	t := sparse.NewTriplet(n, n)
+	t.Grow(offDiag + n)
+	return &stamper{t: t, d: make([]float64, n), hit: make([]bool, n)}
+}
+
+func (m *stamper) diag(i int, v float64) {
+	m.d[i] += v
+	m.hit[i] = true
+}
+
+// branch stamps a two-terminal admittance v between a and b (negative:
+// ground or a pinned rail, which only the other terminal's diagonal sees).
+// An element whose terminals are one node stamps all four entries on its
+// diagonal, +v, +v, −v, −v, in that order.
+func (m *stamper) branch(a, b int, v float64) {
+	switch {
+	case a >= 0 && a == b:
+		m.diag(a, v)
+		m.diag(a, v)
+		m.diag(a, -v)
+		m.diag(a, -v)
+	case a >= 0 && b >= 0:
+		m.diag(a, v)
+		m.diag(b, v)
+		m.t.Add(a, b, -v)
+		m.t.Add(b, a, -v)
+	case a >= 0:
+		m.diag(a, v)
+	case b >= 0:
+		m.diag(b, v)
+	}
+}
+
+// toCSC moves the diagonal into the triplet and compresses it.
+func (m *stamper) toCSC() *sparse.CSC {
+	for i, hit := range m.hit {
+		if hit {
+			m.t.Add(i, i, m.d[i])
+		}
+	}
+	return m.t.ToCSC()
+}
+
+// railVolts is the voltage of a pinned node, 0 for any other ref.
+func (s *System) railVolts(r nodeRef) float64 {
+	if r <= pinnedRef(0) {
+		return s.pinned[r.pinnedIndex()]
+	}
+	return 0
+}
+
+// stampConductance stamps a conductance g between the nodes a and b.
+// Connections to pinned rails become DC inputs.
+func stampConductance(gT *stamper, s *System, a, b nodeRef, g float64, name string) {
+	gT.branch(int(a), int(b), g)
+	switch {
+	case a >= 0 && b < 0:
+		if bv := s.railVolts(b); bv != 0 {
+			s.Inputs = append(s.Inputs, Input{Rows: []int{int(a)}, Coefs: []float64{g * bv}, Wave: waveform.DC(1), Supply: true, Name: name + ".rail"})
+		}
+	case b >= 0 && a < 0:
+		if av := s.railVolts(a); av != 0 {
+			s.Inputs = append(s.Inputs, Input{Rows: []int{int(b)}, Coefs: []float64{g * av}, Wave: waveform.DC(1), Supply: true, Name: name + ".rail"})
 		}
 	}
 }
 
-// forEachNode visits every node name in the circuit.
+// intern resolves every terminal of c, in forEachNode order, to its ref
+// with one map lookup, numbering the free nodes in first-use order from 0;
+// it returns the refs and the free node count. The ground names and the
+// pinned nodes are in s.nodes already.
+func (s *System) intern(c *Circuit) ([]nodeRef, nodeRef) {
+	refs := make([]nodeRef, 0, 2*c.NumElements())
+	free := nodeRef(0)
+	forEachNode(c, func(name string) {
+		ref, ok := s.nodes[name]
+		if !ok {
+			ref = free
+			free++
+			s.nodes[name] = ref
+		}
+		refs = append(refs, ref)
+	})
+	return refs, free
+}
+
+// forEachNode visits every node name in the circuit: each element's two
+// terminals, resistors first, then capacitors, inductors, voltage sources
+// and current sources.
 func forEachNode(c *Circuit, fn func(string)) {
 	for _, e := range c.Resistors {
 		fn(e.A)
@@ -354,13 +428,14 @@ func (s *System) NodeIndex(name string) (idx int, fixed float64, isFixed bool, e
 	if isGround(name) {
 		return -1, 0, true, nil
 	}
-	if v, ok := s.fixedValue[name]; ok {
-		return -1, v, true, nil
+	ref, ok := s.nodes[name]
+	switch {
+	case !ok:
+		return 0, 0, false, fmt.Errorf("circuit: unknown node %q", name)
+	case ref < 0:
+		return -1, s.pinned[ref.pinnedIndex()], true, nil
 	}
-	if idx, ok := s.nodeIndex[name]; ok {
-		return idx, 0, false, nil
-	}
-	return 0, 0, false, fmt.Errorf("circuit: unknown node %q", name)
+	return int(ref), 0, false, nil
 }
 
 // ResolveProbes maps probe node names onto unknown indices, dropping
@@ -387,8 +462,10 @@ func (s *System) ResolveProbes(names []string) (idx []int, kept, skipped []strin
 // NodeNames returns the free node names indexed by unknown number.
 func (s *System) NodeNames() []string {
 	names := make([]string, s.NumNodes)
-	for name, idx := range s.nodeIndex {
-		names[idx] = name
+	for name, ref := range s.nodes {
+		if ref >= 0 {
+			names[ref] = name
+		}
 	}
 	return names
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"strings"
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/dist"
@@ -33,11 +32,17 @@ func (d *Deck) System() *circuit.System { return d.sys }
 // deck holds on to the text and its hash: a distributed run's tasks name the
 // deck by that hash, and a worker that does not hold it is sent the text
 // once (Hooks.Workers); without it such tasks name no deck, and the workers
-// refuse them.
+// refuse them. The hash is taken on a goroutine of its own while the deck
+// is stamped.
 func ParseDeck(text string, keepText bool) (*Deck, error) {
-	nd, err := netlist.Parse(strings.NewReader(text))
+	nd, err := netlist.ParseString(text)
 	if err != nil {
 		return nil, err
+	}
+	var hash chan string
+	if keepText {
+		hash = make(chan string, 1)
+		go func() { hash <- DeckHash(text) }()
 	}
 	sys, err := nd.Build()
 	if err != nil {
@@ -45,7 +50,7 @@ func ParseDeck(text string, keepText bool) (*Deck, error) {
 	}
 	d := &Deck{sys: sys, dsys: dist.NewSystem(sys), tstop: nd.TranStop, step: nd.TranStep, prints: nd.Prints}
 	if keepText {
-		d.text, d.hash = text, DeckHash(text)
+		d.text, d.hash = text, <-hash
 	}
 	return d, nil
 }

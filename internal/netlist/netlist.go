@@ -5,8 +5,7 @@
 package netlist
 
 import (
-	"bufio"
-	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -28,33 +27,114 @@ type Deck struct {
 	Prints []string
 }
 
-// Parse reads a netlist deck in one pass: a logical line (a card plus its
-// "+" continuation lines) is held in one reused buffer until the next card
-// starts, tokenized there, and only what the deck keeps — names, values,
-// waveforms — is allocated. A read error later in the input no longer
-// outranks a syntax error earlier in it.
+// Parse reads a netlist deck: it reads r whole into one string and parses
+// that (ParseString). A read error is reported when what was read before it
+// parses.
 func Parse(r io.Reader) (*Deck, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	var text strings.Builder
+	if l, ok := r.(interface{ Len() int }); ok {
+		text.Grow(l.Len())
+	}
+	_, rerr := io.Copy(&text, r)
+	deck, err := ParseString(text.String())
+	if err != nil {
+		return nil, err
+	}
+	if rerr != nil {
+		return nil, fmt.Errorf("netlist: %w", rerr)
+	}
+	return deck, nil
+}
 
-	p := parser{deck: &Deck{Circuit: circuit.New("")}}
-	var pend []byte // the logical line not yet parsed: more may continue it
+// ParseString parses a netlist deck held in a string, in one pass, stopping
+// at the first error, which it reports with its physical line number.
+//
+// The deck's names are substrings of text: they share it, and hold it,
+// rather than being copied card by card.
+func ParseString(text string) (*Deck, error) {
+	p := parser{deck: Deck{Circuit: circuit.New("")}}
+	ckt := p.deck.Circuit
+	nr, nc := countRC(text)
+	ckt.Resistors, ckt.Capacitors = slices.Grow(ckt.Resistors, nr), slices.Grow(ckt.Capacitors, nc)
+	if line, err := p.run(text); err != nil {
+		return nil, fmt.Errorf("netlist: line %d: %w", line, err)
+	}
+	return &p.deck, nil
+}
+
+// countRC counts the R and C cards of text, the lines whose first byte past
+// ASCII white space is an r or a c, so that a grid deck's element slices
+// are allocated once. A card behind other white space is not counted; its
+// slice grows by append.
+func countRC(text string) (nr, nc int) {
+	for len(text) > 0 {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		i := 0
+		for i < len(line) && (line[i] == ' ' || line[i]-'\t' < 5) {
+			i++
+		}
+		if i < len(line) {
+			switch line[i] | 0x20 {
+			case 'r':
+				nr++
+			case 'c':
+				nc++
+			}
+		}
+	}
+	return nr, nc
+}
+
+// parser is the state of one parse.
+type parser struct {
+	deck     Deck
+	seenLine bool // a logical line has been parsed: a comment is no longer the title
+	// The last R/C/L value literal and what it parsed to: a grid deck repeats
+	// one literal down thousands of consecutive cards.
+	lit string
+	val float64
+	// lineBuf is where continued cards are joined, kept between them.
+	lineBuf []byte
+}
+
+// run parses text, returning the first error and the physical line it is
+// on. A logical line is a card plus its "+" continuation lines: a card that
+// has none is parsed where it lies in the text, one that has some is joined
+// into a reused buffer first and parsed from a string of its own. Either
+// way the names the deck keeps are substrings of the string parsed.
+func (p *parser) run(text string) (int, error) {
+	var pend []byte // the current logical line, once a continuation joins it
+	cur := ""       // the current logical line, while it is one physical line
 	pendLn := 0     // its first physical line; 0 before the first card
 	flush := func() error {
 		if pendLn == 0 {
 			return nil
 		}
-		if err := p.parseLine(pend); err != nil {
-			return fmt.Errorf("netlist: line %d: %w", pendLn, err)
+		line := cur
+		if pend != nil {
+			line = string(pend)
+		}
+		if err := p.parseLine(line); err != nil {
+			return err
 		}
 		p.seenLine = true
 		return nil
 	}
 	ln := 0
-	for sc.Scan() {
+	for len(text) > 0 {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
 		ln++
-		line := sc.Bytes()
-		n := len(line) // bytes.TrimRight builds its cutset anew on every call
+		n := len(line)
 		for n > 0 && (line[n-1] == ' ' || line[n-1] == '\t' || line[n-1] == '\r') {
 			n--
 		}
@@ -63,58 +143,56 @@ func Parse(r io.Reader) (*Deck, error) {
 		}
 		if line[0] == '+' {
 			if pendLn == 0 {
-				return nil, fmt.Errorf("netlist: line %d: continuation with no previous line", ln)
+				return ln, errors.New("continuation with no previous line")
 			}
-			pend = append(append(pend, ' '), bytes.TrimSpace(line[1:])...)
+			if pend == nil {
+				pend = append(p.lineBuf[:0], cur...)
+			}
+			pend = append(append(pend, ' '), strings.TrimSpace(line[1:])...)
 			continue
 		}
 		if err := flush(); err != nil {
-			return nil, err
+			return pendLn, err
 		}
-		pend, pendLn = append(pend[:0], bytes.TrimSpace(line)...), ln
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("netlist: %w", err)
+		if pend != nil {
+			p.lineBuf, pend = pend, nil
+		}
+		cur, pendLn = strings.TrimSpace(line), ln
 	}
 	if err := flush(); err != nil {
-		return nil, err
+		return pendLn, err
 	}
-	ckt := p.deck.Circuit
-	ckt.Resistors, ckt.Capacitors = p.rs.join(ckt.Resistors), p.cs.join(ckt.Capacitors)
-	return p.deck, nil
-}
-
-// parser is the state of one Parse.
-type parser struct {
-	deck     *Deck
-	seenLine bool // a logical line has been parsed: a comment is no longer the title
-	names    nameBlocks
-	// The last R/C/L value literal and what it parsed to: a grid deck repeats
-	// one literal down thousands of consecutive cards.
-	lit []byte
-	val float64
-	// The two element kinds a grid has by the ten thousand.
-	rs chunked[circuit.Resistor]
-	cs chunked[circuit.Capacitor]
+	return 0, nil
 }
 
 // nextField returns the bounds of the first white-space-delimited field of
 // line at or after i (start == end when there is none), splitting exactly
-// where strings.Fields does.
-func nextField(line []byte, i int) (start, end int) {
+// where strings.Fields does. ASCII bytes are classified inline; only a
+// multi-byte rune goes through spaceWidth.
+func nextField(line string, i int) (start, end int) {
 	for i < len(line) {
-		w := spaceWidth(line, i)
-		if w == 0 {
+		if c := line[i]; c < utf8.RuneSelf {
+			if c != ' ' && c-'\t' >= 5 {
+				break
+			}
+			i++
+		} else if w := spaceWidth(line, i); w > 0 {
+			i += w
+		} else {
 			break
 		}
-		i += w
 	}
 	start = i
 	for i < len(line) {
-		if c := line[i]; c <= ' ' || c >= utf8.RuneSelf { // else: a plain field byte
-			if spaceWidth(line, i) > 0 {
+		if c := line[i]; c-'!' <= 0x7f-'!' { // printable ASCII or DEL: a field byte
+			i++
+			continue
+		} else if c < utf8.RuneSelf {
+			if c == ' ' || c-'\t' < 5 {
 				break
 			}
+		} else if spaceWidth(line, i) > 0 {
+			break
 		}
 		i++
 	}
@@ -123,7 +201,7 @@ func nextField(line []byte, i int) (start, end int) {
 
 // spaceWidth is the byte width of the white-space rune at line[i], 0 when
 // anything else is there.
-func spaceWidth(line []byte, i int) int {
+func spaceWidth(line string, i int) int {
 	c := line[i]
 	if c < utf8.RuneSelf {
 		if c == ' ' || c-'\t' < 5 { // \t \n \v \f \r
@@ -131,7 +209,7 @@ func spaceWidth(line []byte, i int) int {
 		}
 		return 0
 	}
-	if r, w := utf8.DecodeRune(line[i:]); unicode.IsSpace(r) {
+	if r, w := utf8.DecodeRuneInString(line[i:]); unicode.IsSpace(r) {
 		return w
 	}
 	return 0
@@ -139,17 +217,17 @@ func spaceWidth(line []byte, i int) int {
 
 // parseLine parses one logical line. Element cards are tokenized in place;
 // control cards and source specifications, a few per deck, go through
-// strings.
-func (p *parser) parseLine(line []byte) error {
+// strings.Fields.
+func (p *parser) parseLine(line string) error {
 	ckt := p.deck.Circuit
 	if len(line) > 0 && line[0] == '*' {
 		if !p.seenLine && ckt.Title == "" {
-			ckt.Title = string(bytes.TrimSpace(line[1:]))
+			ckt.Title = strings.TrimSpace(line[1:])
 		}
 		return nil
 	}
 	if len(line) > 0 && line[0] == '.' {
-		return parseControl(p.deck, string(line))
+		return parseControl(&p.deck, line)
 	}
 	n0, n1 := nextField(line, 0)
 	a0, a1 := nextField(line, n1)
@@ -158,8 +236,7 @@ func (p *parser) parseLine(line []byte) error {
 		return fmt.Errorf("element card %q has too few fields", line)
 	}
 	v0, v1 := nextField(line, b1)
-	names := p.names.add(line[n0:b1])
-	name, a, b := names[:n1-n0], names[a0-n0:a1-n0], names[b0-n0:]
+	name, a, b := line[n0:n1], line[a0:a1], line[b0:b1]
 
 	switch line[n0] | 0x20 { // ASCII lower case
 	case 'r':
@@ -167,14 +244,12 @@ func (p *parser) parseLine(line []byte) error {
 		if err != nil {
 			return err
 		}
-		ckt.Resistors = p.rs.room(ckt.Resistors)
 		return ckt.AddR(name, a, b, v)
 	case 'c':
 		v, err := p.value("capacitor", name, line[v0:v1])
 		if err != nil {
 			return err
 		}
-		ckt.Capacitors = p.cs.room(ckt.Capacitors)
 		return ckt.AddC(name, a, b, v)
 	case 'l':
 		v, err := p.value("inductor", name, line[v0:v1])
@@ -202,79 +277,32 @@ func (p *parser) parseLine(line []byte) error {
 }
 
 // value parses the value field of an R, C or L card.
-func (p *parser) value(kind, name string, tok []byte) (float64, error) {
+func (p *parser) value(kind, name, tok string) (float64, error) {
 	if len(tok) == 0 {
 		return 0, fmt.Errorf("%s %s needs two nodes and a value", kind, name)
 	}
-	if bytes.Equal(tok, p.lit) {
+	if tok == p.lit {
 		return p.val, nil
 	}
-	v, ok := parseValue(string(tok)) // no copy: parseValue does not keep it
+	v, ok := parseValue(tok)
 	if !ok {
-		_, err := ParseValue(string(tok))
+		_, err := ParseValue(tok)
 		return 0, fmt.Errorf("%s %s: %w", kind, name, err)
 	}
-	p.lit, p.val = append(p.lit[:0], tok...), v
+	p.lit, p.val = tok, v
 	return v, nil
 }
 
 // sourceSpec is the fields of a source card after its nodes, single-spaced.
-func sourceSpec(rest []byte) string {
-	for i, c := range rest {
+func sourceSpec(rest string) string {
+	for i := 0; i < len(rest); i++ {
 		// rest starts on a field: with lone blanks between fields and none
 		// at the end it is already the form wanted.
-		if c >= utf8.RuneSelf || c < ' ' || c == ' ' && (i+1 == len(rest) || rest[i+1] == ' ') {
-			return strings.Join(strings.Fields(string(rest)), " ")
+		if c := rest[i]; c >= utf8.RuneSelf || c < ' ' || c == ' ' && (i+1 == len(rest) || rest[i+1] == ' ') {
+			return strings.Join(strings.Fields(rest), " ")
 		}
 	}
-	return string(rest)
-}
-
-// nameBlocks allocates the element and node names a deck keeps a block at a
-// time rather than a string per card. A strings.Builder never rewrites what
-// String has returned, so the strings cut from one stay valid while it fills.
-type nameBlocks struct {
-	b    strings.Builder
-	size int // of the current block
-}
-
-// add returns a copy of p that lives as long as any string of its block.
-func (k *nameBlocks) add(p []byte) string {
-	if k.b.Cap()-k.b.Len() < len(p) {
-		k.size = min(max(2*k.size, 1<<10), 64<<10)
-		k.b = strings.Builder{}
-		k.b.Grow(max(k.size, len(p)))
-	}
-	n := k.b.Len()
-	k.b.Write(p)
-	return k.b.String()[n:]
-}
-
-// chunked grows a slice that is only appended to without re-copying it at
-// every growth step: full chunks are set aside and joined once, into a slice
-// of exactly the final length. Append alone grows a large slice by a quarter
-// and would copy a 36 k-resistor deck a dozen times (a fifth of the parse);
-// doubling in place allocates a third more than this and parses 14 % slower.
-type chunked[T any] struct{ full [][]T }
-
-// room returns cur if it has room for one more element, else sets it aside
-// and returns an empty chunk as large as everything so far (within bounds).
-func (c *chunked[T]) room(cur []T) []T {
-	if len(cur) < cap(cur) {
-		return cur
-	}
-	if len(cur) > 0 {
-		c.full = append(c.full, cur)
-	}
-	return make([]T, 0, min(max(2*cap(cur), 32), 4096))
-}
-
-// join returns every element handed to room, in order, followed by cur.
-func (c *chunked[T]) join(cur []T) []T {
-	if len(c.full) == 0 {
-		return cur
-	}
-	return slices.Concat(append(c.full, cur)...)
+	return rest
 }
 
 func parseControl(deck *Deck, line string) error {
@@ -320,9 +348,8 @@ func parseSource(spec string) (waveform.Waveform, error) {
 	if s == "" {
 		return nil, fmt.Errorf("empty source specification")
 	}
-	lower := strings.ToLower(s)
 	switch {
-	case strings.HasPrefix(lower, "pulse"):
+	case hasPrefixFold(s, "pulse"):
 		args, err := parenArgs(s)
 		if err != nil {
 			return nil, err
@@ -347,7 +374,7 @@ func parseSource(spec string) (waveform.Waveform, error) {
 			return nil, err
 		}
 		return p, nil
-	case strings.HasPrefix(lower, "pwl"):
+	case hasPrefixFold(s, "pwl"):
 		args, err := parenArgs(s)
 		if err != nil {
 			return nil, err
@@ -367,7 +394,7 @@ func parseSource(spec string) (waveform.Waveform, error) {
 			}
 		}
 		return waveform.NewPWL(ts, vs)
-	case strings.HasPrefix(lower, "sin"):
+	case hasPrefixFold(s, "sin"):
 		args, err := parenArgs(s)
 		if err != nil {
 			return nil, err
@@ -388,7 +415,7 @@ func parseSource(spec string) (waveform.Waveform, error) {
 			return nil, err
 		}
 		return w, nil
-	case strings.HasPrefix(lower, "exp"):
+	case hasPrefixFold(s, "exp"):
 		args, err := parenArgs(s)
 		if err != nil {
 			return nil, err
@@ -409,7 +436,7 @@ func parseSource(spec string) (waveform.Waveform, error) {
 			return nil, err
 		}
 		return w, nil
-	case strings.HasPrefix(lower, "dc"):
+	case hasPrefixFold(s, "dc"):
 		rest := strings.TrimSpace(s[2:])
 		v, err := ParseValue(rest)
 		if err != nil {
@@ -423,6 +450,22 @@ func parseSource(spec string) (waveform.Waveform, error) {
 		}
 		return waveform.DC(v), nil
 	}
+}
+
+// hasPrefixFold reports whether s starts with the lower-case ASCII keyword
+// kw in any case: what strings.HasPrefix(strings.ToLower(s), kw) says for
+// the source keywords, without lowering s (no rune lowers to one of their
+// letters followed by the keyword's next one).
+func hasPrefixFold(s, kw string) bool {
+	if len(s) < len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		if c := s[i]; c != kw[i] && c|0x20 != kw[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // parenArgs extracts the whitespace/comma separated arguments inside the

@@ -139,6 +139,13 @@ func TestParseMatchesOracleOnHandCases(t *testing.T) {
 		"err on last line":     "R1 a 0 1\nR2 a 0",
 		"empty":                "",
 		"only blanks":          "\n  \n\t\r\n",
+		"title after blanks":   strings.Repeat("\n", 20) + "* t\nR1 a 0 1\nR2 a 0 2\n",
+		"comment after blanks": strings.Repeat("\n", 20) + "R1 a 0 1\n* not a title\nR2 a 0 2\n",
+		"last tran wins":       ".tran 1p 1n\nR1 a 0 1\nR2 a 0 1\nR3 a 0 1\n.tran 0 0\nR4 a 0 1\nR5 a 0 1\n",
+		"prints in order":      ".print tran v(a)\nR1 a 0 1\nR2 a 0 1\n.print tran v(b)\nR3 a 0 1\n.print tran v(c)\n",
+		"continuation runs":    "R1 a\n+ 0\n+ 1\nR2 a 0\n\n+ 2\nR3 a\n  0 3\nI1 a 0 PULSE(0 1m\n+ 1n 1n 1n 2n 0)\nR4 a 0 4\n",
+		"err after good cards": "R1 a 0 1\nR2 a 0 2\nR3 a 0 3\nR4 a 0 4\nR5 a 0 5\nR6 a 0\nR7 a 0 -7\n",
+		"two errors":           "R1 a 0 1\nR2 a 0 -2\nR3 a 0 3\nR4 a 0 4\nR5 a 0 5\nR6 a 0 6\nR7 a 0 -7\n",
 	}
 	for name, text := range cases {
 		diffParse(t, name, []byte(text))
@@ -166,6 +173,8 @@ func TestParseErrorLineNumbers(t *testing.T) {
 		{"R1 a 0 1\n\n\nI1 a 0 PWL(0 0 1n)\n", "netlist: line 4: current source I1: PWL needs an even number of args, got 3"},
 		{"R1 a 0 1\n.tran 1p\n", "netlist: line 2: .tran needs a step and stop time"},
 		{"R1 a 0 1\n.tran 1p\n+ y\n.end\n", `netlist: line 2: .tran stop: bad numeric literal "y"`},
+		{"R1 a 0 1\nR2 a 0 2\n\nR3 a 0 3\n\nR4 a 0\n+ -4\nR5 a 0 -5\n", "netlist: line 6: circuit: resistor R4 has non-positive resistance -4"},
+		{"* t\nR1 a 0 1\nR2 a 0 2\nR3 a 0 3\nR4 a 0 4\n\n\nR5 a 0 x\n", `netlist: line 8: resistor R5: bad numeric literal "x"`},
 	}
 	for _, c := range cases {
 		_, err := Parse(strings.NewReader(c.text))

@@ -644,8 +644,10 @@ func streamCursor(r *http.Request, sse bool) int {
 // default, SSE `data:` events with ?sse=1 (or an Accept: text/event-stream
 // header). Sample chunks carry their sequence number (NDJSON "seq" field,
 // SSE `id:` line), so a disconnected client resumes exactly where it left
-// off with no gaps and no duplicates. Each chunk is flushed as written, so
-// a slow consumer sees the waveform grow while the integrator is still
+// off with no gaps and no duplicates. The header and the tail are flushed
+// as written, and the samples once per batch the job hands over: all of a
+// finished job's in one flush, a running job's as they are published, so a
+// slow consumer sees the waveform grow while the integrator is still
 // inside the run.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	sse := r.URL.Query().Get("sse") == "1" ||
@@ -658,6 +660,11 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no")
 	flusher, _ := w.(http.Flusher)
+	flush := func() {
+		if flusher != nil {
+			flusher.Flush()
+		}
+	}
 
 	// emit writes one chunk; seq > 0 marks a sample chunk and becomes the
 	// SSE event ID (header and tail chunks carry none, so they never move
@@ -676,19 +683,14 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 		} else {
 			_, err = fmt.Fprintf(w, "%s\n", data)
 		}
-		if err != nil {
-			return false // client went away
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
+		return err == nil // else the client went away
 	}
 
 	st := job.Status()
 	if !emit(0, streamHeader{ID: job.ID, Probes: st.Probes}) {
 		return
 	}
+	flush()
 	i := streamCursor(r, sse)
 	for {
 		batch, state, ch := job.snapshotFrom(i)
@@ -696,6 +698,9 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 			if !emit(i+k+1, streamSample{Seq: i + k + 1, Sample: smp}) {
 				return
 			}
+		}
+		if len(batch) > 0 {
+			flush()
 		}
 		i += len(batch)
 		if state.Terminal() {
@@ -715,5 +720,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	if final.Sweep != nil {
 		tail.Sweep = final.Sweep
 	}
-	emit(0, tail)
+	if emit(0, tail) {
+		flush()
+	}
 }

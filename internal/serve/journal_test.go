@@ -853,3 +853,70 @@ func TestJournalRecordOver64MiBRestartsAndResumes(t *testing.T) {
 		t.Fatalf("restored job ended %s (%s); want done with the unpadded deck's waveform", got.state, got.tailErr)
 	}
 }
+
+// tailStats reads a finished job's stream to its done tail and returns the
+// tail's solver counters.
+func tailStats(t *testing.T, url string) transient.Stats {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	var last []byte
+	for sc.Scan() {
+		last = append(last[:0], sc.Bytes()...)
+	}
+	var tail struct {
+		Done  bool            `json:"done"`
+		State serve.JobState  `json:"state"`
+		Stats transient.Stats `json:"stats"`
+	}
+	if err := json.Unmarshal(last, &tail); err != nil || !tail.Done || tail.State != serve.JobDone {
+		t.Fatalf("stream did not end on a done tail: %s (%v)", last, err)
+	}
+	return tail.Stats
+}
+
+// A job resumed after a kill -9 reports the work of the whole run, not of
+// its second life alone: a 2-variant TR sweep restarted from the journal as
+// it stood after a checkpoint reports the uninterrupted sweep's step,
+// rejection, substitution-pair and SpMV counts.
+func TestResumedSweepReportsTheUninterruptedCounters(t *testing.T) {
+	spec := serve.JobSpec{Netlist: testDeck(t), Method: "tr", Step: 2e-12, Variants: []sweep.Variant{
+		{Name: "a"},
+		{Name: "b", SourceScales: map[string]float64{"Iload1": 1.3}},
+	}}
+	dirA, dirB := t.TempDir(), t.TempDir()
+	cfg := serve.Config{Workers: 2, QueueDepth: 4, CheckpointEvery: 100, StateDir: dirA}
+	_, baseA, shutdownA := testServer(t, cfg)
+	resp := postJSON(t, baseA+"/v1/jobs", spec)
+	var st serve.Status
+	if err := jsonDecode(resp, &st); err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d, %v", resp.StatusCode, err)
+	}
+	snapshot := waitForJournal(t, journalPath(dirA), `"rec":"checkpoint"`)
+	if err := os.WriteFile(journalPath(dirB), snapshot, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := tailStats(t, baseA+"/v1/jobs/"+st.ID+"/stream")
+	if err := shutdownA(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.StateDir = dirB
+	_, baseB, shutdownB := testServer(t, cfg)
+	defer shutdownB(context.Background())
+	if stats := getStats(t, baseB); stats.Resumed != 1 {
+		t.Fatalf("restart resumed %d jobs, want 1", stats.Resumed)
+	}
+	got := tailStats(t, baseB+"/v1/jobs/"+st.ID+"/stream")
+	type counts struct{ steps, rejected, pairs, spmvs int }
+	g := counts{got.Steps, got.Rejected, got.SolvePairs, got.SpMVs}
+	w := counts{want.Steps, want.Rejected, want.SolvePairs, want.SpMVs}
+	if g != w || w.steps == 0 {
+		t.Errorf("resumed sweep reports %+v, the uninterrupted one %+v", g, w)
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strconv"
@@ -1007,5 +1008,51 @@ func TestShutdownCancelsStuckJobs(t *testing.T) {
 	}
 	if got := job.Status().State; got != serve.JobCanceled {
 		t.Fatalf("job state after forced shutdown: %q, want canceled", got)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts its flushes.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// A finished job's stream is written in three flushes, on NDJSON and SSE
+// alike: the header, every sample at once, the tail — not one per sample.
+func TestFinishedJobStreamsInThreeFlushes(t *testing.T) {
+	srv, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown(context.Background())
+	job, err := srv.Submit(serve.JobSpec{Netlist: testDeck(t), Method: "tr", Step: 1e-12, Tstop: 99e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); !job.State().Terminal(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("job did not finish")
+		}
+	}
+	if st := job.Status(); st.State != serve.JobDone || st.Samples != 100 {
+		t.Fatalf("job ended %s with %d samples, want done with 100 (%s)", st.State, st.Samples, st.Error)
+	}
+	for _, query := range []string{"", "?sse=1"} {
+		w := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+job.ID+"/stream"+query, nil))
+		if n := strings.Count(w.Body.String(), `"seq":`); n != 100 {
+			t.Fatalf("stream%s carried %d samples, want 100", query, n)
+		}
+		if !strings.Contains(w.Body.String(), `"done":true`) {
+			t.Fatalf("stream%s has no tail", query)
+		}
+		if w.flushes != 3 {
+			t.Errorf("stream%s flushed %d times, want 3: header, samples, tail", query, w.flushes)
+		}
 	}
 }

@@ -2,16 +2,18 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 )
 
 // Triplet accumulates matrix entries in coordinate (COO) form. Duplicate
-// entries are summed when the triplet is compressed, which matches the
-// "stamping" style used by modified nodal analysis.
+// entries are summed when the triplet is compressed, in the order they were
+// added, which matches the "stamping" style used by modified nodal analysis.
+// Indices are kept as int32: a stamp is mostly indices, and half-width ones
+// halve what a large deck's triplets move through memory.
 type Triplet struct {
 	rows, cols int
-	ri, ci     []int
+	ri, ci     []int32
 	v          []float64
 }
 
@@ -19,6 +21,9 @@ type Triplet struct {
 func NewTriplet(rows, cols int) *Triplet {
 	if rows < 0 || cols < 0 {
 		panic("sparse: negative dimension")
+	}
+	if rows > math.MaxInt32 || cols > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: triplet dimension %dx%d exceeds int32 indices", rows, cols))
 	}
 	return &Triplet{rows: rows, cols: cols}
 }
@@ -35,8 +40,8 @@ func (t *Triplet) Add(i, j int, v float64) {
 	if i < 0 || i >= t.rows || j < 0 || j >= t.cols {
 		panic(fmt.Sprintf("sparse: triplet index (%d,%d) out of range %dx%d", i, j, t.rows, t.cols))
 	}
-	t.ri = append(t.ri, i)
-	t.ci = append(t.ci, j)
+	t.ri = append(t.ri, int32(i))
+	t.ci = append(t.ci, int32(j))
 	t.v = append(t.v, v)
 }
 
@@ -48,66 +53,60 @@ func (t *Triplet) Grow(n int) {
 	t.v = slices.Grow(t.v, n)
 }
 
-// ToCSC compresses the triplet into CSC form, summing duplicates.
+// ToCSC compresses the triplet into CSC form, summing duplicates in the
+// order they were added. The entries are bucketed by row, then each row's
+// entries by column: both are stable counting sorts, so every column comes
+// out with its rows ascending and a position's duplicates in stamp order,
+// in time linear in the entries however they fall into columns.
 func (t *Triplet) ToCSC() *CSC {
-	// Count entries per column.
-	colCount := make([]int, t.cols+1)
+	byRow := make([]int32, len(t.v)) // entry numbers, ordered by row
+	next := make([]int, t.rows+1)
+	for _, i := range t.ri {
+		next[i+1]++
+	}
+	for i := 1; i <= t.rows; i++ {
+		next[i] += next[i-1]
+	}
+	for k, i := range t.ri {
+		byRow[next[i]] = int32(k)
+		next[i]++
+	}
+
+	// Count entries per column; colptr[j+1] then serves as column j's fill
+	// cursor and ends up at column j+1's start.
+	colptr := make([]int, t.cols+1)
 	for _, j := range t.ci {
-		colCount[j+1]++
+		if int(j)+2 <= t.cols {
+			colptr[j+2]++
+		}
 	}
-	for j := 0; j < t.cols; j++ {
-		colCount[j+1] += colCount[j]
+	for j := 2; j <= t.cols; j++ {
+		colptr[j] += colptr[j-1]
 	}
-	colptr := colCount // colptr[j] is the insertion cursor for column j while filling.
 	rowidx := make([]int, len(t.v))
 	values := make([]float64, len(t.v))
-	next := make([]int, t.cols)
-	copy(next, colptr[:t.cols])
-	for k := range t.v {
+	for _, k := range byRow {
 		j := t.ci[k]
-		p := next[j]
-		next[j]++
-		rowidx[p] = t.ri[k]
+		p := colptr[j+1]
+		colptr[j+1]++
+		rowidx[p] = int(t.ri[k])
 		values[p] = t.v[k]
 	}
 	m := &CSC{Rows: t.rows, Cols: t.cols, Colptr: colptr, Rowidx: rowidx, Values: values}
-	m.sortColumns()
 	m.sumDuplicates()
 	debugCheckCSC(m)
 	return m
-}
-
-// sortColumns sorts row indices within each column, carrying values along.
-func (m *CSC) sortColumns() {
-	seg := new(colSegment) // one sort.Interface value for every column
-	for j := 0; j < m.Cols; j++ {
-		lo, hi := m.Colptr[j], m.Colptr[j+1]
-		seg.ri, seg.v = m.Rowidx[lo:hi], m.Values[lo:hi]
-		sort.Sort(seg)
-	}
-}
-
-type colSegment struct {
-	ri []int
-	v  []float64
-}
-
-func (s *colSegment) Len() int           { return len(s.ri) }
-func (s *colSegment) Less(i, j int) bool { return s.ri[i] < s.ri[j] }
-func (s *colSegment) Swap(i, j int) {
-	s.ri[i], s.ri[j] = s.ri[j], s.ri[i]
-	s.v[i], s.v[j] = s.v[j], s.v[i]
 }
 
 // sumDuplicates merges consecutive equal row indices within each sorted
 // column, compacting the storage in place.
 func (m *CSC) sumDuplicates() {
 	nz := 0
-	colstart := make([]int, m.Cols+1)
+	start := 0 // column j's start before compaction
 	for j := 0; j < m.Cols; j++ {
-		colstart[j] = nz
-		p := m.Colptr[j]
-		end := m.Colptr[j+1]
+		p, end := start, m.Colptr[j+1]
+		start = end
+		m.Colptr[j] = nz
 		for p < end {
 			r := m.Rowidx[p]
 			v := m.Values[p]
@@ -121,8 +120,7 @@ func (m *CSC) sumDuplicates() {
 			nz++
 		}
 	}
-	colstart[m.Cols] = nz
-	m.Colptr = colstart
+	m.Colptr[m.Cols] = nz
 	m.Rowidx = m.Rowidx[:nz]
 	m.Values = m.Values[:nz]
 }

@@ -85,6 +85,36 @@ func TestTripletToCSCSumsDuplicates(t *testing.T) {
 	}
 }
 
+// Duplicates are summed in the order they were added, in short columns and
+// long ones alike: each sum is checked bit for bit against a left-to-right
+// sum of its stamps, with magnitudes mixed so that any other order rounds
+// differently.
+func TestTripletToCSCSumsInStampOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for _, length := range []int{5, 13, 64, 65, 500} {
+		tr := NewTriplet(7, 2)
+		want := map[int]float64{}
+		seen := map[int]bool{}
+		for k := 0; k < length; k++ {
+			i := rng.Intn(7)
+			v := math.Ldexp(rng.Float64()-0.5, rng.Intn(120)-60)
+			tr.Add(i, 1, v)
+			if seen[i] {
+				want[i] += v
+			} else {
+				want[i], seen[i] = v, true
+			}
+		}
+		m := tr.ToCSC()
+		checkCSC(t, m)
+		for i, w := range want {
+			if got := m.At(i, 1); math.Float64bits(got) != math.Float64bits(w) {
+				t.Errorf("column of %d stamps: At(%d,1) = %v, want the stamp-order sum %v", length, i, got, w)
+			}
+		}
+	}
+}
+
 // checkCSC asserts the full CSC invariant set every routine in this package
 // relies on — At's binary search in particular assumes strictly sorted,
 // duplicate-free row indices within each column. The actual checks live in

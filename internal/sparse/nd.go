@@ -15,18 +15,8 @@ const ndLeafSize = 48
 // NestedDissection returns a nested-dissection ordering of the pattern of
 // a+aᵀ: column k of the permuted matrix is p[k] of the original.
 func NestedDissection(a *CSC) []int {
-	n := a.Cols
-	nd := &ndState{
-		adj:   symPattern(a),
-		perm:  make([]int, 0, n),
-		level: make([]int32, n),
-		inSet: make([]int32, n),
-		gen:   0,
-	}
-	for i := range nd.inSet {
-		nd.inSet[i] = -1
-	}
-	all := make([]int, n)
+	nd := newNDState(a)
+	all := make([]int, a.Cols)
 	for i := range all {
 		all[i] = i
 	}
@@ -34,6 +24,26 @@ func NestedDissection(a *CSC) []int {
 	return nd.perm
 }
 
+// newNDState returns the scratch for dissecting the pattern of a+aᵀ.
+func newNDState(a *CSC) *ndState {
+	n := a.Cols
+	nd := &ndState{
+		adj:   symPattern(a),
+		perm:  make([]int, 0, n),
+		level: make([]int32, n),
+		inSet: make([]int32, n),
+		queue: make([]int, 0, n),
+	}
+	for i := range nd.inSet {
+		nd.inSet[i] = -1
+	}
+	return nd
+}
+
+// ndState is one dissection's scratch. The recursion allocates nothing of
+// its own: every node set it works on is a range of the one slice
+// NestedDissection starts from, which components and split reorder in
+// place, through queue, into the order the sets were found in.
 type ndState struct {
 	adj  [][]int
 	perm []int
@@ -43,6 +53,13 @@ type ndState struct {
 	level []int32
 	inSet []int32
 	gen   int32
+	// queue is the breadth-first queue of components, bfsLast and split,
+	// and where components and split lay a node set out before copying it
+	// back; sizes holds split's level sizes; ends is a stack of component
+	// ends, one frame per dissect on the recursion path.
+	queue []int
+	sizes []int
+	ends  []int
 }
 
 // mark stamps a node set with a fresh generation and returns the stamp.
@@ -66,8 +83,12 @@ func (nd *ndState) dissect(nodes []int) {
 	}
 	// Split connected components first: each is dissected independently.
 	g := nd.mark(nodes)
-	comps := nd.components(nodes, g)
-	for _, comp := range comps {
+	frame := len(nd.ends)
+	nd.components(nodes, g)
+	start := 0
+	for f := frame; f < len(nd.ends); f++ {
+		comp := nodes[start:nd.ends[f]]
+		start = nd.ends[f]
 		if len(comp) <= ndLeafSize {
 			nd.leafOrder(comp)
 			continue
@@ -89,33 +110,37 @@ func (nd *ndState) dissect(nodes []int) {
 			nd.perm = append(nd.perm, sep...)
 		}
 	}
+	nd.ends = nd.ends[:frame]
 }
 
-// components partitions a stamped node set into connected components of the
-// induced subgraph.
-func (nd *ndState) components(nodes []int, g int32) [][]int {
+// components reorders a stamped node set in place into its connected
+// components, each in breadth-first order from its first node in the set,
+// in the order they were found, and pushes each component's end onto
+// nd.ends.
+func (nd *ndState) components(nodes []int, g int32) {
 	seen := nd.level // reuse as a visited flag: 0 = unseen this pass
 	for _, v := range nodes {
 		seen[v] = 0
 	}
-	var comps [][]int
+	q := nd.queue[:0]
 	for _, root := range nodes {
 		if seen[root] != 0 {
 			continue
 		}
-		comp := []int{root}
 		seen[root] = 1
-		for head := 0; head < len(comp); head++ {
-			for _, w := range nd.adj[comp[head]] {
+		q = append(q, root)
+		for head := len(q) - 1; head < len(q); head++ {
+			for _, w := range nd.adj[q[head]] {
 				if nd.inSet[w] == g && seen[w] == 0 {
 					seen[w] = 1
-					comp = append(comp, w)
+					q = append(q, w)
 				}
 			}
 		}
-		comps = append(comps, comp)
+		nd.ends = append(nd.ends, len(q))
 	}
-	return comps
+	nd.queue = q
+	copy(nodes, q)
 }
 
 // split bisects one connected component with a level-structure vertex
@@ -123,8 +148,10 @@ func (nd *ndState) components(nodes []int, g int32) [][]int {
 // level closest to the halfway point becomes the separator, everything
 // below it one half and everything above the other. Separator nodes with no
 // neighbor in the near half are shed into the far half (they separate
-// nothing). Returns ok=false when the level structure is too shallow to
-// give a nontrivial split.
+// nothing). On success comp is reordered in place into a, b and sep, each
+// in comp's order (b: the far half, then the nodes shed into it), and the
+// three are returned as ranges of it. Returns ok=false, comp untouched,
+// when the level structure is too shallow to give a nontrivial split.
 func (nd *ndState) split(comp []int) (a, b, sep []int, ok bool) {
 	g := nd.mark(comp)
 	// Pseudo-peripheral root: the last node of a BFS from an arbitrary
@@ -138,8 +165,7 @@ func (nd *ndState) split(comp []int) (a, b, sep []int, ok bool) {
 	for _, v := range comp {
 		level[v] = -1
 	}
-	queue := make([]int, 0, len(comp))
-	queue = append(queue, root)
+	queue := append(nd.queue[:0], root)
 	level[root] = 0
 	nlev := int32(1)
 	for head := 0; head < len(queue); head++ {
@@ -154,12 +180,17 @@ func (nd *ndState) split(comp []int) (a, b, sep []int, ok bool) {
 			}
 		}
 	}
+	nd.queue = queue
 	if nlev < 3 {
 		return nil, nil, nil, false
 	}
 	// Cumulative level sizes pick the split level whose below-half is
 	// closest to |comp|/2 among interior levels.
-	sizes := make([]int, nlev)
+	sizes := nd.sizes[:0]
+	for range nlev {
+		sizes = append(sizes, 0)
+	}
+	nd.sizes = sizes
 	for _, v := range comp {
 		sizes[level[v]]++
 	}
@@ -178,37 +209,54 @@ func (nd *ndState) split(comp []int) (a, b, sep []int, ok bool) {
 			cut = l
 		}
 	}
+	// Shrink: a cut-level node adjacent to no level-(cut-1) node cannot be
+	// on any a↔b path through the cut, so it joins b; shedLevel marks it.
+	const shedLevel = -2
+	var na, nb, nshed int
 	for _, v := range comp {
 		switch {
 		case level[v] < cut:
-			a = append(a, v)
+			na++
 		case level[v] > cut:
-			b = append(b, v)
-		}
-	}
-	// Shrink: a cut-level node adjacent to no level-(cut-1) node cannot be
-	// on any a↔b path through the cut, so it joins b.
-	for _, v := range comp {
-		if level[v] != cut {
-			continue
-		}
-		connected := false
-		for _, w := range nd.adj[v] {
-			if nd.inSet[w] == g && level[w] == cut-1 {
-				connected = true
-				break
+			nb++
+		default:
+			connected := false
+			for _, w := range nd.adj[v] {
+				if nd.inSet[w] == g && level[w] == cut-1 {
+					connected = true
+					break
+				}
+			}
+			if !connected {
+				level[v] = shedLevel
+				nshed++
 			}
 		}
-		if connected {
-			sep = append(sep, v)
-		} else {
-			b = append(b, v)
-		}
 	}
-	if len(a) == 0 || len(b) == 0 {
+	if na == 0 || nb+nshed == 0 {
 		return nil, nil, nil, false
 	}
-	return a, b, sep, true
+	// Lay comp out as a, the far half, the shed nodes, sep.
+	ia, ib, ished, isep := 0, na, na+nb, na+nb+nshed
+	out := nd.queue[:len(comp)]
+	for _, v := range comp {
+		switch l := level[v]; {
+		case l == shedLevel:
+			out[ished] = v
+			ished++
+		case l < cut:
+			out[ia] = v
+			ia++
+		case l > cut:
+			out[ib] = v
+			ib++
+		default:
+			out[isep] = v
+			isep++
+		}
+	}
+	copy(comp, out)
+	return comp[:na], comp[na : na+nb+nshed], comp[na+nb+nshed:], true
 }
 
 // bfsLast returns the last node reached by a BFS over the stamped set.
@@ -217,8 +265,7 @@ func (nd *ndState) bfsLast(root int, g int32) int {
 	// A fresh sub-generation would clobber g; reuse level as the visited
 	// marker instead (any node of the set gets -2 first).
 	last := root
-	queue := make([]int, 0, 64)
-	queue = append(queue, root)
+	queue := append(nd.queue[:0], root)
 	level[root] = -2
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
@@ -230,6 +277,7 @@ func (nd *ndState) bfsLast(root int, g int32) int {
 			}
 		}
 	}
+	nd.queue = queue
 	// Reset the markers for the caller's level pass.
 	for _, v := range queue {
 		level[v] = -1

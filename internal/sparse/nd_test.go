@@ -46,14 +46,7 @@ func blockDiagCSC(blocks ...*CSC) *CSC {
 func TestNDSeparatorProperties(t *testing.T) {
 	mesh := meshSPD(24, 24)
 	n := mesh.Rows
-	nd := &ndState{
-		adj:   symPattern(mesh),
-		level: make([]int32, n),
-		inSet: make([]int32, n),
-	}
-	for i := range nd.inSet {
-		nd.inSet[i] = -1
-	}
+	nd := newNDState(mesh)
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = i
@@ -123,4 +116,40 @@ func TestNDFillOnMesh(t *testing.T) {
 		t.Fatalf("ND fill %d more than 2x MinDegree fill %d", nd, md)
 	}
 	t.Logf("30x30 mesh lnz: natural=%d mindeg=%d nd=%d", nat, md, nd)
+}
+
+// ndPermFingerprint fingerprints a permutation with FNV-1a.
+func ndPermFingerprint(p []int) uint64 {
+	h := uint64(fnvOffset)
+	for _, v := range p {
+		h = fnvMix(h, uint64(v))
+	}
+	return h
+}
+
+// The nested-dissection permutation of every pattern below is pinned: its
+// scratch handling may change, the order it returns may not. The values
+// were taken before the recursion kept its queue and level sizes on
+// ndState.
+func TestNDPermutationsPinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	cases := []struct {
+		name string
+		a    *CSC
+		want uint64
+	}{
+		{"mesh 24x24", meshSPD(24, 24), 0x4e3bf424abb29845},
+		{"mesh 60x40", meshSPD(60, 40), 0x4b6ca7483910372d},
+		{"mesh 131x97", meshSPD(131, 97), 0xfbaa1fc7b93dd561},
+		{"two meshes", blockDiagCSC(meshSPD(9, 9), meshSPD(9, 9)), 0x8aed308c71624044},
+		{"four domains", multiDomainSPD(20, 4), 0x10f98e0757189c61},
+		{"random 150", randomSparse(rng, 150, 0.05), 0x1cc4740cf471f304},
+		{"random 600", randomSparse(rng, 600, 0.01), 0x116ff740c2dbdae5},
+		{"random 2000", randomSparse(rng, 2000, 0.002), 0x6a47fbc697db0081},
+	}
+	for _, c := range cases {
+		if got := ndPermFingerprint(NestedDissection(c.a)); got != c.want {
+			t.Errorf("%s: ND permutation fingerprint %#x, want %#x", c.name, got, c.want)
+		}
+	}
 }

@@ -81,6 +81,24 @@ func assertResumeMatches(t *testing.T, sys *circuit.System, method Method, opts 
 			t.Fatalf("%v: final-state deviation %g at unknown %d", method, d, i)
 		}
 	}
+	// The counters the checkpoint carried plus the resumed run's own are
+	// the one-shot run's, but for the substitution pair a MATEX run spends
+	// on the q it solves afresh where it resumes.
+	type counts struct{ steps, rejected, pairs, spmvs, expms, lanczos, spots, dimSum int }
+	count := func(s *Stats) counts {
+		c := counts{s.Steps, s.Rejected, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.LanczosSpots, len(s.KrylovDims), 0}
+		for _, d := range s.KrylovDims {
+			c.dimSum += d
+		}
+		return c
+	}
+	got, want := count(&resumed.Stats), count(&oneShot.Stats)
+	if method != TRFixed && method != TRAdaptive && got.pairs == want.pairs+1 {
+		got.pairs--
+	}
+	if got != want {
+		t.Errorf("%v: resumed counters %+v, one-shot %+v", method, got, want)
+	}
 }
 
 func TestResumeMatchesOneShotFixed(t *testing.T) {

@@ -422,7 +422,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		if qOK = deviation && !split && (!flat || in.maxDiff == 0); qOK && !flat {
 			in.q, in.q1 = in.q1, in.q
 		}
-		err = cpr.maybe(&res.Stats, func() Checkpoint {
+		err = cpr.maybe(&res.Stats, count, func() Checkpoint {
 			return Checkpoint{Method: method.Name(), T: tBase, X: append([]float64(nil), x...), BuScale: buScale, AugPairs: augPairs, DevPairs: devPairs}
 		})
 		if err != nil {

@@ -46,14 +46,17 @@
 # journal — counted, not timed: its wall is the runner's fsync), and
 # BenchmarkParse_ibmpg6t15 / BenchmarkStamp_ibmpg6t15 the front end on the
 # grid_static deck (PR 22: MB/s and allocs/op; benchcmp holds the parser's
-# allocs/op under 20 k, a count).
+# allocs/op under 20 k, a count), and BenchmarkParseDeck_ibmpg3t /
+# BenchmarkParseDeck_ibmpg6t15 the whole front end a job pays, parse + stamp
+# + hash through job.ParseDeck (PR 44: benchcmp holds both rows' allocs/op
+# under absolute bounds, counts).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out="${1:-BENCH_BASELINE.json}"
 benchtime="${BENCHTIME:-100x}"
 runs="${BENCH_RUNS:-1}"
-pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_|Parse_|Stamp_)}"
+pattern="${BENCH_PATTERN:-^Benchmark(Krylov|Factor_|Refactor|SolveSeq|Sweep|Dist_|Table2_(IMATEX|RMATEX)_ibmpg1t|Ablation_Ordering_|ServeSubmit_|Parse_|Stamp_|ParseDeck_)}"
 
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT

@@ -122,9 +122,15 @@ var gates = []gate{
 	{row: "BenchmarkKrylovGenerate_RMATEX_Arnoldi", metric: "allocs/op", abs: true, why: "a warm Arnoldi generation allocates nothing"},
 	{row: "BenchmarkKrylovGenerate_RMATEX_Lanczos", metric: "allocs/op", abs: true, why: "a warm Lanczos generation allocates nothing"},
 	// The parser's allocations on the 56 k-card grid_static deck, counted: it
-	// makes ~6 k (name blocks, element chunks, the ~1.5 k source cards); a
-	// string per card is ~62 k, a copied and Fields-split line per card 230 k.
-	{row: "BenchmarkParse_ibmpg6t15", metric: "allocs/op", abs: true, hi: 20000, why: "one pass, tokenized in place: cards are not copied, names come from blocks"},
+	// makes ~3 k (the ~1.5 k source cards and their waveforms); a string per
+	// card is ~62 k, a copied and Fields-split line per card 230 k.
+	{row: "BenchmarkParse_ibmpg6t15", metric: "allocs/op", abs: true, hi: 20000, why: "one pass, tokenized in place: cards are not copied, names are substrings of the text"},
+	// The whole front end (job.ParseDeck: parse, stamp, hash), counted: a
+	// few objects per source card and per MNA input, none per R or C card;
+	// ~1.8 k and ~6.9 k (the front end with copied names and per-column
+	// sort.Sort made 3,452 and 12,579).
+	{row: "BenchmarkParseDeck_ibmpg3t", metric: "allocs/op", abs: true, hi: 2500, why: "no object per R or C card: the front end allocates per source and per input"},
+	{row: "BenchmarkParseDeck_ibmpg6t15", metric: "allocs/op", abs: true, hi: 9000, why: "no object per R or C card: the front end allocates per source and per input"},
 }
 
 func main() {
