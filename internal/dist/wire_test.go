@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,3 +249,72 @@ func TestDeckLostAfterPutMovesOn(t *testing.T) {
 		t.Fatalf("forgetful worker: %d PUTs, %d posts; run retried %d, rows equal to in-process: %v", lost.puts, len(lost.posts), out.Dist.Retried, sameRows(got, local))
 	}
 }
+
+// TestRefusedDeckPutSurfaces: a worker that does not hold the deck and then
+// refuses its PUT (a full disk: 500) fails the run with the refusal, after
+// one PUT and one post — the task is not posted again as if the deck had
+// arrived.
+func TestRefusedDeckPutSurfaces(t *testing.T) {
+	d := gridDeck(t, 0.2)
+	var refusing wireLog
+	h := refusing.counted(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPut {
+			w.WriteHeader(http.StatusInternalServerError)
+			io.WriteString(w, `{"error":"serve: journal append failed: no space left on device"}`+"\n")
+			return
+		}
+		w.WriteHeader(http.StatusNotFound)
+		io.WriteString(w, `{"error":"serve: unknown deck"}`+"\n")
+	}))
+	_, _, err := d.remote(context.Background(), job.Spec{Tol: 1e-7}, []string{serveWrapped(t, h)}, nil)
+	if err == nil || !strings.Contains(err.Error(), "no space left on device") {
+		t.Fatalf("run over a worker refusing the deck: %v, want the PUT's refusal", err)
+	}
+	if refusing.puts != 1 || len(refusing.posts) != 1 {
+		t.Fatalf("refusing worker was sent %d PUTs and %d posts, want 1 and 1", refusing.puts, len(refusing.posts))
+	}
+}
+
+// TestStreamWithoutHeaderMovesOn: a worker whose 200 answer does not open
+// with a job stream's header is not running the task: the task is posted
+// to the next worker, and the run lands the in-process rows with one retry.
+func TestStreamWithoutHeaderMovesOn(t *testing.T) {
+	d := gridDeck(t, 0.2)
+	spec := job.Spec{Tol: 1e-7}
+	local, _ := d.local(t, spec, 2)
+	bad := startWorker(t, "127.0.0.1:0", serve.Config{})
+	other := startWorker(t, "127.0.0.1:0", serve.Config{})
+	headless := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/simulate" {
+			bad.srv.Handler().ServeHTTP(w, r)
+			return
+		}
+		bad.srv.Handler().ServeHTTP(&headerSwap{ResponseWriter: w}, r)
+	})
+	got, out, err := d.remote(context.Background(), spec, []string{serveWrapped(t, headless), other.addr}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Dist.Retried != 1 || !sameRows(got, local) {
+		t.Fatalf("headless stream: run retried %d, rows equal to in-process: %v", out.Dist.Retried, sameRows(got, local))
+	}
+}
+
+// headerSwap writes a JSON array where a stream's header line would be.
+type headerSwap struct {
+	http.ResponseWriter
+	done bool
+}
+
+func (h *headerSwap) Write(b []byte) (int, error) {
+	if !h.done && bytes.HasPrefix(b, []byte(`{"id":`)) {
+		h.done = true
+		if _, err := h.ResponseWriter.Write([]byte("[]\n")); err != nil {
+			return 0, err
+		}
+		return len(b), nil
+	}
+	return h.ResponseWriter.Write(b)
+}
+
+func (h *headerSwap) Flush() { h.ResponseWriter.(http.Flusher).Flush() }

@@ -64,7 +64,7 @@ func DeckHash(text string) string {
 	var window [16 << 10]byte // no deck-sized []byte copy of the string
 	for len(text) > 0 {
 		n := copy(window[:], text)
-		h.Write(window[:n]) //matex:err-ok(hash.Hash.Write never returns an error)
+		h.Write(window[:n]) // hash.Hash.Write never returns an error
 		text = text[n:]
 	}
 	return hex.EncodeToString(h.Sum(nil))

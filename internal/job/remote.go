@@ -236,7 +236,7 @@ func post(ctx context.Context, addr string, body []byte, rows *taskRows) (stats 
 	if err != nil {
 		return nil, true, err
 	}
-	defer resp.Body.Close() //matex:err-ok(a response body's Close error carries nothing once its rows are read or refused)
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		retry, err := refusal(addr, resp)
 		if resp.StatusCode == http.StatusNotFound {
@@ -298,7 +298,7 @@ func putDeck(ctx context.Context, addr, hash, text string) (retry bool, err erro
 	if err != nil {
 		return true, err
 	}
-	defer resp.Body.Close() //matex:err-ok(a response body's Close error carries nothing once the status is read)
+	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		return refusal(addr, resp)
 	}
@@ -329,6 +329,6 @@ func cancelJob(ctx context.Context, addr, id string) {
 		return
 	}
 	if resp, err := workerClient.Do(req); err == nil {
-		resp.Body.Close() //matex:err-ok(best-effort cancel: the status is not read, and there is nothing to do on failure)
+		resp.Body.Close() // best effort: the status is not read
 	}
 }

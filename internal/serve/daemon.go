@@ -40,7 +40,7 @@ func Main(prog string) {
 	grace := fs.Duration("grace", 30*time.Second, "drain budget after SIGINT/SIGTERM before running jobs are canceled")
 	stateDir := fs.String("state-dir", "", "durable-job journal directory; jobs survive a crash and resume from their last checkpoint (empty = in-memory only)")
 	cpEvery := fs.Int("checkpoint-every", 0, "journaled-checkpoint cadence in accepted integrator steps (0 = default 128; needs -state-dir)")
-	fs.Parse(os.Args[1:]) //matex:err-ok(flag.ExitOnError: a bad flag exits 2 inside Parse)
+	fs.Parse(os.Args[1:]) // flag.ExitOnError: a bad flag exits 2 inside Parse
 
 	cfg := Config{
 		Workers:         *workers,

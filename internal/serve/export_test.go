@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"bytes"
+	"fmt"
+
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/job"
 	"github.com/matex-sim/matex/internal/memo"
@@ -23,13 +26,51 @@ func (s *Server) SetDeckCapacity(n int64) {
 	s.decks = memo.New[string, *job.Deck](memo.NewBudget(n))
 }
 
-// FailNextAppend makes the journal's next append of a record of the given
-// kind ("deck", "spec", "samples", "checkpoint", "done") fail with
-// ErrJournal, once. The server must have a StateDir.
-func (s *Server) FailNextAppend(kind string) { s.journal.failNext.Store(&kind) }
+// DiskOp is one operation the journal performs on disk, as its fault seam
+// sees it: Op is "open", "write", "sync", "close" or "rename", Path the file
+// or directory it acts on (a rename's target), Data a write's bytes.
+type DiskOp struct {
+	Op, Path string
+	Data     []byte
+}
+
+// SetDiskFault puts fault under every operation the journal performs on disk
+// until the returned function is called: an error it returns fails the
+// operation in its place. One fault is set at a time, process-wide.
+func SetDiskFault(fault func(DiskOp) error) (clear func()) {
+	fn := func(op, path string, data []byte) error { return fault(DiskOp{op, path, data}) }
+	diskFault.Store(&fn)
+	return func() { diskFault.CompareAndSwap(&fn, nil) }
+}
+
+// RecordKind is the kind of the journal record a write carries ("deck",
+// "spec", "samples", "checkpoint", "done"), "" when it does not start one.
+func RecordKind(data []byte) string {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"rec":"`))
+	if !ok {
+		return ""
+	}
+	kind, _, _ := bytes.Cut(rest, []byte(`"`))
+	return string(kind)
+}
+
+// FailNextAppend makes the journal's next write of a record of the given
+// kind fail with ErrJournal, once: a fault on the server's append handle,
+// cleared as it fires. The server must have a StateDir.
+func (s *Server) FailNextAppend(kind string) {
+	path := s.journal.f.f.Name()
+	var fn func(op, path string, data []byte) error
+	fn = func(op, p string, data []byte) error {
+		if op != "write" || p != path || RecordKind(data) != kind || !diskFault.CompareAndSwap(&fn, nil) {
+			return nil
+		}
+		return fmt.Errorf("injected fault on a %s record", kind)
+	}
+	diskFault.Store(&fn)
+}
 
 // AppendFaultArmed reports whether a FailNextAppend has yet to fire.
-func (s *Server) AppendFaultArmed() bool { return s.journal.failNext.Load() != nil }
+func (s *Server) AppendFaultArmed() bool { return diskFault.Load() != nil }
 
 // MaxBodyBytes is the admission bound on a deck.
 const MaxBodyBytes = maxBodyBytes

@@ -74,7 +74,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
-	enc.Encode(v) //matex:err-ok(headers already committed; an encode failure means a dead client)
+	enc.Encode(v) // headers already committed: an encode failure means a dead client
 }
 
 type errorReply struct {

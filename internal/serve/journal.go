@@ -47,8 +47,9 @@ import (
 // record, and the compaction that follows rewrites the file by reference.
 //
 // ErrJournal marks every append failure so the HTTP layer can answer 500
-// (server's disk, not the client's spec). Tests stand in for a full disk or
-// a torn checkpoint write by arming failNext for one record kind.
+// (server's disk, not the client's spec). Every operation the journal
+// performs on disk passes one test-only seam, diskFault, through which the
+// tests fail each operation of a job's life in turn.
 
 // journalName is the journal file name under Config.StateDir.
 const journalName = "journal.jsonl"
@@ -93,13 +94,8 @@ type journalRecord struct {
 // journal is the append-side handle. Appends serialize on mu; the file is
 // opened O_APPEND so each record is one contiguous write.
 type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	// failNext, when set, names a record kind ("deck", "spec", "samples",
-	// "checkpoint", "done") whose next append fails with ErrJournal; it is
-	// cleared as it fires. Only tests set it.
-	failNext atomic.Pointer[string]
+	mu sync.Mutex
+	f  *diskFile
 	// decks are the hashes whose deck record this generation of the file
 	// holds, durably: specs may reference them without writing the body.
 	decks map[string]bool
@@ -143,11 +139,11 @@ func openJournal(dir string) (*journal, []*restoredJob, uint64, error) {
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := openDisk(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	j := &journal{f: f, path: path, decks: decks}
+	j := &journal{f: f, decks: decks}
 	return j, live, maxSeq, nil
 }
 
@@ -166,7 +162,7 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: opening journal for replay: %w", err)
 	}
-	defer f.Close() //matex:err-ok(read-only handle)
+	defer f.Close()
 
 	byID := make(map[string]*restoredJob)
 	decks := make(map[string]string) // content hash → text
@@ -268,7 +264,7 @@ func replayJournal(path string) ([]*restoredJob, uint64, error) {
 // decks the new file holds.
 func compactJournal(path string, live []*restoredJob) (map[string]bool, error) {
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := openDisk(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC)
 	if err != nil {
 		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
@@ -322,25 +318,29 @@ func compactJournal(path string, live []*restoredJob) (map[string]bool, error) {
 	if err := f.Close(); err != nil {
 		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := renameDisk(tmp, path); err != nil {
+		return nil, fmt.Errorf("serve: compacting journal: %w", err)
+	}
+	// The new generation is durable once its directory entry is: without
+	// this sync a power loss could take the entry back, and with it every
+	// record appended to this generation since.
+	if err := syncDir(filepath.Dir(path)); err != nil {
 		return nil, fmt.Errorf("serve: compacting journal: %w", err)
 	}
 	return decks, nil
 }
 
-// failCompact abandons a half-written compaction temp file.
-func failCompact(f *os.File, tmp string, err error) error {
-	f.Close()      //matex:err-ok(already failing; the temp file is removed next)
-	os.Remove(tmp) //matex:err-ok(best-effort cleanup of the temp file)
+// failCompact abandons a half-written compaction temp file. The error that
+// brought it here is the one reported: the Close and the Remove are
+// best-effort cleanup.
+func failCompact(f *diskFile, tmp string, err error) error {
+	f.Close()
+	os.Remove(tmp)
 	return fmt.Errorf("serve: compacting journal: %w", err)
 }
 
-// encode marshals one record into its journal line, unless failNext names
-// the record's kind.
+// encode marshals one record into its journal line.
 func (j *journal) encode(rec journalRecord) ([]byte, error) {
-	if k := j.failNext.Load(); k != nil && *k == rec.Rec && j.failNext.CompareAndSwap(k, nil) {
-		return nil, fmt.Errorf("%w: injected fault on a %s record", ErrJournal, rec.Rec)
-	}
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrJournal, err)
@@ -424,8 +424,80 @@ func (j *journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if err := j.f.Sync(); err != nil {
-		j.f.Close() //matex:err-ok(sync already failed; report that error)
+		j.f.Close() // the Sync error is the one to report
 		return fmt.Errorf("serve: closing journal: %w", err)
 	}
 	return j.f.Close()
+}
+
+// diskFault is the journal's fault seam: when set, it is called before every
+// operation the journal performs on disk — op is "open", "write", "sync",
+// "close" or "rename", path the file or directory it acts on (a rename's
+// target), data a write's bytes — and an error it returns fails that
+// operation in its place. Only tests set it.
+var diskFault atomic.Pointer[func(op, path string, data []byte) error]
+
+// onDisk passes one disk operation through the fault seam.
+func onDisk(op, path string, data []byte) error {
+	if fault := diskFault.Load(); fault != nil {
+		return (*fault)(op, path, data)
+	}
+	return nil
+}
+
+// diskFile is a file the journal writes — the append handle, compaction's
+// temp file, the state directory it syncs — whose every operation passes the
+// fault seam first.
+type diskFile struct{ f *os.File }
+
+func openDisk(path string, flag int) (*diskFile, error) {
+	if err := onDisk("open", path, nil); err != nil {
+		return nil, err
+	}
+	f, err := os.OpenFile(path, flag, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return &diskFile{f}, nil
+}
+
+func (d *diskFile) Write(p []byte) (int, error) {
+	if err := onDisk("write", d.f.Name(), p); err != nil {
+		return 0, err
+	}
+	return d.f.Write(p)
+}
+
+func (d *diskFile) Sync() error {
+	if err := onDisk("sync", d.f.Name(), nil); err != nil {
+		return err
+	}
+	return d.f.Sync()
+}
+
+func (d *diskFile) Close() error {
+	if err := onDisk("close", d.f.Name(), nil); err != nil {
+		return err
+	}
+	return d.f.Close()
+}
+
+func renameDisk(from, to string) error {
+	if err := onDisk("rename", to, nil); err != nil {
+		return err
+	}
+	return os.Rename(from, to)
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := openDisk(dir, os.O_RDONLY)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close() // the Sync error is the one to report
+		return err
+	}
+	return d.Close()
 }

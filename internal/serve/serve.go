@@ -208,7 +208,9 @@ func New(cfg Config) (*Server, error) {
 		s.accepted++
 		if job.err != nil {
 			s.failed++
-			jn.appendDone(job.ID, JobFailed, job.err.Error()) //matex:err-ok(a lost done record only costs re-failing the same spec after the next restart)
+			// A lost done record only costs re-failing the same spec after the
+			// next restart.
+			jn.appendDone(job.ID, JobFailed, job.err.Error())
 			continue
 		}
 		s.resumed++
@@ -477,7 +479,9 @@ func (s *Server) runJob(job *Job) {
 		s.mu.Unlock()
 		if s.journal != nil {
 			st := job.Status()
-			s.journal.appendDone(job.ID, st.State, st.Error) //matex:err-ok(cancellation already took effect; a lost done record only costs a redundant restore after restart)
+			// Cancellation already took effect: a lost done record only costs
+			// a redundant restore after a restart.
+			s.journal.appendDone(job.ID, st.State, st.Error)
 		}
 		return
 	}
@@ -517,7 +521,7 @@ func (s *Server) runJob(job *Job) {
 		// and a failed append here is the same crash window, not a new
 		// failure mode worth failing the finished job over.
 		st := job.Status()
-		s.journal.appendDone(job.ID, st.State, st.Error) //matex:err-ok(outcome already published; a lost done record only costs a redundant re-run after restart)
+		s.journal.appendDone(job.ID, st.State, st.Error)
 	}
 	s.mu.Lock()
 	s.pruneLocked()
@@ -582,7 +586,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		// cancellation unwound were journaled done (canceled) by their
 		// workers — graceful shutdown is a terminal outcome, not a crash;
 		// only a kill without a done record resumes on the next start.
-		s.journal.Close() //matex:err-ok(shutdown path; every record that matters was fsynced at append time)
+		s.journal.Close() // every record that matters was fsynced at append time
 	}
 	return err
 }

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"reflect"
 	"strconv"
@@ -146,6 +148,44 @@ func TestSSEReconnectResumesAtLastEventID(t *testing.T) {
 		for k := range all[i].v {
 			if all[i].v[k] != full.rows[i][k] {
 				t.Fatalf("stitched v[%d][%d] differs from full replay", i, k)
+			}
+		}
+	}
+}
+
+// failingWriter is a response whose writes succeed ok times and then fail,
+// as a connection the client dropped does; it counts every attempt.
+type failingWriter struct {
+	header     http.Header
+	ok, writes int
+}
+
+func (w *failingWriter) Header() http.Header { return w.header }
+func (w *failingWriter) WriteHeader(int)     {}
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes > w.ok {
+		return 0, errors.New("connection reset by peer")
+	}
+	return len(p), nil
+}
+
+// TestStreamStopsAtFirstFailedWrite: a stream whose write fails — the header,
+// a sample, in NDJSON or SSE — writes nothing more, rather than encode the
+// rest of the waveform for a client that is gone.
+func TestStreamStopsAtFirstFailedWrite(t *testing.T) {
+	s, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4})
+	defer shutdown(context.Background())
+	done := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: testDeck(t)})
+	if done.state != serve.JobDone || len(done.times) < 3 {
+		t.Fatalf("job ended %s with %d samples", done.state, len(done.times))
+	}
+	for _, query := range []string{"", "?sse=1"} {
+		for _, ok := range []int{0, 2} {
+			w := &failingWriter{header: http.Header{}, ok: ok}
+			s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+done.id+"/stream"+query, nil))
+			if w.writes != ok+1 {
+				t.Errorf("stream%s failing after %d writes went on to %d", query, ok, w.writes)
 			}
 		}
 	}

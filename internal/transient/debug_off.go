@@ -8,4 +8,4 @@ package transient
 // debugEnabled reports whether the matexdebug invariant layer is compiled in.
 const debugEnabled = false
 
-func debugCheckAhead(*segInputs, func(*segInputs)) {}
+func debugCheckAhead(_, _ *segInputs) {}

@@ -15,12 +15,10 @@ import (
 // debugEnabled reports whether the matexdebug invariant layer is compiled in.
 const debugEnabled = true
 
-// debugCheckAhead runs redo on fresh buffers — the inline computation of
-// the terms got holds — and panics with the segment time unless every term
-// the segment uses has the same bits.
-func debugCheckAhead(got *segInputs, redo func(*segInputs)) {
-	want := newSegInputs(len(got.bu0))
-	redo(want)
+// debugCheckAhead panics with the segment time unless every term the
+// segment uses has the same bits in got, the helper's, and want, the inline
+// computation of the same terms.
+func debugCheckAhead(got, want *segInputs) {
 	same := func(a, b []float64) bool {
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {

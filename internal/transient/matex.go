@@ -160,6 +160,11 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	// running.
 	cur := newSegInputs(n)
 	var spare, ahead *segInputs
+	// redo is where a matexdebug build recomputes the helper's terms inline.
+	var redo *segInputs
+	if debugEnabled {
+		redo = newSegInputs(n)
+	}
 	var helper sync.WaitGroup
 	defer helper.Wait()
 	// q is q(tBase) whenever qOK says so; a DC start is x(0) = q(0).
@@ -266,10 +271,9 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		helper.Wait()
 		if nx := ahead; nx != nil && nx.t == t && nx.segEnd == segEnd && nx.carried == qOK && nx.deviation == deviates(nx.flat, rampDev) {
 			if debugEnabled {
-				debugCheckAhead(nx, func(in *segInputs) {
-					copy(in.q, cur.q)
-					fill(in, t, segEnd, buScale, rampDev, qOK)
-				})
+				copy(redo.q, cur.q)
+				fill(redo, t, segEnd, buScale, rampDev, qOK)
+				debugCheckAhead(nx, redo)
 			}
 			cur, spare = nx, cur
 			res.Stats.InputAhead += nx.basePairs + nx.rampPairs

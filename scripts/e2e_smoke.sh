@@ -8,7 +8,9 @@
 #                                 rows, grouped by variant, are the
 #                                 one-variant sweeps' tables; a failed
 #                                 run exits 1 on whole rows, a closed pipe
-#                                 ends it quietly, a distributed sweep is
+#                                 ends it quietly, a full stdout
+#                                 (/dev/full) exits 1 with one error
+#                                 line, a distributed sweep is
 #                                 refused before its first row; then
 #                                 -method imatex against -method rmatex: the
 #                                 two MATEX input treatments must agree to
@@ -142,7 +144,21 @@ prc=${PIPESTATUS[0]}
 set -o pipefail
 [[ "$prc" -eq 141 ]] || { echo "matex | head -2 exited $prc, want 141 (SIGPIPE)"; exit 1; }
 [[ ! -s "$workdir/pipe.err" ]] || { echo "matex | head -2 wrote to stderr:"; cat "$workdir/pipe.err"; exit 1; }
-echo "failed run: exit 1, whole rows; closed pipe: quiet exit"
+# A stdout that refuses its bytes (a full disk) is an error: exit 1, one
+# line on stderr naming it.
+if [[ -w /dev/full ]]; then
+    rc=0
+    "$workdir/matex" "$workdir/deck.sp" > /dev/full 2> "$workdir/full.err" || rc=$?
+    [[ "$rc" -eq 1 ]] || { echo "matex > /dev/full exited $rc, want 1"; exit 1; }
+    [[ "$(wc -l < "$workdir/full.err")" -eq 1 ]] && grep -q '^matex: .*no space left on device' "$workdir/full.err" \
+        || { echo "matex > /dev/full stderr is not one matex: line:"; cat "$workdir/full.err"; exit 1; }
+    cat "$workdir/full.err"
+    rc=0
+    "$workdir/pgbench" -case ibmpg1t -scale 0.25 > /dev/full 2> "$workdir/full.err" || rc=$?
+    [[ "$rc" -eq 1 ]] && grep -q '^pgbench: .*no space left on device' "$workdir/full.err" \
+        || { echo "pgbench > /dev/full exited $rc:"; cat "$workdir/full.err"; exit 1; }
+fi
+echo "failed run: exit 1, whole rows; closed pipe: quiet exit; full stdout: exit 1"
 
 say "matex refuses a distributed sweep before its first row"
 # The spec is resolved by the same code as a matexsrv submission, which
