@@ -120,7 +120,10 @@ func TestWarmTasksNameTheirDeckByHash(t *testing.T) {
 }
 
 // streamCut wraps a worker's handler so that the first task stream through
-// it is cut, as by a crash, after its first rows sample rows.
+// it is cut, as by a crash, after its first rows sample rows. The server
+// flushes a stream once per batch of samples, and a busy job hands over
+// many at once: the rows before the cut are flushed first, so the client
+// has them all when the connection drops, whatever the batching.
 func streamCut(h http.Handler, rows int) http.Handler {
 	var cut atomic.Bool
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -141,6 +144,7 @@ type cutWriter struct {
 func (c *cutWriter) Write(b []byte) (int, error) {
 	if bytes.Contains(b, []byte(`"seq":`)) {
 		if c.rows == 0 && c.cut.CompareAndSwap(false, true) {
+			c.Flush()
 			panic(http.ErrAbortHandler) // the connection drops mid-stream
 		}
 		c.rows--

@@ -27,8 +27,9 @@ func (s *Server) SetDeckCapacity(n int64) {
 }
 
 // DiskOp is one operation the journal performs on disk, as its fault seam
-// sees it: Op is "open", "write", "sync", "close" or "rename", Path the file
-// or directory it acts on (a rename's target), Data a write's bytes.
+// sees it: Op is "open", "write", "sync", "truncate", "close" or "rename",
+// Path the file or directory it acts on (a rename's target), Data a write's
+// bytes.
 type DiskOp struct {
 	Op, Path string
 	Data     []byte

@@ -99,6 +99,11 @@ type journal struct {
 	// decks are the hashes whose deck record this generation of the file
 	// holds, durably: specs may reference them without writing the body.
 	decks map[string]bool
+	// size is the length of the file's whole lines: where a line that fails
+	// is cut back to. broken is the error of a cut that failed; the file's
+	// tail is then unknown, and every later append fails with it.
+	size   int64
+	broken error
 }
 
 // restoredJob is one interrupted job reconstructed from the journal.
@@ -143,7 +148,12 @@ func openJournal(dir string) (*journal, []*restoredJob, uint64, error) {
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: opening journal: %w", err)
 	}
-	j := &journal{f: f, decks: decks}
+	fi, err := f.f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, nil, 0, fmt.Errorf("serve: opening journal: %w", err)
+	}
+	j := &journal{f: f, decks: decks, size: fi.Size()}
 	return j, live, maxSeq, nil
 }
 
@@ -350,17 +360,37 @@ func (j *journal) encode(rec journalRecord) ([]byte, error) {
 
 // writeLocked writes one encoded line; sync additionally fsyncs (used for
 // decks, specs, checkpoints and terminal records — the entries a restart
-// pivots on). Callers hold j.mu.
-func (j *journal) writeLocked(line []byte, sync bool) error {
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("%w: %w", ErrJournal, err)
+// pivots on). A line whose write fails is cut back off the file, so no torn
+// line ends a later replay early; with refuse, so is a line whose fsync
+// fails — a spec whose submitter is told it was refused must not come back
+// on a restart. A cut that fails poisons the journal. Callers hold j.mu.
+func (j *journal) writeLocked(line []byte, sync, refuse bool) error {
+	if j.broken != nil {
+		return fmt.Errorf("%w: %w", ErrJournal, j.broken)
 	}
-	if sync {
-		if err := j.f.Sync(); err != nil {
+	n, err := j.f.Write(line)
+	if err == nil && sync {
+		if err = j.f.Sync(); err != nil && !refuse {
+			j.size += int64(n) // whole in the file; only its durability failed
 			return fmt.Errorf("%w: %w", ErrJournal, err)
 		}
 	}
+	if err != nil {
+		if cerr := j.cutLocked(); cerr != nil {
+			j.broken = fmt.Errorf("cutting a failed record off the journal: %w", cerr)
+		}
+		return fmt.Errorf("%w: %w", ErrJournal, err)
+	}
+	j.size += int64(n)
 	return nil
+}
+
+// cutLocked truncates the file back to its whole lines, durably.
+func (j *journal) cutLocked() error {
+	if err := j.f.Truncate(j.size); err != nil {
+		return err
+	}
+	return j.f.Sync()
 }
 
 // append encodes and writes one record.
@@ -371,7 +401,7 @@ func (j *journal) append(rec journalRecord, sync bool) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.writeLocked(line, sync)
+	return j.writeLocked(line, sync, false)
 }
 
 // holds reports whether this generation of the journal holds the deck
@@ -396,15 +426,23 @@ func (j *journal) appendDeck(hash, netlist string) error {
 	if err != nil {
 		return err
 	}
-	if err := j.writeLocked(line, true); err != nil {
+	if err := j.writeLocked(line, true, false); err != nil {
 		return err
 	}
 	j.decks[hash] = true
 	return nil
 }
 
+// appendSpec makes a spec durable, or leaves the file without it: the
+// submission is refused on any failure, so the record must not outlive it.
 func (j *journal) appendSpec(id string, seq uint64, hash string, spec json.RawMessage) error {
-	return j.append(journalRecord{Rec: "spec", ID: id, Seq: seq, Hash: hash, Spec: spec}, true)
+	line, err := j.encode(journalRecord{Rec: "spec", ID: id, Seq: seq, Hash: hash, Spec: spec})
+	if err != nil {
+		return err
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.writeLocked(line, true, true)
 }
 
 func (j *journal) appendSamples(id string, from int, batch []Sample) error {
@@ -432,9 +470,9 @@ func (j *journal) Close() error {
 
 // diskFault is the journal's fault seam: when set, it is called before every
 // operation the journal performs on disk — op is "open", "write", "sync",
-// "close" or "rename", path the file or directory it acts on (a rename's
-// target), data a write's bytes — and an error it returns fails that
-// operation in its place. Only tests set it.
+// "truncate", "close" or "rename", path the file or directory it acts on
+// (a rename's target), data a write's bytes — and an error it returns
+// fails that operation in its place. Only tests set it.
 var diskFault atomic.Pointer[func(op, path string, data []byte) error]
 
 // onDisk passes one disk operation through the fault seam.
@@ -473,6 +511,13 @@ func (d *diskFile) Sync() error {
 		return err
 	}
 	return d.f.Sync()
+}
+
+func (d *diskFile) Truncate(size int64) error {
+	if err := onDisk("truncate", d.f.Name(), nil); err != nil {
+		return err
+	}
+	return d.f.Truncate(size)
 }
 
 func (d *diskFile) Close() error {

@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -334,6 +335,112 @@ func TestJournalAppendFaultRejectsSubmit(t *testing.T) {
 	done := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Method: "rmatex", Tol: 1e-6})
 	if done.state != serve.JobDone {
 		t.Fatalf("post-fault job ended %s (%s)", done.state, done.tailErr)
+	}
+}
+
+// failSpecSync fails the fsync that follows the next spec record's write
+// on the journal under dir, once; with cut, it fails the truncate that cuts
+// the record back off as well.
+func failSpecSync(dir string, cut bool) (clear func()) {
+	var mu sync.Mutex
+	state := "wait" // → "write" (spec written) → "sync" (failed) → "done"
+	return serve.SetDiskFault(func(op serve.DiskOp) error {
+		if op.Path != journalPath(dir) {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case state == "wait" && op.Op == "write" && serve.RecordKind(op.Data) == "spec":
+			state = "write"
+		case state == "write" && op.Op == "sync":
+			state = "sync"
+			return errors.New("injected fault on the spec's fsync")
+		case state == "sync" && op.Op == "truncate":
+			state = "done"
+			if cut {
+				return errors.New("injected fault on the cut")
+			}
+		}
+		return nil
+	})
+}
+
+// specsByID counts the spec records of a journal per job ID.
+func specsByID(t *testing.T, journal []byte) map[string]int {
+	t.Helper()
+	ids := map[string]int{}
+	for _, line := range bytes.Split(journal, []byte("\n")) {
+		var rec struct{ Rec, ID string }
+		if len(line) > 0 && json.Unmarshal(line, &rec) == nil && rec.Rec == "spec" {
+			ids[rec.ID]++
+		}
+	}
+	return ids
+}
+
+// TestRefusedSpecStaysRefused: a spec whose fsync fails is refused, cut back
+// off the journal and its ID never issued again — the next submit gets the
+// next ID, the journal holds one spec per ID and none for the refused one,
+// and a restart resumes nothing.
+func TestRefusedSpecStaysRefused(t *testing.T) {
+	leak := guardGoroutines(t)
+	defer leak()
+	deckText := testDeck(t)
+	dir := t.TempDir()
+	srv, base, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	clear := failSpecSync(dir, false)
+	_, err := srv.Submit(serve.JobSpec{Netlist: deckText, Method: "tr"})
+	clear()
+	if !errors.Is(err, serve.ErrJournal) || !strings.Contains(err.Error(), "injected fault") {
+		t.Fatalf("submit with a failed spec fsync returned %v, want ErrJournal wrapping the fault", err)
+	}
+	if got := streamNDJSON(t, base+"/v1/simulate", serve.JobSpec{Netlist: deckText, Method: "tr"}); got.state != serve.JobDone || got.id != "job-2" {
+		t.Fatalf("next job is %s, %s; want job-2 done (the refused job-1 is never issued again)", got.id, got.state)
+	}
+	if err := shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := specsByID(t, journal); len(ids) != 1 || ids["job-2"] != 1 {
+		t.Fatalf("journal specs by ID %v, want job-2 once", ids)
+	}
+	_, base, shutdown = testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	defer func() {
+		if err := shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if st := getStats(t, base); st.Resumed != 0 {
+		t.Fatalf("restart resumed %d jobs, want none", st.Resumed)
+	}
+}
+
+// TestUncutSpecPoisonsJournal: when the refused spec cannot be cut back
+// off, the file's tail is unknown, and the journal refuses every later
+// append rather than write behind it.
+func TestUncutSpecPoisonsJournal(t *testing.T) {
+	leak := guardGoroutines(t)
+	defer leak()
+	deckText := testDeck(t)
+	dir := t.TempDir()
+	srv, _, shutdown := testServer(t, serve.Config{Workers: 1, QueueDepth: 4, StateDir: dir})
+	defer func() {
+		shutdown(context.Background()) // the poisoned journal fails its close too
+		leak()
+	}()
+	clear := failSpecSync(dir, true)
+	_, err := srv.Submit(serve.JobSpec{Netlist: deckText, Method: "tr"})
+	clear()
+	if !errors.Is(err, serve.ErrJournal) {
+		t.Fatalf("submit with a failed spec fsync returned %v, want ErrJournal", err)
+	}
+	_, err = srv.Submit(serve.JobSpec{Netlist: deckText, Method: "tr"})
+	if !errors.Is(err, serve.ErrJournal) || !strings.Contains(err.Error(), "cutting a failed record") {
+		t.Fatalf("submit after a failed cut returned %v, want ErrJournal naming the cut", err)
 	}
 }
 

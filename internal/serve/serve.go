@@ -385,10 +385,10 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	// Journal the spec before the job becomes visible: an accepted job is a
 	// durable job. The write + fsync happen under s.mu so journal order
 	// matches ID order. A failed append rejects the submission (ErrJournal →
-	// 500) rather than accepting work a crash would silently lose.
+	// 500) rather than accepting work a crash would silently lose; the
+	// journal cuts the record back off, and its ID is never issued again.
 	if s.journal != nil {
 		if err := s.journal.appendSpec(job.ID, s.seq, key, specJSON); err != nil {
-			s.seq--
 			s.mu.Unlock()
 			return nil, err
 		}

@@ -71,8 +71,9 @@ func CheckPerm(p []int, n int) error {
 }
 
 // CheckSymbolic validates the invariants of a symbolic analysis: the
-// permutation and its inverse, and the elimination-tree parent-above-child
-// property.
+// permutation and its inverse, the elimination-tree parent-above-child
+// property, and the independence of the cold fill's halves (no supernode of
+// [mid, hi) takes an update from one below mid).
 func CheckSymbolic(s *Symbolic) error {
 	if err := CheckPerm(s.perm, s.n); err != nil {
 		return err
@@ -85,6 +86,14 @@ func CheckSymbolic(s *Symbolic) error {
 	for k, p := range s.parent {
 		if p != -1 && int(p) <= k {
 			return fmt.Errorf("sparse: CheckSymbolic: etree parent[%d] = %d not above child", k, p)
+		}
+	}
+	sn := s.sn
+	for t := sn.mid; t < sn.hi; t++ {
+		for u := sn.updPtr[t]; u < sn.updPtr[t+1]; u++ {
+			if d := int(sn.updSrc[u]); d < sn.mid {
+				return fmt.Errorf("sparse: CheckSymbolic: supernode %d of the second half [%d, %d) is updated by %d of the first", t, sn.mid, sn.hi, d)
+			}
 		}
 	}
 	return nil

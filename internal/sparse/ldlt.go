@@ -18,15 +18,11 @@ type LDLT struct {
 	// the solves scale by D⁻¹ with a multiply instead of a divide.
 	dinv []float64
 
-	// snValues holds the concatenated dense panels; smap, uptmp and coeff
-	// are the refactorization workspaces (row → panel-local scatter map,
-	// the contiguous update accumulator, per-column update coefficients),
-	// touched only by RefactorInto, which holds the factor exclusively by
-	// contract.
+	// snValues holds the concatenated dense panels; ws is the
+	// refactorization workspace, touched only by RefactorInto, which holds
+	// the factor exclusively by contract.
 	snValues []float64
-	smap     []int32
-	uptmp    []float64
-	coeff    []float64
+	ws       fillScratch
 }
 
 // N returns the dimension of the factored matrix.

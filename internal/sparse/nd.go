@@ -41,11 +41,12 @@ func newNDState(a *CSC) *ndState {
 }
 
 // ndState is one dissection's scratch. The recursion allocates nothing of
-// its own: every node set it works on is a range of the one slice
-// NestedDissection starts from, which components and split reorder in
-// place, through queue, into the order the sets were found in.
+// its own but dissectPair's second state: every node set it works on is a
+// range of the one slice NestedDissection starts from, which components
+// and split reorder in place, through queue, into the order the sets were
+// found in.
 type ndState struct {
-	adj  [][]int
+	adj  adjacency
 	perm []int
 	// level and inSet are n-sized scratch shared across the recursion;
 	// inSet stamps the node set of the current operation with a generation
@@ -60,6 +61,13 @@ type ndState struct {
 	queue []int
 	sizes []int
 	ends  []int
+	// leaf is leafOrder's induced subgraph, in local ids, and md the
+	// minimum-degree scratch that orders it.
+	leaf adjacency
+	md   minDegree
+	// forked is set once a bisection's halves went to two goroutines
+	// (dissectPair), and on the second goroutine's state.
+	forked bool
 }
 
 // mark stamps a node set with a fresh generation and returns the stamp.
@@ -99,8 +107,12 @@ func (nd *ndState) dissect(nodes []int) {
 			nd.leafOrder(comp)
 			continue
 		}
-		nd.dissect(a)
-		nd.dissect(b)
+		if !nd.forked && min(len(a), len(b)) >= splitMinCols {
+			nd.dissectPair(a, b)
+		} else {
+			nd.dissect(a)
+			nd.dissect(b)
+		}
 		// Separator last: its rows are the shared ancestors of both halves.
 		if len(sep) > ndLeafSize {
 			// Large separators (wide meshes) still benefit from a
@@ -111,6 +123,28 @@ func (nd *ndState) dissect(nodes []int) {
 		}
 	}
 	nd.ends = nd.ends[:frame]
+}
+
+// dissectPair dissects the two halves of the first bisection big enough
+// (splitMinCols) at once, b on a goroutine of its own with its own queues
+// and leaf scratch. No edge joins a to b, so each goroutine stamps and
+// levels only its own half's entries of the shared inSet and level
+// scratch, and the separator's stamps, older than both goroutines'
+// generations, stay outside their sets. b's order follows a's, as when
+// they run one after the other, and the generation then moves past both.
+func (nd *ndState) dissectPair(a, b []int) {
+	nd.forked = true
+	half := &ndState{adj: nd.adj, level: nd.level, inSet: nd.inSet, gen: nd.gen,
+		perm: make([]int, 0, len(b)), queue: make([]int, 0, len(b)), forked: true}
+	done := make(chan struct{})
+	go func() {
+		half.dissect(b)
+		close(done)
+	}()
+	nd.dissect(a)
+	<-done
+	nd.perm = append(nd.perm, half.perm...)
+	nd.gen = max(nd.gen, half.gen)
 }
 
 // components reorders a stamped node set in place into its connected
@@ -130,10 +164,10 @@ func (nd *ndState) components(nodes []int, g int32) {
 		seen[root] = 1
 		q = append(q, root)
 		for head := len(q) - 1; head < len(q); head++ {
-			for _, w := range nd.adj[q[head]] {
+			for _, w := range nd.adj.nbrs(q[head]) {
 				if nd.inSet[w] == g && seen[w] == 0 {
 					seen[w] = 1
-					q = append(q, w)
+					q = append(q, int(w))
 				}
 			}
 		}
@@ -170,13 +204,13 @@ func (nd *ndState) split(comp []int) (a, b, sep []int, ok bool) {
 	nlev := int32(1)
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
-		for _, w := range nd.adj[v] {
+		for _, w := range nd.adj.nbrs(v) {
 			if nd.inSet[w] == g && level[w] == -1 {
 				level[w] = level[v] + 1
 				if level[w]+1 > nlev {
 					nlev = level[w] + 1
 				}
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -221,7 +255,7 @@ func (nd *ndState) split(comp []int) (a, b, sep []int, ok bool) {
 			nb++
 		default:
 			connected := false
-			for _, w := range nd.adj[v] {
+			for _, w := range nd.adj.nbrs(v) {
 				if nd.inSet[w] == g && level[w] == cut-1 {
 					connected = true
 					break
@@ -270,10 +304,10 @@ func (nd *ndState) bfsLast(root int, g int32) int {
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		last = v
-		for _, w := range nd.adj[v] {
+		for _, w := range nd.adj.nbrs(v) {
 			if nd.inSet[w] == g && level[w] != -2 {
 				level[w] = -2
-				queue = append(queue, w)
+				queue = append(queue, int(w))
 			}
 		}
 	}
@@ -297,17 +331,17 @@ func (nd *ndState) leafOrder(nodes []int) {
 	for i, v := range nodes {
 		local[v] = int32(i)
 	}
-	sub := make([][]int, len(nodes))
-	for i, v := range nodes {
-		var row []int
-		for _, w := range nd.adj[v] {
+	ptr, idx := append(nd.leaf.ptr[:0], 0), nd.leaf.idx[:0]
+	for _, v := range nodes {
+		for _, w := range nd.adj.nbrs(v) {
 			if nd.inSet[w] == g {
-				row = append(row, int(local[w]))
+				idx = append(idx, local[w])
 			}
 		}
-		sub[i] = row
+		ptr = append(ptr, int32(len(idx)))
 	}
-	for _, li := range minDegreeAdj(sub) {
+	nd.leaf = adjacency{ptr: ptr, idx: idx}
+	for _, li := range nd.md.order(nd.leaf) {
 		nd.perm = append(nd.perm, nodes[li])
 	}
 }

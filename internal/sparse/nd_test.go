@@ -89,7 +89,7 @@ func TestNDSeparatorProperties(t *testing.T) {
 		side[v] = 2
 	}
 	for _, v := range a {
-		for _, w := range nd.adj[v] {
+		for _, w := range nd.adj.nbrs(v) {
 			if side[w] == 2 {
 				t.Fatalf("edge %d–%d crosses the separator", v, w)
 			}

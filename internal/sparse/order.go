@@ -101,12 +101,13 @@ type degreeLists struct {
 	cursor     int // no nonempty bucket below this degree
 }
 
-func newDegreeLists(n int) *degreeLists {
-	dl := &degreeLists{head: make([]int, n+1), next: make([]int, n), prev: make([]int, n)}
+// reset empties the lists for nodes 0..n-1, reusing their storage.
+func (dl *degreeLists) reset(n int) {
+	dl.head, dl.next, dl.prev = grow(dl.head, n+1), grow(dl.next, n), grow(dl.prev, n)
 	for d := range dl.head {
 		dl.head[d] = -1
 	}
-	return dl
+	dl.cursor = 0
 }
 
 func (dl *degreeLists) insert(v, d int) {
@@ -152,26 +153,40 @@ func (dl *degreeLists) popMin() int {
 // stamp array (no per-node hash maps). Still the greedy elimination-graph
 // algorithm rather than AMD, but without its quadratic bookkeeping.
 func MinDegree(a *CSC) []int {
-	return minDegreeAdj(symPattern(a))
+	var md minDegree
+	return md.order(symPattern(a))
 }
 
-// minDegreeAdj is MinDegree on an explicit adjacency structure (consumed:
-// the lists are rebuilt in place during elimination). Nested dissection
-// reuses it on extracted leaf subgraphs.
-func minDegreeAdj(adj [][]int) []int {
-	n := len(adj)
-	deg := make([]int, n)
-	dl := newDegreeLists(n)
+// minDegree is the scratch of minimum-degree orderings, kept across calls:
+// nested dissection orders every leaf through one.
+type minDegree struct {
+	adj    [][]int32
+	deg    []int
+	dl     degreeLists
+	stamp  []int
+	out    []int
+	merged []int32
+}
+
+// order returns a minimum-degree ordering of g (consumed: each node's list
+// is rebuilt in place in its slab region, or moved off it when it grows).
+// The result is the scratch's; it is valid until the next call.
+func (md *minDegree) order(g adjacency) []int {
+	n := len(g.ptr) - 1
+	adj := grow(md.adj, n)
+	deg := grow(md.deg, n)
+	stamp := grow(md.stamp, n)
+	md.dl.reset(n)
+	dl := &md.dl
 	for i := range adj {
-		deg[i] = len(adj[i])
+		lo, hi := g.ptr[i], g.ptr[i+1]
+		adj[i] = g.idx[lo:hi:hi]
+		deg[i] = int(hi - lo)
 		dl.insert(i, deg[i])
-	}
-	stamp := make([]int, n)
-	for i := range stamp {
 		stamp[i] = -1
 	}
-	order := make([]int, 0, n)
-	var merged []int
+	order := md.out[:0]
+	merged := md.merged
 	for {
 		v := dl.popMin()
 		if v == -1 {
@@ -189,7 +204,7 @@ func minDegreeAdj(adj [][]int) []int {
 		for _, w := range nbrs {
 			merged = merged[:0]
 			for _, x := range adj[w] {
-				if x != v {
+				if int(x) != v {
 					merged = append(merged, x)
 				}
 			}
@@ -214,14 +229,23 @@ func minDegreeAdj(adj [][]int) []int {
 			old := len(adj[w])
 			adj[w] = append(adj[w][:0], merged...)
 			if len(adj[w]) != old {
-				dl.remove(w, deg[w])
+				dl.remove(int(w), deg[w])
 				deg[w] = len(adj[w])
-				dl.insert(w, deg[w])
+				dl.insert(int(w), deg[w])
 			} else {
 				deg[w] = len(adj[w])
 			}
 		}
 		adj[v] = nil
 	}
+	md.adj, md.deg, md.stamp, md.out, md.merged = adj, deg, stamp, order, merged
 	return order
+}
+
+// grow returns s resliced to length n, reallocated when too short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

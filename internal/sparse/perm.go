@@ -59,27 +59,63 @@ func PermuteSym(a *CSC, p []int) *CSC {
 	return t.ToCSC()
 }
 
-// symPattern returns the adjacency structure of A + Aᵀ without the diagonal,
-// as per-node neighbor lists. Used by the ordering routines.
-func symPattern(a *CSC) [][]int {
+// adjacency is the pattern of A + Aᵀ without the diagonal in one CSR slab:
+// node v's neighbours are idx[ptr[v]:ptr[v+1]].
+type adjacency struct {
+	ptr []int32
+	idx []int32
+}
+
+// nbrs returns node v's neighbours (not a copy).
+func (g adjacency) nbrs(v int) []int32 { return g.idx[g.ptr[v]:g.ptr[v+1]] }
+
+// symPattern returns the adjacency of A + Aᵀ without the diagonal, for the
+// ordering routines: node j's neighbours are the rows of column j in stored
+// order, then the columns with an entry in row j, ascending, each node
+// once. No transpose is made: a counting pass gives each node a region for
+// both lists, one sweep over the columns copies column j into node j's
+// head and deals each entry (i, j) into node i's tail, and a last pass
+// drops the diagonal and repeats and closes the gaps.
+func symPattern(a *CSC) adjacency {
 	n := a.Cols
-	adj := make([][]int, n)
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	// First pass: collect column pattern (j's neighbors below and above).
-	at := a.Transpose()
+	ptr := make([]int32, n+1)
 	for j := 0; j < n; j++ {
-		for _, src := range []*CSC{a, at} {
-			for p := src.Colptr[j]; p < src.Colptr[j+1]; p++ {
-				i := src.Rowidx[p]
-				if i != j && mark[i] != j {
-					mark[i] = j
-					adj[j] = append(adj[j], i)
-				}
+		ptr[j+1] += int32(a.Colptr[j+1] - a.Colptr[j])
+		for _, i := range a.Rowidx[a.Colptr[j]:a.Colptr[j+1]] {
+			ptr[i+1]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	idx := make([]int32, ptr[n])
+	end := make([]int32, n)
+	copy(end, ptr[:n])
+	for j := 0; j < n; j++ {
+		for _, i := range a.Rowidx[a.Colptr[j]:a.Colptr[j+1]] {
+			idx[end[j]] = int32(i)
+			end[j]++
+		}
+	}
+	for j := 0; j < n; j++ {
+		for _, i := range a.Rowidx[a.Colptr[j]:a.Colptr[j+1]] {
+			idx[end[i]] = int32(j)
+			end[i]++
+		}
+	}
+	mark := make([]int32, n) // j+1 once node j has taken i
+	w := int32(0)
+	for j := 0; j < n; j++ {
+		q0 := ptr[j]
+		ptr[j] = w
+		for _, i := range idx[q0:end[j]] {
+			if int(i) != j && mark[i] != int32(j+1) {
+				mark[i] = int32(j + 1)
+				idx[w] = i
+				w++
 			}
 		}
 	}
-	return adj
+	ptr[n] = w
+	return adjacency{ptr: ptr, idx: idx[:w]}
 }

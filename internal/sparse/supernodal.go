@@ -69,6 +69,13 @@ type snLayout struct {
 	updSrc []int32
 	updOff []int32
 	updEnd []int32
+
+	// The cold fill's two halves (treeSplit over the supernodal
+	// elimination tree): supernodes [0, mid) and [mid, hi) are each closed
+	// under descendants, so Refactor fills them on two goroutines and then
+	// [hi, nsuper) — the top separator chain — on one. hi == 0 when the
+	// lighter half is too small to be worth a goroutine.
+	mid, hi int
 }
 
 // bytes estimates the resident size of the layout for cache accounting.
@@ -301,39 +308,89 @@ func (s *Symbolic) buildSupernodes(up upperTri) {
 		}
 	}
 
+	sn.mid, sn.hi = sn.split(s.parent)
 	s.sn = sn
+}
+
+// split returns the cold fill's two halves (snLayout.mid, .hi). A
+// supernode's cost is its panel plus the multiply-adds of the descendant
+// updates it receives and of its in-panel factorization; the parent of a
+// supernode is the supernode holding its last column's etree parent.
+func (sn *snLayout) split(colParent []int32) (mid, hi int) {
+	nsuper := sn.nsuper
+	parent := make([]int32, nsuper)
+	pre := make([]int, nsuper+1)
+	for t := 0; t < nsuper; t++ {
+		parent[t] = -1
+		if p := colParent[sn.ptr[t+1]-1]; p != -1 {
+			parent[t] = sn.colSn[p]
+		}
+		w := int(sn.ptr[t+1] - sn.ptr[t])
+		ns := sn.rowPtr[t+1] - sn.rowPtr[t]
+		cost := ns*w + w*w*ns/2
+		for u := sn.updPtr[t]; u < sn.updPtr[t+1]; u++ {
+			d := sn.updSrc[u]
+			wd := int(sn.ptr[d+1] - sn.ptr[d])
+			nb := sn.rowPtr[d+1] - sn.rowPtr[d] - wd
+			// Σ over target columns tt of wd·(nb − tt), tt ∈ [off, end).
+			a, b := nb-int(sn.updOff[u]), nb-int(sn.updEnd[u])+1
+			cost += wd * (a + b) * (a - b + 1) / 2
+		}
+		pre[t+1] = pre[t] + cost
+	}
+	return treeSplit(parent, subtreeFirst(parent), pre, func(m int) int { return int(sn.ptr[m]) }, splitMinCols)
 }
 
 // Supernodes returns the number of supernodes (column panels) in the
 // analysis.
 func (s *Symbolic) Supernodes() int { return s.sn.nsuper }
 
-// refactorSN is the supernodal numeric factorization: scatter the input
-// into zeroed panels, then left-looking over supernodes — apply every
-// descendant's rank-w_d update with dense column kernels, then factor the
-// panel in place (right-looking rank-1 sweeps inside the diagonal block,
-// one contiguous scaled column at a time).
-func (s *Symbolic) refactorSN(f *LDLT, a *CSC) error {
+// fillScratch is one goroutine's refactorization workspace: the row →
+// panel-local scatter map, the contiguous update accumulator and the
+// per-column update coefficients.
+type fillScratch struct {
+	smap  []int32
+	uptmp []float64
+	coeff []float64
+}
+
+// newFillScratch allocates a workspace for the layout of s.
+func (s *Symbolic) newFillScratch() fillScratch {
+	return fillScratch{
+		smap:  make([]int32, s.n),
+		uptmp: make([]float64, s.sn.maxRows),
+		coeff: make([]float64, s.sn.maxW),
+	}
+}
+
+// fill is the supernodal numeric factorization of supernodes [lo, hi), in
+// column order: per supernode, scatter the input into its panel (cleared
+// first unless fresh, i.e. just allocated and still zero), then
+// left-looking — apply every descendant's rank-w_d update with dense column
+// kernels, then factor the panel in place (right-looking rank-1 sweeps
+// inside the diagonal block, one contiguous scaled column at a time). It
+// reads the panels of descendants only, so a range closed under
+// descendants fills beside another on its own workspace; each supernode
+// sees its updates in the same order whichever range it runs in, so the
+// bits do not depend on the schedule.
+func (s *Symbolic) fill(f *LDLT, av []float64, lo, hi int, fresh bool, ws *fillScratch) error {
 	sn := s.sn
 	sp := f.snValues
-	for i := range sp {
-		sp[i] = 0
-	}
-	av := a.Values
-	for t := 0; t < sn.nsuper; t++ {
-		base := sn.valPtr[t]
-		for q := sn.aPtr[t]; q < sn.aPtr[t+1]; q++ {
-			sp[base+int(sn.aOff[q])] += av[sn.aSrc[q]]
-		}
-	}
-	smap, dv, dinv, coeff, tmp := f.smap, f.d, f.dinv, f.coeff, f.uptmp
-	for t := 0; t < sn.nsuper; t++ {
+	smap, dv, dinv, coeff, tmp := ws.smap, f.d, f.dinv, ws.coeff, ws.uptmp
+	for t := lo; t < hi; t++ {
 		c0, c1 := int(sn.ptr[t]), int(sn.ptr[t+1])
 		w := c1 - c0
 		rb := sn.rowPtr[t]
 		ns := sn.rowPtr[t+1] - rb
 		rows := sn.rows[rb : rb+ns]
 		base := sn.valPtr[t]
+		panel := sp[base:sn.valPtr[t+1]]
+		if !fresh {
+			clear(panel)
+		}
+		for q := sn.aPtr[t]; q < sn.aPtr[t+1]; q++ {
+			panel[sn.aOff[q]] += av[sn.aSrc[q]]
+		}
 		for li, r := range rows {
 			smap[r] = int32(li)
 		}

@@ -31,8 +31,6 @@ type Symbolic struct {
 
 	// sn is the panel layout every numeric kernel runs on (supernodal.go).
 	sn *snLayout
-
-	patFP uint64 // PatternFingerprint of the analyzed matrix
 }
 
 // N returns the analyzed dimension.
@@ -72,17 +70,20 @@ func PatternFingerprint(a *CSC) uint64 {
 // the given ordering: ordering, elimination tree, exact column counts and
 // static pattern of L, supernode detection with relaxed amalgamation, and
 // the input scatter map. Only the pattern of a is read. The result serves
-// any matrix with the same pattern through Refactor.
+// any matrix with the same pattern through Refactor. The two halves of the
+// elimination tree below its top separator are worked on two goroutines —
+// nested dissection's first bisection and the pass filling L's pattern —
+// with the one-goroutine result. A pattern that is not symmetric may be
+// refused with an error.
 func AnalyzeLDLT(a *CSC, order Ordering) (*Symbolic, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("sparse: AnalyzeLDLT needs a square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Cols
-	s := &Symbolic{n: n, patFP: PatternFingerprint(a)}
+	s := &Symbolic{n: n}
 	s.perm = Order(a, order)
-	s.pinv = InversePerm(s.perm)
-	up := s.upperScatter(a)
-	s.parent = up.etree()
+	pinv := InversePerm(s.perm)
+	s.parent = etree(a, s.perm, pinv)
 
 	// Compose the ordering with a postorder of its elimination tree. Any
 	// topological relabeling of the etree is fill-equivalent (same lnz, an
@@ -90,54 +91,166 @@ func AnalyzeLDLT(a *CSC, order Ordering) (*Symbolic, error) {
 	// — hence every fundamental supernode chain — contiguous in column
 	// order, which is what the supernode detection and relaxed amalgamation
 	// walk. Without it, orderings like minimum degree scatter parent chains
-	// across the column range and the panels degenerate to singletons.
+	// across the column range and the panels degenerate to singletons. The
+	// etree is then taken again, straight from a's columns: the upper
+	// triangle a relabeling reads can differ where a's pattern is not
+	// symmetric, so relabeling the first tree would not be exact.
 	if post := postorder(s.parent); post != nil {
 		newPerm := make([]int, n)
 		for q, old := range post {
 			newPerm[q] = s.perm[old]
 		}
 		s.perm = newPerm
-		s.pinv = InversePerm(s.perm)
-		up = s.upperScatter(a)
-		s.parent = up.etree()
+		pinv = InversePerm(s.perm)
+		s.parent = etree(a, s.perm, pinv)
 	}
-
-	// Exact per-column counts: one reach pass counting, one filling. Each
-	// pass costs O(lnz) total — the reach of row k lists exactly the columns
-	// of L with an entry in row k, in topological order.
-	mark := make([]int32, n)
-	xi := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
+	// Everything below walks subtrees as column ranges, so the tree must be
+	// postordered. It is wherever a's pattern is symmetric (the new etree is
+	// the relabeled one); an unsymmetric pattern's new upper triangle can
+	// give a tree that is not, and such a matrix is refused.
+	first := subtreeFirst(s.parent)
+	if !postordered(s.parent, first) {
+		return nil, fmt.Errorf("sparse: AnalyzeLDLT needs a structurally symmetric matrix")
 	}
-	colcount := make([]int, n+1)
-	for k := 0; k < n; k++ {
-		for t := s.reach(up, k, mark, xi); t < n; t++ {
-			colcount[xi[t]+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		colcount[i+1] += colcount[i]
-	}
-	s.colptr = colcount
-	s.lnz = colcount[n]
-	s.rowidx = make([]int32, s.lnz)
-	for i := range mark {
-		mark[i] = -1
-	}
-	next := make([]int, n)
-	copy(next, s.colptr[:n])
-	for k := 0; k < n; k++ {
-		for t := s.reach(up, k, mark, xi); t < n; t++ {
-			i := xi[t]
-			s.rowidx[next[i]] = int32(k)
-			next[i]++
-		}
-	}
-
+	s.pinv = pinv
+	up := s.upperScatter(a)
+	s.countPattern(up, first)
 	s.buildSupernodes(up)
 	debugCheckSymbolic(s)
 	return s, nil
+}
+
+// countPattern computes the exact static pattern of L (colptr, rowidx,
+// lnz): the column counts from the skeleton of the upper triangle
+// (colCounts), then one reach pass filling the rows — the reach of row k
+// lists exactly the columns of L with an entry in row k, in O(|row k|).
+// The reach of a row stays inside its etree subtree, so the rows of the
+// two halves treeSplit cuts (sized by the upper triangle's entries) touch
+// disjoint columns: the pass runs the halves on two goroutines, each with
+// its own reach stack, then the rows above them. A column's rows are still
+// written in ascending order, the halves' rows all preceding the top's, so
+// the pattern is the one-goroutine pass's.
+func (s *Symbolic) countPattern(up upperTri, first []int32) {
+	n := s.n
+	s.colptr = s.colCounts(up, first)
+	s.lnz = s.colptr[n]
+	s.rowidx = make([]int32, s.lnz)
+	next := make([]int, n)
+	copy(next, s.colptr[:n])
+	mark := make([]int32, n)
+	for i := range mark {
+		mark[i] = -1
+	}
+	fill := func(lo, hi int, xi []int32) {
+		for k := lo; k < hi; k++ {
+			for t := s.reach(up, k, mark, xi); t < n; t++ {
+				i := xi[t]
+				s.rowidx[next[i]] = int32(k)
+				next[i]++
+			}
+		}
+	}
+	xi := make([]int32, n)
+	lo := 0
+	if mid, hi := treeSplit(s.parent, first, up.colptr, func(m int) int { return m }, splitMinCols); hi > 0 {
+		done := make(chan struct{})
+		go func() {
+			fill(mid, hi, make([]int32, n))
+			close(done)
+		}()
+		fill(0, mid, xi)
+		<-done
+		lo = hi
+	}
+	fill(lo, n, xi)
+}
+
+// colCounts returns the column pointers of L's strictly lower pattern
+// from the column counts of Gilbert, Ng and Peyton's skeleton algorithm
+// (as CSparse's cs_counts has it), in O(nnz·α) over the upper triangle,
+// the postordered etree and each subtree's first node: a column's count is
+// its leaf entries' subtrees' contributions, each overlap with the
+// previous leaf of the same row taken off at their least common ancestor.
+func (s *Symbolic) colCounts(up upperTri, first []int32) []int {
+	n := s.n
+	// The strictly lower entries of permuted column j: the k > j whose upper
+	// part holds row j, ascending.
+	lowPtr := make([]int32, n+1)
+	for k := 0; k < n; k++ {
+		for _, i := range up.row[up.colptr[k]:up.colptr[k+1]] {
+			if int(i) < k {
+				lowPtr[i+1]++
+			}
+		}
+	}
+	for j := 0; j < n; j++ {
+		lowPtr[j+1] += lowPtr[j]
+	}
+	lowIdx := make([]int32, lowPtr[n])
+	next := make([]int32, n)
+	copy(next, lowPtr[:n])
+	for k := 0; k < n; k++ {
+		for _, i := range up.row[up.colptr[k]:up.colptr[k+1]] {
+			if int(i) < k {
+				lowIdx[next[i]] = int32(k)
+				next[i]++
+			}
+		}
+	}
+	// next is spent: it becomes the union-find forest of the processed
+	// nodes; a node's set is rooted at its highest processed ancestor.
+	ancestor := next
+	maxFirst := make([]int32, n) // largest first[j] of a leaf of row i's subtree so far
+	prevLeaf := make([]int32, n) // the previous such leaf
+	delta := make([]int, n+1)
+	for j := 0; j < n; j++ {
+		ancestor[j] = int32(j)
+		maxFirst[j], prevLeaf[j] = -1, -1
+		if first[j] == int32(j) {
+			delta[j+1] = 1 // a leaf of the etree
+		}
+	}
+	for j := 0; j < n; j++ {
+		p := s.parent[j]
+		if p != -1 {
+			delta[p+1]--
+		}
+		for _, i := range lowIdx[lowPtr[j]:lowPtr[j+1]] {
+			if first[j] <= maxFirst[i] {
+				continue // j is not a leaf of row i's subtree
+			}
+			maxFirst[i] = first[j]
+			jprev := prevLeaf[i]
+			prevLeaf[i] = int32(j)
+			delta[j+1]++
+			if jprev == -1 {
+				continue
+			}
+			q := jprev
+			for q != ancestor[q] {
+				q = ancestor[q]
+			}
+			for v := jprev; v != q; {
+				v, ancestor[v] = ancestor[v], q
+			}
+			delta[q+1]-- // the overlap with the previous leaf's path
+		}
+		if p != -1 {
+			ancestor[j] = p
+		}
+	}
+	// Sum each subtree's deltas into its root, less the diagonal, then
+	// take the prefix sums.
+	for j := 0; j < n; j++ {
+		if p := s.parent[j]; p != -1 {
+			delta[p+1] += delta[j+1]
+		}
+		delta[j+1]--
+	}
+	for j := 0; j < n; j++ {
+		delta[j+1] += delta[j]
+	}
+	return delta
 }
 
 // upperTri is the upper triangle (incl. diagonal) of the permuted matrix in
@@ -188,17 +301,19 @@ func (s *Symbolic) upperScatter(a *CSC) upperTri {
 	return up
 }
 
-// etree computes the elimination tree over the permuted upper triangle
-// (path compression via virtual ancestors); -1 marks a root.
-func (up upperTri) etree() []int32 {
-	n := len(up.colptr) - 1
+// etree computes the elimination tree of the symmetric matrix a under the
+// ordering perm (pinv its inverse) straight from a's columns — permuted
+// column k's upper entries are the rows i of column perm[k] with pinv[i] <
+// k — with path compression via virtual ancestors; -1 marks a root.
+func etree(a *CSC, perm, pinv []int) []int32 {
+	n := len(perm)
 	parent := make([]int32, n)
 	ancestor := make([]int32, n)
-	for k := 0; k < n; k++ {
+	for k, j := range perm {
 		parent[k] = -1
 		ancestor[k] = -1
-		for p := up.colptr[k]; p < up.colptr[k+1]; p++ {
-			i := up.row[p]
+		for p := a.Colptr[j]; p < a.Colptr[j+1]; p++ {
+			i := int32(pinv[a.Rowidx[p]])
 			for i != -1 && int(i) < k {
 				nxt := ancestor[i]
 				ancestor[i] = int32(k)
@@ -264,30 +379,102 @@ func postorder(parent []int32) []int32 {
 	return post
 }
 
+// splitMinCols is the fewest columns (nodes) the lighter half of a split
+// must hold to be worth a goroutine, for the numeric fill, the reach pass
+// and nested dissection's first bisection alike (EXPERIMENTS.md "The cold
+// factor on both cores": the 16×16 test mesh's halves, about 110
+// columns each, fill no faster on two goroutines; ibmpg1t's, about 400, do).
+const splitMinCols = 256
+
+// subtreeFirst returns the lowest node of every subtree of a postordered
+// forest.
+func subtreeFirst(parent []int32) []int32 {
+	first := make([]int32, len(parent))
+	for v := range first {
+		first[v] = int32(v)
+	}
+	for v, p := range parent {
+		if p != -1 && first[v] < first[p] {
+			first[p] = first[v]
+		}
+	}
+	return first
+}
+
+// postordered reports whether every subtree of the forest is the range
+// [first, root] of its nodes: whether the forest is postordered.
+func postordered(parent, first []int32) bool {
+	size := make([]int32, len(parent))
+	for v, p := range parent {
+		size[v]++
+		if size[v] != int32(v)-first[v]+1 {
+			return false
+		}
+		if p != -1 {
+			size[p] += size[v]
+		}
+	}
+	return true
+}
+
+// treeSplit cuts a postordered forest for two goroutines: [0, mid) and
+// [mid, hi) are each closed under descendants, so neither half reads what
+// the other writes, and [hi, n) — the chain above both — runs after them.
+// first is subtreeFirst(parent) and pre the prefix sum of the nodes' costs
+// (len n+1). In a postorder every [0, m) is closed, and so is [first(v), p)
+// for any node v that is not the first child of its parent p (the roots
+// are children of a virtual root at n). The cut taken minimizes
+// max(W[0,mid), W[mid,hi)) + W[hi,n) among those whose lighter half holds
+// at least minCols columns, cols(m) being the columns in [0, m); hi = 0
+// when there is none.
+func treeSplit(parent, first []int32, pre []int, cols func(m int) int, minCols int) (mid, hi int) {
+	n := len(parent)
+	best := pre[n] + 1
+	for v, p := range parent {
+		m, h, lo := int(first[v]), n, 0
+		if p != -1 {
+			h, lo = int(p), int(first[p])
+		}
+		if m == lo {
+			continue // the first child: [0, m) is the whole left side
+		}
+		if min(cols(m), cols(h)-cols(m)) < minCols {
+			continue
+		}
+		a, b := pre[m], pre[h]-pre[m]
+		if cost := max(a, b) + pre[n] - pre[h]; cost < best {
+			best, mid, hi = cost, m, h
+		}
+	}
+	return mid, hi
+}
+
 // reach computes the nonzero pattern of row k of L — the nodes reachable
 // from the permuted column k's upper entries by walking up the elimination
 // tree — into xi[top:n] in topological order, returning top. mark must be a
-// (-1)-initialized workspace stamped by k.
+// (-1)-initialized workspace stamped by k. Each path is stacked at the
+// bottom of xi before it moves to the top: the two never meet, as together
+// they hold distinct nodes below k.
 func (s *Symbolic) reach(up upperTri, k int, mark, xi []int32) int {
 	n := s.n
 	top := n
 	mark[k] = int32(k)
-	var stackArr [64]int32
 	for p := up.colptr[k]; p < up.colptr[k+1]; p++ {
 		i := up.row[p]
 		if int(i) >= k {
 			continue
 		}
-		path := stackArr[:0]
+		depth := 0
 		for i != -1 && mark[i] != int32(k) {
-			path = append(path, i)
+			xi[depth] = i
+			depth++
 			mark[i] = int32(k)
 			i = s.parent[i]
 		}
-		for len(path) > 0 {
+		for depth > 0 {
 			top--
-			xi[top] = path[len(path)-1]
-			path = path[:len(path)-1]
+			depth--
+			xi[top] = xi[depth]
 		}
 	}
 	return top
@@ -296,41 +483,74 @@ func (s *Symbolic) reach(up upperTri, k int, mark, xi []int32) int {
 // Refactor numerically factorizes a — any matrix with the analyzed pattern —
 // into a fresh LDLT. The factor's value arrays and workspaces are the only
 // allocations; repeated refactorization into an existing factor
-// (RefactorInto) allocates nothing.
+// (RefactorInto) allocates nothing. The two halves of the supernodal
+// elimination tree below its top separator (snLayout.mid, .hi) are filled on
+// two goroutines, the helper on a workspace of its own, and the top chain
+// after both; every supernode sees its updates in RefactorInto's order, so
+// the factor and, on a zero pivot, the error are RefactorInto's bit for bit.
 func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
+	if err := s.checkDims(a); err != nil {
+		return nil, err
+	}
 	sn := s.sn
 	f := &LDLT{
 		sym:      s,
 		d:        make([]float64, s.n),
 		dinv:     make([]float64, s.n),
 		snValues: make([]float64, sn.nzTotal),
-		smap:     make([]int32, s.n),
-		uptmp:    make([]float64, sn.maxRows),
-		coeff:    make([]float64, sn.maxW),
+		ws:       s.newFillScratch(),
 	}
-	if err := s.RefactorInto(f, a); err != nil {
+	lo := 0
+	if sn.hi > 0 {
+		var herr error
+		done := make(chan struct{})
+		go func() {
+			ws := s.newFillScratch()
+			herr = s.fill(f, a.Values, sn.mid, sn.hi, true, &ws)
+			close(done)
+		}()
+		err := s.fill(f, a.Values, 0, sn.mid, true, &f.ws)
+		<-done
+		if err == nil {
+			err = herr
+		}
+		if err != nil {
+			return nil, err
+		}
+		lo = sn.hi
+	}
+	if err := s.fill(f, a.Values, lo, sn.nsuper, true, &f.ws); err != nil {
 		return nil, err
 	}
+	debugCheckFactor(f)
 	return f, nil
 }
 
 // RefactorInto refills an existing factor (previously produced by Refactor
 // against this same analysis) with the values of a through the left-looking
-// panel factorization: no appends, no reach recomputation, no heap
-// allocation. It returns ErrSingular on a zero pivot, leaving the factor
-// contents unspecified. Must not race with solves on the same factor.
+// panel factorization, every supernode in column order on the caller's
+// goroutine: no appends, no reach recomputation, no heap allocation. It
+// returns ErrSingular on the first zero pivot in that order, leaving the
+// factor contents unspecified. Must not race with solves on the same factor.
 func (s *Symbolic) RefactorInto(f *LDLT, a *CSC) error {
 	if f.sym != s {
 		return fmt.Errorf("sparse: RefactorInto factor belongs to a different analysis")
 	}
-	// Dimension check only; the pattern itself is trusted to match (callers
-	// key Symbolic lookups by PatternFingerprint).
-	if a.Rows != s.n || a.Cols != s.n {
-		return fmt.Errorf("sparse: RefactorInto dimension mismatch: analysis %d, matrix %dx%d", s.n, a.Rows, a.Cols)
+	if err := s.checkDims(a); err != nil {
+		return err
 	}
-	if err := s.refactorSN(f, a); err != nil {
+	if err := s.fill(f, a.Values, 0, s.sn.nsuper, false, &f.ws); err != nil {
 		return err
 	}
 	debugCheckFactor(f)
+	return nil
+}
+
+// checkDims checks a's dimensions against the analysis. The pattern itself
+// is trusted to match (callers key Symbolic lookups by PatternFingerprint).
+func (s *Symbolic) checkDims(a *CSC) error {
+	if a.Rows != s.n || a.Cols != s.n {
+		return fmt.Errorf("sparse: RefactorInto dimension mismatch: analysis %d, matrix %dx%d", s.n, a.Rows, a.Cols)
+	}
 	return nil
 }

@@ -28,7 +28,9 @@
 # rows) and one
 # end-to-end row per
 # selectable fill-reducing ordering (PR 16: Ablation_Ordering_ND is the
-# default's resolution, Ablation_Ordering_MinDeg the alternative):
+# default's resolution, Ablation_Ordering_MinDeg the alternative; each
+# operation orders, analyzes and factors afresh, and benchcmp holds ND's
+# allocs/op under an absolute bound, a count):
 # BenchmarkFactor vs BenchmarkRefactor is the symbolic/numeric split,
 # the *_ibmpg1t2x rows (minimum degree, ~1.6 columns per supernode) and the
 # *_mesh96nd rows (nested dissection, wide separator panels) the two ends

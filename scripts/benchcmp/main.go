@@ -131,6 +131,11 @@ var gates = []gate{
 	// sort.Sort made 3,452 and 12,579).
 	{row: "BenchmarkParseDeck_ibmpg3t", metric: "allocs/op", abs: true, hi: 2500, why: "no object per R or C card: the front end allocates per source and per input"},
 	{row: "BenchmarkParseDeck_ibmpg6t15", metric: "allocs/op", abs: true, hi: 9000, why: "no object per R or C card: the front end allocates per source and per input"},
+	// A cold R-MATEX run on nested dissection, counted: every operation
+	// orders, analyzes and factors afresh. ~240 objects; the adjacency as
+	// one slice per node, a transposed copy of A and per-leaf row slices
+	// made ~960.
+	{row: "BenchmarkAblation_Ordering_ND", metric: "allocs/op", abs: true, hi: 400, why: "the orderings read A + Aᵀ from one slab and nested dissection's leaves reuse one scratch"},
 }
 
 func main() {
