@@ -169,17 +169,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.C, m.R)
-	for i := 0; i < m.R; i++ {
-		for j := 0; j < m.C; j++ {
-			t.Data[j*t.C+i] = m.Data[i*m.C+j]
-		}
-	}
-	return t
-}
-
 // OneNorm returns the maximum absolute column sum.
 func (m *Matrix) OneNorm() float64 {
 	var max float64

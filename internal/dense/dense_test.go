@@ -33,12 +33,8 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestTransposeAddScale(t *testing.T) {
+func TestAddScale(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	at := a.Transpose()
-	if at.At(0, 1) != 3 || at.At(1, 0) != 2 {
-		t.Fatal("Transpose wrong")
-	}
 	s := Add(2, a, -1, a)
 	if !Equalish(s, a, 1e-15) {
 		t.Fatal("2A - A != A")
@@ -108,26 +104,6 @@ func TestInverse(t *testing.T) {
 	f.InverseInto(inv)
 	if !Equalish(Mul(a, inv), Eye(8), 1e-10) {
 		t.Fatal("A·A⁻¹ != I")
-	}
-}
-
-func TestDet(t *testing.T) {
-	a := FromRows([][]float64{{2, 0}, {0, 3}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-6) > 1e-14 {
-		t.Errorf("Det = %v, want 6", f.Det())
-	}
-	// Pivoted determinant keeps its sign right.
-	b := FromRows([][]float64{{0, 1}, {1, 0}})
-	f2, err := FactorLU(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f2.Det()+1) > 1e-14 {
-		t.Errorf("Det = %v, want -1", f2.Det())
 	}
 }
 

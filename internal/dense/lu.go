@@ -12,10 +12,9 @@ var ErrSingular = errors.New("dense: matrix is singular")
 // packed in a single matrix. The zero value is an empty factorization that
 // Factor fills; its storage is reused by every later Factor.
 type LU struct {
-	lu   Matrix
-	piv  []int
-	sign int
-	col  []float64 // one column of solveMatrixInto/InverseInto
+	lu  Matrix
+	piv []int
+	col []float64 // one column of solveMatrixInto/InverseInto
 }
 
 // FactorLU factors the square matrix a (a is not modified).
@@ -40,7 +39,6 @@ func (f *LU) Factor(a *Matrix) error {
 	}
 	f.piv = f.piv[:n]
 	piv := f.piv
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Partial pivot.
 		p := k
@@ -56,7 +54,6 @@ func (f *LU) Factor(a *Matrix) error {
 		}
 		piv[k] = p
 		if p != k {
-			sign = -sign
 			for j := 0; j < n; j++ {
 				lu.Data[k*n+j], lu.Data[p*n+j] = lu.Data[p*n+j], lu.Data[k*n+j]
 			}
@@ -73,7 +70,6 @@ func (f *LU) Factor(a *Matrix) error {
 			}
 		}
 	}
-	f.sign = sign
 	return nil
 }
 
@@ -166,16 +162,6 @@ func (f *LU) column() []float64 {
 		f.col = make([]float64, n)
 	}
 	return f.col[:n]
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.R
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve computes x = A⁻¹ b for a dense square a (convenience wrapper).

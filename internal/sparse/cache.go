@@ -6,24 +6,16 @@ import (
 	"github.com/matex-sim/matex/internal/memo"
 )
 
-// Fingerprint returns a cheap content hash of the matrix: dimensions, the
-// column pointers, the row indices and the raw value bits, folded with
-// FNV-1a. Two matrices with equal fingerprints are treated as identical by
-// the factorization cache, so the hash covers every input the factorization
-// depends on. Cost is O(n + nnz) with no allocation — negligible next to a
-// factorization.
-func Fingerprint(a *CSC) uint64 {
-	h := uint64(fnvOffset)
-	h = fnvMix(h, uint64(a.Rows))
-	h = fnvMix(h, uint64(a.Cols))
-	h = fnvMix(h, uint64(len(a.Values)))
-	for _, p := range a.Colptr {
-		h = fnvMix(h, uint64(p))
-	}
-	for _, i := range a.Rowidx {
-		h = fnvMix(h, uint64(i))
-	}
-	for _, v := range a.Values {
+// Fingerprint returns a cheap content hash of the matrix: its pattern
+// fingerprint with the raw value bits folded in, FNV-1a. Two matrices with
+// equal fingerprints are treated as identical by the factorization cache,
+// so the hash covers every input the factorization depends on. Cost is
+// O(n + nnz) with no allocation — negligible next to a factorization.
+func Fingerprint(a *CSC) uint64 { return foldValues(PatternFingerprint(a), a.Values) }
+
+// foldValues folds the bits of values into the FNV-1a state h.
+func foldValues(h uint64, values []float64) uint64 {
+	for _, v := range values {
 		h = fnvMix(h, math.Float64bits(v))
 	}
 	return h
@@ -131,8 +123,9 @@ func NewCache(maxBytes int64) *Cache {
 // when a is symmetric and its pivots hold, Gilbert-Peierls LU otherwise.
 func (c *Cache) Factor(a *CSC, order Ordering) (Factorization, FactorInfo, error) {
 	order = order.Resolve()
-	key := cacheKey{fpA: Fingerprint(a), alpha: 1, order: order}
-	return c.factor(key, func() *CSC { return a })
+	pat := PatternFingerprint(a)
+	key := cacheKey{fpA: foldValues(pat, a.Values), alpha: 1, order: order}
+	return c.factor(key, func() (*CSC, uint64) { return a, pat })
 }
 
 // FactorSum returns a factorization of alpha·a + beta·b, computing and
@@ -150,15 +143,19 @@ func (c *Cache) FactorSum(alpha float64, a *CSC, beta float64, b *CSC, order Ord
 		fpA: Fingerprint(a), fpB: Fingerprint(b),
 		alpha: alpha, beta: beta, order: order,
 	}
-	return c.factor(key, func() *CSC { return Add(alpha, a, beta, b) })
+	return c.factor(key, func() (*CSC, uint64) {
+		m := Add(alpha, a, beta, b)
+		return m, PatternFingerprint(m)
+	})
 }
 
 // factor looks key up in the numeric tier, factorizing the matrix m builds
-// on a miss.
-func (c *Cache) factor(key cacheKey, m func() *CSC) (Factorization, FactorInfo, error) {
+// on a miss; m also returns that matrix's pattern fingerprint.
+func (c *Cache) factor(key cacheKey, m func() (*CSC, uint64)) (Factorization, FactorInfo, error) {
 	var info FactorInfo
 	f, hit, err := c.factors.Get(key, func() (Factorization, int64, error) {
-		f, built, err := c.factorSymbolic(m(), key.order)
+		a, pat := m()
+		f, built, err := c.factorSymbolic(a, pat, key.order)
 		info = built
 		if err != nil {
 			return nil, 0, err
@@ -169,12 +166,13 @@ func (c *Cache) factor(key cacheKey, m func() *CSC) (Factorization, FactorInfo, 
 	return f, info, err
 }
 
-// factorSymbolic computes a factorization of the materialized matrix: a
-// symmetric one goes through the pattern-keyed symbolic tier to LDLᵀ, and
-// one that is unsymmetric or whose LDLᵀ pivots break down falls back to LU.
-func (c *Cache) factorSymbolic(m *CSC, order Ordering) (Factorization, FactorInfo, error) {
+// factorSymbolic computes a factorization of the materialized matrix m,
+// whose pattern fingerprint is pat: a symmetric one goes through the
+// pattern-keyed symbolic tier to LDLᵀ, and one that is unsymmetric or whose
+// LDLᵀ pivots break down falls back to LU.
+func (c *Cache) factorSymbolic(m *CSC, pat uint64, order Ordering) (Factorization, FactorInfo, error) {
 	if m.Rows == m.Cols && m.IsSymmetric(0) {
-		if sym, symHit, err := c.symbolic(m, order); err == nil {
+		if sym, symHit, err := c.symbolic(m, pat, order); err == nil {
 			if f, err := sym.Refactor(m); err == nil {
 				return f, FactorInfo{SymbolicHit: symHit, Refactored: true}, nil
 			}
@@ -184,10 +182,10 @@ func (c *Cache) factorSymbolic(m *CSC, order Ordering) (Factorization, FactorInf
 	return f, FactorInfo{}, err
 }
 
-// symbolic returns the cached pattern analysis for m under order, computing
-// it on first use.
-func (c *Cache) symbolic(m *CSC, order Ordering) (*Symbolic, bool, error) {
-	return c.analyses.Get(symKey{patFP: PatternFingerprint(m), order: order}, func() (*Symbolic, int64, error) {
+// symbolic returns the cached pattern analysis for m, whose pattern
+// fingerprint is pat, under order, computing it on first use.
+func (c *Cache) symbolic(m *CSC, pat uint64, order Ordering) (*Symbolic, bool, error) {
+	return c.analyses.Get(symKey{patFP: pat, order: order}, func() (*Symbolic, int64, error) {
 		sym, err := AnalyzeLDLT(m, order)
 		if err != nil {
 			return nil, 0, err

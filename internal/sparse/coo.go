@@ -94,7 +94,6 @@ func (t *Triplet) ToCSC() *CSC {
 	}
 	m := &CSC{Rows: t.rows, Cols: t.cols, Colptr: colptr, Rowidx: rowidx, Values: values}
 	m.sumDuplicates()
-	debugCheckCSC(m)
 	return m
 }
 

@@ -106,8 +106,8 @@ func TestDefaultOrderingFill(t *testing.T) {
 func TestDefaultOrderingDeterministic(t *testing.T) {
 	a := shiftMatrix("ibmpg2t", 1)(t)
 	want := sparse.Order(a, sparse.OrderDefault)
-	if !sparse.IsPerm(want) {
-		t.Fatal("default ordering is not a permutation")
+	if err := sparse.CheckPerm(want, a.Rows); err != nil {
+		t.Fatalf("default ordering: %v", err)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {

@@ -123,6 +123,9 @@ func FuzzLDLTvsDense(f *testing.F) {
 			tr.Add(i, i, diag[i]+0.25)
 		}
 		a := tr.ToCSC()
+		if err := CheckCSC(a); err != nil {
+			t.Fatalf("ToCSC broke the CSC invariants: %v", err)
+		}
 		order := []Ordering{OrderNatural, OrderDefault, OrderMinDegree, OrderND}[ord%4]
 		fac, err := FactorLDLT(a, order)
 		if singular {

@@ -5,13 +5,13 @@ import (
 	"math"
 )
 
-// This file is the always-compiled half of the matexdebug invariant layer:
-// exported structural checkers that tests (and the debug hooks in
-// debug_on.go) run against the package's core data structures. The checkers
-// return an error describing the first violation instead of panicking so
-// tests can report them with context; the matexdebug build-tag hooks wrap
-// them in panics. CheckFactor is allocation-free on success so the hooks
-// can sit inside RefactorInto without disturbing the AllocsPerRun gates.
+// Structural checkers for the package's core data structures. No
+// production path calls them; the tests that build these objects do:
+// every CSC matrix of FuzzCSCOps, FuzzLDLTvsDense, TestSymbolicPinned and
+// TestRefactorSplitMatchesOneCore, every analysis of the last two, and
+// every factor TestRefactorSplitMatchesOneCore builds, fresh and refilled,
+// or checkFactorization verifies. Each returns an error describing the
+// first violation, so a test can report it with context.
 
 // CheckCSC validates the structural invariants of a CSC matrix: consistent
 // array lengths, a monotone column-pointer array spanning exactly the stored
@@ -106,9 +106,7 @@ func CheckSymbolic(s *Symbolic) error {
 // by the exact fill pattern of its column holds an exact zero (padded
 // below-diagonal positions are structurally zero because the fill pattern
 // is closed; above-diagonal positions are never written after the initial
-// clear). Allocation-free on
-// success, so the matexdebug hook can run it inside RefactorInto without
-// breaking the AllocsPerRun gates.
+// clear).
 func CheckFactor(f *LDLT) error {
 	s := f.sym
 	for k, dk := range f.d {

@@ -19,8 +19,10 @@ type LDLT struct {
 	dinv []float64
 
 	// snValues holds the concatenated dense panels; ws is the
-	// refactorization workspace, touched only by RefactorInto, which holds
-	// the factor exclusively by contract.
+	// refactorization workspace: Refactor fills its first half and its top
+	// chain through it while the factor is still private to the call, and
+	// RefactorInto every supernode, holding the factor exclusively by
+	// contract.
 	snValues []float64
 	ws       fillScratch
 }

@@ -10,14 +10,14 @@ func TestNDIsPermutation(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 40, 150} {
 		a := randomSparse(rng, n, 0.1)
 		p := NestedDissection(a)
-		if !IsPerm(p) {
-			t.Fatalf("ND on n=%d is not a permutation: %v", n, p)
+		if err := CheckPerm(p, n); err != nil {
+			t.Fatalf("ND on n=%d: %v", n, err)
 		}
 	}
 	// Disconnected graph: two meshes with no coupling.
 	a := blockDiagCSC(meshSPD(9, 9), meshSPD(9, 9))
-	if !IsPerm(NestedDissection(a)) {
-		t.Fatal("ND on a disconnected graph is not a permutation")
+	if err := CheckPerm(NestedDissection(a), a.Rows); err != nil {
+		t.Fatalf("ND on a disconnected graph: %v", err)
 	}
 }
 

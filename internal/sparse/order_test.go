@@ -12,8 +12,8 @@ func TestOrdersArePermutations(t *testing.T) {
 		a := randomSparse(rng, n, 0.2)
 		for _, o := range []Ordering{OrderNatural, OrderMinDegree, OrderND} {
 			p := Order(a, o)
-			if !IsPerm(p) {
-				t.Fatalf("order %v on n=%d is not a permutation: %v", o, n, p)
+			if err := CheckPerm(p, n); err != nil {
+				t.Fatalf("order %v on n=%d: %v", o, n, err)
 			}
 		}
 	}
@@ -81,21 +81,8 @@ func TestPermHelpers(t *testing.T) {
 			t.Fatalf("InversePerm = %v, want %v", pinv, want)
 		}
 	}
-	x := []float64{10, 20, 30}
-	y := make([]float64, 3)
-	PermVec(y, x, p)
-	if y[0] != 30 || y[1] != 10 || y[2] != 20 {
-		t.Fatalf("PermVec = %v", y)
-	}
-	z := make([]float64, 3)
-	InvPermVec(z, y, p)
-	for i := range x {
-		if z[i] != x[i] {
-			t.Fatalf("InvPermVec did not invert PermVec: %v", z)
-		}
-	}
-	if IsPerm([]int{0, 0, 1}) {
-		t.Error("IsPerm accepted a non-permutation")
+	if CheckPerm([]int{0, 0, 1}, 3) == nil {
+		t.Error("CheckPerm accepted a non-permutation")
 	}
 	defer func() {
 		if recover() == nil {

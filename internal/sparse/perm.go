@@ -16,32 +16,6 @@ func InversePerm(p []int) []int {
 	return pinv
 }
 
-// IsPerm reports whether p is a permutation of 0..len(p)-1.
-func IsPerm(p []int) bool {
-	seen := make([]bool, len(p))
-	for _, v := range p {
-		if v < 0 || v >= len(p) || seen[v] {
-			return false
-		}
-		seen[v] = true
-	}
-	return true
-}
-
-// PermVec computes dst[k] = x[p[k]].
-func PermVec(dst, x []float64, p []int) {
-	for k, v := range p {
-		dst[k] = x[v]
-	}
-}
-
-// InvPermVec computes dst[p[k]] = x[k].
-func InvPermVec(dst, x []float64, p []int) {
-	for k, v := range p {
-		dst[v] = x[k]
-	}
-}
-
 // PermuteSym returns B = A(p, p) for a square matrix A: row and column k of B
 // is row and column p[k] of A.
 func PermuteSym(a *CSC, p []int) *CSC {

@@ -57,9 +57,16 @@ func TestSymbolicPinned(t *testing.T) {
 		0xc8930248c0be80b6, 0xd0ae8bae2e5e8490, 0xd74684ccbdf2de15, 0x9446672456b16804,
 	}
 	for i, c := range symbolicCases() {
-		sym, err := sparse.AnalyzeLDLT(c.build(t), c.order)
+		a := c.build(t)
+		if err := sparse.CheckCSC(a); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sym, err := sparse.AnalyzeLDLT(a, c.order)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if err := sparse.CheckSymbolic(sym); err != nil {
+			t.Errorf("%s %v: %v", c.name, c.order, err)
 		}
 		if got := sparse.SymbolicFingerprint(sym); got != want[i] {
 			t.Errorf("%s %v: symbolic fingerprint %#x, want %#x", c.name, c.order, got, want[i])
@@ -120,29 +127,37 @@ func sameBits(f, g *sparse.LDLT) error {
 
 // checkSplitBits factors a with Refactor, which fills the two halves of a
 // split on two goroutines, and with RefactorInto, which runs every
-// supernode in column order on one, and requires the same bits. It
-// returns whether the analysis splits.
+// supernode in column order on one, and requires the same bits. The matrix,
+// its analysis and every factor on the way must hold the package's
+// invariants. It returns whether the analysis splits.
 func checkSplitBits(t *testing.T, label string, a *sparse.CSC, order sparse.Ordering) bool {
 	t.Helper()
+	if err := sparse.CheckCSC(a); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 	sym, err := sparse.AnalyzeLDLT(a, order)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	two, err := sym.Refactor(a)
-	if err != nil {
+	if err := sparse.CheckSymbolic(sym); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	one, err := sym.Refactor(a)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
+	factor := func(f *sparse.LDLT, err error) *sparse.LDLT {
+		t.Helper()
+		if err == nil {
+			err = sparse.CheckFactor(f)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		return f
 	}
+	two := factor(sym.Refactor(a))
+	one := factor(sym.Refactor(a))
 	// Refill with other values first, so every panel is cleared and
 	// rewritten on the one-core path.
-	if err := sym.RefactorInto(one, a.Clone().Scale(2)); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	if err := sym.RefactorInto(one, a); err != nil {
-		t.Fatalf("%s: %v", label, err)
+	for _, m := range []*sparse.CSC{a.Clone().Scale(2), a} {
+		factor(one, sym.RefactorInto(one, m))
 	}
 	if err := sameBits(two, one); err != nil {
 		t.Errorf("%s: two-core factor differs from one-core: %v", label, err)

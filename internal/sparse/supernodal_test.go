@@ -39,8 +39,8 @@ func maxRelDiff(a, b []float64) float64 {
 }
 
 // checkFactorization verifies P·A·Pᵀ = L·D·Lᵀ entry by entry from the
-// materialized factors, plus the structural and padding invariants that the
-// matexdebug hooks assert (run here so release builds check them too).
+// materialized factors, after the structural, pivot and padding invariants
+// of the analysis and the factor (CheckSymbolic, CheckFactor).
 func checkFactorization(t *testing.T, a *CSC, f *LDLT) {
 	t.Helper()
 	if err := CheckSymbolic(f.Symbolic()); err != nil {

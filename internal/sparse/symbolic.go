@@ -116,7 +116,6 @@ func AnalyzeLDLT(a *CSC, order Ordering) (*Symbolic, error) {
 	up := s.upperScatter(a)
 	s.countPattern(up, first)
 	s.buildSupernodes(up)
-	debugCheckSymbolic(s)
 	return s, nil
 }
 
@@ -489,7 +488,7 @@ func (s *Symbolic) reach(up upperTri, k int, mark, xi []int32) int {
 // after both; every supernode sees its updates in RefactorInto's order, so
 // the factor and, on a zero pivot, the error are RefactorInto's bit for bit.
 func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
-	if err := s.checkDims(a); err != nil {
+	if err := s.checkDims("Refactor", a); err != nil {
 		return nil, err
 	}
 	sn := s.sn
@@ -522,7 +521,6 @@ func (s *Symbolic) Refactor(a *CSC) (*LDLT, error) {
 	if err := s.fill(f, a.Values, lo, sn.nsuper, true, &f.ws); err != nil {
 		return nil, err
 	}
-	debugCheckFactor(f)
 	return f, nil
 }
 
@@ -536,21 +534,21 @@ func (s *Symbolic) RefactorInto(f *LDLT, a *CSC) error {
 	if f.sym != s {
 		return fmt.Errorf("sparse: RefactorInto factor belongs to a different analysis")
 	}
-	if err := s.checkDims(a); err != nil {
+	if err := s.checkDims("RefactorInto", a); err != nil {
 		return err
 	}
 	if err := s.fill(f, a.Values, 0, s.sn.nsuper, false, &f.ws); err != nil {
 		return err
 	}
-	debugCheckFactor(f)
 	return nil
 }
 
-// checkDims checks a's dimensions against the analysis. The pattern itself
-// is trusted to match (callers key Symbolic lookups by PatternFingerprint).
-func (s *Symbolic) checkDims(a *CSC) error {
+// checkDims checks a's dimensions against the analysis for the function fn,
+// which the error names. The pattern itself is trusted to match (callers
+// key Symbolic lookups by PatternFingerprint).
+func (s *Symbolic) checkDims(fn string, a *CSC) error {
 	if a.Rows != s.n || a.Cols != s.n {
-		return fmt.Errorf("sparse: RefactorInto dimension mismatch: analysis %d, matrix %dx%d", s.n, a.Rows, a.Cols)
+		return fmt.Errorf("sparse: %s dimension mismatch: analysis %d, matrix %dx%d", fn, s.n, a.Rows, a.Cols)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -136,6 +137,14 @@ func TestRefactorIntoReusesFactor(t *testing.T) {
 	sym2, _ := AnalyzeLDLT(a, OrderDefault)
 	if err := sym2.RefactorInto(f, a2); err == nil {
 		t.Fatal("RefactorInto accepted a factor from a different analysis")
+	}
+	// A wrong-size matrix is refused by the function it was given to.
+	small := randomSPD(rng, 39)
+	if _, err := sym.Refactor(small); err == nil || !strings.HasPrefix(err.Error(), "sparse: Refactor dimension mismatch") {
+		t.Errorf("Refactor of a 39x39 matrix on a 40-node analysis: %v", err)
+	}
+	if err := sym.RefactorInto(f, small); err == nil || !strings.HasPrefix(err.Error(), "sparse: RefactorInto dimension mismatch") {
+		t.Errorf("RefactorInto of a 39x39 matrix on a 40-node analysis: %v", err)
 	}
 }
 

@@ -166,19 +166,13 @@ func TestResumeMatchesOneShotAdaptiveAndMatex(t *testing.T) {
 // final state repeat bit for bit.
 // A checkpoint without the choice fields (a journal written before they
 // existed) still resumes, starting over on augmented.
+// The uninterrupted run took the input terms of most segments from the
+// run-ahead helper, and a resumed run computes its first segment's inline,
+// so the two must agree bit for bit.
 func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
 	sys := pdnSystemCNode(t, 1, 0.5e-12)
 	opts := Options{Tstop: 10e-9, Probes: []int{0, sys.NumNodes / 2, sys.NumNodes - 1}, CheckpointEvery: 1}
-	var cps []Checkpoint
-	full := opts
-	full.OnCheckpoint = func(cp Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	}
-	oneShot, err := Simulate(sys, RMATEX, full)
-	if err != nil {
-		t.Fatal(err)
-	}
+	oneShot, cps := resumeFromEvery(t, sys, RMATEX, opts)
 	chosen := func(cp Checkpoint) bool { return cp.DevPairs > 0 && cp.DevPairs < cp.AugPairs }
 	sw := 0
 	for sw < len(cps) && !chosen(cps[sw]) {
@@ -187,21 +181,6 @@ func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
 	if sw == 0 || sw >= len(cps)-1 {
 		t.Fatalf("the choice moved at checkpoint %d of %d: not a deck that switches", sw, len(cps))
 	}
-	tail := func(cp Checkpoint) ([]float64, [][]float64) {
-		i0 := sort.SearchFloat64s(oneShot.Times, cp.T+1e-18)
-		return oneShot.Times[i0:], oneShot.Probes[i0:]
-	}
-	for k := range cps[:len(cps)-1] { // the last one is the finished run
-		cp := roundTrip(t, cps[k])
-		res, err := Resume(sys, RMATEX, opts, cp)
-		if err != nil {
-			t.Fatalf("resume from checkpoint %d: %v", k, err)
-		}
-		times, probes := tail(cp)
-		if !reflect.DeepEqual(res.Times, times) || !reflect.DeepEqual(res.Probes, probes) || !reflect.DeepEqual(res.Final, oneShot.Final) {
-			t.Errorf("resume from checkpoint %d (t=%g, aug %d dev %d): not bit-identical to the uninterrupted run", k, cp.T, cp.AugPairs, cp.DevPairs)
-		}
-	}
 
 	old := cps[sw+1]
 	old.AugPairs, old.DevPairs = 0, 0
@@ -209,7 +188,7 @@ func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resume without choice fields: %v", err)
 	}
-	times, probes := tail(old)
+	times, probes := tailAfter(oneShot, old.T)
 	if !reflect.DeepEqual(res.Times, times) {
 		t.Fatalf("resume without choice fields: %d samples, want %d", len(res.Times), len(times))
 	}
@@ -220,6 +199,55 @@ func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestResumeIMATEXIsBitIdenticalFromEverySegment resumes I-MATEX, which
+// takes every ramp on the deviation, from every segment of the switching
+// deck above: the run-ahead helper's input terms and the resumed run's
+// inline ones, carried base q included, must agree bit for bit.
+func TestResumeIMATEXIsBitIdenticalFromEverySegment(t *testing.T) {
+	sys := pdnSystemCNode(t, 1, 0.5e-12)
+	opts := Options{Tstop: 10e-9, Probes: []int{0, sys.NumNodes / 2, sys.NumNodes - 1}, CheckpointEvery: 1}
+	resumeFromEvery(t, sys, IMATEX, opts)
+}
+
+// resumeFromEvery runs method with a checkpoint at every segment, resumes
+// from each checkpoint but the last (the finished run) and requires the
+// uninterrupted run's remaining samples and final state bit for bit. It
+// returns the uninterrupted run and its checkpoints.
+func resumeFromEvery(t *testing.T, sys *circuit.System, method Method, opts Options) (*Result, []Checkpoint) {
+	t.Helper()
+	var cps []Checkpoint
+	full := opts
+	full.OnCheckpoint = func(cp Checkpoint) error {
+		cps = append(cps, cp)
+		return nil
+	}
+	oneShot, err := Simulate(sys, method, full)
+	if err != nil {
+		t.Fatalf("%v: %v", method, err)
+	}
+	if oneShot.Stats.InputAhead == 0 {
+		t.Fatalf("%v: no input terms taken from the helper", method)
+	}
+	for k := range cps[:len(cps)-1] {
+		cp := roundTrip(t, cps[k])
+		res, err := Resume(sys, method, opts, cp)
+		if err != nil {
+			t.Fatalf("%v: resume from checkpoint %d: %v", method, k, err)
+		}
+		times, probes := tailAfter(oneShot, cp.T)
+		if !reflect.DeepEqual(res.Times, times) || !reflect.DeepEqual(res.Probes, probes) || !reflect.DeepEqual(res.Final, oneShot.Final) {
+			t.Errorf("%v: resume from checkpoint %d (t=%g, aug %d dev %d): not bit-identical to the uninterrupted run", method, k, cp.T, cp.AugPairs, cp.DevPairs)
+		}
+	}
+	return oneShot, cps
+}
+
+// tailAfter returns res's samples after time t.
+func tailAfter(res *Result, t float64) ([]float64, [][]float64) {
+	i0 := sort.SearchFloat64s(res.Times, t+1e-18)
+	return res.Times[i0:], res.Probes[i0:]
 }
 
 func TestResumeMatchesOneShotMexp(t *testing.T) {

@@ -160,11 +160,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	// running.
 	cur := newSegInputs(n)
 	var spare, ahead *segInputs
-	// redo is where a matexdebug build recomputes the helper's terms inline.
-	var redo *segInputs
-	if debugEnabled {
-		redo = newSegInputs(n)
-	}
 	var helper sync.WaitGroup
 	defer helper.Wait()
 	// q is q(tBase) whenever qOK says so; a DC start is x(0) = q(0).
@@ -270,11 +265,6 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		// this base q, else computed here.
 		helper.Wait()
 		if nx := ahead; nx != nil && nx.t == t && nx.segEnd == segEnd && nx.carried == qOK && nx.deviation == deviates(nx.flat, rampDev) {
-			if debugEnabled {
-				copy(redo.q, cur.q)
-				fill(redo, t, segEnd, buScale, rampDev, qOK)
-				debugCheckAhead(nx, redo)
-			}
 			cur, spare = nx, cur
 			res.Stats.InputAhead += nx.basePairs + nx.rampPairs
 		} else {
