@@ -263,7 +263,7 @@ func benchDist(b *testing.B, nodes int) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(rep.Tasks), "tasks")
-			b.ReportMetric(float64(len(res.Stats.KrylovDims)), "spots")
+			b.ReportMetric(float64(res.Stats.Spots()), "spots")
 			b.ReportMetric(float64(res.Stats.SolvePairs), "solve_pairs")
 		}
 	}
@@ -341,7 +341,6 @@ func benchKrylovSpot(b *testing.B, mode transient.Method, method krylov.Method, 
 	opts.Workspace = ws
 	dst := make([]float64, op.N())
 	spot := func() *krylov.Subspace {
-		count.Dims = count.Dims[:0] // steady state: no slice growth
 		sub, err := krylov.Generate(op, v, hCheck, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -831,7 +830,7 @@ func benchSweep(b *testing.B, variants []sweep.Variant) {
 		}
 		if i == 0 {
 			b.ReportMetric(float64(res.Stats.Lanes), "lanes")
-			b.ReportMetric(float64(res.Stats.Sim.Factorizations), "factorizations")
+			b.ReportMetric(float64(res.Sim.Factorizations), "factorizations")
 		}
 	}
 }

@@ -171,7 +171,7 @@ func main() {
 			for i, t := range rep.PerTask {
 				st := &rep.TaskStats[i]
 				fmt.Fprintf(os.Stderr, "task=%d members=%s lts=%d wait=%v elapsed=%v retries=%d spots=%d pairs=%d",
-					i, joinInts(t.Groups), t.Spots, t.Wait, t.Elapsed, t.Retried, len(st.KrylovDims), st.SolvePairs)
+					i, joinInts(t.Groups), t.Spots, t.Wait, t.Elapsed, t.Retried, st.Spots(), st.SolvePairs)
 				if t.Worker != "" {
 					fmt.Fprintf(os.Stderr, " worker=%s", t.Worker)
 				}
@@ -186,7 +186,7 @@ func main() {
 		}
 		s := &out.Stats
 		fmt.Fprintf(os.Stderr, "factorizations=%d refactors=%d symbolic_hits=%d cache_hits=%d cache_misses=%d solve_pairs=%d spmvs=%d expm_evals=%d steps=%d m_a=%.1f m_p=%d lanczos_spots=%d/%d dc=%v factor=%v transient=%v input_pairs=%d deviation_spots=%d input_ahead=%d input_discarded=%d\n",
-			s.Factorizations, s.Refactors, s.SymbolicHits, s.CacheHits, s.CacheMisses, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.Steps, s.MA(), s.MP(), s.LanczosSpots, len(s.KrylovDims), s.DCTime, s.FactorTime, s.TransientTime, s.InputPairs, s.DeviationSpots, s.InputAhead, s.InputDiscarded)
+			s.Factorizations, s.Refactors, s.SymbolicHits, s.CacheHits, s.CacheMisses, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.Steps, s.MA(), s.MP(), s.LanczosSpots, s.Spots(), s.DCTime, s.FactorTime, s.TransientTime, s.InputPairs, s.DeviationSpots, s.InputAhead, s.InputDiscarded)
 	}
 }
 

@@ -164,8 +164,8 @@ func TestDistSuperpositionWhereRampsSwitchTreatment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := &ref.Stats; 2*st.LanczosSpots <= len(st.KrylovDims) || st.DeviationSpots == len(st.KrylovDims) {
-		t.Fatalf("plain run: %d of %d spots on deviation, %d on Lanczos: not a deck that switches", st.DeviationSpots, len(st.KrylovDims), st.LanczosSpots)
+	if st := &ref.Stats; 2*st.LanczosSpots <= st.Spots() || st.DeviationSpots == st.Spots() {
+		t.Fatalf("plain run: %d of %d spots on deviation, %d on Lanczos: not a deck that switches", st.DeviationSpots, st.Spots(), st.LanczosSpots)
 	}
 	for _, workers := range []int{2, 64} {
 		got, rep, err := Run(NewSystem(sys), transient.RMATEX, Config{Base: opts, Workers: workers})

@@ -331,7 +331,7 @@ func TestDistPlanSavesSolvePairs(t *testing.T) {
 		t.Errorf("two nodes paid %d solve pairs, the one-shot run %d (limit %d)", two.Stats.SolvePairs, oneShot.Stats.SolvePairs, limit)
 	}
 	for i, task := range repTwo.PerTask {
-		if got := len(repTwo.TaskStats[i].KrylovDims); got != task.Spots {
+		if got := repTwo.TaskStats[i].Spots(); got != task.Spots {
 			t.Errorf("task %d generated %d subspaces, the planner charged %d spots", i, got, task.Spots)
 		}
 	}

@@ -9,14 +9,18 @@ package dist_test
 // goroutine or a silently wrong row.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httputil"
+	"net/url"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -254,7 +258,7 @@ func TestDistRPCLoopback(t *testing.T) {
 		if repR.PerTask[i].Worker == "" || repL.PerTask[i].Worker != "" {
 			t.Errorf("task %d worker: %q remotely, %q in-process", i, repR.PerTask[i].Worker, repL.PerTask[i].Worker)
 		}
-		if !reflect.DeepEqual(repR.TaskStats[i].KrylovDims, repL.TaskStats[i].KrylovDims) || repR.TaskStats[i].SolvePairs != repL.TaskStats[i].SolvePairs {
+		if !reflect.DeepEqual(repR.TaskStats[i].Dims, repL.TaskStats[i].Dims) || repR.TaskStats[i].SolvePairs != repL.TaskStats[i].SolvePairs {
 			t.Errorf("task %d: the worker's counters are not the in-process task's", i)
 		}
 	}
@@ -703,6 +707,44 @@ func TestWireGenerationMismatchIsLoud(t *testing.T) {
 	}
 	if took := time.Since(began); took > 5*time.Second {
 		t.Fatalf("the mismatch took %v to surface", took)
+	}
+}
+
+// TestStatsSpellingMismatchIsLoud: a worker of a build that spelled the done
+// tail's stats with Go field names (SolvePairs, InputPairs) streams the right
+// rows, but its counters would decode to zeros under this build's keys; the
+// run fails naming the worker and the key instead of reporting them.
+func TestStatsSpellingMismatchIsLoud(t *testing.T) {
+	d := gridDeck(t, 0.1)
+	live := startWorker(t, "127.0.0.1:0", serve.Config{})
+	proxy := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: live.addr})
+	proxy.ModifyResponse = func(resp *http.Response) error {
+		if resp.Request.URL.Path != "/v1/simulate" || resp.StatusCode != http.StatusOK {
+			return nil
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		lines := bytes.Split(bytes.TrimSuffix(body, []byte("\n")), []byte("\n"))
+		lines[len(lines)-1] = []byte(`{"done":true,"state":"done","stats":{"Factorizations":1,"Steps":12,"SolvePairs":30,"InputPairs":8}}`)
+		body = append(bytes.Join(lines, []byte("\n")), '\n')
+		resp.Body, resp.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+		resp.Header.Set("Content-Length", strconv.Itoa(len(body)))
+		return nil
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &http.Server{Handler: proxy}
+	go old.Serve(l)
+	defer old.Close()
+
+	_, _, err = d.remote(context.Background(), job.Spec{}, []string{l.Addr().String()}, nil)
+	if err == nil || !strings.Contains(err.Error(), "worker "+l.Addr().String()) || !strings.Contains(err.Error(), `unknown field "SolvePairs"`) {
+		t.Fatalf("run against a worker spelling stats with Go field names: %v", err)
 	}
 }
 

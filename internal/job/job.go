@@ -364,7 +364,7 @@ func (t *Task) Run(ctx context.Context, h Hooks) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Outcome{Stats: res.Stats.Sim, Sweep: &res.Stats}, nil
+		return &Outcome{Stats: res.Sim, Sweep: &res.Stats}, nil
 
 	case spec.Distributed:
 		opts.OnSample = func(t float64, row []float64) { h.OnSample("", t, row) }

@@ -211,12 +211,12 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // chunk is one line of a job stream after its header: a sample, or the done
 // tail with the job's state, error and work counters.
 type chunk struct {
-	T     float64          `json:"t"`
-	V     []float64        `json:"v"`
-	Done  bool             `json:"done"`
-	State string           `json:"state"`
-	Error string           `json:"error"`
-	Stats *transient.Stats `json:"stats"`
+	T     float64         `json:"t"`
+	V     []float64       `json:"v"`
+	Done  bool            `json:"done"`
+	State string          `json:"state"`
+	Error string          `json:"error"`
+	Stats json.RawMessage `json:"stats"`
 }
 
 // post runs one task spec on the worker at addr, handing each row of its
@@ -274,10 +274,14 @@ func post(ctx context.Context, addr string, body []byte, rows *taskRows) (stats 
 			if i < len(rows.times) {
 				return nil, false, &RetryMismatchError{Worker: addr, Row: i}
 			}
-			if c.Stats == nil {
-				c.Stats = &transient.Stats{}
+			// Strictly: encoding/json would drop a key this build does not
+			// spell (a worker of another build's) and read its counter as 0.
+			stats, sd := &transient.Stats{}, json.NewDecoder(bytes.NewReader(c.Stats))
+			sd.DisallowUnknownFields()
+			if err := sd.Decode(stats); err != nil && len(c.Stats) > 0 {
+				return nil, false, fmt.Errorf("worker %s: job %s: stats not in this build's spelling (a coordinator and its workers must be one build): %w", addr, head.ID, err)
 			}
-			return c.Stats, false, nil
+			return stats, false, nil
 		case "failed":
 			return nil, false, errors.New(c.Error)
 		}

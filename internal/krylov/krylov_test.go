@@ -370,8 +370,8 @@ func TestProtocol(t *testing.T) {
 			if est, _ := sub.ErrEstimate(1e-12); est != 0 {
 				t.Fatal("zero vector error estimate not zero")
 			}
-			if d := op.Count.Dims; len(d) != 1 || d[0] != 1 {
-				t.Errorf("Dims = %v, want [1]", d)
+			if c := op.Count; c.Spots() != 1 || c.MP() != 1 {
+				t.Errorf("Dims = %v, want one spot of dimension 1", c.Dims)
 			}
 		},
 	}, {
@@ -473,8 +473,8 @@ func TestProtocol(t *testing.T) {
 			if m := sub.Dim(); m < 1 || m > 4 || !strings.Contains(err.Error(), fmt.Sprintf("best dim %d,", m)) {
 				t.Errorf("best-effort dim %d against %q", m, err)
 			}
-			if d := op.Count.Dims; len(d) != 1 || d[0] != sub.Dim() {
-				t.Errorf("Dims = %v, want [%d]", d, sub.Dim())
+			if c := op.Count; c.Spots() != 1 || c.MP() != sub.Dim() {
+				t.Errorf("Dims = %v, want one spot of dimension %d", c.Dims, sub.Dim())
 			}
 			got := make([]float64, op.N())
 			if err := sub.EvalExp(1e-11, got); err != nil {
@@ -627,7 +627,7 @@ func TestCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := inv.Count
-	if c.SolvePairs == 0 || c.SpMVs == 0 || len(c.Dims) != 1 {
+	if c.SolvePairs == 0 || c.SpMVs == 0 || c.Spots() != 1 {
 		t.Fatalf("counters not updated: %+v", c)
 	}
 }

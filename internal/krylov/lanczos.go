@@ -269,7 +269,7 @@ func (l *lanczos) install(m int) {
 	s.tri, s.mu, s.q = true, l.mu[:m], &l.eigQ
 	s.hsub, s.estNu = l.beta[m-1], l.nu[m]
 	if s.op.Count != nil {
-		s.op.Count.Lanczos++
+		s.op.Count.LanczosSpots++
 	}
 }
 

@@ -157,7 +157,7 @@ func TestGenerateRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sub.Lanczos() || inv.Count.Lanczos != 1 {
+	if !sub.Lanczos() || inv.Count.LanczosSpots != 1 {
 		t.Error("auto mode did not take the Lanczos path on a symmetric inverted operator")
 	}
 	sub, err = Generate(inv, v, []float64{1e-12}, Options{Tol: 1e-8, Method: MethodArnoldi})

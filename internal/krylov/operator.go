@@ -36,14 +36,69 @@ func (m Mode) String() string {
 
 // Counters accumulates the work metrics the paper reports: substitution
 // pairs (T_bs), sparse matrix-vector products, small expm evaluations (T_H)
-// and the dimension of every generated subspace (m_a, m_p). Lanczos counts
-// the subspaces generated through the symmetric three-term fast path.
+// and how many generated subspaces had each dimension (m_a, m_p).
+// LanczosSpots counts the subspaces generated through the symmetric
+// three-term fast path. transient.Stats embeds it, so an operator counts
+// straight into its run's record, and the JSON keys are that record's.
 type Counters struct {
-	SolvePairs int
-	SpMVs      int
-	ExpmEvals  int
-	Lanczos    int
-	Dims       []int
+	SolvePairs   int `json:"solve_pairs"`
+	SpMVs        int `json:"spmvs"`
+	ExpmEvals    int `json:"expm_evals"`
+	LanczosSpots int `json:"lanczos_spots"`
+	// Dims[m] is the number of subspaces of dimension m: a histogram, so
+	// its size is bounded by the largest dimension, not by the spot count.
+	Dims []int `json:"krylov_dims,omitempty"`
+}
+
+// countDims adds k subspaces of dimension m.
+func (c *Counters) countDims(m, k int) {
+	if m >= len(c.Dims) {
+		c.Dims = append(c.Dims, make([]int, m+1-len(c.Dims))...)
+	}
+	c.Dims[m] += k
+}
+
+// Add folds o into c, the histogram element-wise.
+func (c *Counters) Add(o *Counters) {
+	c.SolvePairs += o.SolvePairs
+	c.SpMVs += o.SpMVs
+	c.ExpmEvals += o.ExpmEvals
+	c.LanczosSpots += o.LanczosSpots
+	for m, k := range o.Dims {
+		c.countDims(m, k)
+	}
+}
+
+// Spots returns the number of generated subspaces.
+func (c *Counters) Spots() int {
+	n := 0
+	for _, k := range c.Dims {
+		n += k
+	}
+	return n
+}
+
+// MA returns the average generated dimension (paper's m_a), 0 without a
+// subspace.
+func (c *Counters) MA() float64 {
+	sum := 0
+	for m, k := range c.Dims {
+		sum += m * k
+	}
+	if n := c.Spots(); n > 0 {
+		return float64(sum) / float64(n)
+	}
+	return 0
+}
+
+// MP returns the peak generated dimension (paper's m_p).
+func (c *Counters) MP() int {
+	for m := len(c.Dims) - 1; m > 0; m-- {
+		if c.Dims[m] > 0 {
+			return m
+		}
+	}
+	return 0
 }
 
 // Op is the Arnoldi operator for one of the three modes over the *augmented*

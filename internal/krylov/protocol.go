@@ -121,7 +121,7 @@ func generate(p process, ws *Workspace, op *Op, v []float64, hCheck []float64, o
 		}
 		sub.m, sub.v = 1, ws.basis[:1]
 		if op.Count != nil {
-			op.Count.Dims = append(op.Count.Dims, 1)
+			op.Count.countDims(1, 1)
 		}
 		return sub, nil
 	}
@@ -254,7 +254,7 @@ func finish(p process, ws *Workspace, m int) *Subspace {
 	sub.m, sub.v = m, ws.basis[:m]
 	p.install(m)
 	if op := sub.op; op.Count != nil {
-		op.Count.Dims = append(op.Count.Dims, m)
+		op.Count.countDims(m, 1)
 	}
 	return sub
 }

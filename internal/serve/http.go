@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -435,6 +436,10 @@ func (s *Server) statsReply() StatsReply {
 		DeckPuts:    s.deckPuts,
 		InlineDecks: s.inline,
 	}
+	// A finishing job folds its histogram into s.agg in place: the reply
+	// owns a copy, since it is encoded after the lock is released.
+	rep.Totals.Dims = slices.Clone(s.agg.Dims)
+	rep.Totals.KrylovSpots = s.agg.Spots()
 	s.mu.Unlock()
 	rep.Cache = s.cache.Stats()
 	rep.DeckStore = s.decks.Stats()

@@ -76,23 +76,13 @@ var (
 )
 
 // totals aggregates solver work counters across finished jobs (the /stats
-// cross-job view; per-job Stats stay on the jobs).
+// cross-job view; per-job Stats stay on the jobs): the jobs' Stats folded
+// by Stats.Add, which leaves the durations zero, plus the counts of its own.
+// KrylovSpots is filled only in a reply, from the folded histogram.
 type totals struct {
-	Jobs           int `json:"jobs"`
-	Factorizations int `json:"factorizations"`
-	Refactors      int `json:"refactors"`
-	SymbolicHits   int `json:"symbolic_hits"`
-	CacheHits      int `json:"cache_hits"`
-	CacheMisses    int `json:"cache_misses"`
-	SolvePairs     int `json:"solve_pairs"`
-	SpMVs          int `json:"spmvs"`
-	Steps          int `json:"steps"`
-	KrylovSpots    int `json:"krylov_spots"`
-	LanczosSpots   int `json:"lanczos_spots"`
-	InputPairs     int `json:"input_pairs"`
-	InputAhead     int `json:"input_ahead"`
-	InputDiscarded int `json:"input_discarded"`
-	DeviationSpots int `json:"deviation_spots"`
+	Jobs        int `json:"jobs"`
+	KrylovSpots int `json:"krylov_spots"`
+	transient.Stats
 	// Sweeps counts completed sweep jobs and SweepVariants the variants
 	// they served.
 	Sweeps        int `json:"sweeps"`
@@ -108,20 +98,7 @@ func (t *totals) addSweep(st *sweep.Stats) {
 
 func (t *totals) add(s *transient.Stats) {
 	t.Jobs++
-	t.Factorizations += s.Factorizations
-	t.Refactors += s.Refactors
-	t.SymbolicHits += s.SymbolicHits
-	t.CacheHits += s.CacheHits
-	t.CacheMisses += s.CacheMisses
-	t.SolvePairs += s.SolvePairs
-	t.SpMVs += s.SpMVs
-	t.Steps += s.Steps
-	t.KrylovSpots += len(s.KrylovDims)
-	t.LanczosSpots += s.LanczosSpots
-	t.InputPairs += s.InputPairs
-	t.InputAhead += s.InputAhead
-	t.InputDiscarded += s.InputDiscarded
-	t.DeviationSpots += s.DeviationSpots
+	t.Stats.Add(s)
 }
 
 // Server is the simulation job service. Create with New, expose via

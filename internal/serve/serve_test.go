@@ -971,6 +971,46 @@ func TestCanceledWhileQueuedIsCounted(t *testing.T) {
 	}
 }
 
+// TestStatsWhileJobsFinish: /stats is read while jobs finish and fold their
+// Krylov histograms into the totals. Each reply owns its histogram, since it
+// is encoded after the server's lock is released (run under -race), and the
+// totals come out as the sum of the jobs' own counts.
+func TestStatsWhileJobsFinish(t *testing.T) {
+	deckText := testDeck(t)
+	s, base, shutdown := testServer(t, serve.Config{Workers: 2, QueueDepth: 16})
+	defer shutdown(context.Background())
+
+	const jobs = 6
+	submitted := make([]*serve.Job, jobs)
+	for k := range submitted {
+		j, err := s.Submit(serve.JobSpec{Netlist: deckText})
+		if err != nil {
+			t.Fatal(err)
+		}
+		submitted[k] = j
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	st := getStats(t, base)
+	for ; st.Completed < jobs; st = getStats(t, base) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs completed: %+v", st.Completed, jobs, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var want transient.Stats
+	for k, j := range submitted {
+		js := j.Status()
+		if js.State != serve.JobDone || js.Stats == nil {
+			t.Fatalf("job %d ended %q with stats %v", k, js.State, js.Stats)
+		}
+		want.Add(js.Stats)
+	}
+	if st.Totals.Jobs != jobs || st.Totals.KrylovSpots != want.Spots() ||
+		!reflect.DeepEqual(st.Totals.Dims, want.Dims) || st.Totals.SolvePairs != want.SolvePairs {
+		t.Fatalf("totals %+v after %d jobs, want their sum %+v", st.Totals, jobs, want)
+	}
+}
+
 // TestSignalContext: SIGTERM cancels the shared shutdown context (the
 // trigger both matexsrv and matexd drain on).
 func TestSignalContext(t *testing.T) {

@@ -2,11 +2,13 @@ package superpose
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/transient"
 )
 
@@ -188,9 +190,9 @@ func TestRunLaneErrorStopsTheRest(t *testing.T) {
 func TestRunStatsRule(t *testing.T) {
 	grid := []float64{0, 1}
 	stats := []transient.Stats{
-		{Steps: 3, SolvePairs: 10, Factorizations: 2, KrylovDims: []int{4, 5}, DCTime: 7, FactorTime: 11, TransientTime: 40},
-		{Steps: 4, SolvePairs: 20, CacheHits: 2, KrylovDims: []int{6}, DCTime: 1000, FactorTime: 13, TransientTime: 90},
-		{Steps: 5, SolvePairs: 30, CacheHits: 2, KrylovDims: []int{7}, DCTime: 2000, FactorTime: 17, TransientTime: 60},
+		{Steps: 3, Factorizations: 2, Counters: krylov.Counters{SolvePairs: 10, Dims: []int{0, 0, 0, 0, 1, 1}}, DCTime: 7, FactorTime: 11, TransientTime: 40},
+		{Steps: 4, CacheHits: 2, Counters: krylov.Counters{SolvePairs: 20, Dims: []int{0, 0, 0, 0, 0, 0, 1}}, DCTime: 1000, FactorTime: 13, TransientTime: 90},
+		{Steps: 5, CacheHits: 2, Counters: krylov.Counters{SolvePairs: 30, Dims: []int{0, 0, 0, 0, 0, 0, 0, 1}}, DCTime: 2000, FactorTime: 17, TransientTime: 60},
 	}
 	out := Output{Plan: Plan{Grid: grid, Probes: runBase.Probes}}
 	for i := range stats {
@@ -208,8 +210,8 @@ func TestRunStatsRule(t *testing.T) {
 	if st.Steps != 12 || st.SolvePairs != 60 || st.Factorizations != 2 || st.CacheHits != 4 {
 		t.Errorf("counters steps=%d pairs=%d factorizations=%d hits=%d, want 12 60 2 4", st.Steps, st.SolvePairs, st.Factorizations, st.CacheHits)
 	}
-	if dims := []int{4, 5, 6, 7}; len(st.KrylovDims) != len(dims) || st.MA() != 5.5 || st.MP() != 7 || st.KrylovDims[2] != 6 {
-		t.Errorf("Krylov dims %v, want %v", st.KrylovDims, dims)
+	if dims := []int{0, 0, 0, 0, 1, 1, 1, 1}; !slices.Equal(st.Dims, dims) || st.Spots() != 4 || st.MA() != 5.5 || st.MP() != 7 {
+		t.Errorf("Krylov dims %v, want %v", st.Dims, dims)
 	}
 	if st.FactorTime != 41 || st.DCTime != 7 || st.TransientTime != 90 {
 		t.Errorf("factor %v dc %v transient %v, want 41ns 7ns 90ns", st.FactorTime, st.DCTime, st.TransientTime)

@@ -65,10 +65,6 @@ type Stats struct {
 	Variants       int `json:"variants"`
 	Lanes          int `json:"lanes"`
 	SharedVariants int `json:"shared_variants"`
-	// Sim folds the lanes' solver work by superpose.Run's rule, so its
-	// TransientTime is the slowest lane's; with a shared cache,
-	// Sim.Factorizations counts factorizations computed once for the sweep.
-	Sim transient.Stats `json:"sim"`
 }
 
 // Result is a completed sweep: one VariantResult per requested variant,
@@ -76,6 +72,10 @@ type Stats struct {
 type Result struct {
 	Variants []VariantResult `json:"variants"`
 	Stats    Stats           `json:"stats"`
+	// Sim folds the lanes' solver work by superpose.Run's rule, so its
+	// TransientTime is the slowest lane's; with a shared cache,
+	// Sim.Factorizations counts factorizations computed once for the sweep.
+	Sim transient.Stats `json:"sim"`
 }
 
 // Validate resolves variants against sys without running anything: it
@@ -168,8 +168,8 @@ func Run(sys *circuit.System, variants []Variant, opts Options) (*Result, error)
 		return nil, err
 	}
 
-	res := &Result{Variants: make([]VariantResult, len(variants))}
-	res.Stats = Stats{Variants: len(variants), Lanes: len(lanes), Sim: sim}
+	res := &Result{Variants: make([]VariantResult, len(variants)), Sim: sim}
+	res.Stats = Stats{Variants: len(variants), Lanes: len(lanes)}
 	for _, g := range groups {
 		for _, m := range g.members {
 			r, vr := results[m.v], &res.Variants[m.v]

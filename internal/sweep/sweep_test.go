@@ -126,11 +126,11 @@ func TestSweepMatchesSolo_Aligned(t *testing.T) {
 	}
 	// One factorization lineage for the whole sweep: no more computed
 	// factorizations than a single solo run.
-	if res.Stats.Sim.Factorizations > soloFactorizations {
+	if res.Sim.Factorizations > soloFactorizations {
 		t.Errorf("sweep computed %d factorizations, one solo run computes %d",
-			res.Stats.Sim.Factorizations, soloFactorizations)
+			res.Sim.Factorizations, soloFactorizations)
 	}
-	if res.Stats.Sim.CacheHits == 0 {
+	if res.Sim.CacheHits == 0 {
 		t.Error("sweep lanes recorded no factorization-cache hits")
 	}
 }
@@ -291,7 +291,7 @@ func TestSweepStatsAreTheLanesFolded(t *testing.T) {
 		}
 		want.Add(&r.Stats)
 	}
-	got := res.Stats.Sim
+	got := res.Sim
 	got.DCTime, got.FactorTime, got.TransientTime = 0, 0, 0
 	if want.SolvePairs == 0 || !reflect.DeepEqual(got, want) {
 		t.Errorf("sweep counters %+v, solo lanes summed %+v", got, want)
@@ -386,9 +386,9 @@ func TestSweepOnADeckThatSwitchesTreatment(t *testing.T) {
 	}
 	for v, va := range variants {
 		solo := soloRun(t, sys, va, transient.RMATEX, base)
-		if st := &solo.Stats; 2*st.LanczosSpots <= len(st.KrylovDims) || st.DeviationSpots == len(st.KrylovDims) {
+		if st := &solo.Stats; 2*st.LanczosSpots <= st.Spots() || st.DeviationSpots == st.Spots() {
 			t.Fatalf("variant %q: %d of %d spots on deviation, %d on Lanczos: not a deck that switches",
-				va.Name, st.DeviationSpots, len(st.KrylovDims), st.LanczosSpots)
+				va.Name, st.DeviationSpots, st.Spots(), st.LanczosSpots)
 		}
 		if d := maxProbeDiff(t, solo, full.Variants[v]); d != 0 {
 			t.Errorf("variant %q deviates from solo by %g, want bit-identical", va.Name, d)

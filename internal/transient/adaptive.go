@@ -179,7 +179,7 @@ func simulateAdaptiveTR(sys *circuit.System, opts Options) (*Result, error) {
 
 		// Checkpoint after the controller update so the snapshot carries the
 		// next proposed step, not the one just taken.
-		err := cpr.maybe(&res.Stats, nil, func() Checkpoint {
+		err := cpr.maybe(&res.Stats, func() Checkpoint {
 			return Checkpoint{
 				Method: TRAdaptive.Name(),
 				T:      t,

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/matex-sim/matex/internal/circuit"
-	"github.com/matex-sim/matex/internal/krylov"
 	"github.com/matex-sim/matex/internal/waveform"
 )
 
@@ -39,31 +38,12 @@ type Checkpoint struct {
 	AugPairs int     `json:"aug_pairs,omitempty"`
 	DevPairs int     `json:"dev_pairs,omitempty"`
 	// Done is the work the run had counted up to T, over every life it has
-	// had. A run resumed from the checkpoint reports Done plus its own work,
-	// so its Stats read like the uninterrupted run's; the factorizations,
-	// cache counts and durations stay per life, since each life pays its
-	// own. A journal written before the field existed reads nil: the
-	// resumed run counts from zero.
-	Done *Done `json:"done,omitempty"`
-}
-
-// Done is the step-driven part of Stats as a checkpoint carries it: the
-// counters the final Stats would report had the run ended at the
-// checkpoint. The Krylov dimensions are kept as a histogram, so a record's
-// size is bounded by the largest dimension, not by the spots run so far.
-type Done struct {
-	Steps          int `json:"steps,omitempty"`
-	Rejected       int `json:"rejected,omitempty"`
-	SolvePairs     int `json:"solve_pairs,omitempty"`
-	SpMVs          int `json:"spmvs,omitempty"`
-	ExpmEvals      int `json:"expm_evals,omitempty"`
-	LanczosSpots   int `json:"lanczos_spots,omitempty"`
-	InputPairs     int `json:"input_pairs,omitempty"`
-	DeviationSpots int `json:"deviation_spots,omitempty"`
-	InputAhead     int `json:"input_ahead,omitempty"`
-	InputDiscarded int `json:"input_discarded,omitempty"`
-	// KrylovDims[m] is the number of spots whose subspace had dimension m.
-	KrylovDims []int `json:"krylov_dims,omitempty"`
+	// had, with the counters each life pays on its own left zero:
+	// factorizations, cache and symbolic counts, Regularized and the
+	// durations. A run resumed from the checkpoint adds its own work to it,
+	// so its Stats read like the uninterrupted run's. A journal written
+	// before the field existed reads nil: the resumed run counts from zero.
+	Done *Stats `json:"done,omitempty"`
 }
 
 // Name returns the canonical wire spelling of the method — the one
@@ -105,88 +85,20 @@ func Resume(sys *circuit.System, method Method, opts Options, cp Checkpoint) (*R
 	if cp.T < 0 || math.IsNaN(cp.T) {
 		return nil, fmt.Errorf("transient: checkpoint time %g out of range", cp.T)
 	}
+	var res *Result
 	if opts.Tstop > 0 && cp.T >= opts.Tstop-waveform.SpotEps {
-		res := &Result{Final: append([]float64(nil), cp.X...)}
-		if cp.Done != nil {
-			res.Stats = *cp.Done.stats()
+		res = &Result{Final: append([]float64(nil), cp.X...)}
+	} else {
+		opts.resumeFrom = &cp
+		var err error
+		if res, err = Simulate(sys, method, opts); err != nil {
+			return res, err
 		}
-		return res, nil
 	}
-	opts.resumeFrom = &cp
-	res, err := Simulate(sys, method, opts)
-	if err != nil || cp.Done == nil {
-		return res, err
+	if cp.Done != nil {
+		res.Stats.Add(cp.Done)
 	}
-	total := cp.Done.stats()
-	total.Add(&res.Stats)
-	total.DCTime, total.FactorTime, total.TransientTime = res.Stats.DCTime, res.Stats.FactorTime, res.Stats.TransientTime
-	res.Stats = *total
 	return res, nil
-}
-
-// doneOf returns s's step-driven counters, with the Krylov counters not
-// yet folded into s (count, nil for the TR methods) added the way
-// SimulateMatex folds them at its end.
-func doneOf(s *Stats, count *krylov.Counters) *Done {
-	d := &Done{
-		Steps: s.Steps, Rejected: s.Rejected, SolvePairs: s.SolvePairs, SpMVs: s.SpMVs,
-		ExpmEvals: s.ExpmEvals, LanczosSpots: s.LanczosSpots, InputPairs: s.InputPairs,
-		DeviationSpots: s.DeviationSpots, InputAhead: s.InputAhead, InputDiscarded: s.InputDiscarded,
-	}
-	for _, m := range s.KrylovDims {
-		d.countDim(m, 1)
-	}
-	if count != nil {
-		d.SolvePairs += s.InputPairs + count.SolvePairs
-		d.SpMVs += count.SpMVs
-		d.ExpmEvals += count.ExpmEvals
-		d.LanczosSpots += count.Lanczos
-		for _, m := range count.Dims {
-			d.countDim(m, 1)
-		}
-	}
-	return d
-}
-
-// countDim adds n spots of dimension m to the histogram.
-func (d *Done) countDim(m, n int) {
-	if m >= len(d.KrylovDims) {
-		d.KrylovDims = append(d.KrylovDims, make([]int, m+1-len(d.KrylovDims))...)
-	}
-	d.KrylovDims[m] += n
-}
-
-// add folds o into d.
-func (d *Done) add(o *Done) {
-	d.Steps += o.Steps
-	d.Rejected += o.Rejected
-	d.SolvePairs += o.SolvePairs
-	d.SpMVs += o.SpMVs
-	d.ExpmEvals += o.ExpmEvals
-	d.LanczosSpots += o.LanczosSpots
-	d.InputPairs += o.InputPairs
-	d.DeviationSpots += o.DeviationSpots
-	d.InputAhead += o.InputAhead
-	d.InputDiscarded += o.InputDiscarded
-	for m, n := range o.KrylovDims {
-		d.countDim(m, n)
-	}
-}
-
-// stats returns the counters as a Stats, the Krylov dimensions listed in
-// ascending order (m_a, m_p and the spot count do not depend on it).
-func (d *Done) stats() *Stats {
-	s := &Stats{
-		Steps: d.Steps, Rejected: d.Rejected, SolvePairs: d.SolvePairs, SpMVs: d.SpMVs,
-		ExpmEvals: d.ExpmEvals, LanczosSpots: d.LanczosSpots, InputPairs: d.InputPairs,
-		DeviationSpots: d.DeviationSpots, InputAhead: d.InputAhead, InputDiscarded: d.InputDiscarded,
-	}
-	for m, n := range d.KrylovDims {
-		for range n {
-			s.KrylovDims = append(s.KrylovDims, m)
-		}
-	}
-	return s
 }
 
 // checkpointer drives the OnCheckpoint cadence: fire once every `every`
@@ -217,18 +129,17 @@ func newCheckpointer(opts *Options) *checkpointer {
 
 // maybe fires the hook when the cadence is due. mk builds the snapshot only
 // when needed, so the no-checkpoint steps never copy state; maybe adds the
-// counters so far (stats, the Krylov counters not yet folded into them,
-// and what the checkpoint the run resumed from carried). A hook error
-// aborts the run (the caller returns it wrapped).
-func (c *checkpointer) maybe(stats *Stats, count *krylov.Counters, mk func() Checkpoint) error {
+// counters so far (stats, plus what the checkpoint the run resumed from
+// carried). A hook error aborts the run (the caller returns it wrapped).
+func (c *checkpointer) maybe(stats *Stats, mk func() Checkpoint) error {
 	if c == nil || stats.Steps-c.last < c.every {
 		return nil
 	}
 	c.last = stats.Steps
 	cp := mk()
-	cp.Done = doneOf(stats, count)
+	cp.Done = stats.carried()
 	if prev := c.opts.resumeFrom; prev != nil && prev.Done != nil {
-		cp.Done.add(prev.Done)
+		cp.Done.Add(prev.Done)
 	}
 	if err := c.opts.OnCheckpoint(cp); err != nil {
 		return fmt.Errorf("transient: checkpoint callback at t=%g: %w", cp.T, err)

@@ -3,10 +3,12 @@ package transient
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"github.com/matex-sim/matex/internal/circuit"
 	"github.com/matex-sim/matex/internal/pdn"
@@ -84,13 +86,12 @@ func assertResumeMatches(t *testing.T, sys *circuit.System, method Method, opts 
 	// The counters the checkpoint carried plus the resumed run's own are
 	// the one-shot run's, but for the substitution pair a MATEX run spends
 	// on the q it solves afresh where it resumes.
-	type counts struct{ steps, rejected, pairs, spmvs, expms, lanczos, spots, dimSum int }
+	type counts struct {
+		steps, rejected, pairs, spmvs, expms, lanczos int
+		dims                                          string
+	}
 	count := func(s *Stats) counts {
-		c := counts{s.Steps, s.Rejected, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.LanczosSpots, len(s.KrylovDims), 0}
-		for _, d := range s.KrylovDims {
-			c.dimSum += d
-		}
-		return c
+		return counts{s.Steps, s.Rejected, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.LanczosSpots, fmt.Sprint(s.Dims)}
 	}
 	got, want := count(&resumed.Stats), count(&oneShot.Stats)
 	if method != TRFixed && method != TRAdaptive && got.pairs == want.pairs+1 {
@@ -182,6 +183,45 @@ func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
 		t.Fatalf("the choice moved at checkpoint %d of %d: not a deck that switches", sw, len(cps))
 	}
 
+	// The last resumable checkpoint as a build whose Done held only the
+	// step-driven counters, the dimensions as a histogram, journaled it:
+	// it decodes to the same record and resumes to the same bytes and
+	// counters. No pair is discarded on this deck, so two are added to
+	// have input_discarded in the record.
+	cp := cps[len(cps)-2]
+	done := *cp.Done
+	done.InputDiscarded += 2
+	cp.Done = &done
+	d := cp.Done
+	if d.InputAhead == 0 || d.Spots() == 0 {
+		t.Fatalf("checkpoint at t=%g carries no run-ahead pairs or no spots: %+v", cp.T, d)
+	}
+	raw, err := json.Marshal(struct {
+		Checkpoint
+		Done olderDone `json:"done"`
+	}{cp, olderDone{d.Steps, d.Rejected, d.SolvePairs, d.SpMVs, d.ExpmEvals, d.LanczosSpots, d.InputPairs,
+		d.DeviationSpots, d.InputAhead, d.InputDiscarded, d.Dims}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var older Checkpoint
+	if err := json.Unmarshal(raw, &older); err != nil || !reflect.DeepEqual(older, roundTrip(t, cp)) {
+		t.Fatalf("checkpoint in the older spelling decodes to %+v (%v), want %+v", older.Done, err, cp.Done)
+	}
+	resumed := make([]*Result, 2)
+	for i, c := range []Checkpoint{older, roundTrip(t, cp)} {
+		if resumed[i], err = Resume(sys, RMATEX, opts, c); err != nil {
+			t.Fatal(err)
+		}
+		resumed[i].Stats.DCTime, resumed[i].Stats.FactorTime, resumed[i].Stats.TransientTime = 0, 0, 0
+	}
+	if times, probes := tailAfter(oneShot, cp.T); !reflect.DeepEqual(resumed[0].Times, times) || !reflect.DeepEqual(resumed[0].Probes, probes) || !reflect.DeepEqual(resumed[0].Final, oneShot.Final) {
+		t.Error("resume from the checkpoint in the older spelling: not bit-identical to the uninterrupted run")
+	}
+	if !reflect.DeepEqual(resumed[0].Stats, resumed[1].Stats) || resumed[0].Stats.InputDiscarded != oneShot.Stats.InputDiscarded+2 {
+		t.Errorf("resume from the checkpoint in the older spelling: counters %+v, want %+v", resumed[0].Stats, resumed[1].Stats)
+	}
+
 	old := cps[sw+1]
 	old.AugPairs, old.DevPairs = 0, 0
 	res, err := Resume(sys, RMATEX, opts, roundTrip(t, old))
@@ -199,6 +239,22 @@ func TestResumeIsBitIdenticalAcrossTheTreatmentSwitch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// olderDone is Checkpoint.Done as journals written before Done became a
+// Stats spell it: the step-driven counters only, zeros omitted.
+type olderDone struct {
+	Steps          int   `json:"steps,omitempty"`
+	Rejected       int   `json:"rejected,omitempty"`
+	SolvePairs     int   `json:"solve_pairs,omitempty"`
+	SpMVs          int   `json:"spmvs,omitempty"`
+	ExpmEvals      int   `json:"expm_evals,omitempty"`
+	LanczosSpots   int   `json:"lanczos_spots,omitempty"`
+	InputPairs     int   `json:"input_pairs,omitempty"`
+	DeviationSpots int   `json:"deviation_spots,omitempty"`
+	InputAhead     int   `json:"input_ahead,omitempty"`
+	InputDiscarded int   `json:"input_discarded,omitempty"`
+	Dims           []int `json:"krylov_dims,omitempty"`
 }
 
 // TestResumeIMATEXIsBitIdenticalFromEverySegment resumes I-MATEX, which
@@ -325,5 +381,89 @@ func TestCheckpointCadence(t *testing.T) {
 	// 500 full steps; every accepted step checkpoints.
 	if n < 400 {
 		t.Fatalf("CheckpointEvery=1 fired %d times over 500 steps", n)
+	}
+}
+
+// TestStatsFieldsAreDeclaredOnce walks every field of Stats, the embedded
+// krylov.Counters' included, so a counter is declared in one place: Add sums
+// each counter (the histogram element-wise, Regularized or-ed) and leaves
+// the durations alone, a checkpoint's JSON keeps each field, and carried
+// zeroes exactly the per-life fields. A field added to Stats but left out
+// of Add, or out of the JSON, fails here.
+func TestStatsFieldsAreDeclaredOnce(t *testing.T) {
+	perLife := map[string]bool{"Factorizations": true, "CacheHits": true, "CacheMisses": true, "SymbolicHits": true,
+		"Refactors": true, "Regularized": true, "DCTime": true, "FactorTime": true, "TransientTime": true}
+	durType := reflect.TypeOf(time.Duration(0))
+	var fields []reflect.StructField
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Stats{})) {
+		if !f.Anonymous {
+			fields = append(fields, f)
+		}
+	}
+	// filled sets field i to seed+i (Dims: one spot each of dimension 1 and
+	// seed+i), and Regularized to whether seed is odd.
+	filled := func(seed int) Stats {
+		var s Stats
+		v := reflect.ValueOf(&s).Elem()
+		for i, f := range fields {
+			switch x := v.FieldByIndex(f.Index); x.Kind() {
+			case reflect.Int, reflect.Int64:
+				x.SetInt(int64(seed + i))
+			case reflect.Bool:
+				x.SetBool(seed%2 == 1)
+			default:
+				if f.Name != "Dims" {
+					t.Fatalf("Stats.%s: a %v, which this test does not know how to fold", f.Name, f.Type)
+				}
+				s.Dims = make([]int, seed+i+1)
+				s.Dims[1], s.Dims[seed+i] = 1, 1
+			}
+		}
+		return s
+	}
+	a, b := filled(2), filled(101)
+	sum := filled(2)
+	sum.Add(&b)
+	sv, av, bv := reflect.ValueOf(sum), reflect.ValueOf(a), reflect.ValueOf(b)
+	for _, f := range fields {
+		got, x, y := sv.FieldByIndex(f.Index), av.FieldByIndex(f.Index), bv.FieldByIndex(f.Index)
+		var want any
+		switch {
+		case f.Type == durType:
+			want = x.Interface()
+		case f.Type.Kind() == reflect.Int:
+			want = int(x.Int() + y.Int())
+		case f.Type.Kind() == reflect.Bool:
+			want = x.Bool() || y.Bool()
+		default:
+			d := make([]int, max(x.Len(), y.Len()))
+			for m := range d {
+				if m < x.Len() {
+					d[m] += a.Dims[m]
+				}
+				if m < y.Len() {
+					d[m] += b.Dims[m]
+				}
+			}
+			want = d
+		}
+		if !reflect.DeepEqual(got.Interface(), want) {
+			t.Errorf("Add: Stats.%s = %v, want %v", f.Name, got.Interface(), want)
+		}
+	}
+
+	back := roundTrip(t, Checkpoint{Method: "rmatex", X: []float64{1}, Done: &b})
+	carried := b.carried()
+	carried.Dims[1]++ // its own histogram, not b's
+	bv, rv, cv := reflect.ValueOf(b), reflect.ValueOf(*back.Done), reflect.ValueOf(*b.carried())
+	for _, f := range fields {
+		x := bv.FieldByIndex(f.Index).Interface()
+		if got := rv.FieldByIndex(f.Index).Interface(); !reflect.DeepEqual(got, x) {
+			t.Errorf("checkpoint JSON: Stats.%s = %v, want %v", f.Name, got, x)
+		}
+		c := cv.FieldByIndex(f.Index)
+		if perLife[f.Name] != c.IsZero() || !perLife[f.Name] && !reflect.DeepEqual(c.Interface(), x) {
+			t.Errorf("carried: Stats.%s = %v of %v (per life: %v)", f.Name, c.Interface(), x, perLife[f.Name])
+		}
 	}
 }

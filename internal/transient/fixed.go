@@ -112,7 +112,7 @@ func simulateFixed(sys *circuit.System, opts Options) (*Result, error) {
 			t1 = opts.Tstop // land exactly on the window end
 		}
 		step(t0, t1, lhs, rhsMat)
-		err := cpr.maybe(&res.Stats, nil, func() Checkpoint {
+		err := cpr.maybe(&res.Stats, func() Checkpoint {
 			return Checkpoint{Method: TRFixed.Name(), T: t1, X: append([]float64(nil), x...)}
 		})
 		if err != nil {

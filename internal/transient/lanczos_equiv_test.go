@@ -111,7 +111,7 @@ func TestLanczosWaveformEquivalence(t *testing.T) {
 					if d := math.Abs(got.Probes[i][k] - ref.Probes[i][k]); d > 1e-8*scale {
 						t.Fatalf("%s seed %d: waveforms differ by %g (%.3g of scale) at t=%g probe %d (lanczos spots %d/%d)",
 							tc.name, seed, d, d/scale, ref.Times[i], k,
-							got.Stats.LanczosSpots, len(got.Stats.KrylovDims))
+							got.Stats.LanczosSpots, got.Stats.Spots())
 					}
 				}
 			}

@@ -91,8 +91,9 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		res.record(0, x, &opts)
 	}
 
-	// Operator factorization (X1 of Alg. 1).
-	count := &krylov.Counters{}
+	// Operator factorization (X1 of Alg. 1). The operator counts its work
+	// straight into the run's Stats.
+	count := &res.Stats.Counters
 	tFac := time.Now()
 	var op *krylov.Op
 	devOnly := false // no augmented form to choose
@@ -144,11 +145,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 	grid := waveform.MergeSpots(append(append([]float64(nil), lts...), outs...), opts.Tstop, waveform.SpotEps, true)
 
 	tTr := time.Now()
-	defer func() {
-		res.Stats.TransientTime = time.Since(tTr)
-		res.Stats.SolvePairs += res.Stats.InputPairs
-		res.Stats.addCounters(count)
-	}()
+	defer func() { res.Stats.TransientTime = time.Since(tTr) }()
 
 	ws := krylov.DefaultWorkspaces.Get()
 	defer krylov.DefaultWorkspaces.Put(ws)
@@ -225,7 +222,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 			maxBu0 = maxAbs(maxBu0, in.bu0[i])
 			maxBu1 = maxAbs(maxBu1, in.bu1[i])
 		}
-		in.t, in.segEnd, in.maxDiff, in.carried = t, segEnd, maxDiff, carried
+		in.t, in.maxDiff = t, maxDiff
 		in.buScale = math.Max(buScale, math.Max(maxBu0, maxBu1))
 		// Flatness is judged against the largest input magnitude seen so
 		// far, not exact zero: waveform corner times carry last-bit
@@ -261,10 +258,12 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		segEnd := segmentEnd(t)
 		rampDev := devPairs > 0 && devPairs < augPairs
 		// Input terms on the slope-constant segment [t, segEnd]: the
-		// helper's, when they are this segment's under this treatment and
-		// this base q, else computed here.
+		// helper's, when they are this segment's under this treatment, else
+		// computed here. The helper started at the previous segment's
+		// planned end, which t is only when that segment was not split; then
+		// segEnd = segmentEnd(t) and the carried q are the ones it assumed.
 		helper.Wait()
-		if nx := ahead; nx != nil && nx.t == t && nx.segEnd == segEnd && nx.carried == qOK && nx.deviation == deviates(nx.flat, rampDev) {
+		if nx := ahead; nx != nil && nx.t == t && nx.deviation == deviates(nx.flat, rampDev) {
 			cur, spare = nx, cur
 			res.Stats.InputAhead += nx.basePairs + nx.rampPairs
 		} else {
@@ -282,11 +281,13 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		// The segment's input treatment: form the Krylov start vector here;
 		// evalAt below applies the matching correction.
 		res.Stats.InputPairs += in.basePairs
-		pairs0 := count.SolvePairs + res.Stats.InputPairs
+		res.Stats.SolvePairs += in.basePairs
+		pairs0 := res.Stats.SolvePairs
 		if deviation {
 			res.Stats.DeviationSpots++
 			if !flat {
 				res.Stats.InputPairs += in.rampPairs
+				res.Stats.SolvePairs += in.rampPairs
 				res.Stats.SpMVs++
 			}
 			for i := range in.q {
@@ -361,7 +362,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		// What this spot cost, for the next ramp's choice. A deviation spot
 		// is booked at a ramp's price (r2 and q1) even when it was flat, and
 		// not at all when its start vector was zero (a dimension-1 dummy).
-		if cost := count.SolvePairs + res.Stats.InputPairs - pairs0; !deviation {
+		if cost := res.Stats.SolvePairs - pairs0; !deviation {
 			augPairs = cost
 		} else if sub.Beta() != 0 {
 			devPairs = cost
@@ -416,7 +417,7 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 		if qOK = deviation && !split && (!flat || in.maxDiff == 0); qOK && !flat {
 			in.q, in.q1 = in.q1, in.q
 		}
-		err = cpr.maybe(&res.Stats, count, func() Checkpoint {
+		err = cpr.maybe(&res.Stats, func() Checkpoint {
 			return Checkpoint{Method: method.Name(), T: tBase, X: append([]float64(nil), x...), BuScale: buScale, AugPairs: augPairs, DevPairs: devPairs}
 		})
 		if err != nil {
@@ -431,12 +432,11 @@ func SimulateMatex(sys *circuit.System, method Method, opts Options) (*Result, e
 // buffers of its own: the loop integrates from one while the helper fills
 // another for the next segment.
 type segInputs struct {
-	t, segEnd       float64
+	t               float64
 	bu0, bu1, slope []float64 // B·u at both ends and its slope
 	maxDiff         float64   // largest |bu1 − bu0|
 	buScale         float64   // the run's largest |B·u| through this segment
 	flat, deviation bool
-	carried         bool // q came in as q(t), not solved here
 	// Deviation terms: q = q(t), q1 = q(segEnd), w1 = (q1 − q)/h and
 	// r2 = G⁻¹·C·w1; work is their solves' workspace.
 	q, q1, w1, r2, work []float64

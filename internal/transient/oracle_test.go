@@ -292,15 +292,13 @@ func (c *oracleCase) check(t *testing.T, ref [][]float64, m Method, kry krylov.M
 		t.Errorf("max deviation from the dense reference %g > %g", dev, tol)
 	}
 	segs, flat := c.segments()
-	spots := len(st.KrylovDims)
+	spots := st.Spots()
 	if st.Rejected != 0 || m != MEXP && spots != segs {
 		t.Fatalf("%d subspaces (%d rejected) over %d segments", spots, st.Rejected, segs)
 	}
 	augmented, dummies := spots-st.DeviationSpots, 0
-	for _, d := range st.KrylovDims {
-		if d == 1 {
-			dummies++ // a zero start vector
-		}
+	if len(st.Dims) > 1 {
+		dummies = st.Dims[1] // zero start vectors
 	}
 	// A deviation ramp pays r2 and, unless B·u ends at zero, q at its end; a
 	// flat segment pays for q only when it could not be carried (after an
@@ -380,8 +378,8 @@ func TestRampTreatmentIsChosenByCost(t *testing.T) {
 		}
 	}
 	st := &res.Stats
-	if flat == 0 || flat == len(st.KrylovDims) || st.DeviationSpots != flat || st.MP() > 4 {
-		t.Errorf("%d deviation spots over %d flat segments of %d (m_p %d): a floor-dimension ramp left augmented", st.DeviationSpots, flat, len(st.KrylovDims), st.MP())
+	if flat == 0 || flat == st.Spots() || st.DeviationSpots != flat || st.MP() > 4 {
+		t.Errorf("%d deviation spots over %d flat segments of %d (m_p %d): a floor-dimension ramp left augmented", st.DeviationSpots, flat, st.Spots(), st.MP())
 	}
 	// One solve per flat segment that follows a ramp (q is not kept across
 	// an augmented spot); the first has q(0) = x_DC.
@@ -423,7 +421,7 @@ func TestOracleSweepRMATEX(t *testing.T) {
 				worst = math.Max(worst, dev)
 				st := &res.Stats
 				pairs, input, devSpots = pairs+st.SolvePairs, input+st.InputPairs, devSpots+st.DeviationSpots
-				spots, rejected = spots+len(st.KrylovDims), rejected+st.Rejected
+				spots, rejected = spots+st.Spots(), rejected+st.Rejected
 			}
 			t.Logf("worst %.2g V, %d pairs (%d on inputs), %d of %d spots on deviation, %d rejected",
 				worst, pairs, input, devSpots, spots, rejected)

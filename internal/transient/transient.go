@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -186,90 +187,67 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats reports the work performed by a solver, matching the cost terms of
-// the paper's complexity model.
+// the paper's complexity model. It is the one record of a run's work: the
+// Krylov operator counts into its embedded Counters, a checkpoint carries
+// one (Checkpoint.Done), and the CLI's -stats line, a job's status and
+// stream tail and the service's /stats totals all read it, under the JSON
+// keys below.
 type Stats struct {
-	Factorizations int
-	SolvePairs     int // forward+backward substitution pairs (T_bs)
-	SpMVs          int
-	ExpmEvals      int // small matrix exponential evaluations (T_H)
-	KrylovDims     []int
-	Steps          int
-	Rejected       int
-	Regularized    bool // MEXP had to regularize a singular C
+	Factorizations int `json:"factorizations"`
+	// SolvePairs counts forward+backward substitution pairs (T_bs), every
+	// one the run spent: the DC point's, the operator's and the MATEX
+	// driver's input terms; ExpmEvals counts small matrix exponential
+	// evaluations (T_H); Dims is the histogram of the generated Krylov
+	// dimensions.
+	krylov.Counters
+	Steps       int  `json:"steps"`
+	Rejected    int  `json:"rejected"`
+	Regularized bool `json:"regularized,omitempty"` // MEXP had to regularize a singular C
 	// CacheHits/CacheMisses count factorization acquisitions served from /
 	// added to Options.Cache; Factorizations counts only factorizations
 	// actually computed, so the paper's cost comparison stays honest.
-	CacheHits   int
-	CacheMisses int
-	// LanczosSpots counts the Krylov subspaces generated through the
-	// symmetric Lanczos fast path (the remainder used Arnoldi).
-	LanczosSpots int
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
 	// SymbolicHits counts factorizations that reused a cached symbolic
 	// analysis (pattern tier of Options.Cache); Refactors counts computed
 	// factorizations that went through the cheap numeric refactorization
 	// path at all (including the one that built the analysis). Refactors -
 	// SymbolicHits is therefore the number of symbolic analyses paid for.
-	SymbolicHits int
-	Refactors    int
+	SymbolicHits int `json:"symbolic_hits"`
+	Refactors    int `json:"refactors"`
 	// InputPairs counts the substitution pairs (already in SolvePairs) the
 	// MATEX driver itself spent on input terms, q = G⁻¹·B·u and r2 = G⁻¹·C·w1;
 	// DeviationSpots counts the spots that took the deviation treatment (see
 	// SimulateMatex).
-	InputPairs     int
-	DeviationSpots int
+	InputPairs     int `json:"input_pairs"`
+	DeviationSpots int `json:"deviation_spots"`
 	// InputAhead counts the input pairs (already in InputPairs) the MATEX
 	// segment loop took from its helper goroutine, which computes the next
 	// ramp's input terms while the current spot's subspace is generated;
 	// InputDiscarded counts the pairs the helper computed for a segment that
 	// then came out differently (split, or its ramp left the deviation) —
 	// extra work, in no other counter.
-	InputAhead     int
-	InputDiscarded int
-	DCTime         time.Duration
-	FactorTime     time.Duration
-	TransientTime  time.Duration
-}
-
-// MA returns the average generated Krylov dimension (paper's m_a).
-func (s *Stats) MA() float64 {
-	if len(s.KrylovDims) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, d := range s.KrylovDims {
-		sum += d
-	}
-	return float64(sum) / float64(len(s.KrylovDims))
-}
-
-// MP returns the peak generated Krylov dimension (paper's m_p).
-func (s *Stats) MP() int {
-	p := 0
-	for _, d := range s.KrylovDims {
-		if d > p {
-			p = d
-		}
-	}
-	return p
+	InputAhead     int           `json:"input_ahead"`
+	InputDiscarded int           `json:"input_discarded"`
+	DCTime         time.Duration `json:"dc_ns,omitempty"`
+	FactorTime     time.Duration `json:"factor_ns,omitempty"`
+	TransientTime  time.Duration `json:"transient_ns,omitempty"`
 }
 
 // Add folds another run's work counters into s — a D-MATEX node's into the
-// run totals, a sweep lane's into the sweep's. It leaves the three
-// durations alone: lanes that run side by side have theirs folded in one
-// place, superpose.Run (FactorTime summed, DCTime over the lanes that solve
-// a DC point, TransientTime the slowest lane's).
+// run totals, a sweep lane's into the sweep's, what a checkpoint carried
+// into the resumed run's. It leaves the three durations alone: lanes that
+// run side by side have theirs folded in one place, superpose.Run
+// (FactorTime summed, DCTime over the lanes that solve a DC point,
+// TransientTime the slowest lane's).
 func (s *Stats) Add(o *Stats) {
+	s.Counters.Add(&o.Counters)
 	s.Factorizations += o.Factorizations
-	s.SolvePairs += o.SolvePairs
-	s.SpMVs += o.SpMVs
-	s.ExpmEvals += o.ExpmEvals
-	s.KrylovDims = append(s.KrylovDims, o.KrylovDims...)
 	s.Steps += o.Steps
 	s.Rejected += o.Rejected
 	s.Regularized = s.Regularized || o.Regularized
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	s.LanczosSpots += o.LanczosSpots
 	s.SymbolicHits += o.SymbolicHits
 	s.Refactors += o.Refactors
 	s.InputPairs += o.InputPairs
@@ -278,13 +256,16 @@ func (s *Stats) Add(o *Stats) {
 	s.InputDiscarded += o.InputDiscarded
 }
 
-// addCounters folds Krylov counters into the stats.
-func (s *Stats) addCounters(c *krylov.Counters) {
-	s.SolvePairs += c.SolvePairs
-	s.SpMVs += c.SpMVs
-	s.ExpmEvals += c.ExpmEvals
-	s.LanczosSpots += c.Lanczos
-	s.KrylovDims = append(s.KrylovDims, c.Dims...)
+// carried returns a copy of s that owns its histogram, with the counters
+// each life of a run pays on its own zeroed: factorizations, cache and
+// symbolic counts, Regularized and the durations. It is what a checkpoint
+// carries into the next life.
+func (s *Stats) carried() *Stats {
+	c := *s
+	c.Dims = slices.Clone(s.Dims)
+	c.Factorizations, c.CacheHits, c.CacheMisses, c.SymbolicHits, c.Refactors, c.Regularized = 0, 0, 0, 0, 0, false
+	c.DCTime, c.FactorTime, c.TransientTime = 0, 0, 0
+	return &c
 }
 
 // Result is a transient solution trace.

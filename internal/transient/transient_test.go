@@ -2,6 +2,7 @@ package transient
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -383,12 +384,41 @@ func TestOptionValidation(t *testing.T) {
 }
 
 func TestStatsMAMP(t *testing.T) {
-	s := Stats{KrylovDims: []int{4, 6, 8}}
-	if s.MA() != 6 || s.MP() != 8 {
-		t.Fatalf("MA=%v MP=%v", s.MA(), s.MP())
+	var s Stats
+	s.Dims = []int{0, 0, 0, 0, 1, 0, 1, 0, 1} // one spot each of dimension 4, 6 and 8
+	if s.Spots() != 3 || s.MA() != 6 || s.MP() != 8 {
+		t.Fatalf("spots=%d MA=%v MP=%v", s.Spots(), s.MA(), s.MP())
 	}
 	var empty Stats
-	if empty.MA() != 0 || empty.MP() != 0 {
+	if empty.Spots() != 0 || empty.MA() != 0 || empty.MP() != 0 {
 		t.Fatal("empty stats should be zero")
+	}
+}
+
+// TestStatsPinned pins the work counters of the three MATEX modes on the
+// switching deck of the resume tests: the pairs the loop books into
+// SolvePairs as it spends them, the operator's counts and the dimension
+// histogram -stats reads m_a, m_p and the spot count from. They are the
+// paper's cost terms, so a change in any of them must be deliberate.
+func TestStatsPinned(t *testing.T) {
+	sys := pdnSystemCNode(t, 1, 0.5e-12)
+	for _, c := range []struct {
+		method Method
+		want   string
+	}{
+		{RMATEX, "factorizations=2 solve_pairs=294 spmvs=298 expm_evals=212 lanczos_spots=44 dims=[0 1 0 0 15 28 1 0 0 0 0 0 0 0 1] steps=46 rejected=0 input_pairs=73 deviation_spots=45 input_ahead=70 input_discarded=0"},
+		{IMATEX, "factorizations=1 solve_pairs=285 spmvs=290 expm_evals=210 lanczos_spots=45 dims=[0 1 0 0 15 30] steps=46 rejected=0 input_pairs=74 deviation_spots=46 input_ahead=74 input_discarded=0"},
+		{MEXP, "factorizations=2 solve_pairs=11587 spmvs=11479 expm_evals=4958 lanczos_spots=382 dims=[0 347 0 0 233 4 5 7 12 19 36 13 18 13 15 11 8 24 56 71 34 12 11 20 34 13 10 6 5 3 2 0 0 1 3 0 2 7 11 7 9 2 1 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 1] steps=1086 rejected=0 input_pairs=227 deviation_spots=729 input_ahead=207 input_discarded=20"},
+	} {
+		res, err := Simulate(sys, c.method, Options{Tstop: 10e-9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := &res.Stats
+		got := fmt.Sprintf("factorizations=%d solve_pairs=%d spmvs=%d expm_evals=%d lanczos_spots=%d dims=%v steps=%d rejected=%d input_pairs=%d deviation_spots=%d input_ahead=%d input_discarded=%d",
+			s.Factorizations, s.SolvePairs, s.SpMVs, s.ExpmEvals, s.LanczosSpots, s.Dims, s.Steps, s.Rejected, s.InputPairs, s.DeviationSpots, s.InputAhead, s.InputDiscarded)
+		if got != c.want {
+			t.Errorf("%v:\n got %s\nwant %s", c.method, got, c.want)
+		}
 	}
 }
